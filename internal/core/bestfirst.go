@@ -35,19 +35,16 @@ func BestFirstOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) Opt
 	cfg = cfg.withDefaults()
 	fab := newLoopbackFabric[N](cfg)
 	defer fab.close()
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
 	inc := newIncumbent[N](fab.trs)
 	fab.bounds = inc
-	locOf := make([]int, cfg.Workers)
-	for w := range locOf {
-		locOf[w] = w % cfg.Localities
-	}
-	vs := newOptVisitors(space, p, inc, m, locOf)
+	ws := newWorkers(space, p.Gen, cfg, func(w int, sh *WorkerStats) visitor[N] {
+		return newOptVisitor(space, p, inc, w%cfg.Localities, sh)
+	})
 	fab.start(cancel)
 	start := time.Now()
-	runBestFirst(space, p.Gen, func(n N) int64 { return p.Bound(space, n) }, cfg, m, cancel, vs, root)
-	stats := m.total()
+	runBestFirst(func(n N) int64 { return p.Bound(space, n) }, cfg, ws, cancel, root)
+	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	stats.Broadcasts = inc.broadcasts()
 	node, obj, has := inc.result()
@@ -59,7 +56,7 @@ func BestFirstOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) Opt
 // bottom-most generator is drained back into the worker's shard,
 // prioritised by each subtree root's own bound (bucketed as distance
 // from the root bound: lower bucket = stronger bound = runs earlier).
-func runBestFirst[S, N any](space S, gf GenFactory[S, N], prio func(N) int64, cfg Config, m *Metrics, cancel *canceller, visitors []visitor[N], root N) {
+func runBestFirst[S, N any](prio func(N) int64, cfg Config, workers []*workerCtx[S, N], cancel *canceller, root N) {
 	ref := prio(root)
 	taskPrio := func(n N) int32 { return clampPrio(ref - prio(n)) }
 	pool := NewShardedPool[N](PrioBucketKind, cfg.Workers)
@@ -67,23 +64,20 @@ func runBestFirst[S, N any](space S, gf GenFactory[S, N], prio func(N) int64, cf
 	tr := newTracker()
 	tr.add(1)
 	pool.Shard(0).Push(Task[N]{Node: root, Depth: 0, Prio: taskPrio(root)})
-	caches := newGenCaches(space, gf, cfg)
-	scratch := newWorkerScratch[N](cfg.Workers)
 
-	runTask := func(w int, v visitor[N], sh *WorkerStats, t Task[N]) {
+	runTask := func(c *workerCtx[S, N], t Task[N]) {
 		if trc := cfg.Trace; trc != nil {
 			start := time.Now()
-			defer func() { trc.record(w, t.Depth, start, time.Now()) }()
+			defer func() { trc.record(c.id, t.Depth, start, time.Now()) }()
 		}
 		defer tr.finish()
 		if cancel.cancelled() {
 			return
 		}
+		v, sh, gc, sc := c.visitor, &c.stats, &c.gens, &c.scratch
 		if v.visit(t.Node) != descend {
 			return
 		}
-		gc := caches[w]
-		sc := scratch[w]
 		stack := sc.stack[:0]
 		defer func() { sc.stack = stack[:0] }()
 		stack = append(stack, gc.gen(0, t.Node))
@@ -101,7 +95,7 @@ func runBestFirst[S, N any](space S, gf GenFactory[S, N], prio func(N) int64, cf
 							sh.Spawns++
 							cp := taskPrio(child)
 							sh.notePrio(cp)
-							pool.Shard(w).Push(Task[N]{Node: child, Depth: t.Depth + i + 1, Prio: cp})
+							pool.Shard(c.id).Push(Task[N]{Node: child, Depth: t.Depth + i + 1, Prio: cp})
 							pk.wake()
 						}
 						break
@@ -132,12 +126,11 @@ func runBestFirst[S, N any](space S, gf GenFactory[S, N], prio func(N) int64, cf
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for _, c := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func(c *workerCtx[S, N]) {
 			defer wg.Done()
-			v := visitors[w]
-			sh := m.shard(w)
+			w, sh := c.id, &c.stats
 			timer := newParkTimer()
 			defer timer.Stop()
 			idle := 0
@@ -153,7 +146,7 @@ func runBestFirst[S, N any](space S, gf GenFactory[S, N], prio func(N) int64, cf
 				}
 				if ok {
 					idle = 0
-					runTask(w, v, sh, t)
+					runTask(c, t)
 					continue
 				}
 				select {
@@ -175,7 +168,7 @@ func runBestFirst[S, N any](space S, gf GenFactory[S, N], prio func(N) int64, cf
 				pk.park(timer, 20*time.Microsecond<<uint(backoff), tr.done, cancel.ch,
 					func() bool { return pool.Size() == 0 })
 			}
-		}(w)
+		}(c)
 	}
 	wg.Wait()
 }

@@ -13,18 +13,17 @@ package core
 // the per-level discrepancy/yield counters ordered scheduling needs to
 // stamp shed tasks with priorities) lives in the worker's reusable
 // scratch, so running a task allocates nothing.
-func runBudget[S, N any](e *engine[S, N], visitors []visitor[N], root N) {
+func runBudget[S, N any](e *engine[S, N], root N) {
 	budget := e.cfg.Budget
-	e.runPoolWorkers(root, visitors, func(w int, v visitor[N], sh *WorkerStats, t Task[N]) {
-		defer e.finishTask(w, t)
+	e.runPoolWorkers(root, func(c *workerCtx[S, N], t Task[N]) {
+		defer e.finishTask(c.id, t)
 		if e.cancel.cancelled() {
 			return
 		}
+		v, sh, gc, sc := c.visitor, &c.stats, &c.gens, &c.scratch
 		if v.visit(t.Node) != descend {
 			return
 		}
-		gc := e.caches[w]
-		sc := e.scratch[w]
 		stack := sc.stack[:0]
 		disc := sc.disc[:0]
 		yields := sc.yields[:0]
@@ -40,7 +39,7 @@ func runBudget[S, N any](e *engine[S, N], visitors []visitor[N], root N) {
 				return
 			}
 			if backtracks >= budget {
-				if e.memPressured(w) {
+				if e.memPressured(c.id) {
 					// Memory pressure suspends shedding: keep searching
 					// this stack in place (the budget re-arms, so the
 					// check repeats) until the pool is back under its
@@ -52,7 +51,7 @@ func runBudget[S, N any](e *engine[S, N], visitors []visitor[N], root N) {
 					if stack[i].HasNext() {
 						for stack[i].HasNext() {
 							child := stack[i].Next()
-							e.spawnTask(w, sh, Task[N]{
+							e.spawnTask(c, Task[N]{
 								Node:  child,
 								Depth: t.Depth + i + 1,
 								Prio:  e.prio.childPrio(disc[i], int(yields[i]), child),

@@ -86,13 +86,14 @@ func TestQuickPoolsAgainstModel(t *testing.T) {
 	}
 }
 
-func TestMetricsTotalSumsShards(t *testing.T) {
-	m := newMetrics(3)
-	m.shard(0).Nodes = 5
-	m.shard(1).Nodes = 7
-	m.shard(2).Prunes = 2
-	m.shard(2).Spawns = 4
-	s := m.total()
+func TestTotalStatsSumsWorkers(t *testing.T) {
+	ws := newWorkers[struct{}, int](struct{}{}, nil, Config{Workers: 3},
+		func(int, *WorkerStats) visitor[int] { return nil })
+	ws[0].stats.Nodes = 5
+	ws[1].stats.Nodes = 7
+	ws[2].stats.Prunes = 2
+	ws[2].stats.Spawns = 4
+	s := totalStats(ws)
 	if s.Nodes != 12 || s.Prunes != 2 || s.Spawns != 4 || s.Workers != 3 {
 		t.Errorf("total = %+v", s)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"yewpar/internal/pad"
 )
 
 // canceller implements the global short-circuit of the (shortcircuit)
@@ -10,6 +12,9 @@ import (
 // outstanding work. When a broadcast hook is wired (fabric.start), a
 // locally originated cancel also reaches every peer locality; cancels
 // received FROM a peer latch without re-broadcasting (cancelQuiet).
+// Every worker reads flag once per node, so the canceller is allocated
+// isolated: a neighbour written per node would turn that read into a
+// cache miss.
 type canceller struct {
 	flag  atomic.Bool
 	ch    chan struct{}
@@ -18,7 +23,9 @@ type canceller struct {
 }
 
 func newCanceller() *canceller {
-	return &canceller{ch: make(chan struct{})}
+	c := pad.New[canceller]()
+	c.ch = make(chan struct{})
+	return c
 }
 
 func (c *canceller) cancel() {
@@ -51,7 +58,9 @@ func (c *canceller) cancelled() bool { return c.flag.Load() }
 // deregistered (finish) after it has completed, including spawning its
 // children. The done channel closes exactly when the last task
 // finishes, which is sound because children are always added before
-// their parent finishes, so the count cannot touch zero early.
+// their parent finishes, so the count cannot touch zero early. The
+// count is shared by design — every worker updates it per task — so
+// the tracker is allocated isolated.
 type tracker struct {
 	live atomic.Int64
 	done chan struct{}
@@ -59,7 +68,9 @@ type tracker struct {
 }
 
 func newTracker() *tracker {
-	return &tracker{done: make(chan struct{})}
+	t := pad.New[tracker]()
+	t.done = make(chan struct{})
+	return t
 }
 
 func (t *tracker) add(n int64) { t.live.Add(n) }

@@ -11,26 +11,25 @@ package core
 // scheduling mode each spawned child carries its priority: its path
 // discrepancy (the parent task's, plus one for every non-leftmost
 // branch) or its bound distance, assigned by the engine's prioAssigner.
-func runDepthBounded[S, N any](e *engine[S, N], visitors []visitor[N], root N) {
-	e.runPoolWorkers(root, visitors, func(w int, v visitor[N], sh *WorkerStats, t Task[N]) {
-		defer e.finishTask(w, t)
+func runDepthBounded[S, N any](e *engine[S, N], root N) {
+	e.runPoolWorkers(root, func(c *workerCtx[S, N], t Task[N]) {
+		defer e.finishTask(c.id, t)
 		if e.cancel.cancelled() {
 			return
 		}
-		if v.visit(t.Node) != descend {
+		if c.visitor.visit(t.Node) != descend {
 			return
 		}
-		gc := e.caches[w]
 		// Memory pressure deepens the cutoff: above the budget's soft
 		// threshold the worker searches in place instead of spawning,
 		// trading parallel slack for zero frontier growth. Checked per
-		// task (two atomic loads), so relief is immediate once thieves
-		// or the spiller bring the pool back down.
-		if t.Depth < e.cfg.DCutoff && !e.memPressured(w) {
-			g := gc.gen(0, t.Node)
+		// task, so relief is immediate once thieves or the spiller
+		// bring the pool back down.
+		if t.Depth < e.cfg.DCutoff && !e.memPressured(c.id) {
+			g := c.gens.gen(0, t.Node)
 			for i := 0; g.HasNext(); i++ {
 				child := g.Next()
-				e.spawnTask(w, sh, Task[N]{
+				e.spawnTask(c, Task[N]{
 					Node:  child,
 					Depth: t.Depth + 1,
 					Prio:  e.prio.childPrio(t.Prio, i, child),
@@ -39,6 +38,6 @@ func runDepthBounded[S, N any](e *engine[S, N], visitors []visitor[N], root N) {
 			}
 			return
 		}
-		expandBelow(gc, v, e.cancel, sh, t.Node)
+		expandBelow(c, e.cancel, t.Node)
 	})
 }

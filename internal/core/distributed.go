@@ -121,8 +121,8 @@ func distCoordination(coord Coordination) error {
 // every process constructs the problem identically, each computes the
 // same root-bound reference and the priorities agree across the
 // deployment without negotiation.
-func runDistEngine[S, N any](coord Coordination, space S, gf GenFactory[S, N], cfg Config, m *Metrics, cancel *canceller, vs []visitor[N], root N, fab *fabric[N], prio *prioAssigner[S, N]) {
-	e := newEngine(space, gf, cfg, m, cancel, fab, prio)
+func runDistEngine[S, N any](coord Coordination, cfg Config, ws []*workerCtx[S, N], cancel *canceller, root N, fab *fabric[N], prio *prioAssigner[S, N]) {
+	e := newEngine(cfg, ws, cancel, fab, prio)
 	if coord == StackStealing {
 		// Install the split gates before the transport starts serving:
 		// a peer's kSplit may arrive the moment registration completes.
@@ -131,11 +131,11 @@ func runDistEngine[S, N any](coord Coordination, space S, gf GenFactory[S, N], c
 	fab.start(cancel)
 	switch coord {
 	case DepthBounded:
-		runDepthBounded(e, vs, root)
+		runDepthBounded(e, root)
 	case Budget:
-		runBudget(e, vs, root)
+		runBudget(e, root)
 	case StackStealing:
-		runStackStealDist(e, vs, root)
+		runStackStealDist(e, root)
 	default:
 		panic("core: unknown coordination")
 	}
@@ -172,16 +172,17 @@ func DistOpt[S, N any](tr dist.Transport, codec Codec[N], coord Coordination, sp
 	}
 	cfg = distDefaults(cfg, tr)
 	fab := newDistFabric(tr, codec)
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
 	inc := newIncumbent[N](fab.trs)
 	inc.encode = codec.Encode
 	fab.bounds = inc
-	vs := newOptVisitors(space, p, inc, m, make([]int, cfg.Workers))
+	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
+		return newOptVisitor(space, p, inc, 0, sh)
+	})
 	prio := newPrioAssigner(cfg.Order, space, root, p.Bound)
 	start := time.Now()
-	runDistEngine(coord, space, p.Gen, cfg, m, cancel, vs, root, fab, prio)
-	stats := m.total()
+	runDistEngine(coord, cfg, ws, cancel, root, fab, prio)
+	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	stats.Broadcasts = inc.broadcasts()
 	fab.wireStats(&stats)
@@ -233,18 +234,19 @@ func DistEnum[S, N, M any](tr dist.Transport, codec Codec[N], coord Coordination
 	}
 	cfg = distDefaults(cfg, tr)
 	fab := newDistFabric(tr, codec)
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
-	vs := newEnumVisitors(space, p, m, cfg.Workers)
+	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
+		return newEnumVisitor(space, p, sh)
+	})
 	prio := newPrioAssigner[S, N](cfg.Order, space, root, nil)
 	start := time.Now()
-	runDistEngine(coord, space, p.Gen, cfg, m, cancel, vs, root, fab, prio)
-	stats := m.total()
+	runDistEngine(coord, cfg, ws, cancel, root, fab, prio)
+	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	fab.wireStats(&stats)
 	fab.faultStats(&stats)
 	fab.memStats(&stats)
-	value := combineEnum[S, N, M](p.Monoid, vs)
+	value := combineEnum[S, N, M](p.Monoid, ws)
 
 	var vbuf bytes.Buffer
 	if err := gob.NewEncoder(&vbuf).Encode(&value); err != nil {
@@ -286,10 +288,11 @@ func DistDecide[S, N any](tr dist.Transport, codec Codec[N], coord Coordination,
 	}
 	cfg = distDefaults(cfg, tr)
 	fab := newDistFabric(tr, codec)
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
 	wit := &witness[N]{}
-	vs := newDecisionVisitors(space, p, wit, cancel, m, cfg.Workers)
+	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
+		return newDecisionVisitor(space, p, wit, cancel, sh)
+	})
 	// A locally found witness rides the cancel broadcast, so it
 	// reaches rank 0's retention before this process can die with it.
 	fab.cancelInfo = func() (int64, []byte) {
@@ -305,8 +308,8 @@ func DistDecide[S, N any](tr dist.Transport, codec Codec[N], coord Coordination,
 	}
 	prio := newPrioAssigner(cfg.Order, space, root, p.Bound)
 	start := time.Now()
-	runDistEngine(coord, space, p.Gen, cfg, m, cancel, vs, root, fab, prio)
-	stats := m.total()
+	runDistEngine(coord, cfg, ws, cancel, root, fab, prio)
+	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	fab.wireStats(&stats)
 	fab.faultStats(&stats)

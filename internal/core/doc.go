@@ -142,4 +142,25 @@
 // this is what closes most of the paper's Table 1 "skeleton tax"
 // against the hand-coded solver; BenchmarkSkeletonTax measures it and
 // BENCH_engine.json records and gates it.
+//
+// # Cache-line discipline
+//
+// Two rules keep a worker-second from being spent moving cache lines
+// between cores. (1) Anything a worker writes per node or per task
+// lives in its workerCtx — counters, generator cache, expansion
+// scratch, steal rng and victim buffers — or in an isolated block only
+// that context points to (the visitor and its accumulator). Contexts
+// are built by newWorkers, one pad.New block each; no coordination
+// keeps per-worker state in a slice of its own. (2) Anything shared by
+// design sits alone on its line: each pool shard's header and its
+// resident-task counter (ShardedPool sums the shard counters on read
+// instead of keeping an aggregate every push and pop would have to
+// update), the parker's waiter count, the canceller's flag, the
+// split gate's poll word, the per-locality bound caches, the trace
+// shards, the loopback network's live counts. The one helper is
+// internal/pad (Isolated, New: 128 bytes either side, covering the
+// adjacent-line prefetcher); there are no hand-counted pad arrays.
+// layout_test.go asserts the distances, and BenchmarkWorkerScaling
+// gates the effect: two workers on their own contexts and shards must
+// cost what one does.
 package core

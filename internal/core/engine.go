@@ -7,56 +7,28 @@ import (
 )
 
 // engine bundles the runtime substrate shared by the pool-based
-// parallel coordinations (Depth-Bounded and Budget): the locality
-// fabric and its workpool topology, global task accounting for
-// termination detection, canceller for decision short-circuits,
-// per-worker metrics, and the priority assigner of the ordered
-// scheduling modes.
+// parallel coordinations (Depth-Bounded, Budget, distributed
+// Stack-Stealing): the locality fabric and its workpool topology,
+// global task accounting for termination detection, canceller for
+// decision short-circuits, the worker contexts, and the priority
+// assigner of the ordered scheduling modes.
 type engine[S, N any] struct {
-	space   S
-	gf      GenFactory[S, N]
 	cfg     Config
-	metrics *Metrics
+	workers []*workerCtx[S, N]
 	cancel  *canceller
 	fab     *fabric[N]
 	topo    *topology[N]
-	caches  []*genCache[S, N]   // per-worker generator recycling caches
-	scratch []*workerScratch[N] // per-worker expansion-stack scratch
 	prio    *prioAssigner[S, N] // task priorities (Config.Order)
 	ordered bool
 }
 
-// workerScratch is one worker's reusable expansion state for the
-// stack-driven coordinations (Budget, BestFirst): the generator stack
-// plus the per-level discrepancy and yield counters that ordered
-// scheduling tracks. Reusing it removes the per-task stack allocation
-// the coordinations previously paid.
-type workerScratch[N any] struct {
-	stack  []NodeGenerator[N]
-	disc   []int32 // discrepancy of the node whose generator is stack[i]
-	yields []int32 // children yielded so far by stack[i]
-}
-
-// newWorkerScratch builds one scratch per worker.
-func newWorkerScratch[N any](workers int) []*workerScratch[N] {
-	sc := make([]*workerScratch[N], workers)
-	for i := range sc {
-		sc[i] = &workerScratch[N]{}
-	}
-	return sc
-}
-
-func newEngine[S, N any](space S, gf GenFactory[S, N], cfg Config, m *Metrics, cancel *canceller, fab *fabric[N], prio *prioAssigner[S, N]) *engine[S, N] {
+func newEngine[S, N any](cfg Config, ws []*workerCtx[S, N], cancel *canceller, fab *fabric[N], prio *prioAssigner[S, N]) *engine[S, N] {
 	return &engine[S, N]{
-		space:   space,
-		gf:      gf,
 		cfg:     cfg,
-		metrics: m,
+		workers: ws,
 		cancel:  cancel,
 		fab:     fab,
 		topo:    newTopology(fab, cfg),
-		caches:  newGenCaches(space, gf, cfg),
-		scratch: newWorkerScratch[N](cfg.Workers),
 		prio:    prio,
 		ordered: prio.enabled(),
 	}
@@ -67,17 +39,17 @@ func newEngine[S, N any](space S, gf GenFactory[S, N], cfg Config, m *Metrics, c
 // The spawner passes its own task's supervision family through (Task
 // literal field fam), so a received subtree's descendants keep the
 // origin's ledger entry alive until the whole subtree completes.
-func (e *engine[S, N]) spawnTask(w int, sh *WorkerStats, t Task[N]) {
-	loc := e.topo.locality(w)
+func (e *engine[S, N]) spawnTask(c *workerCtx[S, N], t Task[N]) {
+	loc := e.topo.locality(c.id)
 	e.fab.trs[loc].AddTasks(1)
 	if t.fam != nil {
 		t.fam.pending.Add(1)
 	}
-	sh.Spawns++
+	c.stats.Spawns++
 	if e.ordered {
-		sh.notePrio(t.Prio)
+		c.stats.notePrio(t.Prio)
 	}
-	e.topo.push(w, t)
+	e.topo.push(c.id, t)
 	if m := e.topo.mem[loc]; m != nil {
 		// Memory governor, last-resort response: the spawner that pushed
 		// the pool past its hard threshold spills the coldest tasks.
@@ -91,7 +63,7 @@ func (e *engine[S, N]) spawnTask(w int, sh *WorkerStats, t Task[N]) {
 func (e *engine[S, N]) memPressured(w int) bool {
 	loc := e.topo.locality(w)
 	m := e.topo.mem[loc]
-	return m != nil && m.pressured(e.topo.pools[loc].Tasks())
+	return m != nil && m.pressured(e.topo.pools[loc])
 }
 
 // finishTask deregisters one completed task. Every task obtained by a
@@ -107,17 +79,17 @@ func (e *engine[S, N]) finishTask(w int, t Task[N]) {
 }
 
 // runPoolWorkers seeds the root task (on the locality that owns the
-// root) and runs cfg.Workers workers, each executing runTask on every
-// task it obtains, until global termination or cancellation. runTask
-// must call e.finishTask exactly once per task and register any tasks
-// it spawns with e.spawnTask.
-func (e *engine[S, N]) runPoolWorkers(root N, visitors []visitor[N], runTask func(w int, v visitor[N], sh *WorkerStats, t Task[N])) {
+// root) and runs one worker per context, each executing runTask on
+// every task it obtains, until global termination or cancellation.
+// runTask must call e.finishTask exactly once per task and register
+// any tasks it spawns with e.spawnTask.
+func (e *engine[S, N]) runPoolWorkers(root N, runTask func(c *workerCtx[S, N], t Task[N])) {
 	if tr := e.cfg.Trace; tr != nil {
 		inner := runTask
-		runTask = func(w int, v visitor[N], sh *WorkerStats, t Task[N]) {
+		runTask = func(c *workerCtx[S, N], t Task[N]) {
 			start := time.Now()
-			inner(w, v, sh, t)
-			tr.record(w, t.Depth, start, time.Now())
+			inner(c, t)
+			tr.record(c.id, t.Depth, start, time.Now())
 		}
 	}
 	// Calibrate the memory governors' per-task byte estimate from the
@@ -179,7 +151,7 @@ func (e *engine[S, N]) runPoolWorkers(root N, visitors []visitor[N], runTask fun
 		parkBase = 500 * time.Microsecond
 	}
 
-	if e.cfg.Workers == 0 {
+	if len(e.workers) == 0 {
 		// Pure coordinator (a standby deployment's rank 0): no local
 		// workers, but the transport keeps serving steals against the
 		// seeded root and the death watchers must stay alive until
@@ -193,13 +165,11 @@ func (e *engine[S, N]) runPoolWorkers(root N, visitors []visitor[N], runTask fun
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < e.cfg.Workers; w++ {
+	for _, c := range e.workers {
 		wg.Add(1)
-		go func(w int) {
+		go func(c *workerCtx[S, N]) {
 			defer wg.Done()
-			v := visitors[w]
-			sh := e.metrics.shard(w)
-			loc := e.topo.locality(w)
+			loc := e.topo.locality(c.id)
 			pk := e.topo.parkers[loc]
 			stillIdle := func() bool { return e.topo.localBacklog(loc) == 0 }
 			timer := newParkTimer()
@@ -209,10 +179,10 @@ func (e *engine[S, N]) runPoolWorkers(root N, visitors []visitor[N], runTask fun
 				if e.cancel.cancelled() {
 					return
 				}
-				t, ok := e.topo.popOrSteal(w, sh)
+				t, ok := e.topo.popOrSteal(&c.thief)
 				if ok {
 					idle = 0
-					runTask(w, v, sh, t)
+					runTask(c, t)
 					continue
 				}
 				select {
@@ -233,7 +203,7 @@ func (e *engine[S, N]) runPoolWorkers(root N, visitors []visitor[N], runTask fun
 				}
 				pk.park(timer, parkBase<<uint(backoff), done, e.cancel.ch, stillIdle)
 			}
-		}(w)
+		}(c)
 	}
 	wg.Wait()
 }

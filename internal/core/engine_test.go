@@ -7,7 +7,7 @@ import (
 )
 
 // trivialVisitor descends everywhere and counts nothing beyond the
-// shared metrics shard.
+// worker's own counters.
 type trivialVisitor struct{ shard *WorkerStats }
 
 func (v *trivialVisitor) visit(int) pruneAction {
@@ -16,32 +16,30 @@ func (v *trivialVisitor) visit(int) pruneAction {
 }
 
 // newTestEngine builds an engine over a started loopback fabric.
-func newTestEngine(cfg Config, m *Metrics, cancel *canceller) (*engine[struct{}, int], *fabric[int]) {
+func newTestEngine(cfg Config, cancel *canceller) (*engine[struct{}, int], *fabric[int]) {
 	gf := func(struct{}, int) NodeGenerator[int] { return EmptyGen[int]{} }
 	fab := newLoopbackFabric[int](cfg)
-	e := newEngine(struct{}{}, gf, cfg, m, cancel, fab, newPrioAssigner[struct{}, int](cfg.Order, struct{}{}, 0, nil))
+	ws := newWorkers(struct{}{}, gf, cfg, func(_ int, sh *WorkerStats) visitor[int] {
+		return &trivialVisitor{shard: sh}
+	})
+	e := newEngine(cfg, ws, cancel, fab, newPrioAssigner[struct{}, int](cfg.Order, struct{}{}, 0, nil))
 	fab.start(cancel)
 	return e, fab
 }
 
 func TestRunPoolWorkersExecutesAllSpawns(t *testing.T) {
 	cfg := Config{Workers: 4}.withDefaults()
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
-	e, fab := newTestEngine(cfg, m, cancel)
+	e, fab := newTestEngine(cfg, cancel)
 
-	vs := make([]visitor[int], cfg.Workers)
-	for w := range vs {
-		vs[w] = &trivialVisitor{shard: m.shard(w)}
-	}
 	var executed atomic.Int64
-	e.runPoolWorkers(0, vs, func(w int, _ visitor[int], sh *WorkerStats, task Task[int]) {
-		defer e.finishTask(w, task)
+	e.runPoolWorkers(0, func(c *workerCtx[struct{}, int], task Task[int]) {
+		defer e.finishTask(c.id, task)
 		executed.Add(1)
 		// fan out a small two-level tree of tasks
 		if task.Depth < 2 {
 			for i := 0; i < 3; i++ {
-				e.spawnTask(w, sh, Task[int]{Node: task.Node*10 + i, Depth: task.Depth + 1})
+				e.spawnTask(c, Task[int]{Node: task.Node*10 + i, Depth: task.Depth + 1})
 			}
 		}
 	})
@@ -58,27 +56,22 @@ func TestRunPoolWorkersExecutesAllSpawns(t *testing.T) {
 
 func TestRunPoolWorkersCancelStopsEarly(t *testing.T) {
 	cfg := Config{Workers: 4}.withDefaults()
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
-	e, _ := newTestEngine(cfg, m, cancel)
+	e, _ := newTestEngine(cfg, cancel)
 
-	vs := make([]visitor[int], cfg.Workers)
-	for w := range vs {
-		vs[w] = &trivialVisitor{shard: m.shard(w)}
-	}
 	var executed atomic.Int64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.runPoolWorkers(0, vs, func(w int, _ visitor[int], sh *WorkerStats, task Task[int]) {
-			defer e.finishTask(w, task)
+		e.runPoolWorkers(0, func(c *workerCtx[struct{}, int], task Task[int]) {
+			defer e.finishTask(c.id, task)
 			if executed.Add(1) == 5 {
 				cancel.cancel() // simulate a decision witness
 				return
 			}
 			// endless task fan-out: only cancellation can stop this
 			for i := 0; i < 2; i++ {
-				e.spawnTask(w, sh, Task[int]{Node: task.Node + 1, Depth: task.Depth + 1})
+				e.spawnTask(c, Task[int]{Node: task.Node + 1, Depth: task.Depth + 1})
 			}
 		})
 	}()
@@ -87,6 +80,12 @@ func TestRunPoolWorkersCancelStopsEarly(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not stop the workers")
 	}
+}
+
+// testThief is worker w's steal state as newWorkers would build it.
+func testThief(w int, cfg Config) *thief {
+	return &newWorkers(struct{}{}, nil, Config{Workers: w + 1, Seed: cfg.Seed},
+		func(int, *WorkerStats) visitor[int] { return nil })[w].thief
 }
 
 // newTestTopology builds a topology over a started loopback fabric.
@@ -100,11 +99,12 @@ func newTestTopology(cfg Config) *topology[int] {
 func TestTopologyLocalFirst(t *testing.T) {
 	cfg := Config{Workers: 4, Localities: 2, Seed: 9}.withDefaults()
 	tp := newTestTopology(cfg)
-	var sh WorkerStats
+	th := testThief(0, cfg)
+	sh := &th.stats
 	// worker 0 is locality 0; push one task in each pool
 	tp.pools[0].Push(Task[int]{Node: 100})
 	tp.pools[1].Push(Task[int]{Node: 200})
-	task, ok := tp.popOrSteal(0, &sh)
+	task, ok := tp.popOrSteal(th)
 	if !ok || task.Node != 100 {
 		t.Fatalf("worker 0 took %d, want its local task 100", task.Node)
 	}
@@ -113,7 +113,7 @@ func TestTopologyLocalFirst(t *testing.T) {
 	}
 	// local pool now empty: next take must be a remote steal through
 	// the loopback transport
-	task, ok = tp.popOrSteal(0, &sh)
+	task, ok = tp.popOrSteal(th)
 	if !ok || task.Node != 200 {
 		t.Fatalf("worker 0 stole %d, want remote task 200", task.Node)
 	}
@@ -125,8 +125,9 @@ func TestTopologyLocalFirst(t *testing.T) {
 func TestTopologyEmptyEverywhere(t *testing.T) {
 	cfg := Config{Workers: 2, Localities: 2}.withDefaults()
 	tp := newTestTopology(cfg)
-	var sh WorkerStats
-	if _, ok := tp.popOrSteal(0, &sh); ok {
+	th := testThief(0, cfg)
+	sh := &th.stats
+	if _, ok := tp.popOrSteal(th); ok {
 		t.Fatal("popOrSteal invented a task")
 	}
 	if sh.StealsFail == 0 {

@@ -352,7 +352,7 @@ func (h *locState[N]) BestStealPrio() (int, bool) {
 	// locality over its budget's soft threshold claims the best possible
 	// rank, so priority-aware thieves drain it before anyone else —
 	// every task handed away is memory it no longer holds.
-	if h.mem != nil && h.mem.pressured(int64(h.pool.Size())) {
+	if h.mem != nil && h.mem.pressured(h.pool) {
 		return 0, true
 	}
 	if sr, ok := h.pool.(stealRanked); ok {

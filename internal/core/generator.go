@@ -79,7 +79,7 @@ type cachedGen[S, N any] struct {
 // expansion loops request a generator for level L only when no
 // generator is live at L (the stack has exactly L entries), and a
 // worker runs one task at a time. Not safe for concurrent use; each
-// worker owns its own cache.
+// worker owns its own cache, inside its workerCtx.
 type genCache[S, N any] struct {
 	space   S
 	gf      GenFactory[S, N]
@@ -87,17 +87,8 @@ type genCache[S, N any] struct {
 	disable bool
 }
 
-func newGenCache[S, N any](space S, gf GenFactory[S, N], cfg Config) *genCache[S, N] {
-	return &genCache[S, N]{space: space, gf: gf, disable: cfg.NoRecycle}
-}
-
-// newGenCaches builds one recycling cache per worker.
-func newGenCaches[S, N any](space S, gf GenFactory[S, N], cfg Config) []*genCache[S, N] {
-	caches := make([]*genCache[S, N], cfg.Workers)
-	for w := range caches {
-		caches[w] = newGenCache(space, gf, cfg)
-	}
-	return caches
+func newGenCache[S, N any](space S, gf GenFactory[S, N], cfg Config) genCache[S, N] {
+	return genCache[S, N]{space: space, gf: gf, disable: cfg.NoRecycle}
 }
 
 // install probes and caches a freshly constructed generator at level.

@@ -6,12 +6,8 @@ import (
 	"sync/atomic"
 
 	"yewpar/internal/dist"
+	"yewpar/internal/pad"
 )
-
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [7]int64
-}
 
 // incumbent is the knowledge-management substrate of Section 4.3: an
 // authoritative incumbent (best node + objective) for the localities
@@ -32,9 +28,9 @@ type incumbent[N any] struct {
 	has     bool
 	bestObj int64
 
-	caches []paddedInt64
-	trs    []dist.Transport // parallel to caches; broadcast targets
-	bcasts atomic.Int64     // bound broadcasts sent (metrics)
+	caches []pad.Isolated[atomic.Int64] // read once per visited node by the locality's workers
+	trs    []dist.Transport             // parallel to caches; broadcast targets
+	bcasts atomic.Int64                 // bound broadcasts sent (metrics)
 
 	// encode, when set (wire deployments), serialises the incumbent
 	// node onto its bound broadcasts, so the transport can retain the
@@ -49,11 +45,11 @@ type incumbent[N any] struct {
 func newIncumbent[N any](trs []dist.Transport) *incumbent[N] {
 	in := &incumbent[N]{
 		bestObj: math.MinInt64,
-		caches:  make([]paddedInt64, len(trs)),
+		caches:  make([]pad.Isolated[atomic.Int64], len(trs)),
 		trs:     trs,
 	}
 	for i := range in.caches {
-		in.caches[i].v.Store(math.MinInt64)
+		in.caches[i].V.Store(math.MinInt64)
 	}
 	return in
 }
@@ -62,18 +58,18 @@ func newIncumbent[N any](trs []dist.Transport) *incumbent[N] {
 // to notify — plain deterministic B&B bookkeeping, used by phases that
 // must not leak knowledge (the replicable skeleton).
 func newLocalIncumbent[N any]() *incumbent[N] {
-	in := &incumbent[N]{bestObj: math.MinInt64, caches: make([]paddedInt64, 1)}
-	in.caches[0].v.Store(math.MinInt64)
+	in := &incumbent[N]{bestObj: math.MinInt64, caches: make([]pad.Isolated[atomic.Int64], 1)}
+	in.caches[0].V.Store(math.MinInt64)
 	return in
 }
 
 // localBest returns the bound as currently known at a locality.
-func (in *incumbent[N]) localBest(loc int) int64 { return in.caches[loc].v.Load() }
+func (in *incumbent[N]) localBest(loc int) int64 { return in.caches[loc].V.Load() }
 
 // applyRemote merges a bound learned from a peer (via broadcast or a
 // stolen task's bound snapshot) into a locality's cache.
 func (in *incumbent[N]) applyRemote(loc int, obj int64) {
-	storeMax(&in.caches[loc].v, obj)
+	storeMax(&in.caches[loc].V, obj)
 }
 
 // strengthen installs (obj, n) as the incumbent if obj improves on the
@@ -93,7 +89,7 @@ func (in *incumbent[N]) strengthen(loc int, obj int64, n N) bool {
 	in.has = true
 	in.mu.Unlock()
 
-	storeMax(&in.caches[loc].v, obj)
+	storeMax(&in.caches[loc].V, obj)
 	// Broadcast (and count) only when there is a peer to tell: a
 	// single-locality deployment must report broadcasts=0.
 	if in.trs != nil && in.trs[loc].Size() > 1 {

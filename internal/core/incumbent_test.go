@@ -156,7 +156,7 @@ func TestCancellerIdempotent(t *testing.T) {
 
 func TestStoreMax(t *testing.T) {
 	in := newTestIncumbent[int](1, 0)
-	c := &in.caches[0].v
+	c := &in.caches[0].V
 	storeMax(c, 5)
 	storeMax(c, 3)
 	if c.Load() != 5 {

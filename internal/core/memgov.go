@@ -103,10 +103,12 @@ func (ms *memState[N]) setThresholds() {
 	ms.soft.Store(soft)
 }
 
-// pressured reports whether the locality is above its soft threshold —
-// the signal the advertise and deepen responses key off.
-func (ms *memState[N]) pressured(resident int64) bool {
-	return ms.budget > 0 && resident > ms.soft.Load()
+// pressured reports whether the locality's pool is above its soft
+// threshold — the signal the advertise and deepen responses key off.
+// Without a budget the pool is not consulted: its size is a sum over
+// every shard's counter, lines an unbudgeted run never needs to pull.
+func (ms *memState[N]) pressured(pool Pool[N]) bool {
+	return ms.budget > 0 && int64(pool.Size()) > ms.soft.Load()
 }
 
 // maybeSpill is the spawn-path hook: when the pool has grown past the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -101,6 +102,66 @@ func BenchmarkPrioHeapPushPop(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkWorkerScaling is the share-nothing gate: w workers each do
+// b.N operations on nothing but their own context or their own pool
+// shard, so going from one worker to two must not slow either down
+// (BENCH_engine.json gates w2/w1). Any word the two workers' hot paths
+// still have in common — a counter, a line shared by allocation
+// accident — shows as a ratio well above 1. visit is the per-node path
+// (cancellation poll, visitor accumulate, counters), pushpop the
+// per-task path (owner push and pop).
+func BenchmarkWorkerScaling(b *testing.B) {
+	visit := func(b *testing.B, workers int) {
+		tree := genTree(1, 4, 9)
+		p := tree.enumProblem()
+		ws := newWorkers(tree, p.Gen, Config{Workers: workers}, func(_ int, sh *WorkerStats) visitor[testNode] {
+			return newEnumVisitor(tree, p, sh)
+		})
+		cancel := newCanceller()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for _, c := range ws {
+			wg.Add(1)
+			go func(c *workerCtx[*testTree, testNode]) {
+				defer wg.Done()
+				for i := 0; i < b.N && !cancel.cancelled(); i++ {
+					c.visitor.visit(testNode{})
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+	pushpop := func(b *testing.B, workers int) {
+		p := NewShardedPool[int](DepthPoolKind, workers)
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(shard Pool[int]) {
+				defer wg.Done()
+				for i := 0; i < b.N; i++ {
+					shard.Push(Task[int]{Node: i, Depth: i % 8})
+					shard.Pop()
+				}
+			}(p.Shard(w))
+		}
+		wg.Wait()
+	}
+	for _, path := range []struct {
+		name string
+		run  func(*testing.B, int)
+	}{{"visit", visit}, {"pushpop", pushpop}} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", path.name, workers), func(b *testing.B) {
+				if runtime.NumCPU() < workers || runtime.GOMAXPROCS(0) < workers {
+					b.Skipf("needs %d cores", workers)
+				}
+				path.run(b, workers)
+			})
+		}
+	}
 }
 
 func BenchmarkIncumbentLocalBest(b *testing.B) {

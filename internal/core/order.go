@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"yewpar/internal/pad"
 )
 
 // This file implements global search ordering: the machinery that turns
@@ -142,7 +144,9 @@ func discChild(parentDisc int32, childIdx int) int32 {
 // wake is dropped when nobody waits (an atomic load, so producers pay
 // nothing on the hot path), and parks always carry a timeout: remote
 // peers may acquire work without notifying this locality, so a parked
-// worker must still re-probe the transport ring eventually.
+// worker must still re-probe the transport ring eventually. waiters is
+// read by every push, so the parker is allocated isolated: that read
+// stays a cache hit for as long as nobody parks.
 type parker struct {
 	waiters atomic.Int32
 	ch      chan struct{}
@@ -152,7 +156,9 @@ func newParker(workers int) *parker {
 	if workers < 1 {
 		workers = 1
 	}
-	return &parker{ch: make(chan struct{}, workers)}
+	p := pad.New[parker]()
+	p.ch = make(chan struct{}, workers)
+	return p
 }
 
 // wake releases one parked worker, if any is parked.

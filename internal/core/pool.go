@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"yewpar/internal/pad"
 )
 
 // Task is a unit of spawned work: an unvisited search-tree node, its
@@ -53,8 +55,14 @@ type DepthPool[N any] struct {
 	max     int // highest possibly-non-empty depth
 }
 
-// NewDepthPool returns an empty DepthPool.
-func NewDepthPool[N any]() *DepthPool[N] { return &DepthPool[N]{max: -1} }
+// NewDepthPool returns an empty DepthPool. Like every pool it is
+// written by its owner and its thieves on every operation, so its
+// header is allocated isolated.
+func NewDepthPool[N any]() *DepthPool[N] {
+	p := pad.New[DepthPool[N]]()
+	p.max = -1
+	return p
+}
 
 // Push implements Pool.
 func (p *DepthPool[N]) Push(t Task[N]) {
@@ -183,7 +191,7 @@ type Deque[N any] struct {
 }
 
 // NewDeque returns an empty Deque.
-func NewDeque[N any]() *Deque[N] { return &Deque[N]{} }
+func NewDeque[N any]() *Deque[N] { return pad.New[Deque[N]]() }
 
 // Push implements Pool.
 func (q *Deque[N]) Push(t Task[N]) {
@@ -298,54 +306,48 @@ type stealRanked interface{ StealRank() int }
 // caller owns re-admitting them.
 type spiller[N any] interface{ SpillBatch(max int) []Task[N] }
 
-// raiseMax64 lifts a to at least v.
-func raiseMax64(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
+// poolShard is one shard of a ShardedPool: a pool plus its own task
+// counters, so that every push, pop, steal, and spill — including owner
+// traffic through Shard(i) — is counted at the shard boundary without
+// touching a word any other shard's owner writes. Both counters only
+// grow: pushed is raised before a push lands and removed after a
+// removal has happened, so pushed - removed is never below the shard's
+// true backlog (and never negative), and sums of the two taken at
+// different moments still bound the backlog in between (see Tasks).
+type poolShard[N any] struct {
+	inner   Pool[N]
+	pushed  atomic.Int64
+	removed atomic.Int64
+	peak    atomic.Int64 // high-water mark of pushed - removed
+}
+
+func (p *poolShard[N]) Push(t Task[N]) {
+	if c := p.pushed.Add(1) - p.removed.Load(); c > p.peak.Load() {
+		storeMax(&p.peak, c)
 	}
-}
-
-// countedPool wraps one shard of a ShardedPool so every push, pop,
-// steal, and spill updates the parent's shared aggregate task counter.
-// The engine's owner path bypasses the ShardedPool aggregate via
-// Shard(i), so the count must be maintained here, at the shard
-// boundary, for Size and StealRank to trust it.
-type countedPool[N any] struct {
-	inner Pool[N]
-	tasks *atomic.Int64
-	peak  *atomic.Int64
-}
-
-func (p *countedPool[N]) Push(t Task[N]) {
 	p.inner.Push(t)
-	if c := p.tasks.Add(1); c > p.peak.Load() {
-		raiseMax64(p.peak, c)
-	}
 }
 
-func (p *countedPool[N]) Pop() (Task[N], bool) {
+func (p *poolShard[N]) Pop() (Task[N], bool) {
 	t, ok := p.inner.Pop()
 	if ok {
-		p.tasks.Add(-1)
+		p.removed.Add(1)
 	}
 	return t, ok
 }
 
-func (p *countedPool[N]) Steal() (Task[N], bool) {
+func (p *poolShard[N]) Steal() (Task[N], bool) {
 	t, ok := p.inner.Steal()
 	if ok {
-		p.tasks.Add(-1)
+		p.removed.Add(1)
 	}
 	return t, ok
 }
 
-func (p *countedPool[N]) Size() int { return p.inner.Size() }
+func (p *poolShard[N]) Size() int { return p.inner.Size() }
 
 // StealRank implements stealRanked by forwarding to the wrapped pool.
-func (p *countedPool[N]) StealRank() int {
+func (p *poolShard[N]) StealRank() int {
 	if sr, ok := p.inner.(stealRanked); ok {
 		return sr.StealRank()
 	}
@@ -355,56 +357,50 @@ func (p *countedPool[N]) StealRank() int {
 	return -1
 }
 
-// MinDepth forwards to the wrapped pool when it ranks by depth.
-func (p *countedPool[N]) MinDepth() int {
-	if md, ok := p.inner.(interface{ MinDepth() int }); ok {
-		return md.MinDepth()
-	}
-	return p.StealRank()
-}
-
 // SpillBatch implements spiller by forwarding to the wrapped pool.
-func (p *countedPool[N]) SpillBatch(max int) []Task[N] {
+func (p *poolShard[N]) SpillBatch(max int) []Task[N] {
 	sp, ok := p.inner.(spiller[N])
 	if !ok {
 		return nil
 	}
 	out := sp.SpillBatch(max)
-	if len(out) > 0 {
-		p.tasks.Add(-int64(len(out)))
-	}
+	p.removed.Add(int64(len(out)))
 	return out
 }
 
 // ShardedPool splits one locality's workpool into per-worker shards so
-// that owner pushes and pops never contend on a shared mutex. It
-// implements Pool as the locality's transport-facing aggregate: a
-// remote thief's Steal takes the shallowest task across all shards
-// (preserving the depth-first/FIFO heuristic order the DepthPool
-// guarantees within a shard), and tasks arriving without an owning
-// worker — the root seed, adopted late steal replies, prefetch spills —
-// are spread round-robin. Owner-side traffic goes straight to
-// Shard(i); an idle owner robs its siblings with StealExcept before
-// paying a transport round trip.
+// that owner pushes and pops never contend on a shared mutex — or on
+// anything else: each shard (pool header and task counters alike) sits
+// on cache lines of its own, and there is no aggregate word that every
+// push and pop must update. It implements Pool as the locality's
+// transport-facing aggregate: a remote thief's Steal takes the
+// shallowest task across all shards (preserving the depth-first/FIFO
+// heuristic order the DepthPool guarantees within a shard), and tasks
+// arriving without an owning worker — the root seed, adopted late
+// steal replies, prefetch spills — are spread round-robin. Owner-side
+// traffic goes straight to Shard(i); an idle owner robs its siblings
+// with StealExcept before paying a transport round trip.
 type ShardedPool[N any] struct {
-	shards []Pool[N]
-	next   atomic.Uint32 // round-robin cursor for unowned pushes
-	tasks  atomic.Int64  // resident tasks across all shards
-	peak   atomic.Int64  // high-water mark of tasks
+	shards []pad.Isolated[poolShard[N]] // header read on every owner operation
+	// next is the round-robin cursor for unowned pushes: written by
+	// transport goroutines, so kept off the line owners read shards from.
+	next pad.Isolated[atomic.Uint32]
+	// sampled is what readers of Tasks leave behind for PeakTasks: the
+	// largest removed-sum any finished read has seen, and the largest
+	// backlog any read has proven possible since.
+	sampled pad.Isolated[struct{ removed, peak atomic.Int64 }]
 }
 
 // NewShardedPool returns a pool of n shards of the given kind. n < 1 is
 // treated as 1 (the single shared pool of the pre-sharding design).
-// Each shard is wrapped so pushes and pops — including owner traffic
-// through Shard(i) — maintain one atomic aggregate count, keeping Size
-// and the idle-scan StealRank off the per-shard locks.
 func NewShardedPool[N any](kind PoolKind, n int) *ShardedPool[N] {
 	if n < 1 {
 		n = 1
 	}
-	p := &ShardedPool[N]{shards: make([]Pool[N], n)}
+	p := pad.New[ShardedPool[N]]()
+	p.shards = make([]pad.Isolated[poolShard[N]], n)
 	for i := range p.shards {
-		p.shards[i] = &countedPool[N]{inner: newPool[N](kind), tasks: &p.tasks, peak: &p.peak}
+		p.shards[i].V.inner = newPool[N](kind)
 	}
 	return p
 }
@@ -413,21 +409,21 @@ func NewShardedPool[N any](kind PoolKind, n int) *ShardedPool[N] {
 func (p *ShardedPool[N]) Shards() int { return len(p.shards) }
 
 // Shard returns shard i for uncontended owner push/pop.
-func (p *ShardedPool[N]) Shard(i int) Pool[N] { return p.shards[i] }
+func (p *ShardedPool[N]) Shard(i int) Pool[N] { return &p.shards[i].V }
 
 // Push implements Pool: unowned tasks are spread round-robin across
 // shards. Owners push on their own shard via Shard instead.
 func (p *ShardedPool[N]) Push(t Task[N]) {
-	i := int(p.next.Add(1)-1) % len(p.shards)
-	p.shards[i].Push(t)
+	i := int(p.next.V.Add(1)-1) % len(p.shards)
+	p.shards[i].V.Push(t)
 }
 
 // Pop implements Pool: the first task found scanning shards in order.
 // The engine's owner path uses Shard(i).Pop directly; this aggregate
 // form exists for Pool-interface completeness (tests, tooling).
 func (p *ShardedPool[N]) Pop() (Task[N], bool) {
-	for _, s := range p.shards {
-		if t, ok := s.Pop(); ok {
+	for i := range p.shards {
+		if t, ok := p.shards[i].V.Pop(); ok {
 			return t, true
 		}
 	}
@@ -450,17 +446,11 @@ func (p *ShardedPool[N]) Steal() (Task[N], bool) {
 func (p *ShardedPool[N]) StealExcept(except int) (Task[N], bool) {
 	for {
 		best, bestRank := -1, int(^uint(0)>>1)
-		for i, s := range p.shards {
+		for i := range p.shards {
 			if i == except {
 				continue
 			}
-			d := -1
-			if sr, ok := s.(stealRanked); ok {
-				d = sr.StealRank()
-			} else if s.Size() > 0 {
-				d = 0
-			}
-			if d >= 0 && d < bestRank {
+			if d := p.shards[i].V.StealRank(); d >= 0 && d < bestRank {
 				best, bestRank = i, d
 			}
 		}
@@ -468,7 +458,7 @@ func (p *ShardedPool[N]) StealExcept(except int) (Task[N], bool) {
 			var zero Task[N]
 			return zero, false
 		}
-		if t, ok := p.shards[best].Steal(); ok {
+		if t, ok := p.shards[best].V.Steal(); ok {
 			return t, true
 		}
 		// Lost a race with the shard's owner; every retry means someone
@@ -480,43 +470,62 @@ func (p *ShardedPool[N]) StealExcept(except int) (Task[N], bool) {
 // shards, -1 when the whole pool is empty. This is the value a locality
 // advertises to peers for priority-aware victim selection. The empty
 // case — the common one on the hot idle-scan path — is answered from
-// the aggregate counter without touching any shard lock.
+// the shard counters without touching any shard lock.
 func (p *ShardedPool[N]) StealRank() int {
-	if p.tasks.Load() <= 0 {
+	if p.Tasks() <= 0 {
 		return -1
 	}
 	best := -1
-	for _, s := range p.shards {
-		d := -1
-		if sr, ok := s.(stealRanked); ok {
-			d = sr.StealRank()
-		} else if s.Size() > 0 {
-			d = 0
-		}
-		if d >= 0 && (best < 0 || d < best) {
+	for i := range p.shards {
+		if d := p.shards[i].V.StealRank(); d >= 0 && (best < 0 || d < best) {
 			best = d
 		}
 	}
 	return best
 }
 
-// Size implements Pool: total backlog across shards, answered from the
-// aggregate counter (no shard locks). A concurrent push/steal pair can
-// make the raw counter transiently negative; clamp to zero.
-func (p *ShardedPool[N]) Size() int {
-	n := p.tasks.Load()
-	if n < 0 {
-		n = 0
+// Size implements Pool: total backlog across shards, summed from the
+// shard counters (no shard locks).
+func (p *ShardedPool[N]) Size() int { return int(p.Tasks()) }
+
+// Tasks reports the resident-task count, summed from the shard
+// counters. Readers pay for the sum — pulling one line per shard — so
+// that writers pay nothing shared. Removals are summed before pushes,
+// both only grow, and the removed-sum of an earlier read is a floor
+// for every later moment: so pushed minus that floor bounds the
+// backlog at every instant between the two reads, which is what
+// PeakTasks needs from a caller that samples often.
+func (p *ShardedPool[N]) Tasks() int64 {
+	floor := p.sampled.V.removed.Load()
+	var removed, pushed int64
+	for i := range p.shards {
+		removed += p.shards[i].V.removed.Load()
 	}
-	return int(n)
+	for i := range p.shards {
+		pushed += p.shards[i].V.pushed.Load()
+	}
+	storeMax(&p.sampled.V.peak, pushed-floor)
+	storeMax(&p.sampled.V.removed, removed)
+	return pushed - removed
 }
 
-// Tasks reports the resident-task count (same value as Size, unclamped
-// int64 form for the memory governor's threshold tests).
-func (p *ShardedPool[N]) Tasks() int64 { return p.tasks.Load() }
-
-// PeakTasks reports the high-water mark of resident tasks.
-func (p *ShardedPool[N]) PeakTasks() int64 { return p.peak.Load() }
+// PeakTasks reports an upper bound on the high-water mark of resident
+// tasks — never an under-report, and nothing a push or pop pays for
+// beyond its shard's own line. It is the smaller of two bounds: the
+// sum of the shards' own high-water marks (exact when one shard holds
+// the frontier at its peak, as when a spawn loop floods its owner's
+// shard; loose when shards peak at different moments), and the largest
+// backlog the reads of Tasks left possible between them (tight when
+// the pool is read after every spawn, as the memory governor does
+// under a budget; useless when nobody reads it).
+func (p *ShardedPool[N]) PeakTasks() int64 {
+	p.Tasks() // close the window since the last read
+	var n int64
+	for i := range p.shards {
+		n += p.shards[i].V.peak.Load()
+	}
+	return min(n, p.sampled.V.peak.Load())
+}
 
 // SpillBatch implements spiller: up to max of the coldest tasks across
 // shards, an even quota from each so no one shard loses its hot work to
@@ -527,19 +536,15 @@ func (p *ShardedPool[N]) SpillBatch(max int) []Task[N] {
 	}
 	quota := max/len(p.shards) + 1
 	var out []Task[N]
-	for _, s := range p.shards {
+	for i := range p.shards {
 		if len(out) >= max {
 			break
-		}
-		sp, ok := s.(spiller[N])
-		if !ok {
-			continue
 		}
 		n := quota
 		if rem := max - len(out); n > rem {
 			n = rem
 		}
-		out = append(out, sp.SpillBatch(n)...)
+		out = append(out, p.shards[i].V.SpillBatch(n)...)
 	}
 	return out
 }

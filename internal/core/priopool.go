@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"yewpar/internal/pad"
+)
 
 // PrioBucketPool is the ordered-scheduling workpool: one FIFO bucket
 // per priority (Task.Prio, lower = better), with Pop and Steal both
@@ -22,7 +26,7 @@ type PrioBucketPool[N any] struct {
 }
 
 // NewPrioBucketPool returns an empty priority pool.
-func NewPrioBucketPool[N any]() *PrioBucketPool[N] { return &PrioBucketPool[N]{} }
+func NewPrioBucketPool[N any]() *PrioBucketPool[N] { return pad.New[PrioBucketPool[N]]() }
 
 // Push implements Pool, bucketing on the task's priority. Priorities
 // outside [0, maxTaskPrio] are clamped, so a hostile or buggy value

@@ -31,19 +31,19 @@ import (
 // search. cfg.DCutoff controls the split depth.
 func ReplicableOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) OptResult[N] {
 	cfg = cfg.withDefaults()
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
 	start := time.Now()
 
-	// Phase 1: sequential prefix search. The incumbent here is plain
-	// single-threaded B&B, so this phase is deterministic too.
+	// Phase 1: sequential prefix search on worker 0. The incumbent
+	// here is plain single-threaded B&B, so this phase is
+	// deterministic too. (Phase 2 replaces every worker's visitor per
+	// task: the frozen bound does not exist yet.)
 	inc := newLocalIncumbent[N]()
-	prefixVisitor := &optVisitor[S, N]{
-		space: space, obj: p.Objective, bound: p.Bound, copyN: p.Copy,
-		level: p.PruneLevel, inc: inc, loc: 0, shard: m.shard(0),
-	}
+	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
+		return newOptVisitor(space, p, inc, 0, sh)
+	})
 	var tasks []Task[N]
-	collectPrefix(newGenCache(space, p.Gen, cfg), prefixVisitor, m.shard(0), root, 0, cfg.DCutoff, &tasks)
+	collectPrefix(ws[0], root, 0, cfg.DCutoff, &tasks)
 
 	// Phase 2: parallel round with a frozen bound.
 	_, frozen, has := inc.result()
@@ -58,16 +58,15 @@ func ReplicableOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) Op
 	locals := make([]localBest, cfg.Workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for _, c := range ws {
 		wg.Add(1)
-		go func(w int) {
+		go func(c *workerCtx[S, N]) {
 			defer wg.Done()
-			sh := m.shard(w)
-			gc := newGenCache(space, p.Gen, cfg)
-			// A private incumbent seeded with the frozen bound: being
-			// worker-local it cannot leak knowledge across tasks owned
-			// by other workers… but it could leak between tasks run by
-			// the SAME worker, so it is reset for every task.
+			// The worker's best lives on its stack and is published
+			// once, at exit: locals' adjacent slots are never written
+			// while anyone searches.
+			var best localBest
+			defer func() { locals[c.id] = best }()
 			for {
 				i := next.Add(1) - 1
 				if int(i) >= len(tasks) {
@@ -76,24 +75,22 @@ func ReplicableOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) Op
 				t := tasks[i]
 				// A private incumbent seeded with the frozen bound,
 				// reset per task so no knowledge leaks between tasks —
-				// the property that makes the visited set timing-free.
+				// not even tasks run by the same worker — the property
+				// that makes the visited set timing-free.
 				priv := newLocalIncumbent[N]()
 				var zero N
 				priv.strengthen(0, frozen, zero)
-				v := &optVisitor[S, N]{
-					space: space, obj: p.Objective, bound: p.Bound, copyN: p.Copy,
-					level: p.PruneLevel, inc: priv, loc: 0, shard: sh,
-				}
+				c.visitor = newOptVisitor(space, p, priv, 0, &c.stats)
 				// The task root was already visited in phase 1; only
 				// its subtree remains.
-				expandBelow(gc, v, cancel, sh, t.Node)
+				expandBelow(c, cancel, t.Node)
 				if n, obj, found := priv.result(); found && obj > frozen {
-					if !locals[w].found || obj > locals[w].obj {
-						locals[w] = localBest{node: n, obj: obj, found: true}
+					if !best.found || obj > best.obj {
+						best = localBest{node: n, obj: obj, found: true}
 					}
 				}
 			}
-		}(w)
+		}(c)
 	}
 	wg.Wait()
 
@@ -104,7 +101,7 @@ func ReplicableOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) Op
 			bestNode, bestObj, found = lb.node, lb.obj, true
 		}
 	}
-	stats := m.total()
+	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	return OptResult[N]{Best: bestNode, Objective: bestObj, Found: found, Stats: stats}
 }
@@ -114,17 +111,17 @@ func ReplicableOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) Op
 // subtree roots at the cutoff depth to tasks, in traversal order. The
 // recursion depth doubles as the cache level, so each level of the
 // prefix reuses one generator.
-func collectPrefix[S, N any](gc *genCache[S, N], v visitor[N], sh *WorkerStats, node N, depth, cutoff int, tasks *[]Task[N]) {
-	if v.visit(node) != descend {
+func collectPrefix[S, N any](c *workerCtx[S, N], node N, depth, cutoff int, tasks *[]Task[N]) {
+	if c.visitor.visit(node) != descend {
 		return
 	}
 	if depth >= cutoff {
 		*tasks = append(*tasks, Task[N]{Node: node, Depth: depth})
-		sh.Spawns++
+		c.stats.Spawns++
 		return
 	}
-	g := gc.gen(depth, node)
+	g := c.gens.gen(depth, node)
 	for g.HasNext() {
-		collectPrefix(gc, v, sh, g.Next(), depth+1, cutoff, tasks)
+		collectPrefix(c, g.Next(), depth+1, cutoff, tasks)
 	}
 }

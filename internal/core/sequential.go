@@ -8,7 +8,8 @@ package core
 // an empty stack is (terminate). Generators come from the worker's
 // recycling cache, one per stack level, so applications implementing
 // ResettableGenerator expand without per-node generator allocations.
-func expandBelow[S, N any](gc *genCache[S, N], v visitor[N], cancel *canceller, sh *WorkerStats, root N) {
+func expandBelow[S, N any](c *workerCtx[S, N], cancel *canceller, root N) {
+	gc, v, sh := &c.gens, c.visitor, &c.stats
 	stack := make([]NodeGenerator[N], 0, 32)
 	stack = append(stack, gc.genDFS(0, root))
 	for len(stack) > 0 {
@@ -37,9 +38,9 @@ func expandBelow[S, N any](gc *genCache[S, N], v visitor[N], cancel *canceller, 
 
 // runSequential is the Sequential coordination: one worker, no spawn
 // rules.
-func runSequential[S, N any](space S, gf GenFactory[S, N], cfg Config, v visitor[N], cancel *canceller, sh *WorkerStats, root N) {
-	if v.visit(root) != descend {
+func runSequential[S, N any](c *workerCtx[S, N], cancel *canceller, root N) {
+	if c.visitor.visit(root) != descend {
 		return
 	}
-	expandBelow(newGenCache(space, gf, cfg), v, cancel, sh, root)
+	expandBelow(c, cancel, root)
 }

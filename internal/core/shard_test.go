@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -89,6 +91,94 @@ func TestShardedPoolConcurrent(t *testing.T) {
 	poolConcurrencyCheck(t, NewShardedPool[int](DequeKind, 4))
 }
 
+// TestShardedPoolCountersUnderConcurrency drives every path that moves
+// a shard counter at once — owners pushing and popping their own
+// shards, a thief robbing with StealExcept, a spiller taking batches,
+// unowned round-robin pushes — and checks the two things the engine
+// relies on: the counters read zero at quiescence, and PeakTasks never
+// under-reports. The reference count is raised only after a push has
+// returned and lowered before a removal starts, so at every instant it
+// is at most the pool's true backlog, and its peak at most the true
+// peak.
+func TestShardedPoolCountersUnderConcurrency(t *testing.T) {
+	for _, kind := range []PoolKind{DepthPoolKind, DequeKind, PrioBucketKind} {
+		const owners, rounds = 4, 4000
+		p := NewShardedPool[int](kind, owners)
+		var resident, observedPeak atomic.Int64
+		pushed := func() { storeMax(&observedPeak, resident.Add(1)) }
+		// taking reserves one task before trying to remove it; a failed
+		// removal gives the reservation back.
+		taking := func(remove func() (Task[int], bool)) {
+			resident.Add(-1)
+			if _, ok := remove(); !ok {
+				resident.Add(1)
+			}
+		}
+
+		var owning, robbing sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < owners; w++ {
+			owning.Add(1)
+			go func(w int) {
+				defer owning.Done()
+				shard := p.Shard(w)
+				for i := 0; i < rounds; i++ {
+					for k := 0; k < 1+i%5; k++ {
+						shard.Push(Task[int]{Node: i, Depth: i % 7, Prio: int32(i % 11)})
+						pushed()
+					}
+					if i%16 == 0 {
+						p.Push(Task[int]{Node: -i, Depth: 1}) // unowned, round-robin
+						pushed()
+					}
+					for k := 0; k < i%4; k++ {
+						taking(shard.Pop)
+					}
+				}
+			}(w)
+		}
+		robbing.Add(2)
+		go func() { // thief
+			defer robbing.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					taking(func() (Task[int], bool) { return p.StealExcept(0) })
+				}
+			}
+		}()
+		go func() { // spiller
+			defer robbing.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					resident.Add(-8)
+					resident.Add(int64(8 - len(p.SpillBatch(8))))
+				}
+			}
+		}()
+		owning.Wait()
+		close(stop)
+		robbing.Wait()
+
+		for {
+			if _, ok := p.Steal(); !ok {
+				break
+			}
+		}
+		if p.Size() != 0 || p.Tasks() != 0 {
+			t.Fatalf("kind %v: drained pool reports Size=%d Tasks=%d", kind, p.Size(), p.Tasks())
+		}
+		if peak, seen := p.PeakTasks(), observedPeak.Load(); peak < seen {
+			t.Fatalf("kind %v: PeakTasks %d under-reports an observed backlog of %d", kind, peak, seen)
+		}
+	}
+}
+
 func TestDepthPoolMinDepth(t *testing.T) {
 	p := NewDepthPool[int]()
 	if d := p.MinDepth(); d != -1 {
@@ -153,33 +243,33 @@ func TestIntraLocalityStealDeterministic(t *testing.T) {
 	tp.push(0, Task[string]{Node: "shallow", Depth: 1})
 	tp.push(1, Task[string]{Node: "mid", Depth: 3})
 
-	var sh WorkerStats
+	th0, th1, th2 := testThief(0, cfg), testThief(1, cfg), testThief(2, cfg)
 	// Worker 2 owns an empty shard: it must steal the shallowest task
 	// across its siblings.
-	task, ok := tp.popOrSteal(2, &sh)
+	task, ok := tp.popOrSteal(th2)
 	if !ok || task.Node != "shallow" {
 		t.Fatalf("worker 2 got %q/%v, want shallow", task.Node, ok)
 	}
-	if sh.LocalSteals != 1 {
-		t.Fatalf("LocalSteals = %d, want 1", sh.LocalSteals)
+	if th2.stats.LocalSteals != 1 {
+		t.Fatalf("LocalSteals = %d, want 1", th2.stats.LocalSteals)
 	}
 	// Worker 0 still pops its own shard deepest-first, no steal
 	// recorded.
-	task, ok = tp.popOrSteal(0, &sh)
+	task, ok = tp.popOrSteal(th0)
 	if !ok || task.Node != "deep" {
 		t.Fatalf("worker 0 got %q/%v, want deep", task.Node, ok)
 	}
-	if sh.LocalSteals != 1 {
-		t.Fatalf("own-shard pop counted as steal: %d", sh.LocalSteals)
+	if th0.stats.LocalSteals != 0 {
+		t.Fatalf("own-shard pop counted as steal: %d", th0.stats.LocalSteals)
 	}
 	// Worker 0, now empty, robs worker 1.
-	task, ok = tp.popOrSteal(0, &sh)
-	if !ok || task.Node != "mid" || sh.LocalSteals != 2 {
-		t.Fatalf("worker 0 sibling steal got %q/%v (LocalSteals=%d)", task.Node, ok, sh.LocalSteals)
+	task, ok = tp.popOrSteal(th0)
+	if !ok || task.Node != "mid" || th0.stats.LocalSteals != 1 {
+		t.Fatalf("worker 0 sibling steal got %q/%v (LocalSteals=%d)", task.Node, ok, th0.stats.LocalSteals)
 	}
 	// Everything drained: no transport peers, so popOrSteal reports
 	// empty.
-	if _, ok := tp.popOrSteal(1, &sh); ok {
+	if _, ok := tp.popOrSteal(th1); ok {
 		t.Fatal("empty locality yielded a task")
 	}
 }

@@ -36,27 +36,27 @@ func (c Coordination) String() string {
 	}
 }
 
-// dispatch starts the fabric and runs the chosen coordination. Engines
-// are built before the fabric starts so that every locality's pool is
-// installed by the time peers can request steals. prio assigns task
-// priorities for the ordered scheduling modes; the pool-based
-// coordinations consume it, the others ignore it.
-func dispatch[S, N any](coord Coordination, space S, gf GenFactory[S, N], cfg Config, m *Metrics, cancel *canceller, vs []visitor[N], root N, fab *fabric[N], prio *prioAssigner[S, N]) {
+// dispatch starts the fabric and runs the chosen coordination over the
+// worker contexts. Engines are built before the fabric starts so that
+// every locality's pool is installed by the time peers can request
+// steals. prio assigns task priorities for the ordered scheduling
+// modes; the pool-based coordinations consume it, the others ignore it.
+func dispatch[S, N any](coord Coordination, cfg Config, ws []*workerCtx[S, N], cancel *canceller, root N, fab *fabric[N], prio *prioAssigner[S, N]) {
 	switch coord {
 	case Sequential:
 		fab.start(cancel)
-		runSequential(space, gf, cfg, vs[0], cancel, m.shard(0), root)
+		runSequential(ws[0], cancel, root)
 	case DepthBounded:
-		e := newEngine(space, gf, cfg, m, cancel, fab, prio)
+		e := newEngine(cfg, ws, cancel, fab, prio)
 		fab.start(cancel)
-		runDepthBounded(e, vs, root)
+		runDepthBounded(e, root)
 	case Budget:
-		e := newEngine(space, gf, cfg, m, cancel, fab, prio)
+		e := newEngine(cfg, ws, cancel, fab, prio)
 		fab.start(cancel)
-		runBudget(e, vs, root)
+		runBudget(e, root)
 	case StackStealing:
 		fab.start(cancel)
-		runStackStealing(space, gf, cfg, m, cancel, vs, root)
+		runStackStealing(cfg, ws, cancel, root)
 	default:
 		panic("core: unknown coordination")
 	}
@@ -71,17 +71,18 @@ func Enum[S, N, M any](coord Coordination, space S, root N, p EnumProblem[S, N, 
 	}
 	fab := newLoopbackFabric[N](cfg)
 	defer fab.close()
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
-	vs := newEnumVisitors(space, p, m, cfg.Workers)
+	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
+		return newEnumVisitor(space, p, sh)
+	})
 	prio := newPrioAssigner[S, N](cfg.Order, space, root, nil)
 	start := time.Now()
-	dispatch(coord, space, p.Gen, cfg, m, cancel, vs, root, fab, prio)
-	stats := m.total()
+	dispatch(coord, cfg, ws, cancel, root, fab, prio)
+	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	fab.wireStats(&stats)
 	fab.memStats(&stats)
-	return EnumResult[M]{Value: combineEnum[S, N, M](p.Monoid, vs), Stats: stats}
+	return EnumResult[M]{Value: combineEnum[S, N, M](p.Monoid, ws), Stats: stats}
 }
 
 // Opt runs an optimisation search under the given coordination,
@@ -93,19 +94,16 @@ func Opt[S, N any](coord Coordination, space S, root N, p OptProblem[S, N], cfg 
 	}
 	fab := newLoopbackFabric[N](cfg)
 	defer fab.close()
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
 	inc := newIncumbent[N](fab.trs)
 	fab.bounds = inc
-	locOf := make([]int, cfg.Workers)
-	for w := range locOf {
-		locOf[w] = w % cfg.Localities
-	}
-	vs := newOptVisitors(space, p, inc, m, locOf)
+	ws := newWorkers(space, p.Gen, cfg, func(w int, sh *WorkerStats) visitor[N] {
+		return newOptVisitor(space, p, inc, w%cfg.Localities, sh)
+	})
 	prio := newPrioAssigner(cfg.Order, space, root, p.Bound)
 	start := time.Now()
-	dispatch(coord, space, p.Gen, cfg, m, cancel, vs, root, fab, prio)
-	stats := m.total()
+	dispatch(coord, cfg, ws, cancel, root, fab, prio)
+	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	stats.Broadcasts = inc.broadcasts()
 	fab.wireStats(&stats)
@@ -123,14 +121,15 @@ func Decide[S, N any](coord Coordination, space S, root N, p DecisionProblem[S, 
 	}
 	fab := newLoopbackFabric[N](cfg)
 	defer fab.close()
-	m := newMetrics(cfg.Workers)
 	cancel := newCanceller()
 	wit := &witness[N]{}
-	vs := newDecisionVisitors(space, p, wit, cancel, m, cfg.Workers)
+	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
+		return newDecisionVisitor(space, p, wit, cancel, sh)
+	})
 	prio := newPrioAssigner(cfg.Order, space, root, p.Bound)
 	start := time.Now()
-	dispatch(coord, space, p.Gen, cfg, m, cancel, vs, root, fab, prio)
-	stats := m.total()
+	dispatch(coord, cfg, ws, cancel, root, fab, prio)
+	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	fab.wireStats(&stats)
 	fab.memStats(&stats)

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"yewpar/internal/pad"
 )
 
 // stealReq is a thief's request for work. The victim replies exactly
@@ -15,7 +17,10 @@ type stealReq[N any] struct {
 	resp chan []Task[N]
 }
 
-// ssWorker is one Stack-Stealing worker's communication endpoint.
+// ssWorker is one Stack-Stealing worker's communication endpoint: the
+// one piece of per-worker state other workers touch (thieves send on
+// reqs and read serving), so each is isolated rather than part of the
+// worker's private context.
 type ssWorker[N any] struct {
 	reqs    chan stealReq[N]
 	serving atomic.Bool // true while running a search (has a stack to split)
@@ -23,17 +28,15 @@ type ssWorker[N any] struct {
 
 // ssState is the shared state of one Stack-Stealing run.
 type ssState[S, N any] struct {
-	space    S
-	gf       GenFactory[S, N]
-	cfg      Config
-	metrics  *Metrics
-	tr       *tracker
-	cancel   *canceller
-	ws       []*ssWorker[N]
-	visitors []visitor[N]
-	locOf    []int
-	caches   []*genCache[S, N] // per-worker generator recycling caches
+	cfg     Config
+	tr      *tracker
+	cancel  *canceller
+	workers []*workerCtx[S, N]
+	ws      []pad.Isolated[ssWorker[N]]
 }
+
+// loc is the simulated locality of worker w.
+func (st *ssState[S, N]) loc(w int) int { return w % st.cfg.Localities }
 
 // runStackStealing is the Stack-Stealing coordination of Listing 3,
 // implementing the (spawn-stack) rule: work is split only on demand,
@@ -43,34 +46,28 @@ type ssState[S, N any] struct {
 // over channels — there is no workpool; the response channel plays the
 // transit-buffer role the semantics gives the task queue. Initial work
 // is pushed: the root's children are distributed round-robin.
-func runStackStealing[S, N any](space S, gf GenFactory[S, N], cfg Config, metrics *Metrics, cancel *canceller, visitors []visitor[N], root N) {
+func runStackStealing[S, N any](cfg Config, workers []*workerCtx[S, N], cancel *canceller, root N) {
 	st := &ssState[S, N]{
-		space:    space,
-		gf:       gf,
-		cfg:      cfg,
-		metrics:  metrics,
-		tr:       newTracker(),
-		cancel:   cancel,
-		ws:       make([]*ssWorker[N], cfg.Workers),
-		visitors: visitors,
-		locOf:    make([]int, cfg.Workers),
-		caches:   newGenCaches(space, gf, cfg),
+		cfg:     cfg,
+		tr:      newTracker(),
+		cancel:  cancel,
+		workers: workers,
+		ws:      make([]pad.Isolated[ssWorker[N]], cfg.Workers),
 	}
 	for i := range st.ws {
-		st.ws[i] = &ssWorker[N]{reqs: make(chan stealReq[N], cfg.Workers)}
-		st.locOf[i] = i % cfg.Localities
+		st.ws[i].V.reqs = make(chan stealReq[N], cfg.Workers)
 	}
 
 	// Visit the root on the coordinator, then work-push its children.
-	sh0 := metrics.shard(0)
+	c0 := workers[0]
 	initial := make([][]Task[N], cfg.Workers)
 	count := 0
-	if visitors[0].visit(root) == descend && !cancel.cancelled() {
-		g := gf(space, root)
+	if c0.visitor.visit(root) == descend && !cancel.cancelled() {
+		g := c0.gens.gf(c0.gens.space, root)
 		for g.HasNext() {
 			child := g.Next()
 			st.tr.add(1)
-			sh0.Spawns++
+			c0.stats.Spawns++
 			initial[count%cfg.Workers] = append(initial[count%cfg.Workers], Task[N]{Node: child, Depth: 1})
 			count++
 		}
@@ -80,25 +77,19 @@ func runStackStealing[S, N any](space S, gf GenFactory[S, N], cfg Config, metric
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w, c := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func(c *workerCtx[S, N], initial []Task[N]) {
 			defer wg.Done()
-			st.worker(w, initial[w])
-		}(w)
+			me := &st.ws[c.id].V
+			for _, t := range initial {
+				st.search(c, me, t)
+			}
+			st.stealLoop(c, me)
+			st.drainRequests(me)
+		}(c, initial[w])
 	}
 	wg.Wait()
-}
-
-func (st *ssState[S, N]) worker(w int, initial []Task[N]) {
-	me := st.ws[w]
-	v := st.visitors[w]
-	sh := st.metrics.shard(w)
-	for _, t := range initial {
-		st.search(w, me, v, sh, t)
-	}
-	st.stealLoop(w, me, v, sh)
-	st.drainRequests(me)
 }
 
 // stealLoop is the thief side: pick a random serving victim (local
@@ -106,15 +97,15 @@ func (st *ssState[S, N]) worker(w int, initial []Task[N]) {
 // and run whatever comes back. While waiting, keep answering our own
 // incoming requests with "no work" so thieves never deadlock on each
 // other.
-func (st *ssState[S, N]) stealLoop(w int, me *ssWorker[N], v visitor[N], sh *WorkerStats) {
-	r := rand.New(rand.NewSource(st.cfg.Seed + 7919*int64(w) + 13))
+func (st *ssState[S, N]) stealLoop(c *workerCtx[S, N], me *ssWorker[N]) {
+	sh := &c.stats
 	idle := 0
 	for {
 		st.drainRequests(me)
 		if st.cancel.cancelled() || st.tr.quiescent() {
 			return
 		}
-		victim := st.pickVictim(w, r)
+		victim := st.pickVictim(c.id, c.rand())
 		if victim < 0 {
 			idle++
 			st.backoff(idle)
@@ -122,7 +113,7 @@ func (st *ssState[S, N]) stealLoop(w int, me *ssWorker[N], v visitor[N], sh *Wor
 		}
 		req := stealReq[N]{resp: make(chan []Task[N], 1)}
 		select {
-		case st.ws[victim].reqs <- req:
+		case st.ws[victim].V.reqs <- req:
 		default:
 			idle++
 			st.backoff(idle)
@@ -142,7 +133,7 @@ func (st *ssState[S, N]) stealLoop(w int, me *ssWorker[N], v visitor[N], sh *Wor
 				sh.StealsOK++
 				idle = 0
 				for _, t := range ts {
-					st.search(w, me, v, sh, t)
+					st.search(c, me, t)
 				}
 			case <-st.tr.done:
 				// Tasks can never be stranded in req.resp here: a
@@ -172,10 +163,10 @@ func (st *ssState[S, N]) backoff(idle int) {
 func (st *ssState[S, N]) pickVictim(w int, r *rand.Rand) int {
 	var locals, remotes []int
 	for i := range st.ws {
-		if i == w || !st.ws[i].serving.Load() {
+		if i == w || !st.ws[i].V.serving.Load() {
 			continue
 		}
-		if st.locOf[i] == st.locOf[w] {
+		if st.loc(i) == st.loc(w) {
 			locals = append(locals, i)
 		} else {
 			remotes = append(remotes, i)
@@ -195,10 +186,10 @@ func (st *ssState[S, N]) pickVictim(w int, r *rand.Rand) int {
 
 // search is the victim side (Listing 3): a sequential backtracking
 // search that polls for steal requests on every expansion step.
-func (st *ssState[S, N]) search(w int, me *ssWorker[N], v visitor[N], sh *WorkerStats, t Task[N]) {
+func (st *ssState[S, N]) search(c *workerCtx[S, N], me *ssWorker[N], t Task[N]) {
 	if tr := st.cfg.Trace; tr != nil {
 		start := time.Now()
-		defer func() { tr.record(w, t.Depth, start, time.Now()) }()
+		defer func() { tr.record(c.id, t.Depth, start, time.Now()) }()
 	}
 	defer st.tr.finish()
 	me.serving.Store(true)
@@ -206,12 +197,12 @@ func (st *ssState[S, N]) search(w int, me *ssWorker[N], v visitor[N], sh *Worker
 	if st.cancel.cancelled() {
 		return
 	}
+	v, sh, gc := c.visitor, &c.stats, &c.gens
 	if v.visit(t.Node) != descend {
 		return
 	}
 	// Generators are recycled per stack level; split() drains node
 	// values out of them, so handed-over work never aliases the cache.
-	gc := st.caches[w]
 	stack := make([]NodeGenerator[N], 0, 32)
 	stack = append(stack, gc.gen(0, t.Node))
 	for len(stack) > 0 {

@@ -1,24 +1,23 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"time"
+
+	"yewpar/internal/pad"
 )
 
 func newTestSSState(chunked bool, workers, localities int) *ssState[int, int] {
 	cfg := Config{Workers: workers, Localities: localities, Chunked: chunked, Seed: 1}.withDefaults()
 	st := &ssState[int, int]{
 		cfg:     cfg,
-		metrics: newMetrics(cfg.Workers),
 		tr:      newTracker(),
 		cancel:  newCanceller(),
-		ws:      make([]*ssWorker[int], cfg.Workers),
-		locOf:   make([]int, cfg.Workers),
+		workers: newWorkers[int, int](0, nil, cfg, func(int, *WorkerStats) visitor[int] { return nil }),
+		ws:      make([]pad.Isolated[ssWorker[int]], cfg.Workers),
 	}
 	for i := range st.ws {
-		st.ws[i] = &ssWorker[int]{reqs: make(chan stealReq[int], cfg.Workers)}
-		st.locOf[i] = i % cfg.Localities
+		st.ws[i].V.reqs = make(chan stealReq[int], cfg.Workers)
 	}
 	return st
 }
@@ -30,7 +29,7 @@ func TestSplitTakesBottomMostNonEmpty(t *testing.T) {
 		NewSliceGen([]int{10, 11}), // bottom-most with work
 		NewSliceGen([]int{20, 21, 22}),
 	}
-	sh := st.metrics.shard(0)
+	sh := &st.workers[0].stats
 	ts := st.split(stack, 5, sh)
 	if len(ts) != 1 {
 		t.Fatalf("unchunked split handed %d tasks", len(ts))
@@ -59,7 +58,7 @@ func TestSplitChunkedDrainsWholeLevel(t *testing.T) {
 		NewSliceGen([]int{1, 2, 3}),
 		NewSliceGen([]int{9}),
 	}
-	ts := st.split(stack, 0, st.metrics.shard(0))
+	ts := st.split(stack, 0, &st.workers[0].stats)
 	if len(ts) != 3 {
 		t.Fatalf("chunked split handed %d tasks, want 3", len(ts))
 	}
@@ -79,16 +78,16 @@ func TestSplitChunkedDrainsWholeLevel(t *testing.T) {
 func TestSplitAllExhausted(t *testing.T) {
 	st := newTestSSState(false, 2, 1)
 	stack := []NodeGenerator[int]{NewSliceGen[int](nil)}
-	if ts := st.split(stack, 0, st.metrics.shard(0)); ts != nil {
+	if ts := st.split(stack, 0, &st.workers[0].stats); ts != nil {
 		t.Fatalf("split of empty stack handed %v", ts)
 	}
 }
 
 func TestPickVictimPrefersLocal(t *testing.T) {
 	st := newTestSSState(false, 4, 2) // locOf = [0 1 0 1]
-	st.ws[1].serving.Store(true)      // remote to worker 0
-	st.ws[2].serving.Store(true)      // local to worker 0
-	r := st.rngFor(0)
+	st.ws[1].V.serving.Store(true)    // remote to worker 0
+	st.ws[2].V.serving.Store(true)    // local to worker 0
+	r := st.workers[0].rand()
 	for i := 0; i < 20; i++ {
 		if v := st.pickVictim(0, r); v != 2 {
 			t.Fatalf("picked %d, want local serving victim 2", v)
@@ -98,8 +97,8 @@ func TestPickVictimPrefersLocal(t *testing.T) {
 
 func TestPickVictimFallsBackToRemote(t *testing.T) {
 	st := newTestSSState(false, 4, 2)
-	st.ws[1].serving.Store(true) // only remote serving
-	r := st.rngFor(0)
+	st.ws[1].V.serving.Store(true) // only remote serving
+	r := st.workers[0].rand()
 	if v := st.pickVictim(0, r); v != 1 {
 		t.Fatalf("picked %d, want remote victim 1", v)
 	}
@@ -107,7 +106,7 @@ func TestPickVictimFallsBackToRemote(t *testing.T) {
 
 func TestPickVictimNoneServing(t *testing.T) {
 	st := newTestSSState(false, 3, 1)
-	r := st.rngFor(0)
+	r := st.workers[0].rand()
 	if v := st.pickVictim(0, r); v != -1 {
 		t.Fatalf("picked %d from an idle fleet", v)
 	}
@@ -115,7 +114,7 @@ func TestPickVictimNoneServing(t *testing.T) {
 
 func TestDrainRequestsRepliesNil(t *testing.T) {
 	st := newTestSSState(false, 2, 1)
-	me := st.ws[0]
+	me := &st.ws[0].V
 	req := stealReq[int]{resp: make(chan []Task[int], 1)}
 	me.reqs <- req
 	st.drainRequests(me)
@@ -127,9 +126,4 @@ func TestDrainRequestsRepliesNil(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("drain never replied")
 	}
-}
-
-// rngFor builds the same per-worker RNG the steal loop uses.
-func (st *ssState[S, N]) rngFor(w int) *rand.Rand {
-	return rand.New(rand.NewSource(st.cfg.Seed + 7919*int64(w) + 13))
 }

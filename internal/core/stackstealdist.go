@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"yewpar/internal/pad"
 )
 
 // This file is the Stack-Stealing coordination over the engine
@@ -42,10 +44,14 @@ const (
 // a CAS, so a timed-out requester can abandon it instead — answers
 // with the split of its own stack.
 type splitGate[N any] struct {
-	mu      sync.Mutex
-	reqs    []*splitReq[N]
-	pending atomic.Int64 // len(reqs): the workers' poll fast path
-	active  atomic.Int64 // workers currently running a task
+	mu   sync.Mutex
+	reqs []*splitReq[N]
+	// Shared by design, so each alone on its line: pending is read by
+	// every running worker once per expansion step, active is bumped by
+	// every worker once per task — together, the per-task writes would
+	// evict the per-node read.
+	pending pad.Isolated[atomic.Int64] // len(reqs): the workers' poll fast path
+	active  pad.Isolated[atomic.Int64] // workers currently running a task
 }
 
 type splitReq[N any] struct {
@@ -55,20 +61,20 @@ type splitReq[N any] struct {
 }
 
 // splittable reports whether any worker currently holds a live stack.
-func (g *splitGate[N]) splittable() bool { return g.active.Load() > 0 }
+func (g *splitGate[N]) splittable() bool { return g.active.V.Load() > 0 }
 
 // request posts a split request and waits for a running worker to
 // answer. Returns nil when the locality has no running workers, no
 // worker answered within wait, or abort fired first. The returned
 // tasks are registered live work owned by the caller.
 func (g *splitGate[N]) request(max int, wait time.Duration, abort <-chan struct{}) []Task[N] {
-	if g.active.Load() == 0 {
+	if g.active.V.Load() == 0 {
 		return nil
 	}
 	req := &splitReq[N]{max: max, resp: make(chan []Task[N], 1)}
 	g.mu.Lock()
 	g.reqs = append(g.reqs, req)
-	g.pending.Store(int64(len(g.reqs)))
+	g.pending.V.Store(int64(len(g.reqs)))
 	g.mu.Unlock()
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
@@ -89,7 +95,7 @@ func (g *splitGate[N]) request(max int, wait time.Duration, abort <-chan struct{
 // take claims one pending request, skipping abandoned ones. Callers
 // that get a request MUST send on its resp channel exactly once.
 func (g *splitGate[N]) take() *splitReq[N] {
-	if g.pending.Load() == 0 {
+	if g.pending.V.Load() == 0 {
 		return nil
 	}
 	g.mu.Lock()
@@ -97,7 +103,7 @@ func (g *splitGate[N]) take() *splitReq[N] {
 	for len(g.reqs) > 0 {
 		req := g.reqs[0]
 		g.reqs = g.reqs[1:]
-		g.pending.Store(int64(len(g.reqs)))
+		g.pending.V.Store(int64(len(g.reqs)))
 		if req.claimed.CompareAndSwap(false, true) {
 			return req
 		}
@@ -108,10 +114,10 @@ func (g *splitGate[N]) take() *splitReq[N] {
 // enter and exit bracket a worker running a task. The last worker out
 // answers every pending request with nothing, so thieves are not left
 // waiting out their timeout against a locality that just went idle.
-func (g *splitGate[N]) enter() { g.active.Add(1) }
+func (g *splitGate[N]) enter() { g.active.V.Add(1) }
 
 func (g *splitGate[N]) exit() {
-	if g.active.Add(-1) > 0 {
+	if g.active.V.Add(-1) > 0 {
 		return
 	}
 	for {
@@ -142,24 +148,23 @@ func (e *engine[S, N]) installSplitGates() {
 // remote kSplit requests alike by splitting the bottom-most
 // non-exhausted generator (Listing 3's (spawn-stack) rule; all
 // remaining nodes of that level under cfg.Chunked).
-func runStackStealDist[S, N any](e *engine[S, N], visitors []visitor[N], root N) {
+func runStackStealDist[S, N any](e *engine[S, N], root N) {
 	if e.topo.splitters == nil {
 		e.installSplitGates()
 	}
 	chunked := e.cfg.Chunked
-	e.runPoolWorkers(root, visitors, func(w int, v visitor[N], sh *WorkerStats, t Task[N]) {
-		gate := e.topo.splitters[e.topo.locality(w)]
+	e.runPoolWorkers(root, func(c *workerCtx[S, N], t Task[N]) {
+		gate := e.topo.splitters[e.topo.locality(c.id)]
 		gate.enter()
 		defer gate.exit()
-		defer e.finishTask(w, t)
+		defer e.finishTask(c.id, t)
 		if e.cancel.cancelled() {
 			return
 		}
+		v, sh, gc, sc := c.visitor, &c.stats, &c.gens, &c.scratch
 		if v.visit(t.Node) != descend {
 			return
 		}
-		gc := e.caches[w]
-		sc := e.scratch[w]
 		stack := sc.stack[:0]
 		disc := sc.disc[:0]
 		yields := sc.yields[:0]
@@ -174,7 +179,7 @@ func runStackStealDist[S, N any](e *engine[S, N], visitors []visitor[N], root N)
 				return
 			}
 			if req := gate.take(); req != nil {
-				req.resp <- splitStack(e, w, sh, &t, stack, disc, yields, req.max, chunked)
+				req.resp <- splitStack(e, c, &t, stack, disc, yields, req.max, chunked)
 			}
 			top := len(stack) - 1
 			g := stack[top]
@@ -211,11 +216,11 @@ func runStackStealDist[S, N any](e *engine[S, N], visitors []visitor[N], root N)
 // (capped at max) under chunking. Donated tasks are registered exactly
 // as spawnTask would, but handed to the requester instead of pushed:
 // the requester runs them locally or exports them over the wire.
-func splitStack[S, N any](e *engine[S, N], w int, sh *WorkerStats, t *Task[N], stack []NodeGenerator[N], disc, yields []int32, max int, chunked bool) []Task[N] {
+func splitStack[S, N any](e *engine[S, N], c *workerCtx[S, N], t *Task[N], stack []NodeGenerator[N], disc, yields []int32, max int, chunked bool) []Task[N] {
 	if !chunked || max < 1 {
 		max = 1
 	}
-	loc := e.topo.locality(w)
+	loc, sh := e.topo.locality(c.id), &c.stats
 	var out []Task[N]
 	for i := 0; i < len(stack); i++ {
 		for stack[i].HasNext() && len(out) < max {

@@ -54,7 +54,6 @@ type topology[N any] struct {
 	pools       []*ShardedPool[N]
 	workerLoc   []int
 	workerShard []int
-	rngs        []*rand.Rand
 	victims     [][]int           // per in-process locality: global ranks to rob
 	ahead       []*aheadBuf[N]    // per in-process locality; nil when disabled
 	parkers     []*parker         // per in-process locality
@@ -64,14 +63,14 @@ type topology[N any] struct {
 	ordered     bool              // rank victims by priority summaries
 	mem         []*memState[N]    // per in-process locality memory accountant
 	splitters   []*splitGate[N]   // per in-process locality; stack-stealing runs only
-	vscratch    []*victimScratch  // per worker: victim-order scratch
 	// dead[rank] marks globally dead localities: skipped permanently
 	// by victim selection (their transports would only fail the steal,
 	// but probing a corpse still costs a round trip or a timeout).
 	dead []atomic.Bool
 }
 
-// victimScratch is one thief's reusable victim-ranking buffers.
+// victimScratch is one thief's reusable victim-ranking buffers (a
+// worker's live in its context; prefetch sweeps borrow pooled ones).
 type victimScratch struct {
 	order []int
 	keys  []int
@@ -163,22 +162,17 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 		pools:       make([]*ShardedPool[N], nloc),
 		workerLoc:   make([]int, cfg.Workers),
 		workerShard: make([]int, cfg.Workers),
-		rngs:        make([]*rand.Rand, cfg.Workers),
 		victims:     make([][]int, nloc),
 		parkers:     make([]*parker, nloc),
 		prioAware:   make([]dist.PrioAware, nloc),
 		health:      make([]dist.LinkHealth, nloc),
 		ordered:     cfg.Order != OrderNone,
 		mem:         make([]*memState[N], nloc),
-		vscratch:    make([]*victimScratch, cfg.Workers),
 		dead:        make([]atomic.Bool, fab.size),
 	}
 	spillCodec := fab.codec
 	if spillCodec == nil {
 		spillCodec = GobCodec[N]{} // single-process runs carry no app codec
-	}
-	for w := range tp.vscratch {
-		tp.vscratch[w] = &victimScratch{}
 	}
 	depth := cfg.StealAhead
 	if depth == 0 && (fab.wire || cfg.StealLatency > 0) {
@@ -260,7 +254,6 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 		loc := w % nloc
 		tp.workerLoc[w] = loc
 		tp.workerShard[w] = (w / nloc) % tp.pools[loc].Shards()
-		tp.rngs[w] = rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
 	}
 	return tp
 }
@@ -339,13 +332,15 @@ func (tp *topology[N]) victimOrder(loc int, rng *rand.Rand, sc *victimScratch) [
 	return buf
 }
 
-// popOrSteal takes the next task for worker w, cheapest source first:
+// popOrSteal takes the next task for a worker, cheapest source first:
 // the worker's own shard, then sibling shards within the locality
 // (best-rank-first, no transport involved), then the locality's
 // steal-ahead buffer, then peer localities through the transport.
-// Steal accounting is recorded in the worker's stats shard.
-func (tp *topology[N]) popOrSteal(w int, sh *WorkerStats) (Task[N], bool) {
-	loc, shard := tp.workerLoc[w], tp.workerShard[w]
+// Steal accounting, the victim-order rng and its scratch are the
+// worker's own (th).
+func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
+	sh := &th.stats
+	loc, shard := tp.workerLoc[th.id], tp.workerShard[th.id]
 	if t, ok := tp.pools[loc].Shard(shard).Pop(); ok {
 		return t, true
 	}
@@ -407,8 +402,8 @@ func (tp *topology[N]) popOrSteal(w int, sh *WorkerStats) (Task[N], bool) {
 		var zero Task[N]
 		return zero, false
 	}
-	sc := tp.vscratch[w]
-	order := tp.victimOrder(loc, tp.rngs[w], sc)
+	sc := &th.victims
+	order := tp.victimOrder(loc, th.rand(), sc)
 	if len(order) == 0 {
 		// Every peer is dead: this locality is on its own for good.
 		var zero Task[N]

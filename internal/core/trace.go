@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"yewpar/internal/pad"
 )
 
 // Trace records per-worker task executions for workload analysis: how
@@ -17,13 +19,10 @@ import (
 // Enable by setting Config.Trace to NewTrace(workers) before a run;
 // read results with Summary after the skeleton returns.
 type Trace struct {
-	start  time.Time
-	shards []traceShard
-}
-
-type traceShard struct {
-	events []TaskEvent
-	_      [4]int64 // avoid false sharing between workers
+	start time.Time
+	// shards[w] is appended to by worker w alone, once per task; each
+	// slice header is isolated so tracing adds no shared line.
+	shards []pad.Isolated[[]TaskEvent]
 }
 
 // TaskEvent is one executed task.
@@ -39,12 +38,12 @@ func (e TaskEvent) Duration() time.Duration { return e.End - e.Start }
 
 // NewTrace returns a trace for the given worker count.
 func NewTrace(workers int) *Trace {
-	return &Trace{start: time.Now(), shards: make([]traceShard, workers)}
+	return &Trace{start: time.Now(), shards: make([]pad.Isolated[[]TaskEvent], workers)}
 }
 
 func (t *Trace) record(worker, depth int, start, end time.Time) {
-	sh := &t.shards[worker]
-	sh.events = append(sh.events, TaskEvent{
+	sh := &t.shards[worker].V
+	*sh = append(*sh, TaskEvent{
 		Worker: worker,
 		Depth:  depth,
 		Start:  start.Sub(t.start),
@@ -57,7 +56,7 @@ func (t *Trace) record(worker, depth int, start, end time.Time) {
 func (t *Trace) Events() []TaskEvent {
 	var all []TaskEvent
 	for i := range t.shards {
-		all = append(all, t.shards[i].events...)
+		all = append(all, t.shards[i].V...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
 	return all
@@ -86,7 +85,7 @@ func (t *Trace) Summary() Summary {
 	var first, last time.Duration
 	firstSet := false
 	for w := range t.shards {
-		for _, e := range t.shards[w].events {
+		for _, e := range t.shards[w].V {
 			d := e.Duration()
 			durations = append(durations, d)
 			s.TotalBusy += d

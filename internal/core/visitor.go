@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"yewpar/internal/pad"
+)
 
 // pruneAction is a visitor's verdict on a just-visited node.
 type pruneAction int
@@ -21,7 +25,9 @@ const (
 // visitor is the per-worker node-processing strategy determined by the
 // search type: it implements the (accumulate) rule for enumeration and
 // the (strengthen)/(skip) and (prune) rules for optimisation and
-// decision searches.
+// decision searches. Every visitor is built in an isolated block
+// (pad.New) around its worker's own counters, so its per-node writes
+// stay off every line another worker touches.
 type visitor[N any] interface {
 	visit(n N) pruneAction
 }
@@ -44,21 +50,19 @@ func (v *enumVisitor[S, N, M]) visit(n N) pruneAction {
 	return descend
 }
 
-func newEnumVisitors[S, N, M any](space S, p EnumProblem[S, N, M], m *Metrics, workers int) []visitor[N] {
-	vs := make([]visitor[N], workers)
-	for w := 0; w < workers; w++ {
-		vs[w] = &enumVisitor[S, N, M]{
-			space: space, obj: p.Objective, mon: p.Monoid,
-			acc: p.Monoid.Zero(), shard: m.shard(w),
-		}
+func newEnumVisitor[S, N, M any](space S, p EnumProblem[S, N, M], sh *WorkerStats) visitor[N] {
+	v := pad.New[enumVisitor[S, N, M]]()
+	*v = enumVisitor[S, N, M]{
+		space: space, obj: p.Objective, mon: p.Monoid,
+		acc: p.Monoid.Zero(), shard: sh,
 	}
-	return vs
+	return v
 }
 
-func combineEnum[S, N, M any](mon Monoid[M], vs []visitor[N]) M {
+func combineEnum[S, N, M any](mon Monoid[M], ws []*workerCtx[S, N]) M {
 	acc := mon.Zero()
-	for _, v := range vs {
-		acc = mon.Plus(acc, v.(*enumVisitor[S, N, M]).acc)
+	for _, c := range ws {
+		acc = mon.Plus(acc, c.visitor.(*enumVisitor[S, N, M]).acc)
 	}
 	return acc
 }
@@ -106,15 +110,15 @@ func (v *optVisitor[S, N]) visit(n N) pruneAction {
 	return descend
 }
 
-func newOptVisitors[S, N any](space S, p OptProblem[S, N], inc *incumbent[N], m *Metrics, locOf []int) []visitor[N] {
-	vs := make([]visitor[N], len(locOf))
-	for w := range vs {
-		vs[w] = &optVisitor[S, N]{
-			space: space, obj: p.Objective, bound: p.Bound, copyN: p.Copy,
-			level: p.PruneLevel, inc: inc, loc: locOf[w], shard: m.shard(w),
-		}
+// newOptVisitor builds a visitor that prunes against in-process
+// locality loc's view of inc's bound.
+func newOptVisitor[S, N any](space S, p OptProblem[S, N], inc *incumbent[N], loc int, sh *WorkerStats) visitor[N] {
+	v := pad.New[optVisitor[S, N]]()
+	*v = optVisitor[S, N]{
+		space: space, obj: p.Objective, bound: p.Bound, copyN: p.Copy,
+		level: p.PruneLevel, inc: inc, loc: loc, shard: sh,
 	}
-	return vs
+	return v
 }
 
 // decisionVisitor looks for a node reaching the greatest element of the
@@ -176,14 +180,12 @@ func (v *decisionVisitor[S, N]) visit(n N) pruneAction {
 	return descend
 }
 
-func newDecisionVisitors[S, N any](space S, p DecisionProblem[S, N], wit *witness[N], cancel *canceller, m *Metrics, workers int) []visitor[N] {
-	vs := make([]visitor[N], workers)
-	for w := 0; w < workers; w++ {
-		vs[w] = &decisionVisitor[S, N]{
-			space: space, obj: p.Objective, bound: p.Bound, copyN: p.Copy,
-			level: p.PruneLevel, target: p.Target, wit: wit, cancel: cancel,
-			shard: m.shard(w),
-		}
+func newDecisionVisitor[S, N any](space S, p DecisionProblem[S, N], wit *witness[N], cancel *canceller, sh *WorkerStats) visitor[N] {
+	v := pad.New[decisionVisitor[S, N]]()
+	*v = decisionVisitor[S, N]{
+		space: space, obj: p.Objective, bound: p.Bound, copyN: p.Copy,
+		level: p.PruneLevel, target: p.Target, wit: wit, cancel: cancel,
+		shard: sh,
 	}
-	return vs
+	return v
 }

@@ -89,10 +89,17 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			// the coordinator dies.
 			time.Sleep(100 * time.Millisecond)
 
+			// The flag goes up before the kill starts, not after it
+			// returns: Close takes a while to tear its connections
+			// down, and survivors are notified of the death as soon as
+			// the first one drops — with the store after the call, all
+			// three notifications could beat it (seen 1 run in 50 on
+			// tcp-mesh under -race), failing the check below for a kill
+			// the plan itself was still carrying out.
 			var killed atomic.Bool
 			stop := ChaosPlan{Kills: []ChaosKill{{Rank: 0, After: 10 * time.Millisecond}}}.Start(func(rank int) {
-				kill(t, h, trs, rank)
 				killed.Store(true)
+				kill(t, h, trs, rank)
 			})
 			defer stop()
 

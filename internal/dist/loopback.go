@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"yewpar/internal/pad"
 )
 
 // LoopbackOptions tunes the in-process network.
@@ -47,8 +49,12 @@ type LoopbackNetwork struct {
 	opts LoopbackOptions
 	trs  []*loopback
 
-	live     atomic.Int64
-	liveAt   []atomic.Int64 // per-rank contribution to live (reconciled on death)
+	// The live count is shared by design (every rank's workers update
+	// it per task) and so sits alone on its line; the per-rank
+	// contributions are each written by one rank's workers only, and
+	// are kept off live's line and off each other's.
+	live     pad.Isolated[atomic.Int64]
+	liveAt   []pad.Isolated[atomic.Int64] // per-rank contribution to live (reconciled on death)
 	done     chan struct{}
 	doneOnce sync.Once
 
@@ -75,7 +81,7 @@ func NewLoopback(n int, opts LoopbackOptions) *LoopbackNetwork {
 	net := &LoopbackNetwork{
 		opts:        opts,
 		trs:         make([]*loopback, n),
-		liveAt:      make([]atomic.Int64, n),
+		liveAt:      make([]pad.Isolated[atomic.Int64], n),
 		done:        make(chan struct{}),
 		blobs:       make([][]byte, n),
 		contributed: make([]bool, n),
@@ -199,7 +205,7 @@ func (ln *LoopbackNetwork) LiveAt(rank int) int64 {
 	if rank < 0 || rank >= len(ln.liveAt) {
 		return 0
 	}
-	return ln.liveAt[rank].Load()
+	return ln.liveAt[rank].V.Load()
 }
 
 // reconcile removes a dead rank's outstanding live-task contribution:
@@ -207,11 +213,11 @@ func (ln *LoopbackNetwork) LiveAt(rank int) int64 {
 // from survivors stay covered by their victims' ledger registrations,
 // which is what makes the survivors' replay accounting-neutral.
 func (ln *LoopbackNetwork) reconcile(rank int) {
-	removed := ln.liveAt[rank].Swap(0)
+	removed := ln.liveAt[rank].V.Swap(0)
 	if removed == 0 {
 		return
 	}
-	if ln.live.Add(-removed) == 0 && removed > 0 && !ln.opts.Wave {
+	if ln.live.V.Add(-removed) == 0 && removed > 0 && !ln.opts.Wave {
 		ln.doneOnce.Do(func() { close(ln.done) })
 	}
 }
@@ -220,8 +226,8 @@ func (ln *LoopbackNetwork) addTasks(rank int, delta int64) {
 	// The shared counters stay maintained for LiveAt observability, but
 	// in wave mode they never decide termination: that is the ring's
 	// job, fed through each rank's own counter.
-	ln.liveAt[rank].Add(delta)
-	if ln.live.Add(delta) == 0 && delta < 0 && !ln.opts.Wave {
+	ln.liveAt[rank].V.Add(delta)
+	if ln.live.V.Add(delta) == 0 && delta < 0 && !ln.opts.Wave {
 		ln.doneOnce.Do(func() { close(ln.done) })
 	}
 	if ln.opts.Wave {
