@@ -678,7 +678,7 @@ func runFailover(b *testing.B, g *graph.Graph, wire dist.WireOptions, kill bool,
 	reader := 0
 	if kill {
 		reader = 1
-		if !dist.Promoted(trs[1]) {
+		if !trs[1].Promoted() {
 			b.Fatal("rank 1 did not adopt the coordinator role")
 		}
 	}

@@ -31,7 +31,7 @@ import (
 // place (the original rank 0 is dead and prints nothing). Evaluated
 // after the search returns, once any promotion has happened.
 func isPrinter(tr dist.Transport) bool {
-	return tr.Rank() == 0 || dist.Promoted(tr)
+	return tr.Rank() == 0 || tr.Promoted()
 }
 
 // distSpec canonicalises the options that must agree across all

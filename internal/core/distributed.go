@@ -55,7 +55,7 @@ func gatherShares(tr dist.Transport, share distShare, agg *Stats) ([]*distShare,
 	if err != nil {
 		return nil, fmt.Errorf("core: gathering results: %w", err)
 	}
-	if tr.Rank() != 0 && !dist.Promoted(tr) {
+	if tr.Rank() != 0 && !tr.Promoted() {
 		return nil, nil
 	}
 	shares := make([]*distShare, len(blobs))
@@ -87,11 +87,7 @@ func failurePolicy(cfg Config, deaths int64) error {
 // dying, decoded through the deployment codec.
 func bestRetained[N any](tr dist.Transport, codec Codec[N]) (N, int64, bool) {
 	var zero N
-	store, ok := tr.(dist.IncumbentStore)
-	if !ok {
-		return zero, 0, false
-	}
-	obj, blob, ok := store.BestKnown()
+	obj, blob, ok := tr.BestKnown()
 	if !ok {
 		return zero, 0, false
 	}

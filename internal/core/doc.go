@@ -24,7 +24,13 @@
 // points run one locality per OS process over the TCP transport, with
 // task serialisation through a Codec and final result/metric
 // aggregation at the coordinator — the role HPX plays in the paper's
-// own implementation.
+// own implementation. The engine sees only the Transport contract:
+// everything it asks of a substrate — steals and split steals, peer
+// priority summaries, link suspicion, the incumbent retention, who
+// holds the coordinator role after a failover, traffic counters — is a
+// method of that one interface, so the same engine code drives the
+// loopback network and the TCP endpoint in either topology without
+// probing for capabilities.
 //
 // The semantics of the skeletons follows the operational model of
 // Section 3 of the paper (see the sibling package internal/semantics
@@ -63,10 +69,10 @@
 // uncontended), sibling robs and transport steal service go
 // best-priority-first, priorities ride stolen tasks across the wire
 // (dist.WireTask.Prio), and idle localities pick the steal victim
-// whose advertised best priority is strongest (dist.PrioAware
-// summaries) instead of a random peer. Strong incumbents arrive early,
-// pruning amplifies, and the parallel search visits measurably fewer
-// nodes — results are bit-identical under any order (the oracle tests
+// whose advertised best priority is strongest (the summaries behind
+// dist.Transport.PeerBestPrio) instead of a random peer. Strong
+// incumbents arrive early, pruning amplifies, and the parallel search
+// visits measurably fewer nodes — results are bit-identical under any order (the oracle tests
 // pin this), so -order is a pure performance knob. The BestFirst
 // coordination is the same machinery with the bound as its fixed
 // priority source, now on sharded bucket pools instead of its original

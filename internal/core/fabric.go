@@ -112,14 +112,12 @@ func (f *fabric[N]) close() {
 // process's localities into s. Call after all workers have joined.
 func (f *fabric[N]) wireStats(s *Stats) {
 	for _, tr := range f.trs {
-		if m, ok := tr.(dist.Meter); ok {
-			ws := m.Wire()
-			s.Frames += ws.FramesSent
-			s.WireBytes += ws.BytesSent
-			s.BatchTasks += ws.StealTasks
-			s.BatchReplies += ws.StealReplies
-			s.LinkResumes += ws.Resumes
-		}
+		ws := tr.Wire()
+		s.Frames += ws.FramesSent
+		s.WireBytes += ws.BytesSent
+		s.BatchTasks += ws.StealTasks
+		s.BatchReplies += ws.StealReplies
+		s.LinkResumes += ws.Resumes
 	}
 }
 

@@ -54,15 +54,13 @@ type topology[N any] struct {
 	pools       []*ShardedPool[N]
 	workerLoc   []int
 	workerShard []int
-	victims     [][]int           // per in-process locality: global ranks to rob
-	ahead       []*aheadBuf[N]    // per in-process locality; nil when disabled
-	parkers     []*parker         // per in-process locality
-	backoff     []*stealBackoff   // per in-process locality; nil when no peers
-	prioAware   []dist.PrioAware  // per in-process locality; nil entries when unsupported
-	health      []dist.LinkHealth // per in-process locality; nil entries when unsupported
-	ordered     bool              // rank victims by priority summaries
-	mem         []*memState[N]    // per in-process locality memory accountant
-	splitters   []*splitGate[N]   // per in-process locality; stack-stealing runs only
+	victims     [][]int         // per in-process locality: global ranks to rob
+	ahead       []*aheadBuf[N]  // per in-process locality; nil when disabled
+	parkers     []*parker       // per in-process locality
+	backoff     []*stealBackoff // per in-process locality; nil when no peers
+	ordered     bool            // rank victims by priority summaries
+	mem         []*memState[N]  // per in-process locality memory accountant
+	splitters   []*splitGate[N] // per in-process locality; stack-stealing runs only
 	// dead[rank] marks globally dead localities: skipped permanently
 	// by victim selection (their transports would only fail the steal,
 	// but probing a corpse still costs a round trip or a timeout).
@@ -164,8 +162,6 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 		workerShard: make([]int, cfg.Workers),
 		victims:     make([][]int, nloc),
 		parkers:     make([]*parker, nloc),
-		prioAware:   make([]dist.PrioAware, nloc),
-		health:      make([]dist.LinkHealth, nloc),
 		ordered:     cfg.Order != OrderNone,
 		mem:         make([]*memState[N], nloc),
 		dead:        make([]atomic.Bool, fab.size),
@@ -221,12 +217,6 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 		}
 		tp.parkers[i] = newParker(localWorkers[i])
 		fab.locs[i].wake = tp.parkers[i].wake
-		if pa, ok := fab.trs[i].(dist.PrioAware); ok {
-			tp.prioAware[i] = pa
-		}
-		if lh, ok := fab.trs[i].(dist.LinkHealth); ok {
-			tp.health[i] = lh
-		}
 		for rank := 0; rank < fab.size; rank++ {
 			if rank != fab.locs[i].rank {
 				tp.victims[i] = append(tp.victims[i], rank)
@@ -285,14 +275,14 @@ func (tp *topology[N]) push(w int, t Task[N]) {
 func (tp *topology[N]) victimOrder(loc int, rng *rand.Rand, sc *victimScratch) []int {
 	vs := tp.victims[loc]
 	buf := sc.order[:0]
-	lh := tp.health[loc]
+	tr := tp.fab.trs[loc]
 	start := rng.Intn(len(vs))
 	for i := 0; i < len(vs); i++ {
 		v := vs[(start+i)%len(vs)]
 		if tp.dead[v].Load() {
 			continue
 		}
-		if lh != nil && lh.Suspected(v) {
+		if tr.Suspected(v) {
 			// Quarantined, not mourned: the link is heartbeat-silent or
 			// its session is suspended mid-resume. Steals against it can
 			// only fail until it heals or is declared dead, so skip it
@@ -305,13 +295,12 @@ func (tp *topology[N]) victimOrder(loc int, rng *rand.Rand, sc *victimScratch) [
 	if len(buf) == 0 {
 		return buf
 	}
-	pa := tp.prioAware[loc]
-	if !tp.ordered || pa == nil {
+	if !tp.ordered {
 		return buf
 	}
 	keys := sc.keys[:0]
 	for _, v := range buf {
-		p, known := pa.PeerBestPrio(v)
+		p, known := tr.PeerBestPrio(v)
 		switch {
 		case !known:
 			p = maxTaskPrio + 1 // unknown: after every known priority
@@ -409,31 +398,23 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 		var zero Task[N]
 		return zero, false
 	}
-	guided := tp.ordered && tp.prioAware[loc] != nil
-	// Stack-stealing rides kSplit where the transport supports it: the
-	// victim serves pool spares if it has any and splits a live stack
-	// otherwise, so the sweep reaches work an ordinary Steal cannot see.
-	var splitTr dist.SplitStealer
+	// Stack-stealing rides kSplit: the victim serves pool spares if it
+	// has any and splits a live stack otherwise, so the sweep reaches
+	// work an ordinary Steal cannot see.
+	steal := tp.fab.trs[loc].Steal
 	if tp.splitters != nil {
-		splitTr, _ = tp.fab.trs[loc].(dist.SplitStealer)
+		steal = tp.fab.trs[loc].SplitSteal
 	}
 	var sa *aheadBuf[N]
 	if tp.ahead != nil {
 		sa = tp.ahead[loc]
 	}
 	for i, v := range order {
-		var wt dist.WireTask
-		var ok bool
-		var err error
 		var t0 time.Time
 		if sa != nil {
 			t0 = time.Now()
 		}
-		if splitTr != nil {
-			wt, ok, err = splitTr.SplitSteal(v)
-		} else {
-			wt, ok, err = tp.fab.trs[loc].Steal(v)
-		}
+		wt, ok, err := steal(v)
 		if err != nil || !ok {
 			sh.StealsFail++
 			continue
@@ -447,7 +428,7 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 		// An ordered steal is one whose victim ranking was informed by
 		// a summary: the key recorded while sorting (not a fresh — and
 		// pool-locking — lookup) is the ground truth of what guided it.
-		if guided && sc.keys[i] <= maxTaskPrio {
+		if tp.ordered && sc.keys[i] <= maxTaskPrio {
 			sh.OrderedSteals++
 		}
 		if bo != nil {
@@ -570,7 +551,7 @@ func (tp *topology[N]) onDeath(loc, rank int) bool {
 	if led := tp.fab.locs[loc].led; led != nil {
 		tasks := led.reap(rank)
 		if rank == 0 && first {
-			if ar, ok := tp.fab.trs[loc].(dist.AckRelay); ok && ar.AcksRelayed() {
+			if tp.fab.trs[loc].AcksRelayed() {
 				// The coordinator relayed completion acks; any ack in
 				// flight at its death is gone, and with it the retire of
 				// the entry it was for. Replay everything outstanding —

@@ -64,14 +64,25 @@ func failoverHarnesses() []harness {
 		{name: "tcp-mesh", make: func(t *testing.T, n int) []Transport {
 			return makeTCP(t, n, WireOptions{Topology: TopologyMesh, Standby: true})
 		}},
+		// The star again, with rank 3's way back to the promoted rank 1
+		// slowed down: its kRejoin is still in flight when the test
+		// publishes a bound at the new coordinator, whose table has no
+		// link for rank 3 yet — and the bound must still reach rank 3.
+		{name: lateRejoin, make: func(t *testing.T, n int) []Transport {
+			plan := NewFaultPlan(1)
+			plan.SetLink(3, 1, LinkFault{Latency: 400 * time.Millisecond})
+			return makeTCP(t, n, WireOptions{Standby: true, Fault: plan})
+		}},
 	}
 }
+
+const lateRejoin = "tcp-late-rejoin"
 
 // The coordinator-failover contract, driven by the chaos harness:
 // rank 0 dies mid-search and the lowest survivor adopts the
 // coordinator role. Afterwards the deployment must still (a) notify
 // every survivor of the death, (b) report the promotion through the
-// Promoter interface, (c) keep bounds flowing between survivors, (d)
+// Transport's Promoted, (c) keep bounds flowing between survivors, (d)
 // not terminate while survivor work is live, (e) terminate when it
 // drains, and (f) complete the terminal Gather at the promoted rank
 // with a nil slot for the corpse.
@@ -111,14 +122,22 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			}
 
 			// The lowest survivor — and nobody else — promotes itself.
-			eventually(t, "rank 1 to adopt the coordinator role", func() bool { return Promoted(trs[1]) })
-			if Promoted(trs[2]) || Promoted(trs[3]) {
+			eventually(t, "rank 1 to adopt the coordinator role", func() bool { return trs[1].Promoted() })
+			if trs[2].Promoted() || trs[3].Promoted() {
 				t.Fatal("a rank other than the lowest survivor promoted itself")
 			}
 
 			// Bounds still flow between survivors through the new
 			// coordinator (star) or the untouched peer links (mesh).
-			trs[2].BroadcastBound(99, []byte("post-takeover"))
+			publisher := trs[2]
+			if h.name == lateRejoin {
+				// The fan-out of this one finds no link for rank 3.
+				publisher = trs[1]
+				if trs[1].(*endpoint).links[3].Load() != nil {
+					t.Log("rank 3 rejoined before the bound was published: the hold-back window was missed")
+				}
+			}
+			publisher.BroadcastBound(99, []byte("post-takeover"))
 			eventually(t, "bound to reach surviving rank 3", func() bool { return hs[3].boundMax.Load() == 99 })
 
 			// The sentinel still holds the search open: takeover must

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -307,10 +308,7 @@ func TestConformanceSplitSteal(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
 
-			ss, ok := trs[0].(SplitStealer)
-			if !ok {
-				t.Fatalf("%T does not implement SplitStealer", trs[0])
-			}
+			ss := trs[0]
 			// Pool work wins when present. (Pushed alone: a batching
 			// transport would otherwise carry the split task home as a
 			// re-homed extra in the same reply.)
@@ -334,10 +332,7 @@ func TestConformanceSplitSteal(t *testing.T) {
 			}
 			// Worker→worker split routes too (hub-forwarded on the star,
 			// direct on the mesh).
-			wss, ok := trs[1].(SplitStealer)
-			if !ok {
-				t.Fatalf("%T does not implement SplitStealer", trs[1])
-			}
+			wss := trs[1]
 			hs[2].pushSplit(WireTask{Payload: []byte("split-b"), Depth: 7})
 			got, ok, err = wss.SplitSteal(2)
 			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("split-b")) {
@@ -544,10 +539,7 @@ func TestConformancePrioSummaries(t *testing.T) {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
-			pa0, ok := trs[0].(PrioAware)
-			if !ok {
-				t.Fatalf("%s transport is not PrioAware", h.name)
-			}
+			pa0 := trs[0]
 			hs[1].push(WireTask{Payload: []byte("x"), Depth: 1, Prio: 4})
 
 			// Any frame from rank 1 carries its summary; provoke one.
@@ -559,15 +551,13 @@ func TestConformancePrioSummaries(t *testing.T) {
 
 			// A worker learns a peer's summary from frames routed to it:
 			// the steal reply itself refreshes rank 2's view of rank 1.
-			if pa2, ok := trs[2].(PrioAware); ok {
-				if _, ok, _ := trs[2].Steal(1); !ok {
-					t.Fatal("steal from stocked rank 1 failed")
-				}
-				eventually(t, "rank 2 to learn rank 1's summary", func() bool {
-					_, known := pa2.PeerBestPrio(1)
-					return known
-				})
+			if _, ok, _ := trs[2].Steal(1); !ok {
+				t.Fatal("steal from stocked rank 1 failed")
 			}
+			eventually(t, "rank 2 to learn rank 1's summary", func() bool {
+				_, known := trs[2].PeerBestPrio(1)
+				return known
+			})
 
 			// Drained victims advertise empty (PrioNone) on later frames.
 			for {
@@ -943,10 +933,7 @@ func TestConformanceIncumbentRetention(t *testing.T) {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			startAll(trs)
-			store, ok := trs[0].(IncumbentStore)
-			if !ok {
-				t.Fatalf("%s rank 0 does not implement IncumbentStore", h.name)
-			}
+			store := trs[0]
 			if _, _, ok := store.BestKnown(); ok {
 				t.Fatal("retention non-empty before any broadcast")
 			}
@@ -1154,5 +1141,77 @@ func TestConformanceBoundPiggybackOutOfOrder(t *testing.T) {
 				hs[r].mu.Unlock()
 			}
 		})
+	}
+}
+
+// No goroutine outlives Close: whatever a deployment went through —
+// a normal termination, a worker death, a coordinator failover — once
+// every endpoint is closed, the read, flush, ping, gossip, liveness
+// and accept loops it started are all gone.
+func TestConformanceNoGoroutineOutlivesClose(t *testing.T) {
+	awaitDone := func(t *testing.T, trs []Transport, ranks ...int) {
+		t.Helper()
+		for _, r := range ranks {
+			select {
+			case <-trs[r].Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("rank %d never saw termination", r)
+			}
+		}
+	}
+	scenarios := []struct {
+		name      string
+		harnesses []harness
+		run       func(t *testing.T, h harness, trs []Transport)
+	}{
+		{"termination", harnesses(), func(t *testing.T, h harness, trs []Transport) {
+			trs[0].AddTasks(1)
+			completeStolen(trs[1], trs[0])
+			awaitDone(t, trs, 0, 1, 2, 3)
+		}},
+		{"worker-death", harnesses(), func(t *testing.T, h harness, trs []Transport) {
+			trs[0].AddTasks(1)
+			trs[2].AddTasks(1)
+			time.Sleep(50 * time.Millisecond) // let a wire transport flush the +1
+			kill(t, h, trs, 2)
+			for _, r := range []int{0, 1, 3} {
+				awaitDeath(t, trs[r], 2)
+			}
+			trs[0].AddTasks(-1)
+			awaitDone(t, trs, 0, 1, 3)
+		}},
+		{"failover", failoverHarnesses()[:4], func(t *testing.T, h harness, trs []Transport) {
+			trs[1].AddTasks(1)
+			time.Sleep(100 * time.Millisecond) // the +1 and the first replication snapshot
+			kill(t, h, trs, 0)
+			for _, r := range []int{1, 2, 3} {
+				awaitDeath(t, trs[r], 0)
+			}
+			eventually(t, "rank 1 to adopt the coordinator role", func() bool { return trs[1].Promoted() })
+			trs[1].AddTasks(-1)
+			awaitDone(t, trs, 1, 2, 3)
+		}},
+	}
+	for _, sc := range scenarios {
+		for _, h := range sc.harnesses {
+			t.Run(sc.name+"/"+h.name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				trs := h.make(t, 4)
+				startAll(trs)
+				sc.run(t, h, trs)
+				for _, tr := range trs {
+					tr.Close()
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > baseline {
+					if time.Now().After(deadline) {
+						buf := make([]byte, 1<<20)
+						t.Fatalf("%d goroutines before the deployment, %d still running after every Close:\n%s",
+							baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			})
+		}
 	}
 }

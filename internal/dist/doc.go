@@ -33,11 +33,64 @@
 // the conformance suite — LoopbackOptions.Wave switches its
 // termination discipline from the counted mode to the token wave. The
 // TCP transport (NewListener/Dial) connects real OS processes and is
-// what `yewpar -dist` deploys: in the star topology every frame is
-// relayed through the coordinator's hub; in the mesh topology
-// (WireOptions.Topology, `-topology mesh`) workers connect directly
-// to each other and the coordinator drops out of the steal and bound
-// planes — see "Mesh topology and the termination wave" below.
+// what `yewpar -dist` deploys, as a star or as a mesh
+// (WireOptions.Topology, `-topology mesh`).
+//
+// # The wire transport: one endpoint
+//
+// Every locality of a TCP deployment, coordinator or worker, star or
+// mesh, is the same type (endpoint, endpoint.go) running the same
+// loops: one read loop per link that handles every frame kind, one
+// flush tick (coalesced acks, the detector's pacing, replication), one
+// heartbeat, one Steal/Ack/BroadcastBound/Cancel/Gather/Close. Three
+// things vary, and each is data or a small interface rather than a
+// type:
+//
+//   - The link table and the routing rule. An endpoint holds a
+//     rank-indexed table of direct links. A frame for rank r leaves on
+//     the direct link when the table has one and on the coordinator's
+//     link otherwise, and an endpoint that reads a routed frame
+//     (kSteal, kSplit, kStealR; acks are routed id by id) addressed to
+//     another rank relays it by the same rule. On a mesh registration
+//     fills every slot — workers dial each other from the kPeers
+//     address table — so nothing is ever relayed. The star is the mesh
+//     with one link: a worker's table holds the coordinator alone, so
+//     everything between workers crosses rank 0, which holds the only
+//     full table and is therefore the only endpoint that ever relays.
+//     Bound spread follows from the same fact: an endpoint that relays
+//     fans a kBound out on its other links; fully linked endpoints
+//     gossip (kGossip) instead.
+//   - The termination detector (detector.go), the one place the
+//     topologies differ in protocol: the star counts — every AddTasks
+//     delta travels, coalesced into frame headers, to the coordinator,
+//     which keeps the global live count attributed per rank — and the
+//     mesh circulates a token (wave.go), so no delta ever leaves its
+//     rank. The endpoint feeds whichever it has the same five events
+//     (a local delta, an incoming frame, tasks arriving, a death, the
+//     flush tick) and the detector at the coordinator calls back when
+//     the count is zero.
+//   - The coordinator role. The endpoint whose rank equals the
+//     deployment's current coordinator rank additionally retains the
+//     incumbent, sinks the terminal Gather, owns death authority (the
+//     liveness watchdog and the kDeath fan-out), announces
+//     termination, replicates its residual state to a standby, and
+//     keeps the listener that took registrations open for session
+//     resumes. Every endpoint carries the (inert) state for this, so
+//     the role can move: rank 0 holds it from registration, and under
+//     WireOptions.Standby the elected survivor acquires it in place
+//     when rank 0 dies — on a star it takes the missing links through
+//     the very accept loop that served registration (the others
+//     re-dial its pre-bound listener with a kRejoin), on a mesh the
+//     links already exist and coordinator traffic merely changes
+//     direction. See "Coordinator failover (v7)" below. (The protocol
+//     sections that follow say "the hub" for whichever endpoint holds
+//     this role.)
+//
+// Registration is one sequence for all of it: hello → version and spec
+// check → (mesh or standby) the worker's listener address, kPeerAddr →
+// welcome with rank, size and session id → (mesh or standby) the
+// complete address table, kPeers — after which a mesh worker dials the
+// lower ranks and accepts the higher ones.
 //
 // # Wire protocol (v8)
 //
@@ -84,12 +137,12 @@
 // The summary survives routing (the hub forwards it unchanged, so a
 // steal reply tells the thief how much more the victim holds), and
 // receivers record it per origin rank; transports expose the table
-// through the PrioAware extension, which the engine's topology uses to
-// probe the most promising victim first instead of a random one.
-// Summaries are hints — stale the moment they are read — so they order
-// victim probing but never hide a victim. The loopback transport
-// implements PrioAware by asking the victim's handler directly, which
-// is exact.
+// through PeerBestPrio, which the engine's topology uses to probe the
+// most promising victim first instead of a random one. Summaries are
+// hints — stale the moment they are read — so they order victim
+// probing but never hide a victim. The loopback transport answers
+// PeerBestPrio by asking the victim's handler directly, which is
+// exact.
 //
 // # Fault tolerance (v4)
 //
@@ -129,9 +182,9 @@
 //     serve out the full steal timeout.
 //   - Incumbent retention. Bound broadcasts (and decision cancels)
 //     may carry the encoded incumbent node; the hub retains the best
-//     (obj, node) pair and exposes it through IncumbentStore, so an
-//     optimum found by a locality that later died still reaches the
-//     final result. The loopback network retains at network level.
+//     (obj, node) pair and exposes it through BestKnown, so an optimum
+//     found by a locality that later died still reaches the final
+//     result. The loopback network retains at network level.
 //
 // What is and is not survivable: any number of worker deaths are
 // absorbed as long as the coordinator lives — supervision chains root
@@ -207,10 +260,9 @@
 // over the wire — and exports the handed-over nodes. The reply is an
 // ordinary kStealR, so steal correlation, batching, hand-over
 // supervision ids, and the mesh wave's blackening rules all apply
-// unchanged; a transport-level thief calls SplitSteal (the
-// SplitStealer extension) and a victim-side handler opts in through
-// the StackSplitter extension, with handlers that lack it falling
-// back to plain pool service. Because a split may wait a few
+// unchanged; a transport-level thief calls SplitSteal and a
+// victim-side handler opts in through the StackSplitter extension,
+// with handlers that lack it falling back to plain pool service. Because a split may wait a few
 // milliseconds for a worker to reach a poll point, endpoints serve
 // kSplit off their read loops. The same request also serves the
 // memory story: a locality under Config.PoolBudget pressure would
@@ -241,20 +293,22 @@
 //
 // When the coordinator dies, the standby observes the broken
 // connection (or liveness timeout), promotes itself — epoch 0 becomes
-// 1 — and rebuilds a hub from the replicated state at its own rank. In
-// the star the other survivors re-dial the standby's promotion
-// listener, which was bound at registration time so the address is
-// known before any failure: the kRejoin hello carries each rank's
-// cumulative live-count contribution and bound stamp, and the kWelcome
-// reply re-seeds them with the promoted hub's, so termination
-// accounting and incumbent knowledge cross the takeover without loss.
-// In the mesh the data plane already runs over direct peer links, so
-// takeover is pure role migration: no re-dialing, the promoted rank
-// simply assumes the control plane (incumbent store, death fan-out,
-// wave initiation, terminal Gather). Either way the search finishes
-// and the promoted rank — not the corpse — aggregates and reports the
-// result (Promoted/the Promoter extension tells callers which rank
-// that is).
+// 1 — and acquires the coordinator role in place: the same endpoint,
+// its role state seeded from what rank 0 replicated to it. In the star
+// the other survivors re-dial the standby's listener, which was bound
+// at registration time so the address is known before any failure: the
+// kRejoin hello carries each rank's cumulative live-count contribution
+// and bound stamp, the kWelcome reply re-seeds them with the promoted
+// coordinator's, and whatever its fan-outs said between that welcome
+// and the link entering its table (a bound, a death) is repeated to the
+// rejoiner — so termination accounting and incumbent knowledge cross
+// the takeover without loss. In the mesh the data plane already runs
+// over direct peer links, so takeover is pure role migration: no
+// re-dialing, the promoted rank simply assumes the control plane
+// (incumbent store, death fan-out, wave initiation, terminal Gather).
+// Either way the search finishes and the promoted rank — not the
+// corpse — aggregates and reports the result (Transport.Promoted tells
+// callers which rank that is).
 //
 // The epoch fences double takeover: exactly one promotion is allowed,
 // so the death of the promoted coordinator ends the deployment, as
@@ -302,7 +356,7 @@
 //   - Suspicion before mourning. A rank whose link is suspended (or
 //     whose heartbeats have gone quiet past LivenessTimeout) is
 //     quarantined, not mourned: the engine's victim selection skips it
-//     (the LinkHealth extension) and steals aimed at it fail fast, but
+//     (Transport.Suspected) and steals aimed at it fail fast, but
 //     death — with its irreversible replay — is declared only after
 //     the grace window closes on top of the liveness timeout. A
 //     suspect that resumes re-enters the victim order as if nothing
@@ -318,9 +372,9 @@
 // than the grace must be invisible (zero deaths, zero replayed tasks,
 // exact optimum) on every transport and topology.
 //
-// Transports that implement Meter report frames, bytes, steal batch
-// occupancy, and session resumes; the engine folds those into its
-// Stats.
+// Transports report frames, bytes, steal batch occupancy, and session
+// resumes through Wire (the Meter subset of Transport); the engine
+// folds those into its Stats.
 //
 // # Zero-allocation wire hot path
 //

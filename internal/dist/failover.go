@@ -3,9 +3,8 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"net"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -540,277 +539,259 @@ func failoverCandidate(size int, deaths *deathBox) int {
 	return -1
 }
 
-// ---- star takeover ----------------------------------------------------
+// ---- the replicating side (rank 0) -------------------------------------
 
-// failover is the star worker's hub-loss hook. It reports true when
-// the takeover protocol owns shutdown from here on (either this rank
-// promoted itself or it re-joined the promoted hub); false sends the
-// caller down the deployment-over path.
-func (w *worker) failover() bool {
-	if !w.standby || len(w.peerAddrs) == 0 {
+// mirrorHandOver records rank 0's own hand-overs in the failover
+// mirror before the reply ships: should the thief die after a
+// takeover, the promoted rank replays exactly these supervision roots.
+// Unsupervised tasks (ID 0) have nothing to replay.
+func (e *endpoint) mirrorHandOver(thief int, tasks []WireTask) {
+	if e.repl == nil {
+		return
+	}
+	for _, t := range tasks {
+		if t.ID != 0 {
+			e.mirror.add(thief, t)
+			e.repl.noteMirrorAdd(thief, t)
+		}
+	}
+}
+
+// retargetRepl points replication at the lowest surviving rank and
+// forces it a full base snapshot.
+func (e *endpoint) retargetRepl() {
+	for r := 1; r < e.size; r++ {
+		if cn := e.link(r); cn != nil && !cn.mourned.Load() {
+			e.repl.setTarget(r)
+			return
+		}
+	}
+	e.repl.setTarget(-1) // no survivors to replicate to
+}
+
+// flushRepl drains the replication queue once per flush quantum.
+func (e *endpoint) flushRepl() {
+	if e.repl != nil {
+		e.repl.flushTo(e.link(e.repl.targetRank()), e.snapshotBlob)
+	}
+}
+
+// snapshotBlob captures the coordinator's residual state for a
+// kHubSnap.
+func (e *endpoint) snapshotBlob() []byte {
+	s := &HubSnapshot{
+		Epoch:     uint64(e.epoch.Load()),
+		Spec:      e.spec,
+		Size:      e.size,
+		PeerAddrs: e.peerAddrs,
+		Alive:     make([]bool, e.size),
+		Mirror:    e.mirror.entries(),
+	}
+	if s.PeerAddrs == nil {
+		s.PeerAddrs = make([]string, e.size)
+	}
+	s.Alive[e.rank] = true
+	for r := range e.links {
+		if cn := e.links[r].Load(); cn != nil && !cn.mourned.Load() {
+			s.Alive[r] = true
+		}
+	}
+	s.BestObj, s.BestNode, s.HasBest = e.inc.best()
+	e.gatherMu.Lock()
+	for r, c := range e.contrib {
+		if c {
+			s.Gather = append(s.Gather, GatherSlot{Rank: r, Blob: e.blobs[r]})
+		}
+	}
+	e.gatherMu.Unlock()
+	return encodeHubSnapshot(s)
+}
+
+// ---- takeover ----------------------------------------------------------
+
+// takeover is the reaction to losing the coordinator's link. It reports
+// true when the deployment carries on under a new coordinator — this
+// rank, having acquired the role, or the elected one, to which this
+// rank's coordinator traffic now goes — and false when it cannot: not a
+// standby deployment, a normal post-termination disconnect, a second
+// coordinator death, nobody left.
+func (e *endpoint) takeover(old *wconn) bool {
+	if !e.opts.Standby || e.isDone() || !e.epoch.CompareAndSwap(0, 1) {
 		return false
 	}
-	select {
-	case <-w.done:
-		return false // post-termination disconnect: a normal shutdown
-	default:
-	}
-	if !w.epoch.CompareAndSwap(0, 1) {
-		return false // the promoted coordinator died too: one takeover per deployment
-	}
-	// No reply can arrive on the dead connection, and the engine must
-	// learn rank 0 died (its ledgers replay every outstanding hand-over:
-	// any ack relayed through the dying hub is gone).
-	w.pending.failAll()
-	w.deaths.announce(0)
-	cand := failoverCandidate(w.size, w.deaths)
+	// The engine must learn rank 0 died: its ledger replays the
+	// hand-overs rank 0 held — on a star every outstanding one, since an
+	// ack relayed through the dying coordinator may be gone. The wave
+	// stops summing rank 0 and re-elects the lowest live rank as
+	// initiator — the very rank elected below.
+	old.dead.Store(true)
+	e.deaths.announce(0)
+	e.term.markDead(0)
+	cand := failoverCandidate(e.size, e.deaths)
 	if cand < 0 {
 		return false
 	}
-	// Capture this rank's cumulative live-task contribution. cumSent
-	// counts every delta that reached a wire; whatever is still
-	// coalesced joins it here. Under the old connection's write lock no
-	// send is mid-flight, so the sum is exact — the promoted hub
-	// rebuilds liveAt[rank] from exactly this number.
-	old := w.conn()
-	old.wmu.Lock()
-	rep := w.cumSent.Load() + w.delta.Swap(0)
-	w.cumSent.Store(rep)
-	old.wmu.Unlock()
-	if cand == w.rank {
-		return w.promote(rep)
+	var rep int64
+	if e.count != nil {
+		// Under the old link's write lock no send is mid-flight, so the
+		// settled contribution is exact.
+		old.wmu.Lock()
+		rep = e.count.settle()
+		old.wmu.Unlock()
 	}
-	return w.rejoin(cand, rep)
+	if cand == e.rank {
+		e.acquireRole(rep)
+		return true
+	}
+	e.coord.Store(int32(cand))
+	if e.links[cand].Load() != nil {
+		// Role migration: the link to the new coordinator already
+		// exists (a mesh), coordinator traffic just changes direction.
+		return true
+	}
+	return e.rejoin(cand, rep)
 }
 
-// promote turns this worker into the deployment's coordinator: a hub
-// seeded from the replicated state, accepting kRejoin connections on
-// the promotion listener bound at registration. The worker endpoint
-// stays the engine's Transport and delegates to the hub.
-func (w *worker) promote(rep int64) bool {
-	hd := w.handler()
-	if w.promoLn == nil || w.store == nil || hd == nil {
-		return false
-	}
-	st := w.store.view()
-	h := &hub{
-		size:     w.size,
-		self:     w.rank,
-		epoch:    1,
-		standby:  true,
-		conns:    make([]*wconn, w.size),
-		liveAt:   make([]atomic.Int64, w.size),
-		opts:     w.opts,
-		started:  make(chan struct{}),
-		done:     w.done,
-		doneOnce: &w.doneOnce,
-		deaths:   w.deaths,
-		blobs:    make([][]byte, w.size),
-		contrib:  make([]bool, w.size),
-		gotAll:   make(chan struct{}),
-		peerPrio: newPeerPrios(w.size),
-		mirror:   newHubMirror(),
-		ln:       w.promoLn,
-	}
-	h.pbStamp.Store(w.pbStamp.Load())
-	h.pbSeen.Store(w.pbSeen.Load())
-	h.h.Store(hd)
-	h.stOnce.Do(func() { close(h.started) })
-	h.mirror.install(st.mirror)
+// acquireRole makes this endpoint the coordinator, in place: the role's
+// state is seeded from what rank 0 replicated here, the count (on a
+// star) moves here, and the links the role needs but this rank lacks —
+// on a star, all of them — are taken through the same accept loop
+// registration used, on the listener pre-bound for it.
+func (e *endpoint) acquireRole(rep int64) {
+	st := e.store.view()
+	e.mirror.install(st.mirror)
 	if st.hasBest {
-		h.inc.keep(st.bestObj, st.bestNod)
-		raiseMax(&h.pbStamp, st.bestObj)
+		e.inc.keep(st.bestObj, st.bestNod)
+		raiseMax(&e.pbStamp, st.bestObj)
 	}
-	// Hold the count above zero until every survivor's contribution is
-	// re-installed: a partial sum crossing zero is not termination.
-	h.live.Add(1)
-	w.promo.Store(h)
-	w.stopFlush() // the hub's flusher takes over; pingLoop exits with it
-	w.ackMu.Lock()
-	buf := w.ackBuf
-	w.ackBuf = nil
-	w.ackMu.Unlock()
-	if len(buf) > 0 {
-		h.ackMu.Lock()
-		h.ackBuf = append(h.ackBuf, buf...)
-		h.ackMu.Unlock()
+	if e.count != nil {
+		e.count.own(rep)
 	}
-	h.addAt(h.self, rep)
+	e.coord.Store(int32(e.rank))
 	// Rank 0 will never contribute to the gather; neither will anyone
-	// already dead. Contributions the old hub had collected survive via
-	// the replica.
-	h.contribute(0, nil)
-	dead := make(map[int]bool)
-	for r := 1; r < w.size; r++ {
-		if r != w.rank && w.deaths.isDead(r) {
-			dead[r] = true
-		}
-	}
+	// it had already mourned. Contributions it had collected survive
+	// via the replica.
+	e.contribute(0, nil)
 	for _, r := range st.dead {
-		if r > 0 && r != w.rank {
-			dead[r] = true
+		e.deaths.announce(r)
+	}
+	for r, blob := range st.gather {
+		if r != e.rank {
+			e.contribute(r, blob)
 		}
 	}
-	for r := range dead {
-		h.contribute(r, nil)
-	}
-	for rank, blob := range st.gather {
-		if rank != 0 && rank != w.rank {
-			h.contribute(rank, blob)
+	var dead, missing []int
+	for r := 1; r < e.size; r++ {
+		switch {
+		case r == e.rank:
+		case e.deaths.isDead(r):
+			dead = append(dead, r)
+			e.term.markDead(r)
+			e.contribute(r, nil)
+		case e.links[r].Load() == nil:
+			missing = append(missing, r)
 		}
 	}
-	go h.adoptDeployment(dead)
-	go h.livenessLoop()
-	go h.ackFlushLoop()
-	return true
+	go e.livenessLoop()
+	go func() {
+		// The rejoin window: every survivor this rank has no link to
+		// re-dials the promotion listener and presents a kRejoin. One
+		// that never makes it back within the liveness window is dead.
+		e.acceptLinks(time.Now().Add(e.opts.LivenessTimeout), len(missing), e.admitRejoin)
+		if e.closed.Load() {
+			return
+		}
+		for _, r := range missing {
+			if e.links[r].Load() == nil {
+				e.died(r, nil)
+			}
+		}
+		// The dead holders' mirrored hand-overs are the one set of
+		// supervision roots no surviving ledger replays.
+		for _, r := range dead {
+			e.replayMirror(r)
+		}
+		if e.count != nil {
+			e.count.release()
+		}
+		if e.sessions != nil && e.ln != nil {
+			// The window is over; the listener now serves session
+			// resumes for the links it just accepted.
+			acceptResumes(e.ln, e.sessions, &e.closed)
+		}
+	}()
 }
 
-// adoptDeployment is the promoted hub's registration window: every
-// surviving worker re-dials the promotion listener and presents a
-// kRejoin carrying its cumulative contribution. Ranks that never make
-// it back within the liveness window are declared dead — their
-// mirrored supervision roots replay here, like any other death.
-func (h *hub) adoptDeployment(dead map[int]bool) {
-	expected := make(map[int]bool)
-	for r := 1; r < h.size; r++ {
-		if r != h.self && !dead[r] {
-			expected[r] = true
+// admitRejoin admits one survivor into the promoted coordinator's link
+// table (acceptLinks' admit, after a takeover). The kRejoin carries the
+// rank's cumulative live-task contribution — from which the count is
+// rebuilt — and, like any frame, its pending delta, bound and summary.
+func (e *endpoint) admitRejoin(cn *wconn, rj *frame) error {
+	r := rj.From
+	if rj.Kind != kRejoin || rj.Want != int(e.epoch.Load()) || r <= 0 || r >= e.size || r == e.rank ||
+		e.deaths.isDead(r) || e.links[r].Load() != nil {
+		return fmt.Errorf("bad rejoin from %v", cn.cur.Load().c.RemoteAddr())
+	}
+	// The rejoining worker minted a fresh session for the promoted
+	// link and carried its id in the kRejoin.
+	e.acceptSession(cn, rj.Seq)
+	cn.attachFault(e.opts.Fault, e.rank, r)
+	e.term.onFrame(rj)
+	if rj.HasPB && e.meldBound(r, rj.PB) {
+		// A bound raised during the takeover blackout has no explicit
+		// broadcast in flight anymore: relay it like one.
+		e.fanOut(&frame{Kind: kBound, From: r, Obj: rj.PB}, r)
+	}
+	if rj.HasPS {
+		notePeerPrio(e.peerPrio, r, rj.PS)
+	}
+	// The welcome must be the first frame r reads, so it goes out
+	// before the link enters the table and fan-outs can reach it. It
+	// carries, like every frame, the bound known right now; whatever a
+	// fan-out said between that stamp and the install is repeated here
+	// — each raised pbStamp, or announced its death, before it looked
+	// for r's link and found none. Nothing the coordinator learned
+	// while r was on its way back is lost to it.
+	welcome := &frame{Kind: kWelcome, From: e.rank, To: r, Want: e.size}
+	cn.send(welcome)
+	e.install(r, cn)
+	if b := e.pbStamp.Load(); b != math.MinInt64 && !(welcome.HasPB && welcome.PB >= b) {
+		cn.send(&frame{Kind: kBound, From: e.rank, Obj: b})
+	}
+	for dead := 1; dead < e.size; dead++ {
+		if dead != r && e.deaths.isDead(dead) {
+			cn.send(&frame{Kind: kDeath, From: e.rank, Want: dead})
 		}
 	}
-	if h.opts.LinkGrace > 0 {
-		h.sessions = newSessRegistry()
-	}
-	deadline := time.Now().Add(h.opts.LivenessTimeout)
-	for len(expected) > 0 && !h.closed.Load() {
-		if d, ok := h.ln.(*net.TCPListener); ok {
-			d.SetDeadline(deadline)
-		}
-		c, err := h.ln.Accept()
-		if err != nil {
-			break // window over (deadline) or hub closed
-		}
-		cn := newWconn(c, &h.ctr)
-		cn.pb = &h.pbStamp
-		cn.ps = selfPrioFn(&h.h)
-		cn.psFrom = h.self
-		c.SetReadDeadline(deadline)
-		var rj frame
-		if err := cn.recv(&rj); err != nil || rj.Kind != kRejoin || uint64(rj.Want) != h.epoch ||
-			rj.From <= 0 || rj.From >= h.size || !expected[rj.From] || h.conns[rj.From] != nil {
-			cn.close()
-			continue
-		}
-		c.SetReadDeadline(time.Time{})
-		if h.sessions != nil && rj.Seq != 0 {
-			// The rejoining worker minted a fresh session for the
-			// promoted link and carried its id in the kRejoin.
-			cn.sess = newSession(rj.Seq, h.opts.LinkGrace)
-			h.sessions.add(rj.Seq, cn)
-		}
-		cn.attachFault(h.opts.Fault, h.self, rj.From)
-		h.conns[rj.From] = cn
-		h.addAt(rj.From, rj.Obj)
-		if rj.Delta != 0 {
-			h.addAt(rj.From, rj.Delta)
-		}
-		if rj.HasPB {
-			h.meldBound(rj.From, rj.PB)
-			// A bound raised during the takeover blackout has no
-			// explicit broadcast in flight anymore: relay it like one.
-			// Ranks still rejoining pick it up from their welcome's
-			// piggyback instead (their conns are nil here).
-			h.fanOut(&frame{Kind: kBound, From: rj.From, Obj: rj.PB}, rj.From)
-		}
-		if rj.HasPS {
-			notePeerPrio(h.peerPrio, rj.From, rj.PS)
-		}
-		cn.send(&frame{Kind: kWelcome, From: h.self, To: rj.From, Want: h.size})
-		go h.serve(rj.From)
-		delete(expected, rj.From)
-	}
-	if d, ok := h.ln.(*net.TCPListener); ok {
-		d.SetDeadline(time.Time{})
-	}
-	if h.sessions != nil {
-		// The rejoin window is over; the promotion listener now serves
-		// session resumes for the links it just accepted.
-		go acceptResumes(h.ln, h.sessions, &h.closed)
-	}
-	for r := range expected {
-		h.deadNoConn(r)
-	}
-	for r := range dead {
-		h.replayMirror(r)
-	}
-	// Release the rejoin guard; if the surviving contributions already
-	// sum to zero, the search ended while the hub was away.
-	if h.live.Add(-1) == 0 {
-		h.terminate()
-	}
-}
-
-// deadNoConn handles a rank that never re-joined the promoted hub:
-// the full death protocol, minus the connection there is to mourn.
-func (h *hub) deadNoConn(rank int) {
-	h.deaths.announce(rank)
-	h.fanOut(&frame{Kind: kDeath, From: h.self, Want: rank}, rank)
-	h.contribute(rank, nil)
-	h.replayMirror(rank)
+	go e.readLoop(r, cn)
+	return nil
 }
 
 // replayMirror re-enqueues the dead holder's replicated rank-0
-// hand-overs as local work. Re-execution is replay-safe (the engine's
-// death-replay invariant); a late ack for a replayed id is absorbed by
-// the mirror's idempotent retire.
-func (h *hub) replayMirror(holder int) {
-	ts := h.mirror.takeHolder(holder)
-	if len(ts) == 0 {
-		return
-	}
-	hd := h.handler()
-	if hd == nil {
-		return
-	}
-	for _, t := range ts {
-		hd.OnTask(t)
+// hand-overs as local work (blackening first: on a mesh the migration
+// must be visible to the token before the work is). Re-execution is
+// replay-safe (the engine's death-replay invariant); a late ack for a
+// replayed id is absorbed by the mirror's idempotent retire.
+func (e *endpoint) replayMirror(holder int) {
+	if ts := e.mirror.takeHolder(holder); len(ts) > 0 {
+		e.term.blacken()
+		e.adopt(ts)
 	}
 }
 
-// rejoin re-attaches a surviving worker to the promoted hub: dial the
-// candidate's promotion listener (pre-bound at registration, so the
+// rejoin re-attaches a star survivor to the promoted coordinator: dial
+// the candidate's promotion listener (pre-bound at registration, so the
 // dial succeeds even before the candidate finishes promoting), present
-// the kRejoin, swap the connection, restart the read loop.
-func (w *worker) rejoin(cand int, rep int64) bool {
-	addr := w.peerAddrs[cand]
-	if addr == "" {
+// the kRejoin, and enter the new link into the table.
+func (e *endpoint) rejoin(cand int, rep int64) bool {
+	if cand >= len(e.peerAddrs) || e.peerAddrs[cand] == "" {
 		return false
 	}
-	c, err := dialRetry(addr)
+	cn, err := e.dialLink(e.peerAddrs[cand], cand, &frame{Kind: kRejoin, From: e.rank, Want: int(e.epoch.Load()), Obj: rep})
 	if err != nil {
 		return false
 	}
-	cn := newWconn(c, &w.ctr)
-	cn.pending = &w.delta
-	cn.cum = &w.cumSent
-	cn.pb = &w.pbStamp
-	cn.ps = selfPrioFn(&w.h)
-	cn.psFrom = w.rank
-	rj := &frame{Kind: kRejoin, From: w.rank, Want: int(w.epoch.Load()), Obj: rep}
-	if w.opts.LinkGrace > 0 {
-		// Mint a fresh resumable session for the promoted link — the old
-		// hub session died with the old coordinator — and carry its id
-		// in the kRejoin for the promoted hub to register.
-		s := newSession(mintSessionID(w.rank), w.opts.LinkGrace)
-		s.rank = w.rank
-		s.redial = sessionRedialer(addr)
-		cn.sess = s
-		rj.Seq = s.id
-	}
-	cn.attachFault(w.opts.Fault, w.rank, cand)
-	if err := cn.send(rj); err != nil {
-		cn.close()
-		return false
-	}
+	c := cn.cur.Load().c
 	c.SetReadDeadline(time.Now().Add(dialTimeout))
 	var welcome frame
 	if err := cn.recv(&welcome); err != nil || welcome.Kind != kWelcome {
@@ -818,14 +799,14 @@ func (w *worker) rejoin(cand int, rep int64) bool {
 		return false
 	}
 	c.SetReadDeadline(time.Time{})
-	// The welcome piggybacks the promoted hub's bound stamp like any
-	// other frame; received outside the read loop, it must be melded
+	// The welcome piggybacks the promoted coordinator's bound stamp like
+	// any other frame; received outside the read loop, it must be melded
 	// here or news learned during the blackout would be dropped (the
 	// sender has already marked it carried by this connection).
 	if welcome.HasPB {
-		w.meldBound(welcome.From, welcome.PB)
+		e.meldBound(welcome.From, welcome.PB)
 	}
-	w.cn.Store(cn)
-	go w.readLoop(cn)
+	e.install(cand, cn)
+	go e.readLoop(cand, cn)
 	return true
 }

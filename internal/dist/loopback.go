@@ -267,20 +267,18 @@ type loopback struct {
 }
 
 var _ Transport = (*loopback)(nil)
-var _ Meter = (*loopback)(nil)
-var _ PrioAware = (*loopback)(nil)
-var _ IncumbentStore = (*loopback)(nil)
-var _ SplitStealer = (*loopback)(nil)
-var _ Promoter = (*loopback)(nil)
-var _ LinkHealth = (*loopback)(nil)
 
-// Suspected implements LinkHealth: a peer across a severed loopback
-// partition is quarantined — the victim order skips it until the heal.
+// AcksRelayed is false: loopback acks are delivered to their origin
+// synchronously, so no death can eat one in flight.
+func (t *loopback) AcksRelayed() bool { return false }
+
+// Suspected: a peer across a severed loopback partition is
+// quarantined — the victim order skips it until the heal.
 func (t *loopback) Suspected(rank int) bool {
 	return t.net.opts.Fault.Severed(t.rank, rank)
 }
 
-// Wire implements Meter with logical message counts: the frames a wire
+// Wire reports logical message counts: the frames a wire
 // transport would have sent for the same traffic, and payload bytes
 // only — engine runs hand nodes over by reference (no Payload), so
 // they report zero bytes, which is the truth of shared memory.
@@ -302,11 +300,11 @@ func (t *loopback) handler() Handler {
 	return h
 }
 
-// BestKnown implements IncumbentStore from the network-level retention
+// BestKnown answers from the network-level retention
 // cell (shared: any endpoint answers, rank 0 is the one that asks).
 func (t *loopback) BestKnown() (int64, []byte, bool) { return t.net.inc.best() }
 
-// PeerBestPrio implements PrioAware by asking the victim's handler
+// PeerBestPrio asks the victim's handler
 // directly: shared memory needs no piggybacked summary, so the loopback
 // network's answer is exact where a wire transport's is a hint.
 func (t *loopback) PeerBestPrio(rank int) (int, bool) {

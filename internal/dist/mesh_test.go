@@ -34,7 +34,7 @@ func TestMeshDirectStealConservation(t *testing.T) {
 	for i := 0; i < total; i++ {
 		hs[1].push(WireTask{Payload: []byte{byte(i)}, Depth: i, Prio: i % 7})
 	}
-	before := trs[0].(Meter).Wire()
+	before := trs[0].Wire()
 
 	seen := make(map[byte]int)
 	record := func(ts ...WireTask) {
@@ -66,7 +66,7 @@ func TestMeshDirectStealConservation(t *testing.T) {
 		}
 	}
 
-	after := trs[0].(Meter).Wire()
+	after := trs[0].Wire()
 	hubDelta := (after.FramesSent + after.FramesRecv) - (before.FramesSent + before.FramesRecv)
 	// The star hub would have relayed 4 frames per exchange (request
 	// in, request out, reply in, reply out). Allow a little heartbeat
@@ -83,10 +83,7 @@ func TestMeshDirectStealConservation(t *testing.T) {
 func TestMeshPeerSummaryStaleness(t *testing.T) {
 	trs := meshDeployment(t, 3)
 	hs := startAll(trs)
-	pa2, ok := trs[2].(PrioAware)
-	if !ok {
-		t.Fatal("mesh worker is not PrioAware")
-	}
+	pa2 := trs[2]
 
 	hs[1].push(WireTask{Payload: []byte("x"), Depth: 1, Prio: 4})
 	// Gossiped bounds piggyback the sender's summary over the direct
@@ -161,39 +158,49 @@ func TestMeshGossipBoundMonotonicity(t *testing.T) {
 
 // The coordinator's residual state round-trips through its snapshot:
 // spec, peer table, liveness, and the retained incumbent — everything
-// a standby would need to adopt the deployment.
+// a standby would need to adopt the deployment. Star and mesh share
+// the one snapshotBlob; the star runs with Standby so that it, too,
+// has listener addresses to carry.
 func TestMeshHubSnapshotRoundTrip(t *testing.T) {
-	trs := meshDeployment(t, 3)
-	startAll(trs)
-	trs[1].BroadcastBound(42, []byte("best-node"))
-	store := trs[0].(IncumbentStore)
-	eventually(t, "the hub to retain the incumbent", func() bool {
-		obj, _, ok := store.BestKnown()
-		return ok && obj == 42
-	})
-	trs[2].Close()
-	awaitDeath(t, trs[1], 2)
-	// Give the hub's own death bookkeeping a beat to settle.
-	time.Sleep(20 * time.Millisecond)
+	for _, tc := range []struct {
+		name, spec string
+		opts       WireOptions
+	}{
+		{"tcp", "conformance standby=1", WireOptions{Standby: true}},
+		{"tcp-mesh", "conformance topology=mesh", WireOptions{Topology: TopologyMesh}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trs := makeTCP(t, 3, tc.opts)
+			startAll(trs)
+			trs[1].BroadcastBound(42, []byte("best-node"))
+			eventually(t, "the coordinator to retain the incumbent", func() bool {
+				obj, _, ok := trs[0].BestKnown()
+				return ok && obj == 42
+			})
+			trs[2].Close()
+			awaitDeath(t, trs[1], 2)
+			// Give the coordinator's own death bookkeeping a beat to settle.
+			time.Sleep(20 * time.Millisecond)
 
-	blob := trs[0].(*meshHub).Snapshot()
-	snap, err := DecodeHubSnapshot(blob)
-	if err != nil {
-		t.Fatalf("decode snapshot: %v", err)
-	}
-	// The stored spec carries the topology fold appended at
-	// registration, so a standby adopting it would refuse star dials.
-	if snap.Spec != "conformance topology=mesh" || snap.Size != 3 {
-		t.Fatalf("snapshot identity = %q/%d, want the topology-folded spec and size 3", snap.Spec, snap.Size)
-	}
-	if len(snap.PeerAddrs) != 3 || snap.PeerAddrs[0] != "" || snap.PeerAddrs[1] == "" || snap.PeerAddrs[2] == "" {
-		t.Fatalf("snapshot peer table = %v", snap.PeerAddrs)
-	}
-	if !snap.Alive[0] || !snap.Alive[1] || snap.Alive[2] {
-		t.Fatalf("snapshot liveness = %v, want rank 2 dead", snap.Alive)
-	}
-	if !snap.HasBest || snap.BestObj != 42 || string(snap.BestNode) != "best-node" {
-		t.Fatalf("snapshot incumbent = %d %q %v", snap.BestObj, snap.BestNode, snap.HasBest)
+			snap, err := DecodeHubSnapshot(trs[0].(*endpoint).snapshotBlob())
+			if err != nil {
+				t.Fatalf("decode snapshot: %v", err)
+			}
+			// The stored spec carries the folds appended at registration,
+			// so a standby adopting it would refuse mismatched dials.
+			if snap.Spec != tc.spec || snap.Size != 3 {
+				t.Fatalf("snapshot identity = %q/%d, want the folded spec %q and size 3", snap.Spec, snap.Size, tc.spec)
+			}
+			if len(snap.PeerAddrs) != 3 || snap.PeerAddrs[0] != "" || snap.PeerAddrs[1] == "" || snap.PeerAddrs[2] == "" {
+				t.Fatalf("snapshot peer table = %v", snap.PeerAddrs)
+			}
+			if !snap.Alive[0] || !snap.Alive[1] || snap.Alive[2] {
+				t.Fatalf("snapshot liveness = %v, want rank 2 dead", snap.Alive)
+			}
+			if !snap.HasBest || snap.BestObj != 42 || string(snap.BestNode) != "best-node" {
+				t.Fatalf("snapshot incumbent = %d %q %v", snap.BestObj, snap.BestNode, snap.HasBest)
+			}
+		})
 	}
 }
 

@@ -98,63 +98,11 @@ type StealRanker interface {
 	BestStealPrio() (int, bool)
 }
 
-// PrioAware is an optional Transport extension: transports that track
-// peers' advertised best-available priorities (from piggybacked frame
-// summaries, or by direct inspection on the loopback network) report
-// them through PeerBestPrio. known is false when nothing has been heard
-// from the rank; prio == PrioNone with known == true means the peer
-// last advertised an empty pool. Summaries are hints — they may be
-// stale the moment they are read — so callers use them to order victim
-// probing, never to skip a victim outright.
-type PrioAware interface {
-	PeerBestPrio(rank int) (prio int, known bool)
-}
-
 // PrioNone is the advertised priority of a locality with no stealable
 // work.
 const PrioNone = -1
 
-// IncumbentStore is an optional Transport extension: transports that
-// retain the best (obj, node) pair published through BroadcastBound or
-// Cancel expose it at rank 0, so the global optimum (or decision
-// witness) survives the death of the locality that found it. Both
-// bundled transports implement it; only the rank-0 endpoint's answer
-// is meaningful.
-type IncumbentStore interface {
-	BestKnown() (obj int64, node []byte, ok bool)
-}
-
-// Promoter is an optional Transport extension implemented by endpoints
-// that can inherit the coordinator role when rank 0 dies mid-search
-// (wire protocol v7, WireOptions.Standby). Promoted reports whether
-// THIS endpoint has taken the role over: after a takeover it — not
-// rank 0, which is dead — holds the incumbent retention and receives
-// the terminal Gather, so result extraction consults Promoted wherever
-// it would have tested Rank() == 0.
-type Promoter interface {
-	Promoted() bool
-}
-
-// Promoted reports whether tr has taken over the coordinator role
-// (false for transports that cannot).
-func Promoted(tr Transport) bool {
-	p, ok := tr.(Promoter)
-	return ok && p.Promoted()
-}
-
-// AckRelay is an optional Transport extension reporting whether this
-// endpoint's completion acks travel THROUGH the coordinator rather
-// than directly to their origin. The engine consults it when rank 0
-// dies: on a relaying topology (the star) any in-flight ack may have
-// died unrelayed in the coordinator's buffers, so the only safe
-// continuation of every outstanding hand-over is a local replay
-// (ledger reapAll). Mesh acks are origin-direct and the loopback's
-// are immediate, so neither implements this.
-type AckRelay interface {
-	AcksRelayed() bool
-}
-
-// incumbentBox is the shared retention cell behind IncumbentStore.
+// incumbentBox is the shared retention cell behind Transport.BestKnown.
 type incumbentBox struct {
 	mu   sync.Mutex
 	obj  int64
@@ -238,14 +186,6 @@ type StackSplitter interface {
 	ServeSplit(thief, max int) []WireTask
 }
 
-// SplitStealer is an optional Transport extension: SplitSteal is Steal
-// with split semantics — the victim falls back to splitting a running
-// worker's live stack when its pool is dry. Transports implement it
-// only when their peers speak the kSplit vocabulary (protocol v6).
-type SplitStealer interface {
-	SplitSteal(victim int) (WireTask, bool, error)
-}
-
 // MultiStealer is an optional Handler extension for transports whose
 // steal replies carry batches. A handler that implements it decides
 // how many tasks (up to max, at least zero) one thief may take in a
@@ -312,16 +252,8 @@ type WireStats struct {
 	Resumes      int64 // v8 session resumes completed at this endpoint
 }
 
-// LinkHealth is implemented by transports with a two-phase liveness
-// view (v8): Suspected reports a rank quarantined by heartbeat silence
-// or a mid-resume link — still alive as far as anyone knows, but not
-// worth aiming steals at. Victim selection skips suspected ranks; they
-// either recover (and rejoin the order) or graduate to Deaths().
-type LinkHealth interface {
-	Suspected(rank int) bool
-}
-
-// Meter is implemented by transports that count their traffic.
+// Meter is the traffic-counting subset of Transport, named so that
+// measurement code can ask for exactly what it reads.
 type Meter interface {
 	Wire() WireStats
 }
@@ -385,12 +317,30 @@ type Transport interface {
 	// bool reports whether a task was obtained; errors are reserved
 	// for transport failure, not empty-handed steals.
 	Steal(victim int) (WireTask, bool, error)
+	// SplitSteal is Steal with split semantics (kSplit, protocol v6):
+	// a victim whose pool is dry falls back to splitting a running
+	// worker's live generator stack (Handler extension StackSplitter;
+	// handlers without it serve a plain pool steal).
+	SplitSteal(victim int) (WireTask, bool, error)
+	// PeerBestPrio reports the best-available priority rank last
+	// advertised (piggybacked frame summaries over a wire, direct
+	// inspection on the loopback network). known is false when nothing
+	// has been heard from the rank; PrioNone with known == true means
+	// it last advertised an empty pool. Summaries are hints — stale the
+	// moment they are read — so callers use them to order victim
+	// probing, never to skip a victim outright.
+	PeerBestPrio(rank int) (prio int, known bool)
+	// Suspected reports a rank quarantined by the two-phase liveness
+	// view (v8): heartbeat-silent or behind a link that is mid-resume —
+	// alive as far as anyone knows, but not worth aiming steals at.
+	// Suspects either recover or graduate to Deaths().
+	Suspected(rank int) bool
 	// BroadcastBound publishes an improved incumbent bound to every
 	// other locality, asynchronously: peers learn it after the
 	// transport's delivery latency, pruning against stale knowledge in
 	// the meantime. node, when non-nil, is the codec-encoded incumbent
 	// node itself: the transport retains the best (obj, node) pair
-	// where rank 0 can reach it (IncumbentStore), so the optimum
+	// where rank 0 can reach it (BestKnown), so the optimum
 	// survives the death of the locality that found it. nil skips the
 	// retention (in-process deployments share the incumbent anyway).
 	BroadcastBound(obj int64, node []byte) error
@@ -429,6 +379,26 @@ type Transport interface {
 	// own included). Non-root callers return (nil, nil) as soon as
 	// their payload is on the way. A dead locality's slot is nil.
 	Gather(payload []byte) ([][]byte, error)
+	// BestKnown is the incumbent retention: the best (obj, node) pair
+	// published through a node-carrying BroadcastBound or a Cancel
+	// witness. It is kept where the coordinator role is, so only the
+	// answer of rank 0 — or of the rank Promoted in its place — is
+	// meaningful; that is how an optimum survives its finder's death.
+	BestKnown() (obj int64, node []byte, ok bool)
+	// Promoted reports whether THIS endpoint inherited the coordinator
+	// role after rank 0 died mid-search (protocol v7,
+	// WireOptions.Standby): it then holds the incumbent retention and
+	// receives the terminal Gather, so result extraction consults it
+	// wherever it would have tested Rank() == 0.
+	Promoted() bool
+	// AcksRelayed reports whether this endpoint's completion acks
+	// travel through the coordinator rather than on a direct link to
+	// their origin. The engine consults it when rank 0 dies: a relayed
+	// ack may have died in the coordinator's buffers, so the only safe
+	// continuation of every outstanding hand-over is a local replay.
+	AcksRelayed() bool
+	// Wire reports the endpoint's traffic counters.
+	Meter
 	// Close releases the transport's resources. Safe to call more
 	// than once.
 	Close() error
