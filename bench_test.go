@@ -33,6 +33,7 @@ import (
 	"yewpar/internal/apps/tsp"
 	"yewpar/internal/apps/uts"
 	"yewpar/internal/core"
+	"yewpar/internal/coretest"
 	"yewpar/internal/dist"
 	"yewpar/internal/graph"
 	"yewpar/internal/instances"
@@ -249,10 +250,11 @@ func BenchmarkAblationBoundLatency(b *testing.B) {
 // ------------------------------------------------------------------
 // Skeleton tax (Table 1, revisited per-node): the generic skeletons
 // vs the hand-coded bitset solver, with the two engine levers of the
-// allocation/scheduling overhaul isolated — generator recycling
-// (Config.NoRecycle ablation) and per-worker pool shards
-// (Config.PoolShards=1 reproduces the pre-sharding single shared pool
-// per locality). ns/node and allocs/node are reported per search-tree
+// allocation/scheduling overhaul isolated — generator recycling (the
+// norecycle rows hide the generator's Reset behind
+// coretest.FactoryOnly, so every expansion takes the factory path) and
+// per-worker pool shards (Config.PoolShards=1 reproduces the
+// pre-sharding single shared pool per locality). ns/node and allocs/node are reported per search-tree
 // node so instances of different sizes are comparable; see
 // BENCH_engine.json for recorded numbers.
 
@@ -284,17 +286,20 @@ func BenchmarkSkeletonTax(b *testing.B) {
 			return nodes
 		})
 	})
-	solve := func(cfg core.Config) func() int64 {
+	space := maxclique.NewSpace(g)
+	recycled := maxclique.OptProblem()
+	factoryOnly := recycled
+	factoryOnly.Gen = coretest.FactoryOnly(recycled.Gen)
+	solve := func(coord core.Coordination, p core.OptProblem[*maxclique.Space, maxclique.Node], cfg core.Config) func() int64 {
 		return func() int64 {
-			_, st := maxclique.Solve(g, core.Sequential, cfg)
-			return st.Nodes
+			return core.Opt(coord, space, maxclique.Root(space), p, cfg).Stats.Nodes
 		}
 	}
 	b.Run("seq/skeleton", func(b *testing.B) {
-		measurePerNode(b, solve(core.Config{}))
+		measurePerNode(b, solve(core.Sequential, recycled, core.Config{}))
 	})
 	b.Run("seq/skeleton-norecycle", func(b *testing.B) {
-		measurePerNode(b, solve(core.Config{NoRecycle: true}))
+		measurePerNode(b, solve(core.Sequential, factoryOnly, core.Config{}))
 	})
 
 	w := benchWorkers()
@@ -307,17 +312,11 @@ func BenchmarkSkeletonTax(b *testing.B) {
 			return nodes
 		})
 	})
-	par := func(cfg core.Config) func() int64 {
-		return func() int64 {
-			_, st := maxclique.Solve(g, core.DepthBounded, cfg)
-			return st.Nodes
-		}
-	}
 	b.Run(fmt.Sprintf("par-%dw/skeleton", w), func(b *testing.B) {
-		measurePerNode(b, par(core.Config{Workers: w, DCutoff: 1}))
+		measurePerNode(b, solve(core.DepthBounded, recycled, core.Config{Workers: w, DCutoff: 1}))
 	})
 	b.Run(fmt.Sprintf("par-%dw/skeleton-norecycle-sharedpool", w), func(b *testing.B) {
-		measurePerNode(b, par(core.Config{Workers: w, DCutoff: 1, NoRecycle: true, PoolShards: 1}))
+		measurePerNode(b, solve(core.DepthBounded, factoryOnly, core.Config{Workers: w, DCutoff: 1, PoolShards: 1}))
 	})
 }
 

@@ -169,13 +169,14 @@ func TestMatrixAllAppsAllSkeletons(t *testing.T) {
 	})
 }
 
-// The twelve named skeletons of the paper, each exercised once.
-func TestTwelveNamedSkeletons(t *testing.T) {
+// The twelve skeletons of the paper — every coordination × every
+// search type — each exercised once through the three entry points.
+func TestTwelveSkeletons(t *testing.T) {
 	g := graph.Random(35, 0.55, 3)
 	s := maxclique.NewSpace(g)
 	root := maxclique.Root(s)
 	opt := maxclique.OptProblem()
-	wantOpt := core.SequentialOpt(s, root, opt).Objective
+	wantOpt := core.Opt(core.Sequential, s, root, opt, core.Config{}).Objective
 
 	dec := maxclique.DecisionProblem(int(wantOpt))
 	cfg := core.Config{Workers: 4}
@@ -185,56 +186,37 @@ func TestTwelveNamedSkeletons(t *testing.T) {
 		Objective: func(*maxclique.Space, maxclique.Node) int64 { return 1 },
 		Monoid:    core.SumInt64{},
 	}
-	wantCnt := core.SequentialEnum(s, root, cnt).Value
+	wantCnt := core.Enum(core.Sequential, s, root, cnt, core.Config{}).Value
 
-	if v := core.DepthBoundedEnum(s, root, cnt, cfg).Value; v != wantCnt {
-		t.Errorf("DepthBoundedEnum: %d != %d", v, wantCnt)
-	}
-	if v := core.StackStealEnum(s, root, cnt, cfg).Value; v != wantCnt {
-		t.Errorf("StackStealEnum: %d != %d", v, wantCnt)
-	}
-	if v := core.BudgetEnum(s, root, cnt, cfg).Value; v != wantCnt {
-		t.Errorf("BudgetEnum: %d != %d", v, wantCnt)
-	}
-	if v := core.DepthBoundedOpt(s, root, opt, cfg).Objective; v != wantOpt {
-		t.Errorf("DepthBoundedOpt: %d != %d", v, wantOpt)
-	}
-	if v := core.StackStealOpt(s, root, opt, cfg).Objective; v != wantOpt {
-		t.Errorf("StackStealOpt: %d != %d", v, wantOpt)
-	}
-	if v := core.BudgetOpt(s, root, opt, cfg).Objective; v != wantOpt {
-		t.Errorf("BudgetOpt: %d != %d", v, wantOpt)
-	}
-	if r := core.SequentialDecision(s, root, dec); !r.Found {
-		t.Error("SequentialDecision: not found")
-	}
-	if r := core.DepthBoundedDecision(s, root, dec, cfg); !r.Found {
-		t.Error("DepthBoundedDecision: not found")
-	}
-	if r := core.StackStealDecision(s, root, dec, cfg); !r.Found {
-		t.Error("StackStealDecision: not found")
-	}
-	if r := core.BudgetDecision(s, root, dec, cfg); !r.Found {
-		t.Error("BudgetDecision: not found")
+	for _, coord := range []core.Coordination{core.Sequential, core.DepthBounded, core.StackStealing, core.Budget} {
+		if v := core.Enum(coord, s, root, cnt, cfg).Value; v != wantCnt {
+			t.Errorf("%v × enumeration: %d != %d", coord, v, wantCnt)
+		}
+		if v := core.Opt(coord, s, root, opt, cfg).Objective; v != wantOpt {
+			t.Errorf("%v × optimisation: %d != %d", coord, v, wantOpt)
+		}
+		if r := core.Decide(coord, s, root, dec, cfg); !r.Found {
+			t.Errorf("%v × decision: not found", coord)
+		}
 	}
 }
 
-// The BestFirst extension coordination must agree with the paper's
-// skeletons on real applications.
+// Best-first search — Budget under bound-ordered scheduling — must
+// agree with the paper's skeletons on real applications.
 func TestBestFirstOnApplications(t *testing.T) {
 	g := graph.Random(50, 0.6, 13)
 	want, _ := maxclique.Solve(g, core.Sequential, core.Config{})
 	s := maxclique.NewSpace(g)
-	res := core.BestFirstOpt(s, maxclique.Root(s), maxclique.OptProblem(), core.Config{Workers: 6, Budget: 64})
+	res := core.Opt(core.Budget, s, maxclique.Root(s), maxclique.OptProblem(), core.Config{Workers: 6, Budget: 64, Order: core.OrderBound})
 	if int(res.Objective) != want.Count() {
-		t.Errorf("BestFirstOpt clique %d, want %d", res.Objective, want.Count())
+		t.Errorf("best-first clique %d, want %d", res.Objective, want.Count())
 	}
 
 	ks := knapsack.Generate(18, 1000, knapsack.SubsetSum, 4)
 	wantP, _ := knapsack.Solve(ks, core.Sequential, core.Config{})
-	kres := core.BestFirstOpt(ks, knapsack.Root(ks), knapsack.OptProblem(), core.Config{Workers: 6, Budget: 256})
+	kres := core.Opt(core.Budget, ks, knapsack.Root(ks), knapsack.OptProblem(), core.Config{Workers: 6, Budget: 256, Order: core.OrderBound})
 	if kres.Objective != wantP {
-		t.Errorf("BestFirstOpt knapsack %d, want %d", kres.Objective, wantP)
+		t.Errorf("best-first knapsack %d, want %d", kres.Objective, wantP)
 	}
 }
 

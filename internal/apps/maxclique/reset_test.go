@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"yewpar/internal/core"
+	"yewpar/internal/coretest"
 	"yewpar/internal/graph"
 )
 
@@ -88,7 +89,10 @@ func TestResetChildrenDoNotAliasScratch(t *testing.T) {
 func TestSolveRecyclingAblation(t *testing.T) {
 	g := graph.Random(45, 0.6, 11)
 	on, onStats := Solve(g, core.Sequential, core.Config{})
-	off, offStats := Solve(g, core.Sequential, core.Config{NoRecycle: true})
+	s, p := NewSpace(g), OptProblem()
+	p.Gen = coretest.FactoryOnly(p.Gen)
+	res := core.Opt(core.Sequential, s, Root(s), p, core.Config{})
+	off, offStats := res.Best.Clique, res.Stats
 	if on.Count() != off.Count() {
 		t.Fatalf("clique size with recycling %d, without %d", on.Count(), off.Count())
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"yewpar/internal/core"
+	"yewpar/internal/coretest"
 )
 
 func TestResetMatchesFresh(t *testing.T) {
@@ -40,7 +41,10 @@ func TestResetMatchesFresh(t *testing.T) {
 
 func TestCountRecyclingAblation(t *testing.T) {
 	on, onStats := Count(8, core.Sequential, core.Config{})
-	off, offStats := Count(8, core.Sequential, core.Config{NoRecycle: true})
+	s, p := NewSpace(8), CountProblem()
+	p.Gen = coretest.FactoryOnly(p.Gen)
+	res := core.Enum(core.Sequential, s, Root(s), p, core.Config{})
+	off, offStats := res.Value, res.Stats
 	if on != off || on != 92 {
 		t.Fatalf("8-queens count with recycling %d, without %d, want 92", on, off)
 	}

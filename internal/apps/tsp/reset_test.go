@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"yewpar/internal/core"
+	"yewpar/internal/coretest"
 )
 
 func TestResetMatchesFresh(t *testing.T) {
@@ -38,7 +39,10 @@ func TestResetMatchesFresh(t *testing.T) {
 func TestSolveRecyclingAblation(t *testing.T) {
 	s := GenerateEuclidean(10, 100, 5)
 	on, onStats := Solve(s, core.Sequential, core.Config{})
-	off, offStats := Solve(s, core.Sequential, core.Config{NoRecycle: true})
+	p := OptProblem()
+	p.Gen = coretest.FactoryOnly(p.Gen)
+	res := core.Opt(core.Sequential, s, Root(s), p, core.Config{})
+	off, offStats := -res.Objective, res.Stats
 	if on != off {
 		t.Fatalf("tour cost with recycling %d, without %d", on, off)
 	}

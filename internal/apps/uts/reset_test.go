@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"yewpar/internal/core"
+	"yewpar/internal/coretest"
 )
 
 func testSpace() *Space {
@@ -40,7 +41,10 @@ func TestResetMatchesFresh(t *testing.T) {
 func TestCountRecyclingAblation(t *testing.T) {
 	s := testSpace()
 	on, onStats := Count(s, core.Sequential, core.Config{})
-	off, offStats := Count(s, core.Sequential, core.Config{NoRecycle: true})
+	p := CountProblem()
+	p.Gen = coretest.FactoryOnly(p.Gen)
+	res := core.Enum(core.Sequential, s, Root(s), p, core.Config{})
+	off, offStats := res.Value, res.Stats
 	if on != off {
 		t.Fatalf("tree size with recycling %d, without %d", on, off)
 	}

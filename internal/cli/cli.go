@@ -88,7 +88,7 @@ func ParseArgs(args []string) (*Options, error) {
 	fs := flag.NewFlagSet("yewpar", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	fs.StringVar(&o.App, "app", "maxclique", "application: maxclique|kclique|knapsack|tsp|sip|uts|ns|queens")
-	fs.StringVar(&o.Skeleton, "skeleton", "seq", "search coordination: seq|depthbounded|stacksteal|budget|bestfirst")
+	fs.StringVar(&o.Skeleton, "skeleton", "seq", "search coordination: seq|depthbounded|stacksteal|budget, or bestfirst (= budget -order bound; optimisation apps)")
 	fs.IntVar(&o.Workers, "workers", 0, "worker count (0 = GOMAXPROCS)")
 	fs.IntVar(&o.Locs, "localities", 1, "simulated localities")
 	fs.IntVar(&o.DCutoff, "d", 1, "depth-bounded spawn cutoff")
@@ -142,6 +142,17 @@ func ParseArgs(args []string) (*Options, error) {
 		return nil, err
 	}
 	o.order = ord
+	if o.Skeleton == "bestfirst" {
+		// Best-first search is a composition, not a coordination: Budget
+		// scheduled by the problem's bound. Every rank of a deployment
+		// sees the rewritten pair, so either spelling joins the other.
+		switch o.App {
+		case "maxclique", "knapsack", "tsp":
+		default:
+			return nil, fmt.Errorf("bestfirst supports optimisation apps only, not %q", o.App)
+		}
+		o.Skeleton, o.order = "budget", core.OrderBound
+	}
 	return o, nil
 }
 
@@ -246,9 +257,6 @@ func Run(args []string, w io.Writer) (err error) {
 	}
 	coord, err := ParseSkeleton(o.Skeleton)
 	if err != nil {
-		if o.Skeleton == "bestfirst" {
-			return runBestFirst(o, w)
-		}
 		return err
 	}
 	cfg := o.Config()
@@ -355,33 +363,6 @@ func Run(args []string, w io.Writer) (err error) {
 	}
 	if trace != nil {
 		fmt.Fprint(w, trace.Summary())
-	}
-	return nil
-}
-
-// runBestFirst handles the -skeleton bestfirst extension, available
-// for the optimisation applications.
-func runBestFirst(o *Options, w io.Writer) error {
-	cfg := o.Config()
-	switch o.App {
-	case "maxclique":
-		g, err := LoadGraph(o)
-		if err != nil {
-			return err
-		}
-		s := maxclique.NewSpace(g)
-		res := core.BestFirstOpt(s, maxclique.Root(s), maxclique.OptProblem(), cfg)
-		fmt.Fprintf(w, "maximum clique size: %d (best-first)\n", res.Objective)
-	case "knapsack":
-		s := knapsack.Generate(o.Items, 10_000, knapsack.SubsetSum, o.Seed)
-		res := core.BestFirstOpt(s, knapsack.Root(s), knapsack.OptProblem(), cfg)
-		fmt.Fprintf(w, "optimal profit: %d (best-first)\n", res.Objective)
-	case "tsp":
-		s := tsp.GenerateEuclidean(o.Cities, 1000, o.Seed)
-		res := core.BestFirstOpt(s, tsp.Root(s), tsp.OptProblem(), cfg)
-		fmt.Fprintf(w, "optimal tour cost: %d (best-first)\n", -res.Objective)
-	default:
-		return fmt.Errorf("bestfirst supports optimisation apps only, not %q", o.App)
 	}
 	return nil
 }

@@ -210,10 +210,21 @@ func TestRunUnknownApp(t *testing.T) {
 	}
 }
 
+// -skeleton bestfirst is the CLI spelling of budget + -order bound: it
+// runs the ordinary driver, so it reports stats like any other run.
 func TestRunBestFirst(t *testing.T) {
 	out := run(t, "-app", "maxclique", "-n", "40", "-p", "0.6", "-skeleton", "bestfirst", "-workers", "4", "-b", "64")
-	if !strings.Contains(out, "best-first") {
-		t.Fatalf("bestfirst output: %q", out)
+	want := run(t, "-app", "maxclique", "-n", "40", "-p", "0.6", "-skeleton", "seq", "-stats=false")
+	if !strings.HasPrefix(out, want) {
+		t.Fatalf("bestfirst answer %q, sequential %q", out, want)
+	}
+	for _, line := range []string{"skeleton=budget workers=4", "nodes=", "order=bound ordered-steals="} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("bestfirst stats lack %q: %q", line, out)
+		}
+	}
+	if out = run(t, "-app", "maxclique", "-n", "40", "-p", "0.6", "-skeleton", "bestfirst", "-stats=false"); strings.Contains(out, "nodes=") {
+		t.Fatalf("bestfirst ignored -stats=false: %q", out)
 	}
 	out = run(t, "-app", "knapsack", "-items", "16", "-skeleton", "bestfirst", "-workers", "4", "-b", "128")
 	if !strings.Contains(out, "optimal profit") {
@@ -224,8 +235,10 @@ func TestRunBestFirst(t *testing.T) {
 		t.Fatalf("bestfirst tsp output: %q", out)
 	}
 	var sb strings.Builder
-	if err := Run([]string{"-app", "ns", "-skeleton", "bestfirst"}, &sb); err == nil {
-		t.Fatal("bestfirst on enumeration app accepted")
+	for _, app := range []string{"ns", "uts", "queens"} {
+		if err := Run([]string{"-app", app, "-skeleton", "bestfirst"}, &sb); err == nil {
+			t.Fatalf("bestfirst on enumeration app %s accepted", app)
+		}
 	}
 	if err := Run([]string{"-app", "maxclique", "-skeleton", "bestfirst", "-f", "/no/file"}, &sb); err == nil {
 		t.Fatal("bestfirst with missing file accepted")

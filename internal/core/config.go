@@ -47,7 +47,7 @@ type Config struct {
 	// coordination. Default 10_000.
 	Budget int64
 	// Chunked makes Stack-Stealing hand over all nodes at the lowest
-	// depth of the victim's stack instead of a single node.
+	// depth of the victim's stack (up to 64) instead of a single node.
 	Chunked bool
 	// StealLatency, if positive, is charged by the loopback transport
 	// on each steal from a remote locality's pool, simulating network
@@ -114,12 +114,6 @@ type Config struct {
 	// are created (os.MkdirTemp, removed when the search ends). Empty
 	// uses the OS temp dir. Only meaningful with PoolBudget set.
 	SpillDir string
-	// NoRecycle disables generator recycling: every expansion calls the
-	// GenFactory even for applications whose generators implement
-	// ResettableGenerator. Kept as an ablation for measuring the
-	// allocation component of the skeleton tax; the result of a search
-	// is identical either way.
-	NoRecycle bool
 	// LedgerCap bounds the supervised-task ledger: the number of
 	// handed-over tasks a locality retains (for replay, should the
 	// thief die) while awaiting completion acks. At capacity further

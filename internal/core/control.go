@@ -52,40 +52,3 @@ func (c *canceller) cancelQuiet() {
 }
 
 func (c *canceller) cancelled() bool { return c.flag.Load() }
-
-// tracker counts live tasks for distributed termination detection: a
-// task is registered (add) before it becomes visible to any worker and
-// deregistered (finish) after it has completed, including spawning its
-// children. The done channel closes exactly when the last task
-// finishes, which is sound because children are always added before
-// their parent finishes, so the count cannot touch zero early. The
-// count is shared by design — every worker updates it per task — so
-// the tracker is allocated isolated.
-type tracker struct {
-	live atomic.Int64
-	done chan struct{}
-	once sync.Once
-}
-
-func newTracker() *tracker {
-	t := pad.New[tracker]()
-	t.done = make(chan struct{})
-	return t
-}
-
-func (t *tracker) add(n int64) { t.live.Add(n) }
-
-func (t *tracker) finish() {
-	if t.live.Add(-1) == 0 {
-		t.once.Do(func() { close(t.done) })
-	}
-}
-
-func (t *tracker) quiescent() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
-}

@@ -67,7 +67,7 @@ func runDistOptLoopback(t *testing.T, ranks int, coord Coordination, cfg Config)
 }
 
 func TestDistOptMatchesSequential(t *testing.T) {
-	want := SequentialOpt(toySpace12(), toyNode{}, toyOptProblem())
+	want := Opt(Sequential, toySpace12(), toyNode{}, toyOptProblem(), Config{})
 	for _, coord := range []Coordination{DepthBounded, Budget, StackStealing} {
 		got := runDistOptLoopback(t, 3, coord, Config{Workers: 2, DCutoff: 2, Budget: 8})
 		if got.Objective != want.Objective {
@@ -92,7 +92,7 @@ func TestDistEnumCountsWholeTree(t *testing.T) {
 		Objective: func(toySpace, toyNode) int64 { return 1 },
 		Monoid:    SumInt64{},
 	}
-	want := SequentialEnum(space, toyNode{}, p)
+	want := Enum(Sequential, space, toyNode{}, p, Config{})
 
 	net := dist.NewLoopback(3, dist.LoopbackOptions{})
 	trs := net.Transports()
@@ -169,7 +169,7 @@ func TestDistOptOrderedMatchesUnordered(t *testing.T) {
 		}
 		return b
 	}
-	want := SequentialOpt(toySpace12(), toyNode{}, p)
+	want := Opt(Sequential, toySpace12(), toyNode{}, p, Config{})
 	for _, coord := range []Coordination{DepthBounded, Budget} {
 		for _, ord := range []Order{OrderNone, OrderDiscrepancy, OrderBound} {
 			cfg := Config{Workers: 2, DCutoff: 2, Budget: 8, Order: ord}

@@ -12,12 +12,13 @@
 //     (Sequential, Depth-Bounded, Stack-Stealing, Budget) with a search
 //     type (Enumeration, Optimisation, Decision).
 //
-// The twelve skeletons are exposed as SequentialEnum, DepthBoundedOpt,
-// StackStealDecision, BudgetEnum, and so on. All parallel skeletons
-// run on a distributed runtime built over the pluggable Transport of
-// internal/dist: workers are grouped into localities, each owning an
-// order-preserving workpool and a locally cached copy of the incumbent
-// bound, with remote steals and bound broadcasts crossing the
+// The twelve skeletons are that product: one entry point per search
+// type — Enum, Opt, Decide — taking the Coordination as an argument,
+// all adapters of one driver (search, in skeletons.go). All parallel
+// skeletons run on a distributed runtime built over the pluggable
+// Transport of internal/dist: workers are grouped into localities, each
+// owning an order-preserving workpool and a locally cached copy of the
+// incumbent bound, with remote steals and bound broadcasts crossing the
 // transport. Single-process runs use the in-process loopback transport
 // (optionally with injected steal/bound latencies, simulating the
 // paper's cluster experiments); the DistEnum/DistOpt/DistDecide entry
@@ -72,13 +73,13 @@
 // whose advertised best priority is strongest (the summaries behind
 // dist.Transport.PeerBestPrio) instead of a random peer. Strong
 // incumbents arrive early, pruning amplifies, and the parallel search
-// visits measurably fewer nodes — results are bit-identical under any order (the oracle tests
-// pin this), so -order is a pure performance knob. The BestFirst
-// coordination is the same machinery with the bound as its fixed
-// priority source, now on sharded bucket pools instead of its original
-// single global mutex+heap. Stats report OrderedSteals and a spawned
-// priority histogram; BENCH_ordered.json records the node-count and
-// pool-throughput wins.
+// visits measurably fewer nodes — results are bit-identical under any
+// order (the oracle tests pin this), so -order is a pure performance
+// knob. Best-first search, the paper's Section 4 example of a new
+// coordination, is not a coordination here but this composition: Budget
+// with OrderBound (the CLI's -skeleton bestfirst). Stats report
+// OrderedSteals and a spawned priority histogram; BENCH_ordered.json
+// records the node-count and pool-throughput wins.
 //
 // # Memory-bounded search
 //
@@ -112,9 +113,11 @@
 // and the accountant itself is within noise of the unbounded engine
 // when the frontier fits in RAM — BenchmarkMemoryBudget measures both,
 // recorded in BENCH_memory.json and gated in CI. Stack-stealing keeps
-// almost nothing pooled to begin with; its distributed form pulls work
-// via live-stack splits (dist protocol v6 kSplit) rather than pools,
-// so it is naturally the memory-leanest -dist coordination.
+// almost nothing pooled to begin with: it moves work by live-stack
+// splits — a running sibling's within a locality (counted in
+// Stats.LocalSteals, not StealsOK: no transport is involved), dist
+// protocol v6 kSplit across localities — rather than through pools, so
+// it is naturally the memory-leanest coordination.
 //
 // Localities hide steal latency with adaptive steal-ahead: the
 // topology keeps a small buffer of prefetched remote tasks and

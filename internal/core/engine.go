@@ -7,11 +7,11 @@ import (
 )
 
 // engine bundles the runtime substrate shared by the pool-based
-// parallel coordinations (Depth-Bounded, Budget, distributed
-// Stack-Stealing): the locality fabric and its workpool topology,
-// global task accounting for termination detection, canceller for
-// decision short-circuits, the worker contexts, and the priority
-// assigner of the ordered scheduling modes.
+// parallel coordinations (Depth-Bounded, Budget, Stack-Stealing): the
+// locality fabric and its workpool topology, global task accounting
+// for termination detection, canceller for decision short-circuits,
+// the worker contexts, and the priority assigner of the ordered
+// scheduling modes.
 type engine[S, N any] struct {
 	cfg     Config
 	workers []*workerCtx[S, N]

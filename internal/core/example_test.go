@@ -36,9 +36,9 @@ func permGen(s perms, parent permNode) core.NodeGenerator[permNode] {
 	return core.NewSliceGen(children)
 }
 
-// ExampleSequentialEnum counts the permutations of a 5-element set by
+// ExampleEnum counts the permutations of a 5-element set by
 // folding 1 for every leaf into the sum monoid.
-func ExampleSequentialEnum() {
+func ExampleEnum() {
 	space := perms{N: 5}
 	problem := core.EnumProblem[perms, permNode, int64]{
 		Gen: permGen,
@@ -50,15 +50,15 @@ func ExampleSequentialEnum() {
 		},
 		Monoid: core.SumInt64{},
 	}
-	res := core.SequentialEnum(space, permNode{}, problem)
+	res := core.Enum(core.Sequential, space, permNode{}, problem, core.Config{})
 	fmt.Println(res.Value)
 	// Output: 120
 }
 
-// ExampleDepthBoundedOpt finds the permutation of {0..5} maximising a
+// ExampleOpt finds the permutation of {0..5} maximising a
 // toy objective in parallel; the parallel answer must equal the
 // sequential one regardless of interleaving.
-func ExampleDepthBoundedOpt() {
+func ExampleOpt() {
 	space := perms{N: 6}
 	objective := func(s perms, n permNode) int64 {
 		if n.depth != s.N {
@@ -67,15 +67,15 @@ func ExampleDepthBoundedOpt() {
 		return int64(n.last * n.last)
 	}
 	problem := core.OptProblem[perms, permNode]{Gen: permGen, Objective: objective}
-	res := core.DepthBoundedOpt(space, permNode{}, problem, core.Config{Workers: 4, DCutoff: 2})
+	res := core.Opt(core.DepthBounded, space, permNode{}, problem, core.Config{Workers: 4, DCutoff: 2})
 	fmt.Println(res.Objective)
 	// Output: 25
 }
 
-// ExampleStackStealDecision looks for any permutation ending in a
+// ExampleDecide looks for any permutation ending in a
 // chosen element; decision searches stop all workers at the first
 // witness.
-func ExampleStackStealDecision() {
+func ExampleDecide() {
 	space := perms{N: 7}
 	problem := core.DecisionProblem[perms, permNode]{
 		Gen: permGen,
@@ -87,7 +87,7 @@ func ExampleStackStealDecision() {
 		},
 		Target: 1,
 	}
-	res := core.StackStealDecision(space, permNode{}, problem, core.Config{Workers: 4})
+	res := core.Decide(core.StackStealing, space, permNode{}, problem, core.Config{Workers: 4})
 	fmt.Println(res.Found, res.Witness.last)
 	// Output: true 3
 }

@@ -13,6 +13,7 @@ import (
 type boundSink interface {
 	localBest(loc int) int64
 	applyRemote(loc int, obj int64)
+	broadcasts() int64
 }
 
 // fabric binds the engine to its communication substrate: one
@@ -108,9 +109,17 @@ func (f *fabric[N]) close() {
 	}
 }
 
-// wireStats folds the transport-level traffic counters of this
-// process's localities into s. Call after all workers have joined.
-func (f *fabric[N]) wireStats(s *Stats) {
+// foldStats folds everything the fabric measured into s: bound
+// broadcasts and the transport-level traffic counters of this process's
+// localities; the fault-tolerance counters (deaths observed, ledger
+// retention peak, subtree roots replayed — a multi-locality loopback
+// run supervises its hand-overs exactly like a deployment does); and
+// the memory-governor counters (pool residency peaks, tasks and bytes
+// spilled). Call after all workers have joined.
+func (f *fabric[N]) foldStats(s *Stats) {
+	if f.bounds != nil {
+		s.Broadcasts = f.bounds.broadcasts()
+	}
 	for _, tr := range f.trs {
 		ws := tr.Wire()
 		s.Frames += ws.FramesSent
@@ -119,29 +128,15 @@ func (f *fabric[N]) wireStats(s *Stats) {
 		s.BatchReplies += ws.StealReplies
 		s.LinkResumes += ws.Resumes
 	}
-}
-
-// faultStats folds the fault-tolerance counters — deaths observed,
-// ledger retention peak, subtree roots replayed — into s. Call after
-// all workers have joined.
-func (f *fabric[N]) faultStats(s *Stats) {
 	s.Deaths += f.deaths.Load()
 	for _, loc := range f.locs {
-		if loc.led == nil {
-			continue
+		if loc.led != nil {
+			peak, replayed := loc.led.stats()
+			if int64(peak) > s.LedgerPeak {
+				s.LedgerPeak = int64(peak)
+			}
+			s.ReplayedTasks += replayed
 		}
-		peak, replayed := loc.led.stats()
-		if int64(peak) > s.LedgerPeak {
-			s.LedgerPeak = int64(peak)
-		}
-		s.ReplayedTasks += replayed
-	}
-}
-
-// memStats folds the memory-governor counters — pool residency peaks,
-// tasks and bytes spilled — into s. Call after all workers have joined.
-func (f *fabric[N]) memStats(s *Stats) {
-	for _, loc := range f.locs {
 		sp, _ := loc.pool.(*ShardedPool[N])
 		if sp == nil {
 			continue
@@ -162,13 +157,13 @@ func (f *fabric[N]) memStats(s *Stats) {
 
 // locState is one in-process locality's engine endpoint: the
 // dist.Handler serving its peers. The pool is installed by the engine
-// before the fabric starts; coordinations without pools (sequential,
-// stack-stealing) simply serve no transport steals.
+// before the fabric starts. Only Sequential runs without one, and it
+// has no peer to serve: one worker, one locality, one process.
 type locState[N any] struct {
 	idx  int // index among in-process localities
 	rank int // global rank
 	pool Pool[N]
-	led  *ledger[N]   // supervision ledger; nil for pool-less coordinations
+	led  *ledger[N]   // supervision ledger; nil when there is no peer to hand over to
 	mem  *memState[N] // memory accountant (set with the pool)
 	// split, when set (stack-stealing runs), is the rendezvous through
 	// which a remote kSplit request reaches this locality's running
@@ -206,9 +201,6 @@ func (h *locState[N]) famDone(f *family) {
 // retained in the ledger under a freshly minted hand-over id until the
 // thief acks the subtree's completion.
 func (h *locState[N]) ServeSteal(thief int) (dist.WireTask, bool) {
-	if h.pool == nil {
-		return dist.WireTask{}, false
-	}
 	t, ok := h.pool.Steal()
 	if !ok {
 		return dist.WireTask{}, false
@@ -275,9 +267,6 @@ func (h *locState[N]) unwind(id uint64, t Task[N]) {
 // fabric the whole batch is encoded into one backing buffer through
 // the codec's append path — one allocation per reply, not per task.
 func (h *locState[N]) ServeStealMulti(thief, max int) []dist.WireTask {
-	if h.pool == nil {
-		return nil
-	}
 	if half := (h.pool.Size() + 1) / 2; max > half {
 		max = half
 	}
@@ -343,9 +332,6 @@ func (h *locState[N]) ServeStealMulti(thief, max int) []dist.WireTask {
 // get from this locality's pool. Transports piggyback it on outgoing
 // frames so peers can pick the most promising victim.
 func (h *locState[N]) BestStealPrio() (int, bool) {
-	if h.pool == nil {
-		return 0, false
-	}
 	// Pressure advertisement, the memory governor's cheapest response: a
 	// locality over its budget's soft threshold claims the best possible
 	// rank, so priority-aware thieves drain it before anyone else —
@@ -384,9 +370,6 @@ func (h *locState[N]) splitRank() (int, bool) {
 // stack (the paper's (spawn-stack) rule, on demand over the wire). May
 // block briefly — transports serve it off their read loops.
 func (h *locState[N]) ServeSplit(thief, max int) []dist.WireTask {
-	if h.pool == nil {
-		return nil
-	}
 	if out := h.ServeStealMulti(thief, max); len(out) > 0 {
 		return out
 	}
@@ -455,9 +438,6 @@ func (h *locState[N]) adopt(wt dist.WireTask) Task[N] {
 // until we ack, so it must run here (or be replayed there) or the
 // search never terminates.
 func (h *locState[N]) OnTask(wt dist.WireTask) {
-	if h.pool == nil {
-		return
-	}
 	h.pool.Push(h.adopt(wt))
 	if h.wake != nil {
 		h.wake()

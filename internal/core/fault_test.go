@@ -72,7 +72,7 @@ func runDistOptWithKillsOpts(t *testing.T, ranks int, cfg Config, victims []int,
 }
 
 func TestDistOptSurvivesWorkerDeath(t *testing.T) {
-	want := SequentialOpt(faultSpace(), toyNode{}, toyOptProblem())
+	want := Opt(Sequential, faultSpace(), toyNode{}, toyOptProblem(), Config{})
 	cfg := Config{Workers: 2, DCutoff: 3, MaxFailures: -1}
 	got, err := runDistOptWithKills(t, 4, cfg, []int{2})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestDistOptSurvivesWorkerDeath(t *testing.T) {
 // quiescence after the replay must be observed by the circulating
 // token. The exact optimum and the death report must be unchanged.
 func TestDistOptMeshSurvivesWorkerDeath(t *testing.T) {
-	want := SequentialOpt(faultSpace(), toyNode{}, toyOptProblem())
+	want := Opt(Sequential, faultSpace(), toyNode{}, toyOptProblem(), Config{})
 	cfg := Config{Workers: 2, DCutoff: 3, MaxFailures: -1}
 	got, err := runDistOptWithKillsOpts(t, 4, cfg, []int{2}, dist.LoopbackOptions{Wave: true})
 	if err != nil {
@@ -110,7 +110,7 @@ func TestDistOptMeshSurvivesWorkerDeath(t *testing.T) {
 // subtree has completed — so even staggered double death replays from
 // the earliest surviving supervisor.
 func TestDistOptSurvivesDoubleDeath(t *testing.T) {
-	want := SequentialOpt(faultSpace(), toyNode{}, toyOptProblem())
+	want := Opt(Sequential, faultSpace(), toyNode{}, toyOptProblem(), Config{})
 	cfg := Config{Workers: 2, DCutoff: 3, MaxFailures: -1}
 	got, err := runDistOptWithKills(t, 4, cfg, []int{1, 3})
 	if err != nil {
@@ -128,7 +128,7 @@ func TestDistOptSurvivesDoubleDeath(t *testing.T) {
 // (alongside the replay-repaired result); within the budget they are
 // absorbed silently.
 func TestDistOptMaxFailuresPolicy(t *testing.T) {
-	want := SequentialOpt(faultSpace(), toyNode{}, toyOptProblem())
+	want := Opt(Sequential, faultSpace(), toyNode{}, toyOptProblem(), Config{})
 
 	// Budget 0 (the zero-value default): any death is reported.
 	got, err := runDistOptWithKills(t, 3, Config{Workers: 2, DCutoff: 3}, []int{2})
@@ -237,7 +237,7 @@ func runDistOptCoordinatorKill(t *testing.T, ranks int, cfg Config, opts dist.Lo
 // Under Standby rank 0 runs zero workers, so every task it ever held
 // (the seeded root) left under ledger supervision before it died.
 func TestDistOptSurvivesCoordinatorDeath(t *testing.T) {
-	want := SequentialOpt(faultSpace(), toyNode{}, toyOptProblem())
+	want := Opt(Sequential, faultSpace(), toyNode{}, toyOptProblem(), Config{})
 	cfg := Config{Workers: 2, DCutoff: 3, MaxFailures: -1, Standby: true}
 	results, errs := runDistOptCoordinatorKill(t, 4, cfg, dist.LoopbackOptions{})
 	if errs[1] != nil {
@@ -257,7 +257,7 @@ func TestDistOptSurvivesCoordinatorDeath(t *testing.T) {
 // (the same rank that adopts the collector role), and the wave must
 // still conclude with the exact optimum.
 func TestDistOptMeshSurvivesCoordinatorDeath(t *testing.T) {
-	want := SequentialOpt(faultSpace(), toyNode{}, toyOptProblem())
+	want := Opt(Sequential, faultSpace(), toyNode{}, toyOptProblem(), Config{})
 	cfg := Config{Workers: 2, DCutoff: 3, MaxFailures: -1, Standby: true}
 	results, errs := runDistOptCoordinatorKill(t, 4, cfg, dist.LoopbackOptions{Wave: true})
 	if errs[1] != nil {
@@ -278,7 +278,7 @@ func TestDistOptMeshSurvivesCoordinatorDeath(t *testing.T) {
 // Kill(0).
 func TestDistOptCoordinatorDeathSpillCleanup(t *testing.T) {
 	dir := t.TempDir()
-	want := SequentialOpt(faultSpace(), toyNode{}, toyOptProblem())
+	want := Opt(Sequential, faultSpace(), toyNode{}, toyOptProblem(), Config{})
 	cfg := Config{Workers: 2, DCutoff: 3, MaxFailures: -1, Standby: true,
 		PoolBudget: 8 << 10, SpillDir: dir}
 	results, errs := runDistOptCoordinatorKill(t, 3, cfg, dist.LoopbackOptions{})

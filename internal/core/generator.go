@@ -81,14 +81,9 @@ type cachedGen[S, N any] struct {
 // worker runs one task at a time. Not safe for concurrent use; each
 // worker owns its own cache, inside its workerCtx.
 type genCache[S, N any] struct {
-	space   S
-	gf      GenFactory[S, N]
-	levels  []cachedGen[S, N]
-	disable bool
-}
-
-func newGenCache[S, N any](space S, gf GenFactory[S, N], cfg Config) genCache[S, N] {
-	return genCache[S, N]{space: space, gf: gf, disable: cfg.NoRecycle}
+	space  S
+	gf     GenFactory[S, N]
+	levels []cachedGen[S, N]
 }
 
 // install probes and caches a freshly constructed generator at level.
@@ -109,9 +104,6 @@ func (c *genCache[S, N]) install(level int, g NodeGenerator[N]) {
 // it and falling back to the factory otherwise. Children are always
 // safe to retain (task spawning uses this path).
 func (c *genCache[S, N]) gen(level int, parent N) NodeGenerator[N] {
-	if c.disable {
-		return c.gf(c.space, parent)
-	}
 	if level < len(c.levels) {
 		if rg := c.levels[level].rg; rg != nil {
 			rg.Reset(c.space, parent)
@@ -128,9 +120,6 @@ func (c *genCache[S, N]) gen(level int, parent N) NodeGenerator[N] {
 // construction allocation-free (see EphemeralGenerator for the aliasing
 // contract the caller takes on).
 func (c *genCache[S, N]) genDFS(level int, parent N) NodeGenerator[N] {
-	if c.disable {
-		return c.gf(c.space, parent)
-	}
 	if level < len(c.levels) {
 		if l := c.levels[level]; l.eg != nil {
 			l.eg.ResetEphemeral(c.space, parent)

@@ -91,52 +91,6 @@ func TestIncumbentConcurrentStrengthen(t *testing.T) {
 	}
 }
 
-func TestTrackerClosesAtZero(t *testing.T) {
-	tr := newTracker()
-	tr.add(3)
-	if tr.quiescent() {
-		t.Fatal("tracker quiescent with live tasks")
-	}
-	tr.finish()
-	tr.finish()
-	if tr.quiescent() {
-		t.Fatal("tracker quiescent too early")
-	}
-	tr.finish()
-	select {
-	case <-tr.done:
-	case <-time.After(time.Second):
-		t.Fatal("done never closed")
-	}
-	if !tr.quiescent() {
-		t.Fatal("quiescent() false after done")
-	}
-}
-
-func TestTrackerConcurrent(t *testing.T) {
-	tr := newTracker()
-	tr.add(1)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tr.add(2)
-				tr.finish()
-				tr.finish()
-			}
-		}()
-	}
-	wg.Wait()
-	tr.finish()
-	select {
-	case <-tr.done:
-	case <-time.After(time.Second):
-		t.Fatal("done never closed after concurrent add/finish")
-	}
-}
-
 func TestCancellerIdempotent(t *testing.T) {
 	c := newCanceller()
 	if c.cancelled() {

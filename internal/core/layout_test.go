@@ -73,13 +73,11 @@ func TestIsolatedPadsBothSides(t *testing.T) {
 	checkIsolated[enumVisitor[*testTree, testNode, int64]](t, "enumVisitor")
 	checkIsolated[poolShard[int]](t, "poolShard")
 	checkIsolated[DepthPool[int]](t, "DepthPool")
-	checkIsolated[ssWorker[int]](t, "ssWorker")
 	checkIsolated[[]TaskEvent](t, "[]TaskEvent")
 	checkIsolated[atomic.Int64](t, "atomic.Int64")
 	checkIsolated[atomic.Uint32](t, "atomic.Uint32")
 	checkIsolated[canceller](t, "canceller")
 	checkIsolated[parker](t, "parker")
-	checkIsolated[tracker](t, "tracker")
 }
 
 // TestWorkerContextsShareNoLine checks the contexts newWorkers really
@@ -138,7 +136,6 @@ func TestPoolShardsShareNoLine(t *testing.T) {
 func TestSharedWordsSitAlone(t *testing.T) {
 	requireApart(t, [][]span{{spanOf("parker", newParker(2))}, {spanOf("parker", newParker(2))}})
 	requireApart(t, [][]span{{spanOf("canceller", newCanceller())}, {spanOf("canceller", newCanceller())}})
-	requireApart(t, [][]span{{spanOf("tracker", newTracker())}, {spanOf("tracker", newTracker())}})
 
 	// The per-node poll word of the split gate against its per-task
 	// counter and its request queue.

@@ -172,7 +172,7 @@ func memOptProblem() OptProblem[memSpace, memNode] {
 // death, so the supervised optimisation path carries the test.
 func TestMemorySpillCleanupAfterDeath(t *testing.T) {
 	space := memSpace{Wide: 2500, Branch: 2, Depth: 2}
-	want := SequentialOpt(space, memNode{}, memOptProblem())
+	want := Opt(Sequential, space, memNode{}, memOptProblem(), Config{})
 	dir := t.TempDir()
 
 	net := dist.NewLoopback(3, dist.LoopbackOptions{})

@@ -16,8 +16,8 @@ import (
 // follow-up direction) counts the non-leftmost branches on a task's
 // root path: the application's child order is its heuristic, so tasks
 // that deviated from it least are searched first, everywhere. Bound
-// order uses the optimisation problem's admissible bound directly, as
-// the BestFirst coordination always has. Priorities are small
+// order uses the optimisation problem's admissible bound directly:
+// under Budget it is best-first search. Priorities are small
 // non-negative ints with LOWER = better, so pools can bucket on them
 // (see PrioBucketPool) instead of paying a heap.
 
@@ -36,10 +36,9 @@ const (
 	// most closely run first, across workers and localities.
 	OrderDiscrepancy
 	// OrderBound schedules tasks by the problem's admissible bound
-	// (stronger bound = scheduled earlier), the priority source of the
-	// BestFirst coordination, generalised to every pool-based
-	// coordination. Searches without a Bound function (enumeration)
-	// fall back to discrepancy order.
+	// (stronger bound = scheduled earlier) — best-first order, for
+	// every pool-based coordination. Searches without a Bound function
+	// (enumeration) fall back to discrepancy order.
 	OrderBound
 )
 

@@ -22,6 +22,7 @@ func TestOrderedSchedulingOracle(t *testing.T) {
 	}{
 		{"depthbounded", DepthBounded, Config{Workers: 4, DCutoff: 2}},
 		{"budget", Budget, Config{Workers: 4, Budget: 25}},
+		{"budget-tiny", Budget, Config{Workers: 4, Budget: 4}},
 		{"depthbounded-2loc", DepthBounded, Config{Workers: 4, Localities: 2, DCutoff: 2}},
 		{"budget-3loc", Budget, Config{Workers: 6, Localities: 3, Budget: 25}},
 	}
@@ -138,26 +139,6 @@ func TestOrderBoundDegradesWithoutBound(t *testing.T) {
 	}
 	if res.Stats.Nodes != int64(tree.size) {
 		t.Fatalf("visited %d nodes, want %d", res.Stats.Nodes, tree.size)
-	}
-}
-
-// BestFirst on the sharded bucket pool must still find the optimum
-// (regression for the PrioPool → PrioBucketPool migration) and report
-// a priority histogram.
-func TestBestFirstShardedPoolHistogram(t *testing.T) {
-	tree := genTree(17, 4, 9)
-	res := BestFirstOpt(tree, testNode{}, tree.optProblem(true), Config{Workers: 4, Budget: 4})
-	if res.Objective != tree.max() {
-		t.Fatalf("objective %d, want %d", res.Objective, tree.max())
-	}
-	if res.Stats.Spawns > 0 {
-		total := int64(0)
-		for _, v := range res.Stats.PrioHist {
-			total += v
-		}
-		if total != res.Stats.Spawns {
-			t.Fatalf("histogram covers %d of %d spawns", total, res.Stats.Spawns)
-		}
 	}
 }
 

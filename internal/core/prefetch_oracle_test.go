@@ -96,7 +96,7 @@ func TestPrefetchDepthOracleTCP(t *testing.T) {
 		Objective: func(toySpace, toyNode) int64 { return 1 },
 		Monoid:    SumInt64{},
 	}
-	want := SequentialEnum(space, toyNode{}, p)
+	want := Enum(Sequential, space, toyNode{}, p, Config{})
 
 	for _, max := range []int{1, 4} {
 		trs := tcpTransports(t, 3)

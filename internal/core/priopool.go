@@ -9,8 +9,8 @@ import (
 // PrioBucketPool is the ordered-scheduling workpool: one FIFO bucket
 // per priority (Task.Prio, lower = better), with Pop and Steal both
 // returning the best-priority task, FIFO within a priority. It replaces
-// the mutex+heap PrioPool that previously backed the BestFirst
-// coordination: priorities assigned by the ordering modes are small
+// the mutex+heap PrioPool that best-first scheduling was first built
+// on: priorities assigned by the ordering modes are small
 // ints (a discrepancy count, or a clamped distance from the root
 // bound), so a bucket array gives O(1) push and pop where the heap paid
 // O(log n) plus far worse constants — and, sharded per worker inside a

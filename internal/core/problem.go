@@ -67,9 +67,9 @@ type Stats struct {
 	Nodes       int64 // search-tree nodes visited (processed)
 	Prunes      int64 // subtrees pruned by a bound check
 	Spawns      int64 // tasks created by a spawn rule
-	StealsOK    int64 // successful steals (pool or stack), local or remote
+	StealsOK    int64 // successful transport steals (pool task or stack split) from another locality
 	StealsFail  int64 // steal attempts that found no work
-	LocalSteals int64 // tasks robbed from sibling pool shards (no transport)
+	LocalSteals int64 // tasks taken within the locality, no transport: a sibling's pool shard robbed or live stack split
 	Backtracks  int64 // generator-stack pops
 	Broadcasts  int64 // incumbent-bound broadcasts sent to peer localities
 	Workers     int   // workers used

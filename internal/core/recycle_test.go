@@ -33,9 +33,8 @@ func (g *rtGen) Next() testNode {
 
 var _ ResettableGenerator[*testTree, testNode] = (*rtGen)(nil)
 
-// countingResettableGen returns a resettable GenFactory plus counters
-// for constructions (factory calls that allocated) and total factory
-// calls made by the engine paths that bypass the cache.
+// countingResettableGen returns a resettable GenFactory plus a counter
+// of constructions (factory calls, each of which allocated).
 func countingResettableGen() (GenFactory[*testTree, testNode], *atomic.Int64) {
 	var constructions atomic.Int64
 	gf := func(t *testTree, parent testNode) NodeGenerator[testNode] {
@@ -43,6 +42,19 @@ func countingResettableGen() (GenFactory[*testTree, testNode], *atomic.Int64) {
 		g := &rtGen{}
 		g.Reset(t, parent)
 		return g
+	}
+	return gf, &constructions
+}
+
+// countingPlainGen is the reference arm: the same child streams from a
+// generator the cache cannot recycle (testGen's exposes only HasNext
+// and Next), so every expansion takes the factory path — what any
+// application without Reset runs.
+func countingPlainGen() (GenFactory[*testTree, testNode], *atomic.Int64) {
+	var constructions atomic.Int64
+	gf := func(t *testTree, parent testNode) NodeGenerator[testNode] {
+		constructions.Add(1)
+		return testGen(t, parent)
 	}
 	return gf, &constructions
 }
@@ -55,11 +67,11 @@ func (t *testTree) resettableEnumProblem(gf GenFactory[*testTree, testNode]) Enu
 
 // TestGenCacheRecycles checks the cache contract directly: one
 // generator per level, Reset on reuse, factory fallback for fresh
-// levels and for NoRecycle.
+// levels and for generators that cannot be reset.
 func TestGenCacheRecycles(t *testing.T) {
 	tree := genTree(3, 3, 6)
 	gf, constructions := countingResettableGen()
-	gc := newGenCache(tree, gf, Config{})
+	gc := genCache[*testTree, testNode]{space: tree, gf: gf}
 
 	root := testNode{}
 	g0 := gc.gen(0, root)
@@ -80,13 +92,13 @@ func TestGenCacheRecycles(t *testing.T) {
 		t.Fatalf("level-1 gen: %d constructions, want 2", constructions.Load())
 	}
 
-	// NoRecycle: every request goes to the factory.
-	gfOff, consOff := countingResettableGen()
-	gcOff := newGenCache(tree, gfOff, Config{NoRecycle: true})
+	// Nothing to recycle: every request goes to the factory.
+	gfOff, consOff := countingPlainGen()
+	gcOff := genCache[*testTree, testNode]{space: tree, gf: gfOff}
 	gcOff.gen(0, root)
-	gcOff.gen(0, root)
+	gcOff.genDFS(0, root)
 	if consOff.Load() != 2 {
-		t.Fatalf("NoRecycle cache constructed %d generators, want 2", consOff.Load())
+		t.Fatalf("cache constructed %d non-resettable generators for 2 requests", consOff.Load())
 	}
 }
 
@@ -148,15 +160,15 @@ func TestRecyclingSequentialAllocatesPerLevel(t *testing.T) {
 		t.Fatalf("factory called %d times for a %d-node tree; recycling broken", c, tree.size)
 	}
 
-	// And the ablation really disables it: constructions scale with
-	// expanded nodes.
-	gfOff, consOff := countingResettableGen()
-	resOff := Enum(Sequential, tree, testNode{}, tree.resettableEnumProblem(gfOff), Config{NoRecycle: true})
-	if resOff.Value != tree.sum() {
-		t.Fatalf("NoRecycle enum sum = %d, want %d", resOff.Value, tree.sum())
+	// And the reference arm really takes the factory path: the same
+	// search, constructions scaling with expanded nodes.
+	gfOff, consOff := countingPlainGen()
+	resOff := Enum(Sequential, tree, testNode{}, tree.resettableEnumProblem(gfOff), Config{})
+	if resOff.Value != tree.sum() || resOff.Stats.Nodes != res.Stats.Nodes {
+		t.Fatalf("factory-path enum sum = %d over %d nodes, recycled %d over %d", resOff.Value, resOff.Stats.Nodes, res.Value, res.Stats.Nodes)
 	}
 	if c := consOff.Load(); c <= 10 {
-		t.Fatalf("NoRecycle factory called only %d times; ablation not effective", c)
+		t.Fatalf("factory called only %d times without a resettable generator; reference arm not effective", c)
 	}
 }
 

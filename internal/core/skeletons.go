@@ -1,9 +1,19 @@
 package core
 
-import "time"
+import (
+	"fmt"
+	"time"
+
+	"yewpar/internal/dist"
+)
+
+// This file is the composition the paper's Figure 3 draws: a skeleton
+// is a search type (enumeration, optimisation, decision — a searchType
+// value) × a coordination (a Coordination) over one runtime: search, the
+// one driver, which the exported entry points adapt.
 
 // Coordination names a search coordination method. New coordinations
-// can be added by extending the dispatch in this file, mirroring the
+// can be added by extending the switch in search, mirroring the
 // extensibility point of Section 4 of the paper.
 type Coordination int
 
@@ -36,166 +46,272 @@ func (c Coordination) String() string {
 	}
 }
 
-// dispatch starts the fabric and runs the chosen coordination over the
-// worker contexts. Engines are built before the fabric starts so that
-// every locality's pool is installed by the time peers can request
-// steals. prio assigns task priorities for the ordered scheduling
-// modes; the pool-based coordinations consume it, the others ignore it.
-func dispatch[S, N any](coord Coordination, cfg Config, ws []*workerCtx[S, N], cancel *canceller, root N, fab *fabric[N], prio *prioAssigner[S, N]) {
+// searchType is the search-type half of a skeleton: everything the
+// driver needs to know about what is being computed, built from a
+// problem definition by enumeration, optimisation or decision. The
+// closures of one value share the search's knowledge (incumbent,
+// witness), which attach creates, so a value serves exactly one run. R
+// is the entry point's result type.
+type searchType[S, N, R any] struct {
+	gen GenFactory[S, N]
+	// bound is the priority source of OrderBound; nil (enumeration)
+	// degrades that order to discrepancy.
+	bound func(S, N) int64
+	// attach creates the search's shared knowledge, hooks it to the
+	// fabric (bounds, cancelInfo), and returns the constructor of
+	// worker w's visitor around the worker's own counters.
+	attach func(fab *fabric[N], cancel *canceller) func(w int, sh *WorkerStats) visitor[N]
+	// local reads the result of this process's localities. Only valid
+	// after the workers have joined.
+	local func(ws []*workerCtx[S, N], stats Stats) R
+	// share encodes a local result as this process's contribution to
+	// the gather of a multi-process run (the driver adds the Stats);
+	// merge folds another rank's share into the coordinator's. A nil
+	// share is a rank that died before contributing.
+	share func(local R) (distShare, error)
+	merge func(agg *R, rank int, s *distShare) error
+}
+
+// enumeration is the search type of the (accumulate) rule: per-worker
+// monoid accumulators, combined after the join. The monoid value
+// crosses the wire gob-encoded.
+func enumeration[S, N, M any](space S, p EnumProblem[S, N, M]) searchType[S, N, EnumResult[M]] {
+	return searchType[S, N, EnumResult[M]]{
+		gen: p.Gen,
+		attach: func(*fabric[N], *canceller) func(int, *WorkerStats) visitor[N] {
+			return func(_ int, sh *WorkerStats) visitor[N] { return newEnumVisitor(space, p, sh) }
+		},
+		local: func(ws []*workerCtx[S, N], stats Stats) EnumResult[M] {
+			acc := p.Monoid.Zero()
+			for _, c := range ws {
+				acc = p.Monoid.Plus(acc, c.visitor.(*enumVisitor[S, N, M]).acc)
+			}
+			return EnumResult[M]{Value: acc, Stats: stats}
+		},
+		share: func(local EnumResult[M]) (distShare, error) {
+			b, err := GobCodec[M]{}.Encode(local.Value)
+			if err != nil {
+				return distShare{}, fmt.Errorf("core: encoding local monoid value: %w", err)
+			}
+			return distShare{Value: b}, nil
+		},
+		merge: func(agg *EnumResult[M], rank int, s *distShare) error {
+			if s == nil {
+				// Enumeration is the one search type replay cannot repair:
+				// a dead rank's partial monoid value is gone, and replaying
+				// its subtrees would double-count whatever it had already
+				// folded in. Report the loss instead of a wrong total.
+				return fmt.Errorf("core: locality %d died mid-enumeration; its partial value is unrecoverable (enumeration cannot survive locality death — see the fault-tolerance notes)", rank)
+			}
+			v, err := GobCodec[M]{}.Decode(s.Value)
+			if err != nil {
+				return fmt.Errorf("core: decoding locality %d monoid value: %w", rank, err)
+			}
+			agg.Value = p.Monoid.Plus(agg.Value, v)
+			return nil
+		},
+	}
+}
+
+// optimisation is the search type of the (strengthen)/(prune) rules:
+// one incumbent for this process's localities, a cached bound per
+// locality, the best node across localities at the gather.
+func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptResult[N]] {
+	var inc *incumbent[N]
+	var codec Codec[N]
+	return searchType[S, N, OptResult[N]]{
+		gen:   p.Gen,
+		bound: p.Bound,
+		attach: func(fab *fabric[N], _ *canceller) func(int, *WorkerStats) visitor[N] {
+			inc, codec = newIncumbent[N](fab.trs), fab.codec
+			if fab.wire {
+				inc.encode = codec.Encode
+			}
+			fab.bounds = inc
+			return func(w int, sh *WorkerStats) visitor[N] {
+				return newOptVisitor(space, p, inc, w%len(fab.locs), sh)
+			}
+		},
+		local: func(_ []*workerCtx[S, N], stats Stats) OptResult[N] {
+			node, obj, has := inc.result()
+			return OptResult[N]{Best: node, Objective: obj, Found: has, Stats: stats}
+		},
+		share: func(local OptResult[N]) (distShare, error) {
+			return nodeShare(codec, local.Best, local.Objective, local.Found)
+		},
+		merge: func(agg *OptResult[N], rank int, s *distShare) error {
+			if s == nil || !s.Has || (agg.Found && s.Obj <= agg.Objective) {
+				return nil
+			}
+			n, err := codec.Decode(s.Node)
+			if err != nil {
+				return fmt.Errorf("core: decoding locality %d best node: %w", rank, err)
+			}
+			agg.Best, agg.Objective, agg.Found = n, s.Obj, true
+			return nil
+		},
+	}
+}
+
+// decision is the search type of the (shortcircuit) rule: the first
+// worker to reach p.Target records the witness and cancels everyone,
+// across localities; whichever witness survives the gather is returned.
+func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, DecisionResult[N]] {
+	wit := &witness[N]{}
+	var codec Codec[N]
+	return searchType[S, N, DecisionResult[N]]{
+		gen:   p.Gen,
+		bound: p.Bound,
+		attach: func(fab *fabric[N], cancel *canceller) func(int, *WorkerStats) visitor[N] {
+			codec = fab.codec
+			if fab.wire {
+				// A locally found witness rides the cancel broadcast, so it
+				// reaches rank 0's retention before this process can die
+				// with it (objective only, should the node not encode).
+				fab.cancelInfo = func() (int64, []byte) {
+					n, obj, found := wit.get()
+					s, _ := nodeShare(codec, n, obj, found)
+					return s.Obj, s.Node
+				}
+			}
+			return func(_ int, sh *WorkerStats) visitor[N] {
+				return newDecisionVisitor(space, p, wit, cancel, sh)
+			}
+		},
+		local: func(_ []*workerCtx[S, N], stats Stats) DecisionResult[N] {
+			node, obj, found := wit.get()
+			return DecisionResult[N]{Witness: node, Objective: obj, Found: found, Stats: stats}
+		},
+		share: func(local DecisionResult[N]) (distShare, error) {
+			return nodeShare(codec, local.Witness, local.Objective, local.Found)
+		},
+		merge: func(agg *DecisionResult[N], rank int, s *distShare) error {
+			if s == nil || !s.Has || agg.Found {
+				return nil
+			}
+			n, err := codec.Decode(s.Node)
+			if err != nil {
+				return fmt.Errorf("core: decoding locality %d witness: %w", rank, err)
+			}
+			agg.Witness, agg.Objective, agg.Found = n, s.Obj, true
+			return nil
+		},
+	}
+}
+
+// search is the one driver: it composes a search type with a
+// coordination over a fabric, runs it, and folds the statistics. With a
+// nil transport the fabric is cfg.Localities loopback localities in
+// this process and the local result is the result. Otherwise this
+// process is one locality of a deployment on tr (see distributed.go):
+// every rank contributes its local result to a terminal gather, and the
+// coordinator reconciles the shares into the global one.
+func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, st searchType[S, N, R], cfg Config) (R, error) {
+	var fab *fabric[N]
+	if tr == nil {
+		cfg = cfg.withDefaults()
+		if coord == Sequential {
+			cfg.Workers, cfg.Localities = 1, 1
+		}
+		fab = newLoopbackFabric[N](cfg)
+		defer fab.close()
+	} else {
+		if coord == Sequential {
+			var none R
+			return none, fmt.Errorf("core: coordination %v not supported across processes (it is single-worker by definition; use depthbounded, budget, or stacksteal)", coord)
+		}
+		cfg = distDefaults(cfg, tr)
+		fab = newDistFabric(tr, codec)
+	}
+	cancel := newCanceller()
+	ws := newWorkers(space, st.gen, cfg, st.attach(fab, cancel))
+	// Task priorities for the ordered scheduling modes, which the
+	// pool-based coordinations consume. Across processes every rank
+	// constructs the problem identically, so each computes the same
+	// root-bound reference and the priorities agree without negotiation.
+	prio := newPrioAssigner(cfg.Order, space, root, st.bound)
+	start := time.Now()
+	// The engine is built (and, for Stack-Stealing, the split gates
+	// installed) before the fabric starts, so that every locality's pool
+	// is in place by the time peers can request steals.
+	var e *engine[S, N]
+	if coord != Sequential {
+		e = newEngine(cfg, ws, cancel, fab, prio)
+	}
+	if coord == StackStealing {
+		e.installSplitGates()
+	}
+	fab.start(cancel)
 	switch coord {
 	case Sequential:
-		fab.start(cancel)
 		runSequential(ws[0], cancel, root)
 	case DepthBounded:
-		e := newEngine(cfg, ws, cancel, fab, prio)
-		fab.start(cancel)
 		runDepthBounded(e, root)
 	case Budget:
-		e := newEngine(cfg, ws, cancel, fab, prio)
-		fab.start(cancel)
 		runBudget(e, root)
 	case StackStealing:
-		fab.start(cancel)
-		runStackStealing(cfg, ws, cancel, root)
+		runStackStealing(e, root)
 	default:
 		panic("core: unknown coordination")
 	}
+	stats := totalStats(ws)
+	stats.Elapsed = time.Since(start)
+	fab.foldStats(&stats)
+	local := st.local(ws, stats)
+	if tr == nil {
+		return local, nil
+	}
+
+	share, err := st.share(local)
+	if err != nil {
+		return local, err
+	}
+	share.Stats = stats
+	shares, total, err := gatherShares(tr, share)
+	if err != nil || shares == nil {
+		// A worker rank: its local contribution, which callers normally
+		// discard.
+		return local, err
+	}
+	// The coordinator's own contribution is its local result; the other
+	// ranks' are merged into it.
+	agg := st.local(ws, total)
+	for rank, s := range shares {
+		if rank == tr.Rank() {
+			continue
+		}
+		if err := st.merge(&agg, rank, s); err != nil {
+			return agg, err
+		}
+	}
+	// The transport retains every node-carrying bound broadcast and a
+	// cancel's witness, so a result found by a locality that died before
+	// the gather is still recovered here — offered as one more share. A
+	// retained node that fails to decode is skipped, not an error: the
+	// surviving shares still stand.
+	if obj, blob, ok := tr.BestKnown(); ok {
+		_ = st.merge(&agg, tr.Rank(), &distShare{Obj: obj, Has: true, Node: blob})
+	}
+	return agg, failurePolicy(cfg, total.Deaths)
 }
 
 // Enum runs an enumeration search under the given coordination,
 // returning the monoid fold of the whole tree.
 func Enum[S, N, M any](coord Coordination, space S, root N, p EnumProblem[S, N, M], cfg Config) EnumResult[M] {
-	cfg = cfg.withDefaults()
-	if coord == Sequential {
-		cfg.Workers, cfg.Localities = 1, 1
-	}
-	fab := newLoopbackFabric[N](cfg)
-	defer fab.close()
-	cancel := newCanceller()
-	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
-		return newEnumVisitor(space, p, sh)
-	})
-	prio := newPrioAssigner[S, N](cfg.Order, space, root, nil)
-	start := time.Now()
-	dispatch(coord, cfg, ws, cancel, root, fab, prio)
-	stats := totalStats(ws)
-	stats.Elapsed = time.Since(start)
-	fab.wireStats(&stats)
-	fab.memStats(&stats)
-	return EnumResult[M]{Value: combineEnum[S, N, M](p.Monoid, ws), Stats: stats}
+	res, _ := search(nil, nil, coord, space, root, enumeration(space, p), cfg)
+	return res
 }
 
 // Opt runs an optimisation search under the given coordination,
 // returning a node maximising the objective.
 func Opt[S, N any](coord Coordination, space S, root N, p OptProblem[S, N], cfg Config) OptResult[N] {
-	cfg = cfg.withDefaults()
-	if coord == Sequential {
-		cfg.Workers, cfg.Localities = 1, 1
-	}
-	fab := newLoopbackFabric[N](cfg)
-	defer fab.close()
-	cancel := newCanceller()
-	inc := newIncumbent[N](fab.trs)
-	fab.bounds = inc
-	ws := newWorkers(space, p.Gen, cfg, func(w int, sh *WorkerStats) visitor[N] {
-		return newOptVisitor(space, p, inc, w%cfg.Localities, sh)
-	})
-	prio := newPrioAssigner(cfg.Order, space, root, p.Bound)
-	start := time.Now()
-	dispatch(coord, cfg, ws, cancel, root, fab, prio)
-	stats := totalStats(ws)
-	stats.Elapsed = time.Since(start)
-	stats.Broadcasts = inc.broadcasts()
-	fab.wireStats(&stats)
-	fab.memStats(&stats)
-	node, obj, has := inc.result()
-	return OptResult[N]{Best: node, Objective: obj, Found: has, Stats: stats}
+	res, _ := search(nil, nil, coord, space, root, optimisation(space, p), cfg)
+	return res
 }
 
 // Decide runs a decision search under the given coordination, looking
 // for any node whose objective reaches p.Target.
 func Decide[S, N any](coord Coordination, space S, root N, p DecisionProblem[S, N], cfg Config) DecisionResult[N] {
-	cfg = cfg.withDefaults()
-	if coord == Sequential {
-		cfg.Workers, cfg.Localities = 1, 1
-	}
-	fab := newLoopbackFabric[N](cfg)
-	defer fab.close()
-	cancel := newCanceller()
-	wit := &witness[N]{}
-	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
-		return newDecisionVisitor(space, p, wit, cancel, sh)
-	})
-	prio := newPrioAssigner(cfg.Order, space, root, p.Bound)
-	start := time.Now()
-	dispatch(coord, cfg, ws, cancel, root, fab, prio)
-	stats := totalStats(ws)
-	stats.Elapsed = time.Since(start)
-	fab.wireStats(&stats)
-	fab.memStats(&stats)
-	node, obj, found := wit.get()
-	return DecisionResult[N]{Witness: node, Objective: obj, Found: found, Stats: stats}
-}
-
-// The twelve skeletons of the paper: every combination of the four
-// search coordinations and three search types, as named entry points.
-
-// SequentialEnum is the Sequential × Enumeration skeleton.
-func SequentialEnum[S, N, M any](space S, root N, p EnumProblem[S, N, M]) EnumResult[M] {
-	return Enum(Sequential, space, root, p, Config{})
-}
-
-// SequentialOpt is the Sequential × Optimisation skeleton.
-func SequentialOpt[S, N any](space S, root N, p OptProblem[S, N]) OptResult[N] {
-	return Opt(Sequential, space, root, p, Config{})
-}
-
-// SequentialDecision is the Sequential × Decision skeleton.
-func SequentialDecision[S, N any](space S, root N, p DecisionProblem[S, N]) DecisionResult[N] {
-	return Decide(Sequential, space, root, p, Config{})
-}
-
-// DepthBoundedEnum is the Depth-Bounded × Enumeration skeleton.
-func DepthBoundedEnum[S, N, M any](space S, root N, p EnumProblem[S, N, M], cfg Config) EnumResult[M] {
-	return Enum(DepthBounded, space, root, p, cfg)
-}
-
-// DepthBoundedOpt is the Depth-Bounded × Optimisation skeleton.
-func DepthBoundedOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) OptResult[N] {
-	return Opt(DepthBounded, space, root, p, cfg)
-}
-
-// DepthBoundedDecision is the Depth-Bounded × Decision skeleton.
-func DepthBoundedDecision[S, N any](space S, root N, p DecisionProblem[S, N], cfg Config) DecisionResult[N] {
-	return Decide(DepthBounded, space, root, p, cfg)
-}
-
-// StackStealEnum is the Stack-Stealing × Enumeration skeleton.
-func StackStealEnum[S, N, M any](space S, root N, p EnumProblem[S, N, M], cfg Config) EnumResult[M] {
-	return Enum(StackStealing, space, root, p, cfg)
-}
-
-// StackStealOpt is the Stack-Stealing × Optimisation skeleton.
-func StackStealOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) OptResult[N] {
-	return Opt(StackStealing, space, root, p, cfg)
-}
-
-// StackStealDecision is the Stack-Stealing × Decision skeleton.
-func StackStealDecision[S, N any](space S, root N, p DecisionProblem[S, N], cfg Config) DecisionResult[N] {
-	return Decide(StackStealing, space, root, p, cfg)
-}
-
-// BudgetEnum is the Budget × Enumeration skeleton.
-func BudgetEnum[S, N, M any](space S, root N, p EnumProblem[S, N, M], cfg Config) EnumResult[M] {
-	return Enum(Budget, space, root, p, cfg)
-}
-
-// BudgetOpt is the Budget × Optimisation skeleton.
-func BudgetOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) OptResult[N] {
-	return Opt(Budget, space, root, p, cfg)
-}
-
-// BudgetDecision is the Budget × Decision skeleton.
-func BudgetDecision[S, N any](space S, root N, p DecisionProblem[S, N], cfg Config) DecisionResult[N] {
-	return Decide(Budget, space, root, p, cfg)
+	res, _ := search(nil, nil, coord, space, root, decision(space, p), cfg)
+	return res
 }

@@ -9,7 +9,9 @@ import (
 var allCoords = []Coordination{Sequential, DepthBounded, StackStealing, Budget}
 
 // parallel configs exercised across the matrix tests: plain, multiple
-// localities, chunked stealing, tiny budget, deep cutoff, deque pool.
+// localities, chunked stealing, tiny budget, deep cutoff, deque pool,
+// and bound-ordered scheduling (under Budget: best-first search) on
+// several workers and on one.
 func testConfigs() []Config {
 	return []Config{
 		{Workers: 4},
@@ -19,6 +21,8 @@ func testConfigs() []Config {
 		{Workers: 4, DCutoff: 3},
 		{Workers: 4, Pool: DequeKind},
 		{Workers: 3, Localities: 2, DCutoff: 2, Budget: 16, Chunked: true},
+		{Workers: 6, Budget: 8, Order: OrderBound},
+		{Workers: 1, Budget: 4, Order: OrderBound},
 	}
 }
 
@@ -219,9 +223,9 @@ func TestPruneLevelCorrectAcrossSkeletons(t *testing.T) {
 				t.Errorf("seed %d %v: max %d, want %d", seed, coord, res.Objective, want)
 			}
 		}
-		res := BestFirstOpt(tree, testNode{}, p, Config{Workers: 4, Budget: 8})
+		res := Opt(Budget, tree, testNode{}, p, Config{Workers: 4, Budget: 8, Order: OrderBound})
 		if res.Objective != want {
-			t.Errorf("seed %d bestfirst: max %d, want %d", seed, res.Objective, want)
+			t.Errorf("seed %d budget/order=bound: max %d, want %d", seed, res.Objective, want)
 		}
 	}
 }
@@ -279,6 +283,14 @@ func TestBudgetSpawnTriggers(t *testing.T) {
 	}
 	if res.Value != tree.sum() {
 		t.Errorf("budget spawning corrupted sum: %d != %d", res.Value, tree.sum())
+	}
+	tree = genTree(31, 4, 9)
+	opt := Opt(Budget, tree, testNode{}, tree.optProblem(true), Config{Workers: 4, Budget: 2, Order: OrderBound})
+	if opt.Stats.Spawns == 0 {
+		t.Error("tiny budget under bound order spawned nothing")
+	}
+	if opt.Objective != tree.max() {
+		t.Errorf("bound-ordered budget spawning: got %d, want %d", opt.Objective, tree.max())
 	}
 }
 
@@ -410,7 +422,9 @@ func TestQuickRandomConfigs(t *testing.T) {
 
 // Repeated parallel runs across a matrix of seeds: node-visit totals for
 // enumeration must be exactly the tree size every time (each node
-// processed exactly once, Theorem 3.1's invariant).
+// processed exactly once, Theorem 3.1's invariant). The two-locality
+// runs double as the check that an in-process run reports its fault
+// counters.
 func TestParallelEnumEveryNodeOnce(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		tree := genTree(seed, 4, 9)
@@ -419,6 +433,12 @@ func TestParallelEnumEveryNodeOnce(t *testing.T) {
 				res := Enum(coord, tree, testNode{}, tree.enumProblem(), Config{Workers: 8, Localities: 2, Budget: 8, DCutoff: 2})
 				if res.Stats.Nodes != int64(tree.size) {
 					t.Errorf("visited %d, want %d", res.Stats.Nodes, tree.size)
+				}
+				// Every cross-locality hand-over is supervised by a ledger,
+				// in process as across processes, and the one stats fold
+				// reports it for both.
+				if res.Stats.StealsOK > 0 && res.Stats.LedgerPeak == 0 {
+					t.Errorf("%d cross-locality steals but LedgerPeak = 0", res.Stats.StealsOK)
 				}
 			})
 		}

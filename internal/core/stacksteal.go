@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,261 +8,236 @@ import (
 	"yewpar/internal/pad"
 )
 
-// stealReq is a thief's request for work. The victim replies exactly
-// once on resp with a (possibly empty) batch of tasks; resp is buffered
-// so victims never block.
-type stealReq[N any] struct {
-	resp chan []Task[N]
+// This file is the Stack-Stealing coordination (Listing 3, the
+// (spawn-stack) rule), served on demand through the locality fabric:
+// no task is spawned proactively; an idle worker first drains its
+// locality's pool, then asks a local running sibling to split, and
+// finally sends a kSplit over the transport, which the victim locality
+// answers by splitting the bottom of one of its workers' live generator
+// stacks and exporting the node(s) through the ordinary hand-over
+// (ledger + codec) path. One implementation serves loopback, star and
+// mesh deployments, and gives memory-starved localities a way to pull
+// work that was never materialised as tasks.
+
+const (
+	// splitServeWait bounds how long a transport-serving goroutine
+	// waits for a running worker to answer a remote kSplit. Workers
+	// poll their gate every expansion step, so the wait only runs out
+	// when the locality went idle after the request was posted.
+	splitServeWait = 10 * time.Millisecond
+	// splitLocalWait bounds an idle worker's wait on its own locality's
+	// gate before falling through to the transport ring.
+	splitLocalWait = 2 * time.Millisecond
+	// splitWant is the default cap on tasks per split hand-over; the
+	// victim donates one node unless Chunked, which donates the whole
+	// lowest stack level up to this cap.
+	splitWant = 64
+)
+
+// splitGate is one locality's rendezvous between work-starved thieves
+// and its running workers' live generator stacks. Thieves post
+// requests; every running worker polls the gate once per expansion
+// step (one atomic load when idle) and the first to claim a request —
+// a CAS, so a timed-out requester can abandon it instead — answers
+// with the split of its own stack.
+type splitGate[N any] struct {
+	mu   sync.Mutex
+	reqs []*splitReq[N]
+	// Shared by design, so each alone on its line: pending is read by
+	// every running worker once per expansion step, active is bumped by
+	// every worker once per task — together, the per-task writes would
+	// evict the per-node read.
+	pending pad.Isolated[atomic.Int64] // len(reqs): the workers' poll fast path
+	active  pad.Isolated[atomic.Int64] // workers currently running a task
 }
 
-// ssWorker is one Stack-Stealing worker's communication endpoint: the
-// one piece of per-worker state other workers touch (thieves send on
-// reqs and read serving), so each is isolated rather than part of the
-// worker's private context.
-type ssWorker[N any] struct {
-	reqs    chan stealReq[N]
-	serving atomic.Bool // true while running a search (has a stack to split)
+type splitReq[N any] struct {
+	max     int
+	claimed atomic.Bool
+	resp    chan []Task[N] // buffered 1; sent exactly once, by the claimant
 }
 
-// ssState is the shared state of one Stack-Stealing run.
-type ssState[S, N any] struct {
-	cfg     Config
-	tr      *tracker
-	cancel  *canceller
-	workers []*workerCtx[S, N]
-	ws      []pad.Isolated[ssWorker[N]]
-}
+// splittable reports whether any worker currently holds a live stack.
+func (g *splitGate[N]) splittable() bool { return g.active.V.Load() > 0 }
 
-// loc is the simulated locality of worker w.
-func (st *ssState[S, N]) loc(w int) int { return w % st.cfg.Localities }
-
-// runStackStealing is the Stack-Stealing coordination of Listing 3,
-// implementing the (spawn-stack) rule: work is split only on demand,
-// when an idle thief asks a victim, which scans its generator stack
-// bottom-up and hands over the first unexplored node (or all nodes at
-// that lowest depth when Chunked). Thieves steal directly from victims
-// over channels — there is no workpool; the response channel plays the
-// transit-buffer role the semantics gives the task queue. Initial work
-// is pushed: the root's children are distributed round-robin.
-func runStackStealing[S, N any](cfg Config, workers []*workerCtx[S, N], cancel *canceller, root N) {
-	st := &ssState[S, N]{
-		cfg:     cfg,
-		tr:      newTracker(),
-		cancel:  cancel,
-		workers: workers,
-		ws:      make([]pad.Isolated[ssWorker[N]], cfg.Workers),
+// request posts a split request and waits for a running worker to
+// answer. Returns nil when the locality has no running workers, no
+// worker answered within wait, or abort fired first. The returned
+// tasks are registered live work owned by the caller.
+func (g *splitGate[N]) request(max int, wait time.Duration, abort <-chan struct{}) []Task[N] {
+	if g.active.V.Load() == 0 {
+		return nil
 	}
-	for i := range st.ws {
-		st.ws[i].V.reqs = make(chan stealReq[N], cfg.Workers)
-	}
-
-	// Visit the root on the coordinator, then work-push its children.
-	c0 := workers[0]
-	initial := make([][]Task[N], cfg.Workers)
-	count := 0
-	if c0.visitor.visit(root) == descend && !cancel.cancelled() {
-		g := c0.gens.gf(c0.gens.space, root)
-		for g.HasNext() {
-			child := g.Next()
-			st.tr.add(1)
-			c0.stats.Spawns++
-			initial[count%cfg.Workers] = append(initial[count%cfg.Workers], Task[N]{Node: child, Depth: 1})
-			count++
-		}
-	}
-	if count == 0 {
-		return
-	}
-
-	var wg sync.WaitGroup
-	for w, c := range workers {
-		wg.Add(1)
-		go func(c *workerCtx[S, N], initial []Task[N]) {
-			defer wg.Done()
-			me := &st.ws[c.id].V
-			for _, t := range initial {
-				st.search(c, me, t)
-			}
-			st.stealLoop(c, me)
-			st.drainRequests(me)
-		}(c, initial[w])
-	}
-	wg.Wait()
-}
-
-// stealLoop is the thief side: pick a random serving victim (local
-// locality preferred, remote charged StealLatency), send a request,
-// and run whatever comes back. While waiting, keep answering our own
-// incoming requests with "no work" so thieves never deadlock on each
-// other.
-func (st *ssState[S, N]) stealLoop(c *workerCtx[S, N], me *ssWorker[N]) {
-	sh := &c.stats
-	idle := 0
-	for {
-		st.drainRequests(me)
-		if st.cancel.cancelled() || st.tr.quiescent() {
-			return
-		}
-		victim := st.pickVictim(c.id, c.rand())
-		if victim < 0 {
-			idle++
-			st.backoff(idle)
-			continue
-		}
-		req := stealReq[N]{resp: make(chan []Task[N], 1)}
-		select {
-		case st.ws[victim].V.reqs <- req:
-		default:
-			idle++
-			st.backoff(idle)
-			continue
-		}
-		waiting := true
-		for waiting {
-			select {
-			case ts := <-req.resp:
-				waiting = false
-				if len(ts) == 0 {
-					sh.StealsFail++
-					idle++
-					st.backoff(idle)
-					break
-				}
-				sh.StealsOK++
-				idle = 0
-				for _, t := range ts {
-					st.search(c, me, t)
-				}
-			case <-st.tr.done:
-				// Tasks can never be stranded in req.resp here: a
-				// victim registers handed-over tasks with the tracker
-				// before replying, so live work keeps done open.
-				return
-			case <-st.cancel.ch:
-				return
-			case other := <-me.reqs:
-				other.resp <- nil
-			}
-		}
-	}
-}
-
-func (st *ssState[S, N]) backoff(idle int) {
-	if idle > 16 {
-		time.Sleep(20 * time.Microsecond)
-	} else {
-		runtime.Gosched()
-	}
-}
-
-// pickVictim chooses a random victim that is currently serving,
-// preferring the thief's own locality; remote picks are charged the
-// simulated steal latency.
-func (st *ssState[S, N]) pickVictim(w int, r *rand.Rand) int {
-	var locals, remotes []int
-	for i := range st.ws {
-		if i == w || !st.ws[i].V.serving.Load() {
-			continue
-		}
-		if st.loc(i) == st.loc(w) {
-			locals = append(locals, i)
-		} else {
-			remotes = append(remotes, i)
-		}
-	}
-	if len(locals) > 0 {
-		return locals[r.Intn(len(locals))]
-	}
-	if len(remotes) > 0 {
-		if st.cfg.StealLatency > 0 {
-			time.Sleep(st.cfg.StealLatency)
-		}
-		return remotes[r.Intn(len(remotes))]
-	}
-	return -1
-}
-
-// search is the victim side (Listing 3): a sequential backtracking
-// search that polls for steal requests on every expansion step.
-func (st *ssState[S, N]) search(c *workerCtx[S, N], me *ssWorker[N], t Task[N]) {
-	if tr := st.cfg.Trace; tr != nil {
-		start := time.Now()
-		defer func() { tr.record(c.id, t.Depth, start, time.Now()) }()
-	}
-	defer st.tr.finish()
-	me.serving.Store(true)
-	defer me.serving.Store(false)
-	if st.cancel.cancelled() {
-		return
-	}
-	v, sh, gc := c.visitor, &c.stats, &c.gens
-	if v.visit(t.Node) != descend {
-		return
-	}
-	// Generators are recycled per stack level; split() drains node
-	// values out of them, so handed-over work never aliases the cache.
-	stack := make([]NodeGenerator[N], 0, 32)
-	stack = append(stack, gc.gen(0, t.Node))
-	for len(stack) > 0 {
-		if st.cancel.cancelled() {
-			return
-		}
-		select {
-		case req := <-me.reqs:
-			req.resp <- st.split(stack, t.Depth, sh)
-		default:
-		}
-		g := stack[len(stack)-1]
-		if !g.HasNext() {
-			stack[len(stack)-1] = nil
-			stack = stack[:len(stack)-1]
-			sh.Backtracks++
-			continue
-		}
-		child := g.Next()
-		switch v.visit(child) {
-		case descend:
-			stack = append(stack, gc.gen(len(stack), child))
-		case pruneLevel:
-			stack[len(stack)-1] = nil
-			stack = stack[:len(stack)-1]
-			sh.Backtracks++
-		}
-	}
-}
-
-// split scans the generator stack bottom-up — nodes closest to the
-// root first — and hands over the first unexplored node, or the whole
-// remaining lowest generator when Chunked. Handed-over tasks are
-// registered with the tracker before they leave the victim.
-func (st *ssState[S, N]) split(stack []NodeGenerator[N], rootDepth int, sh *WorkerStats) []Task[N] {
-	for i, g := range stack {
-		if !g.HasNext() {
-			continue
-		}
-		var ts []Task[N]
-		if st.cfg.Chunked {
-			for g.HasNext() {
-				ts = append(ts, Task[N]{Node: g.Next(), Depth: rootDepth + i + 1})
-			}
-		} else {
-			ts = append(ts, Task[N]{Node: g.Next(), Depth: rootDepth + i + 1})
-		}
-		st.tr.add(int64(len(ts)))
-		sh.Spawns += int64(len(ts))
+	req := &splitReq[N]{max: max, resp: make(chan []Task[N], 1)}
+	g.mu.Lock()
+	g.reqs = append(g.reqs, req)
+	g.pending.V.Store(int64(len(g.reqs)))
+	g.mu.Unlock()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case ts := <-req.resp:
 		return ts
+	case <-timer.C:
+	case <-abort:
+	}
+	if req.claimed.CompareAndSwap(false, true) {
+		return nil // abandoned before any worker claimed it
+	}
+	// A worker won the claim race; its answer is imminent and carries
+	// registered tasks that must not be dropped.
+	return <-req.resp
+}
+
+// take claims one pending request, skipping abandoned ones. Callers
+// that get a request MUST send on its resp channel exactly once.
+func (g *splitGate[N]) take() *splitReq[N] {
+	if g.pending.V.Load() == 0 {
+		return nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for len(g.reqs) > 0 {
+		req := g.reqs[0]
+		g.reqs = g.reqs[1:]
+		g.pending.V.Store(int64(len(g.reqs)))
+		if req.claimed.CompareAndSwap(false, true) {
+			return req
+		}
 	}
 	return nil
 }
 
-// drainRequests answers all pending steal requests with "no work".
-func (st *ssState[S, N]) drainRequests(me *ssWorker[N]) {
+// enter and exit bracket a worker running a task. The last worker out
+// answers every pending request with nothing, so thieves are not left
+// waiting out their timeout against a locality that just went idle.
+func (g *splitGate[N]) enter() { g.active.V.Add(1) }
+
+func (g *splitGate[N]) exit() {
+	if g.active.V.Add(-1) > 0 {
+		return
+	}
 	for {
-		select {
-		case req := <-me.reqs:
-			req.resp <- nil
-		default:
+		req := g.take()
+		if req == nil {
 			return
 		}
+		req.resp <- nil
 	}
+}
+
+// installSplitGates equips every in-process locality with a split gate,
+// making its locState answer dist.StackSplitter requests. Must run
+// before the fabric starts serving peers: a peer's kSplit may arrive
+// the moment registration completes.
+func (e *engine[S, N]) installSplitGates() {
+	for _, loc := range e.fab.locs {
+		loc.split = &splitGate[N]{}
+	}
+}
+
+// runStackStealing runs the Stack-Stealing coordination on the pool
+// engine; the caller has installed the split gates. Each task is
+// searched depth-first in place — no proactive spawning at all — and
+// work moves only when a thief asks: the gate poll at the top of the
+// expansion loop answers local siblings and remote kSplit requests
+// alike by splitting the bottom-most non-exhausted generator (all
+// remaining nodes of that level, up to the request's cap, under
+// cfg.Chunked).
+func runStackStealing[S, N any](e *engine[S, N], root N) {
+	chunked := e.cfg.Chunked
+	e.runPoolWorkers(root, func(c *workerCtx[S, N], t Task[N]) {
+		gate := e.fab.locs[e.topo.locality(c.id)].split
+		gate.enter()
+		defer gate.exit()
+		defer e.finishTask(c.id, t)
+		if e.cancel.cancelled() {
+			return
+		}
+		v, sh, gc, sc := c.visitor, &c.stats, &c.gens, &c.scratch
+		if v.visit(t.Node) != descend {
+			return
+		}
+		stack := sc.stack[:0]
+		disc := sc.disc[:0]
+		yields := sc.yields[:0]
+		defer func() {
+			sc.stack, sc.disc, sc.yields = stack[:0], disc, yields
+		}()
+		stack = append(stack, gc.gen(0, t.Node))
+		disc = append(disc, t.Prio)
+		yields = append(yields, 0)
+		for len(stack) > 0 {
+			if e.cancel.cancelled() {
+				return
+			}
+			if req := gate.take(); req != nil {
+				req.resp <- splitStack(e, c, &t, stack, disc, yields, req.max, chunked)
+			}
+			top := len(stack) - 1
+			g := stack[top]
+			if !g.HasNext() {
+				stack[top] = nil
+				stack = stack[:top]
+				disc = disc[:top]
+				yields = yields[:top]
+				sh.Backtracks++
+				continue
+			}
+			child := g.Next()
+			childIdx := yields[top]
+			yields[top]++
+			switch v.visit(child) {
+			case descend:
+				stack = append(stack, gc.gen(len(stack), child))
+				disc = append(disc, discChild(disc[top], int(childIdx)))
+				yields = append(yields, 0)
+			case pruneLevel:
+				stack[top] = nil
+				stack = stack[:top]
+				disc = disc[:top]
+				yields = yields[:top]
+				sh.Backtracks++
+			}
+		}
+	})
+}
+
+// splitStack donates work from the bottom of a live generator stack:
+// the lowest level with unexplored nodes — heuristically the largest
+// pending subtrees — yields its next node, or all its remaining nodes
+// (capped at max) under chunking. Donated tasks are registered exactly
+// as spawnTask would, but handed to the requester instead of pushed:
+// the requester runs them locally or exports them over the wire.
+func splitStack[S, N any](e *engine[S, N], c *workerCtx[S, N], t *Task[N], stack []NodeGenerator[N], disc, yields []int32, max int, chunked bool) []Task[N] {
+	if !chunked || max < 1 {
+		max = 1
+	}
+	loc, sh := e.topo.locality(c.id), &c.stats
+	var out []Task[N]
+	for i := 0; i < len(stack); i++ {
+		for stack[i].HasNext() && len(out) < max {
+			child := stack[i].Next()
+			nt := Task[N]{
+				Node:  child,
+				Depth: t.Depth + i + 1,
+				Prio:  e.prio.childPrio(disc[i], int(yields[i]), child),
+				fam:   t.fam,
+			}
+			yields[i]++
+			e.fab.trs[loc].AddTasks(1)
+			if nt.fam != nil {
+				nt.fam.pending.Add(1)
+			}
+			sh.Spawns++
+			if e.ordered {
+				sh.notePrio(nt.Prio)
+			}
+			out = append(out, nt)
+		}
+		if len(out) > 0 {
+			return out // (spawn-stack): only the lowest non-exhausted level donates
+		}
+	}
+	return nil
 }

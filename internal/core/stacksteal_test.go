@@ -3,34 +3,37 @@ package core
 import (
 	"testing"
 	"time"
-
-	"yewpar/internal/pad"
 )
 
-func newTestSSState(chunked bool, workers, localities int) *ssState[int, int] {
-	cfg := Config{Workers: workers, Localities: localities, Chunked: chunked, Seed: 1}.withDefaults()
-	st := &ssState[int, int]{
-		cfg:     cfg,
-		tr:      newTracker(),
-		cancel:  newCanceller(),
-		workers: newWorkers[int, int](0, nil, cfg, func(int, *WorkerStats) visitor[int] { return nil }),
-		ws:      make([]pad.Isolated[ssWorker[int]], cfg.Workers),
-	}
-	for i := range st.ws {
-		st.ws[i].V.reqs = make(chan stealReq[int], cfg.Workers)
-	}
-	return st
+// newSplitEngine builds a one-locality engine over int nodes, enough
+// for splitStack: a fabric to register donated tasks with, a worker
+// context to count them on, and an (unordered) priority assigner.
+func newSplitEngine(t *testing.T) *engine[int, int] {
+	t.Helper()
+	cfg := Config{Workers: 2, Seed: 1}.withDefaults()
+	fab := newLoopbackFabric[int](cfg)
+	t.Cleanup(fab.close)
+	ws := newWorkers[int, int](0, nil, cfg, func(int, *WorkerStats) visitor[int] { return nil })
+	return newEngine(cfg, ws, newCanceller(), fab, newPrioAssigner[int, int](cfg.Order, 0, 0, nil))
+}
+
+// split runs splitStack for worker 0 running a task rooted at
+// rootDepth, with fresh per-level discrepancy and yield counters.
+func split(e *engine[int, int], stack []NodeGenerator[int], rootDepth, max int, chunked bool) (ts []Task[int], yields []int32) {
+	task := Task[int]{Depth: rootDepth}
+	disc := make([]int32, len(stack))
+	yields = make([]int32, len(stack))
+	return splitStack(e, e.workers[0], &task, stack, disc, yields, max, chunked), yields
 }
 
 func TestSplitTakesBottomMostNonEmpty(t *testing.T) {
-	st := newTestSSState(false, 2, 1)
+	e := newSplitEngine(t)
 	stack := []NodeGenerator[int]{
 		NewSliceGen[int](nil),      // exhausted: depth rootDepth+1
 		NewSliceGen([]int{10, 11}), // bottom-most with work
 		NewSliceGen([]int{20, 21, 22}),
 	}
-	sh := &st.workers[0].stats
-	ts := st.split(stack, 5, sh)
+	ts, yields := split(e, stack, 5, splitWant, false)
 	if len(ts) != 1 {
 		t.Fatalf("unchunked split handed %d tasks", len(ts))
 	}
@@ -40,11 +43,14 @@ func TestSplitTakesBottomMostNonEmpty(t *testing.T) {
 	if ts[0].Depth != 5+1+1 {
 		t.Fatalf("split task depth = %d, want rootDepth+index+1 = 7", ts[0].Depth)
 	}
-	if st.tr.live.Load() != 1 {
-		t.Fatalf("tracker registered %d tasks", st.tr.live.Load())
+	if live := e.fab.net.LiveAt(0); live != 1 {
+		t.Fatalf("split registered %d live tasks, want 1", live)
 	}
-	if sh.Spawns != 1 {
-		t.Fatalf("spawns = %d", sh.Spawns)
+	if sp := e.workers[0].stats.Spawns; sp != 1 {
+		t.Fatalf("spawns = %d", sp)
+	}
+	if yields[1] != 1 || yields[0] != 0 || yields[2] != 0 {
+		t.Fatalf("yield counters = %v, want only level 1 advanced", yields)
 	}
 	// the victim keeps the remaining sibling
 	if !stack[1].HasNext() {
@@ -53,12 +59,12 @@ func TestSplitTakesBottomMostNonEmpty(t *testing.T) {
 }
 
 func TestSplitChunkedDrainsWholeLevel(t *testing.T) {
-	st := newTestSSState(true, 2, 1)
+	e := newSplitEngine(t)
 	stack := []NodeGenerator[int]{
 		NewSliceGen([]int{1, 2, 3}),
 		NewSliceGen([]int{9}),
 	}
-	ts := st.split(stack, 0, &st.workers[0].stats)
+	ts, _ := split(e, stack, 0, splitWant, true)
 	if len(ts) != 3 {
 		t.Fatalf("chunked split handed %d tasks, want 3", len(ts))
 	}
@@ -73,57 +79,130 @@ func TestSplitChunkedDrainsWholeLevel(t *testing.T) {
 	if !stack[1].HasNext() {
 		t.Fatal("higher generator must be untouched")
 	}
+
+	// A level wider than the request's cap donates exactly the cap; the
+	// victim keeps the rest.
+	wide := make([]int, splitWant+5)
+	for i := range wide {
+		wide[i] = i
+	}
+	lowest := NewSliceGen(wide)
+	ts, _ = split(e, []NodeGenerator[int]{lowest}, 0, splitWant, true)
+	if len(ts) != splitWant || lowest.Remaining() != 5 {
+		t.Fatalf("capped chunked split handed %d tasks and left %d, want %d and 5", len(ts), lowest.Remaining(), splitWant)
+	}
+	if live := e.fab.net.LiveAt(0); live != int64(3+splitWant) {
+		t.Fatalf("splits registered %d live tasks, want %d", live, 3+splitWant)
+	}
 }
 
 func TestSplitAllExhausted(t *testing.T) {
-	st := newTestSSState(false, 2, 1)
+	e := newSplitEngine(t)
 	stack := []NodeGenerator[int]{NewSliceGen[int](nil)}
-	if ts := st.split(stack, 0, &st.workers[0].stats); ts != nil {
+	if ts, _ := split(e, stack, 0, splitWant, false); ts != nil {
 		t.Fatalf("split of empty stack handed %v", ts)
 	}
+	if live := e.fab.net.LiveAt(0); live != 0 {
+		t.Fatalf("empty split registered %d live tasks", live)
+	}
 }
 
-func TestPickVictimPrefersLocal(t *testing.T) {
-	st := newTestSSState(false, 4, 2) // locOf = [0 1 0 1]
-	st.ws[1].V.serving.Store(true)    // remote to worker 0
-	st.ws[2].V.serving.Store(true)    // local to worker 0
-	r := st.workers[0].rand()
-	for i := 0; i < 20; i++ {
-		if v := st.pickVictim(0, r); v != 2 {
-			t.Fatalf("picked %d, want local serving victim 2", v)
+// requestAsync posts a split request from its own goroutine, as an
+// idle worker or a transport-serving goroutine would.
+func requestAsync(g *splitGate[int], wait time.Duration) <-chan []Task[int] {
+	out := make(chan []Task[int], 1)
+	go func() { out <- g.request(1, wait, nil) }()
+	return out
+}
+
+// takeSoon polls the gate the way a running worker does, until a
+// posted request can be claimed.
+func takeSoon(t *testing.T, g *splitGate[int]) *splitReq[int] {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if req := g.take(); req != nil {
+			return req
 		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	t.Fatal("posted split request never became claimable")
+	return nil
+}
+
+func TestSplitGateIdleLocalityRefusesAtOnce(t *testing.T) {
+	g := &splitGate[int]{}
+	if ts := g.request(1, time.Hour, nil); ts != nil {
+		t.Fatalf("gate with no running worker answered %v", ts)
 	}
 }
 
-func TestPickVictimFallsBackToRemote(t *testing.T) {
-	st := newTestSSState(false, 4, 2)
-	st.ws[1].V.serving.Store(true) // only remote serving
-	r := st.workers[0].rand()
-	if v := st.pickVictim(0, r); v != 1 {
-		t.Fatalf("picked %d, want remote victim 1", v)
+// A request that times out unclaimed is abandoned: no worker can claim
+// it afterwards, so nobody splits (and registers) tasks for a requester
+// that has left.
+func TestSplitGateAbandonedRequestIsNeverClaimed(t *testing.T) {
+	g := &splitGate[int]{}
+	g.enter()
+	defer g.exit()
+	if ts := g.request(1, time.Millisecond, nil); ts != nil {
+		t.Fatalf("unanswered request returned %v", ts)
+	}
+	if req := g.take(); req != nil {
+		t.Fatal("a worker claimed a request its requester had abandoned")
+	}
+	if p := g.pending.V.Load(); p != 0 {
+		t.Fatalf("pending = %d after the abandoned request was skipped", p)
 	}
 }
 
-func TestPickVictimNoneServing(t *testing.T) {
-	st := newTestSSState(false, 3, 1)
-	r := st.workers[0].rand()
-	if v := st.pickVictim(0, r); v != -1 {
-		t.Fatalf("picked %d from an idle fleet", v)
-	}
-}
-
-func TestDrainRequestsRepliesNil(t *testing.T) {
-	st := newTestSSState(false, 2, 1)
-	me := &st.ws[0].V
-	req := stealReq[int]{resp: make(chan []Task[int], 1)}
-	me.reqs <- req
-	st.drainRequests(me)
+// A request claimed before its timeout but answered after it must still
+// deliver: the answer carries registered tasks, and dropping them would
+// leave the live count above zero forever.
+func TestSplitGateLateAnswerToClaimedRequestIsDelivered(t *testing.T) {
+	g := &splitGate[int]{}
+	g.enter()
+	defer g.exit()
+	got := requestAsync(g, 2*time.Millisecond)
+	req := takeSoon(t, g)
+	time.Sleep(20 * time.Millisecond) // well past the requester's timeout
+	req.resp <- []Task[int]{{Node: 42, Depth: 3}}
 	select {
-	case ts := <-req.resp:
-		if ts != nil {
-			t.Fatalf("drained request got tasks %v", ts)
+	case ts := <-got:
+		if len(ts) != 1 || ts[0].Node != 42 {
+			t.Fatalf("requester got %v, want the claimed split's task", ts)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("drain never replied")
+	case <-time.After(5 * time.Second):
+		t.Fatal("requester never returned the late answer")
+	}
+}
+
+// The last worker out answers every pending request with nil, so
+// thieves do not wait out their timeout against an idle locality.
+func TestSplitGateLastWorkerOutAnswersPending(t *testing.T) {
+	g := &splitGate[int]{}
+	g.enter()
+	g.enter()
+	a, b := requestAsync(g, time.Hour), requestAsync(g, time.Hour)
+	deadline := time.Now().Add(5 * time.Second)
+	for g.pending.V.Load() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never posted")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	g.exit() // one worker still running: requests stay pending
+	if p := g.pending.V.Load(); p != 2 {
+		t.Fatalf("pending = %d after a non-last exit, want 2", p)
+	}
+	g.exit()
+	for _, ch := range []<-chan []Task[int]{a, b} {
+		select {
+		case ts := <-ch:
+			if ts != nil {
+				t.Fatalf("idle locality answered %v, want nil", ts)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("pending request not answered when the locality went idle")
+		}
 	}
 }

@@ -60,7 +60,6 @@ type topology[N any] struct {
 	backoff     []*stealBackoff // per in-process locality; nil when no peers
 	ordered     bool            // rank victims by priority summaries
 	mem         []*memState[N]  // per in-process locality memory accountant
-	splitters   []*splitGate[N] // per in-process locality; stack-stealing runs only
 	// dead[rank] marks globally dead localities: skipped permanently
 	// by victim selection (their transports would only fail the steal,
 	// but probing a corpse still costs a round trip or a timeout).
@@ -360,22 +359,21 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 	}
 	// Stack-stealing: before leaving the locality, ask a running
 	// sibling to split its live stack — still no transport involved.
-	if tp.splitters != nil {
-		if g := tp.splitters[loc]; g != nil {
-			var abort <-chan struct{}
-			if tp.fab.cancel != nil {
-				abort = tp.fab.cancel.ch
+	gate := tp.fab.locs[loc].split
+	if gate != nil {
+		var abort <-chan struct{}
+		if tp.fab.cancel != nil {
+			abort = tp.fab.cancel.ch
+		}
+		if ts := gate.request(splitWant, splitLocalWait, abort); len(ts) > 0 {
+			for _, t := range ts[1:] {
+				tp.pools[loc].Push(t)
 			}
-			if ts := g.request(splitWant, splitLocalWait, abort); len(ts) > 0 {
-				for _, t := range ts[1:] {
-					tp.pools[loc].Push(t)
-				}
-				if len(ts) > 1 {
-					tp.parkers[loc].wake()
-				}
-				sh.LocalSteals++
-				return ts[0], true
+			if len(ts) > 1 {
+				tp.parkers[loc].wake()
 			}
+			sh.LocalSteals++
+			return ts[0], true
 		}
 	}
 	vs := tp.victims[loc]
@@ -402,7 +400,7 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 	// has any and splits a live stack otherwise, so the sweep reaches
 	// work an ordinary Steal cannot see.
 	steal := tp.fab.trs[loc].Steal
-	if tp.splitters != nil {
+	if gate != nil {
 		steal = tp.fab.trs[loc].SplitSteal
 	}
 	var sa *aheadBuf[N]

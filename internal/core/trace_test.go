@@ -64,11 +64,11 @@ func TestTraceStackStealAndBudget(t *testing.T) {
 	}
 }
 
-func TestTraceBestFirst(t *testing.T) {
+func TestTraceBudgetBoundOrdered(t *testing.T) {
 	tree := genTree(3, 4, 9)
 	trace := NewTrace(3)
-	res := BestFirstOpt(tree, testNode{}, tree.optProblem(true),
-		Config{Workers: 3, Budget: 8, Trace: trace})
+	res := Opt(Budget, tree, testNode{}, tree.optProblem(true),
+		Config{Workers: 3, Budget: 8, Order: OrderBound, Trace: trace})
 	if res.Objective != tree.max() {
 		t.Fatalf("wrong answer under tracing")
 	}

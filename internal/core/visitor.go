@@ -59,14 +59,6 @@ func newEnumVisitor[S, N, M any](space S, p EnumProblem[S, N, M], sh *WorkerStat
 	return v
 }
 
-func combineEnum[S, N, M any](mon Monoid[M], ws []*workerCtx[S, N]) M {
-	acc := mon.Zero()
-	for _, c := range ws {
-		acc = mon.Plus(acc, c.visitor.(*enumVisitor[S, N, M]).acc)
-	}
-	return acc
-}
-
 // optVisitor strengthens the shared incumbent and prunes subtrees whose
 // bound cannot beat the locality's (possibly stale) view of the best
 // objective.

@@ -17,7 +17,7 @@ type WorkerStats struct {
 	StealsFail    int64
 	Backtracks    int64
 	PrefetchHits  int64
-	LocalSteals   int64 // tasks robbed from sibling shards in the locality
+	LocalSteals   int64 // tasks robbed from sibling shards, or split from a sibling's stack, in the locality
 	OrderedSteals int64 // transport steals whose victim was picked by priority summary
 	// PrioHist counts spawned tasks by priority (ordered scheduling
 	// only): bucket i holds priority i, the last bucket everything at
@@ -79,9 +79,9 @@ func (th *thief) rand() *rand.Rand {
 }
 
 // workerScratch is one worker's reusable expansion state for the
-// stack-driven coordinations (Budget, BestFirst, distributed
-// Stack-Stealing): the generator stack plus the per-level discrepancy
-// and yield counters that ordered scheduling tracks.
+// stack-driven coordinations (Budget, Stack-Stealing): the generator
+// stack plus the per-level discrepancy and yield counters that ordered
+// scheduling tracks.
 type workerScratch[N any] struct {
 	stack  []NodeGenerator[N]
 	disc   []int32 // discrepancy of the node whose generator is stack[i]
@@ -96,7 +96,7 @@ func newWorkers[S, N any](space S, gf GenFactory[S, N], cfg Config, visit func(w
 		c := pad.New[workerCtx[S, N]]()
 		c.id = w
 		c.seed = cfg.Seed + int64(w)*7919
-		c.gens = newGenCache(space, gf, cfg)
+		c.gens = genCache[S, N]{space: space, gf: gf}
 		c.visitor = visit(w, &c.stats)
 		ws[w] = c
 	}
