@@ -137,6 +137,11 @@ func ParseArgs(args []string) (*Options, error) {
 	default:
 		return nil, fmt.Errorf("unknown topology %q (want star or mesh)", o.Topology)
 	}
+	switch o.Pool {
+	case "depthpool", "deque":
+	default:
+		return nil, fmt.Errorf("unknown pool %q (want depthpool or deque)", o.Pool)
+	}
 	ord, err := ParseOrder(o.Order)
 	if err != nil {
 		return nil, err
@@ -265,6 +270,9 @@ func Run(args []string, w io.Writer) (err error) {
 		workers := cfg.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
+		}
+		if coord == core.Sequential {
+			workers = 1 // whatever -workers says: utilisation is of the one it runs on
 		}
 		trace = core.NewTrace(workers)
 		cfg.Trace = trace

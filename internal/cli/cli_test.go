@@ -78,6 +78,19 @@ func TestRunOrderedMaxClique(t *testing.T) {
 	}
 }
 
+// -pool names a workpool or is rejected: an unknown name must not
+// silently run the default.
+func TestParseArgsRejectsUnknownPool(t *testing.T) {
+	if _, err := ParseArgs([]string{"-app", "maxclique", "-pool", "bogus"}); err == nil {
+		t.Fatal("bad -pool accepted")
+	}
+	for _, pool := range []string{"depthpool", "deque"} {
+		if _, err := ParseArgs([]string{"-app", "maxclique", "-pool", pool}); err != nil {
+			t.Fatalf("-pool %s rejected: %v", pool, err)
+		}
+	}
+}
+
 func TestParseArgsDefaults(t *testing.T) {
 	o, err := ParseArgs(nil)
 	if err != nil {
@@ -268,6 +281,12 @@ func TestRunTraceSummary(t *testing.T) {
 		"-skeleton", "depthbounded", "-workers", "4", "-trace")
 	if !strings.Contains(out, "utilisation=") || !strings.Contains(out, "tasks per depth:") {
 		t.Fatalf("trace summary missing: %q", out)
+	}
+	// The sequential skeleton is traced like the rest: its search is
+	// one task, at depth 0, on the one worker it runs on.
+	out = run(t, "-app", "knapsack", "-items", "16", "-skeleton", "seq", "-workers", "4", "-trace")
+	if !strings.Contains(out, "tasks=1 ") || !strings.Contains(out, "utilisation=100.0%") || !strings.Contains(out, "tasks per depth: 0:1") {
+		t.Fatalf("sequential trace summary: %q", out)
 	}
 }
 

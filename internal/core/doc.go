@@ -38,8 +38,11 @@
 // for an executable version of that model): enumeration folds the tree
 // into a commutative monoid, optimisation and decision maximise an
 // objective over the tree with sound-but-possibly-stale pruning, and
-// the spawn behaviour of each coordination implements one of the
-// (spawn-depth), (spawn-budget) and (spawn-stack) rules of Figure 2.
+// every coordination runs the same traversal rules through one task
+// body (engine.runTask, in walk.go) and differs only in its spawnRule
+// value, which switches on the (spawn-depth), (spawn-budget) or
+// (spawn-stack) rule of Figure 2. Sequential is the empty rule on one
+// worker, on the same engine as the rest.
 //
 // # Scheduling and allocation hot path
 //
@@ -156,8 +159,8 @@
 //
 // Two rules keep a worker-second from being spent moving cache lines
 // between cores. (1) Anything a worker writes per node or per task
-// lives in its workerCtx — counters, generator cache, expansion
-// scratch, steal rng and victim buffers — or in an isolated block only
+// lives in its workerCtx — counters, generator cache, live stack,
+// steal rng and victim buffers — or in an isolated block only
 // that context points to (the visitor and its accumulator). Contexts
 // are built by newWorkers, one pad.New block each; no coordination
 // keeps per-worker state in a slice of its own. (2) Anything shared by

@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// engine bundles the runtime substrate shared by the pool-based
-// parallel coordinations (Depth-Bounded, Budget, Stack-Stealing): the
+// engine bundles the runtime substrate every coordination runs on: the
 // locality fabric and its workpool topology, global task accounting
 // for termination detection, canceller for decision short-circuits,
-// the worker contexts, and the priority assigner of the ordered
-// scheduling modes.
+// the worker contexts, the priority assigner of the ordered scheduling
+// modes, and the coordination itself, as a spawn rule (walk.go).
 type engine[S, N any] struct {
 	cfg     Config
 	workers []*workerCtx[S, N]
@@ -20,10 +19,21 @@ type engine[S, N any] struct {
 	topo    *topology[N]
 	prio    *prioAssigner[S, N] // task priorities (Config.Order)
 	ordered bool
+	rule    spawnRule // what the coordination adds to sequential search
 }
 
-func newEngine[S, N any](cfg Config, ws []*workerCtx[S, N], cancel *canceller, fab *fabric[N], prio *prioAssigner[S, N]) *engine[S, N] {
+// newEngine must run before the fabric starts serving peers: it
+// installs every locality's pool and, under a splitting rule, the gate
+// that makes its locState answer dist.StackSplitter requests — a peer's
+// steal or kSplit may arrive the moment registration completes.
+func newEngine[S, N any](rule spawnRule, cfg Config, ws []*workerCtx[S, N], cancel *canceller, fab *fabric[N], prio *prioAssigner[S, N]) *engine[S, N] {
+	if rule.split {
+		for _, loc := range fab.locs {
+			loc.split = &splitGate[N]{}
+		}
+	}
 	return &engine[S, N]{
+		rule:    rule,
 		cfg:     cfg,
 		workers: ws,
 		cancel:  cancel,
@@ -31,29 +41,6 @@ func newEngine[S, N any](cfg Config, ws []*workerCtx[S, N], cancel *canceller, f
 		topo:    newTopology(fab, cfg),
 		prio:    prio,
 		ordered: prio.enabled(),
-	}
-}
-
-// spawnTask registers a new task with the global live count (before it
-// becomes visible to any worker) and pushes it on w's locality pool.
-// The spawner passes its own task's supervision family through (Task
-// literal field fam), so a received subtree's descendants keep the
-// origin's ledger entry alive until the whole subtree completes.
-func (e *engine[S, N]) spawnTask(c *workerCtx[S, N], t Task[N]) {
-	loc := e.topo.locality(c.id)
-	e.fab.trs[loc].AddTasks(1)
-	if t.fam != nil {
-		t.fam.pending.Add(1)
-	}
-	c.stats.Spawns++
-	if e.ordered {
-		c.stats.notePrio(t.Prio)
-	}
-	e.topo.push(c.id, t)
-	if m := e.topo.mem[loc]; m != nil {
-		// Memory governor, last-resort response: the spawner that pushed
-		// the pool past its hard threshold spills the coldest tasks.
-		m.maybeSpill(e.topo.pools[loc])
 	}
 }
 
@@ -67,7 +54,7 @@ func (e *engine[S, N]) memPressured(w int) bool {
 }
 
 // finishTask deregisters one completed task. Every task obtained by a
-// worker must be finished exactly once, after any children it spawns
+// worker must be finished exactly once, after any children it sheds
 // are registered. A received task's completion also drains its
 // supervision family — the last drain acks the hand-over's origin.
 func (e *engine[S, N]) finishTask(w int, t Task[N]) {
@@ -81,17 +68,7 @@ func (e *engine[S, N]) finishTask(w int, t Task[N]) {
 // runPoolWorkers seeds the root task (on the locality that owns the
 // root) and runs one worker per context, each executing runTask on
 // every task it obtains, until global termination or cancellation.
-// runTask must call e.finishTask exactly once per task and register
-// any tasks it spawns with e.spawnTask.
-func (e *engine[S, N]) runPoolWorkers(root N, runTask func(c *workerCtx[S, N], t Task[N])) {
-	if tr := e.cfg.Trace; tr != nil {
-		inner := runTask
-		runTask = func(c *workerCtx[S, N], t Task[N]) {
-			start := time.Now()
-			inner(c, t)
-			tr.record(c.id, t.Depth, start, time.Now())
-		}
-	}
+func (e *engine[S, N]) runPoolWorkers(root N) {
 	// Calibrate the memory governors' per-task byte estimate from the
 	// root node, and guarantee their spill directories are removed on
 	// every exit path — normal termination, cancellation, and (in a
@@ -182,7 +159,7 @@ func (e *engine[S, N]) runPoolWorkers(root N, runTask func(c *workerCtx[S, N], t
 				t, ok := e.topo.popOrSteal(&c.thief)
 				if ok {
 					idle = 0
-					runTask(c, t)
+					e.runTask(c, t)
 					continue
 				}
 				select {

@@ -1,51 +1,64 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// trivialVisitor descends everywhere and counts nothing beyond the
-// worker's own counters.
-type trivialVisitor struct{ shard *WorkerStats }
+// hookVisitor descends everywhere, counting on the worker's own
+// counters and calling hook (when set) on every visit.
+type hookVisitor struct {
+	shard *WorkerStats
+	hook  func()
+}
 
-func (v *trivialVisitor) visit(int) pruneAction {
+func (v *hookVisitor) visit(int) pruneAction {
 	v.shard.Nodes++
+	if v.hook != nil {
+		v.hook()
+	}
 	return descend
 }
 
+// fanoutGen gives every node below limit fanout children (n*10+i), and
+// the rest none: an int tree whose node value encodes its depth.
+func fanoutGen(fanout, limit int) GenFactory[struct{}, int] {
+	return func(_ struct{}, n int) NodeGenerator[int] {
+		if n >= limit {
+			return EmptyGen[int]{}
+		}
+		kids := make([]int, fanout)
+		for i := range kids {
+			kids[i] = n*10 + i
+		}
+		return NewSliceGen(kids)
+	}
+}
+
 // newTestEngine builds an engine over a started loopback fabric.
-func newTestEngine(cfg Config, cancel *canceller) (*engine[struct{}, int], *fabric[int]) {
-	gf := func(struct{}, int) NodeGenerator[int] { return EmptyGen[int]{} }
+func newTestEngine(cfg Config, rule spawnRule, gf GenFactory[struct{}, int], hook func(), cancel *canceller) (*engine[struct{}, int], *fabric[int]) {
 	fab := newLoopbackFabric[int](cfg)
 	ws := newWorkers(struct{}{}, gf, cfg, func(_ int, sh *WorkerStats) visitor[int] {
-		return &trivialVisitor{shard: sh}
+		return &hookVisitor{shard: sh, hook: hook}
 	})
-	e := newEngine(cfg, ws, cancel, fab, newPrioAssigner[struct{}, int](cfg.Order, struct{}{}, 0, nil))
+	e := newEngine(rule, cfg, ws, cancel, fab, newPrioAssigner[struct{}, int](cfg.Order, struct{}{}, 0, nil))
 	fab.start(cancel)
 	return e, fab
 }
 
 func TestRunPoolWorkersExecutesAllSpawns(t *testing.T) {
-	cfg := Config{Workers: 4}.withDefaults()
-	cancel := newCanceller()
-	e, fab := newTestEngine(cfg, cancel)
-
-	var executed atomic.Int64
-	e.runPoolWorkers(0, func(c *workerCtx[struct{}, int], task Task[int]) {
-		defer e.finishTask(c.id, task)
-		executed.Add(1)
-		// fan out a small two-level tree of tasks
-		if task.Depth < 2 {
-			for i := 0; i < 3; i++ {
-				e.spawnTask(c, Task[int]{Node: task.Node*10 + i, Depth: task.Depth + 1})
-			}
-		}
-	})
+	cfg := Config{Workers: 4, Trace: NewTrace(4)}.withDefaults()
+	// a two-level tree of tasks: root 1, then 10..12, then 100..122
+	e, fab := newTestEngine(cfg, spawnRule{depth: 2}, fanoutGen(3, 100), nil, newCanceller())
+	e.runPoolWorkers(1)
 	// 1 root + 3 + 9 = 13 tasks
-	if executed.Load() != 13 {
-		t.Fatalf("executed %d tasks, want 13", executed.Load())
+	if n := cfg.Trace.Summary().Tasks; n != 13 {
+		t.Fatalf("executed %d tasks, want 13", n)
+	}
+	if st := totalStats(e.workers); st.Spawns != 12 || st.Nodes != 13 {
+		t.Fatalf("spawned %d tasks and visited %d nodes, want 12 and 13", st.Spawns, st.Nodes)
 	}
 	select {
 	case <-fab.trs[0].Done():
@@ -57,23 +70,18 @@ func TestRunPoolWorkersExecutesAllSpawns(t *testing.T) {
 func TestRunPoolWorkersCancelStopsEarly(t *testing.T) {
 	cfg := Config{Workers: 4}.withDefaults()
 	cancel := newCanceller()
-	e, _ := newTestEngine(cfg, cancel)
-
-	var executed atomic.Int64
+	var visits atomic.Int64
+	hook := func() {
+		if visits.Add(1) == 5 {
+			cancel.cancel() // simulate a decision witness
+		}
+	}
+	// endless task fan-out: only cancellation can stop this
+	e, _ := newTestEngine(cfg, spawnRule{depth: math.MaxInt}, fanoutGen(2, math.MaxInt), hook, cancel)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.runPoolWorkers(0, func(c *workerCtx[struct{}, int], task Task[int]) {
-			defer e.finishTask(c.id, task)
-			if executed.Add(1) == 5 {
-				cancel.cancel() // simulate a decision witness
-				return
-			}
-			// endless task fan-out: only cancellation can stop this
-			for i := 0; i < 2; i++ {
-				e.spawnTask(c, Task[int]{Node: task.Node + 1, Depth: task.Depth + 1})
-			}
-		})
+		e.runPoolWorkers(1)
 	}()
 	select {
 	case <-done:

@@ -157,8 +157,7 @@ func (f *fabric[N]) foldStats(s *Stats) {
 
 // locState is one in-process locality's engine endpoint: the
 // dist.Handler serving its peers. The pool is installed by the engine
-// before the fabric starts. Only Sequential runs without one, and it
-// has no peer to serve: one worker, one locality, one process.
+// before the fabric starts.
 type locState[N any] struct {
 	idx  int // index among in-process localities
 	rank int // global rank

@@ -51,13 +51,14 @@ type ResettableGenerator[S, N any] interface {
 // skeletons.
 //
 // The engine requests ephemeral mode only from the pure depth-first
-// expansion loop (expandBelow), where a yielded child is either dead
-// (pruned) or is the current path node whose own generator is fully
-// explored before this generator advances. Engine code that retains a
-// node beyond that window — the incumbent, a decision witness — copies
-// it first through the problem's Copy hook, which applications
-// implementing this interface must provide. Spawn loops, which push
-// children into workpools, never use ephemeral mode.
+// walk (expandBelow: the task body's choice for spawn rules that cannot
+// fire mid-walk, and ReplicableOpt's phase 2), where a yielded child is
+// either dead (pruned) or is the current path node whose own generator
+// is fully explored before this generator advances. Engine code that
+// retains a node beyond that window — the incumbent, a decision witness
+// — copies it first through the problem's Copy hook, which applications
+// implementing this interface must provide. The shedding walk, whose
+// children may become tasks, never uses ephemeral mode.
 //
 // Value-type nodes (no heap references) get nothing from this
 // interface: copying the node value is already a deep copy, so such

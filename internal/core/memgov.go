@@ -21,9 +21,9 @@ import (
 //  1. Advertise: a pressured locality reports steal rank 0
 //     (BestStealPrio), so priority-aware thieves drain it first —
 //     handing work away is free memory relief.
-//  2. Deepen: the pool-based coordinations trade spawning for inline
-//     expansion — Depth-Bounded takes the sequential expandBelow branch
-//     even above d_cutoff, Budget stops shedding its stack — so the
+//  2. Deepen: the task body (runTask, shedWalk) trades spawning for
+//     inline expansion — (spawn-depth) walks in place even above
+//     d_cutoff, (spawn-budget) stops shedding its stack — so the
 //     frontier stops growing at the source.
 //  3. Spill: past the hard threshold the coldest tasks (deepest depth,
 //     or worst priority) are batch-encoded through the app Codec into a

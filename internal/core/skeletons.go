@@ -13,7 +13,7 @@ import (
 // one driver, which the exported entry points adapt.
 
 // Coordination names a search coordination method. New coordinations
-// can be added by extending the switch in search, mirroring the
+// can be added by adding a rule to ruleFor (walk.go), mirroring the
 // extensibility point of Section 4 of the paper.
 type Coordination int
 
@@ -32,19 +32,13 @@ const (
 
 // String returns the coordination's conventional name.
 func (c Coordination) String() string {
-	switch c {
-	case Sequential:
-		return "seq"
-	case DepthBounded:
-		return "depthbounded"
-	case StackStealing:
-		return "stacksteal"
-	case Budget:
-		return "budget"
-	default:
+	if c < 0 || int(c) >= len(coordNames) {
 		return "unknown"
 	}
+	return coordNames[c]
 }
+
+var coordNames = [...]string{Sequential: "seq", DepthBounded: "depthbounded", StackStealing: "stacksteal", Budget: "budget"}
 
 // searchType is the search-type half of a skeleton: everything the
 // driver needs to know about what is being computed, built from a
@@ -225,35 +219,18 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 	}
 	cancel := newCanceller()
 	ws := newWorkers(space, st.gen, cfg, st.attach(fab, cancel))
-	// Task priorities for the ordered scheduling modes, which the
-	// pool-based coordinations consume. Across processes every rank
-	// constructs the problem identically, so each computes the same
-	// root-bound reference and the priorities agree without negotiation.
+	// Task priorities for the ordered scheduling modes. Across processes
+	// every rank constructs the problem identically, so each computes the
+	// same root-bound reference and the priorities agree without
+	// negotiation.
 	prio := newPrioAssigner(cfg.Order, space, root, st.bound)
 	start := time.Now()
-	// The engine is built (and, for Stack-Stealing, the split gates
-	// installed) before the fabric starts, so that every locality's pool
-	// is in place by the time peers can request steals.
-	var e *engine[S, N]
-	if coord != Sequential {
-		e = newEngine(cfg, ws, cancel, fab, prio)
-	}
-	if coord == StackStealing {
-		e.installSplitGates()
-	}
+	// The engine is built before the fabric starts, so that every
+	// locality's pool (and split gate) is in place by the time peers can
+	// request steals.
+	e := newEngine(ruleFor(coord, cfg), cfg, ws, cancel, fab, prio)
 	fab.start(cancel)
-	switch coord {
-	case Sequential:
-		runSequential(ws[0], cancel, root)
-	case DepthBounded:
-		runDepthBounded(e, root)
-	case Budget:
-		runBudget(e, root)
-	case StackStealing:
-		runStackStealing(e, root)
-	default:
-		panic("core: unknown coordination")
-	}
+	e.runPoolWorkers(root)
 	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	fab.foldStats(&stats)

@@ -8,16 +8,17 @@ import (
 	"yewpar/internal/pad"
 )
 
-// This file is the Stack-Stealing coordination (Listing 3, the
-// (spawn-stack) rule), served on demand through the locality fabric:
-// no task is spawned proactively; an idle worker first drains its
-// locality's pool, then asks a local running sibling to split, and
-// finally sends a kSplit over the transport, which the victim locality
-// answers by splitting the bottom of one of its workers' live generator
-// stacks and exporting the node(s) through the ordinary hand-over
-// (ledger + codec) path. One implementation serves loopback, star and
-// mesh deployments, and gives memory-starved localities a way to pull
-// work that was never materialised as tasks.
+// This file is the thief's side of the Stack-Stealing coordination
+// (Listing 3, the (spawn-stack) rule), served on demand through the
+// locality fabric: no task is spawned proactively; an idle worker first
+// drains its locality's pool, then asks a local running sibling to
+// split, and finally sends a kSplit over the transport, which the
+// victim locality answers by splitting the bottom of one of its
+// workers' live generator stacks (shedWalk and shed, in walk.go) and
+// exporting the node(s) through the ordinary hand-over (ledger + codec)
+// path. One implementation serves loopback, star and mesh deployments,
+// and gives memory-starved localities a way to pull work that was never
+// materialised as tasks.
 
 const (
 	// splitServeWait bounds how long a transport-serving goroutine
@@ -124,120 +125,4 @@ func (g *splitGate[N]) exit() {
 		}
 		req.resp <- nil
 	}
-}
-
-// installSplitGates equips every in-process locality with a split gate,
-// making its locState answer dist.StackSplitter requests. Must run
-// before the fabric starts serving peers: a peer's kSplit may arrive
-// the moment registration completes.
-func (e *engine[S, N]) installSplitGates() {
-	for _, loc := range e.fab.locs {
-		loc.split = &splitGate[N]{}
-	}
-}
-
-// runStackStealing runs the Stack-Stealing coordination on the pool
-// engine; the caller has installed the split gates. Each task is
-// searched depth-first in place — no proactive spawning at all — and
-// work moves only when a thief asks: the gate poll at the top of the
-// expansion loop answers local siblings and remote kSplit requests
-// alike by splitting the bottom-most non-exhausted generator (all
-// remaining nodes of that level, up to the request's cap, under
-// cfg.Chunked).
-func runStackStealing[S, N any](e *engine[S, N], root N) {
-	chunked := e.cfg.Chunked
-	e.runPoolWorkers(root, func(c *workerCtx[S, N], t Task[N]) {
-		gate := e.fab.locs[e.topo.locality(c.id)].split
-		gate.enter()
-		defer gate.exit()
-		defer e.finishTask(c.id, t)
-		if e.cancel.cancelled() {
-			return
-		}
-		v, sh, gc, sc := c.visitor, &c.stats, &c.gens, &c.scratch
-		if v.visit(t.Node) != descend {
-			return
-		}
-		stack := sc.stack[:0]
-		disc := sc.disc[:0]
-		yields := sc.yields[:0]
-		defer func() {
-			sc.stack, sc.disc, sc.yields = stack[:0], disc, yields
-		}()
-		stack = append(stack, gc.gen(0, t.Node))
-		disc = append(disc, t.Prio)
-		yields = append(yields, 0)
-		for len(stack) > 0 {
-			if e.cancel.cancelled() {
-				return
-			}
-			if req := gate.take(); req != nil {
-				req.resp <- splitStack(e, c, &t, stack, disc, yields, req.max, chunked)
-			}
-			top := len(stack) - 1
-			g := stack[top]
-			if !g.HasNext() {
-				stack[top] = nil
-				stack = stack[:top]
-				disc = disc[:top]
-				yields = yields[:top]
-				sh.Backtracks++
-				continue
-			}
-			child := g.Next()
-			childIdx := yields[top]
-			yields[top]++
-			switch v.visit(child) {
-			case descend:
-				stack = append(stack, gc.gen(len(stack), child))
-				disc = append(disc, discChild(disc[top], int(childIdx)))
-				yields = append(yields, 0)
-			case pruneLevel:
-				stack[top] = nil
-				stack = stack[:top]
-				disc = disc[:top]
-				yields = yields[:top]
-				sh.Backtracks++
-			}
-		}
-	})
-}
-
-// splitStack donates work from the bottom of a live generator stack:
-// the lowest level with unexplored nodes — heuristically the largest
-// pending subtrees — yields its next node, or all its remaining nodes
-// (capped at max) under chunking. Donated tasks are registered exactly
-// as spawnTask would, but handed to the requester instead of pushed:
-// the requester runs them locally or exports them over the wire.
-func splitStack[S, N any](e *engine[S, N], c *workerCtx[S, N], t *Task[N], stack []NodeGenerator[N], disc, yields []int32, max int, chunked bool) []Task[N] {
-	if !chunked || max < 1 {
-		max = 1
-	}
-	loc, sh := e.topo.locality(c.id), &c.stats
-	var out []Task[N]
-	for i := 0; i < len(stack); i++ {
-		for stack[i].HasNext() && len(out) < max {
-			child := stack[i].Next()
-			nt := Task[N]{
-				Node:  child,
-				Depth: t.Depth + i + 1,
-				Prio:  e.prio.childPrio(disc[i], int(yields[i]), child),
-				fam:   t.fam,
-			}
-			yields[i]++
-			e.fab.trs[loc].AddTasks(1)
-			if nt.fam != nil {
-				nt.fam.pending.Add(1)
-			}
-			sh.Spawns++
-			if e.ordered {
-				sh.notePrio(nt.Prio)
-			}
-			out = append(out, nt)
-		}
-		if len(out) > 0 {
-			return out // (spawn-stack): only the lowest non-exhausted level donates
-		}
-	}
-	return nil
 }

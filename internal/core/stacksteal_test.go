@@ -1,39 +1,49 @@
 package core
 
 import (
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
 
-// newSplitEngine builds a one-locality engine over int nodes, enough
-// for splitStack: a fabric to register donated tasks with, a worker
-// context to count them on, and an (unordered) priority assigner.
-func newSplitEngine(t *testing.T) *engine[int, int] {
+// newShedEngine builds a one-locality engine over int nodes, enough for
+// shed: a fabric to register donated tasks with, a worker context to
+// count them on, and a priority assigner for the given order.
+func newShedEngine(t *testing.T, order Order) *engine[int, int] {
 	t.Helper()
-	cfg := Config{Workers: 2, Seed: 1}.withDefaults()
+	cfg := Config{Workers: 2, Seed: 1, Order: order}.withDefaults()
 	fab := newLoopbackFabric[int](cfg)
 	t.Cleanup(fab.close)
 	ws := newWorkers[int, int](0, nil, cfg, func(int, *WorkerStats) visitor[int] { return nil })
-	return newEngine(cfg, ws, newCanceller(), fab, newPrioAssigner[int, int](cfg.Order, 0, 0, nil))
+	return newEngine(spawnRule{split: true}, cfg, ws, newCanceller(), fab, newPrioAssigner[int, int](cfg.Order, 0, 0, nil))
 }
 
-// split runs splitStack for worker 0 running a task rooted at
-// rootDepth, with fresh per-level discrepancy and yield counters.
-func split(e *engine[int, int], stack []NodeGenerator[int], rootDepth, max int, chunked bool) (ts []Task[int], yields []int32) {
+// split runs shed the way a claimed split request does, for worker 0
+// running a task rooted at rootDepth, with fresh per-level discrepancy
+// and yield counters.
+func split(e *engine[int, int], gens []NodeGenerator[int], rootDepth, max int) (ts []Task[int], yields []int32) {
 	task := Task[int]{Depth: rootDepth}
-	disc := make([]int32, len(stack))
-	yields = make([]int32, len(stack))
-	return splitStack(e, e.workers[0], &task, stack, disc, yields, max, chunked), yields
+	stack := make([]level[int], len(gens))
+	for i, g := range gens {
+		stack[i].gen = g
+	}
+	e.shed(e.workers[0], &task, stack, max, func(nt Task[int]) { ts = append(ts, nt) })
+	for _, lv := range stack {
+		yields = append(yields, lv.yields)
+	}
+	return ts, yields
 }
 
 func TestSplitTakesBottomMostNonEmpty(t *testing.T) {
-	e := newSplitEngine(t)
+	e := newShedEngine(t, OrderNone)
 	stack := []NodeGenerator[int]{
 		NewSliceGen[int](nil),      // exhausted: depth rootDepth+1
 		NewSliceGen([]int{10, 11}), // bottom-most with work
 		NewSliceGen([]int{20, 21, 22}),
 	}
-	ts, yields := split(e, stack, 5, splitWant, false)
+	ts, yields := split(e, stack, 5, 1)
 	if len(ts) != 1 {
 		t.Fatalf("unchunked split handed %d tasks", len(ts))
 	}
@@ -59,12 +69,12 @@ func TestSplitTakesBottomMostNonEmpty(t *testing.T) {
 }
 
 func TestSplitChunkedDrainsWholeLevel(t *testing.T) {
-	e := newSplitEngine(t)
+	e := newShedEngine(t, OrderNone)
 	stack := []NodeGenerator[int]{
 		NewSliceGen([]int{1, 2, 3}),
 		NewSliceGen([]int{9}),
 	}
-	ts, _ := split(e, stack, 0, splitWant, true)
+	ts, _ := split(e, stack, 0, splitWant)
 	if len(ts) != 3 {
 		t.Fatalf("chunked split handed %d tasks, want 3", len(ts))
 	}
@@ -87,7 +97,7 @@ func TestSplitChunkedDrainsWholeLevel(t *testing.T) {
 		wide[i] = i
 	}
 	lowest := NewSliceGen(wide)
-	ts, _ = split(e, []NodeGenerator[int]{lowest}, 0, splitWant, true)
+	ts, _ = split(e, []NodeGenerator[int]{lowest}, 0, splitWant)
 	if len(ts) != splitWant || lowest.Remaining() != 5 {
 		t.Fatalf("capped chunked split handed %d tasks and left %d, want %d and 5", len(ts), lowest.Remaining(), splitWant)
 	}
@@ -97,13 +107,66 @@ func TestSplitChunkedDrainsWholeLevel(t *testing.T) {
 }
 
 func TestSplitAllExhausted(t *testing.T) {
-	e := newSplitEngine(t)
+	e := newShedEngine(t, OrderNone)
 	stack := []NodeGenerator[int]{NewSliceGen[int](nil)}
-	if ts, _ := split(e, stack, 0, splitWant, false); ts != nil {
+	if ts, _ := split(e, stack, 0, 1); ts != nil {
 		t.Fatalf("split of empty stack handed %v", ts)
 	}
 	if live := e.fab.net.LiveAt(0); live != 0 {
 		t.Fatalf("empty split registered %d live tasks", live)
+	}
+}
+
+// shed is one operation under both rules: what (spawn-budget) pushes on
+// the worker's own pool is exactly what an uncapped chunked split of
+// the same live stack hands its thief — the same nodes with the same
+// depths and priorities, the same yield counters left behind, the same
+// number of live registrations.
+func TestBudgetShedEqualsUncappedChunkedSplit(t *testing.T) {
+	for _, order := range []Order{OrderNone, OrderDiscrepancy} {
+		// mid-walk: level 0 exhausted, level 1 part-consumed at
+		// discrepancy 2, level 2 untouched
+		liveAt := func() []level[int] {
+			l1 := NewSliceGen([]int{10, 11, 12, 13})
+			l1.Next()
+			return []level[int]{
+				{gen: NewSliceGen[int](nil), disc: 0, yields: 3},
+				{gen: l1, disc: 2, yields: 1},
+				{gen: NewSliceGen([]int{20, 21}), disc: 3, yields: 0},
+			}
+		}
+		task := Task[int]{Depth: 4, Prio: 1}
+
+		eb, sb := newShedEngine(t, order), liveAt()
+		eb.shedToPool(eb.workers[0], &task, sb)
+		var pushed []Task[int]
+		for nt, ok := eb.topo.pools[0].Pop(); ok; nt, ok = eb.topo.pools[0].Pop() {
+			pushed = append(pushed, nt)
+		}
+		// the pool's pop order is its own business; node order is traversal order
+		sort.Slice(pushed, func(i, j int) bool { return pushed[i].Node < pushed[j].Node })
+
+		es, ss := newShedEngine(t, order), liveAt()
+		var handed []Task[int]
+		es.shed(es.workers[0], &task, ss, math.MaxInt, func(nt Task[int]) { handed = append(handed, nt) })
+
+		if !reflect.DeepEqual(pushed, handed) {
+			t.Errorf("order %v: budget shed %+v, split handed %+v", order, pushed, handed)
+		}
+		if len(handed) != 3 || handed[0].Node != 11 || handed[0].Depth != 4+1+1 {
+			t.Errorf("order %v: shed %+v, want the three remaining nodes of level 1 at depth 6", order, handed)
+		}
+		for i := range ss {
+			if want := []int32{3, 4, 0}[i]; sb[i].yields != want || ss[i].yields != want {
+				t.Errorf("order %v: level %d yielded %d (budget) and %d (split), want %d in both", order, i, sb[i].yields, ss[i].yields, want)
+			}
+		}
+		if lb, ls := eb.fab.net.LiveAt(0), es.fab.net.LiveAt(0); lb != ls || ls != 3 {
+			t.Errorf("order %v: %d (budget) and %d (split) live registrations, want 3 and 3", order, lb, ls)
+		}
+		if b, s := eb.workers[0].stats, es.workers[0].stats; b != s {
+			t.Errorf("order %v: worker counters differ: budget %+v, split %+v", order, b, s)
+		}
 	}
 }
 
@@ -162,9 +225,11 @@ func TestSplitGateLateAnswerToClaimedRequestIsDelivered(t *testing.T) {
 	g := &splitGate[int]{}
 	g.enter()
 	defer g.exit()
-	got := requestAsync(g, 2*time.Millisecond)
+	// The window must outlast a loaded host's scheduling hiccups: at 2 ms
+	// the request timed out unclaimed about once in 300 runs.
+	got := requestAsync(g, 50*time.Millisecond)
 	req := takeSoon(t, g)
-	time.Sleep(20 * time.Millisecond) // well past the requester's timeout
+	time.Sleep(150 * time.Millisecond) // well past the requester's timeout
 	req.resp <- []Task[int]{{Node: 42, Depth: 3}}
 	select {
 	case ts := <-got:

@@ -43,6 +43,24 @@ func TestTraceDepthBounded(t *testing.T) {
 	}
 }
 
+// Sequential runs on the engine like every coordination, so it is
+// traced like one: its whole search is the root task.
+func TestTraceSequential(t *testing.T) {
+	tree := genTree(1, 4, 9)
+	trace := NewTrace(1)
+	res := Enum(Sequential, tree, testNode{}, tree.enumProblem(), Config{Trace: trace})
+	events := trace.Events()
+	if len(events) != 1 || events[0].Depth != 0 {
+		t.Fatalf("traced %+v, want one depth-0 task", events)
+	}
+	if d := events[0].Duration(); d > res.Stats.Elapsed {
+		t.Errorf("the task ran %v, longer than the search's %v", d, res.Stats.Elapsed)
+	}
+	if res.Stats.Spawns != 0 {
+		t.Errorf("sequential search spawned %d tasks", res.Stats.Spawns)
+	}
+}
+
 // MakespanLessThan is a tiny helper to keep the test readable.
 func (s Summary) MakespanLessThan(d time.Duration) bool { return s.Makespan < d }
 

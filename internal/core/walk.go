@@ -1,0 +1,262 @@
+package core
+
+import (
+	"math"
+	"time"
+)
+
+// This file is the paper's Figure 2 as code. Every coordination runs
+// the same traversal rules — (expand), (backtrack), (prune),
+// (terminate) — through one task body, and differs only in its spawn
+// rule, which is a value: Listings 3 and 4 are Listing 2 plus the lines
+// a spawnRule switches on. A rule that cannot fire mid-walk gets the
+// pure depth-first loop; one that can gets the shedding walk. They are
+// two functions that share no logic because folding the pure loop into
+// the shedding one was measured at +6–9 % ns/node on the cheapest nodes
+// any workload has (ROADMAP, per-node cost item (b)).
+
+// spawnRule is what a coordination adds to sequential search. The zero
+// rule spawns nothing: Sequential is that rule on one worker.
+type spawnRule struct {
+	depth  int   // (spawn-depth): a task shallower than this spawns all its root's children
+	budget int64 // (spawn-budget): shed the lowest level every this many backtracks; 0 = never
+	split  bool  // (spawn-stack): answer thieves' split requests from the live stack
+}
+
+// ruleFor derives a coordination's spawn rule. It is the extension
+// point of Section 4 of the paper: a new coordination is a new rule
+// value here, not a new task body.
+func ruleFor(coord Coordination, cfg Config) spawnRule {
+	switch coord {
+	case Sequential:
+		return spawnRule{}
+	case DepthBounded:
+		return spawnRule{depth: cfg.DCutoff}
+	case Budget:
+		return spawnRule{budget: cfg.Budget}
+	case StackStealing:
+		return spawnRule{split: true}
+	default:
+		panic("core: unknown coordination")
+	}
+}
+
+// level is one level of a task's live depth-first stack: the lazy
+// generator of the node expanded there, and the counters ordered
+// scheduling needs to stamp a shed node with its priority. Each worker
+// keeps one stack of them, whose backing array every task reuses.
+type level[N any] struct {
+	gen    NodeGenerator[N]
+	disc   int32 // discrepancy of the node whose generator this is
+	yields int32 // children gen has yielded so far
+}
+
+// runTask is the one task body. It visits the task root and then
+// searches below it under the engine's spawn rule. Every task a worker
+// obtains passes through here exactly once, which is what finishes it.
+func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
+	if tr := e.cfg.Trace; tr != nil {
+		defer func(start time.Time) { tr.record(c.id, t.Depth, start, time.Now()) }(time.Now())
+	}
+	rule := e.rule
+	var gate *splitGate[N] // the locality's, under a splitting rule
+	if rule.split {
+		gate = e.fab.locs[e.topo.locality(c.id)].split
+		gate.enter()
+		defer gate.exit()
+	}
+	defer e.finishTask(c.id, t)
+	if e.cancel.cancelled() || c.visitor.visit(t.Node) != descend {
+		return
+	}
+	switch {
+	case t.Depth < rule.depth && !e.memPressured(c.id):
+		// (spawn-depth): every child of a node above the cutoff becomes
+		// a task, queued in traversal order. Spawns happen as tasks
+		// execute rather than upfront (Section 4.2). Memory pressure
+		// deepens the cutoff: above the budget's soft threshold the
+		// worker searches in place instead, trading parallel slack for
+		// zero frontier growth. Checked per task, so relief is immediate
+		// once thieves or the spiller bring the pool back down.
+		e.shedToPool(c, &t, []level[N]{{gen: c.gens.gen(0, t.Node), disc: t.Prio}})
+	case rule.budget == 0 && !rule.split:
+		expandBelow(c, e.cancel, t.Node)
+	default:
+		e.shedWalk(c, &t, gate)
+	}
+}
+
+// expandBelow performs the depth-first backtracking traversal of
+// Listing 2 over the subtree strictly below root. The caller must have
+// visited root already (and received prune == false). A stack of lazy
+// node generators drives the traversal: advancing the top generator is
+// the (expand) rule, popping an exhausted generator is (backtrack), and
+// an empty stack is (terminate). Generators come from the worker's
+// recycling cache, one per stack level, so applications implementing
+// ResettableGenerator expand without per-node generator allocations.
+// Nothing can be shed from this walk, which is what lets it run its
+// generators in ephemeral mode.
+func expandBelow[S, N any](c *workerCtx[S, N], cancel *canceller, root N) {
+	gc, v, sh := &c.gens, c.visitor, &c.stats
+	stack := make([]NodeGenerator[N], 0, 32)
+	stack = append(stack, gc.genDFS(0, root))
+	for len(stack) > 0 {
+		if cancel.cancelled() {
+			return
+		}
+		g := stack[len(stack)-1]
+		if !g.HasNext() {
+			stack[len(stack)-1] = nil
+			stack = stack[:len(stack)-1]
+			sh.Backtracks++
+			continue
+		}
+		child := g.Next()
+		switch v.visit(child) {
+		case descend:
+			stack = append(stack, gc.genDFS(len(stack), child))
+		case pruneLevel:
+			// Later siblings have no better bound: abandon the level.
+			stack[len(stack)-1] = nil
+			stack = stack[:len(stack)-1]
+			sh.Backtracks++
+		}
+	}
+}
+
+// shedWalk is expandBelow for the rules that fire mid-walk: the same
+// traversal, with the two shedding rules polled at the top of every
+// step. (spawn-budget), Listing 4: once the task has backtracked
+// rule.budget times, the lowest non-exhausted level — the unexplored
+// nodes closest to the root, heuristically the largest pending
+// subtrees — is drained into the worker's own pool and the count
+// resets, so long-running tasks periodically shed. (spawn-stack),
+// Listing 3: nothing is spawned proactively; when a thief has posted a
+// request on the locality's gate — a starved sibling or a remote
+// kSplit alike — the worker that claims it donates from that same
+// level. Shed nodes outlive the generator that yielded them, so this
+// walk never uses ephemeral mode; its stack is the worker's reusable
+// one, so running a task allocates nothing.
+func (e *engine[S, N]) shedWalk(c *workerCtx[S, N], t *Task[N], gate *splitGate[N]) {
+	v, sh, gc := c.visitor, &c.stats, &c.gens
+	budget := e.rule.budget
+	if budget == 0 {
+		budget = math.MaxInt64
+	}
+	stack := append(c.stack[:0], level[N]{gen: gc.gen(0, t.Node), disc: t.Prio})
+	// The write-back is deferred, not placed after the loop, for what the
+	// capture does: the stack header stays in memory instead of being
+	// shuffled between registers around the loop's indirect calls, worth
+	// 1 ns/node on knapsack's 28. The split answer is out of line for
+	// the same reason.
+	defer func() { c.stack = stack[:0] }()
+	backtracks := int64(0)
+	for len(stack) > 0 {
+		if e.cancel.cancelled() {
+			return
+		}
+		if backtracks >= budget {
+			// Memory pressure suspends shedding: keep searching this
+			// stack in place (the budget re-arms, so the check repeats)
+			// until the pool is back under its soft threshold.
+			if !e.memPressured(c.id) {
+				e.shedToPool(c, t, stack)
+			}
+			backtracks = 0
+		}
+		if gate != nil && gate.pending.V.Load() != 0 {
+			e.answerSplit(c, t, stack, gate)
+		}
+		top := &stack[len(stack)-1]
+		if !top.gen.HasNext() {
+			top.gen = nil
+			stack = stack[:len(stack)-1]
+			sh.Backtracks++
+			backtracks++
+			continue
+		}
+		child := top.gen.Next()
+		top.yields++
+		switch v.visit(child) {
+		case descend:
+			stack = append(stack, level[N]{gen: gc.gen(len(stack), child), disc: discChild(top.disc, int(top.yields-1))})
+		case pruneLevel:
+			top.gen = nil
+			stack = stack[:len(stack)-1]
+			sh.Backtracks++
+			backtracks++
+		}
+	}
+}
+
+// answerSplit claims one pending split request, if a sibling has not
+// already, and answers it from the live stack: one node, or under
+// Chunked up to the request's cap (a cap below one is a peer's
+// mistake, not a refusal).
+func (e *engine[S, N]) answerSplit(c *workerCtx[S, N], t *Task[N], stack []level[N], gate *splitGate[N]) {
+	if req := gate.take(); req != nil {
+		max := 1
+		if e.cfg.Chunked && req.max > 1 {
+			max = req.max
+		}
+		var out []Task[N]
+		e.shed(c, t, stack, max, func(nt Task[N]) { out = append(out, nt) })
+		req.resp <- out
+	}
+}
+
+// shed is the one donation from a live stack, under every rule: the
+// lowest level of task t's stack with unexplored nodes gives up to max
+// of them, in traversal order, each handed to give as soon as it is
+// generated (a level can be 100,000 nodes wide: nobody waits for, or
+// buffers, the whole of it). Only that level donates. A task is
+// registered before give can show it to anyone — with the locality's
+// live count, so termination cannot fire past it, and with t's
+// supervision family, so a received subtree's descendants keep the
+// origin's ledger entry alive until the whole subtree completes. What
+// give does with it is the rule's business: push it, or collect it for
+// a thief that runs it locally or exports it over the wire.
+func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], max int, give func(Task[N])) {
+	loc, sh := e.topo.locality(c.id), &c.stats
+	for i := range stack {
+		lv, n := &stack[i], 0
+		for ; n < max && lv.gen.HasNext(); n++ {
+			child := lv.gen.Next()
+			nt := Task[N]{
+				Node:  child,
+				Depth: t.Depth + i + 1,
+				Prio:  e.prio.childPrio(lv.disc, int(lv.yields), child),
+				fam:   t.fam,
+			}
+			lv.yields++
+			e.fab.trs[loc].AddTasks(1)
+			if nt.fam != nil {
+				nt.fam.pending.Add(1)
+			}
+			sh.Spawns++
+			if e.ordered {
+				sh.notePrio(nt.Prio)
+			}
+			give(nt)
+		}
+		if n > 0 {
+			return
+		}
+	}
+}
+
+// shedToPool sheds every remaining node of the lowest live level onto
+// the worker's own pool shard: what (spawn-depth) does to a task root's
+// children and (spawn-budget) does to a long-running stack.
+func (e *engine[S, N]) shedToPool(c *workerCtx[S, N], t *Task[N], stack []level[N]) {
+	loc := e.topo.locality(c.id)
+	e.shed(c, t, stack, math.MaxInt, func(nt Task[N]) {
+		e.topo.push(c.id, nt)
+		if m := e.topo.mem[loc]; m != nil {
+			// Memory governor, last-resort response: the spawner that
+			// pushed the pool past its hard threshold spills the coldest
+			// tasks.
+			m.maybeSpill(e.topo.pools[loc])
+		}
+	})
+}

@@ -53,8 +53,8 @@ type workerCtx[S, N any] struct {
 	// mutable state (an enumeration's accumulator) sits in an isolated
 	// block of its own; its counters are this context's stats.
 	visitor visitor[N]
-	gens    genCache[S, N]   // generator recycling cache
-	scratch workerScratch[N] // expansion-stack scratch (stack-driven coordinations)
+	gens    genCache[S, N] // generator recycling cache
+	stack   []level[N]     // the shedding walk's stack, reused by every task
 }
 
 // thief is the part of a worker's context no type parameter reaches —
@@ -76,16 +76,6 @@ func (th *thief) rand() *rand.Rand {
 		th.rng = rand.New(rand.NewSource(th.seed))
 	}
 	return th.rng
-}
-
-// workerScratch is one worker's reusable expansion state for the
-// stack-driven coordinations (Budget, Stack-Stealing): the generator
-// stack plus the per-level discrepancy and yield counters that ordered
-// scheduling tracks.
-type workerScratch[N any] struct {
-	stack  []NodeGenerator[N]
-	disc   []int32 // discrepancy of the node whose generator is stack[i]
-	yields []int32 // children yielded so far by stack[i]
 }
 
 // newWorkers builds one isolated context per worker. visit constructs
