@@ -363,6 +363,32 @@ func BenchmarkHotPathPrefetch(b *testing.B) {
 	}
 }
 
+// BenchmarkBackToBackSolves is ROADMAP per-node item (c) as a number:
+// the bench command's fine-grained workload (UTS b0=100,000,
+// Depth-Bounded d=8, two workers: 0.76 M tasks under a 100,000-wide
+// root level) solved b.N times in one process with no runtime.GC() in
+// between, so each solve starts on whatever heap the previous one left.
+// Run with -benchtime 10x: B/op is what one solve allocates, and the
+// spread between the fastest and the slowest solve is what the
+// inherited heap costs.
+func BenchmarkBackToBackSolves(b *testing.B) {
+	sp := &uts.Space{Shape: uts.Binomial, B0: 100_000, M: 6, Q: 0.165, Seed: 1}
+	root, p := uts.Root(sp), uts.CountProblem()
+	b.ReportAllocs()
+	lo, hi := time.Duration(1<<62), time.Duration(0)
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		res := core.Enum(core.DepthBounded, sp, root, p, core.Config{Workers: 2, DCutoff: 8})
+		d := time.Since(t0)
+		lo, hi = min(lo, d), max(hi, d)
+		if res.Value != res.Stats.Nodes {
+			b.Fatalf("counted %d nodes, visited %d", res.Value, res.Stats.Nodes)
+		}
+	}
+	b.ReportMetric(float64(lo.Microseconds())/1e3, "min-ms/solve")
+	b.ReportMetric(float64(hi.Microseconds())/1e3, "max-ms/solve")
+}
+
 // BenchmarkNodeThroughput measures multi-worker node throughput of the
 // pool-based engine under the two pool layouts: per-worker shards
 // (default) vs the single mutex-shared pool per locality

@@ -1,0 +1,114 @@
+package core
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"yewpar/internal/dist"
+)
+
+// liveAudit is what the accounting-safety test knows about one search:
+// the running sum of every AddTasks delta any locality made, and — from
+// outside the accounting — how much work is really left: tasks running
+// (engine.taskHook) and nodes not yet visited (a queued task's root is
+// one).
+type liveAudit struct {
+	t       *testing.T
+	sum     atomic.Int64   // all ranks
+	perRank []atomic.Int64 // by the rank that made the call
+	running atomic.Int64   // tasks started and not finished
+	visited atomic.Int64
+	nodes   int64
+}
+
+// auditedTransport is a locality's transport with its AddTasks audited:
+// the live count a termination detector sees may run late, never early.
+type auditedTransport struct {
+	dist.Transport
+	a    *liveAudit
+	rank int
+}
+
+func (tr *auditedTransport) AddTasks(delta int64) {
+	a := tr.a
+	a.perRank[tr.rank].Add(delta)
+	switch s := a.sum.Add(delta); {
+	case s < 0:
+		a.t.Errorf("live count fell to %d (rank %d added %d)", s, tr.rank, delta)
+	case s == 0:
+		// Zero is the detector's cue. Everything must be over: had a
+		// completion been counted early, or a spawn late, a task would
+		// still be running or a node unvisited here.
+		if r, v := a.running.Load(), a.visited.Load(); r != 0 || v != a.nodes {
+			a.t.Errorf("live count reached 0 with %d tasks running and %d of %d nodes visited", r, v, a.nodes)
+		}
+	}
+	tr.Transport.AddTasks(delta)
+}
+
+// auditedEnum is search for an enumeration on loopback localities, with
+// every transport audited and the engine's task hook counting.
+func auditedEnum(t *testing.T, tree *testTree, coord Coordination, cfg Config) {
+	cfg = cfg.withDefaults()
+	fab := newLoopbackFabric[testNode](cfg)
+	defer fab.close()
+	a := &liveAudit{t: t, perRank: make([]atomic.Int64, len(fab.trs)), nodes: int64(tree.size)}
+	for i, tr := range fab.trs {
+		fab.trs[i] = &auditedTransport{Transport: tr, a: a, rank: i}
+	}
+	p := tree.enumProblem()
+	value := p.Objective
+	p.Objective = func(tt *testTree, n testNode) int64 {
+		a.visited.Add(1)
+		return value(tt, n)
+	}
+	st, cancel, root := enumeration(tree, p), newCanceller(), testNode{}
+	ws := newWorkers(tree, st.gen, cfg, st.attach(fab, cancel))
+	e := newEngine(ruleFor(coord, cfg), cfg, ws, cancel, fab, newPrioAssigner(cfg.Order, tree, root, st.bound))
+	e.taskHook = func(delta int) { a.running.Add(int64(delta)) }
+	fab.start(cancel)
+	e.runPoolWorkers(root)
+
+	res := st.local(ws, totalStats(ws))
+	if res.Value != tree.sum() || res.Stats.Nodes != int64(tree.size) {
+		t.Errorf("sum %d over %d nodes, want %d over %d", res.Value, res.Stats.Nodes, tree.sum(), tree.size)
+	}
+	if s := a.sum.Load(); s != 0 {
+		t.Errorf("live count is %d after the workers joined, want 0", s)
+	}
+	for rank := range a.perRank {
+		if s := a.perRank[rank].Load(); s != 0 {
+			t.Errorf("rank %d's contribution to the live count is %d after the workers joined, want 0", rank, s)
+		}
+	}
+}
+
+// Spawns are registered in runs and completions settled late (see
+// engine.finishTask): whatever the coordination, the worker count and
+// the number of localities, the count must never be negative, never be
+// zero while anything is unfinished, and be exactly zero at the end.
+func TestLiveCountNeverEarly(t *testing.T) {
+	coords := []struct {
+		coord Coordination
+		cfg   Config
+	}{
+		{DepthBounded, Config{DCutoff: 3}},
+		{Budget, Config{Budget: 7}},
+		{StackStealing, Config{}},
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		tree := genTree(seed, 4, 7)
+		for _, c := range coords {
+			for _, workers := range []int{1, 2, 4} {
+				for _, locs := range []int{1, 2} {
+					cfg := c.cfg
+					cfg.Workers, cfg.Localities, cfg.Seed, cfg.Chunked = workers, locs, seed, seed%2 == 0
+					t.Run(fmt.Sprintf("seed=%d/%v/w%d/l%d", seed, c.coord, workers, locs), func(t *testing.T) {
+						auditedEnum(t, tree, c.coord, cfg)
+					})
+				}
+			}
+		}
+	}
+}

@@ -59,6 +59,21 @@
 // aggregate, and Config.PoolShards=1 restores the pre-sharding single
 // shared pool for ablation and oracle testing.
 //
+// Both bucketed pools keep their tasks in one structure, bucketQueue: a
+// FIFO per key (depth, or priority) made of 63-task chunks recycled
+// through a per-pool free list. A task is copied once, into its slot;
+// nothing doubles under the shard lock, and a pool's footprint is the
+// largest frontier it has held — a 100,000-wide level costs its own
+// bytes, not five times them. A spawner hands its tasks over in runs of
+// up to 64 (engine.shed): one AddTasks, one family add and one PushBatch
+// — one lock, one counter add, one parker wake — per run, registered
+// before any of it is visible. A worker takes the tasks it has finished
+// off the live count when its own shard comes up empty, not one by one.
+// Registrations are never deferred and completions only ever late, so
+// the count a termination detector sees is never below the number of
+// unfinished tasks (the invariant is stated at engine.finishTask and
+// audited by TestLiveCountNeverEarly).
+//
 // # Search ordering
 //
 // Config.Order turns the pool-based coordinations into globally

@@ -20,6 +20,9 @@ type engine[S, N any] struct {
 	prio    *prioAssigner[S, N] // task priorities (Config.Order)
 	ordered bool
 	rule    spawnRule // what the coordination adds to sequential search
+	// taskHook, set only by tests, hears +1 as a worker starts a task
+	// and -1 as it finishes one.
+	taskHook func(delta int)
 }
 
 // newEngine must run before the fabric starts serving peers: it
@@ -49,19 +52,32 @@ func newEngine[S, N any](rule spawnRule, cfg Config, ws []*workerCtx[S, N], canc
 // spawning for inline expansion.
 func (e *engine[S, N]) memPressured(w int) bool {
 	loc := e.topo.locality(w)
-	m := e.topo.mem[loc]
-	return m != nil && m.pressured(e.topo.pools[loc])
+	return e.topo.mem[loc].pressured(e.topo.pools[loc])
 }
 
-// finishTask deregisters one completed task. Every task obtained by a
-// worker must be finished exactly once, after any children it sheds
-// are registered. A received task's completion also drains its
-// supervision family — the last drain acks the hand-over's origin.
-func (e *engine[S, N]) finishTask(w int, t Task[N]) {
-	loc := e.topo.locality(w)
-	e.fab.trs[loc].AddTasks(-1)
+// finishTask completes one task. Every task a worker obtains is finished
+// exactly once, after any children it sheds are registered. Its
+// supervision family drains at once — the last drain acks the
+// hand-over's origin — but the live count hears later: the worker counts
+// its finishes on its own context, and topology.settle takes them off in
+// one AddTasks the moment its own shard comes up empty — before it robs
+// a sibling, touches the transport or parks — and when it exits.
+//
+// The accounting invariant: a registration (the root, a run of shed
+// tasks, an adopted steal) reaches AddTasks before the work it covers is
+// visible to anyone, and is never deferred; a completion is only ever
+// late. So the count a termination detector sees is never below the
+// number of unfinished tasks: it reaches zero one settle after the last
+// task finished, never before. A worker with unsettled finishes is
+// running its own shard's work or about to settle, so no detector waits
+// on a count nobody will lower.
+func (e *engine[S, N]) finishTask(c *workerCtx[S, N], t Task[N]) {
+	if e.taskHook != nil {
+		e.taskHook(-1)
+	}
+	c.finished++
 	if t.fam != nil {
-		e.fab.locs[loc].famDone(t.fam)
+		e.fab.locs[e.topo.locality(c.id)].famDone(t.fam)
 	}
 }
 
@@ -74,15 +90,9 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 	// every exit path — normal termination, cancellation, and (in a
 	// loopback fault test) a killed locality whose zombie workers drain
 	// here with everyone else.
-	spillCodec := e.fab.codec
-	if spillCodec == nil {
-		spillCodec = GobCodec[N]{}
-	}
 	for _, m := range e.topo.mem {
-		if m != nil {
-			m.calibrate(spillCodec, root)
-			defer m.close()
-		}
+		m.calibrate(root)
+		defer m.close()
 	}
 	if e.fab.hasRoot {
 		e.fab.trs[0].AddTasks(1)
@@ -146,6 +156,7 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 		wg.Add(1)
 		go func(c *workerCtx[S, N]) {
 			defer wg.Done()
+			defer e.topo.settle(&c.thief)
 			loc := e.topo.locality(c.id)
 			pk := e.topo.parkers[loc]
 			stillIdle := func() bool { return e.topo.localBacklog(loc) == 0 }

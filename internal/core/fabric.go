@@ -137,21 +137,11 @@ func (f *fabric[N]) foldStats(s *Stats) {
 			}
 			s.ReplayedTasks += replayed
 		}
-		sp, _ := loc.pool.(*ShardedPool[N])
-		if sp == nil {
-			continue
-		}
-		peak := sp.PeakTasks()
-		if peak > s.PoolPeakTasks {
-			s.PoolPeakTasks = peak
-		}
-		if m := loc.mem; m != nil {
-			if pb := peak * m.perTask.Load(); pb > s.PoolPeakBytes {
-				s.PoolPeakBytes = pb
-			}
-			s.SpilledTasks += m.spilledTotal.Load()
-			s.SpillBytes += m.spillBytes.Load()
-		}
+		peak := loc.pool.PeakTasks()
+		s.PoolPeakTasks = max(s.PoolPeakTasks, peak)
+		s.PoolPeakBytes = max(s.PoolPeakBytes, peak*loc.mem.perTask.Load())
+		s.SpilledTasks += loc.mem.spilledTotal.Load()
+		s.SpillBytes += loc.mem.spillBytes.Load()
 	}
 }
 
@@ -161,7 +151,7 @@ func (f *fabric[N]) foldStats(s *Stats) {
 type locState[N any] struct {
 	idx  int // index among in-process localities
 	rank int // global rank
-	pool Pool[N]
+	pool *ShardedPool[N]
 	led  *ledger[N]   // supervision ledger; nil when there is no peer to hand over to
 	mem  *memState[N] // memory accountant (set with the pool)
 	// split, when set (stack-stealing runs), is the rendezvous through
@@ -335,18 +325,11 @@ func (h *locState[N]) BestStealPrio() (int, bool) {
 	// locality over its budget's soft threshold claims the best possible
 	// rank, so priority-aware thieves drain it before anyone else —
 	// every task handed away is memory it no longer holds.
-	if h.mem != nil && h.mem.pressured(h.pool) {
+	if h.mem.pressured(h.pool) {
 		return 0, true
 	}
-	if sr, ok := h.pool.(stealRanked); ok {
-		r := sr.StealRank()
-		if r < 0 {
-			return h.splitRank()
-		}
+	if r := h.pool.StealRank(); r >= 0 {
 		return r, true
-	}
-	if h.pool.Size() > 0 {
-		return 0, true
 	}
 	return h.splitRank()
 }

@@ -68,9 +68,12 @@ type EphemeralGenerator[S, N any] interface {
 	ResetEphemeral(space S, parent N)
 }
 
-// cachedGen is one recycling-cache slot: the resettable generator plus
-// its ephemeral face when it has one (probed once, at construction).
+// cachedGen is one recycling-cache slot: one generator under the three
+// interfaces the cache calls it through, each probed once, at
+// construction. g is what gen and genDFS return: converting rg or eg to
+// NodeGenerator[N] there, in generic code, is an itab lookup per node.
 type cachedGen[S, N any] struct {
+	g  NodeGenerator[N]
 	rg ResettableGenerator[S, N]
 	eg EphemeralGenerator[S, N] // nil when rg is not ephemeral-capable
 }
@@ -97,7 +100,7 @@ func (c *genCache[S, N]) install(level int, g NodeGenerator[N]) {
 		c.levels = append(c.levels, cachedGen[S, N]{})
 	}
 	eg, _ := g.(EphemeralGenerator[S, N])
-	c.levels[level] = cachedGen[S, N]{rg: rg, eg: eg}
+	c.levels[level] = cachedGen[S, N]{g: g, rg: rg, eg: eg}
 }
 
 // gen returns a generator for parent at the given stack level,
@@ -106,9 +109,9 @@ func (c *genCache[S, N]) install(level int, g NodeGenerator[N]) {
 // safe to retain (task spawning uses this path).
 func (c *genCache[S, N]) gen(level int, parent N) NodeGenerator[N] {
 	if level < len(c.levels) {
-		if rg := c.levels[level].rg; rg != nil {
-			rg.Reset(c.space, parent)
-			return rg
+		if l := &c.levels[level]; l.rg != nil {
+			l.rg.Reset(c.space, parent)
+			return l.g
 		}
 	}
 	g := c.gf(c.space, parent)
@@ -122,12 +125,12 @@ func (c *genCache[S, N]) gen(level int, parent N) NodeGenerator[N] {
 // contract the caller takes on).
 func (c *genCache[S, N]) genDFS(level int, parent N) NodeGenerator[N] {
 	if level < len(c.levels) {
-		if l := c.levels[level]; l.eg != nil {
+		if l := &c.levels[level]; l.eg != nil {
 			l.eg.ResetEphemeral(c.space, parent)
-			return l.eg
+			return l.g
 		} else if l.rg != nil {
 			l.rg.Reset(c.space, parent)
-			return l.rg
+			return l.g
 		}
 	}
 	g := c.gf(c.space, parent)

@@ -51,7 +51,8 @@ const spillSegMax = 4096
 // live); the spill store and pressure thresholds engage only under a
 // budget.
 type memState[N any] struct {
-	budget  int64 // bytes; 0 = unbounded (accounting only)
+	budget  int64    // bytes; 0 = unbounded (accounting only)
+	codec   Codec[N] // sizes a task; encodes the spill segments
 	perTask atomic.Int64
 	hard    atomic.Int64 // resident tasks beyond this: spill
 	soft    atomic.Int64 // spill down to this; pressure signal above it
@@ -65,7 +66,7 @@ type memState[N any] struct {
 }
 
 func newMemState[N any](budget int64, spillDir string, codec Codec[N]) *memState[N] {
-	ms := &memState[N]{budget: budget}
+	ms := &memState[N]{budget: budget, codec: codec}
 	if budget > 0 {
 		ms.store = &spillStore[N]{base: spillDir, codec: codec}
 	}
@@ -78,8 +79,8 @@ func newMemState[N any](budget int64, spillDir string, codec Codec[N]) *memState
 // search root) and derives the task-count thresholds. A node that the
 // codec cannot encode keeps the placeholder estimate — such a
 // deployment cannot spill either, and maybeSpill degrades to counting.
-func (ms *memState[N]) calibrate(codec Codec[N], sample N) {
-	if b, err := codec.Encode(sample); err == nil {
+func (ms *memState[N]) calibrate(sample N) {
+	if b, err := ms.codec.Encode(sample); err == nil {
 		ms.perTask.Store(int64(len(b)) + spillTaskOverhead)
 	}
 	ms.setThresholds()
@@ -107,24 +108,34 @@ func (ms *memState[N]) setThresholds() {
 // threshold — the signal the advertise and deepen responses key off.
 // Without a budget the pool is not consulted: its size is a sum over
 // every shard's counter, lines an unbudgeted run never needs to pull.
-func (ms *memState[N]) pressured(pool Pool[N]) bool {
+func (ms *memState[N]) pressured(pool *ShardedPool[N]) bool {
 	return ms.budget > 0 && int64(pool.Size()) > ms.soft.Load()
+}
+
+// headroom clamps the length of a spawner's next run of tasks to what
+// the pool can take before its hard threshold — always at least one, the
+// task whose push is what trips the spill.
+func (ms *memState[N]) headroom(pool *ShardedPool[N], run int) int {
+	if ms.store == nil {
+		return run
+	}
+	return max(1, min(run, int(ms.hard.Load()-pool.Tasks())))
 }
 
 // maybeSpill is the spawn-path hook: when the pool has grown past the
 // hard threshold, the spawning worker parks the coldest tasks on disk
-// until the pool is back at the soft threshold. TryLock keeps it to one
-// spiller per locality — everyone else keeps searching (charging the
-// producing worker is itself backpressure). Tasks whose segment cannot
-// be written (disk full, unencodable node) are pushed straight back:
-// they are registered live work and must not be lost.
+// until the pool is back at the soft threshold. One spiller per locality
+// at a time: a spawner that arrives over the threshold while another
+// spills waits its turn — a producer that kept pushing through a
+// sibling's disk write would outrun it by thousands of tasks — and
+// usually finds nothing left to do. Tasks whose segment cannot be
+// written (disk full, unencodable node) are pushed straight back: they
+// are registered live work and must not be lost.
 func (ms *memState[N]) maybeSpill(pool *ShardedPool[N]) {
 	if ms.store == nil || pool.Tasks() <= ms.hard.Load() {
 		return
 	}
-	if !ms.spillMu.TryLock() {
-		return
-	}
+	ms.spillMu.Lock()
 	defer ms.spillMu.Unlock()
 	soft := ms.soft.Load()
 	for {
@@ -141,9 +152,7 @@ func (ms *memState[N]) maybeSpill(pool *ShardedPool[N]) {
 		}
 		n, err := ms.store.write(batch)
 		if err != nil {
-			for _, t := range batch {
-				pool.Push(t)
-			}
+			pool.PushBatch(batch)
 			return
 		}
 		ms.onDisk.Add(int64(len(batch)))
@@ -165,11 +174,11 @@ func (ms *memState[N]) readmit(pool *ShardedPool[N], wake func()) (Task[N], bool
 		return zero, false
 	}
 	ms.onDisk.Add(-int64(len(ts)))
-	for _, t := range ts[1:] {
-		pool.Push(t)
-	}
-	if wake != nil && len(ts) > 1 {
-		wake()
+	if len(ts) > 1 {
+		pool.PushBatch(ts[1:])
+		if wake != nil {
+			wake()
+		}
 	}
 	return ts[0], true
 }

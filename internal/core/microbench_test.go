@@ -27,6 +27,22 @@ func benchmarkPool(b *testing.B, p Pool[int]) {
 func BenchmarkDepthPoolPushPop(b *testing.B) { benchmarkPool(b, NewDepthPool[int]()) }
 func BenchmarkDequePushPop(b *testing.B)     { benchmarkPool(b, NewDeque[int]()) }
 
+// BenchmarkDepthPoolWidePush pushes one 100,000-task level onto a fresh
+// DepthPool in spawn-sized runs: the root level of the bench command's
+// uts workloads. Its allocs/op is gated (BENCH_engine.json): a chunk
+// per chunkTasks tasks and the pool's own header, nothing that grows
+// with the level a second time.
+func BenchmarkDepthPoolWidePush(b *testing.B) {
+	b.ReportAllocs()
+	run := make([]Task[int], shedRun)
+	for i := 0; i < b.N; i++ {
+		p := NewDepthPool[int]()
+		for n := 0; n < 100_000; n += len(run) {
+			p.PushBatch(run)
+		}
+	}
+}
+
 // BenchmarkShardedPoolOwnerPushPop measures the uncontended owner hot
 // path of the sharded pool: every parallel worker hammers its own
 // shard, the way the engine's spawn/pop loop does.

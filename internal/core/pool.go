@@ -29,156 +29,54 @@ type Task[N any] struct {
 }
 
 // Pool is a locality's workpool. Pop is used by local workers, Steal by
-// remote ones; both must be safe for concurrent use.
+// remote ones; both must be safe for concurrent use. PushBatch is Push
+// for a run of tasks, in order, at the cost of one Push.
 type Pool[N any] interface {
 	Push(t Task[N])
+	PushBatch(ts []Task[N])
 	Pop() (Task[N], bool)
 	Steal() (Task[N], bool)
 	Size() int
+	// StealRank reports the rank of the task Steal would return — a
+	// DepthPool's depth, a PrioBucketPool's priority — or -1 when the
+	// pool is empty. Lower ranks are stolen first; the same rank is what
+	// localities advertise to peers for priority-aware victim selection.
+	StealRank() int
+	// SpillBatch removes up to max of the pool's coldest tasks — deepest
+	// depth, or worst priority — for the memory governor to park on disk.
+	// They stay registered live work; the caller owns re-admitting them.
+	SpillBatch(max int) []Task[N]
 }
 
-// DepthPool is the paper's order-preserving workpool: one FIFO bucket
-// per depth. Within a depth tasks leave in insertion order, so the
-// sibling spawn order — which encodes the application's search
-// heuristic — is always respected; a conventional deque inverts it,
-// because an owner's LIFO pop returns the heuristically *worst*
-// sibling first. Owners pop from the deepest non-empty bucket
-// (continuing depth-first, like the sequential search would), while
-// thieves steal from the shallowest (the expected-largest subtrees,
-// in heuristic order).
-type DepthPool[N any] struct {
-	mu      sync.Mutex
-	buckets [][]Task[N]
-	heads   []int
-	size    int
-	min     int // lowest possibly-non-empty depth
-	max     int // highest possibly-non-empty depth
-}
+// DepthPool is the paper's order-preserving workpool: one FIFO per
+// depth (a bucketQueue keyed by Task.Depth). Within a depth tasks leave
+// in insertion order, so the sibling spawn order — which encodes the
+// application's search heuristic — is always respected; a conventional
+// deque inverts it, because an owner's LIFO pop returns the
+// heuristically *worst* sibling first. Owners pop from the deepest
+// non-empty depth (continuing depth-first, like the sequential search
+// would), while thieves steal from the shallowest (the expected-largest
+// subtrees, in heuristic order).
+type DepthPool[N any] struct{ bucketQueue[N] }
 
 // NewDepthPool returns an empty DepthPool. Like every pool it is
 // written by its owner and its thieves on every operation, so its
 // header is allocated isolated.
-func NewDepthPool[N any]() *DepthPool[N] {
-	p := pad.New[DepthPool[N]]()
-	p.max = -1
-	return p
-}
+func NewDepthPool[N any]() *DepthPool[N] { return pad.New[DepthPool[N]]() }
 
-// Push implements Pool.
-func (p *DepthPool[N]) Push(t Task[N]) {
-	p.mu.Lock()
-	for len(p.buckets) <= t.Depth {
-		p.buckets = append(p.buckets, nil)
-		p.heads = append(p.heads, 0)
-	}
-	p.buckets[t.Depth] = append(p.buckets[t.Depth], t)
-	if t.Depth < p.min {
-		p.min = t.Depth
-	}
-	if t.Depth > p.max {
-		p.max = t.Depth
-	}
-	p.size++
-	p.mu.Unlock()
-}
-
-// bucketRetainCap bounds the capacity an emptied bucket may keep. A
-// deep search can briefly hold thousands of tasks at one depth; without
-// a cap the bucket retains that peak-size backing array for the rest of
-// the run. Small arrays stay warm for reuse, large ones go back to the
-// collector.
-const bucketRetainCap = 64
-
-// takeAt removes the FIFO-front task of bucket d.
-func (p *DepthPool[N]) takeAt(d int) Task[N] {
-	t := p.buckets[d][p.heads[d]]
-	var zero Task[N]
-	p.buckets[d][p.heads[d]] = zero // release node for GC
-	p.heads[d]++
-	if p.heads[d] == len(p.buckets[d]) {
-		if cap(p.buckets[d]) > bucketRetainCap {
-			p.buckets[d] = nil // release the peak-size backing array
-		} else {
-			p.buckets[d] = p.buckets[d][:0]
-		}
-		p.heads[d] = 0
-	}
-	p.size--
-	return t
-}
-
-// Pop implements Pool: deepest bucket first, FIFO within the bucket.
+// Pop implements Pool: deepest depth first, FIFO within it.
 func (p *DepthPool[N]) Pop() (Task[N], bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for d := p.max; d >= 0; d-- {
-		if p.heads[d] < len(p.buckets[d]) {
-			p.max = d
-			return p.takeAt(d), true
-		}
+	if k := p.maxKey(); k >= 0 {
+		return p.take(k), true
 	}
-	p.max = -1
-	var zero Task[N]
-	return zero, false
-}
-
-// Steal implements Pool: shallowest bucket first, FIFO within the
-// bucket, handing thieves the heuristically-next large subtree.
-func (p *DepthPool[N]) Steal() (Task[N], bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for d := p.min; d < len(p.buckets); d++ {
-		if p.heads[d] < len(p.buckets[d]) {
-			p.min = d
-			return p.takeAt(d), true
-		}
-	}
-	p.min = len(p.buckets)
-	var zero Task[N]
-	return zero, false
-}
-
-// Size implements Pool.
-func (p *DepthPool[N]) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.size
+	return Task[N]{}, false
 }
 
 // MinDepth reports the depth of the task Steal would currently return,
-// or -1 if the pool is empty. Sharded pools use it to pick the
-// shallowest victim shard.
-func (p *DepthPool[N]) MinDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for d := p.min; d < len(p.buckets); d++ {
-		if p.heads[d] < len(p.buckets[d]) {
-			p.min = d
-			return d
-		}
-	}
-	p.min = len(p.buckets)
-	return -1
-}
-
-// StealRank implements stealRanked: a DepthPool ranks its stealable
-// work by depth (shallower = more promising to a thief).
-func (p *DepthPool[N]) StealRank() int { return p.MinDepth() }
-
-// SpillBatch implements spiller: it removes up to max tasks from the
-// deepest buckets first — the coldest work in depth order, the last a
-// thief would take and the cheapest to park on disk — and returns them.
-func (p *DepthPool[N]) SpillBatch(max int) []Task[N] {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []Task[N]
-	for d := p.max; d >= 0 && len(out) < max; d-- {
-		for p.heads[d] < len(p.buckets[d]) && len(out) < max {
-			out = append(out, p.takeAt(d))
-		}
-	}
-	return out
-}
+// or -1 if the pool is empty.
+func (p *DepthPool[N]) MinDepth() int { return p.StealRank() }
 
 // Deque is a conventional work-stealing double-ended queue: owners pop
 // newest-first (LIFO), thieves steal oldest-first (FIFO). It ignores
@@ -197,6 +95,13 @@ func NewDeque[N any]() *Deque[N] { return pad.New[Deque[N]]() }
 func (q *Deque[N]) Push(t Task[N]) {
 	q.mu.Lock()
 	q.items = append(q.items, t)
+	q.mu.Unlock()
+}
+
+// PushBatch implements Pool.
+func (q *Deque[N]) PushBatch(ts []Task[N]) {
+	q.mu.Lock()
+	q.items = append(q.items, ts...)
 	q.mu.Unlock()
 }
 
@@ -250,9 +155,9 @@ func (q *Deque[N]) Size() int {
 	return len(q.items) - q.head
 }
 
-// MinDepth reports 0 when the deque has work and -1 when empty: a deque
-// ignores depth, so all its work ranks equally shallow to a thief.
-func (q *Deque[N]) MinDepth() int {
+// StealRank implements Pool: 0 when the deque has work and -1 when
+// empty — a deque ignores depth, so all its work ranks equally shallow.
+func (q *Deque[N]) StealRank() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.head >= len(q.items) {
@@ -261,10 +166,7 @@ func (q *Deque[N]) MinDepth() int {
 	return 0
 }
 
-// StealRank implements stealRanked.
-func (q *Deque[N]) StealRank() int { return q.MinDepth() }
-
-// SpillBatch implements spiller: a deque has no depth or priority
+// SpillBatch implements Pool: a deque has no depth or priority
 // structure, so the oldest tasks (the thief end) are spilled first.
 func (q *Deque[N]) SpillBatch(max int) []Task[N] {
 	q.mu.Lock()
@@ -293,19 +195,6 @@ func newPool[N any](kind PoolKind) Pool[N] {
 	}
 }
 
-// stealRanked is implemented by pools that can report the rank of their
-// next stealable task without removing it — the DepthPool's depth, or
-// the PrioBucketPool's priority. Lower ranks are stolen first; -1 means
-// empty. The same rank is what localities advertise to peers for
-// priority-aware victim selection.
-type stealRanked interface{ StealRank() int }
-
-// spiller is implemented by pools that can bulk-remove their coldest
-// tasks — deepest depth, or worst priority — for the memory governor to
-// park on disk. The removed tasks remain registered live work; the
-// caller owns re-admitting them.
-type spiller[N any] interface{ SpillBatch(max int) []Task[N] }
-
 // poolShard is one shard of a ShardedPool: a pool plus its own task
 // counters, so that every push, pop, steal, and spill — including owner
 // traffic through Shard(i) — is counted at the shard boundary without
@@ -322,10 +211,20 @@ type poolShard[N any] struct {
 }
 
 func (p *poolShard[N]) Push(t Task[N]) {
-	if c := p.pushed.Add(1) - p.removed.Load(); c > p.peak.Load() {
+	p.count(1)
+	p.inner.Push(t)
+}
+
+func (p *poolShard[N]) PushBatch(ts []Task[N]) {
+	p.count(int64(len(ts)))
+	p.inner.PushBatch(ts)
+}
+
+// count raises pushed by k ahead of a push and keeps the peak.
+func (p *poolShard[N]) count(k int64) {
+	if c := p.pushed.Add(k) - p.removed.Load(); c > p.peak.Load() {
 		storeMax(&p.peak, c)
 	}
-	p.inner.Push(t)
 }
 
 func (p *poolShard[N]) Pop() (Task[N], bool) {
@@ -346,24 +245,10 @@ func (p *poolShard[N]) Steal() (Task[N], bool) {
 
 func (p *poolShard[N]) Size() int { return p.inner.Size() }
 
-// StealRank implements stealRanked by forwarding to the wrapped pool.
-func (p *poolShard[N]) StealRank() int {
-	if sr, ok := p.inner.(stealRanked); ok {
-		return sr.StealRank()
-	}
-	if p.inner.Size() > 0 {
-		return 0
-	}
-	return -1
-}
+func (p *poolShard[N]) StealRank() int { return p.inner.StealRank() }
 
-// SpillBatch implements spiller by forwarding to the wrapped pool.
 func (p *poolShard[N]) SpillBatch(max int) []Task[N] {
-	sp, ok := p.inner.(spiller[N])
-	if !ok {
-		return nil
-	}
-	out := sp.SpillBatch(max)
+	out := p.inner.SpillBatch(max)
 	p.removed.Add(int64(len(out)))
 	return out
 }
@@ -418,6 +303,13 @@ func (p *ShardedPool[N]) Push(t Task[N]) {
 	p.shards[i].V.Push(t)
 }
 
+// PushBatch implements Pool: the whole run lands on the next shard of
+// the round-robin, so it keeps its order.
+func (p *ShardedPool[N]) PushBatch(ts []Task[N]) {
+	i := int(p.next.V.Add(1)-1) % len(p.shards)
+	p.shards[i].V.PushBatch(ts)
+}
+
 // Pop implements Pool: the first task found scanning shards in order.
 // The engine's owner path uses Shard(i).Pop directly; this aggregate
 // form exists for Pool-interface completeness (tests, tooling).
@@ -466,7 +358,7 @@ func (p *ShardedPool[N]) StealExcept(except int) (Task[N], bool) {
 	}
 }
 
-// StealRank implements stealRanked: the best (lowest) rank across all
+// StealRank implements Pool: the best (lowest) rank across all
 // shards, -1 when the whole pool is empty. This is the value a locality
 // advertises to peers for priority-aware victim selection. The empty
 // case — the common one on the hot idle-scan path — is answered from
@@ -527,7 +419,7 @@ func (p *ShardedPool[N]) PeakTasks() int64 {
 	return min(n, p.sampled.V.peak.Load())
 }
 
-// SpillBatch implements spiller: up to max of the coldest tasks across
+// SpillBatch implements Pool: up to max of the coldest tasks across
 // shards, an even quota from each so no one shard loses its hot work to
 // make the batch.
 func (p *ShardedPool[N]) SpillBatch(max int) []Task[N] {

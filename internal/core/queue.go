@@ -1,0 +1,177 @@
+package core
+
+import "sync"
+
+// chunkTasks is the number of tasks in one chunk of a bucketQueue: one
+// short of 64, so that the tasks and the link together fill the
+// allocator size class 64 tasks alone would (exactly, when a Task's size
+// is a power of two) instead of spilling into the next one.
+const chunkTasks = 63
+
+// chunk is the unit a bucketQueue allocates, links and recycles.
+type chunk[N any] struct {
+	tasks [chunkTasks]Task[N]
+	next  *chunk[N]
+}
+
+// fifo is one key's queue: a linked list of chunks, read at head[hi]
+// and written at tail[ti]. Every chunk before the tail is full; an
+// empty fifo holds no chunk at all.
+type fifo[N any] struct {
+	head, tail *chunk[N]
+	hi, ti     int
+}
+
+// bucketQueue is the storage under both bucketed workpools: an array of
+// FIFOs indexed by a small integer key (a DepthPool's depth, a
+// PrioBucketPool's clamped priority), each made of fixed-size chunks
+// that an emptied FIFO hands to the queue's free list and a growing one
+// takes back from it. A task is copied once, into its slot: put is O(1)
+// in the worst case (no backing array ever doubles under the lock),
+// tasks leave a key in insertion order, and the queue's footprint is
+// the largest frontier it has held, rounded up to a chunk per key —
+// whatever a wide level needed is what the deeper levels reuse once it
+// drains. The unexported methods expect mu held; the exported ones,
+// which the pools embedding the queue promote, take it.
+type bucketQueue[N any] struct {
+	mu     sync.Mutex
+	byPrio bool // key on Task.Prio, clamped, instead of Task.Depth
+	fifos  []fifo[N]
+	free   *chunk[N]
+	size   int
+	min    int // no key below min holds a task
+	max    int // no key above max holds a task
+}
+
+// Push implements Pool.
+func (q *bucketQueue[N]) Push(t Task[N]) {
+	q.mu.Lock()
+	q.put(t)
+	q.mu.Unlock()
+}
+
+// PushBatch implements Pool: the run goes in under one lock.
+func (q *bucketQueue[N]) PushBatch(ts []Task[N]) {
+	q.mu.Lock()
+	for i := range ts {
+		q.put(ts[i])
+	}
+	q.mu.Unlock()
+}
+
+// put appends t to its key's FIFO. Priorities outside [0, maxTaskPrio]
+// are clamped, so a hostile or buggy value cannot grow the FIFO array
+// without bound.
+func (q *bucketQueue[N]) put(t Task[N]) {
+	key := t.Depth
+	if q.byPrio {
+		key = int(clampPrio(int64(t.Prio)))
+	}
+	for len(q.fifos) <= key {
+		q.fifos = append(q.fifos, fifo[N]{})
+	}
+	f := &q.fifos[key]
+	if f.tail == nil || f.ti == chunkTasks {
+		c := q.free
+		if c != nil {
+			q.free, c.next = c.next, nil
+		} else {
+			c = new(chunk[N])
+		}
+		if f.tail == nil {
+			f.head = c
+		} else {
+			f.tail.next = c
+		}
+		f.tail, f.ti = c, 0
+	}
+	f.tail.tasks[f.ti] = t
+	f.ti++
+	q.min, q.max = min(q.min, key), max(q.max, key)
+	q.size++
+}
+
+// take removes the front task of key's FIFO, which must not be empty.
+func (q *bucketQueue[N]) take(key int) Task[N] {
+	f := &q.fifos[key]
+	c := f.head
+	t := c.tasks[f.hi]
+	c.tasks[f.hi] = Task[N]{} // release the node for GC
+	f.hi++
+	if f.hi == chunkTasks || (c == f.tail && f.hi == f.ti) {
+		if f.head, f.hi = c.next, 0; f.head == nil {
+			f.tail = nil
+		}
+		c.next, q.free = q.free, c
+	}
+	q.size--
+	return t
+}
+
+// minKey returns the lowest key holding a task, or -1, advancing the
+// min cursor past the empty keys it scanned.
+func (q *bucketQueue[N]) minKey() int {
+	for k := q.min; k < len(q.fifos); k++ {
+		if q.fifos[k].head != nil {
+			q.min = k
+			return k
+		}
+	}
+	q.min = len(q.fifos)
+	return -1
+}
+
+// maxKey is minKey from the other end.
+func (q *bucketQueue[N]) maxKey() int {
+	for k := min(q.max, len(q.fifos)-1); k >= 0; k-- {
+		if q.fifos[k].head != nil {
+			q.max = k
+			return k
+		}
+	}
+	q.max = -1
+	return -1
+}
+
+// Steal implements Pool: thieves of either pool take the oldest task of
+// the lowest non-empty key — the shallowest depth, or the best priority.
+func (q *bucketQueue[N]) Steal() (Task[N], bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if k := q.minKey(); k >= 0 {
+		return q.take(k), true
+	}
+	return Task[N]{}, false
+}
+
+// Size implements Pool.
+func (q *bucketQueue[N]) Size() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.size
+}
+
+// StealRank implements Pool: the key of the task Steal would
+// return, or -1 when the queue is empty.
+func (q *bucketQueue[N]) StealRank() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.minKey()
+}
+
+// SpillBatch implements Pool: it removes up to max tasks from the
+// highest keys first — the deepest depth or the worst priority, the
+// work a thief would take last and the cheapest to park on disk.
+func (q *bucketQueue[N]) SpillBatch(max int) []Task[N] {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var out []Task[N]
+	for len(out) < max {
+		k := q.maxKey()
+		if k < 0 {
+			break
+		}
+		out = append(out, q.take(k))
+	}
+	return out
+}

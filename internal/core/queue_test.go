@@ -1,0 +1,198 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+)
+
+// refQueue is the reference model the bucketed pools are checked
+// against: one slice FIFO per key, nothing clever.
+type refQueue struct {
+	byKey map[int][]Task[int]
+	size  int
+}
+
+func (r *refQueue) push(key int, t Task[int]) {
+	r.byKey[key] = append(r.byKey[key], t)
+	r.size++
+}
+
+// edge returns the lowest (dir < 0) or highest non-empty key, or -1.
+func (r *refQueue) edge(dir int) int {
+	best := -1
+	for k, ts := range r.byKey {
+		if len(ts) > 0 && (best < 0 || (dir < 0 && k < best) || (dir > 0 && k > best)) {
+			best = k
+		}
+	}
+	return best
+}
+
+func (r *refQueue) take(key int) (Task[int], bool) {
+	if key < 0 {
+		return Task[int]{}, false
+	}
+	t := r.byKey[key][0]
+	r.byKey[key] = r.byKey[key][1:]
+	r.size--
+	return t, true
+}
+
+func (r *refQueue) spill(max int) []Task[int] {
+	var out []Task[int]
+	for len(out) < max && r.size > 0 {
+		t, _ := r.take(r.edge(+1))
+		out = append(out, t)
+	}
+	return out
+}
+
+// The bucketed pools against the model, over seeded random sequences of
+// every operation they have. Batch sizes sit on and around the chunk
+// boundary, one key at a time and interleaved, so FIFOs grow across
+// chunks, drain across them, and hand chunks to each other through the
+// free list.
+func TestBucketQueueMatchesSliceModel(t *testing.T) {
+	kinds := []struct {
+		name string
+		pool func() Pool[int]
+		key  func(Task[int]) int
+		pop  int // which end Pop takes
+	}{
+		{"depth", func() Pool[int] { return NewDepthPool[int]() }, func(t Task[int]) int { return t.Depth }, +1},
+		{"prio", func() Pool[int] { return NewPrioBucketPool[int]() }, func(t Task[int]) int { return int(clampPrio(int64(t.Prio))) }, -1},
+	}
+	sizes := []int{1, 2, chunkTasks - 1, chunkTasks, chunkTasks + 1, shedRun + 1, 2*chunkTasks + 3}
+	for _, kind := range kinds {
+		for seed := int64(1); seed <= 12; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", kind.name, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				p, ref := kind.pool(), &refQueue{byKey: map[int][]Task[int]{}}
+				next := 0
+				mint := func(key int) Task[int] {
+					next++
+					prio := int32(key)
+					if key == 0 && rng.Intn(2) == 0 {
+						prio = -7 // clamps to 0
+					}
+					return Task[int]{Node: next, Depth: key, Prio: prio}
+				}
+				randKey := func() int {
+					if rng.Intn(20) == 0 {
+						return 40 + rng.Intn(3) // far from the others: the cursors must travel
+					}
+					return rng.Intn(5)
+				}
+				for op := 0; op < 3000; op++ {
+					switch r := rng.Intn(10); {
+					case r < 2:
+						task := mint(randKey())
+						p.Push(task)
+						ref.push(kind.key(task), task)
+					case r < 4:
+						n, key, mixed := sizes[rng.Intn(len(sizes))], randKey(), rng.Intn(2) == 0
+						run := make([]Task[int], n)
+						for i := range run {
+							if mixed {
+								key = randKey()
+							}
+							run[i] = mint(key)
+							ref.push(kind.key(run[i]), run[i])
+						}
+						p.PushBatch(run)
+					case r < 7:
+						got, ok := p.Pop()
+						want, wok := ref.take(ref.edge(kind.pop))
+						if ok != wok || got != want {
+							t.Fatalf("op %d: Pop = %+v/%v, model %+v/%v", op, got, ok, want, wok)
+						}
+					case r < 9:
+						got, ok := p.Steal()
+						want, wok := ref.take(ref.edge(-1))
+						if ok != wok || got != want {
+							t.Fatalf("op %d: Steal = %+v/%v, model %+v/%v", op, got, ok, want, wok)
+						}
+					default:
+						n := rng.Intn(200)
+						if got, want := p.SpillBatch(n), ref.spill(n); !reflect.DeepEqual(got, want) {
+							t.Fatalf("op %d: SpillBatch(%d) = %+v, model %+v", op, n, got, want)
+						}
+					}
+					if p.Size() != ref.size {
+						t.Fatalf("op %d: Size = %d, model %d", op, p.Size(), ref.size)
+					}
+					if got, want := p.StealRank(), ref.edge(-1); got != want {
+						t.Fatalf("op %d: StealRank (MinDepth/BestPrio) = %d, model %d", op, got, want)
+					}
+				}
+				for ref.size > 0 {
+					got, _ := p.Pop()
+					if want, _ := ref.take(ref.edge(kind.pop)); got != want {
+						t.Fatalf("drain: Pop = %+v, model %+v", got, want)
+					}
+				}
+				if _, ok := p.Pop(); ok || p.Size() != 0 || p.StealRank() != -1 {
+					t.Fatalf("drained pool still reports work: size %d, rank %d", p.Size(), p.StealRank())
+				}
+			})
+		}
+	}
+}
+
+// A level costs what it holds: pushing a 100,000-task level allocates
+// the tasks' own bytes plus a link per chunk, where append-doubling
+// allocated about five times that; and a frontier that stays within
+// what the pool has held before allocates nothing at all.
+func TestBucketQueueAllocatesWhatItHolds(t *testing.T) {
+	const wide = 100_000
+	resident := float64(wide * unsafe.Sizeof(Task[int]{}))
+	run := make([]Task[int], shedRun)
+	for i := range run {
+		run[i].Depth = 3
+	}
+	for _, batched := range []bool{false, true} {
+		p := NewDepthPool[int]()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for n := 0; n < wide; n += len(run) {
+			if batched {
+				p.PushBatch(run)
+			} else {
+				for _, task := range run {
+					p.Push(task)
+				}
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		bytes, mallocs := float64(m1.TotalAlloc-m0.TotalAlloc), m1.Mallocs-m0.Mallocs
+		if bytes > 1.1*resident {
+			t.Errorf("batched=%v: pushing %d tasks allocated %.0f bytes, %.2fx the %.0f they occupy (want <= 1.1x)",
+				batched, p.Size(), bytes, bytes/resident, resident)
+		}
+		if limit := uint64(p.Size()/chunkTasks + 8); mallocs > limit {
+			t.Errorf("batched=%v: %d allocations for %d tasks, want one per %d-task chunk (<= %d)",
+				batched, mallocs, p.Size(), chunkTasks, limit)
+		}
+	}
+
+	for _, p := range []Pool[int]{NewDepthPool[int](), NewPrioBucketPool[int](), NewShardedPool[int](DepthPoolKind, 2).Shard(0)} {
+		cycle := func() {
+			for key := 0; key < 4; key++ {
+				for i := range run {
+					run[i].Depth, run[i].Prio = key, int32(key)
+				}
+				p.PushBatch(run)
+				p.Push(run[0])
+			}
+			for _, ok := p.Pop(); ok; _, ok = p.Pop() {
+			}
+		}
+		if n := testing.AllocsPerRun(50, cycle); n != 0 {
+			t.Errorf("%T: %v allocations per steady-state push/pop cycle, want 0", p, n)
+		}
+	}
+}

@@ -199,37 +199,6 @@ func TestDepthPoolMinDepth(t *testing.T) {
 	}
 }
 
-func TestDepthPoolReleasesLargeBuckets(t *testing.T) {
-	p := NewDepthPool[int]()
-	const n = 4 * bucketRetainCap
-	for i := 0; i < n; i++ {
-		p.Push(Task[int]{Node: i, Depth: 2})
-	}
-	for i := 0; i < n; i++ {
-		if _, ok := p.Pop(); !ok {
-			t.Fatalf("pop %d: pool ran dry", i)
-		}
-	}
-	if c := cap(p.buckets[2]); c != 0 {
-		t.Fatalf("emptied large bucket retains capacity %d, want released (0)", c)
-	}
-	// Small buckets stay warm for reuse.
-	for i := 0; i < 4; i++ {
-		p.Push(Task[int]{Node: i, Depth: 1})
-	}
-	for i := 0; i < 4; i++ {
-		p.Pop()
-	}
-	if c := cap(p.buckets[1]); c == 0 {
-		t.Fatal("small emptied bucket should keep its backing array")
-	}
-	// And a released bucket still works afterwards.
-	p.Push(Task[int]{Node: 99, Depth: 2})
-	if task, ok := p.Pop(); !ok || task.Node != 99 {
-		t.Fatalf("bucket unusable after release: %v/%v", task.Node, ok)
-	}
-}
-
 // TestIntraLocalityStealDeterministic drives the topology directly:
 // a worker with an empty shard must rob its sibling's shard
 // (shallowest-first) without touching the transport.
@@ -239,9 +208,9 @@ func TestIntraLocalityStealDeterministic(t *testing.T) {
 	defer fab.close()
 	tp := newTopology(fab, cfg)
 
-	tp.push(0, Task[string]{Node: "deep", Depth: 6})
-	tp.push(0, Task[string]{Node: "shallow", Depth: 1})
-	tp.push(1, Task[string]{Node: "mid", Depth: 3})
+	tp.push(0, []Task[string]{Task[string]{Node: "deep", Depth: 6}})
+	tp.push(0, []Task[string]{Task[string]{Node: "shallow", Depth: 1}})
+	tp.push(1, []Task[string]{Task[string]{Node: "mid", Depth: 3}})
 
 	th0, th1, th2 := testThief(0, cfg), testThief(1, cfg), testThief(2, cfg)
 	// Worker 2 owns an empty shard: it must steal the shallowest task

@@ -29,7 +29,7 @@ func split(e *engine[int, int], gens []NodeGenerator[int], rootDepth, max int) (
 	for i, g := range gens {
 		stack[i].gen = g
 	}
-	e.shed(e.workers[0], &task, stack, max, func(nt Task[int]) { ts = append(ts, nt) })
+	e.shed(e.workers[0], &task, stack, max, func(run []Task[int]) { ts = append(ts, run...) })
 	for _, lv := range stack {
 		yields = append(yields, lv.yields)
 	}
@@ -148,7 +148,7 @@ func TestBudgetShedEqualsUncappedChunkedSplit(t *testing.T) {
 
 		es, ss := newShedEngine(t, order), liveAt()
 		var handed []Task[int]
-		es.shed(es.workers[0], &task, ss, math.MaxInt, func(nt Task[int]) { handed = append(handed, nt) })
+		es.shed(es.workers[0], &task, ss, math.MaxInt, func(run []Task[int]) { handed = append(handed, run...) })
 
 		if !reflect.DeepEqual(pushed, handed) {
 			t.Errorf("order %v: budget shed %+v, split handed %+v", order, pushed, handed)

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"yewpar/internal/dist"
 )
 
 // topology is the engine's view of the distributed machine: the
@@ -250,12 +248,21 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 // locality returns the in-process locality a worker belongs to.
 func (tp *topology[N]) locality(w int) int { return tp.workerLoc[w] }
 
-// push enqueues a task on the worker's own pool shard and releases a
-// parked sibling, if any, to come rob it.
-func (tp *topology[N]) push(w int, t Task[N]) {
+// push enqueues a run of tasks on the worker's own pool shard and
+// releases a parked sibling, if any, to come rob it.
+func (tp *topology[N]) push(w int, run []Task[N]) {
 	loc := tp.workerLoc[w]
-	tp.pools[loc].Shard(tp.workerShard[w]).Push(t)
+	tp.pools[loc].Shard(tp.workerShard[w]).PushBatch(run)
 	tp.parkers[loc].wake()
+}
+
+// settle takes the tasks a worker has finished since it last settled
+// off its locality's live count (see engine.finishTask).
+func (tp *topology[N]) settle(th *thief) {
+	if th.finished != 0 {
+		tp.fab.trs[tp.workerLoc[th.id]].AddTasks(-th.finished)
+		th.finished = 0
+	}
 }
 
 // victimOrder writes the sequence of peer ranks a thief of loc should
@@ -332,6 +339,7 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 	if t, ok := tp.pools[loc].Shard(shard).Pop(); ok {
 		return t, true
 	}
+	tp.settle(th)
 	if t, ok := tp.pools[loc].StealExcept(shard); ok {
 		sh.LocalSteals++
 		return t, true
@@ -352,10 +360,8 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 	}
 	// The in-RAM frontier is dry: re-admit a spilled segment before
 	// paying any transport round trip — the work is already ours.
-	if m := tp.mem[loc]; m != nil {
-		if t, ok := m.readmit(tp.pools[loc], tp.parkers[loc].wake); ok {
-			return t, true
-		}
+	if t, ok := tp.mem[loc].readmit(tp.pools[loc], tp.parkers[loc].wake); ok {
+		return t, true
 	}
 	// Stack-stealing: before leaving the locality, ask a running
 	// sibling to split its live stack — still no transport involved.
@@ -366,10 +372,8 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 			abort = tp.fab.cancel.ch
 		}
 		if ts := gate.request(splitWant, splitLocalWait, abort); len(ts) > 0 {
-			for _, t := range ts[1:] {
-				tp.pools[loc].Push(t)
-			}
 			if len(ts) > 1 {
+				tp.pools[loc].PushBatch(ts[1:])
 				tp.parkers[loc].wake()
 			}
 			sh.LocalSteals++
@@ -433,7 +437,7 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 			bo.reset()
 		}
 		tp.prefetch(loc)
-		return tp.fromWire(loc, wt), true
+		return tp.fab.locs[loc].adopt(wt), true
 	}
 	if bo != nil {
 		bo.fail()
@@ -451,10 +455,7 @@ func (tp *topology[N]) localBacklog(loc int) int {
 	if tp.ahead != nil {
 		n += len(tp.ahead[loc].buf)
 	}
-	if m := tp.mem[loc]; m != nil {
-		n += int(m.onDisk.Load()) // spilled segments are claimable work
-	}
-	return n
+	return n + int(tp.mem[loc].onDisk.Load()) // spilled segments are claimable work
 }
 
 // backoffAt returns loc's steal backoff, or nil when there are no
@@ -509,7 +510,7 @@ func (tp *topology[N]) prefetch(loc int) {
 				continue
 			}
 			sa.noteRTT(time.Since(t0))
-			t := tp.fromWire(loc, wt)
+			t := tp.fab.locs[loc].adopt(wt)
 			select {
 			case sa.buf <- t:
 			default:
@@ -525,14 +526,6 @@ func (tp *topology[N]) prefetch(loc int) {
 		// per locality until work (and demand) reappears.
 		sa.target.Store(1)
 	}()
-}
-
-// fromWire turns a transport task back into an engine task via the
-// locality's adopt path: bound snapshot merged, receipt registered
-// with the live count, supervision family opened under the hand-over
-// id so the victim's ledger copy can eventually be acked away.
-func (tp *topology[N]) fromWire(loc int, wt dist.WireTask) Task[N] {
-	return tp.fab.locs[loc].adopt(wt)
 }
 
 // onDeath reacts to a peer locality's death as seen from in-process
@@ -558,10 +551,7 @@ func (tp *topology[N]) onDeath(loc, rank int) bool {
 				tasks = append(tasks, led.reapAll()...)
 			}
 		}
-		for _, t := range tasks {
-			tp.pools[loc].Push(t)
-			tp.parkers[loc].wake()
-		}
+		tp.pools[loc].PushBatch(tasks)
 	}
 	if bo := tp.backoffAt(loc); bo != nil {
 		bo.reset()

@@ -65,7 +65,10 @@ func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
 		gate.enter()
 		defer gate.exit()
 	}
-	defer e.finishTask(c.id, t)
+	if e.taskHook != nil {
+		e.taskHook(1)
+	}
+	defer e.finishTask(c, t)
 	if e.cancel.cancelled() || c.visitor.visit(t.Node) != descend {
 		return
 	}
@@ -200,44 +203,58 @@ func (e *engine[S, N]) answerSplit(c *workerCtx[S, N], t *Task[N], stack []level
 			max = req.max
 		}
 		var out []Task[N]
-		e.shed(c, t, stack, max, func(nt Task[N]) { out = append(out, nt) })
+		e.shed(c, t, stack, max, func(run []Task[N]) { out = append(out, run...) })
 		req.resp <- out
 	}
 }
 
+// shedRun is the most tasks shed registers and hands over at once.
+const shedRun = 64
+
 // shed is the one donation from a live stack, under every rule: the
 // lowest level of task t's stack with unexplored nodes gives up to max
-// of them, in traversal order, each handed to give as soon as it is
-// generated (a level can be 100,000 nodes wide: nobody waits for, or
-// buffers, the whole of it). Only that level donates. A task is
-// registered before give can show it to anyone — with the locality's
-// live count, so termination cannot fire past it, and with t's
-// supervision family, so a received subtree's descendants keep the
-// origin's ledger entry alive until the whole subtree completes. What
-// give does with it is the rule's business: push it, or collect it for
-// a thief that runs it locally or exports it over the wire.
-func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], max int, give func(Task[N])) {
+// of them, in traversal order, handed to give in runs of at most
+// shedRun as they are generated (a level can be 100,000 nodes wide:
+// nobody waits for, or buffers, the whole of it). Only that level
+// donates. A run is registered before give can show it to anyone — with
+// the locality's live count, so termination cannot fire past it, and
+// with t's supervision family, so a received subtree's descendants keep
+// the origin's ledger entry alive until the whole subtree completes —
+// in one AddTasks and one family add, not one per task. Under a memory
+// budget a run is no longer than the pool's headroom, so the hard
+// threshold is overshot by one task at most. What give does with a run
+// is the rule's business: push it, or collect it for a thief that runs
+// it locally or exports it over the wire; the run's backing array is
+// the worker's, so give must copy.
+func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], max int, give func([]Task[N])) {
 	loc, sh := e.topo.locality(c.id), &c.stats
 	for i := range stack {
 		lv, n := &stack[i], 0
-		for ; n < max && lv.gen.HasNext(); n++ {
-			child := lv.gen.Next()
-			nt := Task[N]{
-				Node:  child,
-				Depth: t.Depth + i + 1,
-				Prio:  e.prio.childPrio(lv.disc, int(lv.yields), child),
-				fam:   t.fam,
+		for n < max && lv.gen.HasNext() {
+			run := c.run[:0]
+			room := e.topo.mem[loc].headroom(e.topo.pools[loc], min(max-n, shedRun))
+			for len(run) < room && lv.gen.HasNext() {
+				child := lv.gen.Next()
+				run = append(run, Task[N]{
+					Node:  child,
+					Depth: t.Depth + i + 1,
+					Prio:  e.prio.childPrio(lv.disc, int(lv.yields), child),
+					fam:   t.fam,
+				})
+				lv.yields++
+				if e.ordered {
+					sh.notePrio(run[len(run)-1].Prio)
+				}
 			}
-			lv.yields++
-			e.fab.trs[loc].AddTasks(1)
-			if nt.fam != nil {
-				nt.fam.pending.Add(1)
+			k := int64(len(run))
+			e.fab.trs[loc].AddTasks(k)
+			if t.fam != nil {
+				t.fam.pending.Add(k)
 			}
-			sh.Spawns++
-			if e.ordered {
-				sh.notePrio(nt.Prio)
-			}
-			give(nt)
+			sh.Spawns += k
+			give(run)
+			clear(run) // the nodes are the receiver's now
+			n += len(run)
 		}
 		if n > 0 {
 			return
@@ -250,13 +267,10 @@ func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], ma
 // children and (spawn-budget) does to a long-running stack.
 func (e *engine[S, N]) shedToPool(c *workerCtx[S, N], t *Task[N], stack []level[N]) {
 	loc := e.topo.locality(c.id)
-	e.shed(c, t, stack, math.MaxInt, func(nt Task[N]) {
-		e.topo.push(c.id, nt)
-		if m := e.topo.mem[loc]; m != nil {
-			// Memory governor, last-resort response: the spawner that
-			// pushed the pool past its hard threshold spills the coldest
-			// tasks.
-			m.maybeSpill(e.topo.pools[loc])
-		}
+	e.shed(c, t, stack, math.MaxInt, func(run []Task[N]) {
+		e.topo.push(c.id, run)
+		// Memory governor, last-resort response: the spawner that pushed
+		// the pool past its hard threshold spills the coldest tasks.
+		e.topo.mem[loc].maybeSpill(e.topo.pools[loc])
 	})
 }

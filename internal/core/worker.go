@@ -53,19 +53,23 @@ type workerCtx[S, N any] struct {
 	// mutable state (an enumeration's accumulator) sits in an isolated
 	// block of its own; its counters are this context's stats.
 	visitor visitor[N]
-	gens    genCache[S, N] // generator recycling cache
-	stack   []level[N]     // the shedding walk's stack, reused by every task
+	gens    genCache[S, N]   // generator recycling cache
+	stack   []level[N]       // the shedding walk's stack, reused by every task
+	run     [shedRun]Task[N] // the run of tasks shed is building
 }
 
 // thief is the part of a worker's context no type parameter reaches —
 // identity, counters, and steal state — which is what the topology
 // (generic over the node type only) needs to serve the worker.
 type thief struct {
-	id      int
-	stats   WorkerStats
-	seed    int64
-	rng     *rand.Rand    // steal victim order; built on first use
-	victims victimScratch // victim-ranking buffers
+	id    int
+	stats WorkerStats
+	// finished counts the tasks this worker has completed and not yet
+	// taken off its locality's live count (see topology.settle).
+	finished int64
+	seed     int64
+	rng      *rand.Rand    // steal victim order; built on first use
+	victims  victimScratch // victim-ranking buffers
 }
 
 // rand returns the worker's steal rng. Seeding one costs microseconds

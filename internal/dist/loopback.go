@@ -164,10 +164,10 @@ func (ln *LoopbackNetwork) Kill(rank int) {
 		return
 	}
 	t := ln.trs[rank]
-	// The gate write-lock excludes every in-flight AddTasks of the
-	// dying endpoint: once closed is set under it, no zombie delta can
-	// land after the reconciliation below, which would wedge (a late
-	// +1) or prematurely zero (a late -1) the live count.
+	// The gate write-lock excludes every in-flight AddTasks of the dying
+	// endpoint: once closed is set under it no zombie delta — a late +1,
+	// or the finishes its workers had counted but not yet settled — can
+	// land after the reconciliation below and wedge or zero the count.
 	t.gateMu.Lock()
 	if !t.closed.CompareAndSwap(false, true) {
 		t.gateMu.Unlock()
