@@ -389,6 +389,44 @@ func BenchmarkBackToBackSolves(b *testing.B) {
 	b.ReportMetric(float64(hi.Microseconds())/1e3, "max-ms/solve")
 }
 
+// BenchmarkDistBackToBackSolves is BenchmarkBackToBackSolves for the
+// bench command's wire-heavy workload: the same UTS tree under Budget
+// b=10000 on a two-rank TCP star over 127.0.0.1, one worker a rank, a
+// fresh deployment per solve as the bench command makes one, about
+// eleven thousand steals a solve. Run with -benchtime 5x: B/op and
+// allocs/op are what one solve — both ranks, deployment included —
+// leaves the next one to collect.
+func BenchmarkDistBackToBackSolves(b *testing.B) {
+	sp := &uts.Space{Shape: uts.Binomial, B0: 100_000, M: 6, Q: 0.165, Seed: 1}
+	root, p := uts.Root(sp), uts.CountProblem()
+	b.ReportAllocs()
+	lo, hi := time.Duration(1<<62), time.Duration(0)
+	for i := 0; i < b.N; i++ {
+		coord, worker, cleanup := benchTransportPair(b, "tcp", 0)
+		t0 := time.Now()
+		var res core.EnumResult[int64]
+		var err, werr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, werr = core.DistEnum(worker, uts.Codec(), core.Budget, sp, root, p, core.Config{Workers: 1, Budget: 10_000})
+		}()
+		res, err = core.DistEnum(coord, uts.Codec(), core.Budget, sp, root, p, core.Config{Workers: 1, Budget: 10_000})
+		<-done
+		d := time.Since(t0)
+		cleanup()
+		lo, hi = min(lo, d), max(hi, d)
+		if err != nil || werr != nil {
+			b.Fatalf("solve: %v / %v", err, werr)
+		}
+		if res.Value != res.Stats.Nodes {
+			b.Fatalf("counted %d nodes, visited %d", res.Value, res.Stats.Nodes)
+		}
+	}
+	b.ReportMetric(float64(lo.Microseconds())/1e3, "min-ms/solve")
+	b.ReportMetric(float64(hi.Microseconds())/1e3, "max-ms/solve")
+}
+
 // BenchmarkNodeThroughput measures multi-worker node throughput of the
 // pool-based engine under the two pool layouts: per-worker shards
 // (default) vs the single mutex-shared pool per locality

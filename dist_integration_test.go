@@ -239,9 +239,11 @@ func TestDistributedMeshMaxCliqueSurvivesWorkerSIGKILL(t *testing.T) {
 
 func testMaxCliqueSurvivesWorkerSIGKILL(t *testing.T, extraFlags []string) {
 	bin := yewparBinary(t)
-	// n=160 p=0.8 runs well over a second in this deployment, so a
-	// kill shortly after registration lands mid-search.
-	appFlags := []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded", "-d", "2", "-workers", "2"}
+	// n=200 p=0.8 runs well over a second in this deployment, so a
+	// kill shortly after registration lands mid-search. (n=160 did when
+	// this was written; it takes a quarter of a second now, which is the
+	// kill's own delay.)
+	appFlags := []string{"-app", "maxclique", "-n", "200", "-p", "0.8", "-skeleton", "depthbounded", "-d", "2", "-workers", "2"}
 	appFlags = append(appFlags, extraFlags...)
 
 	single, err := exec.Command(bin, appFlags...).CombinedOutput()

@@ -17,6 +17,11 @@ import (
 // slice, so hot codecs can encode straight into a batch buffer without
 // an intermediate allocation. EncodeTo(nil, n) must be equivalent to
 // Encode(n).
+//
+// Neither direction owns its buffer. EncodeTo must only append: dst's
+// bytes are other tasks' encodings. Decode must not retain or alias b, a
+// window on a transport's receive image that the next frame overwrites:
+// what the node keeps it copies (TestCodecContract checks every codec).
 type Codec[N any] interface {
 	Encode(n N) ([]byte, error)
 	EncodeTo(dst []byte, n N) ([]byte, error)
@@ -57,36 +62,3 @@ func (GobCodec[N]) Decode(b []byte) (N, error) {
 	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&n)
 	return n, err
 }
-
-// FuncCodec adapts a set of functions to a Codec, for applications
-// that prefer a compact hand-rolled node encoding without a dedicated
-// type. At least one of Enc and AppendEnc must be set.
-type FuncCodec[N any] struct {
-	Enc       func(N) ([]byte, error)
-	AppendEnc func([]byte, N) ([]byte, error) // optional append-style path
-	Dec       func([]byte) (N, error)
-}
-
-// Encode implements Codec.
-func (c FuncCodec[N]) Encode(n N) ([]byte, error) {
-	if c.Enc != nil {
-		return c.Enc(n)
-	}
-	return c.AppendEnc(nil, n)
-}
-
-// EncodeTo implements Codec, falling back to Enc-and-append when no
-// AppendEnc is provided.
-func (c FuncCodec[N]) EncodeTo(dst []byte, n N) ([]byte, error) {
-	if c.AppendEnc != nil {
-		return c.AppendEnc(dst, n)
-	}
-	b, err := c.Enc(n)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, b...), nil
-}
-
-// Decode implements Codec.
-func (c FuncCodec[N]) Decode(b []byte) (N, error) { return c.Dec(b) }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"yewpar/internal/dist"
@@ -130,16 +131,12 @@ func (f *fabric[N]) foldStats(s *Stats) {
 	}
 	s.Deaths += f.deaths.Load()
 	for _, loc := range f.locs {
-		if loc.led != nil {
-			peak, replayed := loc.led.stats()
-			if int64(peak) > s.LedgerPeak {
-				s.LedgerPeak = int64(peak)
-			}
-			s.ReplayedTasks += replayed
-		}
-		peak := loc.pool.PeakTasks()
-		s.PoolPeakTasks = max(s.PoolPeakTasks, peak)
-		s.PoolPeakBytes = max(s.PoolPeakBytes, peak*loc.mem.perTask.Load())
+		peak, replayed := loc.led.stats()
+		s.LedgerPeak = max(s.LedgerPeak, int64(peak))
+		s.ReplayedTasks += replayed
+		tasks := loc.pool.PeakTasks()
+		s.PoolPeakTasks = max(s.PoolPeakTasks, tasks)
+		s.PoolPeakBytes = max(s.PoolPeakBytes, tasks*loc.mem.perTask.Load())
 		s.SpilledTasks += loc.mem.spilledTotal.Load()
 		s.SpillBytes += loc.mem.spillBytes.Load()
 	}
@@ -152,21 +149,33 @@ type locState[N any] struct {
 	idx  int // index among in-process localities
 	rank int // global rank
 	pool *ShardedPool[N]
-	led  *ledger[N]   // supervision ledger; nil when there is no peer to hand over to
+	led  *ledger[N]   // supervision ledger of the tasks handed to peers
 	mem  *memState[N] // memory accountant (set with the pool)
 	// split, when set (stack-stealing runs), is the rendezvous through
 	// which a remote kSplit request reaches this locality's running
 	// workers' live generator stacks.
 	split *splitGate[N]
 	fab   *fabric[N]
-	// wake, when set (by the engine's topology), releases a parked
-	// worker of this locality after work arrives from outside the
-	// worker loops — an adopted late steal reply or batch extra.
+	// wake (the engine's topology sets it) releases a parked worker of
+	// this locality after work arrives from outside the worker loops — an
+	// adopted late steal reply or batch extra.
 	wake func()
+
+	// What an adopted hand-over needs and gives back: its family, returned
+	// when it drains (a reference to a family — a queued or running task, a
+	// ledger entry — holds a unit of pending, so a drained one has none),
+	// and the box its first task crosses to the requester in.
+	fams  freeList[family]
+	boxes freeList[Task[N]]
+	// adoptRun is AdoptTasks' decode buffer, under adoptMu: a mesh
+	// locality adopts from one receive goroutine per peer.
+	adoptMu  sync.Mutex
+	adoptRun []Task[N]
 }
 
 var _ dist.Handler = (*locState[string])(nil)
 var _ dist.MultiStealer = (*locState[string])(nil)
+var _ dist.BatchAdopter = (*locState[string])(nil)
 var _ dist.StealRanker = (*locState[string])(nil)
 var _ dist.StackSplitter = (*locState[string])(nil)
 
@@ -176,11 +185,10 @@ var _ dist.StackSplitter = (*locState[string])(nil)
 // is delivered synchronously, so the drain can cascade up a hand-over
 // chain within this call.
 func (h *locState[N]) famDone(f *family) {
-	if f == nil {
-		return
-	}
-	if f.pending.Add(-1) == 0 {
-		h.fab.trs[h.idx].Ack(dist.TaskOrigin(f.id), f.id)
+	if f != nil && f.pending.Add(-1) == 0 {
+		id := f.id
+		h.fams.put(f)
+		h.fab.trs[h.idx].Ack(dist.TaskOrigin(id), id)
 	}
 }
 
@@ -190,130 +198,67 @@ func (h *locState[N]) famDone(f *family) {
 // retained in the ledger under a freshly minted hand-over id until the
 // thief acks the subtree's completion.
 func (h *locState[N]) ServeSteal(thief int) (dist.WireTask, bool) {
-	t, ok := h.pool.Steal()
+	t, id, ok := h.led.handOverFrom(thief, h.pool)
 	if !ok {
 		return dist.WireTask{}, false
 	}
-	return h.exportTask(thief, t)
+	wt, _, ok := h.export(id, t, nil)
+	return wt, ok
 }
 
-// exportTask hands one registered local task over to thief: ledger
-// entry minted, bound stamped, node encoded on a wire fabric. On
-// failure the task goes back to the pool (it is registered live work)
-// and false is reported.
-func (h *locState[N]) exportTask(thief int, t Task[N]) (dist.WireTask, bool) {
-	id, ok := h.handOver(thief, t)
-	if !ok {
-		// Dead thief or full ledger: keep the task, serve nothing.
-		h.pool.Push(t)
-		return dist.WireTask{}, false
-	}
+// export turns a task retained under id into what crosses the locality
+// boundary: the bound stamped, and on a wire fabric the node's encoding
+// appended to buf (returned extended; the payload is its tail), else the
+// task by reference. An unencodable node is a deployment bug: the entry
+// is retired, the task goes back to the pool, the thief looks elsewhere.
+func (h *locState[N]) export(id uint64, t Task[N], buf []byte) (dist.WireTask, []byte, bool) {
 	wt := dist.WireTask{ID: id, Depth: t.Depth, Prio: int(t.Prio), Bound: math.MinInt64}
 	if b := h.fab.bounds; b != nil {
 		wt.Bound = b.localBest(h.idx)
 	}
-	if h.fab.wire {
-		bs, err := h.fab.codec.EncodeTo(nil, t.Node)
-		if err != nil {
-			// An unencodable node is a deployment bug; keep the task
-			// rather than lose it, and let the thief look elsewhere.
-			h.unwind(id, t)
-			return dist.WireTask{}, false
-		}
-		wt.Payload = bs
-	} else {
+	if !h.fab.wire {
 		wt.Local = t
+		return wt, buf, true
 	}
-	return wt, true
-}
-
-// handOver retains t in the ledger for the thief. Coordinations
-// without a ledger (none today: every pool-based coordination gets
-// one) hand over unsupervised with id 0.
-func (h *locState[N]) handOver(thief int, t Task[N]) (uint64, bool) {
-	if h.led == nil {
-		return 0, true
-	}
-	return h.led.handOver(thief, t)
-}
-
-// unwind takes back a hand-over that failed after its ledger entry was
-// minted (encode error): the entry is retired without continuing any
-// family drain — the task never left — and the task goes back to the
-// pool.
-func (h *locState[N]) unwind(id uint64, t Task[N]) {
-	if h.led != nil && id != 0 {
+	nb, err := h.fab.codec.EncodeTo(buf, t.Node)
+	if err != nil {
 		h.led.retire(id)
+		h.pool.Push(t)
+		return dist.WireTask{}, buf, false
 	}
-	h.pool.Push(t)
+	wt.Payload = nb[len(buf):len(nb):len(nb)]
+	return wt, nb, true
 }
 
 // ServeStealMulti implements dist.MultiStealer for transports whose
 // steal replies carry batches, under a steal-half policy: one exchange
 // never takes more than half of the victim's backlog (rounded up, so a
 // single spare task still travels), keeping a batching thief from
-// starving the locality that is actually producing work. On a wire
-// fabric the whole batch is encoded into one backing buffer through
-// the codec's append path — one allocation per reply, not per task.
-func (h *locState[N]) ServeStealMulti(thief, max int) []dist.WireTask {
-	if half := (h.pool.Size() + 1) / 2; max > half {
-		max = half
-	}
-	if max < 1 {
-		max = 1
-	}
-	if !h.fab.wire {
-		var out []dist.WireTask
-		for len(out) < max {
-			wt, ok := h.ServeSteal(thief)
-			if !ok {
-				break
-			}
-			out = append(out, wt)
-		}
-		return out
-	}
-	bound := int64(math.MinInt64)
-	if b := h.fab.bounds; b != nil {
-		bound = b.localBest(h.idx)
-	}
-	// Offsets, not subslices, while encoding: append growth may move
-	// the backing array, and payloads are sliced out only at the end.
-	type span struct {
-		start, end, depth, prio int
-		id                      uint64
-	}
-	var backing []byte
-	var spans []span
-	for len(spans) < max {
-		t, ok := h.pool.Steal()
+// starving the locality that is actually producing work. The batch is
+// appended to out, its encodings to buf: a transport that serves a link's
+// every reply from the same two slices allocates for none.
+func (h *locState[N]) ServeStealMulti(thief, want int, out []dist.WireTask, buf []byte) ([]dist.WireTask, []byte) {
+	want = max(1, min(want, (h.pool.Size()+1)/2))
+	first, start := len(out), len(buf)
+	for len(out)-first < want {
+		t, id, ok := h.led.handOverFrom(thief, h.pool)
 		if !ok {
 			break
 		}
-		id, ok := h.handOver(thief, t)
-		if !ok {
-			h.pool.Push(t)
+		var wt dist.WireTask
+		if wt, buf, ok = h.export(id, t, buf); !ok {
 			break
 		}
-		nb, err := h.fab.codec.EncodeTo(backing, t.Node)
-		if err != nil {
-			h.unwind(id, t)
-			break
-		}
-		spans = append(spans, span{start: len(backing), end: len(nb), depth: t.Depth, prio: int(t.Prio), id: id})
-		backing = nb
+		out = append(out, wt)
 	}
-	out := make([]dist.WireTask, len(spans))
-	for i, sp := range spans {
-		out[i] = dist.WireTask{
-			Payload: backing[sp.start:sp.end:sp.end],
-			ID:      sp.id,
-			Depth:   sp.depth,
-			Prio:    sp.prio,
-			Bound:   bound,
-		}
+	// An append may have moved buf under the payloads sliced from it so
+	// far: re-slice them all from where it ended up.
+	for i := first; i < len(out); i++ {
+		end := start + len(out[i].Payload)
+		out[i].Payload = buf[start:end:end]
+		start = end
 	}
-	return out
+	return out, buf
 }
 
 // BestStealPrio implements dist.StealRanker: the rank (priority under
@@ -352,7 +297,7 @@ func (h *locState[N]) splitRank() (int, bool) {
 // stack (the paper's (spawn-stack) rule, on demand over the wire). May
 // block briefly — transports serve it off their read loops.
 func (h *locState[N]) ServeSplit(thief, max int) []dist.WireTask {
-	if out := h.ServeStealMulti(thief, max); len(out) > 0 {
+	if out, _ := h.ServeStealMulti(thief, max, nil, nil); len(out) > 0 {
 		return out
 	}
 	g := h.split
@@ -361,7 +306,13 @@ func (h *locState[N]) ServeSplit(thief, max int) []dist.WireTask {
 	}
 	var out []dist.WireTask
 	for _, t := range g.request(max, splitServeWait, nil) {
-		if wt, ok := h.exportTask(thief, t); ok {
+		id, ok := h.led.handOver(thief, t)
+		if !ok {
+			// Dead thief or full ledger: the donated node stays, a pool task.
+			h.pool.Push(t)
+			continue
+		}
+		if wt, _, ok := h.export(id, t, nil); ok {
 			out = append(out, wt)
 		}
 	}
@@ -384,46 +335,85 @@ func (h *locState[N]) OnCancel(from int) {
 	}
 }
 
-// adopt turns a received WireTask into a locally registered engine
-// task: the bound snapshot is merged, the receipt is registered with
-// the global live count (the victim's ledger copy keeps its own
-// registration until our ack, so the task is never uncovered), and a
-// fresh supervision family is opened under the hand-over id.
-func (h *locState[N]) adopt(wt dist.WireTask) Task[N] {
+// receive turns a task as it arrived into an engine task: the bound
+// snapshot merged, the node decoded (or, handed over by reference on the
+// loopback network, unwrapped), a fresh supervision family opened under
+// the hand-over id. Registering it is the caller's job.
+func (h *locState[N]) receive(wt dist.WireTask) Task[N] {
 	if b := h.fab.bounds; b != nil && wt.Bound > math.MinInt64 {
 		b.applyRemote(h.idx, wt.Bound)
 	}
-	var t Task[N]
-	if wt.Local != nil {
-		t = wt.Local.(Task[N])
-	} else {
+	t, local := wt.Local.(Task[N])
+	if !local {
 		n, err := h.fab.codec.Decode(wt.Payload)
 		if err != nil {
-			// Mismatched codecs across a deployment are unrecoverable:
-			// the task cannot be run here and returning it is
-			// impossible.
+			// Mismatched codecs across a deployment are unrecoverable: the
+			// task cannot be run here and returning it is impossible.
 			panic(fmt.Sprintf("core: decoding stolen task: %v", err))
 		}
 		t = Task[N]{Node: n, Depth: wt.Depth, Prio: int32(wt.Prio)}
 	}
-	t.fam = nil
+	t.fam = nil // the victim's, by reference; an unsupervised one owes no ack
 	if wt.ID != 0 {
-		t.fam = newFamily(wt.ID)
+		t.fam = h.fams.get()
+		t.fam.id = wt.ID
+		t.fam.pending.Store(1) // the received task itself
 	}
+	return t
+}
+
+// adopt turns the WireTask a steal returned into a registered engine
+// task: one AdoptTasks has adopted already, in its box, or one whose
+// receipt is registered with the live count here (the victim's ledger
+// copy keeps its own registration until our ack, so it is never uncovered).
+func (h *locState[N]) adopt(wt dist.WireTask) Task[N] {
+	if b, ok := wt.Local.(*Task[N]); ok {
+		t := *b
+		*b = Task[N]{}
+		h.boxes.put(b)
+		return t
+	}
+	t := h.receive(wt)
 	h.fab.trs[h.idx].AddTasks(1)
 	return t
 }
 
-// OnTask implements dist.Handler: adopt a stolen task whose steal
-// request had already timed out when the reply arrived, or a batch
-// extra beyond the requesting worker's slot. Its victim retains it
-// until we ack, so it must run here (or be replayed there) or the
-// search never terminates.
-func (h *locState[N]) OnTask(wt dist.WireTask) {
-	h.pool.Push(h.adopt(wt))
-	if h.wake != nil {
+// AdoptTasks implements dist.BatchAdopter: a steal reply's tasks are
+// adopted as one run — one decode loop, one registration with the live
+// count before any of them is visible, one push, one wake — on the
+// transport's receive goroutine, because the payloads alias the frame
+// image the next read overwrites. With keep the first task goes back in
+// a box, for the requester whose adopt opens it. Their victim retains the
+// tasks until we ack: they run here or the search never terminates.
+func (h *locState[N]) AdoptTasks(ts []dist.WireTask, keep bool) dist.WireTask {
+	h.adoptMu.Lock()
+	defer h.adoptMu.Unlock()
+	run := h.adoptRun[:0]
+	for _, wt := range ts {
+		run = append(run, h.receive(wt))
+	}
+	h.adoptRun = run
+	h.fab.trs[h.idx].AddTasks(int64(len(run)))
+	var first dist.WireTask
+	rest := run
+	if keep {
+		b := h.boxes.get()
+		*b = run[0]
+		first, rest = ts[0], run[1:]
+		first.Payload, first.Local = nil, b
+	}
+	if len(rest) > 0 {
+		h.pool.PushBatch(rest)
 		h.wake()
 	}
+	clear(run) // the nodes are the pool's, and the box's, now
+	return first
+}
+
+// OnTask implements dist.Handler: adopt a loopback split's extra task.
+func (h *locState[N]) OnTask(wt dist.WireTask) {
+	h.pool.Push(h.adopt(wt))
+	h.wake()
 }
 
 // OnAck implements dist.Handler: a thief certifies that the subtree
@@ -432,9 +422,6 @@ func (h *locState[N]) OnTask(wt dist.WireTask) {
 // was itself part of a received family — the family drain continues,
 // cascading the certificate towards the hand-over chain's origin.
 func (h *locState[N]) OnAck(from int, id uint64) {
-	if h.led == nil {
-		return
-	}
 	fam, ok := h.led.retire(id)
 	if !ok {
 		return // already replayed by a death race; the replay owns the task now

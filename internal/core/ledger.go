@@ -42,10 +42,30 @@ type family struct {
 	pending atomic.Int64
 }
 
-func newFamily(id uint64) *family {
-	f := &family{id: id}
-	f.pending.Store(1)
-	return f
+// freeList recycles small objects for one locality: get returns one as
+// put left it, or a new zero one. (Not a sync.Pool: the runtime keeps a
+// used one reachable until the second collection after, and with it the
+// locality it is a field of — a workpool, a frontier's worth of chunks.)
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		p := l.free[n-1]
+		l.free = l.free[:n-1]
+		return p
+	}
+	return new(T)
+}
+
+func (l *freeList[T]) put(p *T) {
+	l.mu.Lock()
+	l.free = append(l.free, p)
+	l.mu.Unlock()
 }
 
 // ledgerEntry is one retained hand-over: who holds the task, the task
@@ -88,16 +108,37 @@ func newLedger[N any](rank, capacity int) *ledger[N] {
 func (l *ledger[N]) handOver(thief int, t Task[N]) (uint64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dead[thief] || len(l.entries) >= l.cap {
+	if l.refuses(thief) {
 		return 0, false
 	}
+	return l.retain(thief, t), true
+}
+
+// handOverFrom is handOver of the task a thief would steal from pool,
+// taken only once the hand-over cannot be refused, so a refusal leaves
+// the pool as it was (pushed back, the task would go from the front of its
+// FIFO to the tail). The ledger lock is held across the pool's, never the
+// other way round.
+func (l *ledger[N]) handOverFrom(thief int, pool Pool[N]) (t Task[N], id uint64, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.refuses(thief) {
+		return t, 0, false
+	}
+	if t, ok = pool.Steal(); ok {
+		id = l.retain(thief, t)
+	}
+	return t, id, ok
+}
+
+func (l *ledger[N]) refuses(thief int) bool { return l.dead[thief] || len(l.entries) >= l.cap }
+
+func (l *ledger[N]) retain(thief int, t Task[N]) uint64 {
 	l.seq++
 	id := dist.TaskID(l.rank, l.seq)
 	l.entries[id] = ledgerEntry[N]{thief: thief, task: t, fam: t.fam}
-	if len(l.entries) > l.peak {
-		l.peak = len(l.entries)
-	}
-	return id, true
+	l.peak = max(l.peak, len(l.entries))
+	return id
 }
 
 // retire removes an acked entry, returning the family its drain

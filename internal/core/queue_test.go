@@ -196,3 +196,61 @@ func TestBucketQueueAllocatesWhatItHolds(t *testing.T) {
 		}
 	}
 }
+
+// A hand-over the ledger refuses — its capacity reached mid-batch, or
+// the thief dead — must leave the pool as if nobody had asked: the task
+// at the front of its key's FIFO stays at the front. (Taking it and
+// pushing it back moved it behind its siblings, which reorders a
+// depth's traversal and equal-priority work under an ordered search.)
+// Both bucketed pools, with a key wider than a chunk so the front task
+// sits in a chunk of its own history.
+func TestRefusedHandOverLeavesPopOrderUnchanged(t *testing.T) {
+	for name, kind := range map[string]PoolKind{"depth-keyed": DepthPoolKind, "priority-keyed": PrioBucketKind} {
+		t.Run(name, func(t *testing.T) {
+			// The same frontier twice: 2*chunkTasks+5 tasks on the key
+			// thieves take from, a few on two others.
+			fill := func() *ShardedPool[int] {
+				p := NewShardedPool[int](kind, 1)
+				for i := 0; i < 2*chunkTasks+5; i++ {
+					p.Push(Task[int]{Node: i, Depth: 1, Prio: 1})
+				}
+				for i := 0; i < 7; i++ {
+					p.Push(Task[int]{Node: 1000 + i, Depth: 3, Prio: 3})
+					p.Push(Task[int]{Node: 2000 + i, Depth: 2, Prio: 2})
+				}
+				return p
+			}
+			drain := func(p *ShardedPool[int]) []int {
+				var order []int
+				for t, ok := p.Pop(); ok; t, ok = p.Pop() {
+					order = append(order, t.Node)
+				}
+				return order
+			}
+			const thief, corpse = 1, 2
+			h := &locState[int]{pool: fill(), led: newLedger[int](0, 2), fab: &fabric[int]{}}
+			h.led.reap(corpse)
+
+			// A dead thief is refused outright; a live one is served until
+			// the ledger is full, and refused the rest of its batch.
+			if out, _ := h.ServeStealMulti(corpse, 4, nil, nil); len(out) != 0 {
+				t.Fatalf("served %d tasks to a dead thief", len(out))
+			}
+			out, _ := h.ServeStealMulti(thief, 4, nil, nil)
+			if len(out) != 2 {
+				t.Fatalf("served %d tasks against a ledger of capacity 2", len(out))
+			}
+			if _, ok := h.ServeSteal(thief); ok {
+				t.Fatal("served a task against a full ledger")
+			}
+
+			want := fill()
+			for range out {
+				want.Steal()
+			}
+			if got, want := drain(h.pool), drain(want); !reflect.DeepEqual(got, want) {
+				t.Fatalf("pop order after refused hand-overs:\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}

@@ -209,9 +209,7 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 		fab.locs[i].pool = tp.pools[i]
 		tp.mem[i] = newMemState[N](cfg.PoolBudget, cfg.SpillDir, spillCodec)
 		fab.locs[i].mem = tp.mem[i]
-		if fab.size > 1 {
-			fab.locs[i].led = newLedger[N](fab.locs[i].rank, cfg.LedgerCap)
-		}
+		fab.locs[i].led = newLedger[N](fab.locs[i].rank, cfg.LedgerCap)
 		tp.parkers[i] = newParker(localWorkers[i])
 		fab.locs[i].wake = tp.parkers[i].wake
 		for rank := 0; rank < fab.size; rank++ {
@@ -539,20 +537,17 @@ func (tp *topology[N]) prefetch(loc int) {
 // to observe the rank's death in this process (for death counting).
 func (tp *topology[N]) onDeath(loc, rank int) bool {
 	first := tp.dead[rank].CompareAndSwap(false, true)
-	if led := tp.fab.locs[loc].led; led != nil {
-		tasks := led.reap(rank)
-		if rank == 0 && first {
-			if tp.fab.trs[loc].AcksRelayed() {
-				// The coordinator relayed completion acks; any ack in
-				// flight at its death is gone, and with it the retire of
-				// the entry it was for. Replay everything outstanding —
-				// idempotent, and the only way every registration is
-				// guaranteed a continuation (see ledger.reapAll).
-				tasks = append(tasks, led.reapAll()...)
-			}
-		}
-		tp.pools[loc].PushBatch(tasks)
+	led := tp.fab.locs[loc].led
+	tasks := led.reap(rank)
+	if rank == 0 && first && tp.fab.trs[loc].AcksRelayed() {
+		// The coordinator relayed completion acks; any ack in flight at
+		// its death is gone, and with it the retire of the entry it was
+		// for. Replay everything outstanding — idempotent, and the only
+		// way every registration is guaranteed a continuation (see
+		// ledger.reapAll).
+		tasks = append(tasks, led.reapAll()...)
 	}
+	tp.pools[loc].PushBatch(tasks)
 	if bo := tp.backoffAt(loc); bo != nil {
 		bo.reset()
 	}

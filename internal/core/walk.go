@@ -98,11 +98,15 @@ func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
 // recycling cache, one per stack level, so applications implementing
 // ResettableGenerator expand without per-node generator allocations.
 // Nothing can be shed from this walk, which is what lets it run its
-// generators in ephemeral mode.
+// generators in ephemeral mode. Its stack is the worker's reusable one;
+// entries are nil-ed as they pop, so none pins a recycled generator.
 func expandBelow[S, N any](c *workerCtx[S, N], cancel *canceller, root N) {
 	gc, v, sh := &c.gens, c.visitor, &c.stats
-	stack := make([]NodeGenerator[N], 0, 32)
-	stack = append(stack, gc.genDFS(0, root))
+	stack := append(c.dfs[:0], gc.genDFS(0, root))
+	defer func() {
+		clear(stack) // a cancelled walk leaves its levels behind
+		c.dfs = stack[:0]
+	}()
 	for len(stack) > 0 {
 		if cancel.cancelled() {
 			return

@@ -53,9 +53,10 @@ type workerCtx[S, N any] struct {
 	// mutable state (an enumeration's accumulator) sits in an isolated
 	// block of its own; its counters are this context's stats.
 	visitor visitor[N]
-	gens    genCache[S, N]   // generator recycling cache
-	stack   []level[N]       // the shedding walk's stack, reused by every task
-	run     [shedRun]Task[N] // the run of tasks shed is building
+	gens    genCache[S, N]     // generator recycling cache
+	stack   []level[N]         // the shedding walk's stack, reused by every task
+	dfs     []NodeGenerator[N] // the pure walk's stack, likewise
+	run     [shedRun]Task[N]   // the run of tasks shed is building
 }
 
 // thief is the part of a worker's context no type parameter reaches —

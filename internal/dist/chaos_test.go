@@ -73,10 +73,22 @@ func failoverHarnesses() []harness {
 			plan.SetLink(3, 1, LinkFault{Latency: 400 * time.Millisecond})
 			return makeTCP(t, n, WireOptions{Standby: true, Fault: plan})
 		}},
+		// And with rank 2's way back slowed down, rank 2 being the
+		// publisher: the bound is published after its kRejoin was stamped
+		// and before its new coordinator link exists, so no frame is there
+		// to carry it — and it must still reach rank 3.
+		{name: latePublisher, make: func(t *testing.T, n int) []Transport {
+			plan := NewFaultPlan(1)
+			plan.SetLink(2, 1, LinkFault{Latency: 400 * time.Millisecond})
+			return makeTCP(t, n, WireOptions{Standby: true, Fault: plan})
+		}},
 	}
 }
 
-const lateRejoin = "tcp-late-rejoin"
+const (
+	lateRejoin    = "tcp-late-rejoin"
+	latePublisher = "tcp-late-publisher"
+)
 
 // The coordinator-failover contract, driven by the chaos harness:
 // rank 0 dies mid-search and the lowest survivor adopts the
@@ -130,6 +142,13 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			// Bounds still flow between survivors through the new
 			// coordinator (star) or the untouched peer links (mesh).
 			publisher := trs[2]
+			if h.name == latePublisher {
+				// Rank 2's kRejoin is on its slow way by now.
+				time.Sleep(50 * time.Millisecond)
+				if trs[2].(*endpoint).links[1].Load() != nil {
+					t.Log("rank 2 rejoined before the bound was published: the window was missed")
+				}
+			}
 			if h.name == lateRejoin {
 				// The fan-out of this one finds no link for rank 3.
 				publisher = trs[1]

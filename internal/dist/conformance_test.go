@@ -28,7 +28,7 @@ type harness struct {
 
 // makeTCP builds a TCP deployment with the given wire options; the
 // harness list instantiates it for both topologies.
-func makeTCP(t *testing.T, n int, opts WireOptions) []Transport {
+func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 	l, err := NewListenerOpts("127.0.0.1:0", "conformance", opts)
 	if err != nil {
 		t.Fatalf("listen: %v", err)

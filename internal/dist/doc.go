@@ -106,10 +106,12 @@
 //
 //   - Batched steals: a steal request names the number of tasks the
 //     thief will accept (StealBatch); the reply carries up to that
-//     many. The thief hands the first to the requesting worker and
-//     re-homes the rest via Handler.OnTask, so one round trip moves a
-//     batch. Victims that implement MultiStealer decide how much of
-//     their backlog one thief may take (the engine uses steal-half).
+//     many, so one round trip moves a batch. Victims that implement
+//     MultiStealer decide how much of their backlog one thief may take
+//     (the engine uses steal-half). The thief's engine takes the whole
+//     reply at once (BatchAdopter): it enqueues all but the first task
+//     as one run and gives the first back for the requesting worker;
+//     one without the extension gets the extras through Handler.OnTask.
 //   - Coalesced live-task deltas: AddTasks accumulates into a
 //     per-locality counter that is drained onto the next outgoing
 //     frame of any kind, with a FlushQuantum ticker as the fallback —
@@ -376,23 +378,40 @@
 // resumes through Wire (the Meter subset of Transport); the engine
 // folds those into its Stats.
 //
-// # Zero-allocation wire hot path
+// # Zero-allocation wire hot path, and who owns a payload
 //
-// The steady-state frame path allocates nothing per frame, in either
-// direction. Encoding goes through a per-connection scratch buffer
-// pre-sized to the common header-only frame shapes; sendMany flushes a
-// whole batch (steal replies, coalesced acks) as one vectored write
-// from pooled batch buffers; the retransmit log stores pooled frame
-// images that are recycled when an ack trims the log or the session
-// ends; and the read loop decodes from a per-connection image reused
-// across frames (the frame header is consumed via the buffered
-// reader's own storage rather than read into a local, which would
-// escape through the io.Reader interface and cost one heap allocation
-// per frame). BenchmarkHotPathWireAllocs measures the census — zero
-// allocations per send→recv frame, ~0.13 per frame across vectored
-// batches — and BENCH_transport.json gates it at one allocation per
-// frame with no slack, since allocation counts do not wobble with host
-// speed.
+// A steal round trip — request, serve, reply, receive, adopt,
+// completion ack — allocates nothing in steady state, at either end:
+// every buffer on the path belongs to a link or to the endpoint and is
+// used again for the next frame. One ownership rule makes that safe: a
+// payload is borrowed for the duration of the call that hands it over,
+// and whoever holds it longer copies it.
+//
+// Outbound, a link's steal replies are built in one task slice and one
+// payload buffer (the read loop's, passed to MultiStealer) and encoded
+// into the connection's write scratch; send has copied everything by
+// the time it returns. What outlives the send copies: the failover
+// mirror (one copy, shared with the replication queue) and the
+// session's retransmit log (a pooled image of the encoded frame,
+// recycled when an ack trims the log or the session ends).
+//
+// Inbound, a link reads every frame into one image and parses it into
+// one frame value whose task and ack arrays are recycled too, so a
+// frame and all it points to live until the link's next read. Stolen
+// tasks are therefore decoded on the read loop itself, by the engine
+// (BatchAdopter; core.Codec.Decode must not alias its input); a relayed
+// frame is re-encoded at once; and what is kept longer is copied by its
+// keeper — the incumbent retention, a gather contribution, the
+// standby's replica. A handler that is no BatchAdopter gets its own
+// copy of every payload.
+//
+// Around the frames, a steal request waits in a reusable slot that owns
+// its reply channel and timeout timer (pendingSteals), and a quantum's
+// completion acks are batched per link in arrays kept for the next
+// (drainAcks). BenchmarkHotPathWireAllocs measures the census — zero
+// allocations per send→recv frame, zero per four-task steal round trip
+// with ledger ids and acks — and BENCH_transport.json gates both with
+// no slack; TestConformanceBufferReuseUnderStress tests the rule.
 //
 // # Codec registration contract
 //

@@ -80,9 +80,14 @@ type endpoint struct {
 
 	pending pendingSteals
 	ackMu   sync.Mutex
-	ackBuf  []uint64     // coalesced completion acks, drained by the flush tick
-	pbStamp atomic.Int64 // best bound known; stamped on outgoing frames
-	pbSeen  atomic.Int64 // best bound delivered to the handler
+	ackBuf  []uint64 // coalesced completion acks, drained by the flush tick
+	// The drain's scratch, under drainMu (the flush tick and Close both
+	// drain): the next ackBuf, and the ids sorted by the link they leave on.
+	drainMu  sync.Mutex
+	ackSpare []uint64
+	ackOut   map[*wconn][]uint64
+	pbStamp  atomic.Int64 // best bound known; stamped on outgoing frames
+	pbSeen   atomic.Int64 // best bound delivered to the handler
 	// peerPrio[rank] is the rank's last advertised best stealable
 	// priority: >= 0 a priority, PrioNone an empty pool, prioUnknown
 	// nothing heard yet.
@@ -130,6 +135,7 @@ func newEndpoint(opts WireOptions, spec string) *endpoint {
 		opts:    opts,
 		spec:    spec,
 		mesh:    opts.Topology == TopologyMesh,
+		ackOut:  make(map[*wconn][]uint64),
 		started: make(chan struct{}),
 		done:    make(chan struct{}),
 		gotAll:  make(chan struct{}),
@@ -335,18 +341,6 @@ func (e *endpoint) handler() Handler {
 	return hd
 }
 
-// adopt hands tasks that arrived with nobody waiting for them (batch
-// extras, late steal replies, mirror replays) to the engine as local
-// work: they left their victim's pool and are still registered in the
-// live count, so dropping one would lose part of the tree.
-func (e *endpoint) adopt(tasks []WireTask) {
-	if hd := e.handler(); hd != nil {
-		for _, t := range tasks {
-			hd.OnTask(t)
-		}
-	}
-}
-
 // meldBound merges a learned bound into the piggyback stamp and, when
 // the engine has not yet been told anything at least as strong,
 // delivers it, reporting whether it was news. The delivery gate absorbs
@@ -366,10 +360,11 @@ func (e *endpoint) meldBound(from int, obj int64) bool {
 }
 
 // retain keeps a published (obj, node) pair if it is the best so far,
-// and replicates the improvement to the standby.
+// and replicates the improvement to the standby: the retention's own
+// copy, since node may alias a receive image.
 func (e *endpoint) retain(obj int64, node []byte) {
-	if e.inc.keep(obj, node) && e.repl != nil {
-		e.repl.noteIncumbent(obj, node)
+	if kept := e.inc.keep(obj, node); kept != nil && e.repl != nil {
+		e.repl.noteIncumbent(obj, kept)
 	}
 }
 
@@ -378,8 +373,13 @@ func (e *endpoint) retain(obj int64, node []byte) {
 func (e *endpoint) readLoop(peer int, cn *wconn) {
 	// One frame for the life of the loop (recv resets it): it escapes
 	// through the detector interface, and must not cost an allocation
-	// per frame read. Nothing below keeps &f past its iteration.
+	// per frame read. Nothing below keeps &f, or anything f points to
+	// (recv's ownership rule), past its iteration.
 	var f frame
+	// Every steal reply this link serves is built in these two: send has
+	// encoded a reply by the time it returns.
+	var served []WireTask
+	var payloads []byte
 	for {
 		if err := cn.recv(&f); err != nil {
 			e.linkLost(peer, cn)
@@ -408,7 +408,8 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			}
 			thief, seq, want := f.From, f.Seq, f.Want
 			if f.Kind == kSteal {
-				e.reply(cn, thief, seq, collectSteal(e.handler(), thief, want))
+				served, payloads = collectSteal(e.handler(), thief, want, served[:0], payloads[:0])
+				e.reply(cn, thief, seq, served)
 				break
 			}
 			// Served off the read loop: the split gate may block briefly
@@ -423,10 +424,14 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			if len(f.Tasks) > 0 {
 				e.term.blacken()
 			}
-			if !e.pending.resolve(f.Seq, f.Tasks) {
-				// The request timed out before this reply landed; the
-				// tasks are ours now.
-				e.adopt(f.Tasks)
+			// The engine takes the whole reply here, before its image is read
+			// over; the first task travels on, decoded, to a requester that
+			// is still waiting.
+			ps := e.pending.claim(f.Seq)
+			first := adoptTasks(e.handler(), f.Tasks, ps != nil)
+			if ps != nil {
+				ps.n = len(f.Tasks)
+				ps.ch <- first
 			}
 		case kBound:
 			// A node-carrying broadcast is retained, so the optimum
@@ -465,7 +470,7 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 		case kAck:
 			e.onAcks(f.From, f.Acks)
 		case kGather:
-			e.contribute(f.From, f.Blob)
+			e.contribute(f.From, append([]byte{}, f.Blob...))
 		case kDeath:
 			e.died(f.Want, nil)
 		case kTerminate:
@@ -628,26 +633,36 @@ func (e *endpoint) stealVia(k kind, victim int) (WireTask, bool, error) {
 		// fast and keep expanding the local frontier instead.
 		return WireTask{}, false, nil
 	}
-	seq, ch := e.pending.register(victim, cn)
-	if cn.send(&frame{Kind: k, From: e.rank, To: victim, Seq: seq, Want: e.opts.StealBatch}) == nil {
+	ps := e.pending.register(victim, cn)
+	first, got := WireTask{}, false
+	if cn.send(&frame{Kind: k, From: e.rank, To: victim, Seq: ps.seq, Want: e.opts.StealBatch}) == nil {
+		ps.timer.Reset(stealTimeout)
 		select {
-		case tasks := <-ch:
-			if len(tasks) == 0 {
-				return WireTask{}, false, nil
-			}
-			e.ctr.stealReplies.Add(1)
-			e.ctr.stealTasks.Add(int64(len(tasks)))
-			e.adopt(tasks[1:])
-			return tasks[0], true, nil
+		case first = <-ps.ch:
+			got = true
 		case <-e.done:
 			// Global termination: no reply can matter (and none may
 			// come — a victim that finished may already have shut down
 			// without a death fan-out to fail this request).
-		case <-time.After(stealTimeout):
+		case <-ps.timer.C:
 		}
 	}
-	e.pending.drop(seq)
-	return WireTask{}, false, nil
+	if !got {
+		if e.pending.release(ps, false) {
+			return WireTask{}, false, nil
+		}
+		// The reply was claimed for this request as it gave up, and its
+		// first task is already registered here: take it after all.
+		first = <-ps.ch
+	}
+	n := ps.n
+	e.pending.release(ps, true)
+	if n == 0 {
+		return WireTask{}, false, nil
+	}
+	e.ctr.stealReplies.Add(1)
+	e.ctr.stealTasks.Add(int64(n))
+	return first, true, nil
 }
 
 // BroadcastBound publishes a bound. The encoded node goes only where
@@ -754,10 +769,9 @@ func (e *endpoint) bufferAcks(ids ...uint64) {
 // join the buffer, to leave with the next drain like self-minted ones.
 func (e *endpoint) onAcks(from int, ids []uint64) {
 	hd := e.handler()
-	var relay []uint64
 	for _, id := range ids {
 		if TaskOrigin(id) != e.rank {
-			relay = append(relay, id)
+			e.bufferAcks(id)
 			continue
 		}
 		if hd != nil {
@@ -768,24 +782,26 @@ func (e *endpoint) onAcks(from int, ids []uint64) {
 			e.repl.noteRetire(id)
 		}
 	}
-	if len(relay) > 0 {
-		e.bufferAcks(relay...)
-	}
 }
 
 // drainAcks sends the coalesced acks, one batch per link they leave on:
 // a star worker's all ride its coordinator link in one frame, anyone
-// with direct links sends each origin its own.
+// with direct links sends each origin its own. The buffer it empties and
+// the per-link batches it builds are kept for the next drain: a quantum's
+// acks cost no allocation.
 func (e *endpoint) drainAcks() {
+	e.drainMu.Lock()
+	defer e.drainMu.Unlock()
 	e.ackMu.Lock()
 	ids := e.ackBuf
-	e.ackBuf = nil
+	e.ackBuf = e.ackSpare[:0]
 	e.ackMu.Unlock()
+	e.ackSpare = ids
 	if len(ids) == 0 {
 		return
 	}
-	byLink := make(map[*wconn][]uint64)
-	var keep []uint64
+	// What cannot leave now goes back into the buffer for the next drain
+	// (bufferAcks appends to the other array, never ids).
 	for _, id := range ids {
 		dest := TaskOrigin(id)
 		if dest == 0 && e.epoch.Load() == 1 {
@@ -798,30 +814,30 @@ func (e *endpoint) drainAcks() {
 		case dest == e.rank:
 			e.mirror.retire(id)
 		case cn != nil:
-			byLink[cn] = append(byLink[cn], id)
+			e.ackOut[cn] = append(e.ackOut[cn], id)
 		case dest >= 0 && dest < e.size && !e.deaths.isDead(dest) && !e.isDone():
 			// No way there right now, but nobody said the origin died: a
 			// takeover is re-pointing the coordinator link. Keep the ack
 			// for the next drain — its origin's ledger entry, and the
 			// live count under it, wait on it.
-			keep = append(keep, id)
+			e.bufferAcks(id)
 		}
 		// Otherwise the origin is dead: its ledger died with it, and the
 		// subtree the ack certifies was completed by the sender anyway.
 	}
-	for cn, ids := range byLink {
-		var fs []*frame
-		for rest := ids; len(rest) > 0; {
-			n := min(len(rest), maxStealBatch)
-			fs = append(fs, &frame{Kind: kAck, From: e.rank, Acks: rest[:n]})
-			rest = rest[n:]
+	for cn, ids := range e.ackOut {
+		e.ackOut[cn] = ids[:0]
+		if cn.dead.Load() {
+			delete(e.ackOut, cn)
 		}
-		if cn.sendMany(fs) != nil {
-			keep = append(keep, ids...)
+		for len(ids) > 0 {
+			n := min(len(ids), maxStealBatch)
+			if cn.send(&frame{Kind: kAck, From: e.rank, Acks: ids[:n]}) != nil {
+				e.bufferAcks(ids...)
+				break
+			}
+			ids = ids[n:]
 		}
-	}
-	if len(keep) > 0 {
-		e.bufferAcks(keep...)
 	}
 }
 

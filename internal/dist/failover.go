@@ -234,7 +234,7 @@ func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts, err := parseTasks(r)
+		ts, err := parseTasks(r, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -442,9 +442,10 @@ func newStandbyState() *standbyState {
 
 // applySnap replaces the store with a full snapshot (deltas and
 // snapshots ride the same ordered connection, so the snapshot already
-// reflects every delta sent before it).
+// reflects every delta sent before it). A decoded snapshot aliases what
+// it was parsed from, so the store parses a copy of the receive image.
 func (s *standbyState) applySnap(blob []byte) {
-	snap, err := DecodeHubSnapshot(blob)
+	snap, err := DecodeHubSnapshot(append([]byte(nil), blob...))
 	if err != nil {
 		return // a garbled snapshot is strictly worse than the last good one
 	}
@@ -468,12 +469,13 @@ func (s *standbyState) applySnap(blob []byte) {
 	s.mu.Unlock()
 }
 
-// applyDelta overlays one kHubDelta.
+// applyDelta overlays one kHubDelta, copying what it keeps of the frame.
 func (s *standbyState) applyDelta(f *frame) {
 	s.mu.Lock()
 	switch f.Want {
 	case hubDeltaMirrorAdd:
 		for _, t := range f.Tasks {
+			t.Payload = append([]byte{}, t.Payload...)
 			s.mirror[t.ID] = MirrorEntry{Holder: f.To, Task: t}
 		}
 	case hubDeltaRetire:
@@ -482,13 +484,13 @@ func (s *standbyState) applyDelta(f *frame) {
 		}
 	case hubDeltaIncumbent:
 		if len(f.Blob) > 0 && (!s.hasBest || f.Obj > s.bestObj) {
-			s.hasBest, s.bestObj, s.bestNod = true, f.Obj, f.Blob
+			s.hasBest, s.bestObj, s.bestNod = true, f.Obj, append([]byte{}, f.Blob...)
 		}
 	case hubDeltaGather:
 		if _, seen := s.gather[f.To]; !seen {
 			var blob []byte
 			if f.Seq == 1 {
-				blob = f.Blob
+				blob = append([]byte{}, f.Blob...)
 			}
 			s.gather[f.To] = blob
 		}
@@ -544,13 +546,16 @@ func failoverCandidate(size int, deaths *deathBox) int {
 // mirrorHandOver records rank 0's own hand-overs in the failover
 // mirror before the reply ships: should the thief die after a
 // takeover, the promoted rank replays exactly these supervision roots.
-// Unsupervised tasks (ID 0) have nothing to replay.
+// Unsupervised tasks (ID 0) have nothing to replay. The mirror and the
+// replication queue outlive the reply, whose payloads sit in the link's
+// reply buffer, so they share a copy of each.
 func (e *endpoint) mirrorHandOver(thief int, tasks []WireTask) {
 	if e.repl == nil {
 		return
 	}
 	for _, t := range tasks {
 		if t.ID != 0 {
+			t.Payload = append([]byte{}, t.Payload...)
 			e.mirror.add(thief, t)
 			e.repl.noteMirrorAdd(thief, t)
 		}
@@ -775,7 +780,7 @@ func (e *endpoint) admitRejoin(cn *wconn, rj *frame) error {
 func (e *endpoint) replayMirror(holder int) {
 	if ts := e.mirror.takeHolder(holder); len(ts) > 0 {
 		e.term.blacken()
-		e.adopt(ts)
+		adoptTasks(e.handler(), ts, false)
 	}
 }
 
@@ -787,7 +792,8 @@ func (e *endpoint) rejoin(cand int, rep int64) bool {
 	if cand >= len(e.peerAddrs) || e.peerAddrs[cand] == "" {
 		return false
 	}
-	cn, err := e.dialLink(e.peerAddrs[cand], cand, &frame{Kind: kRejoin, From: e.rank, Want: int(e.epoch.Load()), Obj: rep})
+	hello := &frame{Kind: kRejoin, From: e.rank, Want: int(e.epoch.Load()), Obj: rep}
+	cn, err := e.dialLink(e.peerAddrs[cand], cand, hello)
 	if err != nil {
 		return false
 	}
@@ -807,6 +813,13 @@ func (e *endpoint) rejoin(cand int, rep int64) bool {
 		e.meldBound(welcome.From, welcome.PB)
 	}
 	e.install(cand, cn)
+	// A bound published while this link was being made found no link to
+	// leave on, and the kRejoin carries only what was known when it was
+	// stamped: repeat what it missed. (BroadcastBound raises the stamp
+	// before it looks for the link, so one of the two sees the other.)
+	if b := e.pbStamp.Load(); b != math.MinInt64 && !(hello.HasPB && hello.PB >= b) {
+		cn.send(&frame{Kind: kBound, From: e.rank, Obj: b})
+	}
 	go e.readLoop(cand, cn)
 	return true
 }

@@ -41,9 +41,8 @@ import (
 // (payload-length, payload, id, depth, prio, bound) per task — the
 // priority is a v3 addition (letting ordered searches span the wire),
 // the hand-over id a v4 one (the supervision ticket of the victim's
-// ledger entry). The thief hands the first task to the requesting
-// worker and re-homes the rest through Handler.OnTask, exactly like a
-// late reply.
+// ledger entry). The thief's engine adopts the batch as one run and
+// the first task goes to the requesting worker.
 //
 // v4 adds the fault-tolerance vocabulary: kAck (a *batch* of hand-over
 // ids being acked — each id names its own origin via TaskID packing,
@@ -271,10 +270,13 @@ func (r *frameReader) byte() (byte, error) {
 	return v, nil
 }
 
-// parseFrame decodes one frame body. The body slice must be dedicated
-// to this frame: Blob and task payloads alias it.
+// parseFrame decodes one frame body into f. Blob and task payloads
+// alias b, and Tasks and Acks reuse the arrays f arrived with: parsing a
+// link's every frame into one frame value allocates for none of them,
+// and the caller must be done with a frame — or have copied what it
+// keeps — before parsing the next into it or reusing b.
 func parseFrame(b []byte, f *frame) error {
-	*f = frame{}
+	*f = frame{Tasks: f.Tasks[:0], Acks: f.Acks[:0]}
 	if len(b) < 2 {
 		return fmt.Errorf("dist: frame body of %d bytes", len(b))
 	}
@@ -334,21 +336,21 @@ func parseFrame(b []byte, f *frame) error {
 			return err
 		}
 	case kStealR:
-		if f.Tasks, err = parseTasks(r); err != nil {
+		if f.Tasks, err = parseTasks(r, f.Tasks); err != nil {
 			return err
 		}
 	case kAck:
-		if f.Acks, err = parseAcks(r); err != nil {
+		if f.Acks, err = parseAcks(r, f.Acks); err != nil {
 			return err
 		}
 	case kHubDelta:
 		if f.Blob, err = r.bytes(); err != nil {
 			return err
 		}
-		if f.Tasks, err = parseTasks(r); err != nil {
+		if f.Tasks, err = parseTasks(r, f.Tasks); err != nil {
 			return err
 		}
-		if f.Acks, err = parseAcks(r); err != nil {
+		if f.Acks, err = parseAcks(r, f.Acks); err != nil {
 			return err
 		}
 	}
@@ -359,8 +361,8 @@ func parseFrame(b []byte, f *frame) error {
 }
 
 // parseTasks decodes a task batch (the kStealR payload, also the
-// kHubDelta mirror payload).
-func parseTasks(r *frameReader) ([]WireTask, error) {
+// kHubDelta mirror payload), appending to tasks[:0].
+func parseTasks(r *frameReader, tasks []WireTask) ([]WireTask, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -368,12 +370,8 @@ func parseTasks(r *frameReader) ([]WireTask, error) {
 	if n > maxStealBatch {
 		return nil, fmt.Errorf("dist: steal reply of %d tasks", n)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	tasks := make([]WireTask, n)
-	for i := range tasks {
-		t := &tasks[i]
+	for ; n > 0; n-- {
+		var t WireTask
 		if t.Payload, err = r.bytes(); err != nil {
 			return nil, err
 		}
@@ -392,12 +390,13 @@ func parseTasks(r *frameReader) ([]WireTask, error) {
 		if t.Bound, err = r.varint(); err != nil {
 			return nil, err
 		}
+		tasks = append(tasks, t)
 	}
 	return tasks, nil
 }
 
-// parseAcks decodes a hand-over id batch.
-func parseAcks(r *frameReader) ([]uint64, error) {
+// parseAcks decodes a hand-over id batch, appending to acks[:0].
+func parseAcks(r *frameReader, acks []uint64) ([]uint64, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -405,14 +404,12 @@ func parseAcks(r *frameReader) ([]uint64, error) {
 	if n > maxStealBatch {
 		return nil, fmt.Errorf("dist: ack batch of %d ids", n)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	acks := make([]uint64, n)
-	for i := range acks {
-		if acks[i], err = r.uvarint(); err != nil {
+	for ; n > 0; n-- {
+		id, err := r.uvarint()
+		if err != nil {
 			return nil, err
 		}
+		acks = append(acks, id)
 	}
 	return acks, nil
 }

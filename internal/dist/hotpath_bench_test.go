@@ -2,18 +2,17 @@ package dist
 
 import (
 	"net"
-	"runtime"
 	"testing"
 )
 
-// Steady-state allocation census of the wire hot path (the zero-alloc
-// claim of the fused-kernel/zero-alloc-wire PR): header-only frames —
-// deltas, acks, the flush-quantum traffic — must move through
-// encodeFrame's reused scratch, the vectored batch buffers, and
-// readRawFrameInto's recycled read image without per-frame heap
-// allocation. Gated at <= 1 alloc/frame by cmd/benchguard via
-// BENCH_transport.json (the budget tolerates incidental runtime
-// allocation; the measured number should sit near zero).
+// Steady-state allocation census of the wire hot path: header-only
+// frames — deltas, acks, the flush-quantum traffic — must move through
+// encodeFrame's reused scratch and readRawFrameInto's recycled read
+// image without per-frame heap allocation, and a whole steal round trip
+// — request, serve, reply, receive, adopt, completion ack — must leave
+// nothing behind either. Gated by cmd/benchguard via
+// BENCH_transport.json (the budgets tolerate incidental runtime
+// allocation; the measured numbers should sit at zero).
 
 // benchWirePair returns two wconns joined by a real TCP loopback
 // connection.
@@ -72,9 +71,13 @@ func drainFrames(cn *wconn, n int) chan error {
 // per op through send and recv. allocs/op IS allocs per frame, both
 // endpoints combined (same process, same heap).
 //
-// BenchmarkHotPathWireAllocs/sendmany: one vectored 8-frame flush
-// batch (7 acks + 1 delta, the flush-quantum shape) per op; the
-// reported allocs/frame divides the heap delta over every frame moved.
+// BenchmarkHotPathWireAllocs/steal-roundtrip: one steal per op between
+// the two endpoints of a TCP star (reuseHandler the engine at both), at
+// the default batch of four tasks, every task handed over under a ledger
+// id, checked and acked complete (the acks leave coalesced on the flush
+// tick, inside the measurement). allocs/op is everything the process
+// allocates per round trip, both endpoints and their pacing loops
+// included.
 func BenchmarkHotPathWireAllocs(b *testing.B) {
 	b.Run("send-recv", func(b *testing.B) {
 		snd, rcv, cleanup := benchWirePair(b)
@@ -91,33 +94,32 @@ func BenchmarkHotPathWireAllocs(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-	b.Run("sendmany", func(b *testing.B) {
-		const batch = 8
-		snd, rcv, cleanup := benchWirePair(b)
-		defer cleanup()
-		done := drainFrames(rcv, b.N*batch)
-		fs := make([]*frame, batch)
-		frames := make([]frame, batch)
+	b.Run("steal-roundtrip", func(b *testing.B) {
+		trs := makeTCP(b, 2, WireOptions{})
+		victim := &reuseHandler{tr: trs[0], ledger: make(map[uint64]struct{})}
+		thief := &reuseHandler{tr: trs[1]}
+		trs[0].Start(victim)
+		trs[1].Start(thief)
+		steal := func() {
+			if wt, ok, err := trs[1].Steal(0); err != nil || !ok || wt.Local == nil {
+				b.Fatalf("steal: task=%+v ok=%v err=%v", wt, ok, err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			steal() // the scratch every layer recycles reaches its size
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
 		for i := 0; i < b.N; i++ {
-			for j := range frames {
-				frames[j] = frame{Kind: kAck, From: 1, To: 0}
-			}
-			frames[batch-1] = frame{Kind: kDelta, From: 1, Delta: -1}
-			for j := range fs {
-				fs[j] = &frames[j]
-			}
-			if err := snd.sendMany(fs); err != nil {
-				b.Fatal(err)
-			}
+			steal()
 		}
-		if err := <-done; err != nil {
-			b.Fatal(err)
+		b.StopTimer()
+		if n := thief.bad.Load(); n != 0 {
+			b.Fatalf("%d adopted payloads did not open under their id", n)
 		}
-		runtime.ReadMemStats(&ms1)
-		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N*batch), "allocs/frame")
+		ws := trs[1].Wire()
+		if got, want := ws.StealTasks, int64(DefaultStealBatch)*ws.StealReplies; got != want {
+			b.Fatalf("%d tasks in %d replies, want batches of %d", got, ws.StealReplies, DefaultStealBatch)
+		}
 	})
 }

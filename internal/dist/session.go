@@ -83,19 +83,17 @@ func encodeFrame(dst []byte, f *frame, seq uint32) []byte {
 // readRawFrame reads and verifies one v8 frame, returning its link
 // sequence and total wire size. A CRC mismatch is a connection
 // failure, not a parse error: the stream can no longer be trusted.
-// The body gets a dedicated allocation: blob and task payloads alias
-// it and may be retained by the handler.
+// The image gets a dedicated allocation, so f's blob and task payloads
+// are the caller's for good (the handshakes, which read one frame).
 func readRawFrame(br *bufio.Reader, f *frame) (uint32, int, error) {
 	seq, n, _, err := readRawFrameInto(br, f, nil)
 	return seq, n, err
 }
 
 // readRawFrameInto is readRawFrame reading the frame image into buf
-// (grown as needed) and returning the possibly-grown buffer. The
-// caller owns the reuse decision: a frame whose Blob or Tasks are
-// empty aliases nothing, so its buffer can back the next read; one
-// that carries an aliasing payload must keep its buffer for as long
-// as the handler may hold the payload.
+// (grown as needed) and returning the possibly-grown buffer. f's Blob
+// and task payloads alias that buffer: they are valid until the caller
+// reads the next frame into it (see wconn.recv for who copies what).
 func readRawFrameInto(br *bufio.Reader, f *frame, buf []byte) (uint32, int, []byte, error) {
 	// Peek+Discard instead of ReadFull into a local: a stack array
 	// passed through the io.Reader interface escapes, costing one heap

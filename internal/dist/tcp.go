@@ -46,8 +46,9 @@ const (
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
-// reply landing after it is adopted via Handler.OnTask. A variable so
-// tests can exercise the late-reply path without the full wait.
+// reply landing after it is adopted as local work all the same. A
+// variable so tests can exercise the late-reply path without the full
+// wait.
 var stealTimeout = 10 * time.Second
 
 // WireOptions tunes the v2 framing layer.
@@ -55,7 +56,7 @@ type WireOptions struct {
 	// StealBatch is the maximum number of tasks requested per steal
 	// (the victim may serve fewer — the engine's steal-half policy
 	// protects its own backlog). The thief keeps one task for the
-	// requesting worker and re-homes the extras via Handler.OnTask.
+	// requesting worker and enqueues the extras (BatchAdopter).
 	// Default DefaultStealBatch; 1 disables batching.
 	StealBatch int
 	// FlushQuantum is the pool quantum of delta coalescing: a
@@ -194,15 +195,8 @@ type wconn struct {
 	cur  atomic.Pointer[connIO]
 	wmu  sync.Mutex
 	wbuf []byte
-	// wbatch holds the per-frame wire images of an in-progress sendMany
-	// and wvec the vectored-write view over them; both reuse capacity
-	// across batches (under wmu).
-	wbatch [][]byte
-	wvec   net.Buffers
-	// rbuf is the reader goroutine's reusable frame image. recv hands
-	// it off (and re-allocates lazily) whenever a frame's parsed Blob
-	// or Tasks alias it; header-only traffic — the steady state —
-	// recycles it read after read.
+	// rbuf is the reader goroutine's frame image, reused read after
+	// read (see recv for what that asks of whoever reads a frame).
 	rbuf []byte
 	// sendSeq (under wmu) and recvSeq are the v8 link-sequence
 	// counters: every non-resume frame is stamped with the next send
@@ -397,102 +391,6 @@ func (cn *wconn) send(f *frame) error {
 	return nil
 }
 
-// sendMany transmits a batch of frames with one vectored write
-// (writev) instead of one syscall per frame — the flush-quantum path
-// uses it to put a tick's coalesced acks and delta on the wire in a
-// single flush. Each frame is still individually stamped, sequenced,
-// CRC'd, and session-logged, so resume and accounting semantics are
-// exactly those of consecutive send calls; only the number of
-// physical writes changes. Fault-injected links fall back to
-// per-frame writes (a plan's drop/corrupt/reorder actions are defined
-// per frame).
-func (cn *wconn) sendMany(fs []*frame) error {
-	switch len(fs) {
-	case 0:
-		return nil
-	case 1:
-		return cn.send(fs[0])
-	}
-	if cn.dead.Load() {
-		return errors.New("dist: connection closed")
-	}
-	if cn.plan != nil { // attachFault precedes traffic; safe unlocked
-		var err error
-		for _, f := range fs {
-			if e := cn.send(f); e != nil && err == nil {
-				err = e
-			}
-		}
-		return err
-	}
-	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	if cap(cn.wbatch) < len(fs) {
-		nb := make([][]byte, len(fs))
-		copy(nb, cn.wbatch[:cap(cn.wbatch)])
-		cn.wbatch = nb
-	}
-	cn.wbatch = cn.wbatch[:len(fs)]
-	s := cn.sess
-	var drained int64
-	for i, f := range fs {
-		if d := cn.stampLocked(f); d != 0 {
-			drained = d
-		}
-		var seq uint32
-		if f.Kind != kResume {
-			cn.sendSeq++
-			seq = uint32(cn.sendSeq)
-		}
-		cn.wbatch[i] = encodeFrame(cn.wbatch[i], f, seq)
-		if s != nil && f.Kind != kResume {
-			// Logged frames are owed to the peer from here (see send):
-			// their deltas count as put-on-a-wire immediately.
-			s.appendLog(cn.sendSeq, cn.wbatch[i])
-			if cn.cum != nil && f.Delta != 0 {
-				cn.cum.Add(f.Delta)
-			}
-			cn.nSent.Add(1)
-			cn.noteCarried(f)
-			if cn.ctr != nil {
-				cn.ctr.framesSent.Add(1)
-				cn.ctr.bytesSent.Add(int64(len(cn.wbatch[i])))
-			}
-		}
-	}
-	if s != nil {
-		if s.isSuspended() {
-			return nil // queued; the resume replays the batch
-		}
-		cn.wvec = append(cn.wvec[:0], cn.wbatch...)
-		if _, err := cn.wvec.WriteTo(cn.cur.Load().c); err != nil {
-			s.suspend()
-		}
-		return nil
-	}
-	cn.wvec = append(cn.wvec[:0], cn.wbatch...)
-	if _, err := cn.wvec.WriteTo(cn.cur.Load().c); err != nil {
-		if drained != 0 {
-			// Keep the drained delta accounted; see send.
-			cn.pending.Add(drained)
-		}
-		cn.dead.Store(true)
-		return err
-	}
-	for i, f := range fs {
-		if cn.cum != nil && f.Delta != 0 {
-			cn.cum.Add(f.Delta)
-		}
-		cn.nSent.Add(1)
-		cn.noteCarried(f)
-		if cn.ctr != nil {
-			cn.ctr.framesSent.Add(1)
-			cn.ctr.bytesSent.Add(int64(len(cn.wbatch[i])))
-		}
-	}
-	return nil
-}
-
 // writeFault realises the link's fault plan around one physical frame
 // write. The clean bytes are already in the retransmit log, so with a
 // session attached a mutation here only ever costs a resume round,
@@ -545,19 +443,16 @@ func (cn *wconn) writeFault(buf []byte) error {
 	return nil
 }
 
+// recv reads the link's next frame into f. f's Blob and task payloads
+// alias the link's one receive image, and Tasks and Acks are f's own
+// recycled arrays: all of it is good until the next recv on this link
+// and no longer, so whoever keeps any of it past that copies it (the
+// package comment says who does).
 func (cn *wconn) recv(f *frame) error {
 	for {
 		nio := cn.cur.Load()
 		seq, n, body, err := readRawFrameInto(nio.br, f, cn.rbuf)
-		if err == nil && len(f.Blob) == 0 && len(f.Tasks) == 0 {
-			// Header-only frame: nothing aliases the image, so it backs
-			// the next read. Frames that carry an aliasing payload keep
-			// their image (the handler may retain Blob or task payloads
-			// indefinitely) and the next read allocates afresh.
-			cn.rbuf = body
-		} else {
-			cn.rbuf = nil
-		}
+		cn.rbuf = body
 		if err != nil {
 			// Close the physical connection before deciding anything:
 			// on a CRC failure or sequence gap the stream is still
@@ -683,52 +578,81 @@ func peerBestPrio(ps []atomic.Int64, rank int) (int, bool) {
 	return int(v), true
 }
 
-// pendingSteals tracks in-flight steal requests by sequence number.
+// pendingSteals is the table of in-flight steal requests. A request
+// occupies a slot from register to release; slots are made on demand (as
+// many as there have ever been steals in flight at once) and reused, so
+// a request allocates neither its reply channel nor its timeout timer.
 type pendingSteals struct {
-	mu   sync.Mutex
-	next uint64
-	m    map[uint64]*pendingSteal
+	mu    sync.Mutex
+	next  uint64
+	slots []*pendingSteal
 }
 
-// pendingSteal is one request's reply slot, tagged with the victim it
-// names and the link it left on (the coordinator's, when relayed).
+// pendingSteal is one request's slot, tagged with the victim it names
+// and the link it left on (the coordinator's, when relayed).
 type pendingSteal struct {
-	victim int
-	via    *wconn
-	ch     chan []WireTask
+	seq     uint64 // the request's correlation number; 0 while the slot is free
+	victim  int
+	via     *wconn
+	claimed bool // a reply is on its way to ch: the requester must take it
+	// ch (capacity 1: one reply per claim, never blocks) wakes the requester
+	// with the reply's first task, n set to how many it carried (0: an
+	// empty-handed or failed steal).
+	ch    chan WireTask
+	n     int
+	timer *time.Timer // the requester's steal timeout, re-armed by every request
 }
 
-func (p *pendingSteals) register(victim int, via *wconn) (uint64, chan []WireTask) {
+// find returns the unclaimed slot of request seq (0: a free slot).
+func (p *pendingSteals) find(seq uint64) *pendingSteal {
+	for _, ps := range p.slots {
+		if ps.seq == seq && !ps.claimed {
+			return ps
+		}
+	}
+	return nil
+}
+
+func (p *pendingSteals) register(victim int, via *wconn) *pendingSteal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.m == nil {
-		p.m = make(map[uint64]*pendingSteal)
+	ps := p.find(0)
+	if ps == nil {
+		ps = &pendingSteal{ch: make(chan WireTask, 1), timer: time.NewTimer(time.Hour)}
+		ps.timer.Stop()
+		p.slots = append(p.slots, ps)
 	}
 	p.next++
-	ch := make(chan []WireTask, 1)
-	p.m[p.next] = &pendingSteal{victim: victim, via: via, ch: ch}
-	return p.next, ch
+	ps.seq, ps.victim, ps.via = p.next, victim, via
+	return ps
 }
 
-// resolve delivers a steal reply to its waiter, reporting false when
-// the request is no longer pending (it timed out): the caller then
-// owns the reply and must not drop carried tasks.
-func (p *pendingSteals) resolve(seq uint64, tasks []WireTask) bool {
+// claim finds the request a reply answers and commits its requester to
+// receiving it: the caller must set n and send one task on the slot's
+// channel. nil when the request timed out: the reply's tasks are the
+// caller's.
+func (p *pendingSteals) claim(seq uint64) *pendingSteal {
 	p.mu.Lock()
-	ps := p.m[seq]
-	delete(p.m, seq)
-	p.mu.Unlock()
-	if ps == nil {
+	defer p.mu.Unlock()
+	ps := p.find(seq)
+	if seq == 0 || ps == nil {
+		return nil
+	}
+	ps.claimed = true
+	return ps
+}
+
+// release ends a request and frees its slot — unless the requester is
+// giving up (got unset) and a reply was claimed for it first: that reply
+// is in, or about to be in, the channel, and false says to take it.
+func (p *pendingSteals) release(ps *pendingSteal, got bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !got && ps.claimed {
 		return false
 	}
-	ps.ch <- tasks
+	ps.seq, ps.claimed, ps.via = 0, false, nil
 	return true
-}
-
-func (p *pendingSteals) drop(seq uint64) {
-	p.mu.Lock()
-	delete(p.m, seq)
-	p.mu.Unlock()
 }
 
 // fail releases, empty-handed, every pending steal lost matches: its
@@ -736,16 +660,12 @@ func (p *pendingSteals) drop(seq uint64) {
 // reply can come.
 func (p *pendingSteals) fail(lost func(*pendingSteal) bool) {
 	p.mu.Lock()
-	var chs []chan []WireTask
-	for seq, ps := range p.m {
-		if lost(ps) {
-			chs = append(chs, ps.ch)
-			delete(p.m, seq)
+	defer p.mu.Unlock()
+	for _, ps := range p.slots {
+		if ps.seq != 0 && !ps.claimed && lost(ps) {
+			ps.claimed, ps.n = true, 0
+			ps.ch <- WireTask{}
 		}
-	}
-	p.mu.Unlock()
-	for _, ch := range chs {
-		ch <- nil
 	}
 }
 

@@ -29,7 +29,12 @@ import (
 // node encoded by the engine's Codec in Payload; the in-process
 // loopback transport passes the engine's task value by reference in
 // Local, avoiding a serialise/deserialise round trip that shared
-// memory does not need.
+// memory does not need. A wire transport also uses Local on the last
+// leg of a steal, for the task a BatchAdopter has already decoded.
+//
+// A Payload is borrowed for the call that hands it over — it aliases a
+// link's reply buffer or receive image — and whoever keeps it longer
+// copies it (see the package comment).
 type WireTask struct {
 	Payload []byte
 	Local   any
@@ -77,7 +82,8 @@ type Handler interface {
 	// the requesting worker's single slot. The locality must enqueue
 	// it as local work: the task left its victim's pool and is still
 	// registered in the global live count, so dropping it would lose
-	// part of the search tree and hang termination.
+	// part of the search tree and hang termination. The payload is the
+	// handler's to keep. A BatchAdopter is not sent tasks this way.
 	OnTask(t WireTask)
 	// OnAck delivers a completion ack for a task this locality handed
 	// over (Transport.Ack on the thief side): the subtree rooted at
@@ -110,21 +116,22 @@ type incumbentBox struct {
 	ok   bool
 }
 
-// keep retains (obj, node) when it beats the current retained pair,
-// reporting whether the retention improved (the replication layer
-// ships only improvements). nil nodes are never retained: a bound
-// without its node cannot reconstruct a result.
-func (b *incumbentBox) keep(obj int64, node []byte) bool {
+// keep retains a copy of node (which may alias a link's receive image)
+// under obj when the pair beats the retained one, and returns that copy
+// (the replication layer ships only improvements), nil otherwise. nil
+// nodes are never retained: a bound without its node cannot reconstruct
+// a result.
+func (b *incumbentBox) keep(obj int64, node []byte) []byte {
 	if node == nil {
-		return false
+		return nil
 	}
 	b.mu.Lock()
-	improved := !b.ok || obj > b.obj
-	if improved {
-		b.obj, b.node, b.ok = obj, node, true
+	defer b.mu.Unlock()
+	if b.ok && obj <= b.obj {
+		return nil
 	}
-	b.mu.Unlock()
-	return improved
+	b.obj, b.node, b.ok = obj, append([]byte{}, node...), true
+	return b.node
 }
 
 func (b *incumbentBox) best() (int64, []byte, bool) {
@@ -190,10 +197,26 @@ type StackSplitter interface {
 // steal replies carry batches. A handler that implements it decides
 // how many tasks (up to max, at least zero) one thief may take in a
 // single exchange — the engine uses a steal-half policy so a batching
-// thief cannot starve its victim. Handlers without it still work:
-// transports fall back to calling ServeSteal up to max times.
+// thief cannot starve its victim — and serves them in append style:
+// tasks appended to out, their payloads' bytes to buf, both returned
+// extended, so a transport that passes the same two slices for a link's
+// every reply serves steals without allocating. Handlers without it
+// still work: transports fall back to calling ServeSteal up to max times.
 type MultiStealer interface {
-	ServeStealMulti(thief, max int) []WireTask
+	ServeStealMulti(thief, max int, out []WireTask, buf []byte) ([]WireTask, []byte)
+}
+
+// BatchAdopter is an optional Handler extension for localities that
+// take a steal reply's tasks as one run. A wire transport calls
+// AdoptTasks on the link's receive goroutine with the payloads still
+// aliasing the receive image, so every task must be decoded by the time
+// it returns. With keep a requester is waiting for the reply: the first
+// task is not enqueued but returned — registered, Local set in place of
+// its Payload — for the transport to hand over. Without keep (a late
+// reply, a replayed mirror entry) all are enqueued and the result is the
+// zero WireTask.
+type BatchAdopter interface {
+	AdoptTasks(ts []WireTask, keep bool) WireTask
 }
 
 // collectSplit gathers up to want tasks for one split-steal reply: the
@@ -202,39 +225,53 @@ type MultiStealer interface {
 // pool steal — a peer speaking kSplit to a pool-only locality still
 // gets whatever a kSteal would have.
 func collectSplit(hd Handler, thief, want int) []WireTask {
-	if hd == nil {
-		return nil
-	}
-	if want < 1 {
-		want = 1
-	}
 	if sp, ok := hd.(StackSplitter); ok {
-		return sp.ServeSplit(thief, want)
+		return sp.ServeSplit(thief, max(want, 1))
 	}
-	return collectSteal(hd, thief, want)
+	ts, _ := collectSteal(hd, thief, want, nil, nil)
+	return ts
 }
 
 // collectSteal gathers up to want tasks from a handler for one steal
-// reply, via the MultiStealer fast path when available.
-func collectSteal(hd Handler, thief, want int) []WireTask {
+// reply into out and buf (see MultiStealer), which it returns extended.
+func collectSteal(hd Handler, thief, want int, out []WireTask, buf []byte) ([]WireTask, []byte) {
 	if hd == nil {
-		return nil
+		return out, buf
 	}
-	if want < 1 {
-		want = 1
+	want = max(want, 1)
+	if ms, ok := hd.(MultiStealer); ok {
+		return ms.ServeStealMulti(thief, want, out, buf)
 	}
-	if ms, ok := hd.(MultiStealer); ok && want > 1 {
-		return ms.ServeStealMulti(thief, want)
-	}
-	var ts []WireTask
-	for len(ts) < want {
+	for n := 0; n < want; n++ {
 		t, ok := hd.ServeSteal(thief)
 		if !ok {
 			break
 		}
-		ts = append(ts, t)
+		out = append(out, t)
 	}
-	return ts
+	return out, buf
+}
+
+// adoptTasks hands a steal reply's tasks to the engine (see BatchAdopter
+// for keep and the result). A handler that is not one keeps what OnTask
+// gives it, so each payload is first copied off the receive image.
+func adoptTasks(hd Handler, ts []WireTask, keep bool) WireTask {
+	if hd == nil || len(ts) == 0 {
+		return WireTask{}
+	}
+	if ba, ok := hd.(BatchAdopter); ok {
+		return ba.AdoptTasks(ts, keep)
+	}
+	var first WireTask
+	for i, t := range ts {
+		t.Payload = append([]byte{}, t.Payload...)
+		if i == 0 && keep {
+			first = t
+			continue
+		}
+		hd.OnTask(t)
+	}
+	return first
 }
 
 // WireStats is a transport endpoint's traffic counters. Wire
