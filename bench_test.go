@@ -320,49 +320,6 @@ func BenchmarkSkeletonTax(b *testing.B) {
 	})
 }
 
-// BenchmarkHotPathPrefetch compares the adaptive multi-inflight
-// steal-ahead pipeline (StealAheadMax=4, the default) against strictly
-// single-inflight prefetching (StealAheadMax=1) on the
-// latency-injected loopback transport — the reproducible steal-heavy
-// workload; a real-TCP deployment on a small instance drains before
-// steal traffic ramps. hitrate is the fraction of transport steals
-// served from the steal-ahead buffer instead of a blocking round trip,
-// accumulated over every solve of the run; the adaptive governor must
-// not do worse than the fixed pipeline it replaced (gated as a
-// guard ratio in BENCH_engine.json, with headroom — hit rates on a
-// time-sliced host are noisy). Needs GOMAXPROCS > 1: on a single
-// scheduler thread the busy locality starves the stealing ones and no
-// transport steal ever lands.
-func BenchmarkHotPathPrefetch(b *testing.B) {
-	g := table1Graph("brock400_1")
-	want, _ := maxclique.Solve(g, core.Sequential, core.Config{})
-	arms := []struct {
-		name string
-		max  int
-	}{{"single", 1}, {"adaptive", 0}} // 0 = default cap of 4
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			var hits, oks float64
-			for i := 0; i < b.N; i++ {
-				cfg := core.Config{
-					Workers: 8, Localities: 4, DCutoff: 3,
-					StealLatency:  200 * time.Microsecond,
-					StealAheadMax: arm.max,
-				}
-				clique, st := maxclique.Solve(g, core.DepthBounded, cfg)
-				if clique.Count() != want.Count() {
-					b.Fatalf("clique size = %d, want %d", clique.Count(), want.Count())
-				}
-				hits += float64(st.PrefetchHits)
-				oks += float64(st.StealsOK)
-			}
-			if oks > 0 {
-				b.ReportMetric(hits/oks, "hitrate")
-			}
-		})
-	}
-}
-
 // BenchmarkBackToBackSolves is ROADMAP per-node item (c) as a number:
 // the bench command's fine-grained workload (UTS b0=100,000,
 // Depth-Bounded d=8, two workers: 0.76 M tasks under a 100,000-wide
@@ -1100,7 +1057,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	for _, transport := range []string{"loopback", "tcp"} {
 		batches := []int{1, dist.DefaultStealBatch}
 		if transport == "loopback" {
-			batches = []int{1} // the in-process hand-over has no round trip to batch away
+			batches = batches[1:] // the in-process network has no option: it asks for the default
 		}
 		for _, batch := range batches {
 			for _, cc := range cliqueCodecs {
@@ -1120,10 +1077,10 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	// The supervised/noledger ratio is the host-independent bound on
 	// the fault-tolerance tax of the no-failure path, gated by
 	// cmd/benchguard.
-	b.Run("tcp/maxclique/compact/batch=4/noledger", func(b *testing.B) {
+	b.Run(fmt.Sprintf("tcp/maxclique/compact/batch=%d/noledger", dist.DefaultStealBatch), func(b *testing.B) {
 		runTransportThroughput(b, "tcp", dist.DefaultStealBatch, maxclique.Codec(), cliqueNodes, false)
 	})
-	b.Run("tcp/knapsack/compact/batch=4/noledger", func(b *testing.B) {
+	b.Run(fmt.Sprintf("tcp/knapsack/compact/batch=%d/noledger", dist.DefaultStealBatch), func(b *testing.B) {
 		runTransportThroughput(b, "tcp", dist.DefaultStealBatch, knapsack.Codec(), knapNodes, false)
 	})
 }

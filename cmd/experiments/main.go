@@ -310,15 +310,15 @@ func figure4() {
 	// The wire columns attribute efficiency loss at scale: frames and
 	// bytes are the transport Meter's logical traffic (real bytes when
 	// rerun over `yewpar -dist`), batch is the mean tasks per steal
-	// reply, pf-hit the share of remote work served from the
-	// steal-ahead buffer instead of a blocking round trip.
+	// reply, no-wait the share of stolen tasks that arrived as a
+	// run's extras, at no blocking round trip of their own.
 	// The mem columns are the per-locality accountant's view: peak
 	// resident frontier (max tasks across localities, with its encoded
 	// byte estimate) and tasks spilled to disk — zero unless the run
 	// sets -pool-budget.
 	locSweep := []int{1, 2, 4, 8, 16, 17}
 	fmt.Printf("%-26s %6s %10s %10s %10s %12s %6s %7s %10s %12s %8s\n",
-		"Skeleton", "locs", "time(s)", "speedup", "frames", "wire-bytes", "batch", "pf-hit",
+		"Skeleton", "locs", "time(s)", "speedup", "frames", "wire-bytes", "batch", "no-wait",
 		"pool-peak", "pool-peakB", "spilled")
 	for _, sk := range skels {
 		var base time.Duration

@@ -360,9 +360,7 @@ func Run(args []string, w io.Writer) (err error) {
 				o.order, stats.OrderedSteals, stats.PrioHist)
 		}
 		if stats.Frames > 0 {
-			fmt.Fprintf(w, "wire: frames=%d bytes=%d batch=%.2f prefetch-hits=%d (%.0f%%)\n",
-				stats.Frames, stats.WireBytes, stats.BatchOccupancy(),
-				stats.PrefetchHits, 100*stats.PrefetchHitRate())
+			printWire(w, stats)
 		}
 		if stats.PoolPeakTasks > 0 || stats.SpilledTasks > 0 {
 			fmt.Fprintf(w, "mem: pool-peak=%d tasks (%d bytes est) spilled=%d tasks (%d bytes)\n",
@@ -373,6 +371,14 @@ func Run(args []string, w io.Writer) (err error) {
 		fmt.Fprint(w, trace.Summary())
 	}
 	return nil
+}
+
+// printWire prints the transport's traffic: batch is the mean run a steal
+// took, no-wait the share of stolen tasks that arrived as a run's extras —
+// at no blocking round trip of their own.
+func printWire(w io.Writer, stats core.Stats) {
+	fmt.Fprintf(w, "wire: frames=%d bytes=%d batch=%.2f no-wait=%.0f%%\n",
+		stats.Frames, stats.WireBytes, stats.BatchOccupancy(), 100*stats.PrefetchHitRate())
 }
 
 func min(a, b int) int {

@@ -190,9 +190,7 @@ func RunDist(o *Options, w io.Writer) error {
 			fmt.Fprintf(w, "order=%s ordered-steals=%d prio-hist=%v\n",
 				o.order, stats.OrderedSteals, stats.PrioHist)
 		}
-		fmt.Fprintf(w, "wire: frames=%d bytes=%d batch=%.2f prefetch-hits=%d (%.0f%%)\n",
-			stats.Frames, stats.WireBytes, stats.BatchOccupancy(),
-			stats.PrefetchHits, 100*stats.PrefetchHitRate())
+		printWire(w, stats)
 		fmt.Fprintf(w, "fault: deaths=%d replayed=%d ledger-peak=%d resumes=%d\n",
 			stats.Deaths, stats.ReplayedTasks, stats.LedgerPeak, stats.LinkResumes)
 		fmt.Fprintf(w, "mem: pool-peak=%d tasks (%d bytes est) spilled=%d tasks (%d bytes)\n",

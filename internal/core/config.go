@@ -59,24 +59,6 @@ type Config struct {
 	// workers prune against stale bounds in the meantime — fewer
 	// prunes, never incorrect. Ignored in multi-process runs.
 	BoundLatency time.Duration
-	// StealAhead bounds the per-locality steal-ahead buffer: after a
-	// successful remote steal, up to this many further tasks are
-	// prefetched in the background while stolen work runs, hiding the
-	// steal round-trip latency. 0 selects the default (a buffer of 1
-	// wherever steals cost latency: multi-process transports, or the
-	// loopback transport with StealLatency injected; disabled on the
-	// zero-latency loopback, where a steal is a direct call). Negative
-	// disables prefetching entirely.
-	StealAhead int
-	// StealAheadMax caps the adaptive prefetch pipeline: the most
-	// background steals one locality may have outstanding at once.
-	// The governor moves the live depth between 1 and this cap by
-	// comparing the steal round-trip EWMA with the rate the locality
-	// consumes prefetched work, and collapses to 1 whenever a sweep
-	// finds every peer empty. 0 selects the default (4); 1 restores
-	// strictly single-inflight prefetching. Meaningful only where
-	// steal-ahead itself runs (see StealAhead).
-	StealAheadMax int
 	// Pool selects the workpool implementation. Ignored when Order is
 	// set: ordered scheduling requires the priority-bucketed pool.
 	Pool PoolKind

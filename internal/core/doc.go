@@ -53,10 +53,9 @@
 // idle worker escalates cheapest-first: rob a sibling shard within the
 // locality — shallowest task across shards, so intra-locality stealing
 // hands over the heuristically-next large subtree exactly like the
-// single shared pool did — then drain the locality's steal-ahead
-// buffer, and only then pay a Transport round trip to a random peer
-// locality. Transport steal handlers serve from the same sharded
-// aggregate, and Config.PoolShards=1 restores the pre-sharding single
+// single shared pool did — and only then pay a Transport round trip to
+// a random peer locality. Transport steal handlers serve from the same
+// sharded aggregate, and Config.PoolShards=1 restores the pre-sharding single
 // shared pool for ablation and oracle testing.
 //
 // Both bucketed pools keep their tasks in one structure, bucketQueue: a
@@ -137,23 +136,23 @@
 // protocol v6 kSplit across localities — rather than through pools, so
 // it is naturally the memory-leanest coordination.
 //
-// Localities hide steal latency with adaptive steal-ahead: the
-// topology keeps a small buffer of prefetched remote tasks and
-// maintains 1–4 speculative steals in flight, governed by an EWMA of
-// the steal round-trip time against the locality's measured task
-// consumption rate — a long pipe relative to how fast workers drain
-// the buffer earns more inflight slots, and an empty sweep collapses
-// the window back to one so a drained neighbourhood is not hammered
-// with speculative requests. Config.StealAheadMax caps the window (1
-// restores the strictly single-inflight pipeline, for ablation); the
-// prefetch oracle tests pin result equality at every depth, and
-// BenchmarkHotPathPrefetch gates the governor's hit rate against the
-// fixed pipeline in CI.
+// How much a remote steal takes has one rule, applied by the victim
+// (locState.ServeStealMulti, Pool.StealRun): a run of up to
+// dist.DefaultStealBatch (64) tasks from the pool's best bucket — the
+// shallowest depth, the best priority, all of a rank-less Deque — and
+// at most half of it, rounded up, taken under one pool lock and one
+// ledger lock. The thief's worker runs the first task and its pool
+// takes the rest, on the loopback network as over a wire, so one round
+// trip's latency is spread over the run. The run stops at the bucket
+// because that is what a steal should preserve — the heuristic order,
+// shallowest or best first (Sections 2.3 and 4.3) — and because half of
+// a whole small pool, cut only by the batch size, is nearly all of it:
+// two ranks then pass the same frontier back and forth.
 //
 // Idle workers do not spin: after a few failed probe rounds a worker
-// parks on its locality's parker and is woken by the next local push,
-// adopted steal reply, or prefetched task (with a growing timeout to
-// re-probe peers that cannot notify it), and a locality whose full
+// parks on its locality's parker and is woken by the next local push
+// or adopted steal reply (with a growing timeout to re-probe peers that
+// cannot notify it), and a locality whose full
 // steal sweep finds every peer empty backs off exponentially before
 // sweeping again, so drain-down does not become a steal storm.
 //

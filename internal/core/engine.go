@@ -129,8 +129,8 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 	// (steal response stays far below task granularity while work is
 	// flowing), then parks on its locality's parker with an
 	// exponentially growing timeout. Parked workers cost nothing; the
-	// next local push, adopted task, or prefetched steal wakes one, and
-	// the timeout re-probes remote peers that cannot notify us. Over a
+	// next local push or adopted task wakes one, and the timeout
+	// re-probes remote peers that cannot notify us. Over a
 	// wire transport each failed steal round already costs network
 	// round trips, so parking starts longer to spare the coordinator.
 	parkBase := 20 * time.Microsecond

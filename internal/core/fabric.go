@@ -168,9 +168,10 @@ type locState[N any] struct {
 	fams  freeList[family]
 	boxes freeList[Task[N]]
 	// adoptRun is AdoptTasks' decode buffer, under adoptMu: a mesh
-	// locality adopts from one receive goroutine per peer.
-	adoptMu  sync.Mutex
-	adoptRun []Task[N]
+	// locality adopts from one receive goroutine per peer. serveRun is
+	// ServeStealMulti's, likewise.
+	adoptMu, serveMu   sync.Mutex
+	adoptRun, serveRun []Task[N]
 }
 
 var _ dist.Handler = (*locState[string])(nil)
@@ -192,25 +193,20 @@ func (h *locState[N]) famDone(f *family) {
 	}
 }
 
-// ServeSteal implements dist.Handler: hand the thief the shallowest
-// spare task, stamped with this locality's current bound so the thief
-// prunes with knowledge at least as fresh as the victim's, and
-// retained in the ledger under a freshly minted hand-over id until the
-// thief acks the subtree's completion.
+// ServeSteal implements dist.Handler, for a transport that does not know
+// MultiStealer: a run of one.
 func (h *locState[N]) ServeSteal(thief int) (dist.WireTask, bool) {
-	t, id, ok := h.led.handOverFrom(thief, h.pool)
-	if !ok {
+	out, _ := h.ServeStealMulti(thief, 1, nil, nil)
+	if len(out) == 0 {
 		return dist.WireTask{}, false
 	}
-	wt, _, ok := h.export(id, t, nil)
-	return wt, ok
+	return out[0], true
 }
 
 // export turns a task retained under id into what crosses the locality
 // boundary: the bound stamped, and on a wire fabric the node's encoding
 // appended to buf (returned extended; the payload is its tail), else the
-// task by reference. An unencodable node is a deployment bug: the entry
-// is retired, the task goes back to the pool, the thief looks elsewhere.
+// task by reference. It fails on a node the codec cannot encode.
 func (h *locState[N]) export(id uint64, t Task[N], buf []byte) (dist.WireTask, []byte, bool) {
 	wt := dist.WireTask{ID: id, Depth: t.Depth, Prio: int(t.Prio), Bound: math.MinInt64}
 	if b := h.fab.bounds; b != nil {
@@ -222,35 +218,42 @@ func (h *locState[N]) export(id uint64, t Task[N], buf []byte) (dist.WireTask, [
 	}
 	nb, err := h.fab.codec.EncodeTo(buf, t.Node)
 	if err != nil {
-		h.led.retire(id)
-		h.pool.Push(t)
 		return dist.WireTask{}, buf, false
 	}
 	wt.Payload = nb[len(buf):len(nb):len(nb)]
 	return wt, nb, true
 }
 
-// ServeStealMulti implements dist.MultiStealer for transports whose
-// steal replies carry batches, under a steal-half policy: one exchange
-// never takes more than half of the victim's backlog (rounded up, so a
-// single spare task still travels), keeping a batching thief from
-// starving the locality that is actually producing work. The batch is
-// appended to out, its encodings to buf: a transport that serves a link's
-// every reply from the same two slices allocates for none.
+// ServeStealMulti implements dist.MultiStealer: the one rule for how much
+// a steal takes. The thief gets a run — up to want tasks from the pool's
+// best bucket and at most half of that bucket (Pool.StealRun) — each
+// stamped with this locality's current bound, so the thief prunes with
+// knowledge at least as fresh as the victim's, and retained in the ledger
+// under a freshly minted hand-over id until the thief acks its subtree's
+// completion. The run is taken under one pool lock and one ledger lock; it
+// is appended to out, its encodings to buf, so a transport that serves a
+// link's every reply from the same two slices allocates for none.
 func (h *locState[N]) ServeStealMulti(thief, want int, out []dist.WireTask, buf []byte) ([]dist.WireTask, []byte) {
-	want = max(1, min(want, (h.pool.Size()+1)/2))
+	h.serveMu.Lock()
+	defer h.serveMu.Unlock()
+	run, seq := h.led.handOverRun(thief, h.pool, want, h.serveRun[:0])
+	h.serveRun = run
 	first, start := len(out), len(buf)
-	for len(out)-first < want {
-		t, id, ok := h.led.handOverFrom(thief, h.pool)
-		if !ok {
-			break
-		}
+	for i, t := range run {
 		var wt dist.WireTask
-		if wt, buf, ok = h.export(id, t, buf); !ok {
+		var ok bool
+		if wt, buf, ok = h.export(h.led.id(seq+uint64(i)), t, buf); !ok {
+			// An unencodable node is a deployment bug: it and what follows
+			// it stay here, and the thief looks elsewhere.
+			for j := range run[i:] {
+				h.led.retire(h.led.id(seq + uint64(i+j)))
+			}
+			h.pool.PushBatch(run[i:])
 			break
 		}
 		out = append(out, wt)
 	}
+	clear(run) // the nodes are the ledger's now
 	// An append may have moved buf under the payloads sliced from it so
 	// far: re-slice them all from where it ended up.
 	for i := first; i < len(out); i++ {
@@ -314,6 +317,9 @@ func (h *locState[N]) ServeSplit(thief, max int) []dist.WireTask {
 		}
 		if wt, _, ok := h.export(id, t, nil); ok {
 			out = append(out, wt)
+		} else {
+			h.led.retire(id)
+			h.pool.Push(t)
 		}
 	}
 	return out
@@ -362,19 +368,13 @@ func (h *locState[N]) receive(wt dist.WireTask) Task[N] {
 	return t
 }
 
-// adopt turns the WireTask a steal returned into a registered engine
-// task: one AdoptTasks has adopted already, in its box, or one whose
-// receipt is registered with the live count here (the victim's ledger
-// copy keeps its own registration until our ack, so it is never uncovered).
+// adopt opens the box AdoptTasks left a steal's first task in: decoded,
+// registered, under its family.
 func (h *locState[N]) adopt(wt dist.WireTask) Task[N] {
-	if b, ok := wt.Local.(*Task[N]); ok {
-		t := *b
-		*b = Task[N]{}
-		h.boxes.put(b)
-		return t
-	}
-	t := h.receive(wt)
-	h.fab.trs[h.idx].AddTasks(1)
+	b := wt.Local.(*Task[N])
+	t := *b
+	*b = Task[N]{}
+	h.boxes.put(b)
 	return t
 }
 
@@ -410,11 +410,9 @@ func (h *locState[N]) AdoptTasks(ts []dist.WireTask, keep bool) dist.WireTask {
 	return first
 }
 
-// OnTask implements dist.Handler: adopt a loopback split's extra task.
-func (h *locState[N]) OnTask(wt dist.WireTask) {
-	h.pool.Push(h.adopt(wt))
-	h.wake()
-}
+// OnTask implements dist.Handler, for a transport that does not know
+// BatchAdopter: a run of one.
+func (h *locState[N]) OnTask(wt dist.WireTask) { h.AdoptTasks([]dist.WireTask{wt}, false) }
 
 // OnAck implements dist.Handler: a thief certifies that the subtree
 // handed over under id has fully completed. The retained copy is

@@ -114,28 +114,34 @@ func (l *ledger[N]) handOver(thief int, t Task[N]) (uint64, bool) {
 	return l.retain(thief, t), true
 }
 
-// handOverFrom is handOver of the task a thief would steal from pool,
-// taken only once the hand-over cannot be refused, so a refusal leaves
-// the pool as it was (pushed back, the task would go from the front of its
-// FIFO to the tail). The ledger lock is held across the pool's, never the
-// other way round.
-func (l *ledger[N]) handOverFrom(thief int, pool Pool[N]) (t Task[N], id uint64, ok bool) {
+// handOverRun is handOver of the run a thief may take from pool (see
+// Pool.StealRun), taken into the empty scratch run: cut to the room the
+// ledger has left and taken only once it cannot be refused, so a refusal or
+// a short ledger leaves the pool in the order it had (pushed back, a task
+// would go from the front of its FIFO to the tail). A run's ids are
+// consecutive: task i of it is retained under id(seq+i). The ledger lock is
+// held across the pool's, never the other way round.
+func (l *ledger[N]) handOverRun(thief int, pool Pool[N], want int, run []Task[N]) (_ []Task[N], seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.refuses(thief) {
-		return t, 0, false
+		return run, 0
 	}
-	if t, ok = pool.Steal(); ok {
-		id = l.retain(thief, t)
+	run = pool.StealRun(min(want, l.cap-len(l.entries)), run)
+	for _, t := range run {
+		l.retain(thief, t)
 	}
-	return t, id, ok
+	return run, l.seq - uint64(len(run)) + 1
 }
 
 func (l *ledger[N]) refuses(thief int) bool { return l.dead[thief] || len(l.entries) >= l.cap }
 
+// id is the hand-over id minted for the seq-th retention.
+func (l *ledger[N]) id(seq uint64) uint64 { return dist.TaskID(l.rank, seq) }
+
 func (l *ledger[N]) retain(thief int, t Task[N]) uint64 {
 	l.seq++
-	id := dist.TaskID(l.rank, l.seq)
+	id := l.id(l.seq)
 	l.entries[id] = ledgerEntry[N]{thief: thief, task: t, fam: t.fam}
 	l.peak = max(l.peak, len(l.entries))
 	return id

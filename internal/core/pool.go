@@ -36,6 +36,14 @@ type Pool[N any] interface {
 	PushBatch(ts []Task[N])
 	Pop() (Task[N], bool)
 	Steal() (Task[N], bool)
+	// StealRun is Steal for what one remote steal may take: it appends to
+	// out, in Steal's order, up to max tasks that all hold the pool's
+	// steal rank, and never more than half of those that do (rounded up,
+	// so a lone task still travels). Stopping at the rank keeps the
+	// heuristic order a thief inherits — it gets the best work and only
+	// the best work — and stopping at half leaves the victim, which is
+	// producing that work, its share of it.
+	StealRun(max int, out []Task[N]) []Task[N]
 	Size() int
 	// StealRank reports the rank of the task Steal would return — a
 	// DepthPool's depth, a PrioBucketPool's priority — or -1 when the
@@ -128,19 +136,27 @@ func (q *Deque[N]) Pop() (Task[N], bool) {
 func (q *Deque[N]) Steal() (Task[N], bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.head >= len(q.items) {
+	var one [1]Task[N]
+	return one[0], len(q.takeOldest(1, one[:0])) > 0
+}
+
+// StealRun implements Pool: a deque ranks all its work alike, so the run
+// is the oldest half of it.
+func (q *Deque[N]) StealRun(max int, out []Task[N]) []Task[N] {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.takeOldest(min(max, (len(q.items)-q.head+1)/2), out)
+}
+
+// takeOldest moves up to n tasks from the thief end to out, mu held.
+func (q *Deque[N]) takeOldest(n int, out []Task[N]) []Task[N] {
+	n = min(n, len(q.items)-q.head)
+	out = append(out, q.items[q.head:q.head+n]...)
+	clear(q.items[q.head : q.head+n])
+	if q.head += n; q.head >= len(q.items) {
 		q.reset()
-		var zero Task[N]
-		return zero, false
 	}
-	t := q.items[q.head]
-	var zero Task[N]
-	q.items[q.head] = zero
-	q.head++
-	if q.head >= len(q.items) {
-		q.reset()
-	}
-	return t, true
+	return out
 }
 
 func (q *Deque[N]) reset() {
@@ -171,17 +187,7 @@ func (q *Deque[N]) StealRank() int {
 func (q *Deque[N]) SpillBatch(max int) []Task[N] {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var out []Task[N]
-	var zero Task[N]
-	for q.head < len(q.items) && len(out) < max {
-		out = append(out, q.items[q.head])
-		q.items[q.head] = zero
-		q.head++
-	}
-	if q.head >= len(q.items) {
-		q.reset()
-	}
-	return out
+	return q.takeOldest(max, nil)
 }
 
 func newPool[N any](kind PoolKind) Pool[N] {
@@ -243,6 +249,13 @@ func (p *poolShard[N]) Steal() (Task[N], bool) {
 	return t, ok
 }
 
+func (p *poolShard[N]) StealRun(max int, out []Task[N]) []Task[N] {
+	n := len(out)
+	out = p.inner.StealRun(max, out)
+	p.removed.Add(int64(len(out) - n))
+	return out
+}
+
 func (p *poolShard[N]) Size() int { return p.inner.Size() }
 
 func (p *poolShard[N]) StealRank() int { return p.inner.StealRank() }
@@ -261,8 +274,8 @@ func (p *poolShard[N]) SpillBatch(max int) []Task[N] {
 // transport-facing aggregate: a remote thief's Steal takes the
 // shallowest task across all shards (preserving the depth-first/FIFO
 // heuristic order the DepthPool guarantees within a shard), and tasks
-// arriving without an owning worker — the root seed, adopted late
-// steal replies, prefetch spills — are spread round-robin. Owner-side
+// arriving without an owning worker — the root seed, the extras of an
+// adopted steal reply — are spread round-robin. Owner-side
 // traffic goes straight to Shard(i); an idle owner robs its siblings
 // with StealExcept before paying a transport round trip.
 type ShardedPool[N any] struct {
@@ -337,18 +350,9 @@ func (p *ShardedPool[N]) Steal() (Task[N], bool) {
 // siblings passes its own (already empty) shard index.
 func (p *ShardedPool[N]) StealExcept(except int) (Task[N], bool) {
 	for {
-		best, bestRank := -1, int(^uint(0)>>1)
-		for i := range p.shards {
-			if i == except {
-				continue
-			}
-			if d := p.shards[i].V.StealRank(); d >= 0 && d < bestRank {
-				best, bestRank = i, d
-			}
-		}
+		best := p.bestShard(except)
 		if best < 0 {
-			var zero Task[N]
-			return zero, false
+			return Task[N]{}, false
 		}
 		if t, ok := p.shards[best].V.Steal(); ok {
 			return t, true
@@ -356,6 +360,35 @@ func (p *ShardedPool[N]) StealExcept(except int) (Task[N], bool) {
 		// Lost a race with the shard's owner; every retry means someone
 		// else made progress, so the loop terminates.
 	}
+}
+
+// StealRun implements Pool: the run comes from the shard Steal would
+// have robbed, under that shard's lock alone — half of one worker's
+// best bucket, whatever its siblings hold at the same rank.
+func (p *ShardedPool[N]) StealRun(max int, out []Task[N]) []Task[N] {
+	for n := len(out); len(out) == n; {
+		best := p.bestShard(-1)
+		if best < 0 {
+			break
+		}
+		out = p.shards[best].V.StealRun(max, out)
+	}
+	return out
+}
+
+// bestShard returns the shard other than except holding the best steal
+// rank (ties to the lowest index), or -1 when all of them are empty.
+func (p *ShardedPool[N]) bestShard(except int) int {
+	best, bestRank := -1, int(^uint(0)>>1)
+	for i := range p.shards {
+		if i == except {
+			continue
+		}
+		if d := p.shards[i].V.StealRank(); d >= 0 && d < bestRank {
+			best, bestRank = i, d
+		}
+	}
+	return best
 }
 
 // StealRank implements Pool: the best (lowest) rank across all

@@ -214,3 +214,71 @@ func poolConcurrencyCheck(t *testing.T, p Pool[int]) {
 
 func TestDepthPoolConcurrent(t *testing.T) { poolConcurrencyCheck(t, NewDepthPool[int]()) }
 func TestDequeConcurrent(t *testing.T)     { poolConcurrencyCheck(t, NewDeque[int]()) }
+
+// The one rule for how much a steal takes, through the victim's whole
+// serving path (ledger and pool): a run of up to want tasks, all holding the
+// pool's steal rank — a depth, a priority; a deque ranks all its work alike
+// — and at most half of those that do, rounded up. Each level is pushed as
+// one batch, so on two shards it sits on one of them (and a deque's ranks,
+// being all alike, then say nothing about which shard a run comes from).
+func TestStealRunTakesHalfTheBestBucket(t *testing.T) {
+	const want = 64
+	cases := []struct {
+		name   string
+		levels map[int]int // rank → tasks, pushed deepest first
+		first  int         // the first run's length from a bucketed pool
+	}{
+		{"one task", map[int]int{2: 1}, 1},
+		{"two tasks", map[int]int{2: 2}, 1},
+		{"10 shallow tasks over 100 deep ones", map[int]int{3: 100, 1: 10}, 5},
+		{"100000 tasks on one level", map[int]int{1: 100_000}, want},
+	}
+	for _, kind := range []PoolKind{DepthPoolKind, PrioBucketKind, DequeKind} {
+		for shards := 1; shards <= 2; shards++ {
+			for _, tc := range cases {
+				p := NewShardedPool[int](kind, shards)
+				left := make(map[int]int)
+				total := 0
+				for rank := 3; rank > 0; rank-- {
+					level := make([]Task[int], tc.levels[rank])
+					for i := range level {
+						level[i] = Task[int]{Node: i, Depth: rank, Prio: int32(rank)}
+					}
+					p.PushBatch(level)
+					left[rank], total = len(level), total+len(level)
+				}
+				h := &locState[int]{pool: p, led: newLedger[int](0, 1<<20), fab: &fabric[int]{}}
+				for served := 0; served < total; {
+					rank, holding := p.StealRank(), total-served
+					if kind != DequeKind {
+						holding = left[rank]
+					}
+					out, _ := h.ServeStealMulti(1, want, nil, nil)
+					fail := func(what string) {
+						t.Fatalf("kind %v, %d shards, %s, %d served: a run of %d tasks from %d of rank %d %s",
+							kind, shards, tc.name, served, len(out), holding, rank, what)
+					}
+					half := min(want, (holding+1)/2)
+					switch {
+					case len(out) == 0 || len(out) > half:
+						fail("is not between one task and half of them")
+					case len(out) != half && (kind != DequeKind || shards == 1):
+						fail("is not half of them")
+					case served == 0 && kind != DequeKind && len(out) != tc.first:
+						fail("is not the first run the table names")
+					}
+					for _, wt := range out {
+						if kind != DequeKind && wt.Depth != rank {
+							fail("holds a task of another rank")
+						}
+						left[wt.Depth]--
+					}
+					served += len(out)
+					if p.Size() != total-served || h.led.outstanding() != served {
+						fail("was not moved from the pool to the ledger one for one")
+					}
+				}
+			}
+		}
+	}
+}

@@ -92,7 +92,6 @@ type Stats struct {
 	WireBytes    int64 // bytes sent on the wire
 	BatchTasks   int64 // tasks received in steal replies (occupancy numerator)
 	BatchReplies int64 // non-empty steal replies received (occupancy denominator)
-	PrefetchHits int64 // steals satisfied from the steal-ahead buffer
 
 	// Fault-tolerance counters (distributed runs). Deaths is the
 	// number of localities that died mid-search (every survivor
@@ -122,8 +121,8 @@ type Stats struct {
 }
 
 // BatchOccupancy is the mean number of tasks per non-empty steal
-// reply — 1.0 on an unbatched transport, up to the transport's
-// StealBatch when victims have deep backlogs.
+// reply: the length of the run a steal takes, up to the transport's
+// StealBatch when victims' best buckets are deep.
 func (s Stats) BatchOccupancy() float64 {
 	if s.BatchReplies == 0 {
 		return 0
@@ -131,13 +130,15 @@ func (s Stats) BatchOccupancy() float64 {
 	return float64(s.BatchTasks) / float64(s.BatchReplies)
 }
 
-// PrefetchHitRate is the fraction of remote task acquisitions served
-// from the steal-ahead buffer instead of a blocking round trip.
+// PrefetchHitRate is the share of remotely acquired tasks that cost no
+// worker a blocking round trip: all of a steal's run but its first, which
+// the requester waited for. (bench/ reads it as core.prefetch_hit_ratio,
+// hence the name.)
 func (s Stats) PrefetchHitRate() float64 {
-	if s.StealsOK == 0 {
+	if s.BatchTasks == 0 {
 		return 0
 	}
-	return float64(s.PrefetchHits) / float64(s.StealsOK)
+	return float64(s.BatchTasks-s.BatchReplies) / float64(s.BatchTasks)
 }
 
 // merge folds another process's stats into s (distributed result
@@ -161,7 +162,6 @@ func (s *Stats) merge(o Stats) {
 	s.WireBytes += o.WireBytes
 	s.BatchTasks += o.BatchTasks
 	s.BatchReplies += o.BatchReplies
-	s.PrefetchHits += o.PrefetchHits
 	if o.Deaths > s.Deaths {
 		s.Deaths = o.Deaths
 	}
@@ -188,7 +188,6 @@ func (s *Stats) add(w WorkerStats) {
 	s.StealsFail += w.StealsFail
 	s.LocalSteals += w.LocalSteals
 	s.Backtracks += w.Backtracks
-	s.PrefetchHits += w.PrefetchHits
 	s.OrderedSteals += w.OrderedSteals
 	for i := range s.PrioHist {
 		s.PrioHist[i] += w.PrioHist[i]

@@ -144,6 +144,28 @@ func (q *bucketQueue[N]) Steal() (Task[N], bool) {
 	return Task[N]{}, false
 }
 
+// StealRun implements Pool: the lowest non-empty key is the one rank a
+// run may hold, so the run ends where that key's FIFO does, or half way.
+// The FIFO is measured here, a chunk at a time and no further than decides
+// the run, so that put and take keep no count.
+func (q *bucketQueue[N]) StealRun(max int, out []Task[N]) []Task[N] {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	k := q.minKey()
+	if k < 0 {
+		return out
+	}
+	f := &q.fifos[k]
+	n := f.ti - f.hi
+	for c := f.head; c != f.tail && n/2 < max; c = c.next {
+		n += chunkTasks
+	}
+	for n = min(max, (n+1)/2); n > 0; n-- {
+		out = append(out, q.take(k))
+	}
+	return out
+}
+
 // Size implements Pool.
 func (q *bucketQueue[N]) Size() int {
 	q.mu.Lock()

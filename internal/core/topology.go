@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -12,13 +11,13 @@ import (
 // worker → locality/shard assignment, and the steal plan over the
 // global rank space. Each worker owns one shard of its locality's
 // pool: pushes and pops touch only that uncontended shard. An idle
-// worker escalates through three rings, cheapest first — rob a sibling
+// worker escalates through two rings, cheaper first — rob a sibling
 // shard within the locality (best-rank-first, preserving the order a
-// single shared pool gave), drain the locality's steal-ahead buffer,
-// and only then try a peer locality through the Transport — mirroring
-// the locality-aware victim selection of Section 4.3. In a
-// single-process run the peers are loopback localities (with optional
-// injected latency); in a distributed run they are other OS processes.
+// single shared pool gave), and only then try a peer locality through
+// the Transport — mirroring the locality-aware victim selection of
+// Section 4.3. In a single-process run the peers are loopback localities
+// (with optional injected latency); in a distributed run they are other
+// OS processes.
 //
 // Victim selection over the transport ring depends on the scheduling
 // mode. Unordered searches probe peers in random order, as the paper
@@ -34,26 +33,18 @@ import (
 // accompany drain-down; idle workers meanwhile park on the locality's
 // parker, to be woken by the next local push or adopted task.
 //
-// When steals are expensive (a wire transport, or loopback with
-// injected latency), each locality additionally runs a steal-ahead
-// buffer: after a successful remote steal, the next steal is issued in
-// the background while the stolen task runs, so a worker going idle
-// often finds a task already waiting instead of paying a blocking
-// round trip. The buffer is bounded, and the number of prefetch steals
-// in flight per locality is adaptive (see aheadBuf): a governor
-// pipelines between 1 and Config.StealAheadMax outstanding steals
-// according to how steal round-trip time compares with the rate the
-// locality consumes prefetched work, collapsing back to 1 whenever a
-// sweep finds every peer empty. A prefetch whose transport-level
-// request times out is re-homed by the transport via Handler.OnTask
-// exactly like any late steal reply, so prefetched work is never lost.
+// How much a remote steal moves is the victim's decision and has one
+// rule (locState.ServeStealMulti): a run of up to dist.DefaultStealBatch
+// tasks from its best bucket, at most half of that bucket. The thief's
+// worker runs the first and its locality's pool takes the rest, so one
+// round trip's latency is spread over the run and nothing steals ahead
+// of demand.
 type topology[N any] struct {
 	fab         *fabric[N]
 	pools       []*ShardedPool[N]
 	workerLoc   []int
 	workerShard []int
 	victims     [][]int         // per in-process locality: global ranks to rob
-	ahead       []*aheadBuf[N]  // per in-process locality; nil when disabled
 	parkers     []*parker       // per in-process locality
 	backoff     []*stealBackoff // per in-process locality; nil when no peers
 	ordered     bool            // rank victims by priority summaries
@@ -64,90 +55,10 @@ type topology[N any] struct {
 	dead []atomic.Bool
 }
 
-// victimScratch is one thief's reusable victim-ranking buffers (a
-// worker's live in its context; prefetch sweeps borrow pooled ones).
+// victimScratch is one thief's reusable victim-ranking buffers.
 type victimScratch struct {
 	order []int
 	keys  []int
-}
-
-// defaultStealAheadMax is the prefetch pipeline cap when
-// Config.StealAheadMax is zero.
-const defaultStealAheadMax = 4
-
-// vscratchPool recycles victim-ranking scratch across concurrent
-// prefetch goroutines (each sweep owns one scratch until it finishes).
-var vscratchPool = sync.Pool{New: func() any { return &victimScratch{} }}
-
-// aheadBuf is one locality's steal-ahead state. Prefetch pressure is
-// bounded by the inflight token channel and *adapted* by a governor:
-// the live target of outstanding steals is the steal round-trip EWMA
-// divided by the EWMA of the gap between buffer claims — when a steal
-// takes R ns and local workers drain a prefetched task every G ns,
-// roughly R/G steals must be pipelined for the buffer never to run
-// dry — clamped to [1, max]. An empty sweep (every reachable peer
-// refused) collapses the target to 1, so an idle cluster is probed by
-// at most one background steal per locality, exactly the pre-adaptive
-// behaviour; demand and successful steals rebuild the pipeline.
-type aheadBuf[N any] struct {
-	buf      chan Task[N]
-	inflight chan struct{} // capacity max: tokens bound outstanding prefetch steals
-	max      int32
-	target   atomic.Int32 // live pipeline depth, 1..max
-	stealRTT atomic.Int64 // EWMA of one successful steal's round trip (ns)
-	popGap   atomic.Int64 // EWMA of the gap between ahead-buffer claims (ns)
-	lastPop  atomic.Int64 // unix-ns stamp of the last buffer claim
-	rngMu    sync.Mutex   // guards rng (victim sweeps start concurrently)
-	rng      *rand.Rand
-}
-
-// ewmaShift is the EWMA decay: new = old + (sample-old)/2^3.
-const ewmaShift = 3
-
-// ewmaUpdate folds a sample into an EWMA cell. The read-modify-write
-// is deliberately not atomic as a unit: a lost update under a race
-// only slows the estimate, and the governor is a heuristic.
-func ewmaUpdate(a *atomic.Int64, sample int64) {
-	old := a.Load()
-	if old == 0 {
-		a.Store(sample)
-		return
-	}
-	a.Store(old + (sample-old)>>ewmaShift)
-}
-
-// noteRTT records one successful steal's round trip and retargets.
-func (sa *aheadBuf[N]) noteRTT(d time.Duration) {
-	if d > 0 {
-		ewmaUpdate(&sa.stealRTT, d.Nanoseconds())
-		sa.retarget()
-	}
-}
-
-// notePop records a buffer claim (the consumption side of the
-// governor's ratio) and retargets.
-func (sa *aheadBuf[N]) notePop() {
-	now := time.Now().UnixNano()
-	if last := sa.lastPop.Swap(now); last != 0 && now > last {
-		ewmaUpdate(&sa.popGap, now-last)
-	}
-	sa.retarget()
-}
-
-// retarget recomputes the live pipeline depth from the two EWMAs.
-func (sa *aheadBuf[N]) retarget() {
-	rtt, gap := sa.stealRTT.Load(), sa.popGap.Load()
-	if rtt <= 0 || gap <= 0 {
-		return // not enough signal yet: stay where we are
-	}
-	want := int32(rtt / gap)
-	if want < 1 {
-		want = 1
-	}
-	if want > sa.max {
-		want = sa.max
-	}
-	sa.target.Store(want)
 }
 
 func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
@@ -166,13 +77,6 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 	spillCodec := fab.codec
 	if spillCodec == nil {
 		spillCodec = GobCodec[N]{} // single-process runs carry no app codec
-	}
-	depth := cfg.StealAhead
-	if depth == 0 && (fab.wire || cfg.StealLatency > 0) {
-		depth = 1 // auto: prefetch wherever a steal costs latency
-	}
-	if depth > 0 && fab.size > 1 {
-		tp.ahead = make([]*aheadBuf[N], nloc)
 	}
 	if fab.size > 1 {
 		tp.backoff = make([]*stealBackoff, nloc)
@@ -219,20 +123,6 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 		}
 		if tp.backoff != nil {
 			tp.backoff[i] = newStealBackoff(boBase, boMax)
-		}
-		if tp.ahead != nil {
-			maxIn := cfg.StealAheadMax
-			if maxIn <= 0 {
-				maxIn = defaultStealAheadMax
-			}
-			sa := &aheadBuf[N]{
-				buf:      make(chan Task[N], depth),
-				inflight: make(chan struct{}, maxIn),
-				max:      int32(maxIn),
-				rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D + int64(fab.locs[i].rank)*104729)),
-			}
-			sa.target.Store(1) // conservative start; the governor widens it
-			tp.ahead[i] = sa
 		}
 	}
 	for w := 0; w < cfg.Workers; w++ {
@@ -327,10 +217,9 @@ func (tp *topology[N]) victimOrder(loc int, rng *rand.Rand, sc *victimScratch) [
 
 // popOrSteal takes the next task for a worker, cheapest source first:
 // the worker's own shard, then sibling shards within the locality
-// (best-rank-first, no transport involved), then the locality's
-// steal-ahead buffer, then peer localities through the transport.
-// Steal accounting, the victim-order rng and its scratch are the
-// worker's own (th).
+// (best-rank-first, no transport involved), then peer localities
+// through the transport. Steal accounting, the victim-order rng and its
+// scratch are the worker's own (th).
 func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 	sh := &th.stats
 	loc, shard := tp.workerLoc[th.id], tp.workerShard[th.id]
@@ -341,20 +230,6 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 	if t, ok := tp.pools[loc].StealExcept(shard); ok {
 		sh.LocalSteals++
 		return t, true
-	}
-	if tp.ahead != nil {
-		select {
-		case t := <-tp.ahead[loc].buf:
-			sh.StealsOK++
-			sh.PrefetchHits++
-			tp.ahead[loc].notePop()
-			if bo := tp.backoffAt(loc); bo != nil {
-				bo.reset()
-			}
-			tp.prefetch(loc)
-			return t, true
-		default:
-		}
 	}
 	// The in-RAM frontier is dry: re-admit a spilled segment before
 	// paying any transport round trip — the work is already ours.
@@ -405,24 +280,11 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 	if gate != nil {
 		steal = tp.fab.trs[loc].SplitSteal
 	}
-	var sa *aheadBuf[N]
-	if tp.ahead != nil {
-		sa = tp.ahead[loc]
-	}
 	for i, v := range order {
-		var t0 time.Time
-		if sa != nil {
-			t0 = time.Now()
-		}
 		wt, ok, err := steal(v)
 		if err != nil || !ok {
 			sh.StealsFail++
 			continue
-		}
-		if sa != nil {
-			// A blocking steal's round trip is the same signal the
-			// prefetch governor pipelines against.
-			sa.noteRTT(time.Since(t0))
 		}
 		sh.StealsOK++
 		// An ordered steal is one whose victim ranking was informed by
@@ -434,7 +296,6 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 		if bo != nil {
 			bo.reset()
 		}
-		tp.prefetch(loc)
 		return tp.fab.locs[loc].adopt(wt), true
 	}
 	if bo != nil {
@@ -445,15 +306,10 @@ func (tp *topology[N]) popOrSteal(th *thief) (Task[N], bool) {
 }
 
 // localBacklog reports the work immediately available at a locality
-// (pool backlog plus buffered prefetched tasks) without touching the
-// transport. Parking workers re-check it after registering as waiters,
-// closing the lost-wakeup window.
+// without touching the transport. Parking workers re-check it after
+// registering as waiters, closing the lost-wakeup window.
 func (tp *topology[N]) localBacklog(loc int) int {
-	n := tp.pools[loc].Size()
-	if tp.ahead != nil {
-		n += len(tp.ahead[loc].buf)
-	}
-	return n + int(tp.mem[loc].onDisk.Load()) // spilled segments are claimable work
+	return tp.pools[loc].Size() + int(tp.mem[loc].onDisk.Load()) // spilled segments are claimable work
 }
 
 // backoffAt returns loc's steal backoff, or nil when there are no
@@ -463,67 +319,6 @@ func (tp *topology[N]) backoffAt(loc int) *stealBackoff {
 		return nil
 	}
 	return tp.backoff[loc]
-}
-
-// prefetch issues one background steal round for a locality, if
-// steal-ahead is enabled, its buffer has room, and the adaptive
-// pipeline is below its current target depth (each outstanding round
-// holds one inflight token; the governor moves the target between 1
-// and the token capacity). A stolen task lands in the buffer (or
-// spills to the pool if the buffer filled meanwhile); either way it
-// is a registered live task that local workers will drain before the
-// global count can reach zero — the OnTask adoption invariant is
-// untouched by pipelining, because every round is an ordinary
-// transport steal.
-func (tp *topology[N]) prefetch(loc int) {
-	if tp.ahead == nil {
-		return
-	}
-	sa := tp.ahead[loc]
-	if len(sa.inflight) >= int(sa.target.Load()) {
-		// The pipeline is at its adaptive depth. (The check races with
-		// token release, but the token capacity still bounds pressure.)
-		return
-	}
-	select {
-	case sa.inflight <- struct{}{}:
-	default:
-		return
-	}
-	if len(sa.buf) == cap(sa.buf) || (tp.fab.cancel != nil && tp.fab.cancel.cancelled()) {
-		<-sa.inflight
-		return
-	}
-	go func() {
-		defer func() { <-sa.inflight }()
-		sc := vscratchPool.Get().(*victimScratch)
-		defer vscratchPool.Put(sc)
-		sa.rngMu.Lock()
-		order := tp.victimOrder(loc, sa.rng, sc)
-		sa.rngMu.Unlock()
-		for _, v := range order {
-			t0 := time.Now()
-			wt, ok, err := tp.fab.trs[loc].Steal(v)
-			if err != nil || !ok {
-				continue
-			}
-			sa.noteRTT(time.Since(t0))
-			t := tp.fab.locs[loc].adopt(wt)
-			select {
-			case sa.buf <- t:
-			default:
-				tp.pools[loc].Push(t)
-			}
-			// Either way the task is now locally available: release a
-			// parked worker to claim it.
-			tp.parkers[loc].wake()
-			return
-		}
-		// Empty sweep: every reachable peer refused. Collapse the
-		// pipeline so an idle cluster sees at most one background probe
-		// per locality until work (and demand) reappears.
-		sa.target.Store(1)
-	}()
 }
 
 // onDeath reacts to a peer locality's death as seen from in-process

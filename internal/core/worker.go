@@ -16,7 +16,6 @@ type WorkerStats struct {
 	StealsOK      int64
 	StealsFail    int64
 	Backtracks    int64
-	PrefetchHits  int64
 	LocalSteals   int64 // tasks robbed from sibling shards, or split from a sibling's stack, in the locality
 	OrderedSteals int64 // transport steals whose victim was picked by priority summary
 	// PrioHist counts spawned tasks by priority (ordered scheduling

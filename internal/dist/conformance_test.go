@@ -676,8 +676,13 @@ func TestConformanceWorkerDeathMidSearch(t *testing.T) {
 				t.Fatal("steal from dead locality hung")
 			}
 
-			// The survivors keep working: steals and bounds still flow.
+			// The survivors keep working: steals and bounds still flow —
+			// and not to the corpse, whose zombie worker has no handler
+			// left to adopt a run with and must not be handed one.
 			hs[3].push(WireTask{Payload: []byte("alive"), Depth: 2})
+			if _, ok, _ := trs[2].Steal(3); ok {
+				t.Error("a dead locality stole from a survivor")
+			}
 			if _, ok, err := trs[1].Steal(3); !ok || err != nil {
 				t.Fatalf("steal between survivors: ok=%v err=%v", ok, err)
 			}
@@ -967,15 +972,15 @@ func (h *recHandler) drain() []WireTask {
 
 // Multi-task steal replies: one exchange may move a batch, with the
 // first task handed to the caller and the extras re-homed through
-// OnTask. Whatever the transport's batch size (loopback serves one,
-// TCP up to its StealBatch), every task must end up somewhere exactly
-// once — conservation is the contract, batching the optimisation.
+// OnTask. Every transport batches — the loopback network and TCP both ask
+// for up to DefaultStealBatch — and every task must end up somewhere
+// exactly once: conservation is the contract, batching the optimisation.
 func TestConformanceMultiTaskStealConservation(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
-			const total = 6
+			const total = 2*DefaultStealBatch + 22 // two full replies and a short one
 			for i := 0; i < total; i++ {
 				hs[1].push(WireTask{Payload: []byte{byte(i)}, Depth: i})
 			}

@@ -105,13 +105,21 @@
 // WireOptions:
 //
 //   - Batched steals: a steal request names the number of tasks the
-//     thief will accept (StealBatch); the reply carries up to that
-//     many, so one round trip moves a batch. Victims that implement
-//     MultiStealer decide how much of their backlog one thief may take
-//     (the engine uses steal-half). The thief's engine takes the whole
-//     reply at once (BatchAdopter): it enqueues all but the first task
-//     as one run and gives the first back for the requesting worker;
-//     one without the extension gets the extras through Handler.OnTask.
+//     thief will accept (StealBatch, default 64); the reply carries up
+//     to that many, so one round trip moves a run. Victims that
+//     implement MultiStealer decide how much of their backlog one
+//     thief may take: the engine hands over tasks from its pool's best
+//     bucket only — the shallowest depth, or the best priority — and
+//     at most half of that bucket, so a run keeps the heuristic order
+//     and a large StealBatch cannot strip a victim whose whole frontier
+//     is smaller than it (half of a whole small pool is nearly all of
+//     it, and two ranks then steal the same work back and forth). The
+//     thief's engine takes the whole reply at once (BatchAdopter): it
+//     enqueues all but the first task as one run and gives the first
+//     back for the requesting worker; one without the extension gets
+//     the extras through Handler.OnTask. The loopback network steals
+//     through the same pair of helpers (collectSteal, adoptTasks) with
+//     the same batch, so both transports have one steal semantics.
 //   - Coalesced live-task deltas: AddTasks accumulates into a
 //     per-locality counter that is drained onto the next outgoing
 //     frame of any kind, with a FlushQuantum ticker as the fallback —

@@ -73,7 +73,7 @@ func drainFrames(cn *wconn, n int) chan error {
 //
 // BenchmarkHotPathWireAllocs/steal-roundtrip: one steal per op between
 // the two endpoints of a TCP star (reuseHandler the engine at both), at
-// the default batch of four tasks, every task handed over under a ledger
+// the default batch (DefaultStealBatch tasks), each handed over under a ledger
 // id, checked and acked complete (the acks leave coalesced on the flush
 // tick, inside the measurement). allocs/op is everything the process
 // allocates per round trip, both endpoints and their pacing loops

@@ -325,14 +325,26 @@ func (t *loopback) PeerBestPrio(rank int) (int, bool) {
 	return p, true
 }
 
-func (t *loopback) Steal(victim int) (WireTask, bool, error) {
+func (t *loopback) Steal(victim int) (WireTask, bool, error) { return t.stealVia(false, victim) }
+
+// SplitSteal is Steal with split semantics: the victim's handler may
+// fall back to splitting a running worker's live generator stack when
+// its pool is dry.
+func (t *loopback) SplitSteal(victim int) (WireTask, bool, error) { return t.stealVia(true, victim) }
+
+// stealVia is one steal exchange, the wire's in-process: the latency
+// charged once, the victim asked for a run of up to DefaultStealBatch
+// through the collect helpers a link's read loop uses, the run adopted by
+// the thief's handler the way a steal reply is — the requester's task
+// returned, the extras enqueued.
+func (t *loopback) stealVia(split bool, victim int) (WireTask, bool, error) {
 	if victim < 0 || victim >= len(t.net.trs) || victim == t.rank {
 		return WireTask{}, false, fmt.Errorf("dist: steal from invalid rank %d", victim)
 	}
-	if t.closed.Load() {
-		return WireTask{}, false, nil
-	}
-	if t.net.opts.Fault.Severed(t.rank, victim) {
+	// A killed rank's zombie worker has no handler to adopt a run with:
+	// it is refused before the victim parts with anything.
+	th := t.handler()
+	if th == nil || t.net.opts.Fault.Severed(t.rank, victim) {
 		return WireTask{}, false, nil
 	}
 	if lat := t.net.opts.StealLatency; lat > 0 {
@@ -344,74 +356,31 @@ func (t *loopback) Steal(victim int) (WireTask, bool, error) {
 		}
 	}
 	vh := t.net.trs[victim].handler()
-	if vh == nil {
-		return WireTask{}, false, nil
+	var ts []WireTask
+	if split {
+		ts = collectSplit(vh, t.rank, DefaultStealBatch)
+	} else {
+		ts, _ = collectSteal(vh, t.rank, DefaultStealBatch, nil, nil)
 	}
-	wt, ok := vh.ServeSteal(t.rank)
-	t.ctr.framesSent.Add(1) // the request
-	t.ctr.framesRecv.Add(1) // the reply
-	if ok {
-		if t.wave != nil {
-			// Blacken BEFORE the stolen task becomes visible: work just
-			// migrated here behind any token that already passed.
-			t.wave.blacken()
-		}
-		t.ctr.stealReplies.Add(1)
-		t.ctr.stealTasks.Add(1)
-		// Logical bytes moved, credited to the sent side (the only
-		// side Stats aggregates). Real engine runs pass nodes by
-		// reference (nil Payload) and truthfully report zero.
-		t.ctr.bytesSent.Add(int64(len(wt.Payload)))
-	}
-	return wt, ok, nil
-}
-
-// SplitSteal is Steal with split semantics: the victim's handler may
-// fall back to splitting a running worker's live generator stack when
-// its pool is dry. Like Steal it returns one task; a handler serving a
-// chunked batch re-homes the extras itself before returning (the
-// loopback hand-over is by reference, so ServeSplit callers on this
-// network are asked for a single task).
-func (t *loopback) SplitSteal(victim int) (WireTask, bool, error) {
-	if victim < 0 || victim >= len(t.net.trs) || victim == t.rank {
-		return WireTask{}, false, fmt.Errorf("dist: steal from invalid rank %d", victim)
-	}
-	if t.closed.Load() {
-		return WireTask{}, false, nil
-	}
-	if t.net.opts.Fault.Severed(t.rank, victim) {
-		return WireTask{}, false, nil
-	}
-	if lat := t.net.opts.StealLatency; lat > 0 {
-		time.Sleep(lat)
-	}
-	if p := t.net.opts.Fault; p != nil {
-		if lat := p.latency(t.rank, victim); lat > 0 {
-			time.Sleep(lat)
-		}
-	}
-	ts := collectSplit(t.net.trs[victim].handler(), t.rank, 1)
 	t.ctr.framesSent.Add(1) // the request
 	t.ctr.framesRecv.Add(1) // the reply
 	if len(ts) == 0 {
 		return WireTask{}, false, nil
 	}
 	if t.wave != nil {
-		// Blacken BEFORE the stolen task becomes visible: work just
+		// Blacken BEFORE the stolen tasks become visible: work just
 		// migrated here behind any token that already passed.
 		t.wave.blacken()
 	}
 	t.ctr.stealReplies.Add(1)
 	t.ctr.stealTasks.Add(int64(len(ts)))
-	if h := t.handler(); h != nil {
-		for _, extra := range ts[1:] {
-			h.OnTask(extra)
-		}
-	}
 	for i := range ts {
+		// Logical bytes moved, credited to the sent side (the only
+		// side Stats aggregates). Real engine runs pass nodes by
+		// reference (nil Payload) and truthfully report zero.
 		t.ctr.bytesSent.Add(int64(len(ts[i].Payload)))
 	}
-	return ts[0], true, nil
+	return adoptTasks(th, ts, true), true, nil
 }
 
 func (t *loopback) BroadcastBound(obj int64, node []byte) error {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -108,9 +107,13 @@ func TestMeshPeerSummaryStaleness(t *testing.T) {
 }
 
 // Gossip bound monotonicity: epidemic spread delivers bounds in no
-// particular order and with duplicates, but every endpoint melds
-// before delivering — so the sequence each handler observes is
-// strictly increasing, and all ranks converge on the global maximum.
+// particular order and with duplicates, but every endpoint melds before
+// delivering — so a handler hears only raises of the endpoint's maximum:
+// each value at most once, none beyond what was published, and all ranks
+// converge on the global maximum. The order of delivery is not pinned: two
+// read loops of a mesh rank may each raise the maximum and then reach the
+// handler the other way round, which a handler merging with a max (the
+// Handler.OnBound contract) cannot tell.
 func TestMeshGossipBoundMonotonicity(t *testing.T) {
 	trs := meshDeployment(t, 4)
 	hs := startAll(trs)
@@ -142,16 +145,15 @@ func TestMeshGossipBoundMonotonicity(t *testing.T) {
 		hs[r].mu.Lock()
 		bounds := append([]int64{}, hs[r].bounds...)
 		hs[r].mu.Unlock()
-		if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
-			t.Errorf("rank %d delivered a non-monotone bound sequence: %v", r, bounds)
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] == bounds[i-1] {
-				t.Errorf("rank %d delivered duplicate bound %d", r, bounds[i])
+		seen := make(map[int64]bool, len(bounds))
+		for _, b := range bounds {
+			if seen[b] {
+				t.Errorf("rank %d delivered duplicate bound %d", r, b)
 			}
-		}
-		if len(bounds) > 0 && bounds[len(bounds)-1] > globalMax {
-			t.Errorf("rank %d delivered bound %d beyond the published max %d", r, bounds[len(bounds)-1], globalMax)
+			seen[b] = true
+			if b > globalMax {
+				t.Errorf("rank %d delivered bound %d beyond the published max %d", r, b, globalMax)
+			}
 		}
 	}
 }

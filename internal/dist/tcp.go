@@ -54,10 +54,10 @@ var stealTimeout = 10 * time.Second
 // WireOptions tunes the v2 framing layer.
 type WireOptions struct {
 	// StealBatch is the maximum number of tasks requested per steal
-	// (the victim may serve fewer — the engine's steal-half policy
-	// protects its own backlog). The thief keeps one task for the
-	// requesting worker and enqueues the extras (BatchAdopter).
-	// Default DefaultStealBatch; 1 disables batching.
+	// (the victim may serve fewer — the engine hands over a run from
+	// its best bucket and at most half of that). The thief keeps one
+	// task for the requesting worker and enqueues the extras
+	// (BatchAdopter). Default DefaultStealBatch; 1 disables batching.
 	StealBatch int
 	// FlushQuantum is the pool quantum of delta coalescing: a
 	// locality's accumulated live-task delta is flushed at most this
@@ -128,7 +128,7 @@ const (
 
 // Defaults for WireOptions.
 const (
-	DefaultStealBatch      = 4
+	DefaultStealBatch      = 64 // the length of the run a spawn sheds into a pool
 	DefaultFlushQuantum    = time.Millisecond
 	DefaultRegTimeout      = 120 * time.Second
 	DefaultHeartbeat       = time.Second

@@ -196,12 +196,13 @@ type StackSplitter interface {
 // MultiStealer is an optional Handler extension for transports whose
 // steal replies carry batches. A handler that implements it decides
 // how many tasks (up to max, at least zero) one thief may take in a
-// single exchange — the engine uses a steal-half policy so a batching
-// thief cannot starve its victim — and serves them in append style:
-// tasks appended to out, their payloads' bytes to buf, both returned
-// extended, so a transport that passes the same two slices for a link's
-// every reply serves steals without allocating. Handlers without it
-// still work: transports fall back to calling ServeSteal up to max times.
+// single exchange — the engine serves at most half of its best bucket,
+// so a batching thief cannot starve its victim — and serves them in
+// append style: tasks appended to out, their payloads' bytes to buf, both
+// returned extended, so a transport that passes the same two slices for a
+// link's every reply serves steals without allocating. Handlers without
+// it still work: transports fall back to calling ServeSteal up to max
+// times.
 type MultiStealer interface {
 	ServeStealMulti(thief, max int, out []WireTask, buf []byte) ([]WireTask, []byte)
 }
@@ -349,10 +350,12 @@ type Transport interface {
 	// traffic. It must be called exactly once, before any search
 	// worker runs.
 	Start(h Handler)
-	// Steal requests one task from the victim locality, blocking until
-	// the victim replies (or the transport decides it never will). The
-	// bool reports whether a task was obtained; errors are reserved
-	// for transport failure, not empty-handed steals.
+	// Steal requests work from the victim locality, blocking until the
+	// victim replies (or the transport decides it never will). A reply
+	// may carry a run of tasks: the first is returned, the extras are
+	// the handler's (BatchAdopter, or Handler.OnTask) before Steal
+	// returns. The bool reports whether a task was obtained; errors are
+	// reserved for transport failure, not empty-handed steals.
 	Steal(victim int) (WireTask, bool, error)
 	// SplitSteal is Steal with split semantics (kSplit, protocol v6):
 	// a victim whose pool is dry falls back to splitting a running

@@ -71,9 +71,10 @@ func (m *waveModel) spawn(rank int) {
 	m.tasks = append(m.tasks, waveTask{id: id, regs: []int{rank}, holder: rank})
 }
 
-// steal moves a random queued task from victim to thief through the
-// real transport (exercising the blacken-before-visible path), then
-// registers the adoption like the engine does.
+// steal moves a run of queued tasks from victim to thief through the
+// real transport (exercising the blacken-before-visible path) — the one
+// the steal returns and the extras the thief's handler was handed — then
+// registers each adoption like the engine does.
 func (m *waveModel) steal(thief, victim int) {
 	if !m.alive[thief] || !m.alive[victim] || thief == victim {
 		return
@@ -82,16 +83,24 @@ func (m *waveModel) steal(thief, victim int) {
 	if err != nil || !ok {
 		return
 	}
-	m.trs[thief].AddTasks(1) // adoption
-	m.hs[thief].push(wt)     // the stolen task joins the thief's queue
-	for i := range m.tasks {
-		if m.tasks[i].id == wt.Payload[0] {
-			m.tasks[i].regs = append(m.tasks[i].regs, thief)
-			m.tasks[i].holder = thief
-			return
+	h := m.hs[thief]
+	h.mu.Lock()
+	run := append([]WireTask{wt}, h.adopted...)
+	h.adopted = nil
+	h.mu.Unlock()
+	m.trs[thief].AddTasks(int64(len(run))) // adoption
+stolen:
+	for _, wt := range run {
+		h.push(wt) // the stolen task joins the thief's queue
+		for i := range m.tasks {
+			if m.tasks[i].id == wt.Payload[0] {
+				m.tasks[i].regs = append(m.tasks[i].regs, thief)
+				m.tasks[i].holder = thief
+				continue stolen
+			}
 		}
+		m.t.Fatalf("stole unknown task %d", wt.Payload[0])
 	}
-	m.t.Fatalf("stole unknown task %d", wt.Payload[0])
 }
 
 // complete finishes one task currently held (queued) at rank, if any.
