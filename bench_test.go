@@ -10,7 +10,7 @@ package yewpar
 // BenchmarkFigure4Scaling     — Figure 4 (k-clique locality scaling)
 // BenchmarkTable2             — Table 2 (app × skeleton speedups)
 // BenchmarkAblationPoolOrder  — order-preserving pool vs deque
-// BenchmarkAblationBoundLatency — stale-bound tolerance
+// BenchmarkAblationLinkLatency — stale-bound tolerance (steals pay the latency too)
 //
 // Benchmarks use the mid-sized instances so a full -bench=. pass stays
 // in minutes; cmd/experiments runs the full row sets.
@@ -234,14 +234,14 @@ func BenchmarkAblationVertexOrder(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationBoundLatency(b *testing.B) {
+func BenchmarkAblationLinkLatency(b *testing.B) {
 	g := table1Graph("p_hat300-3")
 	w := benchWorkers()
 	for _, lat := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond} {
 		b.Run(lat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				maxclique.Solve(g, core.DepthBounded,
-					core.Config{Workers: w, Localities: 4, DCutoff: 2, BoundLatency: lat})
+					core.Config{Workers: w, Localities: 4, DCutoff: 2, NetFault: dist.LatencyPlan(lat)})
 			}
 		})
 	}
@@ -249,14 +249,14 @@ func BenchmarkAblationBoundLatency(b *testing.B) {
 
 // ------------------------------------------------------------------
 // Skeleton tax (Table 1, revisited per-node): the generic skeletons
-// vs the hand-coded bitset solver, with the two engine levers of the
-// allocation/scheduling overhaul isolated — generator recycling (the
-// norecycle rows hide the generator's Reset behind
-// coretest.FactoryOnly, so every expansion takes the factory path) and
-// per-worker pool shards (Config.PoolShards=1 reproduces the
-// pre-sharding single shared pool per locality). ns/node and allocs/node are reported per search-tree
-// node so instances of different sizes are comparable; see
-// BENCH_engine.json for recorded numbers.
+// vs the hand-coded bitset solver, with generator recycling isolated
+// (the norecycle row hides the generator's Reset behind
+// coretest.FactoryOnly, so every expansion takes the factory path).
+// The allocation/scheduling overhaul's other lever, per-worker pool
+// shards against the single shared pool per locality, was last measured
+// when the knob that selected it was deleted; BENCH_engine.json keeps
+// those numbers. ns/node and allocs/node are reported per search-tree
+// node so instances of different sizes are comparable.
 
 // measurePerNode runs one search per iteration, accumulating visited
 // nodes, and reports ns/node and allocs/node (heap Mallocs across all
@@ -314,9 +314,6 @@ func BenchmarkSkeletonTax(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("par-%dw/skeleton", w), func(b *testing.B) {
 		measurePerNode(b, solve(core.DepthBounded, recycled, core.Config{Workers: w, DCutoff: 1}))
-	})
-	b.Run(fmt.Sprintf("par-%dw/skeleton-norecycle-sharedpool", w), func(b *testing.B) {
-		measurePerNode(b, solve(core.DepthBounded, factoryOnly, core.Config{Workers: w, DCutoff: 1, PoolShards: 1}))
 	})
 }
 
@@ -385,41 +382,30 @@ func BenchmarkDistBackToBackSolves(b *testing.B) {
 }
 
 // BenchmarkNodeThroughput measures multi-worker node throughput of the
-// pool-based engine under the two pool layouts: per-worker shards
-// (default) vs the single mutex-shared pool per locality
-// (PoolShards=1). Two workloads: maxclique depthbounded (coarse tasks,
-// pruning) and UTS budget (spawn-heavy enumeration, the pool
+// pool-based engine. Two workloads: maxclique depthbounded (coarse
+// tasks, pruning) and UTS budget (spawn-heavy enumeration, the pool
 // stress case). Worker counts beyond GOMAXPROCS are still run — an
 // oversubscribed engine must not collapse — but real contention relief
-// needs real cores.
+// needs real cores. (The single mutex-shared pool per locality these
+// rows used to be paired with is in BENCH_engine.json's notes.)
 func BenchmarkNodeThroughput(b *testing.B) {
 	g := table1Graph("p_hat300-3")
 	utsS := &uts.Space{Shape: uts.Binomial, B0: 2000, M: 6, Q: 0.166, Seed: 401}
-	layouts := []struct {
-		name   string
-		shards int
-	}{{"sharded", 0}, {"shared-pool", 1}}
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		for _, layout := range layouts {
-			b.Run(fmt.Sprintf("maxclique-depthbounded/%dw/%s", w, layout.name), func(b *testing.B) {
-				measurePerNode(b, func() int64 {
-					_, st := maxclique.Solve(g, core.DepthBounded,
-						core.Config{Workers: w, DCutoff: 2, PoolShards: layout.shards})
-					return st.Nodes
-				})
+		b.Run(fmt.Sprintf("maxclique-depthbounded/%dw", w), func(b *testing.B) {
+			measurePerNode(b, func() int64 {
+				_, st := maxclique.Solve(g, core.DepthBounded, core.Config{Workers: w, DCutoff: 2})
+				return st.Nodes
 			})
-		}
+		})
 	}
 	for _, w := range []int{1, 4, 16} {
-		for _, layout := range layouts {
-			b.Run(fmt.Sprintf("uts-budget/%dw/%s", w, layout.name), func(b *testing.B) {
-				measurePerNode(b, func() int64 {
-					_, st := uts.Count(utsS, core.Budget,
-						core.Config{Workers: w, Budget: 500, PoolShards: layout.shards})
-					return st.Nodes
-				})
+		b.Run(fmt.Sprintf("uts-budget/%dw", w), func(b *testing.B) {
+			measurePerNode(b, func() int64 {
+				_, st := uts.Count(utsS, core.Budget, core.Config{Workers: w, Budget: 500})
+				return st.Nodes
 			})
-		}
+		})
 	}
 }
 
@@ -618,10 +604,19 @@ func BenchmarkScaleoutTopology(b *testing.B) {
 // The insurance premium is the extra kHubDelta/kHubSnap traffic on
 // the coordinator's wire; the standby-on/standby-off ns/op ratio is
 // gated by cmd/benchguard via BENCH_failover.json. The takeover arm
-// (coordinator killed at 60ms, result asserted at the promoted rank)
+// (coordinator killed once it has exchanged takeoverKillFrames frames,
+// result asserted at the promoted rank)
 // is informational: it proves the bench measures a deployment that
 // really can fail over, but its wall time includes the blackout and
 // re-dial, which are latency floors, not throughput.
+
+// takeoverKillFrames is how many frames the coordinator exchanges after
+// Start before the takeover arm kills it: enough that the root has been
+// handed over and steals and bounds are flowing, and a fraction of the
+// 240-600 a whole solve exchanges — so the death is mid-search on a
+// host of any speed, which a fixed delay was not (at 60 ms the solve
+// had finished first in 3 runs of 6).
+const takeoverKillFrames = 40
 
 // failoverTransports brings up a real-TCP 1-coordinator + 3-worker
 // star deployment in process with the given wire options.
@@ -677,6 +672,11 @@ func runFailover(b *testing.B, g *graph.Graph, wire dist.WireOptions, kill bool,
 	cfg := core.Config{Workers: 2, DCutoff: 2, MaxFailures: -1, Standby: true}
 	results := make([]core.OptResult[maxclique.Node], 4)
 	errs := make([]error, 4)
+	frames := func() int64 {
+		ws := trs[0].Wire()
+		return ws.FramesSent + ws.FramesRecv
+	}
+	start := frames()
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -690,7 +690,13 @@ func runFailover(b *testing.B, g *graph.Graph, wire dist.WireOptions, kill bool,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			time.Sleep(60 * time.Millisecond)
+			for frames()-start < takeoverKillFrames {
+				select {
+				case <-trs[1].Done(): // the search outran the kill: the check below reports it
+					return
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
 			trs[0].Close() // the coordinator dies; rank 1 must take over
 		}()
 	}
@@ -709,8 +715,7 @@ func runFailover(b *testing.B, g *graph.Graph, wire dist.WireOptions, kill bool,
 		b.Fatalf("clique size = %d (found=%v), want %d",
 			results[reader].Best.Clique.Count(), results[reader].Found, want)
 	}
-	ws := trs[0].(dist.Meter).Wire()
-	return float64(ws.FramesSent + ws.FramesRecv)
+	return float64(frames())
 }
 
 func BenchmarkFailover(b *testing.B) {

@@ -4,7 +4,7 @@
 //	experiments -table1     YewPar vs hand-coded MaxClique overheads
 //	experiments -fig4       k-clique scaling across localities
 //	experiments -table2     18 alternate parallelisations (sweep)
-//	experiments -ablation   pool-order and bound-latency ablations
+//	experiments -ablation   pool-order and link-latency ablations
 //	experiments -all        everything
 //
 // Absolute times are host- and scale-dependent; the quantities the
@@ -31,6 +31,7 @@ import (
 	"yewpar/internal/apps/tsp"
 	"yewpar/internal/apps/uts"
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 	"yewpar/internal/graph"
 	"yewpar/internal/instances"
 )
@@ -594,12 +595,12 @@ func ablations() {
 		fmt.Printf("%-12s %8.3fs  speedup %5.2f  nodes %d\n", pool.name, sec(t), sec(seq)/sec(t), nodes)
 	}
 
-	fmt.Println("\n== Ablation: bound-broadcast latency (stale-knowledge tolerance) ==")
+	fmt.Println("\n== Ablation: link latency (stale-knowledge tolerance; steals pay it too) ==")
 	for _, lat := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond} {
 		var nodes, prunes int64
 		t := medianOf(*flagRuns, func() time.Duration {
 			_, stats := maxclique.Solve(g, core.DepthBounded,
-				core.Config{Workers: *flagWorkers, Localities: 4, DCutoff: 2, BoundLatency: lat})
+				core.Config{Workers: *flagWorkers, Localities: 4, DCutoff: 2, NetFault: dist.LatencyPlan(lat)})
 			nodes, prunes = stats.Nodes, stats.Prunes
 			return stats.Elapsed
 		})

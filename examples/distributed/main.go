@@ -2,10 +2,11 @@
 // pluggable Transport of internal/dist.
 //
 // Part 1 uses the loopback transport: simulated localities in one
-// process with injected network latencies, the in-process stand-in for
-// the paper's Beowulf-cluster experiments. Remote steals pay
-// StealLatency and bound broadcasts pay BoundLatency, so localities
-// really do work with stale knowledge — fewer prunes, same answers.
+// process with injected network latency, the in-process stand-in for
+// the paper's Beowulf-cluster experiments. A dist.FaultPlan gives every
+// link between localities a latency that remote steals and bound
+// broadcasts both pay, so localities really do work with stale
+// knowledge — fewer prunes, same answers.
 //
 // Part 2 is the real thing: this program re-executes itself as two
 // worker OS processes that dial the coordinator over TCP, register,
@@ -53,29 +54,29 @@ func main() {
 
 func loopbackDemo() {
 	fmt.Println("UTS enumeration across simulated localities")
-	fmt.Println("(8 workers; steal latency 50µs between localities)")
+	fmt.Println("(8 workers; link latency 50µs between localities)")
 	tree := &uts.Space{Shape: uts.Binomial, B0: 4000, M: 8, Q: 0.1245, Seed: 404}
 	for _, locs := range []int{1, 2, 4, 8} {
 		count, stats := uts.Count(tree, core.DepthBounded, core.Config{
-			Workers:      8,
-			Localities:   locs,
-			DCutoff:      3,
-			StealLatency: 50 * time.Microsecond,
+			Workers:    8,
+			Localities: locs,
+			DCutoff:    3,
+			NetFault:   dist.LatencyPlan(50 * time.Microsecond),
 		})
 		fmt.Printf("  localities=%d: %d nodes in %8v (%d remote steals, %d failed)\n",
 			locs, count, stats.Elapsed.Round(time.Microsecond), stats.StealsOK, stats.StealsFail)
 	}
 
-	fmt.Println("\nMaxClique branch and bound: stale bounds cost pruning, not answers")
+	fmt.Println("\nMaxClique branch and bound: slow links cost time and pruning, not answers")
 	g, _ := graph.PlantedClique(150, 0.6, 15, 11)
 	for _, lat := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond, 5 * time.Millisecond} {
 		clique, stats := maxclique.Solve(g, core.DepthBounded, core.Config{
-			Workers:      8,
-			Localities:   4,
-			DCutoff:      2,
-			BoundLatency: lat,
+			Workers:    8,
+			Localities: 4,
+			DCutoff:    2,
+			NetFault:   dist.LatencyPlan(lat),
 		})
-		fmt.Printf("  bound latency %-8v: clique %2d, %9d nodes, %8d prunes, %8v\n",
+		fmt.Printf("  link latency %-8v: clique %2d, %9d nodes, %8d prunes, %8v\n",
 			lat, clique.Count(), stats.Nodes, stats.Prunes, stats.Elapsed.Round(time.Microsecond))
 	}
 }

@@ -8,6 +8,7 @@ package yewpar
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"yewpar/internal/apps/knapsack"
 	"yewpar/internal/apps/maxclique"
@@ -17,6 +18,7 @@ import (
 	"yewpar/internal/apps/tsp"
 	"yewpar/internal/apps/uts"
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 	"yewpar/internal/graph"
 	"yewpar/internal/semantics"
 )
@@ -107,7 +109,7 @@ func TestKneserCliqueDecision(t *testing.T) {
 // parallel skeleton and a non-trivial locality/latency configuration.
 func TestMatrixAllAppsAllSkeletons(t *testing.T) {
 	cfg := core.Config{Workers: 6, Localities: 2, DCutoff: 2, Budget: 64, Chunked: true,
-		BoundLatency: 50_000, StealLatency: 10_000}
+		NetFault: dist.LatencyPlan(50 * time.Microsecond)}
 
 	t.Run("maxclique", func(t *testing.T) {
 		g := graph.Random(45, 0.6, 5)
@@ -267,7 +269,7 @@ func TestEveryNodeOnceUnderLatency(t *testing.T) {
 		for _, coord := range allCoords[1:] {
 			t.Run(fmt.Sprintf("%v/seed%d", coord, seed), func(t *testing.T) {
 				got, stats := uts.Count(s, coord, core.Config{
-					Workers: 8, Localities: 3, StealLatency: 20_000, Budget: 16, DCutoff: 3,
+					Workers: 8, Localities: 3, NetFault: dist.LatencyPlan(20 * time.Microsecond), Budget: 16, DCutoff: 3,
 				})
 				if got != want || stats.Nodes != want {
 					t.Errorf("count %d (visited %d), want %d", got, stats.Nodes, want)

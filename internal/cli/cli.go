@@ -35,8 +35,7 @@ type Options struct {
 	DCutoff    int
 	Budget     int64
 	Chunked    bool
-	StealLat   time.Duration
-	BoundLat   time.Duration
+	LinkLat    time.Duration
 	Pool       string
 	PoolBudget int64
 	SpillDir   string
@@ -94,8 +93,7 @@ func ParseArgs(args []string) (*Options, error) {
 	fs.IntVar(&o.DCutoff, "d", 1, "depth-bounded spawn cutoff")
 	fs.Int64Var(&o.Budget, "b", 10000, "budget coordination backtrack budget")
 	fs.BoolVar(&o.Chunked, "chunked", false, "stack-stealing: steal whole lowest generator")
-	fs.DurationVar(&o.StealLat, "steal-latency", 0, "simulated remote-steal latency")
-	fs.DurationVar(&o.BoundLat, "bound-latency", 0, "simulated bound-broadcast latency")
+	fs.DurationVar(&o.LinkLat, "link-latency", 0, "simulated latency of every link between -localities: steals, bound broadcasts, cancels and acks all pay it")
 	fs.StringVar(&o.Pool, "pool", "depthpool", "workpool: depthpool|deque")
 	fs.Int64Var(&o.PoolBudget, "pool-budget", 0, "per-locality workpool memory budget in bytes (0 = unbounded); pressured localities deepen cutoffs and spill cold tasks to disk")
 	fs.StringVar(&o.SpillDir, "spill-dir", "", "base directory for -pool-budget spill segments (empty = system temp dir); segments live in a per-run temp subdirectory removed on exit")
@@ -192,13 +190,14 @@ func ParseSkeleton(s string) (core.Coordination, error) {
 // Config builds the core.Config from the options.
 func (o *Options) Config() core.Config {
 	cfg := core.Config{
-		Workers:      o.Workers,
-		Localities:   o.Locs,
-		DCutoff:      o.DCutoff,
-		Budget:       o.Budget,
-		Chunked:      o.Chunked,
-		StealLatency: o.StealLat,
-		BoundLatency: o.BoundLat,
+		Workers:    o.Workers,
+		Localities: o.Locs,
+		DCutoff:    o.DCutoff,
+		Budget:     o.Budget,
+		Chunked:    o.Chunked,
+	}
+	if o.LinkLat > 0 {
+		cfg.NetFault = dist.LatencyPlan(o.LinkLat)
 	}
 	if o.Pool == "deque" {
 		cfg.Pool = core.DequeKind

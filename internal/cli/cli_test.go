@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 	"yewpar/internal/graph"
 )
 
@@ -101,9 +103,66 @@ func TestParseArgsDefaults(t *testing.T) {
 	}
 }
 
+// The two per-message latency flags are gone with the injector behind
+// them: they are unknown flags now, not silently ignored ones.
 func TestParseArgsRejectsUnknownFlag(t *testing.T) {
-	if _, err := ParseArgs([]string{"-no-such-flag"}); err == nil {
-		t.Fatal("unknown flag accepted")
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-steal-latency", "50us"},
+		{"-bound-latency", "1ms"},
+	} {
+		if _, err := ParseArgs(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// boundStamp is a locality that reports when a bound reaches it.
+type boundStamp struct{ at chan time.Time }
+
+func (boundStamp) ServeSteal(int) (dist.WireTask, bool) { return dist.WireTask{}, false }
+func (h boundStamp) OnBound(int, int64)                 { h.at <- time.Now() }
+func (boundStamp) OnCancel(int)                         {}
+func (boundStamp) OnTask(dist.WireTask)                 {}
+func (boundStamp) OnAck(int, uint64)                    {}
+
+// -link-latency is the one way to slow the links between -localities:
+// it becomes a fault plan whose default link has that latency, so a
+// bound published on a network built from the config arrives no sooner.
+func TestLinkLatencyMapsToFaultPlan(t *testing.T) {
+	o, err := ParseArgs(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := o.Config().NetFault; plan != nil {
+		t.Fatalf("no -link-latency built a fault plan: %+v", plan)
+	}
+	o, err = ParseArgs([]string{"-localities", "2", "-link-latency", "50us"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.LinkLat != 50*time.Microsecond {
+		t.Fatalf("-link-latency 50us parsed as %v", o.LinkLat)
+	}
+	plan := o.Config().NetFault
+	if plan == nil {
+		t.Fatal("-link-latency built no fault plan")
+	}
+	net := dist.NewLoopback(2, dist.LoopbackOptions{Fault: plan})
+	defer net.Close()
+	h := boundStamp{at: make(chan time.Time, 1)}
+	net.Transports()[1].Start(h)
+	sent := time.Now()
+	if err := net.Transports()[0].BroadcastBound(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case at := <-h.at:
+		if d := at.Sub(sent); d < o.LinkLat {
+			t.Fatalf("bound crossed a %v link in %v", o.LinkLat, d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("bound never arrived")
 	}
 }
 

@@ -49,16 +49,6 @@ type Config struct {
 	// Chunked makes Stack-Stealing hand over all nodes at the lowest
 	// depth of the victim's stack (up to 64) instead of a single node.
 	Chunked bool
-	// StealLatency, if positive, is charged by the loopback transport
-	// on each steal from a remote locality's pool, simulating network
-	// cost. Ignored in multi-process runs, where the network is real.
-	StealLatency time.Duration
-	// BoundLatency, if positive, delays the loopback transport's
-	// delivery of improved bounds to other localities' caches,
-	// simulating the PGAS bound broadcast of Section 4.3. Remote
-	// workers prune against stale bounds in the meantime — fewer
-	// prunes, never incorrect. Ignored in multi-process runs.
-	BoundLatency time.Duration
 	// Pool selects the workpool implementation. Ignored when Order is
 	// set: ordered scheduling requires the priority-bucketed pool.
 	Pool PoolKind
@@ -72,13 +62,6 @@ type Config struct {
 	// result is identical under any order; only which parts of the
 	// tree are visited (and therefore pruned) early changes.
 	Order Order
-	// PoolShards is the number of pool shards per locality. Default 0
-	// shards one pool per local worker: owners push and pop on their
-	// own uncontended shard, and an idle worker robs sibling shards
-	// shallowest-first before paying a transport steal. 1 recreates the
-	// single mutex-shared pool per locality (the pre-sharding design,
-	// kept as an ablation and oracle reference).
-	PoolShards int
 	// PoolBudget bounds the memory a locality's workpool may hold, in
 	// bytes (tasks × a per-task estimate derived from the node's
 	// encoded size). 0, the default, is unbounded. Under a budget the
@@ -148,11 +131,16 @@ type Config struct {
 	// death, as in v7. Every rank must agree on whether sessions are
 	// armed (enforced by the transport's spec handshake).
 	LinkGrace time.Duration
-	// NetFault, if non-nil, injects deterministic network faults
-	// (latency, loss, duplication, corruption, partitions — see
-	// dist.FaultPlan) into the run's links: the loopback network's
-	// in-process calls and, on the coordinator of a distributed run,
-	// the wire transport's frames. Testing and experiments only.
+	// NetFault, if non-nil, injects deterministic network faults into
+	// the links between in-process localities (see dist.FaultPlan). It
+	// is the one way to simulate network cost on the loopback network:
+	// a link's latency is slept by every steal across it and delays
+	// every bound broadcast and cancel — the PGAS bound broadcast of
+	// Section 4.3; remote workers prune against stale bounds in the
+	// meantime, fewer prunes, never incorrect — and a partition fails
+	// steals and holds deliveries until it heals. Ignored by the Dist
+	// entry points, whose network is real (a wire deployment takes its
+	// plan through dist.WireOptions). Testing and experiments only.
 	NetFault *dist.FaultPlan
 	// Seed seeds victim selection for work stealing. Default 1.
 	Seed int64
@@ -160,6 +148,11 @@ type Config struct {
 	// analysis. Create with NewTrace(Workers) and read with Summary
 	// after the run.
 	Trace *Trace
+
+	// shards, if positive, overrides a locality's pool shard count (one
+	// per local worker): package tests set 1 to build the single
+	// mutex-shared pool the sharded one is checked against.
+	shards int
 }
 
 func (c Config) withDefaults() Config {

@@ -87,8 +87,7 @@ func failurePolicy(cfg Config, deaths int64) error {
 }
 
 // distDefaults normalises a distributed config: each process hosts
-// exactly one locality, and latency injection is meaningless when the
-// network is real. On a standby deployment rank 0 becomes a pure
+// exactly one locality. On a standby deployment rank 0 becomes a pure
 // coordinator — zero local workers — so that no subtree can ever live
 // only in its pool: the root it seeds is handed over under ledger
 // supervision, making coordinator death fully survivable (Workers is
@@ -96,8 +95,6 @@ func failurePolicy(cfg Config, deaths int64) error {
 // GOMAXPROCS).
 func distDefaults(cfg Config, tr dist.Transport) Config {
 	cfg.Localities = 1
-	cfg.StealLatency = 0
-	cfg.BoundLatency = 0
 	cfg = cfg.withDefaults()
 	if cfg.Standby && tr.Rank() == 0 {
 		cfg.Workers = 0

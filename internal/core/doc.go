@@ -47,20 +47,20 @@
 // # Scheduling and allocation hot path
 //
 // Each locality's workpool is sharded per worker (ShardedPool): a
-// worker pushes and pops tasks on its own uncontended DepthPool shard,
-// keeping the paper's heuristic order (deepest-first for owners, FIFO
+// worker pushes and pops tasks on its own uncontended shard, keeping the paper's heuristic order (deepest-first for owners, FIFO
 // within a depth) without a shared mutex on the spawn/pop hot path. An
 // idle worker escalates cheapest-first: rob a sibling shard within the
 // locality — shallowest task across shards, so intra-locality stealing
 // hands over the heuristically-next large subtree exactly like the
 // single shared pool did — and only then pay a Transport round trip to
 // a random peer locality. Transport steal handlers serve from the same
-// sharded aggregate, and Config.PoolShards=1 restores the pre-sharding single
-// shared pool for ablation and oracle testing.
+// sharded aggregate. A locality has one shard per local worker (one for
+// a worker-less coordinator); the single shared pool that sharding
+// replaced survives only as the oracle tests' reference arm.
 //
-// Both bucketed pools keep their tasks in one structure, bucketQueue: a
-// FIFO per key (depth, or priority) made of 63-task chunks recycled
-// through a per-pool free list. A task is copied once, into its slot;
+// There is one bucketed pool, bucketQueue: a FIFO per key — the task's
+// depth, or under an ordering mode its priority — made of 63-task chunks
+// recycled through a per-pool free list. A task is copied once, into its slot;
 // nothing doubles under the shard lock, and a pool's footprint is the
 // largest frontier it has held — a 100,000-wide level costs its own
 // bytes, not five times them. A spawner hands its tasks over in runs of
@@ -82,9 +82,9 @@
 // between the search root and the task, OrderDiscrepancy) or its
 // distance from the root's admissible bound (OrderBound) — and every
 // scheduling decision prefers the best priority available. Pools
-// switch to PrioBucketPool (a bucket array, not a heap: priorities are
-// small ints, so push/pop is O(1) and the sharded owner path is
-// uncontended), sibling robs and transport steal service go
+// key on the priority (PrioBucketKind; a bucket array, not a heap:
+// priorities are small ints, so push/pop is O(1) and the sharded owner
+// path is uncontended), sibling robs and transport steal service go
 // best-priority-first, priorities ride stolen tasks across the wire
 // (dist.WireTask.Prio), and idle localities pick the steal victim
 // whose advertised best priority is strongest (the summaries behind

@@ -47,15 +47,13 @@ type fabric[N any] struct {
 }
 
 // newLoopbackFabric builds the single-process fabric: cfg.Localities
-// localities on a loopback network with the configured steal and bound
-// latencies. This is what subsumes the old simulated topology — the
+// localities on a loopback network under the configured fault plan.
+// This is what subsumes the old simulated topology — the
 // same Transport path a cluster run uses, minus the serialisation.
 func newLoopbackFabric[N any](cfg Config) *fabric[N] {
 	net := dist.NewLoopback(cfg.Localities, dist.LoopbackOptions{
-		StealLatency: cfg.StealLatency,
-		BoundLatency: cfg.BoundLatency,
-		Wave:         cfg.Topology == dist.TopologyMesh,
-		Fault:        cfg.NetFault,
+		Wave:  cfg.Topology == dist.TopologyMesh,
+		Fault: cfg.NetFault,
 	})
 	f := &fabric[N]{
 		trs:     net.Transports(),
@@ -182,9 +180,9 @@ var _ dist.StackSplitter = (*locState[string])(nil)
 
 // famDone records one drain of a family's supervision counter; the
 // last drain acks the origin, retiring the ledger entry whose replay
-// would otherwise cover this subtree. On the loopback network the ack
-// is delivered synchronously, so the drain can cascade up a hand-over
-// chain within this call.
+// would otherwise cover this subtree. On a loopback link without
+// latency the ack is delivered synchronously, so the drain can cascade
+// up a hand-over chain within this call.
 func (h *locState[N]) famDone(f *family) {
 	if f != nil && f.pending.Add(-1) == 0 {
 		id := f.id

@@ -4,13 +4,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"yewpar/internal/dist"
 )
 
 // newTestIncumbent builds an incumbent whose localities are connected
-// by a started loopback network with the given bound latency — the
+// by a started loopback network with the given link latency — the
 // transport-backed replacement for the old direct-broadcast incumbent.
 func newTestIncumbent[N any](localities int, lat time.Duration) *incumbent[N] {
-	cfg := Config{Workers: localities, Localities: localities, BoundLatency: lat}.withDefaults()
+	cfg := Config{Workers: localities, Localities: localities, NetFault: dist.LatencyPlan(lat)}.withDefaults()
 	fab := newLoopbackFabric[N](cfg)
 	in := newIncumbent[N](fab.trs)
 	fab.bounds = in

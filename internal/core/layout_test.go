@@ -72,7 +72,7 @@ func TestIsolatedPadsBothSides(t *testing.T) {
 	checkIsolated[workerCtx[*testTree, testNode]](t, "workerCtx")
 	checkIsolated[enumVisitor[*testTree, testNode, int64]](t, "enumVisitor")
 	checkIsolated[poolShard[int]](t, "poolShard")
-	checkIsolated[DepthPool[int]](t, "DepthPool")
+	checkIsolated[bucketQueue[int]](t, "bucketQueue")
 	checkIsolated[[]TaskEvent](t, "[]TaskEvent")
 	checkIsolated[atomic.Int64](t, "atomic.Int64")
 	checkIsolated[atomic.Uint32](t, "atomic.Uint32")
@@ -114,12 +114,10 @@ func TestPoolShardsShareNoLine(t *testing.T) {
 			sh := p.Shard(i).(*poolShard[int])
 			g := []span{spanOf("poolShard", sh)}
 			switch in := sh.inner.(type) {
-			case *DepthPool[int]:
-				g = append(g, spanOf("DepthPool", in))
+			case *bucketQueue[int]:
+				g = append(g, spanOf("bucketQueue", in))
 			case *Deque[int]:
 				g = append(g, spanOf("Deque", in))
-			case *PrioBucketPool[int]:
-				g = append(g, spanOf("PrioBucketPool", in))
 			default:
 				t.Fatalf("kind %v: unexpected shard pool %T", kind, in)
 			}

@@ -24,7 +24,7 @@ func benchmarkPool(b *testing.B, p Pool[int]) {
 	})
 }
 
-func BenchmarkDepthPoolPushPop(b *testing.B) { benchmarkPool(b, NewDepthPool[int]()) }
+func BenchmarkDepthPoolPushPop(b *testing.B) { benchmarkPool(b, newPool[int](DepthPoolKind)) }
 func BenchmarkDequePushPop(b *testing.B)     { benchmarkPool(b, NewDeque[int]()) }
 
 // BenchmarkDepthPoolWidePush pushes one 100,000-task level onto a fresh
@@ -36,7 +36,7 @@ func BenchmarkDepthPoolWidePush(b *testing.B) {
 	b.ReportAllocs()
 	run := make([]Task[int], shedRun)
 	for i := 0; i < b.N; i++ {
-		p := NewDepthPool[int]()
+		p := newPool[int](DepthPoolKind)
 		for n := 0; n < 100_000; n += len(run) {
 			p.PushBatch(run)
 		}
@@ -92,7 +92,7 @@ func BenchmarkPrioPoolPushPop(b *testing.B) {
 // workers contending on one PrioBucketPool.
 func BenchmarkSharedPrioPoolPushPop(b *testing.B) {
 	b.ReportAllocs()
-	p := NewPrioBucketPool[int]()
+	p := newPool[int](PrioBucketKind)
 	b.RunParallel(func(pb *testing.PB) {
 		i := int32(0)
 		for pb.Next() {

@@ -19,14 +19,14 @@ import (
 // order uses the optimisation problem's admissible bound directly:
 // under Budget it is best-first search. Priorities are small
 // non-negative ints with LOWER = better, so pools can bucket on them
-// (see PrioBucketPool) instead of paying a heap.
+// (see bucketQueue) instead of paying a heap.
 
 // Order selects the global task-scheduling order of the pool-based
 // coordinations.
 type Order int
 
 const (
-	// OrderNone schedules tasks by depth only (the DepthPool default):
+	// OrderNone schedules tasks by depth only (the DepthPoolKind default):
 	// owners run deepest-first, thieves steal shallowest-first, and
 	// steal victims are chosen at random.
 	OrderNone Order = iota

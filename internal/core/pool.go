@@ -45,8 +45,8 @@ type Pool[N any] interface {
 	// producing that work, its share of it.
 	StealRun(max int, out []Task[N]) []Task[N]
 	Size() int
-	// StealRank reports the rank of the task Steal would return — a
-	// DepthPool's depth, a PrioBucketPool's priority — or -1 when the
+	// StealRank reports the rank of the task Steal would return — its
+	// depth, or under PrioBucketKind its priority — or -1 when the
 	// pool is empty. Lower ranks are stolen first; the same rank is what
 	// localities advertise to peers for priority-aware victim selection.
 	StealRank() int
@@ -55,36 +55,6 @@ type Pool[N any] interface {
 	// They stay registered live work; the caller owns re-admitting them.
 	SpillBatch(max int) []Task[N]
 }
-
-// DepthPool is the paper's order-preserving workpool: one FIFO per
-// depth (a bucketQueue keyed by Task.Depth). Within a depth tasks leave
-// in insertion order, so the sibling spawn order — which encodes the
-// application's search heuristic — is always respected; a conventional
-// deque inverts it, because an owner's LIFO pop returns the
-// heuristically *worst* sibling first. Owners pop from the deepest
-// non-empty depth (continuing depth-first, like the sequential search
-// would), while thieves steal from the shallowest (the expected-largest
-// subtrees, in heuristic order).
-type DepthPool[N any] struct{ bucketQueue[N] }
-
-// NewDepthPool returns an empty DepthPool. Like every pool it is
-// written by its owner and its thieves on every operation, so its
-// header is allocated isolated.
-func NewDepthPool[N any]() *DepthPool[N] { return pad.New[DepthPool[N]]() }
-
-// Pop implements Pool: deepest depth first, FIFO within it.
-func (p *DepthPool[N]) Pop() (Task[N], bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if k := p.maxKey(); k >= 0 {
-		return p.take(k), true
-	}
-	return Task[N]{}, false
-}
-
-// MinDepth reports the depth of the task Steal would currently return,
-// or -1 if the pool is empty.
-func (p *DepthPool[N]) MinDepth() int { return p.StealRank() }
 
 // Deque is a conventional work-stealing double-ended queue: owners pop
 // newest-first (LIFO), thieves steal oldest-first (FIFO). It ignores
@@ -190,15 +160,16 @@ func (q *Deque[N]) SpillBatch(max int) []Task[N] {
 	return q.takeOldest(max, nil)
 }
 
+// newPool returns an empty pool of the given kind, its header allocated
+// isolated: like every pool it is written by its owner and its thieves
+// on every operation.
 func newPool[N any](kind PoolKind) Pool[N] {
-	switch kind {
-	case DequeKind:
+	if kind == DequeKind {
 		return NewDeque[N]()
-	case PrioBucketKind:
-		return NewPrioBucketPool[N]()
-	default:
-		return NewDepthPool[N]()
 	}
+	q := pad.New[bucketQueue[N]]()
+	q.byPrio = kind == PrioBucketKind
+	return q
 }
 
 // poolShard is one shard of a ShardedPool: a pool plus its own task
@@ -273,7 +244,7 @@ func (p *poolShard[N]) SpillBatch(max int) []Task[N] {
 // push and pop must update. It implements Pool as the locality's
 // transport-facing aggregate: a remote thief's Steal takes the
 // shallowest task across all shards (preserving the depth-first/FIFO
-// heuristic order the DepthPool guarantees within a shard), and tasks
+// heuristic order the depth pool guarantees within a shard), and tasks
 // arriving without an owning worker — the root seed, the extras of an
 // adopted steal reply — are spread round-robin. Owner-side
 // traffic goes straight to Shard(i); an idle owner robs its siblings
@@ -337,7 +308,7 @@ func (p *ShardedPool[N]) Pop() (Task[N], bool) {
 }
 
 // Steal implements Pool: the shallowest available task across all
-// shards, FIFO within a depth — what the single DepthPool's Steal
+// shards, FIFO within a depth — what a single depth pool's Steal
 // guaranteed, now approximated across shards (two shards at the same
 // minimum depth tie-break by shard index, and a concurrent owner pop
 // can invalidate the snapshot between ranking and stealing, in which

@@ -6,7 +6,7 @@ import (
 )
 
 func TestDepthPoolOwnerDeepestFirstFIFO(t *testing.T) {
-	p := NewDepthPool[string]()
+	p := newPool[string](DepthPoolKind)
 	p.Push(Task[string]{Node: "d2a", Depth: 2})
 	p.Push(Task[string]{Node: "d1a", Depth: 1})
 	p.Push(Task[string]{Node: "d1b", Depth: 1})
@@ -31,7 +31,7 @@ func TestDepthPoolOwnerDeepestFirstFIFO(t *testing.T) {
 }
 
 func TestDepthPoolThiefShallowestFirstFIFO(t *testing.T) {
-	p := NewDepthPool[string]()
+	p := newPool[string](DepthPoolKind)
 	p.Push(Task[string]{Node: "d2a", Depth: 2})
 	p.Push(Task[string]{Node: "d0a", Depth: 0})
 	p.Push(Task[string]{Node: "d0b", Depth: 0})
@@ -45,7 +45,7 @@ func TestDepthPoolThiefShallowestFirstFIFO(t *testing.T) {
 }
 
 func TestDepthPoolInterleavedPushPop(t *testing.T) {
-	p := NewDepthPool[int]()
+	p := newPool[int](DepthPoolKind)
 	p.Push(Task[int]{Node: 1, Depth: 3})
 	if task, _ := p.Pop(); task.Node != 1 {
 		t.Fatal("wrong task")
@@ -67,7 +67,7 @@ func TestDepthPoolInterleavedPushPop(t *testing.T) {
 }
 
 func TestDepthPoolMixedPopSteal(t *testing.T) {
-	p := NewDepthPool[int]()
+	p := newPool[int](DepthPoolKind)
 	for d := 0; d < 4; d++ {
 		p.Push(Task[int]{Node: d, Depth: d})
 	}
@@ -89,7 +89,7 @@ func TestDepthPoolMixedPopSteal(t *testing.T) {
 }
 
 func TestDepthPoolSize(t *testing.T) {
-	p := NewDepthPool[int]()
+	p := newPool[int](DepthPoolKind)
 	if p.Size() != 0 {
 		t.Fatal("fresh pool non-empty")
 	}
@@ -107,7 +107,7 @@ func TestDepthPoolSize(t *testing.T) {
 }
 
 func TestDepthPoolStealPrefersShallow(t *testing.T) {
-	p := NewDepthPool[string]()
+	p := newPool[string](DepthPoolKind)
 	p.Push(Task[string]{Node: "deep", Depth: 9})
 	p.Push(Task[string]{Node: "shallow", Depth: 1})
 	task, ok := p.Steal()
@@ -143,6 +143,51 @@ func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
 	if q.Size() != 0 {
 		t.Fatalf("Size = %d", q.Size())
 	}
+}
+
+// TestDepthPoolKeepsHeuristicOrderDequeInvertsIt is the Section 2.3
+// argument as a search: a decision problem whose witness is the leftmost
+// leaf of a complete ternary tree — the path a perfect child-ordering
+// heuristic points down — under Depth-Bounded spawning on one worker,
+// so the node counts are deterministic. The depth pool hands the worker
+// the first-spawned sibling at every level and walks straight to the
+// witness; the deque's LIFO pop takes the last-spawned — heuristically
+// worst — sibling first and searches its whole subtree before it.
+func TestDepthPoolKeepsHeuristicOrderDequeInvertsIt(t *testing.T) {
+	const depth = 5
+	tree := &testTree{children: map[string][]string{}, value: map[string]int64{}}
+	var build func(id string, d int)
+	build = func(id string, d int) {
+		tree.size++
+		tree.value[id] = 0
+		if d == depth {
+			return
+		}
+		for _, c := range "abc" {
+			tree.children[id] = append(tree.children[id], id+string(c))
+			build(id+string(c), d+1)
+		}
+	}
+	build("", 0)
+	tree.value["aaaaa"] = 1
+
+	nodes := map[PoolKind]int64{}
+	for _, kind := range []PoolKind{DepthPoolKind, DequeKind} {
+		res := Decide(DepthBounded, tree, testNode{}, tree.decisionProblem(1, false),
+			Config{Workers: 1, DCutoff: 2, Pool: kind})
+		if !res.Found || res.Witness.id != "aaaaa" {
+			t.Fatalf("pool kind %d: found=%v witness %q, want aaaaa", kind, res.Found, res.Witness.id)
+		}
+		nodes[kind] = res.Stats.Nodes
+	}
+	if nodes[DepthPoolKind] != depth+1 {
+		t.Errorf("depth pool visited %d nodes, want the %d on the heuristic-first path", nodes[DepthPoolKind], depth+1)
+	}
+	if nodes[DequeKind] <= nodes[DepthPoolKind] {
+		t.Errorf("deque visited %d nodes, no more than the depth pool's %d: it did not invert the sibling order",
+			nodes[DequeKind], nodes[DepthPoolKind])
+	}
+	t.Logf("nodes to witness: depth pool %d, deque %d of %d", nodes[DepthPoolKind], nodes[DequeKind], tree.size)
 }
 
 func TestDequeEmptySteal(t *testing.T) {
@@ -212,7 +257,7 @@ func poolConcurrencyCheck(t *testing.T, p Pool[int]) {
 	}
 }
 
-func TestDepthPoolConcurrent(t *testing.T) { poolConcurrencyCheck(t, NewDepthPool[int]()) }
+func TestDepthPoolConcurrent(t *testing.T) { poolConcurrencyCheck(t, newPool[int](DepthPoolKind)) }
 func TestDequeConcurrent(t *testing.T)     { poolConcurrencyCheck(t, NewDeque[int]()) }
 
 // The one rule for how much a steal takes, through the victim's whole

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPrioBucketPoolOrdersByPriority(t *testing.T) {
-	p := NewPrioBucketPool[string]()
+	p := newPool[string](PrioBucketKind)
 	p.Push(Task[string]{Node: "worst", Prio: 9})
 	p.Push(Task[string]{Node: "best", Prio: 0})
 	p.Push(Task[string]{Node: "mid", Prio: 4})
@@ -30,7 +30,7 @@ func TestPrioBucketPoolOrdersByPriority(t *testing.T) {
 // order among equally promising tasks is search knowledge, and a pool
 // without the FIFO discipline would scramble it.
 func TestPrioBucketPoolFIFOWithinPriority(t *testing.T) {
-	p := NewPrioBucketPool[int]()
+	p := newPool[int](PrioBucketKind)
 	const n = 100
 	// Two interleaved priority classes, each pushed in ascending order.
 	for i := 0; i < n; i++ {
@@ -54,16 +54,16 @@ func TestPrioBucketPoolFIFOWithinPriority(t *testing.T) {
 // re-aim the min cursor, and BestPrio must always agree with what Pop
 // returns next.
 func TestPrioBucketPoolBestPrioTracksChurn(t *testing.T) {
-	p := NewPrioBucketPool[int]()
-	if b := p.BestPrio(); b != -1 {
+	p := newPool[int](PrioBucketKind)
+	if b := p.StealRank(); b != -1 {
 		t.Fatalf("empty BestPrio = %d, want -1", b)
 	}
 	p.Push(Task[int]{Node: 1, Prio: 5})
-	if b := p.BestPrio(); b != 5 {
+	if b := p.StealRank(); b != 5 {
 		t.Fatalf("BestPrio = %d, want 5", b)
 	}
 	p.Push(Task[int]{Node: 2, Prio: 2})
-	if b := p.BestPrio(); b != 2 {
+	if b := p.StealRank(); b != 2 {
 		t.Fatalf("BestPrio = %d, want 2", b)
 	}
 	if got, _ := p.Pop(); got.Prio != 2 {
@@ -77,7 +77,7 @@ func TestPrioBucketPoolBestPrioTracksChurn(t *testing.T) {
 	if got, _ := p.Pop(); got.Prio != 5 {
 		t.Fatalf("popped prio %d, want 5", got.Prio)
 	}
-	if b := p.BestPrio(); b != -1 {
+	if b := p.StealRank(); b != -1 {
 		t.Fatalf("drained BestPrio = %d, want -1", b)
 	}
 }
@@ -85,7 +85,7 @@ func TestPrioBucketPoolBestPrioTracksChurn(t *testing.T) {
 // Out-of-range priorities must clamp, not grow the bucket array or
 // panic: Prio crosses the wire and cannot be trusted.
 func TestPrioBucketPoolClampsPriorities(t *testing.T) {
-	p := NewPrioBucketPool[int]()
+	p := newPool[int](PrioBucketKind)
 	p.Push(Task[int]{Node: 1, Prio: -50})
 	p.Push(Task[int]{Node: 2, Prio: 1 << 30})
 	if got, ok := p.Pop(); !ok || got.Node != 1 {
@@ -100,7 +100,7 @@ func TestPrioBucketPoolClampsPriorities(t *testing.T) {
 }
 
 func TestPrioBucketPoolSize(t *testing.T) {
-	p := NewPrioBucketPool[int]()
+	p := newPool[int](PrioBucketKind)
 	if p.Size() != 0 {
 		t.Fatalf("empty pool size %d", p.Size())
 	}
@@ -119,7 +119,7 @@ func TestPrioBucketPoolSize(t *testing.T) {
 // Concurrent pushes and pops must neither lose nor duplicate tasks
 // (the pool backs the ordered coordinations' shared frontier).
 func TestPrioBucketPoolConcurrentPushPop(t *testing.T) {
-	p := NewPrioBucketPool[int]()
+	p := newPool[int](PrioBucketKind)
 	const producers, perProducer = 8, 200
 	var wg sync.WaitGroup
 	for pr := 0; pr < producers; pr++ {
@@ -256,7 +256,7 @@ func (p *heapPrioPool[N]) PopPrio() (Task[N], bool) {
 // = the negation, lower-is-better).
 func TestPrioBucketPoolMatchesHeapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	bucket := NewPrioBucketPool[int]()
+	bucket := newPool[int](PrioBucketKind)
 	oracle := &heapPrioPool[int]{}
 	const maxPrio = 16
 	for i := 0; i < 500; i++ {

@@ -22,17 +22,33 @@ type fifo[N any] struct {
 	hi, ti     int
 }
 
-// bucketQueue is the storage under both bucketed workpools: an array of
-// FIFOs indexed by a small integer key (a DepthPool's depth, a
-// PrioBucketPool's clamped priority), each made of fixed-size chunks
-// that an emptied FIFO hands to the queue's free list and a growing one
-// takes back from it. A task is copied once, into its slot: put is O(1)
-// in the worst case (no backing array ever doubles under the lock),
-// tasks leave a key in insertion order, and the queue's footprint is
-// the largest frontier it has held, rounded up to a chunk per key —
-// whatever a wide level needed is what the deeper levels reuse once it
-// drains. The unexported methods expect mu held; the exported ones,
-// which the pools embedding the queue promote, take it.
+// bucketQueue is the bucketed workpool: an array of FIFOs indexed by a
+// small integer key, each made of fixed-size chunks that an emptied FIFO
+// hands to the queue's free list and a growing one takes back from it.
+//
+// Keyed on Task.Depth (DepthPoolKind) it is the paper's order-preserving
+// workpool. Within a depth tasks leave in insertion order, so the
+// sibling spawn order — which encodes the application's search
+// heuristic — is always respected; a conventional deque inverts it,
+// because an owner's LIFO pop returns the heuristically *worst* sibling
+// first. Owners pop from the deepest non-empty depth (continuing
+// depth-first, like the sequential search would), while thieves steal
+// from the shallowest (the expected-largest subtrees, in heuristic
+// order).
+//
+// Keyed on Task.Prio, clamped (PrioBucketKind; lower = better), it is
+// the ordered-scheduling workpool: owners and thieves agree on the
+// order — best-first has one global notion of "next". Priorities
+// assigned by the ordering modes are small ints (a discrepancy count, or
+// a clamped distance from the root bound), so a bucket array gives O(1)
+// push and pop where a heap pays O(log n) plus far worse constants.
+//
+// A task is copied once, into its slot: put is O(1) in the worst case
+// (no backing array ever doubles under the lock), and the queue's
+// footprint is the largest frontier it has held, rounded up to a chunk
+// per key — whatever a wide level needed is what the deeper levels
+// reuse once it drains. The unexported methods expect mu held; the
+// exported ones take it.
 type bucketQueue[N any] struct {
 	mu     sync.Mutex
 	byPrio bool // key on Task.Prio, clamped, instead of Task.Depth
@@ -133,8 +149,25 @@ func (q *bucketQueue[N]) maxKey() int {
 	return -1
 }
 
-// Steal implements Pool: thieves of either pool take the oldest task of
-// the lowest non-empty key — the shallowest depth, or the best priority.
+// Pop implements Pool: the oldest task of the deepest depth, or of the
+// best priority.
+func (q *bucketQueue[N]) Pop() (Task[N], bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var k int
+	if q.byPrio {
+		k = q.minKey()
+	} else {
+		k = q.maxKey()
+	}
+	if k < 0 {
+		return Task[N]{}, false
+	}
+	return q.take(k), true
+}
+
+// Steal implements Pool: thieves take the oldest task of the lowest
+// non-empty key — the shallowest depth, or the best priority.
 func (q *bucketQueue[N]) Steal() (Task[N], bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

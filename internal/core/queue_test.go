@@ -63,8 +63,8 @@ func TestBucketQueueMatchesSliceModel(t *testing.T) {
 		key  func(Task[int]) int
 		pop  int // which end Pop takes
 	}{
-		{"depth", func() Pool[int] { return NewDepthPool[int]() }, func(t Task[int]) int { return t.Depth }, +1},
-		{"prio", func() Pool[int] { return NewPrioBucketPool[int]() }, func(t Task[int]) int { return int(clampPrio(int64(t.Prio))) }, -1},
+		{"depth", func() Pool[int] { return newPool[int](DepthPoolKind) }, func(t Task[int]) int { return t.Depth }, +1},
+		{"prio", func() Pool[int] { return newPool[int](PrioBucketKind) }, func(t Task[int]) int { return int(clampPrio(int64(t.Prio))) }, -1},
 	}
 	sizes := []int{1, 2, chunkTasks - 1, chunkTasks, chunkTasks + 1, shedRun + 1, 2*chunkTasks + 3}
 	for _, kind := range kinds {
@@ -155,7 +155,7 @@ func TestBucketQueueAllocatesWhatItHolds(t *testing.T) {
 		run[i].Depth = 3
 	}
 	for _, batched := range []bool{false, true} {
-		p := NewDepthPool[int]()
+		p := newPool[int](DepthPoolKind)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for n := 0; n < wide; n += len(run) {
@@ -179,7 +179,7 @@ func TestBucketQueueAllocatesWhatItHolds(t *testing.T) {
 		}
 	}
 
-	for _, p := range []Pool[int]{NewDepthPool[int](), NewPrioBucketPool[int](), NewShardedPool[int](DepthPoolKind, 2).Shard(0)} {
+	for _, p := range []Pool[int]{newPool[int](DepthPoolKind), newPool[int](PrioBucketKind), NewShardedPool[int](DepthPoolKind, 2).Shard(0)} {
 		cycle := func() {
 			for key := 0; key < 4; key++ {
 				for i := range run {

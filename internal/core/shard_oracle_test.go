@@ -7,11 +7,11 @@ import (
 
 // Oracle property test for the sharded workpools: on random seeded
 // trees, the per-worker-sharded engine must explore exactly the same
-// tree as the single shared DepthPool per locality (the PoolShards=1
-// ablation, which reproduces the pre-sharding design). Enumeration
-// visits every node exactly once under any scheduling, so values AND
-// node counts must match exactly; optimisation under pruning is
-// timing-dependent in parallel, so optima must match exactly while
+// tree as the single shared depth pool per locality (the pre-sharding
+// design, built here through Config's unexported shards override).
+// Enumeration visits every node exactly once under any scheduling, so
+// values AND node counts must match exactly; optimisation under pruning
+// is timing-dependent in parallel, so optima must match exactly while
 // node counts need only stay within the full-tree envelope.
 func TestShardedPoolOracle(t *testing.T) {
 	coords := []struct {
@@ -31,9 +31,9 @@ func TestShardedPoolOracle(t *testing.T) {
 
 		for _, c := range coords {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, c.name), func(t *testing.T) {
-				sharded := c.cfg // PoolShards 0: one shard per worker
+				sharded := c.cfg // one shard per worker
 				single := c.cfg
-				single.PoolShards = 1 // the pre-sharding oracle
+				single.shards = 1 // the pre-sharding oracle
 
 				for _, run := range []struct {
 					name string
@@ -75,7 +75,7 @@ func TestShardedDecisionOracle(t *testing.T) {
 	for _, target := range []int64{max, max + 1} {
 		wantFound := target <= max
 		for _, shards := range []int{0, 1} {
-			cfg := Config{Workers: 4, DCutoff: 2, PoolShards: shards}
+			cfg := Config{Workers: 4, DCutoff: 2, shards: shards}
 			res := Decide(DepthBounded, tree, testNode{}, tree.decisionProblem(target, false), cfg)
 			if res.Found != wantFound {
 				t.Fatalf("shards=%d target=%d: Found=%v, want %v", shards, target, res.Found, wantFound)

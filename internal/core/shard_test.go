@@ -73,8 +73,8 @@ func TestShardedPoolRoundRobinPushAndSize(t *testing.T) {
 }
 
 func TestShardedPoolSingleShardIsSharedPool(t *testing.T) {
-	// PoolShards=1 is the pre-sharding oracle: everything behaves like
-	// one DepthPool.
+	// One shard is the pre-sharding oracle: everything behaves like one
+	// depth pool.
 	p := NewShardedPool[string](DepthPoolKind, 1)
 	p.Push(Task[string]{Node: "a", Depth: 2})
 	p.Push(Task[string]{Node: "b", Depth: 1})
@@ -180,21 +180,21 @@ func TestShardedPoolCountersUnderConcurrency(t *testing.T) {
 }
 
 func TestDepthPoolMinDepth(t *testing.T) {
-	p := NewDepthPool[int]()
-	if d := p.MinDepth(); d != -1 {
+	p := newPool[int](DepthPoolKind)
+	if d := p.StealRank(); d != -1 {
 		t.Fatalf("empty MinDepth = %d, want -1", d)
 	}
 	p.Push(Task[int]{Node: 1, Depth: 5})
 	p.Push(Task[int]{Node: 2, Depth: 3})
-	if d := p.MinDepth(); d != 3 {
+	if d := p.StealRank(); d != 3 {
 		t.Fatalf("MinDepth = %d, want 3", d)
 	}
 	p.Steal()
-	if d := p.MinDepth(); d != 5 {
+	if d := p.StealRank(); d != 5 {
 		t.Fatalf("MinDepth after steal = %d, want 5", d)
 	}
 	p.Pop()
-	if d := p.MinDepth(); d != -1 {
+	if d := p.StealRank(); d != -1 {
 		t.Fatalf("drained MinDepth = %d, want -1", d)
 	}
 }
@@ -263,13 +263,13 @@ func TestWorkerShardAssignment(t *testing.T) {
 		}
 	}
 
-	// The ablation pins everyone to the single shared shard.
-	cfg1 := Config{Workers: 4, Localities: 1, PoolShards: 1}.withDefaults()
+	// The oracle tests' override pins everyone to the single shared shard.
+	cfg1 := Config{Workers: 4, Localities: 1, shards: 1}.withDefaults()
 	fab1 := newLoopbackFabric[int](cfg1)
 	defer fab1.close()
 	tp1 := newTopology(fab1, cfg1)
 	if tp1.pools[0].Shards() != 1 {
-		t.Fatalf("PoolShards=1 built %d shards", tp1.pools[0].Shards())
+		t.Fatalf("shards=1 built %d shards", tp1.pools[0].Shards())
 	}
 	for w := 0; w < cfg1.Workers; w++ {
 		if tp1.workerShard[w] != 0 {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"yewpar/internal/dist"
 )
 
 var allCoords = []Coordination{Sequential, DepthBounded, StackStealing, Budget}
@@ -344,7 +347,7 @@ func TestManyLocalitiesMoreThanWorkersClamped(t *testing.T) {
 func TestBoundLatencyStillCorrect(t *testing.T) {
 	tree := genTree(29, 5, 9)
 	want := tree.max()
-	cfg := Config{Workers: 6, Localities: 3, BoundLatency: 200_000} // 200µs
+	cfg := Config{Workers: 6, Localities: 3, NetFault: dist.LatencyPlan(200 * time.Microsecond)}
 	for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
 		res := Opt(coord, tree, testNode{}, tree.optProblem(true), cfg)
 		if res.Objective != want {
@@ -355,7 +358,7 @@ func TestBoundLatencyStillCorrect(t *testing.T) {
 
 func TestStealLatencyStillCorrect(t *testing.T) {
 	tree := genTree(31, 4, 8)
-	cfg := Config{Workers: 4, Localities: 2, StealLatency: 50_000} // 50µs
+	cfg := Config{Workers: 4, Localities: 2, NetFault: dist.LatencyPlan(50 * time.Microsecond)}
 	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(), cfg)
 	if res.Value != tree.sum() {
 		t.Errorf("sum = %d, want %d", res.Value, tree.sum())

@@ -16,8 +16,8 @@ import (
 // single shared pool gave), and only then try a peer locality through
 // the Transport — mirroring the locality-aware victim selection of
 // Section 4.3. In a single-process run the peers are loopback localities
-// (with optional injected latency); in a distributed run they are other
-// OS processes.
+// (with optional injected link faults); in a distributed run they are
+// other OS processes.
 //
 // Victim selection over the transport ring depends on the scheduling
 // mode. Unordered searches probe peers in random order, as the paper
@@ -93,21 +93,18 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 		boBase, boMax = 500*time.Microsecond, 5*time.Millisecond
 	}
 	// localWorkers[i] = workers hosted on in-process locality i (worker
-	// w lives on locality w % nloc); by default each gets its own shard.
+	// w lives on locality w % nloc); each gets its own shard.
 	localWorkers := make([]int, nloc)
 	for w := 0; w < cfg.Workers; w++ {
 		localWorkers[w%nloc]++
 	}
 	for i := range tp.pools {
-		shards := cfg.PoolShards
-		if shards <= 0 {
-			shards = localWorkers[i]
-		}
-		if shards <= 0 {
-			// A pure-coordinator locality (standby deployments run rank 0
-			// with zero workers) still needs a pool: it seeds the root and
-			// serves steals against it.
-			shards = 1
+		// A pure-coordinator locality (standby deployments run rank 0
+		// with zero workers) still needs a pool: it seeds the root and
+		// serves steals against it.
+		shards := max(localWorkers[i], 1)
+		if cfg.shards > 0 {
+			shards = cfg.shards
 		}
 		tp.pools[i] = NewShardedPool[N](cfg.Pool, shards)
 		fab.locs[i].pool = tp.pools[i]

@@ -376,7 +376,8 @@
 // tests: seeded per-link latency/jitter/drop/duplication/corruption/
 // reordering plus scheduled partitions (Partition/Heal), consulted by
 // the TCP framing layer around every physical write and by the
-// loopback network around every delivery. It composes with ChaosPlan
+// loopback network around every delivery, which has no other source of
+// link latency (see LoopbackOptions.Fault). It composes with ChaosPlan
 // — kills schedule who dies, the net plan schedules which links lie —
 // and powers the partition conformance suite: a partition shorter
 // than the grace must be invisible (zero deaths, zero replayed tasks,

@@ -11,14 +11,6 @@ import (
 
 // LoopbackOptions tunes the in-process network.
 type LoopbackOptions struct {
-	// StealLatency, if positive, is slept on the thief's goroutine
-	// before each steal request is served, simulating the network cost
-	// of a remote steal.
-	StealLatency time.Duration
-	// BoundLatency, if positive, delays delivery of bound broadcasts
-	// to peer localities, simulating the PGAS bound-broadcast latency:
-	// peers prune against stale bounds in the meantime.
-	BoundLatency time.Duration
 	// Wave selects mesh-style termination: instead of closing Done when
 	// the globally shared live-task count hits zero, each rank keeps
 	// its own counter and a Safra-style token wave (wave.go) detects
@@ -28,23 +20,26 @@ type LoopbackOptions struct {
 	// but they no longer decide termination.
 	Wave bool
 	// Fault, if non-nil, injects network faults into the in-process
-	// links: steals across a severed partition fail like a timed-out
-	// wire steal, bound broadcasts and acks to severed peers are
-	// queued and delivered at Heal, and per-link latency adds to the
-	// steal cost. Loopback partitions are payload-plane only — no
-	// liveness watchdog runs here, so a partition never kills a rank
-	// (deaths stay 0), which is exactly the contract the session layer
-	// gives the wire transports under LinkGrace.
+	// links, and is the only thing that delays one. A link's latency is
+	// slept on the thief's goroutine before each steal across it is
+	// served, and delays every bound broadcast, cancel and ack over it:
+	// peers prune against stale bounds in the meantime. Steals across a
+	// severed partition fail like a timed-out wire steal, and the other
+	// messages are queued and delivered at Heal. Loopback partitions are
+	// payload-plane only — no liveness watchdog runs here, so a
+	// partition never kills a rank (deaths stay 0), which is exactly the
+	// contract the session layer gives the wire transports under
+	// LinkGrace.
 	Fault *FaultPlan
 }
 
 // LoopbackNetwork is a set of in-process localities connected by
 // direct calls: the Transport implementation backing single-process
 // runs, where "localities" are groups of goroutines sharing an address
-// space. Latency injection makes it a faithful stand-in for a real
-// network in experiments, and its simplicity makes it the reference
-// implementation for the Transport conformance suite — including the
-// fault-tolerance contract, via the injectable Kill.
+// space. Fault injection (LoopbackOptions.Fault) makes it a faithful
+// stand-in for a real network in experiments, and its simplicity makes
+// it the reference implementation for the Transport conformance suite —
+// including the fault-tolerance contract, via the injectable Kill.
 type LoopbackNetwork struct {
 	opts LoopbackOptions
 	trs  []*loopback
@@ -268,8 +263,8 @@ type loopback struct {
 
 var _ Transport = (*loopback)(nil)
 
-// AcksRelayed is false: loopback acks are delivered to their origin
-// synchronously, so no death can eat one in flight.
+// AcksRelayed is false: loopback acks go straight to their origin — no
+// coordinator whose death could eat one in flight.
 func (t *loopback) AcksRelayed() bool { return false }
 
 // Suspected: a peer across a severed loopback partition is
@@ -344,16 +339,17 @@ func (t *loopback) stealVia(split bool, victim int) (WireTask, bool, error) {
 	// A killed rank's zombie worker has no handler to adopt a run with:
 	// it is refused before the victim parts with anything.
 	th := t.handler()
-	if th == nil || t.net.opts.Fault.Severed(t.rank, victim) {
+	if th == nil {
 		return WireTask{}, false, nil
 	}
-	if lat := t.net.opts.StealLatency; lat > 0 {
-		time.Sleep(lat)
-	}
 	if p := t.net.opts.Fault; p != nil {
-		if lat := p.latency(t.rank, victim); lat > 0 {
-			time.Sleep(lat)
+		// A steal is a synchronous call: across a partition it fails, and
+		// the link's delay is the thief's to sleep.
+		act, severed := p.act(t.rank, victim)
+		if severed {
+			return WireTask{}, false, nil
 		}
+		time.Sleep(act.delay)
 	}
 	vh := t.net.trs[victim].handler()
 	var ts []WireTask
@@ -383,38 +379,48 @@ func (t *loopback) stealVia(split bool, victim int) (WireTask, bool, error) {
 	return adoptTasks(th, ts, true), true, nil
 }
 
+// deliver hands the link one message for peer's handler — a bound
+// (kBound: obj), a cancel (kCancel) or a completion ack (kAck: id). It
+// arrives at Heal when a partition severs the link (the loopback model
+// of a session replaying its backlog), after the link's delay when it
+// has one, and otherwise now, on the caller's goroutine — every message
+// of a run without a plan, so that path builds no closure.
+func (t *loopback) deliver(peer *loopback, k kind, obj int64, id uint64) {
+	t.ctr.framesSent.Add(1)
+	if plan := t.net.opts.Fault; plan != nil {
+		later := func() { t.arrive(peer, k, obj, id) }
+		if act, severed := plan.act(t.rank, peer.rank); severed {
+			plan.OnHeal(later)
+			return
+		} else if act.delay > 0 {
+			time.AfterFunc(act.delay, later)
+			return
+		}
+	}
+	t.arrive(peer, k, obj, id)
+}
+
+// arrive is deliver's far end. A peer that has died by now gets nothing.
+func (t *loopback) arrive(peer *loopback, k kind, obj int64, id uint64) {
+	switch h := peer.handler(); {
+	case h == nil:
+	case k == kBound:
+		h.OnBound(t.rank, obj)
+	case k == kCancel:
+		h.OnCancel(t.rank)
+	default:
+		h.OnAck(t.rank, id)
+	}
+}
+
 func (t *loopback) BroadcastBound(obj int64, node []byte) error {
 	if t.closed.Load() {
 		return nil
 	}
 	t.net.inc.keep(obj, node)
 	for _, peer := range t.net.trs {
-		if peer.rank == t.rank {
-			continue
-		}
-		t.ctr.framesSent.Add(1)
-		if plan := t.net.opts.Fault; plan != nil && plan.Severed(t.rank, peer.rank) {
-			// The bound crosses the partition when it heals — the
-			// loopback model of a session replaying its backlog.
-			p := peer
-			plan.OnHeal(func() {
-				if h := p.handler(); h != nil {
-					h.OnBound(t.rank, obj)
-				}
-			})
-			continue
-		}
-		if lat := t.net.opts.BoundLatency; lat > 0 {
-			p := peer
-			time.AfterFunc(lat, func() {
-				if h := p.handler(); h != nil {
-					h.OnBound(t.rank, obj)
-				}
-			})
-			continue
-		}
-		if h := peer.handler(); h != nil {
-			h.OnBound(t.rank, obj)
+		if peer.rank != t.rank {
+			t.deliver(peer, kBound, obj, 0)
 		}
 	}
 	return nil
@@ -426,21 +432,19 @@ func (t *loopback) Cancel(obj int64, witness []byte) error {
 	}
 	t.net.inc.keep(obj, witness)
 	for _, peer := range t.net.trs {
-		if peer.rank == t.rank {
-			continue
-		}
-		t.ctr.framesSent.Add(1)
-		if h := peer.handler(); h != nil {
-			h.OnCancel(t.rank)
+		if peer.rank != t.rank {
+			t.deliver(peer, kCancel, 0, 0)
 		}
 	}
 	return nil
 }
 
-// Ack delivers a hand-over completion ack straight to the origin's
-// handler. Acks from or to a dead rank are dropped: a zombie must not
-// retire a survivor's ledger entry (the entry is what replays the
-// subtree it was holding), and a dead origin has no ledger left.
+// Ack delivers a hand-over completion ack to the origin's handler.
+// Acks from or to a dead rank are dropped: a zombie must not retire a
+// survivor's ledger entry (the entry is what replays the subtree it
+// was holding), and a dead origin has no ledger left. Until a held ack
+// arrives the origin's ledger entry stays registered, exactly like a
+// suspended session holding the ack in its retransmit log.
 func (t *loopback) Ack(origin int, id uint64) error {
 	if origin < 0 || origin >= len(t.net.trs) || origin == t.rank {
 		return fmt.Errorf("dist: ack to invalid rank %d", origin)
@@ -448,21 +452,7 @@ func (t *loopback) Ack(origin int, id uint64) error {
 	if t.closed.Load() {
 		return nil
 	}
-	t.ctr.framesSent.Add(1)
-	if plan := t.net.opts.Fault; plan != nil && plan.Severed(t.rank, origin) {
-		// Queue the ack for the heal: the origin's ledger entry stays
-		// registered across the partition, exactly like a suspended
-		// session holding the ack in its retransmit log.
-		plan.OnHeal(func() {
-			if h := t.net.trs[origin].handler(); h != nil {
-				h.OnAck(t.rank, id)
-			}
-		})
-		return nil
-	}
-	if h := t.net.trs[origin].handler(); h != nil {
-		h.OnAck(t.rank, id)
-	}
+	t.deliver(t.net.trs[origin], kAck, 0, id)
 	return nil
 }
 

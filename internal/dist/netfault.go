@@ -14,6 +14,10 @@ import (
 // no real packet loss. It composes with ChaosPlan (process kills):
 // ChaosPlan schedules *who dies*, FaultPlan *which links lie*.
 //
+// The plan is also the one way to give a link latency, on either
+// transport (LatencyPlan; -link-latency). The loopback network's links
+// are direct calls, so there only delay and partitions apply.
+//
 // Faults are injected on the sending side, after the clean frame has
 // been captured by the session's retransmit log. With LinkGrace > 0
 // every injected fault is therefore recoverable — a drop or corrupt
@@ -54,6 +58,15 @@ type FaultPlan struct {
 // NewFaultPlan builds an empty plan; the seed fixes every later roll.
 func NewFaultPlan(seed int64) *FaultPlan {
 	return &FaultPlan{rng: rand.New(rand.NewSource(seed))}
+}
+
+// LatencyPlan returns a plan whose every link has the given latency and
+// no other fault: what an experiment that wants a slower network hands
+// to core.Config.NetFault or LoopbackOptions.Fault.
+func LatencyPlan(lat time.Duration) *FaultPlan {
+	p := NewFaultPlan(1)
+	p.def.Latency = lat
+	return p
 }
 
 // SetDefault applies f to every link without a specific override.
@@ -149,11 +162,4 @@ func (p *FaultPlan) act(a, b int) (faultAction, bool) {
 	act.corrupt = lf.Corrupt > 0 && p.rng.Float64() < lf.Corrupt
 	act.reorder = lf.Reorder > 0 && p.rng.Float64() < lf.Reorder
 	return act, false
-}
-
-// latency returns the rolled delay alone (the loopback network's
-// steals are synchronous calls; only the delay applies).
-func (p *FaultPlan) latency(a, b int) time.Duration {
-	act, _ := p.act(a, b)
-	return act.delay
 }
