@@ -9,7 +9,6 @@ package yewpar
 // BenchmarkTable1ParOverhead  — Table 1 columns 5-7 (parallel overhead)
 // BenchmarkFigure4Scaling     — Figure 4 (k-clique locality scaling)
 // BenchmarkTable2             — Table 2 (app × skeleton speedups)
-// BenchmarkAblationPoolOrder  — order-preserving pool vs deque
 // BenchmarkAblationLinkLatency — stale-bound tolerance (steals pay the latency too)
 //
 // Benchmarks use the mid-sized instances so a full -bench=. pass stays
@@ -196,22 +195,6 @@ func BenchmarkTable2(b *testing.B) {
 		b.Run("UTS/"+c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				uts.Count(utsS, c.coord, c.cfg)
-			}
-		})
-	}
-}
-
-func BenchmarkAblationPoolOrder(b *testing.B) {
-	g := table1Graph("p_hat300-3")
-	w := benchWorkers()
-	for _, pool := range []struct {
-		name string
-		kind core.PoolKind
-	}{{"depthpool", core.DepthPoolKind}, {"deque", core.DequeKind}} {
-		b.Run(pool.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				maxclique.Solve(g, core.DepthBounded,
-					core.Config{Workers: w, DCutoff: 2, Pool: pool.kind})
 			}
 		})
 	}

@@ -4,7 +4,7 @@
 //	experiments -table1     YewPar vs hand-coded MaxClique overheads
 //	experiments -fig4       k-clique scaling across localities
 //	experiments -table2     18 alternate parallelisations (sweep)
-//	experiments -ablation   pool-order and link-latency ablations
+//	experiments -ablation   link-latency ablation
 //	experiments -all        everything
 //
 // Absolute times are host- and scale-dependent; the quantities the
@@ -32,7 +32,6 @@ import (
 	"yewpar/internal/apps/uts"
 	"yewpar/internal/core"
 	"yewpar/internal/dist"
-	"yewpar/internal/graph"
 	"yewpar/internal/instances"
 )
 
@@ -41,7 +40,7 @@ var (
 	flagOrdered    = flag.Bool("ordered", false, "run the ordered-scheduling (discrepancy/bound) experiment")
 	flagFig4       = flag.Bool("fig4", false, "run the Figure 4 scaling experiment")
 	flagTable2     = flag.Bool("table2", false, "run the Table 2 parallelisation sweep")
-	flagAblation   = flag.Bool("ablation", false, "run the pool/latency ablations")
+	flagAblation   = flag.Bool("ablation", false, "run the link-latency ablation")
 	flagReplicable = flag.Bool("replicable", false, "run the anomaly/replicability demonstration")
 	flagAll        = flag.Bool("all", false, "run everything")
 	flagQuick      = flag.Bool("quick", false, "fewer repetitions / smaller sweeps")
@@ -550,52 +549,11 @@ func table2() {
 	fmt.Println()
 }
 
-// -------------------------------------------------------------- Ablations
+// --------------------------------------------------------------- Ablation
 
 func ablations() {
-	fmt.Println("== Ablation: heuristic-order-preserving pool vs deque ==")
-	fmt.Println("(satisfiable k-clique decision: the colouring heuristic leads to the")
-	fmt.Println(" hidden clique, so schedulers that respect spawn order find it sooner)")
-	gSat, planted := graph.PlantedClique(400, 0.35, 20, 77)
-	kSat := len(planted)
-	for _, pool := range []struct {
-		name string
-		kind core.PoolKind
-	}{{"depth-pool", core.DepthPoolKind}, {"deque", core.DequeKind}} {
-		var nodes int64
-		t := medianOf(*flagRuns, func() time.Duration {
-			_, found, stats := maxclique.Decide(gSat, kSat, core.DepthBounded,
-				core.Config{Workers: *flagWorkers, DCutoff: 3, Pool: pool.kind})
-			if !found {
-				fmt.Println("!! planted clique not found")
-			}
-			nodes = stats.Nodes
-			return stats.Elapsed
-		})
-		fmt.Printf("%-12s time-to-witness %8.4fs  nodes %d\n", pool.name, sec(t), nodes)
-	}
-
-	fmt.Println("\n== Ablation: pool order on optimisation (work balance view) ==")
 	g := instances.Table1()[8].Gen() // p_hat300-3-like: bound-heavy
-	seq := medianOf(*flagRuns, func() time.Duration {
-		_, stats := maxclique.Solve(g, core.Sequential, core.Config{})
-		return stats.Elapsed
-	})
-	for _, pool := range []struct {
-		name string
-		kind core.PoolKind
-	}{{"depth-pool", core.DepthPoolKind}, {"deque", core.DequeKind}} {
-		var nodes int64
-		t := medianOf(*flagRuns, func() time.Duration {
-			_, stats := maxclique.Solve(g, core.DepthBounded,
-				core.Config{Workers: *flagWorkers, DCutoff: 2, Pool: pool.kind})
-			nodes = stats.Nodes
-			return stats.Elapsed
-		})
-		fmt.Printf("%-12s %8.3fs  speedup %5.2f  nodes %d\n", pool.name, sec(t), sec(seq)/sec(t), nodes)
-	}
-
-	fmt.Println("\n== Ablation: link latency (stale-knowledge tolerance; steals pay it too) ==")
+	fmt.Println("== Ablation: link latency (stale-knowledge tolerance; steals pay it too) ==")
 	for _, lat := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond} {
 		var nodes, prunes int64
 		t := medianOf(*flagRuns, func() time.Duration {

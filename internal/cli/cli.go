@@ -36,7 +36,6 @@ type Options struct {
 	Budget     int64
 	Chunked    bool
 	LinkLat    time.Duration
-	Pool       string
 	PoolBudget int64
 	SpillDir   string
 	Order      string
@@ -94,7 +93,6 @@ func ParseArgs(args []string) (*Options, error) {
 	fs.Int64Var(&o.Budget, "b", 10000, "budget coordination backtrack budget")
 	fs.BoolVar(&o.Chunked, "chunked", false, "stack-stealing: steal whole lowest generator")
 	fs.DurationVar(&o.LinkLat, "link-latency", 0, "simulated latency of every link between -localities: steals, bound broadcasts, cancels and acks all pay it")
-	fs.StringVar(&o.Pool, "pool", "depthpool", "workpool: depthpool|deque")
 	fs.Int64Var(&o.PoolBudget, "pool-budget", 0, "per-locality workpool memory budget in bytes (0 = unbounded); pressured localities deepen cutoffs and spill cold tasks to disk")
 	fs.StringVar(&o.SpillDir, "spill-dir", "", "base directory for -pool-budget spill segments (empty = system temp dir); segments live in a per-run temp subdirectory removed on exit")
 	fs.StringVar(&o.Order, "order", "none", "task scheduling order: none|discrepancy|bound")
@@ -134,11 +132,6 @@ func ParseArgs(args []string) (*Options, error) {
 	case "", dist.TopologyStar, dist.TopologyMesh:
 	default:
 		return nil, fmt.Errorf("unknown topology %q (want star or mesh)", o.Topology)
-	}
-	switch o.Pool {
-	case "depthpool", "deque":
-	default:
-		return nil, fmt.Errorf("unknown pool %q (want depthpool or deque)", o.Pool)
 	}
 	ord, err := ParseOrder(o.Order)
 	if err != nil {
@@ -198,9 +191,6 @@ func (o *Options) Config() core.Config {
 	}
 	if o.LinkLat > 0 {
 		cfg.NetFault = dist.LatencyPlan(o.LinkLat)
-	}
-	if o.Pool == "deque" {
-		cfg.Pool = core.DequeKind
 	}
 	cfg.PoolBudget = o.PoolBudget
 	cfg.SpillDir = o.SpillDir

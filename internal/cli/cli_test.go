@@ -80,19 +80,6 @@ func TestRunOrderedMaxClique(t *testing.T) {
 	}
 }
 
-// -pool names a workpool or is rejected: an unknown name must not
-// silently run the default.
-func TestParseArgsRejectsUnknownPool(t *testing.T) {
-	if _, err := ParseArgs([]string{"-app", "maxclique", "-pool", "bogus"}); err == nil {
-		t.Fatal("bad -pool accepted")
-	}
-	for _, pool := range []string{"depthpool", "deque"} {
-		if _, err := ParseArgs([]string{"-app", "maxclique", "-pool", pool}); err != nil {
-			t.Fatalf("-pool %s rejected: %v", pool, err)
-		}
-	}
-}
-
 func TestParseArgsDefaults(t *testing.T) {
 	o, err := ParseArgs(nil)
 	if err != nil {
@@ -104,12 +91,14 @@ func TestParseArgsDefaults(t *testing.T) {
 }
 
 // The two per-message latency flags are gone with the injector behind
-// them: they are unknown flags now, not silently ignored ones.
+// them, and -pool with the second workpool it selected: they are unknown
+// flags now, not silently ignored ones.
 func TestParseArgsRejectsUnknownFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-steal-latency", "50us"},
 		{"-bound-latency", "1ms"},
+		{"-pool", "depthpool"},
 	} {
 		if _, err := ParseArgs(args); err == nil {
 			t.Errorf("%v accepted", args)
@@ -168,13 +157,13 @@ func TestLinkLatencyMapsToFaultPlan(t *testing.T) {
 
 func TestConfigMapping(t *testing.T) {
 	o, err := ParseArgs([]string{"-workers", "7", "-localities", "3", "-d", "4",
-		"-b", "777", "-chunked", "-pool", "deque"})
+		"-b", "777", "-chunked"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := o.Config()
 	if cfg.Workers != 7 || cfg.Localities != 3 || cfg.DCutoff != 4 ||
-		cfg.Budget != 777 || !cfg.Chunked || cfg.Pool != core.DequeKind {
+		cfg.Budget != 777 || !cfg.Chunked {
 		t.Errorf("Config = %+v", cfg)
 	}
 }

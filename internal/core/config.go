@@ -7,8 +7,8 @@ import (
 	"yewpar/internal/dist"
 )
 
-// PoolKind selects the workpool implementation used by the pool-based
-// coordinations (Depth-Bounded and Budget).
+// PoolKind selects the key the workpool buckets tasks on. A search
+// derives it from Config.Order.
 type PoolKind int
 
 const (
@@ -16,14 +16,10 @@ const (
 	// pop lowest-depth-first, FIFO within a depth, so the frontier is
 	// consumed in heuristic search order. The default.
 	DepthPoolKind PoolKind = iota
-	// DequeKind is a conventional work-stealing deque (LIFO owner,
-	// FIFO thief). It breaks heuristic order and exists as the
-	// ablation the paper argues against in Section 2.3.
-	DequeKind
 	// PrioBucketKind buckets tasks on Task.Prio (lower = better) and
-	// serves owners and thieves best-priority-first. Selected
-	// automatically when Config.Order is not OrderNone; pointless
-	// without an ordering mode (every priority would be zero).
+	// serves owners and thieves best-priority-first. Used when
+	// Config.Order is not OrderNone; pointless without an ordering mode
+	// (every priority would be zero).
 	PrioBucketKind
 )
 
@@ -49,9 +45,6 @@ type Config struct {
 	// Chunked makes Stack-Stealing hand over all nodes at the lowest
 	// depth of the victim's stack (up to 64) instead of a single node.
 	Chunked bool
-	// Pool selects the workpool implementation. Ignored when Order is
-	// set: ordered scheduling requires the priority-bucketed pool.
-	Pool PoolKind
 	// Order selects the global task-scheduling order (see Order). The
 	// default, OrderNone, is the paper's depth-ordered scheduling with
 	// random-victim stealing. OrderDiscrepancy and OrderBound switch
@@ -176,9 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Order != OrderNone {
-		c.Pool = PrioBucketKind
 	}
 	return c
 }

@@ -33,7 +33,7 @@ func TestConfigUserValuesKept(t *testing.T) {
 // Property: pools never lose or duplicate tasks under random sequences
 // of push/pop/steal, against a multiset reference model.
 func TestQuickPoolsAgainstModel(t *testing.T) {
-	for _, kind := range []PoolKind{DepthPoolKind, DequeKind} {
+	for _, kind := range []PoolKind{DepthPoolKind, PrioBucketKind} {
 		kind := kind
 		f := func(ops []uint8) bool {
 			p := newPool[int](kind)

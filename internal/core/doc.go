@@ -139,15 +139,15 @@
 // How much a remote steal takes has one rule, applied by the victim
 // (locState.ServeStealMulti, Pool.StealRun): a run of up to
 // dist.DefaultStealBatch (64) tasks from the pool's best bucket — the
-// shallowest depth, the best priority, all of a rank-less Deque — and
-// at most half of it, rounded up, taken under one pool lock and one
-// ledger lock. The thief's worker runs the first task and its pool
-// takes the rest, on the loopback network as over a wire, so one round
-// trip's latency is spread over the run. The run stops at the bucket
-// because that is what a steal should preserve — the heuristic order,
-// shallowest or best first (Sections 2.3 and 4.3) — and because half of
-// a whole small pool, cut only by the batch size, is nearly all of it:
-// two ranks then pass the same frontier back and forth.
+// shallowest depth or the best priority — and at most half of it,
+// rounded up, taken under one pool lock and one ledger lock. The
+// thief's worker runs the first task and its pool takes the rest, on
+// the loopback network as over a wire, so one round trip's latency is
+// spread over the run. The run stops at the bucket because that is what
+// a steal should preserve — the heuristic order, shallowest or best
+// first (Sections 2.3 and 4.3) — and because half of a whole small
+// pool, cut only by the batch size, is nearly all of it: two ranks then
+// pass the same frontier back and forth.
 //
 // Idle workers do not spin: after a few failed probe rounds a worker
 // parks on its locality's parker and is woken by the next local push

@@ -104,7 +104,7 @@ func TestWorkerContextsShareNoLine(t *testing.T) {
 // shard's counter block and pool header, the unowned-push cursor, and
 // the shard table's own header (read on every owner operation).
 func TestPoolShardsShareNoLine(t *testing.T) {
-	for _, kind := range []PoolKind{DepthPoolKind, DequeKind, PrioBucketKind} {
+	for _, kind := range []PoolKind{DepthPoolKind, PrioBucketKind} {
 		p := NewShardedPool[int](kind, 4)
 		groups := [][]span{
 			{spanOf("ShardedPool.shards", &p.shards)},
@@ -112,16 +112,7 @@ func TestPoolShardsShareNoLine(t *testing.T) {
 		}
 		for i := 0; i < p.Shards(); i++ {
 			sh := p.Shard(i).(*poolShard[int])
-			g := []span{spanOf("poolShard", sh)}
-			switch in := sh.inner.(type) {
-			case *bucketQueue[int]:
-				g = append(g, spanOf("bucketQueue", in))
-			case *Deque[int]:
-				g = append(g, spanOf("Deque", in))
-			default:
-				t.Fatalf("kind %v: unexpected shard pool %T", kind, in)
-			}
-			groups = append(groups, g)
+			groups = append(groups, []span{spanOf("poolShard", sh), spanOf("bucketQueue", sh.inner)})
 		}
 		requireApart(t, groups)
 	}

@@ -139,18 +139,16 @@ func TestMemorySpillReadmitStress(t *testing.T) {
 	}
 	space := memSpace{Wide: 1200, Branch: 2, Depth: 2}
 	want := space.nodes()
-	for _, pool := range []PoolKind{DepthPoolKind, DequeKind} {
-		for iter := 0; iter < 3; iter++ {
-			dir := t.TempDir()
-			res := Enum(DepthBounded, space, memNode{}, memCountProblem(),
-				Config{Workers: 8, Localities: 2, DCutoff: 3, Pool: pool,
-					PoolBudget: 4 << 10, SpillDir: dir})
-			if res.Value != want {
-				t.Fatalf("pool %v iter %d: count %d, want %d", pool, iter, res.Value, want)
-			}
-			if left := spillLeftovers(t, dir); len(left) != 0 {
-				t.Fatalf("pool %v iter %d: spill base not cleaned up: %v", pool, iter, left)
-			}
+	for iter := 0; iter < 3; iter++ {
+		dir := t.TempDir()
+		res := Enum(DepthBounded, space, memNode{}, memCountProblem(),
+			Config{Workers: 8, Localities: 2, DCutoff: 3,
+				PoolBudget: 4 << 10, SpillDir: dir})
+		if res.Value != want {
+			t.Fatalf("iter %d: count %d, want %d", iter, res.Value, want)
+		}
+		if left := spillLeftovers(t, dir); len(left) != 0 {
+			t.Fatalf("iter %d: spill base not cleaned up: %v", iter, left)
 		}
 	}
 }

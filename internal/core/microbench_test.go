@@ -25,7 +25,6 @@ func benchmarkPool(b *testing.B, p Pool[int]) {
 }
 
 func BenchmarkDepthPoolPushPop(b *testing.B) { benchmarkPool(b, newPool[int](DepthPoolKind)) }
-func BenchmarkDequePushPop(b *testing.B)     { benchmarkPool(b, NewDeque[int]()) }
 
 // BenchmarkDepthPoolWidePush pushes one 100,000-task level onto a fresh
 // DepthPool in spawn-sized runs: the root level of the bench command's

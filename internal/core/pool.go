@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"yewpar/internal/pad"
@@ -56,123 +55,16 @@ type Pool[N any] interface {
 	SpillBatch(max int) []Task[N]
 }
 
-// Deque is a conventional work-stealing double-ended queue: owners pop
-// newest-first (LIFO), thieves steal oldest-first (FIFO). It ignores
-// depth and therefore does not preserve heuristic search order; it is
-// provided as the ablation discussed in Section 2.3 of the paper.
-type Deque[N any] struct {
-	mu    sync.Mutex
-	items []Task[N]
-	head  int
-}
-
-// NewDeque returns an empty Deque.
-func NewDeque[N any]() *Deque[N] { return pad.New[Deque[N]]() }
-
-// Push implements Pool.
-func (q *Deque[N]) Push(t Task[N]) {
-	q.mu.Lock()
-	q.items = append(q.items, t)
-	q.mu.Unlock()
-}
-
-// PushBatch implements Pool.
-func (q *Deque[N]) PushBatch(ts []Task[N]) {
-	q.mu.Lock()
-	q.items = append(q.items, ts...)
-	q.mu.Unlock()
-}
-
-// Pop implements Pool (LIFO end).
-func (q *Deque[N]) Pop() (Task[N], bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.items) {
-		q.reset()
-		var zero Task[N]
-		return zero, false
-	}
-	t := q.items[len(q.items)-1]
-	var zero Task[N]
-	q.items[len(q.items)-1] = zero
-	q.items = q.items[:len(q.items)-1]
-	if q.head >= len(q.items) {
-		q.reset()
-	}
-	return t, true
-}
-
-// Steal implements Pool (FIFO end).
-func (q *Deque[N]) Steal() (Task[N], bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var one [1]Task[N]
-	return one[0], len(q.takeOldest(1, one[:0])) > 0
-}
-
-// StealRun implements Pool: a deque ranks all its work alike, so the run
-// is the oldest half of it.
-func (q *Deque[N]) StealRun(max int, out []Task[N]) []Task[N] {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.takeOldest(min(max, (len(q.items)-q.head+1)/2), out)
-}
-
-// takeOldest moves up to n tasks from the thief end to out, mu held.
-func (q *Deque[N]) takeOldest(n int, out []Task[N]) []Task[N] {
-	n = min(n, len(q.items)-q.head)
-	out = append(out, q.items[q.head:q.head+n]...)
-	clear(q.items[q.head : q.head+n])
-	if q.head += n; q.head >= len(q.items) {
-		q.reset()
-	}
-	return out
-}
-
-func (q *Deque[N]) reset() {
-	q.items = q.items[:0]
-	q.head = 0
-}
-
-// Size implements Pool.
-func (q *Deque[N]) Size() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) - q.head
-}
-
-// StealRank implements Pool: 0 when the deque has work and -1 when
-// empty — a deque ignores depth, so all its work ranks equally shallow.
-func (q *Deque[N]) StealRank() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.items) {
-		return -1
-	}
-	return 0
-}
-
-// SpillBatch implements Pool: a deque has no depth or priority
-// structure, so the oldest tasks (the thief end) are spilled first.
-func (q *Deque[N]) SpillBatch(max int) []Task[N] {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.takeOldest(max, nil)
-}
-
-// newPool returns an empty pool of the given kind, its header allocated
-// isolated: like every pool it is written by its owner and its thieves
-// on every operation.
-func newPool[N any](kind PoolKind) Pool[N] {
-	if kind == DequeKind {
-		return NewDeque[N]()
-	}
+// newPool returns an empty bucketed queue keyed as kind says, its header
+// allocated isolated: it is written by its owner and its thieves on
+// every operation.
+func newPool[N any](kind PoolKind) *bucketQueue[N] {
 	q := pad.New[bucketQueue[N]]()
 	q.byPrio = kind == PrioBucketKind
 	return q
 }
 
-// poolShard is one shard of a ShardedPool: a pool plus its own task
+// poolShard is one shard of a ShardedPool: a queue plus its own task
 // counters, so that every push, pop, steal, and spill — including owner
 // traffic through Shard(i) — is counted at the shard boundary without
 // touching a word any other shard's owner writes. Both counters only
@@ -181,7 +73,7 @@ func newPool[N any](kind PoolKind) Pool[N] {
 // true backlog (and never negative), and sums of the two taken at
 // different moments still bound the backlog in between (see Tasks).
 type poolShard[N any] struct {
-	inner   Pool[N]
+	inner   *bucketQueue[N]
 	pushed  atomic.Int64
 	removed atomic.Int64
 	peak    atomic.Int64 // high-water mark of pushed - removed

@@ -120,39 +120,16 @@ func TestDepthPoolStealPrefersShallow(t *testing.T) {
 	}
 }
 
-func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
-	q := NewDeque[int]()
-	for i := 1; i <= 4; i++ {
-		q.Push(Task[int]{Node: i, Depth: 0})
-	}
-	if task, _ := q.Pop(); task.Node != 4 {
-		t.Fatalf("owner pop = %d, want 4 (LIFO)", task.Node)
-	}
-	if task, _ := q.Steal(); task.Node != 1 {
-		t.Fatalf("thief steal = %d, want 1 (FIFO)", task.Node)
-	}
-	if task, _ := q.Pop(); task.Node != 3 {
-		t.Fatalf("owner pop = %d, want 3", task.Node)
-	}
-	if task, _ := q.Steal(); task.Node != 2 {
-		t.Fatalf("thief steal = %d, want 2", task.Node)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("deque should be empty")
-	}
-	if q.Size() != 0 {
-		t.Fatalf("Size = %d", q.Size())
-	}
-}
-
 // TestDepthPoolKeepsHeuristicOrderDequeInvertsIt is the Section 2.3
 // argument as a search: a decision problem whose witness is the leftmost
 // leaf of a complete ternary tree — the path a perfect child-ordering
 // heuristic points down — under Depth-Bounded spawning on one worker,
-// so the node counts are deterministic. The depth pool hands the worker
+// so the node count is deterministic. The depth pool hands the worker
 // the first-spawned sibling at every level and walks straight to the
-// witness; the deque's LIFO pop takes the last-spawned — heuristically
-// worst — sibling first and searches its whole subtree before it.
+// witness: 6 nodes of 364. (Section 2.3's conventional deque pops LIFO,
+// so it takes the last-spawned — heuristically worst — sibling first
+// and searches its whole subtree before it: 328 nodes on this tree, PR
+// 22's table in CHANGES.md.)
 func TestDepthPoolKeepsHeuristicOrderDequeInvertsIt(t *testing.T) {
 	const depth = 5
 	tree := &testTree{children: map[string][]string{}, value: map[string]int64{}}
@@ -171,29 +148,14 @@ func TestDepthPoolKeepsHeuristicOrderDequeInvertsIt(t *testing.T) {
 	build("", 0)
 	tree.value["aaaaa"] = 1
 
-	nodes := map[PoolKind]int64{}
-	for _, kind := range []PoolKind{DepthPoolKind, DequeKind} {
-		res := Decide(DepthBounded, tree, testNode{}, tree.decisionProblem(1, false),
-			Config{Workers: 1, DCutoff: 2, Pool: kind})
-		if !res.Found || res.Witness.id != "aaaaa" {
-			t.Fatalf("pool kind %d: found=%v witness %q, want aaaaa", kind, res.Found, res.Witness.id)
-		}
-		nodes[kind] = res.Stats.Nodes
+	res := Decide(DepthBounded, tree, testNode{}, tree.decisionProblem(1, false),
+		Config{Workers: 1, DCutoff: 2})
+	if !res.Found || res.Witness.id != "aaaaa" {
+		t.Fatalf("found=%v witness %q, want aaaaa", res.Found, res.Witness.id)
 	}
-	if nodes[DepthPoolKind] != depth+1 {
-		t.Errorf("depth pool visited %d nodes, want the %d on the heuristic-first path", nodes[DepthPoolKind], depth+1)
-	}
-	if nodes[DequeKind] <= nodes[DepthPoolKind] {
-		t.Errorf("deque visited %d nodes, no more than the depth pool's %d: it did not invert the sibling order",
-			nodes[DequeKind], nodes[DepthPoolKind])
-	}
-	t.Logf("nodes to witness: depth pool %d, deque %d of %d", nodes[DepthPoolKind], nodes[DequeKind], tree.size)
-}
-
-func TestDequeEmptySteal(t *testing.T) {
-	q := NewDeque[int]()
-	if _, ok := q.Steal(); ok {
-		t.Fatal("steal from empty deque succeeded")
+	if res.Stats.Nodes != depth+1 || tree.size != 364 {
+		t.Errorf("depth pool visited %d nodes of %d, want the %d on the heuristic-first path of 364",
+			res.Stats.Nodes, tree.size, depth+1)
 	}
 }
 
@@ -258,27 +220,25 @@ func poolConcurrencyCheck(t *testing.T, p Pool[int]) {
 }
 
 func TestDepthPoolConcurrent(t *testing.T) { poolConcurrencyCheck(t, newPool[int](DepthPoolKind)) }
-func TestDequeConcurrent(t *testing.T)     { poolConcurrencyCheck(t, NewDeque[int]()) }
 
 // The one rule for how much a steal takes, through the victim's whole
 // serving path (ledger and pool): a run of up to want tasks, all holding the
-// pool's steal rank — a depth, a priority; a deque ranks all its work alike
-// — and at most half of those that do, rounded up. Each level is pushed as
-// one batch, so on two shards it sits on one of them (and a deque's ranks,
-// being all alike, then say nothing about which shard a run comes from).
+// pool's steal rank — a depth, a priority — and at most half of those that
+// do, rounded up. Each level is pushed as one batch, so on two shards it
+// sits on one of them.
 func TestStealRunTakesHalfTheBestBucket(t *testing.T) {
 	const want = 64
 	cases := []struct {
 		name   string
 		levels map[int]int // rank → tasks, pushed deepest first
-		first  int         // the first run's length from a bucketed pool
+		first  int         // the first run's length
 	}{
 		{"one task", map[int]int{2: 1}, 1},
 		{"two tasks", map[int]int{2: 2}, 1},
 		{"10 shallow tasks over 100 deep ones", map[int]int{3: 100, 1: 10}, 5},
 		{"100000 tasks on one level", map[int]int{1: 100_000}, want},
 	}
-	for _, kind := range []PoolKind{DepthPoolKind, PrioBucketKind, DequeKind} {
+	for _, kind := range []PoolKind{DepthPoolKind, PrioBucketKind} {
 		for shards := 1; shards <= 2; shards++ {
 			for _, tc := range cases {
 				p := NewShardedPool[int](kind, shards)
@@ -294,10 +254,8 @@ func TestStealRunTakesHalfTheBestBucket(t *testing.T) {
 				}
 				h := &locState[int]{pool: p, led: newLedger[int](0, 1<<20), fab: &fabric[int]{}}
 				for served := 0; served < total; {
-					rank, holding := p.StealRank(), total-served
-					if kind != DequeKind {
-						holding = left[rank]
-					}
+					rank := p.StealRank()
+					holding := left[rank]
 					out, _ := h.ServeStealMulti(1, want, nil, nil)
 					fail := func(what string) {
 						t.Fatalf("kind %v, %d shards, %s, %d served: a run of %d tasks from %d of rank %d %s",
@@ -305,15 +263,13 @@ func TestStealRunTakesHalfTheBestBucket(t *testing.T) {
 					}
 					half := min(want, (holding+1)/2)
 					switch {
-					case len(out) == 0 || len(out) > half:
-						fail("is not between one task and half of them")
-					case len(out) != half && (kind != DequeKind || shards == 1):
+					case len(out) != half:
 						fail("is not half of them")
-					case served == 0 && kind != DequeKind && len(out) != tc.first:
+					case served == 0 && len(out) != tc.first:
 						fail("is not the first run the table names")
 					}
 					for _, wt := range out {
-						if kind != DequeKind && wt.Depth != rank {
+						if wt.Depth != rank {
 							fail("holds a task of another rank")
 						}
 						left[wt.Depth]--

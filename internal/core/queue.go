@@ -29,12 +29,12 @@ type fifo[N any] struct {
 // Keyed on Task.Depth (DepthPoolKind) it is the paper's order-preserving
 // workpool. Within a depth tasks leave in insertion order, so the
 // sibling spawn order — which encodes the application's search
-// heuristic — is always respected; a conventional deque inverts it,
-// because an owner's LIFO pop returns the heuristically *worst* sibling
-// first. Owners pop from the deepest non-empty depth (continuing
-// depth-first, like the sequential search would), while thieves steal
-// from the shallowest (the expected-largest subtrees, in heuristic
-// order).
+// heuristic — is always respected (the conventional deque of Section
+// 2.3 inverts it: an owner's LIFO pop returns the heuristically *worst*
+// sibling first). Owners pop from the deepest non-empty depth
+// (continuing depth-first, like the sequential search would), while
+// thieves steal from the shallowest (the expected-largest subtrees, in
+// heuristic order).
 //
 // Keyed on Task.Prio, clamped (PrioBucketKind; lower = better), it is
 // the ordered-scheduling workpool: owners and thieves agree on the

@@ -88,7 +88,6 @@ func TestShardedPoolSingleShardIsSharedPool(t *testing.T) {
 
 func TestShardedPoolConcurrent(t *testing.T) {
 	poolConcurrencyCheck(t, NewShardedPool[int](DepthPoolKind, 4))
-	poolConcurrencyCheck(t, NewShardedPool[int](DequeKind, 4))
 }
 
 // TestShardedPoolCountersUnderConcurrency drives every path that moves
@@ -101,7 +100,7 @@ func TestShardedPoolConcurrent(t *testing.T) {
 // is at most the pool's true backlog, and its peak at most the true
 // peak.
 func TestShardedPoolCountersUnderConcurrency(t *testing.T) {
-	for _, kind := range []PoolKind{DepthPoolKind, DequeKind, PrioBucketKind} {
+	for _, kind := range []PoolKind{DepthPoolKind, PrioBucketKind} {
 		const owners, rounds = 4, 4000
 		p := NewShardedPool[int](kind, owners)
 		var resident, observedPeak atomic.Int64

@@ -12,9 +12,9 @@ import (
 var allCoords = []Coordination{Sequential, DepthBounded, StackStealing, Budget}
 
 // parallel configs exercised across the matrix tests: plain, multiple
-// localities, chunked stealing, tiny budget, deep cutoff, deque pool,
-// and bound-ordered scheduling (under Budget: best-first search) on
-// several workers and on one.
+// localities, chunked stealing, tiny budget, deep cutoff, and
+// bound-ordered scheduling (under Budget: best-first search) on several
+// workers and on one.
 func testConfigs() []Config {
 	return []Config{
 		{Workers: 4},
@@ -22,7 +22,6 @@ func testConfigs() []Config {
 		{Workers: 4, Chunked: true},
 		{Workers: 4, Budget: 4},
 		{Workers: 4, DCutoff: 3},
-		{Workers: 4, Pool: DequeKind},
 		{Workers: 3, Localities: 2, DCutoff: 2, Budget: 16, Chunked: true},
 		{Workers: 6, Budget: 8, Order: OrderBound},
 		{Workers: 1, Budget: 4, Order: OrderBound},
@@ -392,10 +391,10 @@ func TestSequentialDeterministic(t *testing.T) {
 }
 
 // Property: for RANDOM configurations (workers, localities, cutoffs,
-// budgets, pool kinds, chunking), every coordination enumerates every
-// node exactly once. This is the engine-level Theorem 3.1 sweep.
+// budgets, chunking), every coordination enumerates every node exactly
+// once. This is the engine-level Theorem 3.1 sweep.
 func TestQuickRandomConfigs(t *testing.T) {
-	f := func(treeSeed int64, workers, locs, dcut uint8, budget uint16, chunked, deque bool) bool {
+	f := func(treeSeed int64, workers, locs, dcut uint8, budget uint16, chunked bool) bool {
 		tree := genTree(200+treeSeed%50, 4, 8)
 		cfg := Config{
 			Workers:    1 + int(workers%10),
@@ -404,9 +403,6 @@ func TestQuickRandomConfigs(t *testing.T) {
 			Budget:     1 + int64(budget%2000),
 			Chunked:    chunked,
 			Seed:       treeSeed,
-		}
-		if deque {
-			cfg.Pool = DequeKind
 		}
 		for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
 			res := Enum(coord, tree, testNode{}, tree.enumProblem(), cfg)

@@ -98,6 +98,10 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 	for w := 0; w < cfg.Workers; w++ {
 		localWorkers[w%nloc]++
 	}
+	kind := DepthPoolKind
+	if tp.ordered {
+		kind = PrioBucketKind
+	}
 	for i := range tp.pools {
 		// A pure-coordinator locality (standby deployments run rank 0
 		// with zero workers) still needs a pool: it seeds the root and
@@ -106,7 +110,7 @@ func newTopology[N any](fab *fabric[N], cfg Config) *topology[N] {
 		if cfg.shards > 0 {
 			shards = cfg.shards
 		}
-		tp.pools[i] = NewShardedPool[N](cfg.Pool, shards)
+		tp.pools[i] = NewShardedPool[N](kind, shards)
 		fab.locs[i].pool = tp.pools[i]
 		tp.mem[i] = newMemState[N](cfg.PoolBudget, cfg.SpillDir, spillCodec)
 		fab.locs[i].mem = tp.mem[i]

@@ -237,15 +237,17 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 				}
 			}
 
+			// Sampled on every tick: a mirror entry lives only from its
+			// hand-over to its ack, so two fixed instants can miss them all.
 			for landed.Load() < replies/3 {
+				checkMirror()
 				time.Sleep(time.Millisecond)
 			}
-			checkMirror()
 			plan.Partition([]int{2}, 150*time.Millisecond)
 			for plan.Severed(0, 2) || landed.Load() < 2*replies/3 {
+				checkMirror()
 				time.Sleep(time.Millisecond)
 			}
-			checkMirror()
 			wg.Wait()
 
 			eventually(t, "every hand-over acked back", func() bool {
