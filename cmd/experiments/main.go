@@ -349,104 +349,40 @@ func figure4() {
 
 // ---------------------------------------------------------------- Table 2
 
-// app2 is one Table 2 application: named sequential baselines and a
-// parallel runner returning elapsed time (after validating the result
-// against the sequential answer).
+// app2 is one Table 2 application: its instances under the package's
+// runner, which returns the answer (every parallel run is validated
+// against the Sequential one) and the elapsed time.
 type app2 struct {
 	name string
 	n    int // number of instances
-	seq  func(i int) (int64, time.Duration)
-	par  func(i int, coord core.Coordination, cfg core.Config) (int64, time.Duration)
+	run  func(i int, coord core.Coordination, cfg core.Config) (any, time.Duration)
+}
+
+// rows is a package's runner over its Table 2 instances.
+func rows[S, V any](name string, insts []S, run func(dist.Transport, S, core.Coordination, core.Config) (V, core.Stats, error)) app2 {
+	return app2{name, len(insts), func(i int, coord core.Coordination, cfg core.Config) (any, time.Duration) {
+		v, stats, _ := run(nil, insts[i], coord, cfg) // a nil transport cannot fail
+		return v, stats.Elapsed
+	}}
 }
 
 func table2Apps() []app2 {
-	cliques := instances.Table2Clique()
-	knaps := instances.Table2Knapsack()
-	tsps := instances.Table2TSP()
-	sips := instances.Table2SIP()
-	utss := instances.Table2UTS()
-	nss := instances.Table2NS()
-
-	graphs := make([]*maxclique.Space, len(cliques))
-	for i, c := range cliques {
-		graphs[i] = maxclique.NewSpace(c.Gen())
+	var graphs []*maxclique.Space
+	for _, c := range instances.Table2Clique() {
+		graphs = append(graphs, maxclique.NewSpace(c.Gen()))
 	}
-
+	var genera []*semigroups.Space
+	for _, g := range instances.Table2NS() {
+		genera = append(genera, semigroups.NewSpace(g))
+	}
 	return []app2{
-		{
-			name: "MaxClique", n: len(graphs),
-			seq: func(i int) (int64, time.Duration) {
-				r := core.Opt(core.Sequential, graphs[i], maxclique.Root(graphs[i]), maxclique.OptProblem(), core.Config{})
-				return r.Objective, r.Stats.Elapsed
-			},
-			par: func(i int, coord core.Coordination, cfg core.Config) (int64, time.Duration) {
-				r := core.Opt(coord, graphs[i], maxclique.Root(graphs[i]), maxclique.OptProblem(), cfg)
-				return r.Objective, r.Stats.Elapsed
-			},
-		},
-		{
-			name: "TSP", n: len(tsps),
-			seq: func(i int) (int64, time.Duration) {
-				c, stats := tsp.Solve(tsps[i], core.Sequential, core.Config{})
-				return c, stats.Elapsed
-			},
-			par: func(i int, coord core.Coordination, cfg core.Config) (int64, time.Duration) {
-				c, stats := tsp.Solve(tsps[i], coord, cfg)
-				return c, stats.Elapsed
-			},
-		},
-		{
-			name: "Knapsack", n: len(knaps),
-			seq: func(i int) (int64, time.Duration) {
-				p, stats := knapsack.Solve(knaps[i], core.Sequential, core.Config{})
-				return p, stats.Elapsed
-			},
-			par: func(i int, coord core.Coordination, cfg core.Config) (int64, time.Duration) {
-				p, stats := knapsack.Solve(knaps[i], coord, cfg)
-				return p, stats.Elapsed
-			},
-		},
-		{
-			name: "SIP", n: len(sips),
-			seq: func(i int) (int64, time.Duration) {
-				_, found, stats := sip.Solve(sips[i], core.Sequential, core.Config{})
-				return b2i(found), stats.Elapsed
-			},
-			par: func(i int, coord core.Coordination, cfg core.Config) (int64, time.Duration) {
-				_, found, stats := sip.Solve(sips[i], coord, cfg)
-				return b2i(found), stats.Elapsed
-			},
-		},
-		{
-			name: "NS", n: len(nss),
-			seq: func(i int) (int64, time.Duration) {
-				c, stats := semigroups.Count(nss[i], core.Sequential, core.Config{})
-				return c, stats.Elapsed
-			},
-			par: func(i int, coord core.Coordination, cfg core.Config) (int64, time.Duration) {
-				c, stats := semigroups.Count(nss[i], coord, cfg)
-				return c, stats.Elapsed
-			},
-		},
-		{
-			name: "UTS", n: len(utss),
-			seq: func(i int) (int64, time.Duration) {
-				c, stats := uts.Count(utss[i], core.Sequential, core.Config{})
-				return c, stats.Elapsed
-			},
-			par: func(i int, coord core.Coordination, cfg core.Config) (int64, time.Duration) {
-				c, stats := uts.Count(utss[i], coord, cfg)
-				return c, stats.Elapsed
-			},
-		},
+		rows("MaxClique", graphs, maxclique.Run),
+		rows("TSP", instances.Table2TSP(), tsp.Run),
+		rows("Knapsack", instances.Table2Knapsack(), knapsack.Run),
+		rows("SIP", instances.Table2SIP(), sip.Run),
+		rows("NS", genera, semigroups.Run),
+		rows("UTS", instances.Table2UTS(), uts.Run),
 	}
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // sweepSetting is one point of the Table 2 parameter sweep.
@@ -499,12 +435,11 @@ func table2() {
 
 	for _, app := range apps {
 		seqTimes := make([]time.Duration, app.n)
-		seqVals := make([]int64, app.n)
+		seqVals := make([]any, app.n)
 		for i := 0; i < app.n; i++ {
-			v, _ := app.seq(i) // warm once
-			seqVals[i] = v
+			seqVals[i], _ = app.run(i, core.Sequential, core.Config{}) // warm once
 			seqTimes[i] = medianOf(*flagRuns, func() time.Duration {
-				_, d := app.seq(i)
+				_, d := app.run(i, core.Sequential, core.Config{})
 				return d
 			})
 		}
@@ -516,9 +451,9 @@ func table2() {
 				cfg.Workers = *flagWorkers
 				ratios := make([]float64, 0, app.n)
 				for i := 0; i < app.n; i++ {
-					v, d := app.par(i, coord, cfg)
+					v, d := app.run(i, coord, cfg)
 					if v != seqVals[i] {
-						fmt.Printf("!! %s/%v/%s instance %d: result %d != sequential %d\n",
+						fmt.Printf("!! %s/%v/%s instance %d: result %v != sequential %v\n",
 							app.name, coord, s.label, i, v, seqVals[i])
 					}
 					ratios = append(ratios, sec(seqTimes[i])/sec(d))

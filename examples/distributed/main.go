@@ -117,7 +117,7 @@ func multiProcessDemo() {
 		os.Exit(1)
 	}
 	defer tr.Close()
-	res, err := core.DistOpt(tr, core.GobCodec[knapsack.Node]{}, core.DepthBounded,
+	res, err := core.DistOpt(tr, knapsack.Codec(), core.DepthBounded,
 		s, knapsack.Root(s), knapsack.OptProblem(), core.Config{Workers: 2, DCutoff: 4})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "distributed search:", err)
@@ -179,7 +179,7 @@ func faultInjectionDemo() {
 		fmt.Println("  SIGKILLed worker process", workers[1].Process.Pid)
 	}()
 
-	res, err := core.DistOpt(tr, core.GobCodec[knapsack.Node]{}, core.DepthBounded,
+	res, err := core.DistOpt(tr, knapsack.Codec(), core.DepthBounded,
 		s, knapsack.Root(s), knapsack.OptProblem(), core.Config{Workers: 2, DCutoff: 4, MaxFailures: -1})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "distributed search:", err)
@@ -206,7 +206,7 @@ func runWorker(addr string) {
 	}
 	defer tr.Close()
 	s := knapsackInstance()
-	if _, err := core.DistOpt(tr, core.GobCodec[knapsack.Node]{}, core.DepthBounded,
+	if _, err := core.DistOpt(tr, knapsack.Codec(), core.DepthBounded,
 		s, knapsack.Root(s), knapsack.OptProblem(), core.Config{Workers: 2, DCutoff: 4}); err != nil {
 		fmt.Fprintln(os.Stderr, "worker search:", err)
 		os.Exit(1)

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 )
 
 // Item is a knapsack item.
@@ -127,10 +128,18 @@ func OptProblem() core.OptProblem[*Space, Node] {
 	}
 }
 
-// Solve maximises profit with the given skeleton.
+// Run maximises profit with the given skeleton: the whole search when tr
+// is nil, this process's locality of it otherwise (rank 0 then returns
+// the global optimum).
+func Run(tr dist.Transport, s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats, error) {
+	res, err := core.DistOpt(tr, Codec(), coord, s, Root(s), OptProblem(), cfg)
+	return res.Objective, res.Stats, err
+}
+
+// Solve is Run in a single process.
 func Solve(s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats) {
-	res := core.Opt(coord, s, Root(s), OptProblem(), cfg)
-	return res.Objective, res.Stats
+	profit, stats, _ := Run(nil, s, coord, cfg) // a nil transport cannot fail
+	return profit, stats
 }
 
 // Correlation selects the instance family, following the classic

@@ -14,9 +14,8 @@ import (
 // which re-describes the struct and both set fields on every node.
 type nodeCodec struct{}
 
-// Codec returns the compact Node codec used by the distributed mode.
-// GobCodec[Node] remains a valid (interoperable-with-nothing, larger)
-// fallback; all localities of a deployment must use the same codec.
+// Codec returns the compact Node codec used by the distributed mode;
+// all localities of a deployment must use the same codec.
 func Codec() core.Codec[Node] { return nodeCodec{} }
 
 // Encode implements core.Codec.

@@ -12,6 +12,7 @@ package maxclique
 import (
 	"yewpar/internal/bitset"
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 	"yewpar/internal/graph"
 )
 
@@ -248,6 +249,20 @@ func DecisionProblem(k int) core.DecisionProblem[*Space, Node] {
 		PruneLevel: true,
 		Copy:       CopyNode,
 	}
+}
+
+// Run returns the size of a maximum clique of s.G: the whole search when
+// tr is nil, this process's locality of it otherwise (rank 0's is global).
+func Run(tr dist.Transport, s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats, error) {
+	res, err := core.DistOpt(tr, Codec(), coord, s, Root(s), OptProblem(), cfg)
+	return res.Objective, res.Stats, err
+}
+
+// RunDecide is Run for the decision search: whether s.G contains a
+// k-clique.
+func RunDecide(tr dist.Transport, s *Space, k int, coord core.Coordination, cfg core.Config) (bool, core.Stats, error) {
+	res, err := core.DistDecide(tr, Codec(), coord, s, Root(s), DecisionProblem(k), cfg)
+	return res.Found, res.Stats, err
 }
 
 // Solve finds a maximum clique of g with the given skeleton, returning

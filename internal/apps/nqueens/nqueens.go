@@ -6,7 +6,10 @@
 // and a sharply irregular tree.
 package nqueens
 
-import "yewpar/internal/core"
+import (
+	"yewpar/internal/core"
+	"yewpar/internal/dist"
+)
 
 // Space is the board size.
 type Space struct {
@@ -97,10 +100,16 @@ func CountProblem() core.EnumProblem[*Space, Node, int64] {
 	}
 }
 
-// Count counts the solutions to the n-queens problem with the given
-// skeleton.
+// Run counts the solutions on s's board with the given skeleton: the
+// whole search when tr is nil, this process's locality of it otherwise
+// (rank 0 then returns the total).
+func Run(tr dist.Transport, s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats, error) {
+	res, err := core.DistEnum(tr, Codec(), coord, s, Root(s), CountProblem(), cfg)
+	return res.Value, res.Stats, err
+}
+
+// Count is Run on the n-queens board in a single process.
 func Count(n int, coord core.Coordination, cfg core.Config) (int64, core.Stats) {
-	s := NewSpace(n)
-	res := core.Enum(coord, s, Root(s), CountProblem(), cfg)
-	return res.Value, res.Stats
+	count, stats, _ := Run(nil, NewSpace(n), coord, cfg) // a nil transport cannot fail
+	return count, stats
 }

@@ -19,9 +19,11 @@
 package semigroups
 
 import (
+	"errors"
 	"math/bits"
 
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 )
 
 // maxVal is the largest representable semigroup element.
@@ -179,11 +181,21 @@ func CountProfile(s *Space) core.EnumProblem[*Space, Node, []int64] {
 	}
 }
 
-// Count counts semigroups of exactly genus g with the given skeleton.
-func Count(g int, coord core.Coordination, cfg core.Config) (int64, core.Stats) {
-	s := NewSpace(g)
+// Run counts semigroups of exactly genus s.MaxGenus with the given
+// skeleton. It has the other applications' signature, but Node has no
+// wire codec yet: tr must be nil.
+func Run(tr dist.Transport, s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats, error) {
+	if tr != nil {
+		return 0, core.Stats{}, errors.New("semigroups: no node codec; single-process only")
+	}
 	res := core.Enum(coord, s, Root(s), CountAtGenus(s), cfg)
-	return res.Value, res.Stats
+	return res.Value, res.Stats, nil
+}
+
+// Count is Run at genus g.
+func Count(g int, coord core.Coordination, cfg core.Config) (int64, core.Stats) {
+	count, stats, _ := Run(nil, NewSpace(g), coord, cfg) // a nil transport cannot fail
+	return count, stats
 }
 
 // Multiplicity returns the smallest non-zero element of the semigroup.

@@ -14,6 +14,7 @@ import (
 
 	"yewpar/internal/bitset"
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 	"yewpar/internal/graph"
 )
 
@@ -252,6 +253,14 @@ func DecisionProblem(s *Space) core.DecisionProblem[*Space, Node] {
 		Objective: Objective,
 		Target:    int64(s.P.N),
 	}
+}
+
+// Run reports whether the pattern embeds in the target: the whole search
+// when tr is nil, this process's locality of it otherwise (rank 0's
+// answer is global).
+func Run(tr dist.Transport, s *Space, coord core.Coordination, cfg core.Config) (bool, core.Stats, error) {
+	res, err := core.DistDecide(tr, Codec(), coord, s, Root(s), DecisionProblem(s), cfg)
+	return res.Found, res.Stats, err
 }
 
 // Solve looks for an embedding with the given skeleton. On success the

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 )
 
 // incomplete is the objective of non-leaf nodes: small enough that only
@@ -162,10 +163,18 @@ func OptProblem() core.OptProblem[*Space, Node] {
 	}
 }
 
-// Solve returns the optimal tour cost found with the given skeleton.
+// Run returns the optimal tour cost found with the given skeleton: the
+// whole search when tr is nil, this process's locality of it otherwise
+// (rank 0 then returns the global optimum).
+func Run(tr dist.Transport, s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats, error) {
+	res, err := core.DistOpt(tr, Codec(), coord, s, Root(s), OptProblem(), cfg)
+	return -res.Objective, res.Stats, err
+}
+
+// Solve is Run in a single process.
 func Solve(s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats) {
-	res := core.Opt(coord, s, Root(s), OptProblem(), cfg)
-	return -res.Objective, res.Stats
+	cost, stats, _ := Run(nil, s, coord, cfg) // a nil transport cannot fail
+	return cost, stats
 }
 
 // GenerateEuclidean builds a deterministic random instance: n cities

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 )
 
 // Shape selects the tree-shape family.
@@ -140,8 +141,16 @@ func MaxDepthProblem() core.EnumProblem[*Space, Node, int64] {
 	}
 }
 
-// Count counts the nodes of the tree with the given skeleton.
+// Run counts the nodes of the tree with the given skeleton: the whole
+// search when tr is nil, this process's locality of it otherwise (rank 0
+// then returns the total).
+func Run(tr dist.Transport, s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats, error) {
+	res, err := core.DistEnum(tr, Codec(), coord, s, Root(s), CountProblem(), cfg)
+	return res.Value, res.Stats, err
+}
+
+// Count is Run in a single process.
 func Count(s *Space, coord core.Coordination, cfg core.Config) (int64, core.Stats) {
-	res := core.Enum(coord, s, Root(s), CountProblem(), cfg)
-	return res.Value, res.Stats
+	count, stats, _ := Run(nil, s, coord, cfg) // a nil transport cannot fail
+	return count, stats
 }

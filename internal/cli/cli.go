@@ -1,6 +1,5 @@
-// Package cli implements the yewpar command-line driver: flag
-// parsing, instance loading/generation, skeleton dispatch, and result
-// reporting for all seven search applications. It mirrors the paper
+// Package cli implements the yewpar command-line driver: flag parsing,
+// the application table (apps.go) and Run. It mirrors the paper
 // artifact's per-application binaries behind one executable and is
 // factored out of package main so the whole surface is testable.
 package cli
@@ -9,26 +8,20 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
-	"yewpar/internal/apps/knapsack"
-	"yewpar/internal/apps/maxclique"
-	"yewpar/internal/apps/nqueens"
-	"yewpar/internal/apps/semigroups"
-	"yewpar/internal/apps/sip"
-	"yewpar/internal/apps/tsp"
-	"yewpar/internal/apps/uts"
 	"yewpar/internal/core"
 	"yewpar/internal/dist"
-	"yewpar/internal/graph"
-	"yewpar/internal/instances"
 )
 
 // Options are the parsed command-line options.
 type Options struct {
-	App        string
+	App string
+	// app is App's row of the application table, found by ParseArgs.
+	app        *app
 	Skeleton   string
 	Workers    int
 	Locs       int
@@ -39,10 +32,9 @@ type Options struct {
 	PoolBudget int64
 	SpillDir   string
 	Order      string
-	// order is Order parsed and validated by ParseArgs; everything
-	// downstream (Config, the stats printers) reads this, so a typo'd
-	// -order fails at parse time instead of silently degrading to an
-	// unordered run.
+	// order is Order parsed by ParseArgs, so that a typo'd -order fails at
+	// parse time instead of silently degrading to an unordered run; Config
+	// and the stats printer read this.
 	order core.Order
 
 	File string
@@ -84,8 +76,9 @@ type Options struct {
 func ParseArgs(args []string) (*Options, error) {
 	o := &Options{}
 	fs := flag.NewFlagSet("yewpar", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	fs.StringVar(&o.App, "app", "maxclique", "application: maxclique|kclique|knapsack|tsp|sip|uts|ns|queens")
+	var usage strings.Builder // the flag package's complaint, if any, and the flag list
+	fs.SetOutput(&usage)
+	fs.StringVar(&o.App, "app", apps[0].name, "application: "+appNames("|", false))
 	fs.StringVar(&o.Skeleton, "skeleton", "seq", "search coordination: seq|depthbounded|stacksteal|budget, or bestfirst (= budget -order bound; optimisation apps)")
 	fs.IntVar(&o.Workers, "workers", 0, "worker count (0 = GOMAXPROCS)")
 	fs.IntVar(&o.Locs, "localities", 1, "simulated localities")
@@ -126,25 +119,27 @@ func ParseArgs(args []string) (*Options, error) {
 	fs.BoolVar(&o.Standby, "standby", false, "dist: arm coordinator failover — rank 0 runs as a pure coordinator and replicates its state to the lowest worker rank, which takes over and finishes the search if the coordinator dies (all ranks must agree)")
 	fs.DurationVar(&o.LinkGrace, "link-grace", 0, "dist: arm resumable links (wire protocol v8) — a broken connection is kept alive for this grace window while the dialing side reconnects and replays unacknowledged frames, so transient partitions shorter than the grace heal with zero deaths (0 = off; all ranks must agree)")
 	if err := fs.Parse(args); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s", strings.TrimSpace(usage.String()))
 	}
 	switch o.Topology {
 	case "", dist.TopologyStar, dist.TopologyMesh:
 	default:
 		return nil, fmt.Errorf("unknown topology %q (want star or mesh)", o.Topology)
 	}
-	ord, err := ParseOrder(o.Order)
-	if err != nil {
+	i := slices.IndexFunc(apps, func(a app) bool { return a.name == o.App })
+	if i < 0 {
+		return nil, fmt.Errorf("unknown app %q", o.App)
+	}
+	o.app = &apps[i]
+	var err error
+	if o.order, err = ParseOrder(o.Order); err != nil {
 		return nil, err
 	}
-	o.order = ord
 	if o.Skeleton == "bestfirst" {
 		// Best-first search is a composition, not a coordination: Budget
 		// scheduled by the problem's bound. Every rank of a deployment
 		// sees the rewritten pair, so either spelling joins the other.
-		switch o.App {
-		case "maxclique", "knapsack", "tsp":
-		default:
+		if o.app.kind != "opt" {
 			return nil, fmt.Errorf("bestfirst supports optimisation apps only, not %q", o.App)
 		}
 		o.Skeleton, o.order = "budget", core.OrderBound
@@ -183,55 +178,32 @@ func ParseSkeleton(s string) (core.Coordination, error) {
 // Config builds the core.Config from the options.
 func (o *Options) Config() core.Config {
 	cfg := core.Config{
-		Workers:    o.Workers,
-		Localities: o.Locs,
-		DCutoff:    o.DCutoff,
-		Budget:     o.Budget,
-		Chunked:    o.Chunked,
+		Workers:     o.Workers,
+		Localities:  o.Locs,
+		DCutoff:     o.DCutoff,
+		Budget:      o.Budget,
+		Chunked:     o.Chunked,
+		PoolBudget:  o.PoolBudget,
+		SpillDir:    o.SpillDir,
+		Order:       o.order,
+		MaxFailures: o.MaxFailures,
+		Topology:    o.Topology,
+		Standby:     o.Standby,
+		LinkGrace:   o.LinkGrace,
 	}
 	if o.LinkLat > 0 {
 		cfg.NetFault = dist.LatencyPlan(o.LinkLat)
 	}
-	cfg.PoolBudget = o.PoolBudget
-	cfg.SpillDir = o.SpillDir
-	cfg.Order = o.order
-	cfg.MaxFailures = o.MaxFailures
-	cfg.Topology = o.Topology
-	cfg.Standby = o.Standby
-	cfg.LinkGrace = o.LinkGrace
 	return cfg
 }
 
-// LoadGraph resolves the graph input: a DIMACS file, a named
-// instance, or a generated G(n, p).
-func LoadGraph(o *Options) (*graph.Graph, error) {
-	if o.File != "" {
-		f, err := os.Open(o.File)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ParseDIMACS(f)
-	}
-	if o.Gen != "" {
-		for _, inst := range instances.Table1() {
-			if inst.Name == o.Gen {
-				return inst.Gen(), nil
-			}
-		}
-		if o.Gen == "spreads_H44" {
-			g, _ := instances.SpreadsH44Like()
-			return g, nil
-		}
-		return nil, fmt.Errorf("unknown instance %q", o.Gen)
-	}
-	return graph.Random(o.N, o.P, o.Seed), nil
-}
-
 // Run executes the selected application and writes a human-readable
-// report to w. Profile hooks (-cpuprofile and friends) bracket the
-// whole run, including the distributed roles — a -dist worker with
-// -pprof-addr serves live pprof for its entire lifetime.
+// report to w: in this process alone, or as one rank of a -dist
+// deployment, where the coordinator reports and workers print nothing on
+// success. Either way it is one search, whose transport is nil in a
+// single process. Profile hooks (-cpuprofile and friends) bracket the
+// whole run — a -dist worker with -pprof-addr serves live pprof for its
+// entire lifetime.
 func Run(args []string, w io.Writer) (err error) {
 	o, err := ParseArgs(args)
 	if err != nil {
@@ -246,15 +218,18 @@ func Run(args []string, w io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	if o.Dist != "" {
-		return RunDist(o, w)
-	}
 	coord, err := ParseSkeleton(o.Skeleton)
 	if err != nil {
 		return err
 	}
+	if err := o.checkDist(coord); err != nil {
+		return err
+	}
+	run, err := o.app.build(o)
+	if err != nil {
+		return err
+	}
 	cfg := o.Config()
-	var trace *core.Trace
 	if o.TraceRun {
 		workers := cfg.Workers
 		if workers <= 0 {
@@ -263,84 +238,30 @@ func Run(args []string, w io.Writer) (err error) {
 		if coord == core.Sequential {
 			workers = 1 // whatever -workers says: utilisation is of the one it runs on
 		}
-		trace = core.NewTrace(workers)
-		cfg.Trace = trace
+		cfg.Trace = core.NewTrace(workers)
+	}
+	var tr dist.Transport // nil: the search is this process's alone
+	localities := o.Locs
+	if o.Dist != "" {
+		if tr, err = connect(o, w); err != nil {
+			return err
+		}
+		defer tr.Close()
+		localities = tr.Size()
 	}
 
 	start := time.Now()
-	var stats core.Stats
-	switch o.App {
-	case "maxclique":
-		g, err := LoadGraph(o)
-		if err != nil {
-			return err
-		}
-		clique, st := maxclique.Solve(g, coord, cfg)
-		stats = st
-		fmt.Fprintf(w, "maximum clique size: %d\n", clique.Count())
-	case "kclique":
-		g, err := LoadGraph(o)
-		if err != nil {
-			return err
-		}
-		if o.KBound <= 0 {
-			return fmt.Errorf("kclique requires -decision-bound k > 0")
-		}
-		_, found, st := maxclique.Decide(g, o.KBound, coord, cfg)
-		stats = st
-		fmt.Fprintf(w, "%d-clique exists: %v\n", o.KBound, found)
-	case "knapsack":
-		s := knapsack.Generate(o.Items, 10_000, knapsack.SubsetSum, o.Seed)
-		profit, st := knapsack.Solve(s, coord, cfg)
-		stats = st
-		fmt.Fprintf(w, "optimal profit: %d (items=%d cap=%d)\n", profit, len(s.Items), s.Cap)
-	case "tsp":
-		s := tsp.GenerateEuclidean(o.Cities, 1000, o.Seed)
-		cost, st := tsp.Solve(s, coord, cfg)
-		stats = st
-		fmt.Fprintf(w, "optimal tour cost: %d (%d cities)\n", cost, s.N)
-	case "sip":
-		var s *sip.Space
-		if o.File != "" {
-			g, err := LoadGraph(o)
-			if err != nil {
-				return err
-			}
-			vs := make([]int, min(o.PatN, g.N))
-			for i := range vs {
-				vs[i] = i
-			}
-			pat, _ := g.InducedSubgraph(vs)
-			s = sip.NewSpace(pat, g)
-		} else {
-			s = sip.GenerateSat(o.N, o.P, o.PatN, 0.2, o.Seed)
-		}
-		_, found, st := sip.Solve(s, coord, cfg)
-		stats = st
-		fmt.Fprintf(w, "pattern (%d vertices) found in target (%d vertices): %v\n", s.P.N, s.T.N, found)
-	case "uts":
-		s := &uts.Space{B0: o.UTSB0, M: o.UTSM, Q: o.UTSQ, MaxDepth: o.UTSDepth, Seed: o.Seed}
-		if o.UTSShape == "geometric" {
-			s.Shape = uts.Geometric
-		}
-		count, st := uts.Count(s, coord, cfg)
-		stats = st
-		fmt.Fprintf(w, "tree size: %d\n", count)
-	case "ns":
-		count, st := semigroups.Count(o.Genus, coord, cfg)
-		stats = st
-		fmt.Fprintf(w, "numerical semigroups of genus %d: %d\n", o.Genus, count)
-	case "queens":
-		count, st := nqueens.Count(o.N, coord, cfg)
-		stats = st
-		fmt.Fprintf(w, "%d-queens solutions: %d\n", o.N, count)
-	default:
-		return fmt.Errorf("unknown app %q", o.App)
+	answer, stats, err := run(tr, coord, cfg)
+	// Under -dist the coordinator owns the report, or the worker promoted
+	// in its place if it died (asked after the search: that is when a
+	// promotion has happened).
+	if err != nil || tr != nil && tr.Rank() != 0 && !tr.Promoted() {
+		return err
 	}
-
+	fmt.Fprintln(w, answer)
 	if o.ShowStats {
 		fmt.Fprintf(w, "skeleton=%s workers=%d localities=%d elapsed=%v\n",
-			coord, stats.Workers, o.Locs, time.Since(start).Round(time.Millisecond))
+			coord, stats.Workers, localities, time.Since(start).Round(time.Millisecond))
 		fmt.Fprintf(w, "nodes=%d prunes=%d spawns=%d steals=%d/%d local-steals=%d backtracks=%d broadcasts=%d\n",
 			stats.Nodes, stats.Prunes, stats.Spawns, stats.StealsOK,
 			stats.StealsOK+stats.StealsFail, stats.LocalSteals, stats.Backtracks, stats.Broadcasts)
@@ -348,31 +269,24 @@ func Run(args []string, w io.Writer) (err error) {
 			fmt.Fprintf(w, "order=%s ordered-steals=%d prio-hist=%v\n",
 				o.order, stats.OrderedSteals, stats.PrioHist)
 		}
-		if stats.Frames > 0 {
-			printWire(w, stats)
+		// batch is the mean run a steal took, no-wait the share of stolen
+		// tasks that arrived as a run's extras — at no blocking round trip
+		// of their own.
+		if tr != nil || stats.Frames > 0 {
+			fmt.Fprintf(w, "wire: frames=%d bytes=%d batch=%.2f no-wait=%.0f%%\n",
+				stats.Frames, stats.WireBytes, stats.BatchOccupancy(), 100*stats.PrefetchHitRate())
 		}
-		if stats.PoolPeakTasks > 0 || stats.SpilledTasks > 0 {
+		if tr != nil {
+			fmt.Fprintf(w, "fault: deaths=%d replayed=%d ledger-peak=%d resumes=%d\n",
+				stats.Deaths, stats.ReplayedTasks, stats.LedgerPeak, stats.LinkResumes)
+		}
+		if tr != nil || stats.PoolPeakTasks > 0 || stats.SpilledTasks > 0 {
 			fmt.Fprintf(w, "mem: pool-peak=%d tasks (%d bytes est) spilled=%d tasks (%d bytes)\n",
 				stats.PoolPeakTasks, stats.PoolPeakBytes, stats.SpilledTasks, stats.SpillBytes)
 		}
 	}
-	if trace != nil {
-		fmt.Fprint(w, trace.Summary())
+	if cfg.Trace != nil {
+		fmt.Fprint(w, cfg.Trace.Summary())
 	}
 	return nil
-}
-
-// printWire prints the transport's traffic: batch is the mean run a steal
-// took, no-wait the share of stolen tasks that arrived as a run's extras —
-// at no blocking round trip of their own.
-func printWire(w io.Writer, stats core.Stats) {
-	fmt.Fprintf(w, "wire: frames=%d bytes=%d batch=%.2f no-wait=%.0f%%\n",
-		stats.Frames, stats.WireBytes, stats.BatchOccupancy(), 100*stats.PrefetchHitRate())
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

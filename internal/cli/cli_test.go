@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -208,10 +209,10 @@ func TestRunKCliqueDecision(t *testing.T) {
 	}
 }
 
-func TestRunDIMACSFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tiny.clq")
-	g := graph.Random(30, 0.7, 5)
+// writeDIMACS writes g to a .clq file of the test's own and returns its path.
+func writeDIMACS(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.clq")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +220,14 @@ func TestRunDIMACSFile(t *testing.T) {
 	if err := graph.WriteDIMACS(f, g); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestRunDIMACSFile(t *testing.T) {
+	path := writeDIMACS(t, graph.Random(30, 0.7, 5))
 	out := run(t, "-app", "maxclique", "-f", path)
 	if !strings.Contains(out, "maximum clique size:") {
 		t.Fatalf("file-based run failed: %q", out)
@@ -233,19 +241,53 @@ func TestRunMissingFile(t *testing.T) {
 	}
 }
 
+// eachAppArgs are small instances of every row of the application table
+// (TestRunEachApp fails on a row without one), under a coordination a
+// deployment can run.
+var eachAppArgs = [][]string{
+	{"-app", "maxclique", "-n", "40", "-p", "0.5", "-skeleton", "depthbounded", "-d", "2"},
+	{"-app", "kclique", "-n", "40", "-p", "0.9", "-decision-bound", "5", "-skeleton", "budget", "-b", "50"},
+	{"-app", "knapsack", "-items", "16", "-skeleton", "budget", "-b", "100"},
+	{"-app", "tsp", "-cities", "9", "-skeleton", "depthbounded"},
+	{"-app", "sip", "-n", "30", "-p", "0.4", "-pattern", "8", "-skeleton", "stacksteal"},
+	{"-app", "uts", "-uts-b0", "50", "-uts-m", "3", "-uts-q", "0.2", "-skeleton", "depthbounded"},
+	{"-app", "uts", "-uts-shape", "geometric", "-uts-b0", "3", "-uts-depth", "8", "-skeleton", "stacksteal"},
+	{"-app", "ns", "-genus", "10", "-skeleton", "budget", "-b", "50"},
+	{"-app", "queens", "-n", "8", "-skeleton", "depthbounded"},
+}
+
+// Every row of the table answers, and answers the same whether the
+// command line says -dist or not: a row with a codec prints the
+// single-process answer line from a 2-rank deployment, a row without one
+// is refused before anything listens, with the rows that would work.
 func TestRunEachApp(t *testing.T) {
-	cases := [][]string{
-		{"-app", "knapsack", "-items", "16", "-skeleton", "budget", "-b", "100", "-workers", "4"},
-		{"-app", "tsp", "-cities", "9", "-skeleton", "depthbounded", "-workers", "4"},
-		{"-app", "sip", "-n", "30", "-p", "0.4", "-pattern", "8", "-skeleton", "stacksteal", "-workers", "4"},
-		{"-app", "uts", "-uts-b0", "50", "-uts-m", "3", "-uts-q", "0.2", "-workers", "4"},
-		{"-app", "uts", "-uts-shape", "geometric", "-uts-b0", "3", "-uts-depth", "8"},
-		{"-app", "ns", "-genus", "10", "-skeleton", "budget", "-b", "50", "-workers", "4"},
+	covered := map[string]bool{}
+	for _, args := range eachAppArgs {
+		o, err := ParseArgs(args)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		covered[o.App] = true
+		args = slices.Concat(args, []string{"-workers", "2", "-stats=false"})
+		want := run(t, args...)
+		if want == "" || strings.Count(want, "\n") != 1 {
+			t.Errorf("%v: answer %q, want one line", args, want)
+		}
+		if o.app.dist {
+			if got := distAnswer(t, args...); got != want {
+				t.Errorf("%v: 2-rank deployment answers %q, single process %q", args, got, want)
+			}
+			continue
+		}
+		var out strings.Builder
+		err = Run(append(args, "-dist", "coordinator", "-dist-addr", "127.0.0.1:0"), &out)
+		if err == nil || !strings.Contains(err.Error(), "(supported: "+appNames(" ", true)+")") || out.Len() != 0 {
+			t.Errorf("%v under -dist: err %v, output %q; want a refusal naming the supported apps, before listening", args, err, out.String())
+		}
 	}
-	for _, args := range cases {
-		out := run(t, args...)
-		if out == "" {
-			t.Errorf("no output for %v", args)
+	for _, a := range apps {
+		if !covered[a.name] {
+			t.Errorf("app %q has no instance in eachAppArgs", a.name)
 		}
 	}
 }
@@ -307,17 +349,7 @@ func TestRunBestFirst(t *testing.T) {
 }
 
 func TestRunSIPFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.clq")
-	g := graph.Random(25, 0.6, 3)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.WriteDIMACS(f, g); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := writeDIMACS(t, graph.Random(25, 0.6, 3))
 	out := run(t, "-app", "sip", "-f", path, "-pattern", "6")
 	if !strings.Contains(out, "found in target") {
 		t.Fatalf("sip file output: %q", out)

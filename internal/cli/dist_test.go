@@ -1,10 +1,50 @@
 package cli
 
 import (
+	"bufio"
+	"errors"
 	"io"
+	"io/fs"
+	"net"
+	"slices"
 	"strings"
 	"testing"
+
+	"yewpar/internal/graph"
 )
+
+// distAnswer runs args as a 2-rank deployment inside the test — a
+// coordinator on an ephemeral port and the one worker it waits for — and
+// returns the coordinator's answer line, newline included.
+func distAnswer(t *testing.T, args ...string) string {
+	t.Helper()
+	pr, pw := io.Pipe()
+	errs := make(chan error, 2) // one send per rank
+	go func() {
+		err := Run(slices.Concat(args, []string{"-dist", "coordinator", "-dist-workers", "1", "-dist-addr", "127.0.0.1:0"}), pw)
+		pw.Close()
+		errs <- err
+	}()
+	ranks, answer := 1, ""
+	for sc := bufio.NewScanner(pr); sc.Scan(); {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "dist: listening on "); ok {
+			addr, _, _ := strings.Cut(rest, ",")
+			ranks++
+			go func() {
+				errs <- Run(slices.Concat(args, []string{"-dist", "worker", "-dist-addr", addr}), io.Discard)
+			}()
+		} else if !strings.HasPrefix(line, "dist:") && answer == "" {
+			answer = line + "\n"
+		}
+	}
+	for ; ranks > 0; ranks-- {
+		if err := <-errs; err != nil {
+			t.Fatalf("2-rank deployment of %v: %v", args, err)
+		}
+	}
+	return answer
+}
 
 func TestParseDistFlags(t *testing.T) {
 	o, err := ParseArgs([]string{"-dist", "worker", "-dist-addr", "10.0.0.1:7000", "-dist-workers", "5"})
@@ -39,5 +79,46 @@ func TestDistSpecDiffersAcrossInstances(t *testing.T) {
 	c, _ := ParseArgs([]string{"-app", "knapsack", "-items", "20"})
 	if a.distSpec() != c.distSpec() {
 		t.Fatal("identical options produced different deployment specs")
+	}
+}
+
+// A command line names one instance: -f reaches a deployment's ranks
+// too. distSpec carries f=, so ranks that all ignored it would agree on
+// the wrong instance without the handshake noticing.
+func TestDistSIPFromFile(t *testing.T) {
+	path := writeDIMACS(t, graph.Random(25, 0.6, 3))
+	args := []string{"-app", "sip", "-f", path, "-pattern", "6", "-skeleton", "depthbounded", "-workers", "2", "-stats=false"}
+	want := run(t, args...)
+	if !strings.Contains(want, "target (25 vertices)") {
+		t.Fatalf("single-process answer %q is not about the file's 25-vertex target", want)
+	}
+	if got := distAnswer(t, args...); got != want {
+		t.Fatalf("2-rank deployment answers %q, single process %q", got, want)
+	}
+}
+
+// An instance that cannot be built fails a coordinator before it opens
+// its port, not after every worker has registered: the address here is
+// held by the test, so a coordinator that listened first would report
+// that instead, and one that succeeded in listening would print a line.
+func TestDistInstanceErrorBeforeListening(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, tc := range []struct {
+		args []string
+		want func(error) bool
+	}{
+		{[]string{"-app", "maxclique", "-f", "/no/such/file.clq"}, func(err error) bool { return errors.Is(err, fs.ErrNotExist) }},
+		{[]string{"-app", "maxclique", "-gen", "no_such"}, func(err error) bool { return strings.Contains(err.Error(), "unknown instance") }},
+		{[]string{"-app", "kclique", "-n", "20"}, func(err error) bool { return strings.Contains(err.Error(), "-decision-bound") }},
+	} {
+		var out strings.Builder
+		err := Run(append(tc.args, "-skeleton", "depthbounded", "-dist", "coordinator", "-dist-addr", held.Addr().String()), &out)
+		if err == nil || !tc.want(err) || out.Len() != 0 {
+			t.Errorf("%v: err %v, output %q; want the instance's own error and no output", tc.args, err, out.String())
+		}
 	}
 }

@@ -28,10 +28,17 @@ import (
 // All hooks are independent; any subset may be armed.
 func startProfiles(o *Options) (stop func() error, err error) {
 	var stops []func() error
-	fail := func(err error) (func() error, error) {
+	stop = func() error {
+		var first error
 		for i := len(stops) - 1; i >= 0; i-- {
-			stops[i]()
+			if err := stops[i](); err != nil && first == nil {
+				first = err
+			}
 		}
+		return first
+	}
+	fail := func(err error) (func() error, error) {
+		stop()
 		return nil, err
 	}
 
@@ -50,34 +57,16 @@ func startProfiles(o *Options) (stop func() error, err error) {
 		})
 	}
 	if o.MemProfile != "" {
-		path := o.MemProfile
 		stops = append(stops, func() error {
-			f, err := os.Create(path)
-			if err != nil {
-				return fmt.Errorf("memprofile: %w", err)
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return fmt.Errorf("memprofile: %w", err)
-			}
-			return nil
+			return writeProfile("heap", "memprofile", o.MemProfile)
 		})
 	}
 	if o.MutexProfile != "" {
 		prev := runtime.SetMutexProfileFraction(1)
-		path := o.MutexProfile
 		stops = append(stops, func() error {
 			runtime.SetMutexProfileFraction(prev)
-			f, err := os.Create(path)
-			if err != nil {
-				return fmt.Errorf("mutexprofile: %w", err)
-			}
-			defer f.Close()
-			if err := pprof.Lookup("mutex").WriteTo(f, 0); err != nil {
-				return fmt.Errorf("mutexprofile: %w", err)
-			}
-			return nil
+			return writeProfile("mutex", "mutexprofile", o.MutexProfile)
 		})
 	}
 	if o.PprofAddr != "" {
@@ -91,14 +80,21 @@ func startProfiles(o *Options) (stop func() error, err error) {
 			return srv.Close()
 		})
 	}
+	return stop, nil
+}
 
-	return func() error {
-		var first error
-		for i := len(stops) - 1; i >= 0; i-- {
-			if err := stops[i](); err != nil && first == nil {
-				first = err
-			}
+// writeProfile writes the named runtime/pprof profile to path; flag names
+// the option in an error.
+func writeProfile(name, flag, path string) error {
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.Lookup(name).WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		return first
-	}, nil
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", flag, err)
+	}
+	return nil
 }

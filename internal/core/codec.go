@@ -28,13 +28,13 @@ type Codec[N any] interface {
 	Decode(b []byte) (N, error)
 }
 
-// GobCodec is the fallback Codec: encoding/gob over the node value. It
-// works for any node whose meaningful state is reachable through
-// exported fields or GobEncoder/GobDecoder implementations. Each node
-// is a self-describing gob stream, which is robust but not compact;
-// the applications shipped here all provide hand-written compact
-// codecs instead (see each package's Codec function), and new
-// applications with hot distributed paths should too.
+// GobCodec is encoding/gob over a value: the codec of what crosses a
+// run's edges rather than its steal path — an enumeration's monoid share
+// and every rank's gathered result at the end of a distributed search,
+// and the spill segments of a single-process run, which has no
+// application codec. Each value is a self-describing gob stream, robust
+// but not compact: an application's nodes cross the wire through the
+// hand-written Codec its package exports, never through this.
 type GobCodec[N any] struct{}
 
 // Encode implements Codec.

@@ -8,6 +8,7 @@ package yewpar
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"yewpar/internal/apps/knapsack"
@@ -15,6 +16,7 @@ import (
 	"yewpar/internal/apps/sip"
 	"yewpar/internal/apps/tsp"
 	"yewpar/internal/core"
+	"yewpar/internal/dist"
 	"yewpar/internal/instances"
 )
 
@@ -76,34 +78,32 @@ type workInstance struct {
 	solve func(core.Coordination, core.Config) core.Stats
 }
 
-func workInstances() []workInstance {
+// workRows is a package's runner (the one yewpar and experiments call)
+// over its instances, named app[i].
+func workRows[S, V any](app string, long bool, insts []S, run func(dist.Transport, S, core.Coordination, core.Config) (V, core.Stats, error)) []workInstance {
 	var out []workInstance
-	for _, in := range instances.Table1() {
-		g := in.Gen()
-		out = append(out, workInstance{in.Name, false, func(c core.Coordination, cfg core.Config) core.Stats {
-			_, st := maxclique.Solve(g, c, cfg)
-			return st
-		}})
-	}
-	for i, s := range instances.Table2Knapsack() {
-		out = append(out, workInstance{fmt.Sprintf("knapsack[%d]", i), true, func(c core.Coordination, cfg core.Config) core.Stats {
-			_, st := knapsack.Solve(s, c, cfg)
-			return st
-		}})
-	}
-	for i, s := range instances.Table2TSP() {
-		out = append(out, workInstance{fmt.Sprintf("tsp[%d]", i), true, func(c core.Coordination, cfg core.Config) core.Stats {
-			_, st := tsp.Solve(s, c, cfg)
-			return st
-		}})
-	}
-	for i, s := range instances.Table2SIP() {
-		out = append(out, workInstance{fmt.Sprintf("sip[%d]", i), true, func(c core.Coordination, cfg core.Config) core.Stats {
-			_, _, st := sip.Solve(s, c, cfg)
+	for i, s := range insts {
+		out = append(out, workInstance{fmt.Sprintf("%s[%d]", app, i), long, func(c core.Coordination, cfg core.Config) core.Stats {
+			_, st, _ := run(nil, s, c, cfg) // a nil transport cannot fail
 			return st
 		}})
 	}
 	return out
+}
+
+func workInstances() []workInstance {
+	var graphs []*maxclique.Space
+	for _, in := range instances.Table1() {
+		graphs = append(graphs, maxclique.NewSpace(in.Gen()))
+	}
+	table1 := workRows("maxclique", false, graphs, maxclique.Run)
+	for i, in := range instances.Table1() {
+		table1[i].name = in.Name // the paper's name for the row
+	}
+	return slices.Concat(table1,
+		workRows("knapsack", true, instances.Table2Knapsack(), knapsack.Run),
+		workRows("tsp", true, instances.Table2TSP(), tsp.Run),
+		workRows("sip", true, instances.Table2SIP(), sip.Run))
 }
 
 func TestWorkLedger(t *testing.T) {
