@@ -1,8 +1,10 @@
 package cli
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -69,20 +71,32 @@ var apps = []app{
 		}, err
 	}},
 	{"knapsack", "opt", true, func(o *Options) (search, error) {
+		if err := inRange("items", o.Items, 0, math.MaxInt32); err != nil {
+			return nil, err
+		}
 		s := knapsack.Generate(o.Items, 10_000, knapsack.SubsetSum, o.Seed)
 		return bind(knapsack.Run, s, fmt.Sprintf("optimal profit: %%d (items=%d cap=%d)", len(s.Items), s.Cap)), nil
 	}},
 	{"tsp", "opt", true, func(o *Options) (search, error) {
+		if err := inRange("cities", o.Cities, 1, 64); err != nil {
+			return nil, err
+		}
 		s := tsp.GenerateEuclidean(o.Cities, 1000, o.Seed)
 		return bind(tsp.Run, s, fmt.Sprintf("optimal tour cost: %%d (%d cities)", s.N)), nil
 	}},
 	{"sip", "decide", true, func(o *Options) (search, error) {
 		var s *sip.Space
 		if o.File == "" {
+			if err := cmp.Or(inRange("n", o.N, 0, math.MaxInt32), inRange("pattern", o.PatN, 0, o.N)); err != nil {
+				return nil, err
+			}
 			s = sip.GenerateSat(o.N, o.P, o.PatN, 0.2, o.Seed)
 		} else {
 			// The pattern is the target's first -pattern vertices, induced.
 			g, err := LoadGraph(o)
+			if err == nil {
+				err = inRange("pattern", o.PatN, 0, math.MaxInt32)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -96,18 +110,33 @@ var apps = []app{
 		return bind(sip.Run, s, fmt.Sprintf("pattern (%d vertices) found in target (%d vertices): %%v", s.P.N, s.T.N)), nil
 	}},
 	{"uts", "enum", true, func(o *Options) (search, error) {
-		s := &uts.Space{B0: o.UTSB0, M: o.UTSM, Q: o.UTSQ, MaxDepth: o.UTSDepth, Seed: o.Seed}
-		if o.UTSShape == "geometric" {
-			s.Shape = uts.Geometric
+		shape, ok := map[string]uts.Shape{"binomial": uts.Binomial, "geometric": uts.Geometric}[o.UTSShape]
+		if !ok {
+			return nil, fmt.Errorf("-uts-shape %q: want binomial or geometric", o.UTSShape)
 		}
+		s := &uts.Space{Shape: shape, B0: o.UTSB0, M: o.UTSM, Q: o.UTSQ, MaxDepth: o.UTSDepth, Seed: o.Seed}
 		return bind(uts.Run, s, "tree size: %d"), nil
 	}},
 	{"ns", "enum", false, func(o *Options) (search, error) {
+		if err := inRange("genus", o.Genus, 0, 63); err != nil {
+			return nil, err
+		}
 		return bind(semigroups.Run, semigroups.NewSpace(o.Genus), fmt.Sprintf("numerical semigroups of genus %d: %%d", o.Genus)), nil
 	}},
 	{"queens", "enum", true, func(o *Options) (search, error) {
+		if err := inRange("n", o.N, 1, 32); err != nil {
+			return nil, err
+		}
 		return bind(nqueens.Run, nqueens.NewSpace(o.N), fmt.Sprintf("%d-queens solutions: %%d", o.N)), nil
 	}},
+}
+
+// inRange rejects a flag value no instance can be made from, naming both.
+func inRange(flag string, v, lo, hi int) error {
+	if v < lo || v > hi {
+		return fmt.Errorf("-%s %d out of range: want %d to %d", flag, v, lo, hi)
+	}
+	return nil
 }
 
 // appNames lists the table's rows, or only those offered under -dist.
@@ -143,6 +172,9 @@ func LoadGraph(o *Options) (*graph.Graph, error) {
 			return g, nil
 		}
 		return nil, fmt.Errorf("unknown instance %q", o.Gen)
+	}
+	if err := inRange("n", o.N, 0, math.MaxInt32); err != nil {
+		return nil, err
 	}
 	return graph.Random(o.N, o.P, o.Seed), nil
 }

@@ -189,7 +189,6 @@ func (o *Options) Config() core.Config {
 		MaxFailures: o.MaxFailures,
 		Topology:    o.Topology,
 		Standby:     o.Standby,
-		LinkGrace:   o.LinkGrace,
 	}
 	if o.LinkLat > 0 {
 		cfg.NetFault = dist.LatencyPlan(o.LinkLat)

@@ -122,3 +122,40 @@ func TestDistInstanceErrorBeforeListening(t *testing.T) {
 		}
 	}
 }
+
+// A flag value no instance can be made from is an error that names the
+// flag, not a panic in a generator or a worker goroutine, nor silently
+// another instance: single-process, and as a coordinator before it opens
+// its port (the address is held, as above).
+func TestFlagOutOfRangeIsAnErrorNamingIt(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, tc := range []struct{ args, flag string }{
+		{"-app queens -n 0", "-n"},
+		{"-app tsp -cities 0", "-cities"},
+		{"-app tsp -cities 70", "-cities"},
+		{"-app sip -n 5 -pattern 9", "-pattern"},
+		{"-app uts -uts-shape foo", "-uts-shape"},
+		{"-app sip -n -5 -pattern 0", "-n"},
+		{"-app knapsack -items -3", "-items"},
+		{"-app maxclique -n -4", "-n"},
+		{"-app ns -genus 64", "-genus"},
+		{"-app sip -f " + writeDIMACS(t, graph.Random(9, 0.5, 1)) + " -pattern -1", "-pattern"},
+	} {
+		args := strings.Fields(tc.args)
+		modes := [][]string{{"-skeleton", "seq"}}
+		if !strings.Contains(tc.args, "-app ns") { // ns has no -dist
+			modes = append(modes, []string{"-skeleton", "depthbounded", "-dist", "coordinator", "-dist-addr", held.Addr().String()})
+		}
+		for _, mode := range modes {
+			var out strings.Builder
+			err := Run(slices.Concat(args, mode), &out)
+			if err == nil || !strings.Contains(err.Error(), tc.flag+" ") || out.Len() != 0 {
+				t.Errorf("%s %v: err %v, output %q; want an error naming %s and no output", tc.args, mode, err, out.String(), tc.flag)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -47,15 +48,30 @@ func (tr *auditedTransport) AddTasks(delta int64) {
 	tr.Transport.AddTasks(delta)
 }
 
+// audited is cfg with the exit invariant of ROADMAP item 1 (iv) asserted:
+// every search run under it, unless cancelled, must leave each in-process
+// locality quiescent — ledger empty, nothing on disk, pool empty, no
+// finish unsettled (locality.quiescent) — except the ranks the test
+// killed, whose zombie workers abandon whatever they held.
+func audited(t *testing.T, cfg Config, killed ...int) Config {
+	cfg.exit = func(rank int, left error) {
+		if left != nil && !slices.Contains(killed, rank) {
+			t.Error(left)
+		}
+	}
+	return cfg
+}
+
 // auditedEnum is search for an enumeration on loopback localities, with
 // every transport audited and the engine's task hook counting.
 func auditedEnum(t *testing.T, tree *testTree, coord Coordination, cfg Config) {
 	cfg = cfg.withDefaults()
-	fab := newLoopbackFabric[testNode](cfg)
+	rule := ruleFor(coord, cfg)
+	fab := newFabric[testNode](nil, nil, rule, cfg)
 	defer fab.close()
-	a := &liveAudit{t: t, perRank: make([]atomic.Int64, len(fab.trs)), nodes: int64(tree.size)}
-	for i, tr := range fab.trs {
-		fab.trs[i] = &auditedTransport{Transport: tr, a: a, rank: i}
+	a := &liveAudit{t: t, perRank: make([]atomic.Int64, len(fab.locs)), nodes: int64(tree.size)}
+	for i, l := range fab.locs {
+		l.tr = &auditedTransport{Transport: l.tr, a: a, rank: i}
 	}
 	p := tree.enumProblem()
 	value := p.Objective
@@ -63,12 +79,17 @@ func auditedEnum(t *testing.T, tree *testTree, coord Coordination, cfg Config) {
 		a.visited.Add(1)
 		return value(tt, n)
 	}
-	st, cancel, root := enumeration(tree, p), newCanceller(), testNode{}
-	ws := newWorkers(tree, st.gen, cfg, st.attach(fab, cancel))
-	e := newEngine(ruleFor(coord, cfg), cfg, ws, cancel, fab, newPrioAssigner(cfg.Order, tree, root, st.bound))
+	st, root := enumeration(tree, p), testNode{}
+	ws := newWorkers(tree, st.gen, cfg, fab.locs, st.attach(fab))
+	e := newEngine(rule, cfg, ws, fab, newPrioAssigner(cfg.Order, tree, root, st.bound))
 	e.taskHook = func(delta int) { a.running.Add(int64(delta)) }
-	fab.start(cancel)
+	fab.start()
 	e.runPoolWorkers(root)
+	for _, l := range fab.locs {
+		if err := l.quiescent(); err != nil {
+			t.Error(err)
+		}
+	}
 
 	res := st.local(ws, totalStats(ws))
 	if res.Value != tree.sum() || res.Stats.Nodes != int64(tree.size) {
@@ -111,4 +132,32 @@ func TestLiveCountNeverEarly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// quiescent must name each of the four things a terminated locality may
+// not hold; everywhere else it is asserted nil.
+func TestQuiescentReportsWhatIsLeft(t *testing.T) {
+	fab, ws := testWorkers[int](Config{Workers: 4, Localities: 2}.withDefaults())
+	defer fab.close()
+	loc := fab.home // of workers 0 and 2
+	holds := func(what string, want bool) {
+		t.Helper()
+		if err := loc.quiescent(); (err != nil) != want {
+			t.Fatalf("%s: quiescent() = %v", what, err)
+		}
+	}
+	holds("fresh", false)
+	ws[2].shard.Push(Task[int]{Node: 1})
+	holds("a task in the pool", true)
+	task, _ := ws[2].shard.Pop()
+	id, _ := loc.led.handOver(1, task)
+	holds("a hand-over unacked", true)
+	loc.led.retire(id)
+	ws[0].finished++
+	holds("a finish unsettled", true)
+	ws[0].settle()
+	loc.mem.onDisk.Add(1)
+	holds("a task on disk", true)
+	loc.mem.onDisk.Add(-1)
+	holds("drained", false)
 }

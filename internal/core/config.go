@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"time"
 
 	"yewpar/internal/dist"
 )
@@ -88,15 +87,13 @@ type Config struct {
 	// none (any death is reported as an error, though the result is
 	// still repaired as far as replay allows).
 	MaxFailures int
-	// Topology selects how localities exchange steal traffic and detect
-	// termination. "" or dist.TopologyStar is the hub-routed star with
-	// the coordinator's global live-task count; dist.TopologyMesh has
-	// localities steal from each other directly, bounds spread by
-	// gossip, and termination detected by a decentralised Safra-style
-	// wave. Single-process (loopback) runs honour it too: mesh selects
-	// the wave accounting, exercising the same termination machinery a
-	// cluster mesh uses. Multi-process runs must configure the same
-	// topology on every rank (enforced at registration).
+	// Topology selects how a single-process run's loopback localities
+	// detect termination: "" or dist.TopologyStar is one shared live-task
+	// count; dist.TopologyMesh is the decentralised Safra-style wave,
+	// exercising the termination machinery a cluster mesh uses. Only the
+	// loopback fabric reads it: a Dist call's topology is its
+	// transport's (dist.WireOptions.Topology, the same on every rank,
+	// enforced at registration).
 	Topology string
 	// Standby arms coordinator failover on a distributed run (wire
 	// protocol v7): the coordinator replicates its residual state to
@@ -110,20 +107,6 @@ type Config struct {
 	// count against MaxFailures like any other. Ignored by
 	// single-process runs.
 	Standby bool
-	// LinkGrace arms resumable links on a distributed run (wire
-	// protocol v8): every connection becomes a supervised session with
-	// sequence-numbered frames and a bounded retransmit log. A broken
-	// connection is kept alive for this grace window — the surviving
-	// side parks, the dialing side reconnects and replays the
-	// unacknowledged backlog — so a transient partition shorter than
-	// the grace heals with zero deaths and zero replayed tasks. A
-	// heartbeat-silent peer is first quarantined (suspected: excluded
-	// from victim selection, steals against it fail fast) and only
-	// mourned once the grace expires on top of the liveness timeout.
-	// Zero, the default, disables sessions: any connection loss is a
-	// death, as in v7. Every rank must agree on whether sessions are
-	// armed (enforced by the transport's spec handshake).
-	LinkGrace time.Duration
 	// NetFault, if non-nil, injects deterministic network faults into
 	// the links between in-process localities (see dist.FaultPlan). It
 	// is the one way to simulate network cost on the loopback network:
@@ -146,6 +129,10 @@ type Config struct {
 	// per local worker): package tests set 1 to build the single
 	// mutex-shared pool the sharded one is checked against.
 	shards int
+	// exit, if set (package tests), hears what each in-process locality
+	// still holds once a search that was not cancelled has joined its
+	// workers: nil, unless the locality was killed (locality.quiescent).
+	exit func(rank int, left error)
 }
 
 func (c Config) withDefaults() Config {

@@ -55,7 +55,7 @@ func TestQuickPoolsAgainstModel(t *testing.T) {
 						return false
 					}
 				case 2:
-					if task, ok := p.Steal(); ok {
+					if task, ok := stealOne(p); ok {
 						if inPool[task.Node] != 1 {
 							return false
 						}
@@ -87,8 +87,8 @@ func TestQuickPoolsAgainstModel(t *testing.T) {
 }
 
 func TestTotalStatsSumsWorkers(t *testing.T) {
-	ws := newWorkers[struct{}, int](struct{}{}, nil, Config{Workers: 3},
-		func(int, *WorkerStats) visitor[int] { return nil })
+	ws := newWorkers[struct{}, int](struct{}{}, nil, Config{Workers: 3}, nil,
+		func(*thief[int]) visitor[int] { return nil })
 	ws[0].stats.Nodes = 5
 	ws[1].stats.Nodes = 7
 	ws[2].stats.Prunes = 2

@@ -54,7 +54,7 @@ func runDistOptLoopback(t *testing.T, ranks int, coord Coordination, cfg Config)
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = DistOpt(trs[r], GobCodec[toyNode]{}, coord, space, root, toyOptProblem(), cfg)
+			results[r], errs[r] = DistOpt(trs[r], GobCodec[toyNode]{}, coord, space, root, toyOptProblem(), audited(t, cfg))
 		}(r)
 	}
 	wg.Wait()
@@ -104,7 +104,7 @@ func TestDistEnumCountsWholeTree(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = DistEnum(trs[r], GobCodec[toyNode]{}, DepthBounded, space, toyNode{}, p, Config{Workers: 2, DCutoff: 2})
+			results[r], errs[r] = DistEnum(trs[r], GobCodec[toyNode]{}, DepthBounded, space, toyNode{}, p, audited(t, Config{Workers: 2, DCutoff: 2}))
 		}(r)
 	}
 	wg.Wait()
@@ -172,7 +172,7 @@ func TestDistOptOrderedMatchesUnordered(t *testing.T) {
 	want := Opt(Sequential, toySpace12(), toyNode{}, p, Config{})
 	for _, coord := range []Coordination{DepthBounded, Budget} {
 		for _, ord := range []Order{OrderNone, OrderDiscrepancy, OrderBound} {
-			cfg := Config{Workers: 2, DCutoff: 2, Budget: 8, Order: ord}
+			cfg := audited(t, Config{Workers: 2, DCutoff: 2, Budget: 8, Order: ord})
 			net := dist.NewLoopback(3, dist.LoopbackOptions{})
 			trs := net.Transports()
 			space := toySpace12()

@@ -14,24 +14,16 @@
 //
 // The twelve skeletons are that product: one entry point per search
 // type — Enum, Opt, Decide — taking the Coordination as an argument,
-// all adapters of one driver (search, in skeletons.go). All parallel
-// skeletons run on a distributed runtime built over the pluggable
-// Transport of internal/dist: workers are grouped into localities, each
-// owning an order-preserving workpool and a locally cached copy of the
-// incumbent bound, with remote steals and bound broadcasts crossing the
-// transport. Single-process runs use the in-process loopback transport
-// (optionally with injected steal/bound latencies, simulating the
-// paper's cluster experiments); the DistEnum/DistOpt/DistDecide entry
-// points run one locality per OS process over the TCP transport, with
-// task serialisation through a Codec and final result/metric
-// aggregation at the coordinator — the role HPX plays in the paper's
-// own implementation. The engine sees only the Transport contract:
-// everything it asks of a substrate — steals and split steals, peer
-// priority summaries, link suspicion, the incumbent retention, who
-// holds the coordinator role after a failover, traffic counters — is a
-// method of that one interface, so the same engine code drives the
-// loopback network and the TCP endpoint in either topology without
-// probing for capabilities.
+// all adapters of one driver (search, in skeletons.go). Single-process
+// runs use the in-process loopback transport of internal/dist (optionally
+// with injected link latency, simulating the paper's cluster
+// experiments); the DistEnum/DistOpt/DistDecide entry points run one
+// locality per OS process over the TCP transport, with task serialisation
+// through a Codec and final result/metric aggregation at the coordinator
+// — the role HPX plays in the paper's own implementation. The engine sees
+// only the dist.Transport contract, so the same code drives the loopback
+// network and the TCP endpoint in either topology without probing for
+// capabilities.
 //
 // The semantics of the skeletons follows the operational model of
 // Section 3 of the paper (see the sibling package internal/semantics
@@ -44,34 +36,59 @@
 // (spawn-stack) rule of Figure 2. Sequential is the empty rule on one
 // worker, on the same engine as the rest.
 //
+// # The runtime: three values for three levels
+//
+// Section 4.3's runtime has a search, localities and workers, and each is
+// one value here, built once and whole:
+//
+//   - fabric (fabric.go), one per search and process: the codec, the
+//     canceller, the authoritative incumbent, the one record of dead
+//     ranks, and the list of in-process localities. newFabric builds it
+//     and every locality in it, from the Config and the spawn rule, before
+//     any worker exists or any peer is served.
+//   - locality (locality.go), one per transport endpoint: its workpool,
+//     supervision ledger, memory accountant, parker, steal backoff,
+//     victim ring, split gate and cached bound, assigned by newLocality
+//     and nowhere else. It is the dist.Handler its peers steal from,
+//     adopt through and ack (fabric.go), the place an idle worker looks
+//     for work (popOrSteal), and what quiescent() is asked of when the
+//     search has terminated: ledger empty, nothing on disk, pool empty,
+//     no finish unsettled.
+//   - workerCtx (worker.go), one per worker: everything it writes per
+//     node or per task, and pointers to its locality and to its own pool
+//     shard, set by newWorkers. Nothing per-worker or per-locality is
+//     kept in a slice indexed by one.
+//
+// search (skeletons.go) is the only place they are put together:
+// newFabric, newWorkers, newEngine, fabric.start, engine.runPoolWorkers.
+//
 // # Scheduling and allocation hot path
 //
-// Each locality's workpool is sharded per worker (ShardedPool): a
-// worker pushes and pops tasks on its own uncontended shard, keeping the paper's heuristic order (deepest-first for owners, FIFO
-// within a depth) without a shared mutex on the spawn/pop hot path. An
-// idle worker escalates cheapest-first: rob a sibling shard within the
-// locality — shallowest task across shards, so intra-locality stealing
-// hands over the heuristically-next large subtree exactly like the
-// single shared pool did — and only then pay a Transport round trip to
-// a random peer locality. Transport steal handlers serve from the same
-// sharded aggregate. A locality has one shard per local worker (one for
-// a worker-less coordinator); the single shared pool that sharding
-// replaced survives only as the oracle tests' reference arm.
+// A locality's workpool is two types. bucketQueue is one shard: a FIFO
+// per key — the task's depth, or under an ordering mode its priority —
+// made of 63-task chunks recycled through a free list, and the shard's
+// own task counters, off the lock's cache line. A task is copied once,
+// into its slot; nothing doubles under the shard lock, and a queue's
+// footprint is the largest frontier it has held — a 100,000-wide level
+// costs its own bytes, not five times them. ShardedPool is the shards,
+// one per local worker (one for a worker-less coordinator), and the
+// thief's view of them. A worker pushes and pops on its own uncontended
+// shard, keeping the paper's heuristic order (deepest-first for owners,
+// FIFO within a depth) without a shared mutex on the spawn/pop hot path.
+// An idle worker escalates cheapest-first: rob a sibling shard within
+// the locality, and only then pay a Transport round trip to a peer
+// locality, whose steal handler serves from the same shards by the same
+// rule (below). The single shared pool that sharding replaced survives
+// only as the oracle tests' reference arm.
 //
-// There is one bucketed pool, bucketQueue: a FIFO per key — the task's
-// depth, or under an ordering mode its priority — made of 63-task chunks
-// recycled through a per-pool free list. A task is copied once, into its slot;
-// nothing doubles under the shard lock, and a pool's footprint is the
-// largest frontier it has held — a 100,000-wide level costs its own
-// bytes, not five times them. A spawner hands its tasks over in runs of
-// up to 64 (engine.shed): one AddTasks, one family add and one PushBatch
-// — one lock, one counter add, one parker wake — per run, registered
-// before any of it is visible. A worker takes the tasks it has finished
-// off the live count when its own shard comes up empty, not one by one.
-// Registrations are never deferred and completions only ever late, so
-// the count a termination detector sees is never below the number of
-// unfinished tasks (the invariant is stated at engine.finishTask and
-// audited by TestLiveCountNeverEarly).
+// A spawner hands its tasks over in runs of up to 64 (engine.shed): one
+// AddTasks, one family add and one PushBatch — one lock, one counter add,
+// one parker wake — per run, registered before any of it is visible. A
+// worker takes the tasks it has finished off the live count when its own
+// shard comes up empty, not one by one. Registrations are never deferred
+// and completions only ever late, so the count a termination detector
+// sees is never below the number of unfinished tasks (the invariant is
+// stated at engine.finishTask and audited by TestLiveCountNeverEarly).
 //
 // # Search ordering
 //
@@ -132,22 +149,26 @@
 // recorded in BENCH_memory.json and gated in CI. Stack-stealing keeps
 // almost nothing pooled to begin with: it moves work by live-stack
 // splits — a running sibling's within a locality (counted in
-// Stats.LocalSteals, not StealsOK: no transport is involved), dist
+// Stats.LocalSteals, one per robbery, not StealsOK: no transport is
+// involved), dist
 // protocol v6 kSplit across localities — rather than through pools, so
 // it is naturally the memory-leanest coordination.
 //
-// How much a remote steal takes has one rule, applied by the victim
-// (locState.ServeStealMulti, Pool.StealRun): a run of up to
-// dist.DefaultStealBatch (64) tasks from the pool's best bucket — the
-// shallowest depth or the best priority — and at most half of it,
-// rounded up, taken under one pool lock and one ledger lock. The
-// thief's worker runs the first task and its pool takes the rest, on
-// the loopback network as over a wire, so one round trip's latency is
-// spread over the run. The run stops at the bucket because that is what
-// a steal should preserve — the heuristic order, shallowest or best
-// first (Sections 2.3 and 4.3) — and because half of a whole small
-// pool, cut only by the batch size, is nearly all of it: two ranks then
-// pass the same frontier back and forth.
+// How much a steal takes has one rule, applied to the victim's shards
+// (ShardedPool.stealRun) whether the thief is a sibling worker or a peer
+// locality (locality.ServeStealMulti): a run of up to
+// dist.DefaultStealBatch (64) tasks from the best bucket — the
+// shallowest depth or the best priority — of the shard that holds the
+// best rank, and at most half of it, rounded up, taken under one shard
+// lock (and, for a peer, one ledger lock). The thief's worker runs the
+// first task and keeps the rest — a sibling on its own shard, a peer's
+// worker on its locality's pool, on the loopback network as over a wire —
+// so one lock's or one round trip's latency is spread over the run. The
+// run stops at the bucket because that is what a steal should preserve —
+// the heuristic order, shallowest or best first (Sections 2.3 and 4.3) —
+// and because half of a whole small pool, cut only by the batch size, is
+// nearly all of it: two thieves then pass the same frontier back and
+// forth.
 //
 // Idle workers do not spin: after a few failed probe rounds a worker
 // parks on its locality's parker and is woken by the next local push
@@ -178,11 +199,11 @@
 // that context points to (the visitor and its accumulator). Contexts
 // are built by newWorkers, one pad.New block each; no coordination
 // keeps per-worker state in a slice of its own. (2) Anything shared by
-// design sits alone on its line: each pool shard's header and its
-// resident-task counter (ShardedPool sums the shard counters on read
+// design sits alone on its line: each pool shard's header and, apart
+// from it, its task counters (ShardedPool sums the shard counters on read
 // instead of keeping an aggregate every push and pop would have to
 // update), the parker's waiter count, the canceller's flag, the
-// split gate's poll word, the per-locality bound caches, the trace
+// split gate's poll word, each locality's bound cache, the trace
 // shards, the loopback network's live counts. The one helper is
 // internal/pad (Isolated, New: 128 bytes either side, covering the
 // adjacent-line prefetcher); there are no hand-counted pad arrays.

@@ -6,60 +6,32 @@ import (
 	"time"
 )
 
-// engine bundles the runtime substrate every coordination runs on: the
-// locality fabric and its workpool topology, global task accounting
-// for termination detection, canceller for decision short-circuits,
-// the worker contexts, the priority assigner of the ordered scheduling
-// modes, and the coordination itself, as a spawn rule (walk.go).
+// engine is one search as its workers run it: the fabric (the
+// process-wide state and the localities, each whole before any worker
+// exists), the worker contexts, the priority assigner of the ordered
+// scheduling modes, and the coordination itself, as a spawn rule
+// (walk.go).
 type engine[S, N any] struct {
 	cfg     Config
 	workers []*workerCtx[S, N]
-	cancel  *canceller
+	cancel  *canceller // the fabric's: read once per node
 	fab     *fabric[N]
-	topo    *topology[N]
 	prio    *prioAssigner[S, N] // task priorities (Config.Order)
-	ordered bool
-	rule    spawnRule // what the coordination adds to sequential search
+	rule    spawnRule           // what the coordination adds to sequential search
 	// taskHook, set only by tests, hears +1 as a worker starts a task
 	// and -1 as it finishes one.
 	taskHook func(delta int)
 }
 
-// newEngine must run before the fabric starts serving peers: it
-// installs every locality's pool and, under a splitting rule, the gate
-// that makes its locState answer dist.StackSplitter requests — a peer's
-// steal or kSplit may arrive the moment registration completes.
-func newEngine[S, N any](rule spawnRule, cfg Config, ws []*workerCtx[S, N], cancel *canceller, fab *fabric[N], prio *prioAssigner[S, N]) *engine[S, N] {
-	if rule.split {
-		for _, loc := range fab.locs {
-			loc.split = &splitGate[N]{}
-		}
-	}
-	return &engine[S, N]{
-		rule:    rule,
-		cfg:     cfg,
-		workers: ws,
-		cancel:  cancel,
-		fab:     fab,
-		topo:    newTopology(fab, cfg),
-		prio:    prio,
-		ordered: prio.enabled(),
-	}
-}
-
-// memPressured reports whether worker w's locality is above its memory
-// budget's soft threshold — the signal on which coordinations trade
-// spawning for inline expansion.
-func (e *engine[S, N]) memPressured(w int) bool {
-	loc := e.topo.locality(w)
-	return e.topo.mem[loc].pressured(e.topo.pools[loc])
+func newEngine[S, N any](rule spawnRule, cfg Config, ws []*workerCtx[S, N], fab *fabric[N], prio *prioAssigner[S, N]) *engine[S, N] {
+	return &engine[S, N]{rule: rule, cfg: cfg, workers: ws, cancel: fab.cancel, fab: fab, prio: prio}
 }
 
 // finishTask completes one task. Every task a worker obtains is finished
 // exactly once, after any children it sheds are registered. Its
 // supervision family drains at once — the last drain acks the
 // hand-over's origin — but the live count hears later: the worker counts
-// its finishes on its own context, and topology.settle takes them off in
+// its finishes on its own context, and thief.settle takes them off in
 // one AddTasks the moment its own shard comes up empty — before it robs
 // a sibling, touches the transport or parks — and when it exits.
 //
@@ -76,9 +48,7 @@ func (e *engine[S, N]) finishTask(c *workerCtx[S, N], t Task[N]) {
 		e.taskHook(-1)
 	}
 	c.finished++
-	if t.fam != nil {
-		e.fab.locs[e.topo.locality(c.id)].famDone(t.fam)
-	}
+	c.loc.famDone(t.fam)
 }
 
 // runPoolWorkers seeds the root task (on the locality that owns the
@@ -90,15 +60,16 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 	// every exit path — normal termination, cancellation, and (in a
 	// loopback fault test) a killed locality whose zombie workers drain
 	// here with everyone else.
-	for _, m := range e.topo.mem {
-		m.calibrate(root)
-		defer m.close()
+	for _, l := range e.fab.locs {
+		l.mem.calibrate(root)
+		defer l.mem.close()
 	}
-	if e.fab.hasRoot {
-		e.fab.trs[0].AddTasks(1)
-		e.topo.pools[0].Push(Task[N]{Node: root, Depth: 0})
+	home := e.fab.home
+	if home.rank == 0 {
+		home.tr.AddTasks(1)
+		home.pool.Push(Task[N]{Node: root, Depth: 0})
 	}
-	done := e.fab.trs[0].Done()
+	done := home.tr.Done()
 
 	// Death watchers: one goroutine per in-process locality consumes
 	// the transport's death notifications and replays the ledger.
@@ -107,21 +78,18 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 	// empty: an unacked entry is an outstanding registration).
 	watchStop := make(chan struct{})
 	defer close(watchStop)
-	if e.fab.size > 1 {
-		for i := range e.fab.locs {
-			go func(i int) {
-				deaths := e.fab.trs[i].Deaths()
+	if home.tr.Size() > 1 {
+		for _, l := range e.fab.locs {
+			go func(l *locality[N]) {
 				for {
 					select {
 					case <-watchStop:
 						return
-					case rank := <-deaths:
-						if e.topo.onDeath(i, rank) {
-							e.fab.deaths.Add(1)
-						}
+					case rank := <-l.tr.Deaths():
+						l.onDeath(rank)
 					}
 				}
-			}(i)
+			}(l)
 		}
 	}
 
@@ -156,10 +124,8 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 		wg.Add(1)
 		go func(c *workerCtx[S, N]) {
 			defer wg.Done()
-			defer e.topo.settle(&c.thief)
-			loc := e.topo.locality(c.id)
-			pk := e.topo.parkers[loc]
-			stillIdle := func() bool { return e.topo.localBacklog(loc) == 0 }
+			defer c.settle()
+			stillIdle := func() bool { return c.loc.backlog() == 0 }
 			timer := newParkTimer()
 			defer timer.Stop()
 			idle := 0
@@ -167,7 +133,7 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 				if e.cancel.cancelled() {
 					return
 				}
-				t, ok := e.topo.popOrSteal(&c.thief)
+				t, ok := c.loc.popOrSteal(&c.thief)
 				if ok {
 					idle = 0
 					e.runTask(c, t)
@@ -189,7 +155,7 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 				if backoff > 5 {
 					backoff = 5
 				}
-				pk.park(timer, parkBase<<uint(backoff), done, e.cancel.ch, stillIdle)
+				c.loc.park.park(timer, parkBase<<uint(backoff), done, e.cancel.ch, stillIdle)
 			}
 		}(c)
 	}

@@ -37,21 +37,26 @@ func fanoutGen(fanout, limit int) GenFactory[struct{}, int] {
 	}
 }
 
-// newTestEngine builds an engine over a started loopback fabric.
-func newTestEngine(cfg Config, rule spawnRule, gf GenFactory[struct{}, int], hook func(), cancel *canceller) (*engine[struct{}, int], *fabric[int]) {
-	fab := newLoopbackFabric[int](cfg)
-	ws := newWorkers(struct{}{}, gf, cfg, func(_ int, sh *WorkerStats) visitor[int] {
-		return &hookVisitor{shard: sh, hook: hook}
+// newTestEngine builds an engine over a started loopback fabric; hook,
+// when set, is called on every visit with the fabric's canceller.
+func newTestEngine(cfg Config, rule spawnRule, gf GenFactory[struct{}, int], hook func(*canceller)) (*engine[struct{}, int], *fabric[int]) {
+	fab := newFabric[int](nil, nil, rule, cfg)
+	ws := newWorkers(struct{}{}, gf, cfg, fab.locs, func(th *thief[int]) visitor[int] {
+		v := &hookVisitor{shard: &th.stats}
+		if hook != nil {
+			v.hook = func() { hook(fab.cancel) }
+		}
+		return v
 	})
-	e := newEngine(rule, cfg, ws, cancel, fab, newPrioAssigner[struct{}, int](cfg.Order, struct{}{}, 0, nil))
-	fab.start(cancel)
+	e := newEngine(rule, cfg, ws, fab, newPrioAssigner[struct{}, int](cfg.Order, struct{}{}, 0, nil))
+	fab.start()
 	return e, fab
 }
 
 func TestRunPoolWorkersExecutesAllSpawns(t *testing.T) {
 	cfg := Config{Workers: 4, Trace: NewTrace(4)}.withDefaults()
 	// a two-level tree of tasks: root 1, then 10..12, then 100..122
-	e, fab := newTestEngine(cfg, spawnRule{depth: 2}, fanoutGen(3, 100), nil, newCanceller())
+	e, fab := newTestEngine(cfg, spawnRule{depth: 2}, fanoutGen(3, 100), nil)
 	e.runPoolWorkers(1)
 	// 1 root + 3 + 9 = 13 tasks
 	if n := cfg.Trace.Summary().Tasks; n != 13 {
@@ -61,23 +66,25 @@ func TestRunPoolWorkersExecutesAllSpawns(t *testing.T) {
 		t.Fatalf("spawned %d tasks and visited %d nodes, want 12 and 13", st.Spawns, st.Nodes)
 	}
 	select {
-	case <-fab.trs[0].Done():
+	case <-fab.home.tr.Done():
 	default:
 		t.Fatal("live-task count not quiescent after join")
+	}
+	if err := fab.home.quiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestRunPoolWorkersCancelStopsEarly(t *testing.T) {
 	cfg := Config{Workers: 4}.withDefaults()
-	cancel := newCanceller()
 	var visits atomic.Int64
-	hook := func() {
+	hook := func(cancel *canceller) {
 		if visits.Add(1) == 5 {
 			cancel.cancel() // simulate a decision witness
 		}
 	}
 	// endless task fan-out: only cancellation can stop this
-	e, _ := newTestEngine(cfg, spawnRule{depth: math.MaxInt}, fanoutGen(2, math.MaxInt), hook, cancel)
+	e, _ := newTestEngine(cfg, spawnRule{depth: math.MaxInt}, fanoutGen(2, math.MaxInt), hook)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -90,29 +97,25 @@ func TestRunPoolWorkersCancelStopsEarly(t *testing.T) {
 	}
 }
 
-// testThief is worker w's steal state as newWorkers would build it.
-func testThief(w int, cfg Config) *thief {
-	return &newWorkers(struct{}{}, nil, Config{Workers: w + 1, Seed: cfg.Seed},
-		func(int, *WorkerStats) visitor[int] { return nil })[w].thief
-}
-
-// newTestTopology builds a topology over a started loopback fabric.
-func newTestTopology(cfg Config) *topology[int] {
-	fab := newLoopbackFabric[int](cfg)
-	tp := newTopology(fab, cfg)
-	fab.start(newCanceller())
-	return tp
+// testWorkers builds the workers of a started loopback fabric for cfg,
+// with no visitor: what the locality-level tests steal through.
+func testWorkers[N any](cfg Config) (*fabric[N], []*workerCtx[struct{}, N]) {
+	fab := newFabric[N](nil, nil, spawnRule{}, cfg)
+	ws := newWorkers[struct{}, N](struct{}{}, nil, cfg, fab.locs, func(*thief[N]) visitor[N] { return nil })
+	fab.start()
+	return fab, ws
 }
 
 func TestTopologyLocalFirst(t *testing.T) {
 	cfg := Config{Workers: 4, Localities: 2, Seed: 9}.withDefaults()
-	tp := newTestTopology(cfg)
-	th := testThief(0, cfg)
+	fab, ws := testWorkers[int](cfg)
+	defer fab.close()
+	th := &ws[0].thief
 	sh := &th.stats
 	// worker 0 is locality 0; push one task in each pool
-	tp.pools[0].Push(Task[int]{Node: 100})
-	tp.pools[1].Push(Task[int]{Node: 200})
-	task, ok := tp.popOrSteal(th)
+	fab.locs[0].pool.Push(Task[int]{Node: 100})
+	fab.locs[1].pool.Push(Task[int]{Node: 200})
+	task, ok := th.loc.popOrSteal(th)
 	if !ok || task.Node != 100 {
 		t.Fatalf("worker 0 took %d, want its local task 100", task.Node)
 	}
@@ -121,7 +124,7 @@ func TestTopologyLocalFirst(t *testing.T) {
 	}
 	// local pool now empty: next take must be a remote steal through
 	// the loopback transport
-	task, ok = tp.popOrSteal(th)
+	task, ok = th.loc.popOrSteal(th)
 	if !ok || task.Node != 200 {
 		t.Fatalf("worker 0 stole %d, want remote task 200", task.Node)
 	}
@@ -132,24 +135,25 @@ func TestTopologyLocalFirst(t *testing.T) {
 
 func TestTopologyEmptyEverywhere(t *testing.T) {
 	cfg := Config{Workers: 2, Localities: 2}.withDefaults()
-	tp := newTestTopology(cfg)
-	th := testThief(0, cfg)
-	sh := &th.stats
-	if _, ok := tp.popOrSteal(th); ok {
+	fab, ws := testWorkers[int](cfg)
+	defer fab.close()
+	th := &ws[0].thief
+	if _, ok := th.loc.popOrSteal(th); ok {
 		t.Fatal("popOrSteal invented a task")
 	}
-	if sh.StealsFail == 0 {
+	if th.stats.StealsFail == 0 {
 		t.Fatal("failed remote probe not recorded")
 	}
 }
 
 func TestTopologyWorkerAssignment(t *testing.T) {
 	cfg := Config{Workers: 5, Localities: 2}.withDefaults()
-	tp := newTestTopology(cfg)
+	fab, ws := testWorkers[int](cfg)
+	defer fab.close()
 	want := []int{0, 1, 0, 1, 0}
 	for w, loc := range want {
-		if tp.locality(w) != loc {
-			t.Fatalf("worker %d at locality %d, want %d", w, tp.locality(w), loc)
+		if ws[w].loc != fab.locs[loc] {
+			t.Fatalf("worker %d at locality %d, want %d", w, ws[w].loc.rank, loc)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func runDistOptWithKillsOpts(t *testing.T, ranks int, cfg Config, victims []int,
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = DistOpt(trs[r], GobCodec[toyNode]{}, DepthBounded, space, toyNode{}, toyOptProblem(), cfg)
+			results[r], errs[r] = DistOpt(trs[r], GobCodec[toyNode]{}, DepthBounded, space, toyNode{}, toyOptProblem(), audited(t, cfg, victims...))
 		}(r)
 	}
 	var kwg sync.WaitGroup
@@ -168,7 +168,7 @@ func TestDistEnumDeathErrors(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			_, errs[r] = DistEnum(trs[r], GobCodec[toyNode]{}, DepthBounded, space, toyNode{}, p, Config{Workers: 2, DCutoff: 3, MaxFailures: -1})
+			_, errs[r] = DistEnum(trs[r], GobCodec[toyNode]{}, DepthBounded, space, toyNode{}, p, audited(t, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, 2))
 		}(r)
 	}
 	go func() {
@@ -208,7 +208,7 @@ func runDistOptCoordinatorKill(t *testing.T, ranks int, cfg Config, opts dist.Lo
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = DistOpt(trs[r], GobCodec[toyNode]{}, DepthBounded, space, toyNode{}, toyOptProblem(), cfg)
+			results[r], errs[r] = DistOpt(trs[r], GobCodec[toyNode]{}, DepthBounded, space, toyNode{}, toyOptProblem(), audited(t, cfg, 0))
 		}(r)
 	}
 	go func() {

@@ -2,39 +2,39 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"yewpar/internal/dist"
 )
 
-// newTestIncumbent builds an incumbent whose localities are connected
-// by a started loopback network with the given link latency — the
-// transport-backed replacement for the old direct-broadcast incumbent.
-func newTestIncumbent[N any](localities int, lat time.Duration) *incumbent[N] {
+// newTestIncumbent builds an incumbent and the localities that cache its
+// bound, connected by a started loopback network with the given link
+// latency.
+func newTestIncumbent[N any](localities int, lat time.Duration) (*incumbent[N], []*locality[N]) {
 	cfg := Config{Workers: localities, Localities: localities, NetFault: dist.LatencyPlan(lat)}.withDefaults()
-	fab := newLoopbackFabric[N](cfg)
-	in := newIncumbent[N](fab.trs)
-	fab.bounds = in
-	fab.start(newCanceller())
-	return in
+	fab := newFabric[N](nil, nil, spawnRule{}, cfg)
+	fab.inc = newIncumbent[N]()
+	fab.start()
+	return fab.inc, fab.locs
 }
 
 func TestIncumbentStrengthenMonotonic(t *testing.T) {
-	in := newTestIncumbent[string](1, 0)
+	in, locs := newTestIncumbent[string](1, 0)
 	if _, _, has := in.result(); has {
 		t.Fatal("fresh incumbent claims a result")
 	}
-	if !in.strengthen(0, 10, "a") {
+	if !in.strengthen(locs[0], 10, "a") {
 		t.Fatal("first strengthen rejected")
 	}
-	if in.strengthen(0, 5, "b") {
+	if in.strengthen(locs[0], 5, "b") {
 		t.Fatal("weaker strengthen accepted")
 	}
-	if in.strengthen(0, 10, "c") {
+	if in.strengthen(locs[0], 10, "c") {
 		t.Fatal("equal strengthen accepted")
 	}
-	if !in.strengthen(0, 11, "d") {
+	if !in.strengthen(locs[0], 11, "d") {
 		t.Fatal("stronger strengthen rejected")
 	}
 	n, obj, has := in.result()
@@ -44,23 +44,23 @@ func TestIncumbentStrengthenMonotonic(t *testing.T) {
 }
 
 func TestIncumbentLocalBestImmediate(t *testing.T) {
-	in := newTestIncumbent[int](3, 0)
-	in.strengthen(1, 42, 7)
-	for loc := 0; loc < 3; loc++ {
-		if in.localBest(loc) != 42 {
-			t.Errorf("locality %d bound = %d, want 42 (zero latency)", loc, in.localBest(loc))
+	in, locs := newTestIncumbent[int](3, 0)
+	in.strengthen(locs[1], 42, 7)
+	for i, l := range locs {
+		if got := l.bound.V.Load(); got != 42 {
+			t.Errorf("locality %d bound = %d, want 42 (zero latency)", i, got)
 		}
 	}
 }
 
 func TestIncumbentBoundLatency(t *testing.T) {
-	in := newTestIncumbent[int](2, 5*time.Millisecond)
-	in.strengthen(0, 99, 1)
-	if in.localBest(0) != 99 {
+	in, locs := newTestIncumbent[int](2, 5*time.Millisecond)
+	in.strengthen(locs[0], 99, 1)
+	if locs[0].bound.V.Load() != 99 {
 		t.Fatal("own locality must learn the bound immediately")
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for in.localBest(1) != 99 {
+	for locs[1].bound.V.Load() != 99 {
 		if time.Now().After(deadline) {
 			t.Fatal("remote locality never learned the bound")
 		}
@@ -69,7 +69,7 @@ func TestIncumbentBoundLatency(t *testing.T) {
 }
 
 func TestIncumbentConcurrentStrengthen(t *testing.T) {
-	in := newTestIncumbent[int](4, 0)
+	in, locs := newTestIncumbent[int](4, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -77,7 +77,7 @@ func TestIncumbentConcurrentStrengthen(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				v := int64(w*1000 + i)
-				in.strengthen(w%4, v, int(v))
+				in.strengthen(locs[w%4], v, int(v))
 			}
 		}(w)
 	}
@@ -86,9 +86,9 @@ func TestIncumbentConcurrentStrengthen(t *testing.T) {
 	if !has || obj != 7999 || n != 7999 {
 		t.Fatalf("final incumbent = %d/%d, want 7999/7999", n, obj)
 	}
-	for loc := 0; loc < 4; loc++ {
-		if in.localBest(loc) != 7999 {
-			t.Errorf("locality %d bound = %d", loc, in.localBest(loc))
+	for i, l := range locs {
+		if got := l.bound.V.Load(); got != 7999 {
+			t.Errorf("locality %d bound = %d", i, got)
 		}
 	}
 }
@@ -111,8 +111,8 @@ func TestCancellerIdempotent(t *testing.T) {
 }
 
 func TestStoreMax(t *testing.T) {
-	in := newTestIncumbent[int](1, 0)
-	c := &in.caches[0].V
+	_, locs := newTestIncumbent[int](1, 0)
+	c := &locs[0].bound.V
 	storeMax(c, 5)
 	storeMax(c, 3)
 	if c.Load() != 5 {
@@ -121,5 +121,34 @@ func TestStoreMax(t *testing.T) {
 	storeMax(c, 9)
 	if c.Load() != 9 {
 		t.Fatalf("storeMax = %d, want 9", c.Load())
+	}
+}
+
+// orderedTransport records what a locality's bound cache read when its
+// transport was asked to broadcast.
+type orderedTransport struct {
+	dist.Transport
+	cache    *atomic.Int64
+	cachedAt int64
+}
+
+func (tr *orderedTransport) BroadcastBound(obj int64, node []byte) error {
+	tr.cachedAt = tr.cache.Load()
+	return tr.Transport.BroadcastBound(obj, node)
+}
+
+// A bound is cached — and so stamped on every task stolen from the
+// locality — only once its broadcast has handed the node to the
+// transport's retention: cached first, a locality killed between the two
+// left thieves that knew the bound, would never strengthen to it again,
+// and nobody that knew the node (TestDistOptMaxFailuresPolicy lost its
+// optimum that way, 1 run in 20).
+func TestIncumbentBroadcastsBeforeCaching(t *testing.T) {
+	in, locs := newTestIncumbent[int](2, 0)
+	tr := &orderedTransport{Transport: locs[0].tr, cache: &locs[0].bound.V}
+	locs[0].tr = tr
+	in.strengthen(locs[0], 10, 1)
+	if tr.cachedAt >= 10 || locs[0].bound.V.Load() != 10 {
+		t.Fatalf("cache read %d at the broadcast and %d after it, want below 10 and 10", tr.cachedAt, locs[0].bound.V.Load())
 	}
 }

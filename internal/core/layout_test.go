@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"yewpar/internal/dist"
 	"yewpar/internal/pad"
 )
 
@@ -71,7 +70,6 @@ func TestIsolatedPadsBothSides(t *testing.T) {
 	}
 	checkIsolated[workerCtx[*testTree, testNode]](t, "workerCtx")
 	checkIsolated[enumVisitor[*testTree, testNode, int64]](t, "enumVisitor")
-	checkIsolated[poolShard[int]](t, "poolShard")
 	checkIsolated[bucketQueue[int]](t, "bucketQueue")
 	checkIsolated[[]TaskEvent](t, "[]TaskEvent")
 	checkIsolated[atomic.Int64](t, "atomic.Int64")
@@ -86,8 +84,8 @@ func TestIsolatedPadsBothSides(t *testing.T) {
 func TestWorkerContextsShareNoLine(t *testing.T) {
 	tree := genTree(3, 3, 5)
 	p := tree.enumProblem()
-	ws := newWorkers(tree, p.Gen, Config{Workers: 4}, func(_ int, sh *WorkerStats) visitor[testNode] {
-		return newEnumVisitor(tree, p, sh)
+	ws := newWorkers(tree, p.Gen, Config{Workers: 4}, nil, func(th *thief[testNode]) visitor[testNode] {
+		return newEnumVisitor(tree, p, &th.stats)
 	})
 	groups := make([][]span, len(ws))
 	for w, c := range ws {
@@ -101,8 +99,9 @@ func TestWorkerContextsShareNoLine(t *testing.T) {
 }
 
 // TestPoolShardsShareNoLine checks a ShardedPool's hot words: every
-// shard's counter block and pool header, the unowned-push cursor, and
-// the shard table's own header (read on every owner operation).
+// shard's header (locked on every owner operation) and counter block
+// (summed by readers that take no lock), the unowned-push cursor, and the
+// shard table's own header.
 func TestPoolShardsShareNoLine(t *testing.T) {
 	for _, kind := range []PoolKind{DepthPoolKind, PrioBucketKind} {
 		p := NewShardedPool[int](kind, 4)
@@ -111,8 +110,12 @@ func TestPoolShardsShareNoLine(t *testing.T) {
 			{spanOf("ShardedPool.next", &p.next.V)},
 		}
 		for i := 0; i < p.Shards(); i++ {
-			sh := p.Shard(i).(*poolShard[int])
-			groups = append(groups, []span{spanOf("poolShard", sh), spanOf("bucketQueue", sh.inner)})
+			q := p.Shard(i)
+			groups = append(groups, []span{spanOf("bucketQueue", q)})
+			requireApart(t, [][]span{
+				{spanOf("bucketQueue.mu", &q.mu), spanOf("bucketQueue.max", &q.max)},
+				{spanOf("bucketQueue.n", &q.n.V)},
+			})
 		}
 		requireApart(t, groups)
 	}
@@ -137,12 +140,16 @@ func TestSharedWordsSitAlone(t *testing.T) {
 
 	// Per-locality bound caches (read per node) and trace shards
 	// (appended per task) are slices of isolated elements.
-	in := newIncumbent[int](make([]dist.Transport, 3))
+	fab := newFabric[int](nil, nil, spawnRule{}, Config{Workers: 3, Localities: 3}.withDefaults())
+	defer fab.close()
 	tr := NewTrace(3)
 	var caches, shards [][]span
-	for i := 0; i < 3; i++ {
-		caches = append(caches, []span{spanOf("incumbent.caches", &in.caches[i].V)})
+	for i, l := range fab.locs {
+		caches = append(caches, []span{spanOf("locality.bound", &l.bound.V)})
 		shards = append(shards, []span{spanOf("Trace.shards", &tr.shards[i].V)})
+		// The bound is read per node; what the locality's transport
+		// goroutines lock per steal must not share its line.
+		requireApart(t, [][]span{{spanOf("locality.bound", &l.bound.V)}, {spanOf("locality.fams", &l.fams), spanOf("locality.victims", &l.victims)}})
 	}
 	requireApart(t, caches)
 	requireApart(t, shards)

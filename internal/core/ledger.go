@@ -87,19 +87,16 @@ type ledger[N any] struct {
 	cap     int
 	seq     uint64
 	entries map[uint64]ledgerEntry[N]
-	dead    map[int]bool
+	// dead is the fabric's record of dead ranks, by rank: read here,
+	// written by locality.onDeath before it reaps.
+	dead []atomic.Bool
 
 	peak     int
 	replayed int64
 }
 
-func newLedger[N any](rank, capacity int) *ledger[N] {
-	return &ledger[N]{
-		rank:    rank,
-		cap:     capacity,
-		entries: make(map[uint64]ledgerEntry[N]),
-		dead:    make(map[int]bool),
-	}
+func newLedger[N any](rank, capacity int, dead []atomic.Bool) *ledger[N] {
+	return &ledger[N]{rank: rank, cap: capacity, entries: make(map[uint64]ledgerEntry[N]), dead: dead}
 }
 
 // handOver mints an id and retains t under it. It refuses (id 0, false)
@@ -115,13 +112,13 @@ func (l *ledger[N]) handOver(thief int, t Task[N]) (uint64, bool) {
 }
 
 // handOverRun is handOver of the run a thief may take from pool (see
-// Pool.StealRun), taken into the empty scratch run: cut to the room the
+// bucketQueue.StealRun), taken into the empty scratch run: cut to the room the
 // ledger has left and taken only once it cannot be refused, so a refusal or
 // a short ledger leaves the pool in the order it had (pushed back, a task
 // would go from the front of its FIFO to the tail). A run's ids are
 // consecutive: task i of it is retained under id(seq+i). The ledger lock is
 // held across the pool's, never the other way round.
-func (l *ledger[N]) handOverRun(thief int, pool Pool[N], want int, run []Task[N]) (_ []Task[N], seq uint64) {
+func (l *ledger[N]) handOverRun(thief int, pool *ShardedPool[N], want int, run []Task[N]) (_ []Task[N], seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.refuses(thief) {
@@ -134,7 +131,9 @@ func (l *ledger[N]) handOverRun(thief int, pool Pool[N], want int, run []Task[N]
 	return run, l.seq - uint64(len(run)) + 1
 }
 
-func (l *ledger[N]) refuses(thief int) bool { return l.dead[thief] || len(l.entries) >= l.cap }
+func (l *ledger[N]) refuses(thief int) bool {
+	return l.dead[thief].Load() || len(l.entries) >= l.cap
+}
 
 // id is the hand-over id minted for the seq-th retention.
 func (l *ledger[N]) id(seq uint64) uint64 { return dist.TaskID(l.rank, seq) }
@@ -163,19 +162,13 @@ func (l *ledger[N]) retire(id uint64) (*family, bool) {
 	return e.fam, true
 }
 
-// reap marks a rank dead (permanently refusing future hand-overs to
-// it) and removes every entry it was holding, returning the retained
-// tasks for local re-enqueueing.
+// reap removes every entry a dead rank was holding, returning the
+// retained tasks for local re-enqueueing. The rank is marked dead before
+// the call, so no hand-over to it can be retained once reap holds the
+// lock: a second reap finds nothing.
 func (l *ledger[N]) reap(rank int) []Task[N] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dead[rank] {
-		// Already reaped; entries handed over before the death was
-		// known are impossible (handOver checks dead), so there is
-		// nothing new to collect.
-		return nil
-	}
-	l.dead[rank] = true
 	var tasks []Task[N]
 	for id, e := range l.entries {
 		if e.thief == rank {

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"yewpar/internal/dist"
 )
 
 func TestLedgerHandOverRetireReap(t *testing.T) {
-	l := newLedger[int](3, 16)
+	dead := make([]atomic.Bool, 4)
+	l := newLedger[int](3, 16, dead)
 	id1, ok := l.handOver(1, Task[int]{Node: 10, Depth: 2})
 	if !ok || dist.TaskOrigin(id1) != 3 {
 		t.Fatalf("handOver: id=%d ok=%v, want origin 3", id1, ok)
@@ -30,6 +32,7 @@ func TestLedgerHandOverRetireReap(t *testing.T) {
 
 	// Reap collects exactly the dead rank's entries.
 	id3, _ := l.handOver(1, Task[int]{Node: 30, Depth: 3})
+	dead[2].Store(true) // as locality.onDeath does, before it reaps
 	tasks := l.reap(2)
 	if len(tasks) != 1 || tasks[0].Node != 20 {
 		t.Fatalf("reap(2) = %v, want the rank-2 task", tasks)
@@ -52,7 +55,7 @@ func TestLedgerHandOverRetireReap(t *testing.T) {
 }
 
 func TestLedgerCapacityBackpressure(t *testing.T) {
-	l := newLedger[int](0, 2)
+	l := newLedger[int](0, 2, make([]atomic.Bool, 4))
 	if _, ok := l.handOver(1, Task[int]{Node: 1}); !ok {
 		t.Fatal("first hand-over refused")
 	}

@@ -51,6 +51,7 @@ const spillSegMax = 4096
 // live); the spill store and pressure thresholds engage only under a
 // budget.
 type memState[N any] struct {
+	pool    *ShardedPool[N]
 	budget  int64    // bytes; 0 = unbounded (accounting only)
 	codec   Codec[N] // sizes a task; encodes the spill segments
 	perTask atomic.Int64
@@ -65,8 +66,8 @@ type memState[N any] struct {
 	spillBytes   atomic.Int64 // cumulative segment bytes written
 }
 
-func newMemState[N any](budget int64, spillDir string, codec Codec[N]) *memState[N] {
-	ms := &memState[N]{budget: budget, codec: codec}
+func newMemState[N any](pool *ShardedPool[N], budget int64, spillDir string, codec Codec[N]) *memState[N] {
+	ms := &memState[N]{pool: pool, budget: budget, codec: codec}
 	if budget > 0 {
 		ms.store = &spillStore[N]{base: spillDir, codec: codec}
 	}
@@ -108,18 +109,18 @@ func (ms *memState[N]) setThresholds() {
 // threshold — the signal the advertise and deepen responses key off.
 // Without a budget the pool is not consulted: its size is a sum over
 // every shard's counter, lines an unbudgeted run never needs to pull.
-func (ms *memState[N]) pressured(pool *ShardedPool[N]) bool {
-	return ms.budget > 0 && int64(pool.Size()) > ms.soft.Load()
+func (ms *memState[N]) pressured() bool {
+	return ms.budget > 0 && ms.pool.Tasks() > ms.soft.Load()
 }
 
 // headroom clamps the length of a spawner's next run of tasks to what
 // the pool can take before its hard threshold — always at least one, the
 // task whose push is what trips the spill.
-func (ms *memState[N]) headroom(pool *ShardedPool[N], run int) int {
+func (ms *memState[N]) headroom(run int) int {
 	if ms.store == nil {
 		return run
 	}
-	return max(1, min(run, int(ms.hard.Load()-pool.Tasks())))
+	return max(1, min(run, int(ms.hard.Load()-ms.pool.Tasks())))
 }
 
 // maybeSpill is the spawn-path hook: when the pool has grown past the
@@ -131,7 +132,8 @@ func (ms *memState[N]) headroom(pool *ShardedPool[N], run int) int {
 // usually finds nothing left to do. Tasks whose segment cannot be
 // written (disk full, unencodable node) are pushed straight back: they
 // are registered live work and must not be lost.
-func (ms *memState[N]) maybeSpill(pool *ShardedPool[N]) {
+func (ms *memState[N]) maybeSpill() {
+	pool := ms.pool
 	if ms.store == nil || pool.Tasks() <= ms.hard.Load() {
 		return
 	}
@@ -164,7 +166,7 @@ func (ms *memState[N]) maybeSpill(pool *ShardedPool[N]) {
 // readmit drains one spilled segment back into the pool when a worker
 // finds the in-RAM frontier empty: the first task goes straight to the
 // caller, the rest to the pool (waking parked siblings to claim them).
-func (ms *memState[N]) readmit(pool *ShardedPool[N], wake func()) (Task[N], bool) {
+func (ms *memState[N]) readmit(wake func()) (Task[N], bool) {
 	var zero Task[N]
 	if ms.store == nil || ms.onDisk.Load() <= 0 {
 		return zero, false
@@ -175,10 +177,8 @@ func (ms *memState[N]) readmit(pool *ShardedPool[N], wake func()) (Task[N], bool
 	}
 	ms.onDisk.Add(-int64(len(ts)))
 	if len(ts) > 1 {
-		pool.PushBatch(ts[1:])
-		if wake != nil {
-			wake()
-		}
+		ms.pool.PushBatch(ts[1:])
+		wake()
 	}
 	return ts[0], true
 }

@@ -82,7 +82,7 @@ func TestMemoryBudgetSpillsAndMatchesOracle(t *testing.T) {
 	want := space.nodes()
 
 	unbounded := Enum(DepthBounded, space, memNode{}, memCountProblem(),
-		Config{Workers: 4, Localities: 2, DCutoff: 3})
+		audited(t, Config{Workers: 4, Localities: 2, DCutoff: 3}))
 	if unbounded.Value != want {
 		t.Fatalf("unbounded count %d, want %d", unbounded.Value, want)
 	}
@@ -97,7 +97,7 @@ func TestMemoryBudgetSpillsAndMatchesOracle(t *testing.T) {
 	// A budget worth a few dozen tasks: the root's Wide-child spawn
 	// loop alone overflows it many times over, so the run must spill.
 	bounded := Enum(DepthBounded, space, memNode{}, memCountProblem(),
-		Config{Workers: 4, Localities: 2, DCutoff: 3, PoolBudget: 8 << 10, SpillDir: dir})
+		audited(t, Config{Workers: 4, Localities: 2, DCutoff: 3, PoolBudget: 8 << 10, SpillDir: dir}))
 	if bounded.Value != want {
 		t.Fatalf("budgeted count %d, want %d", bounded.Value, want)
 	}
@@ -121,7 +121,7 @@ func TestMemoryBudgetBudgetCoordination(t *testing.T) {
 	want := space.nodes()
 	dir := t.TempDir()
 	res := Enum(Budget, space, memNode{}, memCountProblem(),
-		Config{Workers: 4, Localities: 2, Budget: 4, PoolBudget: 8 << 10, SpillDir: dir})
+		audited(t, Config{Workers: 4, Localities: 2, Budget: 4, PoolBudget: 8 << 10, SpillDir: dir}))
 	if res.Value != want {
 		t.Fatalf("budgeted count %d, want %d", res.Value, want)
 	}
@@ -142,8 +142,8 @@ func TestMemorySpillReadmitStress(t *testing.T) {
 	for iter := 0; iter < 3; iter++ {
 		dir := t.TempDir()
 		res := Enum(DepthBounded, space, memNode{}, memCountProblem(),
-			Config{Workers: 8, Localities: 2, DCutoff: 3,
-				PoolBudget: 4 << 10, SpillDir: dir})
+			audited(t, Config{Workers: 8, Localities: 2, DCutoff: 3,
+				PoolBudget: 4 << 10, SpillDir: dir}))
 		if res.Value != want {
 			t.Fatalf("iter %d: count %d, want %d", iter, res.Value, want)
 		}
@@ -176,7 +176,7 @@ func TestMemorySpillCleanupAfterDeath(t *testing.T) {
 	net := dist.NewLoopback(3, dist.LoopbackOptions{})
 	trs := net.Transports()
 	defer net.Close()
-	cfg := Config{Workers: 2, DCutoff: 3, MaxFailures: -1, PoolBudget: 8 << 10, SpillDir: dir}
+	cfg := audited(t, Config{Workers: 2, DCutoff: 3, MaxFailures: -1, PoolBudget: 8 << 10, SpillDir: dir}, 2)
 	results := make([]OptResult[memNode], 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
@@ -219,7 +219,7 @@ func TestMemoryStackStealDistMatchesOracle(t *testing.T) {
 	net := dist.NewLoopback(3, dist.LoopbackOptions{})
 	trs := net.Transports()
 	defer net.Close()
-	cfg := Config{Workers: 2, PoolBudget: 8 << 10, SpillDir: dir}
+	cfg := audited(t, Config{Workers: 2, PoolBudget: 8 << 10, SpillDir: dir})
 	results := make([]EnumResult[int64], 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup

@@ -63,7 +63,7 @@ func BenchmarkShardedPoolOwnerPushPop(b *testing.B) {
 // BenchmarkSharedPoolPushPop is the ablation baseline: all workers
 // contending on one DepthPool, the pre-sharding design.
 func BenchmarkSharedPoolPushPop(b *testing.B) {
-	benchmarkPool(b, NewShardedPool[int](DepthPoolKind, 1))
+	benchmarkPool(b, NewShardedPool[int](DepthPoolKind, 1).Shard(0))
 }
 
 // BenchmarkPrioPoolPushPop measures the ordered-scheduling hot path:
@@ -131,8 +131,8 @@ func BenchmarkWorkerScaling(b *testing.B) {
 	visit := func(b *testing.B, workers int) {
 		tree := genTree(1, 4, 9)
 		p := tree.enumProblem()
-		ws := newWorkers(tree, p.Gen, Config{Workers: workers}, func(_ int, sh *WorkerStats) visitor[testNode] {
-			return newEnumVisitor(tree, p, sh)
+		ws := newWorkers(tree, p.Gen, Config{Workers: workers}, nil, func(th *thief[testNode]) visitor[testNode] {
+			return newEnumVisitor(tree, p, &th.stats)
 		})
 		cancel := newCanceller()
 		b.ResetTimer()
@@ -181,11 +181,11 @@ func BenchmarkWorkerScaling(b *testing.B) {
 
 func BenchmarkIncumbentLocalBest(b *testing.B) {
 	b.ReportAllocs()
-	in := newTestIncumbent[int](4, 0)
-	in.strengthen(0, 100, 1)
+	in, locs := newTestIncumbent[int](4, 0)
+	in.strengthen(locs[0], 100, 1)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if in.localBest(0) != 100 {
+			if locs[0].bound.V.Load() != 100 {
 				b.Fatal("wrong bound")
 			}
 		}
@@ -194,7 +194,7 @@ func BenchmarkIncumbentLocalBest(b *testing.B) {
 
 func BenchmarkIncumbentStrengthenContention(b *testing.B) {
 	b.ReportAllocs()
-	in := newTestIncumbent[int](4, 0)
+	in, locs := newTestIncumbent[int](4, 0)
 	var mu sync.Mutex
 	next := int64(0)
 	b.RunParallel(func(pb *testing.PB) {
@@ -203,7 +203,7 @@ func BenchmarkIncumbentStrengthenContention(b *testing.B) {
 			next++
 			v := next
 			mu.Unlock()
-			in.strengthen(int(v)%4, v, int(v))
+			in.strengthen(locs[int(v)%4], v, int(v))
 		}
 	})
 }

@@ -224,10 +224,6 @@ type stealBackoff struct {
 	next      atomic.Int64 // unix ns before which sweeps are skipped
 }
 
-func newStealBackoff(base, max time.Duration) *stealBackoff {
-	return &stealBackoff{base: base, max: max}
-}
-
 // ready reports whether a sweep may run now.
 func (b *stealBackoff) ready() bool {
 	return time.Now().UnixNano() >= b.next.Load()

@@ -36,7 +36,7 @@ func TestOrderedSchedulingOracle(t *testing.T) {
 		for _, c := range coords {
 			for _, ord := range orders {
 				t.Run(fmt.Sprintf("seed=%d/%s/order=%s", seed, c.name, ord), func(t *testing.T) {
-					cfg := c.cfg
+					cfg := audited(t, c.cfg)
 					cfg.Order = ord
 					enum := Enum(c.coord, tree, testNode{}, tree.enumProblem(), cfg)
 					if enum.Value != wantSum {

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -37,7 +41,7 @@ func TestDepthPoolThiefShallowestFirstFIFO(t *testing.T) {
 	p.Push(Task[string]{Node: "d0b", Depth: 0})
 	want := []string{"d0a", "d0b", "d2a"}
 	for i, w := range want {
-		task, ok := p.Steal()
+		task, ok := stealOne(p)
 		if !ok || task.Node != w {
 			t.Fatalf("steal %d = %q/%v, want %q", i, task.Node, ok, w)
 		}
@@ -74,13 +78,13 @@ func TestDepthPoolMixedPopSteal(t *testing.T) {
 	if task, _ := p.Pop(); task.Depth != 3 {
 		t.Fatalf("owner got depth %d, want 3", task.Depth)
 	}
-	if task, _ := p.Steal(); task.Depth != 0 {
+	if task, _ := stealOne(p); task.Depth != 0 {
 		t.Fatalf("thief got depth %d, want 0", task.Depth)
 	}
 	if task, _ := p.Pop(); task.Depth != 2 {
 		t.Fatalf("owner got depth %d, want 2", task.Depth)
 	}
-	if task, _ := p.Steal(); task.Depth != 1 {
+	if task, _ := stealOne(p); task.Depth != 1 {
 		t.Fatalf("thief got depth %d, want 1", task.Depth)
 	}
 	if p.Size() != 0 {
@@ -100,7 +104,7 @@ func TestDepthPoolSize(t *testing.T) {
 		t.Fatalf("Size = %d", p.Size())
 	}
 	p.Pop()
-	p.Steal()
+	stealOne(p)
 	if p.Size() != 8 {
 		t.Fatalf("Size = %d after two removals", p.Size())
 	}
@@ -110,7 +114,7 @@ func TestDepthPoolStealPrefersShallow(t *testing.T) {
 	p := newPool[string](DepthPoolKind)
 	p.Push(Task[string]{Node: "deep", Depth: 9})
 	p.Push(Task[string]{Node: "shallow", Depth: 1})
-	task, ok := p.Steal()
+	task, ok := stealOne(p)
 	if !ok || task.Node != "shallow" {
 		t.Fatalf("Steal = %v, want shallow", task.Node)
 	}
@@ -159,7 +163,34 @@ func TestDepthPoolKeepsHeuristicOrderDequeInvertsIt(t *testing.T) {
 	}
 }
 
-func poolConcurrencyCheck(t *testing.T, p Pool[int]) {
+// stealOne is a steal of one task from a queue or a sharded pool: a run
+// of one.
+func stealOne[N any](p interface {
+	StealRun(max int, out []Task[N]) []Task[N]
+}) (Task[N], bool) {
+	if run := p.StealRun(1, nil); len(run) > 0 {
+		return run[0], true
+	}
+	return Task[N]{}, false
+}
+
+// testLocality is a locality as its peers' steals see it — pool, ledger,
+// bound — on no transport.
+func testLocality[N any](pool *ShardedPool[N], ledgerCap int) *locality[N] {
+	fab := &fabric[N]{dead: make([]atomic.Bool, 4)}
+	l := &locality[N]{pool: pool, led: newLedger[N](0, ledgerCap, fab.dead), fab: fab}
+	l.bound.V.Store(math.MinInt64)
+	return l
+}
+
+// poolConcurrencyCheck has four producers push into p while two thieves
+// steal from it and two owners take through pop (an owner's index is 1
+// or 3): every task must come out exactly once.
+func poolConcurrencyCheck(t *testing.T, p interface {
+	Push(Task[int])
+	StealRun(max int, out []Task[int]) []Task[int]
+	Size() int
+}, pop func(owner int) (Task[int], bool)) {
 	t.Helper()
 	const producers, perProducer = 4, 2000
 	var wg sync.WaitGroup
@@ -178,15 +209,15 @@ func poolConcurrencyCheck(t *testing.T, p Pool[int]) {
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		cg.Add(1)
-		go func(thief bool) {
+		go func(i int, thief bool) {
 			defer cg.Done()
 			for {
 				var task Task[int]
 				var ok bool
 				if thief {
-					task, ok = p.Steal()
+					task, ok = stealOne(p)
 				} else {
-					task, ok = p.Pop()
+					task, ok = pop(i)
 				}
 				if ok {
 					mu.Lock()
@@ -203,7 +234,7 @@ func poolConcurrencyCheck(t *testing.T, p Pool[int]) {
 				default:
 				}
 			}
-		}(i%2 == 0)
+		}(i, i%2 == 0)
 	}
 	wg.Wait()
 	for p.Size() > 0 {
@@ -219,14 +250,24 @@ func poolConcurrencyCheck(t *testing.T, p Pool[int]) {
 	}
 }
 
-func TestDepthPoolConcurrent(t *testing.T) { poolConcurrencyCheck(t, newPool[int](DepthPoolKind)) }
+func TestDepthPoolConcurrent(t *testing.T) {
+	p := newPool[int](DepthPoolKind)
+	poolConcurrencyCheck(t, p, func(int) (Task[int], bool) { return p.Pop() })
+}
 
-// The one rule for how much a steal takes, through the victim's whole
-// serving path (ledger and pool): a run of up to want tasks, all holding the
-// pool's steal rank — a depth, a priority — and at most half of those that
-// do, rounded up. Each level is pushed as one batch, so on two shards it
-// sits on one of them.
+// The one rule for how much a steal takes: a run of up to want tasks, all
+// holding the pool's steal rank — a depth, a priority — and at most half of
+// those that do, rounded up. Remote, through the victim's whole serving path
+// (ledger and pool), each level pushed as one batch, so on two shards it sits
+// on one of them; and a sibling's, through popOrSteal (siblingRunsObeyTheRule).
 func TestStealRunTakesHalfTheBestBucket(t *testing.T) {
+	for _, order := range []Order{OrderNone, OrderDiscrepancy} {
+		for shards := 2; shards <= 4; shards++ {
+			t.Run(fmt.Sprintf("sibling/order=%v/shards=%d", order, shards), func(t *testing.T) {
+				siblingRunsObeyTheRule(t, order, shards)
+			})
+		}
+	}
 	const want = 64
 	cases := []struct {
 		name   string
@@ -252,7 +293,7 @@ func TestStealRunTakesHalfTheBestBucket(t *testing.T) {
 					p.PushBatch(level)
 					left[rank], total = len(level), total+len(level)
 				}
-				h := &locState[int]{pool: p, led: newLedger[int](0, 1<<20), fab: &fabric[int]{}}
+				h := testLocality(p, 1<<20)
 				for served := 0; served < total; {
 					rank := p.StealRank()
 					holding := left[rank]
@@ -281,5 +322,93 @@ func TestStealRunTakesHalfTheBestBucket(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// siblingRunsObeyTheRule is the rule of TestStealRunTakesHalfTheBestBucket
+// for the thief inside the locality. Worker 0 owns an empty shard and takes
+// everything its siblings push, while they push: every robbery must be a run
+// from one sibling's one bucket, in the order it was pushed, no longer than
+// shedRun or half the bucket rounded up, the first task returned and the
+// rest popped from the thief's own shard; once the owners have stopped, the
+// bucket must be the best any sibling holds (ties to the lowest shard) and
+// the run exactly half of it; and every task comes out exactly once.
+func siblingRunsObeyTheRule(t *testing.T, order Order, shards int) {
+	const perOwner, ranks = 3000, 3
+	cfg := Config{Workers: shards, Order: order}.withDefaults()
+	fab, ws := testWorkers[int](cfg)
+	defer fab.close()
+	th, loc := &ws[0].thief, fab.home
+
+	// sent[o][r] is raised before owner o pushes tasks of rank r, so it
+	// never under-counts what its shard has been given.
+	sent := make([][ranks]atomic.Int64, shards)
+	var owners sync.WaitGroup
+	var quiet atomic.Bool
+	for o := 1; o < shards; o++ {
+		owners.Add(1)
+		go func(o int) {
+			defer owners.Done()
+			var seq [ranks]int
+			for pushed := 0; pushed < perOwner; {
+				r, n := (pushed/7)%ranks, 1+pushed%(shedRun+9)
+				run := make([]Task[int], min(n, perOwner-pushed))
+				for i := range run {
+					run[i] = Task[int]{Node: o<<24 | r<<20 | seq[r], Depth: r, Prio: int32(r)}
+					seq[r]++
+				}
+				sent[o][r].Add(int64(len(run)))
+				ws[o].shard.PushBatch(run)
+				pushed += len(run)
+			}
+		}(o)
+	}
+	go func() { owners.Wait(); quiet.Store(true) }()
+
+	taken := make([][ranks]int64, shards) // tasks robbed of owner o's rank r
+	next := make([][ranks]int, shards)    // the sequence number due from it
+	runOwner, runRank, left := 0, 0, 0    // the run being consumed
+	for got, total := 0, (shards-1)*perOwner; got < total; {
+		exact, robberies := quiet.Load(), th.stats.LocalSteals
+		task, ok := loc.popOrSteal(th)
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		o, r, seq := task.Node>>24, task.Node>>20&0xf, task.Node&0xfffff
+		if th.stats.LocalSteals == robberies {
+			if left == 0 || o != runOwner || r != runRank {
+				t.Fatalf("task %d/%d/%d popped from the thief's shard is not the rest of the run from %d/%d (%d left)", o, r, seq, runOwner, runRank, left)
+			}
+			left--
+		} else {
+			n := 1 + th.shard.Size()
+			held := sent[o][r].Load() - taken[o][r] // never below what the bucket held
+			switch {
+			case left != 0:
+				t.Fatalf("robbed again with %d tasks of the last run still on the thief's shard", left)
+			case n > shedRun || int64(n) > (held+1)/2:
+				t.Fatalf("a run of %d from a bucket of at most %d", n, held)
+			case exact && int64(n) != min(shedRun, (held+1)/2):
+				t.Fatalf("a run of %d from a bucket of exactly %d", n, held)
+			}
+			for o2 := 1; exact && o2 < shards; o2++ {
+				for r2 := 0; r2 < ranks; r2++ {
+					if sent[o2][r2].Load() > taken[o2][r2] && (r2 < r || r2 == r && o2 < o) {
+						t.Fatalf("robbed shard %d at rank %d while shard %d holds rank %d", o, r, o2, r2)
+					}
+				}
+			}
+			runOwner, runRank, left = o, r, n-1
+			taken[o][r] += int64(n)
+		}
+		if seq != next[o][r] {
+			t.Fatalf("shard %d rank %d gave task %d, want %d: out of order, lost or twice", o, r, seq, next[o][r])
+		}
+		next[o][r]++
+		got++
+	}
+	if _, ok := loc.popOrSteal(th); ok || loc.pool.Tasks() != 0 {
+		t.Fatalf("a task beyond the last: %d still counted", loc.pool.Tasks())
 	}
 }

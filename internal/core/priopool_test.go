@@ -21,7 +21,7 @@ func TestPrioBucketPoolOrdersByPriority(t *testing.T) {
 	if _, ok := p.Pop(); ok {
 		t.Fatal("Pop on empty pool reported a task")
 	}
-	if _, ok := p.Steal(); ok {
+	if _, ok := stealOne(p); ok {
 		t.Fatal("Steal on empty pool reported a task")
 	}
 }
@@ -71,7 +71,7 @@ func TestPrioBucketPoolBestPrioTracksChurn(t *testing.T) {
 	}
 	// Lower-priority work arriving after pops must be found again.
 	p.Push(Task[int]{Node: 3, Prio: 0})
-	if got, _ := p.Steal(); got.Prio != 0 {
+	if got, _ := stealOne(p); got.Prio != 0 {
 		t.Fatalf("stole prio %d, want 0", got.Prio)
 	}
 	if got, _ := p.Pop(); got.Prio != 5 {
@@ -187,7 +187,7 @@ func TestShardedPrioBucketPoolStealsBestFirst(t *testing.T) {
 		t.Fatalf("StealRank = %d, want 1", r)
 	}
 	for _, want := range []int{20, 30, 10, 21} {
-		got, ok := p.Steal()
+		got, ok := stealOne(p)
 		if !ok || got.Node != want {
 			t.Fatalf("Steal = %+v ok=%v, want node %d", got, ok, want)
 		}

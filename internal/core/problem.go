@@ -67,9 +67,9 @@ type Stats struct {
 	Nodes       int64 // search-tree nodes visited (processed)
 	Prunes      int64 // subtrees pruned by a bound check
 	Spawns      int64 // tasks created by a spawn rule
-	StealsOK    int64 // successful transport steals (pool task or stack split) from another locality
+	StealsOK    int64 // successful transport steals from another locality, one per run taken (pool tasks or a stack split)
 	StealsFail  int64 // steal attempts that found no work
-	LocalSteals int64 // tasks taken within the locality, no transport: a sibling's pool shard robbed or live stack split
+	LocalSteals int64 // robberies within the locality, no transport, one per run taken (from a sibling's pool shard or a split of its live stack)
 	Backtracks  int64 // generator-stack pops
 	Broadcasts  int64 // incumbent-bound broadcasts sent to peer localities
 	Workers     int   // workers used
@@ -103,7 +103,7 @@ type Stats struct {
 	ReplayedTasks int64
 	LedgerPeak    int64
 	// LinkResumes counts v8 session resumes completed by this process's
-	// transports (Config.LinkGrace): connections that broke and healed
+	// transports (dist.WireOptions.LinkGrace): connections that broke and healed
 	// without a death. Summed across localities on merge.
 	LinkResumes int64
 

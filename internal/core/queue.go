@@ -1,6 +1,11 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+
+	"yewpar/internal/pad"
+)
 
 // chunkTasks is the number of tasks in one chunk of a bucketQueue: one
 // short of 64, so that the tasks and the link together fill the
@@ -47,32 +52,53 @@ type fifo[N any] struct {
 // (no backing array ever doubles under the lock), and the queue's
 // footprint is the largest frontier it has held, rounded up to a chunk
 // per key — whatever a wide level needed is what the deeper levels
-// reuse once it drains. The unexported methods expect mu held; the
-// exported ones take it.
+// reuse once it drains. put, take, minKey and maxKey expect mu held; the
+// exported methods take it.
+//
+// A queue is one shard of a ShardedPool, and carries the shard's task
+// counters: kept off the lock's cache line, because whoever sums them
+// (ShardedPool.Tasks) takes no lock and must not pull the line the owner
+// locks on every push and pop. Both only grow: pushed is raised before a
+// push lands and removed after a removal has happened, so pushed -
+// removed is never below the shard's true backlog (and never negative),
+// and sums of the two taken at different moments still bound the backlog
+// in between.
 type bucketQueue[N any] struct {
 	mu     sync.Mutex
 	byPrio bool // key on Task.Prio, clamped, instead of Task.Depth
 	fifos  []fifo[N]
 	free   *chunk[N]
-	size   int
 	min    int // no key below min holds a task
 	max    int // no key above max holds a task
+	n      pad.Isolated[struct {
+		pushed, removed atomic.Int64
+		peak            atomic.Int64 // high-water mark of pushed - removed
+	}]
 }
 
 // Push implements Pool.
 func (q *bucketQueue[N]) Push(t Task[N]) {
+	q.count(1)
 	q.mu.Lock()
 	q.put(t)
 	q.mu.Unlock()
 }
 
-// PushBatch implements Pool: the run goes in under one lock.
+// PushBatch is Push for a run of tasks, in order, under one lock.
 func (q *bucketQueue[N]) PushBatch(ts []Task[N]) {
+	q.count(int64(len(ts)))
 	q.mu.Lock()
 	for i := range ts {
 		q.put(ts[i])
 	}
 	q.mu.Unlock()
+}
+
+// count raises pushed by k ahead of a push and keeps the peak.
+func (q *bucketQueue[N]) count(k int64) {
+	if c := q.n.V.pushed.Add(k) - q.n.V.removed.Load(); c > q.n.V.peak.Load() {
+		storeMax(&q.n.V.peak, c)
+	}
 }
 
 // put appends t to its key's FIFO. Priorities outside [0, maxTaskPrio]
@@ -104,7 +130,6 @@ func (q *bucketQueue[N]) put(t Task[N]) {
 	f.tail.tasks[f.ti] = t
 	f.ti++
 	q.min, q.max = min(q.min, key), max(q.max, key)
-	q.size++
 }
 
 // take removes the front task of key's FIFO, which must not be empty.
@@ -120,7 +145,6 @@ func (q *bucketQueue[N]) take(key int) Task[N] {
 		}
 		c.next, q.free = q.free, c
 	}
-	q.size--
 	return t
 }
 
@@ -149,11 +173,10 @@ func (q *bucketQueue[N]) maxKey() int {
 	return -1
 }
 
-// Pop implements Pool: the oldest task of the deepest depth, or of the
-// best priority.
+// Pop implements Pool, for the shard's owner: the oldest task of the
+// deepest depth, or of the best priority.
 func (q *bucketQueue[N]) Pop() (Task[N], bool) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	var k int
 	if q.byPrio {
 		k = q.minKey()
@@ -161,31 +184,30 @@ func (q *bucketQueue[N]) Pop() (Task[N], bool) {
 		k = q.maxKey()
 	}
 	if k < 0 {
+		q.mu.Unlock()
 		return Task[N]{}, false
 	}
-	return q.take(k), true
+	t := q.take(k)
+	q.mu.Unlock()
+	q.n.V.removed.Add(1)
+	return t, true
 }
 
-// Steal implements Pool: thieves take the oldest task of the lowest
-// non-empty key — the shallowest depth, or the best priority.
-func (q *bucketQueue[N]) Steal() (Task[N], bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if k := q.minKey(); k >= 0 {
-		return q.take(k), true
-	}
-	return Task[N]{}, false
-}
-
-// StealRun implements Pool: the lowest non-empty key is the one rank a
-// run may hold, so the run ends where that key's FIFO does, or half way.
-// The FIFO is measured here, a chunk at a time and no further than decides
-// the run, so that put and take keep no count.
+// StealRun is what one steal may take, by a sibling or a peer locality
+// alike: it appends to out, oldest first, up to max tasks that all hold
+// the queue's steal rank — its lowest non-empty key, the shallowest
+// depth or the best priority — and never more than half of those that do
+// (rounded up, so a lone task still travels). Stopping at the rank keeps
+// the heuristic order a thief inherits — it gets the best work and only
+// the best work — and stopping at half leaves the victim, which is
+// producing that work, its share of it. The FIFO is measured here, a
+// chunk at a time and no further than decides the run, so that put and
+// take keep no count.
 func (q *bucketQueue[N]) StealRun(max int, out []Task[N]) []Task[N] {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	k := q.minKey()
 	if k < 0 {
+		q.mu.Unlock()
 		return out
 	}
 	f := &q.fifos[k]
@@ -193,33 +215,39 @@ func (q *bucketQueue[N]) StealRun(max int, out []Task[N]) []Task[N] {
 	for c := f.head; c != f.tail && n/2 < max; c = c.next {
 		n += chunkTasks
 	}
-	for n = min(max, (n+1)/2); n > 0; n-- {
+	n = min(max, (n+1)/2)
+	for i := 0; i < n; i++ {
 		out = append(out, q.take(k))
 	}
+	q.mu.Unlock()
+	q.n.V.removed.Add(int64(n))
 	return out
 }
 
-// Size implements Pool.
+// Size is the shard's backlog, from its counters: exact when nobody is
+// mid-operation, otherwise never below the truth.
 func (q *bucketQueue[N]) Size() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
+	removed := q.n.V.removed.Load()
+	return int(q.n.V.pushed.Load() - removed)
 }
 
-// StealRank implements Pool: the key of the task Steal would
-// return, or -1 when the queue is empty.
+// StealRank reports the rank of the tasks StealRun would take — their
+// depth, or under PrioBucketKind their priority — or -1 when the queue
+// is empty. Lower ranks are stolen first; the same rank is what
+// localities advertise to peers for priority-aware victim selection.
 func (q *bucketQueue[N]) StealRank() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.minKey()
 }
 
-// SpillBatch implements Pool: it removes up to max tasks from the
-// highest keys first — the deepest depth or the worst priority, the
-// work a thief would take last and the cheapest to park on disk.
+// SpillBatch removes up to max of the queue's coldest tasks, highest
+// keys first — the deepest depth or the worst priority, the work a thief
+// would take last and the cheapest to park on disk — for the memory
+// governor. They stay registered live work; the caller owns re-admitting
+// them.
 func (q *bucketQueue[N]) SpillBatch(max int) []Task[N] {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	var out []Task[N]
 	for len(out) < max {
 		k := q.maxKey()
@@ -228,5 +256,7 @@ func (q *bucketQueue[N]) SpillBatch(max int) []Task[N] {
 		}
 		out = append(out, q.take(k))
 	}
+	q.mu.Unlock()
+	q.n.V.removed.Add(int64(len(out)))
 	return out
 }

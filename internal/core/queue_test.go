@@ -59,12 +59,12 @@ func (r *refQueue) spill(max int) []Task[int] {
 func TestBucketQueueMatchesSliceModel(t *testing.T) {
 	kinds := []struct {
 		name string
-		pool func() Pool[int]
+		pool func() *bucketQueue[int]
 		key  func(Task[int]) int
 		pop  int // which end Pop takes
 	}{
-		{"depth", func() Pool[int] { return newPool[int](DepthPoolKind) }, func(t Task[int]) int { return t.Depth }, +1},
-		{"prio", func() Pool[int] { return newPool[int](PrioBucketKind) }, func(t Task[int]) int { return int(clampPrio(int64(t.Prio))) }, -1},
+		{"depth", func() *bucketQueue[int] { return newPool[int](DepthPoolKind) }, func(t Task[int]) int { return t.Depth }, +1},
+		{"prio", func() *bucketQueue[int] { return newPool[int](PrioBucketKind) }, func(t Task[int]) int { return int(clampPrio(int64(t.Prio))) }, -1},
 	}
 	sizes := []int{1, 2, chunkTasks - 1, chunkTasks, chunkTasks + 1, shedRun + 1, 2*chunkTasks + 3}
 	for _, kind := range kinds {
@@ -111,7 +111,7 @@ func TestBucketQueueMatchesSliceModel(t *testing.T) {
 							t.Fatalf("op %d: Pop = %+v/%v, model %+v/%v", op, got, ok, want, wok)
 						}
 					case r < 9:
-						got, ok := p.Steal()
+						got, ok := stealOne(p)
 						want, wok := ref.take(ref.edge(-1))
 						if ok != wok || got != want {
 							t.Fatalf("op %d: Steal = %+v/%v, model %+v/%v", op, got, ok, want, wok)
@@ -179,7 +179,7 @@ func TestBucketQueueAllocatesWhatItHolds(t *testing.T) {
 		}
 	}
 
-	for _, p := range []Pool[int]{newPool[int](DepthPoolKind), newPool[int](PrioBucketKind), NewShardedPool[int](DepthPoolKind, 2).Shard(0)} {
+	for _, p := range []*bucketQueue[int]{newPool[int](DepthPoolKind), newPool[int](PrioBucketKind), NewShardedPool[int](DepthPoolKind, 2).Shard(0)} {
 		cycle := func() {
 			for key := 0; key < 4; key++ {
 				for i := range run {
@@ -222,14 +222,14 @@ func TestRefusedHandOverLeavesPopOrderUnchanged(t *testing.T) {
 			}
 			drain := func(p *ShardedPool[int]) []int {
 				var order []int
-				for t, ok := p.Pop(); ok; t, ok = p.Pop() {
+				for t, ok := p.Shard(0).Pop(); ok; t, ok = p.Shard(0).Pop() {
 					order = append(order, t.Node)
 				}
 				return order
 			}
 			const thief, corpse = 1, 2
-			h := &locState[int]{pool: fill(), led: newLedger[int](0, 2), fab: &fabric[int]{}}
-			h.led.reap(corpse)
+			h := testLocality(fill(), 2)
+			h.fab.dead[corpse].Store(true)
 
 			// A dead thief is refused outright; a live one is served until
 			// the ledger is full, and refused the rest of its batch.
@@ -246,7 +246,7 @@ func TestRefusedHandOverLeavesPopOrderUnchanged(t *testing.T) {
 
 			want := fill()
 			for range out {
-				want.Steal()
+				want.StealExcept(-1)
 			}
 			if got, want := drain(h.pool), drain(want); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pop order after refused hand-overs:\n got %v\nwant %v", got, want)

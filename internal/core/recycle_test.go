@@ -275,7 +275,7 @@ func TestRecyclingAllCoordinations(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			gf, _ := countingResettableGen()
-			res := Enum(c.coord, tree, testNode{}, tree.resettableEnumProblem(gf), c.cfg)
+			res := Enum(c.coord, tree, testNode{}, tree.resettableEnumProblem(gf), audited(t, c.cfg))
 			if res.Value != want {
 				t.Fatalf("%s enum sum = %d, want %d", c.name, res.Value, want)
 			}
@@ -293,7 +293,7 @@ func TestRecyclingAllCoordinations(t *testing.T) {
 	p.Gen = gfOpt
 	seq := Opt(Sequential, tree, testNode{}, p, Config{})
 	for _, c := range cases {
-		par := Opt(c.coord, tree, testNode{}, p, c.cfg)
+		par := Opt(c.coord, tree, testNode{}, p, audited(t, c.cfg))
 		if par.Objective != seq.Objective {
 			t.Fatalf("%s optimum %d, sequential %d", c.name, par.Objective, seq.Objective)
 		}

@@ -38,9 +38,9 @@ func ReplicableOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) Op
 	// here is plain single-threaded B&B, so this phase is
 	// deterministic too. (Phase 2 replaces every worker's visitor per
 	// task: the frozen bound does not exist yet.)
-	inc := newLocalIncumbent[N]()
-	ws := newWorkers(space, p.Gen, cfg, func(_ int, sh *WorkerStats) visitor[N] {
-		return newOptVisitor(space, p, inc, 0, sh)
+	inc, solo := newIncumbent[N](), soloLocality[N]()
+	ws := newWorkers(space, p.Gen, cfg, nil, func(th *thief[N]) visitor[N] {
+		return newOptVisitor(space, p, inc, solo, &th.stats)
 	})
 	var tasks []Task[N]
 	collectPrefix(ws[0], root, 0, cfg.DCutoff, &tasks)
@@ -77,10 +77,10 @@ func ReplicableOpt[S, N any](space S, root N, p OptProblem[S, N], cfg Config) Op
 				// reset per task so no knowledge leaks between tasks —
 				// not even tasks run by the same worker — the property
 				// that makes the visited set timing-free.
-				priv := newLocalIncumbent[N]()
+				priv, solo := newIncumbent[N](), soloLocality[N]()
 				var zero N
-				priv.strengthen(0, frozen, zero)
-				c.visitor = newOptVisitor(space, p, priv, 0, &c.stats)
+				priv.strengthen(solo, frozen, zero)
+				c.visitor = newOptVisitor(space, p, priv, solo, &c.stats)
 				// The task root was already visited in phase 1; only
 				// its subtree remains.
 				expandBelow(c, cancel, t.Node)

@@ -31,8 +31,8 @@ func TestShardedPoolOracle(t *testing.T) {
 
 		for _, c := range coords {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, c.name), func(t *testing.T) {
-				sharded := c.cfg // one shard per worker
-				single := c.cfg
+				sharded := audited(t, c.cfg) // one shard per worker
+				single := sharded
 				single.shards = 1 // the pre-sharding oracle
 
 				for _, run := range []struct {

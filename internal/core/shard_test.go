@@ -31,12 +31,12 @@ func TestShardedPoolStealShallowestAcrossShards(t *testing.T) {
 	// regardless of which shard holds each depth.
 	want := []string{"d1", "d2", "d4", "d7"}
 	for i, w := range want {
-		task, ok := p.Steal()
+		task, ok := stealOne(p)
 		if !ok || task.Node != w {
 			t.Fatalf("steal %d = %q/%v, want %q", i, task.Node, ok, w)
 		}
 	}
-	if _, ok := p.Steal(); ok {
+	if _, ok := stealOne(p); ok {
 		t.Fatal("pool should be empty")
 	}
 }
@@ -78,16 +78,17 @@ func TestShardedPoolSingleShardIsSharedPool(t *testing.T) {
 	p := NewShardedPool[string](DepthPoolKind, 1)
 	p.Push(Task[string]{Node: "a", Depth: 2})
 	p.Push(Task[string]{Node: "b", Depth: 1})
-	if task, _ := p.Pop(); task.Node != "a" {
+	if task, _ := p.Shard(0).Pop(); task.Node != "a" {
 		t.Fatalf("Pop = %q, want deepest-first a", task.Node)
 	}
-	if task, _ := p.Steal(); task.Node != "b" {
+	if task, _ := stealOne(p); task.Node != "b" {
 		t.Fatalf("Steal = %q, want b", task.Node)
 	}
 }
 
 func TestShardedPoolConcurrent(t *testing.T) {
-	poolConcurrencyCheck(t, NewShardedPool[int](DepthPoolKind, 4))
+	p := NewShardedPool[int](DepthPoolKind, 4)
+	poolConcurrencyCheck(t, p, func(owner int) (Task[int], bool) { return p.Shard(owner).Pop() })
 }
 
 // TestShardedPoolCountersUnderConcurrency drives every path that moves
@@ -165,7 +166,7 @@ func TestShardedPoolCountersUnderConcurrency(t *testing.T) {
 		robbing.Wait()
 
 		for {
-			if _, ok := p.Steal(); !ok {
+			if _, ok := stealOne(p); !ok {
 				break
 			}
 		}
@@ -188,7 +189,7 @@ func TestDepthPoolMinDepth(t *testing.T) {
 	if d := p.StealRank(); d != 3 {
 		t.Fatalf("MinDepth = %d, want 3", d)
 	}
-	p.Steal()
+	stealOne(p)
 	if d := p.StealRank(); d != 5 {
 		t.Fatalf("MinDepth after steal = %d, want 5", d)
 	}
@@ -198,23 +199,25 @@ func TestDepthPoolMinDepth(t *testing.T) {
 	}
 }
 
-// TestIntraLocalityStealDeterministic drives the topology directly:
-// a worker with an empty shard must rob its sibling's shard
-// (shallowest-first) without touching the transport.
+// TestIntraLocalityStealDeterministic drives a locality directly: a
+// worker with an empty shard must rob its sibling's shard
+// (shallowest-first) without touching the transport, and what it robs is
+// a run — half the sibling's best bucket, the first to run and the rest
+// kept on its own shard, one robbery counted.
 func TestIntraLocalityStealDeterministic(t *testing.T) {
 	cfg := Config{Workers: 3, Localities: 1}.withDefaults()
-	fab := newLoopbackFabric[string](cfg)
+	fab, ws := testWorkers[string](cfg)
 	defer fab.close()
-	tp := newTopology(fab, cfg)
+	loc := fab.home
 
-	tp.push(0, []Task[string]{Task[string]{Node: "deep", Depth: 6}})
-	tp.push(0, []Task[string]{Task[string]{Node: "shallow", Depth: 1}})
-	tp.push(1, []Task[string]{Task[string]{Node: "mid", Depth: 3}})
+	ws[0].shard.Push(Task[string]{Node: "deep", Depth: 6})
+	ws[0].shard.Push(Task[string]{Node: "shallow", Depth: 1})
+	ws[1].shard.Push(Task[string]{Node: "mid", Depth: 3})
 
-	th0, th1, th2 := testThief(0, cfg), testThief(1, cfg), testThief(2, cfg)
+	th0, th1, th2 := &ws[0].thief, &ws[1].thief, &ws[2].thief
 	// Worker 2 owns an empty shard: it must steal the shallowest task
 	// across its siblings.
-	task, ok := tp.popOrSteal(th2)
+	task, ok := loc.popOrSteal(th2)
 	if !ok || task.Node != "shallow" {
 		t.Fatalf("worker 2 got %q/%v, want shallow", task.Node, ok)
 	}
@@ -223,7 +226,7 @@ func TestIntraLocalityStealDeterministic(t *testing.T) {
 	}
 	// Worker 0 still pops its own shard deepest-first, no steal
 	// recorded.
-	task, ok = tp.popOrSteal(th0)
+	task, ok = loc.popOrSteal(th0)
 	if !ok || task.Node != "deep" {
 		t.Fatalf("worker 0 got %q/%v, want deep", task.Node, ok)
 	}
@@ -231,14 +234,31 @@ func TestIntraLocalityStealDeterministic(t *testing.T) {
 		t.Fatalf("own-shard pop counted as steal: %d", th0.stats.LocalSteals)
 	}
 	// Worker 0, now empty, robs worker 1.
-	task, ok = tp.popOrSteal(th0)
+	task, ok = loc.popOrSteal(th0)
 	if !ok || task.Node != "mid" || th0.stats.LocalSteals != 1 {
 		t.Fatalf("worker 0 sibling steal got %q/%v (LocalSteals=%d)", task.Node, ok, th0.stats.LocalSteals)
 	}
 	// Everything drained: no transport peers, so popOrSteal reports
 	// empty.
-	if _, ok := tp.popOrSteal(th1); ok {
+	if _, ok := loc.popOrSteal(th1); ok {
 		t.Fatal("empty locality yielded a task")
+	}
+
+	// Ten tasks at one depth under a deeper one on worker 1's shard:
+	// worker 2 robs half of the ten in one robbery, in spawn order, and
+	// runs the rest from its own shard without another.
+	ws[1].shard.Push(Task[string]{Node: "below", Depth: 4})
+	for _, n := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
+		ws[1].shard.Push(Task[string]{Node: n, Depth: 2})
+	}
+	for _, want := range []string{"a", "b", "c", "d", "e"} {
+		if task, ok := loc.popOrSteal(th2); !ok || task.Node != want {
+			t.Fatalf("worker 2 got %q/%v of the robbed run, want %q", task.Node, ok, want)
+		}
+	}
+	if th2.stats.LocalSteals != 2 || ws[2].shard.Size() != 0 || ws[1].shard.Size() != 6 {
+		t.Fatalf("after one run of five: LocalSteals=%d (want 2), thief holds %d (want 0), victim %d (want 6)",
+			th2.stats.LocalSteals, ws[2].shard.Size(), ws[1].shard.Size())
 	}
 }
 
@@ -247,32 +267,29 @@ func TestIntraLocalityStealDeterministic(t *testing.T) {
 // shards within each locality.
 func TestWorkerShardAssignment(t *testing.T) {
 	cfg := Config{Workers: 6, Localities: 2}.withDefaults()
-	fab := newLoopbackFabric[int](cfg)
+	fab, ws := testWorkers[int](cfg)
 	defer fab.close()
-	tp := newTopology(fab, cfg)
-	if got := tp.pools[0].Shards(); got != 3 {
+	if got := fab.locs[0].pool.Shards(); got != 3 {
 		t.Fatalf("locality 0 has %d shards, want 3", got)
 	}
 	wantLoc := []int{0, 1, 0, 1, 0, 1}
 	wantShard := []int{0, 0, 1, 1, 2, 2}
-	for w := 0; w < cfg.Workers; w++ {
-		if tp.workerLoc[w] != wantLoc[w] || tp.workerShard[w] != wantShard[w] {
-			t.Fatalf("worker %d → (%d,%d), want (%d,%d)",
-				w, tp.workerLoc[w], tp.workerShard[w], wantLoc[w], wantShard[w])
+	for w, c := range ws {
+		if c.loc != fab.locs[wantLoc[w]] || c.shard != c.loc.pool.Shard(wantShard[w]) || c.shardIdx != wantShard[w] {
+			t.Fatalf("worker %d → (%d,%d), want (%d,%d)", w, c.loc.rank, c.shardIdx, wantLoc[w], wantShard[w])
 		}
 	}
 
 	// The oracle tests' override pins everyone to the single shared shard.
 	cfg1 := Config{Workers: 4, Localities: 1, shards: 1}.withDefaults()
-	fab1 := newLoopbackFabric[int](cfg1)
+	fab1, ws1 := testWorkers[int](cfg1)
 	defer fab1.close()
-	tp1 := newTopology(fab1, cfg1)
-	if tp1.pools[0].Shards() != 1 {
-		t.Fatalf("shards=1 built %d shards", tp1.pools[0].Shards())
+	if fab1.home.pool.Shards() != 1 {
+		t.Fatalf("shards=1 built %d shards", fab1.home.pool.Shards())
 	}
-	for w := 0; w < cfg1.Workers; w++ {
-		if tp1.workerShard[w] != 0 {
-			t.Fatalf("worker %d shard %d, want 0", w, tp1.workerShard[w])
+	for w, c := range ws1 {
+		if c.shard != fab1.home.pool.Shard(0) {
+			t.Fatalf("worker %d shard %d, want 0", w, c.shardIdx)
 		}
 	}
 }

@@ -52,9 +52,9 @@ type searchType[S, N, R any] struct {
 	// degrades that order to discrepancy.
 	bound func(S, N) int64
 	// attach creates the search's shared knowledge, hooks it to the
-	// fabric (bounds, cancelInfo), and returns the constructor of
-	// worker w's visitor around the worker's own counters.
-	attach func(fab *fabric[N], cancel *canceller) func(w int, sh *WorkerStats) visitor[N]
+	// fabric (inc, cancelInfo), and returns the constructor of a
+	// worker's visitor around the worker's own counters and locality.
+	attach func(fab *fabric[N]) func(th *thief[N]) visitor[N]
 	// local reads the result of this process's localities. Only valid
 	// after the workers have joined.
 	local func(ws []*workerCtx[S, N], stats Stats) R
@@ -72,8 +72,8 @@ type searchType[S, N, R any] struct {
 func enumeration[S, N, M any](space S, p EnumProblem[S, N, M]) searchType[S, N, EnumResult[M]] {
 	return searchType[S, N, EnumResult[M]]{
 		gen: p.Gen,
-		attach: func(*fabric[N], *canceller) func(int, *WorkerStats) visitor[N] {
-			return func(_ int, sh *WorkerStats) visitor[N] { return newEnumVisitor(space, p, sh) }
+		attach: func(*fabric[N]) func(*thief[N]) visitor[N] {
+			return func(th *thief[N]) visitor[N] { return newEnumVisitor(space, p, &th.stats) }
 		},
 		local: func(ws []*workerCtx[S, N], stats Stats) EnumResult[M] {
 			acc := p.Monoid.Zero()
@@ -116,14 +116,14 @@ func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptRes
 	return searchType[S, N, OptResult[N]]{
 		gen:   p.Gen,
 		bound: p.Bound,
-		attach: func(fab *fabric[N], _ *canceller) func(int, *WorkerStats) visitor[N] {
-			inc, codec = newIncumbent[N](fab.trs), fab.codec
+		attach: func(fab *fabric[N]) func(*thief[N]) visitor[N] {
+			inc, codec = newIncumbent[N](), fab.codec
 			if fab.wire {
 				inc.encode = codec.Encode
 			}
-			fab.bounds = inc
-			return func(w int, sh *WorkerStats) visitor[N] {
-				return newOptVisitor(space, p, inc, w%len(fab.locs), sh)
+			fab.inc = inc
+			return func(th *thief[N]) visitor[N] {
+				return newOptVisitor(space, p, inc, th.loc, &th.stats)
 			}
 		},
 		local: func(_ []*workerCtx[S, N], stats Stats) OptResult[N] {
@@ -156,7 +156,7 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 	return searchType[S, N, DecisionResult[N]]{
 		gen:   p.Gen,
 		bound: p.Bound,
-		attach: func(fab *fabric[N], cancel *canceller) func(int, *WorkerStats) visitor[N] {
+		attach: func(fab *fabric[N]) func(*thief[N]) visitor[N] {
 			codec = fab.codec
 			if fab.wire {
 				// A locally found witness rides the cancel broadcast, so it
@@ -168,8 +168,8 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 					return s.Obj, s.Node
 				}
 			}
-			return func(_ int, sh *WorkerStats) visitor[N] {
-				return newDecisionVisitor(space, p, wit, cancel, sh)
+			return func(th *thief[N]) visitor[N] {
+				return newDecisionVisitor(space, p, wit, fab.cancel, &th.stats)
 			}
 		},
 		local: func(_ []*workerCtx[S, N], stats Stats) DecisionResult[N] {
@@ -201,36 +201,37 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 // every rank contributes its local result to a terminal gather, and the
 // coordinator reconciles the shares into the global one.
 func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, st searchType[S, N, R], cfg Config) (R, error) {
-	var fab *fabric[N]
 	if tr == nil {
 		cfg = cfg.withDefaults()
 		if coord == Sequential {
 			cfg.Workers, cfg.Localities = 1, 1
 		}
-		fab = newLoopbackFabric[N](cfg)
-		defer fab.close()
 	} else {
 		if coord == Sequential {
 			var none R
 			return none, fmt.Errorf("core: coordination %v not supported across processes (it is single-worker by definition; use depthbounded, budget, or stacksteal)", coord)
 		}
 		cfg = distDefaults(cfg, tr)
-		fab = newDistFabric(tr, codec)
 	}
-	cancel := newCanceller()
-	ws := newWorkers(space, st.gen, cfg, st.attach(fab, cancel))
+	rule := ruleFor(coord, cfg)
+	// The fabric builds every locality whole — pool, ledger, split gate —
+	// so all of it is in place by the time start lets peers request steals.
+	fab := newFabric(tr, codec, rule, cfg)
+	defer fab.close()
+	ws := newWorkers(space, st.gen, cfg, fab.locs, st.attach(fab))
 	// Task priorities for the ordered scheduling modes. Across processes
 	// every rank constructs the problem identically, so each computes the
 	// same root-bound reference and the priorities agree without
 	// negotiation.
-	prio := newPrioAssigner(cfg.Order, space, root, st.bound)
+	e := newEngine(rule, cfg, ws, fab, newPrioAssigner(cfg.Order, space, root, st.bound))
 	start := time.Now()
-	// The engine is built before the fabric starts, so that every
-	// locality's pool (and split gate) is in place by the time peers can
-	// request steals.
-	e := newEngine(ruleFor(coord, cfg), cfg, ws, cancel, fab, prio)
-	fab.start(cancel)
+	fab.start()
 	e.runPoolWorkers(root)
+	if cfg.exit != nil && !fab.cancel.cancelled() {
+		for _, l := range fab.locs {
+			cfg.exit(l.rank, l.quiescent())
+		}
+	}
 	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	fab.foldStats(&stats)

@@ -48,7 +48,7 @@ func TestEnumAllSkeletonsCountNodes(t *testing.T) {
 		}
 		for _, coord := range allCoords {
 			for ci, cfg := range testConfigs() {
-				res := Enum(coord, tree, testNode{}, count, cfg)
+				res := Enum(coord, tree, testNode{}, count, audited(t, cfg))
 				if res.Value != int64(tree.size) {
 					t.Errorf("%s/%v/cfg%d: count = %d, want %d", name, coord, ci, res.Value, tree.size)
 				}
@@ -67,7 +67,7 @@ func TestEnumAllSkeletonsSumValues(t *testing.T) {
 	for name, tree := range treesUnderTest() {
 		want := tree.sum()
 		for _, coord := range allCoords {
-			res := Enum(coord, tree, testNode{}, tree.enumProblem(), Config{Workers: 6, Localities: 2})
+			res := Enum(coord, tree, testNode{}, tree.enumProblem(), audited(t, Config{Workers: 6, Localities: 2}))
 			if res.Value != want {
 				t.Errorf("%s/%v: sum = %d, want %d", name, coord, res.Value, want)
 			}
@@ -121,7 +121,7 @@ func TestOptAllSkeletonsFindMax(t *testing.T) {
 			p := tree.optProblem(withBound)
 			for _, coord := range allCoords {
 				for ci, cfg := range testConfigs() {
-					res := Opt(coord, tree, testNode{}, p, cfg)
+					res := Opt(coord, tree, testNode{}, p, audited(t, cfg))
 					if !res.Found {
 						t.Fatalf("%s/%v/cfg%d(bound=%v): nothing found", name, coord, ci, withBound)
 					}
@@ -162,7 +162,7 @@ func TestDecisionAllSkeletonsSatisfiable(t *testing.T) {
 		for _, withBound := range []bool{false, true} {
 			p := tree.decisionProblem(target, withBound)
 			for _, coord := range allCoords {
-				res := Decide(coord, tree, testNode{}, p, Config{Workers: 6, Localities: 2})
+				res := Decide(coord, tree, testNode{}, p, audited(t, Config{Workers: 6, Localities: 2}))
 				if !res.Found {
 					t.Errorf("%s/%v(bound=%v): target %d not found", name, coord, withBound, target)
 					continue
@@ -220,7 +220,7 @@ func TestPruneLevelCorrectAcrossSkeletons(t *testing.T) {
 		p := tree.optProblem(true)
 		p.PruneLevel = true
 		for _, coord := range allCoords {
-			res := Opt(coord, tree, testNode{}, p, Config{Workers: 6, Localities: 2, Budget: 16, DCutoff: 2})
+			res := Opt(coord, tree, testNode{}, p, audited(t, Config{Workers: 6, Localities: 2, Budget: 16, DCutoff: 2}))
 			if res.Objective != want {
 				t.Errorf("seed %d %v: max %d, want %d", seed, coord, res.Objective, want)
 			}
@@ -337,7 +337,7 @@ func TestPrunedRootOpt(t *testing.T) {
 
 func TestManyLocalitiesMoreThanWorkersClamped(t *testing.T) {
 	tree := genTree(23, 4, 8)
-	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(), Config{Workers: 2, Localities: 16})
+	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(), audited(t, Config{Workers: 2, Localities: 16}))
 	if res.Value != tree.sum() {
 		t.Errorf("sum = %d, want %d", res.Value, tree.sum())
 	}
@@ -346,7 +346,7 @@ func TestManyLocalitiesMoreThanWorkersClamped(t *testing.T) {
 func TestBoundLatencyStillCorrect(t *testing.T) {
 	tree := genTree(29, 5, 9)
 	want := tree.max()
-	cfg := Config{Workers: 6, Localities: 3, NetFault: dist.LatencyPlan(200 * time.Microsecond)}
+	cfg := audited(t, Config{Workers: 6, Localities: 3, NetFault: dist.LatencyPlan(200 * time.Microsecond)})
 	for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
 		res := Opt(coord, tree, testNode{}, tree.optProblem(true), cfg)
 		if res.Objective != want {
@@ -357,7 +357,7 @@ func TestBoundLatencyStillCorrect(t *testing.T) {
 
 func TestStealLatencyStillCorrect(t *testing.T) {
 	tree := genTree(31, 4, 8)
-	cfg := Config{Workers: 4, Localities: 2, NetFault: dist.LatencyPlan(50 * time.Microsecond)}
+	cfg := audited(t, Config{Workers: 4, Localities: 2, NetFault: dist.LatencyPlan(50 * time.Microsecond)})
 	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(), cfg)
 	if res.Value != tree.sum() {
 		t.Errorf("sum = %d, want %d", res.Value, tree.sum())
@@ -429,7 +429,7 @@ func TestParallelEnumEveryNodeOnce(t *testing.T) {
 		tree := genTree(seed, 4, 9)
 		for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
 			t.Run(fmt.Sprintf("%v/seed%d", coord, seed), func(t *testing.T) {
-				res := Enum(coord, tree, testNode{}, tree.enumProblem(), Config{Workers: 8, Localities: 2, Budget: 8, DCutoff: 2})
+				res := Enum(coord, tree, testNode{}, tree.enumProblem(), audited(t, Config{Workers: 8, Localities: 2, Budget: 8, DCutoff: 2}))
 				if res.Stats.Nodes != int64(tree.size) {
 					t.Errorf("visited %d, want %d", res.Stats.Nodes, tree.size)
 				}

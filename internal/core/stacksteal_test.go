@@ -14,10 +14,11 @@ import (
 func newShedEngine(t *testing.T, order Order) *engine[int, int] {
 	t.Helper()
 	cfg := Config{Workers: 2, Seed: 1, Order: order}.withDefaults()
-	fab := newLoopbackFabric[int](cfg)
+	rule := spawnRule{split: true}
+	fab := newFabric[int](nil, nil, rule, cfg)
 	t.Cleanup(fab.close)
-	ws := newWorkers[int, int](0, nil, cfg, func(int, *WorkerStats) visitor[int] { return nil })
-	return newEngine(spawnRule{split: true}, cfg, ws, newCanceller(), fab, newPrioAssigner[int, int](cfg.Order, 0, 0, nil))
+	ws := newWorkers[int, int](0, nil, cfg, fab.locs, func(*thief[int]) visitor[int] { return nil })
+	return newEngine(rule, cfg, ws, fab, newPrioAssigner[int, int](cfg.Order, 0, 0, nil))
 }
 
 // split runs shed the way a claimed split request does, for worker 0
@@ -140,7 +141,7 @@ func TestBudgetShedEqualsUncappedChunkedSplit(t *testing.T) {
 		eb, sb := newShedEngine(t, order), liveAt()
 		eb.shedToPool(eb.workers[0], &task, sb)
 		var pushed []Task[int]
-		for nt, ok := eb.topo.pools[0].Pop(); ok; nt, ok = eb.topo.pools[0].Pop() {
+		for nt, ok := eb.workers[0].shard.Pop(); ok; nt, ok = eb.workers[0].shard.Pop() {
 			pushed = append(pushed, nt)
 		}
 		// the pool's pop order is its own business; node order is traversal order

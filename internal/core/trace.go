@@ -114,50 +114,6 @@ func (t *Trace) Summary() Summary {
 	return s
 }
 
-// Gantt renders the trace as a per-worker ASCII timeline, width
-// columns wide: '#' marks time spent executing tasks, '.' idle time.
-// A quick visual for load imbalance (ragged right edges) and
-// serialisation (staircases).
-func (t *Trace) Gantt(width int) string {
-	events := t.Events()
-	if len(events) == 0 || width <= 0 {
-		return "(no tasks traced)\n"
-	}
-	first, last := events[0].Start, events[0].End
-	for _, e := range events {
-		if e.Start < first {
-			first = e.Start
-		}
-		if e.End > last {
-			last = e.End
-		}
-	}
-	span := last - first
-	if span <= 0 {
-		span = 1
-	}
-	rows := make([][]byte, len(t.shards))
-	for w := range rows {
-		rows[w] = []byte(strings.Repeat(".", width))
-	}
-	for _, e := range events {
-		lo := int(int64(e.Start-first) * int64(width) / int64(span))
-		hi := int(int64(e.End-first) * int64(width) / int64(span))
-		if hi >= width {
-			hi = width - 1
-		}
-		for c := lo; c <= hi; c++ {
-			rows[e.Worker][c] = '#'
-		}
-	}
-	var b strings.Builder
-	for w, row := range rows {
-		fmt.Fprintf(&b, "w%02d |%s|\n", w, row)
-	}
-	fmt.Fprintf(&b, "     0%*s\n", width, span.Round(time.Microsecond).String())
-	return b.String()
-}
-
 // String renders the summary as a small report.
 func (s Summary) String() string {
 	var b strings.Builder

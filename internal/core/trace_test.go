@@ -123,29 +123,6 @@ func TestTraceEmptySummary(t *testing.T) {
 	}
 }
 
-func TestGantt(t *testing.T) {
-	tree := genTree(9, 4, 9)
-	trace := NewTrace(3)
-	Enum(DepthBounded, tree, testNode{}, tree.enumProblem(),
-		Config{Workers: 3, DCutoff: 2, Trace: trace})
-	out := trace.Gantt(40)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 { // 3 workers + axis
-		t.Fatalf("gantt has %d lines:\n%s", len(lines), out)
-	}
-	if !strings.Contains(out, "#") {
-		t.Fatal("gantt shows no busy time")
-	}
-	for w := 0; w < 3; w++ {
-		if !strings.HasPrefix(lines[w], "w0") {
-			t.Fatalf("row %d missing worker label: %q", w, lines[w])
-		}
-	}
-	if NewTrace(2).Gantt(20) != "(no tasks traced)\n" {
-		t.Fatal("empty gantt wrong")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	tree := genTree(7, 4, 8)
 	trace := NewTrace(2)

@@ -69,7 +69,7 @@ type optVisitor[S, N any] struct {
 	copyN func(S, N) N // deep copy before retention (ephemeral nodes)
 	level bool
 	inc   *incumbent[N]
-	loc   int
+	loc   *locality[N] // the worker's own: its bound cache is what the visitor prunes against
 	shard *WorkerStats
 }
 
@@ -80,7 +80,7 @@ func (v *optVisitor[S, N]) visit(n N) pruneAction {
 	// max(best, o) matches what a re-read would see in a sequential
 	// run, and in a parallel run is merely (soundly) at most one
 	// concurrent update staler.
-	best := v.inc.localBest(v.loc)
+	best := v.loc.bound.V.Load()
 	o := v.obj(v.space, n)
 	if o > best {
 		// The incumbent outlives this visit: ephemeral nodes must be
@@ -102,9 +102,9 @@ func (v *optVisitor[S, N]) visit(n N) pruneAction {
 	return descend
 }
 
-// newOptVisitor builds a visitor that prunes against in-process
-// locality loc's view of inc's bound.
-func newOptVisitor[S, N any](space S, p OptProblem[S, N], inc *incumbent[N], loc int, sh *WorkerStats) visitor[N] {
+// newOptVisitor builds a visitor that prunes against locality loc's view
+// of inc's bound.
+func newOptVisitor[S, N any](space S, p OptProblem[S, N], inc *incumbent[N], loc *locality[N], sh *WorkerStats) visitor[N] {
 	v := pad.New[optVisitor[S, N]]()
 	*v = optVisitor[S, N]{
 		space: space, obj: p.Objective, bound: p.Bound, copyN: p.Copy,

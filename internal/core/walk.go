@@ -61,7 +61,7 @@ func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
 	rule := e.rule
 	var gate *splitGate[N] // the locality's, under a splitting rule
 	if rule.split {
-		gate = e.fab.locs[e.topo.locality(c.id)].split
+		gate = c.loc.split
 		gate.enter()
 		defer gate.exit()
 	}
@@ -73,7 +73,7 @@ func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
 		return
 	}
 	switch {
-	case t.Depth < rule.depth && !e.memPressured(c.id):
+	case t.Depth < rule.depth && !c.loc.mem.pressured():
 		// (spawn-depth): every child of a node above the cutoff becomes
 		// a task, queued in traversal order. Spawns happen as tasks
 		// execute rather than upfront (Section 4.2). Memory pressure
@@ -166,7 +166,7 @@ func (e *engine[S, N]) shedWalk(c *workerCtx[S, N], t *Task[N], gate *splitGate[
 			// Memory pressure suspends shedding: keep searching this
 			// stack in place (the budget re-arms, so the check repeats)
 			// until the pool is back under its soft threshold.
-			if !e.memPressured(c.id) {
+			if !c.loc.mem.pressured() {
 				e.shedToPool(c, t, stack)
 			}
 			backtracks = 0
@@ -231,12 +231,12 @@ const shedRun = 64
 // it locally or exports it over the wire; the run's backing array is
 // the worker's, so give must copy.
 func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], max int, give func([]Task[N])) {
-	loc, sh := e.topo.locality(c.id), &c.stats
+	loc, sh := c.loc, &c.stats
 	for i := range stack {
 		lv, n := &stack[i], 0
 		for n < max && lv.gen.HasNext() {
 			run := c.run[:0]
-			room := e.topo.mem[loc].headroom(e.topo.pools[loc], min(max-n, shedRun))
+			room := loc.mem.headroom(min(max-n, shedRun))
 			for len(run) < room && lv.gen.HasNext() {
 				child := lv.gen.Next()
 				run = append(run, Task[N]{
@@ -246,12 +246,12 @@ func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], ma
 					fam:   t.fam,
 				})
 				lv.yields++
-				if e.ordered {
+				if e.fab.ordered {
 					sh.notePrio(run[len(run)-1].Prio)
 				}
 			}
 			k := int64(len(run))
-			e.fab.trs[loc].AddTasks(k)
+			loc.tr.AddTasks(k)
 			if t.fam != nil {
 				t.fam.pending.Add(k)
 			}
@@ -270,11 +270,11 @@ func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], ma
 // the worker's own pool shard: what (spawn-depth) does to a task root's
 // children and (spawn-budget) does to a long-running stack.
 func (e *engine[S, N]) shedToPool(c *workerCtx[S, N], t *Task[N], stack []level[N]) {
-	loc := e.topo.locality(c.id)
 	e.shed(c, t, stack, math.MaxInt, func(run []Task[N]) {
-		e.topo.push(c.id, run)
+		c.shard.PushBatch(run)
+		c.loc.park.wake() // a parked sibling, if any, to come rob it
 		// Memory governor, last-resort response: the spawner that pushed
 		// the pool past its hard threshold spills the coldest tasks.
-		e.topo.mem[loc].maybeSpill(e.topo.pools[loc])
+		c.loc.mem.maybeSpill()
 	})
 }
