@@ -9,8 +9,7 @@
 //
 // Absolute times are host- and scale-dependent; the quantities the
 // paper's claims rest on (relative slowdowns, speedup shapes, which
-// skeleton wins where) are printed in the paper's row format. See
-// EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+// skeleton wins where) are printed in the paper's row format.
 package main
 
 import (
@@ -21,7 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
+	"slices"
 	"time"
 
 	"yewpar/internal/apps/knapsack"
@@ -30,6 +29,7 @@ import (
 	"yewpar/internal/apps/sip"
 	"yewpar/internal/apps/tsp"
 	"yewpar/internal/apps/uts"
+	"yewpar/internal/cli"
 	"yewpar/internal/core"
 	"yewpar/internal/dist"
 	"yewpar/internal/instances"
@@ -53,6 +53,13 @@ var (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+func run() (err error) {
 	// Exact search materialises millions of short-lived tree nodes per
 	// second across all workers; at the default GOGC the collector
 	// consumes a large share of the machine. Give it headroom — the
@@ -64,42 +71,25 @@ func main() {
 	}
 	if !*flagTable1 && !*flagFig4 && !*flagTable2 && !*flagAblation && !*flagReplicable && !*flagOrdered {
 		flag.Usage()
-		return
+		return nil
 	}
 	if *flagQuick {
 		*flagRuns = 1
 	}
 	if *flagWorkers <= 0 {
-		*flagWorkers = runtime.GOMAXPROCS(0) - 1
-		if *flagWorkers < 1 {
-			*flagWorkers = 1
-		}
+		*flagWorkers = max(runtime.GOMAXPROCS(0)-1, 1)
 	}
 	fmt.Printf("host: %d cores; parallel workers: %d; runs per point: %d\n\n",
 		runtime.NumCPU(), *flagWorkers, *flagRuns)
-	if *flagCPUProf != "" {
-		f, err := os.Create(*flagCPUProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
+	stopProf, err := cli.StartProfiles(*flagCPUProf, *flagMemProf, *flagMutexProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProf(); perr != nil && err == nil {
+			err = perr
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer func() { pprof.StopCPUProfile(); f.Close() }()
-	}
-	if *flagMutexProf != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer writeProfile("mutex", *flagMutexProf)
-	}
-	if *flagMemProf != "" {
-		path := *flagMemProf
-		defer func() {
-			runtime.GC()
-			writeProfile("heap", path)
-		}()
-	}
+	}()
 	if *flagTable1 {
 		table1()
 	}
@@ -118,20 +108,7 @@ func main() {
 	if *flagOrdered {
 		ordered()
 	}
-}
-
-// writeProfile dumps a named runtime/pprof profile, complaining on
-// stderr instead of failing: the experiment results already printed.
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%sprofile: %v\n", name, err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "%sprofile: %v\n", name, err)
-	}
+	return nil
 }
 
 // ordered compares the scheduling orders (-order) on a multi-locality
@@ -151,7 +128,7 @@ func ordered() {
 			return st.Elapsed
 		})
 		fmt.Printf("order=%-12s %8.3fs  nodes %9d  prunes %9d  ordered-steals %d/%d\n",
-			ord, sec(t), stats.Nodes, stats.Prunes, stats.OrderedSteals, stats.StealsOK)
+			ord, t.Seconds(), stats.Nodes, stats.Prunes, stats.OrderedSteals, stats.StealsOK)
 	}
 	fmt.Println()
 }
@@ -192,11 +169,7 @@ func medianOf(runs int, f func() time.Duration) time.Duration {
 	for i := 0; i < runs; i++ {
 		ts = append(ts, f())
 	}
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
+	slices.Sort(ts)
 	return ts[len(ts)/2]
 }
 
@@ -210,8 +183,6 @@ func geoMean(xs []float64) float64 {
 	}
 	return math.Exp(s / float64(len(xs)))
 }
-
-func sec(d time.Duration) float64 { return d.Seconds() }
 
 // ---------------------------------------------------------------- Table 1
 
@@ -258,16 +229,16 @@ func table1() {
 				core.Config{Workers: parWorkers, DCutoff: 1})
 			return stats.Elapsed
 		})
-		seqSlow := 100 * (sec(seqYew)/sec(seqHand) - 1)
-		parSlow := 100 * (sec(parYew)/sec(parHand) - 1)
-		seqRatios = append(seqRatios, sec(seqYew)/sec(seqHand))
+		seqSlow := 100 * (seqYew.Seconds()/seqHand.Seconds() - 1)
+		parSlow := 100 * (parYew.Seconds()/parHand.Seconds() - 1)
+		seqRatios = append(seqRatios, seqYew.Seconds()/seqHand.Seconds())
 		mark := " "
 		if parHand >= parThreshold {
-			parRatios = append(parRatios, sec(parYew)/sec(parHand))
+			parRatios = append(parRatios, parYew.Seconds()/parHand.Seconds())
 			mark = "*"
 		}
 		fmt.Printf("%-14s %10.3f %10.3f %+8.2f %10.3f %10.3f %+8.2f%s\n",
-			inst.Name, sec(seqHand), sec(seqYew), seqSlow, sec(parHand), sec(parYew), parSlow, mark)
+			inst.Name, seqHand.Seconds(), seqYew.Seconds(), seqSlow, parHand.Seconds(), parYew.Seconds(), parSlow, mark)
 	}
 	fmt.Printf("\nGeo. mean sequential slowdown: %+.2f%%  (paper: +8.76%%)\n",
 		100*(geoMean(seqRatios)-1))
@@ -291,7 +262,7 @@ func figure4() {
 		_, _, stats := maxclique.Decide(g, k, core.Sequential, core.Config{})
 		return stats.Elapsed
 	})
-	fmt.Printf("instance: %v, disproving k=%d; sequential: %.3fs\n", g, k, sec(seq))
+	fmt.Printf("instance: %v, disproving k=%d; sequential: %.3fs\n", g, k, seq.Seconds())
 	fmt.Printf("workers per locality: %d\n\n", *flagWPL)
 
 	type skel struct {
@@ -339,7 +310,7 @@ func figure4() {
 				base = t
 			}
 			fmt.Printf("%-26s %6d %10.3f %10.2f %10d %12d %6.2f %6.0f%% %10d %12d %8d\n",
-				sk.name, L, sec(t), sec(base)/sec(t), ws.Frames, ws.WireBytes,
+				sk.name, L, t.Seconds(), base.Seconds()/t.Seconds(), ws.Frames, ws.WireBytes,
 				ws.BatchOccupancy(), 100*ws.PrefetchHitRate(),
 				ws.PoolPeakTasks, ws.PoolPeakBytes, ws.SpilledTasks)
 		}
@@ -456,19 +427,11 @@ func table2() {
 						fmt.Printf("!! %s/%v/%s instance %d: result %v != sequential %v\n",
 							app.name, coord, s.label, i, v, seqVals[i])
 					}
-					ratios = append(ratios, sec(seqTimes[i])/sec(d))
+					ratios = append(ratios, seqTimes[i].Seconds()/d.Seconds())
 				}
 				perSetting = append(perSetting, geoMean(ratios))
 			}
-			worst, best := perSetting[0], perSetting[0]
-			for _, x := range perSetting {
-				if x < worst {
-					worst = x
-				}
-				if x > best {
-					best = x
-				}
-			}
+			worst, best := slices.Min(perSetting), slices.Max(perSetting)
 			random := perSetting[rng.Intn(len(perSetting))]
 			fmt.Printf("%-10s %-14s %8.2f %8.2f %8.2f\n", app.name, names[coord], worst, random, best)
 			all[coord] = append(all[coord], [3]float64{worst, random, best})
@@ -497,7 +460,7 @@ func ablations() {
 			nodes, prunes = stats.Nodes, stats.Prunes
 			return stats.Elapsed
 		})
-		fmt.Printf("latency %-8v %8.3fs  nodes %9d  prunes %9d\n", lat, sec(t), nodes, prunes)
+		fmt.Printf("latency %-8v %8.3fs  nodes %9d  prunes %9d\n", lat, t.Seconds(), nodes, prunes)
 	}
 	fmt.Println()
 }

@@ -9,6 +9,6 @@
 // evaluation in internal/apps, and the substrates (bitsets, graphs,
 // instances) beside them. Executables are in cmd/ and runnable
 // examples in examples/. This root package exists to host the
-// repository-level benchmark suite (bench_test.go), one benchmark per
-// table and figure of the paper's evaluation.
+// repository-level integration tests and the benchmarks and gates of
+// bench_test.go; the paper's tables and figure are cmd/experiments.
 package yewpar

@@ -32,51 +32,73 @@ func semTreeGen(s *semantics.Tree, parent string) core.NodeGenerator[string] {
 	return core.NewSliceGen(s.Children[parent])
 }
 
+// modelSeeds is how many random trees the engine is checked against the
+// model on, and modelLocalities the loopback deployments of each: one
+// locality, and two and three with steals crossing between them.
+const modelSeeds = 200
+
+var modelLocalities = []int{1, 2, 3}
+
+// modelResult runs the operational model on tr to completion under the
+// schedule seed selects.
+func modelResult(tr *semantics.Tree, kind semantics.Kind, seed int64, threads int) int {
+	cfg := semantics.NewConfig(tr, kind, 0, threads)
+	cfg.Run(seed, semantics.Params{DCutoff: 2, KBudget: 2}, nil, 60*tr.Size()*tr.Size()+2000)
+	return cfg.Result()
+}
+
 // The operational model (Section 3) and the engine (Section 4) must
 // compute identical enumeration folds and optimisation maxima on the
-// same trees.
+// same trees — Theorems 3.1-3.3 as a property of the engine, under
+// every coordination, in one locality and across several. A failure
+// names its seed: semantics.GenTree(seed, 3, 6, 100) is the tree.
 func TestModelMatchesEngineEnumeration(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
+	p := core.EnumProblem[*semantics.Tree, string, int64]{
+		Gen:       semTreeGen,
+		Objective: func(s *semantics.Tree, n string) int64 { return int64(s.H[n]) },
+		Monoid:    core.SumInt64{},
+	}
+	for seed := int64(0); seed < modelSeeds; seed++ {
 		tr := semantics.GenTree(seed, 3, 6, 100)
-
-		cfg := semantics.NewConfig(tr, semantics.Enumeration, 0, 3)
-		cfg.Run(seed, semantics.Params{DCutoff: 2, KBudget: 2}, nil, 60*tr.Size()*tr.Size()+2000)
-		model := cfg.Result()
-
-		p := core.EnumProblem[*semantics.Tree, string, int64]{
-			Gen:       semTreeGen,
-			Objective: func(s *semantics.Tree, n string) int64 { return int64(s.H[n]) },
-			Monoid:    core.SumInt64{},
+		model := modelResult(tr, semantics.Enumeration, seed, 3)
+		if model != tr.Sum() {
+			t.Errorf("seed %d: model folds to %d, the tree sums to %d", seed, model, tr.Sum())
 		}
-		for _, coord := range allCoords {
-			res := core.Enum(coord, tr, "", p, core.Config{Workers: 4})
-			if res.Value != int64(model) {
-				t.Errorf("seed %d %v: engine %d, model %d", seed, coord, res.Value, model)
-			}
-			if res.Stats.Nodes != int64(tr.Size()) {
-				t.Errorf("seed %d %v: engine visited %d nodes, tree has %d", seed, coord, res.Stats.Nodes, tr.Size())
+		for _, locs := range modelLocalities {
+			for _, coord := range allCoords {
+				res := core.Enum(coord, tr, "", p, core.Config{Workers: 4, Localities: locs, DCutoff: 2, Budget: 2})
+				if res.Value != int64(model) {
+					t.Errorf("seed %d %v localities=%d: engine %d, model %d", seed, coord, locs, res.Value, model)
+				}
+				if res.Stats.Nodes != int64(tr.Size()) {
+					t.Errorf("seed %d %v localities=%d: engine visited %d nodes, tree has %d", seed, coord, locs, res.Stats.Nodes, tr.Size())
+				}
 			}
 		}
 	}
 }
 
 func TestModelMatchesEngineOptimisation(t *testing.T) {
-	for seed := int64(20); seed < 28; seed++ {
+	p := core.OptProblem[*semantics.Tree, string]{
+		Gen:       semTreeGen,
+		Objective: func(s *semantics.Tree, n string) int64 { return int64(s.H[n]) },
+		Bound:     func(s *semantics.Tree, n string) int64 { return int64(s.SubtreeMax(n)) },
+	}
+	for seed := int64(1000); seed < 1000+modelSeeds; seed++ {
 		tr := semantics.GenTree(seed, 3, 6, 100)
-
-		cfg := semantics.NewConfig(tr, semantics.Optimisation, 0, 2)
-		cfg.Run(seed, semantics.Params{DCutoff: 2, KBudget: 2}, nil, 60*tr.Size()*tr.Size()+2000)
-		model := cfg.Result()
-
-		p := core.OptProblem[*semantics.Tree, string]{
-			Gen:       semTreeGen,
-			Objective: func(s *semantics.Tree, n string) int64 { return int64(s.H[n]) },
-			Bound:     func(s *semantics.Tree, n string) int64 { return int64(s.SubtreeMax(n)) },
+		model := modelResult(tr, semantics.Optimisation, seed, 2)
+		if model != tr.Max() {
+			t.Errorf("seed %d: model maximum %d, the tree's %d", seed, model, tr.Max())
 		}
-		for _, coord := range allCoords {
-			res := core.Opt(coord, tr, "", p, core.Config{Workers: 4})
-			if res.Objective != int64(model) {
-				t.Errorf("seed %d %v: engine max %d, model max %d", seed, coord, res.Objective, model)
+		for _, locs := range modelLocalities {
+			for _, coord := range allCoords {
+				res := core.Opt(coord, tr, "", p, core.Config{Workers: 4, Localities: locs, DCutoff: 2, Budget: 2})
+				if res.Objective != int64(model) {
+					t.Errorf("seed %d %v localities=%d: engine max %d, model max %d", seed, coord, locs, res.Objective, model)
+				}
+				if res.Stats.Nodes > int64(tr.Size()) {
+					t.Errorf("seed %d %v localities=%d: engine visited %d nodes of a tree of %d", seed, coord, locs, res.Stats.Nodes, tr.Size())
+				}
 			}
 		}
 	}

@@ -9,7 +9,8 @@ import (
 // multi-pass sequences they replaced in the expansion and colouring
 // inner loops. 300 bits is the p_hat300-3 word count (5 words, with a
 // partial tail); 1024 is a larger power-of-two shape (16 words, pure
-// unrolled body). Recorded in BENCH_engine.json.
+// unrolled body). Informational: the kernels' effect on a whole search
+// is what BenchmarkGateSkeletonTax holds.
 
 func benchSets(n int, seed int64) (a, b, dst Set) {
 	rng := rand.New(rand.NewSource(seed))

@@ -131,10 +131,11 @@ var apps = []app{
 	}},
 }
 
-// inRange rejects a flag value no instance can be made from, naming both.
-func inRange(flag string, v, lo, hi int) error {
+// inRange rejects a flag value no instance or search can be made from,
+// naming both.
+func inRange[T cmp.Ordered](flag string, v, lo, hi T) error {
 	if v < lo || v > hi {
-		return fmt.Errorf("-%s %d out of range: want %d to %d", flag, v, lo, hi)
+		return fmt.Errorf("-%s %v out of range: want %v to %v", flag, v, lo, hi)
 	}
 	return nil
 }

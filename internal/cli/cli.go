@@ -5,9 +5,14 @@
 package cli
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
+	"math"
+	"net"
+	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on the default mux for -pprof-addr
 	"runtime"
 	"slices"
 	"strings"
@@ -121,6 +126,19 @@ func ParseArgs(args []string) (*Options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, fmt.Errorf("%s", strings.TrimSpace(usage.String()))
 	}
+	// A value core.Config would quietly replace with its default, or a
+	// generator quietly clamp, is refused here: the stats line reports
+	// what ran, so what was asked for has to be something that can.
+	if err := cmp.Or(
+		inRange("localities", o.Locs, 1, math.MaxInt32),
+		inRange("d", o.DCutoff, 1, math.MaxInt32),
+		inRange("b", o.Budget, 1, math.MaxInt64),
+		inRange("pool-budget", o.PoolBudget, 0, math.MaxInt64),
+		inRange("p", o.P, 0, 1),
+		inRange("link-latency", o.LinkLat, 0, math.MaxInt64),
+	); err != nil {
+		return nil, err
+	}
 	switch o.Topology {
 	case "", dist.TopologyStar, dist.TopologyMesh:
 	default:
@@ -208,7 +226,7 @@ func Run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	stopProf, err := startProfiles(o)
+	stopProf, err := StartProfiles(o.CPUProfile, o.MemProfile, o.MutexProfile)
 	if err != nil {
 		return err
 	}
@@ -217,6 +235,17 @@ func Run(args []string, w io.Writer) (err error) {
 			err = perr
 		}
 	}()
+	if o.PprofAddr != "" {
+		// Live net/http/pprof, for -dist workers that run too long to wait
+		// for the file profiles. A dead endpoint is worse than none, so a
+		// bind error is fatal.
+		ln, err := net.Listen("tcp", o.PprofAddr)
+		if err != nil {
+			return fmt.Errorf("pprof-addr: %w", err)
+		}
+		go http.Serve(ln, nil) // the default mux, where net/http/pprof registered
+		defer ln.Close()
+	}
 	coord, err := ParseSkeleton(o.Skeleton)
 	if err != nil {
 		return err
@@ -240,13 +269,11 @@ func Run(args []string, w io.Writer) (err error) {
 		cfg.Trace = core.NewTrace(workers)
 	}
 	var tr dist.Transport // nil: the search is this process's alone
-	localities := o.Locs
 	if o.Dist != "" {
 		if tr, err = connect(o, w); err != nil {
 			return err
 		}
 		defer tr.Close()
-		localities = tr.Size()
 	}
 
 	start := time.Now()
@@ -259,6 +286,12 @@ func Run(args []string, w io.Writer) (err error) {
 	}
 	fmt.Fprintln(w, answer)
 	if o.ShowStats {
+		// The localities that ran: the deployment's, or in one process as
+		// many of -localities as there were workers to give one each.
+		localities := min(o.Locs, stats.Workers)
+		if tr != nil {
+			localities = tr.Size()
+		}
 		fmt.Fprintf(w, "skeleton=%s workers=%d localities=%d elapsed=%v\n",
 			coord, stats.Workers, localities, time.Since(start).Round(time.Millisecond))
 		fmt.Fprintf(w, "nodes=%d prunes=%d spawns=%d steals=%d/%d local-steals=%d backtracks=%d broadcasts=%d\n",

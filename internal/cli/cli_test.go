@@ -376,3 +376,19 @@ func TestRunStatsSuppressed(t *testing.T) {
 		t.Fatalf("stats printed despite -stats=false: %q", out)
 	}
 }
+
+// The stats line reports the workers and localities that ran, not the
+// numbers asked for: core gives a locality at least one worker and the
+// Sequential skeleton one of each.
+func TestRunStatsReportWhatRan(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-skeleton budget -workers 2 -localities 5", "workers=2 localities=2 "},
+		{"-skeleton depthbounded -workers 4 -localities 2", "workers=4 localities=2 "},
+		{"-skeleton seq -workers 4 -localities 3", "workers=1 localities=1 "},
+	} {
+		out := run(t, append(strings.Fields(tc.args), "-app", "maxclique", "-n", "25")...)
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%s: stats do not say %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}

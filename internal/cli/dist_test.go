@@ -123,10 +123,11 @@ func TestDistInstanceErrorBeforeListening(t *testing.T) {
 	}
 }
 
-// A flag value no instance can be made from is an error that names the
-// flag, not a panic in a generator or a worker goroutine, nor silently
-// another instance: single-process, and as a coordinator before it opens
-// its port (the address is held, as above).
+// A flag value no instance or search can be made from is an error that
+// names the flag, not a panic in a generator or a worker goroutine, nor
+// silently another instance or core.Config's default in its place:
+// single-process, and as a coordinator before it opens its port (the
+// address is held, as above).
 func TestFlagOutOfRangeIsAnErrorNamingIt(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -144,6 +145,15 @@ func TestFlagOutOfRangeIsAnErrorNamingIt(t *testing.T) {
 		{"-app maxclique -n -4", "-n"},
 		{"-app ns -genus 64", "-genus"},
 		{"-app sip -f " + writeDIMACS(t, graph.Random(9, 0.5, 1)) + " -pattern -1", "-pattern"},
+		{"-localities 0", "-localities"},
+		{"-localities -2", "-localities"},
+		{"-b -5", "-b"},
+		{"-b 0", "-b"},
+		{"-d -1", "-d"},
+		{"-pool-budget -5", "-pool-budget"},
+		{"-p 1.5", "-p"},
+		{"-p -1", "-p"},
+		{"-link-latency -1s", "-link-latency"},
 	} {
 		args := strings.Fields(tc.args)
 		modes := [][]string{{"-skeleton", "seq"}}

@@ -2,31 +2,25 @@ package cli
 
 import (
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/ on the default mux for -pprof-addr
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// startProfiles arms the opt-in profiling hooks and returns a stop
-// function that must run after the search finishes (it writes the
-// heap and mutex profiles, which snapshot end-of-run state).
+// StartProfiles arms the file-writing profiles whose path is not empty
+// and returns a stop function that must run after the work finishes (it
+// writes the heap and mutex profiles, which snapshot end-of-run state).
+// The yewpar and experiments commands share it.
 //
-//   - -cpuprofile starts the sampling CPU profiler for the whole run.
-//   - -memprofile writes an allocation profile at exit, after a final
-//     GC so live objects dominate over collectable garbage.
-//   - -mutexprofile enables contention sampling (every contended
-//     acquisition) and writes the profile at exit — the tool of choice
-//     for finding hot locks on the wire and pool paths.
-//   - -pprof-addr serves net/http/pprof for live inspection; meant for
-//     long-running -dist workers, where the files-only flags would
-//     force the operator to wait for exit. Errors binding the listener
-//     are fatal (a silently dead profile endpoint is worse than none).
+//   - cpu starts the sampling CPU profiler for the whole run.
+//   - mem writes an allocation profile at exit, after a final GC so
+//     live objects dominate over collectable garbage.
+//   - mutex enables contention sampling (every contended acquisition)
+//     and writes the profile at exit — the tool of choice for finding
+//     hot locks on the wire and pool paths.
 //
-// All hooks are independent; any subset may be armed.
-func startProfiles(o *Options) (stop func() error, err error) {
+// All three are independent; any subset may be armed.
+func StartProfiles(cpu, mem, mutex string) (stop func() error, err error) {
 	var stops []func() error
 	stop = func() error {
 		var first error
@@ -37,47 +31,32 @@ func startProfiles(o *Options) (stop func() error, err error) {
 		}
 		return first
 	}
-	fail := func(err error) (func() error, error) {
-		stop()
-		return nil, err
-	}
-
-	if o.CPUProfile != "" {
-		f, err := os.Create(o.CPUProfile)
-		if err != nil {
-			return fail(fmt.Errorf("cpuprofile: %w", err))
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err == nil {
+			if err = pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+			}
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fail(fmt.Errorf("cpuprofile: %w", err))
+		if err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 		stops = append(stops, func() error {
 			pprof.StopCPUProfile()
 			return f.Close()
 		})
 	}
-	if o.MemProfile != "" {
+	if mem != "" {
 		stops = append(stops, func() error {
 			runtime.GC()
-			return writeProfile("heap", "memprofile", o.MemProfile)
+			return writeProfile("heap", "memprofile", mem)
 		})
 	}
-	if o.MutexProfile != "" {
+	if mutex != "" {
 		prev := runtime.SetMutexProfileFraction(1)
 		stops = append(stops, func() error {
 			runtime.SetMutexProfileFraction(prev)
-			return writeProfile("mutex", "mutexprofile", o.MutexProfile)
-		})
-	}
-	if o.PprofAddr != "" {
-		ln, err := net.Listen("tcp", o.PprofAddr)
-		if err != nil {
-			return fail(fmt.Errorf("pprof-addr: %w", err))
-		}
-		srv := &http.Server{Handler: http.DefaultServeMux}
-		go srv.Serve(ln)
-		stops = append(stops, func() error {
-			return srv.Close()
+			return writeProfile("mutex", "mutexprofile", mutex)
 		})
 	}
 	return stop, nil

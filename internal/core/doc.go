@@ -112,8 +112,8 @@
 // knob. Best-first search, the paper's Section 4 example of a new
 // coordination, is not a coordination here but this composition: Budget
 // with OrderBound (the CLI's -skeleton bestfirst). Stats report
-// OrderedSteals and a spawned priority histogram; BENCH_ordered.json
-// records the node-count and pool-throughput wins.
+// OrderedSteals and a spawned priority histogram; BenchmarkOrderedScheduling
+// counts the nodes, BenchmarkGatePrioPoolVsHeap holds the pool's throughput.
 //
 // # Memory-bounded search
 //
@@ -145,8 +145,8 @@
 // Spilling is result-invariant (oracle tests pin exact enum counts and
 // equal optima at budgets the unbounded frontier exceeds many-fold),
 // and the accountant itself is within noise of the unbounded engine
-// when the frontier fits in RAM — BenchmarkMemoryBudget measures both,
-// recorded in BENCH_memory.json and gated in CI. Stack-stealing keeps
+// when the frontier fits in RAM — BenchmarkMemoryBudget measures both
+// and BenchmarkGatePoolBudget holds them in CI. Stack-stealing keeps
 // almost nothing pooled to begin with: it moves work by live-stack
 // splits — a running sibling's within a locality (counted in
 // Stats.LocalSteals, one per robbery, not StealsOK: no transport is
@@ -188,7 +188,7 @@
 // expansion and colouring inner loops of the bitset applications),
 // this is what closes most of the paper's Table 1 "skeleton tax"
 // against the hand-coded solver; BenchmarkSkeletonTax measures it and
-// BENCH_engine.json records and gates it.
+// BenchmarkGateSkeletonTax holds it within 1.5x in CI.
 //
 // # Cache-line discipline
 //
@@ -207,7 +207,7 @@
 // shards, the loopback network's live counts. The one helper is
 // internal/pad (Isolated, New: 128 bytes either side, covering the
 // adjacent-line prefetcher); there are no hand-counted pad arrays.
-// layout_test.go asserts the distances, and BenchmarkWorkerScaling
+// layout_test.go asserts the distances, and BenchmarkGateWorkerScaling
 // gates the effect: two workers on their own contexts and shards must
 // cost what one does.
 package core

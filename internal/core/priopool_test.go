@@ -198,8 +198,8 @@ func TestShardedPrioBucketPoolStealsBestFirst(t *testing.T) {
 }
 
 // heapPrioPool is the retired mutex+heap priority pool, kept in the
-// test binary as the benchmark baseline the bucketed pool is measured
-// against (BENCH_ordered.json) and as an ordering oracle.
+// test binary as the reference arm the bucketed pool is measured
+// against (BenchmarkGatePrioPoolVsHeap) and as an ordering oracle.
 type heapPrioPool[N any] struct {
 	mu   sync.Mutex
 	h    testPrioHeap[N]

@@ -218,7 +218,7 @@
 // frame is re-encoded at once, and keepers copy — incumbent retention,
 // a gather contribution, the standby's replica. A handler that is no
 // BatchAdopter gets its own copy of every payload.
-// BenchmarkHotPathWireAllocs counts, BENCH_transport.json gates it with
+// BenchmarkGateHotPathWireAllocs counts and holds the allocations with
 // no slack, TestConformanceBufferReuseUnderStress tests the rule.
 //
 // # Injection and codecs

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"net"
+	"runtime"
 	"testing"
 )
 
@@ -10,9 +11,9 @@ import (
 // encodeFrame's reused scratch and readRawFrameInto's recycled read
 // image without per-frame heap allocation, and a whole steal round trip
 // — request, serve, reply, receive, adopt, completion ack — must leave
-// nothing behind either. Gated by cmd/benchguard via
-// BENCH_transport.json (the budgets tolerate incidental runtime
-// allocation; the measured numbers should sit at zero).
+// nothing behind either. BenchmarkGateHotPathWireAllocs holds both (the
+// limits tolerate incidental runtime allocation; the measured numbers
+// sit at zero).
 
 // benchWirePair returns two wconns joined by a real TCP loopback
 // connection.
@@ -67,32 +68,51 @@ func drainFrames(cn *wconn, n int) chan error {
 	return done
 }
 
-// BenchmarkHotPathWireAllocs/send-recv: one header-only kDelta frame
-// per op through send and recv. allocs/op IS allocs per frame, both
-// endpoints combined (same process, same heap).
+// allocsPerOp is the heap allocations of the whole process, every
+// goroutine's, per call of op over n calls. Allocation counts do not
+// move with host speed, so one reading decides and no slack applies.
+func allocsPerOp(n int, op func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// BenchmarkGateHotPathWireAllocs/send-recv: 20,000 header-only kDelta
+// frames through send and recv, both endpoints counted (same process,
+// same heap): at most 1 allocation a frame.
 //
-// BenchmarkHotPathWireAllocs/steal-roundtrip: one steal per op between
+// BenchmarkGateHotPathWireAllocs/steal-roundtrip: 20,000 steals between
 // the two endpoints of a TCP star (reuseHandler the engine at both), at
-// the default batch (DefaultStealBatch tasks), each handed over under a ledger
-// id, checked and acked complete (the acks leave coalesced on the flush
-// tick, inside the measurement). allocs/op is everything the process
-// allocates per round trip, both endpoints and their pacing loops
-// included.
-func BenchmarkHotPathWireAllocs(b *testing.B) {
+// the default batch (DefaultStealBatch tasks), each handed over under a
+// ledger id, checked and acked complete (the acks leave coalesced on the
+// flush tick, inside the measurement): at most 2 allocations a round
+// trip, both endpoints and their pacing loops included.
+func BenchmarkGateHotPathWireAllocs(b *testing.B) {
+	const ops = 20_000
+	hold := func(b *testing.B, limit, got float64) {
+		b.Helper()
+		b.ReportMetric(got, "wire-allocs/op")
+		if got > limit {
+			b.Fatalf("%.4f allocations per op, want at most %g", got, limit)
+		}
+	}
 	b.Run("send-recv", func(b *testing.B) {
 		snd, rcv, cleanup := benchWirePair(b)
 		defer cleanup()
-		done := drainFrames(rcv, b.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		done := drainFrames(rcv, ops)
+		got := allocsPerOp(ops, func() {
 			if err := snd.send(&frame{Kind: kDelta, From: 1, Delta: 1}); err != nil {
 				b.Fatal(err)
 			}
-		}
+		})
 		if err := <-done; err != nil {
 			b.Fatal(err)
 		}
+		hold(b, 1, got)
 	})
 	b.Run("steal-roundtrip", func(b *testing.B) {
 		trs := makeTCP(b, 2, WireOptions{})
@@ -108,12 +128,7 @@ func BenchmarkHotPathWireAllocs(b *testing.B) {
 		for i := 0; i < 64; i++ {
 			steal() // the scratch every layer recycles reaches its size
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			steal()
-		}
-		b.StopTimer()
+		got := allocsPerOp(ops, steal)
 		if n := thief.bad.Load(); n != 0 {
 			b.Fatalf("%d adopted payloads did not open under their id", n)
 		}
@@ -121,5 +136,6 @@ func BenchmarkHotPathWireAllocs(b *testing.B) {
 		if got, want := ws.StealTasks, int64(DefaultStealBatch)*ws.StealReplies; got != want {
 			b.Fatalf("%d tasks in %d replies, want batches of %d", got, ws.StealReplies, DefaultStealBatch)
 		}
+		hold(b, 2, got)
 	})
 }

@@ -48,7 +48,7 @@ func opens(b []byte, key uint64) bool {
 // acked; every task received is opened — on the transport's receive
 // goroutine, while it still aliases the receive image — and acked. In
 // steady state it allocates nothing itself, so the round-trip allocation
-// gate (BenchmarkHotPathWireAllocs) uses it as its engine too.
+// gate (BenchmarkGateHotPathWireAllocs) uses it as its engine too.
 type reuseHandler struct {
 	tr Transport
 
