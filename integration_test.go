@@ -1,9 +1,9 @@
 package yewpar
 
-// Repository-level integration tests: cross-validation of the
-// executable operational model against the production engine, the
-// full application × skeleton matrix on small instances, and the
-// twelve named skeleton entry points.
+// Repository-level integration tests: the full application × skeleton
+// matrix on small instances, and the twelve named skeleton entry points.
+// (The engine is checked against the executable operational model in
+// internal/core's harness, TestModelMatchesEngine….)
 
 import (
 	"fmt"
@@ -20,89 +20,9 @@ import (
 	"yewpar/internal/core"
 	"yewpar/internal/dist"
 	"yewpar/internal/graph"
-	"yewpar/internal/semantics"
 )
 
 var allCoords = []core.Coordination{core.Sequential, core.DepthBounded, core.StackStealing, core.Budget}
-
-// semTreeGen adapts a materialised semantics.Tree to the engine's Lazy
-// Node Generator interface, letting the same tree be searched by both
-// the formal model and the production skeletons.
-func semTreeGen(s *semantics.Tree, parent string) core.NodeGenerator[string] {
-	return core.NewSliceGen(s.Children[parent])
-}
-
-// modelSeeds is how many random trees the engine is checked against the
-// model on, and modelLocalities the loopback deployments of each: one
-// locality, and two and three with steals crossing between them.
-const modelSeeds = 200
-
-var modelLocalities = []int{1, 2, 3}
-
-// modelResult runs the operational model on tr to completion under the
-// schedule seed selects.
-func modelResult(tr *semantics.Tree, kind semantics.Kind, seed int64, threads int) int {
-	cfg := semantics.NewConfig(tr, kind, 0, threads)
-	cfg.Run(seed, semantics.Params{DCutoff: 2, KBudget: 2}, nil, 60*tr.Size()*tr.Size()+2000)
-	return cfg.Result()
-}
-
-// The operational model (Section 3) and the engine (Section 4) must
-// compute identical enumeration folds and optimisation maxima on the
-// same trees — Theorems 3.1-3.3 as a property of the engine, under
-// every coordination, in one locality and across several. A failure
-// names its seed: semantics.GenTree(seed, 3, 6, 100) is the tree.
-func TestModelMatchesEngineEnumeration(t *testing.T) {
-	p := core.EnumProblem[*semantics.Tree, string, int64]{
-		Gen:       semTreeGen,
-		Objective: func(s *semantics.Tree, n string) int64 { return int64(s.H[n]) },
-		Monoid:    core.SumInt64{},
-	}
-	for seed := int64(0); seed < modelSeeds; seed++ {
-		tr := semantics.GenTree(seed, 3, 6, 100)
-		model := modelResult(tr, semantics.Enumeration, seed, 3)
-		if model != tr.Sum() {
-			t.Errorf("seed %d: model folds to %d, the tree sums to %d", seed, model, tr.Sum())
-		}
-		for _, locs := range modelLocalities {
-			for _, coord := range allCoords {
-				res := core.Enum(coord, tr, "", p, core.Config{Workers: 4, Localities: locs, DCutoff: 2, Budget: 2})
-				if res.Value != int64(model) {
-					t.Errorf("seed %d %v localities=%d: engine %d, model %d", seed, coord, locs, res.Value, model)
-				}
-				if res.Stats.Nodes != int64(tr.Size()) {
-					t.Errorf("seed %d %v localities=%d: engine visited %d nodes, tree has %d", seed, coord, locs, res.Stats.Nodes, tr.Size())
-				}
-			}
-		}
-	}
-}
-
-func TestModelMatchesEngineOptimisation(t *testing.T) {
-	p := core.OptProblem[*semantics.Tree, string]{
-		Gen:       semTreeGen,
-		Objective: func(s *semantics.Tree, n string) int64 { return int64(s.H[n]) },
-		Bound:     func(s *semantics.Tree, n string) int64 { return int64(s.SubtreeMax(n)) },
-	}
-	for seed := int64(1000); seed < 1000+modelSeeds; seed++ {
-		tr := semantics.GenTree(seed, 3, 6, 100)
-		model := modelResult(tr, semantics.Optimisation, seed, 2)
-		if model != tr.Max() {
-			t.Errorf("seed %d: model maximum %d, the tree's %d", seed, model, tr.Max())
-		}
-		for _, locs := range modelLocalities {
-			for _, coord := range allCoords {
-				res := core.Opt(coord, tr, "", p, core.Config{Workers: 4, Localities: locs, DCutoff: 2, Budget: 2})
-				if res.Objective != int64(model) {
-					t.Errorf("seed %d %v localities=%d: engine max %d, model max %d", seed, coord, locs, res.Objective, model)
-				}
-				if res.Stats.Nodes > int64(tr.Size()) {
-					t.Errorf("seed %d %v localities=%d: engine visited %d nodes of a tree of %d", seed, coord, locs, res.Stats.Nodes, tr.Size())
-				}
-			}
-		}
-	}
-}
 
 // Kneser k-clique: ω(K(n,k)) = ⌊n/k⌋ exactly, giving decision
 // instances with certain answers on a genuine combinatorial object

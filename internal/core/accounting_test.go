@@ -2,25 +2,27 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"testing"
 
 	"yewpar/internal/dist"
+	"yewpar/internal/semantics"
 )
 
-// liveAudit is what the accounting-safety test knows about one search:
-// the running sum of every AddTasks delta any locality made, and — from
-// outside the accounting — how much work is really left: tasks running
-// (engine.taskHook) and nodes not yet visited (a queued task's root is
-// one).
+// liveAudit is what a test knows about one search's live count: the
+// running sum of every AddTasks delta any locality made, by the rank that
+// made it. A locality's own contribution is never negative — every
+// completion it counts, or ack it hears, settles a registration it made —
+// and neither, so, is the sum.
 type liveAudit struct {
 	t       *testing.T
 	sum     atomic.Int64   // all ranks
 	perRank []atomic.Int64 // by the rank that made the call
-	running atomic.Int64   // tasks started and not finished
-	visited atomic.Int64
-	nodes   int64
+	// over, if set, is asked at each zero of the sum whether the search
+	// really is over; onWork, if set, hears each registration of work once
+	// the transport has.
+	over   func() error
+	onWork func(rank int)
 }
 
 // auditedTransport is a locality's transport with its AddTasks audited:
@@ -33,29 +35,27 @@ type auditedTransport struct {
 
 func (tr *auditedTransport) AddTasks(delta int64) {
 	a := tr.a
-	a.perRank[tr.rank].Add(delta)
-	switch s := a.sum.Add(delta); {
-	case s < 0:
-		a.t.Errorf("live count fell to %d (rank %d added %d)", s, tr.rank, delta)
-	case s == 0:
-		// Zero is the detector's cue. Everything must be over: had a
-		// completion been counted early, or a spawn late, a task would
-		// still be running or a node unvisited here.
-		if r, v := a.running.Load(), a.visited.Load(); r != 0 || v != a.nodes {
-			a.t.Errorf("live count reached 0 with %d tasks running and %d of %d nodes visited", r, v, a.nodes)
+	if s := a.perRank[tr.rank].Add(delta); s < 0 {
+		a.t.Errorf("rank %d's live count fell to %d (it added %d)", tr.rank, s, delta)
+	}
+	if s := a.sum.Add(delta); s == 0 && a.over != nil {
+		if err := a.over(); err != nil {
+			a.t.Error(err)
 		}
 	}
 	tr.Transport.AddTasks(delta)
+	if delta > 0 && a.onWork != nil {
+		a.onWork(tr.rank)
+	}
 }
 
 // audited is cfg with the exit invariant of ROADMAP item 1 (iv) asserted:
 // every search run under it, unless cancelled, must leave each in-process
 // locality quiescent — ledger empty, nothing on disk, pool empty, no
-// finish unsettled (locality.quiescent) — except the ranks the test
-// killed, whose zombie workers abandon whatever they held.
-func audited(t *testing.T, cfg Config, killed ...int) Config {
-	cfg.exit = func(rank int, left error) {
-		if left != nil && !slices.Contains(killed, rank) {
+// finish unsettled (locality.quiescent).
+func audited(t *testing.T, cfg Config) Config {
+	cfg.exit = func(_ int, left error) {
+		if left != nil {
 			t.Error(left)
 		}
 	}
@@ -63,26 +63,36 @@ func audited(t *testing.T, cfg Config, killed ...int) Config {
 }
 
 // auditedEnum is search for an enumeration on loopback localities, with
-// every transport audited and the engine's task hook counting.
-func auditedEnum(t *testing.T, tree *testTree, coord Coordination, cfg Config) {
+// every transport audited and, from outside the accounting, how much work
+// is really left: tasks running (engine.taskHook) and nodes not yet
+// visited (a queued task's root is one).
+func auditedEnum(t *testing.T, tree *semantics.Tree, coord Coordination, cfg Config) {
 	cfg = cfg.withDefaults()
 	rule := ruleFor(coord, cfg)
-	fab := newFabric[testNode](nil, nil, rule, cfg)
+	fab := newFabric[string](nil, nil, rule, cfg)
 	defer fab.close()
-	a := &liveAudit{t: t, perRank: make([]atomic.Int64, len(fab.locs)), nodes: int64(tree.size)}
+	var running, visited atomic.Int64
+	a := &liveAudit{t: t, perRank: make([]atomic.Int64, len(fab.locs)), over: func() error {
+		// Zero is the detector's cue. Everything must be over: had a
+		// completion been counted early, or a spawn late, a task would
+		// still be running or a node unvisited here.
+		if r, v := running.Load(), visited.Load(); r != 0 || v != int64(tree.Size()) {
+			return fmt.Errorf("live count reached 0 with %d tasks running and %d of %d nodes visited", r, v, tree.Size())
+		}
+		return nil
+	}}
 	for i, l := range fab.locs {
 		l.tr = &auditedTransport{Transport: l.tr, a: a, rank: i}
 	}
-	p := tree.enumProblem()
-	value := p.Objective
-	p.Objective = func(tt *testTree, n testNode) int64 {
-		a.visited.Add(1)
-		return value(tt, n)
+	p := enumProblem()
+	p.Objective = func(tt *semantics.Tree, n string) int64 {
+		visited.Add(1)
+		return hOf(tt, n)
 	}
-	st, root := enumeration(tree, p), testNode{}
+	st, root := enumeration(tree, p), ""
 	ws := newWorkers(tree, st.gen, cfg, fab.locs, st.attach(fab))
 	e := newEngine(rule, cfg, ws, fab, newPrioAssigner(cfg.Order, tree, root, st.bound))
-	e.taskHook = func(delta int) { a.running.Add(int64(delta)) }
+	e.taskHook = func(delta int) { running.Add(int64(delta)) }
 	fab.start()
 	e.runPoolWorkers(root)
 	for _, l := range fab.locs {
@@ -92,8 +102,8 @@ func auditedEnum(t *testing.T, tree *testTree, coord Coordination, cfg Config) {
 	}
 
 	res := st.local(ws, totalStats(ws))
-	if res.Value != tree.sum() || res.Stats.Nodes != int64(tree.size) {
-		t.Errorf("sum %d over %d nodes, want %d over %d", res.Value, res.Stats.Nodes, tree.sum(), tree.size)
+	if res.Value != int64(tree.Sum()) || res.Stats.Nodes != int64(tree.Size()) {
+		t.Errorf("sum %d over %d nodes, want %d over %d", res.Value, res.Stats.Nodes, tree.Sum(), tree.Size())
 	}
 	if s := a.sum.Load(); s != 0 {
 		t.Errorf("live count is %d after the workers joined, want 0", s)
@@ -119,7 +129,7 @@ func TestLiveCountNeverEarly(t *testing.T) {
 		{StackStealing, Config{}},
 	}
 	for seed := int64(1); seed <= 200; seed++ {
-		tree := genTree(seed, 4, 7)
+		tree := semantics.GenTree(seed, 4, 7)
 		for _, c := range coords {
 			for _, workers := range []int{1, 2, 4} {
 				for _, locs := range []int{1, 2} {

@@ -79,13 +79,13 @@ type Config struct {
 	LedgerCap int
 	// MaxFailures is the locality-death budget of a distributed run
 	// (the Dist entry points; single-process searches cannot lose a
-	// locality). Deaths within the budget are absorbed: the dead
-	// rank's subtree roots are replayed from the survivors' ledgers
-	// and the search completes normally. Deaths beyond it make the
-	// Dist call return an error alongside its best-effort result.
-	// Negative means unlimited tolerance; the zero default tolerates
-	// none (any death is reported as an error, though the result is
-	// still repaired as far as replay allows).
+	// locality). Deaths within it are absorbed by an optimisation or a
+	// decision: the dead ranks' subtree roots are replayed from the
+	// survivors' ledgers and the search completes normally, its answer
+	// exact. DistEnum errs on any death (a dead rank's fold is lost).
+	// Deaths beyond the budget make the call return an error alongside
+	// its repaired result. Negative means unlimited tolerance; the zero
+	// default tolerates none.
 	MaxFailures int
 	// Topology selects how a single-process run's loopback localities
 	// detect termination: "" or dist.TopologyStar is one shared live-task
@@ -99,13 +99,12 @@ type Config struct {
 	// protocol v7): the coordinator replicates its residual state to
 	// the lowest live worker rank, which promotes itself and finishes
 	// the search should rank 0 die mid-run. Under Standby rank 0 runs
-	// as a pure coordinator — zero local workers — so its death can
-	// never strand unsupervised subtrees: every task it ever held was
-	// handed over under ledger supervision and is replayed by the
-	// survivors. Every rank of a deployment must agree on this flag
-	// (enforced by the transport's spec handshake). Coordinator deaths
-	// count against MaxFailures like any other. Ignored by
-	// single-process runs.
+	// as a pure coordinator — zero local workers — so its death strands
+	// nothing it handed over (the survivors replay it); a successor no
+	// work had reached seeds the root again, exact but, should the root
+	// have gone to another rank, searching the tree twice. All ranks must
+	// agree on this flag (the spec handshake enforces it); coordinator
+	// deaths count against MaxFailures too. Ignored by single-process runs.
 	Standby bool
 	// NetFault, if non-nil, injects deterministic network faults into
 	// the links between in-process localities (see dist.FaultPlan). It

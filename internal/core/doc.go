@@ -154,21 +154,22 @@
 // protocol v6 kSplit across localities — rather than through pools, so
 // it is naturally the memory-leanest coordination.
 //
-// How much a steal takes has one rule, applied to the victim's shards
-// (ShardedPool.stealRun) whether the thief is a sibling worker or a peer
-// locality (locality.ServeStealMulti): a run of up to
-// dist.DefaultStealBatch (64) tasks from the best bucket — the
-// shallowest depth or the best priority — of the shard that holds the
-// best rank, and at most half of it, rounded up, taken under one shard
-// lock (and, for a peer, one ledger lock). The thief's worker runs the
-// first task and keeps the rest — a sibling on its own shard, a peer's
-// worker on its locality's pool, on the loopback network as over a wire —
-// so one lock's or one round trip's latency is spread over the run. The
-// run stops at the bucket because that is what a steal should preserve —
-// the heuristic order, shallowest or best first (Sections 2.3 and 4.3) —
-// and because half of a whole small pool, cut only by the batch size, is
-// nearly all of it: two thieves then pass the same frontier back and
-// forth.
+// How much a steal takes has one rule, for a sibling and a peer alike: a
+// run from the victim's best bucket, at most half of it (locality).
+//
+// # Fault tolerance
+//
+// A distributed search survives the death of any locality, the
+// coordinator's too under Config.Standby, up to Config.MaxFailures: a task
+// handed to a peer stays in its victim's ledger (ledger.go) until the
+// peer acks its whole subtree, and a death re-enqueues what the dead rank
+// held, so optimisation and decision end with the exact optimum, or a
+// witness exactly when one exists. Enumeration cannot (a dead rank's fold
+// is lost, and replay would double-count): DistEnum returns an error.
+// Under Standby rank 0 runs no workers and the lowest survivor takes its
+// role; should rank 0 die before any work reached it, it seeds the root
+// again (locality.onDeath: exact, at twice the work if the root had left),
+// the transport holding the search open for it (dist.Transport's Done).
 //
 // Idle workers do not spin: after a few failed probe rounds a worker
 // parks on its locality's parker and is woken by the next local push

@@ -65,6 +65,7 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 		defer l.mem.close()
 	}
 	home := e.fab.home
+	e.fab.root = root
 	if home.rank == 0 {
 		home.tr.AddTasks(1)
 		home.pool.Push(Task[N]{Node: root, Depth: 0})

@@ -29,6 +29,7 @@ type fabric[N any] struct {
 	cancel *canceller
 	inc    *incumbent[N] // set for optimisation searches
 	net    *dist.LoopbackNetwork
+	root   N // every rank's, as its caller gave it (locality.onDeath)
 
 	// cancelInfo, when set (decision searches), supplies the objective
 	// and encoded witness a Cancel broadcast carries, so the witness
@@ -336,6 +337,9 @@ func (h *locality[N]) AdoptTasks(ts []dist.WireTask, keep bool) dist.WireTask {
 	}
 	h.adoptRun = run
 	h.tr.AddTasks(int64(len(run)))
+	if !h.worked.Load() {
+		h.worked.Store(true)
+	}
 	var first dist.WireTask
 	rest := run
 	if keep {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"yewpar/internal/semantics"
 )
 
 // goldenCounts are the counters a one-worker run fixes exactly: with
@@ -48,35 +50,35 @@ func TestOneWorkerGoldenCounts(t *testing.T) {
 	// with it, which covers the walks' pruneLevel branch.
 	trees := []struct {
 		name   string
-		tree   *testTree
+		tree   *semantics.Tree
 		sorted bool
 	}{
-		{"rand1", genTree(1, 4, 9), false},
-		{"rand3-sorted", genTree(42, 3, 12), true},
+		{"rand1", semantics.GenTree(1, 4, 9), false},
+		{"rand3-sorted", semantics.GenTree(42, 3, 12), true},
 		{"wide", wideTree(500), false},
 	}
 	for _, tt := range trees {
 		tree := tt.tree
 		if tt.sorted {
-			tree.sortChildrenByBound()
+			sortByBound(tree)
 		}
-		opt := tree.optProblem(true)
+		opt := optProblem(true)
 		opt.PruneLevel = tt.sorted
 		// A target just under the maximum: the search prunes, finds the
 		// witness part-way through and short-circuits the rest.
-		dec := tree.decisionProblem(tree.max()-1, true)
+		dec := decisionProblem(int64(tree.Max())-1, true)
 		searches := []struct {
 			name string
 			run  func(Coordination, Config) Stats
 		}{
 			{"enum", func(c Coordination, cfg Config) Stats {
-				return Enum(c, tree, testNode{}, tree.enumProblem(), cfg).Stats
+				return Enum(c, tree, "", enumProblem(), cfg).Stats
 			}},
 			{"opt", func(c Coordination, cfg Config) Stats {
-				return Opt(c, tree, testNode{}, opt, cfg).Stats
+				return Opt(c, tree, "", opt, cfg).Stats
 			}},
 			{"decision", func(c Coordination, cfg Config) Stats {
-				return Decide(c, tree, testNode{}, dec, cfg).Stats
+				return Decide(c, tree, "", dec, cfg).Stats
 			}},
 		}
 		for _, s := range searches {

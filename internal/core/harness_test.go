@@ -1,0 +1,745 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"yewpar/internal/dist"
+	"yewpar/internal/semantics"
+)
+
+// The package's deployments are built here and nowhere else. A scenario
+// is one row of a table: a tree, a search type, a coordination and its
+// knobs, one to four loopback localities on a star or a wave, and what
+// goes wrong — link latency, a partition that heals, localities killed.
+// run deploys it — every rank's Dist* on one loopback network, or the
+// single-process entry point when there is one process — and holds it to
+// one set of invariants:
+//
+//   - the answer is the oracle's: the tree's own fold and maximum for a
+//     semantics tree, which the operational model (semantics.Config.Run)
+//     computes too, Sequential's otherwise; an enumeration visits exactly
+//     every node, and so does an optimisation that prunes nothing;
+//   - no rank's contribution to the live count is ever negative
+//     (liveAudit; in-process localities: TestLiveCountNeverEarly);
+//   - every locality not killed is quiescent once its workers join
+//     (Config.exit);
+//   - no spill file and no goroutine outlives the run;
+//   - Deaths counts the kills that landed, the result comes from the
+//     promoted rank exactly when rank 0 was killed, and the call errs
+//     exactly when the failure budget or an enumeration death says so;
+//   - every rank's call returns within a deadline: a hang fails its row,
+//     by name, not the package.
+//
+// The hand-written cases are named rows, each test holding its own;
+// TestDrawn draws the rest from consecutive seeds.
+
+// searchKind is a row's search type.
+type searchKind int
+
+const (
+	enumerate searchKind = iota
+	optimise
+	decide
+)
+
+func (k searchKind) String() string { return [...]string{"enum", "opt", "decide"}[k] }
+
+// outcome is one rank's answer, its node type erased: the fold, or the
+// objective reported with the optimum or witness and that node's own.
+type outcome struct {
+	val, node int64
+	found     bool
+	stats     Stats
+	err       error
+}
+
+// tree is what a row searches, whatever its node type.
+type tree interface {
+	// solve runs one rank's search over tr, or the single-process entry
+	// point when tr is nil: search, which every Dist* and entry point is.
+	solve(tr dist.Transport, sc *scenario, cfg Config) outcome
+	// truth is the oracle: the fold (enumerate) or the maximum, and the
+	// tree's size.
+	truth(k searchKind) (val, nodes int64)
+	// model checks the operational model's answer on a semantics tree.
+	model(sc *scenario) error
+}
+
+// searchTree is a tree over space S with nodes N. Decision searches its
+// optimisation problem for a target.
+type searchTree[S, N any] struct {
+	label string
+	space S
+	root  N
+	enum  EnumProblem[S, N, int64]
+	opt   OptProblem[S, N]
+	sem   *semantics.Tree // the same tree, when it is a semantics one
+
+	once           sync.Once
+	sum, max, size int64    // the tree's own, or Sequential's
+	models         sync.Map // [2]int64{kind, target} → the model's answer
+}
+
+func (st *searchTree[S, N]) String() string { return st.label }
+
+func (st *searchTree[S, N]) truth(k searchKind) (int64, int64) {
+	st.once.Do(func() {
+		if t := st.sem; t != nil {
+			st.sum, st.max, st.size = int64(t.Sum()), int64(t.Max()), int64(t.Size())
+			return
+		}
+		r := Enum(Sequential, st.space, st.root, st.enum, Config{})
+		st.sum, st.size = r.Value, r.Stats.Nodes
+		st.max = Opt(Sequential, st.space, st.root, st.opt, Config{}).Objective
+	})
+	if k == enumerate {
+		return st.sum, st.size
+	}
+	return st.max, st.size
+}
+
+func (st *searchTree[S, N]) model(sc *scenario) error {
+	t := st.sem
+	if t == nil {
+		return nil
+	}
+	key := [2]int64{int64(sc.search), sc.target}
+	got, ok := st.models.Load(key)
+	if !ok {
+		kind := [...]semantics.Kind{semantics.Enumeration, semantics.Optimisation, semantics.Decision}[sc.search]
+		c := semantics.NewConfig(t, kind, int(sc.target), 1+int(sc.cfg.Seed&3))
+		c.Run(sc.cfg.Seed, semantics.Params{DCutoff: 2, KBudget: 2}, nil, 60*t.Size()*t.Size()+2000)
+		got, _ = st.models.LoadOrStore(key, int64(c.Result()))
+	}
+	want, _ := st.truth(sc.search)
+	if sc.search == decide {
+		want = min(want, sc.target)
+	}
+	if got != want {
+		return fmt.Errorf("the operational model computes %d on %v, the tree %d", got, st, want)
+	}
+	return nil
+}
+
+func (st *searchTree[S, N]) solve(tr dist.Transport, sc *scenario, cfg Config) outcome {
+	codec, obj := GobCodec[N]{}, func(n N) int64 { return st.opt.Objective(st.space, n) }
+	switch sc.search {
+	case enumerate:
+		r, err := search(tr, codec, sc.coord, st.space, st.root, enumeration(st.space, st.enum), cfg)
+		return outcome{val: r.Value, found: true, stats: r.Stats, err: err}
+	case optimise:
+		r, err := search(tr, codec, sc.coord, st.space, st.root, optimisation(st.space, st.opt), cfg)
+		return outcome{val: r.Objective, node: obj(r.Best), found: r.Found, stats: r.Stats, err: err}
+	}
+	p := DecisionProblem[S, N]{Gen: st.opt.Gen, Objective: st.opt.Objective, Bound: st.opt.Bound, PruneLevel: st.opt.PruneLevel, Target: sc.target}
+	r, err := search(tr, codec, sc.coord, st.space, st.root, decision(st.space, p), cfg)
+	return outcome{val: r.Objective, node: obj(r.Witness), found: r.Found, stats: r.Stats, err: err}
+}
+
+// Search problems over a semantics.Tree, the one random tree of the
+// package's tests: a node is its path, h its objective, and the subtree
+// maximum its admissible bound.
+
+func treeGen(t *semantics.Tree, parent string) NodeGenerator[string] {
+	return NewSliceGen(t.Children[parent])
+}
+
+func hOf(t *semantics.Tree, n string) int64 { return int64(t.H[n]) }
+
+func enumProblem() EnumProblem[*semantics.Tree, string, int64] {
+	return EnumProblem[*semantics.Tree, string, int64]{Gen: treeGen, Objective: hOf, Monoid: SumInt64{}}
+}
+
+func optProblem(withBound bool) OptProblem[*semantics.Tree, string] {
+	p := OptProblem[*semantics.Tree, string]{Gen: treeGen, Objective: hOf}
+	if withBound {
+		p.Bound = func(t *semantics.Tree, n string) int64 { return int64(t.SubtreeMax(n)) }
+	}
+	return p
+}
+
+func decisionProblem(target int64, withBound bool) DecisionProblem[*semantics.Tree, string] {
+	p := optProblem(withBound)
+	return DecisionProblem[*semantics.Tree, string]{Gen: p.Gen, Objective: p.Objective, Bound: p.Bound, Target: target}
+}
+
+// sortByBound reorders every child list by non-increasing subtree
+// maximum, establishing the sibling-order precondition of PruneLevel.
+func sortByBound(t *semantics.Tree) {
+	for id, kids := range t.Children {
+		t.Children[id] = slices.SortedStableFunc(slices.Values(kids), func(a, b string) int { return t.SubtreeMax(b) - t.SubtreeMax(a) })
+	}
+}
+
+// chainTree is a unary tree of n nodes valued 0..n-1, and wideTree n
+// leaves valued i%997 under a root valued 0: the degenerate shapes
+// GenTree never draws.
+func chainTree(n int) *semantics.Tree {
+	t := &semantics.Tree{Children: map[string][]string{}, H: map[string]int{}}
+	for i, id := 0, ""; i < n; i, id = i+1, id+"a" {
+		if t.H[id] = i; i < n-1 {
+			t.Children[id] = []string{id + "a"}
+		}
+	}
+	return t
+}
+
+func wideTree(n int) *semantics.Tree {
+	t := &semantics.Tree{Children: map[string][]string{}, H: map[string]int{"": 0}}
+	for i := 0; i < n; i++ {
+		id := string(rune(33+i%90)) + string(rune('0'+i/90))
+		t.Children[""] = append(t.Children[""], id)
+		t.H[id] = i % 997
+	}
+	return t
+}
+
+// treeOf is t as a row searches it, bounded by subtree maxima or not.
+func treeOf(label string, t *semantics.Tree, bounded bool) *searchTree[*semantics.Tree, string] {
+	return &searchTree[*semantics.Tree, string]{label: label, space: t, enum: enumProblem(), opt: optProblem(bounded), sem: t}
+}
+
+func semTree(seed int64, maxBranch, maxDepth int) *searchTree[*semantics.Tree, string] {
+	return treeOf(fmt.Sprintf("GenTree(%d, %d, %d)", seed, maxBranch, maxDepth), semantics.GenTree(seed, maxBranch, maxDepth), true)
+}
+
+// toySpace is a subset sum: a node adds one of the values after its
+// position, its objective is the sum so far, and enumeration counts.
+type toySpace struct{ Vals []int64 }
+
+type toyNode struct {
+	Pos int
+	Sum int64
+}
+
+func toyGen(s toySpace, p toyNode) NodeGenerator[toyNode] {
+	var children []toyNode
+	for i := p.Pos; i < len(s.Vals); i++ {
+		children = append(children, toyNode{Pos: i + 1, Sum: p.Sum + s.Vals[i]})
+	}
+	return NewSliceGen(children)
+}
+
+func toyTree(label string, vals []int64, bounded bool) *searchTree[toySpace, toyNode] {
+	p := OptProblem[toySpace, toyNode]{Gen: toyGen, Objective: func(_ toySpace, n toyNode) int64 { return n.Sum }}
+	if bounded {
+		// The current sum plus every positive value still choosable.
+		p.Bound = func(s toySpace, n toyNode) int64 {
+			b := n.Sum
+			for _, v := range s.Vals[n.Pos:] {
+				b += max(v, 0)
+			}
+			return b
+		}
+	}
+	return &searchTree[toySpace, toyNode]{label: label, space: toySpace{vals}, opt: p,
+		enum: EnumProblem[toySpace, toyNode, int64]{Gen: toyGen, Objective: func(toySpace, toyNode) int64 { return 1 }, Monoid: SumInt64{}}}
+}
+
+// toy12 is small enough to finish before most steals land; fault
+// (2^22 nodes, no bound, so nothing prunes) keeps every rank holding live
+// work for most of the run, so a kill lands mid-search.
+var (
+	toy12 = toyTree("toy12", []int64{3, -1, 4, -1, 5, -9, 2, -6, 5, 3, -5, 8}, false)
+	fault = toyTree("fault", faultVals(22), false)
+)
+
+// faultVals has mixed signs, so the optimum is a non-trivial subset.
+func faultVals(n int) []int64 {
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64((i%5)*7 - 9 + i)
+	}
+	return vals
+}
+
+// memSpace stresses the frontier: the root fans out into Wide subtrees
+// (one spawn loop floods the pool), each a uniform Branch-ary tree of
+// depth Depth. Enumeration counts; optimisation maximises a hash of the
+// node id. memNode's fields are exported: spills gob it.
+type memSpace struct{ Wide, Branch, Depth int }
+
+type memNode struct {
+	ID    int64
+	Depth int
+}
+
+func memGen(s memSpace, p memNode) NodeGenerator[memNode] {
+	var b int
+	switch {
+	case p.Depth == 0:
+		b = s.Wide
+	case p.Depth <= s.Depth:
+		b = s.Branch
+	}
+	kids := make([]memNode, b)
+	for i := range kids {
+		kids[i] = memNode{ID: p.ID*int64(s.Wide+s.Branch) + int64(i+1), Depth: p.Depth + 1}
+	}
+	return NewSliceGen(kids)
+}
+
+func memTree(s memSpace) *searchTree[memSpace, memNode] {
+	return &searchTree[memSpace, memNode]{label: fmt.Sprintf("%+v", s), space: s,
+		enum: EnumProblem[memSpace, memNode, int64]{Gen: memGen, Objective: func(memSpace, memNode) int64 { return 1 }, Monoid: SumInt64{}},
+		opt:  OptProblem[memSpace, memNode]{Gen: memGen, Objective: func(_ memSpace, n memNode) int64 { return (n.ID * 2654435761) % 100000 }}}
+}
+
+// The hand-written cases are named rows: each test holds its own, with
+// the case's parameters, and one that asserted more than the invariants
+// keeps that as its extra check. tolerant is two workers a rank that
+// absorb any death, standby the same with rank 0 a pure coordinator.
+var (
+	tolerant = Config{Workers: 2, DCutoff: 3, MaxFailures: -1}
+	standby  = Config{Workers: 2, DCutoff: 3, MaxFailures: -1, Standby: true}
+	fault16  = toyTree("fault16", faultVals(16), false)
+)
+
+// db is a DepthBounded row, and onWave sc on a wave.
+func db(tr tree, s searchKind, ranks int, cfg Config, kills ...kill) scenario {
+	return scenario{tree: tr, search: s, coord: DepthBounded, ranks: ranks, cfg: cfg, kills: kills}
+}
+
+func onWave(sc scenario) scenario { sc.wave = true; return sc }
+
+// rows runs a test's rows, each a subtest named by its place when there
+// are several.
+func rows(t *testing.T, scs ...scenario) {
+	for i, sc := range scs {
+		if len(scs) > 1 {
+			sc.name = fmt.Sprint(i)
+		}
+		sc.check(t)
+	}
+}
+
+func TestDistOptMatchesSequential(t *testing.T) {
+	for _, coord := range []Coordination{DepthBounded, Budget, StackStealing} {
+		scenario{name: coord.String(), tree: toy12, search: optimise, coord: coord, ranks: 3, cfg: Config{Workers: 2, DCutoff: 2, Budget: 8}}.check(t)
+	}
+}
+
+func TestDistOptOrderedMatchesUnordered(t *testing.T) {
+	bounded := toyTree("toy12, bounded", toy12.space.Vals, true)
+	for _, coord := range []Coordination{DepthBounded, Budget} {
+		for ord := OrderNone; ord <= OrderBound; ord++ {
+			scenario{name: fmt.Sprintf("%v/%v", coord, ord), tree: bounded, search: optimise, coord: coord, ranks: 3,
+				cfg: Config{Workers: 2, DCutoff: 2, Budget: 8, Order: ord}}.check(t)
+		}
+	}
+}
+
+func TestDistEnumCountsWholeTree(t *testing.T) {
+	rows(t, db(toy12, enumerate, 3, Config{Workers: 2, DCutoff: 2}))
+}
+func TestDistDecideFindsWitness(t *testing.T) {
+	rows(t, scenario{tree: toy12, search: decide, target: 20, coord: DepthBounded, ranks: 2, cfg: Config{Workers: 2, DCutoff: 2}})
+}
+func TestDistOptRejectsUnsupportedCoordination(t *testing.T) {
+	rows(t, scenario{tree: toy12, search: optimise, coord: Sequential, ranks: 2})
+}
+func TestDistOptSurvivesWorkerDeath(t *testing.T) {
+	rows(t, db(fault, optimise, 4, tolerant, kill{rank: 2}))
+}
+func TestDistOptMeshSurvivesWorkerDeath(t *testing.T) {
+	rows(t, onWave(db(fault, optimise, 4, tolerant, kill{rank: 2})))
+}
+func TestDistOptSurvivesDoubleDeath(t *testing.T) {
+	rows(t, db(fault, optimise, 4, tolerant, kill{rank: 1}, kill{rank: 3}))
+}
+func TestDistOptMaxFailuresPolicy(t *testing.T) {
+	rows(t, db(fault, optimise, 3, Config{Workers: 2, DCutoff: 3}, kill{rank: 2}),
+		db(fault, optimise, 3, Config{Workers: 2, DCutoff: 3, MaxFailures: 1}, kill{rank: 2}))
+}
+func TestDistEnumDeathErrors(t *testing.T) { rows(t, db(fault, enumerate, 3, tolerant, kill{rank: 2})) }
+
+// A standby coordinator killed once a worker holds work; and once rank 2
+// has taken the root while rank 1, the successor, still waits on a slow
+// link — so rank 1 seeds the root again and the tree is searched twice,
+// exactly (Config.Standby).
+func TestDistOptSurvivesCoordinatorDeath(t *testing.T) {
+	reseed := db(fault16, optimise, 3, standby, kill{rank: 0, by: []int{2}})
+	reseed.net = dist.NewFaultPlan(1)
+	reseed.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
+	rows(t, db(fault, optimise, 4, standby, kill{rank: 0, by: []int{1, 2, 3}}), reseed)
+}
+func TestDistOptMeshSurvivesCoordinatorDeath(t *testing.T) {
+	rows(t, onWave(db(fault, optimise, 4, standby, kill{rank: 0, by: []int{1, 2, 3}})))
+}
+func TestDistOptCoordinatorDeathSpillCleanup(t *testing.T) {
+	cfg := standby
+	cfg.PoolBudget = 8 << 10
+	rows(t, db(fault, optimise, 3, cfg, kill{rank: 0, by: []int{1, 2}}))
+}
+func TestDistOptFaultStatsPlumbing(t *testing.T) {
+	sc := db(fault, optimise, 4, tolerant, kill{rank: 1})
+	sc.extra = func(t *testing.T, o outcome) {
+		if o.stats.LedgerPeak <= 0 {
+			t.Errorf("LedgerPeak = %d, want > 0: a killed worker held handed-over work", o.stats.LedgerPeak)
+		}
+	}
+	rows(t, sc)
+}
+
+func TestMemoryBudgetSpillsAndMatchesOracle(t *testing.T) {
+	spills, cfg := memTree(memSpace{3000, 3, 2}), Config{Workers: 4, Localities: 2, DCutoff: 3}
+	sc := scenario{tree: spills, search: enumerate, coord: DepthBounded, cfg: cfg}
+	sc.cfg.PoolBudget = 8 << 10
+	sc.extra = func(t *testing.T, o outcome) {
+		free := Enum(DepthBounded, spills.space, memNode{}, spills.enum, cfg)
+		if _, nodes := spills.truth(enumerate); free.Stats.SpilledTasks != 0 || free.Value != nodes {
+			t.Errorf("unbounded: %d tasks spilled, %d of %d nodes counted", free.Stats.SpilledTasks, free.Value, nodes)
+		}
+		if st := o.stats; st.SpilledTasks == 0 || st.SpillBytes == 0 || 2*st.PoolPeakTasks > free.Stats.PoolPeakTasks {
+			t.Errorf("%d tasks (%d bytes) spilled, a resident peak of %d against %d unbounded", st.SpilledTasks, st.SpillBytes, st.PoolPeakTasks, free.Stats.PoolPeakTasks)
+		}
+	}
+	rows(t, sc)
+}
+func TestMemoryBudgetBudgetCoordination(t *testing.T) {
+	rows(t, scenario{tree: memTree(memSpace{2000, 2, 3}), search: enumerate, coord: Budget, cfg: Config{Workers: 4, Localities: 2, Budget: 4, PoolBudget: 8 << 10}})
+}
+func TestMemorySpillCleanupAfterDeath(t *testing.T) {
+	cfg := tolerant
+	cfg.PoolBudget = 8 << 10
+	rows(t, db(memTree(memSpace{2500, 2, 2}), optimise, 3, cfg, kill{rank: 2}))
+}
+func TestMemoryStackStealDistMatchesOracle(t *testing.T) {
+	rows(t, scenario{tree: memTree(memSpace{400, 3, 3}), search: enumerate, coord: StackStealing, ranks: 3, cfg: Config{Workers: 2, PoolBudget: 8 << 10}})
+}
+func TestMemorySpillReadmitStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test")
+	}
+	sc := scenario{tree: memTree(memSpace{1200, 2, 2}), search: enumerate, coord: DepthBounded, cfg: Config{Workers: 8, Localities: 2, DCutoff: 3, PoolBudget: 4 << 10}}
+	rows(t, sc, sc, sc)
+}
+
+// The two bugs the draw found. A decision with a worker killed on its
+// first work: every call — the dead rank's too — returns, with a witness
+// exactly when one exists.
+func TestDistDecideSurvivesWorkerDeath(t *testing.T) {
+	opt16, _ := fault16.truth(optimise)
+	row := func(tr tree, target int64, ranks int, cfg Config, dies int) scenario {
+		sc := db(tr, decide, ranks, cfg, kill{rank: dies})
+		sc.target = target
+		return sc
+	}
+	budget := row(fault16, opt16, 3, Config{Workers: 2, Budget: 64, MaxFailures: -1}, 2)
+	budget.coord = Budget
+	rows(t, row(toy12, 20, 3, Config{Workers: 2, DCutoff: 2, MaxFailures: -1}, 2),
+		row(toy12, 20, 4, Config{Workers: 1, MaxFailures: -1}, 3),
+		onWave(row(fault16, opt16, 4, tolerant, 2)), budget,
+		row(fault16, opt16+1, 4, tolerant, 2))
+}
+
+// A standby coordinator killed as it registers the root, before anyone
+// holds it, on a star and a wave.
+func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
+	var scs []scenario
+	for ranks := 2; ranks <= 4; ranks++ {
+		sc := db(fault16, optimise, ranks, standby, kill{rank: 0})
+		scs = append(scs, sc, onWave(sc))
+	}
+	rows(t, scs...)
+}
+
+// The operational model (Section 3) and the engine (Section 4) compute
+// the same folds and maxima on the same trees — Theorems 3.1–3.3 as a
+// property of the engine — under every coordination, in one locality and
+// across several, on GenTree(seed, 3, 6).
+func TestModelMatchesEngineEnumeration(t *testing.T)  { modelRows(t, enumerate, 0) }
+func TestModelMatchesEngineOptimisation(t *testing.T) { modelRows(t, optimise, 1000) }
+
+func modelRows(t *testing.T, search searchKind, from int64) {
+	for seed := from; seed < from+200; seed++ {
+		tr := semTree(seed, 3, 6)
+		for _, locs := range []int{1, 2, 3} {
+			for _, coord := range allCoords {
+				scenario{name: fmt.Sprintf("seed=%d/%v/l%d", seed, coord, locs), tree: tr, search: search, coord: coord,
+					cfg: Config{Workers: 4, Localities: locs, DCutoff: 2, Budget: 2, Seed: seed}}.check(t)
+			}
+		}
+	}
+}
+
+// kill is one death of a kill schedule: rank dies at the first
+// registration of work by one of by (none: by rank itself) once after has
+// passed — armed through a dist.ChaosPlan, it lands where the dying rank
+// provably holds registered work, or a coordinator the root.
+type kill struct {
+	rank  int
+	after time.Duration
+	by    []int
+}
+
+// scenario is one row.
+type scenario struct {
+	name   string // the subtest, seed=N for a drawn row
+	tree   tree
+	search searchKind
+	target int64 // decide
+	coord  Coordination
+	cfg    Config
+	ranks  int  // Dist* processes on one loopback network; 0 or 1: the single-process entry point
+	wave   bool // mesh termination; a single process takes cfg.Topology
+	net    *dist.FaultPlan
+	parts  []dist.ChaosPartition
+	kills  []kill
+	extra  func(t *testing.T, o outcome) // a named row's check beyond the invariants
+}
+
+func (sc scenario) String() string {
+	return fmt.Sprintf("%v %v/%v on %v, %d ranks (wave %v), %+v, kills %v, partitions %v",
+		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.wave, sc.cfg, sc.kills, len(sc.parts))
+}
+
+// rowDeadline is how long a row may take before it counts as a hang.
+const rowDeadline = 30 * time.Second
+
+// check runs the row, as a subtest when it has a name.
+func (sc scenario) check(t *testing.T) {
+	t.Helper()
+	if sc.name == "" {
+		sc.run(t)
+		return
+	}
+	t.Run(sc.name, sc.run)
+}
+
+func (sc scenario) run(t *testing.T) {
+	cfg, ranks := sc.cfg, max(sc.ranks, 1)
+	if cfg.PoolBudget > 0 {
+		cfg.SpillDir = t.TempDir()
+	}
+	var dead sync.Map // rank → true once killed
+	isDead := func(rank int) bool { _, ok := dead.Load(rank); return ok }
+	cfg.exit = func(rank int, left error) {
+		if left != nil && !isDead(rank) {
+			t.Error(left)
+		}
+	}
+	goroutines := runtime.NumGoroutine()
+	outs := make([]outcome, ranks)
+	returned := make(chan struct{})
+	armed := make([]atomic.Bool, ranks)
+	plan := dist.ChaosPlan{Partitions: sc.parts, Net: sc.net}
+	var net *dist.LoopbackNetwork
+	var trs []dist.Transport
+	if sc.ranks <= 1 {
+		cfg.NetFault = sc.net
+		go func() { defer close(returned); outs[0] = sc.tree.solve(nil, &sc, cfg) }()
+	} else {
+		net = dist.NewLoopback(ranks, dist.LoopbackOptions{Wave: sc.wave, Fault: sc.net})
+		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), onWork: func(rank int) {
+			for _, k := range sc.kills {
+				if armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) {
+					if _, was := dead.LoadOrStore(k.rank, true); !was {
+						net.Kill(k.rank)
+					}
+				}
+			}
+		}}
+		for _, k := range sc.kills {
+			if k.after == 0 {
+				armed[k.rank].Store(true)
+			} else {
+				plan.Kills = append(plan.Kills, dist.ChaosKill{Rank: k.rank, After: k.after})
+			}
+		}
+		var wg sync.WaitGroup
+		for r, tr := range net.Transports() {
+			tr = &auditedTransport{Transport: tr, a: audit, rank: r}
+			trs = append(trs, tr)
+			wg.Add(1)
+			go func() { defer wg.Done(); outs[r] = sc.tree.solve(tr, &sc, cfg) }()
+		}
+		go func() { wg.Wait(); close(returned) }()
+	}
+	stop := plan.Start(func(rank int) { armed[rank].Store(true) })
+	deadline := time.NewTimer(rowDeadline)
+	defer deadline.Stop()
+	select {
+	case <-returned:
+	case <-deadline.C:
+		t.Fatalf("no return within %v: %v", rowDeadline, sc)
+	}
+	stop()
+
+	landed, owner := int64(0), 0
+	dead.Range(func(any, any) bool { landed++; return true })
+	for isDead(owner) {
+		owner++
+	}
+	for r, tr := range trs {
+		if tr.Promoted() != (r == owner && owner > 0) {
+			t.Errorf("rank %d: Promoted() = %v with rank %d returning the result", r, tr.Promoted(), owner)
+		}
+		if r != owner && !isDead(r) && outs[r].err != nil && sc.coord != Sequential {
+			t.Errorf("rank %d: %v", r, outs[r].err)
+		}
+	}
+	if net != nil {
+		net.Close()
+	}
+	if err := sc.judge(outs[owner], landed); err != nil {
+		t.Errorf("%v\n\t%v", err, sc)
+	}
+	if sc.extra != nil {
+		sc.extra(t, outs[owner])
+	}
+	if left, _ := os.ReadDir(cfg.SpillDir); cfg.SpillDir != "" && len(left) > 0 {
+		t.Errorf("spill files outlive the run: %v", left)
+	}
+	for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Errorf("%d goroutines outlive the run", runtime.NumGoroutine()-goroutines)
+			break
+		}
+	}
+}
+
+// judge holds the result-owning rank's outcome to the oracle, given the
+// number of kills that landed.
+func (sc scenario) judge(o outcome, landed int64) error {
+	val, nodes := sc.tree.truth(sc.search)
+	switch budget := int64(sc.cfg.MaxFailures); {
+	case sc.coord == Sequential && sc.ranks > 1:
+		return wantErr(o.err, "not supported across processes")
+	case o.stats.Deaths != landed && !(sc.search == decide && o.found && o.stats.Deaths < landed):
+		// (A witness cancels the search, perhaps before anyone heard.)
+		return fmt.Errorf("Deaths = %d, %d kills landed", o.stats.Deaths, landed)
+	case sc.search == enumerate && landed > 0:
+		return wantErr(o.err, "enumeration cannot survive locality death")
+	case budget >= 0 && o.stats.Deaths > budget:
+		if err := wantErr(o.err, "failure budget"); err != nil {
+			return err
+		}
+	case o.err != nil:
+		return o.err
+	}
+	if err := sc.tree.model(&sc); err != nil {
+		return err
+	}
+	switch sc.search {
+	case enumerate:
+		if o.val != val || o.stats.Nodes != nodes {
+			return fmt.Errorf("folds to %d over %d nodes, want %d over %d", o.val, o.stats.Nodes, val, nodes)
+		}
+	case optimise:
+		if !o.found || o.val != val || o.node != val {
+			return fmt.Errorf("optimum %d (found %v, its node's objective %d), want %d", o.val, o.found, o.node, val)
+		}
+	case decide:
+		if o.found != (sc.target <= val) || o.found && (o.val < sc.target || o.node != o.val) {
+			return fmt.Errorf("target %d: found %v (objective %d, its node's %d), the optimum is %d", sc.target, o.found, o.val, o.node, val)
+		}
+	}
+	// Only a prune or a witness cuts a search short: without, every node once.
+	if cut := o.stats.Prunes > 0 || sc.search == decide && o.found; landed == 0 && (o.stats.Nodes > nodes || !cut && o.stats.Nodes != nodes) {
+		return fmt.Errorf("visited %d nodes (%d prunes) of a tree of %d", o.stats.Nodes, o.stats.Prunes, nodes)
+	}
+	workers := sc.cfg.Workers * max(sc.ranks, 1)
+	if sc.cfg.Standby {
+		workers -= sc.cfg.Workers // rank 0 has none
+	}
+	if landed == 0 && sc.coord != Sequential && o.stats.Workers != workers {
+		return fmt.Errorf("%d workers reported, %d ran", o.stats.Workers, workers)
+	}
+	var hist int64
+	for _, n := range o.stats.PrioHist {
+		hist += n
+	}
+	if sc.cfg.Order != OrderNone && sc.coord != StackStealing && hist != o.stats.Spawns {
+		return fmt.Errorf("priority histogram covers %d of %d spawns", hist, o.stats.Spawns)
+	}
+	return nil
+}
+
+func wantErr(err error, text string) error {
+	if err == nil || !strings.Contains(err.Error(), text) {
+		return fmt.Errorf("error %v, want one saying %q", err, text)
+	}
+	return nil
+}
+
+// TestDrawn runs rows drawn from consecutive seeds; a failure names its
+// seed, and -run 'TestDrawn/seed=417' replays it.
+func TestDrawn(t *testing.T) {
+	n := int64(500)
+	if testing.Short() {
+		n = 100
+	}
+	for seed := int64(1); seed <= n; seed++ {
+		draw(seed).check(t)
+	}
+}
+
+// draw is the row seed picks: a GenTree and a search type over it (a
+// decision's target at or just above the optimum); a coordination, its
+// knobs and an order; one process of one to three in-process localities,
+// or two to four processes, on a star or a wave, now and then with a
+// standby coordinator or a pool budget; and, a third of the time each,
+// link latency with perhaps a partition that heals, and a kill schedule —
+// one or two workers, or a standby coordinator, dying on their next work.
+func draw(seed int64) scenario {
+	r := rand.New(rand.NewSource(seed))
+	pick := r.Intn
+	tr := semTree(seed, 3+pick(2), 5+pick(4))
+	sc := scenario{name: fmt.Sprintf("seed=%d", seed), tree: tr, search: searchKind(pick(3)), ranks: 1 + pick(4),
+		coord: [...]Coordination{DepthBounded, Budget, StackStealing}[pick(3)],
+		cfg: Config{Workers: 1 + pick(3), DCutoff: 1 + pick(4), Budget: 1 << pick(8), Chunked: pick(2) == 0,
+			Order: Order(pick(3)), Seed: seed, MaxFailures: -1}}
+	if sc.search == decide {
+		opt, _ := tr.truth(optimise)
+		sc.target = opt + int64(pick(2))
+	}
+	if pick(4) == 0 {
+		sc.cfg.PoolBudget = 2 << 10 << pick(3)
+	}
+	if sc.ranks == 1 {
+		sc.cfg.Localities = 1 + pick(3)
+		if pick(2) == 0 {
+			sc.cfg.Topology = dist.TopologyMesh
+		}
+		if pick(5) == 0 {
+			sc.coord = Sequential
+		}
+	} else {
+		sc.wave, sc.cfg.Standby = pick(2) == 0, pick(3) == 0
+	}
+	if pick(3) == 0 {
+		sc.net = dist.NewFaultPlan(seed)
+		sc.net.SetDefault(dist.LinkFault{Latency: time.Duration(pick(100)) * time.Microsecond, Jitter: time.Duration(1+pick(50)) * time.Microsecond})
+		if locs := max(sc.ranks, sc.cfg.Localities); locs > 1 && pick(2) == 0 {
+			sc.parts = []dist.ChaosPartition{{Ranks: []int{pick(locs)}, After: time.Duration(pick(1000)) * time.Microsecond, Dur: time.Duration(1+pick(3)) * time.Millisecond}}
+		}
+	}
+	if sc.ranks > 1 && pick(2) == 0 {
+		after := time.Duration(pick(3)) * 200 * time.Microsecond
+		if sc.cfg.Standby && pick(2) == 0 {
+			sc.kills = []kill{{rank: 0, after: after}}
+		} else {
+			spare := sc.ranks - 1 // leaving a worker alive: under Standby rank 0 has none
+			if sc.cfg.Standby {
+				spare--
+			}
+			for _, v := range r.Perm(sc.ranks - 1)[:min(spare, 1+pick(2))] {
+				sc.kills = append(sc.kills, kill{rank: 1 + v, after: after})
+			}
+		}
+		if pick(3) == 0 {
+			sc.cfg.MaxFailures = pick(2)
+		}
+	}
+	return sc
+}

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"yewpar/internal/pad"
+	"yewpar/internal/semantics"
 )
 
 // The cache-line discipline, asserted: whatever one worker writes per
@@ -68,8 +69,8 @@ func TestIsolatedPadsBothSides(t *testing.T) {
 	if pad.Line < 128 {
 		t.Fatalf("pad.Line = %d, want >= 128 (adjacent-line prefetch pairs)", pad.Line)
 	}
-	checkIsolated[workerCtx[*testTree, testNode]](t, "workerCtx")
-	checkIsolated[enumVisitor[*testTree, testNode, int64]](t, "enumVisitor")
+	checkIsolated[workerCtx[*semantics.Tree, string]](t, "workerCtx")
+	checkIsolated[enumVisitor[*semantics.Tree, string, int64]](t, "enumVisitor")
 	checkIsolated[bucketQueue[int]](t, "bucketQueue")
 	checkIsolated[[]TaskEvent](t, "[]TaskEvent")
 	checkIsolated[atomic.Int64](t, "atomic.Int64")
@@ -82,14 +83,14 @@ func TestIsolatedPadsBothSides(t *testing.T) {
 // builds: each worker's context and its visitor (whose accumulator is
 // written on every node) stay a pad away from every other worker's.
 func TestWorkerContextsShareNoLine(t *testing.T) {
-	tree := genTree(3, 3, 5)
-	p := tree.enumProblem()
-	ws := newWorkers(tree, p.Gen, Config{Workers: 4}, nil, func(th *thief[testNode]) visitor[testNode] {
+	tree := semantics.GenTree(3, 3, 5)
+	p := enumProblem()
+	ws := newWorkers(tree, p.Gen, Config{Workers: 4}, nil, func(th *thief[string]) visitor[string] {
 		return newEnumVisitor(tree, p, &th.stats)
 	})
 	groups := make([][]span, len(ws))
 	for w, c := range ws {
-		v := c.visitor.(*enumVisitor[*testTree, testNode, int64])
+		v := c.visitor.(*enumVisitor[*semantics.Tree, string, int64])
 		if v.shard != &c.stats {
 			t.Fatalf("worker %d's visitor counts outside its context", w)
 		}

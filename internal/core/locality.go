@@ -75,6 +75,8 @@ type locality[N any] struct {
 	// peer's, so workers may prune against a stale bound in the meantime
 	// — which loses pruning, never correctness.
 	bound pad.Isolated[atomic.Int64]
+	// worked latches when work first reaches the locality from a peer.
+	worked atomic.Bool
 
 	// What an adopted hand-over needs and gives back: its family, returned
 	// when it drains (a reference to a family — a queued or running task, a
@@ -311,6 +313,24 @@ func (l *locality[N]) onDeath(rank int) {
 		// way every registration is guaranteed a continuation (see
 		// ledger.reapAll).
 		tasks = append(tasks, l.led.reapAll()...)
+	}
+	succ := 1 // rank 0's successor, the lowest rank alive
+	for succ < len(l.fab.dead) && l.fab.dead[succ].Load() {
+		succ++
+	}
+	if rank == 0 && first && l.rank == succ && !l.worked.Load() {
+		// No work reached the successor, so the root may have died with
+		// rank 0, and nothing ends the search (dist.Transport's Done). Seed
+		// it again: replay-safe, though twice the work had it left (Standby).
+		// Registered first, the seed holds the search open, unless it had
+		// left and the search has ended already: then there is none to add.
+		l.tr.AddTasks(1)
+		select {
+		case <-l.tr.Done():
+			l.tr.AddTasks(-1)
+		default:
+			tasks = append(tasks, Task[N]{Node: l.fab.root})
+		}
 	}
 	l.pool.PushBatch(tasks)
 	l.backoff.reset()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"yewpar/internal/gate"
+	"yewpar/internal/semantics"
 )
 
 // Micro-benchmarks of the runtime substrate: pool throughput under
@@ -155,15 +156,15 @@ func BenchmarkGateWorkerScaling(b *testing.B) {
 	const ops = 2_000_000
 	visit := func(workers int) func() float64 {
 		return func() float64 {
-			tree := genTree(1, 4, 9)
-			p := tree.enumProblem()
-			ws := newWorkers(tree, p.Gen, Config{Workers: workers}, nil, func(th *thief[testNode]) visitor[testNode] {
+			tree := semantics.GenTree(1, 4, 9)
+			p := enumProblem()
+			ws := newWorkers(tree, p.Gen, Config{Workers: workers}, nil, func(th *thief[string]) visitor[string] {
 				return newEnumVisitor(tree, p, &th.stats)
 			})
 			cancel := newCanceller()
 			return hammer(workers, func(w int) {
 				for i := 0; i < ops && !cancel.cancelled(); i++ {
-					ws[w].visitor.visit(testNode{})
+					ws[w].visitor.visit("")
 				}
 			})
 		}
@@ -217,10 +218,10 @@ func BenchmarkSequentialEngineOverhead(b *testing.B) {
 	// Cost per node of the generic engine on a featherweight problem:
 	// upper-bounds the skeleton tax measured in Table 1.
 	b.ReportAllocs()
-	tree := genTree(1, 4, 9)
-	p := tree.enumProblem()
+	tree := semantics.GenTree(1, 4, 9)
+	p := enumProblem()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Enum(Sequential, tree, testNode{}, p, Config{})
+		Enum(Sequential, tree, "", p, Config{})
 	}
 }

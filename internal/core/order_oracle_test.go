@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
+
+	"yewpar/internal/semantics"
 )
 
 // Oracle property test for ordered scheduling: on random seeded trees,
@@ -26,41 +29,17 @@ func TestOrderedSchedulingOracle(t *testing.T) {
 		{"depthbounded-2loc", DepthBounded, Config{Workers: 4, Localities: 2, DCutoff: 2}},
 		{"budget-3loc", Budget, Config{Workers: 6, Localities: 3, Budget: 25}},
 	}
-	orders := []Order{OrderNone, OrderDiscrepancy, OrderBound}
 	for seed := int64(1); seed <= 4; seed++ {
-		tree := genTree(seed, 4, 8)
-		tree.sortChildrenByBound()
-		wantSum := tree.sum()
-		seqOpt := Opt(Sequential, tree, testNode{}, tree.optProblem(true), Config{})
-
+		tree := semantics.GenTree(seed, 4, 8)
+		sortByBound(tree)
+		st := treeOf(fmt.Sprint("sorted GenTree ", seed), tree, true)
 		for _, c := range coords {
-			for _, ord := range orders {
+			for ord := OrderNone; ord <= OrderBound; ord++ {
 				t.Run(fmt.Sprintf("seed=%d/%s/order=%s", seed, c.name, ord), func(t *testing.T) {
-					cfg := audited(t, c.cfg)
+					cfg := c.cfg
 					cfg.Order = ord
-					enum := Enum(c.coord, tree, testNode{}, tree.enumProblem(), cfg)
-					if enum.Value != wantSum {
-						t.Fatalf("enum sum = %d, want %d", enum.Value, wantSum)
-					}
-					if enum.Stats.Nodes != int64(tree.size) {
-						t.Fatalf("visited %d nodes, want exactly %d", enum.Stats.Nodes, tree.size)
-					}
-					opt := Opt(c.coord, tree, testNode{}, tree.optProblem(true), cfg)
-					if opt.Objective != seqOpt.Objective {
-						t.Fatalf("optimum = %d, sequential oracle %d", opt.Objective, seqOpt.Objective)
-					}
-					if opt.Stats.Nodes < 1 || opt.Stats.Nodes > int64(tree.size) {
-						t.Fatalf("visited %d nodes, outside [1, %d]", opt.Stats.Nodes, tree.size)
-					}
-					if ord != OrderNone && opt.Stats.Spawns > 0 {
-						hist := int64(0)
-						for _, v := range opt.Stats.PrioHist {
-							hist += v
-						}
-						if hist != opt.Stats.Spawns {
-							t.Fatalf("priority histogram covers %d spawns of %d", hist, opt.Stats.Spawns)
-						}
-					}
+					scenario{tree: st, search: enumerate, coord: c.coord, cfg: cfg}.run(t)
+					scenario{tree: st, search: optimise, coord: c.coord, cfg: cfg}.run(t)
 				})
 			}
 		}
@@ -69,19 +48,11 @@ func TestOrderedSchedulingOracle(t *testing.T) {
 
 // Decision searches must agree on found/not-found under every order.
 func TestOrderedDecisionOracle(t *testing.T) {
-	tree := genTree(9, 4, 8)
-	max := tree.max()
+	st := treeOf("GenTree(9, 4, 8), unbounded", semantics.GenTree(9, 4, 8), false)
+	max, _ := st.truth(decide)
 	for _, target := range []int64{max, max + 1} {
-		wantFound := target <= max
-		for _, ord := range []Order{OrderNone, OrderDiscrepancy, OrderBound} {
-			cfg := Config{Workers: 4, DCutoff: 2, Order: ord}
-			res := Decide(DepthBounded, tree, testNode{}, tree.decisionProblem(target, false), cfg)
-			if res.Found != wantFound {
-				t.Fatalf("order=%v target=%d: Found=%v, want %v", ord, target, res.Found, wantFound)
-			}
-			if wantFound && res.Objective < target {
-				t.Fatalf("order=%v: witness objective %d below target %d", ord, res.Objective, target)
-			}
+		for ord := OrderNone; ord <= OrderBound; ord++ {
+			scenario{tree: st, search: decide, target: target, coord: DepthBounded, cfg: Config{Workers: 4, DCutoff: 2, Order: ord}}.run(t)
 		}
 	}
 }
@@ -92,33 +63,18 @@ func TestOrderedDecisionOracle(t *testing.T) {
 // a deep cutoff turns the whole tree into tasks, and every task's Prio
 // must equal the discrepancy its node path implies.
 func TestDiscrepancyPrioritiesMatchPaths(t *testing.T) {
-	tree := genTree(5, 3, 5)
-	// Discrepancy of a testNode id: children are 'a' + index, so each
-	// letter beyond 'a' on the path contributes one discrepancy.
-	wantDisc := func(id string) int32 {
-		d := int32(0)
-		for _, c := range id {
-			if c != 'a' {
-				d++
-			}
-		}
-		return d
-	}
-	// Wrap the generator to record the Prio each spawned child received:
-	// run an enum search ordered by discrepancy and harvest from the
-	// histogram; cross-check totals per discrepancy class.
+	tree := semantics.GenTree(5, 3, 5)
+	// Run an enum search ordered by discrepancy and harvest the Prio each
+	// spawned child received from the histogram, per discrepancy class.
 	cfg := Config{Workers: 1, DCutoff: 100, Order: OrderDiscrepancy}
-	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(), cfg)
+	res := Enum(DepthBounded, tree, "", enumProblem(), cfg)
 	want := map[int]int64{}
-	for id := range tree.value {
-		if id == "" {
-			continue // the root is seeded, not spawned
+	for id := range tree.H {
+		// Children are 'a' + index, so each letter beyond 'a' on the path
+		// is one discrepancy; the root is seeded, not spawned.
+		if id != "" {
+			want[min(len(id)-strings.Count(id, "a"), prioHistBuckets-1)]++
 		}
-		d := int(wantDisc(id))
-		if d >= prioHistBuckets {
-			d = prioHistBuckets - 1
-		}
-		want[d]++
 	}
 	for i := 0; i < prioHistBuckets; i++ {
 		if res.Stats.PrioHist[i] != want[i] {
@@ -131,15 +87,7 @@ func TestDiscrepancyPrioritiesMatchPaths(t *testing.T) {
 // OrderBound without a Bound function (enumeration) must degrade to
 // discrepancy order, not crash.
 func TestOrderBoundDegradesWithoutBound(t *testing.T) {
-	tree := genTree(3, 4, 7)
-	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(),
-		Config{Workers: 4, DCutoff: 2, Order: OrderBound})
-	if res.Value != tree.sum() {
-		t.Fatalf("sum = %d, want %d", res.Value, tree.sum())
-	}
-	if res.Stats.Nodes != int64(tree.size) {
-		t.Fatalf("visited %d nodes, want %d", res.Stats.Nodes, tree.size)
-	}
+	scenario{tree: semTree(3, 4, 7), search: enumerate, coord: DepthBounded, cfg: Config{Workers: 4, DCutoff: 2, Order: OrderBound}}.run(t)
 }
 
 // clampPrio must be monotone over the whole non-negative domain and

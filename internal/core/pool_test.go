@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"yewpar/internal/semantics"
 )
 
 func TestDepthPoolOwnerDeepestFirstFIFO(t *testing.T) {
@@ -136,30 +138,29 @@ func TestDepthPoolStealPrefersShallow(t *testing.T) {
 // 22's table in CHANGES.md.)
 func TestDepthPoolKeepsHeuristicOrderDequeInvertsIt(t *testing.T) {
 	const depth = 5
-	tree := &testTree{children: map[string][]string{}, value: map[string]int64{}}
+	tree := &semantics.Tree{Children: map[string][]string{}, H: map[string]int{}}
 	var build func(id string, d int)
 	build = func(id string, d int) {
-		tree.size++
-		tree.value[id] = 0
+		tree.H[id] = 0
 		if d == depth {
 			return
 		}
 		for _, c := range "abc" {
-			tree.children[id] = append(tree.children[id], id+string(c))
+			tree.Children[id] = append(tree.Children[id], id+string(c))
 			build(id+string(c), d+1)
 		}
 	}
 	build("", 0)
-	tree.value["aaaaa"] = 1
+	tree.H["aaaaa"] = 1
 
-	res := Decide(DepthBounded, tree, testNode{}, tree.decisionProblem(1, false),
+	res := Decide(DepthBounded, tree, "", decisionProblem(1, false),
 		Config{Workers: 1, DCutoff: 2})
-	if !res.Found || res.Witness.id != "aaaaa" {
-		t.Fatalf("found=%v witness %q, want aaaaa", res.Found, res.Witness.id)
+	if !res.Found || res.Witness != "aaaaa" {
+		t.Fatalf("found=%v witness %q, want aaaaa", res.Found, res.Witness)
 	}
-	if res.Stats.Nodes != depth+1 || tree.size != 364 {
+	if res.Stats.Nodes != depth+1 || tree.Size() != 364 {
 		t.Errorf("depth pool visited %d nodes of %d, want the %d on the heuristic-first path of 364",
-			res.Stats.Nodes, tree.size, depth+1)
+			res.Stats.Nodes, tree.Size(), depth+1)
 	}
 }
 

@@ -3,41 +3,38 @@ package core
 import (
 	"sync/atomic"
 	"testing"
+
+	"yewpar/internal/semantics"
 )
 
-// rtGen is a resettable generator over testTree, mirroring what the
+// rtGen is a resettable generator over a semantics tree, mirroring what the
 // real applications implement: cursor state re-aimed by Reset, with
 // shared counters so tests can observe how often the factory allocated
 // versus recycled.
 type rtGen struct {
-	t     *testTree
-	kids  []string
-	depth int
-	i     int
+	kids []string
+	i    int
 }
 
-func (g *rtGen) Reset(t *testTree, parent testNode) {
-	g.t = t
-	g.kids = t.children[parent.id]
-	g.depth = parent.depth + 1
+func (g *rtGen) Reset(t *semantics.Tree, parent string) {
+	g.kids = t.Children[parent]
 	g.i = 0
 }
 
 func (g *rtGen) HasNext() bool { return g.i < len(g.kids) }
 
-func (g *rtGen) Next() testNode {
-	n := testNode{id: g.kids[g.i], depth: g.depth}
+func (g *rtGen) Next() string {
 	g.i++
-	return n
+	return g.kids[g.i-1]
 }
 
-var _ ResettableGenerator[*testTree, testNode] = (*rtGen)(nil)
+var _ ResettableGenerator[*semantics.Tree, string] = (*rtGen)(nil)
 
 // countingResettableGen returns a resettable GenFactory plus a counter
 // of constructions (factory calls, each of which allocated).
-func countingResettableGen() (GenFactory[*testTree, testNode], *atomic.Int64) {
+func countingResettableGen() (GenFactory[*semantics.Tree, string], *atomic.Int64) {
 	var constructions atomic.Int64
-	gf := func(t *testTree, parent testNode) NodeGenerator[testNode] {
+	gf := func(t *semantics.Tree, parent string) NodeGenerator[string] {
 		constructions.Add(1)
 		g := &rtGen{}
 		g.Reset(t, parent)
@@ -47,20 +44,20 @@ func countingResettableGen() (GenFactory[*testTree, testNode], *atomic.Int64) {
 }
 
 // countingPlainGen is the reference arm: the same child streams from a
-// generator the cache cannot recycle (testGen's exposes only HasNext
+// generator the cache cannot recycle (treeGen's exposes only HasNext
 // and Next), so every expansion takes the factory path — what any
 // application without Reset runs.
-func countingPlainGen() (GenFactory[*testTree, testNode], *atomic.Int64) {
+func countingPlainGen() (GenFactory[*semantics.Tree, string], *atomic.Int64) {
 	var constructions atomic.Int64
-	gf := func(t *testTree, parent testNode) NodeGenerator[testNode] {
+	gf := func(t *semantics.Tree, parent string) NodeGenerator[string] {
 		constructions.Add(1)
-		return testGen(t, parent)
+		return treeGen(t, parent)
 	}
 	return gf, &constructions
 }
 
-func (t *testTree) resettableEnumProblem(gf GenFactory[*testTree, testNode]) EnumProblem[*testTree, testNode, int64] {
-	p := t.enumProblem()
+func resettableEnumProblem(gf GenFactory[*semantics.Tree, string]) EnumProblem[*semantics.Tree, string, int64] {
+	p := enumProblem()
 	p.Gen = gf
 	return p
 }
@@ -69,11 +66,11 @@ func (t *testTree) resettableEnumProblem(gf GenFactory[*testTree, testNode]) Enu
 // generator per level, Reset on reuse, factory fallback for fresh
 // levels and for generators that cannot be reset.
 func TestGenCacheRecycles(t *testing.T) {
-	tree := genTree(3, 3, 6)
+	tree := semantics.GenTree(3, 3, 6)
 	gf, constructions := countingResettableGen()
-	gc := genCache[*testTree, testNode]{space: tree, gf: gf}
+	gc := genCache[*semantics.Tree, string]{space: tree, gf: gf}
 
-	root := testNode{}
+	root := ""
 	g0 := gc.gen(0, root)
 	if constructions.Load() != 1 {
 		t.Fatalf("first level-0 gen: %d constructions, want 1", constructions.Load())
@@ -94,7 +91,7 @@ func TestGenCacheRecycles(t *testing.T) {
 
 	// Nothing to recycle: every request goes to the factory.
 	gfOff, consOff := countingPlainGen()
-	gcOff := genCache[*testTree, testNode]{space: tree, gf: gfOff}
+	gcOff := genCache[*semantics.Tree, string]{space: tree, gf: gfOff}
 	gcOff.gen(0, root)
 	gcOff.genDFS(0, root)
 	if consOff.Load() != 2 {
@@ -106,36 +103,36 @@ func TestGenCacheRecycles(t *testing.T) {
 // fresh one for every node of a random tree: the child streams must be
 // identical.
 func TestGenCacheResetMatchesFresh(t *testing.T) {
-	tree := genTree(7, 4, 7)
+	tree := semantics.GenTree(7, 4, 7)
 	// Collect every node with fresh generators, then replay the whole
 	// set through ONE recycled generator — successive Resets at a
 	// single level, exactly the cache's reuse pattern.
-	var nodes []testNode
-	var walk func(n testNode)
-	walk = func(n testNode) {
+	var nodes []string
+	var walk func(n string)
+	walk = func(n string) {
 		nodes = append(nodes, n)
-		g := testGen(tree, n)
+		g := treeGen(tree, n)
 		for g.HasNext() {
 			walk(g.Next())
 		}
 	}
-	walk(testNode{})
+	walk("")
 
 	shared := &rtGen{}
 	for _, n := range nodes {
 		shared.Reset(tree, n)
-		fresh := testGen(tree, n)
+		fresh := treeGen(tree, n)
 		for fresh.HasNext() {
 			if !shared.HasNext() {
-				t.Fatalf("node %q: recycled generator ran dry early", n.id)
+				t.Fatalf("node %q: recycled generator ran dry early", n)
 			}
 			got, want := shared.Next(), fresh.Next()
 			if got != want {
-				t.Fatalf("node %q: recycled child %v, fresh child %v", n.id, got, want)
+				t.Fatalf("node %q: recycled child %v, fresh child %v", n, got, want)
 			}
 		}
 		if shared.HasNext() {
-			t.Fatalf("node %q: recycled generator has extra children", n.id)
+			t.Fatalf("node %q: recycled generator has extra children", n)
 		}
 	}
 }
@@ -145,26 +142,26 @@ func TestGenCacheResetMatchesFresh(t *testing.T) {
 // called only O(depth) times, not O(nodes) — the allocation-free
 // expansion property.
 func TestRecyclingSequentialAllocatesPerLevel(t *testing.T) {
-	tree := genTree(11, 4, 9)
+	tree := semantics.GenTree(11, 4, 9)
 	gf, constructions := countingResettableGen()
-	res := Enum(Sequential, tree, testNode{}, tree.resettableEnumProblem(gf), Config{})
-	if res.Value != tree.sum() {
-		t.Fatalf("recycled enum sum = %d, want %d", res.Value, tree.sum())
+	res := Enum(Sequential, tree, "", resettableEnumProblem(gf), Config{})
+	if res.Value != int64(tree.Sum()) {
+		t.Fatalf("recycled enum sum = %d, want %d", res.Value, int64(tree.Sum()))
 	}
-	if res.Stats.Nodes != int64(tree.size) {
-		t.Fatalf("visited %d nodes, want %d", res.Stats.Nodes, tree.size)
+	if res.Stats.Nodes != int64(tree.Size()) {
+		t.Fatalf("visited %d nodes, want %d", res.Stats.Nodes, tree.Size())
 	}
 	// One construction per stack level ever reached (≤ maxDepth+1);
 	// far below one per node.
 	if c := constructions.Load(); c > 10 {
-		t.Fatalf("factory called %d times for a %d-node tree; recycling broken", c, tree.size)
+		t.Fatalf("factory called %d times for a %d-node tree; recycling broken", c, tree.Size())
 	}
 
 	// And the reference arm really takes the factory path: the same
 	// search, constructions scaling with expanded nodes.
 	gfOff, consOff := countingPlainGen()
-	resOff := Enum(Sequential, tree, testNode{}, tree.resettableEnumProblem(gfOff), Config{})
-	if resOff.Value != tree.sum() || resOff.Stats.Nodes != res.Stats.Nodes {
+	resOff := Enum(Sequential, tree, "", resettableEnumProblem(gfOff), Config{})
+	if resOff.Value != int64(tree.Sum()) || resOff.Stats.Nodes != res.Stats.Nodes {
 		t.Fatalf("factory-path enum sum = %d over %d nodes, recycled %d over %d", resOff.Value, resOff.Stats.Nodes, res.Value, res.Stats.Nodes)
 	}
 	if c := consOff.Load(); c <= 10 {
@@ -182,7 +179,6 @@ type ephNode struct {
 }
 
 type ephGen struct {
-	t     *testTree
 	kids  []string
 	depth int
 	i     int
@@ -190,15 +186,14 @@ type ephGen struct {
 	eph   bool
 }
 
-func (g *ephGen) Reset(t *testTree, parent ephNode) {
-	g.t = t
-	g.kids = t.children[string(parent.id)]
+func (g *ephGen) Reset(t *semantics.Tree, parent ephNode) {
+	g.kids = t.Children[string(parent.id)]
 	g.depth = parent.depth + 1
 	g.i = 0
 	g.eph = false
 }
 
-func (g *ephGen) ResetEphemeral(t *testTree, parent ephNode) {
+func (g *ephGen) ResetEphemeral(t *semantics.Tree, parent ephNode) {
 	g.Reset(t, parent)
 	g.eph = true
 }
@@ -216,17 +211,17 @@ func (g *ephGen) Next() ephNode {
 	return ephNode{id: []byte(id), depth: g.depth}
 }
 
-var _ EphemeralGenerator[*testTree, ephNode] = (*ephGen)(nil)
+var _ EphemeralGenerator[*semantics.Tree, ephNode] = (*ephGen)(nil)
 
-func (t *testTree) ephOptProblem() OptProblem[*testTree, ephNode] {
-	return OptProblem[*testTree, ephNode]{
-		Gen: func(t *testTree, parent ephNode) NodeGenerator[ephNode] {
+func ephOptProblem() OptProblem[*semantics.Tree, ephNode] {
+	return OptProblem[*semantics.Tree, ephNode]{
+		Gen: func(t *semantics.Tree, parent ephNode) NodeGenerator[ephNode] {
 			g := &ephGen{}
 			g.Reset(t, parent)
 			return g
 		},
-		Objective: func(tt *testTree, n ephNode) int64 { return tt.value[string(n.id)] },
-		Copy: func(_ *testTree, n ephNode) ephNode {
+		Objective: func(tt *semantics.Tree, n ephNode) int64 { return hOf(tt, string(n.id)) },
+		Copy: func(_ *semantics.Tree, n ephNode) ephNode {
 			return ephNode{id: append([]byte(nil), n.id...), depth: n.depth}
 		},
 	}
@@ -238,15 +233,15 @@ func (t *testTree) ephOptProblem() OptProblem[*testTree, ephNode] {
 // optimisation coordination that reaches expandBelow's ephemeral path,
 // including ReplicableOpt's hand-built phase-2 visitors.
 func TestEphemeralIncumbentIsCopied(t *testing.T) {
-	tree := genTree(13, 4, 8)
-	p := tree.ephOptProblem()
-	want := tree.max()
+	tree := semantics.GenTree(13, 4, 8)
+	p := ephOptProblem()
+	want := int64(tree.Max())
 	check := func(name string, res OptResult[ephNode]) {
 		t.Helper()
 		if res.Objective != want {
 			t.Fatalf("%s objective = %d, want %d", name, res.Objective, want)
 		}
-		if got := tree.value[string(res.Best.id)]; got != res.Objective {
+		if got := hOf(tree, string(res.Best.id)); got != res.Objective {
 			t.Fatalf("%s Best node %q has value %d, recorded objective %d (aliased ephemeral buffer?)",
 				name, res.Best.id, got, res.Objective)
 		}
@@ -260,8 +255,8 @@ func TestEphemeralIncumbentIsCopied(t *testing.T) {
 // resettable generators and multiple workers — under `go test -race`
 // this is the regression net for worker-confined generator reuse.
 func TestRecyclingAllCoordinations(t *testing.T) {
-	tree := genTree(5, 4, 8)
-	want := tree.sum()
+	tree := semantics.GenTree(5, 4, 8)
+	want := int64(tree.Sum())
 	cases := []struct {
 		name  string
 		coord Coordination
@@ -275,25 +270,25 @@ func TestRecyclingAllCoordinations(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			gf, _ := countingResettableGen()
-			res := Enum(c.coord, tree, testNode{}, tree.resettableEnumProblem(gf), audited(t, c.cfg))
+			res := Enum(c.coord, tree, "", resettableEnumProblem(gf), audited(t, c.cfg))
 			if res.Value != want {
 				t.Fatalf("%s enum sum = %d, want %d", c.name, res.Value, want)
 			}
-			if res.Stats.Nodes != int64(tree.size) {
-				t.Fatalf("%s visited %d nodes, want %d", c.name, res.Stats.Nodes, tree.size)
+			if res.Stats.Nodes != int64(tree.Size()) {
+				t.Fatalf("%s visited %d nodes, want %d", c.name, res.Stats.Nodes, tree.Size())
 			}
 		})
 	}
 
 	// Optimisation with pruning and recycling, against the sequential
 	// oracle.
-	tree.sortChildrenByBound()
-	p := tree.optProblem(true)
+	sortByBound(tree)
+	p := optProblem(true)
 	gfOpt, _ := countingResettableGen()
 	p.Gen = gfOpt
-	seq := Opt(Sequential, tree, testNode{}, p, Config{})
+	seq := Opt(Sequential, tree, "", p, Config{})
 	for _, c := range cases {
-		par := Opt(c.coord, tree, testNode{}, p, audited(t, c.cfg))
+		par := Opt(c.coord, tree, "", p, audited(t, c.cfg))
 		if par.Objective != seq.Objective {
 			t.Fatalf("%s optimum %d, sequential %d", c.name, par.Objective, seq.Objective)
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"yewpar/internal/dist"
+	"yewpar/internal/semantics"
 )
 
 var allCoords = []Coordination{Sequential, DepthBounded, StackStealing, Budget}
@@ -28,33 +29,26 @@ func testConfigs() []Config {
 	}
 }
 
-func treesUnderTest() map[string]*testTree {
-	return map[string]*testTree{
-		"rand1":  genTree(1, 4, 9),
-		"rand2":  genTree(2, 5, 8),
-		"rand3":  genTree(42, 3, 12),
+func treesUnderTest() map[string]*semantics.Tree {
+	return map[string]*semantics.Tree{
+		"rand1":  semantics.GenTree(1, 4, 9),
+		"rand2":  semantics.GenTree(2, 5, 8),
+		"rand3":  semantics.GenTree(42, 3, 12),
 		"chain":  chainTree(200),
 		"wide":   wideTree(500),
 		"single": chainTree(1),
 	}
 }
 
-func TestEnumAllSkeletonsCountNodes(t *testing.T) {
-	for name, tree := range treesUnderTest() {
-		count := EnumProblem[*testTree, testNode, int64]{
-			Gen:       testGen,
-			Objective: func(*testTree, testNode) int64 { return 1 },
-			Monoid:    SumInt64{},
-		}
+// matrix runs search as harness rows over every tree under test, every
+// coordination and each of cfgs (Sequential on the first only).
+func matrix(t *testing.T, search searchKind, bounded bool, cfgs ...Config) {
+	for name, tr := range treesUnderTest() {
+		st := treeOf(name, tr, bounded)
+		target, _ := st.truth(optimise)
 		for _, coord := range allCoords {
-			for ci, cfg := range testConfigs() {
-				res := Enum(coord, tree, testNode{}, count, audited(t, cfg))
-				if res.Value != int64(tree.size) {
-					t.Errorf("%s/%v/cfg%d: count = %d, want %d", name, coord, ci, res.Value, tree.size)
-				}
-				if res.Stats.Nodes != int64(tree.size) {
-					t.Errorf("%s/%v/cfg%d: visited %d nodes, want exactly %d", name, coord, ci, res.Stats.Nodes, tree.size)
-				}
+			for ci, cfg := range cfgs {
+				scenario{name: fmt.Sprintf("%s/%v/cfg%d", name, coord, ci), tree: st, search: search, target: target, coord: coord, cfg: cfg}.check(t)
 				if coord == Sequential {
 					break // configs are irrelevant sequentially
 				}
@@ -63,28 +57,21 @@ func TestEnumAllSkeletonsCountNodes(t *testing.T) {
 	}
 }
 
+func TestEnumAllSkeletonsCountNodes(t *testing.T) { matrix(t, enumerate, false, testConfigs()...) }
 func TestEnumAllSkeletonsSumValues(t *testing.T) {
-	for name, tree := range treesUnderTest() {
-		want := tree.sum()
-		for _, coord := range allCoords {
-			res := Enum(coord, tree, testNode{}, tree.enumProblem(), audited(t, Config{Workers: 6, Localities: 2}))
-			if res.Value != want {
-				t.Errorf("%s/%v: sum = %d, want %d", name, coord, res.Value, want)
-			}
-		}
-	}
+	matrix(t, enumerate, false, Config{Workers: 6, Localities: 2})
 }
 
 func TestEnumMaxMonoid(t *testing.T) {
-	tree := genTree(7, 4, 9)
-	p := EnumProblem[*testTree, testNode, int64]{
-		Gen:       testGen,
-		Objective: func(tt *testTree, n testNode) int64 { return tt.value[n.id] },
+	tree := semantics.GenTree(7, 4, 9)
+	p := EnumProblem[*semantics.Tree, string, int64]{
+		Gen:       treeGen,
+		Objective: func(tt *semantics.Tree, n string) int64 { return hOf(tt, n) },
 		Monoid:    MaxInt64{},
 	}
-	want := tree.max()
+	want := int64(tree.Max())
 	for _, coord := range allCoords {
-		res := Enum(coord, tree, testNode{}, p, Config{Workers: 4})
+		res := Enum(coord, tree, "", p, Config{Workers: 4})
 		if res.Value != want {
 			t.Errorf("%v: max = %d, want %d", coord, res.Value, want)
 		}
@@ -92,20 +79,20 @@ func TestEnumMaxMonoid(t *testing.T) {
 }
 
 func TestEnumDepthProfile(t *testing.T) {
-	tree := genTree(11, 4, 6)
+	tree := semantics.GenTree(11, 4, 6)
 	const depths = 8
-	p := EnumProblem[*testTree, testNode, []int64]{
-		Gen: testGen,
-		Objective: func(tt *testTree, n testNode) []int64 {
+	p := EnumProblem[*semantics.Tree, string, []int64]{
+		Gen: treeGen,
+		Objective: func(tt *semantics.Tree, n string) []int64 {
 			v := make([]int64, depths)
-			v[n.depth]++
+			v[len(n)]++
 			return v
 		},
 		Monoid: SumVec{Len: depths},
 	}
-	want := Enum(Sequential, tree, testNode{}, p, Config{})
+	want := Enum(Sequential, tree, "", p, Config{})
 	for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
-		res := Enum(coord, tree, testNode{}, p, Config{Workers: 5})
+		res := Enum(coord, tree, "", p, Config{Workers: 5})
 		for d := 0; d < depths; d++ {
 			if res.Value[d] != want.Value[d] {
 				t.Errorf("%v: depth %d count %d, want %d", coord, d, res.Value[d], want.Value[d])
@@ -115,35 +102,14 @@ func TestEnumDepthProfile(t *testing.T) {
 }
 
 func TestOptAllSkeletonsFindMax(t *testing.T) {
-	for name, tree := range treesUnderTest() {
-		want := tree.max()
-		for _, withBound := range []bool{false, true} {
-			p := tree.optProblem(withBound)
-			for _, coord := range allCoords {
-				for ci, cfg := range testConfigs() {
-					res := Opt(coord, tree, testNode{}, p, audited(t, cfg))
-					if !res.Found {
-						t.Fatalf("%s/%v/cfg%d(bound=%v): nothing found", name, coord, ci, withBound)
-					}
-					if res.Objective != want {
-						t.Errorf("%s/%v/cfg%d(bound=%v): max = %d, want %d", name, coord, ci, withBound, res.Objective, want)
-					}
-					if got := tree.value[res.Best.id]; got != want {
-						t.Errorf("%s/%v/cfg%d: witness %q has value %d, want %d", name, coord, ci, res.Best.id, got, want)
-					}
-					if coord == Sequential {
-						break
-					}
-				}
-			}
-		}
-	}
+	matrix(t, optimise, false, testConfigs()...)
+	matrix(t, optimise, true, testConfigs()...)
 }
 
 func TestOptPruningVisitsFewerNodes(t *testing.T) {
-	tree := genTree(3, 5, 10)
-	noBound := Opt(Sequential, tree, testNode{}, tree.optProblem(false), Config{})
-	withBound := Opt(Sequential, tree, testNode{}, tree.optProblem(true), Config{})
+	tree := semantics.GenTree(3, 5, 10)
+	noBound := Opt(Sequential, tree, "", optProblem(false), Config{})
+	withBound := Opt(Sequential, tree, "", optProblem(true), Config{})
 	if withBound.Objective != noBound.Objective {
 		t.Fatalf("pruning changed the answer: %d vs %d", withBound.Objective, noBound.Objective)
 	}
@@ -157,41 +123,18 @@ func TestOptPruningVisitsFewerNodes(t *testing.T) {
 }
 
 func TestDecisionAllSkeletonsSatisfiable(t *testing.T) {
-	for name, tree := range treesUnderTest() {
-		target := tree.max() // always achievable
-		for _, withBound := range []bool{false, true} {
-			p := tree.decisionProblem(target, withBound)
-			for _, coord := range allCoords {
-				res := Decide(coord, tree, testNode{}, p, audited(t, Config{Workers: 6, Localities: 2}))
-				if !res.Found {
-					t.Errorf("%s/%v(bound=%v): target %d not found", name, coord, withBound, target)
-					continue
-				}
-				if res.Objective < target {
-					t.Errorf("%s/%v: witness objective %d below target %d", name, coord, res.Objective, target)
-				}
-				if tree.value[res.Witness.id] < target {
-					t.Errorf("%s/%v: witness %q does not reach target", name, coord, res.Witness.id)
-				}
-			}
-		}
-	}
+	matrix(t, decide, false, Config{Workers: 6, Localities: 2})
+	matrix(t, decide, true, Config{Workers: 6, Localities: 2})
 }
 
+// An unreachable target is an exact "no"; unbounded, the proof visits the
+// whole tree (judge).
 func TestDecisionAllSkeletonsUnsatisfiable(t *testing.T) {
-	tree := genTree(5, 4, 9)
-	target := tree.max() + 1
-	for _, withBound := range []bool{false, true} {
-		p := tree.decisionProblem(target, withBound)
+	tree := semantics.GenTree(5, 4, 9)
+	for _, bounded := range []bool{false, true} {
+		st := treeOf(fmt.Sprint("GenTree(5, 4, 9), bounded ", bounded), tree, bounded)
 		for _, coord := range allCoords {
-			res := Decide(coord, tree, testNode{}, p, Config{Workers: 4})
-			if res.Found {
-				t.Errorf("%v(bound=%v): found impossible target", coord, withBound)
-			}
-			if !withBound && res.Stats.Nodes != int64(tree.size) {
-				t.Errorf("%v: unsat proof visited %d nodes, want %d (whole tree)",
-					coord, res.Stats.Nodes, tree.size)
-			}
+			scenario{tree: st, search: decide, target: int64(tree.Max()) + 1, coord: coord, cfg: Config{Workers: 4}}.run(t)
 		}
 	}
 }
@@ -200,10 +143,10 @@ func TestDecisionShortCircuitSavesWork(t *testing.T) {
 	// A wide tree whose first child already satisfies the target:
 	// sequential search must stop almost immediately.
 	tree := wideTree(10_000)
-	first := tree.children[""][0]
-	tree.value[first] = 5000
-	p := tree.decisionProblem(5000, false)
-	res := Decide(Sequential, tree, testNode{}, p, Config{})
+	first := tree.Children[""][0]
+	tree.H[first] = 5000
+	p := decisionProblem(5000, false)
+	res := Decide(Sequential, tree, "", p, Config{})
 	if !res.Found {
 		t.Fatal("target not found")
 	}
@@ -214,31 +157,24 @@ func TestDecisionShortCircuitSavesWork(t *testing.T) {
 
 func TestPruneLevelCorrectAcrossSkeletons(t *testing.T) {
 	for _, seed := range []int64{41, 43, 47} {
-		tree := genTree(seed, 5, 9)
-		tree.sortChildrenByBound() // precondition: non-increasing bounds
-		want := tree.max()
-		p := tree.optProblem(true)
-		p.PruneLevel = true
+		tree := semantics.GenTree(seed, 5, 9)
+		sortByBound(tree) // precondition: non-increasing bounds
+		st := treeOf(fmt.Sprint("sorted GenTree ", seed), tree, true)
+		st.opt.PruneLevel = true
 		for _, coord := range allCoords {
-			res := Opt(coord, tree, testNode{}, p, audited(t, Config{Workers: 6, Localities: 2, Budget: 16, DCutoff: 2}))
-			if res.Objective != want {
-				t.Errorf("seed %d %v: max %d, want %d", seed, coord, res.Objective, want)
-			}
+			scenario{tree: st, search: optimise, coord: coord, cfg: Config{Workers: 6, Localities: 2, Budget: 16, DCutoff: 2}}.run(t)
 		}
-		res := Opt(Budget, tree, testNode{}, p, Config{Workers: 4, Budget: 8, Order: OrderBound})
-		if res.Objective != want {
-			t.Errorf("seed %d budget/order=bound: max %d, want %d", seed, res.Objective, want)
-		}
+		scenario{tree: st, search: optimise, coord: Budget, cfg: Config{Workers: 4, Budget: 8, Order: OrderBound}}.run(t)
 	}
 }
 
 func TestPruneLevelVisitsFewerNodes(t *testing.T) {
-	tree := genTree(53, 5, 10)
-	tree.sortChildrenByBound()
-	p := tree.optProblem(true)
-	child := Opt(Sequential, tree, testNode{}, p, Config{})
+	tree := semantics.GenTree(53, 5, 10)
+	sortByBound(tree)
+	p := optProblem(true)
+	child := Opt(Sequential, tree, "", p, Config{})
 	p.PruneLevel = true
-	level := Opt(Sequential, tree, testNode{}, p, Config{})
+	level := Opt(Sequential, tree, "", p, Config{})
 	if level.Objective != child.Objective {
 		t.Fatalf("level pruning changed the answer: %d vs %d", level.Objective, child.Objective)
 	}
@@ -248,24 +184,20 @@ func TestPruneLevelVisitsFewerNodes(t *testing.T) {
 }
 
 func TestPruneLevelDecision(t *testing.T) {
-	tree := genTree(59, 4, 9)
-	tree.sortChildrenByBound()
-	for _, target := range []int64{tree.max(), tree.max() + 1} {
-		p := tree.decisionProblem(target, true)
-		p.PruneLevel = true
-		wantFound := target <= tree.max()
+	tree := semantics.GenTree(59, 4, 9)
+	sortByBound(tree)
+	st := treeOf("sorted GenTree(59, 4, 9)", tree, true)
+	st.opt.PruneLevel = true
+	for _, target := range []int64{int64(tree.Max()), int64(tree.Max()) + 1} {
 		for _, coord := range allCoords {
-			res := Decide(coord, tree, testNode{}, p, Config{Workers: 4})
-			if res.Found != wantFound {
-				t.Errorf("%v target %d: found=%v, want %v", coord, target, res.Found, wantFound)
-			}
+			scenario{tree: st, search: decide, target: target, coord: coord, cfg: Config{Workers: 4}}.run(t)
 		}
 	}
 }
 
 func TestOptStatsSpawnsAndSteals(t *testing.T) {
-	tree := genTree(9, 5, 10)
-	res := Opt(DepthBounded, tree, testNode{}, tree.optProblem(false), Config{Workers: 4, DCutoff: 2})
+	tree := semantics.GenTree(9, 5, 10)
+	res := Opt(DepthBounded, tree, "", optProblem(false), Config{Workers: 4, DCutoff: 2})
 	if res.Stats.Spawns == 0 {
 		t.Error("depth-bounded run recorded no spawns")
 	}
@@ -278,54 +210,46 @@ func TestOptStatsSpawnsAndSteals(t *testing.T) {
 }
 
 func TestBudgetSpawnTriggers(t *testing.T) {
-	tree := genTree(13, 4, 10)
-	res := Enum(Budget, tree, testNode{}, tree.enumProblem(), Config{Workers: 4, Budget: 2})
+	tree := semantics.GenTree(13, 4, 10)
+	res := Enum(Budget, tree, "", enumProblem(), Config{Workers: 4, Budget: 2})
 	if res.Stats.Spawns == 0 {
 		t.Error("tiny budget produced no spawns")
 	}
-	if res.Value != tree.sum() {
-		t.Errorf("budget spawning corrupted sum: %d != %d", res.Value, tree.sum())
+	if res.Value != int64(tree.Sum()) {
+		t.Errorf("budget spawning corrupted sum: %d != %d", res.Value, int64(tree.Sum()))
 	}
-	tree = genTree(31, 4, 9)
-	opt := Opt(Budget, tree, testNode{}, tree.optProblem(true), Config{Workers: 4, Budget: 2, Order: OrderBound})
+	tree = semantics.GenTree(31, 4, 9)
+	opt := Opt(Budget, tree, "", optProblem(true), Config{Workers: 4, Budget: 2, Order: OrderBound})
 	if opt.Stats.Spawns == 0 {
 		t.Error("tiny budget under bound order spawned nothing")
 	}
-	if opt.Objective != tree.max() {
-		t.Errorf("bound-ordered budget spawning: got %d, want %d", opt.Objective, tree.max())
+	if opt.Objective != int64(tree.Max()) {
+		t.Errorf("bound-ordered budget spawning: got %d, want %d", opt.Objective, int64(tree.Max()))
 	}
 }
 
 func TestStackStealChunkedVsSingle(t *testing.T) {
-	tree := genTree(17, 5, 11)
-	want := tree.sum()
+	st := semTree(17, 5, 11)
 	for _, chunked := range []bool{false, true} {
-		res := Enum(StackStealing, tree, testNode{}, tree.enumProblem(), Config{Workers: 8, Chunked: chunked})
-		if res.Value != want {
-			t.Errorf("chunked=%v: sum %d, want %d", chunked, res.Value, want)
-		}
+		scenario{tree: st, search: enumerate, coord: StackStealing, cfg: Config{Workers: 8, Chunked: chunked}}.run(t)
 	}
 }
 
 func TestRootOnlyTreeAllSkeletons(t *testing.T) {
-	tree := chainTree(1)
 	for _, coord := range allCoords {
-		res := Enum(coord, tree, testNode{}, tree.enumProblem(), Config{Workers: 4})
-		if res.Stats.Nodes != 1 {
-			t.Errorf("%v: visited %d nodes on single-node tree", coord, res.Stats.Nodes)
-		}
+		scenario{tree: treeOf("root", chainTree(1), false), search: enumerate, coord: coord, cfg: Config{Workers: 4}}.run(t)
 	}
 }
 
 func TestPrunedRootOpt(t *testing.T) {
 	// Root objective equals subtree max: after visiting the root the
 	// bound check prunes the entire tree immediately.
-	tree := genTree(21, 4, 8)
-	rootMax := tree.subtreeMax("")
-	tree.value[""] = rootMax
-	p := tree.optProblem(true)
+	tree := semantics.GenTree(21, 4, 8)
+	rootMax := int64(tree.SubtreeMax(""))
+	tree.H[""] = int(rootMax)
+	p := optProblem(true)
 	for _, coord := range allCoords {
-		res := Opt(coord, tree, testNode{}, p, Config{Workers: 4})
+		res := Opt(coord, tree, "", p, Config{Workers: 4})
 		if res.Objective != rootMax {
 			t.Errorf("%v: objective %d, want %d", coord, res.Objective, rootMax)
 		}
@@ -336,32 +260,17 @@ func TestPrunedRootOpt(t *testing.T) {
 }
 
 func TestManyLocalitiesMoreThanWorkersClamped(t *testing.T) {
-	tree := genTree(23, 4, 8)
-	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(), audited(t, Config{Workers: 2, Localities: 16}))
-	if res.Value != tree.sum() {
-		t.Errorf("sum = %d, want %d", res.Value, tree.sum())
-	}
+	scenario{tree: semTree(23, 4, 8), search: enumerate, coord: DepthBounded, cfg: Config{Workers: 2, Localities: 16}}.check(t)
 }
 
 func TestBoundLatencyStillCorrect(t *testing.T) {
-	tree := genTree(29, 5, 9)
-	want := tree.max()
-	cfg := audited(t, Config{Workers: 6, Localities: 3, NetFault: dist.LatencyPlan(200 * time.Microsecond)})
 	for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
-		res := Opt(coord, tree, testNode{}, tree.optProblem(true), cfg)
-		if res.Objective != want {
-			t.Errorf("%v with bound latency: %d, want %d", coord, res.Objective, want)
-		}
+		scenario{tree: semTree(29, 5, 9), search: optimise, coord: coord, cfg: Config{Workers: 6, Localities: 3}, net: dist.LatencyPlan(200 * time.Microsecond)}.check(t)
 	}
 }
 
 func TestStealLatencyStillCorrect(t *testing.T) {
-	tree := genTree(31, 4, 8)
-	cfg := audited(t, Config{Workers: 4, Localities: 2, NetFault: dist.LatencyPlan(50 * time.Microsecond)})
-	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(), cfg)
-	if res.Value != tree.sum() {
-		t.Errorf("sum = %d, want %d", res.Value, tree.sum())
-	}
+	scenario{tree: semTree(31, 4, 8), search: enumerate, coord: DepthBounded, cfg: Config{Workers: 4, Localities: 2}, net: dist.LatencyPlan(50 * time.Microsecond)}.check(t)
 }
 
 func TestCoordinationString(t *testing.T) {
@@ -380,13 +289,13 @@ func TestCoordinationString(t *testing.T) {
 // Determinism of the sequential skeleton: identical runs visit the same
 // number of nodes and return the same witness.
 func TestSequentialDeterministic(t *testing.T) {
-	tree := genTree(37, 5, 10)
-	p := tree.optProblem(true)
-	a := Opt(Sequential, tree, testNode{}, p, Config{})
-	b := Opt(Sequential, tree, testNode{}, p, Config{})
-	if a.Stats.Nodes != b.Stats.Nodes || a.Best.id != b.Best.id {
+	tree := semantics.GenTree(37, 5, 10)
+	p := optProblem(true)
+	a := Opt(Sequential, tree, "", p, Config{})
+	b := Opt(Sequential, tree, "", p, Config{})
+	if a.Stats.Nodes != b.Stats.Nodes || a.Best != b.Best {
 		t.Errorf("sequential search not deterministic: %d/%q vs %d/%q",
-			a.Stats.Nodes, a.Best.id, b.Stats.Nodes, b.Best.id)
+			a.Stats.Nodes, a.Best, b.Stats.Nodes, b.Best)
 	}
 }
 
@@ -395,7 +304,6 @@ func TestSequentialDeterministic(t *testing.T) {
 // once. This is the engine-level Theorem 3.1 sweep.
 func TestQuickRandomConfigs(t *testing.T) {
 	f := func(treeSeed int64, workers, locs, dcut uint8, budget uint16, chunked bool) bool {
-		tree := genTree(200+treeSeed%50, 4, 8)
 		cfg := Config{
 			Workers:    1 + int(workers%10),
 			Localities: 1 + int(locs%4),
@@ -405,14 +313,9 @@ func TestQuickRandomConfigs(t *testing.T) {
 			Seed:       treeSeed,
 		}
 		for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
-			res := Enum(coord, tree, testNode{}, tree.enumProblem(), cfg)
-			if res.Value != tree.sum() || res.Stats.Nodes != int64(tree.size) {
-				t.Logf("%v cfg %+v: sum %d (want %d), nodes %d (want %d)",
-					coord, cfg, res.Value, tree.sum(), res.Stats.Nodes, tree.size)
-				return false
-			}
+			scenario{tree: treeOf("", semantics.GenTree(200+treeSeed%50, 4, 8), false), search: enumerate, coord: coord, cfg: cfg}.run(t)
 		}
-		return true
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -426,20 +329,17 @@ func TestQuickRandomConfigs(t *testing.T) {
 // counters.
 func TestParallelEnumEveryNodeOnce(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
-		tree := genTree(seed, 4, 9)
+		st := semTree(seed, 4, 9)
 		for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
-			t.Run(fmt.Sprintf("%v/seed%d", coord, seed), func(t *testing.T) {
-				res := Enum(coord, tree, testNode{}, tree.enumProblem(), audited(t, Config{Workers: 8, Localities: 2, Budget: 8, DCutoff: 2}))
-				if res.Stats.Nodes != int64(tree.size) {
-					t.Errorf("visited %d, want %d", res.Stats.Nodes, tree.size)
-				}
-				// Every cross-locality hand-over is supervised by a ledger,
-				// in process as across processes, and the one stats fold
-				// reports it for both.
-				if res.Stats.StealsOK > 0 && res.Stats.LedgerPeak == 0 {
-					t.Errorf("%d cross-locality steals but LedgerPeak = 0", res.Stats.StealsOK)
-				}
-			})
+			scenario{name: fmt.Sprintf("%v/seed%d", coord, seed), tree: st, search: enumerate, coord: coord,
+				cfg: Config{Workers: 8, Localities: 2, Budget: 8, DCutoff: 2}, extra: func(t *testing.T, o outcome) {
+					// Every cross-locality hand-over is supervised by a ledger,
+					// in process as across processes, and the one stats fold
+					// reports it for both.
+					if o.stats.StealsOK > 0 && o.stats.LedgerPeak == 0 {
+						t.Errorf("%d cross-locality steals but LedgerPeak = 0", o.stats.StealsOK)
+					}
+				}}.check(t)
 		}
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"yewpar/internal/semantics"
 )
 
 func TestTraceDepthBounded(t *testing.T) {
-	tree := genTree(1, 4, 9)
+	tree := semantics.GenTree(1, 4, 9)
 	trace := NewTrace(4)
-	res := Enum(DepthBounded, tree, testNode{}, tree.enumProblem(),
+	res := Enum(DepthBounded, tree, "", enumProblem(),
 		Config{Workers: 4, DCutoff: 2, Trace: trace})
 	s := trace.Summary()
 	// one event per executed task: the root plus every spawn
@@ -46,9 +48,9 @@ func TestTraceDepthBounded(t *testing.T) {
 // Sequential runs on the engine like every coordination, so it is
 // traced like one: its whole search is the root task.
 func TestTraceSequential(t *testing.T) {
-	tree := genTree(1, 4, 9)
+	tree := semantics.GenTree(1, 4, 9)
 	trace := NewTrace(1)
-	res := Enum(Sequential, tree, testNode{}, tree.enumProblem(), Config{Trace: trace})
+	res := Enum(Sequential, tree, "", enumProblem(), Config{Trace: trace})
 	events := trace.Events()
 	if len(events) != 1 || events[0].Depth != 0 {
 		t.Fatalf("traced %+v, want one depth-0 task", events)
@@ -65,10 +67,10 @@ func TestTraceSequential(t *testing.T) {
 func (s Summary) MakespanLessThan(d time.Duration) bool { return s.Makespan < d }
 
 func TestTraceStackStealAndBudget(t *testing.T) {
-	tree := genTree(2, 4, 9)
+	tree := semantics.GenTree(2, 4, 9)
 	for _, coord := range []Coordination{StackStealing, Budget} {
 		trace := NewTrace(4)
-		res := Enum(coord, tree, testNode{}, tree.enumProblem(),
+		res := Enum(coord, tree, "", enumProblem(),
 			Config{Workers: 4, Budget: 8, Trace: trace})
 		s := trace.Summary()
 		if s.Tasks == 0 {
@@ -83,11 +85,11 @@ func TestTraceStackStealAndBudget(t *testing.T) {
 }
 
 func TestTraceBudgetBoundOrdered(t *testing.T) {
-	tree := genTree(3, 4, 9)
+	tree := semantics.GenTree(3, 4, 9)
 	trace := NewTrace(3)
-	res := Opt(Budget, tree, testNode{}, tree.optProblem(true),
+	res := Opt(Budget, tree, "", optProblem(true),
 		Config{Workers: 3, Budget: 8, Order: OrderBound, Trace: trace})
-	if res.Objective != tree.max() {
+	if res.Objective != int64(tree.Max()) {
 		t.Fatalf("wrong answer under tracing")
 	}
 	if trace.Summary().Tasks == 0 {
@@ -96,9 +98,9 @@ func TestTraceBudgetBoundOrdered(t *testing.T) {
 }
 
 func TestTraceEventsOrdered(t *testing.T) {
-	tree := genTree(5, 4, 8)
+	tree := semantics.GenTree(5, 4, 8)
 	trace := NewTrace(4)
-	Enum(DepthBounded, tree, testNode{}, tree.enumProblem(),
+	Enum(DepthBounded, tree, "", enumProblem(),
 		Config{Workers: 4, DCutoff: 3, Trace: trace})
 	events := trace.Events()
 	for i := 1; i < len(events); i++ {
@@ -124,9 +126,9 @@ func TestTraceEmptySummary(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	tree := genTree(7, 4, 8)
+	tree := semantics.GenTree(7, 4, 8)
 	trace := NewTrace(2)
-	Enum(DepthBounded, tree, testNode{}, tree.enumProblem(),
+	Enum(DepthBounded, tree, "", enumProblem(),
 		Config{Workers: 2, DCutoff: 1, Trace: trace})
 	out := trace.Summary().String()
 	for _, want := range []string{"tasks=", "utilisation=", "task sizes:", "tasks per depth:"} {

@@ -17,8 +17,8 @@
 //     a late or reordered bound costs pruning, never correctness,
 //     because receivers merge with a monotonic max;
 //   - termination detection: a global live-task count (AddTasks/Done)
-//     that reaches zero exactly when no locality holds or will ever
-//     receive work;
+//     whose zero, once a live locality has worked, comes exactly when no
+//     locality holds or will ever receive work;
 //   - short-circuit and aggregation: decision-search cancellation
 //     (Cancel/Handler.OnCancel) and the terminal collective Gather that
 //     brings every locality's result and metrics to the coordinator;

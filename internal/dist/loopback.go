@@ -48,8 +48,12 @@ type LoopbackNetwork struct {
 	// it per task) and so sits alone on its line; the per-rank
 	// contributions are each written by one rank's workers only, and
 	// are kept off live's line and off each other's.
-	live     pad.Isolated[atomic.Int64]
-	liveAt   []pad.Isolated[atomic.Int64] // per-rank contribution to live (reconciled on death)
+	live   pad.Isolated[atomic.Int64]
+	liveAt []pad.Isolated[atomic.Int64] // per-rank contribution to live (reconciled on death)
+	// worked[rank] latches once rank registers work: a zero of live ends
+	// only a search a rank still alive worked on (the wave's rule), so a
+	// coordinator dying with a root it handed nobody ends nothing.
+	worked   []atomic.Bool
 	done     chan struct{}
 	doneOnce sync.Once
 
@@ -77,6 +81,7 @@ func NewLoopback(n int, opts LoopbackOptions) *LoopbackNetwork {
 		opts:        opts,
 		trs:         make([]*loopback, n),
 		liveAt:      make([]pad.Isolated[atomic.Int64], n),
+		worked:      make([]atomic.Bool, n),
 		done:        make(chan struct{}),
 		blobs:       make([][]byte, n),
 		contributed: make([]bool, n),
@@ -148,17 +153,20 @@ func (ln *LoopbackNetwork) Close() error {
 }
 
 // Kill simulates the death of a locality mid-search, the loopback
-// stand-in for a SIGKILLed worker process: the rank's handler is
-// detached (steals against it fail, deliveries to it are dropped), its
-// own outgoing operations become no-ops (a zombie caller can no longer
-// touch the shared search state), its outstanding live-task
-// contribution is reconciled away, its gather slot is filled with nil,
-// and every survivor is notified through Deaths. Idempotent.
+// stand-in for a SIGKILLed worker process: the rank's handler hears a
+// cancel and is detached (steals against it fail, deliveries to it are
+// dropped), its own outgoing operations become no-ops (a zombie caller
+// can no longer touch the shared search state), its outstanding
+// live-task contribution is reconciled away, its gather slot is filled
+// with nil, and every survivor is notified through Deaths. Idempotent.
 func (ln *LoopbackNetwork) Kill(rank int) {
 	if rank < 0 || rank >= len(ln.trs) {
 		return
 	}
 	t := ln.trs[rank]
+	// Its search stops as a killed process's does (one a cancel ends
+	// would never tell it to).
+	t.arrive(t, kCancel, 0, 0)
 	// The gate write-lock excludes every in-flight AddTasks of the dying
 	// endpoint: once closed is set under it no zombie delta — a late +1,
 	// or the finishes its workers had counted but not yet settled — can
@@ -212,8 +220,19 @@ func (ln *LoopbackNetwork) reconcile(rank int) {
 	if removed == 0 {
 		return
 	}
-	if ln.live.V.Add(-removed) == 0 && removed > 0 && !ln.opts.Wave {
-		ln.doneOnce.Do(func() { close(ln.done) })
+	if ln.live.V.Add(-removed) == 0 && removed > 0 {
+		ln.zero()
+	}
+}
+
+// zero is live reaching zero: on a star, the end of the search if a rank
+// still alive worked on it.
+func (ln *LoopbackNetwork) zero() {
+	for r, tr := range ln.trs {
+		if !ln.opts.Wave && ln.worked[r].Load() && !tr.closed.Load() {
+			ln.doneOnce.Do(func() { close(ln.done) })
+			return
+		}
 	}
 }
 
@@ -221,9 +240,12 @@ func (ln *LoopbackNetwork) addTasks(rank int, delta int64) {
 	// The shared counters stay maintained for LiveAt observability, but
 	// in wave mode they never decide termination: that is the ring's
 	// job, fed through each rank's own counter.
+	if delta > 0 && !ln.worked[rank].Load() {
+		ln.worked[rank].Store(true)
+	}
 	ln.liveAt[rank].V.Add(delta)
-	if ln.live.V.Add(delta) == 0 && delta < 0 && !ln.opts.Wave {
-		ln.doneOnce.Do(func() { close(ln.done) })
+	if ln.live.V.Add(delta) == 0 && delta < 0 {
+		ln.zero()
 	}
 	if ln.opts.Wave {
 		ln.trs[rank].wave.add(delta)
@@ -256,9 +278,12 @@ type loopback struct {
 	// dying endpoint can slip past the death reconciliation.
 	gateMu sync.RWMutex
 	closed atomic.Bool
-	deaths *deathBox
-	ctr    wireCounters
-	wave   *waveNode // nil unless LoopbackOptions.Wave
+	// cancelFrom (sender rank+1) keeps a cancel for the Start after it:
+	// lost, the rank searched on for a witness found (wires wait for Start).
+	cancelFrom atomic.Int32
+	deaths     *deathBox
+	ctr        wireCounters
+	wave       *waveNode // nil unless LoopbackOptions.Wave
 }
 
 var _ Transport = (*loopback)(nil)
@@ -285,7 +310,12 @@ func (t *loopback) Rank() int { return t.rank }
 
 func (t *loopback) Size() int { return len(t.net.trs) }
 
-func (t *loopback) Start(h Handler) { t.h.Store(h) }
+func (t *loopback) Start(h Handler) {
+	t.h.Store(h)
+	if from := t.cancelFrom.Load(); from > 0 {
+		h.OnCancel(int(from) - 1)
+	}
+}
 
 func (t *loopback) handler() Handler {
 	if t.closed.Load() {
@@ -400,8 +430,13 @@ func (t *loopback) deliver(peer *loopback, k kind, obj int64, id uint64) {
 	t.arrive(peer, k, obj, id)
 }
 
-// arrive is deliver's far end. A peer that has died by now gets nothing.
+// arrive is deliver's far end. A peer that has died by now gets nothing;
+// one not yet started gets a cancel at Start (latched before its handler
+// is read here, so one of the two delivers it).
 func (t *loopback) arrive(peer *loopback, k kind, obj int64, id uint64) {
+	if k == kCancel {
+		peer.cancelFrom.Store(int32(t.rank) + 1)
+	}
 	switch h := peer.handler(); {
 	case h == nil:
 	case k == kBound:

@@ -404,8 +404,11 @@ type Transport interface {
 	AddTasks(delta int64)
 	// Done is closed when the global live-task count returns to zero —
 	// every spawned task has completed, so no locality can ever
-	// receive work again. A locality death does not force it: the
-	// dead rank's contribution is subtracted and the survivors run on.
+	// receive work again — and a locality still alive has registered
+	// work. A locality death does not force it: the dead rank's
+	// contribution is subtracted and the survivors run on, and a
+	// coordinator that dies before any work left it ends nothing (the
+	// engine's successor seeds the root again).
 	Done() <-chan struct{}
 	// Deaths notifies this locality of peer deaths, one rank per
 	// receive, each dead rank delivered at most once. The engine

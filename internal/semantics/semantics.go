@@ -64,20 +64,23 @@ func (t *Tree) SubtreeMax(v string) int {
 	return best
 }
 
-// GenTree builds a random tree: branching 0..maxBranch, forced bushy
-// near the root, h values in [0, hMax).
-func GenTree(seed int64, maxBranch, maxDepth, hMax int) *Tree {
+// GenTree builds a random irregular tree — the one the engine's tests
+// search too: 2..maxBranch+1 children above depth 3, 0..maxBranch below,
+// thinned again past half of maxDepth; h values in [0, 1000).
+func GenTree(seed int64, maxBranch, maxDepth int) *Tree {
 	r := rand.New(rand.NewSource(seed))
 	t := &Tree{Children: map[string][]string{}, H: map[string]int{}}
 	var build func(id string, depth int)
 	build = func(id string, depth int) {
-		t.H[id] = r.Intn(hMax)
+		t.H[id] = r.Intn(1000)
 		if depth >= maxDepth {
 			return
 		}
-		b := r.Intn(maxBranch + 1)
-		if depth < 2 {
-			b = 1 + r.Intn(maxBranch)
+		var b int
+		if depth < 3 {
+			b = 2 + r.Intn(maxBranch)
+		} else if b = r.Intn(maxBranch + 1); depth > maxDepth/2 && b > 0 {
+			b = r.Intn(b + 1)
 		}
 		for i := 0; i < b; i++ {
 			c := id + string(rune('a'+i))

@@ -89,7 +89,7 @@ func maxStepsFor(tr *Tree) int { return 60*tr.Size()*tr.Size() + 2000 }
 // interleaving, and process every node exactly once.
 func TestEnumerationTheorem31(t *testing.T) {
 	f := func(treeSeed, schedSeed int64, nThreads uint8) bool {
-		tr := GenTree(treeSeed%1000, 3, 6, 100)
+		tr := GenTree(treeSeed%1000, 3, 6)
 		c := NewConfig(tr, Enumeration, 0, 1+int(nThreads%4))
 		c.Run(schedSeed, Params{DCutoff: 2, KBudget: 2}, nil, maxStepsFor(tr))
 		if c.Result() != tr.Sum() {
@@ -113,7 +113,7 @@ func TestEnumerationTheorem31(t *testing.T) {
 // yields an incumbent with h = max h.
 func TestOptimisationTheorem32(t *testing.T) {
 	f := func(treeSeed, schedSeed int64, nThreads uint8) bool {
-		tr := GenTree(treeSeed%1000, 3, 6, 100)
+		tr := GenTree(treeSeed%1000, 3, 6)
 		c := NewConfig(tr, Optimisation, 0, 1+int(nThreads%4))
 		c.Run(schedSeed, Params{DCutoff: 2, KBudget: 1}, nil, maxStepsFor(tr))
 		return c.Result() == tr.Max()
@@ -127,7 +127,7 @@ func TestOptimisationTheorem32(t *testing.T) {
 // the greatest element; with an unachievable one it computes max h.
 func TestDecisionTheorem32(t *testing.T) {
 	f := func(treeSeed, schedSeed int64, nThreads uint8, pick uint8) bool {
-		tr := GenTree(treeSeed%1000, 3, 6, 100)
+		tr := GenTree(treeSeed%1000, 3, 6)
 		achievable := int(pick)%2 == 0
 		target := tr.Max()
 		if !achievable {
@@ -158,7 +158,7 @@ func TestTerminationAcrossRuleSets(t *testing.T) {
 		{RuleSchedule: true, RuleStep: true, RulePrune: true, RuleShortcircuit: true},
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		tr := GenTree(seed, 3, 6, 50)
+		tr := GenTree(seed, 3, 6)
 		for ri, rules := range ruleSets {
 			kind := Enumeration
 			if ri >= 6 {
@@ -179,7 +179,7 @@ func TestTerminationAcrossRuleSets(t *testing.T) {
 // The derived spawn rules alone must preserve enumeration results
 // (they are semantically redundant — Section 3.6).
 func TestDerivedSpawnRulesRedundant(t *testing.T) {
-	tr := GenTree(9, 3, 6, 50)
+	tr := GenTree(9, 3, 6)
 	want := tr.Sum()
 	for _, rule := range []RuleName{RuleSpawnDepth, RuleSpawnBudget, RuleSpawnStack} {
 		for seed := int64(0); seed < 10; seed++ {
@@ -196,7 +196,7 @@ func TestDerivedSpawnRulesRedundant(t *testing.T) {
 // Admissibility of the bound-derived pruning relation
 // u ▷ v ⇔ h(u) >= SubtreeMax(v) (Section 3.5, conditions 1–3).
 func TestPruneRelationAdmissible(t *testing.T) {
-	tr := GenTree(4, 3, 6, 100)
+	tr := GenTree(4, 3, 6)
 	var nodes []string
 	for v := range tr.H {
 		nodes = append(nodes, v)
@@ -226,7 +226,7 @@ func TestPruneRelationAdmissible(t *testing.T) {
 
 // Pruning must reduce processed nodes without changing the optimum.
 func TestPruneSavesWork(t *testing.T) {
-	tr := GenTree(8, 3, 7, 100)
+	tr := GenTree(8, 3, 7)
 	noPrune := NewConfig(tr, Optimisation, 0, 1)
 	noPrune.Run(1, Params{}, map[RuleName]bool{RuleSchedule: true, RuleStep: true}, maxStepsFor(tr))
 	pruned := NewConfig(tr, Optimisation, 0, 1)
@@ -249,7 +249,7 @@ func TestPruneSavesWork(t *testing.T) {
 // Confluence modulo witnesses: the *value* of the result is schedule
 // independent.
 func TestResultScheduleIndependent(t *testing.T) {
-	tr := GenTree(12, 3, 6, 100)
+	tr := GenTree(12, 3, 6)
 	for kind, want := range map[Kind]int{Enumeration: tr.Sum(), Optimisation: tr.Max()} {
 		for seed := int64(0); seed < 30; seed++ {
 			c := NewConfig(tr, kind, 0, 1+int(seed%4))
@@ -264,7 +264,7 @@ func TestResultScheduleIndependent(t *testing.T) {
 // Decision short-circuit must be able to leave nodes unprocessed.
 func TestShortcircuitLeavesWorkUndone(t *testing.T) {
 	// A tree whose root already achieves the target.
-	tr := GenTree(15, 3, 7, 10)
+	tr := GenTree(15, 3, 7)
 	tr.H[""] = 1000
 	c := NewConfig(tr, Decision, 5, 2)
 	c.Run(3, Params{}, nil, maxStepsFor(tr))
@@ -274,8 +274,8 @@ func TestShortcircuitLeavesWorkUndone(t *testing.T) {
 }
 
 func TestGenTreeDeterministic(t *testing.T) {
-	a := GenTree(5, 3, 5, 100)
-	b := GenTree(5, 3, 5, 100)
+	a := GenTree(5, 3, 5)
+	b := GenTree(5, 3, 5)
 	if a.Size() != b.Size() || a.Sum() != b.Sum() {
 		t.Fatal("GenTree not deterministic")
 	}
