@@ -520,11 +520,12 @@ func BenchmarkScaleoutDeath(b *testing.B) {
 
 // ------------------------------------------------------------------
 // Coordinator failover (wire protocol v7): arming -standby makes the
-// hub replicate its residual state (ledger hand-overs, bound stamps,
+// hub replicate its residual state (ledger hand-overs, incumbent,
 // death set, early gather shares) to the lowest worker rank, which
 // promotes itself and finishes the search if the coordinator dies.
-// The insurance premium is the extra kHubDelta/kHubSnap traffic on
-// the coordinator's wire.
+// The insurance premium is the kHubSnap traffic on the coordinator's
+// wire: at most one snapshot per flush quantum, none while nothing
+// changes.
 
 // deployedSolves is a wall-clock arm: three solves on the deployment
 // under the given wire options, bring-up included (that is where
@@ -539,7 +540,7 @@ func deployedSolves(b *testing.B, wire dist.WireOptions, cfg core.Config) func()
 }
 
 // BenchmarkGateStandbyTax: with -standby armed and nothing failing, the
-// replication stream must cost at most 1.10x the identical deployment
+// replication must cost at most 1.10x the identical deployment
 // without it. Both arms run rank 0 as a pure coordinator
 // (core.Config.Standby) so their worker counts match and the difference
 // isolates the wire-level replication. The reference arm against

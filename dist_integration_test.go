@@ -366,31 +366,53 @@ func testMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T, extraFlags []string, 
 	}
 	wantAnswer := resultLine(t, string(single))
 
-	// The kill arms when every worker has registered and fires 250ms
-	// later. A lucky run can legitimately finish the whole search
-	// inside that window — not a bug, just steal-scheduling variance —
-	// so retry the launch until the SIGKILL provably lands mid-search.
-	var workers []*exec.Cmd
-	var workerOut []*bytes.Buffer
-	landed := false
-	for attempt := 1; attempt <= 4 && !landed; attempt++ {
-		workers, workerOut, landed = launchAndKillCoordinator(t, bin, appFlags, alsoKillWorker)
+	// The kills arm when every worker has registered: the coordinator's
+	// fires 250ms later, and in the double-death variant rank 3's at
+	// 900ms. A lucky run can legitimately finish the whole search inside
+	// either window — not a bug, just steal-scheduling variance — so retry
+	// the launch until every kill provably lands mid-search: the
+	// coordinator's when it beat the coordinator's own exit, the worker's
+	// when the promoted rank counts it among the deaths.
+	wantDeaths := "deaths=1"
+	if alsoKillWorker {
+		wantDeaths = "deaths=2"
+	}
+	for attempt := 1; ; attempt++ {
+		if attempt > 6 {
+			t.Fatal("search finished before the chaos kills fired on every attempt")
+		}
+		workers, workerOut, landed := launchAndKillCoordinator(t, bin, appFlags, alsoKillWorker)
 		if !landed {
 			t.Logf("attempt %d: search finished before the chaos kill fired; retrying", attempt)
+			continue
+		}
+		answer, promotedOut := awaitPromoted(t, workers, workerOut, alsoKillWorker)
+		if answer != wantAnswer {
+			t.Fatalf("answer after coordinator SIGKILL %q != failure-free answer %q\npromoted output:\n%s", answer, wantAnswer, promotedOut)
+		}
+		switch {
+		case strings.Contains(promotedOut, wantDeaths):
+			return
+		case alsoKillWorker && strings.Contains(promotedOut, "deaths=1"):
+			t.Logf("attempt %d: search finished before the worker kill fired; retrying", attempt)
+		default:
+			t.Fatalf("promoted worker's stats do not report %s:\n%s", wantDeaths, promotedOut)
 		}
 	}
-	if !landed {
-		t.Fatal("search finished before the chaos kill fired on every attempt")
-	}
-	defer func() {
+}
+
+// awaitPromoted waits for every surviving worker of a failover attempt to
+// finish on its own — the promoted one prints the result, the others exit
+// silently and cleanly — and returns the one result line and the output
+// it came in.
+func awaitPromoted(t *testing.T, workers []*exec.Cmd, workerOut []*bytes.Buffer, alsoKillWorker bool) (answer, promotedOut string) {
+	t.Helper()
+	t.Cleanup(func() {
 		for _, w := range workers {
 			w.Process.Kill()
 			w.Wait()
 		}
-	}()
-
-	// Every surviving worker must finish on its own: the promoted one
-	// prints the result, the others exit silently and cleanly.
+	})
 	deadline := time.After(120 * time.Second)
 	for i, w := range workers {
 		exited := make(chan error, 1)
@@ -410,7 +432,6 @@ func testMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T, extraFlags []string, 
 
 	// Exactly one survivor — the promoted standby — owns the result.
 	var answers []string
-	var promotedOut string
 	for i := range workerOut {
 		out := workerOut[i].String()
 		for _, line := range strings.Split(out, "\n") {
@@ -424,16 +445,7 @@ func testMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T, extraFlags []string, 
 		t.Fatalf("want exactly one result line from the promoted worker, got %d: %v\nworker outputs:\n%s\n%s\n%s",
 			len(answers), answers, workerOut[0].String(), workerOut[1].String(), workerOut[2].String())
 	}
-	if answers[0] != wantAnswer {
-		t.Fatalf("answer after coordinator SIGKILL %q != failure-free answer %q\npromoted output:\n%s", answers[0], wantAnswer, promotedOut)
-	}
-	wantDeaths := "deaths=1"
-	if alsoKillWorker {
-		wantDeaths = "deaths=2"
-	}
-	if !strings.Contains(promotedOut, wantDeaths) {
-		t.Errorf("promoted worker's stats do not report %s:\n%s", wantDeaths, promotedOut)
-	}
+	return answers[0], promotedOut
 }
 
 // launchAndKillCoordinator runs one attempt of the coordinator-failover

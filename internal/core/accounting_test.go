@@ -23,6 +23,8 @@ type liveAudit struct {
 	// the transport has.
 	over   func() error
 	onWork func(rank int)
+	// lateDeaths hides every death notice until Done has fired.
+	lateDeaths bool
 }
 
 // auditedTransport is a locality's transport with its AddTasks audited:
@@ -47,6 +49,19 @@ func (tr *auditedTransport) AddTasks(delta int64) {
 	if delta > 0 && a.onWork != nil {
 		a.onWork(tr.rank)
 	}
+}
+
+// Deaths, under lateDeaths, is the schedule in which a death lands just
+// before Done and the engine's death watchers stop before reading it.
+func (tr *auditedTransport) Deaths() <-chan int {
+	select {
+	case <-tr.Done():
+	default:
+		if tr.a.lateDeaths {
+			return nil
+		}
+	}
+	return tr.Transport.Deaths()
 }
 
 // audited is cfg with the exit invariant of ROADMAP item 1 (iv) asserted:

@@ -76,15 +76,23 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 	// the transport's death notifications and replays the ledger.
 	// They stop with the workers — a death after global termination
 	// has nothing left to replay (Done fires only once every ledger is
-	// empty: an unacked entry is an outstanding registration).
+	// empty: an unacked entry is an outstanding registration) — but
+	// one still queued then is counted, and the stats wait for them.
 	watchStop := make(chan struct{})
+	var watching sync.WaitGroup
+	defer watching.Wait()
 	defer close(watchStop)
 	if home.tr.Size() > 1 {
 		for _, l := range e.fab.locs {
+			watching.Add(1)
 			go func(l *locality[N]) {
+				defer watching.Done()
 				for {
 					select {
 					case <-watchStop:
+						for len(l.tr.Deaths()) > 0 {
+							l.fab.dead[<-l.tr.Deaths()].Store(true)
+						}
 						return
 					case rank := <-l.tr.Deaths():
 						l.onDeath(rank)

@@ -453,6 +453,14 @@ func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
 	rows(t, scs...)
 }
 
+// A death that lands as the search ends still counts: the reseed row
+// above minus its slow link, every death notice held back until Done.
+func TestDeathJustBeforeDoneIsCounted(t *testing.T) {
+	sc := db(fault16, optimise, 3, standby, kill{rank: 0, by: []int{2}})
+	sc.lateDeaths = true
+	rows(t, sc)
+}
+
 // The operational model (Section 3) and the engine (Section 4) compute
 // the same folds and maxima on the same trees — Theorems 3.1–3.3 as a
 // property of the engine — under every coordination, in one locality and
@@ -496,6 +504,8 @@ type scenario struct {
 	parts  []dist.ChaosPartition
 	kills  []kill
 	extra  func(t *testing.T, o outcome) // a named row's check beyond the invariants
+	// lateDeaths: no rank's engine hears of a death before Done.
+	lateDeaths bool
 }
 
 func (sc scenario) String() string {
@@ -540,7 +550,7 @@ func (sc scenario) run(t *testing.T) {
 		go func() { defer close(returned); outs[0] = sc.tree.solve(nil, &sc, cfg) }()
 	} else {
 		net = dist.NewLoopback(ranks, dist.LoopbackOptions{Wave: sc.wave, Fault: sc.net})
-		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), onWork: func(rank int) {
+		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), lateDeaths: sc.lateDeaths, onWork: func(rank int) {
 			for _, k := range sc.kills {
 				if armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) {
 					if _, was := dead.LoadOrStore(k.rank, true); !was {

@@ -242,3 +242,208 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 		})
 	}
 }
+
+// What a takeover seeds the promoted rank from — the last snapshot rank 0
+// sent it — checked one replicated item at a time, each through the
+// behaviour it exists for, on the deployments that replicate: the TCP star
+// and mesh. In each case rank 0 sets the item up, lives until rank 1's
+// replica carries it, and dies.
+func replicaHarnesses() []harness {
+	hs := failoverHarnesses()
+	return []harness{hs[1], hs[3]}
+}
+
+// takeOver waits until rank 1's replica carries what the case set up,
+// kills rank 0, and waits until rank 1 holds the role and every survivor
+// is linked to it. Rank 1 should hold live work (AddTasks), so the
+// takeover does not end the search.
+func takeOver(t *testing.T, trs []Transport, what string, carries func(*HubSnapshot) bool) {
+	t.Helper()
+	e1 := trs[1].(*endpoint)
+	eventually(t, "rank 1's replica to carry "+what, func() bool {
+		snap := e1.replica.Load()
+		return snap != nil && carries(snap)
+	})
+	trs[0].Close()
+	for r := 1; r < len(trs); r++ {
+		if !trs[r].(*endpoint).closed.Load() {
+			awaitDeath(t, trs[r], 0)
+		}
+	}
+	eventually(t, "rank 1 to adopt the coordinator role", trs[1].Promoted)
+	eventually(t, "every survivor linked to rank 1", func() bool {
+		for r := 2; r < len(trs); r++ {
+			if !e1.deaths.isDead(r) && e1.links[r].Load() == nil {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// gatherAtRank1 ends the search (rank 1 drops its live work), sends the
+// other ranks' shares and returns what rank 1 collects.
+func gatherAtRank1(t *testing.T, trs []Transport, others ...int) [][]byte {
+	t.Helper()
+	trs[1].AddTasks(-1)
+	for _, r := range others {
+		if _, err := trs[r].Gather([]byte{byte(r)}); err != nil {
+			t.Fatalf("rank %d gather: %v", r, err)
+		}
+	}
+	type result struct {
+		blobs [][]byte
+		err   error
+	}
+	collected := make(chan result, 1)
+	go func() {
+		blobs, err := trs[1].Gather([]byte{1})
+		collected <- result{blobs, err}
+	}()
+	select {
+	case res := <-collected:
+		if res.err != nil {
+			t.Fatalf("rank 1 gather: %v", res.err)
+		}
+		return res.blobs
+	case <-time.After(10 * time.Second):
+		t.Fatal("rank 1's gather still waits for a share")
+		return nil
+	}
+}
+
+// (a) A task rank 0 handed to rank 2 is replayed by the promoted rank 1
+// when rank 2 dies after the takeover: its supervision chain died with
+// rank 0, so only the replicated mirror still knows it.
+func TestConformanceTakeoverReplaysHandOver(t *testing.T) {
+	for _, h := range replicaHarnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 4)
+			hs := startAll(trs)
+			trs[1].AddTasks(1)
+			root := WireTask{Payload: []byte("root"), ID: TaskID(0, 1), Depth: 1}
+			hs[0].push(root)
+			if _, ok, err := trs[2].Steal(0); !ok || err != nil {
+				t.Fatalf("rank 2 did not get rank 0's task (%v)", err)
+			}
+			takeOver(t, trs, "the hand-over", func(s *HubSnapshot) bool {
+				return len(s.Mirror) == 1 && s.Mirror[0].Holder == 2
+			})
+			trs[2].Close()
+			awaitDeath(t, trs[1], 2)
+			eventually(t, "rank 1 to replay rank 0's hand-over to rank 2", func() bool {
+				hs[1].mu.Lock()
+				defer hs[1].mu.Unlock()
+				for _, wt := range hs[1].adopted {
+					if wt.ID == root.ID && string(wt.Payload) == "root" {
+						return true
+					}
+				}
+				return false
+			})
+		})
+	}
+}
+
+// (b) A node-carrying bound retained at rank 0 is rank 1's BestKnown after
+// the takeover. Rank 1 heard only the bound: the node travels to the
+// coordinator alone.
+func TestConformanceTakeoverKeepsIncumbent(t *testing.T) {
+	for _, h := range replicaHarnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 4)
+			startAll(trs)
+			trs[1].AddTasks(1)
+			trs[2].BroadcastBound(40, []byte("witness"))
+			takeOver(t, trs, "the incumbent", func(s *HubSnapshot) bool { return s.BestObj == 40 })
+			if obj, node, ok := trs[1].BestKnown(); !ok || obj != 40 || string(node) != "witness" {
+				t.Fatalf("rank 1 knows the incumbent as %d %q (%v), want 40 \"witness\"", obj, node, ok)
+			}
+		})
+	}
+}
+
+// (c) A rank that rank 0 mourned before it died is dead at rank 1, and its
+// gather slot is nil rather than awaited.
+func TestConformanceTakeoverKeepsMourned(t *testing.T) {
+	for _, h := range replicaHarnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 4)
+			startAll(trs)
+			trs[1].AddTasks(1)
+			trs[3].Close()
+			awaitDeath(t, trs[1], 3)
+			awaitDeath(t, trs[2], 3)
+			takeOver(t, trs, "rank 3's death", func(s *HubSnapshot) bool { return !s.Alive[3] })
+			if !trs[1].(*endpoint).deaths.isDead(3) {
+				t.Fatal("rank 1 took the role over without rank 3's death")
+			}
+			if got := gatherAtRank1(t, trs, 2); len(got) != 4 || got[3] != nil {
+				t.Fatalf("gather = %v, want 4 slots with nil for rank 3", got)
+			}
+		})
+	}
+}
+
+// (d) A gather share rank 0 collected before it died reaches rank 1's
+// Gather: its sender will not send it again.
+func TestConformanceTakeoverKeepsGatherShare(t *testing.T) {
+	for _, h := range replicaHarnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 4)
+			startAll(trs)
+			trs[1].AddTasks(1)
+			if _, err := trs[2].Gather([]byte("early")); err != nil {
+				t.Fatal(err)
+			}
+			takeOver(t, trs, "rank 2's share", func(s *HubSnapshot) bool { return len(s.Gather) == 1 })
+			if got := gatherAtRank1(t, trs, 3); len(got) != 4 || string(got[2]) != "early" {
+				t.Fatalf("gather = %q, want rank 2's early share in slot 2", got)
+			}
+		})
+	}
+}
+
+// Replication costs one kHubSnap per flush quantum in which something it
+// carries changed, or the standby did, and nothing in any other quantum.
+// The flush loop is parked on an hour-long quantum; the test ticks rank
+// 0's replication by hand and counts the frames that leave rank 0.
+func TestStandbySnapshotPerChangedQuantum(t *testing.T) {
+	trs := makeTCP(t, 3, WireOptions{Standby: true, FlushQuantum: time.Hour})
+	hs := startAll(trs)
+	e0 := trs[0].(*endpoint)
+	quantum := func(want int64, what string) {
+		t.Helper()
+		before := e0.Wire().FramesSent
+		e0.flushRepl()
+		if n := e0.Wire().FramesSent - before; n != want {
+			t.Fatalf("%s: %d frames sent, want %d", what, n, want)
+		}
+	}
+	replica := func(r int) *HubSnapshot { return trs[r].(*endpoint).replica.Load() }
+
+	quantum(1, "the first quantum")
+	eventually(t, "rank 1's first snapshot", func() bool { return replica(1) != nil })
+	quantum(0, "a quantum with nothing changed")
+
+	for obj := int64(1); obj <= 3; obj++ {
+		trs[2].BroadcastBound(obj, []byte{byte(obj)})
+	}
+	eventually(t, "rank 0 to retain and relay the last incumbent", func() bool {
+		obj, _, _ := trs[0].BestKnown()
+		return obj == 3 && hs[1].boundMax.Load() == 3
+	})
+	quantum(1, "three incumbents in one quantum")
+	eventually(t, "rank 1's snapshot of the last incumbent", func() bool { return replica(1).BestObj == 3 })
+	quantum(0, "the quantum after")
+
+	// Rank 0 names a death before it fans it out, so the snapshot of the
+	// quantum after rank 2 hears of it names it too.
+	trs[1].Close()
+	awaitDeath(t, trs[2], 1)
+	quantum(1, "a new standby")
+	eventually(t, "rank 2's first snapshot, with rank 1 dead", func() bool {
+		s := replica(2)
+		return s != nil && !s.Alive[1]
+	})
+}

@@ -2,7 +2,7 @@
 // search runtime: a pluggable Transport over which localities — the
 // paper's physical cluster nodes — exchange work and incumbent
 // knowledge. This comment is a reference to the protocol as it stands
-// (wire v8); how it got there, version by version, is in CHANGES.md.
+// (wire v9); how it got there, version by version, is in CHANGES.md.
 //
 // # What a Transport does
 //
@@ -113,8 +113,7 @@
 //	kPing       W → C               header only                                    liveness, after a Heartbeat with nothing else sent
 //	kDeath      C → all             Want dead rank                                 mourn: fail steals aimed at it, replay its hand-overs, skip it for good
 //	kLeave      rank → all          none                                           (mesh) an exit after termination, not a death to replay
-//	kHubSnap    C → S               Blob residual-state snapshot                   (standby) the resync fallback of the replication stream
-//	kHubDelta   C → S               Want subtype; Tasks, Acks or Blob              (standby) mirror add and retire, incumbent, early gather share
+//	kHubSnap    C → S               Blob residual-state snapshot                   (standby) the replica, whole; at most one a flush quantum, none unchanged
 //	kRejoin     W → promoted C      Want epoch, Obj live-count share, Seq session  (star failover) W's contribution crosses the takeover
 //	kResume     dialler ⇄ acceptor  Seq session, Obj receive mark                  (link grace) each side replays what the other missed; link sequence 0
 //
@@ -190,9 +189,10 @@
 //
 //	epoch 0  rank 0 coordinates and runs no workers (core.Config.Standby), so no subtree lives
 //	         only there; it replicates to S, the lowest live worker, what replay cannot rebuild:
-//	         the hand-over mirror, the bound and incumbent, the mourned ranks, early gather shares
+//	         the hand-over mirror, the incumbent, the mourned ranks, early gather shares — one
+//	         kHubSnap in each flush quantum in which any of them changed, or S did
 //	   │     S sees its link to rank 0 break or fall silent
-//	epoch 1  S takes the role in place, seeded from its replica: rank 0's hand-overs are now S's to replay
+//	epoch 1  S takes the role in place, seeded from the last snapshot: rank 0's hand-overs are now S's to replay
 //	         star: survivors re-dial S's listener with kRejoin; kWelcome re-seeds count and bound,
 //	               and what S fanned out between that welcome and the link's install is repeated
 //	         mesh: the links exist; coordinator traffic changes direction

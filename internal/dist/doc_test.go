@@ -45,4 +45,8 @@ func TestDocFrameTable(t *testing.T) {
 			t.Errorf("frame kind %s has no row in doc.go's frame table", k)
 		}
 	}
+	// And no row outlives its kind.
+	if rows := regexp.MustCompile(`(?m)^//\tk[A-Z]\w* `).FindAll(doc, -1); len(rows) != len(kinds) {
+		t.Errorf("doc.go's frame table has %d rows for %d frame kinds", len(rows), len(kinds))
+	}
 }

@@ -113,8 +113,10 @@ type endpoint struct {
 	epoch     atomic.Uint32 // 0 while rank 0 lives, 1 after the takeover
 	peerAddrs []string      // rank-indexed listener addresses (mesh peers, standby promotion)
 	mirror    *hubMirror    // rank 0's hand-overs: own at rank 0, adopted at the promoted rank
-	repl      *hubRepl      // rank 0 only: replication queue towards the standby
-	store     *standbyState // workers only: the replica a takeover seeds the role from
+	repl      *hubRepl      // rank 0 only: paces the snapshots sent to the standby
+	// replica is the last snapshot rank 0 sent here, which a takeover
+	// seeds the role from (nil until one arrives, and at rank 0).
+	replica atomic.Pointer[HubSnapshot]
 
 	// ln took the registrations (rank 0), the mesh peer dials, or is
 	// the promotion listener a standby worker pre-bound; afterwards it
@@ -168,9 +170,7 @@ func (e *endpoint) init(rank, size int) {
 	if e.opts.Standby {
 		e.mirror = newHubMirror()
 		if rank == 0 {
-			e.repl = newHubRepl()
-		} else {
-			e.store = newStandbyState()
+			e.repl = &hubRepl{}
 		}
 	}
 }
@@ -360,11 +360,10 @@ func (e *endpoint) meldBound(from int, obj int64) bool {
 }
 
 // retain keeps a published (obj, node) pair if it is the best so far,
-// and replicates the improvement to the standby: the retention's own
-// copy, since node may alias a receive image.
+// and marks an improvement for the standby's next snapshot.
 func (e *endpoint) retain(obj int64, node []byte) {
-	if kept := e.inc.keep(obj, node); kept != nil && e.repl != nil {
-		e.repl.noteIncumbent(obj, kept)
+	if e.inc.keep(obj, node) != nil {
+		e.repl.bump()
 	}
 }
 
@@ -478,12 +477,11 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 		case kLeave:
 			cn.left.Store(true)
 		case kHubSnap:
-			if e.store != nil {
-				e.store.applySnap(f.Blob)
-			}
-		case kHubDelta:
-			if e.store != nil {
-				e.store.applyDelta(&f)
+			// A decoded snapshot aliases what it was parsed from, so a copy
+			// of the receive image is parsed; a garbled one is strictly
+			// worse than the last good one, and is dropped.
+			if snap, err := DecodeHubSnapshot(append([]byte(nil), f.Blob...)); err == nil {
+				e.replica.Store(snap)
 			}
 		}
 	}
@@ -588,13 +586,10 @@ func (e *endpoint) died(rank int, cn *wconn) {
 	case e.repl != nil:
 		// Rank 0 itself: its engine's ledger replays these hand-overs
 		// (they re-export under fresh ids if re-stolen), so the mirror
-		// entries are dead weight at the standby too.
-		for _, t := range e.mirror.takeHolder(rank) {
-			e.repl.noteRetire(t.ID)
-		}
-		if rank == e.repl.targetRank() {
-			e.retargetRepl()
-		}
+		// entries are dead weight at the standby too. If the standby is
+		// the one that died, the next flush sends its successor a snapshot.
+		e.mirror.takeHolder(rank)
+		e.repl.bump()
 	case e.isCoord():
 		// Promoted: the dead rank's share of rank 0's hand-overs is the
 		// one set of roots no surviving ledger supervises.
@@ -779,7 +774,7 @@ func (e *endpoint) onAcks(from int, ids []uint64) {
 		}
 		if e.repl != nil {
 			e.mirror.retire(id)
-			e.repl.noteRetire(id)
+			e.repl.bump()
 		}
 	}
 }
@@ -962,9 +957,7 @@ func (e *endpoint) contribute(rank int, blob []byte) {
 	e.contrib[rank] = true
 	e.blobs[rank] = blob
 	e.have++
-	if e.repl != nil {
-		e.repl.noteGather(rank, blob)
-	}
+	e.repl.bump()
 	if e.have == e.size {
 		close(e.gotAll)
 	}

@@ -5,29 +5,33 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Coordinator failover (wire protocol v7). A deployment launched with
-// WireOptions.Standby survives rank 0 dying mid-search:
+// Coordinator failover (wire protocol v7, replication as of v9). A
+// deployment launched with WireOptions.Standby survives rank 0 dying
+// mid-search:
 //
-//   - The hub continuously replicates its residual state — the peer
-//     address table, the retained incumbent, the supervision roots it
-//     has handed over (the rank-0 ledger's mirror), gather progress,
-//     and the death ledger — to the lowest live worker rank, as
-//     coalesced kHubDelta frames plus periodic full kHubSnap
-//     snapshots. When the current standby dies, the next-lowest rank
-//     is adopted with a fresh full snapshot.
+//   - The hub replicates its residual state — the ranks it has mourned,
+//     the retained incumbent, the supervision roots it has handed over
+//     (the rank-0 ledger's mirror) and the gather shares it holds — to
+//     the lowest live worker rank as one kHubSnap snapshot. Each change
+//     bumps a version; the flush tick sends a snapshot when the version
+//     has moved since the last one or the standby has changed, so at
+//     most one per flush quantum and none while nothing changes. The
+//     standby keeps the last snapshot that decoded.
 //   - Every worker pre-binds a promotion listener at registration and
 //     the table of those addresses is exchanged (kPeerAddr/kPeers,
 //     the mesh's own mechanism, now spoken by standby stars too).
 //   - On hub death each worker independently elects the lowest rank
 //     not known dead — exactly the rank the hub was replicating to,
 //     and on a mesh exactly the rank the termination wave re-elects
-//     as token initiator. The candidate promotes itself (epoch 1) and
-//     the rest re-dial its promotion listener, presenting a kRejoin
-//     that carries their cumulative live-task contribution, from
-//     which the promoted hub rebuilds the global live count.
+//     as token initiator. The candidate promotes itself (epoch 1),
+//     seeding the role from its snapshot, and the rest re-dial its
+//     promotion listener, presenting a kRejoin that carries their
+//     cumulative live-task contribution, from which the promoted hub
+//     rebuilds the global live count.
 //   - The epoch fences generations: a kRejoin for the wrong epoch is
 //     refused, and because every stale frame rode a connection that
 //     died with the old coordinator, the connection itself is the
@@ -35,24 +39,11 @@ import (
 //     promoted coordinator dies too, the deployment ends the way a
 //     non-standby one does.
 //
-// Loss windows, accepted and documented: a kHubDelta coalesced but
-// not yet flushed when the hub dies (bounded by one flush quantum), a
-// bound broadcast in flight during the takeover (pruning opportunity,
-// never correctness), and the simultaneous death of the hub and the
-// standby before a retarget snapshot lands.
-
-// kHubDelta subtypes, carried in Want.
-const (
-	hubDeltaMirrorAdd = 1 // To = holder rank, Tasks = mirrored rank-0 hand-overs
-	hubDeltaRetire    = 2 // Acks = retired hand-over ids
-	hubDeltaIncumbent = 3 // Obj = objective, Blob = encoded incumbent node
-	hubDeltaGather    = 4 // To = contributing rank, Seq = 1 when a payload is present, Blob = payload
-)
-
-// hubSnapEvery paces full snapshots: one every this many flush quanta
-// (deltas keep the standby current in between; the snapshot bounds
-// drift from any delta a dying connection swallowed).
-const hubSnapEvery = 512
+// Loss windows, accepted and documented: a change made in the flush
+// quantum the hub dies in, which no snapshot carries; a bound broadcast
+// in flight during the takeover (pruning opportunity, never
+// correctness); and the simultaneous death of the hub and the standby
+// before the next-lowest rank's first snapshot lands.
 
 // MirrorEntry is one replicated supervision root: a task rank 0
 // handed over (WireTask.ID packs origin 0) and the rank holding it.
@@ -72,33 +63,21 @@ type GatherSlot struct {
 	Blob []byte
 }
 
-// HubSnapshot is the coordinator's residual state: everything a
-// standby needs to adopt the deployment. v2 (protocol v7) extends the
-// v1 preview with the failover epoch, gather progress, and the
-// supervision-root mirror, and is what kHubSnap frames carry.
+// HubSnapshot is the coordinator's residual state: what a standby needs
+// beyond what registration already told it (the spec, the size and the
+// peer address table) to adopt the deployment. kHubSnap frames carry it.
 type HubSnapshot struct {
-	Epoch     uint64
-	Spec      string
-	Size      int
-	PeerAddrs []string // rank-indexed; slot 0 empty
-	Alive     []bool   // rank-indexed liveness, as last decided by the hub
-	BestObj   int64    // retained incumbent objective (valid when HasBest)
-	BestNode  []byte   // retained incumbent witness
-	HasBest   bool
-	Gather    []GatherSlot
-	Mirror    []MirrorEntry
+	Alive    []bool // rank-indexed liveness, as last decided by the hub
+	BestObj  int64  // retained incumbent objective (valid when HasBest)
+	BestNode []byte // retained incumbent witness
+	HasBest  bool
+	Gather   []GatherSlot
+	Mirror   []MirrorEntry
 }
-
-const hubSnapshotVersion = 2
 
 // encodeHubSnapshot serialises a snapshot (the kHubSnap blob).
 func encodeHubSnapshot(s *HubSnapshot) []byte {
-	b := binary.AppendUvarint(nil, hubSnapshotVersion)
-	b = binary.AppendUvarint(b, s.Epoch)
-	b = binary.AppendUvarint(b, uint64(s.Size))
-	b = binary.AppendUvarint(b, uint64(len(s.Spec)))
-	b = append(b, s.Spec...)
-	b = appendPeerTable(b, s.PeerAddrs)
+	b := binary.AppendUvarint(nil, uint64(len(s.Alive)))
 	for _, a := range s.Alive {
 		if a {
 			b = append(b, 1)
@@ -125,57 +104,29 @@ func encodeHubSnapshot(s *HubSnapshot) []byte {
 			b = append(b, 0)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Mirror)))
+	// The mirror: its tasks as one batch, then each one's holder.
+	ts := make([]WireTask, len(s.Mirror))
+	for i, e := range s.Mirror {
+		ts[i] = e.Task
+	}
+	b = appendTasks(b, ts)
 	for _, e := range s.Mirror {
 		b = binary.AppendUvarint(b, uint64(e.Holder))
-		b = appendTasks(b, []WireTask{e.Task})
 	}
 	return b
 }
 
-// DecodeHubSnapshot parses a snapshot blob.
+// DecodeHubSnapshot parses a snapshot blob. The blob comes off the
+// network, so a count it claims is bounded before anything is built
+// from it.
 func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 	r := &frameReader{b: b}
-	ver, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ver != hubSnapshotVersion {
-		return nil, fmt.Errorf("dist: hub snapshot version %d, want %d", ver, hubSnapshotVersion)
-	}
 	s := &HubSnapshot{}
-	if s.Epoch, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	size, err := r.uvarint()
+	n, err := r.count()
 	if err != nil {
 		return nil, err
 	}
-	if size > maxPeerTable {
-		return nil, fmt.Errorf("dist: hub snapshot size %d", size)
-	}
-	s.Size = int(size)
-	spec, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	s.Spec = string(spec)
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n != size {
-		return nil, fmt.Errorf("dist: hub snapshot peer table has %d slots, want %d", n, size)
-	}
-	s.PeerAddrs = make([]string, n)
-	for i := range s.PeerAddrs {
-		a, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		s.PeerAddrs[i] = string(a)
-	}
-	s.Alive = make([]bool, size)
+	s.Alive = make([]bool, n)
 	for i := range s.Alive {
 		v, err := r.byte()
 		if err != nil {
@@ -188,24 +139,18 @@ func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 		return nil, err
 	}
 	if has != 0 {
-		obj, err := r.varint()
-		if err != nil {
+		if s.BestObj, err = r.varint(); err != nil {
 			return nil, err
 		}
-		node, err := r.bytes()
-		if err != nil {
+		if s.BestNode, err = r.bytes(); err != nil {
 			return nil, err
 		}
-		s.BestObj, s.BestNode, s.HasBest = obj, node, true
+		s.HasBest = true
 	}
-	ng, err := r.uvarint()
-	if err != nil {
+	if n, err = r.count(); err != nil {
 		return nil, err
 	}
-	if ng > size {
-		return nil, fmt.Errorf("dist: hub snapshot with %d gather slots", ng)
-	}
-	for i := uint64(0); i < ng; i++ {
+	for ; n > 0; n-- {
 		rank, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -222,26 +167,16 @@ func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 		}
 		s.Gather = append(s.Gather, g)
 	}
-	nm, err := r.uvarint()
+	ts, err := parseTasks(r, nil)
 	if err != nil {
 		return nil, err
 	}
-	if nm > maxStealBatch {
-		return nil, fmt.Errorf("dist: hub snapshot with %d mirror entries", nm)
-	}
-	for i := uint64(0); i < nm; i++ {
+	for _, t := range ts {
 		holder, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		ts, err := parseTasks(r, nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(ts) != 1 {
-			return nil, fmt.Errorf("dist: hub snapshot mirror entry with %d tasks", len(ts))
-		}
-		s.Mirror = append(s.Mirror, MirrorEntry{Holder: int(holder), Task: ts[0]})
+		s.Mirror = append(s.Mirror, MirrorEntry{Holder: int(holder), Task: t})
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("dist: %d trailing bytes in hub snapshot", len(r.b))
@@ -320,212 +255,20 @@ func (m *hubMirror) install(es []MirrorEntry) {
 	m.mu.Unlock()
 }
 
-// hubRepl is the coordinator's replication queue: state deltas
-// coalesce here and are drained to the current standby once per flush
-// quantum, with a full snapshot every hubSnapEvery quanta (and
-// immediately after a retarget).
+// hubRepl paces rank 0's replication: every change to what the standby
+// replicates bumps version, and the flush tick sends a snapshot when the
+// version has moved since the last one or the standby has changed.
 type hubRepl struct {
-	mu      sync.Mutex
-	q       []*frame
-	retires []uint64
-	target  int
-	ticks   int
-	force   bool
+	version atomic.Uint64
+	sent    uint64 // the version the last snapshot carried (flush loop only)
+	to      *wconn // and the link it left on
 }
 
-func newHubRepl() *hubRepl { return &hubRepl{target: 1, force: true} }
-
-func (r *hubRepl) targetRank() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.target
-}
-
-// setTarget adopts a new standby rank; the next flush ships it a full
-// snapshot so it starts from a consistent base.
-func (r *hubRepl) setTarget(rank int) {
-	r.mu.Lock()
-	r.target = rank
-	r.force = true
-	r.mu.Unlock()
-}
-
-func (r *hubRepl) noteMirrorAdd(holder int, t WireTask) {
-	r.mu.Lock()
-	r.q = append(r.q, &frame{Kind: kHubDelta, Want: hubDeltaMirrorAdd, To: holder, Tasks: []WireTask{t}})
-	r.mu.Unlock()
-}
-
-func (r *hubRepl) noteRetire(id uint64) {
-	r.mu.Lock()
-	r.retires = append(r.retires, id)
-	r.mu.Unlock()
-}
-
-func (r *hubRepl) noteIncumbent(obj int64, node []byte) {
-	r.mu.Lock()
-	r.q = append(r.q, &frame{Kind: kHubDelta, Want: hubDeltaIncumbent, Obj: obj, Blob: node})
-	r.mu.Unlock()
-}
-
-func (r *hubRepl) noteGather(rank int, blob []byte) {
-	seq := uint64(0)
-	if blob != nil {
-		seq = 1
+// bump records a change to the replicated state (a no-op off rank 0).
+func (r *hubRepl) bump() {
+	if r != nil {
+		r.version.Add(1)
 	}
-	r.mu.Lock()
-	r.q = append(r.q, &frame{Kind: kHubDelta, Want: hubDeltaGather, To: rank, Seq: seq, Blob: blob})
-	r.mu.Unlock()
-}
-
-// flushTo drains the queue onto the standby's connection. A send
-// error just leaves the rest for the retarget snapshot: the standby
-// is dying, and workerDied will re-point the queue.
-func (r *hubRepl) flushTo(cn *wconn, snap func() []byte) {
-	if cn == nil || cn.dead.Load() {
-		return
-	}
-	r.mu.Lock()
-	fs := r.q
-	r.q = nil
-	retires := r.retires
-	r.retires = nil
-	r.ticks++
-	snapDue := r.force || r.ticks >= hubSnapEvery
-	if snapDue {
-		r.ticks = 0
-		r.force = false
-	}
-	r.mu.Unlock()
-	for _, f := range fs {
-		if cn.send(f) != nil {
-			return
-		}
-	}
-	for len(retires) > 0 {
-		n := len(retires)
-		if n > maxStealBatch {
-			n = maxStealBatch
-		}
-		if cn.send(&frame{Kind: kHubDelta, Want: hubDeltaRetire, Acks: retires[:n]}) != nil {
-			return
-		}
-		retires = retires[n:]
-	}
-	if snapDue {
-		cn.send(&frame{Kind: kHubSnap, Blob: snap()})
-	}
-}
-
-// standbyState is the worker-side store of replicated hub state: the
-// last full snapshot, overlaid with every delta since. Only the rank
-// the hub is currently replicating to accumulates anything; everyone
-// else's store stays empty (and is never consulted — the candidate
-// the survivors elect is the replicated rank).
-type standbyState struct {
-	mu      sync.Mutex
-	have    bool
-	dead    []int
-	mirror  map[uint64]MirrorEntry
-	gather  map[int][]byte
-	hasBest bool
-	bestObj int64
-	bestNod []byte
-}
-
-func newStandbyState() *standbyState {
-	return &standbyState{
-		mirror: make(map[uint64]MirrorEntry),
-		gather: make(map[int][]byte),
-	}
-}
-
-// applySnap replaces the store with a full snapshot (deltas and
-// snapshots ride the same ordered connection, so the snapshot already
-// reflects every delta sent before it). A decoded snapshot aliases what
-// it was parsed from, so the store parses a copy of the receive image.
-func (s *standbyState) applySnap(blob []byte) {
-	snap, err := DecodeHubSnapshot(append([]byte(nil), blob...))
-	if err != nil {
-		return // a garbled snapshot is strictly worse than the last good one
-	}
-	s.mu.Lock()
-	s.have = true
-	s.dead = s.dead[:0]
-	for r, a := range snap.Alive {
-		if !a && r > 0 {
-			s.dead = append(s.dead, r)
-		}
-	}
-	s.mirror = make(map[uint64]MirrorEntry, len(snap.Mirror))
-	for _, e := range snap.Mirror {
-		s.mirror[e.Task.ID] = e
-	}
-	s.gather = make(map[int][]byte, len(snap.Gather))
-	for _, g := range snap.Gather {
-		s.gather[g.Rank] = g.Blob
-	}
-	s.hasBest, s.bestObj, s.bestNod = snap.HasBest, snap.BestObj, snap.BestNode
-	s.mu.Unlock()
-}
-
-// applyDelta overlays one kHubDelta, copying what it keeps of the frame.
-func (s *standbyState) applyDelta(f *frame) {
-	s.mu.Lock()
-	switch f.Want {
-	case hubDeltaMirrorAdd:
-		for _, t := range f.Tasks {
-			t.Payload = append([]byte{}, t.Payload...)
-			s.mirror[t.ID] = MirrorEntry{Holder: f.To, Task: t}
-		}
-	case hubDeltaRetire:
-		for _, id := range f.Acks {
-			delete(s.mirror, id)
-		}
-	case hubDeltaIncumbent:
-		if len(f.Blob) > 0 && (!s.hasBest || f.Obj > s.bestObj) {
-			s.hasBest, s.bestObj, s.bestNod = true, f.Obj, append([]byte{}, f.Blob...)
-		}
-	case hubDeltaGather:
-		if _, seen := s.gather[f.To]; !seen {
-			var blob []byte
-			if f.Seq == 1 {
-				blob = append([]byte{}, f.Blob...)
-			}
-			s.gather[f.To] = blob
-		}
-	}
-	s.mu.Unlock()
-}
-
-// hubStateView is a consolidated copy of the store, taken once at
-// promotion time.
-type hubStateView struct {
-	dead    []int
-	mirror  []MirrorEntry
-	gather  map[int][]byte
-	hasBest bool
-	bestObj int64
-	bestNod []byte
-}
-
-func (s *standbyState) view() hubStateView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := hubStateView{
-		dead:    append([]int(nil), s.dead...),
-		gather:  make(map[int][]byte, len(s.gather)),
-		hasBest: s.hasBest,
-		bestObj: s.bestObj,
-		bestNod: s.bestNod,
-	}
-	for r, b := range s.gather {
-		v.gather[r] = b
-	}
-	for _, e := range s.mirror {
-		v.mirror = append(v.mirror, e)
-	}
-	return v
 }
 
 // failoverCandidate is the takeover election every survivor computes
@@ -546,9 +289,9 @@ func failoverCandidate(size int, deaths *deathBox) int {
 // mirrorHandOver records rank 0's own hand-overs in the failover
 // mirror before the reply ships: should the thief die after a
 // takeover, the promoted rank replays exactly these supervision roots.
-// Unsupervised tasks (ID 0) have nothing to replay. The mirror and the
-// replication queue outlive the reply, whose payloads sit in the link's
-// reply buffer, so they share a copy of each.
+// Unsupervised tasks (ID 0) have nothing to replay. The mirror outlives
+// the reply, whose payloads sit in the link's reply buffer, so it keeps
+// a copy of each.
 func (e *endpoint) mirrorHandOver(thief int, tasks []WireTask) {
 	if e.repl == nil {
 		return
@@ -557,49 +300,39 @@ func (e *endpoint) mirrorHandOver(thief int, tasks []WireTask) {
 		if t.ID != 0 {
 			t.Payload = append([]byte{}, t.Payload...)
 			e.mirror.add(thief, t)
-			e.repl.noteMirrorAdd(thief, t)
+			e.repl.bump()
 		}
 	}
 }
 
-// retargetRepl points replication at the lowest surviving rank and
-// forces it a full base snapshot.
-func (e *endpoint) retargetRepl() {
-	for r := 1; r < e.size; r++ {
-		if cn := e.link(r); cn != nil && !cn.mourned.Load() {
-			e.repl.setTarget(r)
-			return
-		}
-	}
-	e.repl.setTarget(-1) // no survivors to replicate to
-}
-
-// flushRepl drains the replication queue once per flush quantum.
+// flushRepl sends the standby — the lowest live worker rank, the one
+// the survivors would elect — a snapshot once per flush quantum, if the
+// last one it was sent is out of date.
 func (e *endpoint) flushRepl() {
-	if e.repl != nil {
-		e.repl.flushTo(e.link(e.repl.targetRank()), e.snapshotBlob)
+	r := e.repl
+	if r == nil {
+		return
+	}
+	for rank := 1; rank < e.size; rank++ {
+		cn := e.link(rank)
+		if cn == nil || cn.mourned.Load() {
+			continue
+		}
+		if v := r.version.Load(); v != r.sent || cn != r.to {
+			if cn.send(&frame{Kind: kHubSnap, Blob: e.snapshotBlob()}) == nil {
+				r.sent, r.to = v, cn
+			}
+		}
+		return
 	}
 }
 
 // snapshotBlob captures the coordinator's residual state for a
 // kHubSnap.
 func (e *endpoint) snapshotBlob() []byte {
-	s := &HubSnapshot{
-		Epoch:     uint64(e.epoch.Load()),
-		Spec:      e.spec,
-		Size:      e.size,
-		PeerAddrs: e.peerAddrs,
-		Alive:     make([]bool, e.size),
-		Mirror:    e.mirror.entries(),
-	}
-	if s.PeerAddrs == nil {
-		s.PeerAddrs = make([]string, e.size)
-	}
-	s.Alive[e.rank] = true
-	for r := range e.links {
-		if cn := e.links[r].Load(); cn != nil && !cn.mourned.Load() {
-			s.Alive[r] = true
-		}
+	s := &HubSnapshot{Alive: make([]bool, e.size), Mirror: e.mirror.entries()}
+	for r := range s.Alive {
+		s.Alive[r] = !e.deaths.isDead(r)
 	}
 	s.BestObj, s.BestNode, s.HasBest = e.inc.best()
 	e.gatherMu.Lock()
@@ -663,11 +396,14 @@ func (e *endpoint) takeover(old *wconn) bool {
 // on a star, all of them — are taken through the same accept loop
 // registration used, on the listener pre-bound for it.
 func (e *endpoint) acquireRole(rep int64) {
-	st := e.store.view()
-	e.mirror.install(st.mirror)
-	if st.hasBest {
-		e.inc.keep(st.bestObj, st.bestNod)
-		raiseMax(&e.pbStamp, st.bestObj)
+	snap := e.replica.Load()
+	if snap == nil {
+		snap = &HubSnapshot{} // rank 0 died before its first snapshot reached here
+	}
+	e.mirror.install(snap.Mirror)
+	if snap.HasBest {
+		e.inc.keep(snap.BestObj, snap.BestNode)
+		raiseMax(&e.pbStamp, snap.BestObj)
 	}
 	if e.count != nil {
 		e.count.own(rep)
@@ -677,12 +413,14 @@ func (e *endpoint) acquireRole(rep int64) {
 	// it had already mourned. Contributions it had collected survive
 	// via the replica.
 	e.contribute(0, nil)
-	for _, r := range st.dead {
-		e.deaths.announce(r)
+	for r, alive := range snap.Alive {
+		if !alive && r > 0 && r < e.size {
+			e.deaths.announce(r)
+		}
 	}
-	for r, blob := range st.gather {
-		if r != e.rank {
-			e.contribute(r, blob)
+	for _, g := range snap.Gather {
+		if g.Rank != e.rank {
+			e.contribute(g.Rank, g.Blob)
 		}
 	}
 	var dead, missing []int

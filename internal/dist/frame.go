@@ -79,10 +79,7 @@ import (
 //
 // v7 adds the coordinator-failover vocabulary, spoken only by standby
 // deployments (WireOptions.Standby): kHubSnap (hub→standby, Blob = a
-// full residual-state snapshot — see encodeHubSnapshot), kHubDelta
-// (hub→standby, a coalesced incremental update; Want = the subtype,
-// with the mirrored hand-over riding in Tasks, retired ids in Acks,
-// and the incumbent node or gather payload in Blob), and kRejoin
+// residual-state snapshot — see encodeHubSnapshot), kRejoin
 // (worker→promoted hub after a coordinator death: From = the rank,
 // Want = the epoch the worker expects the promoted hub to be serving,
 // Obj = the rank's cumulative live-task contribution, from which the
@@ -111,6 +108,9 @@ import (
 // replay log. kResume frames themselves travel with sequence 0 and are
 // never counted or logged. kReject answers a resume for an unknown or
 // expired session, collapsing the link to the v4 death path.
+//
+// v9 replicates the standby by snapshot alone: v7's incremental delta
+// frame is gone, and the kinds declared after it moved down one.
 
 const (
 	fDelta = 1 << 0 // header carries a coalesced live-task delta
@@ -168,11 +168,11 @@ func appendFrame(dst []byte, f *frame) []byte {
 		dst = binary.AppendVarint(dst, f.PS)
 	}
 	switch f.Kind {
-	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit, kHubDelta, kRejoin:
+	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit, kRejoin:
 		dst = binary.AppendUvarint(dst, uint64(f.Want))
 	}
 	switch f.Kind {
-	case kBound, kCancel, kGossip, kToken, kHubDelta, kRejoin, kResume:
+	case kBound, kCancel, kGossip, kToken, kRejoin, kResume:
 		dst = binary.AppendVarint(dst, f.Obj)
 	}
 	switch f.Kind {
@@ -183,19 +183,12 @@ func appendFrame(dst []byte, f *frame) []byte {
 		dst = appendTasks(dst, f.Tasks)
 	case kAck:
 		dst = appendAcks(dst, f.Acks)
-	case kHubDelta:
-		// A delta carries all three payload slots (most empty for any
-		// given subtype): blob, then tasks, then acks.
-		dst = binary.AppendUvarint(dst, uint64(len(f.Blob)))
-		dst = append(dst, f.Blob...)
-		dst = appendTasks(dst, f.Tasks)
-		dst = appendAcks(dst, f.Acks)
 	}
 	return dst
 }
 
-// appendTasks encodes a steal-reply task batch (also the kHubDelta
-// mirror payload).
+// appendTasks encodes a steal-reply task batch (also the hub
+// snapshot's mirror).
 func appendTasks(dst []byte, tasks []WireTask) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(tasks)))
 	for i := range tasks {
@@ -239,6 +232,16 @@ func (r *frameReader) varint() (int64, error) {
 	}
 	r.b = r.b[n:]
 	return v, nil
+}
+
+// count reads a claimed element count, refusing one the bytes left
+// could not hold (every element takes at least one).
+func (r *frameReader) count() (uint64, error) {
+	n, err := r.uvarint()
+	if err == nil && n > uint64(len(r.b)) {
+		err = fmt.Errorf("dist: count of %d exceeds %d remaining bytes", n, len(r.b))
+	}
+	return n, err
 }
 
 // bytes slices out a counted byte string, never returning nil for an
@@ -317,7 +320,7 @@ func parseFrame(b []byte, f *frame) error {
 		f.HasPS = true
 	}
 	switch f.Kind {
-	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit, kHubDelta, kRejoin:
+	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit, kRejoin:
 		w, err := r.uvarint()
 		if err != nil {
 			return err
@@ -325,7 +328,7 @@ func parseFrame(b []byte, f *frame) error {
 		f.Want = int(w)
 	}
 	switch f.Kind {
-	case kBound, kCancel, kGossip, kToken, kHubDelta, kRejoin, kResume:
+	case kBound, kCancel, kGossip, kToken, kRejoin, kResume:
 		if f.Obj, err = r.varint(); err != nil {
 			return err
 		}
@@ -343,16 +346,6 @@ func parseFrame(b []byte, f *frame) error {
 		if f.Acks, err = parseAcks(r, f.Acks); err != nil {
 			return err
 		}
-	case kHubDelta:
-		if f.Blob, err = r.bytes(); err != nil {
-			return err
-		}
-		if f.Tasks, err = parseTasks(r, f.Tasks); err != nil {
-			return err
-		}
-		if f.Acks, err = parseAcks(r, f.Acks); err != nil {
-			return err
-		}
 	}
 	if len(r.b) != 0 {
 		return fmt.Errorf("dist: %d trailing bytes in frame kind %d", len(r.b), f.Kind)
@@ -360,8 +353,8 @@ func parseFrame(b []byte, f *frame) error {
 	return nil
 }
 
-// parseTasks decodes a task batch (the kStealR payload, also the
-// kHubDelta mirror payload), appending to tasks[:0].
+// parseTasks decodes a task batch (the kStealR payload, also the hub
+// snapshot's mirror), appending to tasks[:0].
 func parseTasks(r *frameReader, tasks []WireTask) ([]WireTask, error) {
 	n, err := r.uvarint()
 	if err != nil {

@@ -57,6 +57,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		// v6: split-steal requests (answered by ordinary kStealR).
 		{Kind: kSplit, From: 2, To: 1, Seq: 91, Want: 64},
 		{Kind: kSplit, From: 0, To: 3, Seq: 1 << 30, Want: 1, Delta: -2, PB: 11, HasPB: true, PS: PrioNone, HasPS: true},
+		// v7: the standby's snapshot, a survivor's rejoin (its live-task
+		// share may be negative), a mesh rank's goodbye.
+		{Kind: kHubSnap, Blob: encodeHubSnapshot(&HubSnapshot{Alive: []bool{true, true, false}, HasBest: true, BestObj: 7, BestNode: []byte("n")})},
+		{Kind: kHubSnap, Blob: []byte{}, PB: 3, HasPB: true},
+		{Kind: kRejoin, From: 2, Want: 1, Obj: -4, Seq: 1 << 40, Delta: 1, PS: 3, HasPS: true},
+		{Kind: kLeave, From: 3},
 	}
 	for i, f := range frames {
 		body := appendFrame(nil, &f)
@@ -147,5 +153,63 @@ func TestPeerTableRoundTripAndRobustness(t *testing.T) {
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
 	if _, err := parsePeerTable(huge); err == nil {
 		t.Fatal("oversized table accepted")
+	}
+}
+
+// A hub snapshot round-trips whole, and its decoder — it reads bytes off
+// the network like parseFrame does — gets the same sweep: truncations
+// and trailing bytes are errors, bit flips never panic, and a count no
+// input could hold is refused before anything is sized by it.
+func TestHubSnapshotRoundTripAndRobustness(t *testing.T) {
+	snaps := []*HubSnapshot{
+		{Alive: []bool{}},
+		{Alive: []bool{true, true, false, true, true, false}, BestObj: -9, BestNode: []byte{}, HasBest: true,
+			Gather: []GatherSlot{{Rank: 2}, {Rank: 3, Blob: []byte{}}, {Rank: 4, Blob: []byte("share")}},
+			Mirror: []MirrorEntry{
+				{Holder: 1, Task: WireTask{Payload: []byte("root"), ID: TaskID(0, 1), Depth: 0, Prio: 3, Bound: 11}},
+				{Holder: 3, Task: WireTask{Payload: []byte{}, ID: TaskID(0, 1<<31), Depth: 2, Bound: math.MinInt64}},
+			}},
+	}
+	for i, s := range snaps {
+		got, err := DecodeHubSnapshot(encodeHubSnapshot(s))
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("snapshot %d round trip:\n got %+v\nwant %+v", i, got, s)
+		}
+	}
+	body := encodeHubSnapshot(snaps[1])
+	for cut := 0; cut < len(body); cut++ {
+		if _, err := DecodeHubSnapshot(body[:cut]); err == nil {
+			t.Fatalf("decode of %d/%d-byte truncation succeeded", cut, len(body))
+		}
+	}
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 2000; trial++ {
+		mut := append([]byte(nil), body...)
+		for flips := 1 + rng.Intn(3); flips > 0; flips-- {
+			mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
+		}
+		DecodeHubSnapshot(mut) // must not panic
+	}
+	if _, err := DecodeHubSnapshot(append(append([]byte(nil), body...), 0)); err == nil {
+		t.Fatal("trailing bytes accepted")
+	}
+	// A huge claimed count in each of the three count slots — liveness,
+	// gather slots, mirror entries — followed by bytes that parse as
+	// elements, which only the count check keeps from being built.
+	huge := append([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, make([]byte, 1000)...)
+	for _, b := range [][]byte{
+		huge,
+		append([]byte{0, 0}, huge...),
+		append([]byte{0, 0, 0}, huge...),
+	} {
+		if _, err := DecodeHubSnapshot(b); err == nil {
+			t.Fatalf("snapshot claiming a huge count accepted: %x", b)
+		}
+		if n := testing.AllocsPerRun(10, func() { DecodeHubSnapshot(b) }); n > 8 {
+			t.Fatalf("refusing a huge count took %v allocations", n)
+		}
 	}
 }

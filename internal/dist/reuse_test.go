@@ -228,7 +228,11 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 				if !ok || e0.mirror == nil {
 					return
 				}
-				for _, me := range append(e0.mirror.entries(), trs[1].(*endpoint).store.view().mirror...) {
+				mirror := e0.mirror.entries()
+				if snap := trs[1].(*endpoint).replica.Load(); snap != nil {
+					mirror = append(mirror, snap.Mirror...)
+				}
+				for _, me := range mirror {
 					mirrored++
 					if !opens(me.Task.Payload, me.Task.ID) {
 						t.Errorf("mirrored hand-over %#x does not open under its id", me.Task.ID)
@@ -280,12 +284,13 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 			if obj, node, _ := trs[0].BestKnown(); !opens(node, uint64(obj)) {
 				t.Errorf("retained incumbent %d does not open under its objective", obj)
 			}
-			if e1, ok := trs[1].(*endpoint); ok && e1.store != nil {
+			if e1, ok := trs[1].(*endpoint); ok && e1.opts.Standby {
 				eventually(t, "the last incumbent replicated to the standby", func() bool {
-					return e1.store.view().bestObj == want
+					snap := e1.replica.Load()
+					return snap != nil && snap.BestObj == want
 				})
-				if v := e1.store.view(); !opens(v.bestNod, uint64(v.bestObj)) {
-					t.Errorf("replicated incumbent %d does not open under its objective", v.bestObj)
+				if snap := e1.replica.Load(); !opens(snap.BestNode, uint64(snap.BestObj)) {
+					t.Errorf("replicated incumbent %d does not open under its objective", snap.BestObj)
 				}
 				if mirrored == 0 {
 					t.Error("no mirrored hand-over was ever sampled")

@@ -38,11 +38,12 @@ const (
 	// bound gossip, termination-wave tokens) and v6 (on-demand stack
 	// splitting: kSplit requests served by splitting a running worker's
 	// live generator stack), v7 (coordinator failover: hub state
-	// replication to a standby, epoch-fenced rejoin after a takeover)
-	// and v8 (link-fault tolerance: a sequence + CRC32C frame trailer
-	// and resumable sessions, see session.go) — peers must not silently
-	// garble each other.
-	wireVersion = 8
+	// replication to a standby, epoch-fenced rejoin after a takeover),
+	// v8 (link-fault tolerance: a sequence + CRC32C frame trailer and
+	// resumable sessions, see session.go) and v9 (the standby replicated
+	// by snapshot alone: the delta frame gone, the kinds after it
+	// renumbered) — peers must not silently garble each other.
+	wireVersion = 9
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
@@ -93,13 +94,13 @@ type WireOptions struct {
 	// (the topology is folded into the spec check at registration).
 	Topology string
 	// Standby arms coordinator failover: the hub replicates its
-	// residual state (peer addresses, incumbent, hand-over mirror,
+	// residual state (mourned ranks, incumbent, hand-over mirror,
 	// gather progress) to the lowest live worker rank, every worker
 	// pre-binds a promotion listener whose address is exchanged at
 	// registration, and on rank 0's death the replicated rank promotes
-	// itself while the rest re-dial it. Costs one replication frame
-	// stream hub→standby; off by default. Both sides of a deployment
-	// must agree (folded into the spec check, like Topology).
+	// itself while the rest re-dial it. Costs at most one snapshot per
+	// flush quantum hub→standby; off by default. Both sides of a
+	// deployment must agree (folded into the spec check, like Topology).
 	Standby bool
 	// LinkGrace arms the v8 resumable-session layer: on an I/O error
 	// (or frame corruption) both sides of a connection keep the logical
@@ -176,8 +177,7 @@ const (
 	kGossip                // epidemic bound push: From = origin, Obj = gossiped bound
 	kToken                 // termination-wave token: Seq = round, Obj = accumulated count, Want = colour bits
 	kSplit                 // steal with split semantics: From = thief, To = victim, Want = max tasks; reply is a kStealR
-	kHubSnap               // hub→standby: Blob = full residual-state snapshot (encodeHubSnapshot)
-	kHubDelta              // hub→standby: Want = subtype (hubDelta*), payload in Tasks/Acks/Blob
+	kHubSnap               // hub→standby: Blob = residual-state snapshot (encodeHubSnapshot)
 	kRejoin                // worker→promoted hub: From = rank, Want = expected epoch, Obj = cumulative live-task contribution
 	kLeave                 // mesh worker→peers at post-termination Close: the sender is exiting, not dying
 	kResume                // v8 session resume handshake: Seq = session id, Obj = receive high-water mark; travels with link sequence 0
