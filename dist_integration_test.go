@@ -341,9 +341,10 @@ func TestDistributedMeshMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T) {
 
 // Staggered double death: the coordinator dies first, the standby
 // takes over, and then a regular worker dies too. The promoted
-// coordinator's death machinery (ledger replay, replicated-mirror
-// replay) must absorb the second death like the original hub would
-// have. -max-failures 2 keeps both deaths inside the budget.
+// coordinator's death machinery (ledger replay, and seeding the root
+// again should the dead worker have held it) must absorb the second
+// death like the original hub would have. -max-failures 2 keeps both
+// deaths inside the budget.
 func TestDistributedMaxCliqueSurvivesCoordinatorThenWorkerSIGKILL(t *testing.T) {
 	testMaxCliqueSurvivesCoordinatorSIGKILL(t, nil, true)
 }

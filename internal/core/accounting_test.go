@@ -51,6 +51,16 @@ func (tr *auditedTransport) AddTasks(delta int64) {
 	}
 }
 
+// ReseedRoot's root is registered by the transport on the rank's behalf.
+func (tr *auditedTransport) ReseedRoot() bool {
+	ok := tr.Transport.ReseedRoot()
+	if ok {
+		tr.a.perRank[tr.rank].Add(1)
+		tr.a.sum.Add(1)
+	}
+	return ok
+}
+
 // Deaths, under lateDeaths, is the schedule in which a death lands just
 // before Done and the engine's death watchers stop before reading it.
 func (tr *auditedTransport) Deaths() <-chan int {

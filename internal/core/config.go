@@ -99,12 +99,14 @@ type Config struct {
 	// protocol v7): the coordinator replicates its residual state to
 	// the lowest live worker rank, which promotes itself and finishes
 	// the search should rank 0 die mid-run. Under Standby rank 0 runs
-	// as a pure coordinator — zero local workers — so its death strands
-	// nothing it handed over (the survivors replay it); a successor no
-	// work had reached seeds the root again, exact but, should the root
-	// have gone to another rank, searching the tree twice. All ranks must
-	// agree on this flag (the spec handshake enforces it); coordinator
-	// deaths count against MaxFailures too. Ignored by single-process runs.
+	// as a pure coordinator — zero local workers — so the one task it
+	// hands over is the root, and what it holds dies with it only if the
+	// root does: the transport knows who holds it, and when rank 0 is dead
+	// and that rank unknown or dead too, the successor seeds the root
+	// again (dist.Transport's ReseedRoot) — exact, at worst searching the
+	// tree twice. All ranks must agree on this flag (the spec handshake
+	// enforces it); coordinator deaths count against MaxFailures too.
+	// Ignored by single-process runs.
 	Standby bool
 	// NetFault, if non-nil, injects deterministic network faults into
 	// the links between in-process localities (see dist.FaultPlan). It

@@ -166,10 +166,12 @@
 // held, so optimisation and decision end with the exact optimum, or a
 // witness exactly when one exists. Enumeration cannot (a dead rank's fold
 // is lost, and replay would double-count): DistEnum returns an error.
-// Under Standby rank 0 runs no workers and the lowest survivor takes its
-// role; should rank 0 die before any work reached it, it seeds the root
-// again (locality.onDeath: exact, at twice the work if the root had left),
-// the transport holding the search open for it (dist.Transport's Done).
+// Under Standby rank 0 runs no workers, so the one hand-over its death can
+// strand is the root's, and the lowest survivor takes its role. When the
+// root is lost — rank 0 dead and the rank holding it unknown or dead —
+// the transport registers it at the successor, which seeds it again
+// (locality.onDeath, dist.Transport's ReseedRoot: exact, at worst twice
+// the work).
 //
 // Idle workers do not spin: after a few failed probe rounds a worker
 // parks on its locality's parker and is woken by the next local push

@@ -337,9 +337,6 @@ func (h *locality[N]) AdoptTasks(ts []dist.WireTask, keep bool) dist.WireTask {
 	}
 	h.adoptRun = run
 	h.tr.AddTasks(int64(len(run)))
-	if !h.worked.Load() {
-		h.worked.Store(true)
-	}
 	var first dist.WireTask
 	rest := run
 	if keep {

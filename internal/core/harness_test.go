@@ -364,8 +364,8 @@ func TestDistEnumDeathErrors(t *testing.T) { rows(t, db(fault, enumerate, 3, tol
 
 // A standby coordinator killed once a worker holds work; and once rank 2
 // has taken the root while rank 1, the successor, still waits on a slow
-// link — so rank 1 seeds the root again and the tree is searched twice,
-// exactly (Config.Standby).
+// link — rank 2, alive, is known to hold the root, so nobody seeds it
+// again (Config.Standby).
 func TestDistOptSurvivesCoordinatorDeath(t *testing.T) {
 	reseed := db(fault16, optimise, 3, standby, kill{rank: 0, by: []int{2}})
 	reseed.net = dist.NewFaultPlan(1)
@@ -451,6 +451,24 @@ func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
 		scs = append(scs, sc, onWave(sc))
 	}
 	rows(t, scs...)
+}
+
+// A standby coordinator and then the worker holding the root killed at
+// another's first work, on a star and a wave: slow links from rank 0 leave
+// the root to rank 2, and rank 1, the successor, first works from it.
+// With the root's supervisor and holder gone, rank 1 searches the whole
+// tree again.
+func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
+	sc := db(toyTree("fault20", faultVals(20), false), optimise, 4, standby, kill{rank: 0, by: []int{1}}, kill{rank: 2, by: []int{1}})
+	sc.net = dist.NewFaultPlan(1)
+	sc.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
+	sc.net.SetLink(0, 3, dist.LinkFault{Latency: 5 * time.Millisecond})
+	sc.extra = func(t *testing.T, o outcome) {
+		if _, nodes := sc.tree.truth(optimise); o.stats.Nodes < nodes {
+			t.Errorf("survivors visited %d nodes of %d: the root was not searched again", o.stats.Nodes, nodes)
+		}
+	}
+	rows(t, sc, onWave(sc))
 }
 
 // A death that lands as the search ends still counts: the reseed row
@@ -700,7 +718,9 @@ func TestDrawn(t *testing.T) {
 // or two to four processes, on a star or a wave, now and then with a
 // standby coordinator or a pool budget; and, a third of the time each,
 // link latency with perhaps a partition that heals, and a kill schedule —
-// one or two workers, or a standby coordinator, dying on their next work.
+// one or two workers dying on their next work, or a standby coordinator
+// on its own, or with one worker other than its successor, both at
+// another worker's next work.
 func draw(seed int64) scenario {
 	r := rand.New(rand.NewSource(seed))
 	pick := r.Intn
@@ -736,11 +756,21 @@ func draw(seed int64) scenario {
 	}
 	if sc.ranks > 1 && pick(2) == 0 {
 		after := time.Duration(pick(3)) * 200 * time.Microsecond
-		if sc.cfg.Standby && pick(2) == 0 {
+		switch standby := sc.cfg.Standby; {
+		case standby && sc.ranks > 2 && pick(3) == 0:
+			// Rank 0, then a worker — the root's holder, when it took it —
+			// but not rank 1, the successor: a second takeover there is none.
+			ws := r.Perm(sc.ranks - 1)
+			if ws[0] == 0 {
+				ws[0], ws[1] = ws[1], ws[0]
+			}
+			by := []int{1 + ws[1]}
+			sc.kills = []kill{{rank: 0, after: after, by: by}, {rank: 1 + ws[0], after: after, by: by}}
+		case standby && pick(2) == 0:
 			sc.kills = []kill{{rank: 0, after: after}}
-		} else {
+		default:
 			spare := sc.ranks - 1 // leaving a worker alive: under Standby rank 0 has none
-			if sc.cfg.Standby {
+			if standby {
 				spare--
 			}
 			for _, v := range r.Perm(sc.ranks - 1)[:min(spare, 1+pick(2))] {

@@ -75,8 +75,6 @@ type locality[N any] struct {
 	// peer's, so workers may prune against a stale bound in the meantime
 	// — which loses pruning, never correctness.
 	bound pad.Isolated[atomic.Int64]
-	// worked latches when work first reaches the locality from a peer.
-	worked atomic.Bool
 
 	// What an adopted hand-over needs and gives back: its family, returned
 	// when it drains (a reference to a family — a queued or running task, a
@@ -302,7 +300,8 @@ func (l *locality[N]) backlog() int {
 // hands), the steal backoff is reset — the victim set just changed
 // shape, so survivors should re-probe immediately instead of sleeping
 // through the recovery window — and parked workers are woken to claim
-// the replayed work.
+// the replayed work, the root among it when the death lost the root
+// (dist.Transport's ReseedRoot).
 func (l *locality[N]) onDeath(rank int) {
 	first := l.fab.dead[rank].CompareAndSwap(false, true)
 	tasks := l.led.reap(rank)
@@ -314,17 +313,10 @@ func (l *locality[N]) onDeath(rank int) {
 		// ledger.reapAll).
 		tasks = append(tasks, l.led.reapAll()...)
 	}
-	succ := 1 // rank 0's successor, the lowest rank alive
-	for succ < len(l.fab.dead) && l.fab.dead[succ].Load() {
-		succ++
-	}
-	if rank == 0 && first && l.rank == succ && !l.worked.Load() {
-		// No work reached the successor, so the root may have died with
-		// rank 0, and nothing ends the search (dist.Transport's Done). Seed
-		// it again: replay-safe, though twice the work had it left (Standby).
-		// Registered first, the seed holds the search open, unless it had
-		// left and the search has ended already: then there is none to add.
-		l.tr.AddTasks(1)
+	if l.tr.ReseedRoot() {
+		// The death lost the root, and the transport registered it here:
+		// seed it again, or, if the search has ended already, release the
+		// registration. Replay-safe: at worst the tree is searched twice.
 		select {
 		case <-l.tr.Done():
 			l.tr.AddTasks(-1)

@@ -101,9 +101,9 @@ const (
 //
 // TestConformanceCoordinatorDeathBeforeWork below is the window before
 // any of that: a coordinator that dies holding the only work there is
-// (the root, handed to nobody) ends nothing, because no survivor has
-// worked on the search; it ends when the successor's re-seed of the root
-// (the engine's) is done.
+// (the root, handed to nobody) ends nothing. The transport registers the
+// root at the successor, whose engine seeds it again (ReseedRoot), and
+// the search ends when that root is done.
 func TestConformanceCoordinatorDeathBeforeWork(t *testing.T) {
 	for _, h := range failoverHarnesses()[:4] {
 		t.Run(h.name, func(t *testing.T) {
@@ -121,8 +121,10 @@ func TestConformanceCoordinatorDeathBeforeWork(t *testing.T) {
 				t.Fatal("the coordinator's death ended a search no survivor had worked on")
 			default:
 			}
-			trs[1].AddTasks(1)
-			trs[1].AddTasks(-1)
+			if trs[2].ReseedRoot() || !trs[1].ReseedRoot() || trs[1].ReseedRoot() {
+				t.Fatal("the root is not rank 1's, and only rank 1's, to seed again, once")
+			}
+			trs[1].AddTasks(-1) // the seeded root completes
 			for _, r := range []int{1, 2} {
 				select {
 				case <-trs[r].Done():
@@ -203,8 +205,13 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			default:
 			}
 
-			// Draining the survivor work ends the search everywhere.
-			trs[1].AddTasks(-1)
+			// Rank 0 died holding the root, handed to nobody: it is rank 1's
+			// to seed again, registered there. Draining the survivor work,
+			// the seeded root's included, ends the search everywhere.
+			if !trs[1].ReseedRoot() {
+				t.Fatal("the root died with rank 0 and rank 1 was not told to seed it again")
+			}
+			trs[1].AddTasks(-2)
 			for _, r := range []int{1, 2, 3} {
 				select {
 				case <-trs[r].Done():
@@ -273,7 +280,9 @@ func takeOver(t *testing.T, trs []Transport, what string, carries func(*HubSnaps
 	eventually(t, "rank 1 to adopt the coordinator role", trs[1].Promoted)
 	eventually(t, "every survivor linked to rank 1", func() bool {
 		for r := 2; r < len(trs); r++ {
-			if !e1.deaths.isDead(r) && e1.links[r].Load() == nil {
+			// A mesh survivor hears of rank 0's death before it re-points
+			// its coordinator traffic: wait for both.
+			if !e1.deaths.isDead(r) && (e1.links[r].Load() == nil || trs[r].(*endpoint).coord.Load() != 1) {
 				return false
 			}
 		}
@@ -312,10 +321,10 @@ func gatherAtRank1(t *testing.T, trs []Transport, others ...int) [][]byte {
 	}
 }
 
-// (a) A task rank 0 handed to rank 2 is replayed by the promoted rank 1
-// when rank 2 dies after the takeover: its supervision chain died with
-// rank 0, so only the replicated mirror still knows it.
-func TestConformanceTakeoverReplaysHandOver(t *testing.T) {
+// (a) Rank 0's hand-over to rank 2 — under Standby, the root — is known
+// at rank 1 after the takeover: rank 1 does not seed the root again while
+// rank 2 lives, and does once rank 2 dies, its supervisor being dead.
+func TestConformanceTakeoverKeepsRootHolder(t *testing.T) {
 	for _, h := range replicaHarnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 4)
@@ -326,21 +335,15 @@ func TestConformanceTakeoverReplaysHandOver(t *testing.T) {
 			if _, ok, err := trs[2].Steal(0); !ok || err != nil {
 				t.Fatalf("rank 2 did not get rank 0's task (%v)", err)
 			}
-			takeOver(t, trs, "the hand-over", func(s *HubSnapshot) bool {
-				return len(s.Mirror) == 1 && s.Mirror[0].Holder == 2
-			})
+			takeOver(t, trs, "the hand-over", func(s *HubSnapshot) bool { return s.Holder == 2 })
+			if h := trs[1].(*endpoint).root.held(); h != 2 || trs[1].ReseedRoot() {
+				t.Fatalf("rank 1 names rank %d as the root's holder, or seeds it again while rank 2 lives", h)
+			}
 			trs[2].Close()
 			awaitDeath(t, trs[1], 2)
-			eventually(t, "rank 1 to replay rank 0's hand-over to rank 2", func() bool {
-				hs[1].mu.Lock()
-				defer hs[1].mu.Unlock()
-				for _, wt := range hs[1].adopted {
-					if wt.ID == root.ID && string(wt.Payload) == "root" {
-						return true
-					}
-				}
-				return false
-			})
+			if !trs[1].ReseedRoot() {
+				t.Fatal("rank 2 died holding the root and rank 1 was not told to seed it again")
+			}
 		})
 	}
 }
@@ -364,7 +367,8 @@ func TestConformanceTakeoverKeepsIncumbent(t *testing.T) {
 }
 
 // (c) A rank that rank 0 mourned before it died is dead at rank 1, and its
-// gather slot is nil rather than awaited.
+// gather slot is nil rather than awaited: the kDeath reached rank 1 ahead
+// of any snapshot sent after it, on the same link.
 func TestConformanceTakeoverKeepsMourned(t *testing.T) {
 	for _, h := range replicaHarnesses() {
 		t.Run(h.name, func(t *testing.T) {
@@ -374,7 +378,8 @@ func TestConformanceTakeoverKeepsMourned(t *testing.T) {
 			trs[3].Close()
 			awaitDeath(t, trs[1], 3)
 			awaitDeath(t, trs[2], 3)
-			takeOver(t, trs, "rank 3's death", func(s *HubSnapshot) bool { return !s.Alive[3] })
+			trs[2].BroadcastBound(5, []byte("after"))
+			takeOver(t, trs, "an incumbent retained after rank 3's death", func(s *HubSnapshot) bool { return s.BestObj == 5 })
 			if !trs[1].(*endpoint).deaths.isDead(3) {
 				t.Fatal("rank 1 took the role over without rank 3's death")
 			}
@@ -404,6 +409,87 @@ func TestConformanceTakeoverKeepsGatherShare(t *testing.T) {
 	}
 }
 
+// (e) A root rank 0 handed over that never landed — its reply lost with
+// rank 0, or, here, held unadopted because rank 2's engine has not
+// started — names no holder: a snapshot sent after the hand-over does not
+// name rank 2, and rank 1 seeds the root again at the takeover.
+func TestConformanceTakeoverWithRootInFlight(t *testing.T) {
+	for _, h := range replicaHarnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 4)
+			hs := startAll(trs[:2])
+			trs[3].Start(&recHandler{})
+			trs[1].AddTasks(1)
+			hs[0].push(WireTask{Payload: []byte("root"), ID: TaskID(0, 1), Depth: 1})
+			go trs[2].Steal(0) // the reply waits, unadopted, for rank 2's Start
+			eventually(t, "rank 0 to hand the root over", func() bool {
+				hs[0].mu.Lock()
+				defer hs[0].mu.Unlock()
+				return len(hs[0].tasks) == 0
+			})
+			trs[3].BroadcastBound(7, []byte("after"))
+			e1 := trs[1].(*endpoint)
+			eventually(t, "a snapshot sent after the hand-over", func() bool {
+				s := e1.replica.Load()
+				return s != nil && s.BestObj == 7
+			})
+			if e1.replica.Load().Holder == 2 {
+				t.Fatal("rank 0 named rank 2 the root's holder before rank 2 registered it")
+			}
+			trs[0].Close()
+			awaitDeath(t, trs[1], 0)
+			if !trs[1].ReseedRoot() {
+				t.Fatal("the root was in flight when rank 0 died and rank 1 was not told to seed it again")
+			}
+			trs[2].Start(&recHandler{})
+		})
+	}
+}
+
+// (e) on the loopback network: rank 0 dies after rank 2 took the root and
+// before rank 2's engine registered it. Rank 2 holds it, so rank 1 seeds
+// nothing, and the count must not end the search in between.
+func TestLoopbackRootInFlightHoldsTheCount(t *testing.T) {
+	net := NewLoopback(3, LoopbackOptions{})
+	defer net.Close()
+	trs := net.Transports()
+	hs := startAll(trs[:2])
+	trs[2].Start(&killingAdopter{recHandler: &recHandler{}, tr: trs[2], kill: func() { net.Kill(0) }})
+	trs[0].AddTasks(1)
+	hs[0].push(WireTask{Payload: []byte("root"), ID: TaskID(0, 1)})
+	if _, ok, err := trs[2].Steal(0); !ok || err != nil {
+		t.Fatalf("rank 2 did not get rank 0's task (%v)", err)
+	}
+	select {
+	case <-trs[1].Done():
+		t.Fatal("rank 0's death ended the search with the root on its way to rank 2")
+	default:
+	}
+	if trs[1].ReseedRoot() {
+		t.Fatal("rank 1 was told to seed the root again, which rank 2 holds")
+	}
+	trs[2].AddTasks(-1)
+	select {
+	case <-trs[1].Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the search did not end once rank 2's root completed")
+	}
+}
+
+// killingAdopter runs kill as a steal reply reaches it, before it
+// registers the run.
+type killingAdopter struct {
+	*recHandler
+	tr   Transport
+	kill func()
+}
+
+func (a *killingAdopter) AdoptTasks(ts []WireTask, keep bool) WireTask {
+	a.kill()
+	a.tr.AddTasks(int64(len(ts)))
+	return ts[0]
+}
+
 // Replication costs one kHubSnap per flush quantum in which something it
 // carries changed, or the standby did, and nothing in any other quantum.
 // The flush loop is parked on an hour-long quantum; the test ticks rank
@@ -414,7 +500,12 @@ func TestStandbySnapshotPerChangedQuantum(t *testing.T) {
 	e0 := trs[0].(*endpoint)
 	quantum := func(want int64, what string) {
 		t.Helper()
+		// A frame is counted once written, so one a receiver has already
+		// acted on may not be counted yet: wait for rank 0's count to settle.
 		before := e0.Wire().FramesSent
+		for time.Sleep(10 * time.Millisecond); before != e0.Wire().FramesSent; time.Sleep(10 * time.Millisecond) {
+			before = e0.Wire().FramesSent
+		}
 		e0.flushRepl()
 		if n := e0.Wire().FramesSent - before; n != want {
 			t.Fatalf("%s: %d frames sent, want %d", what, n, want)
@@ -437,13 +528,8 @@ func TestStandbySnapshotPerChangedQuantum(t *testing.T) {
 	eventually(t, "rank 1's snapshot of the last incumbent", func() bool { return replica(1).BestObj == 3 })
 	quantum(0, "the quantum after")
 
-	// Rank 0 names a death before it fans it out, so the snapshot of the
-	// quantum after rank 2 hears of it names it too.
 	trs[1].Close()
 	awaitDeath(t, trs[2], 1)
 	quantum(1, "a new standby")
-	eventually(t, "rank 2's first snapshot, with rank 1 dead", func() bool {
-		s := replica(2)
-		return s != nil && !s.Alive[1]
-	})
+	eventually(t, "rank 2's first snapshot", func() bool { return replica(2) != nil })
 }

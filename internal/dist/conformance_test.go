@@ -1193,7 +1193,10 @@ func TestConformanceNoGoroutineOutlivesClose(t *testing.T) {
 				awaitDeath(t, trs[r], 0)
 			}
 			eventually(t, "rank 1 to adopt the coordinator role", func() bool { return trs[1].Promoted() })
-			trs[1].AddTasks(-1)
+			if !trs[1].ReseedRoot() {
+				t.Fatal("the root died with rank 0 and rank 1 was not told to seed it again")
+			}
+			trs[1].AddTasks(-2) // its own task and the seeded root
 			awaitDone(t, trs, 1, 2, 3)
 		}},
 	}

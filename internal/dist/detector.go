@@ -79,32 +79,15 @@ type liveCount struct {
 	// until the survivors themselves finish or replay them.
 	live   atomic.Int64
 	liveAt []atomic.Int64
-	// worked[rank] latches once rank's work is counted (its own, here, as
-	// it registers) until it dies: the count's zero ends only a search a
-	// live rank worked on, like the wave's (LoopbackNetwork.worked).
-	worked []atomic.Bool
 }
 
 func newLiveCount(self, size int, send func(*frame) error, zero func()) *liveCount {
-	c := &liveCount{self: self, send: send, zero: zero, liveAt: make([]atomic.Int64, size), worked: make([]atomic.Bool, size)}
+	c := &liveCount{self: self, send: send, zero: zero, liveAt: make([]atomic.Int64, size)}
 	c.owner.Store(self == 0)
 	return c
 }
 
-// ended reports whether the count at zero ends the search.
-func (c *liveCount) ended() bool {
-	for r := range c.worked {
-		if c.worked[r].Load() {
-			return true
-		}
-	}
-	return false
-}
-
 func (c *liveCount) add(delta int64) {
-	if delta > 0 && !c.worked[c.self].Load() {
-		c.worked[c.self].Store(true)
-	}
 	if c.owner.Load() {
 		c.addAt(c.self, delta)
 		return
@@ -126,11 +109,8 @@ func (c *liveCount) addAt(rank int, delta int64) {
 	if rank < 0 || rank >= len(c.liveAt) {
 		rank = 0
 	}
-	if delta > 0 && !c.worked[rank].Load() {
-		c.worked[rank].Store(true)
-	}
 	c.liveAt[rank].Add(delta)
-	if c.live.Add(delta) == 0 && delta < 0 && c.ended() {
+	if c.live.Add(delta) == 0 && delta < 0 {
 		c.zero()
 	}
 }
@@ -152,9 +132,8 @@ func (c *liveCount) markDead(rank int) {
 	if rank < 0 || rank >= len(c.liveAt) {
 		return
 	}
-	c.worked[rank].Store(false)
 	if removed := c.liveAt[rank].Swap(0); removed != 0 {
-		if c.live.Add(-removed) == 0 && removed > 0 && c.ended() {
+		if c.live.Add(-removed) == 0 && removed > 0 {
 			c.zero()
 		}
 	}
@@ -199,7 +178,7 @@ func (c *liveCount) own(rep int64) {
 // release drops own's hold; if the surviving contributions already sum
 // to zero, the search ended while the coordinator was away.
 func (c *liveCount) release() {
-	if c.live.Add(-1) == 0 && c.ended() {
+	if c.live.Add(-1) == 0 {
 		c.zero()
 	}
 }

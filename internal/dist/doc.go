@@ -2,7 +2,7 @@
 // search runtime: a pluggable Transport over which localities — the
 // paper's physical cluster nodes — exchange work and incumbent
 // knowledge. This comment is a reference to the protocol as it stands
-// (wire v9); how it got there, version by version, is in CHANGES.md.
+// (wire v10); how it got there, version by version, is in CHANGES.md.
 //
 // # What a Transport does
 //
@@ -17,8 +17,8 @@
 //     a late or reordered bound costs pruning, never correctness,
 //     because receivers merge with a monotonic max;
 //   - termination detection: a global live-task count (AddTasks/Done)
-//     whose zero, once a live locality has worked, comes exactly when no
-//     locality holds or will ever receive work;
+//     whose zero comes exactly when no locality holds or will ever
+//     receive work;
 //   - short-circuit and aggregation: decision-search cancellation
 //     (Cancel/Handler.OnCancel) and the terminal collective Gather that
 //     brings every locality's result and metrics to the coordinator;
@@ -113,7 +113,8 @@
 //	kPing       W → C               header only                                    liveness, after a Heartbeat with nothing else sent
 //	kDeath      C → all             Want dead rank                                 mourn: fail steals aimed at it, replay its hand-overs, skip it for good
 //	kLeave      rank → all          none                                           (mesh) an exit after termination, not a death to replay
-//	kHubSnap    C → S               Blob residual-state snapshot                   (standby) the replica, whole; at most one a flush quantum, none unchanged
+//	kHubSnap    C → S               Blob residual-state snapshot                   (standby) root holder, incumbent, gather shares; at most one a flush quantum, none unchanged
+//	kHeld       W → C               none                                           (standby) W registered the root C handed it: C may now name W its holder
 //	kRejoin     W → promoted C      Want epoch, Obj live-count share, Seq session  (star failover) W's contribution crosses the takeover
 //	kResume     dialler ⇄ acceptor  Seq session, Obj receive mark                  (link grace) each side replays what the other missed; link sequence 0
 //
@@ -187,12 +188,15 @@
 // WireOptions.Standby (every rank must agree) makes rank 0's own death
 // survivable too:
 //
-//	epoch 0  rank 0 coordinates and runs no workers (core.Config.Standby), so no subtree lives
-//	         only there; it replicates to S, the lowest live worker, what replay cannot rebuild:
-//	         the hand-over mirror, the incumbent, the mourned ranks, early gather shares — one
-//	         kHubSnap in each flush quantum in which any of them changed, or S did
+//	epoch 0  rank 0 coordinates and runs no workers (core.Config.Standby), so the one task it hands
+//	         over under supervision is the root; it replicates to S, the lowest live worker, what
+//	         nothing else rebuilds: who holds the root (a thief whose kHeld came), the incumbent,
+//	         early gather shares — one kHubSnap in each flush quantum in which any of them changed,
+//	         or S did. Deaths reach S as kDeath, ahead of any later snapshot on the same link
 //	   │     S sees its link to rank 0 break or fall silent
-//	epoch 1  S takes the role in place, seeded from the last snapshot: rank 0's hand-overs are now S's to replay
+//	epoch 1  S takes the role in place, seeded from the last snapshot. If the root's holder is
+//	         unknown or dead, now or later, S registers the root and its engine seeds it again
+//	         (ReseedRoot); every other hand-over is replayed by a surviving ledger
 //	         star: survivors re-dial S's listener with kRejoin; kWelcome re-seeds count and bound,
 //	               and what S fanned out between that welcome and the link's install is repeated
 //	         mesh: the links exist; coordinator traffic changes direction
@@ -211,7 +215,7 @@
 // copies it. Outbound, a link's replies are built in the read loop's
 // task slice and payload buffer and encoded into the connection's write
 // scratch; send has copied everything when it returns, and what outlives
-// it copies — the failover mirror, the session's retransmit log.
+// it copies — the session's retransmit log.
 // Inbound, a link reads every frame into one image and one frame value,
 // valid until its next read: stolen tasks are decoded on the read loop
 // by the engine (core.Codec.Decode must not alias its input), a relayed

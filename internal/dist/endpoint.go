@@ -112,11 +112,15 @@ type endpoint struct {
 	// Failover state (nil/zero unless WireOptions.Standby).
 	epoch     atomic.Uint32 // 0 while rank 0 lives, 1 after the takeover
 	peerAddrs []string      // rank-indexed listener addresses (mesh peers, standby promotion)
-	mirror    *hubMirror    // rank 0's hand-overs: own at rank 0, adopted at the promoted rank
 	repl      *hubRepl      // rank 0 only: paces the snapshots sent to the standby
-	// replica is the last snapshot rank 0 sent here, which a takeover
-	// seeds the role from (nil until one arrives, and at rank 0).
+	// root is who holds rank 0's supervised hand-over, as of each kHeld at
+	// rank 0 and each snapshot at the standby. replica is the last snapshot
+	// (nil until one arrives), which a takeover seeds the role from; succ
+	// marks the rank that took the role over.
+	root    *rootHolder
 	replica atomic.Pointer[HubSnapshot]
+	succ    atomic.Bool
+	reseed  atomic.Bool // ReseedRoot's
 
 	// ln took the registrations (rank 0), the mesh peer dials, or is
 	// the promotion listener a standby worker pre-bound; afterwards it
@@ -159,6 +163,7 @@ func (e *endpoint) init(rank, size int) {
 	e.links = make([]atomic.Pointer[wconn], size)
 	e.peerPrio = newPeerPrios(size)
 	e.deaths = newDeathBox(size)
+	e.root = &rootHolder{dead: e.deaths.isDead, rank: -1}
 	e.blobs = make([][]byte, size)
 	e.contrib = make([]bool, size)
 	if e.mesh {
@@ -167,11 +172,8 @@ func (e *endpoint) init(rank, size int) {
 		e.count = newLiveCount(rank, size, e.sendCoord, e.terminate)
 		e.term = e.count
 	}
-	if e.opts.Standby {
-		e.mirror = newHubMirror()
-		if rank == 0 {
-			e.repl = &hubRepl{}
-		}
+	if e.opts.Standby && rank == 0 {
+		e.repl = &hubRepl{}
 	}
 }
 
@@ -315,6 +317,8 @@ func (e *endpoint) Promoted() bool { return e.rank != 0 && e.isCoord() }
 // rank 0, so its death can eat one in flight.
 func (e *endpoint) AcksRelayed() bool { return !e.mesh && e.rank != 0 }
 
+func (e *endpoint) ReseedRoot() bool { return e.reseed.CompareAndSwap(true, false) }
+
 func (e *endpoint) PeerBestPrio(rank int) (int, bool) { return peerBestPrio(e.peerPrio, rank) }
 
 // Suspected is true while the link a steal to rank would leave on is
@@ -428,6 +432,10 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			// is still waiting.
 			ps := e.pending.claim(f.Seq)
 			first := adoptTasks(e.handler(), f.Tasks, ps != nil)
+			if e.opts.Standby && f.From == 0 && len(f.Tasks) > 0 && f.Tasks[0].ID != 0 {
+				// The root is registered here now: name this rank its holder.
+				cn.send(&frame{Kind: kHeld, From: e.rank})
+			}
 			if ps != nil {
 				ps.n = len(f.Tasks)
 				ps.ch <- first
@@ -482,7 +490,11 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			// worse than the last good one, and is dropped.
 			if snap, err := DecodeHubSnapshot(append([]byte(nil), f.Blob...)); err == nil {
 				e.replica.Store(snap)
+				e.root.hold(snap.Holder)
 			}
+		case kHeld:
+			e.root.hold(f.From)
+			e.repl.bump()
 		}
 	}
 }
@@ -490,7 +502,6 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 // reply answers a steal request on the link it arrived on (which
 // relays it back if it was relayed here).
 func (e *endpoint) reply(cn *wconn, thief int, seq uint64, tasks []WireTask) {
-	e.mirrorHandOver(thief, tasks)
 	cn.send(&frame{Kind: kStealR, From: e.rank, To: thief, Seq: seq, Tasks: tasks})
 }
 
@@ -577,24 +588,11 @@ func (e *endpoint) died(rank int, cn *wconn) {
 		e.contribute(rank, nil)
 		return
 	}
-	e.deaths.announce(rank)
+	e.announceDeath(rank)
 	if e.isCoord() {
 		e.fanOut(&frame{Kind: kDeath, From: e.rank, Want: rank}, rank)
 	}
 	e.contribute(rank, nil)
-	switch {
-	case e.repl != nil:
-		// Rank 0 itself: its engine's ledger replays these hand-overs
-		// (they re-export under fresh ids if re-stolen), so the mirror
-		// entries are dead weight at the standby too. If the standby is
-		// the one that died, the next flush sends its successor a snapshot.
-		e.mirror.takeHolder(rank)
-		e.repl.bump()
-	case e.isCoord():
-		// Promoted: the dead rank's share of rank 0's hand-overs is the
-		// one set of roots no surviving ledger supervises.
-		e.replayMirror(rank)
-	}
 	e.term.markDead(rank)
 }
 
@@ -772,10 +770,6 @@ func (e *endpoint) onAcks(from int, ids []uint64) {
 		if hd != nil {
 			hd.OnAck(from, id)
 		}
-		if e.repl != nil {
-			e.mirror.retire(id)
-			e.repl.bump()
-		}
 	}
 }
 
@@ -799,15 +793,7 @@ func (e *endpoint) drainAcks() {
 	// (bufferAcks appends to the other array, never ids).
 	for _, id := range ids {
 		dest := TaskOrigin(id)
-		if dest == 0 && e.epoch.Load() == 1 {
-			// Rank 0 is dead and its ledger with it; what must retire is
-			// the mirror entry at the rank that adopted the role, so the
-			// subtree is never replayed.
-			dest = int(e.coord.Load())
-		}
 		switch cn := e.route(dest); {
-		case dest == e.rank:
-			e.mirror.retire(id)
 		case cn != nil:
 			e.ackOut[cn] = append(e.ackOut[cn], id)
 		case dest >= 0 && dest < e.size && !e.deaths.isDead(dest) && !e.isDone():
@@ -957,7 +943,9 @@ func (e *endpoint) contribute(rank int, blob []byte) {
 	e.contrib[rank] = true
 	e.blobs[rank] = blob
 	e.have++
-	e.repl.bump()
+	if blob != nil {
+		e.repl.bump() // a nil slot is the kDeath's to replicate
+	}
 	if e.have == e.size {
 		close(e.gotAll)
 	}

@@ -9,18 +9,20 @@ import (
 	"time"
 )
 
-// Coordinator failover (wire protocol v7, replication as of v9). A
+// Coordinator failover (wire protocol v7, replication as of v10). A
 // deployment launched with WireOptions.Standby survives rank 0 dying
 // mid-search:
 //
-//   - The hub replicates its residual state — the ranks it has mourned,
-//     the retained incumbent, the supervision roots it has handed over
-//     (the rank-0 ledger's mirror) and the gather shares it holds — to
-//     the lowest live worker rank as one kHubSnap snapshot. Each change
-//     bumps a version; the flush tick sends a snapshot when the version
-//     has moved since the last one or the standby has changed, so at
-//     most one per flush quantum and none while nothing changes. The
-//     standby keeps the last snapshot that decoded.
+//   - Rank 0 runs no workers (core.Config.Standby), so the one task it
+//     ever hands over under supervision is the root. It replicates to
+//     the lowest live worker rank, as one kHubSnap snapshot per flush
+//     quantum in which something changed (hubRepl), what no survivor's
+//     ledger or link can rebuild: who holds that hand-over (rootHolder),
+//     the retained incumbent and the gather shares it holds. The standby
+//     keeps the last snapshot that decoded. The ranks rank 0 mourned are
+//     not replicated: each kDeath reaches the standby on the same link
+//     ahead of any later snapshot, and fills the dead rank's gather slot
+//     there as it does everywhere.
 //   - Every worker pre-binds a promotion listener at registration and
 //     the table of those addresses is exchanged (kPeerAddr/kPeers,
 //     the mesh's own mechanism, now spoken by standby stars too).
@@ -32,6 +34,10 @@ import (
 //     promotion listener, presenting a kRejoin that carries their
 //     cumulative live-task contribution, from which the promoted hub
 //     rebuilds the global live count.
+//   - Every hand-over but the root's is supervised by a surviving
+//     ledger. The root is seeded again by the successor's engine, at the
+//     death that loses it: rank 0's with the root's holder unknown or
+//     dead, or the holder's after it (rootHolder, ReseedRoot).
 //   - The epoch fences generations: a kRejoin for the wrong epoch is
 //     refused, and because every stale frame rode a connection that
 //     died with the old coordinator, the connection itself is the
@@ -40,24 +46,15 @@ import (
 //     non-standby one does.
 //
 // Loss windows, accepted and documented: a change made in the flush
-// quantum the hub dies in, which no snapshot carries; a bound broadcast
-// in flight during the takeover (pruning opportunity, never
-// correctness); and the simultaneous death of the hub and the standby
-// before the next-lowest rank's first snapshot lands.
+// quantum the hub dies in, which no snapshot carries (a missing or stale
+// holder costs a second search of the tree, never the answer); a bound
+// broadcast in flight during the takeover (pruning opportunity, never
+// correctness); a death the hub mourned but died before fanning out,
+// which a star's rejoin window mourns again; and the simultaneous death
+// of the hub and the standby before the next-lowest rank's first
+// snapshot lands.
 
-// MirrorEntry is one replicated supervision root: a task rank 0
-// handed over (WireTask.ID packs origin 0) and the rank holding it.
-// If the holder dies after a takeover, the promoted hub replays the
-// task — the root of exactly the subtree whose supervision chain died
-// with the coordinator.
-type MirrorEntry struct {
-	Holder int
-	Task   WireTask
-}
-
-// GatherSlot is one replicated gather contribution (Blob may be nil:
-// a dead rank's slot is contributed as nil so the terminal collective
-// cannot block on it).
+// GatherSlot is one replicated gather contribution.
 type GatherSlot struct {
 	Rank int
 	Blob []byte
@@ -65,26 +62,19 @@ type GatherSlot struct {
 
 // HubSnapshot is the coordinator's residual state: what a standby needs
 // beyond what registration already told it (the spec, the size and the
-// peer address table) to adopt the deployment. kHubSnap frames carry it.
+// peer address table) and what the kDeath fan-out tells it (the mourned
+// ranks) to adopt the deployment. kHubSnap frames carry it.
 type HubSnapshot struct {
-	Alive    []bool // rank-indexed liveness, as last decided by the hub
+	Holder   int    // the rank holding rank 0's supervised hand-over, -1 when none
 	BestObj  int64  // retained incumbent objective (valid when HasBest)
 	BestNode []byte // retained incumbent witness
 	HasBest  bool
 	Gather   []GatherSlot
-	Mirror   []MirrorEntry
 }
 
 // encodeHubSnapshot serialises a snapshot (the kHubSnap blob).
 func encodeHubSnapshot(s *HubSnapshot) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(s.Alive)))
-	for _, a := range s.Alive {
-		if a {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
+	b := binary.AppendVarint(nil, int64(s.Holder))
 	if s.HasBest {
 		b = append(b, 1)
 		b = binary.AppendVarint(b, s.BestObj)
@@ -96,22 +86,8 @@ func encodeHubSnapshot(s *HubSnapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s.Gather)))
 	for _, g := range s.Gather {
 		b = binary.AppendUvarint(b, uint64(g.Rank))
-		if g.Blob != nil {
-			b = append(b, 1)
-			b = binary.AppendUvarint(b, uint64(len(g.Blob)))
-			b = append(b, g.Blob...)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	// The mirror: its tasks as one batch, then each one's holder.
-	ts := make([]WireTask, len(s.Mirror))
-	for i, e := range s.Mirror {
-		ts[i] = e.Task
-	}
-	b = appendTasks(b, ts)
-	for _, e := range s.Mirror {
-		b = binary.AppendUvarint(b, uint64(e.Holder))
+		b = binary.AppendUvarint(b, uint64(len(g.Blob)))
+		b = append(b, g.Blob...)
 	}
 	return b
 }
@@ -122,18 +98,11 @@ func encodeHubSnapshot(s *HubSnapshot) []byte {
 func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 	r := &frameReader{b: b}
 	s := &HubSnapshot{}
-	n, err := r.count()
+	holder, err := r.varint()
 	if err != nil {
 		return nil, err
 	}
-	s.Alive = make([]bool, n)
-	for i := range s.Alive {
-		v, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		s.Alive[i] = v != 0
-	}
+	s.Holder = int(holder)
 	has, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -147,7 +116,8 @@ func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 		}
 		s.HasBest = true
 	}
-	if n, err = r.count(); err != nil {
+	n, err := r.count()
+	if err != nil {
 		return nil, err
 	}
 	for ; n > 0; n-- {
@@ -155,104 +125,16 @@ func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		present, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
 		g := GatherSlot{Rank: int(rank)}
-		if present != 0 {
-			if g.Blob, err = r.bytes(); err != nil {
-				return nil, err
-			}
+		if g.Blob, err = r.bytes(); err != nil {
+			return nil, err
 		}
 		s.Gather = append(s.Gather, g)
-	}
-	ts, err := parseTasks(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range ts {
-		holder, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		s.Mirror = append(s.Mirror, MirrorEntry{Holder: int(holder), Task: t})
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("dist: %d trailing bytes in hub snapshot", len(r.b))
 	}
 	return s, nil
-}
-
-// hubMirror is the coordinator's transport-level copy of its own
-// ledger roots: every task its locality handed over (origin-0 ids),
-// keyed by hand-over id, with the rank currently holding it. The
-// original hub maintains it only to replicate it; the promoted hub
-// consults it to replay the roots whose holders die after the
-// takeover — the one class of work the engine-level ledgers cannot
-// resupervise, because their supervision chains rooted at the dead
-// coordinator.
-type hubMirror struct {
-	mu sync.Mutex
-	m  map[uint64]MirrorEntry
-}
-
-func newHubMirror() *hubMirror { return &hubMirror{m: make(map[uint64]MirrorEntry)} }
-
-func (m *hubMirror) add(holder int, t WireTask) {
-	m.mu.Lock()
-	m.m[t.ID] = MirrorEntry{Holder: holder, Task: t}
-	m.mu.Unlock()
-}
-
-// retire drops a completed hand-over (idempotent; acks can race a
-// replay exactly like the engine ledgers' retires).
-func (m *hubMirror) retire(id uint64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	delete(m.m, id)
-	m.mu.Unlock()
-}
-
-// takeHolder removes and returns every entry held by rank.
-func (m *hubMirror) takeHolder(holder int) []WireTask {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	var ts []WireTask
-	for id, e := range m.m {
-		if e.Holder == holder {
-			ts = append(ts, e.Task)
-			delete(m.m, id)
-		}
-	}
-	m.mu.Unlock()
-	return ts
-}
-
-// entries copies the mirror for a snapshot.
-func (m *hubMirror) entries() []MirrorEntry {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	es := make([]MirrorEntry, 0, len(m.m))
-	for _, e := range m.m {
-		es = append(es, e)
-	}
-	m.mu.Unlock()
-	return es
-}
-
-func (m *hubMirror) install(es []MirrorEntry) {
-	m.mu.Lock()
-	for _, e := range es {
-		m.m[e.Task.ID] = e
-	}
-	m.mu.Unlock()
 }
 
 // hubRepl paces rank 0's replication: every change to what the standby
@@ -271,6 +153,52 @@ func (r *hubRepl) bump() {
 	}
 }
 
+// rootHolder is who holds a standby deployment's root — rank 0's one
+// supervised hand-over, which no ledger replays once rank 0 is dead — and
+// the one rule for when it is lost; each transport registers the root its
+// own way. A rank is named the holder only while its share of the live
+// count covers the root (a wire's kHeld, a loopback steal's own +1), so
+// no death leaves the count to end the search on a root that is nowhere.
+type rootHolder struct {
+	dead   func(rank int) bool
+	mu     sync.Mutex
+	rank   int  // -1 while none is known
+	seeded bool // the root was registered again, which happens once
+}
+
+// hold names rank the holder; not once rank 0 is dead, whose death was
+// judged without it.
+func (h *rootHolder) hold(rank int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.dead(0) {
+		h.rank = rank
+	}
+}
+
+func (h *rootHolder) held() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.rank
+}
+
+// judge announces rank's death, first asking seed to register the root
+// again if the death loses it: rank 0 is dead and the holder unknown or
+// dead, rank counted dead, and the root has not been registered again.
+// seed reports whether it registered it (only the successor does). One
+// lock covers the judgment and the announcement, so of two deaths that
+// race one is judged with the other announced: the root is registered
+// once, and before the death that loses it is announced or reconciled.
+func (h *rootHolder) judge(rank int, seed func() bool, announce func()) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	dead := func(r int) bool { return r == rank || h.dead(r) }
+	if !h.seeded && dead(0) && (h.rank < 0 || dead(h.rank)) {
+		h.seeded = seed()
+	}
+	announce()
+}
+
 // failoverCandidate is the takeover election every survivor computes
 // independently: the lowest worker rank not known dead — exactly the
 // rank the hub replicated to, and (on a mesh) exactly the rank the
@@ -286,23 +214,18 @@ func failoverCandidate(size int, deaths *deathBox) int {
 
 // ---- the replicating side (rank 0) -------------------------------------
 
-// mirrorHandOver records rank 0's own hand-overs in the failover
-// mirror before the reply ships: should the thief die after a
-// takeover, the promoted rank replays exactly these supervision roots.
-// Unsupervised tasks (ID 0) have nothing to replay. The mirror outlives
-// the reply, whose payloads sit in the link's reply buffer, so it keeps
-// a copy of each.
-func (e *endpoint) mirrorHandOver(thief int, tasks []WireTask) {
-	if e.repl == nil {
-		return
-	}
-	for _, t := range tasks {
-		if t.ID != 0 {
-			t.Payload = append([]byte{}, t.Payload...)
-			e.mirror.add(thief, t)
-			e.repl.bump()
+// announceDeath announces rank's death here, first registering the root
+// for the engine to seed again (ReseedRoot) if this rank took rank 0's
+// role over and the death loses the root (rootHolder.judge).
+func (e *endpoint) announceDeath(rank int) {
+	e.root.judge(rank, func() bool {
+		if !e.succ.Load() {
+			return false
 		}
-	}
+		e.term.add(1)
+		e.reseed.Store(true)
+		return true
+	}, func() { e.deaths.announce(rank) })
 }
 
 // flushRepl sends the standby — the lowest live worker rank, the one
@@ -330,15 +253,12 @@ func (e *endpoint) flushRepl() {
 // snapshotBlob captures the coordinator's residual state for a
 // kHubSnap.
 func (e *endpoint) snapshotBlob() []byte {
-	s := &HubSnapshot{Alive: make([]bool, e.size), Mirror: e.mirror.entries()}
-	for r := range s.Alive {
-		s.Alive[r] = !e.deaths.isDead(r)
-	}
+	s := &HubSnapshot{Holder: e.root.held()}
 	s.BestObj, s.BestNode, s.HasBest = e.inc.best()
 	e.gatherMu.Lock()
-	for r, c := range e.contrib {
-		if c {
-			s.Gather = append(s.Gather, GatherSlot{Rank: r, Blob: e.blobs[r]})
+	for r, blob := range e.blobs {
+		if blob != nil {
+			s.Gather = append(s.Gather, GatherSlot{Rank: r, Blob: blob})
 		}
 	}
 	e.gatherMu.Unlock()
@@ -359,13 +279,15 @@ func (e *endpoint) takeover(old *wconn) bool {
 	}
 	// The engine must learn rank 0 died: its ledger replays the
 	// hand-overs rank 0 held — on a star every outstanding one, since an
-	// ack relayed through the dying coordinator may be gone. The wave
+	// ack relayed through the dying coordinator may be gone — and the
+	// successor's seeds the root again if it died with rank 0. The wave
 	// stops summing rank 0 and re-elects the lowest live rank as
 	// initiator — the very rank elected below.
 	old.dead.Store(true)
-	e.deaths.announce(0)
-	e.term.markDead(0)
 	cand := failoverCandidate(e.size, e.deaths)
+	e.succ.Store(cand == e.rank)
+	e.announceDeath(0)
+	e.term.markDead(0)
 	if cand < 0 {
 		return false
 	}
@@ -400,7 +322,6 @@ func (e *endpoint) acquireRole(rep int64) {
 	if snap == nil {
 		snap = &HubSnapshot{} // rank 0 died before its first snapshot reached here
 	}
-	e.mirror.install(snap.Mirror)
 	if snap.HasBest {
 		e.inc.keep(snap.BestObj, snap.BestNode)
 		raiseMax(&e.pbStamp, snap.BestObj)
@@ -409,29 +330,18 @@ func (e *endpoint) acquireRole(rep int64) {
 		e.count.own(rep)
 	}
 	e.coord.Store(int32(e.rank))
-	// Rank 0 will never contribute to the gather; neither will anyone
-	// it had already mourned. Contributions it had collected survive
-	// via the replica.
+	// Rank 0 will never contribute to the gather. Every rank it mourned
+	// was mourned here too, slot and all, by the kDeath that preceded the
+	// snapshot; the contributions it had collected survive via the replica.
 	e.contribute(0, nil)
-	for r, alive := range snap.Alive {
-		if !alive && r > 0 && r < e.size {
-			e.deaths.announce(r)
-		}
-	}
 	for _, g := range snap.Gather {
 		if g.Rank != e.rank {
 			e.contribute(g.Rank, g.Blob)
 		}
 	}
-	var dead, missing []int
+	var missing []int
 	for r := 1; r < e.size; r++ {
-		switch {
-		case r == e.rank:
-		case e.deaths.isDead(r):
-			dead = append(dead, r)
-			e.term.markDead(r)
-			e.contribute(r, nil)
-		case e.links[r].Load() == nil:
+		if r != e.rank && !e.deaths.isDead(r) && e.links[r].Load() == nil {
 			missing = append(missing, r)
 		}
 	}
@@ -448,11 +358,6 @@ func (e *endpoint) acquireRole(rep int64) {
 			if e.links[r].Load() == nil {
 				e.died(r, nil)
 			}
-		}
-		// The dead holders' mirrored hand-overs are the one set of
-		// supervision roots no surviving ledger replays.
-		for _, r := range dead {
-			e.replayMirror(r)
 		}
 		if e.count != nil {
 			e.count.release()
@@ -508,18 +413,6 @@ func (e *endpoint) admitRejoin(cn *wconn, rj *frame) error {
 	}
 	go e.readLoop(r, cn)
 	return nil
-}
-
-// replayMirror re-enqueues the dead holder's replicated rank-0
-// hand-overs as local work (blackening first: on a mesh the migration
-// must be visible to the token before the work is). Re-execution is
-// replay-safe (the engine's death-replay invariant); a late ack for a
-// replayed id is absorbed by the mirror's idempotent retire.
-func (e *endpoint) replayMirror(holder int) {
-	if ts := e.mirror.takeHolder(holder); len(ts) > 0 {
-		e.term.blacken()
-		adoptTasks(e.handler(), ts, false)
-	}
 }
 
 // rejoin re-attaches a star survivor to the promoted coordinator: dial

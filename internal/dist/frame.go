@@ -110,7 +110,13 @@ import (
 // expired session, collapsing the link to the v4 death path.
 //
 // v9 replicates the standby by snapshot alone: v7's incremental delta
-// frame is gone, and the kinds declared after it moved down one.
+// frame is gone, and the kinds declared after it moved down one. v10
+// narrows the snapshot to the rank holding rank 0's supervised hand-over
+// (a varint, in place of the mirror), the incumbent and the non-nil
+// gather shares; the mourned ranks reach the standby by the kDeath
+// fan-out, ahead of any later snapshot on the same link. It adds kHeld
+// (thief → rank 0, header only: the hand-over is registered, name me its
+// holder) after kHubSnap; the kinds after it moved up one.
 
 const (
 	fDelta = 1 << 0 // header carries a coalesced live-task delta
@@ -187,8 +193,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 	return dst
 }
 
-// appendTasks encodes a steal-reply task batch (also the hub
-// snapshot's mirror).
+// appendTasks encodes a steal-reply task batch.
 func appendTasks(dst []byte, tasks []WireTask) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(tasks)))
 	for i := range tasks {
@@ -353,8 +358,8 @@ func parseFrame(b []byte, f *frame) error {
 	return nil
 }
 
-// parseTasks decodes a task batch (the kStealR payload, also the hub
-// snapshot's mirror), appending to tasks[:0].
+// parseTasks decodes a task batch (the kStealR payload), appending to
+// tasks[:0].
 func parseTasks(r *frameReader, tasks []WireTask) ([]WireTask, error) {
 	n, err := r.uvarint()
 	if err != nil {

@@ -59,7 +59,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kSplit, From: 0, To: 3, Seq: 1 << 30, Want: 1, Delta: -2, PB: 11, HasPB: true, PS: PrioNone, HasPS: true},
 		// v7: the standby's snapshot, a survivor's rejoin (its live-task
 		// share may be negative), a mesh rank's goodbye.
-		{Kind: kHubSnap, Blob: encodeHubSnapshot(&HubSnapshot{Alive: []bool{true, true, false}, HasBest: true, BestObj: 7, BestNode: []byte("n")})},
+		{Kind: kHubSnap, Blob: encodeHubSnapshot(&HubSnapshot{Holder: 2, HasBest: true, BestObj: 7, BestNode: []byte("n")})},
 		{Kind: kHubSnap, Blob: []byte{}, PB: 3, HasPB: true},
 		{Kind: kRejoin, From: 2, Want: 1, Obj: -4, Seq: 1 << 40, Delta: 1, PS: 3, HasPS: true},
 		{Kind: kLeave, From: 3},
@@ -162,13 +162,10 @@ func TestPeerTableRoundTripAndRobustness(t *testing.T) {
 // input could hold is refused before anything is sized by it.
 func TestHubSnapshotRoundTripAndRobustness(t *testing.T) {
 	snaps := []*HubSnapshot{
-		{Alive: []bool{}},
-		{Alive: []bool{true, true, false, true, true, false}, BestObj: -9, BestNode: []byte{}, HasBest: true,
-			Gather: []GatherSlot{{Rank: 2}, {Rank: 3, Blob: []byte{}}, {Rank: 4, Blob: []byte("share")}},
-			Mirror: []MirrorEntry{
-				{Holder: 1, Task: WireTask{Payload: []byte("root"), ID: TaskID(0, 1), Depth: 0, Prio: 3, Bound: 11}},
-				{Holder: 3, Task: WireTask{Payload: []byte{}, ID: TaskID(0, 1<<31), Depth: 2, Bound: math.MinInt64}},
-			}},
+		{Holder: -1},
+		{Holder: 1 << 20, BestObj: -9, BestNode: []byte{}, HasBest: true,
+			Gather: []GatherSlot{{Rank: 3, Blob: []byte{}}, {Rank: 4, Blob: []byte("share")}}},
+		{Holder: 3, BestObj: math.MinInt64, BestNode: []byte("witness"), HasBest: true},
 	}
 	for i, s := range snaps {
 		got, err := DecodeHubSnapshot(encodeHubSnapshot(s))
@@ -196,14 +193,15 @@ func TestHubSnapshotRoundTripAndRobustness(t *testing.T) {
 	if _, err := DecodeHubSnapshot(append(append([]byte(nil), body...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	// A huge claimed count in each of the three count slots — liveness,
-	// gather slots, mirror entries — followed by bytes that parse as
-	// elements, which only the count check keeps from being built.
+	// A huge claimed count in the count slot — gather slots — and a huge
+	// byte-string length in the incumbent's and a share's, each followed by
+	// bytes that parse as elements, which only the bound check keeps from
+	// being built.
 	huge := append([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, make([]byte, 1000)...)
 	for _, b := range [][]byte{
-		huge,
-		append([]byte{0, 0}, huge...),
-		append([]byte{0, 0, 0}, huge...),
+		append([]byte{1, 0}, huge...),
+		append([]byte{1, 1, 0}, huge...),
+		append([]byte{1, 0, 1, 2}, huge...),
 	} {
 		if _, err := DecodeHubSnapshot(b); err == nil {
 			t.Fatalf("snapshot claiming a huge count accepted: %x", b)

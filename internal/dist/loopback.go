@@ -48,12 +48,8 @@ type LoopbackNetwork struct {
 	// it per task) and so sits alone on its line; the per-rank
 	// contributions are each written by one rank's workers only, and
 	// are kept off live's line and off each other's.
-	live   pad.Isolated[atomic.Int64]
-	liveAt []pad.Isolated[atomic.Int64] // per-rank contribution to live (reconciled on death)
-	// worked[rank] latches once rank registers work: a zero of live ends
-	// only a search a rank still alive worked on (the wave's rule), so a
-	// coordinator dying with a root it handed nobody ends nothing.
-	worked   []atomic.Bool
+	live     pad.Isolated[atomic.Int64]
+	liveAt   []pad.Isolated[atomic.Int64] // per-rank contribution to live (reconciled on death)
 	done     chan struct{}
 	doneOnce sync.Once
 
@@ -62,6 +58,7 @@ type LoopbackNetwork struct {
 	// failover: shared memory needs no state replication, so takeover
 	// is just the gather responsibility moving to the lowest survivor.
 	promoted atomic.Int32
+	root     *rootHolder // who holds rank 0's supervised hand-over (stealVia)
 
 	inc incumbentBox
 
@@ -81,7 +78,6 @@ func NewLoopback(n int, opts LoopbackOptions) *LoopbackNetwork {
 		opts:        opts,
 		trs:         make([]*loopback, n),
 		liveAt:      make([]pad.Isolated[atomic.Int64], n),
-		worked:      make([]atomic.Bool, n),
 		done:        make(chan struct{}),
 		blobs:       make([][]byte, n),
 		contributed: make([]bool, n),
@@ -91,6 +87,7 @@ func NewLoopback(n int, opts LoopbackOptions) *LoopbackNetwork {
 	for i := range net.trs {
 		net.trs[i] = &loopback{net: net, rank: i, deaths: newDeathBox(n)}
 	}
+	net.root = &rootHolder{dead: func(r int) bool { return net.trs[r].closed.Load() }, rank: -1}
 	if opts.Wave {
 		for i := range net.trs {
 			t := net.trs[i]
@@ -178,16 +175,18 @@ func (ln *LoopbackNetwork) Kill(rank int) {
 	}
 	t.gateMu.Unlock()
 	ln.contribute(rank, nil)
-	for _, peer := range ln.trs {
-		if peer.rank != rank && !peer.closed.Load() {
-			peer.deaths.announce(rank)
-			if ln.opts.Wave {
-				// Survivors drop the corpse from the ring; the lowest
-				// surviving rank inherits the initiator role.
-				peer.wave.markDead(rank)
+	ln.root.judge(rank, ln.seedRoot, func() {
+		for _, peer := range ln.trs {
+			if peer.rank != rank && !peer.closed.Load() {
+				peer.deaths.announce(rank)
+				if ln.opts.Wave {
+					// Survivors drop the corpse from the ring; the lowest
+					// surviving rank inherits the initiator role.
+					peer.wave.markDead(rank)
+				}
 			}
 		}
-	}
+	})
 	if rank == 0 {
 		// Coordinator death: the lowest survivor adopts the terminal
 		// collective (Gather) and the result-owner role.
@@ -199,6 +198,19 @@ func (ln *LoopbackNetwork) Kill(rank int) {
 		}
 	}
 	ln.reconcile(rank)
+}
+
+// seedRoot registers the root at the lowest live rank, rank 0's
+// successor, whose engine seeds it again (rootHolder.judge, ReseedRoot).
+func (ln *LoopbackNetwork) seedRoot() bool {
+	for r := 1; r < len(ln.trs); r++ {
+		if !ln.trs[r].closed.Load() {
+			ln.addTasks(r, 1)
+			ln.trs[r].reseed.Store(true)
+			return true
+		}
+	}
+	return false
 }
 
 // LiveAt reports a rank's current contribution to the global live-task
@@ -225,14 +237,11 @@ func (ln *LoopbackNetwork) reconcile(rank int) {
 	}
 }
 
-// zero is live reaching zero: on a star, the end of the search if a rank
-// still alive worked on it.
+// zero is live reaching zero: on a star, the end of the search. (A root
+// that died with rank 0 is registered again first: seedRoot.)
 func (ln *LoopbackNetwork) zero() {
-	for r, tr := range ln.trs {
-		if !ln.opts.Wave && ln.worked[r].Load() && !tr.closed.Load() {
-			ln.doneOnce.Do(func() { close(ln.done) })
-			return
-		}
+	if !ln.opts.Wave {
+		ln.doneOnce.Do(func() { close(ln.done) })
 	}
 }
 
@@ -240,9 +249,6 @@ func (ln *LoopbackNetwork) addTasks(rank int, delta int64) {
 	// The shared counters stay maintained for LiveAt observability, but
 	// in wave mode they never decide termination: that is the ring's
 	// job, fed through each rank's own counter.
-	if delta > 0 && !ln.worked[rank].Load() {
-		ln.worked[rank].Store(true)
-	}
 	ln.liveAt[rank].V.Add(delta)
 	if ln.live.V.Add(delta) == 0 && delta < 0 {
 		ln.zero()
@@ -284,6 +290,7 @@ type loopback struct {
 	deaths     *deathBox
 	ctr        wireCounters
 	wave       *waveNode // nil unless LoopbackOptions.Wave
+	reseed     atomic.Bool
 }
 
 var _ Transport = (*loopback)(nil)
@@ -291,6 +298,8 @@ var _ Transport = (*loopback)(nil)
 // AcksRelayed is false: loopback acks go straight to their origin — no
 // coordinator whose death could eat one in flight.
 func (t *loopback) AcksRelayed() bool { return false }
+
+func (t *loopback) ReseedRoot() bool { return t.reseed.CompareAndSwap(true, false) }
 
 // Suspected: a peer across a severed loopback partition is
 // quarantined — the victim order skips it until the heal.
@@ -390,8 +399,18 @@ func (t *loopback) stealVia(split bool, victim int) (WireTask, bool, error) {
 	}
 	t.ctr.framesSent.Add(1) // the request
 	t.ctr.framesRecv.Add(1) // the reply
-	if len(ts) == 0 {
+	if len(ts) == 0 || t.net.trs[victim].closed.Load() {
+		// A victim killed while serving is refused like a dead one: its
+		// stamp may be a bound whose broadcast, and node, its death dropped.
 		return WireTask{}, false, nil
+	}
+	if victim == 0 && ts[0].ID != 0 {
+		// Rank 0's supervised hand-over, the root: this rank holds it from
+		// here, a +1 of its own covering it until the engine registers the
+		// run (rootHolder).
+		t.AddTasks(1)
+		defer t.AddTasks(-1)
+		t.net.root.hold(t.rank)
 	}
 	if t.wave != nil {
 		// Blacken BEFORE the stolen tasks become visible: work just

@@ -158,40 +158,52 @@ func TestMeshGossipBoundMonotonicity(t *testing.T) {
 	}
 }
 
-// The coordinator's residual state round-trips through its snapshot:
-// the ranks it mourned, the gather slot a death filled and the retained
-// incumbent — what a standby needs beyond what registration told it.
-// Star and mesh share the one snapshotBlob.
+// The coordinator's residual state round-trips through its snapshot: the
+// rank holding its supervised hand-over, the retained incumbent and the
+// gather shares it holds — what a standby needs beyond what registration
+// and the kDeath fan-out told it. A slot a death filled with nil is not
+// carried. Star and mesh share the one snapshotBlob.
 func TestMeshHubSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts WireOptions
 	}{
 		{"tcp", WireOptions{Standby: true}},
-		{"tcp-mesh", WireOptions{Topology: TopologyMesh}},
+		{"tcp-mesh", WireOptions{Topology: TopologyMesh, Standby: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			trs := makeTCP(t, 3, tc.opts)
-			startAll(trs)
+			trs := makeTCP(t, 4, tc.opts)
+			hs := startAll(trs)
+			hs[0].push(WireTask{Payload: []byte("root"), ID: TaskID(0, 1)})
+			if _, ok, err := trs[1].Steal(0); !ok || err != nil {
+				t.Fatalf("rank 1 did not get rank 0's task (%v)", err)
+			}
 			trs[1].BroadcastBound(42, []byte("best-node"))
 			eventually(t, "the coordinator to retain the incumbent", func() bool {
 				obj, _, ok := trs[0].BestKnown()
 				return ok && obj == 42
 			})
-			trs[2].Close()
-			awaitDeath(t, trs[1], 2)
-			// Give the coordinator's own death bookkeeping a beat to settle.
-			time.Sleep(20 * time.Millisecond)
+			if _, err := trs[2].Gather([]byte("share")); err != nil {
+				t.Fatal(err)
+			}
+			trs[3].Close()
+			awaitDeath(t, trs[1], 3)
+			eventually(t, "the coordinator to hold rank 2's share", func() bool {
+				e0 := trs[0].(*endpoint)
+				e0.gatherMu.Lock()
+				defer e0.gatherMu.Unlock()
+				return e0.contrib[2] && e0.contrib[3]
+			})
 
 			snap, err := DecodeHubSnapshot(trs[0].(*endpoint).snapshotBlob())
 			if err != nil {
 				t.Fatalf("decode snapshot: %v", err)
 			}
-			if len(snap.Alive) != 3 || !snap.Alive[0] || !snap.Alive[1] || snap.Alive[2] {
-				t.Fatalf("snapshot liveness = %v, want rank 2 dead", snap.Alive)
+			if snap.Holder != 1 {
+				t.Fatalf("snapshot holder = %d, want rank 1", snap.Holder)
 			}
-			if len(snap.Gather) != 1 || snap.Gather[0].Rank != 2 || snap.Gather[0].Blob != nil {
-				t.Fatalf("snapshot gather = %+v, want rank 2's slot filled with nil", snap.Gather)
+			if len(snap.Gather) != 1 || snap.Gather[0].Rank != 2 || string(snap.Gather[0].Blob) != "share" {
+				t.Fatalf("snapshot gather = %+v, want rank 2's share alone", snap.Gather)
 			}
 			if !snap.HasBest || snap.BestObj != 42 || string(snap.BestNode) != "best-node" {
 				t.Fatalf("snapshot incumbent = %d %q %v", snap.BestObj, snap.BestNode, snap.HasBest)
@@ -220,11 +232,18 @@ func rawRecv(t *testing.T, c net.Conn) *frame {
 	return &f
 }
 
-// A v4 worker dialing a v5 coordinator is rejected by name — the
-// version gate is what lets the wire protocol evolve without silent
-// cross-version corruption — and the deployment still completes once a
-// well-versioned worker arrives.
+// A worker speaking an older wire version — v4, or v9, whose snapshot
+// carried a liveness list, nil gather slots and a hand-over mirror — is
+// rejected by name: the version gate is what lets the wire protocol evolve
+// without silent cross-version corruption. The deployment still completes
+// once a well-versioned worker arrives.
 func TestMeshRegistrationRejectsOldWireVersion(t *testing.T) {
+	for _, old := range []int{4, wireVersion - 1} {
+		rejectsWireVersion(t, old)
+	}
+}
+
+func rejectsWireVersion(t *testing.T, old int) {
 	opts := WireOptions{Topology: TopologyMesh}
 	l, err := NewListenerOpts("127.0.0.1:0", "conformance", opts)
 	if err != nil {
@@ -245,13 +264,13 @@ func TestMeshRegistrationRejectsOldWireVersion(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	rawSend(t, c, &frame{Kind: kHello, Want: 4, Blob: []byte(topoSpec("conformance", opts))})
+	rawSend(t, c, &frame{Kind: kHello, Want: old, Blob: []byte(topoSpec("conformance", opts))})
 	reject := rawRecv(t, c)
 	if reject.Kind != kReject {
 		t.Fatalf("old-version hello answered with kind %d, want kReject", reject.Kind)
 	}
 	if msg := string(reject.Blob); !strings.Contains(msg, "wire protocol mismatch") ||
-		!strings.Contains(msg, fmt.Sprintf("v%d", wireVersion)) || !strings.Contains(msg, "v4") {
+		!strings.Contains(msg, fmt.Sprintf("v%d", wireVersion)) || !strings.Contains(msg, fmt.Sprintf("worker v%d", old)) {
 		t.Fatalf("rejection %q does not name both versions", msg)
 	}
 

@@ -14,8 +14,8 @@ import (
 // Buffer-reuse conformance. The steal path recycles every buffer it
 // touches: a link's replies are encoded into one buffer, its frames are
 // read into one image, its task and ack arrays are parsed into one
-// frame. What makes that safe is a rule about who copies — the mirror,
-// the retransmit log, the incumbent retention, the standby's replica —
+// frame. What makes that safe is a rule about who copies — the
+// retransmit log, the incumbent retention, the standby's replica —
 // and this suite is the rule's test: a payload that outlived its buffer
 // reads back as some other frame's bytes.
 
@@ -137,8 +137,8 @@ func (h *reuseHandler) outstanding() int {
 // Every payload must open under its hand-over id where it is adopted,
 // every hand-over must be acked back (across the partition too), and
 // the incumbent retained at the coordinator must be the last one
-// published, intact. With a standby, what rank 0 mirrored of its own
-// hand-overs and what it replicated to rank 1 must open as well.
+// published, intact. With a standby, what rank 0 replicated to rank 1
+// must open as well.
 func TestConformanceBufferReuseUnderStress(t *testing.T) {
 	const (
 		ranks   = 3
@@ -220,36 +220,11 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 				}
 			}()
 
-			// What rank 0 retains of its hand-overs for a takeover, and
-			// what it has replicated to the standby, sampled as they churn.
-			mirrored := 0
-			checkMirror := func() {
-				e0, ok := trs[0].(*endpoint)
-				if !ok || e0.mirror == nil {
-					return
-				}
-				mirror := e0.mirror.entries()
-				if snap := trs[1].(*endpoint).replica.Load(); snap != nil {
-					mirror = append(mirror, snap.Mirror...)
-				}
-				for _, me := range mirror {
-					mirrored++
-					if !opens(me.Task.Payload, me.Task.ID) {
-						t.Errorf("mirrored hand-over %#x does not open under its id", me.Task.ID)
-						return
-					}
-				}
-			}
-
-			// Sampled on every tick: a mirror entry lives only from its
-			// hand-over to its ack, so two fixed instants can miss them all.
 			for landed.Load() < replies/3 {
-				checkMirror()
 				time.Sleep(time.Millisecond)
 			}
 			plan.Partition([]int{2}, 150*time.Millisecond)
 			for plan.Severed(0, 2) || landed.Load() < 2*replies/3 {
-				checkMirror()
 				time.Sleep(time.Millisecond)
 			}
 			wg.Wait()
@@ -291,9 +266,6 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 				})
 				if snap := e1.replica.Load(); !opens(snap.BestNode, uint64(snap.BestObj)) {
 					t.Errorf("replicated incumbent %d does not open under its objective", snap.BestObj)
-				}
-				if mirrored == 0 {
-					t.Error("no mirrored hand-over was ever sampled")
 				}
 			}
 			if tc.wire {

@@ -40,10 +40,12 @@ const (
 	// live generator stack), v7 (coordinator failover: hub state
 	// replication to a standby, epoch-fenced rejoin after a takeover),
 	// v8 (link-fault tolerance: a sequence + CRC32C frame trailer and
-	// resumable sessions, see session.go) and v9 (the standby replicated
+	// resumable sessions, see session.go), v9 (the standby replicated
 	// by snapshot alone: the delta frame gone, the kinds after it
-	// renumbered) — peers must not silently garble each other.
-	wireVersion = 9
+	// renumbered) and v10 (the snapshot names the root's holder, which
+	// kHeld confirms, in place of the hand-over mirror) — peers must not
+	// silently garble each other.
+	wireVersion = 10
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
@@ -94,13 +96,16 @@ type WireOptions struct {
 	// (the topology is folded into the spec check at registration).
 	Topology string
 	// Standby arms coordinator failover: the hub replicates its
-	// residual state (mourned ranks, incumbent, hand-over mirror,
-	// gather progress) to the lowest live worker rank, every worker
+	// residual state (the rank holding its hand-over, the incumbent,
+	// gather shares) to the lowest live worker rank, every worker
 	// pre-binds a promotion listener whose address is exchanged at
 	// registration, and on rank 0's death the replicated rank promotes
-	// itself while the rest re-dial it. Costs at most one snapshot per
-	// flush quantum hub→standby; off by default. Both sides of a
-	// deployment must agree (folded into the spec check, like Topology).
+	// itself while the rest re-dial it. Rank 0 must hand over one task
+	// under supervision, the root, which core guarantees by running it
+	// with zero workers (core.Config.Standby); a root lost with rank 0 or
+	// after it is seeded again (Transport.ReseedRoot). Costs at most one
+	// snapshot per flush quantum hub→standby; off by default. Both sides
+	// of a deployment must agree (folded into the spec check).
 	Standby bool
 	// LinkGrace arms the v8 resumable-session layer: on an I/O error
 	// (or frame corruption) both sides of a connection keep the logical
@@ -178,6 +183,7 @@ const (
 	kToken                 // termination-wave token: Seq = round, Obj = accumulated count, Want = colour bits
 	kSplit                 // steal with split semantics: From = thief, To = victim, Want = max tasks; reply is a kStealR
 	kHubSnap               // hub→standby: Blob = residual-state snapshot (encodeHubSnapshot)
+	kHeld                  // standby worker→hub: From registered rank 0's supervised hand-over, the root
 	kRejoin                // worker→promoted hub: From = rank, Want = expected epoch, Obj = cumulative live-task contribution
 	kLeave                 // mesh worker→peers at post-termination Close: the sender is exiting, not dying
 	kResume                // v8 session resume handshake: Seq = session id, Obj = receive high-water mark; travels with link sequence 0

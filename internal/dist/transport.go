@@ -214,8 +214,7 @@ type MultiStealer interface {
 // it returns. With keep a requester is waiting for the reply: the first
 // task is not enqueued but returned — registered, Local set in place of
 // its Payload — for the transport to hand over. Without keep (a late
-// reply, a replayed mirror entry) all are enqueued and the result is the
-// zero WireTask.
+// reply) all are enqueued and the result is the zero WireTask.
 type BatchAdopter interface {
 	AdoptTasks(ts []WireTask, keep bool) WireTask
 }
@@ -404,11 +403,9 @@ type Transport interface {
 	AddTasks(delta int64)
 	// Done is closed when the global live-task count returns to zero —
 	// every spawned task has completed, so no locality can ever
-	// receive work again — and a locality still alive has registered
-	// work. A locality death does not force it: the dead rank's
-	// contribution is subtracted and the survivors run on, and a
-	// coordinator that dies before any work left it ends nothing (the
-	// engine's successor seeds the root again).
+	// receive work again. A locality death does not force it: the dead
+	// rank's contribution is subtracted and the survivors run on, and a
+	// death that loses the root registers it again first (ReseedRoot).
 	Done() <-chan struct{}
 	// Deaths notifies this locality of peer deaths, one rank per
 	// receive, each dead rank delivered at most once. The engine
@@ -440,6 +437,13 @@ type Transport interface {
 	// ack may have died in the coordinator's buffers, so the only safe
 	// continuation of every outstanding hand-over is a local replay.
 	AcksRelayed() bool
+	// ReseedRoot reports, once, that this rank must seed the root of the
+	// search again: rank 0, its supervisor, is dead, and so is the rank
+	// rank 0 handed it to, or none is known to hold it. The transport
+	// registered the root here (one AddTasks) before announcing the death,
+	// so no zero of the count ends the search first; the engine seeds the
+	// root under that registration, or releases it if Done.
+	ReseedRoot() bool
 	// Wire reports the endpoint's traffic counters.
 	Meter
 	// Close releases the transport's resources. Safe to call more

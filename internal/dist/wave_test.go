@@ -174,6 +174,16 @@ func (m *waveModel) kill(rank int) {
 		tk.holder = tk.regs[len(tk.regs)-1]
 		m.hs[tk.holder].push(WireTask{Payload: []byte{tk.id}, Depth: 1})
 	}
+	// Rank 0 died with the root handed to nobody: the transport registered
+	// it at the successor, whose engine seeds it again.
+	for r := range m.trs {
+		if m.alive[r] && m.trs[r].ReseedRoot() {
+			id := byte(m.next)
+			m.next++
+			m.hs[r].push(WireTask{Payload: []byte{id}, Depth: 1})
+			m.tasks = append(m.tasks, waveTask{id: id, regs: []int{r}, holder: r})
+		}
+	}
 }
 
 func (m *waveModel) requireNotDone(what string) {
