@@ -156,7 +156,7 @@ func replicable() {
 		return r.Stats.Nodes
 	})
 	show("Replicable (d=2)", func(w int) int64 {
-		r := core.ReplicableOpt(s, maxclique.Root(s), p, core.Config{Workers: w, DCutoff: 2})
+		r := core.Opt(core.Replicable, s, maxclique.Root(s), p, core.Config{Workers: w, DCutoff: 2})
 		return r.Stats.Nodes
 	})
 	fmt.Println("(the replicable skeleton's counts must be identical in every column)")

@@ -22,7 +22,7 @@ import (
 	"yewpar/internal/graph"
 )
 
-var allCoords = []core.Coordination{core.Sequential, core.DepthBounded, core.StackStealing, core.Budget}
+var allCoords = []core.Coordination{core.Sequential, core.DepthBounded, core.StackStealing, core.Budget, core.Replicable}
 
 // Kneser k-clique: ω(K(n,k)) = ⌊n/k⌋ exactly, giving decision
 // instances with certain answers on a genuine combinatorial object
@@ -164,24 +164,22 @@ func TestBestFirstOnApplications(t *testing.T) {
 	}
 }
 
-// The replicable skeleton on a real application: same answer as the
-// anomalous skeletons, and node counts independent of worker count.
+// The replicable skeleton on a real application: the optimum, and at every
+// worker and locality count the node, prune, spawn and backtrack counts its
+// own driver visited before it was a spawn rule.
 func TestReplicableOnMaxClique(t *testing.T) {
 	g := graph.Random(60, 0.6, 77)
 	want, _ := maxclique.Solve(g, core.Sequential, core.Config{})
 	s := maxclique.NewSpace(g)
-	var reference int64
-	for _, workers := range []int{1, 3, 8} {
-		res := core.ReplicableOpt(s, maxclique.Root(s), maxclique.OptProblem(),
-			core.Config{Workers: workers, DCutoff: 2})
+	for _, cfg := range []core.Config{{Workers: 1}, {Workers: 3}, {Workers: 8}, {Workers: 4, Localities: 2}} {
+		cfg.DCutoff = 2
+		res := core.Opt(core.Replicable, s, maxclique.Root(s), maxclique.OptProblem(), cfg)
 		if int(res.Objective) != want.Count() {
-			t.Fatalf("workers=%d: clique %d, want %d", workers, res.Objective, want.Count())
+			t.Fatalf("%+v: clique %d, want %d", cfg, res.Objective, want.Count())
 		}
-		if reference == 0 {
-			reference = res.Stats.Nodes
-		} else if res.Stats.Nodes != reference {
-			t.Errorf("workers=%d visited %d nodes, reference %d — not replicable",
-				workers, res.Stats.Nodes, reference)
+		if st := res.Stats; [4]int64{st.Nodes, st.Prunes, st.Spawns, st.Backtracks} != [4]int64{6313, 3239, 820, 3024} {
+			t.Errorf("%d workers, %d localities: nodes, prunes, spawns, backtracks %d %d %d %d, want 6313 3239 820 3024 — not replicable",
+				cfg.Workers, cfg.Localities, st.Nodes, st.Prunes, st.Spawns, st.Backtracks)
 		}
 	}
 }

@@ -16,7 +16,7 @@ func (o *Options) checkDist(coord core.Coordination) error {
 	case o.Dist == "":
 	case o.Dist != "coordinator" && o.Dist != "worker":
 		return fmt.Errorf("unknown -dist role %q (want coordinator or worker)", o.Dist)
-	case coord == core.Sequential:
+	case coord == core.Sequential || coord == core.Replicable:
 		return fmt.Errorf("-dist supports the pool-based skeletons (depthbounded, budget, stacksteal), not %q", o.Skeleton)
 	case !o.app.dist:
 		return fmt.Errorf("app %q is not available in -dist mode (supported: %s)", o.App, appNames(" ", true))

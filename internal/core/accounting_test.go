@@ -152,6 +152,7 @@ func TestLiveCountNeverEarly(t *testing.T) {
 		{DepthBounded, Config{DCutoff: 3}},
 		{Budget, Config{Budget: 7}},
 		{StackStealing, Config{}},
+		{Replicable, Config{DCutoff: 3}},
 	}
 	for seed := int64(1); seed <= 200; seed++ {
 		tree := semantics.GenTree(seed, 4, 7)

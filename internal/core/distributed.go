@@ -105,7 +105,7 @@ func distDefaults(cfg Config, tr dist.Transport) Config {
 // DistOpt runs this process's locality of a distributed optimisation
 // search over the given transport. All processes must call it with an
 // identically constructed problem, under any coordination but
-// Sequential (single-worker by definition): the pool-based
+// Sequential (single-worker by definition) and Replicable: the pool-based
 // coordinations distribute through transport steals, Stack-Stealing
 // through on-demand wire splits (kSplit) of live generator stacks. On
 // the coordinator (rank 0) the returned result is the global one —

@@ -9,12 +9,12 @@
 //     which describes how the search tree is created on demand and in
 //     which (heuristic) order children are traversed; and
 //   - a search skeleton, the combination of a search coordination
-//     (Sequential, Depth-Bounded, Stack-Stealing, Budget) with a search
-//     type (Enumeration, Optimisation, Decision).
+//     (Sequential, Depth-Bounded, Stack-Stealing, Budget, Replicable)
+//     with a search type (Enumeration, Optimisation, Decision).
 //
-// The twelve skeletons are that product: one entry point per search
-// type — Enum, Opt, Decide — taking the Coordination as an argument,
-// all adapters of one driver (search, in skeletons.go). Single-process
+// The paper's twelve skeletons, and Replicable's three, are that product:
+// one entry point per search type (Enum, Opt, Decide) taking the
+// Coordination: adapters of one driver (search, skeletons.go). Single-process
 // runs use the in-process loopback transport of internal/dist (optionally
 // with injected link latency, simulating the paper's cluster
 // experiments); the DistEnum/DistOpt/DistDecide entry points run one
@@ -34,7 +34,7 @@
 // body (engine.runTask, in walk.go) and differs only in its spawnRule
 // value, which switches on the (spawn-depth), (spawn-budget) or
 // (spawn-stack) rule of Figure 2. Sequential is the empty rule on one
-// worker, on the same engine as the rest.
+// worker; Replicable, spawn-depth frozen for one round (frozenTask).
 //
 // # The runtime: three values for three levels
 //

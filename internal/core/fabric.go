@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"yewpar/internal/dist"
@@ -28,6 +29,7 @@ type fabric[N any] struct {
 
 	cancel *canceller
 	inc    *incumbent[N] // set for optimisation searches
+	frozen *atomic.Int64 // under a frozen rule: the round's bound, MinInt64 until phase 1 has walked the prefix (engine.frozenTask)
 	net    *dist.LoopbackNetwork
 	root   N // every rank's, as its caller gave it (locality.onDeath)
 
@@ -52,6 +54,10 @@ type fabric[N any] struct {
 // with codec; only the coordinator (rank 0) seeds the root.
 func newFabric[N any](tr dist.Transport, codec Codec[N], rule spawnRule, cfg Config) *fabric[N] {
 	f := &fabric[N]{codec: codec, wire: tr != nil, ordered: cfg.Order != OrderNone, cancel: newCanceller()}
+	if rule.frozen {
+		f.frozen = new(atomic.Int64)
+		f.frozen.Store(math.MinInt64)
+	}
 	trs := []dist.Transport{tr}
 	if tr == nil {
 		f.net = dist.NewLoopback(cfg.Localities, dist.LoopbackOptions{

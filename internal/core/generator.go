@@ -52,7 +52,7 @@ type ResettableGenerator[S, N any] interface {
 //
 // The engine requests ephemeral mode only from the pure depth-first
 // walk (expandBelow: the task body's choice for spawn rules that cannot
-// fire mid-walk, and ReplicableOpt's phase 2), where a yielded child is
+// fire mid-walk, and Replicable's cutoff tasks), where a yielded child is
 // either dead (pruned) or is the current path node whose own generator
 // is fully explored before this generator advances. Engine code that
 // retains a node beyond that window — the incumbent, a decision witness

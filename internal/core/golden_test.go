@@ -25,24 +25,27 @@ var goldenRows = []struct {
 	{"stacksteal-chunked", StackStealing, Config{Workers: 1, Chunked: true}},
 	{"budget-b4", Budget, Config{Workers: 1, Budget: 4}},
 	{"budget-b4-orderbound", Budget, Config{Workers: 1, Budget: 4, Order: OrderBound}},
+	{"replicable-d2", Replicable, Config{Workers: 1, DCutoff: 2}},
 }
 
 // goldenTable was recorded at the commit before the coordinations
 // became spawn-rule values (when each still had its own task body), so
 // passing it unchanged is the proof that the one task body, the one
 // shedding walk and Sequential-on-the-engine behave exactly as the five
-// bodies they replaced. Keys are tree/searchtype; values follow
-// goldenRows.
+// bodies they replaced. The replicable column's opt cells were recorded
+// from the replicable skeleton's own driver, before it was a rule too; its
+// enum and decision cells, which that driver lacked, after. Keys are
+// tree/searchtype; values follow goldenRows.
 var goldenTable = map[string][]goldenCounts{
-	"rand1/enum":            {{1493, 0, 1493, 0}, {1493, 0, 1487, 24}, {1493, 0, 1493, 0}, {1493, 0, 1493, 0}, {1493, 0, 1493, 270}, {1493, 0, 1493, 270}},
-	"rand1/opt":             {{55, 35, 20, 0}, {55, 35, 18, 10}, {55, 35, 20, 0}, {55, 35, 20, 0}, {55, 35, 20, 12}, {65, 43, 22, 9}},
-	"rand1/decision":        {{18, 9, 0, 0}, {18, 9, 0, 10}, {18, 9, 0, 0}, {18, 9, 0, 0}, {18, 9, 0, 0}, {18, 9, 0, 0}},
-	"rand3-sorted/enum":     {{840, 0, 840, 0}, {840, 0, 835, 15}, {840, 0, 840, 0}, {840, 0, 840, 0}, {840, 0, 840, 153}, {840, 0, 840, 153}},
-	"rand3-sorted/opt":      {{16, 8, 8, 0}, {20, 12, 6, 8}, {16, 8, 8, 0}, {16, 8, 8, 0}, {18, 10, 8, 3}, {18, 10, 8, 3}},
-	"rand3-sorted/decision": {{9, 0, 0, 0}, {9, 0, 0, 8}, {9, 0, 0, 0}, {9, 0, 0, 0}, {9, 0, 0, 0}, {9, 0, 0, 0}},
-	"wide/enum":             {{501, 0, 501, 0}, {501, 0, 0, 500}, {501, 0, 501, 0}, {501, 0, 501, 0}, {501, 0, 501, 496}, {501, 0, 501, 496}},
-	"wide/opt":              {{501, 500, 1, 0}, {501, 500, 0, 500}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 1, 0}},
-	"wide/decision":         {{500, 498, 0, 0}, {500, 498, 0, 500}, {500, 498, 0, 0}, {500, 498, 0, 0}, {500, 498, 0, 0}, {500, 498, 0, 0}},
+	"rand1/enum":            {{1493, 0, 1493, 0}, {1493, 0, 1487, 24}, {1493, 0, 1493, 0}, {1493, 0, 1493, 0}, {1493, 0, 1493, 270}, {1493, 0, 1493, 270}, {1493, 0, 1487, 19}},
+	"rand1/opt":             {{55, 35, 20, 0}, {55, 35, 18, 10}, {55, 35, 20, 0}, {55, 35, 20, 0}, {55, 35, 20, 12}, {65, 43, 22, 9}, {227, 148, 73, 16}},
+	"rand1/decision":        {{18, 9, 0, 0}, {18, 9, 0, 10}, {18, 9, 0, 0}, {18, 9, 0, 0}, {18, 9, 0, 0}, {18, 9, 0, 0}, {36, 18, 0, 6}},
+	"rand3-sorted/enum":     {{840, 0, 840, 0}, {840, 0, 835, 15}, {840, 0, 840, 0}, {840, 0, 840, 0}, {840, 0, 840, 153}, {840, 0, 840, 153}, {840, 0, 835, 11}},
+	"rand3-sorted/opt":      {{16, 8, 8, 0}, {20, 12, 6, 8}, {16, 8, 8, 0}, {16, 8, 8, 0}, {18, 10, 8, 3}, {18, 10, 8, 3}, {49, 22, 22, 8}},
+	"rand3-sorted/decision": {{9, 0, 0, 0}, {9, 0, 0, 8}, {9, 0, 0, 0}, {9, 0, 0, 0}, {9, 0, 0, 0}, {9, 0, 0, 0}, {15, 6, 0, 1}},
+	"wide/enum":             {{501, 0, 501, 0}, {501, 0, 0, 500}, {501, 0, 501, 0}, {501, 0, 501, 0}, {501, 0, 501, 496}, {501, 0, 501, 496}, {501, 0, 0, 0}},
+	"wide/opt":              {{501, 500, 1, 0}, {501, 500, 0, 500}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 0, 0}},
+	"wide/decision":         {{500, 498, 0, 0}, {500, 498, 0, 500}, {500, 498, 0, 0}, {500, 498, 0, 0}, {500, 498, 0, 0}, {500, 498, 0, 0}, {501, 498, 0, 0}},
 }
 
 func TestOneWorkerGoldenCounts(t *testing.T) {

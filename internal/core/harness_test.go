@@ -345,7 +345,8 @@ func TestDistDecideFindsWitness(t *testing.T) {
 	rows(t, scenario{tree: toy12, search: decide, target: 20, coord: DepthBounded, ranks: 2, cfg: Config{Workers: 2, DCutoff: 2}})
 }
 func TestDistOptRejectsUnsupportedCoordination(t *testing.T) {
-	rows(t, scenario{tree: toy12, search: optimise, coord: Sequential, ranks: 2})
+	rows(t, scenario{tree: toy12, search: optimise, coord: Sequential, ranks: 2},
+		scenario{tree: toy12, search: optimise, coord: Replicable, ranks: 2})
 }
 func TestDistOptSurvivesWorkerDeath(t *testing.T) {
 	rows(t, db(fault, optimise, 4, tolerant, kill{rank: 2}))
@@ -477,6 +478,88 @@ func TestDeathJustBeforeDoneIsCounted(t *testing.T) {
 	sc := db(fault16, optimise, 3, standby, kill{rank: 0, by: []int{2}})
 	sc.lateDeaths = true
 	rows(t, sc)
+}
+
+// Replicable (Coordination's doc) finds the optimum at every cutoff.
+func TestReplicableFindsMax(t *testing.T) {
+	var scs []scenario
+	for _, seed := range []int64{1, 3, 23, 31, 47} {
+		tr := semTree(seed, 4, 9)
+		for d := 1; d <= 3; d++ {
+			scs = append(scs, scenario{tree: tr, search: optimise, coord: Replicable, cfg: Config{Workers: 6, DCutoff: d}})
+		}
+	}
+	rows(t, scs...)
+}
+
+func TestReplicableWithPruneLevel(t *testing.T) {
+	sorted := semantics.GenTree(17, 4, 9)
+	sortByBound(sorted)
+	tr := treeOf("GenTree(17, 4, 9), sorted", sorted, true)
+	tr.opt.PruneLevel = true
+	rows(t, scenario{tree: tr, search: optimise, coord: Replicable, cfg: Config{Workers: 4, DCutoff: 2}})
+}
+
+func TestReplicableSingleNodeTree(t *testing.T) {
+	rows(t, scenario{tree: treeOf("one node", chainTree(1), false), search: optimise, coord: Replicable, cfg: Config{Workers: 4, DCutoff: 2}})
+}
+
+func TestReplicableNoBound(t *testing.T) {
+	rows(t, scenario{tree: treeOf("GenTree(19, 4, 8), unbounded", semantics.GenTree(19, 4, 8), false), search: optimise, coord: Replicable, cfg: Config{Workers: 4, DCutoff: 1}})
+}
+
+// It pays for determinism in pruning: never fewer nodes than Sequential.
+func TestReplicableVisitsAtLeastSequential(t *testing.T) {
+	tr := semTree(13, 5, 10)
+	seq := Opt(Sequential, tr.space, "", tr.opt, Config{}).Stats.Nodes
+	rows(t, scenario{tree: tr, search: optimise, coord: Replicable, cfg: Config{Workers: 4, DCutoff: 2}, extra: func(t *testing.T, o outcome) {
+		if o.stats.Nodes < seq {
+			t.Errorf("visited %d nodes, Sequential %d", o.stats.Nodes, seq)
+		}
+	}})
+}
+
+// The defining property: Nodes, Prunes, Spawns and Backtracks are the same
+// on every run, whatever the workers, localities, termination, order,
+// memory budget, tracing or link latency.
+func TestReplicableDeterministicNodeCounts(t *testing.T) {
+	tr, want := toyTree("toy12, bounded", toy12.space.Vals, true), [4]int64{}
+	same := func(t *testing.T, o outcome) {
+		got := [4]int64{o.stats.Nodes, o.stats.Prunes, o.stats.Spawns, o.stats.Backtracks}
+		if want == [4]int64{} {
+			want = got
+		}
+		if got != want || o.stats.PoolPeakTasks == 0 {
+			t.Errorf("nodes, prunes, spawns, backtracks %v (pool peak %d), want %v", got, o.stats.PoolPeakTasks, want)
+		}
+	}
+	row := func(cfg Config) scenario {
+		cfg.DCutoff = 3
+		return scenario{tree: tr, search: optimise, coord: Replicable, cfg: cfg, extra: same}
+	}
+	var scs []scenario
+	for _, w := range []int{1, 2, 7, 16} {
+		for locs := 1; locs <= 3; locs++ {
+			for _, topo := range []string{dist.TopologyStar, dist.TopologyMesh} {
+				for ord := OrderNone; ord <= OrderBound; ord++ {
+					scs = append(scs, row(Config{Workers: w, Localities: locs, Topology: topo, Order: ord}))
+				}
+			}
+		}
+	}
+	spill, traced, slow := row(Config{Workers: 4, Localities: 2, PoolBudget: 1 << 10}), row(Config{Workers: 4, Trace: NewTrace(4)}), row(Config{Workers: 6, Localities: 3})
+	spill.extra = func(t *testing.T, o outcome) {
+		if same(t, o); o.stats.SpilledTasks == 0 {
+			t.Error("nothing spilled under a 1 KiB pool budget")
+		}
+	}
+	traced.extra = func(t *testing.T, o outcome) {
+		if same(t, o); int64(traced.cfg.Trace.Summary().Tasks) != o.stats.Spawns+1 {
+			t.Errorf("%d traced tasks for %d spawns and the root", traced.cfg.Trace.Summary().Tasks, o.stats.Spawns)
+		}
+	}
+	slow.net = dist.LatencyPlan(100 * time.Microsecond)
+	rows(t, append(scs, spill, traced, slow)...)
 }
 
 // The operational model (Section 3) and the engine (Section 4) compute
@@ -612,7 +695,7 @@ func (sc scenario) run(t *testing.T) {
 		if tr.Promoted() != (r == owner && owner > 0) {
 			t.Errorf("rank %d: Promoted() = %v with rank %d returning the result", r, tr.Promoted(), owner)
 		}
-		if r != owner && !isDead(r) && outs[r].err != nil && sc.coord != Sequential {
+		if r != owner && !isDead(r) && outs[r].err != nil && sc.coord != Sequential && sc.coord != Replicable {
 			t.Errorf("rank %d: %v", r, outs[r].err)
 		}
 	}
@@ -641,7 +724,7 @@ func (sc scenario) run(t *testing.T) {
 func (sc scenario) judge(o outcome, landed int64) error {
 	val, nodes := sc.tree.truth(sc.search)
 	switch budget := int64(sc.cfg.MaxFailures); {
-	case sc.coord == Sequential && sc.ranks > 1:
+	case (sc.coord == Sequential || sc.coord == Replicable) && sc.ranks > 1:
 		return wantErr(o.err, "not supported across processes")
 	case o.stats.Deaths != landed && !(sc.search == decide && o.found && o.stats.Deaths < landed):
 		// (A witness cancels the search, perhaps before anyone heard.)
@@ -714,8 +797,8 @@ func TestDrawn(t *testing.T) {
 
 // draw is the row seed picks: a GenTree and a search type over it (a
 // decision's target at or just above the optimum); a coordination, its
-// knobs and an order; one process of one to three in-process localities,
-// or two to four processes, on a star or a wave, now and then with a
+// knobs and an order; one process of one to three in-process localities
+// (Sequential or Replicable a fifth of the time each), or two to four processes, on a star or a wave, now and then with a
 // standby coordinator or a pool budget; and, a third of the time each,
 // link latency with perhaps a partition that heals, and a kill schedule —
 // one or two workers dying on their next work, or a standby coordinator
@@ -741,8 +824,11 @@ func draw(seed int64) scenario {
 		if pick(2) == 0 {
 			sc.cfg.Topology = dist.TopologyMesh
 		}
-		if pick(5) == 0 {
+		switch pick(5) {
+		case 0:
 			sc.coord = Sequential
+		case 1:
+			sc.coord = Replicable
 		}
 	} else {
 		sc.wave, sc.cfg.Standby = pick(2) == 0, pick(3) == 0

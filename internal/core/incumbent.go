@@ -38,14 +38,12 @@ type incumbent[N any] struct {
 
 func newIncumbent[N any]() *incumbent[N] { return &incumbent[N]{bestObj: math.MinInt64} }
 
-// soloLocality is a locality that is nothing but its bound cache — no
-// transport, no peers to notify, no pool: plain deterministic B&B
-// bookkeeping for an incumbent used by phases that must not leak
-// knowledge (the replicable skeleton).
-func soloLocality[N any]() *locality[N] {
-	l := &locality[N]{}
-	l.bound.V.Store(math.MinInt64)
-	return l
+// reset empties a worker's private incumbent and sets its bound cache l —
+// a locality that is nothing but one: no transport, no peers, no pool —
+// to bound, as a task under a frozen rule starts (engine.frozenTask).
+func (in *incumbent[N]) reset(l *locality[N], bound int64) {
+	in.has = false
+	l.bound.V.Store(bound)
 }
 
 // strengthen installs (obj, n) as the incumbent if obj improves on the

@@ -231,7 +231,7 @@ func ephOptProblem() OptProblem[*semantics.Tree, ephNode] {
 // returned Best node must be the node whose objective was recorded,
 // not a later overwrite of the generator's child buffer — across every
 // optimisation coordination that reaches expandBelow's ephemeral path,
-// including ReplicableOpt's hand-built phase-2 visitors.
+// including Replicable's, whose tasks strengthen private incumbents.
 func TestEphemeralIncumbentIsCopied(t *testing.T) {
 	tree := semantics.GenTree(13, 4, 8)
 	p := ephOptProblem()
@@ -248,7 +248,7 @@ func TestEphemeralIncumbentIsCopied(t *testing.T) {
 	}
 	check("seq", Opt(Sequential, tree, ephNode{}, p, Config{}))
 	check("depthbounded", Opt(DepthBounded, tree, ephNode{}, p, Config{Workers: 4, DCutoff: 2}))
-	check("replicable", ReplicableOpt(tree, ephNode{}, p, Config{Workers: 4, DCutoff: 2}))
+	check("replicable", Opt(Replicable, tree, ephNode{}, p, Config{Workers: 4, DCutoff: 2}))
 }
 
 // TestRecyclingAllCoordinations runs every parallel coordination with

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"yewpar/internal/dist"
+	"yewpar/internal/pad"
 )
 
 // This file is the composition the paper's Figure 3 draws: a skeleton
@@ -28,6 +29,15 @@ const (
 	// Budget sheds low-depth subtrees every k_budget backtracks
 	// (spawn-budget).
 	Budget
+	// Replicable is the skeleton of Archibald et al., "Replicable parallel
+	// branch and bound search" (JPDC 2018), simplified: the cure for the
+	// anomalies the paper's §2.1 cites. The tree above d_cutoff is searched
+	// sequentially for the cutoff nodes and a starting incumbent, then each
+	// cutoff subtree as a task pruning only against that frozen bound. The
+	// visited set depends on the problem and d_cutoff alone, not on workers,
+	// localities, order or timing. Single-process for now: that the frozen
+	// bound reaches every rank before its first task is unshown.
+	Replicable
 )
 
 // String returns the coordination's conventional name.
@@ -38,7 +48,7 @@ func (c Coordination) String() string {
 	return coordNames[c]
 }
 
-var coordNames = [...]string{Sequential: "seq", DepthBounded: "depthbounded", StackStealing: "stacksteal", Budget: "budget"}
+var coordNames = [...]string{Sequential: "seq", DepthBounded: "depthbounded", StackStealing: "stacksteal", Budget: "budget", Replicable: "replicable"}
 
 // searchType is the search-type half of a skeleton: everything the
 // driver needs to know about what is being computed, built from a
@@ -123,6 +133,10 @@ func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptRes
 			}
 			fab.inc = inc
 			return func(th *thief[N]) visitor[N] {
+				if fab.frozen != nil {
+					// Replicable: a worker-private incumbent and bound (engine.frozenTask).
+					return newOptVisitor(space, p, pad.New[incumbent[N]](), new(locality[N]), &th.stats)
+				}
 				return newOptVisitor(space, p, inc, th.loc, &th.stats)
 			}
 		},
@@ -207,9 +221,9 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 			cfg.Workers, cfg.Localities = 1, 1
 		}
 	} else {
-		if coord == Sequential {
+		if coord == Sequential || coord == Replicable {
 			var none R
-			return none, fmt.Errorf("core: coordination %v not supported across processes (it is single-worker by definition; use depthbounded, budget, or stacksteal)", coord)
+			return none, fmt.Errorf("core: coordination %v not supported across processes (use depthbounded, budget, or stacksteal)", coord)
 		}
 		cfg = distDefaults(cfg, tr)
 	}

@@ -10,7 +10,7 @@ import (
 	"yewpar/internal/semantics"
 )
 
-var allCoords = []Coordination{Sequential, DepthBounded, StackStealing, Budget}
+var allCoords = []Coordination{Sequential, DepthBounded, StackStealing, Budget, Replicable}
 
 // parallel configs exercised across the matrix tests: plain, multiple
 // localities, chunked stealing, tiny budget, deep cutoff, and
@@ -276,7 +276,7 @@ func TestStealLatencyStillCorrect(t *testing.T) {
 func TestCoordinationString(t *testing.T) {
 	names := map[Coordination]string{
 		Sequential: "seq", DepthBounded: "depthbounded",
-		StackStealing: "stacksteal", Budget: "budget",
+		StackStealing: "stacksteal", Budget: "budget", Replicable: "replicable",
 		Coordination(99): "unknown",
 	}
 	for c, want := range names {

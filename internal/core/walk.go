@@ -21,6 +21,7 @@ type spawnRule struct {
 	depth  int   // (spawn-depth): a task shallower than this spawns all its root's children
 	budget int64 // (spawn-budget): shed the lowest level every this many backtracks; 0 = never
 	split  bool  // (spawn-stack): answer thieves' split requests from the live stack
+	frozen bool  // Replicable: the root spawns every task, at depth, under one frozen bound (frozenTask)
 }
 
 // ruleFor derives a coordination's spawn rule. It is the extension
@@ -36,6 +37,8 @@ func ruleFor(coord Coordination, cfg Config) spawnRule {
 		return spawnRule{budget: cfg.Budget}
 	case StackStealing:
 		return spawnRule{split: true}
+	case Replicable:
+		return spawnRule{depth: cfg.DCutoff, frozen: true}
 	default:
 		panic("core: unknown coordination")
 	}
@@ -69,6 +72,10 @@ func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
 		e.taskHook(1)
 	}
 	defer e.finishTask(c, t)
+	if rule.frozen {
+		e.frozenTask(c, &t)
+		return
+	}
 	if e.cancel.cancelled() || c.visitor.visit(t.Node) != descend {
 		return
 	}
@@ -86,6 +93,61 @@ func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
 		expandBelow(c, e.cancel, t.Node)
 	default:
 		e.shedWalk(c, &t, gate)
+	}
+}
+
+// frozenTask is Replicable's task body. The root task, phase 1, is the only
+// task: it walks the prefix in place, freezes its incumbent as the round's
+// bound, then spawns the cutoff nodes it kept, in runs. A cutoff task,
+// phase 2, searches below its root. An optimisation prunes against its
+// worker's own incumbent, reset to the frozen bound (none in phase 1) as a
+// task starts and offered to the shared one as it ends.
+func (e *engine[S, N]) frozenTask(c *workerCtx[S, N], t *Task[N]) {
+	v, opt := c.visitor.(*optVisitor[S, N])
+	if opt {
+		v.inc.reset(v.loc, e.fab.frozen.Load())
+		defer func() {
+			if n, obj, ok := v.inc.result(); ok {
+				e.fab.inc.strengthen(c.loc, obj, n)
+			}
+		}()
+	}
+	if t.Depth > 0 {
+		expandBelow(c, e.cancel, t.Node)
+		return
+	}
+	if e.cancel.cancelled() || c.visitor.visit(t.Node) != descend {
+		return
+	}
+	var tasks []Task[N]
+	e.prefix(c, t, t.Node, 0, t.Prio, &tasks)
+	if opt {
+		e.fab.frozen.Store(v.loc.bound.V.Load())
+	}
+	for k := 0; len(tasks) > 0; tasks = tasks[k:] {
+		k = c.loc.mem.headroom(min(len(tasks), shedRun))
+		c.spawn(t, tasks[:k], c.push)
+	}
+}
+
+// prefix walks below node in place down to the cutoff, keeping each node
+// there that its visit lets descend as a task of t's family, in traversal order. A
+// pruned node is skipped; its later siblings are still visited.
+func (e *engine[S, N]) prefix(c *workerCtx[S, N], t *Task[N], node N, depth int, disc int32, tasks *[]Task[N]) {
+	g := c.gens.gen(depth, node)
+	for i := 0; g.HasNext(); i++ {
+		child := g.Next()
+		switch {
+		case c.visitor.visit(child) != descend:
+		case depth+1 < e.rule.depth:
+			e.prefix(c, t, child, depth+1, discChild(disc, i), tasks)
+		default:
+			prio := e.prio.childPrio(disc, i, child)
+			*tasks = append(*tasks, Task[N]{Node: child, Depth: depth + 1, Prio: prio, fam: t.fam})
+			if e.fab.ordered {
+				c.stats.notePrio(prio)
+			}
+		}
 	}
 }
 
@@ -220,16 +282,11 @@ const shedRun = 64
 // of them, in traversal order, handed to give in runs of at most
 // shedRun as they are generated (a level can be 100,000 nodes wide:
 // nobody waits for, or buffers, the whole of it). Only that level
-// donates. A run is registered before give can show it to anyone — with
-// the locality's live count, so termination cannot fire past it, and
-// with t's supervision family, so a received subtree's descendants keep
-// the origin's ledger entry alive until the whole subtree completes —
-// in one AddTasks and one family add, not one per task. Under a memory
-// budget a run is no longer than the pool's headroom, so the hard
-// threshold is overshot by one task at most. What give does with a run
-// is the rule's business: push it, or collect it for a thief that runs
-// it locally or exports it over the wire; the run's backing array is
-// the worker's, so give must copy.
+// donates, each run registered by spawn. Under a memory budget a run is
+// no longer than the pool's headroom, so the hard threshold is overshot
+// by one task at most. What give does with a run is the rule's business:
+// push it, or collect it for a thief that runs it locally or exports it
+// over the wire.
 func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], max int, give func([]Task[N])) {
 	loc, sh := c.loc, &c.stats
 	for i := range stack {
@@ -250,14 +307,7 @@ func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], ma
 					sh.notePrio(run[len(run)-1].Prio)
 				}
 			}
-			k := int64(len(run))
-			loc.tr.AddTasks(k)
-			if t.fam != nil {
-				t.fam.pending.Add(k)
-			}
-			sh.Spawns += k
-			give(run)
-			clear(run) // the nodes are the receiver's now
+			c.spawn(t, run, give)
 			n += len(run)
 		}
 		if n > 0 {
@@ -270,11 +320,29 @@ func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], ma
 // the worker's own pool shard: what (spawn-depth) does to a task root's
 // children and (spawn-budget) does to a long-running stack.
 func (e *engine[S, N]) shedToPool(c *workerCtx[S, N], t *Task[N], stack []level[N]) {
-	e.shed(c, t, stack, math.MaxInt, func(run []Task[N]) {
-		c.shard.PushBatch(run)
-		c.loc.park.wake() // a parked sibling, if any, to come rob it
-		// Memory governor, last-resort response: the spawner that pushed
-		// the pool past its hard threshold spills the coldest tasks.
-		c.loc.mem.maybeSpill()
-	})
+	e.shed(c, t, stack, math.MaxInt, c.push)
+}
+
+// spawn registers a run t spawned before give can show it to anyone: with
+// the locality's live count, so termination cannot fire past it, and with
+// t's supervision family, which a received subtree keeps open until done.
+// One AddTasks and one family add; the run is the spawner's: give copies.
+func (th *thief[N]) spawn(t *Task[N], run []Task[N], give func([]Task[N])) {
+	k := int64(len(run))
+	th.loc.tr.AddTasks(k)
+	if t.fam != nil {
+		t.fam.pending.Add(k)
+	}
+	th.stats.Spawns += k
+	give(run)
+	clear(run) // the nodes are the receiver's now
+}
+
+// push puts a registered run on the worker's own pool shard.
+func (th *thief[N]) push(run []Task[N]) {
+	th.shard.PushBatch(run)
+	th.loc.park.wake() // a parked sibling, if any, to come rob it
+	// Memory governor, last-resort response: the spawner that pushed
+	// the pool past its hard threshold spills the coldest tasks.
+	th.loc.mem.maybeSpill()
 }

@@ -97,8 +97,8 @@ func (th *thief[N]) settle() {
 
 // newWorkers builds one isolated context per worker and spreads them
 // round-robin over locs, then over the shards of each locality's pool
-// (no locs, no place: the replicable skeleton's workers take tasks off a
-// list). visit constructs a worker's visitor around its counters.
+// (no locs, no place: a test's bare workers). visit constructs a
+// worker's visitor around its counters.
 func newWorkers[S, N any](space S, gf GenFactory[S, N], cfg Config, locs []*locality[N], visit func(th *thief[N]) visitor[N]) []*workerCtx[S, N] {
 	ws := make([]*workerCtx[S, N], cfg.Workers)
 	for w := range ws {
