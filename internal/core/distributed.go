@@ -63,9 +63,13 @@ func gatherShares(tr dist.Transport, share distShare) (shares []*distShare, tota
 	}
 	total.Elapsed = share.Stats.Elapsed
 	shares = make([]*distShare, len(blobs))
+	var died int64
 	for rank, blob := range blobs {
 		if blob == nil {
-			continue // died before contributing; replay already covered its work
+			// Died before contributing; replay already covered its work.
+			// A death the transport heard of only after Done counts too.
+			died++
+			continue
 		}
 		s, err := GobCodec[distShare]{}.Decode(blob)
 		if err != nil {
@@ -74,6 +78,7 @@ func gatherShares(tr dist.Transport, share distShare) (shares []*distShare, tota
 		total.merge(s.Stats)
 		shares[rank] = &s
 	}
+	total.Deaths = max(total.Deaths, died)
 	return shares, total, nil
 }
 

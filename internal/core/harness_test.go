@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path"
 	"runtime"
 	"slices"
 	"strings"
@@ -16,13 +17,15 @@ import (
 	"yewpar/internal/semantics"
 )
 
-// The package's deployments are built here and nowhere else. A scenario
-// is one row of a table: a tree, a search type, a coordination and its
-// knobs, one to four loopback localities on a star or a wave, and what
-// goes wrong — link latency, a partition that heals, localities killed.
-// run deploys it — every rank's Dist* on one loopback network, or the
-// single-process entry point when there is one process — and holds it to
-// one set of invariants:
+// The package's deployments are built here and nowhere else, and so are
+// dist's: its conformance suite holds the transport contract case by
+// case, these rows whole searches over it. A scenario is one row of a
+// table: a tree, a search type, a coordination and its knobs, one to four
+// localities on a star or a wave, the network — loopback or in-process
+// TCP — and what goes wrong: link latency, a partition that heals,
+// localities killed. run deploys it — every rank's Dist* on one network,
+// or the single-process entry point when there is one process — and holds
+// it to one set of invariants:
 //
 //   - the answer is the oracle's: the tree's own fold and maximum for a
 //     semantics tree, which the operational model (semantics.Config.Run)
@@ -39,8 +42,9 @@ import (
 //   - every rank's call returns within a deadline: a hang fails its row,
 //     by name, not the package.
 //
-// The hand-written cases are named rows, each test holding its own;
-// TestDrawn draws the rest from consecutive seeds.
+// The hand-written cases are named rows, each test holding its own, a
+// row of several processes on both networks; TestDrawn draws the rest
+// from consecutive seeds.
 
 // searchKind is a row's search type.
 type searchKind int
@@ -312,30 +316,46 @@ func db(tr tree, s searchKind, ranks int, cfg Config, kills ...kill) scenario {
 func onWave(sc scenario) scenario { sc.wave = true; return sc }
 
 // rows runs a test's rows, each a subtest named by its place when there
-// are several.
+// are several and it has no name, and a row of several processes twice:
+// on loopback and on TCP, subtests of those names. A lateDeaths row runs
+// on loopback alone: a TCP death may leave work that only the notice's
+// reader recovers (a root the successor must seed, a star's relayed
+// acks), so holding every notice back until Done hangs it by design.
 func rows(t *testing.T, scs ...scenario) {
 	for i, sc := range scs {
-		if len(scs) > 1 {
+		if sc.name == "" && len(scs) > 1 {
 			sc.name = fmt.Sprint(i)
 		}
-		sc.check(t)
+		if sc.ranks <= 1 || sc.lateDeaths {
+			sc.check(t)
+			continue
+		}
+		name := sc.name
+		for _, sc.tcp = range []bool{false, true} {
+			sc.name = path.Join(name, map[bool]string{false: "loopback", true: "tcp"}[sc.tcp])
+			sc.check(t)
+		}
 	}
 }
 
 func TestDistOptMatchesSequential(t *testing.T) {
+	var scs []scenario
 	for _, coord := range []Coordination{DepthBounded, Budget, StackStealing} {
-		scenario{name: coord.String(), tree: toy12, search: optimise, coord: coord, ranks: 3, cfg: Config{Workers: 2, DCutoff: 2, Budget: 8}}.check(t)
+		scs = append(scs, scenario{name: coord.String(), tree: toy12, search: optimise, coord: coord, ranks: 3, cfg: Config{Workers: 2, DCutoff: 2, Budget: 8}})
 	}
+	rows(t, scs...)
 }
 
 func TestDistOptOrderedMatchesUnordered(t *testing.T) {
 	bounded := toyTree("toy12, bounded", toy12.space.Vals, true)
+	var scs []scenario
 	for _, coord := range []Coordination{DepthBounded, Budget} {
 		for ord := OrderNone; ord <= OrderBound; ord++ {
-			scenario{name: fmt.Sprintf("%v/%v", coord, ord), tree: bounded, search: optimise, coord: coord, ranks: 3,
-				cfg: Config{Workers: 2, DCutoff: 2, Budget: 8, Order: ord}}.check(t)
+			scs = append(scs, scenario{name: fmt.Sprintf("%v/%v", coord, ord), tree: bounded, search: optimise, coord: coord, ranks: 3,
+				cfg: Config{Workers: 2, DCutoff: 2, Budget: 8, Order: ord}})
 		}
 	}
+	rows(t, scs...)
 }
 
 func TestDistEnumCountsWholeTree(t *testing.T) {
@@ -383,7 +403,7 @@ func TestDistOptCoordinatorDeathSpillCleanup(t *testing.T) {
 }
 func TestDistOptFaultStatsPlumbing(t *testing.T) {
 	sc := db(fault, optimise, 4, tolerant, kill{rank: 1})
-	sc.extra = func(t *testing.T, o outcome) {
+	sc.extra = func(t *testing.T, _ scenario, o outcome) {
 		if o.stats.LedgerPeak <= 0 {
 			t.Errorf("LedgerPeak = %d, want > 0: a killed worker held handed-over work", o.stats.LedgerPeak)
 		}
@@ -395,7 +415,7 @@ func TestMemoryBudgetSpillsAndMatchesOracle(t *testing.T) {
 	spills, cfg := memTree(memSpace{3000, 3, 2}), Config{Workers: 4, Localities: 2, DCutoff: 3}
 	sc := scenario{tree: spills, search: enumerate, coord: DepthBounded, cfg: cfg}
 	sc.cfg.PoolBudget = 8 << 10
-	sc.extra = func(t *testing.T, o outcome) {
+	sc.extra = func(t *testing.T, _ scenario, o outcome) {
 		free := Enum(DepthBounded, spills.space, memNode{}, spills.enum, cfg)
 		if _, nodes := spills.truth(enumerate); free.Stats.SpilledTasks != 0 || free.Value != nodes {
 			t.Errorf("unbounded: %d tasks spilled, %d of %d nodes counted", free.Stats.SpilledTasks, free.Value, nodes)
@@ -443,6 +463,20 @@ func TestDistDecideSurvivesWorkerDeath(t *testing.T) {
 		row(fault16, opt16+1, 4, tolerant, 2))
 }
 
+// A partition inside the link grace heals without a death: on TCP by
+// resuming the sessions it cut, on loopback by delivering at the heal.
+func TestPartitionHealsWithoutDeath(t *testing.T) {
+	sc := db(fault16, optimise, 3, tolerant)
+	sc.net = dist.NewFaultPlan(1)
+	sc.parts = []dist.ChaosPartition{{Ranks: []int{2}, Dur: 300 * time.Millisecond}}
+	sc.extra = func(t *testing.T, sc scenario, o outcome) {
+		if resumed := o.stats.LinkResumes > 0; resumed != sc.tcp {
+			t.Errorf("%d session resumes on TCP %v", o.stats.LinkResumes, sc.tcp)
+		}
+	}
+	rows(t, sc)
+}
+
 // A standby coordinator killed as it registers the root, before anyone
 // holds it, on a star and a wave.
 func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
@@ -458,18 +492,47 @@ func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
 // another's first work, on a star and a wave: slow links from rank 0 leave
 // the root to rank 2, and rank 1, the successor, first works from it.
 // With the root's supervisor and holder gone, rank 1 searches the whole
-// tree again.
+// tree again. On TCP it found two more: a delta the flush tick could not
+// send while rank 1 took the count over was stranded, and a node sent to
+// rank 0 alone died with it while the rejoin's stamp spread its bound.
 func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 	sc := db(toyTree("fault20", faultVals(20), false), optimise, 4, standby, kill{rank: 0, by: []int{1}}, kill{rank: 2, by: []int{1}})
 	sc.net = dist.NewFaultPlan(1)
 	sc.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
 	sc.net.SetLink(0, 3, dist.LinkFault{Latency: 5 * time.Millisecond})
-	sc.extra = func(t *testing.T, o outcome) {
+	sc.extra = func(t *testing.T, _ scenario, o outcome) {
 		if _, nodes := sc.tree.truth(optimise); o.stats.Nodes < nodes {
 			t.Errorf("survivors visited %d nodes of %d: the root was not searched again", o.stats.Nodes, nodes)
 		}
 	}
 	rows(t, sc, onWave(sc))
+}
+
+// What the TCP rows found, held by the drawn schedules that found it, on
+// both networks. A standby coordinator and a second worker killed at
+// rank 1's next work: a mesh survivor never mourned a worker whose link
+// broke while rank 0 lived, and a takeover did not judge it; a share a
+// cancelled search gathered to rank 0 died with it; a node went to rank 0
+// alone, which died before handing it to the standby, while its bound
+// lived on and pruned it; a death heard of only after Done went
+// uncounted; a rejoin that raced its rank's Close kept a link open.
+func TestStandbyCoordinatorAndWorkerDie(t *testing.T) {
+	var scs []scenario
+	for _, seed := range []int64{46, 55, 57, 75, 90, 123, 182, 185, 281, 352, 361} {
+		scs = append(scs, draw(seed))
+	}
+	rows(t, scs...)
+}
+
+// A cancelled standby decision ended at rank 0's gather without Done, so
+// its workers read rank 0's exit as its death and took over, re-dialling
+// a listener that was gone.
+func TestStandbyDecisionEndsAtItsGather(t *testing.T) {
+	var scs []scenario
+	for _, seed := range []int64{28, 117, 126, 197, 346, 459} {
+		scs = append(scs, draw(seed))
+	}
+	rows(t, scs...)
 }
 
 // A death that lands as the search ends still counts: the reseed row
@@ -512,7 +575,7 @@ func TestReplicableNoBound(t *testing.T) {
 func TestReplicableVisitsAtLeastSequential(t *testing.T) {
 	tr := semTree(13, 5, 10)
 	seq := Opt(Sequential, tr.space, "", tr.opt, Config{}).Stats.Nodes
-	rows(t, scenario{tree: tr, search: optimise, coord: Replicable, cfg: Config{Workers: 4, DCutoff: 2}, extra: func(t *testing.T, o outcome) {
+	rows(t, scenario{tree: tr, search: optimise, coord: Replicable, cfg: Config{Workers: 4, DCutoff: 2}, extra: func(t *testing.T, _ scenario, o outcome) {
 		if o.stats.Nodes < seq {
 			t.Errorf("visited %d nodes, Sequential %d", o.stats.Nodes, seq)
 		}
@@ -524,7 +587,7 @@ func TestReplicableVisitsAtLeastSequential(t *testing.T) {
 // memory budget, tracing or link latency.
 func TestReplicableDeterministicNodeCounts(t *testing.T) {
 	tr, want := toyTree("toy12, bounded", toy12.space.Vals, true), [4]int64{}
-	same := func(t *testing.T, o outcome) {
+	same := func(t *testing.T, _ scenario, o outcome) {
 		got := [4]int64{o.stats.Nodes, o.stats.Prunes, o.stats.Spawns, o.stats.Backtracks}
 		if want == [4]int64{} {
 			want = got
@@ -548,13 +611,13 @@ func TestReplicableDeterministicNodeCounts(t *testing.T) {
 		}
 	}
 	spill, traced, slow := row(Config{Workers: 4, Localities: 2, PoolBudget: 1 << 10}), row(Config{Workers: 4, Trace: NewTrace(4)}), row(Config{Workers: 6, Localities: 3})
-	spill.extra = func(t *testing.T, o outcome) {
-		if same(t, o); o.stats.SpilledTasks == 0 {
+	spill.extra = func(t *testing.T, _ scenario, o outcome) {
+		if same(t, spill, o); o.stats.SpilledTasks == 0 {
 			t.Error("nothing spilled under a 1 KiB pool budget")
 		}
 	}
-	traced.extra = func(t *testing.T, o outcome) {
-		if same(t, o); int64(traced.cfg.Trace.Summary().Tasks) != o.stats.Spawns+1 {
+	traced.extra = func(t *testing.T, _ scenario, o outcome) {
+		if same(t, traced, o); int64(traced.cfg.Trace.Summary().Tasks) != o.stats.Spawns+1 {
 			t.Errorf("%d traced tasks for %d spawns and the root", traced.cfg.Trace.Summary().Tasks, o.stats.Spawns)
 		}
 	}
@@ -599,19 +662,20 @@ type scenario struct {
 	target int64 // decide
 	coord  Coordination
 	cfg    Config
-	ranks  int  // Dist* processes on one loopback network; 0 or 1: the single-process entry point
+	ranks  int  // Dist* processes on one network; 0 or 1: the single-process entry point
 	wave   bool // mesh termination; a single process takes cfg.Topology
+	tcp    bool // the processes' network is in-process TCP, a star or (wave) a mesh, not loopback
 	net    *dist.FaultPlan
 	parts  []dist.ChaosPartition
 	kills  []kill
-	extra  func(t *testing.T, o outcome) // a named row's check beyond the invariants
+	extra  func(t *testing.T, sc scenario, o outcome) // a named row's check beyond the invariants
 	// lateDeaths: no rank's engine hears of a death before Done.
 	lateDeaths bool
 }
 
 func (sc scenario) String() string {
-	return fmt.Sprintf("%v %v/%v on %v, %d ranks (wave %v), %+v, kills %v, partitions %v",
-		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.wave, sc.cfg, sc.kills, len(sc.parts))
+	return fmt.Sprintf("%v %v/%v on %v, %d ranks (wave %v, tcp %v), %+v, kills %v, partitions %v",
+		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.wave, sc.tcp, sc.cfg, sc.kills, len(sc.parts))
 }
 
 // rowDeadline is how long a row may take before it counts as a hang.
@@ -644,18 +708,50 @@ func (sc scenario) run(t *testing.T) {
 	returned := make(chan struct{})
 	armed := make([]atomic.Bool, ranks)
 	plan := dist.ChaosPlan{Partitions: sc.parts, Net: sc.net}
-	var net *dist.LoopbackNetwork
-	var trs []dist.Transport
+	var trs, raw []dist.Transport
+	var kill func(rank int)
+	closeAll := func() {}
 	if sc.ranks <= 1 {
 		cfg.NetFault = sc.net
 		go func() { defer close(returned); outs[0] = sc.tree.solve(nil, &sc, cfg) }()
 	} else {
-		net = dist.NewLoopback(ranks, dist.LoopbackOptions{Wave: sc.wave, Fault: sc.net})
-		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), lateDeaths: sc.lateDeaths, onWork: func(rank int) {
+		if sc.tcp {
+			raw, kill = sc.deployTCP(t), func(rank int) { raw[rank].Close() }
+			closeAll = func() {
+				for _, tr := range raw {
+					tr.Close()
+				}
+			}
+		} else {
+			net := dist.NewLoopback(ranks, dist.LoopbackOptions{Wave: sc.wave, Fault: sc.net})
+			raw, kill, closeAll = net.Transports(), net.Kill, func() { net.Close() }
+		}
+		// Kills land mid-search: not once a witness has cancelled the
+		// search or a live rank has seen it end, when a kill would land in
+		// the final gather, which no takeover covers.
+		var killMu sync.Mutex
+		over := false
+		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), lateDeaths: sc.lateDeaths, onCancel: func() {
+			killMu.Lock()
+			over = true
+			killMu.Unlock()
+		}, onWork: func(rank int) {
+			killMu.Lock()
+			defer killMu.Unlock()
+			for r, tr := range raw {
+				select {
+				case <-tr.Done():
+					over = over || !isDead(r)
+				default:
+				}
+			}
+			if over {
+				return
+			}
 			for _, k := range sc.kills {
 				if armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) {
 					if _, was := dead.LoadOrStore(k.rank, true); !was {
-						net.Kill(k.rank)
+						kill(k.rank)
 					}
 				}
 			}
@@ -668,7 +764,7 @@ func (sc scenario) run(t *testing.T) {
 			}
 		}
 		var wg sync.WaitGroup
-		for r, tr := range net.Transports() {
+		for r, tr := range raw {
 			tr = &auditedTransport{Transport: tr, a: audit, rank: r}
 			trs = append(trs, tr)
 			wg.Add(1)
@@ -699,14 +795,12 @@ func (sc scenario) run(t *testing.T) {
 			t.Errorf("rank %d: %v", r, outs[r].err)
 		}
 	}
-	if net != nil {
-		net.Close()
-	}
+	closeAll()
 	if err := sc.judge(outs[owner], landed); err != nil {
 		t.Errorf("%v\n\t%v", err, sc)
 	}
 	if sc.extra != nil {
-		sc.extra(t, outs[owner])
+		sc.extra(t, sc, outs[owner])
 	}
 	if left, _ := os.ReadDir(cfg.SpillDir); cfg.SpillDir != "" && len(left) > 0 {
 		t.Errorf("spill files outlive the run: %v", left)
@@ -717,6 +811,47 @@ func (sc scenario) run(t *testing.T) {
 			break
 		}
 	}
+}
+
+// deployTCP connects the row's ranks over in-process TCP, indexed by the
+// rank registration gave each: the wire options are the row's topology,
+// standby and fault plan, with sessions that outlast a drawn partition,
+// and a liveness short enough that a death a promoted rank learns of only
+// when its rejoin window closes still lands well inside rowDeadline.
+func (sc scenario) deployTCP(t *testing.T) []dist.Transport {
+	opts := dist.WireOptions{Standby: sc.cfg.Standby, Fault: sc.net,
+		Heartbeat: 50 * time.Millisecond, LivenessTimeout: 500 * time.Millisecond}
+	if sc.wave {
+		opts.Topology = dist.TopologyMesh
+	}
+	if len(sc.parts) > 0 {
+		opts.LinkGrace = time.Second
+	}
+	l, err := dist.NewListenerOpts("127.0.0.1:0", "harness", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs, dialed := make([]dist.Transport, sc.ranks), make(chan error)
+	for range sc.ranks - 1 {
+		go func() {
+			tr, err := dist.DialOpts(l.Addr(), "harness", opts)
+			if err == nil {
+				trs[tr.Rank()] = tr
+			}
+			dialed <- err
+		}()
+	}
+	hub, err := l.Wait(sc.ranks - 1)
+	for range sc.ranks - 1 {
+		if e := <-dialed; err == nil {
+			err = e
+		}
+	}
+	if err != nil {
+		t.Fatalf("deploying %d ranks over TCP: %v", sc.ranks, err)
+	}
+	trs[0] = hub
+	return trs
 }
 
 // judge holds the result-owning rank's outcome to the oracle, given the
@@ -867,5 +1002,7 @@ func draw(seed int64) scenario {
 			sc.cfg.MaxFailures = pick(2)
 		}
 	}
+	// Last, so that a seed's row is the same whatever its network.
+	sc.tcp = sc.ranks > 1 && pick(2) == 0
 	return sc
 }

@@ -97,45 +97,9 @@ const (
 // Transport's Promoted, (c) keep bounds flowing between survivors, (d)
 // not terminate while survivor work is live, (e) terminate when it
 // drains, and (f) complete the terminal Gather at the promoted rank
-// with a nil slot for the corpse.
-//
-// TestConformanceCoordinatorDeathBeforeWork below is the window before
-// any of that: a coordinator that dies holding the only work there is
-// (the root, handed to nobody) ends nothing. The transport registers the
-// root at the successor, whose engine seeds it again (ReseedRoot), and
-// the search ends when that root is done.
-func TestConformanceCoordinatorDeathBeforeWork(t *testing.T) {
-	for _, h := range failoverHarnesses()[:4] {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			startAll(trs)
-			trs[0].AddTasks(1)
-			time.Sleep(50 * time.Millisecond) // a wire's +1 reaches the count
-			kill(t, h, trs, 0)
-			for _, r := range []int{1, 2} {
-				awaitDeath(t, trs[r], 0)
-			}
-			time.Sleep(100 * time.Millisecond)
-			select {
-			case <-trs[1].Done():
-				t.Fatal("the coordinator's death ended a search no survivor had worked on")
-			default:
-			}
-			if trs[2].ReseedRoot() || !trs[1].ReseedRoot() || trs[1].ReseedRoot() {
-				t.Fatal("the root is not rank 1's, and only rank 1's, to seed again, once")
-			}
-			trs[1].AddTasks(-1) // the seeded root completes
-			for _, r := range []int{1, 2} {
-				select {
-				case <-trs[r].Done():
-				case <-time.After(10 * time.Second):
-					t.Fatalf("rank %d not released after the re-seeded root completed", r)
-				}
-			}
-		})
-	}
-}
-
+// with a nil slot for the corpse. (A coordinator that dies holding the
+// only work there is, the root handed to nobody, is the harness rows'
+// TestStandbyCoordinatorDiesHoldingTheRoot in internal/core.)
 func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 	for _, h := range failoverHarnesses() {
 		t.Run(h.name, func(t *testing.T) {

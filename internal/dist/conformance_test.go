@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,14 +10,16 @@ import (
 	"time"
 )
 
-// Transport conformance suite: every behaviour the engine relies on,
-// asserted against every implementation. A new transport only has to
-// pass this suite to be a valid substrate for the distributed engine.
-// Four harnesses run today: the loopback network and the TCP star
-// (hub-counted termination), and their mesh twins (per-rank counters,
-// termination by the wave) — the cases below express task accounting
-// through completeStolen precisely so that one suite pins both
-// termination protocols.
+// Transport conformance suite: the contract the engine relies on, case
+// by case, asserted against every implementation through a recording
+// handler — identity, steal and split replies, priorities and their
+// summaries, bounds, cancel, gather, acks, a late reply, a steal pending
+// on a victim that dies, retention. Four harnesses run it: the loopback
+// network and the TCP star, and their mesh twins. Whole deployments —
+// termination under steals and coalesced deltas, worker and coordinator
+// deaths, partitions that heal, no goroutine outliving Close — are
+// internal/core's harness rows (harness_test.go), where a real search on
+// loopback and on TCP is held to the tree's own answer.
 
 // harness builds a connected deployment of n localities.
 type harness struct {
@@ -93,26 +94,6 @@ func harnesses() []harness {
 			return makeTCP(t, n, WireOptions{Topology: TopologyMesh})
 		}},
 	}
-}
-
-// completeStolen expresses "rank holder completes a task spawned at
-// rank spawner" in the engine's own accounting discipline: the holder
-// registers its adoption (+1), completes it (-1), and the spawner
-// retires its ledger registration (-1, the spawn-time +1 that covered
-// the task in flight). On the star every delta folds into the hub's
-// single live count, so the net effect is the old bare -1; on a mesh
-// each delta lands on its own rank's wave counter, where the split is
-// what keeps the termination wave from observing a negative rank or an
-// uncovered in-flight task. Conformance cases MUST complete cross-rank
-// work through this helper rather than decrementing an arbitrary rank.
-func completeStolen(holder, spawner Transport) {
-	if holder == spawner {
-		spawner.AddTasks(-1)
-		return
-	}
-	holder.AddTasks(1)
-	holder.AddTasks(-1)
-	spawner.AddTasks(-1)
 }
 
 // recHandler records everything the transport delivers.
@@ -223,6 +204,17 @@ func (h *recHandler) push(t WireTask) {
 	h.mu.Lock()
 	h.tasks = append(h.tasks, t)
 	h.mu.Unlock()
+}
+
+// drain empties the handler's task queue and adopted list, returning
+// all held tasks.
+func (h *recHandler) drain() []WireTask {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := append([]WireTask{}, h.tasks...)
+	out = append(out, h.adopted...)
+	h.tasks, h.adopted = nil, nil
+	return out
 }
 
 func startAll(trs []Transport) []*recHandler {
@@ -387,34 +379,6 @@ func TestConformanceBoundBroadcastMonotonic(t *testing.T) {
 				hs[r].mu.Unlock()
 				if got := hs[r].boundMax.Load(); got != max {
 					t.Errorf("rank %d merged max %d != delivered max %d", r, got, max)
-				}
-			}
-		})
-	}
-}
-
-func TestConformanceTaskAccountingTermination(t *testing.T) {
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			startAll(trs)
-			// Seed three tasks at the coordinator, complete one at each
-			// rank: Done must fire on every rank, and not before the
-			// last completion.
-			trs[0].AddTasks(3)
-			completeStolen(trs[1], trs[0])
-			completeStolen(trs[2], trs[0])
-			select {
-			case <-trs[0].Done():
-				t.Fatal("Done fired with a task still live")
-			case <-time.After(50 * time.Millisecond):
-			}
-			completeStolen(trs[0], trs[0])
-			for r, tr := range trs {
-				select {
-				case <-tr.Done():
-				case <-time.After(5 * time.Second):
-					t.Fatalf("rank %d never saw termination", r)
 				}
 			}
 		})
@@ -630,36 +594,21 @@ func awaitDeath(t *testing.T, tr Transport, rank int) {
 	}
 }
 
-// The core fault-tolerance contract: a locality death mid-search must
-// not force termination (the old v3 behaviour) — instead the dead
-// rank's outstanding live-task contribution is reconciled away, the
-// survivors are notified so their ledgers can replay, steals aimed at
-// the corpse fail fast, and the search ends exactly when the
-// survivors' work (replays included) is done.
+// A death mid-search, from the survivors' side of the wire: each hears
+// of it, steals aimed at the corpse fail fast instead of hanging the
+// thief, the corpse steals nothing, and steals and bounds still flow
+// between survivors. (That the search then ends, exactly, is the
+// harness rows'.)
 func TestConformanceWorkerDeathMidSearch(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 4)
 			hs := startAll(trs)
-
-			// Rank 0 holds a sentinel task (the survivors' live work);
-			// rank 2 registers work of its own, then dies with it.
-			trs[0].AddTasks(1)
-			trs[2].AddTasks(2)
-			hs[2].push(WireTask{Payload: []byte("doomed"), Depth: 1})
-			// Let a wire transport flush the coalesced +2 first: a
-			// delta lost with the process is fine (it was never
-			// counted), but this test wants the reconciliation path.
-			time.Sleep(50 * time.Millisecond)
+			trs[0].AddTasks(1) // the survivors' live work
 			kill(t, h, trs, 2)
-
-			// Every survivor hears about the death exactly once.
 			for _, r := range []int{0, 1, 3} {
 				awaitDeath(t, trs[r], 2)
 			}
-
-			// Steals aimed at the dead locality fail fast instead of
-			// hanging the thief (coordinator and worker thieves both).
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -675,10 +624,8 @@ func TestConformanceWorkerDeathMidSearch(t *testing.T) {
 			case <-time.After(30 * time.Second):
 				t.Fatal("steal from dead locality hung")
 			}
-
-			// The survivors keep working: steals and bounds still flow —
-			// and not to the corpse, whose zombie worker has no handler
-			// left to adopt a run with and must not be handed one.
+			// The corpse's zombie worker has no handler left to adopt a
+			// run with and must not be handed one.
 			hs[3].push(WireTask{Payload: []byte("alive"), Depth: 2})
 			if _, ok, _ := trs[2].Steal(3); ok {
 				t.Error("a dead locality stole from a survivor")
@@ -688,47 +635,6 @@ func TestConformanceWorkerDeathMidSearch(t *testing.T) {
 			}
 			trs[1].BroadcastBound(77, nil)
 			eventually(t, "bound to reach surviving rank 3", func() bool { return hs[3].boundMax.Load() == 77 })
-
-			// The dead rank's +2 was reconciled away, but the
-			// sentinel still holds the search open: death must NOT
-			// force termination while survivors hold live work.
-			time.Sleep(100 * time.Millisecond)
-			select {
-			case <-trs[0].Done():
-				t.Fatal("death force-terminated a search with live survivor work")
-			default:
-			}
-
-			// Completing the sentinel ends the search everywhere.
-			trs[0].AddTasks(-1)
-			for _, r := range []int{0, 1, 3} {
-				select {
-				case <-trs[r].Done():
-				case <-time.After(5 * time.Second):
-					t.Fatalf("rank %d not released after survivor work drained", r)
-				}
-			}
-
-			// A final gather completes, with a nil slot for the dead rank.
-			var got [][]byte
-			var wg sync.WaitGroup
-			for _, r := range []int{0, 1, 3} {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					blobs, err := trs[r].Gather([]byte{byte(r)})
-					if err != nil {
-						t.Errorf("rank %d gather: %v", r, err)
-					}
-					if r == 0 {
-						got = blobs
-					}
-				}(r)
-			}
-			wg.Wait()
-			if len(got) != 4 || got[2] != nil {
-				t.Fatalf("gather after death = %v, want nil slot for rank 2", got)
-			}
 		})
 	}
 }
@@ -812,123 +718,6 @@ func TestConformanceDeathDuringSteal(t *testing.T) {
 	}
 }
 
-// Death with outstanding acks: a victim handed work to a rank that
-// dies before acking. The victim's own registration for the task must
-// still be outstanding (its -1 only ever arrives with the ack), so the
-// global count cannot reach zero until the victim completes the
-// replayed task itself — the accounting half of subtree replay.
-func TestConformanceDeathWithOutstandingAcks(t *testing.T) {
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			hs := startAll(trs)
-
-			// Rank 1 spawns a task (+1) and serves it to rank 2 with a
-			// hand-over id; the ledger copy keeps the +1 outstanding.
-			trs[1].AddTasks(1)
-			hs[1].push(WireTask{Payload: []byte("handed"), ID: TaskID(1, 1), Depth: 1})
-			if _, ok, err := trs[2].Steal(1); !ok || err != nil {
-				t.Fatalf("hand-over steal: ok=%v err=%v", ok, err)
-			}
-			// Rank 2 registers its receipt, then dies before completing
-			// (no Ack ever sent).
-			trs[2].AddTasks(1)
-			time.Sleep(50 * time.Millisecond) // flush the receipt delta
-			kill(t, h, trs, 2)
-			awaitDeath(t, trs[1], 2)
-
-			// Rank 2's receipt was reconciled away, but rank 1's
-			// registration survives: no termination yet.
-			time.Sleep(100 * time.Millisecond)
-			select {
-			case <-trs[0].Done():
-				t.Fatal("count reached zero while the victim's hand-over was unacked")
-			default:
-			}
-
-			// The victim replays and completes the subtree itself.
-			trs[1].AddTasks(-1)
-			for _, r := range []int{0, 1} {
-				select {
-				case <-trs[r].Done():
-				case <-time.After(5 * time.Second):
-					t.Fatalf("rank %d not released after replay completed", r)
-				}
-			}
-		})
-	}
-}
-
-// Double death: two localities die, the survivors hear about both,
-// both contributions are reconciled, and the deployment still
-// terminates and gathers (with two nil slots).
-func TestConformanceDoubleDeath(t *testing.T) {
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 4)
-			startAll(trs)
-			trs[0].AddTasks(1) // survivor sentinel
-			trs[1].AddTasks(3)
-			trs[2].AddTasks(5)
-			time.Sleep(50 * time.Millisecond)
-			kill(t, h, trs, 1)
-			kill(t, h, trs, 2)
-
-			// The survivors hear about both deaths, in either order.
-			for _, r := range []int{0, 3} {
-				got := map[int]bool{}
-				for i := 0; i < 2; i++ {
-					select {
-					case d := <-trs[r].Deaths():
-						got[d] = true
-					case <-time.After(5 * time.Second):
-						t.Fatalf("rank %d heard %d/2 deaths", r, len(got))
-					}
-				}
-				if !got[1] || !got[2] {
-					t.Fatalf("rank %d death set = %v, want {1,2}", r, got)
-				}
-			}
-
-			// Both dead contributions reconciled; only the sentinel holds.
-			time.Sleep(100 * time.Millisecond)
-			select {
-			case <-trs[0].Done():
-				t.Fatal("terminated early with the sentinel live")
-			default:
-			}
-			trs[0].AddTasks(-1)
-			for _, r := range []int{0, 3} {
-				select {
-				case <-trs[r].Done():
-				case <-time.After(5 * time.Second):
-					t.Fatalf("rank %d not released after double death", r)
-				}
-			}
-
-			var got [][]byte
-			var wg sync.WaitGroup
-			for _, r := range []int{0, 3} {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					blobs, err := trs[r].Gather([]byte{byte(r)})
-					if err != nil {
-						t.Errorf("rank %d gather: %v", r, err)
-					}
-					if r == 0 {
-						got = blobs
-					}
-				}(r)
-			}
-			wg.Wait()
-			if len(got) != 4 || got[1] != nil || got[2] != nil || got[0] == nil || got[3] == nil {
-				t.Fatalf("gather after double death = %v, want nil slots for ranks 1 and 2", got)
-			}
-		})
-	}
-}
-
 // The incumbent retention: a node-carrying bound broadcast (or a
 // decision cancel's witness) survives at rank 0 even after its finder
 // dies — the mechanism that keeps a SIGKILLed worker's optimum in the
@@ -954,149 +743,6 @@ func TestConformanceIncumbentRetention(t *testing.T) {
 			obj, node, ok := store.BestKnown()
 			if !ok || obj != 30 || string(node) != "node-30" {
 				t.Fatalf("retention lost after finder death: %d %q %v", obj, node, ok)
-			}
-		})
-	}
-}
-
-// drain empties the handler's task queue and adopted list, returning
-// all held tasks (conservation accounting for the batching tests).
-func (h *recHandler) drain() []WireTask {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := append([]WireTask{}, h.tasks...)
-	out = append(out, h.adopted...)
-	h.tasks, h.adopted = nil, nil
-	return out
-}
-
-// Multi-task steal replies: one exchange may move a batch, with the
-// first task handed to the caller and the extras re-homed through
-// OnTask. Every transport batches — the loopback network and TCP both ask
-// for up to DefaultStealBatch — and every task must end up somewhere
-// exactly once: conservation is the contract, batching the optimisation.
-func TestConformanceMultiTaskStealConservation(t *testing.T) {
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			hs := startAll(trs)
-			const total = 2*DefaultStealBatch + 22 // two full replies and a short one
-			for i := 0; i < total; i++ {
-				hs[1].push(WireTask{Payload: []byte{byte(i)}, Depth: i})
-			}
-			seen := make(map[byte]int)
-			record := func(ts ...WireTask) {
-				for _, wt := range ts {
-					if len(wt.Payload) != 1 {
-						t.Fatalf("mangled payload %v", wt.Payload)
-					}
-					seen[wt.Payload[0]]++
-				}
-			}
-			// Thieves on both routing paths: the coordinator (direct)
-			// and a worker (via the hub).
-			for _, thief := range []int{0, 2} {
-				wt, ok, err := trs[thief].Steal(1)
-				if err != nil {
-					t.Fatalf("thief %d: %v", thief, err)
-				}
-				if ok {
-					record(wt)
-					record(hs[thief].drain()...)
-				}
-			}
-			// Drain the victim dry from rank 0.
-			for {
-				wt, ok, err := trs[0].Steal(1)
-				if err != nil {
-					t.Fatalf("draining steal: %v", err)
-				}
-				if !ok {
-					break
-				}
-				record(wt)
-				record(hs[0].drain()...)
-			}
-			record(hs[1].drain()...) // anything the victim kept
-			if len(seen) != total {
-				t.Fatalf("saw %d distinct tasks, want %d (%v)", len(seen), total, seen)
-			}
-			for id, n := range seen {
-				if n != 1 {
-					t.Fatalf("task %d seen %d times (lost or duplicated)", id, n)
-				}
-			}
-		})
-	}
-}
-
-// Coalesced AddTasks deltas under a concurrent steal storm: spawns
-// register before their tasks become stealable, completions happen
-// wherever tasks land, and the transport may batch the counter updates
-// arbitrarily — yet Done must fire exactly when the count reaches
-// zero: not one task earlier, and not hang after.
-func TestConformanceCoalescedDeltasUnderStealStorm(t *testing.T) {
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			hs := startAll(trs)
-			// A sentinel "root" task pins the count above zero for the
-			// whole storm, as the engine's in-flight root does.
-			trs[0].AddTasks(1)
-
-			const perRank = 50
-			var wg sync.WaitGroup
-			var completed atomic.Int64
-			for r := range trs {
-				wg.Add(1)
-				go func(r int) { // spawner: register, then publish
-					defer wg.Done()
-					for i := 0; i < perRank; i++ {
-						trs[r].AddTasks(1)
-						// The payload names the spawner, so whoever
-						// completes the task can retire the right ledger.
-						hs[r].push(WireTask{Payload: []byte{byte(r)}, Depth: i})
-					}
-				}(r)
-				wg.Add(1)
-				go func(r int) { // thief: steal anywhere, complete immediately
-					defer wg.Done()
-					for i := 0; i < 40; i++ {
-						v := (r + 1 + i%2) % len(trs)
-						if wt, ok, _ := trs[r].Steal(v); ok {
-							completeStolen(trs[r], trs[wt.Payload[0]])
-							completed.Add(1)
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-			// Complete everything still queued or adopted, wherever it
-			// ended up.
-			for r := range trs {
-				for _, wt := range hs[r].drain() {
-					completeStolen(trs[r], trs[wt.Payload[0]])
-					completed.Add(1)
-				}
-			}
-			if got := completed.Load(); got != 3*perRank {
-				t.Fatalf("completed %d tasks, spawned %d: conservation broken", got, 3*perRank)
-			}
-			// Every coalesced flush has had many quanta to land; only
-			// the sentinel keeps the search alive.
-			time.Sleep(150 * time.Millisecond)
-			select {
-			case <-trs[0].Done():
-				t.Fatal("Done fired with the sentinel task still live")
-			default:
-			}
-			completeStolen(trs[1], trs[0]) // a worker completes the sentinel
-			for r, tr := range trs {
-				select {
-				case <-tr.Done():
-				case <-time.After(5 * time.Second):
-					t.Fatalf("rank %d never saw termination after final coalesced delta", r)
-				}
 			}
 		})
 	}
@@ -1146,80 +792,5 @@ func TestConformanceBoundPiggybackOutOfOrder(t *testing.T) {
 				hs[r].mu.Unlock()
 			}
 		})
-	}
-}
-
-// No goroutine outlives Close: whatever a deployment went through —
-// a normal termination, a worker death, a coordinator failover — once
-// every endpoint is closed, the read, flush, ping, gossip, liveness
-// and accept loops it started are all gone.
-func TestConformanceNoGoroutineOutlivesClose(t *testing.T) {
-	awaitDone := func(t *testing.T, trs []Transport, ranks ...int) {
-		t.Helper()
-		for _, r := range ranks {
-			select {
-			case <-trs[r].Done():
-			case <-time.After(10 * time.Second):
-				t.Fatalf("rank %d never saw termination", r)
-			}
-		}
-	}
-	scenarios := []struct {
-		name      string
-		harnesses []harness
-		run       func(t *testing.T, h harness, trs []Transport)
-	}{
-		{"termination", harnesses(), func(t *testing.T, h harness, trs []Transport) {
-			trs[0].AddTasks(1)
-			completeStolen(trs[1], trs[0])
-			awaitDone(t, trs, 0, 1, 2, 3)
-		}},
-		{"worker-death", harnesses(), func(t *testing.T, h harness, trs []Transport) {
-			trs[0].AddTasks(1)
-			trs[2].AddTasks(1)
-			time.Sleep(50 * time.Millisecond) // let a wire transport flush the +1
-			kill(t, h, trs, 2)
-			for _, r := range []int{0, 1, 3} {
-				awaitDeath(t, trs[r], 2)
-			}
-			trs[0].AddTasks(-1)
-			awaitDone(t, trs, 0, 1, 3)
-		}},
-		{"failover", failoverHarnesses()[:4], func(t *testing.T, h harness, trs []Transport) {
-			trs[1].AddTasks(1)
-			time.Sleep(100 * time.Millisecond) // the +1 and the first replication snapshot
-			kill(t, h, trs, 0)
-			for _, r := range []int{1, 2, 3} {
-				awaitDeath(t, trs[r], 0)
-			}
-			eventually(t, "rank 1 to adopt the coordinator role", func() bool { return trs[1].Promoted() })
-			if !trs[1].ReseedRoot() {
-				t.Fatal("the root died with rank 0 and rank 1 was not told to seed it again")
-			}
-			trs[1].AddTasks(-2) // its own task and the seeded root
-			awaitDone(t, trs, 1, 2, 3)
-		}},
-	}
-	for _, sc := range scenarios {
-		for _, h := range sc.harnesses {
-			t.Run(sc.name+"/"+h.name, func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
-				trs := h.make(t, 4)
-				startAll(trs)
-				sc.run(t, h, trs)
-				for _, tr := range trs {
-					tr.Close()
-				}
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > baseline {
-					if time.Now().After(deadline) {
-						buf := make([]byte, 1<<20)
-						t.Fatalf("%d goroutines before the deployment, %d still running after every Close:\n%s",
-							baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
-			})
-		}
 	}
 }

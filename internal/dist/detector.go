@@ -140,18 +140,14 @@ func (c *liveCount) markDead(rank int) {
 }
 
 // tick flushes the coalesced delta when no outgoing frame carried it
-// first. Swap, not Load-then-send: a concurrent frame may drain the
-// accumulator in between, which would put an empty kDelta on the wire.
+// first. The link drains it, under its write lock and with the frame's
+// fate, as it does for any frame: a takeover settles this rank's
+// contribution under the same lock, so it finds the delta pending or on
+// a wire, never in a flush still in flight. (A frame that drained it
+// first leaves the kDelta empty, and the link drops it.)
 func (c *liveCount) tick() {
-	if c.owner.Load() {
-		return
-	}
-	if d := c.pending.Swap(0); d != 0 {
-		if c.send(&frame{Kind: kDelta, From: c.self, Delta: d}) != nil {
-			// No link to the coordinator right now (a takeover is in
-			// progress, or the deployment is over): stay accounted.
-			c.pending.Add(d)
-		}
+	if !c.owner.Load() && c.pending.Load() != 0 {
+		c.send(&frame{Kind: kDelta, From: c.self})
 	}
 }
 

@@ -28,15 +28,17 @@
 //     locality's subtrees.
 //
 // There are two implementations, each in two topologies, and the engine
-// above is blind to which: the conformance suite runs the same cases
-// over all four. The loopback network (NewLoopback) connects localities
-// within one process by direct calls and backs every single-process
-// skeleton run; LoopbackOptions.Wave selects the token wave,
-// LoopbackOptions.Fault is its only source of link latency, Kill its
-// injectable death. The TCP transport (NewListener/Dial) connects OS
-// processes and is what `yewpar -dist` deploys, as a star or as a mesh
-// (WireOptions.Topology). Transports report frames, bytes, steal batch
-// occupancy and session resumes through Wire (the Meter subset).
+// above is blind to which: the conformance suite runs the same contract
+// cases over all four, and internal/core's harness rows run whole
+// searches — kills, partitions, takeovers — over all four. The loopback
+// network (NewLoopback) connects localities within one process by direct
+// calls and backs every single-process skeleton run;
+// LoopbackOptions.Wave selects the token wave, LoopbackOptions.Fault is
+// its only source of link latency, Kill its injectable death. The TCP
+// transport (NewListener/Dial) connects OS processes and is what
+// `yewpar -dist` deploys, as a star or as a mesh (WireOptions.Topology).
+// Transports report frames, bytes, steal batch occupancy and session
+// resumes through Wire (the Meter subset).
 //
 // # One endpoint
 //

@@ -108,6 +108,9 @@ type endpoint struct {
 	// Gather must fail rather than wait for contributions that can no
 	// longer arrive.
 	aborted bool
+	// share is this worker's gather contribution once made, which a
+	// takeover sends the new coordinator again.
+	share atomic.Pointer[[]byte]
 
 	// Failover state (nil/zero unless WireOptions.Standby).
 	epoch     atomic.Uint32 // 0 while rank 0 lives, 1 after the takeover
@@ -195,6 +198,12 @@ func (e *endpoint) hook(cn *wconn, toCoord bool) {
 func (e *endpoint) install(peer int, cn *wconn) {
 	cn.attachFault(e.opts.Fault, e.rank, peer)
 	e.links[peer].Store(cn)
+	if e.closed.Load() {
+		// A rejoin that raced Close, whose teardown missed this link: a
+		// closed endpoint keeps no link open (or its peer would hear of
+		// its death only by the liveness timeout).
+		cn.close()
+	}
 }
 
 // acceptSession registers the accepting side of a resumable link under
@@ -364,10 +373,17 @@ func (e *endpoint) meldBound(from int, obj int64) bool {
 }
 
 // retain keeps a published (obj, node) pair if it is the best so far,
-// and marks an improvement for the standby's next snapshot.
+// and marks an improvement for the standby's next snapshot. Rank 0 also
+// hands the pair to the standby at once, before its caller passes the
+// bound on: a snapshot can lag by a quantum, and a survivor that prunes
+// with a bound whose node died with rank 0 and its finder never finds
+// that node again.
 func (e *endpoint) retain(obj int64, node []byte) {
-	if e.inc.keep(obj, node) != nil {
+	if e.inc.keep(obj, node) != nil && e.repl != nil {
 		e.repl.bump()
+		if cn := e.standby(); cn != nil {
+			cn.send(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
+		}
 	}
 }
 
@@ -542,16 +558,27 @@ func (e *endpoint) linkLost(peer int, cn *wconn) {
 			// termination signal can ever arrive, so release everyone.
 			e.doneOnce.Do(func() { close(e.done) })
 		}
-	case e.epoch.Load() == 1 && !cn.left.Load():
-		// A direct peer link broke after a mesh takeover. Every survivor
-		// sees the same break and reaches the same verdict without
-		// waiting for the promoted rank's fan-out; a peer that said
-		// kLeave first finished and exited, it did not die.
+	default:
+		// A direct peer link on a mesh. While rank 0 lives, death
+		// authority stays with it — its watchdog sees the same broken
+		// worker — and only its kDeath retires the rank everywhere.
+		// After a takeover every survivor sees the same break and reaches
+		// the same verdict without waiting for the promoted rank's
+		// fan-out, as takeover does for a break rank 0 died before
+		// judging (lost, stored before the epoch is read, so one of the
+		// two sees the other).
+		cn.lost.Store(true)
+		e.judgeLost(peer, cn)
+	}
+}
+
+// judgeLost mourns the peer behind a lost mesh link once a takeover has
+// ended rank 0's authority; a peer that said kLeave first finished and
+// exited, it did not die.
+func (e *endpoint) judgeLost(peer int, cn *wconn) {
+	if e.epoch.Load() == 1 && cn.lost.Load() && !cn.left.Load() {
 		e.died(peer, cn)
 	}
-	// Otherwise: a peer link on a mesh whose coordinator lives. Death
-	// authority stays with the coordinator — its watchdog sees the same
-	// broken worker — and only its kDeath retires the rank everywhere.
 }
 
 // died runs the death protocol for rank; cn is its link when the
@@ -659,24 +686,46 @@ func (e *endpoint) stealVia(k kind, victim int) (WireTask, bool, error) {
 }
 
 // BroadcastBound publishes a bound. The encoded node goes only where
-// the retention is — kept locally at the coordinator, one kBound on
-// the coordinator link from anyone else — and the bare bound spreads
-// by the topology's rule: the star coordinator fans it out (its own,
-// here; a worker's, when that kBound arrives), a mesh rank gossips it.
+// the retention is — kept locally, one kBound on the coordinator link
+// from a worker (and, on a standby mesh, on the standby's link) — and
+// the bare bound spreads by the topology's rule: the star coordinator
+// fans it out (its own, here; a worker's, when that kBound arrives), a
+// mesh rank gossips it.
 // The mesh coordinator sends nothing at all: piggybacks and its
 // anti-entropy tick spread the bound without a per-improvement burst.
 func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
-	raiseMax(&e.pbStamp, obj)
+	// Kept at a worker too, for a rejoin to hand a new coordinator.
+	e.retain(obj, node)
 	if e.isCoord() {
-		e.retain(obj, node)
+		raiseMax(&e.pbStamp, obj)
 		if !e.mesh {
 			e.fanOut(&frame{Kind: kBound, From: e.rank, Obj: obj}, e.rank)
 		}
 		return nil
 	}
+	// The node leaves before the stamp that piggybacks the bound is
+	// raised, so no rank learns the bound before rank 0 (which hands it
+	// on to the standby) or, on a mesh, the standby itself holds the
+	// node. A mesh spreads bounds rank to rank; a star only from rank 0.
+	bound := &frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node}
+	if s := failoverCandidate(e.size, e.deaths); e.opts.Standby && e.mesh && e.epoch.Load() == 0 && s != e.rank {
+		if cn := e.link(s); cn != nil {
+			cn.send(bound)
+		}
+	}
 	var err error
-	if cn := e.coordLink(); cn != nil {
-		err = cn.send(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
+	cn := e.coordLink()
+	if cn != nil {
+		err = cn.send(bound)
+	}
+	raiseMax(&e.pbStamp, obj)
+	if cn == nil {
+		// A takeover is re-pointing the link. The stamp is raised before
+		// looking again, so either this finds the new link or the
+		// rejoin's repeat of the stamp carries the bound.
+		if cn = e.coordLink(); cn != nil {
+			err = cn.send(bound)
+		}
 	}
 	if e.mesh {
 		e.gossip(obj, meshGossipFan)
@@ -953,7 +1002,10 @@ func (e *endpoint) contribute(rank int, blob []byte) {
 
 func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
 	if !e.isCoord() {
-		if err := e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: payload}); err != nil {
+		// Kept: a cancelled search gathers before Done, so rank 0 may
+		// die with the share, and a takeover sends it on.
+		e.share.Store(&payload)
+		if err := e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: payload}); err != nil && !e.opts.Standby {
 			return nil, fmt.Errorf("dist: sending gather payload: %w", err)
 		}
 		return nil, nil
@@ -961,11 +1013,15 @@ func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
 	e.contribute(e.rank, payload)
 	<-e.gotAll
 	e.gatherMu.Lock()
-	defer e.gatherMu.Unlock()
-	if e.aborted {
+	blobs, aborted := e.blobs, e.aborted
+	e.gatherMu.Unlock()
+	if aborted {
 		return nil, errors.New("dist: gather aborted: coordinator endpoint closed mid-search")
 	}
-	return e.blobs, nil
+	// A cancelled search ends here: its workers must not read rank 0's
+	// exit as its death and take over.
+	e.terminate()
+	return blobs, nil
 }
 
 // closeLinks tears down every link and the listener.

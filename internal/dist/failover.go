@@ -236,18 +236,24 @@ func (e *endpoint) flushRepl() {
 	if r == nil {
 		return
 	}
-	for rank := 1; rank < e.size; rank++ {
-		cn := e.link(rank)
-		if cn == nil || cn.mourned.Load() {
-			continue
-		}
+	if cn := e.standby(); cn != nil {
 		if v := r.version.Load(); v != r.sent || cn != r.to {
 			if cn.send(&frame{Kind: kHubSnap, Blob: e.snapshotBlob()}) == nil {
 				r.sent, r.to = v, cn
 			}
 		}
-		return
 	}
+}
+
+// standby is rank 0's link to the rank it replicates to: the lowest
+// worker rank it has a live link to.
+func (e *endpoint) standby() *wconn {
+	for rank := 1; rank < e.size; rank++ {
+		if cn := e.link(rank); cn != nil && !cn.mourned.Load() {
+			return cn
+		}
+	}
+	return nil
 }
 
 // snapshotBlob captures the coordinator's residual state for a
@@ -284,6 +290,11 @@ func (e *endpoint) takeover(old *wconn) bool {
 	// stops summing rank 0 and re-elects the lowest live rank as
 	// initiator — the very rank elected below.
 	old.dead.Store(true)
+	for r := 1; r < e.size; r++ {
+		if cn := e.links[r].Load(); cn != nil {
+			e.judgeLost(r, cn)
+		}
+	}
 	cand := failoverCandidate(e.size, e.deaths)
 	e.succ.Store(cand == e.rank)
 	e.announceDeath(0)
@@ -304,12 +315,17 @@ func (e *endpoint) takeover(old *wconn) bool {
 		return true
 	}
 	e.coord.Store(int32(cand))
-	if e.links[cand].Load() != nil {
-		// Role migration: the link to the new coordinator already
-		// exists (a mesh), coordinator traffic just changes direction.
-		return true
+	// Role migration: the link to the new coordinator already exists (a
+	// mesh), coordinator traffic just changes direction.
+	if e.links[cand].Load() == nil && !e.rejoin(cand, rep) {
+		return false
 	}
-	return e.rejoin(cand, rep)
+	if share := e.share.Load(); share != nil {
+		// Gathered before the takeover (a cancelled search): rank 0 may
+		// have died with it.
+		e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: *share})
+	}
+	return true
 }
 
 // acquireRole makes this endpoint the coordinator, in place: the role's
@@ -427,6 +443,12 @@ func (e *endpoint) rejoin(cand int, rep int64) bool {
 	cn, err := e.dialLink(e.peerAddrs[cand], cand, hello)
 	if err != nil {
 		return false
+	}
+	if obj, node, ok := e.inc.best(); ok {
+		// This rank's best node went to rank 0, which may have died with
+		// it before handing it on; it follows the kRejoin, whose stamp
+		// may carry its bound, before this rank can die too.
+		cn.send(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
 	}
 	c := cn.cur.Load().c
 	c.SetReadDeadline(time.Now().Add(dialTimeout))

@@ -31,95 +31,6 @@ func TestChaosPlanSchedulesPartitions(t *testing.T) {
 	}
 }
 
-// Partition-heal conformance: on every transport × topology, a
-// partition shorter than the link grace is invisible to the search —
-// traffic issued across the cut arrives after the heal, steals succeed
-// again, and nobody is declared dead. The TCP harnesses must get there
-// via real session resumes; the loopback ones via heal-deferred
-// delivery.
-func TestConformancePartitionHeal(t *testing.T) {
-	const grace = 2 * time.Second
-	type faultHarness struct {
-		name        string
-		wantResumes bool
-		make        func(t *testing.T, n int, plan *FaultPlan) []Transport
-	}
-	fhs := []faultHarness{
-		{name: "loopback", make: func(t *testing.T, n int, plan *FaultPlan) []Transport {
-			net := NewLoopback(n, LoopbackOptions{Fault: plan})
-			t.Cleanup(func() { net.Close() })
-			return net.Transports()
-		}},
-		{name: "tcp", wantResumes: true, make: func(t *testing.T, n int, plan *FaultPlan) []Transport {
-			return makeTCP(t, n, WireOptions{LinkGrace: grace, Fault: plan})
-		}},
-		{name: "loopback-mesh", make: func(t *testing.T, n int, plan *FaultPlan) []Transport {
-			net := NewLoopback(n, LoopbackOptions{Wave: true, Fault: plan})
-			t.Cleanup(func() { net.Close() })
-			return net.Transports()
-		}},
-		{name: "tcp-mesh", wantResumes: true, make: func(t *testing.T, n int, plan *FaultPlan) []Transport {
-			return makeTCP(t, n, WireOptions{Topology: TopologyMesh, LinkGrace: grace, Fault: plan})
-		}},
-	}
-	for _, fh := range fhs {
-		t.Run(fh.name, func(t *testing.T) {
-			plan := NewFaultPlan(1)
-			trs := fh.make(t, 3, plan)
-			hs := startAll(trs)
-
-			// Sanity: with the plan attached but idle, a steal works.
-			hs[2].push(WireTask{Payload: []byte("before"), Bound: 1})
-			eventually(t, "pre-partition steal", func() bool {
-				task, ok, err := trs[0].Steal(2)
-				return err == nil && ok && string(task.Payload) == "before"
-			})
-
-			// Cut rank 2 off for well under the grace window, and let it
-			// shout into the partition: the broadcast must survive the cut.
-			plan.Partition([]int{2}, 300*time.Millisecond)
-			if err := trs[2].BroadcastBound(42, nil); err != nil {
-				t.Fatalf("broadcast across the partition: %v", err)
-			}
-			eventually(t, "bound crossing the healed link", func() bool {
-				return hs[1].boundMax.Load() >= 42
-			})
-
-			// Steals from the once-severed rank work again (the first
-			// attempts may fast-fail while the link is still suspected).
-			hs[2].push(WireTask{Payload: []byte("after"), Bound: 2})
-			eventually(t, "post-heal steal", func() bool {
-				task, ok, err := trs[0].Steal(2)
-				return err == nil && ok && string(task.Payload) == "after"
-			})
-
-			// Nobody died: the cut stayed inside the grace window.
-			for i, tr := range trs {
-				select {
-				case r := <-tr.Deaths():
-					t.Fatalf("rank %d mourned rank %d across a sub-grace partition", i, r)
-				default:
-				}
-			}
-
-			// The TCP paths must have healed by resuming sessions, not by
-			// quietly reconnecting from scratch.
-			var resumes int64
-			for _, tr := range trs {
-				if m, ok := tr.(Meter); ok {
-					resumes += m.Wire().Resumes
-				}
-			}
-			if fh.wantResumes && resumes == 0 {
-				t.Fatal("partition healed without a single session resume")
-			}
-			if !fh.wantResumes && resumes != 0 {
-				t.Fatalf("loopback transport reported %d session resumes", resumes)
-			}
-		})
-	}
-}
-
 // stampHandler reports when each bound, cancel and ack reaches it.
 type stampHandler struct {
 	recHandler

@@ -231,6 +231,9 @@ type wconn struct {
 	// decentralised (the mesh after a coordinator failover) — everywhere
 	// else the coordinator's done-gate already classifies the disconnect.
 	left atomic.Bool
+	// lost records a mesh peer link that failed while rank 0 lived, its
+	// verdict left to rank 0's kDeath; a takeover judges it instead.
+	lost atomic.Bool
 	// nSent/nRecvd count frames in each direction: the heartbeat
 	// layer's raw material. Counters, not timestamps, keep the per-
 	// frame cost to one relaxed increment — the watchdogs (pingLoop,
@@ -327,9 +330,6 @@ func (cn *wconn) stampLocked(f *frame) int64 {
 }
 
 func (cn *wconn) send(f *frame) error {
-	if cn.dead.Load() {
-		return errors.New("dist: connection closed")
-	}
 	if s := cn.sess; s != nil && f.Kind == kPing && s.isSuspended() {
 		// Heartbeats carry no payload of their own: dropping them while
 		// suspended keeps the retransmit log for real traffic (the
@@ -338,7 +338,16 @@ func (cn *wconn) send(f *frame) error {
 	}
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
+	if cn.dead.Load() {
+		// Read under the lock: a takeover marks the old coordinator link
+		// dead, then settles the rank's contribution under this lock, so
+		// no send that waited for it drains a delta onto a dead link.
+		return errors.New("dist: connection closed")
+	}
 	drained := cn.stampLocked(f) != 0
+	if f.Kind == kDelta && f.Delta == 0 {
+		return nil // a concurrent frame carried the delta (liveCount.tick)
+	}
 	var seq uint32
 	if f.Kind != kResume {
 		cn.sendSeq++
