@@ -20,10 +20,9 @@ type liveAudit struct {
 	perRank []atomic.Int64 // by the rank that made the call
 	// over, if set, is asked at each zero of the sum whether the search
 	// really is over; onWork, if set, hears each registration of work once
-	// the transport has, and onCancel each cancel before the transport.
-	over     func() error
-	onWork   func(rank int)
-	onCancel func()
+	// the transport has.
+	over   func() error
+	onWork func(rank int)
 	// lateDeaths hides every death notice until Done has fired.
 	lateDeaths bool
 }
@@ -50,13 +49,6 @@ func (tr *auditedTransport) AddTasks(delta int64) {
 	if delta > 0 && a.onWork != nil {
 		a.onWork(tr.rank)
 	}
-}
-
-func (tr *auditedTransport) Cancel(obj int64, witness []byte) error {
-	if tr.a.onCancel != nil {
-		tr.a.onCancel()
-	}
-	return tr.Transport.Cancel(obj, witness)
 }
 
 // ReseedRoot's root is registered by the transport on the rank's behalf.

@@ -403,7 +403,7 @@ func TestDistOptCoordinatorDeathSpillCleanup(t *testing.T) {
 }
 func TestDistOptFaultStatsPlumbing(t *testing.T) {
 	sc := db(fault, optimise, 4, tolerant, kill{rank: 1})
-	sc.extra = func(t *testing.T, _ scenario, o outcome) {
+	sc.extra = func(t *testing.T, o outcome) {
 		if o.stats.LedgerPeak <= 0 {
 			t.Errorf("LedgerPeak = %d, want > 0: a killed worker held handed-over work", o.stats.LedgerPeak)
 		}
@@ -415,7 +415,7 @@ func TestMemoryBudgetSpillsAndMatchesOracle(t *testing.T) {
 	spills, cfg := memTree(memSpace{3000, 3, 2}), Config{Workers: 4, Localities: 2, DCutoff: 3}
 	sc := scenario{tree: spills, search: enumerate, coord: DepthBounded, cfg: cfg}
 	sc.cfg.PoolBudget = 8 << 10
-	sc.extra = func(t *testing.T, _ scenario, o outcome) {
+	sc.extra = func(t *testing.T, o outcome) {
 		free := Enum(DepthBounded, spills.space, memNode{}, spills.enum, cfg)
 		if _, nodes := spills.truth(enumerate); free.Stats.SpilledTasks != 0 || free.Value != nodes {
 			t.Errorf("unbounded: %d tasks spilled, %d of %d nodes counted", free.Stats.SpilledTasks, free.Value, nodes)
@@ -469,9 +469,9 @@ func TestPartitionHealsWithoutDeath(t *testing.T) {
 	sc := db(fault16, optimise, 3, tolerant)
 	sc.net = dist.NewFaultPlan(1)
 	sc.parts = []dist.ChaosPartition{{Ranks: []int{2}, Dur: 300 * time.Millisecond}}
-	sc.extra = func(t *testing.T, sc scenario, o outcome) {
-		if resumed := o.stats.LinkResumes > 0; resumed != sc.tcp {
-			t.Errorf("%d session resumes on TCP %v", o.stats.LinkResumes, sc.tcp)
+	sc.extra = func(t *testing.T, o outcome) {
+		if tcp := strings.HasSuffix(t.Name(), "/tcp"); o.stats.LinkResumes > 0 != tcp {
+			t.Errorf("%d session resumes on TCP %v", o.stats.LinkResumes, tcp)
 		}
 	}
 	rows(t, sc)
@@ -500,7 +500,7 @@ func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 	sc.net = dist.NewFaultPlan(1)
 	sc.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
 	sc.net.SetLink(0, 3, dist.LinkFault{Latency: 5 * time.Millisecond})
-	sc.extra = func(t *testing.T, _ scenario, o outcome) {
+	sc.extra = func(t *testing.T, o outcome) {
 		if _, nodes := sc.tree.truth(optimise); o.stats.Nodes < nodes {
 			t.Errorf("survivors visited %d nodes of %d: the root was not searched again", o.stats.Nodes, nodes)
 		}
@@ -508,31 +508,71 @@ func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 	rows(t, sc, onWave(sc))
 }
 
+// drawn is a standby row that draw(seed) drew, written out so that a
+// change to draw leaves it as it was: a tree semTree(seed, branch,
+// depth) and rank 0 a pure coordinator; slowed gives it draw's link
+// latency and partitions, and fell its kills: rank 0 and worker w at
+// rank 1's next work.
+func drawn(seed int64, branch, depth int, s searchKind, target int64, coord Coordination, ranks int, wave bool, cfg Config, kills ...kill) scenario {
+	cfg.Seed, cfg.Standby = seed, true
+	return scenario{name: fmt.Sprintf("seed=%d", seed), tree: semTree(seed, branch, depth), search: s, target: target,
+		coord: coord, ranks: ranks, wave: wave, cfg: cfg, kills: kills}
+}
+
+func slowed(sc scenario, lat, jit time.Duration, parts ...dist.ChaosPartition) scenario {
+	sc.net = dist.NewFaultPlan(sc.cfg.Seed)
+	sc.net.SetDefault(dist.LinkFault{Latency: lat, Jitter: jit})
+	sc.parts = parts
+	return sc
+}
+
+func fell(w int, after time.Duration) []kill {
+	return []kill{{rank: 0, after: after, by: []int{1}}, {rank: w, after: after, by: []int{1}}}
+}
+
+const us = time.Microsecond
+
 // What the TCP rows found, held by the drawn schedules that found it, on
 // both networks. A standby coordinator and a second worker killed at
 // rank 1's next work: a mesh survivor never mourned a worker whose link
-// broke while rank 0 lived, and a takeover did not judge it; a share a
-// cancelled search gathered to rank 0 died with it; a node went to rank 0
-// alone, which died before handing it to the standby, while its bound
-// lived on and pruned it; a death heard of only after Done went
-// uncounted; a rejoin that raced its rank's Close kept a link open.
+// broke while rank 0 lived, and a takeover did not judge it (a hang); a
+// share a cancelled search gathered to rank 0 died with it; a node went
+// to rank 0 alone, which died before handing it to the standby, while its
+// bound lived on and pruned it (a wrong optimum); a death heard of only
+// after Done went uncounted; a rejoin that raced its rank's Close kept a
+// link open.
 func TestStandbyCoordinatorAndWorkerDie(t *testing.T) {
-	var scs []scenario
-	for _, seed := range []int64{46, 55, 57, 75, 90, 123, 182, 185, 281, 352, 361} {
-		scs = append(scs, draw(seed))
-	}
-	rows(t, scs...)
+	rows(t,
+		drawn(46, 4, 8, decide, 999, StackStealing, 4, true, Config{Workers: 3, DCutoff: 3, Budget: 2, Order: OrderDiscrepancy, PoolBudget: 8 << 10, MaxFailures: -1}, fell(2, 400*us)...),
+		slowed(drawn(55, 3, 5, enumerate, 0, StackStealing, 4, true, Config{Workers: 1, DCutoff: 2, Budget: 16}, fell(2, 400*us)...),
+			44*us, 41*us, dist.ChaosPartition{Ranks: []int{1}, After: 410 * us, Dur: 2 * time.Millisecond}),
+		drawn(57, 3, 8, optimise, 0, StackStealing, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 16, Order: OrderDiscrepancy, MaxFailures: -1}, fell(2, 0)...),
+		slowed(drawn(75, 4, 5, enumerate, 0, DepthBounded, 4, true, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, Order: OrderBound, PoolBudget: 2 << 10, MaxFailures: -1}, fell(3, 0)...),
+			93*us, 46*us, dist.ChaosPartition{Ranks: []int{1}, After: 627 * us, Dur: 3 * time.Millisecond}),
+		drawn(90, 4, 5, optimise, 0, StackStealing, 3, true, Config{Workers: 2, DCutoff: 1, Budget: 64, Chunked: true, Order: OrderBound}, fell(2, 0)...),
+		drawn(123, 4, 6, optimise, 0, StackStealing, 4, true, Config{Workers: 3, DCutoff: 4, Budget: 128, Order: OrderBound}, fell(3, 200*us)...),
+		drawn(182, 3, 7, optimise, 0, Budget, 3, false, Config{Workers: 2, DCutoff: 3, Budget: 2}, fell(2, 0)...),
+		slowed(drawn(185, 4, 6, optimise, 0, StackStealing, 3, true, Config{Workers: 3, DCutoff: 2, Budget: 2, Chunked: true, Order: OrderBound, PoolBudget: 8 << 10}, fell(2, 200*us)...),
+			4*us, 33*us),
+		drawn(281, 4, 6, decide, 996, DepthBounded, 4, true, Config{Workers: 3, DCutoff: 2, Budget: 32, Order: OrderBound, PoolBudget: 8 << 10, MaxFailures: 1}, fell(2, 200*us)...),
+		slowed(drawn(352, 4, 6, enumerate, 0, Budget, 4, true, Config{Workers: 3, DCutoff: 1, Budget: 4}, fell(3, 200*us)...),
+			72*us, 37*us, dist.ChaosPartition{Ranks: []int{1}, After: 624 * us, Dur: 2 * time.Millisecond}),
+		drawn(361, 4, 7, optimise, 0, DepthBounded, 4, true, Config{Workers: 2, DCutoff: 3, Budget: 16, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: -1}, fell(3, 400*us)...))
 }
 
 // A cancelled standby decision ended at rank 0's gather without Done, so
 // its workers read rank 0's exit as its death and took over, re-dialling
-// a listener that was gone.
+// a listener that was gone; and a worker promoted after its gather had
+// returned collected nobody's result.
 func TestStandbyDecisionEndsAtItsGather(t *testing.T) {
-	var scs []scenario
-	for _, seed := range []int64{28, 117, 126, 197, 346, 459} {
-		scs = append(scs, draw(seed))
-	}
-	rows(t, scs...)
+	rows(t,
+		drawn(28, 3, 6, decide, 988, StackStealing, 4, false, Config{Workers: 3, DCutoff: 4, Budget: 8, Chunked: true, Order: OrderBound, PoolBudget: 4 << 10, MaxFailures: -1}, kill{rank: 1}),
+		drawn(117, 3, 7, decide, 985, Budget, 4, false, Config{Workers: 1, DCutoff: 3, Budget: 32, Order: OrderDiscrepancy, MaxFailures: -1}),
+		slowed(drawn(126, 3, 5, decide, 976, DepthBounded, 4, false, Config{Workers: 3, DCutoff: 4, Budget: 1, Chunked: true, PoolBudget: 4 << 10, MaxFailures: -1}),
+			49*us, 46*us),
+		drawn(197, 3, 6, decide, 992, StackStealing, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 32, Chunked: true, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: 1}, kill{rank: 0, after: 200 * us}),
+		drawn(346, 4, 6, decide, 997, StackStealing, 4, false, Config{Workers: 2, DCutoff: 2, Budget: 1, Chunked: true, MaxFailures: -1}, kill{rank: 0, after: 200 * us}),
+		drawn(459, 3, 8, decide, 999, DepthBounded, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, MaxFailures: -1}))
 }
 
 // A death that lands as the search ends still counts: the reseed row
@@ -575,7 +615,7 @@ func TestReplicableNoBound(t *testing.T) {
 func TestReplicableVisitsAtLeastSequential(t *testing.T) {
 	tr := semTree(13, 5, 10)
 	seq := Opt(Sequential, tr.space, "", tr.opt, Config{}).Stats.Nodes
-	rows(t, scenario{tree: tr, search: optimise, coord: Replicable, cfg: Config{Workers: 4, DCutoff: 2}, extra: func(t *testing.T, _ scenario, o outcome) {
+	rows(t, scenario{tree: tr, search: optimise, coord: Replicable, cfg: Config{Workers: 4, DCutoff: 2}, extra: func(t *testing.T, o outcome) {
 		if o.stats.Nodes < seq {
 			t.Errorf("visited %d nodes, Sequential %d", o.stats.Nodes, seq)
 		}
@@ -587,7 +627,7 @@ func TestReplicableVisitsAtLeastSequential(t *testing.T) {
 // memory budget, tracing or link latency.
 func TestReplicableDeterministicNodeCounts(t *testing.T) {
 	tr, want := toyTree("toy12, bounded", toy12.space.Vals, true), [4]int64{}
-	same := func(t *testing.T, _ scenario, o outcome) {
+	same := func(t *testing.T, o outcome) {
 		got := [4]int64{o.stats.Nodes, o.stats.Prunes, o.stats.Spawns, o.stats.Backtracks}
 		if want == [4]int64{} {
 			want = got
@@ -611,13 +651,13 @@ func TestReplicableDeterministicNodeCounts(t *testing.T) {
 		}
 	}
 	spill, traced, slow := row(Config{Workers: 4, Localities: 2, PoolBudget: 1 << 10}), row(Config{Workers: 4, Trace: NewTrace(4)}), row(Config{Workers: 6, Localities: 3})
-	spill.extra = func(t *testing.T, _ scenario, o outcome) {
-		if same(t, spill, o); o.stats.SpilledTasks == 0 {
+	spill.extra = func(t *testing.T, o outcome) {
+		if same(t, o); o.stats.SpilledTasks == 0 {
 			t.Error("nothing spilled under a 1 KiB pool budget")
 		}
 	}
-	traced.extra = func(t *testing.T, _ scenario, o outcome) {
-		if same(t, traced, o); int64(traced.cfg.Trace.Summary().Tasks) != o.stats.Spawns+1 {
+	traced.extra = func(t *testing.T, o outcome) {
+		if same(t, o); int64(traced.cfg.Trace.Summary().Tasks) != o.stats.Spawns+1 {
 			t.Errorf("%d traced tasks for %d spawns and the root", traced.cfg.Trace.Summary().Tasks, o.stats.Spawns)
 		}
 	}
@@ -668,7 +708,7 @@ type scenario struct {
 	net    *dist.FaultPlan
 	parts  []dist.ChaosPartition
 	kills  []kill
-	extra  func(t *testing.T, sc scenario, o outcome) // a named row's check beyond the invariants
+	extra  func(t *testing.T, o outcome) // a named row's check beyond the invariants
 	// lateDeaths: no rank's engine hears of a death before Done.
 	lateDeaths bool
 }
@@ -726,30 +766,25 @@ func (sc scenario) run(t *testing.T) {
 			net := dist.NewLoopback(ranks, dist.LoopbackOptions{Wave: sc.wave, Fault: sc.net})
 			raw, kill, closeAll = net.Transports(), net.Kill, func() { net.Close() }
 		}
-		// Kills land mid-search: not once a witness has cancelled the
-		// search or a live rank has seen it end, when a kill would land in
-		// the final gather, which no takeover covers.
-		var killMu sync.Mutex
-		over := false
-		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), lateDeaths: sc.lateDeaths, onCancel: func() {
-			killMu.Lock()
-			over = true
-			killMu.Unlock()
-		}, onWork: func(rank int) {
-			killMu.Lock()
-			defer killMu.Unlock()
+		// On TCP a standby's rank 0 outlives the search's end at a live
+		// rank: it has the answer, or is about to return it, and no
+		// takeover follows a search that is over, so its successor, whom
+		// the row would ask, has none.
+		ended := func() bool {
 			for r, tr := range raw {
 				select {
 				case <-tr.Done():
-					over = over || !isDead(r)
+					if !isDead(r) && sc.tcp && sc.cfg.Standby {
+						return true
+					}
 				default:
 				}
 			}
-			if over {
-				return
-			}
+			return false
+		}
+		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), lateDeaths: sc.lateDeaths, onWork: func(rank int) {
 			for _, k := range sc.kills {
-				if armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) {
+				if armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) && !(k.rank == 0 && ended()) {
 					if _, was := dead.LoadOrStore(k.rank, true); !was {
 						kill(k.rank)
 					}
@@ -800,7 +835,7 @@ func (sc scenario) run(t *testing.T) {
 		t.Errorf("%v\n\t%v", err, sc)
 	}
 	if sc.extra != nil {
-		sc.extra(t, sc, outs[owner])
+		sc.extra(t, outs[owner])
 	}
 	if left, _ := os.ReadDir(cfg.SpillDir); cfg.SpillDir != "" && len(left) > 0 {
 		t.Errorf("spill files outlive the run: %v", left)

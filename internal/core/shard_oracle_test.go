@@ -34,7 +34,7 @@ func TestShardedPoolOracle(t *testing.T) {
 				for _, shards := range []int{0, 1} { // one per worker; the pre-sharding single pool
 					cfg := c.cfg
 					cfg.shards = shards
-					scenario{tree: st, search: enumerate, coord: c.coord, cfg: cfg, extra: func(t *testing.T, _ scenario, o outcome) {
+					scenario{tree: st, search: enumerate, coord: c.coord, cfg: cfg, extra: func(t *testing.T, o outcome) {
 						// Conservation: every spawned task is either run
 						// locally, robbed by a sibling shard, or stolen
 						// across localities — counts must reconcile.

@@ -332,7 +332,7 @@ func TestParallelEnumEveryNodeOnce(t *testing.T) {
 		st := semTree(seed, 4, 9)
 		for _, coord := range []Coordination{DepthBounded, StackStealing, Budget} {
 			scenario{name: fmt.Sprintf("%v/seed%d", coord, seed), tree: st, search: enumerate, coord: coord,
-				cfg: Config{Workers: 8, Localities: 2, Budget: 8, DCutoff: 2}, extra: func(t *testing.T, _ scenario, o outcome) {
+				cfg: Config{Workers: 8, Localities: 2, Budget: 8, DCutoff: 2}, extra: func(t *testing.T, o outcome) {
 					// Every cross-locality hand-over is supervised by a ledger,
 					// in process as across processes, and the one stats fold
 					// reports it for both.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -354,8 +355,9 @@ func TestConformanceTakeoverKeepsMourned(t *testing.T) {
 	}
 }
 
-// (d) A gather share rank 0 collected before it died reaches rank 1's
-// Gather: its sender will not send it again.
+// (d) A cancelled search gathers before Done. Rank 2's share, which rank
+// 0 collected before it died, and rank 3's, sent after, reach rank 1, and
+// rank 1, which joined the gather as a worker, collects them once promoted.
 func TestConformanceTakeoverKeepsGatherShare(t *testing.T) {
 	for _, h := range replicaHarnesses() {
 		t.Run(h.name, func(t *testing.T) {
@@ -365,9 +367,22 @@ func TestConformanceTakeoverKeepsGatherShare(t *testing.T) {
 			if _, err := trs[2].Gather([]byte("early")); err != nil {
 				t.Fatal(err)
 			}
-			takeOver(t, trs, "rank 2's share", func(s *HubSnapshot) bool { return len(s.Gather) == 1 })
-			if got := gatherAtRank1(t, trs, 3); len(got) != 4 || string(got[2]) != "early" {
-				t.Fatalf("gather = %q, want rank 2's early share in slot 2", got)
+			joined := make(chan [][]byte, 1)
+			go func() { blobs, _ := trs[1].Gather([]byte{1}); joined <- blobs }()
+			takeOver(t, trs, "rank 2's share", func(s *HubSnapshot) bool {
+				return slices.ContainsFunc(s.Gather, func(g GatherSlot) bool { return g.Rank == 2 })
+			})
+			trs[1].AddTasks(-1)
+			if _, err := trs[3].Gather([]byte{3}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case got := <-joined:
+				if len(got) != 4 || string(got[1]) != "\x01" || string(got[2]) != "early" || string(got[3]) != "\x03" {
+					t.Fatalf("gather = %q, want rank 2's early share in slot 2", got)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("rank 1, promoted, never returned the gather it joined as a worker")
 			}
 		})
 	}

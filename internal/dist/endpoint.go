@@ -111,6 +111,8 @@ type endpoint struct {
 	// share is this worker's gather contribution once made, which a
 	// takeover sends the new coordinator again.
 	share atomic.Pointer[[]byte]
+	// turned is closed once the takeover has run, whatever its outcome.
+	turned chan struct{}
 
 	// Failover state (nil/zero unless WireOptions.Standby).
 	epoch     atomic.Uint32 // 0 while rank 0 lives, 1 after the takeover
@@ -148,6 +150,7 @@ func newEndpoint(opts WireOptions, spec string) *endpoint {
 		started: make(chan struct{}),
 		done:    make(chan struct{}),
 		gotAll:  make(chan struct{}),
+		turned:  make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	e.pbStamp.Store(math.MinInt64)
@@ -238,9 +241,11 @@ func (e *endpoint) run() {
 
 func (e *endpoint) isCoord() bool { return int(e.coord.Load()) == e.rank }
 
-func (e *endpoint) isDone() bool {
+func (e *endpoint) isDone() bool { return closed(e.done) }
+
+func closed(ch <-chan struct{}) bool {
 	select {
-	case <-e.done:
+	case <-ch:
 		return true
 	default:
 		return false
@@ -375,9 +380,7 @@ func (e *endpoint) meldBound(from int, obj int64) bool {
 // retain keeps a published (obj, node) pair if it is the best so far,
 // and marks an improvement for the standby's next snapshot. Rank 0 also
 // hands the pair to the standby at once, before its caller passes the
-// bound on: a snapshot can lag by a quantum, and a survivor that prunes
-// with a bound whose node died with rank 0 and its finder never finds
-// that node again.
+// bound on: a snapshot can lag by a quantum (see standbyBound).
 func (e *endpoint) retain(obj int64, node []byte) {
 	if e.inc.keep(obj, node) != nil && e.repl != nil {
 		e.repl.bump()
@@ -686,29 +689,48 @@ func (e *endpoint) stealVia(k kind, victim int) (WireTask, bool, error) {
 }
 
 // BroadcastBound publishes a bound. The encoded node goes only where
-// the retention is — kept locally, one kBound on the coordinator link
-// from a worker (and, on a standby mesh, on the standby's link) — and
-// the bare bound spreads by the topology's rule: the star coordinator
-// fans it out (its own, here; a worker's, when that kBound arrives), a
-// mesh rank gossips it.
+// the retention is — kept locally at the coordinator, one kBound on
+// the coordinator link from anyone else — and the bare bound spreads
+// by the topology's rule: the star coordinator fans it out (its own,
+// here; a worker's, when that kBound arrives), a mesh rank gossips it.
 // The mesh coordinator sends nothing at all: piggybacks and its
 // anti-entropy tick spread the bound without a per-improvement burst.
+// A standby deployment's worker keeps the node too (standbyBound).
 func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
-	// Kept at a worker too, for a rejoin to hand a new coordinator.
-	e.retain(obj, node)
 	if e.isCoord() {
+		e.retain(obj, node) // first: rank 0 hands it to the standby
 		raiseMax(&e.pbStamp, obj)
 		if !e.mesh {
 			e.fanOut(&frame{Kind: kBound, From: e.rank, Obj: obj}, e.rank)
 		}
 		return nil
 	}
-	// The node leaves before the stamp that piggybacks the bound is
-	// raised, so no rank learns the bound before rank 0 (which hands it
-	// on to the standby) or, on a mesh, the standby itself holds the
-	// node. A mesh spreads bounds rank to rank; a star only from rank 0.
+	var err error
+	if e.opts.Standby {
+		err = e.standbyBound(obj, node)
+	} else {
+		raiseMax(&e.pbStamp, obj)
+		if cn := e.coordLink(); cn != nil {
+			err = cn.send(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
+		}
+	}
+	if e.mesh {
+		e.gossip(obj, meshGossipFan)
+	}
+	return err
+}
+
+// standbyBound is BroadcastBound's kBound from a standby deployment's
+// worker, which keeps the node too, for a rejoin to hand a new
+// coordinator. The node leaves before the stamp that piggybacks the
+// bound is raised, so no rank learns the bound before rank 0 (which
+// hands it on to the standby) or, on a mesh, whose bounds spread rank to
+// rank, the standby itself holds the node: a survivor that prunes with a
+// bound whose node died with rank 0 never finds that node again.
+func (e *endpoint) standbyBound(obj int64, node []byte) error {
+	e.retain(obj, node)
 	bound := &frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node}
-	if s := failoverCandidate(e.size, e.deaths); e.opts.Standby && e.mesh && e.epoch.Load() == 0 && s != e.rank {
+	if s := failoverCandidate(e.size, e.deaths); e.mesh && e.epoch.Load() == 0 && s != e.rank {
 		if cn := e.link(s); cn != nil {
 			cn.send(bound)
 		}
@@ -726,9 +748,6 @@ func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
 		if cn = e.coordLink(); cn != nil {
 			err = cn.send(bound)
 		}
-	}
-	if e.mesh {
-		e.gossip(obj, meshGossipFan)
 	}
 	return err
 }
@@ -1002,13 +1021,30 @@ func (e *endpoint) contribute(rank int, blob []byte) {
 
 func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
 	if !e.isCoord() {
-		// Kept: a cancelled search gathers before Done, so rank 0 may
-		// die with the share, and a takeover sends it on.
+		// A cancelled search gathers before Done, so rank 0 may yet die
+		// with the share: a takeover still to run sends it on (stored
+		// first, so one of the two sees the other), unless this rank is
+		// the one that takes the role over and collects the result itself.
 		e.share.Store(&payload)
-		if err := e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: payload}); err != nil && !e.opts.Standby {
-			return nil, fmt.Errorf("dist: sending gather payload: %w", err)
+		cand := -1
+		if e.opts.Standby && !closed(e.turned) {
+			cand = failoverCandidate(e.size, e.deaths)
 		}
-		return nil, nil
+		err := e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: payload})
+		if cand == e.rank {
+			select {
+			case <-e.done:
+			case <-e.turned:
+			}
+		}
+		if !e.isCoord() {
+			// A failed send stands unless a takeover still to run, one
+			// that promotes another rank, sends the share again.
+			if err != nil && (cand < 0 || cand == e.rank) {
+				return nil, fmt.Errorf("dist: sending gather payload: %w", err)
+			}
+			return nil, nil
+		}
 	}
 	e.contribute(e.rank, payload)
 	<-e.gotAll

@@ -283,6 +283,7 @@ func (e *endpoint) takeover(old *wconn) bool {
 	if !e.opts.Standby || e.isDone() || !e.epoch.CompareAndSwap(0, 1) {
 		return false
 	}
+	defer close(e.turned)
 	// The engine must learn rank 0 died: its ledger replays the
 	// hand-overs rank 0 held — on a star every outstanding one, since an
 	// ack relayed through the dying coordinator may be gone — and the

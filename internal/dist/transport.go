@@ -417,13 +417,17 @@ type Transport interface {
 	// Gather is a terminal collective: every locality contributes one
 	// payload, and rank 0 receives all of them indexed by rank (its
 	// own included). Non-root callers return (nil, nil) as soon as
-	// their payload is on the way. A dead locality's slot is nil.
+	// their payload is on the way — under WireOptions.Standby, once the
+	// gather is over, so that the rank promoted if rank 0 dies first
+	// receives it instead. A dead locality's slot is nil.
 	Gather(payload []byte) ([][]byte, error)
 	// BestKnown is the incumbent retention: the best (obj, node) pair
 	// published through a node-carrying BroadcastBound or a Cancel
 	// witness. It is kept where the coordinator role is, so only the
 	// answer of rank 0 — or of the rank Promoted in its place — is
 	// meaningful; that is how an optimum survives its finder's death.
+	// (Under WireOptions.Standby a worker keeps its own best too, to hand
+	// a promoted rank.)
 	BestKnown() (obj int64, node []byte, ok bool)
 	// Promoted reports whether THIS endpoint inherited the coordinator
 	// role after rank 0 died mid-search (protocol v7,
