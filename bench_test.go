@@ -667,11 +667,10 @@ func BenchmarkMemoryBudget(b *testing.B) {
 	}
 
 	// The same tree under -skeleton stacksteal -dist with a tight budget,
-	// over a 4-locality loopback deployment.
+	// over a 4-rank in-process TCP deployment.
 	b.Run("uts/stacksteal-dist-1of16", func(b *testing.B) {
 		report(b, func() core.Stats {
-			net := dist.NewLoopback(4, dist.LoopbackOptions{})
-			trs := net.Transports()
+			trs := deployTCP(b, dist.WireOptions{})
 			cfg := core.Config{Workers: 2, PoolBudget: p.peak / 16, SpillDir: b.TempDir()}
 			results := make([]core.EnumResult[int64], 4)
 			errs := make([]error, 4)
@@ -685,7 +684,9 @@ func BenchmarkMemoryBudget(b *testing.B) {
 				}()
 			}
 			wg.Wait()
-			net.Close()
+			for _, tr := range trs {
+				tr.Close()
+			}
 			for r, err := range errs {
 				if err != nil {
 					b.Fatalf("rank %d: %v", r, err)

@@ -23,8 +23,6 @@ type liveAudit struct {
 	// the transport has.
 	over   func() error
 	onWork func(rank int)
-	// lateDeaths hides every death notice until Done has fired.
-	lateDeaths bool
 }
 
 // auditedTransport is a locality's transport with its AddTasks audited:
@@ -59,19 +57,6 @@ func (tr *auditedTransport) ReseedRoot() bool {
 		tr.a.sum.Add(1)
 	}
 	return ok
-}
-
-// Deaths, under lateDeaths, is the schedule in which a death lands just
-// before Done and the engine's death watchers stop before reading it.
-func (tr *auditedTransport) Deaths() <-chan int {
-	select {
-	case <-tr.Done():
-	default:
-		if tr.a.lateDeaths {
-			return nil
-		}
-	}
-	return tr.Transport.Deaths()
 }
 
 // audited is cfg with the exit invariant of ROADMAP item 1 (iv) asserted:

@@ -207,7 +207,7 @@
 // instead of keeping an aggregate every push and pop would have to
 // update), the parker's waiter count, the canceller's flag, the
 // split gate's poll word, each locality's bound cache, the trace
-// shards, the loopback network's live counts. The one helper is
+// shards, the loopback network's live count. The one helper is
 // internal/pad (Isolated, New: 128 bytes either side, covering the
 // adjacent-line prefetcher); there are no hand-counted pad arrays.
 // layout_test.go asserts the distances, and BenchmarkGateWorkerScaling

@@ -57,9 +57,8 @@ func (e *engine[S, N]) finishTask(c *workerCtx[S, N], t Task[N]) {
 func (e *engine[S, N]) runPoolWorkers(root N) {
 	// Calibrate the memory governors' per-task byte estimate from the
 	// root node, and guarantee their spill directories are removed on
-	// every exit path — normal termination, cancellation, and (in a
-	// loopback fault test) a killed locality whose zombie workers drain
-	// here with everyone else.
+	// every exit path — normal termination, cancellation, and a killed
+	// rank whose workers drain here once its transport is closed.
 	for _, l := range e.fab.locs {
 		l.mem.calibrate(root)
 		defer l.mem.close()
@@ -72,34 +71,32 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 	}
 	done := home.tr.Done()
 
-	// Death watchers: one goroutine per in-process locality consumes
-	// the transport's death notifications and replays the ledger.
-	// They stop with the workers — a death after global termination
-	// has nothing left to replay (Done fires only once every ledger is
-	// empty: an unacked entry is an outstanding registration) — but
-	// one still queued then is counted, and the stats wait for them.
+	// The death watcher, over a wire only (in-process localities never
+	// die), replays the locality's ledger at each death notice. It stops
+	// with the workers — a death after global termination has nothing
+	// left to replay (Done fires only once every ledger is empty: an
+	// unacked entry is an outstanding registration) — but one still
+	// queued then is counted, and the stats wait for it.
 	watchStop := make(chan struct{})
 	var watching sync.WaitGroup
 	defer watching.Wait()
 	defer close(watchStop)
-	if home.tr.Size() > 1 {
-		for _, l := range e.fab.locs {
-			watching.Add(1)
-			go func(l *locality[N]) {
-				defer watching.Done()
-				for {
-					select {
-					case <-watchStop:
-						for len(l.tr.Deaths()) > 0 {
-							l.fab.dead[<-l.tr.Deaths()].Store(true)
-						}
-						return
-					case rank := <-l.tr.Deaths():
-						l.onDeath(rank)
+	if e.fab.wire && home.tr.Size() > 1 {
+		watching.Add(1)
+		go func() {
+			defer watching.Done()
+			for {
+				select {
+				case <-watchStop:
+					for len(home.tr.Deaths()) > 0 {
+						e.fab.dead[<-home.tr.Deaths()].Store(true)
 					}
+					return
+				case rank := <-home.tr.Deaths():
+					home.onDeath(rank)
 				}
-			}(l)
-		}
+			}
+		}()
 	}
 
 	// Idle pacing: a worker that finds nothing yields a few rounds

@@ -37,12 +37,11 @@ type fabric[N any] struct {
 	// and encoded witness a Cancel broadcast carries, so the witness
 	// survives its finder's death.
 	cancelInfo func() (int64, []byte)
-	// dead[rank], over every rank of the deployment, marks globally dead
-	// localities, once for the process
-	// however many of its localities see the death: skipped permanently
-	// by victim selection (their transports would only fail the steal,
-	// but probing a corpse still costs a round trip or a timeout) and
-	// refused by every ledger.
+	// dead[rank], over every rank of the deployment, marks dead
+	// localities (only a wire has any): skipped permanently by victim
+	// selection (the transport would only fail the steal, but probing a
+	// corpse still costs a round trip or a timeout) and refused by the
+	// ledger.
 	dead []atomic.Bool
 }
 
@@ -101,9 +100,9 @@ func (f *fabric[N]) close() {
 
 // foldStats folds everything the fabric measured into s: bound
 // broadcasts and the transport-level traffic counters of this process's
-// localities; the fault-tolerance counters (deaths observed, ledger
-// retention peak, subtree roots replayed — a multi-locality loopback
-// run supervises its hand-overs exactly like a deployment does); and
+// localities; the fault-tolerance counters (ledger retention peak —
+// a multi-locality loopback run supervises its hand-overs exactly like
+// a deployment does — and, over a wire, deaths and replays); and
 // the memory-governor counters (pool residency peaks, tasks and bytes
 // spilled). Call after all workers have joined.
 func (f *fabric[N]) foldStats(s *Stats) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
@@ -21,11 +22,12 @@ import (
 // dist's: its conformance suite holds the transport contract case by
 // case, these rows whole searches over it. A scenario is one row of a
 // table: a tree, a search type, a coordination and its knobs, one to four
-// localities on a star or a wave, the network — loopback or in-process
-// TCP — and what goes wrong: link latency, a partition that heals,
-// localities killed. run deploys it — every rank's Dist* on one network,
-// or the single-process entry point when there is one process — and holds
-// it to one set of invariants:
+// localities on a star or a wave, and what goes wrong: link latency, a
+// partition that heals, localities killed. run deploys it — every rank's
+// Dist* on one in-process TCP network, so that every fault runs on the
+// one endpoint, or the single-process entry point, on loopback
+// localities, when there is one process — and holds it to one set of
+// invariants:
 //
 //   - the answer is the oracle's: the tree's own fold and maximum for a
 //     semantics tree, which the operational model (semantics.Config.Run)
@@ -43,8 +45,8 @@ import (
 //     by name, not the package.
 //
 // The hand-written cases are named rows, each test holding its own, a
-// row of several processes on both networks; TestDrawn draws the rest
-// from consecutive seeds.
+// row of several processes also run as one process on loopback
+// localities; TestDrawn draws the rest from consecutive seeds.
 
 // searchKind is a row's search type.
 type searchKind int
@@ -316,25 +318,29 @@ func db(tr tree, s searchKind, ranks int, cfg Config, kills ...kill) scenario {
 func onWave(sc scenario) scenario { sc.wave = true; return sc }
 
 // rows runs a test's rows, each a subtest named by its place when there
-// are several and it has no name, and a row of several processes twice:
-// on loopback and on TCP, subtests of those names. A lateDeaths row runs
-// on loopback alone: a TCP death may leave work that only the notice's
-// reader recovers (a root the successor must seed, a star's relayed
-// acks), so holding every notice back until Done hangs it by design.
+// are several and it has no name. A row of several processes runs on
+// in-process TCP, as subtest "tcp", and its search runs again as one
+// process, subtest "loopback": the ranks become as many loopback
+// localities, with every rank's workers, and none is killed, since
+// in-process localities never die.
 func rows(t *testing.T, scs ...scenario) {
 	for i, sc := range scs {
 		if sc.name == "" && len(scs) > 1 {
 			sc.name = fmt.Sprint(i)
 		}
-		if sc.ranks <= 1 || sc.lateDeaths {
+		if sc.ranks <= 1 {
 			sc.check(t)
 			continue
 		}
-		name := sc.name
-		for _, sc.tcp = range []bool{false, true} {
-			sc.name = path.Join(name, map[bool]string{false: "loopback", true: "tcp"}[sc.tcp])
-			sc.check(t)
+		one := sc
+		one.name, one.ranks, one.wave, one.kills = path.Join(sc.name, "loopback"), 0, false, nil
+		one.cfg.Localities, one.cfg.Workers, one.cfg.Standby = sc.ranks, cmp.Or(sc.cfg.Workers, runtime.GOMAXPROCS(0))*sc.ranks, false
+		if sc.wave {
+			one.cfg.Topology = dist.TopologyMesh
 		}
+		one.check(t)
+		sc.name = path.Join(sc.name, "tcp")
+		sc.check(t)
 	}
 }
 
@@ -532,15 +538,16 @@ func fell(w int, after time.Duration) []kill {
 
 const us = time.Microsecond
 
-// What the TCP rows found, held by the drawn schedules that found it, on
-// both networks. A standby coordinator and a second worker killed at
-// rank 1's next work: a mesh survivor never mourned a worker whose link
-// broke while rank 0 lived, and a takeover did not judge it (a hang); a
-// share a cancelled search gathered to rank 0 died with it; a node went
-// to rank 0 alone, which died before handing it to the standby, while its
-// bound lived on and pruned it (a wrong optimum); a death heard of only
-// after Done went uncounted; a rejoin that raced its rank's Close kept a
-// link open.
+// What the TCP rows found, held by the drawn schedules that found it. A
+// standby coordinator and a second worker killed at rank 1's next work: a
+// mesh survivor never mourned a worker whose link broke while rank 0
+// lived, and a takeover did not judge it (a hang); a share a cancelled
+// search gathered to rank 0 died with it; a node went to rank 0 alone,
+// which died before handing it to the standby, while its bound lived on
+// and pruned it (a wrong optimum), as did a bound a worker killed
+// mid-broadcast spread over the links its Close had not yet reached (seeds
+// 123, 281 and 361, under load); a death heard of only after Done went
+// uncounted; a rejoin that raced its rank's Close kept a link open.
 func TestStandbyCoordinatorAndWorkerDie(t *testing.T) {
 	rows(t,
 		drawn(46, 4, 8, decide, 999, StackStealing, 4, true, Config{Workers: 3, DCutoff: 3, Budget: 2, Order: OrderDiscrepancy, PoolBudget: 8 << 10, MaxFailures: -1}, fell(2, 400*us)...),
@@ -560,6 +567,16 @@ func TestStandbyCoordinatorAndWorkerDie(t *testing.T) {
 		drawn(361, 4, 7, optimise, 0, DepthBounded, 4, true, Config{Workers: 2, DCutoff: 3, Budget: 16, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: -1}, fell(3, 400*us)...))
 }
 
+// A standby coordinator and a worker killed at a third's work: the
+// survivor's kRejoin reached the promoted rank with a finish made after
+// its report was settled, and that delta, folded ahead of the report, took
+// the held count to zero, so the search ended before the rejoiner was
+// admitted, which never heard of the end (a hang).
+func TestStandbyRejoinReportLandsWhole(t *testing.T) {
+	rows(t, drawn(284, 3, 6, enumerate, 0, Budget, 4, false, Config{Workers: 2, DCutoff: 2, Budget: 64, Chunked: true, Order: OrderBound, MaxFailures: -1},
+		kill{rank: 0, after: 200 * us, by: []int{2}}, kill{rank: 3, after: 200 * us, by: []int{2}}))
+}
+
 // A cancelled standby decision ended at rank 0's gather without Done, so
 // its workers read rank 0's exit as its death and took over, re-dialling
 // a listener that was gone; and a worker promoted after its gather had
@@ -573,14 +590,6 @@ func TestStandbyDecisionEndsAtItsGather(t *testing.T) {
 		drawn(197, 3, 6, decide, 992, StackStealing, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 32, Chunked: true, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: 1}, kill{rank: 0, after: 200 * us}),
 		drawn(346, 4, 6, decide, 997, StackStealing, 4, false, Config{Workers: 2, DCutoff: 2, Budget: 1, Chunked: true, MaxFailures: -1}, kill{rank: 0, after: 200 * us}),
 		drawn(459, 3, 8, decide, 999, DepthBounded, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, MaxFailures: -1}))
-}
-
-// A death that lands as the search ends still counts: the reseed row
-// above minus its slow link, every death notice held back until Done.
-func TestDeathJustBeforeDoneIsCounted(t *testing.T) {
-	sc := db(fault16, optimise, 3, standby, kill{rank: 0, by: []int{2}})
-	sc.lateDeaths = true
-	rows(t, sc)
 }
 
 // Replicable (Coordination's doc) finds the optimum at every cutoff.
@@ -702,20 +711,17 @@ type scenario struct {
 	target int64 // decide
 	coord  Coordination
 	cfg    Config
-	ranks  int  // Dist* processes on one network; 0 or 1: the single-process entry point
-	wave   bool // mesh termination; a single process takes cfg.Topology
-	tcp    bool // the processes' network is in-process TCP, a star or (wave) a mesh, not loopback
+	ranks  int  // Dist* processes on one in-process TCP network; 0 or 1: the single-process entry point
+	wave   bool // a mesh, not a star; a single process takes cfg.Topology
 	net    *dist.FaultPlan
 	parts  []dist.ChaosPartition
 	kills  []kill
 	extra  func(t *testing.T, o outcome) // a named row's check beyond the invariants
-	// lateDeaths: no rank's engine hears of a death before Done.
-	lateDeaths bool
 }
 
 func (sc scenario) String() string {
-	return fmt.Sprintf("%v %v/%v on %v, %d ranks (wave %v, tcp %v), %+v, kills %v, partitions %v",
-		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.wave, sc.tcp, sc.cfg, sc.kills, len(sc.parts))
+	return fmt.Sprintf("%v %v/%v on %v, %d ranks (wave %v), %+v, kills %v, partitions %v",
+		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.wave, sc.cfg, sc.kills, len(sc.parts))
 }
 
 // rowDeadline is how long a row may take before it counts as a hang.
@@ -749,32 +755,20 @@ func (sc scenario) run(t *testing.T) {
 	armed := make([]atomic.Bool, ranks)
 	plan := dist.ChaosPlan{Partitions: sc.parts, Net: sc.net}
 	var trs, raw []dist.Transport
-	var kill func(rank int)
-	closeAll := func() {}
 	if sc.ranks <= 1 {
 		cfg.NetFault = sc.net
 		go func() { defer close(returned); outs[0] = sc.tree.solve(nil, &sc, cfg) }()
 	} else {
-		if sc.tcp {
-			raw, kill = sc.deployTCP(t), func(rank int) { raw[rank].Close() }
-			closeAll = func() {
-				for _, tr := range raw {
-					tr.Close()
-				}
-			}
-		} else {
-			net := dist.NewLoopback(ranks, dist.LoopbackOptions{Wave: sc.wave, Fault: sc.net})
-			raw, kill, closeAll = net.Transports(), net.Kill, func() { net.Close() }
-		}
-		// On TCP a standby's rank 0 outlives the search's end at a live
-		// rank: it has the answer, or is about to return it, and no
-		// takeover follows a search that is over, so its successor, whom
-		// the row would ask, has none.
+		raw = sc.deployTCP(t)
+		// A standby's rank 0 outlives the search's end at a live rank: it
+		// has the answer, or is about to return it, and no takeover
+		// follows a search that is over, so its successor, whom the row
+		// would ask, has none.
 		ended := func() bool {
 			for r, tr := range raw {
 				select {
 				case <-tr.Done():
-					if !isDead(r) && sc.tcp && sc.cfg.Standby {
+					if !isDead(r) && sc.cfg.Standby {
 						return true
 					}
 				default:
@@ -782,11 +776,11 @@ func (sc scenario) run(t *testing.T) {
 			}
 			return false
 		}
-		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), lateDeaths: sc.lateDeaths, onWork: func(rank int) {
+		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), onWork: func(rank int) {
 			for _, k := range sc.kills {
 				if armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) && !(k.rank == 0 && ended()) {
 					if _, was := dead.LoadOrStore(k.rank, true); !was {
-						kill(k.rank)
+						raw[k.rank].Close() // a kill
 					}
 				}
 			}
@@ -830,7 +824,9 @@ func (sc scenario) run(t *testing.T) {
 			t.Errorf("rank %d: %v", r, outs[r].err)
 		}
 	}
-	closeAll()
+	for _, tr := range raw {
+		tr.Close()
+	}
 	if err := sc.judge(outs[owner], landed); err != nil {
 		t.Errorf("%v\n\t%v", err, sc)
 	}
@@ -1037,7 +1033,5 @@ func draw(seed int64) scenario {
 			sc.cfg.MaxFailures = pick(2)
 		}
 	}
-	// Last, so that a seed's row is the same whatever its network.
-	sc.tcp = sc.ranks > 1 && pick(2) == 0
 	return sc
 }

@@ -77,8 +77,11 @@ func (in *incumbent[N]) strengthen(l *locality[N], obj int64, n N) bool {
 			// share); it cannot be allowed to suppress the bound.
 			blob, _ = in.encode(n)
 		}
-		l.tr.BroadcastBound(obj, blob)
+		err := l.tr.BroadcastBound(obj, blob)
 		in.bcasts.Add(1)
+		if err != nil {
+			return true // perhaps unpublished: a task stolen from l must not carry it
+		}
 	}
 	storeMax(&l.bound.V, obj)
 	return true

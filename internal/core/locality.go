@@ -292,9 +292,9 @@ func (l *locality[N]) backlog() int {
 	return l.pool.Size() + int(l.mem.onDisk.Load()) // spilled segments are claimable work
 }
 
-// onDeath reacts to a peer locality's death as seen from l: the rank is
-// struck from every in-process locality's victim ring and refused by
-// their ledgers (fabric.dead, the one record), the ledger entries it was
+// onDeath reacts to a peer locality's death, which a wire announces once:
+// the rank is struck from the victim ring and refused by the ledger
+// (fabric.dead, the one record), the ledger entries it was
 // holding are re-enqueued locally (the replayed subtree roots stay
 // covered by their original registrations, so no accounting changes
 // hands), the steal backoff is reset — the victim set just changed
@@ -303,9 +303,9 @@ func (l *locality[N]) backlog() int {
 // the replayed work, the root among it when the death lost the root
 // (dist.Transport's ReseedRoot).
 func (l *locality[N]) onDeath(rank int) {
-	first := l.fab.dead[rank].CompareAndSwap(false, true)
+	l.fab.dead[rank].Store(true)
 	tasks := l.led.reap(rank)
-	if rank == 0 && first && l.tr.AcksRelayed() {
+	if rank == 0 && l.tr.AcksRelayed() {
 		// The coordinator relayed completion acks; any ack in flight at
 		// its death is gone, and with it the retire of the entry it was
 		// for. Replay everything outstanding — idempotent, and the only

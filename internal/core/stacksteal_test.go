@@ -54,7 +54,7 @@ func TestSplitTakesBottomMostNonEmpty(t *testing.T) {
 	if ts[0].Depth != 5+1+1 {
 		t.Fatalf("split task depth = %d, want rootDepth+index+1 = 7", ts[0].Depth)
 	}
-	if live := e.fab.net.LiveAt(0); live != 1 {
+	if live := e.fab.net.Live(); live != 1 {
 		t.Fatalf("split registered %d live tasks, want 1", live)
 	}
 	if sp := e.workers[0].stats.Spawns; sp != 1 {
@@ -102,7 +102,7 @@ func TestSplitChunkedDrainsWholeLevel(t *testing.T) {
 	if len(ts) != splitWant || lowest.Remaining() != 5 {
 		t.Fatalf("capped chunked split handed %d tasks and left %d, want %d and 5", len(ts), lowest.Remaining(), splitWant)
 	}
-	if live := e.fab.net.LiveAt(0); live != int64(3+splitWant) {
+	if live := e.fab.net.Live(); live != int64(3+splitWant) {
 		t.Fatalf("splits registered %d live tasks, want %d", live, 3+splitWant)
 	}
 }
@@ -113,7 +113,7 @@ func TestSplitAllExhausted(t *testing.T) {
 	if ts, _ := split(e, stack, 0, 1); ts != nil {
 		t.Fatalf("split of empty stack handed %v", ts)
 	}
-	if live := e.fab.net.LiveAt(0); live != 0 {
+	if live := e.fab.net.Live(); live != 0 {
 		t.Fatalf("empty split registered %d live tasks", live)
 	}
 }
@@ -162,7 +162,7 @@ func TestBudgetShedEqualsUncappedChunkedSplit(t *testing.T) {
 				t.Errorf("order %v: level %d yielded %d (budget) and %d (split), want %d in both", order, i, sb[i].yields, ss[i].yields, want)
 			}
 		}
-		if lb, ls := eb.fab.net.LiveAt(0), es.fab.net.LiveAt(0); lb != ls || ls != 3 {
+		if lb, ls := eb.fab.net.Live(), es.fab.net.Live(); lb != ls || ls != 3 {
 			t.Errorf("order %v: %d (budget) and %d (split) live registrations, want 3 and 3", order, lb, ls)
 		}
 		if b, s := eb.workers[0].stats, es.workers[0].stats; b != s {

@@ -6,8 +6,8 @@ import (
 )
 
 // Chaos harness: a declarative schedule of rank deaths, reusable
-// across the fault-injection surfaces the repo already has — the
-// loopback network's Kill, a subprocess deployment's SIGKILL, or any
+// across the fault-injection surfaces the repo already has — closing
+// an in-process TCP endpoint, a subprocess deployment's SIGKILL, or any
 // other func(rank). Tests and experiments describe WHAT dies WHEN;
 // the harness owns the timers, so a chaos scenario reads as data:
 //
@@ -19,7 +19,7 @@ import (
 //
 // The harness deliberately has no liveness opinions: killing an
 // already-dead rank must be a no-op of the injected kill func (both
-// LoopbackNetwork.Kill and process SIGKILL are idempotent).
+// Transport.Close and process SIGKILL are idempotent).
 
 // ChaosKill schedules one rank's death.
 type ChaosKill struct {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,23 +45,12 @@ func TestChaosPlanFiresAndCancels(t *testing.T) {
 	}
 }
 
-// failoverHarnesses builds the four deployment variants with standby
-// armed (the loopback network needs no flag: its Kill(0) always hands
-// the collector role to the lowest survivor).
+// failoverHarnesses builds the TCP star and mesh with standby armed, and
+// the star twice more with a slow way back to the promoted rank.
 func failoverHarnesses() []harness {
 	return []harness{
-		{name: "loopback", make: func(t *testing.T, n int) []Transport {
-			net := NewLoopback(n, LoopbackOptions{})
-			t.Cleanup(func() { net.Close() })
-			return net.Transports()
-		}},
 		{name: "tcp", make: func(t *testing.T, n int) []Transport {
 			return makeTCP(t, n, WireOptions{Standby: true})
-		}},
-		{name: "loopback-mesh", make: func(t *testing.T, n int) []Transport {
-			net := NewLoopback(n, LoopbackOptions{Wave: true})
-			t.Cleanup(func() { net.Close() })
-			return net.Transports()
 		}},
 		{name: "tcp-mesh", make: func(t *testing.T, n int) []Transport {
 			return makeTCP(t, n, WireOptions{Topology: TopologyMesh, Standby: true})
@@ -100,9 +90,10 @@ const (
 // drains, and (f) complete the terminal Gather at the promoted rank
 // with a nil slot for the corpse. (A coordinator that dies holding the
 // only work there is, the root handed to nobody, is the harness rows'
-// TestStandbyCoordinatorDiesHoldingTheRoot in internal/core.)
+// TestStandbyCoordinatorDiesHoldingTheRoot in internal/core.) On
+// loopback nobody hears of a closed rank 0 or takes its role.
 func TestConformanceCoordinatorDeathFailover(t *testing.T) {
-	for _, h := range failoverHarnesses() {
+	for _, h := range append(loopbacks(), failoverHarnesses()...) {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 4)
 			hs := startAll(trs)
@@ -110,6 +101,20 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			// Rank 1 (the standby) holds the sentinel live work that
 			// must keep the search open across the takeover.
 			trs[1].AddTasks(1)
+			if strings.HasPrefix(h.name, "loopback") {
+				trs[0].Close()
+				for _, r := range []int{1, 2, 3} {
+					if trs[r].Deaths() != nil || trs[r].Promoted() || trs[r].ReseedRoot() {
+						t.Errorf("rank %d: a death, a promotion or a root to seed in process", r)
+					}
+				}
+				select {
+				case <-trs[1].Done():
+					t.Fatal("closing rank 0 ended a search with live work")
+				default:
+				}
+				return
+			}
 			// Give a wire transport one flush quantum so the +1 and the
 			// hub's first replication snapshot are on the wire before
 			// the coordinator dies.
@@ -125,7 +130,7 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			var killed atomic.Bool
 			stop := ChaosPlan{Kills: []ChaosKill{{Rank: 0, After: 10 * time.Millisecond}}}.Start(func(rank int) {
 				killed.Store(true)
-				kill(t, h, trs, rank)
+				trs[rank].Close()
 			})
 			defer stop()
 
@@ -220,10 +225,7 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 // behaviour it exists for, on the deployments that replicate: the TCP star
 // and mesh. In each case rank 0 sets the item up, lives until rank 1's
 // replica carries it, and dies.
-func replicaHarnesses() []harness {
-	hs := failoverHarnesses()
-	return []harness{hs[1], hs[3]}
-}
+func replicaHarnesses() []harness { return failoverHarnesses()[:2] }
 
 // takeOver waits until rank 1's replica carries what the case set up,
 // kills rank 0, and waits until rank 1 holds the role and every survivor
@@ -423,50 +425,6 @@ func TestConformanceTakeoverWithRootInFlight(t *testing.T) {
 			trs[2].Start(&recHandler{})
 		})
 	}
-}
-
-// (e) on the loopback network: rank 0 dies after rank 2 took the root and
-// before rank 2's engine registered it. Rank 2 holds it, so rank 1 seeds
-// nothing, and the count must not end the search in between.
-func TestLoopbackRootInFlightHoldsTheCount(t *testing.T) {
-	net := NewLoopback(3, LoopbackOptions{})
-	defer net.Close()
-	trs := net.Transports()
-	hs := startAll(trs[:2])
-	trs[2].Start(&killingAdopter{recHandler: &recHandler{}, tr: trs[2], kill: func() { net.Kill(0) }})
-	trs[0].AddTasks(1)
-	hs[0].push(WireTask{Payload: []byte("root"), ID: TaskID(0, 1)})
-	if _, ok, err := trs[2].Steal(0); !ok || err != nil {
-		t.Fatalf("rank 2 did not get rank 0's task (%v)", err)
-	}
-	select {
-	case <-trs[1].Done():
-		t.Fatal("rank 0's death ended the search with the root on its way to rank 2")
-	default:
-	}
-	if trs[1].ReseedRoot() {
-		t.Fatal("rank 1 was told to seed the root again, which rank 2 holds")
-	}
-	trs[2].AddTasks(-1)
-	select {
-	case <-trs[1].Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("the search did not end once rank 2's root completed")
-	}
-}
-
-// killingAdopter runs kill as a steal reply reaches it, before it
-// registers the run.
-type killingAdopter struct {
-	*recHandler
-	tr   Transport
-	kill func()
-}
-
-func (a *killingAdopter) AdoptTasks(ts []WireTask, keep bool) WireTask {
-	a.kill()
-	a.tr.AddTasks(int64(len(ts)))
-	return ts[0]
 }
 
 // Replication costs one kHubSnap per flush quantum in which something it

@@ -13,13 +13,15 @@ import (
 // Transport conformance suite: the contract the engine relies on, case
 // by case, asserted against every implementation through a recording
 // handler — identity, steal and split replies, priorities and their
-// summaries, bounds, cancel, gather, acks, a late reply, a steal pending
-// on a victim that dies, retention. Four harnesses run it: the loopback
-// network and the TCP star, and their mesh twins. Whole deployments —
-// termination under steals and coalesced deltas, worker and coordinator
-// deaths, partitions that heal, no goroutine outliving Close — are
-// internal/core's harness rows (harness_test.go), where a real search on
-// loopback and on TCP is held to the tree's own answer.
+// summaries, bounds, cancel, acks, a late reply. Four harnesses run it:
+// the loopback network and the TCP star, and their mesh twins. The fault
+// contract — gather, deaths, a steal pending on a victim that dies,
+// retention — is the TCP endpoint's alone (in-process localities never
+// die), so its cases run on the wires. Whole deployments — termination
+// under steals and coalesced deltas, worker and coordinator deaths,
+// partitions that heal, no goroutine outliving Close — are internal/core's
+// harness rows (harness_test.go), where a real search over TCP is held to
+// the tree's own answer.
 
 // harness builds a connected deployment of n localities.
 type harness struct {
@@ -73,22 +75,27 @@ func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 	return trs
 }
 
-func harnesses() []harness {
-	return []harness{
-		{name: "loopback", make: func(t *testing.T, n int) []Transport {
-			net := NewLoopback(n, LoopbackOptions{})
+func harnesses() []harness { return append(loopbacks(), wires()...) }
+
+// loopbacks are the loopback harnesses, star and wave. The fault cases
+// hold their answers too: in-process localities never die (a closed one
+// is only detached), and nothing is gathered or retained.
+func loopbacks() []harness {
+	loopback := func(wave bool) func(t *testing.T, n int) []Transport {
+		return func(t *testing.T, n int) []Transport {
+			net := NewLoopback(n, LoopbackOptions{Wave: wave})
 			t.Cleanup(func() { net.Close() })
 			return net.Transports()
-		}},
-		// TestTCPLateStealReplyAdopted indexes harnesses()[1]: the star
-		// TCP harness must stay in this slot.
+		}
+	}
+	return []harness{{name: "loopback", make: loopback(false)}, {name: "loopback-mesh", make: loopback(true)}}
+}
+
+// wires are the TCP harnesses, star first: the fault contract's.
+func wires() []harness {
+	return []harness{
 		{name: "tcp", make: func(t *testing.T, n int) []Transport {
 			return makeTCP(t, n, WireOptions{})
-		}},
-		{name: "loopback-mesh", make: func(t *testing.T, n int) []Transport {
-			net := NewLoopback(n, LoopbackOptions{Wave: true})
-			t.Cleanup(func() { net.Close() })
-			return net.Transports()
 		}},
 		{name: "tcp-mesh", make: func(t *testing.T, n int) []Transport {
 			return makeTCP(t, n, WireOptions{Topology: TopologyMesh})
@@ -402,6 +409,14 @@ func TestConformanceGather(t *testing.T) {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			startAll(trs)
+			if strings.HasPrefix(h.name, "loopback") {
+				for r, tr := range trs {
+					if blobs, err := tr.Gather([]byte{byte(r + 1)}); err == nil || blobs != nil {
+						t.Errorf("rank %d gathered %v (error %v) in process", r, blobs, err)
+					}
+				}
+				return
+			}
 			var got [][]byte
 			var wg sync.WaitGroup
 			for r, tr := range trs {
@@ -554,7 +569,7 @@ func TestTCPLateStealReplyAdopted(t *testing.T) {
 	stealTimeout = 50 * time.Millisecond
 	defer func() { stealTimeout = old }()
 
-	trs := harnesses()[1].make(t, 3) // tcp
+	trs := wires()[0].make(t, 3) // tcp
 	hs := startAll(trs)
 	hs[1].serveDelay = 300 * time.Millisecond
 
@@ -570,15 +585,6 @@ func TestTCPLateStealReplyAdopted(t *testing.T) {
 			return len(h.adopted) > 0 && string(h.adopted[len(h.adopted)-1].Payload) == "slow"
 		})
 	}
-}
-
-// kill ends a rank's life mid-search: closing an endpoint before
-// termination is a death on both transports (the loopback endpoint
-// takes the network's Kill path; the hub sees the worker's broken
-// connection).
-func kill(t *testing.T, h harness, trs []Transport, rank int) {
-	t.Helper()
-	trs[rank].Close()
 }
 
 // awaitDeath waits until a survivor has been notified of rank's death.
@@ -598,16 +604,21 @@ func awaitDeath(t *testing.T, tr Transport, rank int) {
 // of it, steals aimed at the corpse fail fast instead of hanging the
 // thief, the corpse steals nothing, and steals and bounds still flow
 // between survivors. (That the search then ends, exactly, is the
-// harness rows'.)
+// harness rows'.) On loopback the closed locality is only detached:
+// nobody hears of it, and the rest holds.
 func TestConformanceWorkerDeathMidSearch(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 4)
 			hs := startAll(trs)
 			trs[0].AddTasks(1) // the survivors' live work
-			kill(t, h, trs, 2)
+			trs[2].Close()     // a death: the hub sees the broken connection
 			for _, r := range []int{0, 1, 3} {
-				awaitDeath(t, trs[r], 2)
+				if !strings.HasPrefix(h.name, "loopback") {
+					awaitDeath(t, trs[r], 2)
+				} else if trs[r].Deaths() != nil {
+					t.Errorf("rank %d can hear of a death in process", r)
+				}
 			}
 			done := make(chan struct{})
 			go func() {
@@ -689,11 +700,8 @@ func TestConformanceDeathDuringSteal(t *testing.T) {
 	old := stealTimeout
 	stealTimeout = 20 * time.Second
 	defer func() { stealTimeout = old }()
-	for _, h := range harnesses() {
+	for _, h := range wires() {
 		t.Run(h.name, func(t *testing.T) {
-			if strings.HasPrefix(h.name, "loopback") {
-				t.Skip("loopback steals are synchronous direct calls; nothing is ever pending")
-			}
 			trs := h.make(t, 3)
 			hs := startAll(trs)
 			hs[2].serveDelay = 30 * time.Second // the victim will never answer in time
@@ -705,7 +713,7 @@ func TestConformanceDeathDuringSteal(t *testing.T) {
 				res <- ok
 			}()
 			time.Sleep(100 * time.Millisecond) // let the request reach the victim
-			kill(t, h, trs, 2)
+			trs[2].Close()
 			select {
 			case ok := <-res:
 				if ok {
@@ -721,12 +729,13 @@ func TestConformanceDeathDuringSteal(t *testing.T) {
 // The incumbent retention: a node-carrying bound broadcast (or a
 // decision cancel's witness) survives at rank 0 even after its finder
 // dies — the mechanism that keeps a SIGKILLed worker's optimum in the
-// final answer.
+// final answer. A loopback network retains nothing: a single process's
+// localities share the incumbent, which its engine keeps.
 func TestConformanceIncumbentRetention(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
-			startAll(trs)
+			hs := startAll(trs)
 			store := trs[0]
 			if _, _, ok := store.BestKnown(); ok {
 				t.Fatal("retention non-empty before any broadcast")
@@ -735,11 +744,18 @@ func TestConformanceIncumbentRetention(t *testing.T) {
 			trs[2].BroadcastBound(30, []byte("node-30"))
 			trs[1].BroadcastBound(20, []byte("node-20")) // weaker: must not displace
 			trs[1].BroadcastBound(40, nil)               // bound-only: nothing to retain
+			if strings.HasPrefix(h.name, "loopback") {
+				eventually(t, "the bounds to reach rank 0", func() bool { return hs[0].boundMax.Load() == 40 })
+				if obj, node, ok := store.BestKnown(); ok {
+					t.Fatalf("retained %d %q in process", obj, node)
+				}
+				return
+			}
 			eventually(t, "rank 0 to retain the best node-carrying pair", func() bool {
 				obj, node, ok := store.BestKnown()
 				return ok && obj == 30 && string(node) == "node-30"
 			})
-			kill(t, h, trs, 2) // the finder dies; its node must survive
+			trs[2].Close() // the finder dies; its node must survive
 			obj, node, ok := store.BestKnown()
 			if !ok || obj != 30 || string(node) != "node-30" {
 				t.Fatalf("retention lost after finder death: %d %q %v", obj, node, ok)

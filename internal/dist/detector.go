@@ -118,12 +118,16 @@ func (c *liveCount) addAt(rank int, delta int64) {
 func (c *liveCount) onFrame(f *frame) {
 	// The delta hits the count — attributed to its sender, so a death
 	// can reconcile it — before anything else in the frame is acted on
-	// or relayed, and is cleared so a relay does not forward it.
-	c.addAt(f.From, f.Delta)
-	f.Delta = 0
+	// or relayed, and is cleared so a relay does not forward it. A
+	// kRejoin's report lands with it, as one never-negative contribution:
+	// the delta alone, a finish since the report was settled, could take
+	// the held count to a zero the report would undo.
+	d := f.Delta
 	if f.Kind == kRejoin {
-		c.addAt(f.From, f.Obj)
+		d += f.Obj
 	}
+	c.addAt(f.From, d)
+	f.Delta = 0
 }
 
 func (c *liveCount) blacken() {}

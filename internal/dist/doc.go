@@ -28,15 +28,19 @@
 //     locality's subtrees.
 //
 // There are two implementations, each in two topologies, and the engine
-// above is blind to which: the conformance suite runs the same contract
-// cases over all four, and internal/core's harness rows run whole
-// searches — kills, partitions, takeovers — over all four. The loopback
-// network (NewLoopback) connects localities within one process by direct
-// calls and backs every single-process skeleton run;
-// LoopbackOptions.Wave selects the token wave, LoopbackOptions.Fault is
-// its only source of link latency, Kill its injectable death. The TCP
-// transport (NewListener/Dial) connects OS processes and is what
-// `yewpar -dist` deploys, as a star or as a mesh (WireOptions.Topology).
+// above is blind to which. The loopback network (NewLoopback) connects
+// localities within one process by direct calls and backs every
+// single-process skeleton run; LoopbackOptions.Wave selects the token
+// wave, LoopbackOptions.Fault is its only source of link latency. Its
+// localities never die, so it carries steals, bounds, termination,
+// cancels and acks, and no more: Deaths is nil, Gather an error, and
+// nothing is promoted or retained. The TCP transport (NewListener/Dial)
+// connects OS processes and is what `yewpar -dist` deploys, as a star or
+// as a mesh (WireOptions.Topology); it alone implements the fault
+// contract. The conformance suite runs the shared contract cases over all
+// four, and the fault cases over TCP; internal/core's harness rows run
+// every whole search of several processes — kills, partitions, takeovers
+// — over TCP.
 // Transports report frames, bytes, steal batch occupancy and session
 // resumes through Wire (the Meter subset).
 //
@@ -230,7 +234,7 @@
 // # Injection and codecs
 //
 // ChaosPlan schedules rank kills and link partitions from an armed
-// start, against the loopback's Kill or a real SIGKILL. FaultPlan is
+// start, against an endpoint's Close or a real SIGKILL. FaultPlan is
 // the seeded per-link injector (latency, jitter, drop, duplication,
 // corruption, reordering, Partition/Heal), consulted around every TCP
 // write and every loopback delivery. They compose: kills say who dies,

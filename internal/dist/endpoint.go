@@ -707,7 +707,9 @@ func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
 	}
 	var err error
 	if e.opts.Standby {
-		err = e.standbyBound(obj, node)
+		if err = e.standbyBound(obj, node); err == errClosed {
+			return err
+		}
 	} else {
 		raiseMax(&e.pbStamp, obj)
 		if cn := e.coordLink(); cn != nil {
@@ -719,6 +721,8 @@ func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
 	}
 	return err
 }
+
+var errClosed = errors.New("dist: endpoint closed")
 
 // standbyBound is BroadcastBound's kBound from a standby deployment's
 // worker, which keeps the node too, for a rejoin to hand a new
@@ -739,6 +743,12 @@ func (e *endpoint) standbyBound(obj int64, node []byte) error {
 	cn := e.coordLink()
 	if cn != nil {
 		err = cn.send(bound)
+	}
+	if e.closed.Load() {
+		// Closed mid-publication, as a killed rank is: the links may have
+		// been down for the sends above, and a bound that spread without
+		// its node would prune that node wherever its subtree is replayed.
+		return errClosed
 	}
 	raiseMax(&e.pbStamp, obj)
 	if cn == nil {

@@ -155,10 +155,9 @@ func (r *hubRepl) bump() {
 
 // rootHolder is who holds a standby deployment's root — rank 0's one
 // supervised hand-over, which no ledger replays once rank 0 is dead — and
-// the one rule for when it is lost; each transport registers the root its
-// own way. A rank is named the holder only while its share of the live
-// count covers the root (a wire's kHeld, a loopback steal's own +1), so
-// no death leaves the count to end the search on a root that is nowhere.
+// the one rule for when it is lost. A rank is named the holder only once
+// its share of the live count covers the root (its kHeld), so no death
+// leaves the count to end the search on a root that is nowhere.
 type rootHolder struct {
 	dead   func(rank int) bool
 	mu     sync.Mutex

@@ -412,14 +412,17 @@ type Transport interface {
 	// replays its ledger entries for the rank and stops picking it as
 	// a steal victim. The channel is buffered (never blocks the
 	// transport) and is not closed; consumers select against their own
-	// shutdown signal.
+	// shutdown signal. The loopback network's localities never die: its
+	// channel is nil.
 	Deaths() <-chan int
 	// Gather is a terminal collective: every locality contributes one
 	// payload, and rank 0 receives all of them indexed by rank (its
 	// own included). Non-root callers return (nil, nil) as soon as
 	// their payload is on the way — under WireOptions.Standby, once the
 	// gather is over, so that the rank promoted if rank 0 dies first
-	// receives it instead. A dead locality's slot is nil.
+	// receives it instead. A dead locality's slot is nil. Only a
+	// deployment of processes gathers: on the loopback network, whose
+	// localities share one result, Gather is an error.
 	Gather(payload []byte) ([][]byte, error)
 	// BestKnown is the incumbent retention: the best (obj, node) pair
 	// published through a node-carrying BroadcastBound or a Cancel
@@ -427,13 +430,15 @@ type Transport interface {
 	// answer of rank 0 — or of the rank Promoted in its place — is
 	// meaningful; that is how an optimum survives its finder's death.
 	// (Under WireOptions.Standby a worker keeps its own best too, to hand
-	// a promoted rank.)
+	// a promoted rank.) The loopback network, whose localities share the
+	// incumbent, retains none.
 	BestKnown() (obj int64, node []byte, ok bool)
 	// Promoted reports whether THIS endpoint inherited the coordinator
 	// role after rank 0 died mid-search (protocol v7,
 	// WireOptions.Standby): it then holds the incumbent retention and
 	// receives the terminal Gather, so result extraction consults it
-	// wherever it would have tested Rank() == 0.
+	// wherever it would have tested Rank() == 0. Never on the loopback
+	// network, whose rank 0 never dies.
 	Promoted() bool
 	// AcksRelayed reports whether this endpoint's completion acks
 	// travel through the coordinator rather than on a direct link to

@@ -141,17 +141,23 @@ func (m *waveModel) finish(wt WireTask) {
 	m.t.Fatalf("completed unknown or already-done task %d", wt.Payload[0])
 }
 
-// kill ends a rank: its counter disappears from the ring, taking every
-// registration it held with it. A task the corpse was holding replays
-// at its most recent surviving link (whose still-open registration is
-// exactly what makes the replay accounting-neutral); with no surviving
-// link the task vanishes.
+// kill ends a rank: it is closed, and every survivor drops it from the
+// ring, as a wire's death notice makes it do — its counter disappears,
+// taking every registration it held with it. A task the corpse was
+// holding replays at its most recent surviving link (whose still-open
+// registration is exactly what makes the replay accounting-neutral);
+// with no surviving link the task vanishes.
 func (m *waveModel) kill(rank int) {
 	if !m.alive[rank] {
 		return
 	}
 	m.alive[rank] = false
-	m.net.Kill(rank)
+	m.trs[rank].Close()
+	for r, peer := range m.net.trs {
+		if m.alive[r] {
+			peer.wave.markDead(rank)
+		}
+	}
 	for i := range m.tasks {
 		tk := &m.tasks[i]
 		if tk.done {
@@ -173,16 +179,6 @@ func (m *waveModel) kill(rank int) {
 		}
 		tk.holder = tk.regs[len(tk.regs)-1]
 		m.hs[tk.holder].push(WireTask{Payload: []byte{tk.id}, Depth: 1})
-	}
-	// Rank 0 died with the root handed to nobody: the transport registered
-	// it at the successor, whose engine seeds it again.
-	for r := range m.trs {
-		if m.alive[r] && m.trs[r].ReseedRoot() {
-			id := byte(m.next)
-			m.next++
-			m.hs[r].push(WireTask{Payload: []byte{id}, Depth: 1})
-			m.tasks = append(m.tasks, waveTask{id: id, regs: []int{r}, holder: r})
-		}
 	}
 }
 
