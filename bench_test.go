@@ -520,9 +520,9 @@ func BenchmarkScaleoutDeath(b *testing.B) {
 
 // ------------------------------------------------------------------
 // Coordinator failover (wire protocol v7): arming -standby makes the
-// hub replicate its residual state (ledger hand-overs, incumbent,
-// death set, early gather shares) to the lowest worker rank, which
-// promotes itself and finishes the search if the coordinator dies.
+// hub replicate its residual state (the root's holder and the
+// incumbent) to the lowest worker rank, which promotes itself and
+// finishes the search if the coordinator dies.
 // The insurance premium is the kHubSnap traffic on the coordinator's
 // wire: at most one snapshot per flush quantum, none while nothing
 // changes.

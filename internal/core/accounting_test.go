@@ -20,9 +20,10 @@ type liveAudit struct {
 	perRank []atomic.Int64 // by the rank that made the call
 	// over, if set, is asked at each zero of the sum whether the search
 	// really is over; onWork, if set, hears each registration of work once
-	// the transport has.
-	over   func() error
-	onWork func(rank int)
+	// the transport has; onCancel, if set, sends each cancel.
+	over     func() error
+	onWork   func(rank int)
+	onCancel func(rank int, send func() error) error
 }
 
 // auditedTransport is a locality's transport with its AddTasks audited:
@@ -47,6 +48,14 @@ func (tr *auditedTransport) AddTasks(delta int64) {
 	if delta > 0 && a.onWork != nil {
 		a.onWork(tr.rank)
 	}
+}
+
+func (tr *auditedTransport) Cancel(obj int64, witness []byte) error {
+	send := func() error { return tr.Transport.Cancel(obj, witness) }
+	if tr.a.onCancel == nil {
+		return send()
+	}
+	return tr.a.onCancel(tr.rank, send)
 }
 
 // ReseedRoot's root is registered by the transport on the rank's behalf.

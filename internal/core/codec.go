@@ -29,9 +29,9 @@ type Codec[N any] interface {
 }
 
 // GobCodec is encoding/gob over a value: the codec of what crosses a
-// run's edges rather than its steal path — an enumeration's monoid share
-// and every rank's gathered result at the end of a distributed search,
-// and the spill segments of a single-process run, which has no
+// run's edges rather than its steal path — every rank's gathered share
+// (its Stats, and an enumeration's monoid value) at the end of a
+// distributed search, and the spill segments of a single-process run, which has no
 // application codec. Each value is a self-describing gob stream, robust
 // but not compact: an application's nodes cross the wire through the
 // hand-written Codec its package exports, never through this.

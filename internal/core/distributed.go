@@ -10,8 +10,12 @@ import (
 // driver's gather step (search, in skeletons.go, runs them). Each OS
 // process is one locality: it runs cfg.Workers workers over its own
 // workpool, steals across the transport when idle, broadcasts
-// incumbent bounds, and at the end contributes its local result and
-// metrics to a gather that the coordinator (rank 0) reconciles. The
+// incumbent bounds, and once the search is over (Done) contributes its
+// metrics — and an enumeration its partial value — to a gather at the
+// coordinator (rank 0, or the rank a failover promoted). An
+// optimisation's or a decision's answer is not gathered: every rank's
+// best node rode its bound broadcasts, and a witness its cancel, to the
+// coordinator, which retains the best (Transport.BestKnown). The
 // problem definition (space, root, objective, bounds) must be
 // constructed identically in every process — deployments are expected
 // to launch the same binary with the same arguments, which the
@@ -19,25 +23,8 @@ import (
 
 // distShare is one locality's contribution to the final gather.
 type distShare struct {
-	Obj   int64  // best local objective (optimisation/decision)
-	Has   bool   // whether Node is meaningful
-	Node  []byte // codec-encoded best node or witness
 	Value []byte // gob-encoded monoid value (enumeration)
 	Stats Stats
-}
-
-// nodeShare is the share of the search types whose result is a node:
-// its objective, and the node through the deployment codec.
-func nodeShare[N any](codec Codec[N], n N, obj int64, has bool) (distShare, error) {
-	share := distShare{Obj: obj, Has: has}
-	if has {
-		b, err := codec.Encode(n)
-		if err != nil {
-			return share, fmt.Errorf("core: encoding local result node: %w", err)
-		}
-		share.Node = b
-	}
-	return share, nil
 }
 
 // gatherShares runs the terminal collective: every locality
@@ -129,8 +116,9 @@ func DistEnum[S, N, M any](tr dist.Transport, codec Codec[N], coord Coordination
 
 // DistDecide runs this process's locality of a distributed decision
 // search. The first locality to reach the target cancels the others
-// through the transport; rank 0 returns whichever witness survived the
-// gather.
+// through the transport, and the cancel, carrying the witness, ends the
+// search at the coordinator; rank 0 returns its own witness or the one
+// it retained.
 func DistDecide[S, N any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, p DecisionProblem[S, N], cfg Config) (DecisionResult[N], error) {
 	return search(tr, codec, coord, space, root, decision(space, p), cfg)
 }

@@ -538,16 +538,12 @@ func fell(w int, after time.Duration) []kill {
 
 const us = time.Microsecond
 
-// What the TCP rows found, held by the drawn schedules that found it. A
-// standby coordinator and a second worker killed at rank 1's next work: a
-// mesh survivor never mourned a worker whose link broke while rank 0
-// lived, and a takeover did not judge it (a hang); a share a cancelled
-// search gathered to rank 0 died with it; a node went to rank 0 alone,
-// which died before handing it to the standby, while its bound lived on
-// and pruned it (a wrong optimum), as did a bound a worker killed
-// mid-broadcast spread over the links its Close had not yet reached (seeds
-// 123, 281 and 361, under load); a death heard of only after Done went
-// uncounted; a rejoin that raced its rank's Close kept a link open.
+// A standby coordinator and a second worker killed at rank 1's next work,
+// each schedule as draw drew it when it failed on TCP: every survivor
+// mourns the dead worker, even one whose link broke while rank 0 lived; the
+// optimum's node outlives both deaths (seeds 123, 281 and 361 under load);
+// every death is counted, even one heard of after Done; no link outlives
+// its rank's Close; a decision ends where its cancel reaches the role.
 func TestStandbyCoordinatorAndWorkerDie(t *testing.T) {
 	rows(t,
 		drawn(46, 4, 8, decide, 999, StackStealing, 4, true, Config{Workers: 3, DCutoff: 3, Budget: 2, Order: OrderDiscrepancy, PoolBudget: 8 << 10, MaxFailures: -1}, fell(2, 400*us)...),
@@ -577,10 +573,9 @@ func TestStandbyRejoinReportLandsWhole(t *testing.T) {
 		kill{rank: 0, after: 200 * us, by: []int{2}}, kill{rank: 3, after: 200 * us, by: []int{2}}))
 }
 
-// A cancelled standby decision ended at rank 0's gather without Done, so
-// its workers read rank 0's exit as its death and took over, re-dialling
-// a listener that was gone; and a worker promoted after its gather had
-// returned collected nobody's result.
+// A cancelled standby decision, rank 0 alive or killed, ends with Done at
+// the rank holding the coordinator role when the cancel reaches it, before
+// anything is gathered, and reports the witness that rank retained.
 func TestStandbyDecisionEndsAtItsGather(t *testing.T) {
 	rows(t,
 		drawn(28, 3, 6, decide, 988, StackStealing, 4, false, Config{Workers: 3, DCutoff: 4, Budget: 8, Chunked: true, Order: OrderBound, PoolBudget: 4 << 10, MaxFailures: -1}, kill{rank: 1}),
@@ -589,8 +584,14 @@ func TestStandbyDecisionEndsAtItsGather(t *testing.T) {
 			49*us, 46*us),
 		drawn(197, 3, 6, decide, 992, StackStealing, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 32, Chunked: true, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: 1}, kill{rank: 0, after: 200 * us}),
 		drawn(346, 4, 6, decide, 997, StackStealing, 4, false, Config{Workers: 2, DCutoff: 2, Budget: 1, Chunked: true, MaxFailures: -1}, kill{rank: 0, after: 200 * us}),
-		drawn(459, 3, 8, decide, 999, DepthBounded, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, MaxFailures: -1}))
+		drawn(459, 3, 8, decide, 999, DepthBounded, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, MaxFailures: -1}),
+		drawn(46, 4, 8, decide, 998, DepthBounded, 4, false, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, atCancel),
+		drawn(281, 4, 6, decide, 996, DepthBounded, 4, true, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, atCancel),
+		drawn(361, 4, 7, decide, 996, StackStealing, 4, false, Config{Workers: 2, MaxFailures: -1}, atCancel))
 }
+
+// atCancel kills rank 0 as a worker cancels, before its cancel leaves.
+var atCancel = kill{rank: 0, by: []int{1, 2, 3}, cancel: true}
 
 // Replicable (Coordination's doc) finds the optimum at every cutoff.
 func TestReplicableFindsMax(t *testing.T) {
@@ -696,11 +697,13 @@ func modelRows(t *testing.T, search searchKind, from int64) {
 // kill is one death of a kill schedule: rank dies at the first
 // registration of work by one of by (none: by rank itself) once after has
 // passed — armed through a dist.ChaosPlan, it lands where the dying rank
-// provably holds registered work, or a coordinator the root.
+// provably holds registered work, or a coordinator the root — or, with
+// cancel, at a cancel by one of by, before it leaves.
 type kill struct {
-	rank  int
-	after time.Duration
-	by    []int
+	rank   int
+	after  time.Duration
+	by     []int
+	cancel bool
 }
 
 // scenario is one row.
@@ -763,7 +766,8 @@ func (sc scenario) run(t *testing.T) {
 		// A standby's rank 0 outlives the search's end at a live rank: it
 		// has the answer, or is about to return it, and no takeover
 		// follows a search that is over, so its successor, whom the row
-		// would ask, has none.
+		// would ask, has none. Nor once a cancel has left, whose arrival
+		// would race the kill: no cancel leaves while a kill is made.
 		ended := func() bool {
 			for r, tr := range raw {
 				select {
@@ -776,15 +780,28 @@ func (sc scenario) run(t *testing.T) {
 			}
 			return false
 		}
-		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), onWork: func(rank int) {
+		var killing sync.Mutex // held by a kill, and by a cancel as it leaves
+		cancels := 0           // the cancels that left
+		fire := func(rank int, cancel bool) {
 			for _, k := range sc.kills {
-				if armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) && !(k.rank == 0 && ended()) {
-					if _, was := dead.LoadOrStore(k.rank, true); !was {
+				if k.cancel == cancel && armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) && !isDead(k.rank) {
+					killing.Lock()
+					if !isDead(k.rank) && !(k.rank == 0 && (ended() || cancels > 0)) {
+						dead.Store(k.rank, true)
 						raw[k.rank].Close() // a kill
 					}
+					killing.Unlock()
 				}
 			}
-		}}
+		}
+		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), onWork: func(rank int) { fire(rank, false) },
+			onCancel: func(rank int, send func() error) error {
+				fire(rank, true)
+				killing.Lock()
+				defer killing.Unlock()
+				cancels++
+				return send()
+			}}
 		for _, k := range sc.kills {
 			if k.after == 0 {
 				armed[k.rank].Store(true)

@@ -18,8 +18,9 @@ import (
 // proven.
 //
 // In a distributed deployment each process holds one locality and its
-// own authoritative incumbent; the coordinator reconciles them in the
-// final gather.
+// own authoritative incumbent; every improvement's node rides its bound
+// broadcast to the coordinator, whose transport retains the best
+// (dist.Transport.BestKnown): that is the search's answer.
 type incumbent[N any] struct {
 	mu      sync.Mutex
 	node    N
@@ -72,9 +73,10 @@ func (in *incumbent[N]) strengthen(l *locality[N], obj int64, n N) bool {
 	if l.tr != nil && l.tr.Size() > 1 {
 		var blob []byte
 		if in.encode != nil {
-			// A failed encoding degrades the broadcast to bound-only
-			// (the node then survives only in this locality's gather
-			// share); it cannot be allowed to suppress the bound.
+			// A failed encoding degrades the broadcast to bound-only,
+			// and the coordinator cannot report the node (a codec must
+			// encode every node); it cannot be allowed to suppress the
+			// bound.
 			blob, _ = in.encode(n)
 		}
 		err := l.tr.BroadcastBound(obj, blob)

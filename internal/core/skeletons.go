@@ -68,12 +68,15 @@ type searchType[S, N, R any] struct {
 	// local reads the result of this process's localities. Only valid
 	// after the workers have joined.
 	local func(ws []*workerCtx[S, N], stats Stats) R
-	// share encodes a local result as this process's contribution to
-	// the gather of a multi-process run (the driver adds the Stats);
-	// merge folds another rank's share into the coordinator's. A nil
-	// share is a rank that died before contributing.
-	share func(local R) (distShare, error)
+	// An enumeration's answer is gathered: share encodes a local result's
+	// value as this process's contribution to the gather of a
+	// multi-process run, and merge folds another rank's share into the
+	// coordinator's; a nil share is a rank that died before contributing.
+	// An optimisation's or a decision's is the coordinator's own: known
+	// folds the transport's retained node (BestKnown) into its result.
+	share func(local R) ([]byte, error)
 	merge func(agg *R, rank int, s *distShare) error
+	known func(agg *R, obj int64, node []byte) error
 }
 
 // enumeration is the search type of the (accumulate) rule: per-worker
@@ -92,12 +95,12 @@ func enumeration[S, N, M any](space S, p EnumProblem[S, N, M]) searchType[S, N, 
 			}
 			return EnumResult[M]{Value: acc, Stats: stats}
 		},
-		share: func(local EnumResult[M]) (distShare, error) {
+		share: func(local EnumResult[M]) ([]byte, error) {
 			b, err := GobCodec[M]{}.Encode(local.Value)
 			if err != nil {
-				return distShare{}, fmt.Errorf("core: encoding local monoid value: %w", err)
+				return nil, fmt.Errorf("core: encoding local monoid value: %w", err)
 			}
-			return distShare{Value: b}, nil
+			return b, nil
 		},
 		merge: func(agg *EnumResult[M], rank int, s *distShare) error {
 			if s == nil {
@@ -119,7 +122,7 @@ func enumeration[S, N, M any](space S, p EnumProblem[S, N, M]) searchType[S, N, 
 
 // optimisation is the search type of the (strengthen)/(prune) rules:
 // one incumbent for this process's localities, a cached bound per
-// locality, the best node across localities at the gather.
+// locality, and across processes the best node the coordinator retained.
 func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptResult[N]] {
 	var inc *incumbent[N]
 	var codec Codec[N]
@@ -144,18 +147,15 @@ func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptRes
 			node, obj, has := inc.result()
 			return OptResult[N]{Best: node, Objective: obj, Found: has, Stats: stats}
 		},
-		share: func(local OptResult[N]) (distShare, error) {
-			return nodeShare(codec, local.Best, local.Objective, local.Found)
-		},
-		merge: func(agg *OptResult[N], rank int, s *distShare) error {
-			if s == nil || !s.Has || (agg.Found && s.Obj <= agg.Objective) {
+		known: func(agg *OptResult[N], obj int64, node []byte) error {
+			if agg.Found && obj <= agg.Objective {
 				return nil
 			}
-			n, err := codec.Decode(s.Node)
+			n, err := codec.Decode(node)
 			if err != nil {
-				return fmt.Errorf("core: decoding locality %d best node: %w", rank, err)
+				return fmt.Errorf("core: decoding the retained best node: %w", err)
 			}
-			agg.Best, agg.Objective, agg.Found = n, s.Obj, true
+			agg.Best, agg.Objective, agg.Found = n, obj, true
 			return nil
 		},
 	}
@@ -163,7 +163,8 @@ func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptRes
 
 // decision is the search type of the (shortcircuit) rule: the first
 // worker to reach p.Target records the witness and cancels everyone,
-// across localities; whichever witness survives the gather is returned.
+// across localities; the coordinator returns its own witness or the one
+// a cancel carried to it.
 func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, DecisionResult[N]] {
 	wit := &witness[N]{}
 	var codec Codec[N]
@@ -177,9 +178,11 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 				// reaches rank 0's retention before this process can die
 				// with it (objective only, should the node not encode).
 				fab.cancelInfo = func() (int64, []byte) {
-					n, obj, found := wit.get()
-					s, _ := nodeShare(codec, n, obj, found)
-					return s.Obj, s.Node
+					n, obj, _ := wit.get()
+					if b, err := codec.Encode(n); err == nil {
+						return obj, b
+					}
+					return obj, nil
 				}
 			}
 			return func(th *thief[N]) visitor[N] {
@@ -190,18 +193,15 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 			node, obj, found := wit.get()
 			return DecisionResult[N]{Witness: node, Objective: obj, Found: found, Stats: stats}
 		},
-		share: func(local DecisionResult[N]) (distShare, error) {
-			return nodeShare(codec, local.Witness, local.Objective, local.Found)
-		},
-		merge: func(agg *DecisionResult[N], rank int, s *distShare) error {
-			if s == nil || !s.Has || agg.Found {
+		known: func(agg *DecisionResult[N], obj int64, node []byte) error {
+			if agg.Found {
 				return nil
 			}
-			n, err := codec.Decode(s.Node)
+			n, err := codec.Decode(node)
 			if err != nil {
-				return fmt.Errorf("core: decoding locality %d witness: %w", rank, err)
+				return fmt.Errorf("core: decoding the retained witness: %w", err)
 			}
-			agg.Witness, agg.Objective, agg.Found = n, s.Obj, true
+			agg.Witness, agg.Objective, agg.Found = n, obj, true
 			return nil
 		},
 	}
@@ -212,8 +212,9 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 // nil transport the fabric is cfg.Localities loopback localities in
 // this process and the local result is the result. Otherwise this
 // process is one locality of a deployment on tr (see distributed.go):
-// every rank contributes its local result to a terminal gather, and the
-// coordinator reconciles the shares into the global one.
+// every rank contributes its share to a terminal gather, and the
+// coordinator reconciles its local result, the shares and what it
+// retained into the global one.
 func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, st searchType[S, N, R], cfg Config) (R, error) {
 	if tr == nil {
 		cfg = cfg.withDefaults()
@@ -254,11 +255,13 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 		return local, nil
 	}
 
-	share, err := st.share(local)
-	if err != nil {
-		return local, err
+	share := distShare{Stats: stats}
+	if st.share != nil {
+		var err error
+		if share.Value, err = st.share(local); err != nil {
+			return local, err
+		}
 	}
-	share.Stats = stats
 	shares, total, err := gatherShares(tr, share)
 	if err != nil || shares == nil {
 		// A worker rank: its local contribution, which callers normally
@@ -266,23 +269,23 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 		return local, err
 	}
 	// The coordinator's own contribution is its local result; the other
-	// ranks' are merged into it.
+	// ranks' shares are merged into it, or, for a node result, what the
+	// transport retained of every node-carrying bound broadcast and
+	// cancel: every live rank's went ahead of its share, and a dead
+	// rank's was retained before the bound it carried could prune.
 	agg := st.local(ws, total)
 	for rank, s := range shares {
-		if rank == tr.Rank() {
+		if rank == tr.Rank() || st.merge == nil {
 			continue
 		}
 		if err := st.merge(&agg, rank, s); err != nil {
 			return agg, err
 		}
 	}
-	// The transport retains every node-carrying bound broadcast and a
-	// cancel's witness, so a result found by a locality that died before
-	// the gather is still recovered here — offered as one more share. A
-	// retained node that fails to decode is skipped, not an error: the
-	// surviving shares still stand.
-	if obj, blob, ok := tr.BestKnown(); ok {
-		_ = st.merge(&agg, tr.Rank(), &distShare{Obj: obj, Has: true, Node: blob})
+	if obj, blob, ok := tr.BestKnown(); ok && st.known != nil {
+		if err := st.known(&agg, obj, blob); err != nil {
+			return agg, err
+		}
 	}
 	return agg, failurePolicy(cfg, total.Deaths)
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -257,11 +256,23 @@ func takeOver(t *testing.T, trs []Transport, what string, carries func(*HubSnaps
 	})
 }
 
-// gatherAtRank1 ends the search (rank 1 drops its live work), sends the
-// other ranks' shares and returns what rank 1 collects.
+// gatherAtRank1 ends the search — rank 1 drops its live work, and the
+// root the takeover registered there — waits until rank 1 and the others
+// are Done, sends the others' shares and returns what rank 1 collects.
 func gatherAtRank1(t *testing.T, trs []Transport, others ...int) [][]byte {
 	t.Helper()
-	trs[1].AddTasks(-1)
+	live := int64(1)
+	if trs[1].ReseedRoot() {
+		live++
+	}
+	trs[1].AddTasks(-live)
+	for _, r := range append([]int{1}, others...) {
+		select {
+		case <-trs[r].Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("rank %d not Done after the search ended", r)
+		}
+	}
 	for _, r := range others {
 		if _, err := trs[r].Gather([]byte{byte(r)}); err != nil {
 			t.Fatalf("rank %d gather: %v", r, err)
@@ -357,40 +368,7 @@ func TestConformanceTakeoverKeepsMourned(t *testing.T) {
 	}
 }
 
-// (d) A cancelled search gathers before Done. Rank 2's share, which rank
-// 0 collected before it died, and rank 3's, sent after, reach rank 1, and
-// rank 1, which joined the gather as a worker, collects them once promoted.
-func TestConformanceTakeoverKeepsGatherShare(t *testing.T) {
-	for _, h := range replicaHarnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 4)
-			startAll(trs)
-			trs[1].AddTasks(1)
-			if _, err := trs[2].Gather([]byte("early")); err != nil {
-				t.Fatal(err)
-			}
-			joined := make(chan [][]byte, 1)
-			go func() { blobs, _ := trs[1].Gather([]byte{1}); joined <- blobs }()
-			takeOver(t, trs, "rank 2's share", func(s *HubSnapshot) bool {
-				return slices.ContainsFunc(s.Gather, func(g GatherSlot) bool { return g.Rank == 2 })
-			})
-			trs[1].AddTasks(-1)
-			if _, err := trs[3].Gather([]byte{3}); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case got := <-joined:
-				if len(got) != 4 || string(got[1]) != "\x01" || string(got[2]) != "early" || string(got[3]) != "\x03" {
-					t.Fatalf("gather = %q, want rank 2's early share in slot 2", got)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("rank 1, promoted, never returned the gather it joined as a worker")
-			}
-		})
-	}
-}
-
-// (e) A root rank 0 handed over that never landed — its reply lost with
+// (d) A root rank 0 handed over that never landed — its reply lost with
 // rank 0, or, here, held unadopted because rank 2's engine has not
 // started — names no holder: a snapshot sent after the hand-over does not
 // name rank 2, and rank 1 seeds the root again at the takeover.

@@ -417,6 +417,8 @@ func TestConformanceGather(t *testing.T) {
 				}
 				return
 			}
+			trs[0].AddTasks(1)
+			trs[0].AddTasks(-1) // the search ends, and each Gather waits for it
 			var got [][]byte
 			var wg sync.WaitGroup
 			for r, tr := range trs {
@@ -442,6 +444,49 @@ func TestConformanceGather(t *testing.T) {
 				if len(b) != 1 || b[0] != byte(r+1) {
 					t.Errorf("rank %d slot = %v", r, b)
 				}
+			}
+		})
+	}
+}
+
+// A share leaves a rank only after Done: a worker that gathers
+// mid-search sends nothing and does not return until the search ends,
+// when its share reaches the coordinator. On the star, the mesh, and
+// both with a standby.
+func TestConformanceGatherWaitsForDone(t *testing.T) {
+	hs := wires()
+	for _, h := range replicaHarnesses() {
+		hs = append(hs, harness{"standby-" + h.name, h.make})
+	}
+	for _, h := range hs {
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 3)
+			startAll(trs)
+			trs[1].AddTasks(1)
+			sent := make(chan error, 1)
+			go func() { _, err := trs[2].Gather([]byte{3}); sent <- err }()
+			time.Sleep(100 * time.Millisecond)
+			e0 := trs[0].(*endpoint)
+			e0.gatherMu.Lock()
+			early := e0.contrib[2]
+			e0.gatherMu.Unlock()
+			if len(sent) > 0 || early {
+				t.Fatalf("mid-search, rank 2's gather returned (%v) or its share landed (%v)", len(sent) > 0, early)
+			}
+			trs[1].AddTasks(-1)
+			select {
+			case err := <-sent:
+				if err != nil {
+					t.Fatalf("rank 2 gather: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("rank 2's gather still waits after the search ended")
+			}
+			if _, err := trs[1].Gather([]byte{2}); err != nil {
+				t.Fatalf("rank 1 gather: %v", err)
+			}
+			if got, err := trs[0].Gather([]byte{1}); err != nil || len(got) != 3 || string(got[2]) != "\x03" {
+				t.Fatalf("gathered %q (error %v), want rank 2's share in slot 2", got, err)
 			}
 		})
 	}

@@ -2,7 +2,7 @@
 // search runtime: a pluggable Transport over which localities — the
 // paper's physical cluster nodes — exchange work and incumbent
 // knowledge. This comment is a reference to the protocol as it stands
-// (wire v10); how it got there, version by version, is in CHANGES.md.
+// (wire v11); how it got there, version by version, is in CHANGES.md.
 //
 // # What a Transport does
 //
@@ -111,15 +111,15 @@
 //	kAck        thief → origins     Acks hand-over ids                             those subtrees are complete: retire the ledger copies; routed id by id
 //	kBound      W → C, C → all      Obj bound, Blob node (towards C)               the incumbent: C retains the best (obj, node) for BestKnown; only a star's C fans out
 //	kGossip     rank → peers        Obj bound                                      (mesh) epidemic spread; never on a link that already carried the bound
-//	kCancel     W → C, C → all      Obj objective, Blob witness                    a decision is found: everyone stops, C retains the witness
+//	kCancel     W → C, C → all      Obj objective, Blob witness                    a decision is found: C retains the witness and ends the search (then kTerminate)
 //	kDelta      W → C               the header delta alone                         (star) C's live count is the sum of every rank's deltas
 //	kToken      rank → next rank    Seq round, Obj count, Want colour              (mesh) the termination wave
-//	kTerminate  C → all             none                                           the count is zero, or the wave confirmed: Done
-//	kGather     W → C               Blob result share                              the terminal collective; a dead rank's slot is filled with nil
+//	kTerminate  C → all             From C                                         the count is zero, the wave confirmed, or a cancel came: Done; shares go to C
+//	kGather     W → C               Blob result share                              the terminal collective, sent only after Done; a dead rank's slot is nil
 //	kPing       W → C               header only                                    liveness, after a Heartbeat with nothing else sent
 //	kDeath      C → all             Want dead rank                                 mourn: fail steals aimed at it, replay its hand-overs, skip it for good
 //	kLeave      rank → all          none                                           (mesh) an exit after termination, not a death to replay
-//	kHubSnap    C → S               Blob residual-state snapshot                   (standby) root holder, incumbent, gather shares; at most one a flush quantum, none unchanged
+//	kHubSnap    C → S               Blob residual-state snapshot                   (standby) root holder and incumbent; at most one a flush quantum, none unchanged
 //	kHeld       W → C               none                                           (standby) W registered the root C handed it: C may now name W its holder
 //	kRejoin     W → promoted C      Want epoch, Obj live-count share, Seq session  (star failover) W's contribution crosses the takeover
 //	kResume     dialler ⇄ acceptor  Seq session, Obj receive mark                  (link grace) each side replays what the other missed; link sequence 0
@@ -196,9 +196,9 @@
 //
 //	epoch 0  rank 0 coordinates and runs no workers (core.Config.Standby), so the one task it hands
 //	         over under supervision is the root; it replicates to S, the lowest live worker, what
-//	         nothing else rebuilds: who holds the root (a thief whose kHeld came), the incumbent,
-//	         early gather shares — one kHubSnap in each flush quantum in which any of them changed,
-//	         or S did. Deaths reach S as kDeath, ahead of any later snapshot on the same link
+//	         nothing else rebuilds: who holds the root (a thief whose kHeld came) and the incumbent
+//	         — one kHubSnap in each flush quantum in which either changed, or S did. Deaths reach S
+//	         as kDeath, ahead of any later snapshot on the same link
 //	   │     S sees its link to rank 0 break or fall silent
 //	epoch 1  S takes the role in place, seeded from the last snapshot. If the root's holder is
 //	         unknown or dead, now or later, S registers the root and its engine seeds it again
@@ -206,10 +206,13 @@
 //	         star: survivors re-dial S's listener with kRejoin; kWelcome re-seeds count and bound,
 //	               and what S fanned out between that welcome and the link's install is repeated
 //	         mesh: the links exist; coordinator traffic changes direction
+//	         every survivor hands S the node it retained: its best, or the witness of a cancel
+//	         it sent or heard, which ends the search at S
 //	   │     S dies, or rank 0 and S both die before the takeover completes
 //	the deployment ends: the epoch admits exactly one promotion
 //
-// The promoted rank gathers and reports (Transport.Promoted).
+// The gather runs after Done, which no takeover follows: the rank that
+// ended the search collects it and reports (Transport.Promoted).
 //
 // # Who owns a payload
 //

@@ -108,11 +108,9 @@ type endpoint struct {
 	// Gather must fail rather than wait for contributions that can no
 	// longer arrive.
 	aborted bool
-	// share is this worker's gather contribution once made, which a
-	// takeover sends the new coordinator again.
-	share atomic.Pointer[[]byte]
-	// turned is closed once the takeover has run, whatever its outcome.
-	turned chan struct{}
+	// cancelled marks a cancel sent or heard here, which a takeover
+	// passes on to the new coordinator (handOver).
+	cancelled atomic.Bool
 
 	// Failover state (nil/zero unless WireOptions.Standby).
 	epoch     atomic.Uint32 // 0 while rank 0 lives, 1 after the takeover
@@ -150,7 +148,6 @@ func newEndpoint(opts WireOptions, spec string) *endpoint {
 		started: make(chan struct{}),
 		done:    make(chan struct{}),
 		gotAll:  make(chan struct{}),
-		turned:  make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	e.pbStamp.Store(math.MinInt64)
@@ -241,11 +238,9 @@ func (e *endpoint) run() {
 
 func (e *endpoint) isCoord() bool { return int(e.coord.Load()) == e.rank }
 
-func (e *endpoint) isDone() bool { return closed(e.done) }
-
-func closed(ch <-chan struct{}) bool {
+func (e *endpoint) isDone() bool {
 	select {
-	case <-ch:
+	case <-e.done:
 		return true
 	default:
 		return false
@@ -485,13 +480,12 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 				e.retain(f.Obj, f.Blob)
 				f.Blob = nil
 			}
+			e.cancelled.Store(true)
 			if hd := e.handler(); hd != nil {
 				hd.OnCancel(f.From)
 			}
 			if e.isCoord() {
-				// On a mesh too: a cancel must reach everyone promptly,
-				// not epidemically.
-				e.fanOut(&f, peer)
+				e.endSearch(&f, peer)
 			}
 		case kAck:
 			e.onAcks(f.From, f.Acks)
@@ -500,6 +494,9 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 		case kDeath:
 			e.died(f.Want, nil)
 		case kTerminate:
+			// A share goes to the rank that ended the search, whose kTerminate
+			// can overtake this rank's view of rank 0's death (a mesh).
+			e.coord.Store(int32(f.From))
 			e.terminate()
 		case kLeave:
 			cn.left.Store(true)
@@ -632,9 +629,16 @@ func (e *endpoint) terminate() {
 	e.doneOnce.Do(func() {
 		close(e.done)
 		if e.isCoord() {
-			e.fanOut(&frame{Kind: kTerminate}, e.rank)
+			e.fanOut(&frame{Kind: kTerminate, From: e.rank}, e.rank)
 		}
 	})
+}
+
+// endSearch is a cancel at the coordinator: it reaches every rank but
+// except at once (on a mesh too), and Done follows it on every link.
+func (e *endpoint) endSearch(cancel *frame, except int) {
+	e.fanOut(cancel, except)
+	e.terminate()
 }
 
 func (e *endpoint) Steal(victim int) (WireTask, bool, error) { return e.stealVia(kSteal, victim) }
@@ -762,16 +766,19 @@ func (e *endpoint) standbyBound(obj int64, node []byte) error {
 	return err
 }
 
+// Cancel ends the search at the coordinator, which retains the witness.
+// The finder retains it too, for a takeover to hand over (handOver).
 func (e *endpoint) Cancel(obj int64, witness []byte) error {
+	e.retain(obj, witness)
+	e.cancelled.Store(true)
 	if e.isCoord() {
-		e.retain(obj, witness)
-		e.fanOut(&frame{Kind: kCancel, From: e.rank, Obj: obj}, e.rank)
+		e.endSearch(&frame{Kind: kCancel, From: e.rank, Obj: obj}, e.rank)
 		return nil
 	}
 	if cn := e.coordLink(); cn != nil {
 		return cn.send(&frame{Kind: kCancel, From: e.rank, Obj: obj, Blob: witness})
 	}
-	return nil // takeover in flight
+	return nil // takeover in flight: it passes the cancel on
 }
 
 // gossip pushes a bound to up to n distinct random linked ranks for
@@ -1021,40 +1028,21 @@ func (e *endpoint) contribute(rank int, blob []byte) {
 	e.contrib[rank] = true
 	e.blobs[rank] = blob
 	e.have++
-	if blob != nil {
-		e.repl.bump() // a nil slot is the kDeath's to replicate
-	}
 	if e.have == e.size {
 		close(e.gotAll)
 	}
 }
 
+// Gather waits for Done, which no takeover follows, so a share goes to the
+// coordinator that ended the search, behind the sender's bounds and
+// cancels: once every live rank's has landed, BestKnown is complete.
 func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
+	<-e.done
 	if !e.isCoord() {
-		// A cancelled search gathers before Done, so rank 0 may yet die
-		// with the share: a takeover still to run sends it on (stored
-		// first, so one of the two sees the other), unless this rank is
-		// the one that takes the role over and collects the result itself.
-		e.share.Store(&payload)
-		cand := -1
-		if e.opts.Standby && !closed(e.turned) {
-			cand = failoverCandidate(e.size, e.deaths)
+		if err := e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: payload}); err != nil {
+			return nil, fmt.Errorf("dist: sending gather payload: %w", err)
 		}
-		err := e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: payload})
-		if cand == e.rank {
-			select {
-			case <-e.done:
-			case <-e.turned:
-			}
-		}
-		if !e.isCoord() {
-			// A failed send stands unless a takeover still to run, one
-			// that promotes another rank, sends the share again.
-			if err != nil && (cand < 0 || cand == e.rank) {
-				return nil, fmt.Errorf("dist: sending gather payload: %w", err)
-			}
-			return nil, nil
-		}
+		return nil, nil
 	}
 	e.contribute(e.rank, payload)
 	<-e.gotAll
@@ -1064,9 +1052,6 @@ func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
 	if aborted {
 		return nil, errors.New("dist: gather aborted: coordinator endpoint closed mid-search")
 	}
-	// A cancelled search ends here: its workers must not read rank 0's
-	// exit as its death and take over.
-	e.terminate()
 	return blobs, nil
 }
 

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Coordinator failover (wire protocol v7, replication as of v10). A
+// Coordinator failover (wire protocol v7, replication as of v11). A
 // deployment launched with WireOptions.Standby survives rank 0 dying
 // mid-search:
 //
@@ -17,12 +17,11 @@ import (
 //     ever hands over under supervision is the root. It replicates to
 //     the lowest live worker rank, as one kHubSnap snapshot per flush
 //     quantum in which something changed (hubRepl), what no survivor's
-//     ledger or link can rebuild: who holds that hand-over (rootHolder),
-//     the retained incumbent and the gather shares it holds. The standby
-//     keeps the last snapshot that decoded. The ranks rank 0 mourned are
-//     not replicated: each kDeath reaches the standby on the same link
-//     ahead of any later snapshot, and fills the dead rank's gather slot
-//     there as it does everywhere.
+//     ledger or link can rebuild: who holds that hand-over (rootHolder)
+//     and the retained incumbent. The standby keeps the last snapshot
+//     that decoded. The ranks rank 0 mourned are not replicated: each
+//     kDeath reaches the standby on the same link ahead of any later
+//     snapshot.
 //   - Every worker pre-binds a promotion listener at registration and
 //     the table of those addresses is exchanged (kPeerAddr/kPeers,
 //     the mesh's own mechanism, now spoken by standby stars too).
@@ -38,6 +37,10 @@ import (
 //     ledger. The root is seeded again by the successor's engine, at the
 //     death that loses it: rank 0's with the root's holder unknown or
 //     dead, or the holder's after it (rootHolder, ReseedRoot).
+//   - Every survivor hands the promoted rank the node it retained: its
+//     best, or with a cancel it sent or heard the witness, which ends the
+//     search there (handOver). No takeover follows Done, before which
+//     nothing is gathered.
 //   - The epoch fences generations: a kRejoin for the wrong epoch is
 //     refused, and because every stale frame rode a connection that
 //     died with the old coordinator, the connection itself is the
@@ -54,12 +57,6 @@ import (
 // of the hub and the standby before the next-lowest rank's first
 // snapshot lands.
 
-// GatherSlot is one replicated gather contribution.
-type GatherSlot struct {
-	Rank int
-	Blob []byte
-}
-
 // HubSnapshot is the coordinator's residual state: what a standby needs
 // beyond what registration already told it (the spec, the size and the
 // peer address table) and what the kDeath fan-out tells it (the mourned
@@ -69,7 +66,6 @@ type HubSnapshot struct {
 	BestObj  int64  // retained incumbent objective (valid when HasBest)
 	BestNode []byte // retained incumbent witness
 	HasBest  bool
-	Gather   []GatherSlot
 }
 
 // encodeHubSnapshot serialises a snapshot (the kHubSnap blob).
@@ -82,12 +78,6 @@ func encodeHubSnapshot(s *HubSnapshot) []byte {
 		b = append(b, s.BestNode...)
 	} else {
 		b = append(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(s.Gather)))
-	for _, g := range s.Gather {
-		b = binary.AppendUvarint(b, uint64(g.Rank))
-		b = binary.AppendUvarint(b, uint64(len(g.Blob)))
-		b = append(b, g.Blob...)
 	}
 	return b
 }
@@ -115,21 +105,6 @@ func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 			return nil, err
 		}
 		s.HasBest = true
-	}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	for ; n > 0; n-- {
-		rank, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		g := GatherSlot{Rank: int(rank)}
-		if g.Blob, err = r.bytes(); err != nil {
-			return nil, err
-		}
-		s.Gather = append(s.Gather, g)
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("dist: %d trailing bytes in hub snapshot", len(r.b))
@@ -260,13 +235,6 @@ func (e *endpoint) standby() *wconn {
 func (e *endpoint) snapshotBlob() []byte {
 	s := &HubSnapshot{Holder: e.root.held()}
 	s.BestObj, s.BestNode, s.HasBest = e.inc.best()
-	e.gatherMu.Lock()
-	for r, blob := range e.blobs {
-		if blob != nil {
-			s.Gather = append(s.Gather, GatherSlot{Rank: r, Blob: blob})
-		}
-	}
-	e.gatherMu.Unlock()
 	return encodeHubSnapshot(s)
 }
 
@@ -282,7 +250,6 @@ func (e *endpoint) takeover(old *wconn) bool {
 	if !e.opts.Standby || e.isDone() || !e.epoch.CompareAndSwap(0, 1) {
 		return false
 	}
-	defer close(e.turned)
 	// The engine must learn rank 0 died: its ledger replays the
 	// hand-overs rank 0 held — on a star every outstanding one, since an
 	// ack relayed through the dying coordinator may be gone — and the
@@ -312,20 +279,37 @@ func (e *endpoint) takeover(old *wconn) bool {
 	}
 	if cand == e.rank {
 		e.acquireRole(rep)
-		return true
+	} else {
+		e.coord.Store(int32(cand))
+		// Role migration: the link to the new coordinator already exists (a
+		// mesh), coordinator traffic just changes direction.
+		if e.links[cand].Load() == nil && !e.rejoin(cand, rep) {
+			return false
+		}
 	}
-	e.coord.Store(int32(cand))
-	// Role migration: the link to the new coordinator already exists (a
-	// mesh), coordinator traffic just changes direction.
-	if e.links[cand].Load() == nil && !e.rejoin(cand, rep) {
-		return false
-	}
-	if share := e.share.Load(); share != nil {
-		// Gathered before the takeover (a cancelled search): rank 0 may
-		// have died with it.
-		e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: *share})
-	}
+	e.handOver()
 	return true
+}
+
+// handOver sends the elected coordinator the node this rank retained,
+// which rank 0 may have died with: its best, as a kBound, or the witness
+// of a cancel it sent or heard, as a kCancel that ends the search — here,
+// at the elected rank (no witness, no end: the search would report none).
+// A publication retains before it looks for the coordinator link, and this
+// looks once the link is in place: one of the two sends it.
+func (e *endpoint) handOver() {
+	obj, node, ok := e.inc.best()
+	switch {
+	case !ok:
+	case !e.cancelled.Load():
+		if !e.isCoord() {
+			e.sendCoord(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
+		}
+	case e.isCoord():
+		e.endSearch(&frame{Kind: kCancel, From: e.rank, Obj: obj}, e.rank)
+	default:
+		e.sendCoord(&frame{Kind: kCancel, From: e.rank, Obj: obj, Blob: node})
+	}
 }
 
 // acquireRole makes this endpoint the coordinator, in place: the role's
@@ -346,15 +330,9 @@ func (e *endpoint) acquireRole(rep int64) {
 		e.count.own(rep)
 	}
 	e.coord.Store(int32(e.rank))
-	// Rank 0 will never contribute to the gather. Every rank it mourned
-	// was mourned here too, slot and all, by the kDeath that preceded the
-	// snapshot; the contributions it had collected survive via the replica.
+	// Rank 0 will never contribute to the gather; every rank it mourned
+	// was mourned here too, slot and all, by its kDeath.
 	e.contribute(0, nil)
-	for _, g := range snap.Gather {
-		if g.Rank != e.rank {
-			e.contribute(g.Rank, g.Blob)
-		}
-	}
 	var missing []int
 	for r := 1; r < e.size; r++ {
 		if r != e.rank && !e.deaths.isDead(r) && e.links[r].Load() == nil {
@@ -427,6 +405,12 @@ func (e *endpoint) admitRejoin(cn *wconn, rj *frame) error {
 			cn.send(&frame{Kind: kDeath, From: e.rank, Want: dead})
 		}
 	}
+	if e.isDone() {
+		// A cancel ended the search in the rejoin window, before r's link
+		// was there for its fan-outs (terminate closes done first).
+		cn.send(&frame{Kind: kCancel, From: e.rank})
+		cn.send(&frame{Kind: kTerminate, From: e.rank})
+	}
 	go e.readLoop(r, cn)
 	return nil
 }
@@ -466,13 +450,6 @@ func (e *endpoint) rejoin(cand int, rep int64) bool {
 		e.meldBound(welcome.From, welcome.PB)
 	}
 	e.install(cand, cn)
-	// A bound published while this link was being made found no link to
-	// leave on, and the kRejoin carries only what was known when it was
-	// stamped: repeat what it missed. (BroadcastBound raises the stamp
-	// before it looks for the link, so one of the two sees the other.)
-	if b := e.pbStamp.Load(); b != math.MinInt64 && !(hello.HasPB && hello.PB >= b) {
-		cn.send(&frame{Kind: kBound, From: e.rank, Obj: b})
-	}
 	go e.readLoop(cand, cn)
 	return true
 }

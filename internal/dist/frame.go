@@ -116,7 +116,8 @@ import (
 // gather shares; the mourned ranks reach the standby by the kDeath
 // fan-out, ahead of any later snapshot on the same link. It adds kHeld
 // (thief → rank 0, header only: the hand-over is registered, name me its
-// holder) after kHubSnap; the kinds after it moved up one.
+// holder) after kHubSnap; the kinds after it moved up one. v11 drops the
+// gather shares from the snapshot: a share is sent only after Done.
 
 const (
 	fDelta = 1 << 0 // header carries a coalesced live-task delta
@@ -237,16 +238,6 @@ func (r *frameReader) varint() (int64, error) {
 	}
 	r.b = r.b[n:]
 	return v, nil
-}
-
-// count reads a claimed element count, refusing one the bytes left
-// could not hold (every element takes at least one).
-func (r *frameReader) count() (uint64, error) {
-	n, err := r.uvarint()
-	if err == nil && n > uint64(len(r.b)) {
-		err = fmt.Errorf("dist: count of %d exceeds %d remaining bytes", n, len(r.b))
-	}
-	return n, err
 }
 
 // bytes slices out a counted byte string, never returning nil for an

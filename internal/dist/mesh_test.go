@@ -159,10 +159,9 @@ func TestMeshGossipBoundMonotonicity(t *testing.T) {
 }
 
 // The coordinator's residual state round-trips through its snapshot: the
-// rank holding its supervised hand-over, the retained incumbent and the
-// gather shares it holds — what a standby needs beyond what registration
-// and the kDeath fan-out told it. A slot a death filled with nil is not
-// carried. Star and mesh share the one snapshotBlob.
+// rank holding its supervised hand-over and the retained incumbent — what
+// a standby needs beyond what registration and the kDeath fan-out told
+// it. Star and mesh share the one snapshotBlob.
 func TestMeshHubSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -183,27 +182,12 @@ func TestMeshHubSnapshotRoundTrip(t *testing.T) {
 				obj, _, ok := trs[0].BestKnown()
 				return ok && obj == 42
 			})
-			if _, err := trs[2].Gather([]byte("share")); err != nil {
-				t.Fatal(err)
-			}
-			trs[3].Close()
-			awaitDeath(t, trs[1], 3)
-			eventually(t, "the coordinator to hold rank 2's share", func() bool {
-				e0 := trs[0].(*endpoint)
-				e0.gatherMu.Lock()
-				defer e0.gatherMu.Unlock()
-				return e0.contrib[2] && e0.contrib[3]
-			})
-
 			snap, err := DecodeHubSnapshot(trs[0].(*endpoint).snapshotBlob())
 			if err != nil {
 				t.Fatalf("decode snapshot: %v", err)
 			}
 			if snap.Holder != 1 {
 				t.Fatalf("snapshot holder = %d, want rank 1", snap.Holder)
-			}
-			if len(snap.Gather) != 1 || snap.Gather[0].Rank != 2 || string(snap.Gather[0].Blob) != "share" {
-				t.Fatalf("snapshot gather = %+v, want rank 2's share alone", snap.Gather)
 			}
 			if !snap.HasBest || snap.BestObj != 42 || string(snap.BestNode) != "best-node" {
 				t.Fatalf("snapshot incumbent = %d %q %v", snap.BestObj, snap.BestNode, snap.HasBest)

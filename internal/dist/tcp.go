@@ -42,10 +42,11 @@ const (
 	// v8 (link-fault tolerance: a sequence + CRC32C frame trailer and
 	// resumable sessions, see session.go), v9 (the standby replicated
 	// by snapshot alone: the delta frame gone, the kinds after it
-	// renumbered) and v10 (the snapshot names the root's holder, which
-	// kHeld confirms, in place of the hand-over mirror) — peers must not
-	// silently garble each other.
-	wireVersion = 10
+	// renumbered), v10 (the snapshot names the root's holder, which
+	// kHeld confirms, in place of the hand-over mirror) and v11 (the
+	// snapshot carries no gather shares: nothing is gathered before
+	// Done) — peers must not silently garble each other.
+	wireVersion = 11
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
@@ -96,8 +97,8 @@ type WireOptions struct {
 	// (the topology is folded into the spec check at registration).
 	Topology string
 	// Standby arms coordinator failover: the hub replicates its
-	// residual state (the rank holding its hand-over, the incumbent,
-	// gather shares) to the lowest live worker rank, every worker
+	// residual state (the rank holding its hand-over, the incumbent)
+	// to the lowest live worker rank, every worker
 	// pre-binds a promotion listener whose address is exchanged at
 	// registration, and on rank 0's death the replicated rank promotes
 	// itself while the rest re-dial it. Rank 0 must hand over one task
@@ -171,7 +172,7 @@ const (
 	kBound                 // From, Obj
 	kCancel                // From
 	kDelta                 // carrier for a coalesced header delta
-	kTerminate             // global live-task count reached zero
+	kTerminate             // From = the coordinator: the search is over
 	kGather                // From, Blob
 	kAck                   // From = thief, To = origin, Seq = hand-over id
 	kDeath                 // hub→workers: Want = dead rank

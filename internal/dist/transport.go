@@ -384,9 +384,10 @@ type Transport interface {
 	// retention (in-process deployments share the incumbent anyway).
 	BroadcastBound(obj int64, node []byte) error
 	// Cancel propagates a global short-circuit to every other
-	// locality. witness, when non-nil, is the codec-encoded node that
-	// satisfied the decision target, retained like a broadcast node so
-	// the witness survives its finder's death.
+	// locality; over a wire it also ends the search (Done). witness,
+	// when non-nil, is the codec-encoded node that satisfied the
+	// decision target, retained like a broadcast node so the witness
+	// survives its finder's death.
 	Cancel(obj int64, witness []byte) error
 	// Ack reports to the locality that minted id (origin ==
 	// TaskOrigin(id)) that the subtree handed over under the id has
@@ -403,9 +404,10 @@ type Transport interface {
 	AddTasks(delta int64)
 	// Done is closed when the global live-task count returns to zero —
 	// every spawned task has completed, so no locality can ever
-	// receive work again. A locality death does not force it: the dead
-	// rank's contribution is subtracted and the survivors run on, and a
-	// death that loses the root registers it again first (ReseedRoot).
+	// receive work again — or, over a wire, a Cancel has ended the
+	// search. A locality death does not force it: the dead rank's
+	// contribution is subtracted and the survivors run on, and a death
+	// that loses the root registers it again first (ReseedRoot).
 	Done() <-chan struct{}
 	// Deaths notifies this locality of peer deaths, one rank per
 	// receive, each dead rank delivered at most once. The engine
@@ -416,13 +418,12 @@ type Transport interface {
 	// channel is nil.
 	Deaths() <-chan int
 	// Gather is a terminal collective: every locality contributes one
-	// payload, and rank 0 receives all of them indexed by rank (its
-	// own included). Non-root callers return (nil, nil) as soon as
-	// their payload is on the way — under WireOptions.Standby, once the
-	// gather is over, so that the rank promoted if rank 0 dies first
-	// receives it instead. A dead locality's slot is nil. Only a
-	// deployment of processes gathers: on the loopback network, whose
-	// localities share one result, Gather is an error.
+	// payload once Done, and the coordinator — rank 0, or the rank
+	// Promoted in its place — receives all of them indexed by rank (its
+	// own included). Non-coordinator callers return (nil, nil) as soon
+	// as their payload is on the way. A dead locality's slot is nil.
+	// Only a deployment of processes gathers: on the loopback network,
+	// whose localities share one result, Gather is an error.
 	Gather(payload []byte) ([][]byte, error)
 	// BestKnown is the incumbent retention: the best (obj, node) pair
 	// published through a node-carrying BroadcastBound or a Cancel
