@@ -20,10 +20,10 @@ type liveAudit struct {
 	perRank []atomic.Int64 // by the rank that made the call
 	// over, if set, is asked at each zero of the sum whether the search
 	// really is over; onWork, if set, hears each registration of work once
-	// the transport has; onCancel, if set, sends each cancel.
-	over     func() error
-	onWork   func(rank int)
-	onCancel func(rank int, send func() error) error
+	// the transport has; onHeard, if set, each cancel rank 0 hears first.
+	over    func() error
+	onWork  func(rank int)
+	onHeard func(from int)
 }
 
 // auditedTransport is a locality's transport with its AddTasks audited:
@@ -50,13 +50,22 @@ func (tr *auditedTransport) AddTasks(delta int64) {
 	}
 }
 
-func (tr *auditedTransport) Cancel(obj int64, witness []byte) error {
-	send := func() error { return tr.Transport.Cancel(obj, witness) }
-	if tr.a.onCancel == nil {
-		return send()
+// Start hands rank 0's endpoint a locality that tells onHeard of each
+// cancel first (a semantics tree's, which every row with a cancel kill
+// searches).
+func (tr *auditedTransport) Start(hd dist.Handler) {
+	if l, ok := hd.(*locality[string]); ok && tr.rank == 0 && tr.a.onHeard != nil {
+		hd = hearing{l, tr.a.onHeard}
 	}
-	return tr.a.onCancel(tr.rank, send)
+	tr.Transport.Start(hd)
 }
+
+type hearing struct {
+	*locality[string]
+	heard func(from int)
+}
+
+func (h hearing) OnCancel(from int) { h.heard(from); h.locality.OnCancel(from) }
 
 // ReseedRoot's root is registered by the transport on the rank's behalf.
 func (tr *auditedTransport) ReseedRoot() bool {

@@ -585,13 +585,10 @@ func TestStandbyDecisionEndsAtItsGather(t *testing.T) {
 		drawn(197, 3, 6, decide, 992, StackStealing, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 32, Chunked: true, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: 1}, kill{rank: 0, after: 200 * us}),
 		drawn(346, 4, 6, decide, 997, StackStealing, 4, false, Config{Workers: 2, DCutoff: 2, Budget: 1, Chunked: true, MaxFailures: -1}, kill{rank: 0, after: 200 * us}),
 		drawn(459, 3, 8, decide, 999, DepthBounded, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, MaxFailures: -1}),
-		drawn(46, 4, 8, decide, 998, DepthBounded, 4, false, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, atCancel),
-		drawn(281, 4, 6, decide, 996, DepthBounded, 4, true, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, atCancel),
-		drawn(361, 4, 7, decide, 996, StackStealing, 4, false, Config{Workers: 2, MaxFailures: -1}, atCancel))
+		drawn(46, 4, 8, decide, 998, DepthBounded, 4, false, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}),
+		drawn(281, 4, 6, decide, 996, DepthBounded, 4, true, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}),
+		drawn(361, 4, 7, decide, 996, StackStealing, 4, false, Config{Workers: 2, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}))
 }
-
-// atCancel kills rank 0 as a worker cancels, before its cancel leaves.
-var atCancel = kill{rank: 0, by: []int{1, 2, 3}, cancel: true}
 
 // Replicable (Coordination's doc) finds the optimum at every cutoff.
 func TestReplicableFindsMax(t *testing.T) {
@@ -698,7 +695,7 @@ func modelRows(t *testing.T, search searchKind, from int64) {
 // registration of work by one of by (none: by rank itself) once after has
 // passed — armed through a dist.ChaosPlan, it lands where the dying rank
 // provably holds registered work, or a coordinator the root — or, with
-// cancel, at a cancel by one of by, before it leaves.
+// cancel, rank 0 dies as a cancel by one of by reaches it, before it acts.
 type kill struct {
 	rank   int
 	after  time.Duration
@@ -766,8 +763,7 @@ func (sc scenario) run(t *testing.T) {
 		// A standby's rank 0 outlives the search's end at a live rank: it
 		// has the answer, or is about to return it, and no takeover
 		// follows a search that is over, so its successor, whom the row
-		// would ask, has none. Nor once a cancel has left, whose arrival
-		// would race the kill: no cancel leaves while a kill is made.
+		// would ask, has none.
 		ended := func() bool {
 			for r, tr := range raw {
 				select {
@@ -780,28 +776,17 @@ func (sc scenario) run(t *testing.T) {
 			}
 			return false
 		}
-		var killing sync.Mutex // held by a kill, and by a cancel as it leaves
-		cancels := 0           // the cancels that left
 		fire := func(rank int, cancel bool) {
 			for _, k := range sc.kills {
-				if k.cancel == cancel && armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) && !isDead(k.rank) {
-					killing.Lock()
-					if !isDead(k.rank) && !(k.rank == 0 && (ended() || cancels > 0)) {
-						dead.Store(k.rank, true)
+				if k.cancel == cancel && armed[k.rank].Load() && (rank == k.rank && k.by == nil || slices.Contains(k.by, rank)) && !(k.rank == 0 && ended()) {
+					if _, was := dead.LoadOrStore(k.rank, true); !was {
 						raw[k.rank].Close() // a kill
 					}
-					killing.Unlock()
 				}
 			}
 		}
 		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), onWork: func(rank int) { fire(rank, false) },
-			onCancel: func(rank int, send func() error) error {
-				fire(rank, true)
-				killing.Lock()
-				defer killing.Unlock()
-				cancels++
-				return send()
-			}}
+			onHeard: func(from int) { fire(from, true) }}
 		for _, k := range sc.kills {
 			if k.after == 0 {
 				armed[k.rank].Store(true)

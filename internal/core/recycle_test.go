@@ -30,28 +30,21 @@ func (g *rtGen) Next() string {
 
 var _ ResettableGenerator[*semantics.Tree, string] = (*rtGen)(nil)
 
-// countingResettableGen returns a resettable GenFactory plus a counter
-// of constructions (factory calls, each of which allocated).
-func countingResettableGen() (GenFactory[*semantics.Tree, string], *atomic.Int64) {
+// countingGen returns a GenFactory plus a counter of constructions
+// (factory calls, each of which allocated). Resettable, its generators are
+// rtGens the cache recycles; otherwise it is the reference arm, treeGen's
+// (HasNext and Next only), so every expansion takes the factory path, as
+// in any application without Reset.
+func countingGen(resettable bool) (GenFactory[*semantics.Tree, string], *atomic.Int64) {
 	var constructions atomic.Int64
 	gf := func(t *semantics.Tree, parent string) NodeGenerator[string] {
 		constructions.Add(1)
+		if !resettable {
+			return treeGen(t, parent)
+		}
 		g := &rtGen{}
 		g.Reset(t, parent)
 		return g
-	}
-	return gf, &constructions
-}
-
-// countingPlainGen is the reference arm: the same child streams from a
-// generator the cache cannot recycle (treeGen's exposes only HasNext
-// and Next), so every expansion takes the factory path — what any
-// application without Reset runs.
-func countingPlainGen() (GenFactory[*semantics.Tree, string], *atomic.Int64) {
-	var constructions atomic.Int64
-	gf := func(t *semantics.Tree, parent string) NodeGenerator[string] {
-		constructions.Add(1)
-		return treeGen(t, parent)
 	}
 	return gf, &constructions
 }
@@ -67,7 +60,7 @@ func resettableEnumProblem(gf GenFactory[*semantics.Tree, string]) EnumProblem[*
 // levels and for generators that cannot be reset.
 func TestGenCacheRecycles(t *testing.T) {
 	tree := semantics.GenTree(3, 3, 6)
-	gf, constructions := countingResettableGen()
+	gf, constructions := countingGen(true)
 	gc := genCache[*semantics.Tree, string]{space: tree, gf: gf}
 
 	root := ""
@@ -75,22 +68,15 @@ func TestGenCacheRecycles(t *testing.T) {
 	if constructions.Load() != 1 {
 		t.Fatalf("first level-0 gen: %d constructions, want 1", constructions.Load())
 	}
-	g0again := gc.gen(0, root)
-	if constructions.Load() != 1 {
-		t.Fatalf("recycled level-0 gen still constructed: %d", constructions.Load())
+	if gc.gen(0, root) != g0 || constructions.Load() != 1 {
+		t.Fatalf("level-0 generator not recycled: %d constructions, want 1", constructions.Load())
 	}
-	if g0again != g0 {
-		t.Fatal("level-0 generator was not recycled")
-	}
-	if gc.gen(1, root) == g0 {
-		t.Fatal("level 1 must get its own generator")
-	}
-	if constructions.Load() != 2 {
-		t.Fatalf("level-1 gen: %d constructions, want 2", constructions.Load())
+	if gc.gen(1, root) == g0 || constructions.Load() != 2 {
+		t.Fatalf("level 1 must get its own generator: %d constructions, want 2", constructions.Load())
 	}
 
 	// Nothing to recycle: every request goes to the factory.
-	gfOff, consOff := countingPlainGen()
+	gfOff, consOff := countingGen(false)
 	gcOff := genCache[*semantics.Tree, string]{space: tree, gf: gfOff}
 	gcOff.gen(0, root)
 	gcOff.genDFS(0, root)
@@ -143,13 +129,10 @@ func TestGenCacheResetMatchesFresh(t *testing.T) {
 // expansion property.
 func TestRecyclingSequentialAllocatesPerLevel(t *testing.T) {
 	tree := semantics.GenTree(11, 4, 9)
-	gf, constructions := countingResettableGen()
+	gf, constructions := countingGen(true)
 	res := Enum(Sequential, tree, "", resettableEnumProblem(gf), Config{})
-	if res.Value != int64(tree.Sum()) {
-		t.Fatalf("recycled enum sum = %d, want %d", res.Value, int64(tree.Sum()))
-	}
-	if res.Stats.Nodes != int64(tree.Size()) {
-		t.Fatalf("visited %d nodes, want %d", res.Stats.Nodes, tree.Size())
+	if res.Value != int64(tree.Sum()) || res.Stats.Nodes != int64(tree.Size()) {
+		t.Fatalf("recycled enum sum = %d over %d nodes, want %d over %d", res.Value, res.Stats.Nodes, tree.Sum(), tree.Size())
 	}
 	// One construction per stack level ever reached (≤ maxDepth+1);
 	// far below one per node.
@@ -159,7 +142,7 @@ func TestRecyclingSequentialAllocatesPerLevel(t *testing.T) {
 
 	// And the reference arm really takes the factory path: the same
 	// search, constructions scaling with expanded nodes.
-	gfOff, consOff := countingPlainGen()
+	gfOff, consOff := countingGen(false)
 	resOff := Enum(Sequential, tree, "", resettableEnumProblem(gfOff), Config{})
 	if resOff.Value != int64(tree.Sum()) || resOff.Stats.Nodes != res.Stats.Nodes {
 		t.Fatalf("factory-path enum sum = %d over %d nodes, recycled %d over %d", resOff.Value, resOff.Stats.Nodes, res.Value, res.Stats.Nodes)
@@ -269,13 +252,10 @@ func TestRecyclingAllCoordinations(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			gf, _ := countingResettableGen()
+			gf, _ := countingGen(true)
 			res := Enum(c.coord, tree, "", resettableEnumProblem(gf), audited(t, c.cfg))
-			if res.Value != want {
-				t.Fatalf("%s enum sum = %d, want %d", c.name, res.Value, want)
-			}
-			if res.Stats.Nodes != int64(tree.Size()) {
-				t.Fatalf("%s visited %d nodes, want %d", c.name, res.Stats.Nodes, tree.Size())
+			if res.Value != want || res.Stats.Nodes != int64(tree.Size()) {
+				t.Fatalf("%s enum sum = %d over %d nodes, want %d over %d", c.name, res.Value, res.Stats.Nodes, want, tree.Size())
 			}
 		})
 	}
@@ -284,7 +264,7 @@ func TestRecyclingAllCoordinations(t *testing.T) {
 	// oracle.
 	sortByBound(tree)
 	p := optProblem(true)
-	gfOpt, _ := countingResettableGen()
+	gfOpt, _ := countingGen(true)
 	p.Gen = gfOpt
 	seq := Opt(Sequential, tree, "", p, Config{})
 	for _, c := range cases {

@@ -624,11 +624,12 @@ func (e *endpoint) died(rank int, cn *wconn) {
 }
 
 // terminate ends the search here and, from the coordinator, everywhere.
-// It is the detectors' conclusion and the reaction to a kTerminate.
+// It is the detectors' conclusion and the reaction to a kTerminate. A
+// closed (killed) coordinator ends it nowhere else: its survivors take over.
 func (e *endpoint) terminate() {
 	e.doneOnce.Do(func() {
 		close(e.done)
-		if e.isCoord() {
+		if e.isCoord() && !e.closed.Load() {
 			e.fanOut(&frame{Kind: kTerminate, From: e.rank}, e.rank)
 		}
 	})
@@ -756,9 +757,8 @@ func (e *endpoint) standbyBound(obj int64, node []byte) error {
 	}
 	raiseMax(&e.pbStamp, obj)
 	if cn == nil {
-		// A takeover is re-pointing the link. The stamp is raised before
-		// looking again, so either this finds the new link or the
-		// rejoin's repeat of the stamp carries the bound.
+		// A takeover is re-pointing the link: look again. The node was
+		// retained first, for handOver to send if the link is not there.
 		if cn = e.coordLink(); cn != nil {
 			err = cn.send(bound)
 		}

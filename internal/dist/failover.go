@@ -279,36 +279,39 @@ func (e *endpoint) takeover(old *wconn) bool {
 	}
 	if cand == e.rank {
 		e.acquireRole(rep)
-	} else {
-		e.coord.Store(int32(cand))
-		// Role migration: the link to the new coordinator already exists (a
-		// mesh), coordinator traffic just changes direction.
-		if e.links[cand].Load() == nil && !e.rejoin(cand, rep) {
-			return false
-		}
+		e.handOver(nil)
+		return true
 	}
-	e.handOver()
-	return true
+	e.coord.Store(int32(cand))
+	// Role migration: the link to the new coordinator already exists (a
+	// mesh), coordinator traffic just changes direction. A star survivor
+	// rejoins, which hands over on the new link.
+	if cn := e.links[cand].Load(); cn != nil {
+		e.handOver(cn)
+		return true
+	}
+	return e.rejoin(cand, rep)
 }
 
-// handOver sends the elected coordinator the node this rank retained,
-// which rank 0 may have died with: its best, as a kBound, or the witness
-// of a cancel it sent or heard, as a kCancel that ends the search — here,
-// at the elected rank (no witness, no end: the search would report none).
-// A publication retains before it looks for the coordinator link, and this
-// looks once the link is in place: one of the two sends it.
-func (e *endpoint) handOver() {
+// handOver sends the elected coordinator, on cn, the node this rank
+// retained, which rank 0 may have died with: its best, as a kBound, or the
+// witness of a cancel it sent or heard, as a kCancel that ends the search —
+// here, if this rank was elected (no witness, no end: the search would
+// report none). A publication retains, then looks for the coordinator link:
+// on a mesh it finds cn or this reads its node; a star rejoiner installs cn
+// right after this reads, and only a publication in between goes unsent.
+func (e *endpoint) handOver(cn *wconn) {
 	obj, node, ok := e.inc.best()
+	kind := kBound
+	if e.cancelled.Load() {
+		kind = kCancel
+	}
 	switch {
 	case !ok:
-	case !e.cancelled.Load():
-		if !e.isCoord() {
-			e.sendCoord(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
-		}
-	case e.isCoord():
+	case !e.isCoord():
+		cn.send(&frame{Kind: kind, From: e.rank, Obj: obj, Blob: node})
+	case kind == kCancel:
 		e.endSearch(&frame{Kind: kCancel, From: e.rank, Obj: obj}, e.rank)
-	default:
-		e.sendCoord(&frame{Kind: kCancel, From: e.rank, Obj: obj, Blob: node})
 	}
 }
 
@@ -418,7 +421,7 @@ func (e *endpoint) admitRejoin(cn *wconn, rj *frame) error {
 // rejoin re-attaches a star survivor to the promoted coordinator: dial
 // the candidate's promotion listener (pre-bound at registration, so the
 // dial succeeds even before the candidate finishes promoting), present
-// the kRejoin, and enter the new link into the table.
+// the kRejoin, hand over, install the link, and await the welcome.
 func (e *endpoint) rejoin(cand int, rep int64) bool {
 	if cand >= len(e.peerAddrs) || e.peerAddrs[cand] == "" {
 		return false
@@ -428,12 +431,10 @@ func (e *endpoint) rejoin(cand int, rep int64) bool {
 	if err != nil {
 		return false
 	}
-	if obj, node, ok := e.inc.best(); ok {
-		// This rank's best node went to rank 0, which may have died with
-		// it before handing it on; it follows the kRejoin, whose stamp
-		// may carry its bound, before this rank can die too.
-		cn.send(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
-	}
+	// The retained node follows the kRejoin, whose stamp may carry its
+	// bound, at once: no frame stamped here can overtake it.
+	e.handOver(cn)
+	e.install(cand, cn)
 	c := cn.cur.Load().c
 	c.SetReadDeadline(time.Now().Add(dialTimeout))
 	var welcome frame
@@ -449,7 +450,6 @@ func (e *endpoint) rejoin(cand int, rep int64) bool {
 	if welcome.HasPB {
 		e.meldBound(welcome.From, welcome.PB)
 	}
-	e.install(cand, cn)
 	go e.readLoop(cand, cn)
 	return true
 }
