@@ -7,9 +7,10 @@ import (
 
 // Chaos harness: a declarative schedule of rank deaths, reusable
 // across the fault-injection surfaces the repo already has — closing
-// an in-process TCP endpoint, a subprocess deployment's SIGKILL, or any
-// other func(rank). Tests and experiments describe WHAT dies WHEN;
-// the harness owns the timers, so a chaos scenario reads as data:
+// an in-process TCP endpoint (before Done a crash-stop, as a SIGKILL
+// is), a subprocess deployment's SIGKILL, or any other func(rank).
+// Tests and experiments describe WHAT dies WHEN; the harness owns the
+// timers, so a chaos scenario reads as data:
 //
 //	stop := dist.ChaosPlan{Kills: []dist.ChaosKill{
 //		{Rank: 0, After: 30 * time.Millisecond},

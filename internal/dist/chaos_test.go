@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,19 +23,11 @@ func TestChaosPlanFiresAndCancels(t *testing.T) {
 		got = append(got, rank)
 		mu.Unlock()
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	eventually(t, "the scheduled kills to fire", func() bool {
 		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scheduled kills did not fire: got %v", got)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer mu.Unlock()
+		return len(got) == 2
+	})
 	stop()
 	stop() // idempotent
 	mu.Lock()
@@ -47,32 +40,21 @@ func TestChaosPlanFiresAndCancels(t *testing.T) {
 // failoverHarnesses builds the TCP star and mesh with standby armed, and
 // the star twice more with a slow way back to the promoted rank.
 func failoverHarnesses() []harness {
-	return []harness{
-		{name: "tcp", make: func(t *testing.T, n int) []Transport {
-			return makeTCP(t, n, WireOptions{Standby: true})
-		}},
-		{name: "tcp-mesh", make: func(t *testing.T, n int) []Transport {
-			return makeTCP(t, n, WireOptions{Topology: TopologyMesh, Standby: true})
-		}},
-		// The star again, with rank 3's way back to the promoted rank 1
-		// slowed down: its kRejoin is still in flight when the test
-		// publishes a bound at the new coordinator, whose table has no
-		// link for rank 3 yet — and the bound must still reach rank 3.
-		{name: lateRejoin, make: func(t *testing.T, n int) []Transport {
+	late := func(name string, from int) harness {
+		return harness{name: name, make: func(t *testing.T, n int) []Transport {
 			plan := NewFaultPlan(1)
-			plan.SetLink(3, 1, LinkFault{Latency: 400 * time.Millisecond})
+			plan.SetLink(from, 1, LinkFault{Latency: 400 * time.Millisecond})
 			return makeTCP(t, n, WireOptions{Standby: true, Fault: plan})
-		}},
-		// And with rank 2's way back slowed down, rank 2 being the
-		// publisher: the bound is published after its kRejoin was stamped
-		// and before its new coordinator link exists, so no frame is there
-		// to carry it — and it must still reach rank 3.
-		{name: latePublisher, make: func(t *testing.T, n int) []Transport {
-			plan := NewFaultPlan(1)
-			plan.SetLink(2, 1, LinkFault{Latency: 400 * time.Millisecond})
-			return makeTCP(t, n, WireOptions{Standby: true, Fault: plan})
-		}},
+		}}
 	}
+	// The star again, with rank 3's way back to the promoted rank 1 slowed
+	// down: its kRejoin is still in flight when the test publishes a bound
+	// at the new coordinator, whose table has no link for rank 3 yet — and
+	// the bound must still reach rank 3. And with rank 2's way back slowed
+	// down, rank 2 being the publisher: the bound is published after its
+	// kRejoin was stamped and before its new coordinator link exists, so no
+	// frame is there to carry it — and it must still reach rank 3.
+	return append(wires(WireOptions{Standby: true}), late(lateRejoin, 3), late(latePublisher, 2))
 }
 
 const (
@@ -129,7 +111,13 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			var killed atomic.Bool
 			stop := ChaosPlan{Kills: []ChaosKill{{Rank: 0, After: 10 * time.Millisecond}}}.Start(func(rank int) {
 				killed.Store(true)
-				trs[rank].Close()
+				// Ending the search once Close has begun ends it nowhere: no
+				// kCancel, no kTerminate.
+				go trs[rank].Close()
+				for !trs[rank].(*endpoint).closed.Load() {
+					runtime.Gosched()
+				}
+				trs[rank].Cancel(5, nil)
 			})
 			defer stop()
 
@@ -166,12 +154,17 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			publisher.BroadcastBound(99, []byte("post-takeover"))
 			eventually(t, "bound to reach surviving rank 3", func() bool { return hs[3].boundMax.Load() == 99 })
 
-			// The sentinel still holds the search open: takeover must
-			// not force termination.
-			select {
-			case <-trs[1].Done():
-				t.Fatal("coordinator death terminated a search with live survivor work")
-			default:
+			// The sentinel still holds the search open: neither the takeover
+			// nor the corpse may end it.
+			for _, r := range []int{1, 2, 3} {
+				select {
+				case <-trs[r].Done():
+					t.Fatalf("rank %d Done: coordinator death terminated a search with live survivor work", r)
+				default:
+				}
+				if hs[r].cancelled.Load() != 0 {
+					t.Fatalf("rank %d heard a cancel from the closed coordinator", r)
+				}
 			}
 
 			// Rank 0 died holding the root, handed to nobody: it is rank 1's
@@ -297,6 +290,21 @@ func gatherAtRank1(t *testing.T, trs []Transport, others ...int) [][]byte {
 		t.Fatal("rank 1's gather still waits for a share")
 		return nil
 	}
+}
+
+// A rank killed inside its rejoin, its kRejoin already on the wire (rank
+// 2's way back to rank 1 is slow): the promoted rank admits it and mourns
+// it at once, as it would a SIGKILLed process, not after LivenessTimeout.
+func TestConformanceKilledInsideRejoin(t *testing.T) {
+	trs := failoverHarnesses()[3].make(t, 4) // latePublisher
+	startAll(trs)
+	trs[1].AddTasks(1)
+	trs[0].Close()
+	awaitDeath(t, trs[2], 0)           // rank 2's kRejoin leaves next, and takes 400 ms
+	time.Sleep(100 * time.Millisecond) // to arrive
+	trs[2].Close()
+	awaitDeath(t, trs[1], 0)
+	awaitDeath(t, trs[1], 2)
 }
 
 // (a) Rank 0's hand-over to rank 2 — under Standby, the root — is known

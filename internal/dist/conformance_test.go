@@ -75,7 +75,7 @@ func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 	return trs
 }
 
-func harnesses() []harness { return append(loopbacks(), wires()...) }
+func harnesses() []harness { return append(loopbacks(), wires(WireOptions{})...) }
 
 // loopbacks are the loopback harnesses, star and wave. The fault cases
 // hold their answers too: in-process localities never die (a closed one
@@ -91,15 +91,13 @@ func loopbacks() []harness {
 	return []harness{{name: "loopback", make: loopback(false)}, {name: "loopback-mesh", make: loopback(true)}}
 }
 
-// wires are the TCP harnesses, star first: the fault contract's.
-func wires() []harness {
+// wires are the TCP harnesses under opts, star first: the fault contract's.
+func wires(opts WireOptions) []harness {
+	mesh := opts
+	mesh.Topology = TopologyMesh
 	return []harness{
-		{name: "tcp", make: func(t *testing.T, n int) []Transport {
-			return makeTCP(t, n, WireOptions{})
-		}},
-		{name: "tcp-mesh", make: func(t *testing.T, n int) []Transport {
-			return makeTCP(t, n, WireOptions{Topology: TopologyMesh})
-		}},
+		{name: "tcp", make: func(t *testing.T, n int) []Transport { return makeTCP(t, n, opts) }},
+		{name: "tcp-mesh", make: func(t *testing.T, n int) []Transport { return makeTCP(t, n, mesh) }},
 	}
 }
 
@@ -454,7 +452,7 @@ func TestConformanceGather(t *testing.T) {
 // when its share reaches the coordinator. On the star, the mesh, and
 // both with a standby.
 func TestConformanceGatherWaitsForDone(t *testing.T) {
-	hs := wires()
+	hs := wires(WireOptions{})
 	for _, h := range replicaHarnesses() {
 		hs = append(hs, harness{"standby-" + h.name, h.make})
 	}
@@ -614,7 +612,7 @@ func TestTCPLateStealReplyAdopted(t *testing.T) {
 	stealTimeout = 50 * time.Millisecond
 	defer func() { stealTimeout = old }()
 
-	trs := wires()[0].make(t, 3) // tcp
+	trs := wires(WireOptions{})[0].make(t, 3) // tcp
 	hs := startAll(trs)
 	hs[1].serveDelay = 300 * time.Millisecond
 
@@ -646,21 +644,28 @@ func awaitDeath(t *testing.T, tr Transport, rank int) {
 }
 
 // A death mid-search, from the survivors' side of the wire: each hears
-// of it, steals aimed at the corpse fail fast instead of hanging the
-// thief, the corpse steals nothing, and steals and bounds still flow
+// of it, nothing leaves the corpse once its Close began (an ack it
+// buffered, with a flush quantum no case outlives, and a bound it
+// publishes after Close), steals aimed at it fail fast instead of
+// hanging the thief, it steals nothing, and steals and bounds still flow
 // between survivors. (That the search then ends, exactly, is the
 // harness rows'.) On loopback the closed locality is only detached:
 // nobody hears of it, and the rest holds.
 func TestConformanceWorkerDeathMidSearch(t *testing.T) {
-	for _, h := range harnesses() {
+	for _, h := range append(loopbacks(), wires(WireOptions{FlushQuantum: time.Hour})...) {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 4)
 			hs := startAll(trs)
 			trs[0].AddTasks(1) // the survivors' live work
-			trs[2].Close()     // a death: the hub sees the broken connection
+			trs[2].Ack(0, TaskID(0, 9))
+			trs[2].Close() // a death: the hub sees the broken connection
+			trs[2].BroadcastBound(55, []byte("corpse"))
 			for _, r := range []int{0, 1, 3} {
 				if !strings.HasPrefix(h.name, "loopback") {
 					awaitDeath(t, trs[r], 2)
+					if hs[r].boundMax.Load() == 55 || len(hs[r].ackedIDs()) > 0 {
+						t.Errorf("rank %d heard rank 2 after its Close: bound %d, acks %v", r, hs[r].boundMax.Load(), hs[r].ackedIDs())
+					}
 				} else if trs[r].Deaths() != nil {
 					t.Errorf("rank %d can hear of a death in process", r)
 				}
@@ -704,34 +709,18 @@ func TestConformanceAckRoundTrip(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
 
-			id01 := TaskID(0, 1)
-			if err := trs[1].Ack(0, id01); err != nil {
-				t.Fatalf("worker ack to hub: %v", err)
+			// Worker to hub, worker to worker (routed on a star), hub to worker.
+			for _, a := range []struct{ from, origin int }{{1, 0}, {2, 1}, {0, 2}} {
+				id := TaskID(a.origin, uint64(7+a.from))
+				if err := trs[a.from].Ack(a.origin, id); err != nil {
+					t.Fatalf("ack from %d to %d: %v", a.from, a.origin, err)
+				}
+				eventually(t, fmt.Sprintf("rank %d to receive rank %d's ack", a.origin, a.from), func() bool {
+					ids := hs[a.origin].ackedIDs()
+					return len(ids) == 1 && ids[0] == id
+				})
 			}
-			eventually(t, "hub to receive the ack", func() bool {
-				ids := hs[0].ackedIDs()
-				return len(ids) == 1 && ids[0] == id01
-			})
-
-			id12 := TaskID(1, 7)
-			if err := trs[2].Ack(1, id12); err != nil {
-				t.Fatalf("worker ack to worker: %v", err)
-			}
-			eventually(t, "worker 1 to receive the routed ack", func() bool {
-				ids := hs[1].ackedIDs()
-				return len(ids) == 1 && ids[0] == id12
-			})
-
-			id20 := TaskID(2, 3)
-			if err := trs[0].Ack(2, id20); err != nil {
-				t.Fatalf("hub ack to worker: %v", err)
-			}
-			eventually(t, "worker 2 to receive the hub's ack", func() bool {
-				ids := hs[2].ackedIDs()
-				return len(ids) == 1 && ids[0] == id20
-			})
-
-			if TaskOrigin(id12) != 1 || TaskOrigin(0) != -1 {
+			if id12 := TaskID(1, 7); TaskOrigin(id12) != 1 || TaskOrigin(0) != -1 {
 				t.Fatalf("TaskOrigin broken: %d %d", TaskOrigin(id12), TaskOrigin(0))
 			}
 		})
@@ -745,7 +734,7 @@ func TestConformanceDeathDuringSteal(t *testing.T) {
 	old := stealTimeout
 	stealTimeout = 20 * time.Second
 	defer func() { stealTimeout = old }()
-	for _, h := range wires() {
+	for _, h := range wires(WireOptions{}) {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)

@@ -237,7 +237,8 @@
 // # Injection and codecs
 //
 // ChaosPlan schedules rank kills and link partitions from an armed
-// start, against an endpoint's Close or a real SIGKILL. FaultPlan is
+// start, against an endpoint's Close or a real SIGKILL, which act
+// alike: before Done, nothing leaves a closed endpoint. FaultPlan is
 // the seeded per-link injector (latency, jitter, drop, duplication,
 // corruption, reordering, Partition/Heal), consulted around every TCP
 // write and every loopback delivery. They compose: kills say who dies,

@@ -81,9 +81,8 @@ type endpoint struct {
 	pending pendingSteals
 	ackMu   sync.Mutex
 	ackBuf  []uint64 // coalesced completion acks, drained by the flush tick
-	// The drain's scratch, under drainMu (the flush tick and Close both
-	// drain): the next ackBuf, and the ids sorted by the link they leave on.
-	drainMu  sync.Mutex
+	// The flush loop's drain scratch: the next ackBuf, and the ids sorted
+	// by the link they leave on.
 	ackSpare []uint64
 	ackOut   map[*wconn][]uint64
 	pbStamp  atomic.Int64 // best bound known; stamped on outgoing frames
@@ -103,11 +102,6 @@ type endpoint struct {
 	contrib  []bool
 	have     int
 	gotAll   chan struct{}
-	// aborted marks a Close that ran before the gather completed: the
-	// endpoint is gone mid-search (a simulated death), so a blocked
-	// Gather must fail rather than wait for contributions that can no
-	// longer arrive.
-	aborted bool
 	// cancelled marks a cancel sent or heard here, which a takeover
 	// passes on to the new coordinator (handOver).
 	cancelled atomic.Bool
@@ -133,7 +127,9 @@ type endpoint struct {
 	ln       net.Listener
 	sessions *sessRegistry // sessions this endpoint accepts resumes for (LinkGrace > 0)
 
-	stop   chan struct{} // closed by Close: ends the pacing loops
+	stop chan struct{} // closed by Close: ends the pacing loops
+	// closed is set by Close (before Done, as its first act): from then
+	// on no link sends (wconn.halted).
 	closed atomic.Bool
 }
 
@@ -180,12 +176,13 @@ func (e *endpoint) init(rank, size int) {
 	}
 }
 
-// hook points a connection's per-send stamps at this endpoint. toCoord
-// marks the link a counting worker's deltas drain into.
+// hook points a connection's per-send stamps and its halt at this
+// endpoint. toCoord marks the link a counting worker's deltas drain into.
 func (e *endpoint) hook(cn *wconn, toCoord bool) {
 	cn.pb = &e.pbStamp
 	cn.ps = e.selfPrio
 	cn.psFrom = e.rank
+	cn.halt = &e.closed
 	if toCoord && e.count != nil {
 		cn.pending = &e.count.pending
 		if e.opts.Standby {
@@ -540,12 +537,6 @@ func (e *endpoint) relay(in *wconn, f *frame) {
 // linkLost reacts to a failed link. What it means depends on who was
 // behind it and who is asking.
 func (e *endpoint) linkLost(peer int, cn *wconn) {
-	if e.closed.Load() {
-		// This endpoint is going away (Close tears the links down one by
-		// one): nobody is dying, and mourning them would fan spurious
-		// kDeath frames over links not yet torn down.
-		return
-	}
 	// No reply can arrive for a request that left on this link.
 	e.pending.fail(func(ps *pendingSteal) bool { return ps.via == cn })
 	switch coord := int(e.coord.Load()); {
@@ -624,12 +615,11 @@ func (e *endpoint) died(rank int, cn *wconn) {
 }
 
 // terminate ends the search here and, from the coordinator, everywhere.
-// It is the detectors' conclusion and the reaction to a kTerminate. A
-// closed (killed) coordinator ends it nowhere else: its survivors take over.
+// It is the detectors' conclusion and the reaction to a kTerminate.
 func (e *endpoint) terminate() {
 	e.doneOnce.Do(func() {
 		close(e.done)
-		if e.isCoord() && !e.closed.Load() {
+		if e.isCoord() {
 			e.fanOut(&frame{Kind: kTerminate, From: e.rank}, e.rank)
 		}
 	})
@@ -712,9 +702,7 @@ func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
 	}
 	var err error
 	if e.opts.Standby {
-		if err = e.standbyBound(obj, node); err == errClosed {
-			return err
-		}
+		err = e.standbyBound(obj, node)
 	} else {
 		raiseMax(&e.pbStamp, obj)
 		if cn := e.coordLink(); cn != nil {
@@ -726,8 +714,6 @@ func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
 	}
 	return err
 }
-
-var errClosed = errors.New("dist: endpoint closed")
 
 // standbyBound is BroadcastBound's kBound from a standby deployment's
 // worker, which keeps the node too, for a rejoin to hand a new
@@ -748,12 +734,6 @@ func (e *endpoint) standbyBound(obj int64, node []byte) error {
 	cn := e.coordLink()
 	if cn != nil {
 		err = cn.send(bound)
-	}
-	if e.closed.Load() {
-		// Closed mid-publication, as a killed rank is: the links may have
-		// been down for the sends above, and a bound that spread without
-		// its node would prune that node wherever its subtree is replayed.
-		return errClosed
 	}
 	raiseMax(&e.pbStamp, obj)
 	if cn == nil {
@@ -864,8 +844,6 @@ func (e *endpoint) onAcks(from int, ids []uint64) {
 // the per-link batches it builds are kept for the next drain: a quantum's
 // acks cost no allocation.
 func (e *endpoint) drainAcks() {
-	e.drainMu.Lock()
-	defer e.drainMu.Unlock()
 	e.ackMu.Lock()
 	ids := e.ackBuf
 	e.ackBuf = e.ackSpare[:0]
@@ -1022,7 +1000,7 @@ func (e *endpoint) contribute(rank int, blob []byte) {
 	}
 	e.gatherMu.Lock()
 	defer e.gatherMu.Unlock()
-	if e.aborted || e.contrib[rank] {
+	if e.contrib[rank] {
 		return
 	}
 	e.contrib[rank] = true
@@ -1035,9 +1013,13 @@ func (e *endpoint) contribute(rank int, blob []byte) {
 
 // Gather waits for Done, which no takeover follows, so a share goes to the
 // coordinator that ended the search, behind the sender's bounds and
-// cancels: once every live rank's has landed, BestKnown is complete.
+// cancels: once every live rank's has landed, BestKnown is complete. A
+// closed endpoint has nothing to gather.
 func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
 	<-e.done
+	if e.closed.Load() {
+		return nil, errors.New("dist: gather on a closed endpoint")
+	}
 	if !e.isCoord() {
 		if err := e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: payload}); err != nil {
 			return nil, fmt.Errorf("dist: sending gather payload: %w", err)
@@ -1046,13 +1028,7 @@ func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
 	}
 	e.contribute(e.rank, payload)
 	<-e.gotAll
-	e.gatherMu.Lock()
-	blobs, aborted := e.blobs, e.aborted
-	e.gatherMu.Unlock()
-	if aborted {
-		return nil, errors.New("dist: gather aborted: coordinator endpoint closed mid-search")
-	}
-	return blobs, nil
+	return e.blobs, nil
 }
 
 // closeLinks tears down every link and the listener.
@@ -1067,40 +1043,27 @@ func (e *endpoint) closeLinks() {
 	}
 }
 
+// Close is a crash before Done and a clean exit after it. Before Done its
+// first act marks the endpoint closed, after which nothing leaves it: no
+// final flush of acks or deltas, no kTerminate, no reply, relay or
+// handshake. Done is released, so that this rank's read loops, failing as
+// its links go, neither mourn nor take over; then every link and the
+// listener are shut at once, which the survivors mourn as they would a
+// SIGKILLed process. After Done a mesh rank first says kLeave on every
+// link: after a takeover the survivors classify broken peer links
+// themselves, and a rank whose kTerminate is still queued behind other
+// traffic must read this exit as a finished peer leaving, not a death to
+// replay. TCP ordering puts the kLeave ahead of the close on every link.
 func (e *endpoint) Close() error {
+	if e.mesh && e.isDone() && !e.closed.Load() {
+		e.fanOut(&frame{Kind: kLeave, From: e.rank}, e.rank)
+	}
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	e.stOnce.Do(func() { close(e.started) }) // unblock read loops parked on the handler
 	close(e.stop)
-	// Best-effort final ack and delta flush, so a deployment that
-	// closes an endpoint cleanly does not strand termination on lost
-	// counts or unretired ledger entries.
-	e.drainAcks()
-	e.term.tick()
-	if e.mesh && e.isDone() {
-		// Normal post-termination exit from a mesh. Say goodbye in-band
-		// before closing: after a takeover the survivors classify broken
-		// peer links themselves, and a rank whose kTerminate is still
-		// queued behind other traffic must read this exit as a finished
-		// peer leaving, not a death to replay. TCP ordering puts the
-		// kLeave ahead of the close on every link. (A pre-termination
-		// Close abandons live work and stays silent, so peers run the
-		// death protocol and replay this rank.)
-		e.fanOut(&frame{Kind: kLeave, From: e.rank}, e.rank)
-	}
-	e.closeLinks()
-	// A Close before global termination is this endpoint's death (the
-	// in-process analogue of SIGKILL — chaos harnesses close a live
-	// coordinator on purpose). Release anything still parked on it: the
-	// local engine waiting on Done, and a Gather that can never complete
-	// because the survivors now contribute to the promoted standby.
-	e.gatherMu.Lock()
-	if e.have < e.size {
-		e.aborted = true
-		close(e.gotAll)
-	}
-	e.gatherMu.Unlock()
 	e.doneOnce.Do(func() { close(e.done) })
+	e.closeLinks()
 	return nil
 }

@@ -348,9 +348,6 @@ func (e *endpoint) acquireRole(rep int64) {
 		// re-dials the promotion listener and presents a kRejoin. One
 		// that never makes it back within the liveness window is dead.
 		e.acceptLinks(time.Now().Add(e.opts.LivenessTimeout), len(missing), e.admitRejoin)
-		if e.closed.Load() {
-			return
-		}
 		for _, r := range missing {
 			if e.links[r].Load() == nil {
 				e.died(r, nil)

@@ -328,7 +328,7 @@ func (cn *wconn) await(failed *connIO) bool {
 func (cn *wconn) redialResume(deadline time.Time) bool {
 	s := cn.sess
 	for time.Now().Before(deadline) {
-		if cn.dead.Load() || s.isBroken() {
+		if cn.halted() || s.isBroken() {
 			return false
 		}
 		if cn.plan != nil && cn.plan.Severed(cn.fFrom, cn.fTo) {
@@ -382,6 +382,10 @@ func (cn *wconn) tryResume(c net.Conn) (ok, fatal bool) {
 	peerRecv := uint64(rep.Obj)
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
+	if cn.halted() {
+		c.Close()
+		return false, true
+	}
 	if err := s.replayAfter(c, peerRecv, cn.sendSeq); err != nil {
 		c.Close()
 		return false, true
@@ -456,7 +460,7 @@ func handleResume(c net.Conn, reg *sessRegistry) {
 		return
 	}
 	cn := reg.lookup(req.Seq)
-	if cn == nil || cn.dead.Load() || cn.sess == nil || cn.sess.isBroken() {
+	if cn == nil || cn.halted() || cn.sess == nil || cn.sess.isBroken() {
 		c.Write(encodeFrame(nil, &frame{Kind: kReject, Seq: req.Seq, Blob: []byte("unknown or expired session")}, 0))
 		c.Close()
 		return
@@ -464,7 +468,7 @@ func handleResume(c net.Conn, reg *sessRegistry) {
 	s := cn.sess
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
-	if s.isBroken() || cn.dead.Load() {
+	if s.isBroken() || cn.halted() {
 		c.Write(encodeFrame(nil, &frame{Kind: kReject, Seq: req.Seq, Blob: []byte("session expired")}, 0))
 		c.Close()
 		return

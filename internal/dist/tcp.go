@@ -267,6 +267,10 @@ type wconn struct {
 	// nothing new: every ordinary frame already spreads bounds for
 	// free, so explicit gossip frames are spent only on actual news.
 	carried atomic.Int64
+
+	// halt is the owning endpoint's closed flag: once it is up, nothing
+	// leaves on this link (halted).
+	halt *atomic.Bool
 }
 
 // psNothing tells send to skip the summary stamp (no handler yet).
@@ -339,10 +343,12 @@ func (cn *wconn) send(f *frame) error {
 	}
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
-	if cn.dead.Load() {
+	if cn.halted() {
 		// Read under the lock: a takeover marks the old coordinator link
 		// dead, then settles the rank's contribution under this lock, so
-		// no send that waited for it drains a delta onto a dead link.
+		// no send that waited for it drains a delta onto a dead link. A
+		// refused frame leaves its delta pending, where a closed endpoint
+		// strands it.
 		return errors.New("dist: connection closed")
 	}
 	drained := cn.stampLocked(f) != 0
@@ -509,6 +515,14 @@ func (cn *wconn) recv(f *frame) error {
 		}
 		return nil
 	}
+}
+
+// halted reports a link nothing may leave on: it is dead, or its
+// endpoint was closed, which before Done is a crash. Every frame a link
+// sends passes it, and so does every resume that would put a new
+// connection under the link.
+func (cn *wconn) halted() bool {
+	return cn.dead.Load() || cn.halt != nil && cn.halt.Load()
 }
 
 func (cn *wconn) close() {

@@ -457,6 +457,11 @@ type Transport interface {
 	// Wire reports the endpoint's traffic counters.
 	Meter
 	// Close releases the transport's resources. Safe to call more
-	// than once.
+	// than once. Over a wire, a Close before Done is a crash-stop, the
+	// in-process kill: from its start nothing leaves the locality (no
+	// flush of acks or live-task deltas, no reply, no kTerminate), Done
+	// is released, and every link drops, so the survivors mourn it and
+	// replay its subtrees as they would a SIGKILLed process's. After
+	// Done it is a clean exit.
 	Close() error
 }
