@@ -223,28 +223,41 @@ func TestDistributedPoolBudgetUTS(t *testing.T) {
 
 // The fault-tolerance acceptance test: a real 4-process TCP deployment
 // (1 coordinator + 3 workers) in which one worker is SIGKILLed
-// mid-maxclique must still terminate, exit cleanly, and report the
-// exact optimum of the failure-free run — the supervised-task ledger
-// replaying the dead worker's subtree roots from the survivors. Runs
-// once per topology: on star the steal in flight crosses the hub, on
-// mesh it is on a direct worker-to-worker connection and termination
-// is detected by the wave, not the hub's live count.
+// mid-search must still terminate, exit cleanly, and report the exact
+// answer of the failure-free run — the supervised-task ledger replaying
+// the dead worker's subtree roots from the survivors. Runs once per
+// topology: on star the steal in flight crosses the hub, on mesh it is
+// on a direct worker-to-worker connection and termination is detected
+// by the wave, not the hub's live count. Once per search type too: a
+// maxclique optimum, and a uts count, whose subtree values are committed
+// by their acks, so a replay's replaces the dead worker's.
 func TestDistributedMaxCliqueSurvivesWorkerSIGKILL(t *testing.T) {
-	testMaxCliqueSurvivesWorkerSIGKILL(t, nil)
+	testSurvivesWorkerSIGKILL(t, sigkillClique)
 }
 
 func TestDistributedMeshMaxCliqueSurvivesWorkerSIGKILL(t *testing.T) {
-	testMaxCliqueSurvivesWorkerSIGKILL(t, []string{"-topology", "mesh"})
+	testSurvivesWorkerSIGKILL(t, append(sigkillClique, "-topology", "mesh"))
 }
 
-func testMaxCliqueSurvivesWorkerSIGKILL(t *testing.T, extraFlags []string) {
+func TestDistributedUTSSurvivesWorkerSIGKILL(t *testing.T) {
+	testSurvivesWorkerSIGKILL(t, sigkillUTS)
+}
+
+func TestDistributedMeshUTSSurvivesWorkerSIGKILL(t *testing.T) {
+	testSurvivesWorkerSIGKILL(t, append(sigkillUTS, "-topology", "mesh"))
+}
+
+// Searches that run well over a second in these deployments, so a kill
+// shortly after registration lands mid-search. (maxclique n=160 did when
+// this was written; it takes a quarter of a second now, which is the
+// kill's own delay. The uts tree has 7.8M nodes.)
+var (
+	sigkillClique = []string{"-app", "maxclique", "-n", "200", "-p", "0.8", "-skeleton", "depthbounded", "-d", "2", "-workers", "2"}
+	sigkillUTS    = []string{"-app", "uts", "-uts-b0", "80000", "-uts-m", "6", "-uts-q", "0.165", "-skeleton", "depthbounded", "-d", "3", "-workers", "2"}
+)
+
+func testSurvivesWorkerSIGKILL(t *testing.T, appFlags []string) {
 	bin := yewparBinary(t)
-	// n=200 p=0.8 runs well over a second in this deployment, so a
-	// kill shortly after registration lands mid-search. (n=160 did when
-	// this was written; it takes a quarter of a second now, which is the
-	// kill's own delay.)
-	appFlags := []string{"-app", "maxclique", "-n", "200", "-p", "0.8", "-skeleton", "depthbounded", "-d", "2", "-workers", "2"}
-	appFlags = append(appFlags, extraFlags...)
 
 	single, err := exec.Command(bin, appFlags...).CombinedOutput()
 	if err != nil {

@@ -129,7 +129,7 @@ func auditedEnum(t *testing.T, tree *semantics.Tree, coord Coordination, cfg Con
 		}
 	}
 
-	res := st.local(ws, totalStats(ws))
+	res, _ := st.local(ws, totalStats(ws))
 	if res.Value != int64(tree.Sum()) || res.Stats.Nodes != int64(tree.Size()) {
 		t.Errorf("sum %d over %d nodes, want %d over %d", res.Value, res.Stats.Nodes, tree.Sum(), tree.Size())
 	}

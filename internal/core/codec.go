@@ -29,12 +29,12 @@ type Codec[N any] interface {
 }
 
 // GobCodec is encoding/gob over a value: the codec of what crosses a
-// run's edges rather than its steal path — every rank's gathered share
-// (its Stats, and an enumeration's monoid value) at the end of a
-// distributed search, and the spill segments of a single-process run, which has no
-// application codec. Each value is a self-describing gob stream, robust
-// but not compact: an application's nodes cross the wire through the
-// hand-written Codec its package exports, never through this.
+// run's edges rather than its steal path — an enumeration's monoid value
+// on a completion ack, every rank's Stats gathered at the end of a
+// distributed search, and the spill segments of a single-process run,
+// which has no application codec. Each value is a self-describing gob
+// stream, robust but not compact: an application's nodes cross the wire
+// through the hand-written Codec its package exports, never through this.
 type GobCodec[N any] struct{}
 
 // Encode implements Codec.

@@ -79,13 +79,13 @@ type Config struct {
 	LedgerCap int
 	// MaxFailures is the locality-death budget of a distributed run
 	// (the Dist entry points; single-process searches cannot lose a
-	// locality). Deaths within it are absorbed by an optimisation or a
-	// decision: the dead ranks' subtree roots are replayed from the
+	// locality), the same for every search type. Deaths within it are
+	// absorbed: the dead ranks' subtree roots are replayed from the
 	// survivors' ledgers and the search completes normally, its answer
-	// exact. DistEnum errs on any death (a dead rank's fold is lost).
-	// Deaths beyond the budget make the call return an error alongside
-	// its repaired result. Negative means unlimited tolerance; the zero
-	// default tolerates none.
+	// exact. Deaths beyond it make the call return an error alongside its
+	// repaired result. Negative means unlimited tolerance; the zero
+	// default tolerates none. (Rank 0's death in an enumeration is an
+	// error regardless: the committed total dies with it.)
 	MaxFailures int
 	// Topology selects how a single-process run's loopback localities
 	// detect termination: "" or dist.TopologyStar is one shared live-task

@@ -10,88 +10,49 @@ import (
 // driver's gather step (search, in skeletons.go, runs them). Each OS
 // process is one locality: it runs cfg.Workers workers over its own
 // workpool, steals across the transport when idle, broadcasts
-// incumbent bounds, and once the search is over (Done) contributes its
-// metrics — and an enumeration its partial value — to a gather at the
-// coordinator (rank 0, or the rank a failover promoted). An
-// optimisation's or a decision's answer is not gathered: every rank's
-// best node rode its bound broadcasts, and a witness its cancel, to the
-// coordinator, which retains the best (Transport.BestKnown). The
+// incumbent bounds, and once the search is over (Done) sends its
+// metrics to a gather at the coordinator (rank 0, or the rank a
+// failover promoted). No answer is gathered: every rank's best node
+// rode its bound broadcasts, and a witness its cancel, to the
+// coordinator, which retains the best (Transport.BestKnown), and an
+// enumeration's values rode their families' acks to rank 0 (tally). The
 // problem definition (space, root, objective, bounds) must be
 // constructed identically in every process — deployments are expected
 // to launch the same binary with the same arguments, which the
 // transport's spec handshake enforces.
 
-// distShare is one locality's contribution to the final gather.
-type distShare struct {
-	Value []byte // gob-encoded monoid value (enumeration)
-	Stats Stats
-}
-
-// gatherShares runs the terminal collective: every locality
-// contributes its share, and rank 0 — or, after a coordinator
-// failover, the promoted rank — gets everyone's back, decoded, with
-// the surviving localities' Stats merged into total (wall-clock time
-// is the caller's own, not a sum). Other callers get nil shares. A
-// dead locality's slot is nil — its live subtrees were replayed by the
-// survivors, so its missing share costs only its metrics (and, for
-// enumeration, its partial value, which is why DistEnum refuses
-// deaths).
-func gatherShares(tr dist.Transport, share distShare) (shares []*distShare, total Stats, err error) {
-	mine, err := GobCodec[distShare]{}.Encode(share)
+// gatherStats runs the terminal collective: rank 0 — or, after a
+// failover, the promoted rank — gets every surviving locality's Stats
+// merged into total (wall-clock time is its own, not a sum), with
+// coordinator set. A dead locality's slot is nil, and counts as a death.
+func gatherStats(tr dist.Transport, mine Stats) (total Stats, coordinator bool, err error) {
+	b, err := GobCodec[Stats]{}.Encode(mine)
 	if err != nil {
-		panic(fmt.Sprintf("core: encoding gather share: %v", err))
+		panic(fmt.Sprintf("core: encoding gathered stats: %v", err))
 	}
-	blobs, err := tr.Gather(mine)
+	blobs, err := tr.Gather(b)
 	if err != nil {
-		return nil, total, fmt.Errorf("core: gathering results: %w", err)
+		return total, false, fmt.Errorf("core: gathering results: %w", err)
 	}
 	if tr.Rank() != 0 && !tr.Promoted() {
-		return nil, total, nil
+		return total, false, nil
 	}
-	total.Elapsed = share.Stats.Elapsed
-	shares = make([]*distShare, len(blobs))
+	total.Elapsed = mine.Elapsed
 	var died int64
 	for rank, blob := range blobs {
 		if blob == nil {
-			// Died before contributing; replay already covered its work.
 			// A death the transport heard of only after Done counts too.
 			died++
 			continue
 		}
-		s, err := GobCodec[distShare]{}.Decode(blob)
+		s, err := GobCodec[Stats]{}.Decode(blob)
 		if err != nil {
-			return nil, total, fmt.Errorf("core: decoding locality %d share: %w", rank, err)
+			return total, false, fmt.Errorf("core: decoding locality %d stats: %w", rank, err)
 		}
-		total.merge(s.Stats)
-		shares[rank] = &s
+		total.merge(s)
 	}
 	total.Deaths = max(total.Deaths, died)
-	return shares, total, nil
-}
-
-// failurePolicy turns the observed death count into the Dist call's
-// error, honouring Config.MaxFailures (negative = unlimited).
-func failurePolicy(cfg Config, deaths int64) error {
-	if deaths == 0 || cfg.MaxFailures < 0 || deaths <= int64(cfg.MaxFailures) {
-		return nil
-	}
-	return fmt.Errorf("core: %d localities died mid-search, exceeding the failure budget of %d (result repaired by replay as far as the survivors' ledgers reach)", deaths, cfg.MaxFailures)
-}
-
-// distDefaults normalises a distributed config: each process hosts
-// exactly one locality. On a standby deployment rank 0 becomes a pure
-// coordinator — zero local workers — so that no subtree can ever live
-// only in its pool: the root it seeds is handed over under ledger
-// supervision, making coordinator death fully survivable (Workers is
-// set after withDefaults, which would otherwise re-default 0 to
-// GOMAXPROCS).
-func distDefaults(cfg Config, tr dist.Transport) Config {
-	cfg.Localities = 1
-	cfg = cfg.withDefaults()
-	if cfg.Standby && tr.Rank() == 0 {
-		cfg.Workers = 0
-	}
-	return cfg
+	return total, true, nil
 }
 
 // DistOpt runs this process's locality of a distributed optimisation
@@ -108,8 +69,9 @@ func DistOpt[S, N any](tr dist.Transport, codec Codec[N], coord Coordination, sp
 }
 
 // DistEnum runs this process's locality of a distributed enumeration
-// search. The monoid value crosses the wire gob-encoded; rank 0
-// returns the fold over every locality's partial value.
+// search. A subtree's monoid value crosses the wire gob-encoded on its
+// hand-over's ack, so a worker's death is survived by replay; rank 0
+// returns the total committed there, and its death is an error.
 func DistEnum[S, N, M any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, p EnumProblem[S, N, M], cfg Config) (EnumResult[M], error) {
 	return search(tr, codec, coord, space, root, enumeration(space, p), cfg)
 }

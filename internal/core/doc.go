@@ -163,9 +163,11 @@
 // coordinator's too under Config.Standby, up to Config.MaxFailures: a task
 // handed to a peer stays in its victim's ledger (ledger.go) until the
 // peer acks its whole subtree, and a death re-enqueues what the dead rank
-// held, so optimisation and decision end with the exact optimum, or a
-// witness exactly when one exists. Enumeration cannot (a dead rank's fold
-// is lost, and replay would double-count): DistEnum returns an error.
+// held, so the search ends with the exact fold, the exact optimum, or a
+// witness exactly when one exists: a subtree's enumeration value rides
+// its ack and is committed only as the ack retires the entry, so a
+// replay replaces a dead thief's value, never adds to it. Rank 0's death
+// in an enumeration is an error: the total committed there dies with it.
 // Under Standby rank 0 runs no workers, so the one hand-over its death can
 // strand is the root's, and the lowest survivor takes its role. When the
 // root is lost — rank 0 dead and the rank holding it unknown or dead —

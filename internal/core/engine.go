@@ -28,8 +28,8 @@ func newEngine[S, N any](rule spawnRule, cfg Config, ws []*workerCtx[S, N], fab 
 }
 
 // finishTask completes one task. Every task a worker obtains is finished
-// exactly once, after any children it sheds are registered. Its
-// supervision family drains at once — the last drain acks the
+// exactly once, after any children it sheds are registered. Its fold is
+// committed and its supervision family drained at once — the last drain acks the
 // hand-over's origin — but the live count hears later: the worker counts
 // its finishes on its own context, and thief.settle takes them off in
 // one AddTasks the moment its own shard comes up empty — before it robs
@@ -48,6 +48,9 @@ func (e *engine[S, N]) finishTask(c *workerCtx[S, N], t Task[N]) {
 		e.taskHook(-1)
 	}
 	c.finished++
+	if e.fab.tally != nil {
+		e.fab.tally.close(c.visitor, t.fam)
+	}
 	c.loc.famDone(t.fam)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -29,6 +30,7 @@ type fabric[N any] struct {
 
 	cancel *canceller
 	inc    *incumbent[N] // set for optimisation searches
+	tally  tally[N]      // set for enumeration searches
 	frozen *atomic.Int64 // under a frozen rule: the round's bound, MinInt64 until phase 1 has walked the prefix (engine.frozenTask)
 	net    *dist.LoopbackNetwork
 	root   N // every rank's, as its caller gave it (locality.onDeath)
@@ -140,17 +142,22 @@ var _ dist.MultiStealer = (*locality[string])(nil)
 var _ dist.BatchAdopter = (*locality[string])(nil)
 var _ dist.StealRanker = (*locality[string])(nil)
 var _ dist.StackSplitter = (*locality[string])(nil)
+var _ dist.ValueAcker = (*locality[string])(nil)
 
 // famDone records one drain of a family's supervision counter; the
-// last drain acks the origin, retiring the ledger entry whose replay
-// would otherwise cover this subtree. On a loopback link without
-// latency the ack is delivered synchronously, so the drain can cascade
-// up a hand-over chain within this call.
+// last drain acks the origin, with the family's value, retiring the
+// ledger entry whose replay would otherwise cover this subtree. On a
+// loopback link without latency the ack is delivered synchronously, so
+// the drain can cascade up a hand-over chain within this call.
 func (h *locality[N]) famDone(f *family) {
 	if f != nil && f.pending.Add(-1) == 0 {
 		id := f.id
+		var val []byte
+		if h.fab.tally != nil {
+			val = h.fab.tally.seal(f)
+		}
 		h.fams.put(f)
-		h.tr.Ack(dist.TaskOrigin(id), id)
+		h.tr.AckValue(dist.TaskOrigin(id), id, val)
 	}
 }
 
@@ -362,15 +369,20 @@ func (h *locality[N]) AdoptTasks(ts []dist.WireTask, keep bool) dist.WireTask {
 // BatchAdopter: a run of one.
 func (h *locality[N]) OnTask(wt dist.WireTask) { h.AdoptTasks([]dist.WireTask{wt}, false) }
 
-// OnAck implements dist.Handler: a thief certifies that the subtree
-// handed over under id has fully completed. The retained copy is
-// retired, its registration released, and — if the handed-over task
-// was itself part of a received family — the family drain continues,
-// cascading the certificate towards the hand-over chain's origin.
-func (h *locality[N]) OnAck(from int, id uint64) {
+// OnAck implements dist.Handler: an ack without a value.
+func (h *locality[N]) OnAck(from int, id uint64) { h.OnAckValue(from, id, nil) }
+
+// OnAckValue implements dist.ValueAcker: the subtree handed over under id
+// has completed. Its entry is retired and only then its value committed
+// (into the entry's family, or the committed total), its registration
+// released and the family drain continued, towards the chain's origin.
+func (h *locality[N]) OnAckValue(from int, id uint64, val []byte) {
 	fam, ok := h.led.retire(id)
 	if !ok {
-		return // already replayed by a death race; the replay owns the task now
+		return // already replayed by a death race; the replay owns the task, and its value, now
+	}
+	if val != nil && h.fab.tally != nil {
+		h.fab.tally.fold(cmp.Or(fam, &h.committed), val)
 	}
 	h.tr.AddTasks(-1)
 	h.famDone(fam)

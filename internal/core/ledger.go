@@ -36,10 +36,15 @@ import (
 // origin is acked. Chaining entries to families makes supervision
 // transitive: an origin's entry survives until its subtree is done
 // everywhere, so even a chain of deaths can be replayed from the
-// earliest survivor.
+// earliest survivor. An enumeration's family folds its subtree's value:
+// its tasks' as they finish, and a re-handed descendant's as its ack
+// retires the entry — only then, so a replay's value replaces a dead
+// thief's and is never added to it. The drain's ack carries the total.
 type family struct {
 	id      uint64
 	pending atomic.Int64
+	mu      sync.Mutex
+	val     any // the fold so far, a *M kept with the family; nil is the monoid's zero
 }
 
 // freeList recycles small objects for one locality: get returns one as
@@ -162,41 +167,26 @@ func (l *ledger[N]) retire(id uint64) (*family, bool) {
 	return e.fam, true
 }
 
-// reap removes every entry a dead rank was holding, returning the
-// retained tasks for local re-enqueueing. The rank is marked dead before
-// the call, so no hand-over to it can be retained once reap holds the
-// lock: a second reap finds nothing.
-func (l *ledger[N]) reap(rank int) []Task[N] {
+// reap removes every entry a dead rank was holding, or with all every
+// outstanding entry, returning the retained tasks for local
+// re-enqueueing. The rank is marked dead before the call, so no
+// hand-over to it can be retained once reap holds the lock: a second
+// reap finds nothing. all is for the death of a coordinator that
+// RELAYED completion acks (star topology): any ack could have died
+// unrelayed in its buffers, leaving the entry — and the registration it
+// continues — outstanding forever. Replaying every entry is the only
+// safe continuation: execution is idempotent, a replica racing the
+// original holder's completion is at worst re-explored work, and retire
+// stays a no-op for whichever ack arrives after the reap.
+func (l *ledger[N]) reap(rank int, all bool) []Task[N] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var tasks []Task[N]
 	for id, e := range l.entries {
-		if e.thief == rank {
+		if all || e.thief == rank {
 			tasks = append(tasks, e.task)
 			delete(l.entries, id)
 		}
-	}
-	l.replayed += int64(len(tasks))
-	return tasks
-}
-
-// reapAll removes every outstanding entry regardless of holder,
-// returning the retained tasks for local re-enqueueing. Used when a
-// coordinator that RELAYED completion acks dies (star topology): any
-// ack could have died unrelayed in its buffers, leaving the entry —
-// and the registration it continues — outstanding forever. Replaying
-// every entry is the only safe continuation: execution is idempotent,
-// a replica racing the original holder's completion is at worst
-// re-explored work, and retire stays a no-op for whichever ack
-// arrives after the reap. Unlike reap no rank is marked dead, so
-// hand-overs resume once the promoted coordinator is serving.
-func (l *ledger[N]) reapAll() []Task[N] {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var tasks []Task[N]
-	for id, e := range l.entries {
-		tasks = append(tasks, e.task)
-		delete(l.entries, id)
 	}
 	l.replayed += int64(len(tasks))
 	return tasks

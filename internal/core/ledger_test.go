@@ -33,11 +33,11 @@ func TestLedgerHandOverRetireReap(t *testing.T) {
 	// Reap collects exactly the dead rank's entries.
 	id3, _ := l.handOver(1, Task[int]{Node: 30, Depth: 3})
 	dead[2].Store(true) // as locality.onDeath does, before it reaps
-	tasks := l.reap(2)
+	tasks := l.reap(2, false)
 	if len(tasks) != 1 || tasks[0].Node != 20 {
 		t.Fatalf("reap(2) = %v, want the rank-2 task", tasks)
 	}
-	if tasks := l.reap(2); tasks != nil {
+	if tasks := l.reap(2, false); tasks != nil {
 		t.Fatalf("second reap returned %v", tasks)
 	}
 	// A reaped entry's ack is ignored.
@@ -69,7 +69,7 @@ func TestLedgerCapacityBackpressure(t *testing.T) {
 	if peak != 2 {
 		t.Fatalf("peak = %d, want 2", peak)
 	}
-	tasks := l.reap(1)
+	tasks := l.reap(1, false)
 	if len(tasks) != 2 {
 		t.Fatalf("reap returned %d tasks, want 2", len(tasks))
 	}
@@ -94,5 +94,26 @@ func TestTaskIDPacking(t *testing.T) {
 	}
 	if dist.TaskOrigin(0) != -1 {
 		t.Fatal("zero id should have no origin")
+	}
+}
+
+// An ack commits its value only by retiring its entry: one whose entry a
+// death reaped is dropped with its value, which the replay's replaces, and
+// a retired entry's value is committed once (commit on completion).
+func TestAckValueCommittedOnlyByItsRetire(t *testing.T) {
+	fab := newFabric[int](nil, nil, spawnRule{}, Config{Localities: 2}.withDefaults())
+	defer fab.close()
+	enumeration(0, EnumProblem[int, int, int64]{Monoid: SumInt64{}}).attach(fab)
+	l, tally, f := fab.locs[0], enumTally[int, int, int64]{SumInt64{}}, &family{}
+	tally.add(f, 7)
+	val := tally.seal(f)
+	l.tr.AddTasks(2) // the two hand-overs' registrations
+	reaped, _ := l.led.handOver(1, Task[int]{})
+	l.led.reap(1, false)
+	retired, _ := l.led.handOver(1, Task[int]{})
+	l.OnAckValue(1, reaped, val)
+	l.OnAckValue(1, retired, val)
+	if got := tally.take(&l.committed); got != 7 {
+		t.Fatalf("committed %d, want 7: the reaped entry's ack adds nothing, the retired one's 7", got)
 	}
 }

@@ -82,6 +82,8 @@ type locality[N any] struct {
 	// and the box its first task crosses to the requester in.
 	fams  freeList[family]
 	boxes freeList[Task[N]]
+	// committed folds the values acked for hand-overs of no family.
+	committed family
 	// adoptRun is AdoptTasks' decode buffer, under adoptMu: a mesh
 	// locality adopts from one receive goroutine per peer. serveRun is
 	// ServeStealMulti's, likewise.
@@ -304,15 +306,9 @@ func (l *locality[N]) backlog() int {
 // (dist.Transport's ReseedRoot).
 func (l *locality[N]) onDeath(rank int) {
 	l.fab.dead[rank].Store(true)
-	tasks := l.led.reap(rank)
-	if rank == 0 && l.tr.AcksRelayed() {
-		// The coordinator relayed completion acks; any ack in flight at
-		// its death is gone, and with it the retire of the entry it was
-		// for. Replay everything outstanding — idempotent, and the only
-		// way every registration is guaranteed a continuation (see
-		// ledger.reapAll).
-		tasks = append(tasks, l.led.reapAll()...)
-	}
+	// A dead coordinator that relayed completion acks may have lost any
+	// ack in flight: replay everything outstanding (ledger.reap).
+	tasks := l.led.reap(rank, rank == 0 && l.tr.AcksRelayed())
 	if l.tr.ReseedRoot() {
 		// The death lost the root, and the transport registered it here:
 		// seed it again, or, if the search has ended already, release the

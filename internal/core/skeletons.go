@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -54,70 +55,125 @@ var coordNames = [...]string{Sequential: "seq", DepthBounded: "depthbounded", St
 // driver needs to know about what is being computed, built from a
 // problem definition by enumeration, optimisation or decision. The
 // closures of one value share the search's knowledge (incumbent,
-// witness), which attach creates, so a value serves exactly one run. R
-// is the entry point's result type.
+// witness, tally), which attach creates, so a value serves exactly one
+// run. R is the entry point's result type.
 type searchType[S, N, R any] struct {
 	gen GenFactory[S, N]
 	// bound is the priority source of OrderBound; nil (enumeration)
 	// degrades that order to discrepancy.
 	bound func(S, N) int64
 	// attach creates the search's shared knowledge, hooks it to the
-	// fabric (inc, cancelInfo), and returns the constructor of a
+	// fabric (inc, cancelInfo, tally), and returns the constructor of a
 	// worker's visitor around the worker's own counters and locality.
 	attach func(fab *fabric[N]) func(th *thief[N]) visitor[N]
-	// local reads the result of this process's localities. Only valid
-	// after the workers have joined.
-	local func(ws []*workerCtx[S, N], stats Stats) R
-	// An enumeration's answer is gathered: share encodes a local result's
-	// value as this process's contribution to the gather of a
-	// multi-process run, and merge folds another rank's share into the
-	// coordinator's; a nil share is a rank that died before contributing.
-	// An optimisation's or a decision's is the coordinator's own: known
-	// folds the transport's retained node (BestKnown) into its result.
-	share func(local R) ([]byte, error)
-	merge func(agg *R, rank int, s *distShare) error
-	known func(agg *R, obj int64, node []byte) error
+	// local reads this process's localities' result, the answer at the
+	// coordinator: its committed total, or its own or its transport's
+	// retained node (BestKnown). Valid once the workers joined; read once.
+	local func(ws []*workerCtx[S, N], stats Stats) (R, error)
+}
+
+// tally is an enumeration's value on its way to the coordinator (family):
+// close moves a worker's fold of a task it finished into the task's family
+// or, with none, the worker's own total; fold adds an acked value to f;
+// seal empties f into its ack's value.
+type tally[N any] interface {
+	close(v visitor[N], f *family)
+	fold(f *family, val []byte)
+	seal(f *family) []byte
 }
 
 // enumeration is the search type of the (accumulate) rule: per-worker
-// monoid accumulators, combined after the join. The monoid value
-// crosses the wire gob-encoded.
+// monoid accumulators, combined after the join, and per-family ones
+// committed at their origins (enumTally).
 func enumeration[S, N, M any](space S, p EnumProblem[S, N, M]) searchType[S, N, EnumResult[M]] {
+	t := enumTally[S, N, M]{p.Monoid}
+	var fab *fabric[N]
 	return searchType[S, N, EnumResult[M]]{
 		gen: p.Gen,
-		attach: func(*fabric[N]) func(*thief[N]) visitor[N] {
+		attach: func(f *fabric[N]) func(*thief[N]) visitor[N] {
+			fab, f.tally = f, t
 			return func(th *thief[N]) visitor[N] { return newEnumVisitor(space, p, &th.stats) }
 		},
-		local: func(ws []*workerCtx[S, N], stats Stats) EnumResult[M] {
+		local: func(ws []*workerCtx[S, N], stats Stats) (EnumResult[M], error) {
 			acc := p.Monoid.Zero()
 			for _, c := range ws {
-				acc = p.Monoid.Plus(acc, c.visitor.(*enumVisitor[S, N, M]).acc)
+				acc = p.Monoid.Plus(acc, c.visitor.(*enumVisitor[S, N, M]).own)
 			}
-			return EnumResult[M]{Value: acc, Stats: stats}
-		},
-		share: func(local EnumResult[M]) ([]byte, error) {
-			b, err := GobCodec[M]{}.Encode(local.Value)
-			if err != nil {
-				return nil, fmt.Errorf("core: encoding local monoid value: %w", err)
+			for _, l := range fab.locs {
+				acc = p.Monoid.Plus(acc, t.take(&l.committed))
 			}
-			return b, nil
-		},
-		merge: func(agg *EnumResult[M], rank int, s *distShare) error {
-			if s == nil {
-				// Enumeration is the one search type replay cannot repair:
-				// a dead rank's partial monoid value is gone, and replaying
-				// its subtrees would double-count whatever it had already
-				// folded in. Report the loss instead of a wrong total.
-				return fmt.Errorf("core: locality %d died mid-enumeration; its partial value is unrecoverable (enumeration cannot survive locality death — see the fault-tolerance notes)", rank)
+			res := EnumResult[M]{Value: acc, Stats: stats}
+			if fab.home.tr.Promoted() {
+				return res, fmt.Errorf("core: rank 0 died mid-enumeration; the total committed there is lost")
 			}
-			v, err := GobCodec[M]{}.Decode(s.Value)
-			if err != nil {
-				return fmt.Errorf("core: decoding locality %d monoid value: %w", rank, err)
-			}
-			agg.Value = p.Monoid.Plus(agg.Value, v)
-			return nil
+			return res, nil
 		},
 	}
+}
+
+// enumTally is enumeration's tally: a family's val is an M.
+type enumTally[S, N, M any] struct{ mon Monoid[M] }
+
+func (t enumTally[S, N, M]) close(v visitor[N], f *family) {
+	ev := v.(*enumVisitor[S, N, M])
+	if f == nil {
+		ev.own = t.mon.Plus(ev.own, ev.acc)
+	} else {
+		t.add(f, ev.acc)
+	}
+	ev.acc = t.mon.Zero()
+}
+
+// fold and seal carry an int64, the counting monoids' value, as a varint:
+// a gob stream costs some 30 allocations an ack. Any other M is gob.
+func (t enumTally[S, N, M]) fold(f *family, val []byte) {
+	var x M
+	var err error
+	if p, ok := any(&x).(*int64); !ok {
+		x, err = GobCodec[M]{}.Decode(val)
+	} else if v, n := binary.Varint(val); n > 0 {
+		*p = v
+	} else {
+		err = fmt.Errorf("varint of %d bytes", len(val))
+	}
+	if err != nil {
+		panic(fmt.Sprintf("core: decoding an acked monoid value: %v", err))
+	}
+	t.add(f, x)
+}
+
+func (t enumTally[S, N, M]) seal(f *family) []byte {
+	x := t.take(f)
+	if v, ok := any(x).(int64); ok {
+		return binary.AppendVarint(nil, v)
+	}
+	b, err := GobCodec[M]{}.Encode(x)
+	if err != nil {
+		panic(fmt.Sprintf("core: encoding a family's monoid value: %v", err))
+	}
+	return b
+}
+
+func (t enumTally[S, N, M]) add(f *family, x M) {
+	f.mu.Lock()
+	p, ok := f.val.(*M)
+	if !ok {
+		p = new(M)
+		*p, f.val = t.mon.Zero(), p
+	}
+	*p = t.mon.Plus(*p, x)
+	f.mu.Unlock()
+}
+
+// take empties f, returning its fold.
+func (t enumTally[S, N, M]) take(f *family) M {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	x := t.mon.Zero()
+	if p, ok := f.val.(*M); ok {
+		x, *p = *p, x
+	}
+	return x
 }
 
 // optimisation is the search type of the (strengthen)/(prune) rules:
@@ -125,14 +181,14 @@ func enumeration[S, N, M any](space S, p EnumProblem[S, N, M]) searchType[S, N, 
 // locality, and across processes the best node the coordinator retained.
 func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptResult[N]] {
 	var inc *incumbent[N]
-	var codec Codec[N]
+	var fab *fabric[N]
 	return searchType[S, N, OptResult[N]]{
 		gen:   p.Gen,
 		bound: p.Bound,
-		attach: func(fab *fabric[N]) func(*thief[N]) visitor[N] {
-			inc, codec = newIncumbent[N](), fab.codec
+		attach: func(f *fabric[N]) func(*thief[N]) visitor[N] {
+			inc, fab = newIncumbent[N](), f
 			if fab.wire {
-				inc.encode = codec.Encode
+				inc.encode = fab.codec.Encode
 			}
 			fab.inc = inc
 			return func(th *thief[N]) visitor[N] {
@@ -143,20 +199,17 @@ func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptRes
 				return newOptVisitor(space, p, inc, th.loc, &th.stats)
 			}
 		},
-		local: func(_ []*workerCtx[S, N], stats Stats) OptResult[N] {
+		local: func(_ []*workerCtx[S, N], stats Stats) (OptResult[N], error) {
 			node, obj, has := inc.result()
-			return OptResult[N]{Best: node, Objective: obj, Found: has, Stats: stats}
-		},
-		known: func(agg *OptResult[N], obj int64, node []byte) error {
-			if agg.Found && obj <= agg.Objective {
-				return nil
+			res := OptResult[N]{Best: node, Objective: obj, Found: has, Stats: stats}
+			if o, blob, ok := fab.home.tr.BestKnown(); ok && (!has || o > obj) {
+				n, err := fab.codec.Decode(blob)
+				if err != nil {
+					return res, fmt.Errorf("core: decoding the retained best node: %w", err)
+				}
+				res.Best, res.Objective, res.Found = n, o, true
 			}
-			n, err := codec.Decode(node)
-			if err != nil {
-				return fmt.Errorf("core: decoding the retained best node: %w", err)
-			}
-			agg.Best, agg.Objective, agg.Found = n, obj, true
-			return nil
+			return res, nil
 		},
 	}
 }
@@ -167,19 +220,19 @@ func optimisation[S, N any](space S, p OptProblem[S, N]) searchType[S, N, OptRes
 // a cancel carried to it.
 func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, DecisionResult[N]] {
 	wit := &witness[N]{}
-	var codec Codec[N]
+	var fab *fabric[N]
 	return searchType[S, N, DecisionResult[N]]{
 		gen:   p.Gen,
 		bound: p.Bound,
-		attach: func(fab *fabric[N]) func(*thief[N]) visitor[N] {
-			codec = fab.codec
+		attach: func(f *fabric[N]) func(*thief[N]) visitor[N] {
+			fab = f
 			if fab.wire {
 				// A locally found witness rides the cancel broadcast, so it
 				// reaches rank 0's retention before this process can die
 				// with it (objective only, should the node not encode).
 				fab.cancelInfo = func() (int64, []byte) {
 					n, obj, _ := wit.get()
-					if b, err := codec.Encode(n); err == nil {
+					if b, err := fab.codec.Encode(n); err == nil {
 						return obj, b
 					}
 					return obj, nil
@@ -189,20 +242,17 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 				return newDecisionVisitor(space, p, wit, fab.cancel, &th.stats)
 			}
 		},
-		local: func(_ []*workerCtx[S, N], stats Stats) DecisionResult[N] {
+		local: func(_ []*workerCtx[S, N], stats Stats) (DecisionResult[N], error) {
 			node, obj, found := wit.get()
-			return DecisionResult[N]{Witness: node, Objective: obj, Found: found, Stats: stats}
-		},
-		known: func(agg *DecisionResult[N], obj int64, node []byte) error {
-			if agg.Found {
-				return nil
+			res := DecisionResult[N]{Witness: node, Objective: obj, Found: found, Stats: stats}
+			if o, blob, ok := fab.home.tr.BestKnown(); ok && !found {
+				n, err := fab.codec.Decode(blob)
+				if err != nil {
+					return res, fmt.Errorf("core: decoding the retained witness: %w", err)
+				}
+				res.Witness, res.Objective, res.Found = n, o, true
 			}
-			n, err := codec.Decode(node)
-			if err != nil {
-				return fmt.Errorf("core: decoding the retained witness: %w", err)
-			}
-			agg.Witness, agg.Objective, agg.Found = n, obj, true
-			return nil
+			return res, nil
 		},
 	}
 }
@@ -212,9 +262,8 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 // nil transport the fabric is cfg.Localities loopback localities in
 // this process and the local result is the result. Otherwise this
 // process is one locality of a deployment on tr (see distributed.go):
-// every rank contributes its share to a terminal gather, and the
-// coordinator reconciles its local result, the shares and what it
-// retained into the global one.
+// every rank's Stats go to a terminal gather, and the coordinator, which
+// holds the answer at Done, returns its own result with the totals.
 func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, st searchType[S, N, R], cfg Config) (R, error) {
 	if tr == nil {
 		cfg = cfg.withDefaults()
@@ -226,7 +275,14 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 			var none R
 			return none, fmt.Errorf("core: coordination %v not supported across processes (use depthbounded, budget, or stacksteal)", coord)
 		}
-		cfg = distDefaults(cfg, tr)
+		// Each process hosts one locality. On a standby deployment rank 0
+		// is a pure coordinator, so no subtree can live only in its pool: the
+		// root it seeds is handed over under supervision (Workers is set
+		// after withDefaults, which would re-default 0 to GOMAXPROCS).
+		cfg.Localities = 1
+		if cfg = cfg.withDefaults(); cfg.Standby && tr.Rank() == 0 {
+			cfg.Workers = 0
+		}
 	}
 	rule := ruleFor(coord, cfg)
 	// The fabric builds every locality whole — pool, ledger, split gate —
@@ -250,44 +306,21 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 	stats := totalStats(ws)
 	stats.Elapsed = time.Since(start)
 	fab.foldStats(&stats)
-	local := st.local(ws, stats)
 	if tr == nil {
-		return local, nil
+		return st.local(ws, stats)
 	}
-
-	share := distShare{Stats: stats}
-	if st.share != nil {
-		var err error
-		if share.Value, err = st.share(local); err != nil {
-			return local, err
-		}
-	}
-	shares, total, err := gatherShares(tr, share)
-	if err != nil || shares == nil {
+	total, coordinator, err := gatherStats(tr, stats)
+	if !coordinator {
 		// A worker rank: its local contribution, which callers normally
 		// discard.
-		return local, err
+		res, _ := st.local(ws, stats)
+		return res, err
 	}
-	// The coordinator's own contribution is its local result; the other
-	// ranks' shares are merged into it, or, for a node result, what the
-	// transport retained of every node-carrying bound broadcast and
-	// cancel: every live rank's went ahead of its share, and a dead
-	// rank's was retained before the bound it carried could prune.
-	agg := st.local(ws, total)
-	for rank, s := range shares {
-		if rank == tr.Rank() || st.merge == nil {
-			continue
-		}
-		if err := st.merge(&agg, rank, s); err != nil {
-			return agg, err
-		}
+	res, err := st.local(ws, total)
+	if err == nil && cfg.MaxFailures >= 0 && total.Deaths > int64(cfg.MaxFailures) {
+		err = fmt.Errorf("core: %d localities died mid-search, exceeding the failure budget of %d (result repaired by replay as far as the survivors' ledgers reach)", total.Deaths, cfg.MaxFailures)
 	}
-	if obj, blob, ok := tr.BestKnown(); ok && st.known != nil {
-		if err := st.known(&agg, obj, blob); err != nil {
-			return agg, err
-		}
-	}
-	return agg, failurePolicy(cfg, total.Deaths)
+	return res, err
 }
 
 // Enum runs an enumeration search under the given coordination,

@@ -40,7 +40,8 @@ type enumVisitor[S, N, M any] struct {
 	space S
 	obj   func(S, N) M
 	mon   Monoid[M]
-	acc   M
+	acc   M // the running task's fold
+	own   M // the worker's tasks' of no family (enumTally.close)
 	shard *WorkerStats
 }
 
@@ -54,7 +55,7 @@ func newEnumVisitor[S, N, M any](space S, p EnumProblem[S, N, M], sh *WorkerStat
 	v := pad.New[enumVisitor[S, N, M]]()
 	*v = enumVisitor[S, N, M]{
 		space: space, obj: p.Objective, mon: p.Monoid,
-		acc: p.Monoid.Zero(), shard: sh,
+		acc: p.Monoid.Zero(), own: p.Monoid.Zero(), shard: sh,
 	}
 	return v
 }

@@ -107,7 +107,7 @@ type recHandler struct {
 	tasks      []WireTask
 	splitTasks []WireTask // tasks only a stack split can reach (not pool-stealable)
 	adopted    []WireTask // late steal replies re-homed via OnTask
-	acks       []uint64   // hand-over ids acked back to this locality
+	acks       []ack      // hand-over ids acked back to this locality, with their values
 	boundMax   atomic.Int64
 	bounds     []int64 // delivery order, for monotonicity of the merge
 	cancelled  atomic.Int64
@@ -173,16 +173,18 @@ func (h *recHandler) OnBound(from int, obj int64) {
 
 func (h *recHandler) OnCancel(from int) { h.cancelled.Add(1) }
 
-func (h *recHandler) OnAck(from int, id uint64) {
+func (h *recHandler) OnAck(from int, id uint64) { h.OnAckValue(from, id, nil) }
+
+func (h *recHandler) OnAckValue(from int, id uint64, val []byte) {
 	h.mu.Lock()
-	h.acks = append(h.acks, id)
+	h.acks = append(h.acks, ack{id, bytes.Clone(val)})
 	h.mu.Unlock()
 }
 
-func (h *recHandler) ackedIDs() []uint64 {
+func (h *recHandler) acked() []ack {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]uint64{}, h.acks...)
+	return append([]ack{}, h.acks...)
 }
 
 // BestStealPrio implements StealRanker the way a real locality does:
@@ -663,8 +665,8 @@ func TestConformanceWorkerDeathMidSearch(t *testing.T) {
 			for _, r := range []int{0, 1, 3} {
 				if !strings.HasPrefix(h.name, "loopback") {
 					awaitDeath(t, trs[r], 2)
-					if hs[r].boundMax.Load() == 55 || len(hs[r].ackedIDs()) > 0 {
-						t.Errorf("rank %d heard rank 2 after its Close: bound %d, acks %v", r, hs[r].boundMax.Load(), hs[r].ackedIDs())
+					if hs[r].boundMax.Load() == 55 || len(hs[r].acked()) > 0 {
+						t.Errorf("rank %d heard rank 2 after its Close: bound %d, acks %v", r, hs[r].boundMax.Load(), hs[r].acked())
 					}
 				} else if trs[r].Deaths() != nil {
 					t.Errorf("rank %d can hear of a death in process", r)
@@ -700,24 +702,25 @@ func TestConformanceWorkerDeathMidSearch(t *testing.T) {
 	}
 }
 
-// Completion acks round-trip: the thief's Ack reaches the handler of
-// the rank that minted the id — directly at the hub, and routed for
-// worker→worker supervision.
+// Completion acks round-trip: the thief's ack, and the value it carries,
+// reach the handler of the rank that minted the id — directly at the
+// hub, and routed for worker→worker supervision.
 func TestConformanceAckRoundTrip(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
 
-			// Worker to hub, worker to worker (routed on a star), hub to worker.
-			for _, a := range []struct{ from, origin int }{{1, 0}, {2, 1}, {0, 2}} {
-				id := TaskID(a.origin, uint64(7+a.from))
-				if err := trs[a.from].Ack(a.origin, id); err != nil {
-					t.Fatalf("ack from %d to %d: %v", a.from, a.origin, err)
+			// Worker to hub, worker to worker (routed on a star, its value
+			// with it), hub to worker (an empty value is still one).
+			for origin, val := range [][]byte{nil, []byte("fold"), {}} {
+				from, id := (origin+1)%3, TaskID(origin, uint64(8+origin))
+				if err := trs[from].AckValue(origin, id, val); err != nil {
+					t.Fatalf("ack from %d to %d: %v", from, origin, err)
 				}
-				eventually(t, fmt.Sprintf("rank %d to receive rank %d's ack", a.origin, a.from), func() bool {
-					ids := hs[a.origin].ackedIDs()
-					return len(ids) == 1 && ids[0] == id
+				eventually(t, fmt.Sprintf("rank %d to receive rank %d's ack", origin, from), func() bool {
+					got := hs[origin].acked()
+					return len(got) == 1 && got[0].ID == id && string(got[0].Val) == string(val) && (got[0].Val == nil) == (val == nil)
 				})
 			}
 			if id12 := TaskID(1, 7); TaskOrigin(id12) != 1 || TaskOrigin(0) != -1 {

@@ -108,7 +108,7 @@
 //	kSteal      thief → victim      Seq request, Want max tasks                    routed; always answered, by an empty kStealR if the victim is dry
 //	kSplit      thief → victim      as kSteal                                      a steal that a dry pool answers by splitting a live generator stack
 //	kStealR     victim → thief      Seq request, Tasks                             routed; a run of (payload, id, depth, prio, bound), adopted whole
-//	kAck        thief → origins     Acks hand-over ids                             those subtrees are complete: retire the ledger copies; routed id by id
+//	kAck        thief → origins     Acks hand-over ids [, values]                  those subtrees are complete: retire the ledger copies, commit the values; routed id by id
 //	kBound      W → C, C → all      Obj bound, Blob node (towards C)               the incumbent: C retains the best (obj, node) for BestKnown; only a star's C fans out
 //	kGossip     rank → peers        Obj bound                                      (mesh) epidemic spread; never on a link that already carried the bound
 //	kCancel     W → C, C → all      Obj objective, Blob witness                    a decision is found: C retains the witness and ends the search (then kTerminate)
@@ -148,8 +148,9 @@
 // and staggered deaths replay from the earliest surviving supervisor.
 // Acks coalesce into one kAck per flush quantum. Replay is sound because
 // branch and bound is idempotent: re-running a subtree changes which
-// nodes are visited, never the answer. Enumeration is not (a replay
-// would double-count), so core.DistEnum reports a death as an error.
+// nodes are visited, never the answer. An enumeration's value of a
+// subtree rides its ack (AckValue), and the origin commits it only as
+// the ack retires the copy, so a replay's value replaces a dead thief's.
 //
 // # Termination
 //
@@ -229,8 +230,8 @@
 // valid until its next read: stolen tasks are decoded on the read loop
 // by the engine (core.Codec.Decode must not alias its input), a relayed
 // frame is re-encoded at once, and keepers copy — incumbent retention,
-// a gather contribution, the standby's replica. A handler that is no
-// BatchAdopter gets its own copy of every payload.
+// a relayed ack's value, a gather contribution, the standby's replica.
+// A handler that is no BatchAdopter gets its own copy of every payload.
 // BenchmarkGateHotPathWireAllocs counts and holds the allocations with
 // no slack, TestConformanceBufferReuseUnderStress tests the rule.
 //

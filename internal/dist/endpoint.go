@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -80,11 +81,11 @@ type endpoint struct {
 
 	pending pendingSteals
 	ackMu   sync.Mutex
-	ackBuf  []uint64 // coalesced completion acks, drained by the flush tick
-	// The flush loop's drain scratch: the next ackBuf, and the ids sorted
+	ackBuf  []ack // coalesced completion acks, drained by the flush tick
+	// The flush loop's drain scratch: the next ackBuf, and the acks sorted
 	// by the link they leave on.
-	ackSpare []uint64
-	ackOut   map[*wconn][]uint64
+	ackSpare []ack
+	ackOut   map[*wconn][]ack
 	pbStamp  atomic.Int64 // best bound known; stamped on outgoing frames
 	pbSeen   atomic.Int64 // best bound delivered to the handler
 	// peerPrio[rank] is the rank's last advertised best stealable
@@ -140,7 +141,7 @@ func newEndpoint(opts WireOptions, spec string) *endpoint {
 		opts:    opts,
 		spec:    spec,
 		mesh:    opts.Topology == TopologyMesh,
-		ackOut:  make(map[*wconn][]uint64),
+		ackOut:  make(map[*wconn][]ack),
 		started: make(chan struct{}),
 		done:    make(chan struct{}),
 		gotAll:  make(chan struct{}),
@@ -808,32 +809,35 @@ func (e *endpoint) gossipLoop() {
 // supervision is one small frame per quantum instead of one per stolen
 // task. Retirement latency only delays ledger turnover, never
 // correctness.
-func (e *endpoint) Ack(origin int, id uint64) error {
+func (e *endpoint) Ack(origin int, id uint64) error { return e.AckValue(origin, id, nil) }
+
+// AckValue is Ack carrying the acked family's value, which it keeps.
+func (e *endpoint) AckValue(origin int, id uint64, val []byte) error {
 	if origin < 0 || origin >= e.size || origin == e.rank {
 		return fmt.Errorf("dist: ack to invalid rank %d", origin)
 	}
-	e.bufferAcks(id)
+	e.bufferAcks(ack{id, val})
 	return nil
 }
 
-func (e *endpoint) bufferAcks(ids ...uint64) {
+func (e *endpoint) bufferAcks(acks ...ack) {
 	e.ackMu.Lock()
-	e.ackBuf = append(e.ackBuf, ids...)
+	e.ackBuf = append(e.ackBuf, acks...)
 	e.ackMu.Unlock()
 }
 
 // onAcks takes an incoming batch apart: each id names its own origin.
 // This rank's are delivered; the rest were sent here to be relayed and
-// join the buffer, to leave with the next drain like self-minted ones.
-func (e *endpoint) onAcks(from int, ids []uint64) {
+// join the buffer, values copied, to leave with the next drain.
+func (e *endpoint) onAcks(from int, acks []ack) {
 	hd := e.handler()
-	for _, id := range ids {
-		if TaskOrigin(id) != e.rank {
-			e.bufferAcks(id)
+	for _, a := range acks {
+		if TaskOrigin(a.ID) != e.rank {
+			e.bufferAcks(ack{a.ID, bytes.Clone(a.Val)})
 			continue
 		}
 		if hd != nil {
-			hd.OnAck(from, id)
+			deliverAck(hd, from, a.ID, a.Val)
 		}
 	}
 }
@@ -845,42 +849,42 @@ func (e *endpoint) onAcks(from int, ids []uint64) {
 // acks cost no allocation.
 func (e *endpoint) drainAcks() {
 	e.ackMu.Lock()
-	ids := e.ackBuf
+	acks := e.ackBuf
 	e.ackBuf = e.ackSpare[:0]
 	e.ackMu.Unlock()
-	e.ackSpare = ids
-	if len(ids) == 0 {
+	e.ackSpare = acks
+	if len(acks) == 0 {
 		return
 	}
 	// What cannot leave now goes back into the buffer for the next drain
-	// (bufferAcks appends to the other array, never ids).
-	for _, id := range ids {
-		dest := TaskOrigin(id)
+	// (bufferAcks appends to the other array, never acks).
+	for _, a := range acks {
+		dest := TaskOrigin(a.ID)
 		switch cn := e.route(dest); {
 		case cn != nil:
-			e.ackOut[cn] = append(e.ackOut[cn], id)
+			e.ackOut[cn] = append(e.ackOut[cn], a)
 		case dest >= 0 && dest < e.size && !e.deaths.isDead(dest) && !e.isDone():
 			// No way there right now, but nobody said the origin died: a
 			// takeover is re-pointing the coordinator link. Keep the ack
 			// for the next drain — its origin's ledger entry, and the
 			// live count under it, wait on it.
-			e.bufferAcks(id)
+			e.bufferAcks(a)
 		}
 		// Otherwise the origin is dead: its ledger died with it, and the
 		// subtree the ack certifies was completed by the sender anyway.
 	}
-	for cn, ids := range e.ackOut {
-		e.ackOut[cn] = ids[:0]
+	for cn, acks := range e.ackOut {
+		e.ackOut[cn] = acks[:0]
 		if cn.dead.Load() {
 			delete(e.ackOut, cn)
 		}
-		for len(ids) > 0 {
-			n := min(len(ids), maxStealBatch)
-			if cn.send(&frame{Kind: kAck, From: e.rank, Acks: ids[:n]}) != nil {
-				e.bufferAcks(ids...)
+		for len(acks) > 0 {
+			n := min(len(acks), maxStealBatch)
+			if cn.send(&frame{Kind: kAck, From: e.rank, Acks: acks[:n]}) != nil {
+				e.bufferAcks(acks...)
 				break
 			}
-			ids = ids[n:]
+			acks = acks[n:]
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Wire protocol v4: every message is one length-prefixed binary frame,
@@ -55,19 +56,11 @@ import (
 // witness blob on kCancel, so the best node and decision witness
 // survive the death of the locality that found them.
 //
-// v5 adds the mesh vocabulary, spoken only by mesh-topology
-// deployments (WireOptions.Topology): kPeerAddr (worker→hub at
-// registration, Blob = the worker's advertised peer-listener address),
-// kPeers (hub→worker, Blob = the rank-indexed peer address table —
-// see appendPeerTable), kPeerHello (the first frame on a direct
-// worker↔worker connection: From = the dialing rank, Want = the wire
-// version), kGossip (an epidemic bound push, Obj = the bound; unlike
-// kBound it carries no node blob — retention stays at the hub), and
-// kToken (the decentralised termination wave's circulating token:
-// Seq = the probe round, Obj = the accumulated task count, Want = the
-// colour bits, tokBlack|tokActive). All five reuse existing frame
-// slots, so the frame struct and the optional-header machinery are
-// unchanged.
+// v5 adds the mesh vocabulary, spoken only by mesh-topology deployments
+// (WireOptions.Topology): kPeerAddr, kPeers (the table appendPeerTable
+// encodes), kPeerHello, kGossip (no node blob: retention stays at the
+// hub) and kToken (colour bits tokBlack|tokActive), each in existing
+// frame slots, as the package comment's table gives them.
 //
 // v6 adds kSplit: a steal request with split semantics (Want = max
 // tasks, like kSteal). The victim locality serves it from its pool if
@@ -78,16 +71,10 @@ import (
 // steal correlation and mesh wave accounting are untouched.
 //
 // v7 adds the coordinator-failover vocabulary, spoken only by standby
-// deployments (WireOptions.Standby): kHubSnap (hub→standby, Blob = a
-// residual-state snapshot — see encodeHubSnapshot), kRejoin
-// (worker→promoted hub after a coordinator death: From = the rank,
-// Want = the epoch the worker expects the promoted hub to be serving,
-// Obj = the rank's cumulative live-task contribution, from which the
-// promoted hub rebuilds the global count), and kLeave (mesh
-// worker→peers during a post-termination Close: after a takeover the
-// survivors run death detection decentrally on their own peer links,
-// and the in-band goodbye — TCP-ordered ahead of the close — is what
-// lets them tell a finished peer's exit from a crash).
+// deployments (WireOptions.Standby): kHubSnap (see encodeHubSnapshot),
+// kRejoin (the promoted hub rebuilds the global count from its Obj) and
+// kLeave, a mesh rank's in-band goodbye after termination, TCP-ordered
+// ahead of its close, which tells a finished peer's exit from a crash.
 //
 // v8 adds link-fault tolerance. The body encoding above is untouched;
 // instead every frame gains a fixed eight-byte trailer,
@@ -117,12 +104,16 @@ import (
 // fan-out, ahead of any later snapshot on the same link. It adds kHeld
 // (thief → rank 0, header only: the hand-over is registered, name me its
 // holder) after kHubSnap; the kinds after it moved up one. v11 drops the
-// gather shares from the snapshot: a share is sent only after Done.
+// gather shares from the snapshot: a share is sent only after Done. v12
+// lets a kAck carry values: with fVals each id is followed by a counted
+// byte string, the value the acked family committed (an enumeration's
+// fold of the subtree). A batch without values encodes as in v11.
 
 const (
 	fDelta = 1 << 0 // header carries a coalesced live-task delta
 	fBound = 1 << 1 // header carries a piggybacked bound snapshot
 	fPrio  = 1 << 2 // header carries a best-available-priority summary
+	fVals  = 1 << 3 // kAck: each id is followed by its value
 )
 
 // maxFrameBody bounds a peer-supplied body length before allocation.
@@ -146,7 +137,14 @@ type frame struct {
 	Want  int        // kSteal: max tasks; kHello/kPeerHello: protocol version; kWelcome: deployment size; kDeath: dead rank; kToken: colour bits
 	Blob  []byte     // kHello/kWelcome/kReject/kGather payload; kBound/kCancel retained node; kPeerAddr address; kPeers table
 	Tasks []WireTask // kStealR payload
-	Acks  []uint64   // kAck payload: completed hand-over ids
+	Acks  []ack      // kAck payload: completed hand-over ids, and their values
+}
+
+// ack is one completion ack: the hand-over id, and the value its family
+// committed (nil: none).
+type ack struct {
+	ID  uint64
+	Val []byte
 }
 
 // appendFrame appends f's body encoding (no length prefix) to dst.
@@ -160,6 +158,9 @@ func appendFrame(dst []byte, f *frame) []byte {
 	}
 	if f.HasPS {
 		flags |= fPrio
+	}
+	if slices.ContainsFunc(f.Acks, func(a ack) bool { return a.Val != nil }) {
+		flags |= fVals
 	}
 	dst = append(dst, byte(f.Kind), flags)
 	dst = binary.AppendVarint(dst, int64(f.From))
@@ -189,7 +190,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 	case kStealR:
 		dst = appendTasks(dst, f.Tasks)
 	case kAck:
-		dst = appendAcks(dst, f.Acks)
+		dst = appendAcks(dst, f.Acks, flags&fVals != 0)
 	}
 	return dst
 }
@@ -209,11 +210,16 @@ func appendTasks(dst []byte, tasks []WireTask) []byte {
 	return dst
 }
 
-// appendAcks encodes a hand-over id batch.
-func appendAcks(dst []byte, acks []uint64) []byte {
+// appendAcks encodes a hand-over id batch, each id followed by its value
+// when vals.
+func appendAcks(dst []byte, acks []ack, vals bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(acks)))
-	for _, id := range acks {
-		dst = binary.AppendUvarint(dst, id)
+	for _, a := range acks {
+		dst = binary.AppendUvarint(dst, a.ID)
+		if vals {
+			dst = binary.AppendUvarint(dst, uint64(len(a.Val)))
+			dst = append(dst, a.Val...)
+		}
 	}
 	return dst
 }
@@ -339,7 +345,7 @@ func parseFrame(b []byte, f *frame) error {
 			return err
 		}
 	case kAck:
-		if f.Acks, err = parseAcks(r, f.Acks); err != nil {
+		if f.Acks, err = parseAcks(r, f.Acks, flags&fVals != 0); err != nil {
 			return err
 		}
 	}
@@ -384,8 +390,9 @@ func parseTasks(r *frameReader, tasks []WireTask) ([]WireTask, error) {
 	return tasks, nil
 }
 
-// parseAcks decodes a hand-over id batch, appending to acks[:0].
-func parseAcks(r *frameReader, acks []uint64) ([]uint64, error) {
+// parseAcks decodes a hand-over id batch, appending to acks[:0]; values
+// alias the body.
+func parseAcks(r *frameReader, acks []ack, vals bool) ([]ack, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -394,11 +401,16 @@ func parseAcks(r *frameReader, acks []uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("dist: ack batch of %d ids", n)
 	}
 	for ; n > 0; n-- {
-		id, err := r.uvarint()
-		if err != nil {
+		var a ack
+		if a.ID, err = r.uvarint(); err != nil {
 			return nil, err
 		}
-		acks = append(acks, id)
+		if vals {
+			if a.Val, err = r.bytes(); err != nil {
+				return nil, err
+			}
+		}
+		acks = append(acks, a)
 	}
 	return acks, nil
 }

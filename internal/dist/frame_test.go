@@ -37,9 +37,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		// heartbeats.
 		{Kind: kBound, From: 2, Obj: 40, Blob: []byte("encoded-incumbent")},
 		{Kind: kCancel, From: 3, Obj: 17, Blob: []byte("encoded-witness")},
-		{Kind: kAck, From: 2, To: 1, Acks: []uint64{TaskID(1, 44)}},
-		{Kind: kAck, From: 1, Acks: []uint64{TaskID(0, math.MaxUint32), TaskID(2, 1), TaskID(0, 7)},
+		{Kind: kAck, From: 2, To: 1, Acks: []ack{{ID: TaskID(1, 44)}}},
+		{Kind: kAck, From: 1, Acks: []ack{{ID: TaskID(0, math.MaxUint32)}, {ID: TaskID(2, 1)}, {ID: TaskID(0, 7)}},
 			Delta: -3, PB: 8, HasPB: true},
+		{Kind: kAck, From: 3, Acks: []ack{{ID: TaskID(0, 5), Val: []byte("fold")}, {ID: TaskID(1, 2), Val: []byte{}}}}, // v12
 		{Kind: kAck, From: 1}, // empty batch (drained elsewhere)
 		{Kind: kDeath, From: 0, Want: 3},
 		{Kind: kPing, From: 2},
@@ -63,6 +64,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kHubSnap, Blob: []byte{}, PB: 3, HasPB: true},
 		{Kind: kRejoin, From: 2, Want: 1, Obj: -4, Seq: 1 << 40, Delta: 1, PS: 3, HasPS: true},
 		{Kind: kLeave, From: 3},
+	}
+	// v12: an ack batch without values encodes as in v11 (kind, flags, from, to, seq, count, ids).
+	if b := appendFrame(nil, &frame{Kind: kAck, From: 1, Acks: []ack{{ID: 300}}}); !reflect.DeepEqual(b, []byte{byte(kAck), 0, 2, 0, 0, 1, 0xAC, 0x02}) {
+		t.Fatalf("a kAck batch without values encodes as %x", b)
 	}
 	for i, f := range frames {
 		body := appendFrame(nil, &f)

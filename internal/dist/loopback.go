@@ -264,15 +264,15 @@ func (t *loopback) stealVia(split bool, victim int) (WireTask, bool, error) {
 }
 
 // deliver hands the link one message for peer's handler — a bound
-// (kBound: obj), a cancel (kCancel) or a completion ack (kAck: id). It
+// (kBound: obj), a cancel (kCancel) or a completion ack (kAck: a). It
 // arrives at Heal when a partition severs the link (the loopback model
 // of a session replaying its backlog), after the link's delay when it
 // has one, and otherwise now, on the caller's goroutine — every message
 // of a run without a plan, so that path builds no closure.
-func (t *loopback) deliver(peer *loopback, k kind, obj int64, id uint64) {
+func (t *loopback) deliver(peer *loopback, k kind, obj int64, a ack) {
 	t.ctr.framesSent.Add(1)
 	if plan := t.net.opts.Fault; plan != nil {
-		later := func() { t.arrive(peer, k, obj, id) }
+		later := func() { t.arrive(peer, k, obj, a) }
 		if act, severed := plan.act(t.rank, peer.rank); severed {
 			plan.OnHeal(later)
 			return
@@ -281,11 +281,11 @@ func (t *loopback) deliver(peer *loopback, k kind, obj int64, id uint64) {
 			return
 		}
 	}
-	t.arrive(peer, k, obj, id)
+	t.arrive(peer, k, obj, a)
 }
 
 // arrive is deliver's far end. A peer closed by now gets nothing.
-func (t *loopback) arrive(peer *loopback, k kind, obj int64, id uint64) {
+func (t *loopback) arrive(peer *loopback, k kind, obj int64, a ack) {
 	switch h := peer.handler(); {
 	case h == nil:
 	case k == kBound:
@@ -293,7 +293,7 @@ func (t *loopback) arrive(peer *loopback, k kind, obj int64, id uint64) {
 	case k == kCancel:
 		h.OnCancel(t.rank)
 	default:
-		h.OnAck(t.rank, id)
+		deliverAck(h, t.rank, a.ID, a.Val)
 	}
 }
 
@@ -302,7 +302,7 @@ func (t *loopback) arrive(peer *loopback, k kind, obj int64, id uint64) {
 func (t *loopback) BroadcastBound(obj int64, _ []byte) error {
 	for _, peer := range t.net.trs {
 		if peer.rank != t.rank {
-			t.deliver(peer, kBound, obj, 0)
+			t.deliver(peer, kBound, obj, ack{})
 		}
 	}
 	return nil
@@ -311,7 +311,7 @@ func (t *loopback) BroadcastBound(obj int64, _ []byte) error {
 func (t *loopback) Cancel(int64, []byte) error {
 	for _, peer := range t.net.trs {
 		if peer.rank != t.rank {
-			t.deliver(peer, kCancel, 0, 0)
+			t.deliver(peer, kCancel, 0, ack{})
 		}
 	}
 	return nil
@@ -321,11 +321,13 @@ func (t *loopback) Cancel(int64, []byte) error {
 // Until a delayed or partitioned ack arrives the origin's ledger entry
 // stays registered, exactly like a suspended session holding the ack
 // in its retransmit log.
-func (t *loopback) Ack(origin int, id uint64) error {
+func (t *loopback) Ack(origin int, id uint64) error { return t.AckValue(origin, id, nil) }
+
+func (t *loopback) AckValue(origin int, id uint64, val []byte) error {
 	if origin < 0 || origin >= len(t.net.trs) || origin == t.rank {
 		return fmt.Errorf("dist: ack to invalid rank %d", origin)
 	}
-	t.deliver(t.net.trs[origin], kAck, 0, id)
+	t.deliver(t.net.trs[origin], kAck, 0, ack{id, val})
 	return nil
 }
 

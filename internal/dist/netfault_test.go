@@ -37,9 +37,9 @@ type stampHandler struct {
 	bounds, cancels, acks chan time.Time // one slot per delivery the test makes
 }
 
-func (h *stampHandler) OnBound(int, int64) { h.bounds <- time.Now() }
-func (h *stampHandler) OnCancel(int)       { h.cancels <- time.Now() }
-func (h *stampHandler) OnAck(int, uint64)  { h.acks <- time.Now() }
+func (h *stampHandler) OnBound(int, int64)             { h.bounds <- time.Now() }
+func (h *stampHandler) OnCancel(int)                   { h.cancels <- time.Now() }
+func (h *stampHandler) OnAckValue(int, uint64, []byte) { h.acks <- time.Now() }
 
 // The fault plan is the loopback network's only source of delay, and
 // every message over a link pays the link's latency, not steals alone:

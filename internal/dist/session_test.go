@@ -26,7 +26,7 @@ func TestEncodeFrameRoundTrip(t *testing.T) {
 		}},
 		{Kind: kBound, From: 4, Obj: -123456789, Blob: []byte{}},
 		{Kind: kPing, From: 2},
-		{Kind: kAck, From: 1, Acks: []uint64{TaskID(0, math.MaxUint32), TaskID(2, 1)}},
+		{Kind: kAck, From: 1, Acks: []ack{{ID: TaskID(0, math.MaxUint32), Val: []byte{}}, {ID: TaskID(2, 1), Val: []byte{7}}}},
 		// v8: the resume handshake itself (session id in Seq, receive
 		// high-water mark in Obj) always travels with link sequence 0.
 		{Kind: kResume, From: 3, Seq: 1<<60 | 42, Obj: 917},

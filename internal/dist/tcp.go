@@ -31,22 +31,10 @@ import (
 const (
 	// dial keeps retrying (the coordinator may not be listening yet).
 	dialTimeout = 30 * time.Second
-	// wireVersion is checked at registration: v1 (gob), v2 (binary
-	// frames), v3 (per-task priorities + priority summaries), v4
-	// (hand-over ids, completion acks, death notification, heartbeats),
-	// v5 (mesh topology: peer address exchange, direct peer frames,
-	// bound gossip, termination-wave tokens) and v6 (on-demand stack
-	// splitting: kSplit requests served by splitting a running worker's
-	// live generator stack), v7 (coordinator failover: hub state
-	// replication to a standby, epoch-fenced rejoin after a takeover),
-	// v8 (link-fault tolerance: a sequence + CRC32C frame trailer and
-	// resumable sessions, see session.go), v9 (the standby replicated
-	// by snapshot alone: the delta frame gone, the kinds after it
-	// renumbered), v10 (the snapshot names the root's holder, which
-	// kHeld confirms, in place of the hand-over mirror) and v11 (the
-	// snapshot carries no gather shares: nothing is gathered before
-	// Done) — peers must not silently garble each other.
-	wireVersion = 11
+	// wireVersion is checked at registration — peers must not silently
+	// garble each other. frame.go's header gives each version's change;
+	// v12's is a kAck that carries the acked families' values.
+	wireVersion = 12
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a

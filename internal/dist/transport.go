@@ -94,6 +94,21 @@ type Handler interface {
 	OnAck(from int, id uint64)
 }
 
+// ValueAcker is an optional Handler extension: OnAckValue is OnAck with
+// the value the ack carries (Transport.AckValue; nil: none), borrowed.
+type ValueAcker interface {
+	OnAckValue(from int, id uint64, val []byte)
+}
+
+// deliverAck hands an arrived ack to hd, with its value if hd takes one.
+func deliverAck(hd Handler, from int, id uint64, val []byte) {
+	if va, ok := hd.(ValueAcker); ok {
+		va.OnAckValue(from, id, val)
+		return
+	}
+	hd.OnAck(from, id)
+}
+
 // StealRanker is an optional Handler extension for localities that can
 // rank the work a thief would get: BestStealPrio reports the priority
 // (lower = better) of the best task ServeSteal would currently hand
@@ -395,6 +410,10 @@ type Transport interface {
 	// copy. Acks to a dead origin are silently dropped — its ledger
 	// died with it.
 	Ack(origin int, id uint64) error
+	// AckValue is Ack carrying the value the acked family committed (an
+	// enumeration's fold of the subtree) to the origin's ValueAcker; the
+	// transport keeps val.
+	AckValue(origin int, id uint64, val []byte) error
 	// AddTasks adjusts the global live-task count by delta: +k when
 	// spawning k tasks (before they become visible to any worker), -1
 	// when a task completes. The count underpins distributed
