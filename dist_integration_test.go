@@ -337,42 +337,53 @@ func testSurvivesWorkerSIGKILL(t *testing.T, appFlags []string) {
 
 // The coordinator-failover acceptance test (wire protocol v7): a real
 // 4-process TCP deployment launched with -standby in which the
-// COORDINATOR is SIGKILLed mid-maxclique. The lowest worker rank holds
-// a replica of the hub's residual state, promotes itself, finishes the
-// search, and prints the exact optimum of the failure-free run — on
-// its own stdout, since the original result owner is a corpse. Runs
-// once per topology: on star the survivors re-dial the promoted hub's
-// pre-bound listener; on mesh the takeover is pure role migration over
-// the existing peer links.
+// COORDINATOR is SIGKILLed mid-search. The lowest worker rank holds a
+// replica of the hub's residual state, promotes itself, finishes the
+// search, and prints the exact answer of the failure-free run — on its
+// own stdout, since the original result owner is a corpse. Runs once per
+// topology: on star the survivors re-dial the promoted hub's pre-bound
+// listener; on mesh the takeover is pure role migration over the
+// existing peer links. Once per search type too: a maxclique optimum,
+// and a uts count, whose root the promoted rank takes over as a ledger
+// entry, so the root's value is committed there by its holder's ack, or
+// by its replay.
 func TestDistributedMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T) {
-	testMaxCliqueSurvivesCoordinatorSIGKILL(t, nil, false)
+	testSurvivesCoordinatorSIGKILL(t, coordClique, false)
 }
 
 func TestDistributedMeshMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T) {
-	testMaxCliqueSurvivesCoordinatorSIGKILL(t, []string{"-topology", "mesh"}, false)
+	testSurvivesCoordinatorSIGKILL(t, append(coordClique, "-topology", "mesh"), false)
+}
+
+func TestDistributedUTSSurvivesCoordinatorSIGKILL(t *testing.T) {
+	testSurvivesCoordinatorSIGKILL(t, sigkillUTS, false)
+}
+
+func TestDistributedMeshUTSSurvivesCoordinatorSIGKILL(t *testing.T) {
+	testSurvivesCoordinatorSIGKILL(t, append(sigkillUTS, "-topology", "mesh"), false)
 }
 
 // Staggered double death: the coordinator dies first, the standby
 // takes over, and then a regular worker dies too. The promoted
-// coordinator's death machinery (ledger replay, and seeding the root
-// again should the dead worker have held it) must absorb the second
-// death like the original hub would have. -max-failures 2 keeps both
-// deaths inside the budget.
+// coordinator's death machinery (ledger replay, the root's entry among
+// it should the dead worker have held it) must absorb the second death
+// like the original hub would have. A bigger instance keeps the search
+// alive past the second, later kill.
 func TestDistributedMaxCliqueSurvivesCoordinatorThenWorkerSIGKILL(t *testing.T) {
-	testMaxCliqueSurvivesCoordinatorSIGKILL(t, nil, true)
+	testSurvivesCoordinatorSIGKILL(t, []string{"-app", "maxclique", "-n", "170", "-p", "0.8", "-skeleton", "depthbounded", "-d", "2", "-workers", "2"}, true)
 }
 
-func testMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T, extraFlags []string, alsoKillWorker bool) {
+var coordClique = []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded", "-d", "2", "-workers", "2"}
+
+// testSurvivesCoordinatorSIGKILL runs the app under -standby with a
+// failure budget that covers the deaths.
+func testSurvivesCoordinatorSIGKILL(t *testing.T, appFlags []string, alsoKillWorker bool) {
 	bin := yewparBinary(t)
-	appFlags := []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded",
-		"-d", "2", "-workers", "2", "-standby", "-max-failures", "1"}
+	budget := "1"
 	if alsoKillWorker {
-		// A bigger instance keeps the search alive past the second,
-		// later kill; the budget covers both deaths.
-		appFlags[3] = "170"
-		appFlags[len(appFlags)-1] = "2"
+		budget = "2"
 	}
-	appFlags = append(appFlags, extraFlags...)
+	appFlags = append(appFlags[:len(appFlags):len(appFlags)], "-standby", "-max-failures", budget)
 
 	single, err := exec.Command(bin, appFlags...).CombinedOutput()
 	if err != nil {
@@ -400,7 +411,7 @@ func testMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T, extraFlags []string, 
 			t.Logf("attempt %d: search finished before the chaos kill fired; retrying", attempt)
 			continue
 		}
-		answer, promotedOut := awaitPromoted(t, workers, workerOut, alsoKillWorker)
+		answer, promotedOut := awaitPromoted(t, workers, workerOut, alsoKillWorker, wantAnswer[:strings.Index(wantAnswer, ":")+1])
 		if answer != wantAnswer {
 			t.Fatalf("answer after coordinator SIGKILL %q != failure-free answer %q\npromoted output:\n%s", answer, wantAnswer, promotedOut)
 		}
@@ -416,10 +427,10 @@ func testMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T, extraFlags []string, 
 }
 
 // awaitPromoted waits for every surviving worker of a failover attempt to
-// finish on its own — the promoted one prints the result, the others exit
-// silently and cleanly — and returns the one result line and the output
-// it came in.
-func awaitPromoted(t *testing.T, workers []*exec.Cmd, workerOut []*bytes.Buffer, alsoKillWorker bool) (answer, promotedOut string) {
+// finish on its own — the promoted one prints the result, a line that
+// starts with the given prefix, the others exit silently and cleanly —
+// and returns the one result line and the output it came in.
+func awaitPromoted(t *testing.T, workers []*exec.Cmd, workerOut []*bytes.Buffer, alsoKillWorker bool, prefix string) (answer, promotedOut string) {
 	t.Helper()
 	t.Cleanup(func() {
 		for _, w := range workers {
@@ -449,7 +460,7 @@ func awaitPromoted(t *testing.T, workers []*exec.Cmd, workerOut []*bytes.Buffer,
 	for i := range workerOut {
 		out := workerOut[i].String()
 		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "maximum clique size:") {
+			if strings.HasPrefix(line, prefix) {
 				answers = append(answers, line)
 				promotedOut = out
 			}

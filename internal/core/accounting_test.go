@@ -67,16 +67,6 @@ type hearing struct {
 
 func (h hearing) OnCancel(from int) { h.heard(from); h.locality.OnCancel(from) }
 
-// ReseedRoot's root is registered by the transport on the rank's behalf.
-func (tr *auditedTransport) ReseedRoot() bool {
-	ok := tr.Transport.ReseedRoot()
-	if ok {
-		tr.a.perRank[tr.rank].Add(1)
-		tr.a.sum.Add(1)
-	}
-	return ok
-}
-
 // audited is cfg with the exit invariant of ROADMAP item 1 (iv) asserted:
 // every search run under it, unless cancelled, must leave each in-process
 // locality quiescent — ledger empty, nothing on disk, pool empty, no

@@ -100,12 +100,11 @@ type Config struct {
 	// the lowest live worker rank, which promotes itself and finishes
 	// the search should rank 0 die mid-run. Under Standby rank 0 runs
 	// as a pure coordinator — zero local workers — so the one task it
-	// hands over is the root, and what it holds dies with it only if the
-	// root does: the transport knows who holds it, and when rank 0 is dead
-	// and that rank unknown or dead too, the successor seeds the root
-	// again (dist.Transport's ReseedRoot) — exact, at worst searching the
-	// tree twice. All ranks must agree on this flag (the spec handshake
-	// enforces it); coordinator deaths count against MaxFailures too.
+	// hands over is the root, whose ledger entry the successor takes over
+	// (dist.Transport's Root): every search type, enumeration included,
+	// ends exact, at worst searching the tree twice. All ranks must agree
+	// on this flag (the spec handshake enforces it); coordinator deaths
+	// count against MaxFailures too.
 	// Ignored by single-process runs.
 	Standby bool
 	// NetFault, if non-nil, injects deterministic network faults into

@@ -166,14 +166,15 @@
 // held, so the search ends with the exact fold, the exact optimum, or a
 // witness exactly when one exists: a subtree's enumeration value rides
 // its ack and is committed only as the ack retires the entry, so a
-// replay replaces a dead thief's value, never adds to it. Rank 0's death
-// in an enumeration is an error: the total committed there dies with it.
-// Under Standby rank 0 runs no workers, so the one hand-over its death can
-// strand is the root's, and the lowest survivor takes its role. When the
-// root is lost — rank 0 dead and the rank holding it unknown or dead —
-// the transport registers it at the successor, which seeds it again
-// (locality.onDeath, dist.Transport's ReseedRoot: exact, at worst twice
-// the work).
+// replay replaces a dead thief's value, never adds to it. Under Standby
+// rank 0 runs no workers, so its one hand-over is the root's, and the
+// lowest survivor takes its role. A wire tells the engine of a death
+// before it acts on it (dist.DeathHearer), so the successor first takes
+// rank 0's ledger entry for the root over (locality.OnDeath,
+// dist.Transport's Root) and the root is a hand-over like any other:
+// replayed if its holder is unknown or dies, retired by its holder's ack,
+// which commits its value at the successor. Without Standby, rank 0's
+// death ends the search.
 //
 // Idle workers do not spin: after a few failed probe rounds a worker
 // parks on its locality's parker and is woken by the next local push

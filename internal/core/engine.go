@@ -67,40 +67,18 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 		defer l.mem.close()
 	}
 	home := e.fab.home
-	e.fab.root = root
 	if home.rank == 0 {
 		home.tr.AddTasks(1)
 		home.pool.Push(Task[N]{Node: root, Depth: 0})
 	}
 	done := home.tr.Done()
-
-	// The death watcher, over a wire only (in-process localities never
-	// die), replays the locality's ledger at each death notice. It stops
-	// with the workers — a death after global termination has nothing
-	// left to replay (Done fires only once every ledger is empty: an
-	// unacked entry is an outstanding registration) — but one still
-	// queued then is counted, and the stats wait for it.
-	watchStop := make(chan struct{})
-	var watching sync.WaitGroup
-	defer watching.Wait()
-	defer close(watchStop)
-	if e.fab.wire && home.tr.Size() > 1 {
-		watching.Add(1)
-		go func() {
-			defer watching.Done()
-			for {
-				select {
-				case <-watchStop:
-					for len(home.tr.Deaths()) > 0 {
-						e.fab.dead[<-home.tr.Deaths()].Store(true)
-					}
-					return
-				case rank := <-home.tr.Deaths():
-					home.onDeath(rank)
-				}
-			}
-		}()
-	}
+	// A death heard once the workers have stopped is only recorded
+	// (locality.OnDeath): after Done no ledger holds an entry to replay.
+	defer func() {
+		e.fab.life.Lock()
+		e.fab.stopped = true
+		e.fab.life.Unlock()
+	}()
 
 	// Idle pacing: a worker that finds nothing yields a few rounds
 	// (steal response stays far below task granularity while work is
@@ -118,9 +96,9 @@ func (e *engine[S, N]) runPoolWorkers(root N) {
 	if len(e.workers) == 0 {
 		// Pure coordinator (a standby deployment's rank 0): no local
 		// workers, but the transport keeps serving steals against the
-		// seeded root and the death watchers must stay alive until
-		// global termination — their ledger replays are what make this
-		// rank's hand-overs survivable.
+		// seeded root, and deaths are heard until global termination —
+		// the ledger's replays are what make this rank's hand-over
+		// survivable.
 		select {
 		case <-done:
 		case <-e.cancel.ch:

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"yewpar/internal/dist"
@@ -33,7 +34,10 @@ type fabric[N any] struct {
 	tally  tally[N]      // set for enumeration searches
 	frozen *atomic.Int64 // under a frozen rule: the round's bound, MinInt64 until phase 1 has walked the prefix (engine.frozenTask)
 	net    *dist.LoopbackNetwork
-	root   N // every rank's, as its caller gave it (locality.onDeath)
+	root   N // every rank's, as its caller gave it (locality.OnDeath)
+	// life orders deaths (locality.OnDeath) against the workers' end.
+	life    sync.Mutex
+	stopped bool
 
 	// cancelInfo, when set (decision searches), supplies the objective
 	// and encoded witness a Cancel broadcast carries, so the witness
@@ -143,6 +147,7 @@ var _ dist.BatchAdopter = (*locality[string])(nil)
 var _ dist.StealRanker = (*locality[string])(nil)
 var _ dist.StackSplitter = (*locality[string])(nil)
 var _ dist.ValueAcker = (*locality[string])(nil)
+var _ dist.DeathHearer = (*locality[string])(nil)
 
 // famDone records one drain of a family's supervision counter; the
 // last drain acks the origin, with the family's value, retiring the

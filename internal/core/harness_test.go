@@ -40,7 +40,7 @@ import (
 //   - no spill file and no goroutine outlives the run;
 //   - Deaths counts the kills that landed, the result comes from the
 //     promoted rank exactly when rank 0 was killed, and the call errs
-//     exactly when the failure budget or an enumeration's rank 0 death says so;
+//     exactly when the failure budget says so;
 //   - every rank's call returns within a deadline: a hang fails its row,
 //     by name, not the package.
 //
@@ -389,19 +389,29 @@ func TestDistEnumSurvivesWorkerDeath(t *testing.T) {
 	rows(t, db(fault, enumerate, 3, tolerant, kill{rank: 2}), onWave(db(fault, enumerate, 4, tolerant, kill{rank: 1}, kill{rank: 3})))
 }
 
-// A standby coordinator killed once a worker holds work; and once rank 2
-// has taken the root while rank 1, the successor, still waits on a slow
-// link — rank 2, alive, is known to hold the root, so nobody seeds it
-// again (Config.Standby).
+// A standby coordinator killed once a worker holds work; and, with rank 0's
+// link to rank 1, the successor, slowed down, as rank 2 first registers
+// work. Mostly that is the root, and rank 0 dies before rank 2's kHeld
+// reaches it: rank 1 takes the root over as held by nobody and replays it
+// while rank 2 searches it too (about 5 runs in 6). Otherwise rank 1 took
+// the root first and rank 2 stole from it: rank 1 names itself the holder.
+// There an engine that heard of rank 0's death after the takeover replayed
+// rank 1's hand-overs to rank 2 too, and the search ended with rank 2's
+// later hand-overs unacked (Config.Standby, dist.DeathHearer).
 func TestDistOptSurvivesCoordinatorDeath(t *testing.T) {
-	reseed := db(fault16, optimise, 3, standby, kill{rank: 0, by: []int{2}})
-	reseed.net = dist.NewFaultPlan(1)
-	reseed.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
-	rows(t, db(fault, optimise, 4, standby, kill{rank: 0, by: []int{1, 2, 3}}), reseed)
+	held := db(fault, optimise, 4, standby, kill{rank: 0, by: []int{1, 2, 3}})
+	slow := db(fault16, optimise, 3, standby, kill{rank: 0, by: []int{2}})
+	slow.net = dist.NewFaultPlan(1)
+	slow.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
+	rows(t, held, slow, enumTwin(held), enumTwin(slow))
 }
 func TestDistOptMeshSurvivesCoordinatorDeath(t *testing.T) {
-	rows(t, onWave(db(fault, optimise, 4, standby, kill{rank: 0, by: []int{1, 2, 3}})))
+	sc := onWave(db(fault, optimise, 4, standby, kill{rank: 0, by: []int{1, 2, 3}}))
+	rows(t, sc, enumTwin(sc))
 }
+
+// enumTwin is sc as an enumeration: on rank 0's death too, the exact fold.
+func enumTwin(sc scenario) scenario { sc.search = enumerate; return sc }
 func TestDistOptCoordinatorDeathSpillCleanup(t *testing.T) {
 	cfg := standby
 	cfg.PoolBudget = 8 << 10
@@ -511,7 +521,7 @@ func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 			t.Errorf("survivors visited %d nodes of %d: the root was not searched again", o.stats.Nodes, nodes)
 		}
 	}
-	rows(t, sc, onWave(sc))
+	rows(t, sc, onWave(sc), enumTwin(sc), onWave(enumTwin(sc)))
 }
 
 // drawn is a standby row that draw(seed) drew, written out so that a
@@ -829,7 +839,7 @@ func (sc scenario) run(t *testing.T) {
 	for _, tr := range raw {
 		tr.Close()
 	}
-	if err := sc.judge(outs[owner], landed, owner); err != nil {
+	if err := sc.judge(outs[owner], landed); err != nil {
 		t.Errorf("%v\n\t%v", err, sc)
 	}
 	if sc.extra != nil {
@@ -888,8 +898,8 @@ func (sc scenario) deployTCP(t *testing.T) []dist.Transport {
 }
 
 // judge holds the result-owning rank's outcome to the oracle, given the
-// number of kills that landed and the owner (not 0: rank 0 was killed).
-func (sc scenario) judge(o outcome, landed int64, owner int) error {
+// number of kills that landed.
+func (sc scenario) judge(o outcome, landed int64) error {
 	val, nodes := sc.tree.truth(sc.search)
 	switch budget := int64(sc.cfg.MaxFailures); {
 	case (sc.coord == Sequential || sc.coord == Replicable) && sc.ranks > 1:
@@ -897,8 +907,6 @@ func (sc scenario) judge(o outcome, landed int64, owner int) error {
 	case o.stats.Deaths != landed && !(sc.search == decide && o.found && o.stats.Deaths < landed):
 		// (A witness cancels the search, perhaps before anyone heard.)
 		return fmt.Errorf("Deaths = %d, %d kills landed", o.stats.Deaths, landed)
-	case sc.search == enumerate && owner > 0:
-		return wantErr(o.err, "rank 0 died mid-enumeration")
 	case budget >= 0 && o.stats.Deaths > budget:
 		if err := wantErr(o.err, "failure budget"); err != nil {
 			return err

@@ -167,23 +167,38 @@ func (l *ledger[N]) retire(id uint64) (*family, bool) {
 	return e.fam, true
 }
 
-// reap removes every entry a dead rank was holding, or with all every
-// outstanding entry, returning the retained tasks for local
-// re-enqueueing. The rank is marked dead before the call, so no
+// install retains a hand-over rank 0 minted, the root's, as held by thief,
+// or by rank 0 when thief is unknown (-1) or dead, for rank 0's reap to
+// replay: dead is read under the lock, so a holder's death is seen here or
+// reaps the entry.
+func (l *ledger[N]) install(id uint64, thief int, t Task[N]) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if thief < 0 || l.dead[thief].Load() {
+		thief = 0
+	}
+	l.entries[id] = ledgerEntry[N]{thief: thief, task: t}
+	l.peak = max(l.peak, len(l.entries))
+}
+
+// reap removes every entry a dead rank was holding, and with all every
+// outstanding entry this rank minted, returning the retained tasks for
+// local re-enqueueing. The rank is marked dead before the call, so no
 // hand-over to it can be retained once reap holds the lock: a second
 // reap finds nothing. all is for the death of a coordinator that
 // RELAYED completion acks (star topology): any ack could have died
 // unrelayed in its buffers, leaving the entry — and the registration it
-// continues — outstanding forever. Replaying every entry is the only
-// safe continuation: execution is idempotent, a replica racing the
+// continues — outstanding forever. Replaying every such entry is the
+// only safe continuation: execution is idempotent, a replica racing the
 // original holder's completion is at worst re-explored work, and retire
-// stays a no-op for whichever ack arrives after the reap.
+// stays a no-op for whichever ack arrives after the reap. (An installed
+// entry's ack was bound for rank 0, not relayed, and is sent again.)
 func (l *ledger[N]) reap(rank int, all bool) []Task[N] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var tasks []Task[N]
 	for id, e := range l.entries {
-		if all || e.thief == rank {
+		if e.thief == rank || all && dist.TaskOrigin(id) == l.rank {
 			tasks = append(tasks, e.task)
 			delete(l.entries, id)
 		}

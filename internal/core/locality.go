@@ -294,33 +294,29 @@ func (l *locality[N]) backlog() int {
 	return l.pool.Size() + int(l.mem.onDisk.Load()) // spilled segments are claimable work
 }
 
-// onDeath reacts to a peer locality's death, which a wire announces once:
-// the rank is struck from the victim ring and refused by the ledger
-// (fabric.dead, the one record), the ledger entries it was
-// holding are re-enqueued locally (the replayed subtree roots stay
-// covered by their original registrations, so no accounting changes
-// hands), the steal backoff is reset — the victim set just changed
-// shape, so survivors should re-probe immediately instead of sleeping
-// through the recovery window — and parked workers are woken to claim
-// the replayed work, the root among it when the death lost the root
-// (dist.Transport's ReseedRoot).
-func (l *locality[N]) onDeath(rank int) {
-	l.fab.dead[rank].Store(true)
+// OnDeath implements dist.DeathHearer: a peer's death, which a wire
+// announces once, before it acts on it. The rank is struck from the victim
+// ring and refused by the ledger (fabric.dead, the one record); at the rank
+// taking rank 0's role over, rank 0's hand-over of the root becomes an
+// entry of this ledger, its registration taken over (dist.Transport's
+// Root); the entries the dead rank held are re-enqueued locally (covered
+// by their original registrations), the steal backoff is reset and parked
+// workers are woken to claim them. Once the workers stop, it only records.
+func (l *locality[N]) OnDeath(rank int) {
+	f := l.fab
+	f.life.Lock()
+	defer f.life.Unlock()
+	f.dead[rank].Store(true)
+	if f.stopped {
+		return
+	}
+	if holder, id, ok := l.tr.Root(); rank == 0 && ok {
+		l.tr.AddTasks(1)
+		l.led.install(id, holder, Task[N]{Node: f.root})
+	}
 	// A dead coordinator that relayed completion acks may have lost any
 	// ack in flight: replay everything outstanding (ledger.reap).
-	tasks := l.led.reap(rank, rank == 0 && l.tr.AcksRelayed())
-	if l.tr.ReseedRoot() {
-		// The death lost the root, and the transport registered it here:
-		// seed it again, or, if the search has ended already, release the
-		// registration. Replay-safe: at worst the tree is searched twice.
-		select {
-		case <-l.tr.Done():
-			l.tr.AddTasks(-1)
-		default:
-			tasks = append(tasks, Task[N]{Node: l.fab.root})
-		}
-	}
-	l.pool.PushBatch(tasks)
+	l.pool.PushBatch(l.led.reap(rank, rank == 0 && l.tr.AcksRelayed()))
 	l.backoff.reset()
 	l.park.wake()
 }

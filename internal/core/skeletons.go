@@ -102,11 +102,7 @@ func enumeration[S, N, M any](space S, p EnumProblem[S, N, M]) searchType[S, N, 
 			for _, l := range fab.locs {
 				acc = p.Monoid.Plus(acc, t.take(&l.committed))
 			}
-			res := EnumResult[M]{Value: acc, Stats: stats}
-			if fab.home.tr.Promoted() {
-				return res, fmt.Errorf("core: rank 0 died mid-enumeration; the total committed there is lost")
-			}
-			return res, nil
+			return EnumResult[M]{Value: acc, Stats: stats}, nil
 		},
 	}
 }
@@ -296,6 +292,7 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 	// negotiation.
 	e := newEngine(rule, cfg, ws, fab, newPrioAssigner(cfg.Order, space, root, st.bound))
 	start := time.Now()
+	fab.root = root // before any death is heard (locality.OnDeath)
 	fab.start()
 	e.runPoolWorkers(root)
 	if cfg.exit != nil && !fab.cancel.cancelled() {

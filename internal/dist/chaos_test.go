@@ -65,14 +65,15 @@ const (
 // The coordinator-failover contract, driven by the chaos harness:
 // rank 0 dies mid-search and the lowest survivor adopts the
 // coordinator role. Afterwards the deployment must still (a) notify
-// every survivor of the death, (b) report the promotion through the
-// Transport's Promoted, (c) keep bounds flowing between survivors, (d)
-// not terminate while survivor work is live, (e) terminate when it
-// drains, and (f) complete the terminal Gather at the promoted rank
-// with a nil slot for the corpse. (A coordinator that dies holding the
-// only work there is, the root handed to nobody, is the harness rows'
-// TestStandbyCoordinatorDiesHoldingTheRoot in internal/core.) On
-// loopback nobody hears of a closed rank 0 or takes its role.
+// every survivor's handler of the death, (b) report the promotion through
+// the Transport's Promoted, and the root, handed to nobody, through Root,
+// (c) keep bounds flowing between survivors, (d) not terminate while
+// survivor work is live, (e) terminate when it drains, and (f) complete
+// the terminal Gather at the promoted rank with a nil slot for the corpse.
+// (A coordinator that dies holding the only work there is, the root, is
+// the harness rows' TestStandbyCoordinatorDiesHoldingTheRoot in
+// internal/core.) On loopback nobody hears of a closed rank 0 or takes
+// its role.
 func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 	for _, h := range append(loopbacks(), failoverHarnesses()...) {
 		t.Run(h.name, func(t *testing.T) {
@@ -85,8 +86,8 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 			if strings.HasPrefix(h.name, "loopback") {
 				trs[0].Close()
 				for _, r := range []int{1, 2, 3} {
-					if trs[r].Deaths() != nil || trs[r].Promoted() || trs[r].ReseedRoot() {
-						t.Errorf("rank %d: a death, a promotion or a root to seed in process", r)
+					if _, _, took := trs[r].Root(); len(hs[r].heard()) > 0 || trs[r].Promoted() || took {
+						t.Errorf("rank %d: a death, a promotion or a root taken over in process", r)
 					}
 				}
 				select {
@@ -167,13 +168,13 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 				}
 			}
 
-			// Rank 0 died holding the root, handed to nobody: it is rank 1's
-			// to seed again, registered there. Draining the survivor work,
-			// the seeded root's included, ends the search everywhere.
-			if !trs[1].ReseedRoot() {
-				t.Fatal("the root died with rank 0 and rank 1 was not told to seed it again")
+			// Rank 0 handed nothing over: rank 1 took the role over with no
+			// holder of the root to name, which its engine would replay.
+			// Draining the survivor work ends the search everywhere.
+			if holder, _, took := trs[1].Root(); !took || holder != -1 {
+				t.Fatalf("rank 1 took the root over (%v) as held by rank %d, want by none", took, holder)
 			}
-			trs[1].AddTasks(-2)
+			trs[1].AddTasks(-1)
 			for _, r := range []int{1, 2, 3} {
 				select {
 				case <-trs[r].Done():
@@ -249,16 +250,12 @@ func takeOver(t *testing.T, trs []Transport, what string, carries func(*HubSnaps
 	})
 }
 
-// gatherAtRank1 ends the search — rank 1 drops its live work, and the
-// root the takeover registered there — waits until rank 1 and the others
-// are Done, sends the others' shares and returns what rank 1 collects.
+// gatherAtRank1 ends the search — rank 1 drops its live work — waits until
+// rank 1 and the others are Done, sends the others' shares and returns
+// what rank 1 collects.
 func gatherAtRank1(t *testing.T, trs []Transport, others ...int) [][]byte {
 	t.Helper()
-	live := int64(1)
-	if trs[1].ReseedRoot() {
-		live++
-	}
-	trs[1].AddTasks(-live)
+	trs[1].AddTasks(-1)
 	for _, r := range append([]int{1}, others...) {
 		select {
 		case <-trs[r].Done():
@@ -307,9 +304,59 @@ func TestConformanceKilledInsideRejoin(t *testing.T) {
 	awaitDeath(t, trs[1], 2)
 }
 
+// A takeover is one ordered step: every survivor's engine hears of rank
+// 0's death before the takeover acts on it, however long it takes to
+// listen — no survivor's coordinator traffic has changed direction, rank 1
+// holds no role yet, and it already knows the root it takes over (Root).
+func TestConformanceDeathHeardBeforeTakeover(t *testing.T) {
+	for _, h := range replicaHarnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 3)
+			for r, tr := range trs {
+				e := tr.(*endpoint)
+				tr.Start(&recHandler{onDeath: func(dead int) {
+					time.Sleep(50 * time.Millisecond)
+					if _, _, took := e.Root(); dead == 0 && (e.coord.Load() != 0 || took != (r == 1)) {
+						t.Errorf("rank %d heard of rank 0's death after its takeover began (coordinator %d, root taken over %v)", r, e.coord.Load(), took)
+					}
+				}})
+			}
+			trs[1].AddTasks(1)
+			trs[0].Close()
+			awaitDeath(t, trs[1], 0)
+			awaitDeath(t, trs[2], 0)
+			eventually(t, "rank 1 to adopt the coordinator role", trs[1].Promoted)
+		})
+	}
+}
+
+// The root's ack outlives rank 0: rank 2 acks rank 0's hand-over, rank 0
+// reads the ack and dies before its search could end, and the rank that
+// takes its role over delivers the ack to its own handler, value and all,
+// exactly once — rank 2 kept the last ack it sent towards rank 0, and
+// hands it to the new coordinator (handOver).
+func TestConformanceRootAckReachesTheRole(t *testing.T) {
+	for _, h := range replicaHarnesses() {
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 3)
+			hs := startAll(trs)
+			trs[1].AddTasks(1)
+			id := TaskID(0, 1)
+			trs[2].AckValue(0, id, []byte("fold"))
+			eventually(t, "rank 0 to read the ack", func() bool { return len(hs[0].acked()) == 1 })
+			trs[0].Close()
+			eventually(t, "the ack to reach rank 1's handler", func() bool { return len(hs[1].acked()) > 0 })
+			time.Sleep(50 * time.Millisecond) // many flush quanta: time for a second delivery
+			if got := hs[1].acked(); len(got) != 1 || got[0].ID != id || string(got[0].Val) != "fold" {
+				t.Fatalf("rank 1 was delivered %v, want the ack of %#x, with its value, once", got, id)
+			}
+		})
+	}
+}
+
 // (a) Rank 0's hand-over to rank 2 — under Standby, the root — is known
-// at rank 1 after the takeover: rank 1 does not seed the root again while
-// rank 2 lives, and does once rank 2 dies, its supervisor being dead.
+// at rank 1 after the takeover, holder and id, for its engine to take the
+// ledger entry over (Root); nobody else takes it.
 func TestConformanceTakeoverKeepsRootHolder(t *testing.T) {
 	for _, h := range replicaHarnesses() {
 		t.Run(h.name, func(t *testing.T) {
@@ -321,14 +368,14 @@ func TestConformanceTakeoverKeepsRootHolder(t *testing.T) {
 			if _, ok, err := trs[2].Steal(0); !ok || err != nil {
 				t.Fatalf("rank 2 did not get rank 0's task (%v)", err)
 			}
-			takeOver(t, trs, "the hand-over", func(s *HubSnapshot) bool { return s.Holder == 2 })
-			if h := trs[1].(*endpoint).root.held(); h != 2 || trs[1].ReseedRoot() {
-				t.Fatalf("rank 1 names rank %d as the root's holder, or seeds it again while rank 2 lives", h)
+			takeOver(t, trs, "the hand-over", func(s *HubSnapshot) bool { return s.Holder == 2 && s.RootID == root.ID })
+			if holder, id, took := trs[1].Root(); !took || holder != 2 || id != root.ID {
+				t.Fatalf("rank 1 took the root over (%v) as held by rank %d under %#x, want rank 2 under %#x", took, holder, id, root.ID)
 			}
-			trs[2].Close()
-			awaitDeath(t, trs[1], 2)
-			if !trs[1].ReseedRoot() {
-				t.Fatal("rank 2 died holding the root and rank 1 was not told to seed it again")
+			for r := 2; r < len(trs); r++ {
+				if _, _, took := trs[r].Root(); took {
+					t.Errorf("rank %d took the root over too", r)
+				}
 			}
 		})
 	}
@@ -379,7 +426,8 @@ func TestConformanceTakeoverKeepsMourned(t *testing.T) {
 // (d) A root rank 0 handed over that never landed — its reply lost with
 // rank 0, or, here, held unadopted because rank 2's engine has not
 // started — names no holder: a snapshot sent after the hand-over does not
-// name rank 2, and rank 1 seeds the root again at the takeover.
+// name rank 2, and rank 1 takes the root over as held by nobody, which
+// its engine replays.
 func TestConformanceTakeoverWithRootInFlight(t *testing.T) {
 	for _, h := range replicaHarnesses() {
 		t.Run(h.name, func(t *testing.T) {
@@ -405,8 +453,8 @@ func TestConformanceTakeoverWithRootInFlight(t *testing.T) {
 			}
 			trs[0].Close()
 			awaitDeath(t, trs[1], 0)
-			if !trs[1].ReseedRoot() {
-				t.Fatal("the root was in flight when rank 0 died and rank 1 was not told to seed it again")
+			if holder, _, took := trs[1].Root(); !took || holder != -1 {
+				t.Fatalf("rank 1 took the root in flight over (%v) as held by rank %d, want by none", took, holder)
 			}
 			trs[2].Start(&recHandler{})
 		})

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,6 +114,8 @@ type recHandler struct {
 	cancelled  atomic.Int64
 	splits     atomic.Int64 // ServeSplit calls that reached the split list
 	serveDelay time.Duration
+	mourned    []int          // the deaths announced, in order
+	onDeath    func(rank int) // if set, runs in OnDeath before the death is recorded
 }
 
 func (h *recHandler) ServeSteal(thief int) (WireTask, bool) {
@@ -179,6 +182,21 @@ func (h *recHandler) OnAckValue(from int, id uint64, val []byte) {
 	h.mu.Lock()
 	h.acks = append(h.acks, ack{id, bytes.Clone(val)})
 	h.mu.Unlock()
+}
+
+func (h *recHandler) OnDeath(rank int) {
+	if h.onDeath != nil {
+		h.onDeath(rank)
+	}
+	h.mu.Lock()
+	h.mourned = append(h.mourned, rank)
+	h.mu.Unlock()
+}
+
+func (h *recHandler) heard() []int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]int{}, h.mourned...)
 }
 
 func (h *recHandler) acked() []ack {
@@ -632,16 +650,14 @@ func TestTCPLateStealReplyAdopted(t *testing.T) {
 	}
 }
 
-// awaitDeath waits until a survivor has been notified of rank's death.
+// awaitDeath waits until a survivor's handler has heard of rank's death,
+// and checks it heard of no death twice.
 func awaitDeath(t *testing.T, tr Transport, rank int) {
 	t.Helper()
-	select {
-	case r := <-tr.Deaths():
-		if r != rank {
-			t.Fatalf("death notification for rank %d, want %d", r, rank)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("no death notification for rank %d", rank)
+	h := tr.(*endpoint).handler().(*recHandler)
+	eventually(t, fmt.Sprintf("rank %d to hear of rank %d's death", tr.Rank(), rank), func() bool { return slices.Contains(h.heard(), rank) })
+	if heard := h.heard(); len(slices.Compact(slices.Sorted(slices.Values(heard)))) != len(heard) {
+		t.Fatalf("rank %d heard of deaths %v", tr.Rank(), heard)
 	}
 }
 
@@ -668,8 +684,8 @@ func TestConformanceWorkerDeathMidSearch(t *testing.T) {
 					if hs[r].boundMax.Load() == 55 || len(hs[r].acked()) > 0 {
 						t.Errorf("rank %d heard rank 2 after its Close: bound %d, acks %v", r, hs[r].boundMax.Load(), hs[r].acked())
 					}
-				} else if trs[r].Deaths() != nil {
-					t.Errorf("rank %d can hear of a death in process", r)
+				} else if len(hs[r].heard()) > 0 {
+					t.Errorf("rank %d heard of a death in process", r)
 				}
 			}
 			done := make(chan struct{})

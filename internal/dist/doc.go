@@ -119,8 +119,8 @@
 //	kPing       W → C               header only                                    liveness, after a Heartbeat with nothing else sent
 //	kDeath      C → all             Want dead rank                                 mourn: fail steals aimed at it, replay its hand-overs, skip it for good
 //	kLeave      rank → all          none                                           (mesh) an exit after termination, not a death to replay
-//	kHubSnap    C → S               Blob residual-state snapshot                   (standby) root holder and incumbent; at most one a flush quantum, none unchanged
-//	kHeld       W → C               none                                           (standby) W registered the root C handed it: C may now name W its holder
+//	kHubSnap    C → S               Blob residual-state snapshot                   (standby) root holder and id, incumbent; at most one a flush quantum, none unchanged
+//	kHeld       W → C               Seq hand-over id                               (standby) W registered the root C handed it under the id: C may now name W its holder
 //	kRejoin     W → promoted C      Want epoch, Obj live-count share, Seq session  (star failover) W's contribution crosses the takeover
 //	kResume     dialler ⇄ acceptor  Seq session, Obj receive mark                  (link grace) each side replays what the other missed; link sequence 0
 //
@@ -197,18 +197,20 @@
 //
 //	epoch 0  rank 0 coordinates and runs no workers (core.Config.Standby), so the one task it hands
 //	         over under supervision is the root; it replicates to S, the lowest live worker, what
-//	         nothing else rebuilds: who holds the root (a thief whose kHeld came) and the incumbent
-//	         — one kHubSnap in each flush quantum in which either changed, or S did. Deaths reach S
-//	         as kDeath, ahead of any later snapshot on the same link
+//	         nothing else rebuilds: who holds the root and under which id (a thief whose kHeld
+//	         came) and the incumbent — one kHubSnap in each flush quantum in which either changed,
+//	         or S did. Deaths reach S as kDeath, ahead of any later snapshot on the same link
 //	   │     S sees its link to rank 0 break or fall silent
-//	epoch 1  S takes the role in place, seeded from the last snapshot. If the root's holder is
-//	         unknown or dead, now or later, S registers the root and its engine seeds it again
-//	         (ReseedRoot); every other hand-over is replayed by a surviving ledger
+//	epoch 1  every survivor's engine hears of the death first (DeathHearer) and replays what rank 0
+//	         held; S's first takes rank 0's ledger entry for the root over (Root), held by the
+//	         holder, or, unknown or dead, replayed at once. Then S takes the role in place, seeded
+//	         from the last snapshot; from here the root is a hand-over like any other, its ack
+//	         going to the coordinator
 //	         star: survivors re-dial S's listener with kRejoin; kWelcome re-seeds count and bound,
 //	               and what S fanned out between that welcome and the link's install is repeated
 //	         mesh: the links exist; coordinator traffic changes direction
 //	         every survivor hands S the node it retained: its best, or the witness of a cancel
-//	         it sent or heard, which ends the search at S
+//	         it sent or heard, which ends the search at S, and the last ack it sent rank 0
 //	   │     S dies, or rank 0 and S both die before the takeover completes
 //	the deployment ends: the epoch admits exactly one promotion
 //

@@ -77,7 +77,7 @@ type endpoint struct {
 	count    *liveCount
 	done     chan struct{}
 	doneOnce sync.Once
-	deaths   *deathBox
+	deaths   deathBox
 
 	pending pendingSteals
 	ackMu   sync.Mutex
@@ -86,8 +86,11 @@ type endpoint struct {
 	// by the link they leave on.
 	ackSpare []ack
 	ackOut   map[*wconn][]ack
-	pbStamp  atomic.Int64 // best bound known; stamped on outgoing frames
-	pbSeen   atomic.Int64 // best bound delivered to the handler
+	// rootAck is the last ack this rank sent towards rank 0 under Standby,
+	// which a takeover hands the new coordinator (handOver).
+	rootAck atomic.Pointer[ack]
+	pbStamp atomic.Int64 // best bound known; stamped on outgoing frames
+	pbSeen  atomic.Int64 // best bound delivered to the handler
 	// peerPrio[rank] is the rank's last advertised best stealable
 	// priority: >= 0 a priority, PrioNone an empty pool, prioUnknown
 	// nothing heard yet.
@@ -111,14 +114,14 @@ type endpoint struct {
 	epoch     atomic.Uint32 // 0 while rank 0 lives, 1 after the takeover
 	peerAddrs []string      // rank-indexed listener addresses (mesh peers, standby promotion)
 	repl      *hubRepl      // rank 0 only: paces the snapshots sent to the standby
-	// root is who holds rank 0's supervised hand-over, as of each kHeld at
-	// rank 0 and each snapshot at the standby. replica is the last snapshot
-	// (nil until one arrives), which a takeover seeds the role from; succ
-	// marks the rank that took the role over.
-	root    *rootHolder
+	// root is who holds rank 0's supervised hand-over, as of the last kHeld
+	// at rank 0. replica is the last snapshot at the standby (nil until one
+	// arrives), which a takeover seeds the role and Root from; succ marks
+	// the rank that takes the role over, from before its engine hears of
+	// rank 0's death.
+	root    atomic.Pointer[heldRoot]
 	replica atomic.Pointer[HubSnapshot]
 	succ    atomic.Bool
-	reseed  atomic.Bool // ReseedRoot's
 
 	// ln took the registrations (rank 0), the mesh peer dials, or is
 	// the promotion listener a standby worker pre-bound; afterwards it
@@ -162,8 +165,7 @@ func (e *endpoint) init(rank, size int) {
 	e.rank, e.size = rank, size
 	e.links = make([]atomic.Pointer[wconn], size)
 	e.peerPrio = newPeerPrios(size)
-	e.deaths = newDeathBox(size)
-	e.root = &rootHolder{dead: e.deaths.isDead, rank: -1}
+	e.deaths = make(deathBox, size)
 	e.blobs = make([][]byte, size)
 	e.contrib = make([]bool, size)
 	if e.mesh {
@@ -324,7 +326,15 @@ func (e *endpoint) Promoted() bool { return e.rank != 0 && e.isCoord() }
 // rank 0, so its death can eat one in flight.
 func (e *endpoint) AcksRelayed() bool { return !e.mesh && e.rank != 0 }
 
-func (e *endpoint) ReseedRoot() bool { return e.reseed.CompareAndSwap(true, false) }
+func (e *endpoint) Root() (int, uint64, bool) {
+	if !e.succ.Load() {
+		return -1, 0, false
+	}
+	if s := e.replica.Load(); s != nil {
+		return s.Holder, s.RootID, true
+	}
+	return -1, 0, true
+}
 
 func (e *endpoint) PeerBestPrio(rank int) (int, bool) { return peerBestPrio(e.peerPrio, rank) }
 
@@ -446,7 +456,7 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			first := adoptTasks(e.handler(), f.Tasks, ps != nil)
 			if e.opts.Standby && f.From == 0 && len(f.Tasks) > 0 && f.Tasks[0].ID != 0 {
 				// The root is registered here now: name this rank its holder.
-				cn.send(&frame{Kind: kHeld, From: e.rank})
+				cn.send(&frame{Kind: kHeld, From: e.rank, Seq: f.Tasks[0].ID})
 			}
 			if ps != nil {
 				ps.n = len(f.Tasks)
@@ -504,10 +514,9 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			// worse than the last good one, and is dropped.
 			if snap, err := DecodeHubSnapshot(append([]byte(nil), f.Blob...)); err == nil {
 				e.replica.Store(snap)
-				e.root.hold(snap.Holder)
 			}
 		case kHeld:
-			e.root.hold(f.From)
+			e.root.Store(&heldRoot{f.From, f.Seq})
 			e.repl.bump()
 		}
 	}
@@ -578,8 +587,8 @@ func (e *endpoint) judgeLost(peer int, cn *wconn) {
 // kDeath, a survivor that never rejoined). After normal termination a
 // lost link is just the expected disconnect. Before it, the
 // supervised-task protocol takes over: pending steals aimed at the
-// rank fail fast, the engine is told (Deaths) so its ledger replays the
-// subtree roots the dead rank was holding, its gather slot is filled so
+// rank fail fast, the engine is told (DeathHearer) so its ledger replays
+// the subtree roots the dead rank was holding, its gather slot is filled so
 // the terminal collective cannot block on it, and its outstanding
 // live-task contribution is reconciled away — the survivors' ledger
 // registrations keep everything replayable counted, so the search ends
@@ -836,9 +845,7 @@ func (e *endpoint) onAcks(from int, acks []ack) {
 			e.bufferAcks(ack{a.ID, bytes.Clone(a.Val)})
 			continue
 		}
-		if hd != nil {
-			deliverAck(hd, from, a.ID, a.Val)
-		}
+		deliverAck(hd, from, a.ID, a.Val)
 	}
 }
 
@@ -857,9 +864,20 @@ func (e *endpoint) drainAcks() {
 		return
 	}
 	// What cannot leave now goes back into the buffer for the next drain
-	// (bufferAcks appends to the other array, never acks).
+	// (bufferAcks appends to the other array, never acks). Under Standby an
+	// ack for rank 0 is kept (handOver) and goes to the coordinator role,
+	// which after a takeover holds rank 0's ledger entry (Root) — this
+	// rank's own handler, at the rank that took it.
 	for _, a := range acks {
 		dest := TaskOrigin(a.ID)
+		if dest == 0 && e.opts.Standby {
+			kept := a
+			e.rootAck.Store(&kept)
+			if dest = int(e.coord.Load()); dest == e.rank {
+				deliverAck(e.handler(), e.rank, a.ID, a.Val)
+				continue
+			}
+		}
 		switch cn := e.route(dest); {
 		case cn != nil:
 			e.ackOut[cn] = append(e.ackOut[cn], a)
@@ -994,8 +1012,6 @@ func (e *endpoint) livenessLoop() {
 func (e *endpoint) AddTasks(delta int64) { e.term.add(delta) }
 
 func (e *endpoint) Done() <-chan struct{} { return e.done }
-
-func (e *endpoint) Deaths() <-chan int { return e.deaths.ch }
 
 // contribute fills a gather slot (first write wins).
 func (e *endpoint) contribute(rank int, blob []byte) {

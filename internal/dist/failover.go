@@ -4,12 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Coordinator failover (wire protocol v7, replication as of v11). A
+// Coordinator failover (wire protocol v7, replication as of v13). A
 // deployment launched with WireOptions.Standby survives rank 0 dying
 // mid-search:
 //
@@ -17,11 +16,11 @@ import (
 //     ever hands over under supervision is the root. It replicates to
 //     the lowest live worker rank, as one kHubSnap snapshot per flush
 //     quantum in which something changed (hubRepl), what no survivor's
-//     ledger or link can rebuild: who holds that hand-over (rootHolder)
-//     and the retained incumbent. The standby keeps the last snapshot
-//     that decoded. The ranks rank 0 mourned are not replicated: each
-//     kDeath reaches the standby on the same link ahead of any later
-//     snapshot.
+//     ledger or link can rebuild: that hand-over's holder and id (the
+//     last kHeld) and the retained incumbent. The standby keeps the last
+//     snapshot that decoded. The ranks rank 0 mourned are not
+//     replicated: each kDeath reaches the standby on the same link ahead
+//     of any later snapshot.
 //   - Every worker pre-binds a promotion listener at registration and
 //     the table of those addresses is exchanged (kPeerAddr/kPeers,
 //     the mesh's own mechanism, now spoken by standby stars too).
@@ -33,14 +32,20 @@ import (
 //     promotion listener, presenting a kRejoin that carries their
 //     cumulative live-task contribution, from which the promoted hub
 //     rebuilds the global live count.
-//   - Every hand-over but the root's is supervised by a surviving
-//     ledger. The root is seeded again by the successor's engine, at the
-//     death that loses it: rank 0's with the root's holder unknown or
-//     dead, or the holder's after it (rootHolder, ReseedRoot).
+//   - A takeover is one ordered step: each survivor's engine hears of
+//     rank 0's death (DeathHearer) before anything is promoted, rejoined
+//     or handed over. The successor's engine first takes rank 0's ledger
+//     entry for the root over (Root): held by the named holder, or,
+//     unknown or dead, by rank 0, so the same death replays it. From then
+//     on the root is supervised like every other hand-over: its holder's
+//     death replays it, and its holder's ack, which now goes to the
+//     coordinator (drainAcks), retires it and commits its value there.
+//     A rank keeps the last ack it sent towards rank 0 and hands it to
+//     the new coordinator, in case it died with rank 0.
 //   - Every survivor hands the promoted rank the node it retained: its
 //     best, or with a cancel it sent or heard the witness, which ends the
-//     search there (handOver). No takeover follows Done, before which
-//     nothing is gathered.
+//     search there, and the root's last ack (handOver). No takeover
+//     follows Done, before which nothing is gathered.
 //   - The epoch fences generations: a kRejoin for the wrong epoch is
 //     refused, and because every stale frame rode a connection that
 //     died with the old coordinator, the connection itself is the
@@ -50,7 +55,9 @@ import (
 //
 // Loss windows, accepted and documented: a change made in the flush
 // quantum the hub dies in, which no snapshot carries (a missing or stale
-// holder costs a second search of the tree, never the answer); a bound
+// holder replays the root at the successor while its real holder
+// searches it too, whose ack then retires nothing: a second search of
+// the tree, never the answer); a bound
 // broadcast in flight during the takeover (pruning opportunity, never
 // correctness); a death the hub mourned but died before fanning out,
 // which a star's rejoin window mourns again; and the simultaneous death
@@ -63,6 +70,7 @@ import (
 // ranks) to adopt the deployment. kHubSnap frames carry it.
 type HubSnapshot struct {
 	Holder   int    // the rank holding rank 0's supervised hand-over, -1 when none
+	RootID   uint64 // that hand-over's id (valid when Holder >= 0)
 	BestObj  int64  // retained incumbent objective (valid when HasBest)
 	BestNode []byte // retained incumbent witness
 	HasBest  bool
@@ -71,6 +79,7 @@ type HubSnapshot struct {
 // encodeHubSnapshot serialises a snapshot (the kHubSnap blob).
 func encodeHubSnapshot(s *HubSnapshot) []byte {
 	b := binary.AppendVarint(nil, int64(s.Holder))
+	b = binary.AppendUvarint(b, s.RootID)
 	if s.HasBest {
 		b = append(b, 1)
 		b = binary.AppendVarint(b, s.BestObj)
@@ -93,6 +102,9 @@ func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 		return nil, err
 	}
 	s.Holder = int(holder)
+	if s.RootID, err = r.uvarint(); err != nil {
+		return nil, err
+	}
 	has, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -128,56 +140,19 @@ func (r *hubRepl) bump() {
 	}
 }
 
-// rootHolder is who holds a standby deployment's root — rank 0's one
-// supervised hand-over, which no ledger replays once rank 0 is dead — and
-// the one rule for when it is lost. A rank is named the holder only once
-// its share of the live count covers the root (its kHeld), so no death
-// leaves the count to end the search on a root that is nowhere.
-type rootHolder struct {
-	dead   func(rank int) bool
-	mu     sync.Mutex
-	rank   int  // -1 while none is known
-	seeded bool // the root was registered again, which happens once
-}
-
-// hold names rank the holder; not once rank 0 is dead, whose death was
-// judged without it.
-func (h *rootHolder) hold(rank int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.dead(0) {
-		h.rank = rank
-	}
-}
-
-func (h *rootHolder) held() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.rank
-}
-
-// judge announces rank's death, first asking seed to register the root
-// again if the death loses it: rank 0 is dead and the holder unknown or
-// dead, rank counted dead, and the root has not been registered again.
-// seed reports whether it registered it (only the successor does). One
-// lock covers the judgment and the announcement, so of two deaths that
-// race one is judged with the other announced: the root is registered
-// once, and before the death that loses it is announced or reconciled.
-func (h *rootHolder) judge(rank int, seed func() bool, announce func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	dead := func(r int) bool { return r == rank || h.dead(r) }
-	if !h.seeded && dead(0) && (h.rank < 0 || dead(h.rank)) {
-		h.seeded = seed()
-	}
-	announce()
+// heldRoot is who holds a standby deployment's root, rank 0's one
+// supervised hand-over, as rank 0 knows it: the thief whose kHeld came, so
+// whose share of the live count covers the root, and the hand-over's id.
+type heldRoot struct {
+	rank int
+	id   uint64
 }
 
 // failoverCandidate is the takeover election every survivor computes
 // independently: the lowest worker rank not known dead — exactly the
 // rank the hub replicated to, and (on a mesh) exactly the rank the
 // termination wave re-elects as initiator. -1 when no one is left.
-func failoverCandidate(size int, deaths *deathBox) int {
+func failoverCandidate(size int, deaths deathBox) int {
 	for r := 1; r < size; r++ {
 		if !deaths.isDead(r) {
 			return r
@@ -188,18 +163,15 @@ func failoverCandidate(size int, deaths *deathBox) int {
 
 // ---- the replicating side (rank 0) -------------------------------------
 
-// announceDeath announces rank's death here, first registering the root
-// for the engine to seed again (ReseedRoot) if this rank took rank 0's
-// role over and the death loses the root (rootHolder.judge).
+// announceDeath announces rank's death here, once, and tells the engine
+// before it returns (DeathHearer): whatever its caller does about the
+// death comes after the engine's replays.
 func (e *endpoint) announceDeath(rank int) {
-	e.root.judge(rank, func() bool {
-		if !e.succ.Load() {
-			return false
+	if e.deaths.announce(rank) {
+		if dh, ok := e.handler().(DeathHearer); ok {
+			dh.OnDeath(rank)
 		}
-		e.term.add(1)
-		e.reseed.Store(true)
-		return true
-	}, func() { e.deaths.announce(rank) })
+	}
 }
 
 // flushRepl sends the standby — the lowest live worker rank, the one
@@ -233,7 +205,10 @@ func (e *endpoint) standby() *wconn {
 // snapshotBlob captures the coordinator's residual state for a
 // kHubSnap.
 func (e *endpoint) snapshotBlob() []byte {
-	s := &HubSnapshot{Holder: e.root.held()}
+	s := &HubSnapshot{Holder: -1}
+	if r := e.root.Load(); r != nil {
+		s.Holder, s.RootID = r.rank, r.id
+	}
 	s.BestObj, s.BestNode, s.HasBest = e.inc.best()
 	return encodeHubSnapshot(s)
 }
@@ -250,12 +225,13 @@ func (e *endpoint) takeover(old *wconn) bool {
 	if !e.opts.Standby || e.isDone() || !e.epoch.CompareAndSwap(0, 1) {
 		return false
 	}
-	// The engine must learn rank 0 died: its ledger replays the
-	// hand-overs rank 0 held — on a star every outstanding one, since an
-	// ack relayed through the dying coordinator may be gone — and the
-	// successor's seeds the root again if it died with rank 0. The wave
-	// stops summing rank 0 and re-elects the lowest live rank as
-	// initiator — the very rank elected below.
+	// The engine learns rank 0 died before anything below happens: its
+	// ledger replays the hand-overs rank 0 held — on a star every
+	// outstanding one it minted, since an ack relayed through the dying
+	// coordinator may be gone — and the successor's takes the root's
+	// entry over (Root), registering it before rank 0's contribution is
+	// reconciled away. The wave stops summing rank 0 and re-elects the
+	// lowest live rank as initiator — the very rank elected below.
 	old.dead.Store(true)
 	for r := 1; r < e.size; r++ {
 		if cn := e.links[r].Load(); cn != nil {
@@ -297,10 +273,19 @@ func (e *endpoint) takeover(old *wconn) bool {
 // retained, which rank 0 may have died with: its best, as a kBound, or the
 // witness of a cancel it sent or heard, as a kCancel that ends the search —
 // here, if this rank was elected (no witness, no end: the search would
-// report none). A publication retains, then looks for the coordinator link:
-// on a mesh it finds cn or this reads its node; a star rejoiner installs cn
-// right after this reads, and only a publication in between goes unsent.
+// report none). A publication retains, then looks for the coordinator link,
+// which is in place before this reads (a mesh's exists, a star rejoiner
+// installs cn first): it finds the link, or this reads its node.
+// The last ack this rank sent towards rank 0 goes again, to the coordinator
+// (drainAcks): rank 0 may have died before it retired the root's entry, or
+// it reached the elected rank before that rank held the role. The old link
+// was marked dead before this runs, and drainAcks keeps an ack before it
+// looks for its link, so a drain racing the takeover either kept it for
+// this to read or finds no link to rank 0.
 func (e *endpoint) handOver(cn *wconn) {
+	if a := e.rootAck.Load(); a != nil {
+		e.bufferAcks(*a)
+	}
 	obj, node, ok := e.inc.best()
 	kind := kBound
 	if e.cancelled.Load() {
@@ -418,7 +403,7 @@ func (e *endpoint) admitRejoin(cn *wconn, rj *frame) error {
 // rejoin re-attaches a star survivor to the promoted coordinator: dial
 // the candidate's promotion listener (pre-bound at registration, so the
 // dial succeeds even before the candidate finishes promoting), present
-// the kRejoin, hand over, install the link, and await the welcome.
+// the kRejoin, install the link, hand over, and await the welcome.
 func (e *endpoint) rejoin(cand int, rep int64) bool {
 	if cand >= len(e.peerAddrs) || e.peerAddrs[cand] == "" {
 		return false
@@ -428,10 +413,11 @@ func (e *endpoint) rejoin(cand int, rep int64) bool {
 	if err != nil {
 		return false
 	}
-	// The retained node follows the kRejoin, whose stamp may carry its
-	// bound, at once: no frame stamped here can overtake it.
-	e.handOver(cn)
+	// The link is installed before handOver reads the retained node, so a
+	// node retained after that read finds the link (handOver). The node
+	// follows the kRejoin, whose stamp may carry its bound, at once.
 	e.install(cand, cn)
+	e.handOver(cn)
 	c := cn.cur.Load().c
 	c.SetReadDeadline(time.Now().Add(dialTimeout))
 	var welcome frame

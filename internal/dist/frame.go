@@ -107,7 +107,10 @@ import (
 // gather shares from the snapshot: a share is sent only after Done. v12
 // lets a kAck carry values: with fVals each id is followed by a counted
 // byte string, the value the acked family committed (an enumeration's
-// fold of the subtree). A batch without values encodes as in v11.
+// fold of the subtree). A batch without values encodes as in v11. v13
+// names the root's hand-over id: a kHeld carries it in Seq, and the
+// snapshot gains it as a uvarint after the holder, so the promoted rank
+// can take the hand-over's ledger entry over.
 
 const (
 	fDelta = 1 << 0 // header carries a coalesced live-task delta

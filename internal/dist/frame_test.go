@@ -60,8 +60,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kSplit, From: 0, To: 3, Seq: 1 << 30, Want: 1, Delta: -2, PB: 11, HasPB: true, PS: PrioNone, HasPS: true},
 		// v7: the standby's snapshot, a survivor's rejoin (its live-task
 		// share may be negative), a mesh rank's goodbye.
-		{Kind: kHubSnap, Blob: encodeHubSnapshot(&HubSnapshot{Holder: 2, HasBest: true, BestObj: 7, BestNode: []byte("n")})},
+		// v13: the snapshot names the root's hand-over id beside its holder,
+		// which a kHeld carries in Seq.
+		{Kind: kHubSnap, Blob: encodeHubSnapshot(&HubSnapshot{Holder: 2, RootID: TaskID(0, 3), HasBest: true, BestObj: 7, BestNode: []byte("n")})},
 		{Kind: kHubSnap, Blob: []byte{}, PB: 3, HasPB: true},
+		{Kind: kHeld, From: 2, Seq: TaskID(0, 3)},
 		{Kind: kRejoin, From: 2, Want: 1, Obj: -4, Seq: 1 << 40, Delta: 1, PS: 3, HasPS: true},
 		{Kind: kLeave, From: 3},
 	}
@@ -168,8 +171,8 @@ func TestPeerTableRoundTripAndRobustness(t *testing.T) {
 func TestHubSnapshotRoundTripAndRobustness(t *testing.T) {
 	snaps := []*HubSnapshot{
 		{Holder: -1},
-		{Holder: 1 << 20, BestObj: -9, BestNode: []byte{}, HasBest: true},
-		{Holder: 3, BestObj: math.MinInt64, BestNode: []byte("witness"), HasBest: true},
+		{Holder: 1 << 20, RootID: TaskID(0, 1<<40), BestObj: -9, BestNode: []byte{}, HasBest: true},
+		{Holder: 3, RootID: TaskID(0, 1), BestObj: math.MinInt64, BestNode: []byte("witness"), HasBest: true},
 	}
 	for i, s := range snaps {
 		got, err := DecodeHubSnapshot(encodeHubSnapshot(s))
@@ -199,7 +202,7 @@ func TestHubSnapshotRoundTripAndRobustness(t *testing.T) {
 	}
 	// A huge byte-string length in the incumbent's slot, followed by bytes
 	// that parse, which only the bound check keeps from being built.
-	b := append([]byte{1, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, make([]byte, 1000)...)
+	b := append([]byte{1, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, make([]byte, 1000)...)
 	if _, err := DecodeHubSnapshot(b); err == nil {
 		t.Fatalf("snapshot claiming a huge length accepted: %x", b)
 	}

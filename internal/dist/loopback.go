@@ -149,8 +149,8 @@ var _ Transport = (*loopback)(nil)
 // AcksRelayed is false: loopback acks go straight to their origin.
 func (t *loopback) AcksRelayed() bool { return false }
 
-// ReseedRoot is false: an in-process root never dies with its holder.
-func (t *loopback) ReseedRoot() bool { return false }
+// Root is not ok: rank 0 never dies, so nobody takes its role.
+func (t *loopback) Root() (int, uint64, bool) { return -1, 0, false }
 
 // Suspected: a peer across a severed loopback partition is
 // quarantined — the victim order skips it until the heal.
@@ -334,9 +334,6 @@ func (t *loopback) AckValue(origin int, id uint64, val []byte) error {
 func (t *loopback) AddTasks(delta int64) { t.net.addTasks(t.rank, delta) }
 
 func (t *loopback) Done() <-chan struct{} { return t.net.done }
-
-// Deaths is nil: in-process localities never die.
-func (t *loopback) Deaths() <-chan int { return nil }
 
 // Promoted is false: rank 0 never dies, so nobody takes its role.
 func (t *loopback) Promoted() bool { return false }

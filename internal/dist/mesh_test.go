@@ -159,7 +159,8 @@ func TestMeshGossipBoundMonotonicity(t *testing.T) {
 }
 
 // The coordinator's residual state round-trips through its snapshot: the
-// rank holding its supervised hand-over and the retained incumbent — what
+// rank holding its supervised hand-over, the hand-over's id, and the
+// retained incumbent — what
 // a standby needs beyond what registration and the kDeath fan-out told
 // it. Star and mesh share the one snapshotBlob.
 func TestMeshHubSnapshotRoundTrip(t *testing.T) {
@@ -186,8 +187,8 @@ func TestMeshHubSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode snapshot: %v", err)
 			}
-			if snap.Holder != 1 {
-				t.Fatalf("snapshot holder = %d, want rank 1", snap.Holder)
+			if snap.Holder != 1 || snap.RootID != TaskID(0, 1) {
+				t.Fatalf("snapshot holder = %d under %#x, want rank 1 under %#x", snap.Holder, snap.RootID, TaskID(0, 1))
 			}
 			if !snap.HasBest || snap.BestObj != 42 || string(snap.BestNode) != "best-node" {
 				t.Fatalf("snapshot incumbent = %d %q %v", snap.BestObj, snap.BestNode, snap.HasBest)

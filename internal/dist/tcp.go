@@ -33,8 +33,8 @@ const (
 	dialTimeout = 30 * time.Second
 	// wireVersion is checked at registration — peers must not silently
 	// garble each other. frame.go's header gives each version's change;
-	// v12's is a kAck that carries the acked families' values.
-	wireVersion = 12
+	// v13's is the root's hand-over id, in kHeld and the standby's snapshot.
+	wireVersion = 13
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
@@ -91,10 +91,11 @@ type WireOptions struct {
 	// registration, and on rank 0's death the replicated rank promotes
 	// itself while the rest re-dial it. Rank 0 must hand over one task
 	// under supervision, the root, which core guarantees by running it
-	// with zero workers (core.Config.Standby); a root lost with rank 0 or
-	// after it is seeded again (Transport.ReseedRoot). Costs at most one
-	// snapshot per flush quantum hub→standby; off by default. Both sides
-	// of a deployment must agree (folded into the spec check).
+	// with zero workers (core.Config.Standby); the promoted rank takes that
+	// hand-over's ledger entry over (Transport.Root), and the root is
+	// replayed like any other hand-over. Costs at most one snapshot per
+	// flush quantum hub→standby; off by default. Both sides of a
+	// deployment must agree (folded into the spec check).
 	Standby bool
 	// LinkGrace arms the v8 resumable-session layer: on an I/O error
 	// (or frame corruption) both sides of a connection keep the logical
@@ -172,7 +173,7 @@ const (
 	kToken                 // termination-wave token: Seq = round, Obj = accumulated count, Want = colour bits
 	kSplit                 // steal with split semantics: From = thief, To = victim, Want = max tasks; reply is a kStealR
 	kHubSnap               // hub→standby: Blob = residual-state snapshot (encodeHubSnapshot)
-	kHeld                  // standby worker→hub: From registered rank 0's supervised hand-over, the root
+	kHeld                  // standby worker→hub: From registered rank 0's supervised hand-over, the root, Seq its id
 	kRejoin                // worker→promoted hub: From = rank, Want = expected epoch, Obj = cumulative live-task contribution
 	kLeave                 // mesh worker→peers at post-termination Close: the sender is exiting, not dying
 	kResume                // v8 session resume handshake: Seq = session id, Obj = receive high-water mark; travels with link sequence 0

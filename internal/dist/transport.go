@@ -100,13 +100,26 @@ type ValueAcker interface {
 	OnAckValue(from int, id uint64, val []byte)
 }
 
-// deliverAck hands an arrived ack to hd, with its value if hd takes one.
+// deliverAck hands an arrived ack to hd, with its value if hd takes one;
+// nil (an endpoint closed before Start) takes none.
 func deliverAck(hd Handler, from int, id uint64, val []byte) {
-	if va, ok := hd.(ValueAcker); ok {
+	switch va, ok := hd.(ValueAcker); {
+	case ok:
 		va.OnAckValue(from, id, val)
-		return
+	case hd != nil:
+		hd.OnAck(from, id)
 	}
-	hd.OnAck(from, id)
+}
+
+// DeathHearer is an optional Handler extension: OnDeath tells the engine
+// of a peer's death, once per rank, synchronously, at the point where the
+// transport announces it: before the transport acts on the death in any
+// other way (a takeover promotes, rejoins and hands over only once it
+// returns). The engine replays the hand-overs the rank held and stops
+// picking it as a steal victim. The loopback network's localities never
+// die, so it never calls it.
+type DeathHearer interface {
+	OnDeath(rank int)
 }
 
 // StealRanker is an optional Handler extension for localities that can
@@ -155,44 +168,18 @@ func (b *incumbentBox) best() (int64, []byte, bool) {
 	return b.obj, b.node, b.ok
 }
 
-// deathBox is the per-endpoint death-notification buffer behind
-// Deaths(): each rank is announced at most once, and announcements
-// never block the transport.
-type deathBox struct {
-	mu   sync.Mutex
-	seen map[int]bool
-	ch   chan int
-}
+// deathBox is an endpoint's record of the deaths announced to it, by
+// rank: each is announced at most once.
+type deathBox []atomic.Bool
 
-func newDeathBox(size int) *deathBox {
-	return &deathBox{seen: make(map[int]bool), ch: make(chan int, size)}
-}
-
-// announce queues rank on the notification channel, once per rank.
-// It reports whether this was the first announcement.
-func (d *deathBox) announce(rank int) bool {
-	d.mu.Lock()
-	if d.seen[rank] {
-		d.mu.Unlock()
-		return false
-	}
-	d.seen[rank] = true
-	d.mu.Unlock()
-	select {
-	case d.ch <- rank:
-	default: // buffer sized to the deployment; can only overflow on duplicates
-	}
-	return true
-}
+// announce records rank's death, reporting whether this was the first
+// announcement.
+func (d deathBox) announce(rank int) bool { return d[rank].CompareAndSwap(false, true) }
 
 // isDead reports whether rank's death has been announced here. The
 // failover path uses it to pick the takeover candidate: the lowest
 // rank not known dead is the rank the hub was replicating to.
-func (d *deathBox) isDead(rank int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.seen[rank]
-}
+func (d deathBox) isDead(rank int) bool { return d[rank].Load() }
 
 // StackSplitter is an optional Handler extension for localities that
 // can split a live generator stack on demand (the stack-stealing
@@ -387,7 +374,7 @@ type Transport interface {
 	// Suspected reports a rank quarantined by the two-phase liveness
 	// view (v8): heartbeat-silent or behind a link that is mid-resume —
 	// alive as far as anyone knows, but not worth aiming steals at.
-	// Suspects either recover or graduate to Deaths().
+	// Suspects either recover or are mourned (DeathHearer).
 	Suspected(rank int) bool
 	// BroadcastBound publishes an improved incumbent bound to every
 	// other locality, asynchronously: peers learn it after the
@@ -408,7 +395,9 @@ type Transport interface {
 	// TaskOrigin(id)) that the subtree handed over under the id has
 	// fully completed; the origin's Handler.OnAck retires the retained
 	// copy. Acks to a dead origin are silently dropped — its ledger
-	// died with it.
+	// died with it — but for rank 0's under Standby, whose ledger entry
+	// the rank taking its role over inherits (Root): those go to the
+	// coordinator.
 	Ack(origin int, id uint64) error
 	// AckValue is Ack carrying the value the acked family committed (an
 	// enumeration's fold of the subtree) to the origin's ValueAcker; the
@@ -425,17 +414,10 @@ type Transport interface {
 	// every spawned task has completed, so no locality can ever
 	// receive work again — or, over a wire, a Cancel has ended the
 	// search. A locality death does not force it: the dead rank's
-	// contribution is subtracted and the survivors run on, and a death
-	// that loses the root registers it again first (ReseedRoot).
+	// contribution is subtracted and the survivors run on, the engine
+	// having heard of the death first (DeathHearer), so its replays are
+	// registered before anything of the dead rank's is reconciled away.
 	Done() <-chan struct{}
-	// Deaths notifies this locality of peer deaths, one rank per
-	// receive, each dead rank delivered at most once. The engine
-	// replays its ledger entries for the rank and stops picking it as
-	// a steal victim. The channel is buffered (never blocks the
-	// transport) and is not closed; consumers select against their own
-	// shutdown signal. The loopback network's localities never die: its
-	// channel is nil.
-	Deaths() <-chan int
 	// Gather is a terminal collective: every locality contributes one
 	// payload once Done, and the coordinator — rank 0, or the rank
 	// Promoted in its place — receives all of them indexed by rank (its
@@ -464,15 +446,17 @@ type Transport interface {
 	// travel through the coordinator rather than on a direct link to
 	// their origin. The engine consults it when rank 0 dies: a relayed
 	// ack may have died in the coordinator's buffers, so the only safe
-	// continuation of every outstanding hand-over is a local replay.
+	// continuation of every outstanding hand-over this rank minted is a
+	// local replay.
 	AcksRelayed() bool
-	// ReseedRoot reports, once, that this rank must seed the root of the
-	// search again: rank 0, its supervisor, is dead, and so is the rank
-	// rank 0 handed it to, or none is known to hold it. The transport
-	// registered the root here (one AddTasks) before announcing the death,
-	// so no zero of the count ends the search first; the engine seeds the
-	// root under that registration, or releases it if Done.
-	ReseedRoot() bool
+	// Root reports, at the rank taking rank 0's role over (ok, from the
+	// engine's OnDeath(0) on), rank 0's supervised hand-over under
+	// WireOptions.Standby, the root, as rank 0 last replicated it: the
+	// rank holding it (-1: none known) and its hand-over id. The engine
+	// takes the hand-over's ledger entry and registration over, and the
+	// holder's ack, routed to the coordinator, retires it there. ok is
+	// false everywhere else, and always on the loopback network.
+	Root() (holder int, id uint64, ok bool)
 	// Wire reports the endpoint's traffic counters.
 	Meter
 	// Close releases the transport's resources. Safe to call more
