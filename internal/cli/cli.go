@@ -226,7 +226,7 @@ func Run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	stopProf, err := StartProfiles(o.CPUProfile, o.MemProfile, o.MutexProfile)
+	stopProf, err := startProfiles(o.CPUProfile, o.MemProfile, o.MutexProfile)
 	if err != nil {
 		return err
 	}

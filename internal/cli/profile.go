@@ -7,10 +7,10 @@ import (
 	"runtime/pprof"
 )
 
-// StartProfiles arms the file-writing profiles whose path is not empty
+// startProfiles arms the file-writing profiles whose path is not empty
 // and returns a stop function that must run after the work finishes (it
 // writes the heap and mutex profiles, which snapshot end-of-run state).
-// The yewpar and experiments commands share it.
+// The yewpar command arms them from its flags.
 //
 //   - cpu starts the sampling CPU profiler for the whole run.
 //   - mem writes an allocation profile at exit, after a final GC so
@@ -20,7 +20,7 @@ import (
 //     hot locks on the wire and pool paths.
 //
 // All three are independent; any subset may be armed.
-func StartProfiles(cpu, mem, mutex string) (stop func() error, err error) {
+func startProfiles(cpu, mem, mutex string) (stop func() error, err error) {
 	var stops []func() error
 	stop = func() error {
 		var first error

@@ -29,10 +29,10 @@ type Config struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Localities is the number of in-process localities (stand-ins for
-	// physical machines, connected by the loopback transport): each
-	// locality owns a workpool and a cached bound. Workers are spread
-	// evenly across localities. Default 1. Multi-process runs (the
-	// Dist entry points) host one locality per process instead.
+	// machines, on the loopback transport), each owning a workpool and a
+	// cached bound. Workers are spread evenly, at least one a locality:
+	// more localities than Workers gives Workers. Default 1. The Dist
+	// entry points host one locality per process instead.
 	Localities int
 	// DCutoff is the Depth-Bounded spawn depth d_cutoff: every node
 	// shallower than DCutoff has its children spawned as tasks.
@@ -80,12 +80,12 @@ type Config struct {
 	// MaxFailures is the locality-death budget of a distributed run
 	// (the Dist entry points; single-process searches cannot lose a
 	// locality), the same for every search type. Deaths within it are
-	// absorbed: the dead ranks' subtree roots are replayed from the
-	// survivors' ledgers and the search completes normally, its answer
-	// exact. Deaths beyond it make the call return an error alongside its
-	// repaired result. Negative means unlimited tolerance; the zero
-	// default tolerates none. (Rank 0's death in an enumeration is an
-	// error regardless: the committed total dies with it.)
+	// absorbed: the dead ranks' subtrees are replayed from the survivors'
+	// ledgers and the search ends exact; deaths beyond it make the call
+	// err alongside its repaired result. Negative is unlimited; the zero
+	// default tolerates none. Rank 0's death counts only under Standby:
+	// without it, every worker's call errs (its gather finds no
+	// coordinator) and no rank returns the answer, whatever the budget.
 	MaxFailures int
 	// Topology selects how a single-process run's loopback localities
 	// detect termination: "" or dist.TopologyStar is one shared live-task

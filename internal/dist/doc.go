@@ -21,11 +21,11 @@
 //     receive work;
 //   - short-circuit and aggregation: decision-search cancellation
 //     (Cancel/Handler.OnCancel) and the terminal collective Gather that
-//     brings every locality's result and metrics to the coordinator;
+//     brings every locality's Stats to the coordinator after Done;
 //   - fault tolerance: hand-over supervision (WireTask.ID,
-//     Ack/Handler.OnAck), death notification (Deaths) and suspicion
-//     (Suspected), from which the engine's task ledger replays a dead
-//     locality's subtrees.
+//     Ack/Handler.OnAck), death notification (DeathHearer, before the
+//     transport acts on a death) and suspicion (Suspected), from which
+//     the engine's task ledger replays a dead locality's subtrees.
 //
 // There are two implementations, each in two topologies, and the engine
 // above is blind to which. The loopback network (NewLoopback) connects
@@ -33,8 +33,8 @@
 // single-process skeleton run; LoopbackOptions.Wave selects the token
 // wave, LoopbackOptions.Fault is its only source of link latency. Its
 // localities never die, so it carries steals, bounds, termination,
-// cancels and acks, and no more: Deaths is nil, Gather an error, and
-// nothing is promoted or retained. The TCP transport (NewListener/Dial)
+// cancels and acks, and no more: it never calls OnDeath, Gather is an
+// error, and nothing is promoted or retained. The TCP transport (NewListener/Dial)
 // connects OS processes and is what `yewpar -dist` deploys, as a star or
 // as a mesh (WireOptions.Topology); it alone implements the fault
 // contract. The conformance suite runs the shared contract cases over all
