@@ -413,7 +413,8 @@ type deployed struct {
 // optimum where the report comes out: at rank 0, or at the promoted
 // rank 1 when strike closed rank 0. strike, if any, is called once the
 // coordinator has exchanged midSearchFrames frames, with the transports.
-func solveDeployed(b *testing.B, g *graph.Graph, want int, wire dist.WireOptions, cfg core.Config, strike func(trs []dist.Transport)) deployed {
+// With coordOnly rank 0 runs no workers, as it does under a standby.
+func solveDeployed(b *testing.B, g *graph.Graph, want int, wire dist.WireOptions, cfg core.Config, coordOnly bool, strike func(trs []dist.Transport)) deployed {
 	b.Helper()
 	trs := deployTCP(b, wire)
 	defer func() {
@@ -433,9 +434,13 @@ func solveDeployed(b *testing.B, g *graph.Graph, want int, wire dist.WireOptions
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
+		tr := trs[r]
+		if r == 0 && coordOnly {
+			tr = pureCoordinator{tr}
+		}
 		go func() {
 			defer wg.Done()
-			results[r], errs[r] = core.DistOpt(trs[r], maxclique.Codec(), core.DepthBounded,
+			results[r], errs[r] = core.DistOpt(tr, maxclique.Codec(), core.DepthBounded,
 				s, maxclique.Root(s), maxclique.OptProblem(), cfg)
 		}()
 	}
@@ -471,6 +476,12 @@ func solveDeployed(b *testing.B, g *graph.Graph, want int, wire dist.WireOptions
 	return d
 }
 
+// pureCoordinator is a rank 0 that runs no workers without arming
+// failover: the engine asks its transport (dist.Transport's Standby).
+type pureCoordinator struct{ dist.Transport }
+
+func (pureCoordinator) Standby() bool { return true }
+
 // ------------------------------------------------------------------
 // Scale-out topology (Figure 4, revisited over real TCP): the deployment
 // under the star topology (every steal crosses the hub) and the mesh
@@ -489,7 +500,7 @@ func BenchmarkGateMeshCoordFrames(b *testing.B) {
 	g, want := deployInstance()
 	frames := func(topo string) (sum float64) {
 		for i := 0; i < 4; i++ {
-			sum += solveDeployed(b, g, want, dist.WireOptions{Topology: topo}, core.Config{MaxFailures: -1}, nil).coordFrames
+			sum += solveDeployed(b, g, want, dist.WireOptions{Topology: topo}, core.Config{MaxFailures: -1}, false, nil).coordFrames
 		}
 		return sum / 4
 	}
@@ -510,7 +521,7 @@ func BenchmarkScaleoutDeath(b *testing.B) {
 		b.Run(topo, func(b *testing.B) {
 			var frames float64
 			for i := 0; i < b.N; i++ {
-				frames += solveDeployed(b, g, want, dist.WireOptions{Topology: topo}, core.Config{MaxFailures: -1},
+				frames += solveDeployed(b, g, want, dist.WireOptions{Topology: topo}, core.Config{MaxFailures: -1}, false,
 					func(trs []dist.Transport) { trs[2].Close() }).coordFrames
 			}
 			b.ReportMetric(frames/float64(b.N), "coordframes/op")
@@ -529,28 +540,30 @@ func BenchmarkScaleoutDeath(b *testing.B) {
 
 // deployedSolves is a wall-clock arm: three solves on the deployment
 // under the given wire options, bring-up included (that is where
-// sessions are minted and the standby is told it is one).
-func deployedSolves(b *testing.B, wire dist.WireOptions, cfg core.Config) func() float64 {
+// sessions are minted and the standby is told it is one), rank 0 running
+// no workers with coordOnly.
+func deployedSolves(b *testing.B, wire dist.WireOptions, cfg core.Config, coordOnly bool) func() float64 {
 	g, want := deployInstance()
 	return gate.Seconds(func() {
 		for i := 0; i < 3; i++ {
-			solveDeployed(b, g, want, wire, cfg, nil)
+			solveDeployed(b, g, want, wire, cfg, coordOnly, nil)
 		}
 	})
 }
 
 // BenchmarkGateStandbyTax: with -standby armed and nothing failing, the
 // replication must cost at most 1.10x the identical deployment
-// without it. Both arms run rank 0 as a pure coordinator
-// (core.Config.Standby) so their worker counts match and the difference
-// isolates the wire-level replication. The reference arm against
+// without it. Both arms run rank 0 as a pure coordinator (the standby
+// arm because its transport says so, the other through pureCoordinator)
+// so their worker counts match and the difference isolates the
+// wire-level replication. The reference arm against
 // itself reads 0.82-1.19 over ten pairs (a solve takes 44-69 ms by how
 // many steals it happened to need), so one reading against 1.10 was a
 // coin; nine pairs of ten over it are not, and are what a tax from about
 // 1.3x produces. The same holds for the link-grace gate below.
 func BenchmarkGateStandbyTax(b *testing.B) {
-	cfg := core.Config{MaxFailures: -1, Standby: true}
-	gate.Ratio(b, 1.10, deployedSolves(b, dist.WireOptions{}, cfg), deployedSolves(b, dist.WireOptions{Standby: true}, cfg))
+	cfg := core.Config{MaxFailures: -1}
+	gate.Ratio(b, 1.10, deployedSolves(b, dist.WireOptions{}, cfg, true), deployedSolves(b, dist.WireOptions{Standby: true}, cfg, false))
 }
 
 // BenchmarkFailoverTakeover kills the coordinator mid-search; the exact
@@ -561,7 +574,7 @@ func BenchmarkGateStandbyTax(b *testing.B) {
 func BenchmarkFailoverTakeover(b *testing.B) {
 	g, want := deployInstance()
 	for i := 0; i < b.N; i++ {
-		d := solveDeployed(b, g, want, dist.WireOptions{Standby: true}, core.Config{MaxFailures: -1, Standby: true},
+		d := solveDeployed(b, g, want, dist.WireOptions{Standby: true}, core.Config{MaxFailures: -1}, false,
 			func(trs []dist.Transport) { trs[0].Close() })
 		if !d.promoted {
 			b.Fatal("rank 1 did not adopt the coordinator role")
@@ -966,8 +979,8 @@ func ledgerTaxGate[N any](b *testing.B, codec core.Codec[N], nodes []N) {
 // fault-free deployment must cost at most 1.10x the identical
 // deployment with grace zero.
 func BenchmarkGateLinkGraceTax(b *testing.B) {
-	gate.Ratio(b, 1.10, deployedSolves(b, dist.WireOptions{}, core.Config{}),
-		deployedSolves(b, dist.WireOptions{LinkGrace: 2 * time.Second}, core.Config{}))
+	gate.Ratio(b, 1.10, deployedSolves(b, dist.WireOptions{}, core.Config{}, false),
+		deployedSolves(b, dist.WireOptions{LinkGrace: 2 * time.Second}, core.Config{}, false))
 }
 
 // BenchmarkNetFaultPartition cuts one worker off for 200 ms mid-search;
@@ -979,7 +992,7 @@ func BenchmarkNetFaultPartition(b *testing.B) {
 	var resumes float64
 	for i := 0; i < b.N; i++ {
 		plan := dist.NewFaultPlan(int64(i))
-		d := solveDeployed(b, g, want, dist.WireOptions{LinkGrace: 2 * time.Second, Fault: plan}, core.Config{},
+		d := solveDeployed(b, g, want, dist.WireOptions{LinkGrace: 2 * time.Second, Fault: plan}, core.Config{}, false,
 			func([]dist.Transport) { plan.Partition([]int{2}, 200*time.Millisecond) })
 		if d.deaths != 0 {
 			b.Fatalf("deaths=%d on a cut shorter than the grace", d.deaths)

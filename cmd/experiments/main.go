@@ -108,13 +108,12 @@ func geoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
+// parWorkers is Table 1's parallel worker count, the one bench uses.
+const parWorkers = 2
+
 func table1() {
-	fmt.Println("== Table 1: YewPar vs hand-written MaxClique ==\n(sequential skeleton vs specialised solver; Depth-Bounded d=1 vs\n" +
-		" hand-coded depth-1 task parallelism; slowdown % = yewpar/hand - 1)")
-	parWorkers := 15
-	if max := runtime.GOMAXPROCS(0) - 1; parWorkers > max && max >= 1 {
-		parWorkers = max
-	}
+	fmt.Printf("== Table 1: YewPar vs hand-written MaxClique ==\n(sequential skeleton vs specialised solver; Depth-Bounded d=1 vs\n"+
+		" hand-coded depth-1 task parallelism, %d workers each; slowdown %% = yewpar/hand - 1)\n", parWorkers)
 	fmt.Printf("%-14s %10s %10s %8s %10s %10s %8s\n", "Instance", "SeqHand(s)", "SeqYew(s)", "Slow(%)", "ParHand(s)", "ParYew(s)", "Slow(%)")
 
 	var seqRatios, parRatios []float64

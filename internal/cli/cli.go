@@ -120,8 +120,8 @@ func ParseArgs(args []string) (*Options, error) {
 	fs.IntVar(&o.DistWorkers, "dist-workers", 2, "coordinator: worker processes to wait for")
 	fs.IntVar(&o.MaxFailures, "max-failures", -1, "dist: worker deaths tolerated before the run reports an error (-1 = unlimited; deaths are always repaired by subtree replay)")
 	fs.DurationVar(&o.RegTimeout, "reg-timeout", 0, "dist coordinator: registration window before missing workers fail the deployment (0 = default)")
-	fs.StringVar(&o.Topology, "topology", "star", "steal/termination topology: star (hub-routed, coordinator live count) or mesh (direct peer steals, gossip bounds, termination wave)")
-	fs.BoolVar(&o.Standby, "standby", false, "dist: arm coordinator failover — rank 0 runs as a pure coordinator and replicates its state to the lowest worker rank, which takes over and finishes the search if the coordinator dies (all ranks must agree)")
+	fs.StringVar(&o.Topology, "topology", "star", "dist: steal/termination topology, the same on every rank: star (hub-routed, coordinator live count) or mesh (direct peer steals, gossip bounds, termination wave); a single process ignores it")
+	fs.BoolVar(&o.Standby, "standby", false, "dist: arm coordinator failover — rank 0 runs as a pure coordinator, with no workers, and replicates its state to the lowest worker rank, which takes over and finishes the search if the coordinator dies (all ranks must agree)")
 	fs.DurationVar(&o.LinkGrace, "link-grace", 0, "dist: arm resumable links (wire protocol v8) — a broken connection is kept alive for this grace window while the dialing side reconnects and replays unacknowledged frames, so transient partitions shorter than the grace heal with zero deaths (0 = off; all ranks must agree)")
 	if err := fs.Parse(args); err != nil {
 		return nil, fmt.Errorf("%s", strings.TrimSpace(usage.String()))
@@ -205,8 +205,6 @@ func (o *Options) Config() core.Config {
 		SpillDir:    o.SpillDir,
 		Order:       o.order,
 		MaxFailures: o.MaxFailures,
-		Topology:    o.Topology,
-		Standby:     o.Standby,
 	}
 	if o.LinkLat > 0 {
 		cfg.NetFault = dist.LatencyPlan(o.LinkLat)

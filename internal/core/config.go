@@ -71,42 +71,20 @@ type Config struct {
 	// are created (os.MkdirTemp, removed when the search ends). Empty
 	// uses the OS temp dir. Only meaningful with PoolBudget set.
 	SpillDir string
-	// LedgerCap bounds the supervised-task ledger: the number of
-	// handed-over tasks a locality retains (for replay, should the
-	// thief die) while awaiting completion acks. At capacity further
-	// hand-overs are refused, backpressuring steal traffic. Default
-	// 16384.
-	LedgerCap int
 	// MaxFailures is the locality-death budget of a distributed run
 	// (the Dist entry points; single-process searches cannot lose a
 	// locality), the same for every search type. Deaths within it are
 	// absorbed: the dead ranks' subtrees are replayed from the survivors'
 	// ledgers and the search ends exact; deaths beyond it make the call
 	// err alongside its repaired result. Negative is unlimited; the zero
-	// default tolerates none. Rank 0's death counts only under Standby:
-	// without it, every worker's call errs (its gather finds no
+	// default tolerates none. Rank 0's death counts only on a standby
+	// deployment (dist.WireOptions.Standby, which the engine reads from its
+	// transport): without one, every worker's call errs (its gather finds no
 	// coordinator) and no rank returns the answer, whatever the budget.
 	MaxFailures int
-	// Topology selects how a single-process run's loopback localities
-	// detect termination: "" or dist.TopologyStar is one shared live-task
-	// count; dist.TopologyMesh is the decentralised Safra-style wave,
-	// exercising the termination machinery a cluster mesh uses. Only the
-	// loopback fabric reads it: a Dist call's topology is its
-	// transport's (dist.WireOptions.Topology, the same on every rank,
-	// enforced at registration).
+	// Deprecated: ignored. A deployment's topology is its transport's
+	// (dist.WireOptions.Topology); a single process's localities count.
 	Topology string
-	// Standby arms coordinator failover on a distributed run (wire
-	// protocol v7): the coordinator replicates its residual state to
-	// the lowest live worker rank, which promotes itself and finishes
-	// the search should rank 0 die mid-run. Under Standby rank 0 runs
-	// as a pure coordinator — zero local workers — so the one task it
-	// hands over is the root, whose ledger entry the successor takes over
-	// (dist.Transport's Root): every search type, enumeration included,
-	// ends exact, at worst searching the tree twice. All ranks must agree
-	// on this flag (the spec handshake enforces it); coordinator deaths
-	// count against MaxFailures too.
-	// Ignored by single-process runs.
-	Standby bool
 	// NetFault, if non-nil, injects deterministic network faults into
 	// the links between in-process localities (see dist.FaultPlan). It
 	// is the one way to simulate network cost on the loopback network:
@@ -150,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Budget <= 0 {
 		c.Budget = 10_000
-	}
-	if c.LedgerCap <= 0 {
-		c.LedgerCap = 16384
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

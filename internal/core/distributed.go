@@ -71,7 +71,7 @@ func DistOpt[S, N any](tr dist.Transport, codec Codec[N], coord Coordination, sp
 // DistEnum runs this process's locality of a distributed enumeration
 // search. A subtree's monoid value crosses the wire gob-encoded on its
 // hand-over's ack, so a worker's death is survived by replay; rank 0 — or,
-// under Config.Standby, the rank promoted in its place, which takes rank
+// on a standby deployment, the rank promoted in its place, which takes rank
 // 0's hand-over of the root over — returns the total committed there.
 func DistEnum[S, N, M any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, p EnumProblem[S, N, M], cfg Config) (EnumResult[M], error) {
 	return search(tr, codec, coord, space, root, enumeration(space, p), cfg)

@@ -160,20 +160,20 @@
 // # Fault tolerance
 //
 // A distributed search survives the death of any locality, the
-// coordinator's too under Config.Standby, up to Config.MaxFailures: a task
+// coordinator's too on a standby deployment, up to Config.MaxFailures: a task
 // handed to a peer stays in its victim's ledger (ledger.go) until the
 // peer acks its whole subtree, and a death re-enqueues what the dead rank
 // held, so the search ends with the exact fold, the exact optimum, or a
 // witness exactly when one exists: a subtree's enumeration value rides
 // its ack and is committed only as the ack retires the entry, so a
-// replay replaces a dead thief's value, never adds to it. Under Standby
+// replay replaces a dead thief's value, never adds to it. Under a standby
 // rank 0 runs no workers, so its one hand-over is the root's, and the
 // lowest survivor takes its role. A wire tells the engine of a death
 // before it acts on it (dist.DeathHearer), so the successor first takes
 // rank 0's ledger entry for the root over (locality.OnDeath,
 // dist.Transport's Root) and the root is a hand-over like any other:
 // replayed if its holder is unknown or dies, retired by its holder's ack,
-// which commits its value at the successor. Without Standby, rank 0's
+// which commits its value at the successor. Without a standby, rank 0's
 // death ends the search.
 //
 // Idle workers do not spin: after a few failed probe rounds a worker

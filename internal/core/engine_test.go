@@ -22,6 +22,8 @@ func (v *hookVisitor) visit(int) pruneAction {
 	return descend
 }
 
+func (v *hookVisitor) prunes(int) pruneAction { return descend }
+
 // fanoutGen gives every node below limit fanout children (n*10+i), and
 // the rest none: an int tree whose node value encodes its depth.
 func fanoutGen(fanout, limit int) GenFactory[struct{}, int] {

@@ -65,10 +65,7 @@ func newFabric[N any](tr dist.Transport, codec Codec[N], rule spawnRule, cfg Con
 	}
 	trs := []dist.Transport{tr}
 	if tr == nil {
-		f.net = dist.NewLoopback(cfg.Localities, dist.LoopbackOptions{
-			Wave:  cfg.Topology == dist.TopologyMesh,
-			Fault: cfg.NetFault,
-		})
+		f.net = dist.NewLoopback(cfg.Localities, dist.LoopbackOptions{Fault: cfg.NetFault})
 		trs = f.net.Transports()
 		codec = GobCodec[N]{} // spills need one; single-process runs carry no app codec
 	}

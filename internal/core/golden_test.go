@@ -34,18 +34,19 @@ var goldenRows = []struct {
 // shedding walk and Sequential-on-the-engine behave exactly as the five
 // bodies they replaced. The replicable column's opt cells were recorded
 // from the replicable skeleton's own driver, before it was a rule too; its
-// enum and decision cells, which that driver lacked, after. Keys are
-// tree/searchtype; values follow goldenRows.
+// enum and decision cells, which that driver lacked, after; some cells
+// moved once since, when a shed stopped handing over nodes its bound
+// prunes (engine.shed). Keys are tree/searchtype; values follow goldenRows.
 var goldenTable = map[string][]goldenCounts{
 	"rand1/enum":            {{1493, 0, 1493, 0}, {1493, 0, 1487, 24}, {1493, 0, 1493, 0}, {1493, 0, 1493, 0}, {1493, 0, 1493, 270}, {1493, 0, 1493, 270}, {1493, 0, 1487, 19}},
-	"rand1/opt":             {{55, 35, 20, 0}, {55, 35, 18, 10}, {55, 35, 20, 0}, {55, 35, 20, 0}, {55, 35, 20, 12}, {65, 43, 22, 9}, {227, 148, 73, 16}},
-	"rand1/decision":        {{18, 9, 0, 0}, {18, 9, 0, 10}, {18, 9, 0, 0}, {18, 9, 0, 0}, {18, 9, 0, 0}, {18, 9, 0, 0}, {36, 18, 0, 6}},
+	"rand1/opt":             {{55, 35, 20, 0}, {55, 35, 18, 9}, {55, 35, 20, 0}, {55, 35, 20, 0}, {55, 35, 20, 5}, {65, 43, 22, 5}, {227, 148, 73, 16}},
+	"rand1/decision":        {{18, 9, 0, 0}, {18, 9, 0, 6}, {18, 9, 0, 0}, {18, 9, 0, 0}, {18, 9, 0, 0}, {18, 9, 0, 0}, {36, 18, 0, 6}},
 	"rand3-sorted/enum":     {{840, 0, 840, 0}, {840, 0, 835, 15}, {840, 0, 840, 0}, {840, 0, 840, 0}, {840, 0, 840, 153}, {840, 0, 840, 153}, {840, 0, 835, 11}},
-	"rand3-sorted/opt":      {{16, 8, 8, 0}, {20, 12, 6, 8}, {16, 8, 8, 0}, {16, 8, 8, 0}, {18, 10, 8, 3}, {18, 10, 8, 3}, {49, 22, 22, 8}},
-	"rand3-sorted/decision": {{9, 0, 0, 0}, {9, 0, 0, 8}, {9, 0, 0, 0}, {9, 0, 0, 0}, {9, 0, 0, 0}, {9, 0, 0, 0}, {15, 6, 0, 1}},
+	"rand3-sorted/opt":      {{16, 8, 8, 0}, {20, 12, 6, 8}, {16, 8, 8, 0}, {16, 8, 8, 0}, {16, 8, 8, 0}, {16, 8, 8, 0}, {49, 22, 22, 8}},
+	"rand3-sorted/decision": {{9, 0, 0, 0}, {15, 6, 0, 2}, {9, 0, 0, 0}, {9, 0, 0, 0}, {9, 0, 0, 0}, {9, 0, 0, 0}, {15, 6, 0, 1}},
 	"wide/enum":             {{501, 0, 501, 0}, {501, 0, 0, 500}, {501, 0, 501, 0}, {501, 0, 501, 0}, {501, 0, 501, 496}, {501, 0, 501, 496}, {501, 0, 0, 0}},
-	"wide/opt":              {{501, 500, 1, 0}, {501, 500, 0, 500}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 0, 0}},
-	"wide/decision":         {{500, 498, 0, 0}, {500, 498, 0, 500}, {500, 498, 0, 0}, {500, 498, 0, 0}, {500, 498, 0, 0}, {500, 498, 0, 0}, {501, 498, 0, 0}},
+	"wide/opt":              {{501, 500, 1, 0}, {501, 500, 0, 499}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 1, 0}, {501, 500, 0, 0}},
+	"wide/decision":         {{500, 498, 0, 0}, {500, 498, 0, 2}, {500, 498, 0, 0}, {500, 498, 0, 0}, {500, 498, 0, 0}, {500, 498, 0, 0}, {501, 498, 0, 0}},
 }
 
 func TestOneWorkerGoldenCounts(t *testing.T) {

@@ -302,19 +302,19 @@ func memTree(s memSpace) *searchTree[memSpace, memNode] {
 // The hand-written cases are named rows: each test holds its own, with
 // the case's parameters, and one that asserted more than the invariants
 // keeps that as its extra check. tolerant is two workers a rank that
-// absorb any death, standby the same with rank 0 a pure coordinator.
+// absorb any death.
 var (
 	tolerant = Config{Workers: 2, DCutoff: 3, MaxFailures: -1}
-	standby  = Config{Workers: 2, DCutoff: 3, MaxFailures: -1, Standby: true}
 	fault16  = toyTree("fault16", faultVals(16), false)
 )
 
-// db is a DepthBounded row, and onWave sc on a wave.
+// db is a DepthBounded row; onWave and onStandby arm sc's wave and standby.
 func db(tr tree, s searchKind, ranks int, cfg Config, kills ...kill) scenario {
 	return scenario{tree: tr, search: s, coord: DepthBounded, ranks: ranks, cfg: cfg, kills: kills}
 }
 
-func onWave(sc scenario) scenario { sc.wave = true; return sc }
+func onWave(sc scenario) scenario    { sc.wave = true; return sc }
+func onStandby(sc scenario) scenario { sc.standby = true; return sc }
 
 // rows runs a test's rows, each a subtest named by its place when there are
 // several and it has no name. A row of several processes runs on in-process
@@ -331,11 +331,8 @@ func rows(t *testing.T, scs ...scenario) {
 			continue
 		}
 		one := sc
-		one.name, one.ranks, one.wave, one.kills = path.Join(sc.name, "loopback"), 0, false, nil
-		one.cfg.Localities, one.cfg.Workers, one.cfg.Standby = sc.ranks, cmp.Or(sc.cfg.Workers, runtime.GOMAXPROCS(0))*sc.ranks, false
-		if sc.wave {
-			one.cfg.Topology = dist.TopologyMesh
-		}
+		one.name, one.ranks, one.wave, one.standby, one.kills = path.Join(sc.name, "loopback"), 0, false, false, nil
+		one.cfg.Localities, one.cfg.Workers = sc.ranks, cmp.Or(sc.cfg.Workers, runtime.GOMAXPROCS(0))*sc.ranks
 		one.check(t)
 		sc.name = path.Join(sc.name, "tcp")
 		sc.check(t)
@@ -397,25 +394,31 @@ func TestDistEnumSurvivesWorkerDeath(t *testing.T) {
 // the root first and rank 2 stole from it: rank 1 names itself the holder.
 // There an engine that heard of rank 0's death after the takeover replayed
 // rank 1's hand-overs to rank 2 too, and the search ended with rank 2's
-// later hand-overs unacked (Config.Standby, dist.DeathHearer).
+// later hand-overs unacked (dist.DeathHearer).
 func TestDistOptSurvivesCoordinatorDeath(t *testing.T) {
-	held := db(fault, optimise, 4, standby, kill{rank: 0, by: []int{1, 2, 3}})
-	slow := db(fault16, optimise, 3, standby, kill{rank: 0, by: []int{2}})
+	held := onStandby(db(fault, optimise, 4, tolerant, kill{rank: 0, by: []int{1, 2, 3}}))
+	slow := onStandby(db(fault16, optimise, 3, tolerant, kill{rank: 0, by: []int{2}}))
 	slow.net = dist.NewFaultPlan(1)
 	slow.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
 	rows(t, held, slow, enumTwin(held), enumTwin(slow))
 }
 func TestDistOptMeshSurvivesCoordinatorDeath(t *testing.T) {
-	sc := onWave(db(fault, optimise, 4, standby, kill{rank: 0, by: []int{1, 2, 3}}))
+	sc := onWave(onStandby(db(fault, optimise, 4, tolerant, kill{rank: 0, by: []int{1, 2, 3}})))
 	rows(t, sc, enumTwin(sc))
+}
+
+// A zero Config on a standby deployment: the engine asks its transport,
+// so rank 0 runs no workers (judge counts them) and each other GOMAXPROCS.
+func TestStandbyComesFromTheTransport(t *testing.T) {
+	rows(t, onStandby(db(toy12, optimise, 3, Config{})), onStandby(db(toy12, enumerate, 3, Config{})))
 }
 
 // enumTwin is sc as an enumeration: on rank 0's death too, the exact fold.
 func enumTwin(sc scenario) scenario { sc.search = enumerate; return sc }
 func TestDistOptCoordinatorDeathSpillCleanup(t *testing.T) {
-	cfg := standby
+	cfg := tolerant
 	cfg.PoolBudget = 8 << 10
-	rows(t, db(fault, optimise, 3, cfg, kill{rank: 0, by: []int{1, 2}}))
+	rows(t, onStandby(db(fault, optimise, 3, cfg, kill{rank: 0, by: []int{1, 2}})))
 }
 func TestDistOptFaultStatsPlumbing(t *testing.T) {
 	sc := db(fault, optimise, 4, tolerant, kill{rank: 1})
@@ -498,7 +501,7 @@ func TestPartitionHealsWithoutDeath(t *testing.T) {
 func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
 	var scs []scenario
 	for ranks := 2; ranks <= 4; ranks++ {
-		sc := db(fault16, optimise, ranks, standby, kill{rank: 0})
+		sc := onStandby(db(fault16, optimise, ranks, tolerant, kill{rank: 0}))
 		scs = append(scs, sc, onWave(sc))
 	}
 	rows(t, scs...)
@@ -512,7 +515,7 @@ func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
 // send while rank 1 took the count over was stranded, and a node sent to
 // rank 0 alone died with it while the rejoin's stamp spread its bound.
 func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
-	sc := db(toyTree("fault20", faultVals(20), false), optimise, 4, standby, kill{rank: 0, by: []int{1}}, kill{rank: 2, by: []int{1}})
+	sc := onStandby(db(toyTree("fault20", faultVals(20), false), optimise, 4, tolerant, kill{rank: 0, by: []int{1}}, kill{rank: 2, by: []int{1}}))
 	sc.net = dist.NewFaultPlan(1)
 	sc.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
 	sc.net.SetLink(0, 3, dist.LinkFault{Latency: 5 * time.Millisecond})
@@ -530,9 +533,9 @@ func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 // latency and partitions, and fell its kills: rank 0 and worker w at
 // rank 1's next work.
 func drawn(seed int64, branch, depth int, s searchKind, target int64, coord Coordination, ranks int, wave bool, cfg Config, kills ...kill) scenario {
-	cfg.Seed, cfg.Standby = seed, true
+	cfg.Seed = seed
 	return scenario{name: fmt.Sprintf("seed=%d", seed), tree: semTree(seed, branch, depth), search: s, target: target,
-		coord: coord, ranks: ranks, wave: wave, cfg: cfg, kills: kills}
+		coord: coord, ranks: ranks, wave: wave, standby: true, cfg: cfg, kills: kills}
 }
 
 func slowed(sc scenario, lat, jit time.Duration, parts ...dist.ChaosPartition) scenario {
@@ -640,7 +643,7 @@ func TestReplicableVisitsAtLeastSequential(t *testing.T) {
 }
 
 // The defining property: Nodes, Prunes, Spawns and Backtracks are the same
-// on every run, whatever the workers, localities, termination, order,
+// on every run, whatever the workers, localities, order,
 // memory budget, tracing or link latency.
 func TestReplicableDeterministicNodeCounts(t *testing.T) {
 	tr, want := toyTree("toy12, bounded", toy12.space.Vals, true), [4]int64{}
@@ -660,10 +663,8 @@ func TestReplicableDeterministicNodeCounts(t *testing.T) {
 	var scs []scenario
 	for _, w := range []int{1, 2, 7, 16} {
 		for locs := 1; locs <= 3; locs++ {
-			for _, topo := range []string{dist.TopologyStar, dist.TopologyMesh} {
-				for ord := OrderNone; ord <= OrderBound; ord++ {
-					scs = append(scs, row(Config{Workers: w, Localities: locs, Topology: topo, Order: ord}))
-				}
+			for ord := OrderNone; ord <= OrderBound; ord++ {
+				scs = append(scs, row(Config{Workers: w, Localities: locs, Order: ord}))
 			}
 		}
 	}
@@ -715,23 +716,24 @@ type kill struct {
 
 // scenario is one row.
 type scenario struct {
-	name   string // the subtest, seed=N for a drawn row
-	tree   tree
-	search searchKind
-	target int64 // decide
-	coord  Coordination
-	cfg    Config
-	ranks  int  // Dist* processes on one in-process TCP network; 0 or 1: the single-process entry point
-	wave   bool // a mesh, not a star; a single process takes cfg.Topology
-	net    *dist.FaultPlan
-	parts  []dist.ChaosPartition
-	kills  []kill
-	extra  func(t *testing.T, o outcome) // a named row's check beyond the invariants
+	name    string // the subtest, seed=N for a drawn row
+	tree    tree
+	search  searchKind
+	target  int64 // decide
+	coord   Coordination
+	cfg     Config
+	ranks   int  // Dist* processes on one in-process TCP network; 0 or 1: the single-process entry point
+	wave    bool // a mesh, not a star (several processes only)
+	standby bool // failover armed on the wire, rank 0 a pure coordinator (likewise)
+	net     *dist.FaultPlan
+	parts   []dist.ChaosPartition
+	kills   []kill
+	extra   func(t *testing.T, o outcome) // a named row's check beyond the invariants
 }
 
 func (sc scenario) String() string {
-	return fmt.Sprintf("%v %v/%v on %v, %d ranks (wave %v), %+v, kills %v, partitions %v",
-		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.wave, sc.cfg, sc.kills, len(sc.parts))
+	return fmt.Sprintf("%v %v/%v on %v, %d ranks (wave %v, standby %v), %+v, kills %v, partitions %v",
+		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.wave, sc.standby, sc.cfg, sc.kills, len(sc.parts))
 }
 
 // rowDeadline is how long a row may take before it counts as a hang.
@@ -778,7 +780,7 @@ func (sc scenario) run(t *testing.T) {
 			for r, tr := range raw {
 				select {
 				case <-tr.Done():
-					if !isDead(r) && sc.cfg.Standby {
+					if !isDead(r) && sc.standby {
 						return true
 					}
 				default:
@@ -862,7 +864,7 @@ func (sc scenario) run(t *testing.T) {
 // and a liveness short enough that a death a promoted rank learns of only
 // when its rejoin window closes still lands well inside rowDeadline.
 func (sc scenario) deployTCP(t *testing.T) []dist.Transport {
-	opts := dist.WireOptions{Standby: sc.cfg.Standby, Fault: sc.net,
+	opts := dist.WireOptions{Standby: sc.standby, Fault: sc.net,
 		Heartbeat: 50 * time.Millisecond, LivenessTimeout: 500 * time.Millisecond}
 	if sc.wave {
 		opts.Topology = dist.TopologyMesh
@@ -935,9 +937,9 @@ func (sc scenario) judge(o outcome, landed int64) error {
 	if cut := o.stats.Prunes > 0 || sc.search == decide && o.found; landed == 0 && (o.stats.Nodes > nodes || !cut && o.stats.Nodes != nodes) {
 		return fmt.Errorf("visited %d nodes (%d prunes) of a tree of %d", o.stats.Nodes, o.stats.Prunes, nodes)
 	}
-	workers := sc.cfg.Workers * max(sc.ranks, 1)
-	if sc.cfg.Standby {
-		workers -= sc.cfg.Workers // rank 0 has none
+	workers := cmp.Or(sc.cfg.Workers, runtime.GOMAXPROCS(0)) * max(sc.ranks, 1)
+	if sc.standby {
+		workers -= workers / sc.ranks // rank 0 has none
 	}
 	if landed == 0 && sc.coord != Sequential && o.stats.Workers != workers {
 		return fmt.Errorf("%d workers reported, %d ran", o.stats.Workers, workers)
@@ -997,9 +999,7 @@ func draw(seed int64) scenario {
 	}
 	if sc.ranks == 1 {
 		sc.cfg.Localities = 1 + pick(3)
-		if pick(2) == 0 {
-			sc.cfg.Topology = dist.TopologyMesh
-		}
+		pick(2) // unused, drawn so that every later draw keeps its value
 		switch pick(5) {
 		case 0:
 			sc.coord = Sequential
@@ -1007,7 +1007,7 @@ func draw(seed int64) scenario {
 			sc.coord = Replicable
 		}
 	} else {
-		sc.wave, sc.cfg.Standby = pick(2) == 0, pick(3) == 0
+		sc.wave, sc.standby = pick(2) == 0, pick(3) == 0
 	}
 	if pick(3) == 0 {
 		sc.net = dist.NewFaultPlan(seed)
@@ -1018,7 +1018,7 @@ func draw(seed int64) scenario {
 	}
 	if sc.ranks > 1 && pick(2) == 0 {
 		after := time.Duration(pick(3)) * 200 * time.Microsecond
-		switch standby := sc.cfg.Standby; {
+		switch standby := sc.standby; {
 		case standby && sc.ranks > 2 && pick(3) == 0:
 			// Rank 0, then a worker — the root's holder, when it took it —
 			// but not rank 1, the successor: a second takeover there is none.

@@ -82,6 +82,8 @@ type ledgerEntry[N any] struct {
 	fam   *family
 }
 
+const ledgerCap = 16384 // a locality's ledger's cap (tests set their own)
+
 // ledger is one locality's supervision table. Bounded: when cap
 // entries are outstanding, further hand-overs are refused (the victim
 // keeps its task and the thief looks elsewhere), which backpressures

@@ -132,7 +132,7 @@ func newLocality[N any](fab *fabric[N], idx int, tr dist.Transport, spillCodec C
 		fab:     fab,
 		tr:      tr,
 		pool:    pool,
-		led:     newLedger[N](tr.Rank(), cfg.LedgerCap, fab.dead),
+		led:     newLedger[N](tr.Rank(), ledgerCap, fab.dead),
 		mem:     newMemState(pool, cfg.PoolBudget, cfg.SpillDir, spillCodec),
 		park:    newParker(workers),
 		backoff: stealBackoff{base: boBase, max: boMax},

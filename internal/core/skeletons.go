@@ -276,7 +276,7 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 		// root it seeds is handed over under supervision (Workers is set
 		// after withDefaults, which would re-default 0 to GOMAXPROCS).
 		cfg.Localities = 1
-		if cfg = cfg.withDefaults(); cfg.Standby && tr.Rank() == 0 {
+		if cfg = cfg.withDefaults(); tr.Standby() && tr.Rank() == 0 {
 			cfg.Workers = 0
 		}
 	}

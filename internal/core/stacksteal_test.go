@@ -17,7 +17,7 @@ func newShedEngine(t *testing.T, order Order) *engine[int, int] {
 	rule := spawnRule{split: true}
 	fab := newFabric[int](nil, nil, rule, cfg)
 	t.Cleanup(fab.close)
-	ws := newWorkers[int, int](0, nil, cfg, fab.locs, func(*thief[int]) visitor[int] { return nil })
+	ws := newWorkers[int, int](0, nil, cfg, fab.locs, func(th *thief[int]) visitor[int] { return &hookVisitor{shard: &th.stats} })
 	return newEngine(rule, cfg, ws, fab, newPrioAssigner[int, int](cfg.Order, 0, 0, nil))
 }
 

@@ -30,6 +30,9 @@ const (
 // stay off every line another worker touches.
 type visitor[N any] interface {
 	visit(n N) pruneAction
+	// prunes is visit where the bound alone prunes n, else descend: what a
+	// shed asks before it hands n over (engine.shed).
+	prunes(n N) pruneAction
 }
 
 // enumVisitor accumulates objective values into a worker-local monoid
@@ -50,6 +53,8 @@ func (v *enumVisitor[S, N, M]) visit(n N) pruneAction {
 	v.acc = v.mon.Plus(v.acc, v.obj(v.space, n))
 	return descend
 }
+
+func (v *enumVisitor[S, N, M]) prunes(N) pruneAction { return descend }
 
 func newEnumVisitor[S, N, M any](space S, p EnumProblem[S, N, M], sh *WorkerStats) visitor[N] {
 	v := pad.New[enumVisitor[S, N, M]]()
@@ -101,6 +106,13 @@ func (v *optVisitor[S, N]) visit(n N) pruneAction {
 		return pruneChild
 	}
 	return descend
+}
+
+func (v *optVisitor[S, N]) prunes(n N) pruneAction {
+	if v.bound == nil || v.bound(v.space, n) > v.loc.bound.V.Load() {
+		return descend
+	}
+	return v.visit(n) // no better objective than its bound: visit only counts it
 }
 
 // newOptVisitor builds a visitor that prunes against locality loc's view
@@ -171,6 +183,13 @@ func (v *decisionVisitor[S, N]) visit(n N) pruneAction {
 		return pruneChild
 	}
 	return descend
+}
+
+func (v *decisionVisitor[S, N]) prunes(n N) pruneAction {
+	if v.bound == nil || v.bound(v.space, n) >= v.target {
+		return descend
+	}
+	return v.visit(n) // short of the target, as its bound is: visit only counts it
 }
 
 func newDecisionVisitor[S, N any](space S, p DecisionProblem[S, N], wit *witness[N], cancel *canceller, sh *WorkerStats) visitor[N] {

@@ -286,7 +286,8 @@ const shedRun = 64
 // no longer than the pool's headroom, so the hard threshold is overshot
 // by one task at most. What give does with a run is the rule's business:
 // push it, or collect it for a thief that runs it locally or exports it
-// over the wire.
+// over the wire. A node its bound prunes is visited here, not handed
+// over: as in Sequential, it counts, and under PruneLevel ends its level.
 func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], max int, give func([]Task[N])) {
 	loc, sh := c.loc, &c.stats
 	for i := range stack {
@@ -295,14 +296,20 @@ func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], ma
 			run := c.run[:0]
 			room := loc.mem.headroom(min(max-n, shedRun))
 			for len(run) < room && lv.gen.HasNext() {
-				child := lv.gen.Next()
+				child, yield := lv.gen.Next(), int(lv.yields)
+				lv.yields++
+				if act := c.visitor.prunes(child); act != descend {
+					if act == pruneLevel {
+						lv.gen = EmptyGen[N]{} // exhausted: a later sibling is no better
+					}
+					continue
+				}
 				run = append(run, Task[N]{
 					Node:  child,
 					Depth: t.Depth + i + 1,
-					Prio:  e.prio.childPrio(lv.disc, int(lv.yields), child),
+					Prio:  e.prio.childPrio(lv.disc, yield, child),
 					fam:   t.fam,
 				})
-				lv.yields++
 				if e.fab.ordered {
 					sh.notePrio(run[len(run)-1].Prio)
 				}

@@ -78,18 +78,15 @@ func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 
 func harnesses() []harness { return append(loopbacks(), wires(WireOptions{})...) }
 
-// loopbacks are the loopback harnesses, star and wave. The fault cases
-// hold their answers too: in-process localities never die (a closed one
-// is only detached), and nothing is gathered or retained.
+// loopbacks are the loopback harness. The fault cases hold its answers
+// too: in-process localities never die (a closed one is only detached),
+// and nothing is gathered or retained.
 func loopbacks() []harness {
-	loopback := func(wave bool) func(t *testing.T, n int) []Transport {
-		return func(t *testing.T, n int) []Transport {
-			net := NewLoopback(n, LoopbackOptions{Wave: wave})
-			t.Cleanup(func() { net.Close() })
-			return net.Transports()
-		}
-	}
-	return []harness{{name: "loopback", make: loopback(false)}, {name: "loopback-mesh", make: loopback(true)}}
+	return []harness{{name: "loopback", make: func(t *testing.T, n int) []Transport {
+		net := NewLoopback(n, LoopbackOptions{})
+		t.Cleanup(func() { net.Close() })
+		return net.Transports()
+	}}}
 }
 
 // wires are the TCP harnesses under opts, star first: the fault contract's.

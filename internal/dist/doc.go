@@ -27,20 +27,22 @@
 //     transport acts on a death) and suspicion (Suspected), from which
 //     the engine's task ledger replays a dead locality's subtrees.
 //
-// There are two implementations, each in two topologies, and the engine
-// above is blind to which. The loopback network (NewLoopback) connects
-// localities within one process by direct calls and backs every
-// single-process skeleton run; LoopbackOptions.Wave selects the token
-// wave, LoopbackOptions.Fault is its only source of link latency. Its
+// There are two implementations, and the engine above is blind to which.
+// The loopback network (NewLoopback) connects localities within one
+// process by direct calls and backs every single-process skeleton run;
+// its termination is one shared live-task count, exact and immediate, and
+// LoopbackOptions.Fault is its only source of link latency. Its
 // localities never die, so it carries steals, bounds, termination,
 // cancels and acks, and no more: it never calls OnDeath, Gather is an
-// error, and nothing is promoted or retained. The TCP transport (NewListener/Dial)
-// connects OS processes and is what `yewpar -dist` deploys, as a star or
-// as a mesh (WireOptions.Topology); it alone implements the fault
-// contract. The conformance suite runs the shared contract cases over all
-// four, and the fault cases over TCP; internal/core's harness rows run
-// every whole search of several processes — kills, partitions, takeovers
-// — over TCP.
+// error, and nothing is promoted or retained. The TCP transport
+// (NewListener/Dial) connects OS processes and is what `yewpar -dist`
+// deploys, as a star or as a mesh (WireOptions.Topology), whose
+// termination is the token wave; it alone implements the fault contract.
+// The conformance suite runs the shared contract cases over the loopback
+// and both TCP topologies, and the fault cases over TCP; internal/core's
+// harness rows run every whole search of several processes — kills,
+// partitions, takeovers — over TCP, and the wave's property tests drive
+// its ring directly.
 // Transports report frames, bytes, steal batch occupancy and session
 // resumes through Wire (the Meter subset).
 //
@@ -195,7 +197,7 @@
 // WireOptions.Standby (every rank must agree) makes rank 0's own death
 // survivable too:
 //
-//	epoch 0  rank 0 coordinates and runs no workers (core.Config.Standby), so the one task it hands
+//	epoch 0  rank 0 coordinates and runs no workers (Transport.Standby), so the one task it hands
 //	         over under supervision is the root; it replicates to S, the lowest live worker, what
 //	         nothing else rebuilds: who holds the root and under which id (a thief whose kHeld
 //	         came) and the incumbent — one kHubSnap in each flush quantum in which either changed,

@@ -322,6 +322,8 @@ func (e *endpoint) BestKnown() (int64, []byte, bool) { return e.inc.best() }
 
 func (e *endpoint) Promoted() bool { return e.rank != 0 && e.isCoord() }
 
+func (e *endpoint) Standby() bool { return e.opts.Standby }
+
 // AcksRelayed: on a star every worker's acks to fellow workers cross
 // rank 0, so its death can eat one in flight.
 func (e *endpoint) AcksRelayed() bool { return !e.mesh && e.rank != 0 }

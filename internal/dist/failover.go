@@ -12,7 +12,7 @@ import (
 // deployment launched with WireOptions.Standby survives rank 0 dying
 // mid-search:
 //
-//   - Rank 0 runs no workers (core.Config.Standby), so the one task it
+//   - Rank 0 runs no workers (Transport.Standby), so the one task it
 //     ever hands over under supervision is the root. It replicates to
 //     the lowest live worker rank, as one kHubSnap snapshot per flush
 //     quantum in which something changed (hubRepl), what no survivor's

@@ -12,13 +12,6 @@ import (
 
 // LoopbackOptions tunes the in-process network.
 type LoopbackOptions struct {
-	// Wave selects mesh-style termination: instead of closing Done when
-	// the globally shared live-task count hits zero, each rank keeps
-	// its own counter and a Safra-style token wave (wave.go) detects
-	// quiescence — the in-process model of the mesh topology, and the
-	// deployment the wave's property tests drive. The shared count is
-	// still maintained for Live, but it no longer decides termination.
-	Wave bool
 	// Fault, if non-nil, injects network faults into the in-process
 	// links, and is the only thing that delays one. A link's latency is
 	// slept on the thief's goroutine before each steal across it is
@@ -59,48 +52,7 @@ func NewLoopback(n int, opts LoopbackOptions) *LoopbackNetwork {
 	for i := range net.trs {
 		net.trs[i] = &loopback{net: net, rank: i}
 	}
-	if opts.Wave {
-		for i := range net.trs {
-			t := net.trs[i]
-			t.wave = newWaveNode(i, n, func(to int, tok waveToken) {
-				peer := net.trs[to]
-				if !peer.closed.Load() {
-					// Asynchronous like a wire: the token leaves this
-					// goroutine, and a send to a closed rank is simply
-					// lost (the watchdog regenerates the probe).
-					go peer.wave.onToken(tok)
-				}
-			}, func() {
-				net.doneOnce.Do(func() { close(net.done) })
-			})
-		}
-		go net.waveLoop()
-	}
 	return net
-}
-
-// waveLoop paces every open rank's wave, standing in for the wire
-// transports' flush-quantum tickers.
-func (ln *LoopbackNetwork) waveLoop() {
-	t := time.NewTicker(time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-ln.done:
-			return
-		case <-t.C:
-			anyOpen := false
-			for _, tr := range ln.trs {
-				if !tr.closed.Load() {
-					anyOpen = true
-					tr.wave.tick()
-				}
-			}
-			if !anyOpen {
-				return
-			}
-		}
-	}
 }
 
 // Transports returns the network's localities, indexed by rank.
@@ -123,14 +75,9 @@ func (ln *LoopbackNetwork) Close() error {
 // Live reports the global live-task count, every rank's AddTasks summed.
 func (ln *LoopbackNetwork) Live() int64 { return ln.live.V.Load() }
 
-func (ln *LoopbackNetwork) addTasks(rank int, delta int64) {
-	// In wave mode the shared count never decides termination: that is
-	// the ring's job, fed through each rank's own counter.
-	if ln.live.V.Add(delta) == 0 && delta < 0 && !ln.opts.Wave {
+func (ln *LoopbackNetwork) addTasks(delta int64) {
+	if ln.live.V.Add(delta) == 0 && delta < 0 {
 		ln.doneOnce.Do(func() { close(ln.done) })
-	}
-	if ln.opts.Wave {
-		ln.trs[rank].wave.add(delta)
 	}
 }
 
@@ -141,7 +88,6 @@ type loopback struct {
 	h      atomic.Value // Handler
 	closed atomic.Bool
 	ctr    wireCounters
-	wave   *waveNode // nil unless LoopbackOptions.Wave
 }
 
 var _ Transport = (*loopback)(nil)
@@ -247,11 +193,6 @@ func (t *loopback) stealVia(split bool, victim int) (WireTask, bool, error) {
 	if len(ts) == 0 {
 		return WireTask{}, false, nil
 	}
-	if t.wave != nil {
-		// Blacken BEFORE the stolen tasks become visible: work just
-		// migrated here behind any token that already passed.
-		t.wave.blacken()
-	}
 	t.ctr.stealReplies.Add(1)
 	t.ctr.stealTasks.Add(int64(len(ts)))
 	for i := range ts {
@@ -331,12 +272,15 @@ func (t *loopback) AckValue(origin int, id uint64, val []byte) error {
 	return nil
 }
 
-func (t *loopback) AddTasks(delta int64) { t.net.addTasks(t.rank, delta) }
+func (t *loopback) AddTasks(delta int64) { t.net.addTasks(delta) }
 
 func (t *loopback) Done() <-chan struct{} { return t.net.done }
 
 // Promoted is false: rank 0 never dies, so nobody takes its role.
 func (t *loopback) Promoted() bool { return false }
+
+// Standby is false: rank 0 never dies, so it runs workers like any rank.
+func (t *loopback) Standby() bool { return false }
 
 // Gather is an error: a single-process search's localities share its
 // result, and only a deployment of processes gathers one.
@@ -345,7 +289,7 @@ func (t *loopback) Gather([]byte) ([][]byte, error) {
 }
 
 // Close detaches the locality: steals against it and deliveries to it
-// find no handler, and its wave stops.
+// find no handler.
 func (t *loopback) Close() error {
 	t.closed.Store(true)
 	return nil

@@ -147,12 +147,10 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 		replies = 20_000
 		grace   = 5 * time.Second
 	)
-	loop := func(wave bool) func(testing.TB, *FaultPlan) []Transport {
-		return func(t testing.TB, plan *FaultPlan) []Transport {
-			net := NewLoopback(ranks, LoopbackOptions{Wave: wave, Fault: plan})
-			t.Cleanup(func() { net.Close() })
-			return net.Transports()
-		}
+	loop := func(t testing.TB, plan *FaultPlan) []Transport {
+		net := NewLoopback(ranks, LoopbackOptions{Fault: plan})
+		t.Cleanup(func() { net.Close() })
+		return net.Transports()
 	}
 	tcp := func(topology string, standby bool) func(testing.TB, *FaultPlan) []Transport {
 		return func(t testing.TB, plan *FaultPlan) []Transport {
@@ -164,9 +162,8 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 		make func(testing.TB, *FaultPlan) []Transport
 		wire bool
 	}{
-		{"loopback", loop(false), false},
+		{"loopback", loop, false},
 		{"tcp", tcp(TopologyStar, false), true},
-		{"loopback-mesh", loop(true), false},
 		{"tcp-mesh", tcp(TopologyMesh, false), true},
 		{"tcp-standby", tcp(TopologyStar, true), true},
 		{"tcp-mesh-standby", tcp(TopologyMesh, true), true},

@@ -91,7 +91,7 @@ type WireOptions struct {
 	// registration, and on rank 0's death the replicated rank promotes
 	// itself while the rest re-dial it. Rank 0 must hand over one task
 	// under supervision, the root, which core guarantees by running it
-	// with zero workers (core.Config.Standby); the promoted rank takes that
+	// with zero workers (Transport.Standby); the promoted rank takes that
 	// hand-over's ledger entry over (Transport.Root), and the root is
 	// replayed like any other hand-over. Costs at most one snapshot per
 	// flush quantum hub→standby; off by default. Both sides of a
@@ -115,8 +115,7 @@ type WireOptions struct {
 	Fault *FaultPlan
 }
 
-// Topology values for WireOptions.Topology (and the engine-level
-// configuration that feeds it).
+// Topology values for WireOptions.Topology.
 const (
 	TopologyStar = "star"
 	TopologyMesh = "mesh"

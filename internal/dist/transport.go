@@ -442,6 +442,11 @@ type Transport interface {
 	// wherever it would have tested Rank() == 0. Never on the loopback
 	// network, whose rank 0 never dies.
 	Promoted() bool
+	// Standby reports whether the deployment arms coordinator failover
+	// (WireOptions.Standby, the same on every rank): its rank 0 then
+	// runs no workers, so the one task it hands over, under supervision,
+	// is the root. Never on the loopback network.
+	Standby() bool
 	// AcksRelayed reports whether this endpoint's completion acks
 	// travel through the coordinator rather than on a direct link to
 	// their origin. The engine consults it when rank 0 dies: a relayed

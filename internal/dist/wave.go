@@ -21,7 +21,7 @@ import (
 //     already-visited rank behind the token poisons the round instead
 //     of slipping out of the sum.
 //
-// The initiator (rank 0; on in-process deployments the lowest live
+// The initiator (rank 0; under WireOptions.Standby the lowest live
 // rank takes over if it dies) launches a probe round whenever it is
 // passive and no probe is outstanding. The token visits the live ranks
 // in ring order; each passive rank adds its local counter, ORs in its

@@ -3,30 +3,32 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// Property tests for the termination wave, driven through the loopback
-// mesh (the wave's reference deployment): randomised spawn/steal/
-// complete schedules, with and without injected deaths, must never
-// terminate early (a lost task would strand work) and never hang (a
-// lost token would strand the deployment).
+// Property tests for the termination wave, driven on a ring of waveNodes
+// built here, the way the mesh endpoint wires them: randomised spawn/
+// steal/complete schedules, with and without injected deaths, must never
+// terminate early (a lost task would strand work) and never hang (a lost
+// token would strand the deployment).
 
 // waveModel mirrors the engine's task-accounting discipline on top of
-// a wave-mode loopback network. Each task carries its registration
-// chain: the spawner's +1, plus one adoption +1 per hand-over (the
-// engine's supervision ledger keeps every link's registration open
-// until the completion ack cascades back). Completion retires every
-// live link with a -1; a death drops the dead rank's registrations
-// wholesale, and a task the corpse was holding replays at its most
-// recent surviving link (or vanishes if none remains).
+// a ring of wave nodes. Each task carries its registration chain: the
+// spawner's +1, plus one adoption +1 per hand-over (the engine's
+// supervision ledger keeps every link's registration open until the
+// completion ack cascades back). Completion retires every live link with
+// a -1; a death drops the dead rank's registrations wholesale, and a task
+// the corpse was holding replays at its most recent surviving link (or
+// vanishes if none remains).
 type waveModel struct {
-	t     *testing.T
-	net   *LoopbackNetwork
-	trs   []Transport
-	hs    []*recHandler
-	alive []bool
+	t      *testing.T
+	nodes  []*waveNode
+	closed []atomic.Bool // read by token-carrying goroutines
+	done   chan struct{}
+	queues [][]byte // each rank's queued tasks, by id, oldest first
+	alive  []bool
 	// tasks in flight: spawner and current holder of each.
 	tasks []waveTask
 	next  int
@@ -39,13 +41,18 @@ type waveTask struct {
 	done   bool
 }
 
+// newWaveModel builds a ring of n nodes. A token travels like a frame: it
+// leaves the sender's goroutine, and one sent to a closed rank is lost (the
+// watchdog regenerates the probe). A second conclusion would panic.
 func newWaveModel(t *testing.T, n int) *waveModel {
-	net := NewLoopback(n, LoopbackOptions{Wave: true})
-	t.Cleanup(func() { net.Close() })
-	trs := net.Transports()
-	m := &waveModel{t: t, net: net, trs: trs, hs: startAll(trs), alive: make([]bool, n)}
-	for i := range m.alive {
+	m := &waveModel{t: t, closed: make([]atomic.Bool, n), done: make(chan struct{}), queues: make([][]byte, n), alive: make([]bool, n)}
+	for i := range n {
 		m.alive[i] = true
+		m.nodes = append(m.nodes, newWaveNode(i, n, func(to int, tok waveToken) {
+			if !m.closed[to].Load() {
+				go m.nodes[to].onToken(tok)
+			}
+		}, func() { close(m.done) }))
 	}
 	return m
 }
@@ -66,66 +73,58 @@ func (m *waveModel) spawn(rank int) {
 	}
 	id := byte(m.next)
 	m.next++
-	m.trs[rank].AddTasks(1)
-	m.hs[rank].push(WireTask{Payload: []byte{id}, Depth: 1})
+	m.nodes[rank].add(1)
+	m.queues[rank] = append(m.queues[rank], id)
 	m.tasks = append(m.tasks, waveTask{id: id, regs: []int{rank}, holder: rank})
 }
 
-// steal moves a run of queued tasks from victim to thief through the
-// real transport (exercising the blacken-before-visible path) — the one
-// the steal returns and the extras the thief's handler was handed — then
-// registers each adoption like the engine does.
+// steal moves a run of queued tasks, up to a steal batch from the front
+// of the victim's queue, to the back of the thief's, as a transport's
+// steal does: the thief blackens before the run becomes visible (work
+// just migrated behind any token that already passed), then registers
+// each adoption like the engine does.
 func (m *waveModel) steal(thief, victim int) {
 	if !m.alive[thief] || !m.alive[victim] || thief == victim {
 		return
 	}
-	wt, ok, err := m.trs[thief].Steal(victim)
-	if err != nil || !ok {
+	q := m.queues[victim]
+	run := q[:min(len(q), DefaultStealBatch)]
+	if len(run) == 0 {
 		return
 	}
-	h := m.hs[thief]
-	h.mu.Lock()
-	run := append([]WireTask{wt}, h.adopted...)
-	h.adopted = nil
-	h.mu.Unlock()
-	m.trs[thief].AddTasks(int64(len(run))) // adoption
+	m.queues[victim] = q[len(run):]
+	m.nodes[thief].blacken()
+	m.nodes[thief].add(int64(len(run))) // adoption
 stolen:
-	for _, wt := range run {
-		h.push(wt) // the stolen task joins the thief's queue
+	for _, id := range run {
+		m.queues[thief] = append(m.queues[thief], id)
 		for i := range m.tasks {
-			if m.tasks[i].id == wt.Payload[0] {
+			if m.tasks[i].id == id {
 				m.tasks[i].regs = append(m.tasks[i].regs, thief)
 				m.tasks[i].holder = thief
 				continue stolen
 			}
 		}
-		m.t.Fatalf("stole unknown task %d", wt.Payload[0])
+		m.t.Fatalf("stole unknown task %d", id)
 	}
 }
 
-// complete finishes one task currently held (queued) at rank, if any.
+// complete finishes one task currently queued at rank, if any.
 func (m *waveModel) complete(rank int, rng *rand.Rand) {
-	if !m.alive[rank] {
+	q := m.queues[rank]
+	if !m.alive[rank] || len(q) == 0 {
 		return
 	}
-	held := m.hs[rank].drain()
-	if len(held) == 0 {
-		return
-	}
-	// Complete one, requeue the rest.
-	pick := rng.Intn(len(held))
-	for i, wt := range held {
-		if i != pick {
-			m.hs[rank].push(wt)
-		}
-	}
-	m.finish(held[pick])
+	pick := rng.Intn(len(q))
+	id := q[pick]
+	m.queues[rank] = append(q[:pick:pick], q[pick+1:]...)
+	m.finish(id)
 }
 
-func (m *waveModel) finish(wt WireTask) {
+func (m *waveModel) finish(id byte) {
 	for i := range m.tasks {
 		tk := &m.tasks[i]
-		if tk.id != wt.Payload[0] || tk.done {
+		if tk.id != id || tk.done {
 			continue
 		}
 		tk.done = true
@@ -133,12 +132,12 @@ func (m *waveModel) finish(wt WireTask) {
 		// surviving link retires its registration.
 		for _, r := range tk.regs {
 			if m.alive[r] {
-				m.trs[r].AddTasks(-1)
+				m.nodes[r].add(-1)
 			}
 		}
 		return
 	}
-	m.t.Fatalf("completed unknown or already-done task %d", wt.Payload[0])
+	m.t.Fatalf("completed unknown or already-done task %d", id)
 }
 
 // kill ends a rank: it is closed, and every survivor drops it from the
@@ -152,10 +151,11 @@ func (m *waveModel) kill(rank int) {
 		return
 	}
 	m.alive[rank] = false
-	m.trs[rank].Close()
-	for r, peer := range m.net.trs {
+	m.closed[rank].Store(true)
+	m.queues[rank] = nil
+	for r, w := range m.nodes {
 		if m.alive[r] {
-			peer.wave.markDead(rank)
+			w.markDead(rank)
 		}
 	}
 	for i := range m.tasks {
@@ -178,50 +178,60 @@ func (m *waveModel) kill(rank int) {
 			continue
 		}
 		tk.holder = tk.regs[len(tk.regs)-1]
-		m.hs[tk.holder].push(WireTask{Payload: []byte{tk.id}, Depth: 1})
+		m.queues[tk.holder] = append(m.queues[tk.holder], tk.id)
 	}
 }
 
-func (m *waveModel) requireNotDone(what string) {
+// settle paces the wave, as a transport's flush quantum does, until it
+// concludes (true) or d has passed: every open rank ticks, and the tokens
+// that puts on their way get time to land.
+func (m *waveModel) settle(d time.Duration) bool {
+	for end := time.Now().Add(d); ; time.Sleep(100 * time.Microsecond) {
+		select {
+		case <-m.done:
+			return true
+		default:
+		}
+		if time.Now().After(end) {
+			return false
+		}
+		for r, w := range m.nodes {
+			if !m.closed[r].Load() {
+				w.tick()
+			}
+		}
+	}
+}
+
+// requireNotDone paces the wave for d and fails if it concluded.
+func (m *waveModel) requireNotDone(what string, d time.Duration) {
 	m.t.Helper()
-	select {
-	case <-m.net.done:
-		m.t.Fatalf("wave terminated early %s: model still holds %d live tasks", what, m.liveCount())
-	default:
+	if m.settle(d) {
+		m.t.Fatalf("wave concluded %s: the model holds %d live tasks", what, m.liveCount())
 	}
 }
 
 // drainAll completes every outstanding task and then requires the wave
-// to conclude promptly on every surviving rank.
+// to conclude promptly.
 func (m *waveModel) drainAll(rng *rand.Rand) {
 	for guard := 0; m.liveCount() > 0; guard++ {
 		if guard > 10_000 {
 			m.t.Fatalf("model failed to drain: %d tasks stuck", m.liveCount())
 		}
-		for r := range m.trs {
-			if m.alive[r] {
-				m.complete(r, rng)
-			}
+		for r := range m.nodes {
+			m.complete(r, rng)
 		}
 	}
-	deadline := time.After(5 * time.Second)
-	for r := range m.trs {
-		if !m.alive[r] {
-			continue
-		}
-		select {
-		case <-m.trs[r].Done():
-		case <-deadline:
-			m.t.Fatalf("rank %d never saw wave termination after the drain (lost token?)", r)
-		}
+	if !m.settle(5 * time.Second) {
+		m.t.Fatal("the wave never concluded after the drain (lost token?)")
 	}
 }
 
 // TestWavePropertyRandomSchedules runs randomised schedules on several
-// deployment sizes: interleaved spawns, real steals, completions, and
-// (on odd seeds) worker deaths. After every step the model knows the
-// exact live-task count, so any early conclusion is caught; the final
-// drain bounds detection latency.
+// deployment sizes: interleaved spawns, steals, completions, and (on odd
+// seeds) worker deaths, the wave paced between every two. After every
+// step the model knows the exact live-task count, so any early conclusion
+// is caught; the final drain bounds detection latency.
 func TestWavePropertyRandomSchedules(t *testing.T) {
 	for _, size := range []int{2, 3, 5} {
 		for seed := int64(0); seed < 4; seed++ {
@@ -239,7 +249,11 @@ func TestWavePropertyRandomSchedules(t *testing.T) {
 				for step := 0; step < 60; step++ {
 					switch rng.Intn(10) {
 					case 0, 1, 2:
-						m.spawn(rng.Intn(size))
+						// Only work spawns work: a rank running one of its
+						// tasks, never an idle one the token may have passed.
+						if r := rng.Intn(size); len(m.queues[r]) > 0 {
+							m.spawn(r)
+						}
 					case 3, 4, 5:
 						m.steal(rng.Intn(size), rng.Intn(size))
 					case 6, 7, 8:
@@ -253,12 +267,12 @@ func TestWavePropertyRandomSchedules(t *testing.T) {
 							}
 						}
 					}
-					if step%15 == 0 && m.liveCount() > 0 {
-						m.requireNotDone(fmt.Sprintf("at step %d", step))
+					if m.liveCount() > 0 {
+						m.requireNotDone(fmt.Sprintf("at step %d", step), 100*time.Microsecond)
 					}
 				}
 				if m.liveCount() > 0 {
-					m.requireNotDone("after the schedule")
+					m.requireNotDone("after the schedule", 0)
 				}
 				m.drainAll(rng)
 			})
@@ -280,8 +294,7 @@ func TestWaveSurvivesInitiatorDeath(t *testing.T) {
 	// own live task (which vanishes with it).
 	m.steal(1, 2)
 	m.kill(0)
-	time.Sleep(50 * time.Millisecond)
-	m.requireNotDone("after the initiator died")
+	m.requireNotDone("after the initiator died", 50*time.Millisecond)
 	m.drainAll(rng)
 }
 
@@ -289,12 +302,5 @@ func TestWaveSurvivesInitiatorDeath(t *testing.T) {
 // deployment where nothing is ever spawned must not conclude — an
 // empty search hasn't happened yet, it simply hasn't started.
 func TestWaveNeverActiveStaysOpen(t *testing.T) {
-	net := NewLoopback(3, LoopbackOptions{Wave: true})
-	t.Cleanup(func() { net.Close() })
-	startAll(net.Transports())
-	select {
-	case <-net.done:
-		t.Fatal("wave concluded on a never-active system")
-	case <-time.After(200 * time.Millisecond):
-	}
+	newWaveModel(t, 3).requireNotDone("on a never-active system", 200*time.Millisecond)
 }

@@ -43,30 +43,30 @@ var workLedger = []struct {
 	name   string
 	counts [4]workCounts // in workCoords order
 }{
-	{"MANN_a45", [4]workCounts{{122000, 61000, 61000, 0}, {123859, 62859, 60972, 2195}, {122207, 61207, 61000, 268}, {122000, 61000, 61000, 0}}},
-	{"brock400_1", [4]workCounts{{8048, 4024, 4024, 0}, {11131, 7107, 3965, 3981}, {8048, 4024, 4024, 0}, {8048, 4024, 4024, 0}}},
-	{"brock400_2", [4]workCounts{{8248, 4124, 4124, 0}, {11343, 7219, 4065, 3967}, {8248, 4124, 4124, 0}, {8248, 4124, 4124, 0}}},
-	{"brock400_3", [4]workCounts{{9202, 4601, 4601, 0}, {12375, 7774, 4538, 4171}, {9202, 4601, 4601, 0}, {9202, 4601, 4601, 0}}},
-	{"brock400_4", [4]workCounts{{6304, 3152, 3152, 0}, {9095, 5943, 3095, 3511}, {6304, 3152, 3152, 0}, {6304, 3152, 3152, 0}}},
-	{"brock800_4", [4]workCounts{{9256, 4628, 4628, 0}, {13308, 8680, 4556, 5140}, {9256, 4628, 4628, 0}, {9256, 4628, 4628, 0}}},
-	{"p_hat1000-2", [4]workCounts{{51780, 25890, 25890, 0}, {57702, 31812, 25795, 8127}, {51865, 25975, 25890, 167}, {51780, 25890, 25890, 0}}},
-	{"p_hat1500-1", [4]workCounts{{2522, 1261, 1261, 0}, {7621, 6360, 1151, 6186}, {2522, 1261, 1261, 0}, {2522, 1261, 1261, 0}}},
-	{"p_hat300-3", [4]workCounts{{48172, 24086, 24086, 0}, {51250, 27164, 24039, 3904}, {48255, 24169, 24086, 125}, {48172, 24086, 24086, 0}}},
-	{"p_hat500-3", [4]workCounts{{217428, 108714, 108714, 0}, {222445, 113731, 108641, 6791}, {217587, 108873, 108714, 263}, {217428, 108714, 108714, 0}}},
-	{"p_hat700-2", [4]workCounts{{48974, 24487, 24487, 0}, {54149, 29662, 24400, 7120}, {49057, 24570, 24487, 159}, {48974, 24487, 24487, 0}}},
-	{"p_hat700-3", [4]workCounts{{150016, 75008, 75008, 0}, {155614, 80606, 74934, 7441}, {150188, 75180, 75008, 262}, {150016, 75008, 75008, 0}}},
-	{"san1000", [4]workCounts{{380, 190, 190, 0}, {3391, 3201, 123, 3245}, {380, 190, 190, 0}, {380, 190, 190, 0}}},
-	{"san400_0.7_2", [4]workCounts{{1526, 763, 763, 0}, {4080, 3317, 701, 3098}, {1526, 763, 763, 0}, {1526, 763, 763, 0}}},
-	{"san400_0.7_3", [4]workCounts{{2202, 1101, 1101, 0}, {4737, 3636, 1039, 3164}, {2202, 1101, 1101, 0}, {2202, 1101, 1101, 0}}},
-	{"san400_0.9_1", [4]workCounts{{8648, 4324, 4324, 0}, {11432, 7108, 4260, 3665}, {8648, 4324, 4324, 0}, {8648, 4324, 4324, 0}}},
-	{"sanr200_0.9", [4]workCounts{{50860, 25430, 25430, 0}, {52236, 26806, 25410, 1573}, {50935, 25505, 25430, 93}, {50860, 25430, 25430, 0}}},
-	{"sanr400_0.7", [4]workCounts{{23918, 11959, 11959, 0}, {27764, 15805, 11892, 5055}, {23991, 12032, 11959, 121}, {23918, 11959, 11959, 0}}},
-	{"knapsack[0]", [4]workCounts{{4367890, 2182401, 2185489, 0}, {4367890, 2182401, 2185477, 222}, {4367890, 2182401, 2185489, 1692}, {4367890, 2182401, 2185489, 0}}},
-	{"knapsack[1]", [4]workCounts{{8262572, 4773363, 3489209, 0}, {8262572, 4773363, 3489195, 259}, {8262572, 4773363, 3489209, 2717}, {8262572, 4773363, 3489209, 0}}},
-	{"knapsack[2]", [4]workCounts{{20618215, 9760073, 10858142, 0}, {20618215, 9760073, 10858124, 315}, {20618215, 9760073, 10858142, 8978}, {20618215, 9760073, 10858142, 0}}},
-	{"tsp[0]", [4]workCounts{{4688751, 3808628, 880123, 0}, {4688751, 3808628, 880108, 196}, {4688751, 3808628, 880123, 345}, {4688751, 3808628, 880123, 0}}},
-	{"tsp[1]", [4]workCounts{{31410740, 25450233, 5960507, 0}, {31410740, 25450233, 5960492, 196}, {31410740, 25450233, 5960507, 2229}, {31410740, 25450233, 5960507, 0}}},
-	{"tsp[2]", [4]workCounts{{3213620, 2768762, 444858, 0}, {3213620, 2768762, 444842, 225}, {3213620, 2768762, 444858, 205}, {3213620, 2768762, 444858, 0}}},
+	{"MANN_a45", [4]workCounts{{122000, 61000, 61000, 0}, {122140, 61140, 60972, 450}, {122000, 61000, 61000, 58}, {122000, 61000, 61000, 0}}},
+	{"brock400_1", [4]workCounts{{8048, 4024, 4024, 0}, {8178, 4154, 3965, 971}, {8048, 4024, 4024, 0}, {8048, 4024, 4024, 0}}},
+	{"brock400_2", [4]workCounts{{8248, 4124, 4124, 0}, {8375, 4251, 4065, 942}, {8248, 4124, 4124, 0}, {8248, 4124, 4124, 0}}},
+	{"brock400_3", [4]workCounts{{9202, 4601, 4601, 0}, {9329, 4728, 4538, 1064}, {9202, 4601, 4601, 0}, {9202, 4601, 4601, 0}}},
+	{"brock400_4", [4]workCounts{{6304, 3152, 3152, 0}, {6421, 3269, 3095, 782}, {6304, 3152, 3152, 0}, {6304, 3152, 3152, 0}}},
+	{"brock800_4", [4]workCounts{{9256, 4628, 4628, 0}, {9393, 4765, 4556, 1155}, {9256, 4628, 4628, 0}, {9256, 4628, 4628, 0}}},
+	{"p_hat1000-2", [4]workCounts{{51780, 25890, 25890, 0}, {51931, 26041, 25795, 2263}, {51780, 25890, 25890, 81}, {51780, 25890, 25890, 0}}},
+	{"p_hat1500-1", [4]workCounts{{2522, 1261, 1261, 0}, {2663, 1402, 1151, 1120}, {2522, 1261, 1261, 0}, {2522, 1261, 1261, 0}}},
+	{"p_hat300-3", [4]workCounts{{48172, 24086, 24086, 0}, {48329, 24243, 24039, 938}, {48179, 24093, 24086, 48}, {48172, 24086, 24086, 0}}},
+	{"p_hat500-3", [4]workCounts{{217428, 108714, 108714, 0}, {217590, 108876, 108641, 1865}, {217432, 108718, 108714, 106}, {217428, 108714, 108714, 0}}},
+	{"p_hat700-2", [4]workCounts{{48974, 24487, 24487, 0}, {49125, 24638, 24400, 2011}, {48974, 24487, 24487, 75}, {48974, 24487, 24487, 0}}},
+	{"p_hat700-3", [4]workCounts{{150016, 75008, 75008, 0}, {150187, 75179, 74934, 1942}, {150016, 75008, 75008, 88}, {150016, 75008, 75008, 0}}},
+	{"san1000", [4]workCounts{{380, 190, 190, 0}, {526, 336, 123, 315}, {380, 190, 190, 0}, {380, 190, 190, 0}}},
+	{"san400_0.7_2", [4]workCounts{{1526, 763, 763, 0}, {1638, 875, 701, 596}, {1526, 763, 763, 0}, {1526, 763, 763, 0}}},
+	{"san400_0.7_3", [4]workCounts{{2202, 1101, 1101, 0}, {2316, 1215, 1039, 683}, {2202, 1101, 1101, 0}, {2202, 1101, 1101, 0}}},
+	{"san400_0.9_1", [4]workCounts{{8648, 4324, 4324, 0}, {8756, 4432, 4260, 927}, {8648, 4324, 4324, 0}, {8648, 4324, 4324, 0}}},
+	{"sanr200_0.9", [4]workCounts{{50860, 25430, 25430, 0}, {51000, 25570, 25410, 319}, {50861, 25431, 25430, 18}, {50860, 25430, 25430, 0}}},
+	{"sanr400_0.7", [4]workCounts{{23918, 11959, 11959, 0}, {24053, 12094, 11892, 1279}, {23918, 11959, 11959, 47}, {23918, 11959, 11959, 0}}},
+	{"knapsack[0]", [4]workCounts{{4367890, 2182401, 2185489, 0}, {4367890, 2182401, 2185477, 107}, {4367890, 2182401, 2185489, 714}, {4367890, 2182401, 2185489, 0}}},
+	{"knapsack[1]", [4]workCounts{{8262572, 4773363, 3489209, 0}, {8262572, 4773363, 3489195, 137}, {8262572, 4773363, 3489209, 1330}, {8262572, 4773363, 3489209, 0}}},
+	{"knapsack[2]", [4]workCounts{{20618215, 9760073, 10858142, 0}, {20618215, 9760073, 10858124, 174}, {20618215, 9760073, 10858142, 4737}, {20618215, 9760073, 10858142, 0}}},
+	{"tsp[0]", [4]workCounts{{4688751, 3808628, 880123, 0}, {4688751, 3808628, 880108, 171}, {4688751, 3808628, 880123, 331}, {4688751, 3808628, 880123, 0}}},
+	{"tsp[1]", [4]workCounts{{31410740, 25450233, 5960507, 0}, {31410740, 25450233, 5960492, 192}, {31410740, 25450233, 5960507, 2222}, {31410740, 25450233, 5960507, 0}}},
+	{"tsp[2]", [4]workCounts{{3213620, 2768762, 444858, 0}, {3213620, 2768762, 444842, 214}, {3213620, 2768762, 444858, 205}, {3213620, 2768762, 444858, 0}}},
 	{"sip[0]", [4]workCounts{{1249430, 0, 1249399, 0}, {1249430, 0, 1249362, 1120}, {1249430, 0, 1249401, 551}, {1249430, 0, 1249399, 0}}},
 	{"sip[1]", [4]workCounts{{279757, 0, 279757, 0}, {279757, 0, 279661, 2279}, {279757, 0, 279757, 92}, {279757, 0, 279757, 0}}},
 	{"sip[2]", [4]workCounts{{88830, 0, 88830, 0}, {88830, 0, 88744, 2217}, {88830, 0, 88830, 76}, {88830, 0, 88830, 0}}},
