@@ -643,7 +643,7 @@ func TestReplicableVisitsAtLeastSequential(t *testing.T) {
 }
 
 // The defining property: Nodes, Prunes, Spawns and Backtracks are the same
-// on every run, whatever the workers, localities, order,
+// on every run, whatever the workers, localities, victim seed, order,
 // memory budget, tracing or link latency.
 func TestReplicableDeterministicNodeCounts(t *testing.T) {
 	tr, want := toyTree("toy12, bounded", toy12.space.Vals, true), [4]int64{}
@@ -663,8 +663,8 @@ func TestReplicableDeterministicNodeCounts(t *testing.T) {
 	var scs []scenario
 	for _, w := range []int{1, 2, 7, 16} {
 		for locs := 1; locs <= 3; locs++ {
-			for ord := OrderNone; ord <= OrderBound; ord++ {
-				scs = append(scs, row(Config{Workers: w, Localities: locs, Order: ord}))
+			for i := range 6 { // victim seeds 1 and 2, each under every order
+				scs = append(scs, row(Config{Workers: w, Localities: locs, Seed: int64(1 + i/3), Order: Order(i % 3)}))
 			}
 		}
 	}

@@ -78,15 +78,19 @@ func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 
 func harnesses() []harness { return append(loopbacks(), wires(WireOptions{})...) }
 
-// loopbacks are the loopback harness. The fault cases hold its answers
-// too: in-process localities never die (a closed one is only detached),
-// and nothing is gathered or retained.
+// loopbacks are the loopback harnesses, direct and with every link
+// delayed. The fault cases hold their answers too: in-process localities
+// never die (a closed one is only detached), and nothing is gathered or
+// retained.
 func loopbacks() []harness {
-	return []harness{{name: "loopback", make: func(t *testing.T, n int) []Transport {
-		net := NewLoopback(n, LoopbackOptions{})
-		t.Cleanup(func() { net.Close() })
-		return net.Transports()
-	}}}
+	loopback := func(fault *FaultPlan) func(t *testing.T, n int) []Transport {
+		return func(t *testing.T, n int) []Transport {
+			net := NewLoopback(n, LoopbackOptions{Fault: fault})
+			t.Cleanup(func() { net.Close() })
+			return net.Transports()
+		}
+	}
+	return []harness{{name: "loopback", make: loopback(nil)}, {name: "loopback-latency", make: loopback(LatencyPlan(200 * time.Microsecond))}}
 }
 
 // wires are the TCP harnesses under opts, star first: the fault contract's.

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,13 +164,7 @@ func (m *waveModel) kill(rank int) {
 		if tk.done {
 			continue
 		}
-		live := tk.regs[:0]
-		for _, r := range tk.regs {
-			if r != rank {
-				live = append(live, r)
-			}
-		}
-		tk.regs = live
+		tk.regs = slices.DeleteFunc(tk.regs, func(r int) bool { return r == rank })
 		if tk.holder != rank {
 			continue
 		}
