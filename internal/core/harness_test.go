@@ -527,6 +527,52 @@ func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 	rows(t, sc, onWave(sc), enumTwin(sc), onWave(enumTwin(sc)))
 }
 
+// A standby coordinator killed mid-search, once its snapshots name the
+// root's holder; with the link between rank 1, the successor, and rank 3
+// slowed down, so that rank 3's kRejoin lands after rank 1 has bounds to
+// fan out, or rank 2, whose node found while its kRejoin is on its way
+// must still reach the role; after a worker, whose death and gather slot
+// rank 1 must hold when it takes the role over; and on three ranks. Each
+// on a star and a wave, optimising and enumerating. Every kill lands; on a
+// wave no ack crosses rank 0, so rank 0's death alone, once a snapshot has
+// named the root's holder, replays nothing: every node is visited once.
+func TestStandbyCoordinatorDiesMidSearch(t *testing.T) {
+	var scs []scenario
+	for _, topology := range []string{"star", "wave"} {
+		wave := topology == "wave"
+		// On a wave rank 0 dies late enough, even under -race, for a snapshot
+		// to name the root's holder; a slowed link can delay the hand-over
+		// past that, so the node count is held on unslowed rows alone.
+		rank0 := kill{rank: 0, after: 20 * time.Millisecond, by: []int{1, 2, 3}}
+		if wave {
+			rank0.after = 100 * time.Millisecond
+		}
+		killed := onStandby(db(fault, optimise, 4, tolerant, rank0))
+		killed.wave = wave
+		late := func(from int) scenario {
+			sc := killed
+			sc.net = dist.NewFaultPlan(1)
+			sc.net.SetLink(from, 1, dist.LinkFault{Latency: 100 * time.Millisecond})
+			return sc
+		}
+		mourned, three := killed, killed
+		mourned.kills, three.ranks = []kill{{rank: 3}, rank0}, 3
+		for i, base := range []scenario{killed, late(3), late(2), mourned, three} {
+			for _, sc := range []scenario{base, enumTwin(base)} {
+				sc.name = fmt.Sprintf("%s/%s/%v", [...]string{"killed", "late-rejoin", "late-publisher", "mourned", "three-ranks"}[i], topology, sc.search)
+				sc.extra = func(t *testing.T, o outcome) {
+					_, nodes := sc.tree.truth(sc.search)
+					if strings.HasSuffix(t.Name(), "/tcp") && (o.stats.Deaths != int64(len(sc.kills)) || wave && sc.net == nil && len(sc.kills) == 1 && o.stats.Nodes != nodes) {
+						t.Errorf("%d deaths of %d kills, %d nodes visited of %d", o.stats.Deaths, len(sc.kills), o.stats.Nodes, nodes)
+					}
+				}
+				scs = append(scs, sc)
+			}
+		}
+	}
+	rows(t, scs...)
+}
+
 // drawn is a standby row that draw(seed) drew, written out so that a
 // change to draw leaves it as it was: a tree semTree(seed, branch,
 // depth) and rank 0 a pure coordinator; slowed gives it draw's link

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -15,14 +16,16 @@ import (
 // by case, asserted against every implementation through a recording
 // handler — identity, steal and split replies, priorities and their
 // summaries, bounds, cancel, acks, a late reply. Four harnesses run it:
-// the loopback network and the TCP star, and their mesh twins. The fault
-// contract — gather, deaths, a steal pending on a victim that dies,
-// retention — is the TCP endpoint's alone (in-process localities never
-// die), so its cases run on the wires. Whole deployments — termination
-// under steals and coalesced deltas, worker and coordinator deaths,
-// partitions that heal, no goroutine outliving Close — are internal/core's
-// harness rows (harness_test.go), where a real search over TCP is held to
-// the tree's own answer.
+// loopback, loopback-latency (every link delayed), tcp and tcp-mesh. The
+// fault contract — gather, deaths, a steal pending on a victim that dies —
+// is the TCP endpoint's alone (in-process localities never die: a closed
+// one is only detached), so its cases run on the wires. Whole deployments —
+// termination under steals and coalesced deltas, worker and coordinator
+// deaths, what a takeover keeps, partitions that heal, no goroutine
+// outliving Close — are internal/core's harness rows (harness_test.go: the
+// …SurvivesWorkerDeath rows, TestStandbyCoordinatorDiesMidSearch and the
+// TestStandby… rows beside it), where a real search over TCP is held to the
+// tree's own answer; chaos_test.go keeps the takeover steps no row reaches.
 
 // harness builds a connected deployment of n localities.
 type harness struct {
@@ -79,9 +82,8 @@ func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 func harnesses() []harness { return append(loopbacks(), wires(WireOptions{})...) }
 
 // loopbacks are the loopback harnesses, direct and with every link
-// delayed. The fault cases hold their answers too: in-process localities
-// never die (a closed one is only detached), and nothing is gathered or
-// retained.
+// delayed. In-process localities never die (TestLoopbackCloseDetaches),
+// and nothing is gathered or retained.
 func loopbacks() []harness {
 	loopback := func(fault *FaultPlan) func(t *testing.T, n int) []Transport {
 		return func(t *testing.T, n int) []Transport {
@@ -115,8 +117,7 @@ type recHandler struct {
 	cancelled  atomic.Int64
 	splits     atomic.Int64 // ServeSplit calls that reached the split list
 	serveDelay time.Duration
-	mourned    []int          // the deaths announced, in order
-	onDeath    func(rank int) // if set, runs in OnDeath before the death is recorded
+	mourned    []int // the deaths announced, in order
 }
 
 func (h *recHandler) ServeSteal(thief int) (WireTask, bool) {
@@ -186,9 +187,6 @@ func (h *recHandler) OnAckValue(from int, id uint64, val []byte) {
 }
 
 func (h *recHandler) OnDeath(rank int) {
-	if h.onDeath != nil {
-		h.onDeath(rank)
-	}
 	h.mu.Lock()
 	h.mourned = append(h.mourned, rank)
 	h.mu.Unlock()
@@ -288,30 +286,60 @@ func TestConformanceIdentity(t *testing.T) {
 	}
 }
 
+// A steal hands the thief the victim's task whole — payload, depth,
+// bound, and the priority an ordered search re-enqueues it at (a
+// transport that zeroes or reorders Prio destroys the global search
+// order: the v2 → v3 frame change) — and an empty victim leaves it
+// empty-handed, not in error. So does the routed worker→worker steal, and
+// every task of a batch, handed over or adopted through OnTask.
 func TestConformanceStealRequestReply(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
-			want := WireTask{Payload: []byte("node-bytes"), Depth: 4, Bound: 17}
+			want := WireTask{Payload: []byte("node-bytes"), Depth: 4, Prio: 7, Bound: 17}
 			hs[1].push(want)
-
 			got, ok, err := trs[0].Steal(1)
-			if err != nil || !ok {
-				t.Fatalf("steal from stocked victim: ok=%v err=%v", ok, err)
+			if err != nil || !ok || !bytes.Equal(got.Payload, want.Payload) || got.Depth != want.Depth || got.Prio != want.Prio || got.Bound != want.Bound {
+				t.Fatalf("steal from stocked victim: %+v ok=%v err=%v, want %+v", got, ok, err, want)
 			}
-			if !bytes.Equal(got.Payload, want.Payload) || got.Depth != want.Depth || got.Bound != want.Bound {
-				t.Fatalf("stolen task %+v, want %+v", got, want)
-			}
-			// Victim now empty: empty-handed, not an error.
 			if _, ok, err := trs[0].Steal(1); ok || err != nil {
 				t.Fatalf("steal from empty victim: ok=%v err=%v", ok, err)
 			}
-			// Worker→worker steal routes too (through the hub on TCP).
-			hs[2].push(WireTask{Payload: []byte("w2"), Depth: 1})
+			// Worker→worker: routed through the hub on a star.
+			hs[2].push(WireTask{Payload: []byte("w2"), Depth: 1, Prio: 3})
 			got, ok, err = trs[1].Steal(2)
-			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("w2")) {
-				t.Fatalf("worker-to-worker steal: %+v ok=%v err=%v", got, ok, err)
+			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("w2")) || got.Prio != 3 {
+				t.Fatalf("worker-to-worker steal: %+v ok=%v err=%v, want w2 at Prio 3", got, ok, err)
+			}
+
+			// Batch extras: stock the victim beyond one task; every task
+			// the thief receives — handed over or adopted via OnTask —
+			// keeps its own priority. (The loopback transport serves one
+			// task per steal; the assertions below still hold trivially.)
+			prios := map[string]int{"b0": 5, "b1": 2, "b2": 9}
+			for name, p := range prios {
+				hs[1].push(WireTask{Payload: []byte(name), Depth: 2, Prio: p})
+			}
+			seen := map[string]int{}
+			for len(seen) < len(prios) {
+				wt, ok, err := trs[0].Steal(1)
+				if err != nil {
+					t.Fatalf("batch steal: %v", err)
+				}
+				if ok {
+					seen[string(wt.Payload)] = wt.Prio
+				}
+				hs[0].mu.Lock()
+				for _, a := range hs[0].adopted {
+					seen[string(a.Payload)] = a.Prio
+				}
+				hs[0].mu.Unlock()
+			}
+			for name, p := range prios {
+				if seen[name] != p {
+					t.Fatalf("task %s arrived with prio %d, want %d (seen: %v)", name, seen[name], p, seen)
+				}
 			}
 		})
 	}
@@ -360,51 +388,51 @@ func TestConformanceSplitSteal(t *testing.T) {
 	}
 }
 
+// Bounds published from every rank at once, while steal replies carry
+// piggybacked bounds out of order with the broadcasts (routed through the
+// hub on a star): every rank learns the strongest bound any peer
+// published, none hears one beyond it, and the merge (monotonic max)
+// absorbs the disorder — the running max never regresses.
 func TestConformanceBoundBroadcastMonotonic(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
-			// Every rank broadcasts an interleaved ascending sequence.
 			var wg sync.WaitGroup
 			for r, tr := range trs {
 				wg.Add(1)
-				go func(r int, tr Transport) {
+				go func() {
 					defer wg.Done()
 					for i := 1; i <= 50; i++ {
 						tr.BroadcastBound(int64(100*i+r), nil)
 					}
-				}(r, tr)
+				}()
 			}
-			wg.Wait()
-			// Eventually every rank has learned the strongest bound any
-			// peer published (its own strongest is 100*50+r, published
-			// by construction; peers' maxima are 5000+other).
-			for r := range trs {
-				r := r
-				want := int64(0)
-				for o := range trs {
-					if o != r && int64(5000+o) > want {
-						want = int64(5000 + o)
-					}
+			wg.Add(1)
+			go func() { // steal traffic rank 2 → rank 1, interleaved
+				defer wg.Done()
+				for i := 0; i < 60; i++ {
+					hs[1].push(WireTask{Payload: []byte("t"), Depth: i, Bound: int64(i)})
+					trs[2].Steal(1)
 				}
+			}()
+			wg.Wait()
+			// A rank's own strongest is 5000+r; its peers' are 5000+other.
+			for r := range trs {
+				want := int64(5002 - r/2)
 				eventually(t, fmt.Sprintf("%s rank %d to learn max bound", h.name, r), func() bool {
 					return hs[r].boundMax.Load() >= want
 				})
 			}
-			// The merge discipline (monotonic max) absorbs reordered
-			// deliveries: the running max never regresses.
 			for r := range trs {
 				hs[r].mu.Lock()
-				max := int64(-1 << 62)
+				top := int64(-1 << 62)
 				for _, b := range hs[r].bounds {
-					if b > max {
-						max = b
-					}
+					top = max(top, b)
 				}
 				hs[r].mu.Unlock()
-				if got := hs[r].boundMax.Load(); got != max {
-					t.Errorf("rank %d merged max %d != delivered max %d", r, got, max)
+				if got := hs[r].boundMax.Load(); got != top || top > 5002 {
+					t.Errorf("rank %d merged max %d, delivered max %d, published max 5002", r, got, top)
 				}
 			}
 		})
@@ -423,8 +451,17 @@ func TestConformanceCancelPropagates(t *testing.T) {
 	}
 }
 
+// The terminal gather: a share leaves a rank only after Done — a worker
+// that gathers mid-search sends nothing and does not return until the
+// search ends — and the coordinator then collects every rank's share in
+// its slot, while the others get none. On the star, the mesh, and both
+// with a standby; in process there is nothing to gather, and Gather errs.
 func TestConformanceGather(t *testing.T) {
-	for _, h := range harnesses() {
+	hs := harnesses()
+	for _, h := range wires(WireOptions{Standby: true}) {
+		hs = append(hs, harness{"standby-" + h.name, h.make})
+	}
+	for _, h := range hs {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			startAll(trs)
@@ -436,51 +473,6 @@ func TestConformanceGather(t *testing.T) {
 				}
 				return
 			}
-			trs[0].AddTasks(1)
-			trs[0].AddTasks(-1) // the search ends, and each Gather waits for it
-			var got [][]byte
-			var wg sync.WaitGroup
-			for r, tr := range trs {
-				wg.Add(1)
-				go func(r int, tr Transport) {
-					defer wg.Done()
-					blobs, err := tr.Gather([]byte{byte(r + 1)})
-					if err != nil {
-						t.Errorf("rank %d gather: %v", r, err)
-					}
-					if r == 0 {
-						got = blobs
-					} else if blobs != nil {
-						t.Errorf("rank %d gather returned blobs", r)
-					}
-				}(r, tr)
-			}
-			wg.Wait()
-			if len(got) != 3 {
-				t.Fatalf("gathered %d blobs, want 3", len(got))
-			}
-			for r, b := range got {
-				if len(b) != 1 || b[0] != byte(r+1) {
-					t.Errorf("rank %d slot = %v", r, b)
-				}
-			}
-		})
-	}
-}
-
-// A share leaves a rank only after Done: a worker that gathers
-// mid-search sends nothing and does not return until the search ends,
-// when its share reaches the coordinator. On the star, the mesh, and
-// both with a standby.
-func TestConformanceGatherWaitsForDone(t *testing.T) {
-	hs := wires(WireOptions{})
-	for _, h := range replicaHarnesses() {
-		hs = append(hs, harness{"standby-" + h.name, h.make})
-	}
-	for _, h := range hs {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			startAll(trs)
 			trs[1].AddTasks(1)
 			sent := make(chan error, 1)
 			go func() { _, err := trs[2].Gather([]byte{3}); sent <- err }()
@@ -501,72 +493,16 @@ func TestConformanceGatherWaitsForDone(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("rank 2's gather still waits after the search ended")
 			}
-			if _, err := trs[1].Gather([]byte{2}); err != nil {
-				t.Fatalf("rank 1 gather: %v", err)
+			if blobs, err := trs[1].Gather([]byte{2}); err != nil || blobs != nil {
+				t.Fatalf("rank 1 gather: %q, %v", blobs, err)
 			}
-			if got, err := trs[0].Gather([]byte{1}); err != nil || len(got) != 3 || string(got[2]) != "\x03" {
-				t.Fatalf("gathered %q (error %v), want rank 2's share in slot 2", got, err)
+			got, err := trs[0].Gather([]byte{1})
+			if err != nil || len(got) != 3 {
+				t.Fatalf("gathered %q (error %v), want 3 shares", got, err)
 			}
-		})
-	}
-}
-
-// Task priorities must survive the wire round trip exactly: an ordered
-// distributed search re-enqueues a stolen task at the priority it left
-// its victim with, so a transport that zeroes or reorders Prio silently
-// destroys the global search order (this is the v2 → v3 frame change).
-// Covers the direct reply, the routed worker→worker reply, and batch
-// extras re-homed through OnTask.
-func TestConformancePriorityRoundTrip(t *testing.T) {
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			hs := startAll(trs)
-			want := WireTask{Payload: []byte("ordered"), Depth: 4, Prio: 7, Bound: 17}
-			hs[1].push(want)
-
-			got, ok, err := trs[0].Steal(1)
-			if err != nil || !ok {
-				t.Fatalf("steal: ok=%v err=%v", ok, err)
-			}
-			if got.Prio != want.Prio || got.Depth != want.Depth || got.Bound != want.Bound {
-				t.Fatalf("stolen task %+v, want %+v", got, want)
-			}
-
-			// Worker→worker: the reply is routed through the hub on TCP
-			// and must arrive with the priority intact.
-			hs[2].push(WireTask{Payload: []byte("w2"), Depth: 1, Prio: 3})
-			got, ok, err = trs[1].Steal(2)
-			if err != nil || !ok || got.Prio != 3 {
-				t.Fatalf("worker-to-worker steal: %+v ok=%v err=%v, want Prio 3", got, ok, err)
-			}
-
-			// Batch extras: stock the victim beyond one task; every task
-			// the thief receives — handed over or adopted via OnTask —
-			// keeps its own priority. (The loopback transport serves one
-			// task per steal; the assertions below still hold trivially.)
-			prios := map[string]int{"b0": 5, "b1": 2, "b2": 9}
-			for name, p := range prios {
-				hs[1].push(WireTask{Payload: []byte(name), Depth: 2, Prio: p})
-			}
-			seen := map[string]int{}
-			for len(seen) < len(prios) {
-				wt, ok, err := trs[0].Steal(1)
-				if err != nil {
-					t.Fatalf("batch steal: %v", err)
-				}
-				if ok {
-					seen[string(wt.Payload)] = wt.Prio
-				}
-				hs[0].mu.Lock()
-				for _, a := range hs[0].adopted {
-					seen[string(a.Payload)] = a.Prio
-				}
-				hs[0].mu.Unlock()
-			}
-			for name, p := range prios {
-				if seen[name] != p {
-					t.Fatalf("task %s arrived with prio %d, want %d (seen: %v)", name, seen[name], p, seen)
+			for r, b := range got {
+				if len(b) != 1 || b[0] != byte(r+1) {
+					t.Errorf("rank %d slot = %v", r, b)
 				}
 			}
 		})
@@ -662,59 +598,42 @@ func awaitDeath(t *testing.T, tr Transport, rank int) {
 	}
 }
 
-// A death mid-search, from the survivors' side of the wire: each hears
-// of it, nothing leaves the corpse once its Close began (an ack it
-// buffered, with a flush quantum no case outlives, and a bound it
-// publishes after Close), steals aimed at it fail fast instead of
-// hanging the thief, it steals nothing, and steals and bounds still flow
-// between survivors. (That the search then ends, exactly, is the
-// harness rows'.) On loopback the closed locality is only detached:
-// nobody hears of it, and the rest holds.
-func TestConformanceWorkerDeathMidSearch(t *testing.T) {
-	for _, h := range append(loopbacks(), wires(WireOptions{FlushQuantum: time.Hour})...) {
+// A loopback locality's Close only detaches it: nobody hears of a death,
+// takes the role or the root over, or retains a node, and live work holds
+// the search open; nothing is stolen from or by a closed locality, and
+// steals and bounds still flow between the rest.
+func TestLoopbackCloseDetaches(t *testing.T) {
+	for _, h := range loopbacks() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 4)
 			hs := startAll(trs)
-			trs[0].AddTasks(1) // the survivors' live work
-			trs[2].Ack(0, TaskID(0, 9))
-			trs[2].Close() // a death: the hub sees the broken connection
-			trs[2].BroadcastBound(55, []byte("corpse"))
-			for _, r := range []int{0, 1, 3} {
-				if !strings.HasPrefix(h.name, "loopback") {
-					awaitDeath(t, trs[r], 2)
-					if hs[r].boundMax.Load() == 55 || len(hs[r].acked()) > 0 {
-						t.Errorf("rank %d heard rank 2 after its Close: bound %d, acks %v", r, hs[r].boundMax.Load(), hs[r].acked())
-					}
-				} else if len(hs[r].heard()) > 0 {
-					t.Errorf("rank %d heard of a death in process", r)
-				}
-			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				if _, ok, _ := trs[0].Steal(2); ok {
-					t.Error("coordinator stole from a dead locality")
-				}
-				if _, ok, _ := trs[1].Steal(2); ok {
-					t.Error("worker stole from a dead locality")
-				}
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("steal from dead locality hung")
-			}
-			// The corpse's zombie worker has no handler left to adopt a
-			// run with and must not be handed one.
+			trs[1].AddTasks(1)
+			trs[2].BroadcastBound(30, []byte("node-30"))
+			trs[0].Close()
+			trs[2].Close()
 			hs[3].push(WireTask{Payload: []byte("alive"), Depth: 2})
+			if _, ok, _ := trs[1].Steal(2); ok {
+				t.Error("rank 1 stole from a closed locality")
+			}
 			if _, ok, _ := trs[2].Steal(3); ok {
-				t.Error("a dead locality stole from a survivor")
+				t.Error("a closed locality stole from rank 3")
 			}
 			if _, ok, err := trs[1].Steal(3); !ok || err != nil {
-				t.Fatalf("steal between survivors: ok=%v err=%v", ok, err)
+				t.Fatalf("steal between open localities: ok=%v err=%v", ok, err)
 			}
 			trs[1].BroadcastBound(77, nil)
-			eventually(t, "bound to reach surviving rank 3", func() bool { return hs[3].boundMax.Load() == 77 })
+			eventually(t, "bound to reach rank 3", func() bool { return hs[3].boundMax.Load() == 77 })
+			for _, r := range []int{1, 3} {
+				_, _, took := trs[r].Root()
+				if _, _, kept := trs[r].BestKnown(); len(hs[r].heard()) > 0 || trs[r].Promoted() || took || kept {
+					t.Errorf("rank %d: a death, a promotion, the root or a node taken over in process", r)
+				}
+			}
+			select {
+			case <-trs[1].Done():
+				t.Fatal("closing localities ended a search with live work")
+			default:
+			}
 		})
 	}
 }
@@ -747,14 +666,17 @@ func TestConformanceAckRoundTrip(t *testing.T) {
 	}
 }
 
-// Death during a pending steal: the thief must be released empty-handed
-// promptly (the reply can never come), not after the full steal
-// timeout, and certainly not hang.
+// A death mid-search, from the survivors' side: a thief whose steal is
+// pending on the dying victim is released empty-handed promptly (the reply
+// can never come), not after the steal timeout; and a Close before Done is
+// a crash, so nothing leaves the corpse once its Close began — not an ack
+// it buffered (the flush quantum is an hour), nor a cancel or a bound it
+// sends while its links are still being torn down.
 func TestConformanceDeathDuringSteal(t *testing.T) {
 	old := stealTimeout
 	stealTimeout = 20 * time.Second
 	defer func() { stealTimeout = old }()
-	for _, h := range wires(WireOptions{}) {
+	for _, h := range wires(WireOptions{FlushQuantum: time.Hour}) {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
@@ -767,7 +689,13 @@ func TestConformanceDeathDuringSteal(t *testing.T) {
 				res <- ok
 			}()
 			time.Sleep(100 * time.Millisecond) // let the request reach the victim
-			trs[2].Close()
+			trs[2].Ack(0, TaskID(0, 9))
+			go trs[2].Close()
+			for !trs[2].(*endpoint).closed.Load() {
+				runtime.Gosched()
+			}
+			trs[2].Cancel(5, nil)
+			trs[2].BroadcastBound(55, []byte("corpse"))
 			select {
 			case ok := <-res:
 				if ok {
@@ -776,90 +704,11 @@ func TestConformanceDeathDuringSteal(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("thief not released when its victim died")
 			}
-		})
-	}
-}
-
-// The incumbent retention: a node-carrying bound broadcast (or a
-// decision cancel's witness) survives at rank 0 even after its finder
-// dies — the mechanism that keeps a SIGKILLed worker's optimum in the
-// final answer. A loopback network retains nothing: a single process's
-// localities share the incumbent, which its engine keeps.
-func TestConformanceIncumbentRetention(t *testing.T) {
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			hs := startAll(trs)
-			store := trs[0]
-			if _, _, ok := store.BestKnown(); ok {
-				t.Fatal("retention non-empty before any broadcast")
-			}
-			trs[1].BroadcastBound(10, []byte("node-10"))
-			trs[2].BroadcastBound(30, []byte("node-30"))
-			trs[1].BroadcastBound(20, []byte("node-20")) // weaker: must not displace
-			trs[1].BroadcastBound(40, nil)               // bound-only: nothing to retain
-			if strings.HasPrefix(h.name, "loopback") {
-				eventually(t, "the bounds to reach rank 0", func() bool { return hs[0].boundMax.Load() == 40 })
-				if obj, node, ok := store.BestKnown(); ok {
-					t.Fatalf("retained %d %q in process", obj, node)
+			for r := range 2 {
+				awaitDeath(t, trs[r], 2)
+				if hs[r].cancelled.Load() != 0 || hs[r].boundMax.Load() == 55 || len(hs[r].acked()) > 0 {
+					t.Errorf("rank %d heard rank 2 after its Close: a cancel %v, bound %d, acks %v", r, hs[r].cancelled.Load() != 0, hs[r].boundMax.Load(), hs[r].acked())
 				}
-				return
-			}
-			eventually(t, "rank 0 to retain the best node-carrying pair", func() bool {
-				obj, node, ok := store.BestKnown()
-				return ok && obj == 30 && string(node) == "node-30"
-			})
-			trs[2].Close() // the finder dies; its node must survive
-			obj, node, ok := store.BestKnown()
-			if !ok || obj != 30 || string(node) != "node-30" {
-				t.Fatalf("retention lost after finder death: %d %q %v", obj, node, ok)
-			}
-		})
-	}
-}
-
-// Bound piggybacks arrive out of order with respect to the broadcast
-// stream (they ride on steal replies routed through the hub). The
-// receivers' monotonic merge must absorb the disorder: every rank
-// converges on the global maximum and never sees a value beyond it.
-func TestConformanceBoundPiggybackOutOfOrder(t *testing.T) {
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			hs := startAll(trs)
-			const maxBound = 300
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() { // broadcaster: ascending bounds from rank 1
-				defer wg.Done()
-				for i := 1; i <= maxBound; i++ {
-					trs[1].BroadcastBound(int64(i), nil)
-				}
-			}()
-			go func() { // steal traffic rank 2 → rank 1, interleaved
-				defer wg.Done()
-				for i := 0; i < 60; i++ {
-					hs[1].push(WireTask{Payload: []byte("t"), Depth: i, Bound: int64(i)})
-					trs[2].Steal(1)
-				}
-			}()
-			wg.Wait()
-			for r := range trs {
-				if r == 1 {
-					continue // the broadcaster does not hear itself
-				}
-				eventually(t, fmt.Sprintf("%s rank %d to converge on the max bound", h.name, r), func() bool {
-					return hs[r].boundMax.Load() >= maxBound
-				})
-			}
-			for r := range trs {
-				hs[r].mu.Lock()
-				for _, b := range hs[r].bounds {
-					if b > maxBound {
-						t.Errorf("rank %d delivered bound %d beyond the published max %d", r, b, maxBound)
-					}
-				}
-				hs[r].mu.Unlock()
 			}
 		})
 	}

@@ -293,6 +293,36 @@ func TestWaveSurvivesInitiatorDeath(t *testing.T) {
 	m.drainAll(rng)
 }
 
+// An unsupervised hand-over (ID 0, which the contract allows): the victim
+// releases its registration as the task leaves, so only the receiver's
+// colour keeps a round from summing past it. Rank 2 holds the token and
+// two tasks; one goes to rank 0, which launched the round, and on to rank
+// 1, which the token has passed; rank 2 then drains and forwards a token
+// that sums to zero while rank 1 holds the task.
+func TestWaveUnsupervisedHandOver(t *testing.T) {
+	m := newWaveModel(t, 3)
+	w := m.nodes
+	w[2].add(2)
+	for held := false; !held; m.settle(time.Millisecond) {
+		w[2].mu.Lock()
+		held = w[2].held != nil
+		w[2].mu.Unlock()
+	}
+	for _, hop := range [][2]int{{2, 0}, {0, 1}} {
+		w[hop[0]].add(-1)
+		w[hop[1]].blacken()
+		w[hop[1]].add(1)
+	}
+	w[2].add(-1)
+	if m.settle(50 * time.Millisecond) {
+		t.Fatal("the wave concluded with rank 1 holding the task")
+	}
+	w[1].add(-1)
+	if !m.settle(5 * time.Second) {
+		t.Fatal("the wave never concluded after the drain")
+	}
+}
+
 // TestWaveNeverActiveStaysOpen pins the ever-active guard: a
 // deployment where nothing is ever spawned must not conclude — an
 // empty search hasn't happened yet, it simply hasn't started.
