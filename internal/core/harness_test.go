@@ -552,7 +552,7 @@ func TestStandbyCoordinatorDiesMidSearch(t *testing.T) {
 		late := func(from int) scenario {
 			sc := killed
 			sc.net = dist.NewFaultPlan(1)
-			sc.net.SetLink(from, 1, dist.LinkFault{Latency: 100 * time.Millisecond})
+			sc.net.SetLink(from, 1, dist.LinkFault{Latency: 50 * time.Millisecond})
 			return sc
 		}
 		mourned, three := killed, killed
