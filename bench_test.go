@@ -211,7 +211,7 @@ func BenchmarkBackToBackSolves(b *testing.B) {
 
 // BenchmarkDistBackToBackSolves is BenchmarkBackToBackSolves for the
 // bench command's wire-heavy workload: the same UTS tree under Budget
-// b=10000 on a two-rank TCP star over 127.0.0.1, one worker a rank, a
+// b=10000 on a two-rank TCP deployment over 127.0.0.1, one worker a rank, a
 // fresh deployment per solve as the bench command makes one, about
 // eleven thousand steals a solve. Run with -benchtime 5x: B/op and
 // allocs/op are what one solve — both ranks, deployment included —
@@ -483,50 +483,22 @@ type pureCoordinator struct{ dist.Transport }
 func (pureCoordinator) Standby() bool { return true }
 
 // ------------------------------------------------------------------
-// Scale-out topology (Figure 4, revisited over real TCP): the deployment
-// under the star topology (every steal crosses the hub) and the mesh
-// topology (steals flow worker-to-worker, the hub keeps only
-// registration, incumbents and aggregation). coordframes/op counts the
-// frames the coordinator endpoint sent+received per solve — the star's
-// scaling bottleneck, and the number the mesh exists to shrink.
+// Scale-out (Figure 4, revisited over real TCP). coordframes/op counts
+// the frames the coordinator endpoint sent+received per solve; steals
+// flow worker-to-worker and never cross it (the dist package's
+// TestMeshDirectStealConservation holds that).
 
-// BenchmarkGateMeshCoordFrames holds the point of the mesh: over four
-// solves each, it moves at most 0.75x the frames the star moves through
-// the coordinator (the mesh's acceptance criterion of 25 % fewer). A
-// count, not a time, so one reading decides: it moves with the number
-// of steals a solve happens to need, not with the host, and ten readings
-// lay between 0.30x and 0.47x.
-func BenchmarkGateMeshCoordFrames(b *testing.B) {
-	g, want := deployInstance()
-	frames := func(topo string) (sum float64) {
-		for i := 0; i < 4; i++ {
-			sum += solveDeployed(b, g, want, dist.WireOptions{Topology: topo}, core.Config{MaxFailures: -1}, false, nil).coordFrames
-		}
-		return sum / 4
-	}
-	star, mesh := frames(dist.TopologyStar), frames(dist.TopologyMesh)
-	b.ReportMetric(star, "star-coordframes/op")
-	b.ReportMetric(mesh, "mesh-coordframes/op")
-	if mesh > 0.75*star {
-		b.Fatalf("mesh moved %.0f frames through the coordinator, the star %.0f: %.2fx, want at most 0.75x", mesh, star, mesh/star)
-	}
-}
-
-// BenchmarkScaleoutDeath severs a worker's transport mid-search in
-// either topology; replay must still deliver the exact optimum at
-// rank 0. Informational: what a death costs in coordinator frames.
+// BenchmarkScaleoutDeath severs a worker's transport mid-search; replay
+// must still deliver the exact optimum at rank 0. Informational: what a
+// death costs in coordinator frames.
 func BenchmarkScaleoutDeath(b *testing.B) {
 	g, want := deployInstance()
-	for _, topo := range []string{dist.TopologyStar, dist.TopologyMesh} {
-		b.Run(topo, func(b *testing.B) {
-			var frames float64
-			for i := 0; i < b.N; i++ {
-				frames += solveDeployed(b, g, want, dist.WireOptions{Topology: topo}, core.Config{MaxFailures: -1}, false,
-					func(trs []dist.Transport) { trs[2].Close() }).coordFrames
-			}
-			b.ReportMetric(frames/float64(b.N), "coordframes/op")
-		})
+	var frames float64
+	for i := 0; i < b.N; i++ {
+		frames += solveDeployed(b, g, want, dist.WireOptions{}, core.Config{MaxFailures: -1}, false,
+			func(trs []dist.Transport) { trs[2].Close() }).coordFrames
 	}
+	b.ReportMetric(frames/float64(b.N), "coordframes/op")
 }
 
 // ------------------------------------------------------------------

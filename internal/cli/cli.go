@@ -72,7 +72,6 @@ type Options struct {
 	DistWorkers int
 	MaxFailures int
 	RegTimeout  time.Duration
-	Topology    string
 	Standby     bool
 	LinkGrace   time.Duration
 }
@@ -120,7 +119,6 @@ func ParseArgs(args []string) (*Options, error) {
 	fs.IntVar(&o.DistWorkers, "dist-workers", 2, "coordinator: worker processes to wait for")
 	fs.IntVar(&o.MaxFailures, "max-failures", -1, "dist: worker deaths tolerated before the run reports an error (-1 = unlimited; deaths are always repaired by subtree replay)")
 	fs.DurationVar(&o.RegTimeout, "reg-timeout", 0, "dist coordinator: registration window before missing workers fail the deployment (0 = default)")
-	fs.StringVar(&o.Topology, "topology", "star", "dist: steal/termination topology, the same on every rank: star (hub-routed, coordinator live count) or mesh (direct peer steals, gossip bounds, termination wave); a single process ignores it")
 	fs.BoolVar(&o.Standby, "standby", false, "dist: arm coordinator failover — rank 0 runs as a pure coordinator, with no workers, and replicates its state to the lowest worker rank, which takes over and finishes the search if the coordinator dies (all ranks must agree)")
 	fs.DurationVar(&o.LinkGrace, "link-grace", 0, "dist: arm resumable links (wire protocol v8) — a broken connection is kept alive for this grace window while the dialing side reconnects and replays unacknowledged frames, so transient partitions shorter than the grace heal with zero deaths (0 = off; all ranks must agree)")
 	if err := fs.Parse(args); err != nil {
@@ -138,11 +136,6 @@ func ParseArgs(args []string) (*Options, error) {
 		inRange("link-latency", o.LinkLat, 0, math.MaxInt64),
 	); err != nil {
 		return nil, err
-	}
-	switch o.Topology {
-	case "", dist.TopologyStar, dist.TopologyMesh:
-	default:
-		return nil, fmt.Errorf("unknown topology %q (want star or mesh)", o.Topology)
 	}
 	i := slices.IndexFunc(apps, func(a app) bool { return a.name == o.App })
 	if i < 0 {

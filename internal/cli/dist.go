@@ -40,7 +40,7 @@ func (o *Options) distSpec() string {
 // the two roles differ: a worker dials, the coordinator listens and
 // waits for its workers.
 func connect(o *Options, w io.Writer) (dist.Transport, error) {
-	opts := dist.WireOptions{Topology: o.Topology, Standby: o.Standby, LinkGrace: o.LinkGrace}
+	opts := dist.WireOptions{Standby: o.Standby, LinkGrace: o.LinkGrace}
 	if o.Dist == "worker" {
 		return dist.DialOpts(o.DistAddr, o.distSpec(), opts)
 	}

@@ -82,8 +82,8 @@ type Config struct {
 	// transport): without one, every worker's call errs (its gather finds no
 	// coordinator) and no rank returns the answer, whatever the budget.
 	MaxFailures int
-	// Deprecated: ignored. A deployment's topology is its transport's
-	// (dist.WireOptions.Topology); a single process's localities count.
+	// Deprecated: ignored. Every TCP deployment is a mesh, and a single
+	// process's localities share memory.
 	Topology string
 	// NetFault, if non-nil, injects deterministic network faults into
 	// the links between in-process localities (see dist.FaultPlan). It

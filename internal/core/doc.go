@@ -22,8 +22,7 @@
 // through a Codec and final result/metric aggregation at the coordinator
 // — the role HPX plays in the paper's own implementation. The engine sees
 // only the dist.Transport contract, so the same code drives the loopback
-// network and the TCP endpoint in either topology without probing for
-// capabilities.
+// network and the TCP endpoint without probing for capabilities.
 //
 // The semantics of the skeletons follows the operational model of
 // Section 3 of the paper (see the sibling package internal/semantics

@@ -22,7 +22,7 @@ import (
 // dist's: its conformance suite holds the transport contract case by
 // case, these rows whole searches over it. A scenario is one row of a
 // table: a tree, a search type, a coordination and its knobs, one to four
-// localities on a star or a wave, and what goes wrong: link latency, a
+// localities, and what goes wrong: link latency, a
 // partition that heals, localities killed. run deploys it — every rank's
 // Dist* on one in-process TCP network, so that every fault runs on the
 // one endpoint, or the single-process entry point, on loopback
@@ -308,12 +308,11 @@ var (
 	fault16  = toyTree("fault16", faultVals(16), false)
 )
 
-// db is a DepthBounded row; onWave and onStandby arm sc's wave and standby.
+// db is a DepthBounded row; onStandby arms sc's standby.
 func db(tr tree, s searchKind, ranks int, cfg Config, kills ...kill) scenario {
 	return scenario{tree: tr, search: s, coord: DepthBounded, ranks: ranks, cfg: cfg, kills: kills}
 }
 
-func onWave(sc scenario) scenario    { sc.wave = true; return sc }
 func onStandby(sc scenario) scenario { sc.standby = true; return sc }
 
 // rows runs a test's rows, each a subtest named by its place when there are
@@ -331,7 +330,7 @@ func rows(t *testing.T, scs ...scenario) {
 			continue
 		}
 		one := sc
-		one.name, one.ranks, one.wave, one.standby, one.kills = path.Join(sc.name, "loopback"), 0, false, false, nil
+		one.name, one.ranks, one.standby, one.kills = path.Join(sc.name, "loopback"), 0, false, nil
 		one.cfg.Localities, one.cfg.Workers = sc.ranks, cmp.Or(sc.cfg.Workers, runtime.GOMAXPROCS(0))*sc.ranks
 		one.check(t)
 		sc.name = path.Join(sc.name, "tcp")
@@ -372,9 +371,6 @@ func TestDistOptRejectsUnsupportedCoordination(t *testing.T) {
 func TestDistOptSurvivesWorkerDeath(t *testing.T) {
 	rows(t, db(fault, optimise, 4, tolerant, kill{rank: 2}))
 }
-func TestDistOptMeshSurvivesWorkerDeath(t *testing.T) {
-	rows(t, onWave(db(fault, optimise, 4, tolerant, kill{rank: 2})))
-}
 func TestDistOptSurvivesDoubleDeath(t *testing.T) {
 	rows(t, db(fault, optimise, 4, tolerant, kill{rank: 1}, kill{rank: 3}))
 }
@@ -383,7 +379,7 @@ func TestDistOptMaxFailuresPolicy(t *testing.T) {
 		db(fault, optimise, 3, Config{Workers: 2, DCutoff: 3, MaxFailures: 1}, kill{rank: 2}))
 }
 func TestDistEnumSurvivesWorkerDeath(t *testing.T) {
-	rows(t, db(fault, enumerate, 3, tolerant, kill{rank: 2}), onWave(db(fault, enumerate, 4, tolerant, kill{rank: 1}, kill{rank: 3})))
+	rows(t, db(fault, enumerate, 3, tolerant, kill{rank: 2}), db(fault, enumerate, 4, tolerant, kill{rank: 1}, kill{rank: 3}))
 }
 
 // A standby coordinator killed once a worker holds work; and, with rank 0's
@@ -401,10 +397,6 @@ func TestDistOptSurvivesCoordinatorDeath(t *testing.T) {
 	slow.net = dist.NewFaultPlan(1)
 	slow.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
 	rows(t, held, slow, enumTwin(held), enumTwin(slow))
-}
-func TestDistOptMeshSurvivesCoordinatorDeath(t *testing.T) {
-	sc := onWave(onStandby(db(fault, optimise, 4, tolerant, kill{rank: 0, by: []int{1, 2, 3}})))
-	rows(t, sc, enumTwin(sc))
 }
 
 // A zero Config on a standby deployment: the engine asks its transport,
@@ -478,7 +470,7 @@ func TestDistDecideSurvivesWorkerDeath(t *testing.T) {
 	budget.coord = Budget
 	rows(t, row(toy12, 20, 3, Config{Workers: 2, DCutoff: 2, MaxFailures: -1}, 2),
 		row(toy12, 20, 4, Config{Workers: 1, MaxFailures: -1}, 3),
-		onWave(row(fault16, opt16, 4, tolerant, 2)), budget,
+		row(fault16, opt16, 4, tolerant, 2), budget,
 		row(fault16, opt16+1, 4, tolerant, 2))
 }
 
@@ -497,23 +489,21 @@ func TestPartitionHealsWithoutDeath(t *testing.T) {
 }
 
 // A standby coordinator killed as it registers the root, before anyone
-// holds it, on a star and a wave.
+// holds it.
 func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
 	var scs []scenario
 	for ranks := 2; ranks <= 4; ranks++ {
-		sc := onStandby(db(fault16, optimise, ranks, tolerant, kill{rank: 0}))
-		scs = append(scs, sc, onWave(sc))
+		scs = append(scs, onStandby(db(fault16, optimise, ranks, tolerant, kill{rank: 0})))
 	}
 	rows(t, scs...)
 }
 
 // A standby coordinator and then the worker holding the root killed at
-// another's first work, on a star and a wave: slow links from rank 0 leave
-// the root to rank 2, and rank 1, the successor, first works from it.
-// With the root's supervisor and holder gone, rank 1 searches the whole
-// tree again. On TCP it found two more: a delta the flush tick could not
-// send while rank 1 took the count over was stranded, and a node sent to
-// rank 0 alone died with it while the rejoin's stamp spread its bound.
+// another's first work: slow links from rank 0 leave the root to rank 2,
+// and rank 1, the successor, first works from it. With the root's
+// supervisor and holder gone, rank 1 searches the whole tree again. On
+// TCP it found a node sent to rank 0 alone that died with it while its
+// bound spread.
 func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 	sc := onStandby(db(toyTree("fault20", faultVals(20), false), optimise, 4, tolerant, kill{rank: 0, by: []int{1}}, kill{rank: 2, by: []int{1}}))
 	sc.net = dist.NewFaultPlan(1)
@@ -524,50 +514,43 @@ func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 			t.Errorf("survivors visited %d nodes of %d: the root was not searched again", o.stats.Nodes, nodes)
 		}
 	}
-	rows(t, sc, onWave(sc), enumTwin(sc), onWave(enumTwin(sc)))
+	rows(t, sc, enumTwin(sc))
 }
 
 // A standby coordinator killed mid-search, once its snapshots name the
 // root's holder; with the link between rank 1, the successor, and rank 3
-// slowed down, so that rank 3's kRejoin lands after rank 1 has bounds to
-// fan out, or rank 2, whose node found while its kRejoin is on its way
-// must still reach the role; after a worker, whose death and gather slot
-// rank 1 must hold when it takes the role over; and on three ranks. Each
-// on a star and a wave, optimising and enumerating. Every kill lands; on a
-// wave no ack crosses rank 0, so rank 0's death alone, once a snapshot has
-// named the root's holder, replays nothing: every node is visited once.
+// slowed down, so that rank 3's hand-over and traffic land after rank 1
+// holds the role, or rank 2, whose node found while it is on its way must
+// still reach the role; after a worker, whose death and gather slot rank 1
+// must hold when it takes the role over; and on three ranks. Each
+// optimising and enumerating. Every kill lands; no ack crosses rank 0, so
+// rank 0's death alone, once a snapshot has named the root's holder,
+// replays nothing: every node is visited once.
 func TestStandbyCoordinatorDiesMidSearch(t *testing.T) {
+	// Rank 0 dies late enough, even under -race, for a snapshot to name the
+	// root's holder; a slowed link can delay the hand-over past that, so the
+	// node count is held on unslowed rows alone.
+	rank0 := kill{rank: 0, after: 100 * time.Millisecond, by: []int{1, 2, 3}}
+	killed := onStandby(db(fault, optimise, 4, tolerant, rank0))
+	late := func(from int) scenario {
+		sc := killed
+		sc.net = dist.NewFaultPlan(1)
+		sc.net.SetLink(from, 1, dist.LinkFault{Latency: 50 * time.Millisecond})
+		return sc
+	}
+	mourned, three := killed, killed
+	mourned.kills, three.ranks = []kill{{rank: 3}, rank0}, 3
 	var scs []scenario
-	for _, topology := range []string{"star", "wave"} {
-		wave := topology == "wave"
-		// On a wave rank 0 dies late enough, even under -race, for a snapshot
-		// to name the root's holder; a slowed link can delay the hand-over
-		// past that, so the node count is held on unslowed rows alone.
-		rank0 := kill{rank: 0, after: 20 * time.Millisecond, by: []int{1, 2, 3}}
-		if wave {
-			rank0.after = 100 * time.Millisecond
-		}
-		killed := onStandby(db(fault, optimise, 4, tolerant, rank0))
-		killed.wave = wave
-		late := func(from int) scenario {
-			sc := killed
-			sc.net = dist.NewFaultPlan(1)
-			sc.net.SetLink(from, 1, dist.LinkFault{Latency: 50 * time.Millisecond})
-			return sc
-		}
-		mourned, three := killed, killed
-		mourned.kills, three.ranks = []kill{{rank: 3}, rank0}, 3
-		for i, base := range []scenario{killed, late(3), late(2), mourned, three} {
-			for _, sc := range []scenario{base, enumTwin(base)} {
-				sc.name = fmt.Sprintf("%s/%s/%v", [...]string{"killed", "late-rejoin", "late-publisher", "mourned", "three-ranks"}[i], topology, sc.search)
-				sc.extra = func(t *testing.T, o outcome) {
-					_, nodes := sc.tree.truth(sc.search)
-					if strings.HasSuffix(t.Name(), "/tcp") && (o.stats.Deaths != int64(len(sc.kills)) || wave && sc.net == nil && len(sc.kills) == 1 && o.stats.Nodes != nodes) {
-						t.Errorf("%d deaths of %d kills, %d nodes visited of %d", o.stats.Deaths, len(sc.kills), o.stats.Nodes, nodes)
-					}
+	for i, base := range []scenario{killed, late(3), late(2), mourned, three} {
+		for _, sc := range []scenario{base, enumTwin(base)} {
+			sc.name = fmt.Sprintf("%s/%v", [...]string{"killed", "late-survivor", "late-publisher", "mourned", "three-ranks"}[i], sc.search)
+			sc.extra = func(t *testing.T, o outcome) {
+				_, nodes := sc.tree.truth(sc.search)
+				if strings.HasSuffix(t.Name(), "/tcp") && (o.stats.Deaths != int64(len(sc.kills)) || sc.net == nil && len(sc.kills) == 1 && o.stats.Nodes != nodes) {
+					t.Errorf("%d deaths of %d kills, %d nodes visited of %d", o.stats.Deaths, len(sc.kills), o.stats.Nodes, nodes)
 				}
-				scs = append(scs, sc)
 			}
+			scs = append(scs, sc)
 		}
 	}
 	rows(t, scs...)
@@ -578,10 +561,10 @@ func TestStandbyCoordinatorDiesMidSearch(t *testing.T) {
 // depth) and rank 0 a pure coordinator; slowed gives it draw's link
 // latency and partitions, and fell its kills: rank 0 and worker w at
 // rank 1's next work.
-func drawn(seed int64, branch, depth int, s searchKind, target int64, coord Coordination, ranks int, wave bool, cfg Config, kills ...kill) scenario {
+func drawn(seed int64, branch, depth int, s searchKind, target int64, coord Coordination, ranks int, cfg Config, kills ...kill) scenario {
 	cfg.Seed = seed
 	return scenario{name: fmt.Sprintf("seed=%d", seed), tree: semTree(seed, branch, depth), search: s, target: target,
-		coord: coord, ranks: ranks, wave: wave, standby: true, cfg: cfg, kills: kills}
+		coord: coord, ranks: ranks, standby: true, cfg: cfg, kills: kills}
 }
 
 func slowed(sc scenario, lat, jit time.Duration, parts ...dist.ChaosPartition) scenario {
@@ -602,34 +585,29 @@ const us = time.Microsecond
 // mourns the dead worker, even one whose link broke while rank 0 lived; the
 // optimum's node outlives both deaths (seeds 123, 281 and 361 under load);
 // every death is counted, even one heard of after Done; no link outlives
-// its rank's Close; a decision ends where its cancel reaches the role.
+// its rank's Close; a decision ends where its cancel reaches the role. Seed
+// 284 kills at rank 2's work: on the deleted star topology a survivor's
+// rejoin report landed split, and the search ended before it was admitted
+// (a hang).
 func TestStandbyCoordinatorAndWorkerDie(t *testing.T) {
 	rows(t,
-		drawn(46, 4, 8, decide, 999, StackStealing, 4, true, Config{Workers: 3, DCutoff: 3, Budget: 2, Order: OrderDiscrepancy, PoolBudget: 8 << 10, MaxFailures: -1}, fell(2, 400*us)...),
-		slowed(drawn(55, 3, 5, enumerate, 0, StackStealing, 4, true, Config{Workers: 1, DCutoff: 2, Budget: 16}, fell(2, 400*us)...),
+		drawn(46, 4, 8, decide, 999, StackStealing, 4, Config{Workers: 3, DCutoff: 3, Budget: 2, Order: OrderDiscrepancy, PoolBudget: 8 << 10, MaxFailures: -1}, fell(2, 400*us)...),
+		slowed(drawn(55, 3, 5, enumerate, 0, StackStealing, 4, Config{Workers: 1, DCutoff: 2, Budget: 16}, fell(2, 400*us)...),
 			44*us, 41*us, dist.ChaosPartition{Ranks: []int{1}, After: 410 * us, Dur: 2 * time.Millisecond}),
-		drawn(57, 3, 8, optimise, 0, StackStealing, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 16, Order: OrderDiscrepancy, MaxFailures: -1}, fell(2, 0)...),
-		slowed(drawn(75, 4, 5, enumerate, 0, DepthBounded, 4, true, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, Order: OrderBound, PoolBudget: 2 << 10, MaxFailures: -1}, fell(3, 0)...),
+		drawn(57, 3, 8, optimise, 0, StackStealing, 3, Config{Workers: 1, DCutoff: 4, Budget: 16, Order: OrderDiscrepancy, MaxFailures: -1}, fell(2, 0)...),
+		slowed(drawn(75, 4, 5, enumerate, 0, DepthBounded, 4, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, Order: OrderBound, PoolBudget: 2 << 10, MaxFailures: -1}, fell(3, 0)...),
 			93*us, 46*us, dist.ChaosPartition{Ranks: []int{1}, After: 627 * us, Dur: 3 * time.Millisecond}),
-		drawn(90, 4, 5, optimise, 0, StackStealing, 3, true, Config{Workers: 2, DCutoff: 1, Budget: 64, Chunked: true, Order: OrderBound}, fell(2, 0)...),
-		drawn(123, 4, 6, optimise, 0, StackStealing, 4, true, Config{Workers: 3, DCutoff: 4, Budget: 128, Order: OrderBound}, fell(3, 200*us)...),
-		drawn(182, 3, 7, optimise, 0, Budget, 3, false, Config{Workers: 2, DCutoff: 3, Budget: 2}, fell(2, 0)...),
-		slowed(drawn(185, 4, 6, optimise, 0, StackStealing, 3, true, Config{Workers: 3, DCutoff: 2, Budget: 2, Chunked: true, Order: OrderBound, PoolBudget: 8 << 10}, fell(2, 200*us)...),
+		drawn(90, 4, 5, optimise, 0, StackStealing, 3, Config{Workers: 2, DCutoff: 1, Budget: 64, Chunked: true, Order: OrderBound}, fell(2, 0)...),
+		drawn(123, 4, 6, optimise, 0, StackStealing, 4, Config{Workers: 3, DCutoff: 4, Budget: 128, Order: OrderBound}, fell(3, 200*us)...),
+		drawn(182, 3, 7, optimise, 0, Budget, 3, Config{Workers: 2, DCutoff: 3, Budget: 2}, fell(2, 0)...),
+		slowed(drawn(185, 4, 6, optimise, 0, StackStealing, 3, Config{Workers: 3, DCutoff: 2, Budget: 2, Chunked: true, Order: OrderBound, PoolBudget: 8 << 10}, fell(2, 200*us)...),
 			4*us, 33*us),
-		drawn(281, 4, 6, decide, 996, DepthBounded, 4, true, Config{Workers: 3, DCutoff: 2, Budget: 32, Order: OrderBound, PoolBudget: 8 << 10, MaxFailures: 1}, fell(2, 200*us)...),
-		slowed(drawn(352, 4, 6, enumerate, 0, Budget, 4, true, Config{Workers: 3, DCutoff: 1, Budget: 4}, fell(3, 200*us)...),
+		drawn(281, 4, 6, decide, 996, DepthBounded, 4, Config{Workers: 3, DCutoff: 2, Budget: 32, Order: OrderBound, PoolBudget: 8 << 10, MaxFailures: 1}, fell(2, 200*us)...),
+		drawn(284, 3, 6, enumerate, 0, Budget, 4, Config{Workers: 2, DCutoff: 2, Budget: 64, Chunked: true, Order: OrderBound, MaxFailures: -1},
+			kill{rank: 0, after: 200 * us, by: []int{2}}, kill{rank: 3, after: 200 * us, by: []int{2}}),
+		slowed(drawn(352, 4, 6, enumerate, 0, Budget, 4, Config{Workers: 3, DCutoff: 1, Budget: 4}, fell(3, 200*us)...),
 			72*us, 37*us, dist.ChaosPartition{Ranks: []int{1}, After: 624 * us, Dur: 2 * time.Millisecond}),
-		drawn(361, 4, 7, optimise, 0, DepthBounded, 4, true, Config{Workers: 2, DCutoff: 3, Budget: 16, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: -1}, fell(3, 400*us)...))
-}
-
-// A standby coordinator and a worker killed at a third's work: the
-// survivor's kRejoin reached the promoted rank with a finish made after
-// its report was settled, and that delta, folded ahead of the report, took
-// the held count to zero, so the search ended before the rejoiner was
-// admitted, which never heard of the end (a hang).
-func TestStandbyRejoinReportLandsWhole(t *testing.T) {
-	rows(t, drawn(284, 3, 6, enumerate, 0, Budget, 4, false, Config{Workers: 2, DCutoff: 2, Budget: 64, Chunked: true, Order: OrderBound, MaxFailures: -1},
-		kill{rank: 0, after: 200 * us, by: []int{2}}, kill{rank: 3, after: 200 * us, by: []int{2}}))
+		drawn(361, 4, 7, optimise, 0, DepthBounded, 4, Config{Workers: 2, DCutoff: 3, Budget: 16, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: -1}, fell(3, 400*us)...))
 }
 
 // A cancelled standby decision, rank 0 alive or killed, ends with Done at
@@ -637,16 +615,16 @@ func TestStandbyRejoinReportLandsWhole(t *testing.T) {
 // anything is gathered, and reports the witness that rank retained.
 func TestStandbyDecisionEndsAtItsGather(t *testing.T) {
 	rows(t,
-		drawn(28, 3, 6, decide, 988, StackStealing, 4, false, Config{Workers: 3, DCutoff: 4, Budget: 8, Chunked: true, Order: OrderBound, PoolBudget: 4 << 10, MaxFailures: -1}, kill{rank: 1}),
-		drawn(117, 3, 7, decide, 985, Budget, 4, false, Config{Workers: 1, DCutoff: 3, Budget: 32, Order: OrderDiscrepancy, MaxFailures: -1}),
-		slowed(drawn(126, 3, 5, decide, 976, DepthBounded, 4, false, Config{Workers: 3, DCutoff: 4, Budget: 1, Chunked: true, PoolBudget: 4 << 10, MaxFailures: -1}),
+		drawn(28, 3, 6, decide, 988, StackStealing, 4, Config{Workers: 3, DCutoff: 4, Budget: 8, Chunked: true, Order: OrderBound, PoolBudget: 4 << 10, MaxFailures: -1}, kill{rank: 1}),
+		drawn(117, 3, 7, decide, 985, Budget, 4, Config{Workers: 1, DCutoff: 3, Budget: 32, Order: OrderDiscrepancy, MaxFailures: -1}),
+		slowed(drawn(126, 3, 5, decide, 976, DepthBounded, 4, Config{Workers: 3, DCutoff: 4, Budget: 1, Chunked: true, PoolBudget: 4 << 10, MaxFailures: -1}),
 			49*us, 46*us),
-		drawn(197, 3, 6, decide, 992, StackStealing, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 32, Chunked: true, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: 1}, kill{rank: 0, after: 200 * us}),
-		drawn(346, 4, 6, decide, 997, StackStealing, 4, false, Config{Workers: 2, DCutoff: 2, Budget: 1, Chunked: true, MaxFailures: -1}, kill{rank: 0, after: 200 * us}),
-		drawn(459, 3, 8, decide, 999, DepthBounded, 3, false, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, MaxFailures: -1}),
-		drawn(46, 4, 8, decide, 998, DepthBounded, 4, false, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}),
-		drawn(281, 4, 6, decide, 996, DepthBounded, 4, true, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}),
-		drawn(361, 4, 7, decide, 996, StackStealing, 4, false, Config{Workers: 2, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}))
+		drawn(197, 3, 6, decide, 992, StackStealing, 3, Config{Workers: 1, DCutoff: 4, Budget: 32, Chunked: true, Order: OrderDiscrepancy, PoolBudget: 4 << 10, MaxFailures: 1}, kill{rank: 0, after: 200 * us}),
+		drawn(346, 4, 6, decide, 997, StackStealing, 4, Config{Workers: 2, DCutoff: 2, Budget: 1, Chunked: true, MaxFailures: -1}, kill{rank: 0, after: 200 * us}),
+		drawn(459, 3, 8, decide, 999, DepthBounded, 3, Config{Workers: 1, DCutoff: 4, Budget: 2, Chunked: true, MaxFailures: -1}),
+		drawn(46, 4, 8, decide, 998, DepthBounded, 4, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}),
+		drawn(281, 4, 6, decide, 996, DepthBounded, 4, Config{Workers: 2, DCutoff: 3, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}),
+		drawn(361, 4, 7, decide, 996, StackStealing, 4, Config{Workers: 2, MaxFailures: -1}, kill{rank: 0, by: []int{1, 2, 3}, cancel: true}))
 }
 
 // Replicable (Coordination's doc) finds the optimum at every cutoff.
@@ -769,8 +747,7 @@ type scenario struct {
 	coord   Coordination
 	cfg     Config
 	ranks   int  // Dist* processes on one in-process TCP network; 0 or 1: the single-process entry point
-	wave    bool // a mesh, not a star (several processes only)
-	standby bool // failover armed on the wire, rank 0 a pure coordinator (likewise)
+	standby bool // failover armed on the wire, rank 0 a pure coordinator (several processes only)
 	net     *dist.FaultPlan
 	parts   []dist.ChaosPartition
 	kills   []kill
@@ -778,8 +755,8 @@ type scenario struct {
 }
 
 func (sc scenario) String() string {
-	return fmt.Sprintf("%v %v/%v on %v, %d ranks (wave %v, standby %v), %+v, kills %v, partitions %v",
-		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.wave, sc.standby, sc.cfg, sc.kills, len(sc.parts))
+	return fmt.Sprintf("%v %v/%v on %v, %d ranks (standby %v), %+v, kills %v, partitions %v",
+		sc.search, sc.coord, sc.cfg.Order, sc.tree, sc.ranks, sc.standby, sc.cfg, sc.kills, len(sc.parts))
 }
 
 // rowDeadline is how long a row may take before it counts as a hang.
@@ -905,16 +882,13 @@ func (sc scenario) run(t *testing.T) {
 }
 
 // deployTCP connects the row's ranks over in-process TCP, indexed by the
-// rank registration gave each: the wire options are the row's topology,
-// standby and fault plan, with sessions that outlast a drawn partition,
-// and a liveness short enough that a death a promoted rank learns of only
-// when its rejoin window closes still lands well inside rowDeadline.
+// rank registration gave each: the wire options are the row's standby and
+// fault plan, with sessions that outlast a drawn partition, and a liveness
+// short enough that a death learned of only from a silent link still
+// lands well inside rowDeadline.
 func (sc scenario) deployTCP(t *testing.T) []dist.Transport {
 	opts := dist.WireOptions{Standby: sc.standby, Fault: sc.net,
 		Heartbeat: 50 * time.Millisecond, LivenessTimeout: 500 * time.Millisecond}
-	if sc.wave {
-		opts.Topology = dist.TopologyMesh
-	}
 	if len(sc.parts) > 0 {
 		opts.LinkGrace = time.Second
 	}
@@ -1022,7 +996,7 @@ func TestDrawn(t *testing.T) {
 // draw is the row seed picks: a GenTree and a search type over it (a
 // decision's target at or just above the optimum); a coordination, its
 // knobs and an order; one process of one to three in-process localities
-// (Sequential or Replicable a fifth of the time each), or two to four processes, on a star or a wave, now and then with a
+// (Sequential or Replicable a fifth of the time each), or two to four processes, now and then with a
 // standby coordinator or a pool budget; and, a third of the time each,
 // link latency with perhaps a partition that heals, and a kill schedule —
 // one or two workers dying on their next work, or a standby coordinator
@@ -1053,7 +1027,8 @@ func draw(seed int64) scenario {
 			sc.coord = Replicable
 		}
 	} else {
-		sc.wave, sc.standby = pick(2) == 0, pick(3) == 0
+		pick(2) // the deleted star-or-mesh pick, drawn so that every later draw keeps its value
+		sc.standby = pick(3) == 0
 	}
 	if pick(3) == 0 {
 		sc.net = dist.NewFaultPlan(seed)

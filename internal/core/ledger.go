@@ -183,24 +183,16 @@ func (l *ledger[N]) install(id uint64, thief int, t Task[N]) {
 	l.peak = max(l.peak, len(l.entries))
 }
 
-// reap removes every entry a dead rank was holding, and with all every
-// outstanding entry this rank minted, returning the retained tasks for
-// local re-enqueueing. The rank is marked dead before the call, so no
-// hand-over to it can be retained once reap holds the lock: a second
-// reap finds nothing. all is for the death of a coordinator that
-// RELAYED completion acks (star topology): any ack could have died
-// unrelayed in its buffers, leaving the entry — and the registration it
-// continues — outstanding forever. Replaying every such entry is the
-// only safe continuation: execution is idempotent, a replica racing the
-// original holder's completion is at worst re-explored work, and retire
-// stays a no-op for whichever ack arrives after the reap. (An installed
-// entry's ack was bound for rank 0, not relayed, and is sent again.)
-func (l *ledger[N]) reap(rank int, all bool) []Task[N] {
+// reap removes every entry a dead rank was holding, returning the
+// retained tasks for local re-enqueueing. The rank is marked dead before
+// the call, so no hand-over to it can be retained once reap holds the
+// lock: a second reap finds nothing.
+func (l *ledger[N]) reap(rank int) []Task[N] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var tasks []Task[N]
 	for id, e := range l.entries {
-		if e.thief == rank || all && dist.TaskOrigin(id) == l.rank {
+		if e.thief == rank {
 			tasks = append(tasks, e.task)
 			delete(l.entries, id)
 		}

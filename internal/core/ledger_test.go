@@ -33,11 +33,11 @@ func TestLedgerHandOverRetireReap(t *testing.T) {
 	// Reap collects exactly the dead rank's entries.
 	id3, _ := l.handOver(1, Task[int]{Node: 30, Depth: 3})
 	dead[2].Store(true) // as locality.onDeath does, before it reaps
-	tasks := l.reap(2, false)
+	tasks := l.reap(2)
 	if len(tasks) != 1 || tasks[0].Node != 20 {
 		t.Fatalf("reap(2) = %v, want the rank-2 task", tasks)
 	}
-	if tasks := l.reap(2, false); tasks != nil {
+	if tasks := l.reap(2); tasks != nil {
 		t.Fatalf("second reap returned %v", tasks)
 	}
 	// A reaped entry's ack is ignored.
@@ -69,7 +69,7 @@ func TestLedgerCapacityBackpressure(t *testing.T) {
 	if peak != 2 {
 		t.Fatalf("peak = %d, want 2", peak)
 	}
-	tasks := l.reap(1, false)
+	tasks := l.reap(1)
 	if len(tasks) != 2 {
 		t.Fatalf("reap returned %d tasks, want 2", len(tasks))
 	}
@@ -109,7 +109,7 @@ func TestAckValueCommittedOnlyByItsRetire(t *testing.T) {
 	val := tally.seal(f)
 	l.tr.AddTasks(2) // the two hand-overs' registrations
 	reaped, _ := l.led.handOver(1, Task[int]{})
-	l.led.reap(1, false)
+	l.led.reap(1)
 	retired, _ := l.led.handOver(1, Task[int]{})
 	l.OnAckValue(1, reaped, val)
 	l.OnAckValue(1, retired, val)

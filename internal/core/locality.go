@@ -314,9 +314,7 @@ func (l *locality[N]) OnDeath(rank int) {
 		l.tr.AddTasks(1)
 		l.led.install(id, holder, Task[N]{Node: f.root})
 	}
-	// A dead coordinator that relayed completion acks may have lost any
-	// ack in flight: replay everything outstanding (ledger.reap).
-	l.pool.PushBatch(l.led.reap(rank, rank == 0 && l.tr.AcksRelayed()))
+	l.pool.PushBatch(l.led.reap(rank))
 	l.backoff.reset()
 	l.park.wake()
 }

@@ -16,7 +16,7 @@ import (
 // victim locality answers by splitting the bottom of one of its
 // workers' live generator stacks (shedWalk and shed, in walk.go) and
 // exporting the node(s) through the ordinary hand-over (ledger + codec)
-// path. One implementation serves loopback, star and mesh deployments,
+// path. One implementation serves loopback and TCP deployments,
 // and gives memory-starved localities a way to pull work that was never
 // materialised as tasks.
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -37,23 +38,54 @@ func TestChaosPlanFiresAndCancels(t *testing.T) {
 // Coordinator failover's deployments are internal/core's harness rows
 // (TestStandbyCoordinatorDiesMidSearch and the TestStandby… rows beside
 // it). What stays here are the takeover steps no kill can land in: a kill
-// lands only at a registration of work or after a delay.
+// lands only at a registration of work or after a delay, and no row can
+// say which rank finds the optimum.
 
-// A rank killed inside its rejoin, its kRejoin already on the wire (rank
-// 2's way back to rank 1 is slow): the promoted rank admits it and mourns
-// it at once, as it would a SIGKILLed process, not after LivenessTimeout.
-func TestConformanceKilledInsideRejoin(t *testing.T) {
+// The incumbent rank 0 replicated outlives its finder: rank 2 finds the
+// optimum, and its node reaches rank 0 at once but rank 1, the standby,
+// only after a second; rank 2 dies, its work done, so nothing replays it,
+// and rank 0 dies too. Rank 1 holds the node only as rank 0 replicated
+// it, and the role it takes over must return it.
+func TestTakeoverKeepsTheReplicatedIncumbent(t *testing.T) {
 	plan := NewFaultPlan(1)
-	plan.SetLink(2, 1, LinkFault{Latency: 400 * time.Millisecond})
-	trs := makeTCP(t, 4, WireOptions{Standby: true, Fault: plan})
+	plan.SetLink(1, 2, LinkFault{Latency: time.Second})
+	trs := makeTCP(t, 3, WireOptions{Standby: true, Fault: plan})
 	startAll(trs)
-	trs[1].AddTasks(1)
-	trs[0].Close()
-	awaitDeath(t, trs[2], 0)           // rank 2's kRejoin leaves next, and takes 400 ms
-	time.Sleep(100 * time.Millisecond) // to arrive
+	trs[2].BroadcastBound(99, []byte("optimum"))
+	eventually(t, "rank 0's snapshot of the optimum at rank 1", func() bool {
+		s := trs[1].(*endpoint).replica.Load()
+		return s != nil && s.BestObj == 99
+	})
 	trs[2].Close()
-	awaitDeath(t, trs[1], 0)
-	awaitDeath(t, trs[1], 2)
+	trs[0].Close()
+	eventually(t, "rank 1 to take the role over", trs[1].Promoted)
+	if obj, node, ok := trs[1].BestKnown(); !ok || obj != 99 || string(node) != "optimum" {
+		t.Fatalf("rank 1 returns %d %q (%v), want the optimum 99", obj, node, ok)
+	}
+}
+
+// A survivor whose link to the promoted rank is slow still converges on
+// the bound the promoted rank holds, well inside the liveness window:
+// gossip spreads it, and no welcome has to repeat it. Rank 0's bound
+// reaches rank 1, its standby, at once, and ranks 2 and 3 only by way of
+// rank 1: rank 0's own links to them are slower than its life.
+func TestTakeoverSpreadsTheBound(t *testing.T) {
+	plan := NewFaultPlan(1)
+	plan.SetLink(0, 2, LinkFault{Latency: time.Second})
+	plan.SetLink(0, 3, LinkFault{Latency: time.Second})
+	plan.SetLink(1, 3, LinkFault{Latency: 50 * time.Millisecond})
+	trs := makeTCP(t, 4, WireOptions{Standby: true, Fault: plan, LivenessTimeout: 5 * time.Second})
+	hs := startAll(trs)
+	trs[0].BroadcastBound(77, []byte("node"))
+	eventually(t, "rank 1 to hear rank 0's bound", func() bool { return hs[1].boundMax.Load() == 77 })
+	trs[0].Close()
+	eventually(t, "rank 1 to take the role over", trs[1].Promoted)
+	for taken, r := time.Now(), 2; r < 4; r++ {
+		eventually(t, fmt.Sprintf("rank %d to hear the bound", r), func() bool { return hs[r].boundMax.Load() == 77 })
+		if took := time.Since(taken); took > time.Second {
+			t.Fatalf("the bound took %v to reach rank %d", took, r)
+		}
+	}
 }
 
 // The root's ack outlives rank 0: rank 2 acks rank 0's hand-over, rank 0
@@ -62,21 +94,17 @@ func TestConformanceKilledInsideRejoin(t *testing.T) {
 // exactly once — rank 2 kept the last ack it sent towards rank 0, and
 // hands it to the new coordinator (handOver).
 func TestConformanceRootAckReachesTheRole(t *testing.T) {
-	for _, h := range wires(WireOptions{Standby: true}) {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			hs := startAll(trs)
-			trs[1].AddTasks(1)
-			id := TaskID(0, 1)
-			trs[2].AckValue(0, id, []byte("fold"))
-			eventually(t, "rank 0 to read the ack", func() bool { return len(hs[0].acked()) == 1 })
-			trs[0].Close()
-			eventually(t, "the ack to reach rank 1's handler", func() bool { return len(hs[1].acked()) > 0 })
-			time.Sleep(50 * time.Millisecond) // many flush quanta: time for a second delivery
-			if got := hs[1].acked(); len(got) != 1 || got[0].ID != id || string(got[0].Val) != "fold" {
-				t.Fatalf("rank 1 was delivered %v, want the ack of %#x, with its value, once", got, id)
-			}
-		})
+	trs := makeTCP(t, 3, WireOptions{Standby: true})
+	hs := startAll(trs)
+	trs[1].AddTasks(1)
+	id := TaskID(0, 1)
+	trs[2].AckValue(0, id, []byte("fold"))
+	eventually(t, "rank 0 to read the ack", func() bool { return len(hs[0].acked()) == 1 })
+	trs[0].Close()
+	eventually(t, "the ack to reach rank 1's handler", func() bool { return len(hs[1].acked()) > 0 })
+	time.Sleep(50 * time.Millisecond) // many flush quanta: time for a second delivery
+	if got := hs[1].acked(); len(got) != 1 || got[0].ID != id || string(got[0].Val) != "fold" {
+		t.Fatalf("rank 1 was delivered %v, want the ack of %#x, with its value, once", got, id)
 	}
 }
 
@@ -86,36 +114,34 @@ func TestConformanceRootAckReachesTheRole(t *testing.T) {
 // name rank 2, and rank 1 takes the root over as held by nobody, which
 // its engine replays.
 func TestConformanceTakeoverWithRootInFlight(t *testing.T) {
-	for _, h := range wires(WireOptions{Standby: true}) {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 4)
-			hs := startAll(trs[:2])
-			trs[3].Start(&recHandler{})
-			trs[1].AddTasks(1)
-			hs[0].push(WireTask{Payload: []byte("root"), ID: TaskID(0, 1), Depth: 1})
-			go trs[2].Steal(0) // the reply waits, unadopted, for rank 2's Start
-			eventually(t, "rank 0 to hand the root over", func() bool {
-				hs[0].mu.Lock()
-				defer hs[0].mu.Unlock()
-				return len(hs[0].tasks) == 0
-			})
-			trs[3].BroadcastBound(7, []byte("after"))
-			e1 := trs[1].(*endpoint)
-			eventually(t, "a snapshot sent after the hand-over", func() bool {
-				s := e1.replica.Load()
-				return s != nil && s.BestObj == 7
-			})
-			if e1.replica.Load().Holder == 2 {
-				t.Fatal("rank 0 named rank 2 the root's holder before rank 2 registered it")
-			}
-			trs[0].Close()
-			awaitDeath(t, trs[1], 0)
-			if holder, _, took := trs[1].Root(); !took || holder != -1 {
-				t.Fatalf("rank 1 took the root in flight over (%v) as held by rank %d, want by none", took, holder)
-			}
-			trs[2].Start(&recHandler{})
-		})
+	trs := makeTCP(t, 4, WireOptions{Standby: true})
+	hs := startAll(trs[:2])
+	trs[3].Start(&recHandler{})
+	trs[1].AddTasks(1)
+	hs[0].push(WireTask{Payload: []byte("root"), ID: TaskID(0, 1), Depth: 1})
+	stole := make(chan struct{})
+	go func() { trs[2].Steal(0); close(stole) }() // the reply waits, unadopted, for rank 2's Start
+	eventually(t, "rank 0 to hand the root over", func() bool {
+		hs[0].mu.Lock()
+		defer hs[0].mu.Unlock()
+		return len(hs[0].tasks) == 0
+	})
+	trs[3].BroadcastBound(7, []byte("after"))
+	e1 := trs[1].(*endpoint)
+	eventually(t, "a snapshot sent after the hand-over", func() bool {
+		s := e1.replica.Load()
+		return s != nil && s.BestObj == 7
+	})
+	if e1.replica.Load().Holder == 2 {
+		t.Fatal("rank 0 named rank 2 the root's holder before rank 2 registered it")
 	}
+	trs[0].Close()
+	awaitDeath(t, trs[1], 0)
+	if holder, _, took := trs[1].Root(); !took || holder != -1 {
+		t.Fatalf("rank 1 took the root in flight over (%v) as held by rank %d, want by none", took, holder)
+	}
+	trs[2].Start(&recHandler{})
+	<-stole // the steal read stealTimeout, which a later case sets
 }
 
 // Replication costs one kHubSnap per flush quantum in which something it

@@ -15,8 +15,8 @@ import (
 // Transport conformance suite: the contract the engine relies on, case
 // by case, asserted against every implementation through a recording
 // handler — identity, steal and split replies, priorities and their
-// summaries, bounds, cancel, acks, a late reply. Four harnesses run it:
-// loopback, loopback-latency (every link delayed), tcp and tcp-mesh. The
+// summaries, bounds, cancel, acks, a late reply. Three harnesses run it:
+// loopback, loopback-latency (every link delayed) and tcp. The
 // fault contract — gather, deaths, a steal pending on a victim that dies —
 // is the TCP endpoint's alone (in-process localities never die: a closed
 // one is only detached), so its cases run on the wires. Whole deployments —
@@ -33,8 +33,7 @@ type harness struct {
 	make func(t *testing.T, n int) []Transport
 }
 
-// makeTCP builds a TCP deployment with the given wire options; the
-// harness list instantiates it for both topologies.
+// makeTCP builds a TCP deployment with the given wire options.
 func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 	l, err := NewListenerOpts("127.0.0.1:0", "conformance", opts)
 	if err != nil {
@@ -79,7 +78,7 @@ func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 	return trs
 }
 
-func harnesses() []harness { return append(loopbacks(), wires(WireOptions{})...) }
+func harnesses() []harness { return append(loopbacks(), wire("tcp", WireOptions{})) }
 
 // loopbacks are the loopback harnesses, direct and with every link
 // delayed. In-process localities never die (TestLoopbackCloseDetaches),
@@ -95,14 +94,9 @@ func loopbacks() []harness {
 	return []harness{{name: "loopback", make: loopback(nil)}, {name: "loopback-latency", make: loopback(LatencyPlan(200 * time.Microsecond))}}
 }
 
-// wires are the TCP harnesses under opts, star first: the fault contract's.
-func wires(opts WireOptions) []harness {
-	mesh := opts
-	mesh.Topology = TopologyMesh
-	return []harness{
-		{name: "tcp", make: func(t *testing.T, n int) []Transport { return makeTCP(t, n, opts) }},
-		{name: "tcp-mesh", make: func(t *testing.T, n int) []Transport { return makeTCP(t, n, mesh) }},
-	}
+// wire is a TCP harness under opts.
+func wire(name string, opts WireOptions) harness {
+	return harness{name: name, make: func(t *testing.T, n int) []Transport { return makeTCP(t, n, opts) }}
 }
 
 // recHandler records everything the transport delivers.
@@ -290,7 +284,7 @@ func TestConformanceIdentity(t *testing.T) {
 // bound, and the priority an ordered search re-enqueues it at (a
 // transport that zeroes or reorders Prio destroys the global search
 // order: the v2 → v3 frame change) — and an empty victim leaves it
-// empty-handed, not in error. So does the routed worker→worker steal, and
+// empty-handed, not in error. So does the worker→worker steal, and
 // every task of a batch, handed over or adopted through OnTask.
 func TestConformanceStealRequestReply(t *testing.T) {
 	for _, h := range harnesses() {
@@ -306,7 +300,7 @@ func TestConformanceStealRequestReply(t *testing.T) {
 			if _, ok, err := trs[0].Steal(1); ok || err != nil {
 				t.Fatalf("steal from empty victim: ok=%v err=%v", ok, err)
 			}
-			// Worker→worker: routed through the hub on a star.
+			// Worker→worker.
 			hs[2].push(WireTask{Payload: []byte("w2"), Depth: 1, Prio: 3})
 			got, ok, err = trs[1].Steal(2)
 			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("w2")) || got.Prio != 3 {
@@ -376,8 +370,7 @@ func TestConformanceSplitSteal(t *testing.T) {
 			if _, ok, err := ss.SplitSteal(1); ok || err != nil {
 				t.Fatalf("split steal from empty victim: ok=%v err=%v", ok, err)
 			}
-			// Worker→worker split routes too (hub-forwarded on the star,
-			// direct on the mesh).
+			// Worker→worker split too.
 			wss := trs[1]
 			hs[2].pushSplit(WireTask{Payload: []byte("split-b"), Depth: 7})
 			got, ok, err = wss.SplitSteal(2)
@@ -389,8 +382,7 @@ func TestConformanceSplitSteal(t *testing.T) {
 }
 
 // Bounds published from every rank at once, while steal replies carry
-// piggybacked bounds out of order with the broadcasts (routed through the
-// hub on a star): every rank learns the strongest bound any peer
+// piggybacked bounds out of order with the broadcasts: every rank learns the strongest bound any peer
 // published, none hears one beyond it, and the merge (monotonic max)
 // absorbs the disorder — the running max never regresses.
 func TestConformanceBoundBroadcastMonotonic(t *testing.T) {
@@ -454,14 +446,10 @@ func TestConformanceCancelPropagates(t *testing.T) {
 // The terminal gather: a share leaves a rank only after Done — a worker
 // that gathers mid-search sends nothing and does not return until the
 // search ends — and the coordinator then collects every rank's share in
-// its slot, while the others get none. On the star, the mesh, and both
-// with a standby; in process there is nothing to gather, and Gather errs.
+// its slot, while the others get none. With and without a standby; in
+// process there is nothing to gather, and Gather errs.
 func TestConformanceGather(t *testing.T) {
-	hs := harnesses()
-	for _, h := range wires(WireOptions{Standby: true}) {
-		hs = append(hs, harness{"standby-" + h.name, h.make})
-	}
-	for _, h := range hs {
+	for _, h := range append(harnesses(), wire("standby-tcp", WireOptions{Standby: true})) {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			startAll(trs)
@@ -511,8 +499,8 @@ func TestConformanceGather(t *testing.T) {
 
 // Best-available-priority summaries flow to peers: on the loopback
 // network PeerBestPrio is exact; over TCP it is learned from the
-// piggybacked frame headers, both at the hub (from any worker frame)
-// and at a worker (from frames routed to it).
+// piggybacked frame headers, both at the coordinator (from any worker
+// frame) and at a worker (from frames sent to it).
 func TestConformancePrioSummaries(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
@@ -528,14 +516,16 @@ func TestConformancePrioSummaries(t *testing.T) {
 				return known && p == 4
 			})
 
-			// A worker learns a peer's summary from frames routed to it:
-			// the steal reply itself refreshes rank 2's view of rank 1.
+			// A worker learns a peer's summary from frames sent to it: the
+			// steal reply that drains rank 1 itself tells rank 2 it is empty,
+			// so the thief never re-targets a victim on a summary the theft
+			// invalidated.
 			if _, ok, _ := trs[2].Steal(1); !ok {
 				t.Fatal("steal from stocked rank 1 failed")
 			}
-			eventually(t, "rank 2 to learn rank 1's summary", func() bool {
-				_, known := trs[2].PeerBestPrio(1)
-				return known
+			eventually(t, "rank 2 to learn rank 1 is empty", func() bool {
+				p, known := trs[2].PeerBestPrio(1)
+				return known && p == PrioNone
 			})
 
 			// Drained victims advertise empty (PrioNone) on later frames.
@@ -569,7 +559,7 @@ func TestTCPLateStealReplyAdopted(t *testing.T) {
 	stealTimeout = 50 * time.Millisecond
 	defer func() { stealTimeout = old }()
 
-	trs := wires(WireOptions{})[0].make(t, 3) // tcp
+	trs := makeTCP(t, 3, WireOptions{})
 	hs := startAll(trs)
 	hs[1].serveDelay = 300 * time.Millisecond
 
@@ -639,16 +629,16 @@ func TestLoopbackCloseDetaches(t *testing.T) {
 }
 
 // Completion acks round-trip: the thief's ack, and the value it carries,
-// reach the handler of the rank that minted the id — directly at the
-// hub, and routed for worker→worker supervision.
+// reach the handler of the rank that minted the id, the coordinator or
+// a worker.
 func TestConformanceAckRoundTrip(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			hs := startAll(trs)
 
-			// Worker to hub, worker to worker (routed on a star, its value
-			// with it), hub to worker (an empty value is still one).
+			// Worker to coordinator, worker to worker (its value with it),
+			// coordinator to worker (an empty value is still one).
 			for origin, val := range [][]byte{nil, []byte("fold"), {}} {
 				from, id := (origin+1)%3, TaskID(origin, uint64(8+origin))
 				if err := trs[from].AckValue(origin, id, val); err != nil {
@@ -676,40 +666,36 @@ func TestConformanceDeathDuringSteal(t *testing.T) {
 	old := stealTimeout
 	stealTimeout = 20 * time.Second
 	defer func() { stealTimeout = old }()
-	for _, h := range wires(WireOptions{FlushQuantum: time.Hour}) {
-		t.Run(h.name, func(t *testing.T) {
-			trs := h.make(t, 3)
-			hs := startAll(trs)
-			hs[2].serveDelay = 30 * time.Second // the victim will never answer in time
-			hs[2].push(WireTask{Payload: []byte("x"), Depth: 1})
+	trs := makeTCP(t, 3, WireOptions{FlushQuantum: time.Hour})
+	hs := startAll(trs)
+	hs[2].serveDelay = 30 * time.Second // the victim will never answer in time
+	hs[2].push(WireTask{Payload: []byte("x"), Depth: 1})
 
-			res := make(chan bool, 1)
-			go func() {
-				_, ok, _ := trs[1].Steal(2)
-				res <- ok
-			}()
-			time.Sleep(100 * time.Millisecond) // let the request reach the victim
-			trs[2].Ack(0, TaskID(0, 9))
-			go trs[2].Close()
-			for !trs[2].(*endpoint).closed.Load() {
-				runtime.Gosched()
-			}
-			trs[2].Cancel(5, nil)
-			trs[2].BroadcastBound(55, []byte("corpse"))
-			select {
-			case ok := <-res:
-				if ok {
-					t.Fatal("steal from a dying victim succeeded after its death")
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("thief not released when its victim died")
-			}
-			for r := range 2 {
-				awaitDeath(t, trs[r], 2)
-				if hs[r].cancelled.Load() != 0 || hs[r].boundMax.Load() == 55 || len(hs[r].acked()) > 0 {
-					t.Errorf("rank %d heard rank 2 after its Close: a cancel %v, bound %d, acks %v", r, hs[r].cancelled.Load() != 0, hs[r].boundMax.Load(), hs[r].acked())
-				}
-			}
-		})
+	res := make(chan bool, 1)
+	go func() {
+		_, ok, _ := trs[1].Steal(2)
+		res <- ok
+	}()
+	time.Sleep(100 * time.Millisecond) // let the request reach the victim
+	trs[2].Ack(0, TaskID(0, 9))
+	go trs[2].Close()
+	for !trs[2].(*endpoint).closed.Load() {
+		runtime.Gosched()
+	}
+	trs[2].Cancel(5, nil)
+	trs[2].BroadcastBound(55, []byte("corpse"))
+	select {
+	case ok := <-res:
+		if ok {
+			t.Fatal("steal from a dying victim succeeded after its death")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("thief not released when its victim died")
+	}
+	for r := range 2 {
+		awaitDeath(t, trs[r], 2)
+		if hs[r].cancelled.Load() != 0 || hs[r].boundMax.Load() == 55 || len(hs[r].acked()) > 0 {
+			t.Errorf("rank %d heard rank 2 after its Close: a cancel %v, bound %d, acks %v", r, hs[r].cancelled.Load() != 0, hs[r].boundMax.Load(), hs[r].acked())
+		}
 	}
 }

@@ -9,10 +9,9 @@ import (
 
 // dialWithRetry dials addr until the timeout, with jittered
 // exponential backoff between attempts. This is the one dialer shared
-// by star registration, mesh peer dials, post-takeover promotion
-// re-dials, and session resume reconnects: a whole deployment's
-// workers re-reaching a just-promoted standby (or racing a slow
-// coordinator launch) must not stampede the listener in lockstep.
+// by registration, peer dials and session resume reconnects: a whole
+// deployment's workers racing a slow coordinator launch (or re-reaching
+// a listener after a partition) must not stampede it in lockstep.
 func dialWithRetry(addr string, timeout time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(timeout)
 	backoff := 25 * time.Millisecond

@@ -2,7 +2,7 @@
 // search runtime: a pluggable Transport over which localities — the
 // paper's physical cluster nodes — exchange work and incumbent
 // knowledge. This comment is a reference to the protocol as it stands
-// (wire v11); how it got there, version by version, is in CHANGES.md.
+// (wire v14); how it got there, version by version, is in CHANGES.md.
 //
 // # What a Transport does
 //
@@ -17,8 +17,8 @@
 //     a late or reordered bound costs pruning, never correctness,
 //     because receivers merge with a monotonic max;
 //   - termination detection: a global live-task count (AddTasks/Done)
-//     whose zero comes exactly when no locality holds or will ever
-//     receive work;
+//     whose zero is observed exactly when no locality holds or will
+//     ever receive work;
 //   - short-circuit and aggregation: decision-search cancellation
 //     (Cancel/Handler.OnCancel) and the terminal collective Gather that
 //     brings every locality's Stats to the coordinator after Done;
@@ -36,10 +36,10 @@
 // cancels and acks, and no more: it never calls OnDeath, Gather is an
 // error, and nothing is promoted or retained. The TCP transport
 // (NewListener/Dial) connects OS processes and is what `yewpar -dist`
-// deploys, as a star or as a mesh (WireOptions.Topology), whose
-// termination is the token wave; it alone implements the fault contract.
-// The conformance suite runs the shared contract cases over the loopback
-// and both TCP topologies, and the fault cases over TCP; internal/core's
+// deploys: a mesh, whose termination is the token wave. It alone
+// implements the fault contract. The conformance suite runs the shared
+// contract cases over the loopback and TCP, and the fault cases over
+// TCP; internal/core's
 // harness rows run every whole search of several processes — kills,
 // partitions, takeovers — over TCP, and the wave's property tests drive
 // its ring directly.
@@ -50,27 +50,17 @@
 //
 // Every locality of a TCP deployment is the same type (endpoint.go)
 // running the same loops: a read loop per link that handles every frame
-// kind, one flush tick (coalesced acks, the detector's pacing,
-// replication), one heartbeat. Three things vary, each of them data or
-// a small interface rather than a type:
-//
-//   - The link table and the routing rule. A frame for rank r leaves on
-//     the direct link when the rank-indexed table has one and on the
-//     coordinator's otherwise; an endpoint that reads a routed frame
-//     (kSteal, kSplit, kStealR; kAck id by id) addressed elsewhere
-//     relays it by the same rule, and one that relays fans a kBound out
-//     on its other links. On a mesh registration fills every slot, so
-//     nothing is relayed and bounds gossip. The star is the mesh with
-//     one link per worker: rank 0 holds the only full table and relays
-//     everything between workers.
-//   - The termination detector (detector.go), the one place the
-//     topologies differ in protocol: see "Termination".
-//   - The coordinator role: retaining the incumbent, sinking Gather,
-//     death authority (the liveness watchdog and the kDeath fan-out),
-//     announcing termination, replicating to a standby, and keeping the
-//     registration listener open for resumes and rejoins. Every
-//     endpoint carries the inert state for it, so the role can move:
-//     see "Failover". "C" below is whichever endpoint holds it.
+// kind, one flush tick (coalesced acks, the wave's pacing, replication),
+// one heartbeat, one gossip tick. Registration completes a mesh: the
+// rank-indexed link table has a direct link to every other rank, so a
+// frame for rank r leaves on the link to r, nothing is relayed, and
+// bounds spread by gossip. One thing varies, and it is data, not a
+// type: the coordinator role — retaining the incumbent, sinking Gather,
+// death authority (the liveness watchdog and the kDeath fan-out),
+// announcing termination, replicating to a standby, and keeping the
+// registration listener open for resumes. Every endpoint carries the
+// inert state for it, so the role can move: see "Failover". "C" below
+// is whichever endpoint holds it.
 //
 // # Frames
 //
@@ -78,23 +68,17 @@
 // (from, to, seq) and a kind-specific payload — and an eight-byte
 // trailer, the link sequence and a CRC32C over body and sequence;
 // frame.go has the byte layout. A frame of any kind may also carry,
-// each under a flag bit, three header fields, and that is where the
+// each under a flag bit, two header fields, and that is where the
 // protocol's amortisation lives:
 //
-//   - delta: the sender's AddTasks since its last frame, drained under
-//     the connection's write lock, so a steal reply carries every delta
-//     issued before its tasks left the victim; C applies a frame's
-//     delta before relaying the frame. A FlushQuantum tick sends a bare
-//     kDelta when nothing else leaves (star only: on a mesh no delta
-//     leaves its rank);
 //   - bound: the sender's best known bound, so a thief never prunes a
 //     stolen subtree with knowledge older than the last frame it saw.
 //     Receivers hand their Handler only a bound that beats every
 //     earlier one, which absorbs the repetition;
 //   - prio: the best priority the originating locality could serve a
-//     thief (StealRanker; PrioNone when it has no work), kept through
-//     relays and recorded per origin rank for PeerBestPrio — a hint
-//     that orders victim probing and never hides a victim.
+//     thief (StealRanker; PrioNone when it has no work), recorded per
+//     origin rank for PeerBestPrio — a hint that orders victim probing
+//     and never hides a victim.
 //
 // The kinds are declared in tcp.go, and TestDocFrameTable holds this
 // table to that list. C is the coordinator, W any other rank, S the
@@ -102,28 +86,26 @@
 //
 //	kind        from → to           fields used                                    what it carries
 //	kHello      W → C               Want version, Blob spec                        registration: one wire version and one deployment spec everywhere
-//	kPeerAddr   W → C               Blob listener address                          (mesh, standby) where W can be dialled, known before any failure
-//	kWelcome    C → W               To rank, Want size, Seq session                admission; after a kRejoin, the promoted C's count and bound stamps
+//	kPeerAddr   W → C               Blob listener address                          where W's peers dial it, known before any failure
+//	kWelcome    C → W               To rank, Want size, Seq session                admission
 //	kReject     C → W               Blob reason                                    refusal: version or spec mismatch, unknown or expired session
-//	kPeers      C → W               Blob rank-indexed address table                (mesh, standby) W dials the lower ranks and accepts the higher
+//	kPeers      C → W               Blob rank-indexed address table                W dials the lower ranks and accepts the higher
 //	kPeerHello  W → W               From dialler, Want version, Seq session        first frame of a direct peer link
-//	kSteal      thief → victim      Seq request, Want max tasks                    routed; always answered, by an empty kStealR if the victim is dry
+//	kSteal      thief → victim      Seq request, Want max tasks                    always answered, by an empty kStealR if the victim is dry
 //	kSplit      thief → victim      as kSteal                                      a steal that a dry pool answers by splitting a live generator stack
-//	kStealR     victim → thief      Seq request, Tasks                             routed; a run of (payload, id, depth, prio, bound), adopted whole
-//	kAck        thief → origins     Acks hand-over ids [, values]                  those subtrees are complete: retire the ledger copies, commit the values; routed id by id
-//	kBound      W → C, C → all      Obj bound, Blob node (towards C)               the incumbent: C retains the best (obj, node) for BestKnown; only a star's C fans out
-//	kGossip     rank → peers        Obj bound                                      (mesh) epidemic spread; never on a link that already carried the bound
+//	kStealR     victim → thief      Seq request, Tasks                             a run of (payload, id, depth, prio, bound), adopted whole
+//	kAck        thief → origin      Acks hand-over ids [, values]                  those subtrees are complete: retire the ledger copies, commit the values
+//	kBound      W → all             Obj bound, Blob node                           the incumbent, ahead of its bound on each link: C retains the best for BestKnown (rank 0 passes it to S), a W keeps it for the gather
+//	kGossip     rank → peers        Obj bound                                      epidemic spread; never on a link that already carried the bound
 //	kCancel     W → C, C → all      Obj objective, Blob witness                    a decision is found: C retains the witness and ends the search (then kTerminate)
-//	kDelta      W → C               the header delta alone                         (star) C's live count is the sum of every rank's deltas
-//	kToken      rank → next rank    Seq round, Obj count, Want colour              (mesh) the termination wave
+//	kToken      rank → next rank    Seq round, Obj count, Want colour              the termination wave
 //	kTerminate  C → all             From C                                         the count is zero, the wave confirmed, or a cancel came: Done; shares go to C
-//	kGather     W → C               Blob result share                              the terminal collective, sent only after Done; a dead rank's slot is nil
+//	kGather     W → C               Blob result share                              the terminal collective, sent only after Done, behind W's best kBound; a dead rank's slot is nil
 //	kPing       W → C               header only                                    liveness, after a Heartbeat with nothing else sent
 //	kDeath      C → all             Want dead rank                                 mourn: fail steals aimed at it, replay its hand-overs, skip it for good
-//	kLeave      rank → all          none                                           (mesh) an exit after termination, not a death to replay
+//	kLeave      rank → all          none                                           an exit after termination, not a death to replay
 //	kHubSnap    C → S               Blob residual-state snapshot                   (standby) root holder and id, incumbent; at most one a flush quantum, none unchanged
 //	kHeld       W → C               Seq hand-over id                               (standby) W registered the root C handed it under the id: C may now name W its holder
-//	kRejoin     W → promoted C      Want epoch, Obj live-count share, Seq session  (star failover) W's contribution crosses the takeover
 //	kResume     dialler ⇄ acceptor  Seq session, Obj receive mark                  (link grace) each side replays what the other missed; link sequence 0
 //
 // # Steals and supervision
@@ -156,13 +138,11 @@
 //
 // # Termination
 //
-// Counted (star). C attributes every delta to its sender. A death
-// subtracts exactly the dead rank's outstanding contribution; what
-// survivors registered, ledger copies included, stays counted, so zero
-// still means the surviving search, replays and all, is done. Blocking
-// steals abort on Done.
-//
-// Wave (mesh), a Safra-style token (wave.go):
+// No delta leaves its rank: each rank counts its own AddTasks, and a
+// Safra-style token (wave.go) sums the counts. A death removes the dead
+// rank from the ring; what survivors registered, ledger copies included,
+// stays counted, so zero still means the surviving search, replays and
+// all, is done. Blocking steals abort on Done.
 //
 //	initiator (lowest live rank): send a white token with count 0
 //	each rank: hold it until locally quiet; add the local counter;
@@ -175,7 +155,7 @@
 //
 // A gap in the link sequence or a CRC mismatch is a link failure, like
 // any I/O error; duplicates are skipped. With WireOptions.LinkGrace > 0
-// every connection (coordinator, peer and rejoin links) is a session,
+// every connection (coordinator and peer links) is a session,
 // and outgoing frames are copied into a bounded retransmit log:
 //
 //	live ── link failure ──▶ suspended ── dialler redials; kResume both ways; replay ──▶ live
@@ -207,10 +187,7 @@
 //	         held; S's first takes rank 0's ledger entry for the root over (Root), held by the
 //	         holder, or, unknown or dead, replayed at once. Then S takes the role in place, seeded
 //	         from the last snapshot; from here the root is a hand-over like any other, its ack
-//	         going to the coordinator
-//	         star: survivors re-dial S's listener with kRejoin; kWelcome re-seeds count and bound,
-//	               and what S fanned out between that welcome and the link's install is repeated
-//	         mesh: the links exist; coordinator traffic changes direction
+//	         going to the coordinator. The links exist; coordinator traffic changes direction
 //	         every survivor hands S the node it retained: its best, or the witness of a cancel
 //	         it sent or heard, which ends the search at S, and the last ack it sent rank 0
 //	   │     S dies, or rank 0 and S both die before the takeover completes
@@ -232,9 +209,10 @@
 // it copies — the session's retransmit log.
 // Inbound, a link reads every frame into one image and one frame value,
 // valid until its next read: stolen tasks are decoded on the read loop
-// by the engine (core.Codec.Decode must not alias its input), a relayed
-// frame is re-encoded at once, and keepers copy — incumbent retention,
-// a relayed ack's value, a gather contribution, the standby's replica.
+// by the engine (core.Codec.Decode must not alias its input), a cancel
+// C passes on is re-encoded at once, and keepers copy — incumbent
+// retention, a root ack's value kept for the coordinator role, a gather
+// contribution, the standby's replica.
 // A handler that is no BatchAdopter gets its own copy of every payload.
 // BenchmarkGateHotPathWireAllocs counts and holds the allocations with
 // no slack, TestConformanceBufferReuseUnderStress tests the rule.
@@ -246,7 +224,9 @@
 // alike: before Done, nothing leaves a closed endpoint. FaultPlan is
 // the seeded per-link injector (latency, jitter, drop, duplication,
 // corruption, reordering, Partition/Heal), consulted around every TCP
-// write and every loopback delivery. They compose: kills say who dies,
+// write and every loopback delivery. Latency delays a frame's delivery
+// in the link's order without holding the link (delayLine): a link of
+// latency d is long, not slow. They compose: kills say who dies,
 // the fault plan which links lie.
 //
 // Tasks cross as WireTask values holding an opaque encoded node, so

@@ -12,34 +12,30 @@ import (
 	"time"
 )
 
-// meshGossipFan is how many random peers a fresh bound is pushed to on
-// a mesh.
-const meshGossipFan = 2
+// gossipFan is how many random peers a bound that gossip brought as news
+// is pushed on to.
+const gossipFan = 2
 
-// Anti-entropy pacing on a mesh: every rank pushes its best bound to
-// one random peer per interval, so a bound the epidemic fan-out missed
-// still reaches everyone. The coordinator never pushes eagerly —
-// de-loading it is the mesh's whole point, and the piggyback layer
+// Anti-entropy pacing: every rank pushes its best bound to one random
+// peer per interval, so a bound the epidemic fan-out missed still
+// reaches everyone. The coordinator never pushes eagerly — keeping it
+// off the steal path is the point of direct links, and the piggyback layer
 // spreads its bounds for free (every steal reply it serves stamps pb,
 // every task it hands over carries a bound snapshot) — so its tick is
 // tighter, to bound the latency of the one case piggybacks miss: an
 // improvement at an otherwise quiet coordinator. Carried-bound
 // suppression makes a no-news tick free at either pace.
 const (
-	meshGossipInterval      = 25 * time.Millisecond
-	meshCoordGossipInterval = 5 * time.Millisecond
+	gossipInterval      = 25 * time.Millisecond
+	coordGossipInterval = 5 * time.Millisecond
 )
 
 // endpoint is the wire transport: one locality's end of a TCP
-// deployment, in either topology and either role.
+// deployment, in either role.
 //
-// Its centre is the rank-indexed link table. A frame for rank r leaves
-// on the direct link when the table has one and on the coordinator's
-// link otherwise (route), and an endpoint that reads a routed frame
-// addressed to someone else relays it by the same rule. On a mesh every
-// rank links to every other and nothing is ever relayed; the star is
-// the mesh with one link per worker, so everything between workers
-// crosses the coordinator, which holds the only full table.
+// Its centre is the rank-indexed link table. Registration completes a
+// mesh: every rank links to every other, so a frame for rank r leaves
+// on the link to r, and nothing is ever relayed.
 //
 // The coordinator is a role, not a type: the endpoint whose rank equals
 // coord holds the incumbent retention, sinks the terminal Gather, owns
@@ -51,8 +47,7 @@ const (
 type endpoint struct {
 	rank, size int
 	opts       WireOptions
-	spec       string // the topology-folded deployment spec
-	mesh       bool
+	spec       string // the deployment spec, with the options folded in
 
 	h        atomic.Value // Handler
 	selfPrio func() int64 // the summary stamp hook shared by every link
@@ -60,21 +55,15 @@ type endpoint struct {
 	stOnce   sync.Once
 
 	// links is the link table: links[r] is the direct connection to
-	// rank r, nil when there is none (links[rank] always). A slot is
-	// written once per link (registration, a mesh peer dial, a
-	// post-takeover rejoin) and read from every goroutine, hence
-	// atomic. A dead link stays in its slot: it still means "r was
-	// reached directly", so nothing detours around a corpse.
+	// rank r (nil only at links[rank]). A slot is written once, at
+	// registration or a peer dial, and read from every goroutine, hence
+	// atomic. A dead link stays in its slot.
 	links []atomic.Pointer[wconn]
 	// coord is the rank holding the coordinator role: 0 until a
 	// takeover elects a survivor.
 	coord atomic.Int32
 
-	term detector
-	// count is term when term is the counted detector (the star), nil
-	// on a mesh: the takeover re-seeds it through methods the wave has
-	// no counterpart for.
-	count    *liveCount
+	wave     *waveNode
 	done     chan struct{}
 	doneOnce sync.Once
 	deaths   deathBox
@@ -111,9 +100,8 @@ type endpoint struct {
 	cancelled atomic.Bool
 
 	// Failover state (nil/zero unless WireOptions.Standby).
-	epoch     atomic.Uint32 // 0 while rank 0 lives, 1 after the takeover
-	peerAddrs []string      // rank-indexed listener addresses (mesh peers, standby promotion)
-	repl      *hubRepl      // rank 0 only: paces the snapshots sent to the standby
+	epoch atomic.Uint32 // 0 while rank 0 lives, 1 after the takeover
+	repl  *hubRepl      // rank 0 only: paces the snapshots sent to the standby
 	// root is who holds rank 0's supervised hand-over, as of the last kHeld
 	// at rank 0. replica is the last snapshot at the standby (nil until one
 	// arrives), which a takeover seeds the role and Root from; succ marks
@@ -123,11 +111,9 @@ type endpoint struct {
 	replica atomic.Pointer[HubSnapshot]
 	succ    atomic.Bool
 
-	// ln took the registrations (rank 0), the mesh peer dials, or is
-	// the promotion listener a standby worker pre-bound; afterwards it
-	// serves rejoins and session resumes (and is already closed on a
-	// mesh worker without LinkGrace, which nothing dials again). nil on
-	// a plain star worker.
+	// ln took the registrations (rank 0) or the peer dials; afterwards it
+	// serves session resumes (and is already closed on a worker without
+	// LinkGrace, which nothing dials again).
 	ln       net.Listener
 	sessions *sessRegistry // sessions this endpoint accepts resumes for (LinkGrace > 0)
 
@@ -143,7 +129,6 @@ func newEndpoint(opts WireOptions, spec string) *endpoint {
 	e := &endpoint{
 		opts:    opts,
 		spec:    spec,
-		mesh:    opts.Topology == TopologyMesh,
 		ackOut:  make(map[*wconn][]ack),
 		started: make(chan struct{}),
 		done:    make(chan struct{}),
@@ -168,42 +153,26 @@ func (e *endpoint) init(rank, size int) {
 	e.deaths = make(deathBox, size)
 	e.blobs = make([][]byte, size)
 	e.contrib = make([]bool, size)
-	if e.mesh {
-		e.term = waveDetector{newWaveNode(rank, size, e.sendToken, e.terminate)}
-	} else {
-		e.count = newLiveCount(rank, size, e.sendCoord, e.terminate)
-		e.term = e.count
-	}
+	e.wave = newWaveNode(rank, size, e.sendToken, e.terminate)
 	if e.opts.Standby && rank == 0 {
 		e.repl = &hubRepl{}
 	}
 }
 
 // hook points a connection's per-send stamps and its halt at this
-// endpoint. toCoord marks the link a counting worker's deltas drain into.
-func (e *endpoint) hook(cn *wconn, toCoord bool) {
+// endpoint.
+func (e *endpoint) hook(cn *wconn) {
 	cn.pb = &e.pbStamp
 	cn.ps = e.selfPrio
 	cn.psFrom = e.rank
 	cn.halt = &e.closed
-	if toCoord && e.count != nil {
-		cn.pending = &e.count.pending
-		if e.opts.Standby {
-			cn.cum = &e.count.cum
-		}
-	}
 }
 
-// install enters a link into the table.
+// install enters a link into the table, during registration: no Close
+// can race it.
 func (e *endpoint) install(peer int, cn *wconn) {
 	cn.attachFault(e.opts.Fault, e.rank, peer)
 	e.links[peer].Store(cn)
-	if e.closed.Load() {
-		// A rejoin that raced Close, whose teardown missed this link: a
-		// closed endpoint keeps no link open (or its peer would hear of
-		// its death only by the liveness timeout).
-		cn.close()
-	}
 }
 
 // acceptSession registers the accepting side of a resumable link under
@@ -222,16 +191,13 @@ func (e *endpoint) acceptSession(cn *wconn, id uint64) {
 func (e *endpoint) run() {
 	go e.flushLoop()
 	go e.pingLoop()
-	if e.mesh {
-		go e.gossipLoop()
-	}
+	go e.gossipLoop()
 	if e.isCoord() {
 		go e.livenessLoop()
 	}
-	if e.sessions != nil && e.ln != nil && (e.isCoord() || e.mesh) {
+	if e.sessions != nil && e.ln != nil {
 		// The listener's second life: resume handshakes for the sessions
-		// of the links it accepted. (A standby star worker's listener
-		// stays quiet until a promotion opens its rejoin window.)
+		// of the links it accepted.
 		go acceptResumes(e.ln, e.sessions, &e.closed)
 	}
 }
@@ -262,35 +228,6 @@ func (e *endpoint) link(rank int) *wconn {
 // coordLink is the link coordinator traffic leaves on, nil at the
 // coordinator itself and while a takeover is re-pointing it.
 func (e *endpoint) coordLink() *wconn { return e.link(int(e.coord.Load())) }
-
-// route is the link a frame for rank leaves on: the direct link when
-// the table has one, the coordinator's otherwise. nil when rank is
-// unreachable (its direct link is dead, or there is no coordinator link
-// to relay over).
-func (e *endpoint) route(rank int) *wconn {
-	if rank < 0 || rank >= e.size || rank == e.rank {
-		return nil
-	}
-	if cn := e.links[rank].Load(); cn != nil {
-		if cn.dead.Load() {
-			return nil
-		}
-		return cn
-	}
-	return e.coordLink()
-}
-
-// sendCoord is the counted detector's wire: a frame towards the
-// coordinator.
-func (e *endpoint) sendCoord(f *frame) error {
-	cn := e.coordLink()
-	if cn == nil {
-		return errNoCoord
-	}
-	return cn.send(f)
-}
-
-var errNoCoord = errors.New("dist: no route to coordinator")
 
 // sendToken is the wave's wire. A failed send is deliberately dropped:
 // the receiver is dying, and the wave's watchdog regenerates the probe
@@ -324,10 +261,6 @@ func (e *endpoint) Promoted() bool { return e.rank != 0 && e.isCoord() }
 
 func (e *endpoint) Standby() bool { return e.opts.Standby }
 
-// AcksRelayed: on a star every worker's acks to fellow workers cross
-// rank 0, so its death can eat one in flight.
-func (e *endpoint) AcksRelayed() bool { return !e.mesh && e.rank != 0 }
-
 func (e *endpoint) Root() (int, uint64, bool) {
 	if !e.succ.Load() {
 		return -1, 0, false
@@ -340,12 +273,10 @@ func (e *endpoint) Root() (int, uint64, bool) {
 
 func (e *endpoint) PeerBestPrio(rank int) (int, bool) { return peerBestPrio(e.peerPrio, rank) }
 
-// Suspected is true while the link a steal to rank would leave on is
-// quarantined by the coordinator's two-phase watchdog or mid-resume on
-// a suspended session. (Behind a worker's single star link that is
-// every peer at once.)
+// Suspected is true while the link to rank is quarantined by the
+// coordinator's two-phase watchdog or mid-resume on a suspended session.
 func (e *endpoint) Suspected(rank int) bool {
-	cn := e.route(rank)
+	cn := e.link(rank)
 	return cn != nil && cn.suspectedPeer()
 }
 
@@ -398,10 +329,9 @@ func (e *endpoint) retain(obj int64, node []byte) {
 // readLoop serves one link until it fails: every frame kind, from
 // every kind of peer.
 func (e *endpoint) readLoop(peer int, cn *wconn) {
-	// One frame for the life of the loop (recv resets it): it escapes
-	// through the detector interface, and must not cost an allocation
-	// per frame read. Nothing below keeps &f, or anything f points to
-	// (recv's ownership rule), past its iteration.
+	// One frame for the life of the loop (recv resets it), so a frame
+	// read costs no allocation. Nothing below keeps &f, or anything f
+	// points to (recv's ownership rule), past its iteration.
 	var f frame
 	// Every steal reply this link serves is built in these two: send has
 	// encoded a reply by the time it returns.
@@ -412,27 +342,18 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			e.linkLost(peer, cn)
 			return
 		}
-		// Header batching first: the detector's share (a coalesced delta
-		// must hit the count before any task in this frame moves on),
-		// then the piggybacked bound, merged before serving steals so a
-		// reply never carries staler knowledge than its request. Both
-		// are cleared: a relayed frame is re-stamped by this endpoint.
-		e.term.onFrame(&f)
+		// The piggybacked bound first, merged before serving steals so a
+		// reply never carries staler knowledge than its request, and
+		// cleared: a cancel the coordinator passes on is re-stamped here.
 		if f.HasPB {
 			e.meldBound(f.From, f.PB)
 			f.HasPB = false
 		}
-		// The priority summary is NOT cleared: it describes the origin
-		// locality, so a relayed frame must deliver it unchanged.
-		if f.HasPS && f.From != e.rank {
+		if f.HasPS {
 			notePeerPrio(e.peerPrio, f.From, f.PS)
 		}
 		switch f.Kind {
 		case kSteal, kSplit:
-			if f.To != e.rank {
-				e.relay(cn, &f)
-				break
-			}
 			thief, seq, want := f.From, f.Seq, f.Want
 			if f.Kind == kSteal {
 				served, payloads = collectSteal(e.handler(), thief, want, served[:0], payloads[:0])
@@ -444,12 +365,8 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			// loop must keep draining the link's other traffic.
 			go func() { e.reply(cn, thief, seq, collectSplit(e.handler(), thief, want)) }()
 		case kStealR:
-			if f.To != e.rank {
-				e.relay(cn, &f)
-				break
-			}
 			if len(f.Tasks) > 0 {
-				e.term.blacken()
+				e.wave.blacken()
 			}
 			// The engine takes the whole reply here, before its image is read
 			// over; the first task travels on, decoded, to a requester that
@@ -466,29 +383,22 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			}
 		case kBound:
 			// A node-carrying broadcast is retained, so the optimum
-			// outlives its finder — but only the retention wants the
-			// blob, so any relay is stripped to the bound itself.
+			// outlives its finder.
 			if len(f.Blob) > 0 {
 				e.retain(f.Obj, f.Blob)
-				f.Blob = nil
 			}
 			e.meldBound(f.From, f.Obj)
-			if !e.mesh {
-				// Relay on every other link — which only the star
-				// coordinator has — and unconditionally: a bound stale
-				// here can still be news to a rank that has not heard it
-				// (the fan-out of a stronger bound excludes its origin).
-				e.fanOut(&f, peer)
-			}
 		case kGossip:
 			// Improvements ripple outward, duplicates die out.
 			if e.meldBound(f.From, f.Obj) && !e.isCoord() {
-				e.gossip(f.Obj, meshGossipFan)
+				e.gossip(f.Obj, gossipFan)
 			}
+		case kToken:
+			e.wave.onToken(frameToken(&f))
 		case kCancel:
 			if len(f.Blob) > 0 {
 				e.retain(f.Obj, f.Blob)
-				f.Blob = nil
+				f.Blob = nil // the fan-out carries the objective alone
 			}
 			e.cancelled.Store(true)
 			if hd := e.handler(); hd != nil {
@@ -505,7 +415,7 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			e.died(f.Want, nil)
 		case kTerminate:
 			// A share goes to the rank that ended the search, whose kTerminate
-			// can overtake this rank's view of rank 0's death (a mesh).
+			// can overtake this rank's view of rank 0's death.
 			e.coord.Store(int32(f.From))
 			e.terminate()
 		case kLeave:
@@ -524,26 +434,9 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 	}
 }
 
-// reply answers a steal request on the link it arrived on (which
-// relays it back if it was relayed here).
+// reply answers a steal request on the link it arrived on.
 func (e *endpoint) reply(cn *wconn, thief int, seq uint64, tasks []WireTask) {
 	cn.send(&frame{Kind: kStealR, From: e.rank, To: thief, Seq: seq, Tasks: tasks})
-}
-
-// relay forwards a routed frame addressed to another rank. A request
-// that cannot be forwarded — the victim is dead, quarantined, or the
-// only way to it is back where the frame came from — is answered
-// empty-handed at once, so the thief does not ride the steal timeout.
-func (e *endpoint) relay(in *wconn, f *frame) {
-	out := e.route(f.To)
-	request := f.Kind != kStealR
-	ok := out != nil && out != in
-	if ok && request {
-		ok = out.reachable() && !out.suspect.Load()
-	}
-	if (!ok || out.send(f) != nil) && request {
-		in.send(&frame{Kind: kStealR, From: f.To, To: f.From, Seq: f.Seq})
-	}
 }
 
 // linkLost reacts to a failed link. What it means depends on who was
@@ -562,7 +455,7 @@ func (e *endpoint) linkLost(peer int, cn *wconn) {
 			e.doneOnce.Do(func() { close(e.done) })
 		}
 	default:
-		// A direct peer link on a mesh. While rank 0 lives, death
+		// A link between workers. While rank 0 lives, death
 		// authority stays with it — its watchdog sees the same broken
 		// worker — and only its kDeath retires the rank everywhere.
 		// After a takeover every survivor sees the same break and reaches
@@ -575,7 +468,7 @@ func (e *endpoint) linkLost(peer int, cn *wconn) {
 	}
 }
 
-// judgeLost mourns the peer behind a lost mesh link once a takeover has
+// judgeLost mourns the peer behind a lost worker link once a takeover has
 // ended rank 0's authority; a peer that said kLeave first finished and
 // exited, it did not die.
 func (e *endpoint) judgeLost(peer int, cn *wconn) {
@@ -586,7 +479,7 @@ func (e *endpoint) judgeLost(peer int, cn *wconn) {
 
 // died runs the death protocol for rank; cn is its link when the
 // caller watched it fail, nil for a death learned second-hand (a
-// kDeath, a survivor that never rejoined). After normal termination a
+// kDeath). After normal termination a
 // lost link is just the expected disconnect. Before it, the
 // supervised-task protocol takes over: pending steals aimed at the
 // rank fail fast, the engine is told (DeathHearer) so its ledger replays
@@ -623,11 +516,11 @@ func (e *endpoint) died(rank int, cn *wconn) {
 		e.fanOut(&frame{Kind: kDeath, From: e.rank, Want: rank}, rank)
 	}
 	e.contribute(rank, nil)
-	e.term.markDead(rank)
+	e.wave.markDead(rank)
 }
 
 // terminate ends the search here and, from the coordinator, everywhere.
-// It is the detectors' conclusion and the reaction to a kTerminate.
+// It is the wave's conclusion and the reaction to a kTerminate.
 func (e *endpoint) terminate() {
 	e.doneOnce.Do(func() {
 		close(e.done)
@@ -638,7 +531,7 @@ func (e *endpoint) terminate() {
 }
 
 // endSearch is a cancel at the coordinator: it reaches every rank but
-// except at once (on a mesh too), and Done follows it on every link.
+// except at once, and Done follows it on every link.
 func (e *endpoint) endSearch(cancel *frame, except int) {
 	e.fanOut(cancel, except)
 	e.terminate()
@@ -656,7 +549,7 @@ func (e *endpoint) stealVia(k kind, victim int) (WireTask, bool, error) {
 	if victim < 0 || victim >= e.size || victim == e.rank {
 		return WireTask{}, false, fmt.Errorf("dist: steal from invalid rank %d", victim)
 	}
-	cn := e.route(victim)
+	cn := e.link(victim)
 	if cn == nil || !cn.reachable() || cn.suspect.Load() {
 		// Dead, or quarantined behind a suspended session (a request
 		// would sit in the retransmit log until the link heals): fail
@@ -695,67 +588,22 @@ func (e *endpoint) stealVia(k kind, victim int) (WireTask, bool, error) {
 	return first, true, nil
 }
 
-// BroadcastBound publishes a bound. The encoded node goes only where
-// the retention is — kept locally at the coordinator, one kBound on
-// the coordinator link from anyone else — and the bare bound spreads
-// by the topology's rule: the star coordinator fans it out (its own,
-// here; a worker's, when that kBound arrives), a mesh rank gossips it.
-// The mesh coordinator sends nothing at all: piggybacks and its
-// anti-entropy tick spread the bound without a per-improvement burst.
-// A standby deployment's worker keeps the node too (standbyBound).
+// BroadcastBound publishes a bound. The coordinator keeps the node and
+// sends nothing: piggybacks and its anti-entropy tick spread the bound
+// without a per-improvement burst. Any other rank keeps its node too (a
+// takeover and the gather hand it on) and sends it, as a kBound, on every
+// link before the stamp that piggybacks the bound is raised: on each link
+// the node goes ahead of the bound, so a rank that prunes with the bound
+// holds its node or heard the bound from one that does. A survivor that
+// prunes with a bound whose node died with its finder never finds that
+// node again.
 func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
-	if e.isCoord() {
-		e.retain(obj, node) // first: rank 0 hands it to the standby
-		raiseMax(&e.pbStamp, obj)
-		if !e.mesh {
-			e.fanOut(&frame{Kind: kBound, From: e.rank, Obj: obj}, e.rank)
-		}
-		return nil
-	}
-	var err error
-	if e.opts.Standby {
-		err = e.standbyBound(obj, node)
-	} else {
-		raiseMax(&e.pbStamp, obj)
-		if cn := e.coordLink(); cn != nil {
-			err = cn.send(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
-		}
-	}
-	if e.mesh {
-		e.gossip(obj, meshGossipFan)
-	}
-	return err
-}
-
-// standbyBound is BroadcastBound's kBound from a standby deployment's
-// worker, which keeps the node too, for a rejoin to hand a new
-// coordinator. The node leaves before the stamp that piggybacks the
-// bound is raised, so no rank learns the bound before rank 0 (which
-// hands it on to the standby) or, on a mesh, whose bounds spread rank to
-// rank, the standby itself holds the node: a survivor that prunes with a
-// bound whose node died with rank 0 never finds that node again.
-func (e *endpoint) standbyBound(obj int64, node []byte) error {
-	e.retain(obj, node)
-	bound := &frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node}
-	if s := failoverCandidate(e.size, e.deaths); e.mesh && e.epoch.Load() == 0 && s != e.rank {
-		if cn := e.link(s); cn != nil {
-			cn.send(bound)
-		}
-	}
-	var err error
-	cn := e.coordLink()
-	if cn != nil {
-		err = cn.send(bound)
+	e.retain(obj, node) // first: rank 0 hands it to the standby
+	if !e.isCoord() {
+		e.fanOut(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node}, e.rank)
 	}
 	raiseMax(&e.pbStamp, obj)
-	if cn == nil {
-		// A takeover is re-pointing the link: look again. The node was
-		// retained first, for handOver to send if the link is not there.
-		if cn = e.coordLink(); cn != nil {
-			err = cn.send(bound)
-		}
-	}
-	return err
+	return nil
 }
 
 // Cancel ends the search at the coordinator, which retains the witness.
@@ -797,9 +645,9 @@ func (e *endpoint) gossip(obj int64, n int) {
 
 func (e *endpoint) gossipLoop() {
 	for {
-		every := meshGossipInterval
+		every := gossipInterval
 		if e.isCoord() {
-			every = meshCoordGossipInterval
+			every = coordGossipInterval
 		}
 		select {
 		case <-e.stop:
@@ -815,8 +663,8 @@ func (e *endpoint) gossipLoop() {
 }
 
 // Ack queues a hand-over completion ack towards the origin's ledger.
-// Acks coalesce like live-task deltas: the flush tick drains the buffer
-// into one kAck batch per link per quantum, so the no-failure cost of
+// Acks coalesce: the flush tick drains the buffer into one kAck batch
+// per link per quantum, so the no-failure cost of
 // supervision is one small frame per quantum instead of one per stolen
 // task. Retirement latency only delays ledger turnover, never
 // correctness.
@@ -838,8 +686,9 @@ func (e *endpoint) bufferAcks(acks ...ack) {
 }
 
 // onAcks takes an incoming batch apart: each id names its own origin.
-// This rank's are delivered; the rest were sent here to be relayed and
-// join the buffer, values copied, to leave with the next drain.
+// This rank's are delivered; the rest are acks of rank 0's root sent to
+// the coordinator role under Standby, and join the buffer, values
+// copied, for the next drain to hand to whichever rank holds the role.
 func (e *endpoint) onAcks(from int, acks []ack) {
 	hd := e.handler()
 	for _, a := range acks {
@@ -851,9 +700,8 @@ func (e *endpoint) onAcks(from int, acks []ack) {
 	}
 }
 
-// drainAcks sends the coalesced acks, one batch per link they leave on:
-// a star worker's all ride its coordinator link in one frame, anyone
-// with direct links sends each origin its own. The buffer it empties and
+// drainAcks sends the coalesced acks, one batch per origin's link. The
+// buffer it empties and
 // the per-link batches it builds are kept for the next drain: a quantum's
 // acks cost no allocation.
 func (e *endpoint) drainAcks() {
@@ -880,7 +728,7 @@ func (e *endpoint) drainAcks() {
 				continue
 			}
 		}
-		switch cn := e.route(dest); {
+		switch cn := e.link(dest); {
 		case cn != nil:
 			e.ackOut[cn] = append(e.ackOut[cn], a)
 		case dest >= 0 && dest < e.size && !e.deaths.isDead(dest) && !e.isDone():
@@ -925,20 +773,18 @@ func (e *endpoint) flushLoop() {
 	}
 }
 
-// flushTick puts one quantum's coalesced traffic on the wire. Acks go
-// first: on the coordinator link their frame absorbs the pending
-// live-task delta as a header, so the detector's own flush usually
-// finds nothing left and the tick costs one write.
+// flushTick puts one quantum's coalesced traffic on the wire: the acks,
+// the standby's snapshot and the wave's pacing.
 func (e *endpoint) flushTick() {
 	e.drainAcks()
 	e.flushRepl()
-	e.term.tick()
+	e.wave.tick()
 }
 
 // pingLoop keeps the coordinator link audibly alive: whenever nothing
 // has been sent on it for a heartbeat, an empty kPing goes out
-// (carrying, as every frame does, any coalesced delta and bound
-// snapshot). The coordinator's watchdog reads silence beyond
+// (carrying, as every frame does, the bound snapshot). The
+// coordinator's watchdog reads silence beyond
 // LivenessTimeout as death. Idle at the coordinator itself.
 func (e *endpoint) pingLoop() {
 	t := time.NewTicker(e.opts.Heartbeat)
@@ -1011,7 +857,7 @@ func (e *endpoint) livenessLoop() {
 	}
 }
 
-func (e *endpoint) AddTasks(delta int64) { e.term.add(delta) }
+func (e *endpoint) AddTasks(delta int64) { e.wave.add(delta) }
 
 func (e *endpoint) Done() <-chan struct{} { return e.done }
 
@@ -1043,7 +889,16 @@ func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
 		return nil, errors.New("dist: gather on a closed endpoint")
 	}
 	if !e.isCoord() {
-		if err := e.sendCoord(&frame{Kind: kGather, From: e.rank, Blob: payload}); err != nil {
+		cn := e.coordLink()
+		if cn == nil {
+			return nil, errors.New("dist: sending gather payload: no link to the coordinator")
+		}
+		// The best node this rank holds goes ahead of its share: one whose
+		// finder died before its kBound reached the coordinator is here.
+		if obj, node, ok := e.inc.best(); ok {
+			cn.send(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node})
+		}
+		if err := cn.send(&frame{Kind: kGather, From: e.rank, Blob: payload}); err != nil {
 			return nil, fmt.Errorf("dist: sending gather payload: %w", err)
 		}
 		return nil, nil
@@ -1067,17 +922,17 @@ func (e *endpoint) closeLinks() {
 
 // Close is a crash before Done and a clean exit after it. Before Done its
 // first act marks the endpoint closed, after which nothing leaves it: no
-// final flush of acks or deltas, no kTerminate, no reply, relay or
-// handshake. Done is released, so that this rank's read loops, failing as
-// its links go, neither mourn nor take over; then every link and the
-// listener are shut at once, which the survivors mourn as they would a
-// SIGKILLed process. After Done a mesh rank first says kLeave on every
-// link: after a takeover the survivors classify broken peer links
+// final flush of acks, no kTerminate, no reply or handshake. Done is
+// released, so that this rank's read loops, failing as its links go,
+// neither mourn nor take over; then every link and the listener are shut
+// at once, which the survivors mourn as they would a SIGKILLed process.
+// After Done a rank first says kLeave on every link: after a takeover
+// the survivors classify broken peer links
 // themselves, and a rank whose kTerminate is still queued behind other
 // traffic must read this exit as a finished peer leaving, not a death to
 // replay. TCP ordering puts the kLeave ahead of the close on every link.
 func (e *endpoint) Close() error {
-	if e.mesh && e.isDone() && !e.closed.Load() {
+	if e.isDone() && !e.closed.Load() {
 		e.fanOut(&frame{Kind: kLeave, From: e.rank}, e.rank)
 	}
 	if !e.closed.CompareAndSwap(false, true) {

@@ -3,9 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
-	"time"
 )
 
 // Coordinator failover (wire protocol v7, replication as of v13). A
@@ -21,20 +19,16 @@ import (
 //     snapshot that decoded. The ranks rank 0 mourned are not
 //     replicated: each kDeath reaches the standby on the same link ahead
 //     of any later snapshot.
-//   - Every worker pre-binds a promotion listener at registration and
-//     the table of those addresses is exchanged (kPeerAddr/kPeers,
-//     the mesh's own mechanism, now spoken by standby stars too).
 //   - On hub death each worker independently elects the lowest rank
 //     not known dead — exactly the rank the hub was replicating to,
-//     and on a mesh exactly the rank the termination wave re-elects
-//     as token initiator. The candidate promotes itself (epoch 1),
-//     seeding the role from its snapshot, and the rest re-dial its
-//     promotion listener, presenting a kRejoin that carries their
-//     cumulative live-task contribution, from which the promoted hub
-//     rebuilds the global live count.
+//     and exactly the rank the termination wave re-elects as token
+//     initiator. The candidate promotes itself (epoch 1), seeding the
+//     role from its snapshot; the rest send their coordinator traffic
+//     on the link to it, which registration opened (the wave needs no
+//     count rebuilt).
 //   - A takeover is one ordered step: each survivor's engine hears of
-//     rank 0's death (DeathHearer) before anything is promoted, rejoined
-//     or handed over. The successor's engine first takes rank 0's ledger
+//     rank 0's death (DeathHearer) before anything is promoted or
+//     handed over. The successor's engine first takes rank 0's ledger
 //     entry for the root over (Root): held by the named holder, or,
 //     unknown or dead, by rank 0, so the same death replays it. From then
 //     on the root is supervised like every other hand-over: its holder's
@@ -46,10 +40,9 @@ import (
 //     best, or with a cancel it sent or heard the witness, which ends the
 //     search there, and the root's last ack (handOver). No takeover
 //     follows Done, before which nothing is gathered.
-//   - The epoch fences generations: a kRejoin for the wrong epoch is
-//     refused, and because every stale frame rode a connection that
-//     died with the old coordinator, the connection itself is the
-//     fence for everything else. One takeover per deployment: if the
+//   - Every stale frame rode a connection that died with the old
+//     coordinator, so the connection itself is the fence between
+//     generations. One takeover per deployment (the epoch): if the
 //     promoted coordinator dies too, the deployment ends the way a
 //     non-standby one does.
 //
@@ -59,10 +52,10 @@ import (
 // searches it too, whose ack then retires nothing: a second search of
 // the tree, never the answer); a bound
 // broadcast in flight during the takeover (pruning opportunity, never
-// correctness); a death the hub mourned but died before fanning out,
-// which a star's rejoin window mourns again; and the simultaneous death
-// of the hub and the standby before the next-lowest rank's first
-// snapshot lands.
+// correctness); and the simultaneous death of the hub and the standby
+// before the next-lowest rank's first snapshot lands. (A death the hub
+// mourned but died before fanning out is judged again by every survivor
+// whose link to the dead rank broke: judgeLost.)
 
 // HubSnapshot is the coordinator's residual state: what a standby needs
 // beyond what registration already told it (the spec, the size and the
@@ -150,8 +143,8 @@ type heldRoot struct {
 
 // failoverCandidate is the takeover election every survivor computes
 // independently: the lowest worker rank not known dead — exactly the
-// rank the hub replicated to, and (on a mesh) exactly the rank the
-// termination wave re-elects as initiator. -1 when no one is left.
+// rank the hub replicated to, and exactly the rank the termination wave
+// re-elects as initiator. -1 when no one is left.
 func failoverCandidate(size int, deaths deathBox) int {
 	for r := 1; r < size; r++ {
 		if !deaths.isDead(r) {
@@ -226,12 +219,11 @@ func (e *endpoint) takeover(old *wconn) bool {
 		return false
 	}
 	// The engine learns rank 0 died before anything below happens: its
-	// ledger replays the hand-overs rank 0 held — on a star every
-	// outstanding one it minted, since an ack relayed through the dying
-	// coordinator may be gone — and the successor's takes the root's
-	// entry over (Root), registering it before rank 0's contribution is
-	// reconciled away. The wave stops summing rank 0 and re-elects the
-	// lowest live rank as initiator — the very rank elected below.
+	// ledger replays the hand-overs rank 0 held, and the successor's
+	// takes the root's entry over (Root), registering it before rank 0's
+	// contribution is reconciled away. The wave stops summing rank 0 and
+	// re-elects the lowest live rank as initiator — the very rank
+	// elected below.
 	old.dead.Store(true)
 	for r := 1; r < e.size; r++ {
 		if cn := e.links[r].Load(); cn != nil {
@@ -241,32 +233,20 @@ func (e *endpoint) takeover(old *wconn) bool {
 	cand := failoverCandidate(e.size, e.deaths)
 	e.succ.Store(cand == e.rank)
 	e.announceDeath(0)
-	e.term.markDead(0)
+	e.wave.markDead(0)
 	if cand < 0 {
 		return false
 	}
-	var rep int64
-	if e.count != nil {
-		// Under the old link's write lock no send is mid-flight, so the
-		// settled contribution is exact.
-		old.wmu.Lock()
-		rep = e.count.settle()
-		old.wmu.Unlock()
-	}
 	if cand == e.rank {
-		e.acquireRole(rep)
+		e.acquireRole()
 		e.handOver(nil)
 		return true
 	}
+	// Role migration: the link to the new coordinator exists since
+	// registration; coordinator traffic just changes direction.
 	e.coord.Store(int32(cand))
-	// Role migration: the link to the new coordinator already exists (a
-	// mesh), coordinator traffic just changes direction. A star survivor
-	// rejoins, which hands over on the new link.
-	if cn := e.links[cand].Load(); cn != nil {
-		e.handOver(cn)
-		return true
-	}
-	return e.rejoin(cand, rep)
+	e.handOver(e.links[cand].Load())
+	return true
 }
 
 // handOver sends the elected coordinator, on cn, the node this rank
@@ -274,8 +254,8 @@ func (e *endpoint) takeover(old *wconn) bool {
 // witness of a cancel it sent or heard, as a kCancel that ends the search —
 // here, if this rank was elected (no witness, no end: the search would
 // report none). A publication retains, then looks for the coordinator link,
-// which is in place before this reads (a mesh's exists, a star rejoiner
-// installs cn first): it finds the link, or this reads its node.
+// which is in place before this reads: it finds the link, or this reads
+// its node.
 // The last ack this rank sent towards rank 0 goes again, to the coordinator
 // (drainAcks): rank 0 may have died before it retired the root's entry, or
 // it reached the elected rank before that rank held the role. The old link
@@ -301,11 +281,9 @@ func (e *endpoint) handOver(cn *wconn) {
 }
 
 // acquireRole makes this endpoint the coordinator, in place: the role's
-// state is seeded from what rank 0 replicated here, the count (on a
-// star) moves here, and the links the role needs but this rank lacks —
-// on a star, all of them — are taken through the same accept loop
-// registration used, on the listener pre-bound for it.
-func (e *endpoint) acquireRole(rep int64) {
+// state is seeded from what rank 0 replicated here, and the links the
+// role needs exist since registration.
+func (e *endpoint) acquireRole() {
 	snap := e.replica.Load()
 	if snap == nil {
 		snap = &HubSnapshot{} // rank 0 died before its first snapshot reached here
@@ -314,125 +292,9 @@ func (e *endpoint) acquireRole(rep int64) {
 		e.inc.keep(snap.BestObj, snap.BestNode)
 		raiseMax(&e.pbStamp, snap.BestObj)
 	}
-	if e.count != nil {
-		e.count.own(rep)
-	}
 	e.coord.Store(int32(e.rank))
 	// Rank 0 will never contribute to the gather; every rank it mourned
 	// was mourned here too, slot and all, by its kDeath.
 	e.contribute(0, nil)
-	var missing []int
-	for r := 1; r < e.size; r++ {
-		if r != e.rank && !e.deaths.isDead(r) && e.links[r].Load() == nil {
-			missing = append(missing, r)
-		}
-	}
 	go e.livenessLoop()
-	go func() {
-		// The rejoin window: every survivor this rank has no link to
-		// re-dials the promotion listener and presents a kRejoin. One
-		// that never makes it back within the liveness window is dead.
-		e.acceptLinks(time.Now().Add(e.opts.LivenessTimeout), len(missing), e.admitRejoin)
-		for _, r := range missing {
-			if e.links[r].Load() == nil {
-				e.died(r, nil)
-			}
-		}
-		if e.count != nil {
-			e.count.release()
-		}
-		if e.sessions != nil && e.ln != nil {
-			// The window is over; the listener now serves session
-			// resumes for the links it just accepted.
-			acceptResumes(e.ln, e.sessions, &e.closed)
-		}
-	}()
-}
-
-// admitRejoin admits one survivor into the promoted coordinator's link
-// table (acceptLinks' admit, after a takeover). The kRejoin carries the
-// rank's cumulative live-task contribution — from which the count is
-// rebuilt — and, like any frame, its pending delta, bound and summary.
-func (e *endpoint) admitRejoin(cn *wconn, rj *frame) error {
-	r := rj.From
-	if rj.Kind != kRejoin || rj.Want != int(e.epoch.Load()) || r <= 0 || r >= e.size || r == e.rank ||
-		e.deaths.isDead(r) || e.links[r].Load() != nil {
-		return fmt.Errorf("bad rejoin from %v", cn.cur.Load().c.RemoteAddr())
-	}
-	// The rejoining worker minted a fresh session for the promoted
-	// link and carried its id in the kRejoin.
-	e.acceptSession(cn, rj.Seq)
-	cn.attachFault(e.opts.Fault, e.rank, r)
-	e.term.onFrame(rj)
-	if rj.HasPB && e.meldBound(r, rj.PB) {
-		// A bound raised during the takeover blackout has no explicit
-		// broadcast in flight anymore: relay it like one.
-		e.fanOut(&frame{Kind: kBound, From: r, Obj: rj.PB}, r)
-	}
-	if rj.HasPS {
-		notePeerPrio(e.peerPrio, r, rj.PS)
-	}
-	// The welcome must be the first frame r reads, so it goes out
-	// before the link enters the table and fan-outs can reach it. It
-	// carries, like every frame, the bound known right now; whatever a
-	// fan-out said between that stamp and the install is repeated here
-	// — each raised pbStamp, or announced its death, before it looked
-	// for r's link and found none. Nothing the coordinator learned
-	// while r was on its way back is lost to it.
-	welcome := &frame{Kind: kWelcome, From: e.rank, To: r, Want: e.size}
-	cn.send(welcome)
-	e.install(r, cn)
-	if b := e.pbStamp.Load(); b != math.MinInt64 && !(welcome.HasPB && welcome.PB >= b) {
-		cn.send(&frame{Kind: kBound, From: e.rank, Obj: b})
-	}
-	for dead := 1; dead < e.size; dead++ {
-		if dead != r && e.deaths.isDead(dead) {
-			cn.send(&frame{Kind: kDeath, From: e.rank, Want: dead})
-		}
-	}
-	if e.isDone() {
-		// A cancel ended the search in the rejoin window, before r's link
-		// was there for its fan-outs (terminate closes done first).
-		cn.send(&frame{Kind: kCancel, From: e.rank})
-		cn.send(&frame{Kind: kTerminate, From: e.rank})
-	}
-	go e.readLoop(r, cn)
-	return nil
-}
-
-// rejoin re-attaches a star survivor to the promoted coordinator: dial
-// the candidate's promotion listener (pre-bound at registration, so the
-// dial succeeds even before the candidate finishes promoting), present
-// the kRejoin, install the link, hand over, and await the welcome.
-func (e *endpoint) rejoin(cand int, rep int64) bool {
-	if cand >= len(e.peerAddrs) || e.peerAddrs[cand] == "" {
-		return false
-	}
-	hello := &frame{Kind: kRejoin, From: e.rank, Want: int(e.epoch.Load()), Obj: rep}
-	cn, err := e.dialLink(e.peerAddrs[cand], cand, hello)
-	if err != nil {
-		return false
-	}
-	// The link is installed before handOver reads the retained node, so a
-	// node retained after that read finds the link (handOver). The node
-	// follows the kRejoin, whose stamp may carry its bound, at once.
-	e.install(cand, cn)
-	e.handOver(cn)
-	c := cn.cur.Load().c
-	c.SetReadDeadline(time.Now().Add(dialTimeout))
-	var welcome frame
-	if err := cn.recv(&welcome); err != nil || welcome.Kind != kWelcome {
-		cn.close()
-		return false
-	}
-	c.SetReadDeadline(time.Time{})
-	// The welcome piggybacks the promoted coordinator's bound stamp like
-	// any other frame; received outside the read loop, it must be melded
-	// here or news learned during the blackout would be dropped (the
-	// sender has already marked it carried by this connection).
-	if welcome.HasPB {
-		e.meldBound(welcome.From, welcome.PB)
-	}
-	go e.readLoop(cand, cn)
-	return true
 }

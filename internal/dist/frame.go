@@ -16,27 +16,24 @@ import (
 // payload:
 //
 //	kind    byte
-//	flags   byte            fDelta | fBound | fPrio
+//	flags   byte            fBound | fPrio | fVals
 //	from    varint          sender rank
-//	to      varint          destination rank (0 when unrouted)
+//	to      varint          destination rank
 //	seq     uvarint         steal request/reply correlation
-//	[delta  varint]         flags&fDelta: coalesced live-task delta
 //	[bound  varint]         flags&fBound: piggybacked bound snapshot
 //	[prio   varint]         flags&fPrio: best-available-priority summary
 //	payload ...             see appendFrame
 //
 // The optional header fields are the batching heart of the protocol:
-// any frame — a steal reply, a gather, an explicit kDelta tick — can
-// carry the sender's accumulated live-task delta (one counter flush per
-// pool quantum instead of one frame per spawn), its current best bound
-// (so a lost or still-in-flight broadcast is repaired by the next frame
-// of any kind, and a thief never prunes with knowledge older than the
-// last frame it saw), and — new in v3 — the best priority among the
-// tasks the origin locality could currently serve to a thief (PrioNone
-// when it has none). The summary is stamped only by the frame's
-// originator and survives routing intact, so every frame doubles as a
-// load/promise advertisement that peers feed into priority-aware
-// victim selection.
+// any frame — a steal reply, a gather, a heartbeat — can carry the
+// sender's current best bound (so a lost or still-in-flight broadcast
+// is repaired by the next frame of any kind, and a thief never prunes
+// with knowledge older than the last frame it saw), and — new in v3 —
+// the best priority among the tasks the origin locality could currently
+// serve to a thief (PrioNone when it has none). The summary is stamped
+// only by the frame's originator, so every frame doubles as a
+// load/promise advertisement that peers feed into priority-aware victim
+// selection.
 //
 // Steal replies carry a *batch* of tasks: count followed by
 // (payload-length, payload, id, depth, prio, bound) per task — the
@@ -48,16 +45,14 @@ import (
 // v4 adds the fault-tolerance vocabulary: kAck (a *batch* of hand-over
 // ids being acked — each id names its own origin via TaskID packing,
 // so one coalesced frame per flush quantum certifies every subtree the
-// sender completed since the last, and the hub splits the batch per
-// origin when routing), kDeath (Want names the dead rank, fanned out
+// sender completed since the last), kDeath (Want names the dead rank, fanned out
 // by the hub), kPing (an empty liveness heartbeat — its value is the
 // act of arriving, plus whatever coalesced header fields ride along),
 // an optional incumbent-node blob on kBound, and an objective +
 // witness blob on kCancel, so the best node and decision witness
 // survive the death of the locality that found them.
 //
-// v5 adds the mesh vocabulary, spoken only by mesh-topology deployments
-// (WireOptions.Topology): kPeerAddr, kPeers (the table appendPeerTable
+// v5 adds the mesh vocabulary: kPeerAddr, kPeers (the table appendPeerTable
 // encodes), kPeerHello, kGossip (no node blob: retention stays at the
 // hub) and kToken (colour bits tokBlack|tokActive), each in existing
 // frame slots, as the package comment's table gives them.
@@ -71,9 +66,8 @@ import (
 // steal correlation and mesh wave accounting are untouched.
 //
 // v7 adds the coordinator-failover vocabulary, spoken only by standby
-// deployments (WireOptions.Standby): kHubSnap (see encodeHubSnapshot),
-// kRejoin (the promoted hub rebuilds the global count from its Obj) and
-// kLeave, a mesh rank's in-band goodbye after termination, TCP-ordered
+// deployments (WireOptions.Standby): kHubSnap (see encodeHubSnapshot)
+// and kLeave, a rank's in-band goodbye after termination, TCP-ordered
 // ahead of its close, which tells a finished peer's exit from a crash.
 //
 // v8 adds link-fault tolerance. The body encoding above is untouched;
@@ -110,13 +104,15 @@ import (
 // fold of the subtree). A batch without values encodes as in v11. v13
 // names the root's hand-over id: a kHeld carries it in Seq, and the
 // snapshot gains it as a uvarint after the holder, so the promoted rank
-// can take the hand-over's ledger entry over.
+// can take the hand-over's ledger entry over. v14 has one topology, the
+// mesh: the star's header delta and its flag, kDelta and kRejoin are
+// gone, the flag bits after fDelta moved down one and the kinds after
+// each of the two moved down one.
 
 const (
-	fDelta = 1 << 0 // header carries a coalesced live-task delta
-	fBound = 1 << 1 // header carries a piggybacked bound snapshot
-	fPrio  = 1 << 2 // header carries a best-available-priority summary
-	fVals  = 1 << 3 // kAck: each id is followed by its value
+	fBound = 1 << 0 // header carries a piggybacked bound snapshot
+	fPrio  = 1 << 1 // header carries a best-available-priority summary
+	fVals  = 1 << 2 // kAck: each id is followed by its value
 )
 
 // maxFrameBody bounds a peer-supplied body length before allocation.
@@ -131,7 +127,6 @@ type frame struct {
 	From  int
 	To    int
 	Seq   uint64
-	Delta int64 // coalesced live-task delta (sent iff non-zero)
 	PB    int64 // piggybacked bound snapshot
 	HasPB bool
 	PS    int64 // piggybacked best-available-priority summary (PrioNone = no work)
@@ -153,9 +148,6 @@ type ack struct {
 // appendFrame appends f's body encoding (no length prefix) to dst.
 func appendFrame(dst []byte, f *frame) []byte {
 	var flags byte
-	if f.Delta != 0 {
-		flags |= fDelta
-	}
 	if f.HasPB {
 		flags |= fBound
 	}
@@ -169,9 +161,6 @@ func appendFrame(dst []byte, f *frame) []byte {
 	dst = binary.AppendVarint(dst, int64(f.From))
 	dst = binary.AppendVarint(dst, int64(f.To))
 	dst = binary.AppendUvarint(dst, f.Seq)
-	if flags&fDelta != 0 {
-		dst = binary.AppendVarint(dst, f.Delta)
-	}
 	if flags&fBound != 0 {
 		dst = binary.AppendVarint(dst, f.PB)
 	}
@@ -179,11 +168,11 @@ func appendFrame(dst []byte, f *frame) []byte {
 		dst = binary.AppendVarint(dst, f.PS)
 	}
 	switch f.Kind {
-	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit, kRejoin:
+	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit:
 		dst = binary.AppendUvarint(dst, uint64(f.Want))
 	}
 	switch f.Kind {
-	case kBound, kCancel, kGossip, kToken, kRejoin, kResume:
+	case kBound, kCancel, kGossip, kToken, kResume:
 		dst = binary.AppendVarint(dst, f.Obj)
 	}
 	switch f.Kind {
@@ -307,11 +296,6 @@ func parseFrame(b []byte, f *frame) error {
 	if f.Seq, err = r.uvarint(); err != nil {
 		return err
 	}
-	if flags&fDelta != 0 {
-		if f.Delta, err = r.varint(); err != nil {
-			return err
-		}
-	}
 	if flags&fBound != 0 {
 		if f.PB, err = r.varint(); err != nil {
 			return err
@@ -325,7 +309,7 @@ func parseFrame(b []byte, f *frame) error {
 		f.HasPS = true
 	}
 	switch f.Kind {
-	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit, kRejoin:
+	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit:
 		w, err := r.uvarint()
 		if err != nil {
 			return err
@@ -333,7 +317,7 @@ func parseFrame(b []byte, f *frame) error {
 		f.Want = int(w)
 	}
 	switch f.Kind {
-	case kBound, kCancel, kGossip, kToken, kRejoin, kResume:
+	case kBound, kCancel, kGossip, kToken, kResume:
 		if f.Obj, err = r.varint(); err != nil {
 			return err
 		}

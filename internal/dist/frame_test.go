@@ -21,17 +21,16 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kStealR, From: 1, To: 2, Seq: 78}, // empty-handed
 		{Kind: kBound, From: 4, Obj: -123456789, Blob: []byte{}},
 		{Kind: kCancel, From: 1, Blob: []byte{}},
-		{Kind: kDelta, From: 2, Delta: -42},
 		{Kind: kTerminate},
 		{Kind: kGather, From: 3, Blob: []byte{1, 2, 3}},
 		{Kind: kGather, From: 3, Blob: []byte{}},
-		{Kind: kSteal, From: 1, To: 2, Seq: 1, Want: 8, Delta: 17, PB: -5, HasPB: true},
+		{Kind: kSteal, From: 1, To: 2, Seq: 1, Want: 8, PB: -5, HasPB: true},
 		{Kind: kBound, From: 0, Obj: math.MinInt64 + 1, PB: math.MaxInt64, HasPB: true, Blob: []byte{}},
 		// v3: best-available-priority summaries, alone and with the
 		// other optional header fields; PrioNone advertises empty.
-		{Kind: kDelta, From: 2, Delta: 3, PS: 5, HasPS: true},
+		{Kind: kPing, From: 2, PS: 5, HasPS: true},
 		{Kind: kSteal, From: 1, To: 2, Seq: 2, Want: 4, PS: PrioNone, HasPS: true},
-		{Kind: kStealR, From: 2, To: 1, Seq: 2, Delta: -1, PB: 9, HasPB: true, PS: 0, HasPS: true,
+		{Kind: kStealR, From: 2, To: 1, Seq: 2, PB: 9, HasPB: true, PS: 0, HasPS: true,
 			Tasks: []WireTask{{Payload: []byte("p"), ID: TaskID(0, 3), Depth: 1, Prio: 2, Bound: 4}}},
 		// v4: node-carrying bounds and cancels, acks, death notices,
 		// heartbeats.
@@ -39,12 +38,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kCancel, From: 3, Obj: 17, Blob: []byte("encoded-witness")},
 		{Kind: kAck, From: 2, To: 1, Acks: []ack{{ID: TaskID(1, 44)}}},
 		{Kind: kAck, From: 1, Acks: []ack{{ID: TaskID(0, math.MaxUint32)}, {ID: TaskID(2, 1)}, {ID: TaskID(0, 7)}},
-			Delta: -3, PB: 8, HasPB: true},
+			PB: 8, HasPB: true},
 		{Kind: kAck, From: 3, Acks: []ack{{ID: TaskID(0, 5), Val: []byte("fold")}, {ID: TaskID(1, 2), Val: []byte{}}}}, // v12
 		{Kind: kAck, From: 1}, // empty batch (drained elsewhere)
 		{Kind: kDeath, From: 0, Want: 3},
 		{Kind: kPing, From: 2},
-		{Kind: kPing, From: 1, Delta: 5, PB: -2, HasPB: true, PS: 1, HasPS: true},
+		{Kind: kPing, From: 1, PB: -2, HasPB: true, PS: 1, HasPS: true},
 		// v5: mesh registration, peer tables, direct peer hellos,
 		// epidemic bounds, and termination-wave tokens.
 		{Kind: kPeerAddr, Blob: []byte("10.0.0.7:41231")},
@@ -57,15 +56,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kToken, From: 2, To: 3, Seq: 12, Obj: 3, Want: tokActive, PB: 7, HasPB: true},
 		// v6: split-steal requests (answered by ordinary kStealR).
 		{Kind: kSplit, From: 2, To: 1, Seq: 91, Want: 64},
-		{Kind: kSplit, From: 0, To: 3, Seq: 1 << 30, Want: 1, Delta: -2, PB: 11, HasPB: true, PS: PrioNone, HasPS: true},
-		// v7: the standby's snapshot, a survivor's rejoin (its live-task
-		// share may be negative), a mesh rank's goodbye.
+		{Kind: kSplit, From: 0, To: 3, Seq: 1 << 30, Want: 1, PB: 11, HasPB: true, PS: PrioNone, HasPS: true},
+		// v7: the standby's snapshot, a rank's goodbye.
 		// v13: the snapshot names the root's hand-over id beside its holder,
 		// which a kHeld carries in Seq.
 		{Kind: kHubSnap, Blob: encodeHubSnapshot(&HubSnapshot{Holder: 2, RootID: TaskID(0, 3), HasBest: true, BestObj: 7, BestNode: []byte("n")})},
 		{Kind: kHubSnap, Blob: []byte{}, PB: 3, HasPB: true},
 		{Kind: kHeld, From: 2, Seq: TaskID(0, 3)},
-		{Kind: kRejoin, From: 2, Want: 1, Obj: -4, Seq: 1 << 40, Delta: 1, PS: 3, HasPS: true},
 		{Kind: kLeave, From: 3},
 	}
 	// v12: an ack batch without values encodes as in v11 (kind, flags, from, to, seq, count, ids).
@@ -88,7 +85,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // frame bodies come off the network.
 func TestFrameParseRobustness(t *testing.T) {
 	bodies := [][]byte{
-		appendFrame(nil, &frame{Kind: kStealR, From: 1, To: 2, Seq: 9, Delta: 3, PB: 11, HasPB: true, PS: 2, HasPS: true,
+		appendFrame(nil, &frame{Kind: kStealR, From: 1, To: 2, Seq: 9, PB: 11, HasPB: true, PS: 2, HasPS: true,
 			Tasks: []WireTask{{Payload: []byte("payload-bytes"), ID: TaskID(1, 77), Depth: 5, Prio: 7, Bound: 40}}}),
 		// A v5 body too: the peer table and token paths parse from the
 		// same reader and deserve the same truncation/bit-flip sweep.

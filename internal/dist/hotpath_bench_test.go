@@ -17,7 +17,7 @@ import (
 
 // benchWirePair returns two wconns joined by a real TCP loopback
 // connection.
-func benchWirePair(b *testing.B) (snd, rcv *wconn, cleanup func()) {
+func benchWirePair(b testing.TB) (snd, rcv *wconn, cleanup func()) {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -81,12 +81,12 @@ func allocsPerOp(n int, op func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
-// BenchmarkGateHotPathWireAllocs/send-recv: 20,000 header-only kDelta
+// BenchmarkGateHotPathWireAllocs/send-recv: 20,000 header-only kPing
 // frames through send and recv, both endpoints counted (same process,
 // same heap): at most 1 allocation a frame.
 //
 // BenchmarkGateHotPathWireAllocs/steal-roundtrip: 20,000 steals between
-// the two endpoints of a TCP star (reuseHandler the engine at both), at
+// the two endpoints of a TCP deployment (reuseHandler the engine at both), at
 // the default batch (DefaultStealBatch tasks), each handed over under a
 // ledger id, checked and acked complete (the acks leave coalesced on the
 // flush tick, inside the measurement): at most 2 allocations a round
@@ -105,7 +105,7 @@ func BenchmarkGateHotPathWireAllocs(b *testing.B) {
 		defer cleanup()
 		done := drainFrames(rcv, ops)
 		got := allocsPerOp(ops, func() {
-			if err := snd.send(&frame{Kind: kDelta, From: 1, Delta: 1}); err != nil {
+			if err := snd.send(&frame{Kind: kPing, From: 1}); err != nil {
 				b.Fatal(err)
 			}
 		})

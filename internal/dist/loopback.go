@@ -92,9 +92,6 @@ type loopback struct {
 
 var _ Transport = (*loopback)(nil)
 
-// AcksRelayed is false: loopback acks go straight to their origin.
-func (t *loopback) AcksRelayed() bool { return false }
-
 // Root is not ok: rank 0 never dies, so nobody takes its role.
 func (t *loopback) Root() (int, uint64, bool) { return -1, 0, false }
 
@@ -108,8 +105,8 @@ func (t *loopback) Suspected(rank int) bool {
 // transport would have sent for the same traffic, and payload bytes
 // only — engine runs hand nodes over by reference (no Payload), so
 // they report zero bytes, which is the truth of shared memory.
-// AddTasks counts no frames — in-process accounting needs none, which
-// is exactly the gap the TCP transport's delta coalescing narrows.
+// AddTasks counts no frames: in-process accounting needs none, and over
+// TCP no delta leaves its rank either (the wave sums them).
 func (t *loopback) Wire() WireStats { return t.ctr.snapshot() }
 
 func (t *loopback) Rank() int { return t.rank }

@@ -9,25 +9,17 @@ import (
 	"time"
 )
 
-// Mesh-specific transport behaviour, beyond the shared conformance
-// suite: steal traffic bypasses the coordinator entirely, peer
-// priority summaries refresh over the direct links, and bounds
+// The mesh's own transport behaviour, beyond the shared conformance
+// suite: steal traffic bypasses the coordinator entirely, and bounds
 // delivered by gossip stay monotone at every receiver.
-
-// meshDeployment builds a 1+workers TCP mesh and returns the
-// transports rank-indexed.
-func meshDeployment(t *testing.T, n int) []Transport {
-	t.Helper()
-	return makeTCP(t, n, WireOptions{Topology: TopologyMesh})
-}
 
 // Direct-steal conservation: a worker draining another worker moves
 // every task exactly once, and none of the steal traffic crosses the
-// coordinator — the whole point of the mesh. The star routes four
-// frames per exchange through the hub; here the hub's frame counters
-// must stay flat (heartbeats aside) while dozens of exchanges run.
+// coordinator — the point of direct links. The coordinator's frame
+// counters must stay flat (heartbeats aside) while dozens of exchanges
+// run.
 func TestMeshDirectStealConservation(t *testing.T) {
-	trs := meshDeployment(t, 3)
+	trs := makeTCP(t, 3, WireOptions{})
 	hs := startAll(trs)
 	const total = 64
 	for i := 0; i < total; i++ {
@@ -67,43 +59,13 @@ func TestMeshDirectStealConservation(t *testing.T) {
 
 	after := trs[0].Wire()
 	hubFrames := (after.FramesSent + after.FramesRecv) - (before.FramesSent + before.FramesRecv)
-	// The star hub would have relayed 4 frames per exchange (request
-	// in, request out, reply in, reply out). Allow a little heartbeat
-	// and wave noise, but the steal traffic itself must be absent.
+	// A coordinator on the steal path would see 4 frames per exchange
+	// (request in, request out, reply in, reply out). Allow a little
+	// heartbeat and wave noise, but the steal traffic itself must be
+	// absent.
 	if hubFrames >= int64(2*exchanges) {
 		t.Fatalf("coordinator saw %d frames across %d direct exchanges; steal traffic is crossing the hub", hubFrames, exchanges)
 	}
-}
-
-// Peer-summary staleness: a thief's view of its victim's best
-// stealable priority refreshes from the direct steal reply itself —
-// the frame that empties the victim also reports it empty, so the
-// thief never re-targets a victim on a summary the theft invalidated.
-func TestMeshPeerSummaryStaleness(t *testing.T) {
-	trs := meshDeployment(t, 3)
-	hs := startAll(trs)
-	pa2 := trs[2]
-
-	hs[1].push(WireTask{Payload: []byte("x"), Depth: 1, Prio: 4})
-	// Gossiped bounds piggyback the sender's summary over the direct
-	// peer links; repeat until the fan-out lands on rank 2.
-	bound := int64(0)
-	eventually(t, "rank 2 to learn rank 1's summary from gossip", func() bool {
-		bound++
-		trs[1].BroadcastBound(bound, nil)
-		p, known := pa2.PeerBestPrio(1)
-		return known && p == 4
-	})
-
-	// The steal reply that drains rank 1 must itself refresh rank 2's
-	// view to empty — no later broadcast required.
-	if _, ok, err := trs[2].Steal(1); !ok || err != nil {
-		t.Fatalf("steal from stocked rank 1: ok=%v err=%v", ok, err)
-	}
-	eventually(t, "the steal reply to mark rank 1 empty at rank 2", func() bool {
-		p, known := pa2.PeerBestPrio(1)
-		return known && p == PrioNone
-	})
 }
 
 // Gossip bound monotonicity: epidemic spread delivers bounds in no
@@ -115,7 +77,7 @@ func TestMeshPeerSummaryStaleness(t *testing.T) {
 // handler the other way round, which a handler merging with a max (the
 // Handler.OnBound contract) cannot tell.
 func TestMeshGossipBoundMonotonicity(t *testing.T) {
-	trs := meshDeployment(t, 4)
+	trs := makeTCP(t, 4, WireOptions{})
 	hs := startAll(trs)
 	const rounds = 60
 	globalMax := int64(0)
@@ -162,38 +124,28 @@ func TestMeshGossipBoundMonotonicity(t *testing.T) {
 // rank holding its supervised hand-over, the hand-over's id, and the
 // retained incumbent — what
 // a standby needs beyond what registration and the kDeath fan-out told
-// it. Star and mesh share the one snapshotBlob.
+// it.
 func TestMeshHubSnapshotRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts WireOptions
-	}{
-		{"tcp", WireOptions{Standby: true}},
-		{"tcp-mesh", WireOptions{Topology: TopologyMesh, Standby: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			trs := makeTCP(t, 4, tc.opts)
-			hs := startAll(trs)
-			hs[0].push(WireTask{Payload: []byte("root"), ID: TaskID(0, 1)})
-			if _, ok, err := trs[1].Steal(0); !ok || err != nil {
-				t.Fatalf("rank 1 did not get rank 0's task (%v)", err)
-			}
-			trs[1].BroadcastBound(42, []byte("best-node"))
-			eventually(t, "the coordinator to retain the incumbent", func() bool {
-				obj, _, ok := trs[0].BestKnown()
-				return ok && obj == 42
-			})
-			snap, err := DecodeHubSnapshot(trs[0].(*endpoint).snapshotBlob())
-			if err != nil {
-				t.Fatalf("decode snapshot: %v", err)
-			}
-			if snap.Holder != 1 || snap.RootID != TaskID(0, 1) {
-				t.Fatalf("snapshot holder = %d under %#x, want rank 1 under %#x", snap.Holder, snap.RootID, TaskID(0, 1))
-			}
-			if !snap.HasBest || snap.BestObj != 42 || string(snap.BestNode) != "best-node" {
-				t.Fatalf("snapshot incumbent = %d %q %v", snap.BestObj, snap.BestNode, snap.HasBest)
-			}
-		})
+	trs := makeTCP(t, 4, WireOptions{Standby: true})
+	hs := startAll(trs)
+	hs[0].push(WireTask{Payload: []byte("root"), ID: TaskID(0, 1)})
+	if _, ok, err := trs[1].Steal(0); !ok || err != nil {
+		t.Fatalf("rank 1 did not get rank 0's task (%v)", err)
+	}
+	trs[1].BroadcastBound(42, []byte("best-node"))
+	eventually(t, "the coordinator to retain the incumbent", func() bool {
+		obj, _, ok := trs[0].BestKnown()
+		return ok && obj == 42
+	})
+	snap, err := DecodeHubSnapshot(trs[0].(*endpoint).snapshotBlob())
+	if err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	if snap.Holder != 1 || snap.RootID != TaskID(0, 1) {
+		t.Fatalf("snapshot holder = %d under %#x, want rank 1 under %#x", snap.Holder, snap.RootID, TaskID(0, 1))
+	}
+	if !snap.HasBest || snap.BestObj != 42 || string(snap.BestNode) != "best-node" {
+		t.Fatalf("snapshot incumbent = %d %q %v", snap.BestObj, snap.BestNode, snap.HasBest)
 	}
 }
 
@@ -229,7 +181,7 @@ func TestMeshRegistrationRejectsOldWireVersion(t *testing.T) {
 }
 
 func rejectsWireVersion(t *testing.T, old int) {
-	opts := WireOptions{Topology: TopologyMesh}
+	opts := WireOptions{}
 	l, err := NewListenerOpts("127.0.0.1:0", "conformance", opts)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -249,7 +201,7 @@ func rejectsWireVersion(t *testing.T, old int) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	rawSend(t, c, &frame{Kind: kHello, Want: old, Blob: []byte(topoSpec("conformance", opts))})
+	rawSend(t, c, &frame{Kind: kHello, Want: old, Blob: []byte(optSpec("conformance", opts))})
 	reject := rawRecv(t, c)
 	if reject.Kind != kReject {
 		t.Fatalf("old-version hello answered with kind %d, want kReject", reject.Kind)
@@ -274,11 +226,11 @@ func rejectsWireVersion(t *testing.T, old int) {
 	t.Cleanup(func() { res.tr.Close() })
 }
 
-// Mesh registration demands a peer address after the hello: a worker
+// Registration demands a peer address after the hello: a worker
 // that never advertises one cannot be dialed by its peers and must be
 // turned away during registration, not discovered broken later.
 func TestMeshRegistrationRequiresPeerAddr(t *testing.T) {
-	opts := WireOptions{Topology: TopologyMesh, RegTimeout: 2 * time.Second}
+	opts := WireOptions{RegTimeout: 2 * time.Second}
 	l, err := NewListenerOpts("127.0.0.1:0", "conformance", opts)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -298,7 +250,7 @@ func TestMeshRegistrationRequiresPeerAddr(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	rawSend(t, c, &frame{Kind: kHello, Want: wireVersion, Blob: []byte(topoSpec("conformance", opts))})
+	rawSend(t, c, &frame{Kind: kHello, Want: wireVersion, Blob: []byte(optSpec("conformance", opts))})
 	rawSend(t, c, &frame{Kind: kPing}) // anything but kPeerAddr
 	reject := rawRecv(t, c)
 	if reject.Kind != kReject || !strings.Contains(string(reject.Blob), "peer address") {
@@ -311,10 +263,11 @@ func TestMeshRegistrationRequiresPeerAddr(t *testing.T) {
 	}
 }
 
-// Star and mesh deployments must not interconnect: the topology is
-// folded into the spec either side checks at registration.
-func TestTopologySpecMismatchRejected(t *testing.T) {
-	l, err := NewListenerOpts("127.0.0.1:0", "conformance", WireOptions{Topology: TopologyMesh, RegTimeout: 2 * time.Second})
+// A standby deployment and a worker without Standby must not
+// interconnect: the option is folded into the spec either side checks at
+// registration.
+func TestStandbySpecMismatchRejected(t *testing.T) {
+	l, err := NewListenerOpts("127.0.0.1:0", "conformance", WireOptions{Standby: true, RegTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -325,8 +278,8 @@ func TestTopologySpecMismatchRejected(t *testing.T) {
 			tr.Close()
 		}
 	}()
-	_, err = DialOpts(l.Addr(), "conformance", WireOptions{Topology: TopologyStar})
+	_, err = DialOpts(l.Addr(), "conformance", WireOptions{})
 	if err == nil || !strings.Contains(err.Error(), "spec mismatch") {
-		t.Fatalf("star worker joined a mesh coordinator: %v", err)
+		t.Fatalf("a worker without Standby joined a standby coordinator: %v", err)
 	}
 }

@@ -121,3 +121,38 @@ func TestLoopbackFaultLatencyDelaysBoundsAndCancel(t *testing.T) {
 	}
 	arrivedAlready("ack over the zero-latency link", hs[0].acks)
 }
+
+// Link latency makes a TCP link long, not slow: it delays each frame's
+// delivery and keeps the link's order, jitter or not, but holds no lock
+// while it waits, so k frames sent back to back all arrive about one
+// latency after they left, not k latencies.
+func TestTCPLatencyDelaysWithoutThrottling(t *testing.T) {
+	const lat, jitter, k = 100 * time.Millisecond, 20 * time.Millisecond, 10
+	snd, rcv, cleanup := benchWirePair(t)
+	defer cleanup()
+	plan := NewFaultPlan(1)
+	plan.SetDefault(LinkFault{Latency: lat, Jitter: jitter})
+	snd.attachFault(plan, 0, 1)
+	start := time.Now()
+	for i := range k {
+		if err := snd.send(&frame{Kind: kPing, From: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sent := time.Since(start); sent > lat/2 {
+		t.Fatalf("sending %d frames took %v: the sender waited out the latency", k, sent)
+	}
+	var f frame
+	for i := range k {
+		// A frame out of order would fail recv: a gap in the link sequence.
+		if err := rcv.recv(&f); err != nil || f.From != i {
+			t.Fatalf("frame %d: got frame %d, %v", i, f.From, err)
+		}
+		if i == 0 && time.Since(start) < lat {
+			t.Fatalf("the first frame arrived after %v, before the latency", time.Since(start))
+		}
+	}
+	if took := time.Since(start); took > lat+jitter+lat/2 {
+		t.Fatalf("%d frames took %v over a link of latency %v: the link is throttled", k, took, lat)
+	}
+}

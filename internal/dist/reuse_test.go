@@ -152,9 +152,9 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 		t.Cleanup(func() { net.Close() })
 		return net.Transports()
 	}
-	tcp := func(topology string, standby bool) func(testing.TB, *FaultPlan) []Transport {
+	tcp := func(standby bool) func(testing.TB, *FaultPlan) []Transport {
 		return func(t testing.TB, plan *FaultPlan) []Transport {
-			return makeTCP(t, ranks, WireOptions{Topology: topology, Standby: standby, LinkGrace: grace, Fault: plan})
+			return makeTCP(t, ranks, WireOptions{Standby: standby, LinkGrace: grace, Fault: plan})
 		}
 	}
 	for _, tc := range []struct {
@@ -163,10 +163,8 @@ func TestConformanceBufferReuseUnderStress(t *testing.T) {
 		wire bool
 	}{
 		{"loopback", loop, false},
-		{"tcp", tcp(TopologyStar, false), true},
-		{"tcp-mesh", tcp(TopologyMesh, false), true},
-		{"tcp-standby", tcp(TopologyStar, true), true},
-		{"tcp-mesh-standby", tcp(TopologyMesh, true), true},
+		{"tcp", tcp(false), true},
+		{"tcp-standby", tcp(true), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := NewFaultPlan(1)

@@ -22,7 +22,7 @@ import (
 // offers a kResume handshake (session id + receive high-water mark);
 // the accepting side parks its reader until the resume (or the grace
 // timer) resolves the suspension. Both sides then retransmit exactly
-// the frames the other missed, so steal replies, acks, deltas, and
+// the frames the other missed, so steal replies, acks, tokens and
 // gossip cross a reconnect without tripping the ledger-replay or
 // failover paths. A session that cannot resume inside the grace window
 // breaks, collapsing the link to the pre-v8 death path — which is
@@ -403,8 +403,8 @@ func (cn *wconn) tryResume(c net.Conn) (ok, fatal bool) {
 }
 
 // sessRegistry maps live session ids to their connections on the
-// accepting side of a deployment (the hub's registration listener, a
-// mesh worker's peer listener, a promoted hub's adoption listener).
+// accepting side of a deployment (the coordinator's registration
+// listener, a worker's peer listener).
 type sessRegistry struct {
 	mu sync.Mutex
 	m  map[uint64]*wconn

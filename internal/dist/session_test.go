@@ -58,7 +58,7 @@ func TestEncodeFrameRoundTrip(t *testing.T) {
 // whole point of the trailer: a lying stream becomes a link failure,
 // never a silently wrong frame.
 func TestReadRawFrameCorruption(t *testing.T) {
-	f := frame{Kind: kStealR, From: 1, To: 2, Seq: 9, Delta: 3, PB: 11, HasPB: true,
+	f := frame{Kind: kStealR, From: 1, To: 2, Seq: 9, PB: 11, HasPB: true,
 		Tasks: []WireTask{{Payload: []byte("payload-bytes"), ID: TaskID(1, 77), Depth: 5, Prio: 7, Bound: 40}}}
 	clean := encodeFrame(nil, &f, 31)
 	for pos := 0; pos < len(clean); pos++ {

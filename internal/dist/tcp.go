@@ -17,14 +17,11 @@ import (
 // connection (wconn), and registration — Listener.Wait on the
 // coordinator's side, Dial on a worker's.
 //
-// Frames are the binary format of frame.go. Three amortisations
+// Frames are the binary format of frame.go. Two amortisations
 // distinguish it from the v1 gob protocol:
 //
 //   - steal replies carry up to StealBatch tasks, so one round trip
 //     moves a batch instead of a single task;
-//   - live-task deltas are coalesced per locality and flushed at most
-//     once per FlushQuantum (or piggybacked on whatever frame leaves
-//     first), instead of one kDelta frame per spawn;
 //   - every outgoing frame piggybacks the sender's best known bound,
 //     so incumbent knowledge rides along with ordinary traffic.
 
@@ -33,8 +30,8 @@ const (
 	dialTimeout = 30 * time.Second
 	// wireVersion is checked at registration — peers must not silently
 	// garble each other. frame.go's header gives each version's change;
-	// v13's is the root's hand-over id, in kHeld and the standby's snapshot.
-	wireVersion = 13
+	// v14's is one topology: no header delta, kDelta or kRejoin.
+	wireVersion = 14
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
@@ -51,11 +48,11 @@ type WireOptions struct {
 	// task for the requesting worker and enqueues the extras
 	// (BatchAdopter). Default DefaultStealBatch; 1 disables batching.
 	StealBatch int
-	// FlushQuantum is the pool quantum of delta coalescing: a
-	// locality's accumulated live-task delta is flushed at most this
-	// often when no other outgoing frame carries it first. Larger
-	// quanta mean fewer frames but slower termination detection.
-	// Default DefaultFlushQuantum.
+	// FlushQuantum is the pacing of the coalesced traffic: completion
+	// acks leave in one batch per link per quantum, the termination
+	// wave moves on it, and the standby's snapshot goes at most once a
+	// quantum. Larger quanta mean fewer frames but slower termination
+	// detection. Default DefaultFlushQuantum.
 	FlushQuantum time.Duration
 	// RegTimeout bounds the coordinator's registration window: Wait
 	// fails, reporting the missing ranks, if the expected workers have
@@ -74,15 +71,10 @@ type WireOptions struct {
 	// its first frame — typically instance loading. Default
 	// DefaultLivenessTimeout.
 	LivenessTimeout time.Duration
-	// Topology selects how worker↔worker traffic flows. TopologyStar
-	// (the default) routes everything through the coordinator and
-	// detects termination by the hub's global live-task count.
-	// TopologyMesh has workers dial each other directly for steal,
-	// reply, and ack traffic, spreads bounds epidemic-style, and
-	// replaces the hub count with a Safra-style termination wave; the
-	// coordinator shrinks to registration, incumbent retention, death
-	// detection, and aggregation. Both sides of a deployment must agree
-	// (the topology is folded into the spec check at registration).
+	// Deprecated: Topology is ignored. Every deployment is a mesh: the
+	// workers link to each other directly for steal, reply and ack
+	// traffic, bounds spread epidemic-style, and a Safra-style wave
+	// detects termination.
 	Topology string
 	// Standby arms coordinator failover: the hub replicates its
 	// residual state (the rank holding its hand-over, the incumbent)
@@ -115,7 +107,7 @@ type WireOptions struct {
 	Fault *FaultPlan
 }
 
-// Topology values for WireOptions.Topology.
+// Deprecated: the values of the ignored WireOptions.Topology.
 const (
 	TopologyStar = "star"
 	TopologyMesh = "mesh"
@@ -159,13 +151,12 @@ const (
 	kStealR                // From = victim, To = thief, Tasks = batch
 	kBound                 // From, Obj
 	kCancel                // From
-	kDelta                 // carrier for a coalesced header delta
 	kTerminate             // From = the coordinator: the search is over
 	kGather                // From, Blob
 	kAck                   // From = thief, To = origin, Seq = hand-over id
 	kDeath                 // hub→workers: Want = dead rank
 	kPing                  // liveness heartbeat; header fields only
-	kPeerAddr              // mesh or standby worker→hub at registration: Blob = advertised listener address
+	kPeerAddr              // worker→hub at registration: Blob = advertised listener address
 	kPeers                 // hub→worker: Blob = rank-indexed peer address table
 	kPeerHello             // first frame on a direct peer conn: From = dialer rank, Want = wire version
 	kGossip                // epidemic bound push: From = origin, Obj = gossiped bound
@@ -173,15 +164,13 @@ const (
 	kSplit                 // steal with split semantics: From = thief, To = victim, Want = max tasks; reply is a kStealR
 	kHubSnap               // hub→standby: Blob = residual-state snapshot (encodeHubSnapshot)
 	kHeld                  // standby worker→hub: From registered rank 0's supervised hand-over, the root, Seq its id
-	kRejoin                // worker→promoted hub: From = rank, Want = expected epoch, Obj = cumulative live-task contribution
-	kLeave                 // mesh worker→peers at post-termination Close: the sender is exiting, not dying
+	kLeave                 // rank→peers at post-termination Close: the sender is exiting, not dying
 	kResume                // v8 session resume handshake: Seq = session id, Obj = receive high-water mark; travels with link sequence 0
 )
 
 // wconn is one length-prefix-framed TCP connection with serialised
-// writes. The send path is where v2's per-frame batching happens: the
-// owning endpoint's coalesced live-task delta is drained into, and its
-// best bound stamped onto, every frame that leaves.
+// writes. The send path stamps the owning endpoint's best bound and
+// priority summary onto every frame that leaves.
 type wconn struct {
 	// cur is the current physical connection. A resumable session (v8)
 	// swaps it on reconnect; everything else about the wconn — the
@@ -210,6 +199,7 @@ type wconn struct {
 	plan       *FaultPlan
 	fFrom, fTo int
 	held       []byte // reorder hold-back slot (under wmu)
+	line       delayLine
 	dead       atomic.Bool
 	// mourned latches the one-time death processing for the peer
 	// behind this connection.
@@ -217,10 +207,10 @@ type wconn struct {
 	// left records an in-band kLeave: the peer announced a normal
 	// post-termination exit, so the connection breaking right after is
 	// a shutdown, not a death. Only consulted where death detection is
-	// decentralised (the mesh after a coordinator failover) — everywhere
-	// else the coordinator's done-gate already classifies the disconnect.
+	// decentralised (after a coordinator failover) — everywhere else the
+	// coordinator's done-gate already classifies the disconnect.
 	left atomic.Bool
-	// lost records a mesh peer link that failed while rank 0 lived, its
+	// lost records a worker link that failed while rank 0 lived, its
 	// verdict left to rank 0's kDeath; a takeover judges it instead.
 	lost atomic.Bool
 	// nSent/nRecvd count frames in each direction: the heartbeat
@@ -232,26 +222,20 @@ type wconn struct {
 	nRecvd atomic.Uint64
 
 	// endpoint hooks; any may be nil.
-	pending *atomic.Int64 // coalesced live-task delta, drained per send
-	// cum accumulates every delta this endpoint has put on a wire
-	// (standby deployments only). cum + pending is the rank's exact
-	// cumulative live-task contribution at any instant — the number a
-	// kRejoin reports so a promoted hub can rebuild the global count.
-	cum *atomic.Int64
-	pb  *atomic.Int64 // best known bound, stamped per send
+	pb *atomic.Int64 // best known bound, stamped per send
 	// ps reports the owning endpoint's best stealable priority for the
 	// v3 summary piggyback (psNothing = don't stamp). Only frames the
-	// endpoint originates (From == psFrom) are stamped: forwarded
-	// frames keep their origin's summary, which is what the receiver
-	// attributes it to.
+	// endpoint originates (From == psFrom) are stamped: a cancel the
+	// coordinator passes on keeps its origin's summary, which is what
+	// the receiver attributes it to.
 	ps     func() int64
 	psFrom int
 	ctr    *wireCounters
 
 	// carried is the best bound this connection has demonstrably
 	// conveyed in either direction — stamped as a pb piggyback or an
-	// explicit kGossip/kBound, sent or received. The mesh's epidemic
-	// push consults it to suppress gossip that would tell the peer
+	// explicit kGossip/kBound, sent or received. The epidemic push
+	// consults it to suppress gossip that would tell the peer
 	// nothing new: every ordinary frame already spreads bounds for
 	// free, so explicit gossip frames are spent only on actual news.
 	carried atomic.Int64
@@ -293,22 +277,10 @@ func (cn *wconn) noteCarried(f *frame) {
 // connection, as far as the traffic so far can prove.
 func (cn *wconn) hasNews(obj int64) bool { return obj > cn.carried.Load() }
 
-// stampLocked drains the endpoint's coalesced live-task delta into f
-// and stamps the piggybacked bound and priority summary. It returns
-// the drained delta (0 when f already carried one, or none was
-// pending), so a failed crash-stop write can restore the accumulator.
-// Called under wmu: flushes reach the wire in issue order, so a steal
-// reply always carries every delta issued before its tasks left the
-// pool (the termination-safety invariant).
-func (cn *wconn) stampLocked(f *frame) int64 {
-	var drained int64
-	if cn.pending != nil && f.Delta == 0 {
-		f.Delta = cn.pending.Swap(0)
-		drained = f.Delta
-	}
-	// kBound frames carry their news in Obj; stamping the same value
-	// as a piggyback would make the receiver's header merge mark the
-	// broadcast itself stale and suppress its relay.
+// stampLocked stamps the piggybacked bound and priority summary onto f.
+// Called under wmu.
+func (cn *wconn) stampLocked(f *frame) {
+	// kBound frames carry their news in Obj: no stamp repeats it.
 	if cn.pb != nil && !f.HasPB && f.Kind != kBound {
 		if b := cn.pb.Load(); b != math.MinInt64 {
 			f.PB, f.HasPB = b, true
@@ -319,30 +291,20 @@ func (cn *wconn) stampLocked(f *frame) int64 {
 			f.PS, f.HasPS = p, true
 		}
 	}
-	return drained
 }
 
 func (cn *wconn) send(f *frame) error {
 	if s := cn.sess; s != nil && f.Kind == kPing && s.isSuspended() {
 		// Heartbeats carry no payload of their own: dropping them while
-		// suspended keeps the retransmit log for real traffic (the
-		// pending delta rides the next logged frame instead).
+		// suspended keeps the retransmit log for real traffic.
 		return nil
 	}
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
 	if cn.halted() {
-		// Read under the lock: a takeover marks the old coordinator link
-		// dead, then settles the rank's contribution under this lock, so
-		// no send that waited for it drains a delta onto a dead link. A
-		// refused frame leaves its delta pending, where a closed endpoint
-		// strands it.
 		return errors.New("dist: connection closed")
 	}
-	drained := cn.stampLocked(f) != 0
-	if f.Kind == kDelta && f.Delta == 0 {
-		return nil // a concurrent frame carried the delta (liveCount.tick)
-	}
+	cn.stampLocked(f)
 	var seq uint32
 	if f.Kind != kResume {
 		cn.sendSeq++
@@ -354,14 +316,8 @@ func (cn *wconn) send(f *frame) error {
 		// The session owns delivery from here: the frame is logged
 		// (clean, before any fault-plan mutation) and will reach the
 		// peer over this connection or a resumed successor — or be
-		// absorbed by the death path when the session breaks. The delta
-		// it carries is therefore counted as put-on-a-wire now, and
-		// never re-added: cum + pending stays the rank's exact
-		// cumulative contribution either way.
+		// absorbed by the death path when the session breaks.
 		s.appendLog(cn.sendSeq, buf)
-		if cn.cum != nil && f.Delta != 0 {
-			cn.cum.Add(f.Delta)
-		}
 		cn.nSent.Add(1)
 		cn.noteCarried(f)
 		if cn.ctr != nil {
@@ -380,17 +336,8 @@ func (cn *wconn) send(f *frame) error {
 		return nil
 	}
 	if err := cn.writeFault(buf); err != nil {
-		if drained {
-			// Put the drained delta back: a failover recomputes the
-			// rank's contribution from cum + pending, so a delta that
-			// died with the connection must stay accounted.
-			cn.pending.Add(f.Delta)
-		}
 		cn.dead.Store(true)
 		return err
-	}
-	if cn.cum != nil && f.Delta != 0 {
-		cn.cum.Add(f.Delta)
 	}
 	cn.nSent.Add(1)
 	cn.noteCarried(f)
@@ -404,7 +351,8 @@ func (cn *wconn) send(f *frame) error {
 // writeFault realises the link's fault plan around one physical frame
 // write. The clean bytes are already in the retransmit log, so with a
 // session attached a mutation here only ever costs a resume round,
-// never correctness. Called under wmu.
+// never correctness. Called under wmu, which a delayed frame does not
+// hold while it waits (put).
 func (cn *wconn) writeFault(buf []byte) error {
 	nio := cn.cur.Load()
 	p := cn.plan
@@ -420,9 +368,6 @@ func (cn *wconn) writeFault(buf []byte) error {
 		nio.c.Close()
 		return errLinkSevered
 	}
-	if act.delay > 0 {
-		time.Sleep(act.delay)
-	}
 	if act.drop {
 		// Swallowed: the receiver sees a sequence gap on the next
 		// frame and fails the link into the resume path.
@@ -437,20 +382,87 @@ func (cn *wconn) writeFault(buf []byte) error {
 		cn.held = append([]byte(nil), out...)
 		return nil
 	}
-	if _, err := nio.c.Write(out); err != nil {
+	if err := cn.put(nio.c, act.delay, out); err != nil {
 		return err
 	}
 	if held := cn.held; held != nil {
 		cn.held = nil
-		if _, err := nio.c.Write(held); err != nil {
+		if err := cn.put(nio.c, act.delay, held); err != nil {
 			return err
 		}
 	}
 	if act.dup {
-		_, err := nio.c.Write(out)
-		return err
+		return cn.put(nio.c, act.delay, out)
 	}
 	return nil
+}
+
+// delayLine delivers a link's frames after the fault plan's latency, in
+// the order they were sent, from a goroutine of its own that runs while
+// frames are queued: a sender never waits out the latency, so k frames
+// sent back to back over a link of latency d arrive after about d, not
+// k·d.
+type delayLine struct {
+	mu      sync.Mutex
+	q       []delayedFrame
+	last    time.Time // when the last frame queued falls due
+	running bool      // deliver is queued or writing
+}
+
+type delayedFrame struct {
+	due time.Time
+	c   net.Conn
+	b   []byte
+}
+
+// put writes b to c after delay, and never ahead of a frame put before
+// it: a frame falls due no earlier than its predecessor, whatever its
+// jitter. With no delay and nothing queued or being written it writes
+// at once.
+func (cn *wconn) put(c net.Conn, delay time.Duration, b []byte) error {
+	l := &cn.line
+	l.mu.Lock()
+	if delay <= 0 && !l.running {
+		l.mu.Unlock()
+		_, err := c.Write(b)
+		return err
+	}
+	due := time.Now().Add(delay)
+	if due.Before(l.last) {
+		due = l.last
+	}
+	l.last = due
+	l.q = append(l.q, delayedFrame{due, c, append([]byte(nil), b...)})
+	if !l.running {
+		l.running = true
+		go cn.deliver()
+	}
+	l.mu.Unlock()
+	return nil
+}
+
+// deliver writes the queued frames as each falls due, and returns once
+// none is left, or the link is dead. A failed write closes its
+// connection, so the link's reader fails as it would on a write the
+// sender made itself: a session resumes (its log holds every frame), a
+// plain link dies.
+func (cn *wconn) deliver() {
+	l := &cn.line
+	for {
+		l.mu.Lock()
+		if len(l.q) == 0 || cn.dead.Load() {
+			l.q, l.running = l.q[:0], false
+			l.mu.Unlock()
+			return
+		}
+		f := l.q[0]
+		l.q = l.q[1:]
+		l.mu.Unlock()
+		time.Sleep(time.Until(f.due))
+		if _, err := f.c.Write(f.b); err != nil {
+			f.c.Close()
+		}
+	}
 }
 
 // recv reads the link's next frame into f. f's Blob and task payloads
@@ -607,7 +619,7 @@ type pendingSteals struct {
 }
 
 // pendingSteal is one request's slot, tagged with the victim it names
-// and the link it left on (the coordinator's, when relayed).
+// and the link it left on.
 type pendingSteal struct {
 	seq     uint64 // the request's correlation number; 0 while the slot is free
 	victim  int
@@ -714,21 +726,17 @@ func NewListenerOpts(addr, spec string, opts WireOptions) (*Listener, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	return &Listener{ln: ln, spec: topoSpec(spec, opts), opts: opts}, nil
+	return &Listener{ln: ln, spec: optSpec(spec, opts), opts: opts}, nil
 }
 
-// topoSpec folds the topology into the deployment spec, so a star
-// coordinator and a mesh worker (or vice versa) reject each other at
-// registration with an explicit spec mismatch instead of wedging on
-// frames the other side never sends.
-func topoSpec(spec string, opts WireOptions) string {
-	if opts.Topology == TopologyMesh {
-		spec += " topology=mesh"
-	}
+// optSpec folds the options every rank must agree on into the
+// deployment spec, so mismatched ranks reject each other at
+// registration with an explicit spec mismatch instead of wedging.
+func optSpec(spec string, opts WireOptions) string {
 	if opts.Standby {
-		// A standby deployment changes the registration sequence
-		// (kPeerAddr/kPeers on a star) — mixed deployments must reject
-		// each other instead of wedging.
+		// A standby's rank 0 runs no workers and replicates to rank 1,
+		// which takes over on its death: a rank that does not expect
+		// that must not join.
 		spec += " standby=1"
 	}
 	if opts.LinkGrace > 0 {
@@ -748,10 +756,9 @@ func (l *Listener) Close() error { return l.ln.Close() }
 
 // Wait accepts registrations until `workers` workers are connected,
 // then welcomes each with its rank and returns the coordinator
-// transport (rank 0 of a size workers+1 deployment). On a mesh or
-// standby deployment each worker follows its hello with the address of
-// a listener it pre-bound (kPeerAddr) — the one its peers dial, or the
-// one survivors re-dial should it be promoted — and gets the complete
+// transport (rank 0 of a size workers+1 deployment). Each worker
+// follows its hello with the address of a listener it pre-bound
+// (kPeerAddr), the one its peers dial, and gets the complete
 // rank-indexed table back (kPeers) right after its welcome.
 //
 // Registration is failure-aware: a connection that presents a bad
@@ -770,10 +777,7 @@ func (l *Listener) Wait(workers int) (Transport, error) {
 	e := newEndpoint(l.opts, l.spec)
 	e.ln = l.ln
 	e.init(0, workers+1)
-	exchange := e.mesh || l.opts.Standby
-	if exchange {
-		e.peerAddrs = make([]string, e.size)
-	}
+	peerAddrs := make([]string, e.size)
 	next := 1
 	registered, lastReject, err := e.acceptLinks(time.Now().Add(l.opts.RegTimeout), workers, func(cn *wconn, hello *frame) error {
 		from := cn.cur.Load().c.RemoteAddr()
@@ -787,14 +791,12 @@ func (l *Listener) Wait(workers int) (Transport, error) {
 			cn.send(&frame{Kind: kReject, Blob: []byte(fmt.Sprintf("spec mismatch: coordinator runs %q, worker runs %q", l.spec, string(hello.Blob)))})
 			return fmt.Errorf("worker %v registered with mismatched spec %q (coordinator: %q)", from, string(hello.Blob), l.spec)
 		}
-		if exchange {
-			var pa frame
-			if err := cn.recv(&pa); err != nil || pa.Kind != kPeerAddr || len(pa.Blob) == 0 {
-				cn.send(&frame{Kind: kReject, Blob: []byte("mesh and standby registration require a peer address after the hello")})
-				return fmt.Errorf("worker %v sent no peer address", from)
-			}
-			e.peerAddrs[next] = string(pa.Blob)
+		var pa frame
+		if err := cn.recv(&pa); err != nil || pa.Kind != kPeerAddr || len(pa.Blob) == 0 {
+			cn.send(&frame{Kind: kReject, Blob: []byte("registration requires a peer address after the hello")})
+			return fmt.Errorf("worker %v sent no peer address", from)
 		}
+		peerAddrs[next] = string(pa.Blob)
 		e.install(next, cn)
 		next++
 		return nil
@@ -814,7 +816,7 @@ func (l *Listener) Wait(workers int) (Transport, error) {
 		}
 		return nil, fmt.Errorf("dist: registration timed out with %d/%d workers (missing %s): %w", registered, workers, missing, err)
 	}
-	table := appendPeerTable(nil, e.peerAddrs)
+	table := appendPeerTable(nil, peerAddrs)
 	for rank := 1; rank <= workers; rank++ {
 		cn := e.links[rank].Load()
 		welcome := &frame{Kind: kWelcome, To: rank, Want: e.size, Blob: []byte(l.spec)}
@@ -828,10 +830,8 @@ func (l *Listener) Wait(workers int) (Transport, error) {
 		if err := cn.send(welcome); err != nil {
 			return nil, fmt.Errorf("dist: welcoming worker %d: %w", rank, err)
 		}
-		if exchange {
-			if err := cn.send(&frame{Kind: kPeers, To: rank, Blob: table}); err != nil {
-				return nil, fmt.Errorf("dist: sending peer table to worker %d: %w", rank, err)
-			}
+		if err := cn.send(&frame{Kind: kPeers, To: rank, Blob: table}); err != nil {
+			return nil, fmt.Errorf("dist: sending peer table to worker %d: %w", rank, err)
 		}
 	}
 	for rank := 1; rank <= workers; rank++ {
@@ -851,14 +851,14 @@ func Dial(addr, spec string) (Transport, error) {
 
 // DialOpts is Dial with explicit framing options. StealBatch is a
 // thief-side knob (each endpoint requests its own batch size), while
-// FlushQuantum paces this worker's delta flushes; deployments normally
-// use the same options everywhere but are not required to. On a mesh
-// it returns only when the full mesh is up — every lower rank dialed,
+// FlushQuantum paces this worker's coalesced traffic; deployments
+// normally use the same options everywhere but are not required to. It
+// returns only when the full mesh is up — every lower rank dialed,
 // every higher rank accepted — so a returned transport can steal from
 // (and be stolen from by) any peer immediately.
 func DialOpts(addr, spec string, opts WireOptions) (Transport, error) {
 	opts = opts.withDefaults()
-	e := newEndpoint(opts, topoSpec(spec, opts))
+	e := newEndpoint(opts, optSpec(spec, opts))
 	c, err := dialRetry(addr)
 	if err != nil {
 		return nil, err
@@ -869,35 +869,28 @@ func DialOpts(addr, spec string, opts WireOptions) (Transport, error) {
 		e.closeLinks()
 		return nil, err
 	}
-	exchange := e.mesh || opts.Standby
-	if exchange {
-		// Pre-bind the listener before saying hello: the address every
-		// worker advertises must be accepting from the instant it is
-		// exchanged — mesh peers dial it right after registration, and a
-		// takeover can happen any time after (re-dialing workers land in
-		// the kernel backlog until the candidate's accept loop starts).
-		if e.ln, err = net.Listen("tcp", ":0"); err != nil {
-			return fail(fmt.Errorf("dist: binding peer listener: %w", err))
-		}
+	// Pre-bind the listener before saying hello: the address every
+	// worker advertises must be accepting from the instant it is
+	// exchanged, as peers dial it right after registration.
+	if e.ln, err = net.Listen("tcp", ":0"); err != nil {
+		return fail(fmt.Errorf("dist: binding peer listener: %w", err))
 	}
 	if err := cn.send(&frame{Kind: kHello, Want: wireVersion, Blob: []byte(e.spec)}); err != nil {
 		return fail(fmt.Errorf("dist: registering with %s: %w", addr, err))
 	}
-	if exchange {
-		// Advertise the listener under the host the registration
-		// connection actually uses (the listener itself is bound to the
-		// wildcard address).
-		host, _, err := net.SplitHostPort(c.LocalAddr().String())
-		if err != nil {
-			return fail(fmt.Errorf("dist: resolving advertised address: %w", err))
-		}
-		_, port, err := net.SplitHostPort(e.ln.Addr().String())
-		if err != nil {
-			return fail(fmt.Errorf("dist: resolving peer listener port: %w", err))
-		}
-		if err := cn.send(&frame{Kind: kPeerAddr, Blob: []byte(net.JoinHostPort(host, port))}); err != nil {
-			return fail(fmt.Errorf("dist: advertising peer address to %s: %w", addr, err))
-		}
+	// Advertise the listener under the host the registration connection
+	// actually uses (the listener itself is bound to the wildcard
+	// address).
+	host, _, err := net.SplitHostPort(c.LocalAddr().String())
+	if err != nil {
+		return fail(fmt.Errorf("dist: resolving advertised address: %w", err))
+	}
+	_, port, err := net.SplitHostPort(e.ln.Addr().String())
+	if err != nil {
+		return fail(fmt.Errorf("dist: resolving peer listener port: %w", err))
+	}
+	if err := cn.send(&frame{Kind: kPeerAddr, Blob: []byte(net.JoinHostPort(host, port))}); err != nil {
+		return fail(fmt.Errorf("dist: advertising peer address to %s: %w", addr, err))
 	}
 	var welcome frame
 	if err := cn.recv(&welcome); err != nil {
@@ -911,7 +904,7 @@ func DialOpts(addr, spec string, opts WireOptions) (Transport, error) {
 		return fail(fmt.Errorf("dist: unexpected registration reply kind %d", welcome.Kind))
 	}
 	e.init(welcome.To, welcome.Want)
-	e.hook(cn, true)
+	e.hook(cn)
 	if opts.LinkGrace > 0 && welcome.Seq != 0 {
 		// The coordinator minted a resumable session and carried its id
 		// in the welcome; this side dials the resume after a loss.
@@ -920,51 +913,46 @@ func DialOpts(addr, spec string, opts WireOptions) (Transport, error) {
 		s.redial = sessionRedialer(addr)
 		cn.sess = s
 	}
-	if exchange {
-		var pf frame
-		if err := cn.recv(&pf); err != nil || pf.Kind != kPeers {
-			return fail(fmt.Errorf("dist: no peer table from %s: %v", addr, err))
-		}
-		table, err := parsePeerTable(pf.Blob)
-		if err != nil || len(table) != e.size {
-			return fail(fmt.Errorf("dist: bad peer table from %s (%d entries for a size-%d deployment): %v", addr, len(table), e.size, err))
-		}
-		e.peerAddrs = table
+	var pf frame
+	if err := cn.recv(&pf); err != nil || pf.Kind != kPeers {
+		return fail(fmt.Errorf("dist: no peer table from %s: %v", addr, err))
+	}
+	peerAddrs, err := parsePeerTable(pf.Blob)
+	if err != nil || len(peerAddrs) != e.size {
+		return fail(fmt.Errorf("dist: bad peer table from %s (%d entries for a size-%d deployment): %v", addr, len(peerAddrs), e.size, err))
 	}
 	e.install(0, cn)
-	if e.mesh {
-		// Complete the mesh: dial the lower ranks (their listeners were
-		// bound before their hellos, so the table's addresses are already
-		// accepting) and accept the higher ones, identified by their
-		// kPeerHello. Strays (port scans, stale dials) are dropped
-		// without consuming a slot; only the window itself is fatal.
-		for r := 1; r < e.rank; r++ {
-			pcn, err := e.dialLink(e.peerAddrs[r], r, &frame{Kind: kPeerHello, From: e.rank, Want: wireVersion})
-			if err != nil {
-				return fail(fmt.Errorf("dist: dialing mesh peer %d at %s: %w", r, e.peerAddrs[r], err))
-			}
-			e.install(r, pcn)
-			go e.readLoop(r, pcn)
-		}
-		want := e.size - 1 - e.rank
-		got, _, err := e.acceptLinks(time.Now().Add(opts.RegTimeout), want, func(pcn *wconn, ph *frame) error {
-			if ph.Kind != kPeerHello || ph.Want != wireVersion || ph.From <= e.rank || ph.From >= e.size || e.links[ph.From].Load() != nil {
-				return fmt.Errorf("stray connection from %v on the peer listener", pcn.cur.Load().c.RemoteAddr())
-			}
-			e.acceptSession(pcn, ph.Seq)
-			e.install(ph.From, pcn)
-			go e.readLoop(ph.From, pcn)
-			return nil
-		})
+	// Complete the mesh: dial the lower ranks (their listeners were bound
+	// before their hellos, so the table's addresses are already accepting)
+	// and accept the higher ones, identified by their kPeerHello. Strays
+	// (port scans, stale dials) are dropped without consuming a slot; only
+	// the window itself is fatal.
+	for r := 1; r < e.rank; r++ {
+		pcn, err := e.dialLink(peerAddrs[r], r, &frame{Kind: kPeerHello, From: e.rank, Want: wireVersion})
 		if err != nil {
-			return fail(fmt.Errorf("dist: accepting mesh peers (have %d of %d): %w", got, want, err))
+			return fail(fmt.Errorf("dist: dialing mesh peer %d at %s: %w", r, peerAddrs[r], err))
 		}
-		if e.sessions == nil {
-			// Nobody dials a mesh listener again: takeover on a mesh is
-			// role migration over the links that already exist. Only
-			// session resumes (run, below) keep it open.
-			e.ln.Close()
+		e.install(r, pcn)
+		go e.readLoop(r, pcn)
+	}
+	want := e.size - 1 - e.rank
+	got, _, err := e.acceptLinks(time.Now().Add(opts.RegTimeout), want, func(pcn *wconn, ph *frame) error {
+		if ph.Kind != kPeerHello || ph.Want != wireVersion || ph.From <= e.rank || ph.From >= e.size || e.links[ph.From].Load() != nil {
+			return fmt.Errorf("stray connection from %v on the peer listener", pcn.cur.Load().c.RemoteAddr())
 		}
+		e.acceptSession(pcn, ph.Seq)
+		e.install(ph.From, pcn)
+		go e.readLoop(ph.From, pcn)
+		return nil
+	})
+	if err != nil {
+		return fail(fmt.Errorf("dist: accepting mesh peers (have %d of %d): %w", got, want, err))
+	}
+	if e.sessions == nil {
+		// Nobody dials this listener again: a takeover is role migration
+		// over the links that already exist. Only session resumes (run,
+		// below) keep it open.
+		e.ln.Close()
 	}
 	// The heartbeat starts at registration, not at Start: the gap
 	// between the two is where the worker loads its problem instance,
@@ -977,8 +965,8 @@ func DialOpts(addr, spec string, opts WireOptions) (Transport, error) {
 // acceptLinks is the one accept loop: it takes connections on the
 // endpoint's listener until want of them have been admitted or the
 // deadline passes, handing each connection's first frame to admit —
-// which validates it (a registration hello, a mesh peer hello, a
-// post-takeover rejoin), installs the link, and returns an error for a
+// which validates it (a registration hello, a peer hello), installs the
+// link, and returns an error for a
 // candidate to turn away. Rejected candidates cost nothing but their
 // own connection; only the window closing (or the listener) ends the
 // loop early, and lastReject then says why the last one was refused.
@@ -993,7 +981,7 @@ func (e *endpoint) acceptLinks(deadline time.Time, want int, admit func(cn *wcon
 			return got, lastReject, err
 		}
 		cn := newWconn(c, &e.ctr)
-		e.hook(cn, false)
+		e.hook(cn)
 		// The window must also bound the handshake reads: a connection
 		// that never sends a frame (port scan, stalled peer) must not
 		// hang the loop past it.
@@ -1016,18 +1004,16 @@ func (e *endpoint) acceptLinks(deadline time.Time, want int, admit func(cn *wcon
 	return got, lastReject, nil
 }
 
-// dialLink dials a peer's listener and opens the link with hello (a
-// mesh kPeerHello, a post-takeover kRejoin). Under LinkGrace the
-// dialing side mints the link's session and carries its id in the
-// hello for the acceptor to register. A kRejoin opens the link to the
-// new coordinator — the one a counting rank's deltas drain into.
+// dialLink dials a peer's listener and opens the link with hello, a
+// kPeerHello. Under LinkGrace the dialing side mints the link's session
+// and carries its id in the hello for the acceptor to register.
 func (e *endpoint) dialLink(addr string, peer int, hello *frame) (*wconn, error) {
 	c, err := dialRetry(addr)
 	if err != nil {
 		return nil, err
 	}
 	cn := newWconn(c, &e.ctr)
-	e.hook(cn, hello.Kind == kRejoin)
+	e.hook(cn)
 	if e.opts.LinkGrace > 0 {
 		s := newSession(mintSessionID(e.rank), e.opts.LinkGrace)
 		s.rank = e.rank

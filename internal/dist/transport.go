@@ -114,8 +114,7 @@ func deliverAck(hd Handler, from int, id uint64, val []byte) {
 // DeathHearer is an optional Handler extension: OnDeath tells the engine
 // of a peer's death, once per rank, synchronously, at the point where the
 // transport announces it: before the transport acts on the death in any
-// other way (a takeover promotes, rejoins and hands over only once it
-// returns). The engine replays the hand-overs the rank held and stops
+// other way (a takeover promotes and hands over only once it returns). The engine replays the hand-overs the rank held and stops
 // picking it as a steal victim. The loopback network's localities never
 // die, so it never calls it.
 type DeathHearer interface {
@@ -447,13 +446,6 @@ type Transport interface {
 	// runs no workers, so the one task it hands over, under supervision,
 	// is the root. Never on the loopback network.
 	Standby() bool
-	// AcksRelayed reports whether this endpoint's completion acks
-	// travel through the coordinator rather than on a direct link to
-	// their origin. The engine consults it when rank 0 dies: a relayed
-	// ack may have died in the coordinator's buffers, so the only safe
-	// continuation of every outstanding hand-over this rank minted is a
-	// local replay.
-	AcksRelayed() bool
 	// Root reports, at the rank taking rank 0's role over (ok, from the
 	// engine's OnDeath(0) on), rank 0's supervised hand-over under
 	// WireOptions.Standby, the root, as rank 0 last replicated it: the
@@ -467,7 +459,7 @@ type Transport interface {
 	// Close releases the transport's resources. Safe to call more
 	// than once. Over a wire, a Close before Done is a crash-stop, the
 	// in-process kill: from its start nothing leaves the locality (no
-	// flush of acks or live-task deltas, no reply, no kTerminate), Done
+	// flush of acks, no token, no reply, no kTerminate), Done
 	// is released, and every link drops, so the survivors mourn it and
 	// replay its subtrees as they would a SIGKILLed process's. After
 	// Done it is a clean exit.

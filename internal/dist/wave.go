@@ -5,14 +5,13 @@ import (
 	"time"
 )
 
-// The termination wave replaces the star hub's global live-task count
-// on mesh deployments, where no single endpoint sees every delta. It
-// is a Safra-style token wave adapted to the engine's task-accounting
-// discipline:
+// The termination wave detects the end of a search over TCP, where no
+// single endpoint sees every live-task delta. It is a Safra-style token
+// wave adapted to the engine's task-accounting discipline:
 //
 //   - every spawn/adopt contributes +1 and every completion/retirement
 //     -1 to the LOCAL counter of the rank that performed it (AddTasks
-//     never crosses the wire on mesh);
+//     never crosses the wire);
 //   - the supervision ledger keeps a victim's +1 until the thief's
 //     completion ack lands, so a task in flight between two ranks is
 //     always covered by at least one live counter;
@@ -259,4 +258,22 @@ func (w *waveNode) nextLiveLocked() int {
 		}
 	}
 	return w.rank
+}
+
+// tokenFrame packs a wave token for the wire; the colour bits travel
+// in Want.
+func tokenFrame(from, to int, tok waveToken) *frame {
+	bits := 0
+	if tok.black {
+		bits |= tokBlack
+	}
+	if tok.active {
+		bits |= tokActive
+	}
+	return &frame{Kind: kToken, From: from, To: to, Seq: tok.round, Obj: tok.q, Want: bits}
+}
+
+// frameToken unpacks a kToken.
+func frameToken(f *frame) waveToken {
+	return waveToken{round: f.Seq, q: f.Obj, black: f.Want&tokBlack != 0, active: f.Want&tokActive != 0}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Property tests for the termination wave, driven on a ring of waveNodes
-// built here, the way the mesh endpoint wires them: randomised spawn/
+// built here, the way the endpoint wires them: randomised spawn/
 // steal/complete schedules, with and without injected deaths, must never
 // terminate early (a lost task would strand work) and never hang (a lost
 // token would strand the deployment).

@@ -219,22 +219,12 @@ func atoi(t *testing.T, s string) int {
 }
 
 // A partition shorter than -link-grace is absorbed by a session
-// resume: no deaths, no ledger replay, the exact optimum.
-func TestDistributedPartitionHealStar(t *testing.T) {
-	testDistributedPartitionHeal(t, nil)
-}
-
-// The same cut on the mesh topology: only the hub link runs through
-// the proxy (peer links dial the advertised peer addresses directly),
-// and it too must heal by resuming, not by mourning.
-func TestDistributedPartitionHealMesh(t *testing.T) {
-	testDistributedPartitionHeal(t, []string{"-topology", "mesh"})
-}
-
-func testDistributedPartitionHeal(t *testing.T, extraFlags []string) {
+// resume: no deaths, no ledger replay, the exact optimum. Only the
+// coordinator link runs through the proxy (peer links dial the
+// advertised peer addresses directly).
+func TestDistributedPartitionHeal(t *testing.T) {
 	appFlags := []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded",
 		"-d", "2", "-workers", "2", "-link-grace", "2s"}
-	appFlags = append(appFlags, extraFlags...)
 	testPartition(t, appFlags, 300*time.Millisecond,
 		func(deaths, replayed, resumes int) bool { return resumes > 0 || deaths > 0 },
 		func(t *testing.T, out string, deaths, replayed, resumes int) {
@@ -250,7 +240,7 @@ func testDistributedPartitionHeal(t *testing.T, extraFlags []string) {
 // A partition longer than -link-grace breaks the session and degrades
 // to the v4 death path: the severed worker is mourned, its ledger
 // entries replay, and the answer is still exact.
-func TestDistributedPartitionDeathStar(t *testing.T) {
+func TestDistributedPartitionDeath(t *testing.T) {
 	appFlags := []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded",
 		"-d", "2", "-workers", "2", "-link-grace", "300ms", "-max-failures", "1"}
 	testPartition(t, appFlags, 5*time.Second,
