@@ -369,17 +369,20 @@ func TestDistOptRejectsUnsupportedCoordination(t *testing.T) {
 		scenario{tree: toy12, search: optimise, coord: Replicable, ranks: 2})
 }
 func TestDistOptSurvivesWorkerDeath(t *testing.T) {
-	rows(t, db(fault, optimise, 4, tolerant, kill{rank: 2}))
+	sc := db(fault, optimise, 4, tolerant, kill{rank: 2})
+	rows(t, sc, delayed(sc))
 }
 func TestDistOptSurvivesDoubleDeath(t *testing.T) {
-	rows(t, db(fault, optimise, 4, tolerant, kill{rank: 1}, kill{rank: 3}))
+	sc := db(fault, optimise, 4, tolerant, kill{rank: 1}, kill{rank: 3})
+	rows(t, sc, delayed(sc))
 }
 func TestDistOptMaxFailuresPolicy(t *testing.T) {
 	rows(t, db(fault, optimise, 3, Config{Workers: 2, DCutoff: 3}, kill{rank: 2}),
 		db(fault, optimise, 3, Config{Workers: 2, DCutoff: 3, MaxFailures: 1}, kill{rank: 2}))
 }
 func TestDistEnumSurvivesWorkerDeath(t *testing.T) {
-	rows(t, db(fault, enumerate, 3, tolerant, kill{rank: 2}), db(fault, enumerate, 4, tolerant, kill{rank: 1}, kill{rank: 3}))
+	one, two := db(fault, enumerate, 3, tolerant, kill{rank: 2}), db(fault, enumerate, 4, tolerant, kill{rank: 1}, kill{rank: 3})
+	rows(t, one, two, delayed(one), delayed(two))
 }
 
 // A standby coordinator killed once a worker holds work; and, with rank 0's
@@ -390,13 +393,14 @@ func TestDistEnumSurvivesWorkerDeath(t *testing.T) {
 // the root first and rank 2 stole from it: rank 1 names itself the holder.
 // There an engine that heard of rank 0's death after the takeover replayed
 // rank 1's hand-overs to rank 2 too, and the search ended with rank 2's
-// later hand-overs unacked (dist.DeathHearer).
+// later hand-overs unacked (dist.DeathHearer). Each optimising and
+// enumerating, and the first with every link delayed too.
 func TestDistOptSurvivesCoordinatorDeath(t *testing.T) {
 	held := onStandby(db(fault, optimise, 4, tolerant, kill{rank: 0, by: []int{1, 2, 3}}))
 	slow := onStandby(db(fault16, optimise, 3, tolerant, kill{rank: 0, by: []int{2}}))
 	slow.net = dist.NewFaultPlan(1)
 	slow.net.SetLink(0, 1, dist.LinkFault{Latency: 5 * time.Millisecond})
-	rows(t, held, slow, enumTwin(held), enumTwin(slow))
+	rows(t, held, slow, enumTwin(held), enumTwin(slow), delayed(held), enumTwin(delayed(held)))
 }
 
 // A zero Config on a standby deployment: the engine asks its transport,
@@ -407,10 +411,15 @@ func TestStandbyComesFromTheTransport(t *testing.T) {
 
 // enumTwin is sc as an enumeration: on rank 0's death too, the exact fold.
 func enumTwin(sc scenario) scenario { sc.search = enumerate; return sc }
+
+// delayed is sc with every link's frames held 200 µs on their way, so that
+// a death finds some of them still in flight.
+func delayed(sc scenario) scenario { return slowed(sc, 200*us, 0) }
 func TestDistOptCoordinatorDeathSpillCleanup(t *testing.T) {
 	cfg := tolerant
 	cfg.PoolBudget = 8 << 10
-	rows(t, onStandby(db(fault, optimise, 3, cfg, kill{rank: 0, by: []int{1, 2}})))
+	sc := onStandby(db(fault, optimise, 3, cfg, kill{rank: 0, by: []int{1, 2}}))
+	rows(t, sc, enumTwin(sc))
 }
 func TestDistOptFaultStatsPlumbing(t *testing.T) {
 	sc := db(fault, optimise, 4, tolerant, kill{rank: 1})
@@ -419,7 +428,7 @@ func TestDistOptFaultStatsPlumbing(t *testing.T) {
 			t.Errorf("LedgerPeak = %d, want > 0: a killed worker held handed-over work", o.stats.LedgerPeak)
 		}
 	}
-	rows(t, sc)
+	rows(t, sc, delayed(sc))
 }
 
 func TestMemoryBudgetSpillsAndMatchesOracle(t *testing.T) {
@@ -458,7 +467,7 @@ func TestMemorySpillReadmitStress(t *testing.T) {
 
 // The two bugs the draw found. A decision with a worker killed on its
 // first work: every call — the dead rank's too — returns, with a witness
-// exactly when one exists.
+// exactly when one exists, on delayed links too.
 func TestDistDecideSurvivesWorkerDeath(t *testing.T) {
 	opt16, _ := fault16.truth(optimise)
 	row := func(tr tree, target int64, ranks int, cfg Config, dies int) scenario {
@@ -471,7 +480,7 @@ func TestDistDecideSurvivesWorkerDeath(t *testing.T) {
 	rows(t, row(toy12, 20, 3, Config{Workers: 2, DCutoff: 2, MaxFailures: -1}, 2),
 		row(toy12, 20, 4, Config{Workers: 1, MaxFailures: -1}, 3),
 		row(fault16, opt16, 4, tolerant, 2), budget,
-		row(fault16, opt16+1, 4, tolerant, 2))
+		row(fault16, opt16+1, 4, tolerant, 2), delayed(row(fault16, opt16, 4, tolerant, 2)))
 }
 
 // A partition inside the link grace heals without a death: on TCP by
@@ -489,11 +498,12 @@ func TestPartitionHealsWithoutDeath(t *testing.T) {
 }
 
 // A standby coordinator killed as it registers the root, before anyone
-// holds it.
+// holds it, optimising and enumerating.
 func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
 	var scs []scenario
 	for ranks := 2; ranks <= 4; ranks++ {
-		scs = append(scs, onStandby(db(fault16, optimise, ranks, tolerant, kill{rank: 0})))
+		sc := onStandby(db(fault16, optimise, ranks, tolerant, kill{rank: 0}))
+		scs = append(scs, sc, enumTwin(sc))
 	}
 	rows(t, scs...)
 }
@@ -501,9 +511,9 @@ func TestStandbyCoordinatorDiesHoldingTheRoot(t *testing.T) {
 // A standby coordinator and then the worker holding the root killed at
 // another's first work: slow links from rank 0 leave the root to rank 2,
 // and rank 1, the successor, first works from it. With the root's
-// supervisor and holder gone, rank 1 searches the whole tree again. On
-// TCP it found a node sent to rank 0 alone that died with it while its
-// bound spread.
+// supervisor and holder gone, rank 1 searches the whole tree again, with
+// rank 3 or, on three ranks, alone. On TCP it found a node sent to rank 0
+// alone that died with it while its bound spread.
 func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 	sc := onStandby(db(toyTree("fault20", faultVals(20), false), optimise, 4, tolerant, kill{rank: 0, by: []int{1}}, kill{rank: 2, by: []int{1}}))
 	sc.net = dist.NewFaultPlan(1)
@@ -514,43 +524,50 @@ func TestStandbyCoordinatorThenRootHolderDie(t *testing.T) {
 			t.Errorf("survivors visited %d nodes of %d: the root was not searched again", o.stats.Nodes, nodes)
 		}
 	}
-	rows(t, sc, enumTwin(sc))
+	three := sc
+	three.ranks = 3
+	rows(t, sc, enumTwin(sc), three, enumTwin(three))
 }
 
-// A standby coordinator killed mid-search, once its snapshots name the
-// root's holder; with the link between rank 1, the successor, and rank 3
-// slowed down, so that rank 3's hand-over and traffic land after rank 1
-// holds the role, or rank 2, whose node found while it is on its way must
-// still reach the role; after a worker, whose death and gather slot rank 1
-// must hold when it takes the role over; and on three ranks. Each
-// optimising and enumerating. Every kill lands; no ack crosses rank 0, so
-// rank 0's death alone, once a snapshot has named the root's holder,
-// replays nothing: every node is visited once.
+// A standby coordinator killed mid-search, early, when its snapshots may
+// not yet name the root's holder, and late, once they do; with the link
+// between rank 1, the successor, and rank 3 slowed down, so that rank 3's
+// hand-over and traffic land after rank 1 holds the role, or rank 2, whose
+// node found while it is on its way must still reach the role; after a
+// worker, whose death and gather slot rank 1 must hold when it takes the
+// role over; and on three ranks. Each optimising and enumerating. Every
+// kill lands; no ack crosses rank 0, so rank 0's late death alone, once a
+// snapshot has named the root's holder, replays nothing: every node is
+// visited once.
 func TestStandbyCoordinatorDiesMidSearch(t *testing.T) {
-	// Rank 0 dies late enough, even under -race, for a snapshot to name the
-	// root's holder; a slowed link can delay the hand-over past that, so the
-	// node count is held on unslowed rows alone.
-	rank0 := kill{rank: 0, after: 100 * time.Millisecond, by: []int{1, 2, 3}}
-	killed := onStandby(db(fault, optimise, 4, tolerant, rank0))
-	late := func(from int) scenario {
-		sc := killed
-		sc.net = dist.NewFaultPlan(1)
-		sc.net.SetLink(from, 1, dist.LinkFault{Latency: 50 * time.Millisecond})
-		return sc
-	}
-	mourned, three := killed, killed
-	mourned.kills, three.ranks = []kill{{rank: 3}, rank0}, 3
 	var scs []scenario
-	for i, base := range []scenario{killed, late(3), late(2), mourned, three} {
-		for _, sc := range []scenario{base, enumTwin(base)} {
-			sc.name = fmt.Sprintf("%s/%v", [...]string{"killed", "late-survivor", "late-publisher", "mourned", "three-ranks"}[i], sc.search)
-			sc.extra = func(t *testing.T, o outcome) {
-				_, nodes := sc.tree.truth(sc.search)
-				if strings.HasSuffix(t.Name(), "/tcp") && (o.stats.Deaths != int64(len(sc.kills)) || sc.net == nil && len(sc.kills) == 1 && o.stats.Nodes != nodes) {
-					t.Errorf("%d deaths of %d kills, %d nodes visited of %d", o.stats.Deaths, len(sc.kills), o.stats.Nodes, nodes)
+	// Rank 0 dies at 20 ms, mostly before a snapshot names the root's
+	// holder, and at 100 ms, late enough even under -race for one to have
+	// named it; a slowed link can delay the hand-over past that, so the
+	// node count is held on unslowed late rows alone.
+	for _, after := range []time.Duration{20 * time.Millisecond, 100 * time.Millisecond} {
+		rank0 := kill{rank: 0, after: after, by: []int{1, 2, 3}}
+		killed := onStandby(db(fault, optimise, 4, tolerant, rank0))
+		late := func(from int) scenario {
+			sc := killed
+			sc.net = dist.NewFaultPlan(1)
+			sc.net.SetLink(from, 1, dist.LinkFault{Latency: 50 * time.Millisecond})
+			return sc
+		}
+		mourned, three := killed, killed
+		mourned.kills, three.ranks = []kill{{rank: 3}, rank0}, 3
+		for i, base := range []scenario{killed, late(3), late(2), mourned, three} {
+			for _, sc := range []scenario{base, enumTwin(base)} {
+				sc.name = fmt.Sprintf("%s/%v/%v", [...]string{"killed", "late-survivor", "late-publisher", "mourned", "three-ranks"}[i], after, sc.search)
+				whole := sc.net == nil && len(sc.kills) == 1 && after == 100*time.Millisecond
+				sc.extra = func(t *testing.T, o outcome) {
+					_, nodes := sc.tree.truth(sc.search)
+					if strings.HasSuffix(t.Name(), "/tcp") && (o.stats.Deaths != int64(len(sc.kills)) || whole && o.stats.Nodes != nodes) {
+						t.Errorf("%d deaths of %d kills, %d nodes visited of %d", o.stats.Deaths, len(sc.kills), o.stats.Nodes, nodes)
+					}
 				}
+				scs = append(scs, sc)
 			}
-			scs = append(scs, sc)
 		}
 	}
 	rows(t, scs...)

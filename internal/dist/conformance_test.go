@@ -15,8 +15,9 @@ import (
 // Transport conformance suite: the contract the engine relies on, case
 // by case, asserted against every implementation through a recording
 // handler — identity, steal and split replies, priorities and their
-// summaries, bounds, cancel, acks, a late reply. Three harnesses run it:
-// loopback, loopback-latency (every link delayed) and tcp. The
+// summaries, bounds, cancel, acks, a late reply. Six harnesses run it:
+// loopback, loopback-latency (every link delayed), tcp and tcp-latency,
+// and the two TCP ones again with a standby. The
 // fault contract — gather, deaths, a steal pending on a victim that dies —
 // is the TCP endpoint's alone (in-process localities never die: a closed
 // one is only detached), so its cases run on the wires. Whole deployments —
@@ -78,7 +79,11 @@ func makeTCP(t testing.TB, n int, opts WireOptions) []Transport {
 	return trs
 }
 
-func harnesses() []harness { return append(loopbacks(), wire("tcp", WireOptions{})) }
+func harnesses() []harness {
+	lat := LatencyPlan(200 * time.Microsecond)
+	return append(loopbacks(), wire("tcp", WireOptions{}), wire("tcp-latency", WireOptions{Fault: lat}),
+		wire("standby-tcp", WireOptions{Standby: true}), wire("standby-tcp-latency", WireOptions{Standby: true, Fault: lat}))
+}
 
 // loopbacks are the loopback harnesses, direct and with every link
 // delayed. In-process localities never die (TestLoopbackCloseDetaches),
@@ -449,7 +454,7 @@ func TestConformanceCancelPropagates(t *testing.T) {
 // its slot, while the others get none. With and without a standby; in
 // process there is nothing to gather, and Gather errs.
 func TestConformanceGather(t *testing.T) {
-	for _, h := range append(harnesses(), wire("standby-tcp", WireOptions{Standby: true})) {
+	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
 			startAll(trs)
