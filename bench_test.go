@@ -626,7 +626,7 @@ func BenchmarkGatePoolBudget(b *testing.B) {
 // BenchmarkMemoryBudget is the informational half: what the spill rows
 // (1/4 and 1/16 of the peak) cost in ns/node against the unbounded row,
 // and the pairing of a tight budget with distributed stack stealing,
-// where starved localities pull work via kSplit stack splits.
+// where a starved locality's steal waits for a running worker's shed.
 func BenchmarkMemoryBudget(b *testing.B) {
 	p := probeBudget(b)
 	report := func(b *testing.B, run func() core.Stats) {

@@ -193,10 +193,9 @@ func TestDistributedBudgetKnapsack(t *testing.T) {
 	testDistMatchesSingle(t, []string{"-app", "knapsack", "-items", "20", "-skeleton", "budget", "-b", "5000", "-workers", "2"})
 }
 
-// Distributed stack stealing (wire protocol v6): no proactive spawning
-// at all — every task crossing the wire was carved out of a live
-// generator stack by an on-demand kSplit, which travels a direct
-// worker-to-worker connection.
+// Distributed stack stealing: no proactive spawning at all — every task
+// crossing the wire was shed from a live generator stack when a steal
+// found its victim's pool dry, over a direct worker-to-worker connection.
 func TestDistributedStackStealKnapsack(t *testing.T) {
 	testDistMatchesSingle(t, []string{"-app", "knapsack", "-items", "22", "-skeleton", "stacksteal", "-workers", "2"})
 }

@@ -83,7 +83,7 @@ func ParseArgs(args []string) (*Options, error) {
 	var usage strings.Builder // the flag package's complaint, if any, and the flag list
 	fs.SetOutput(&usage)
 	fs.StringVar(&o.App, "app", apps[0].name, "application: "+appNames("|", false))
-	fs.StringVar(&o.Skeleton, "skeleton", "seq", "search coordination: seq|depthbounded|stacksteal|budget, or bestfirst (= budget -order bound; optimisation apps)")
+	fs.StringVar(&o.Skeleton, "skeleton", "seq", "search coordination: seq|depthbounded|stacksteal|budget|replicable, or bestfirst (= budget -order bound; optimisation apps)")
 	fs.IntVar(&o.Workers, "workers", 0, "worker count (0 = GOMAXPROCS)")
 	fs.IntVar(&o.Locs, "localities", 1, "simulated localities")
 	fs.IntVar(&o.DCutoff, "d", 1, "depth-bounded spawn cutoff")
@@ -171,17 +171,14 @@ func ParseOrder(s string) (core.Order, error) {
 	return 0, fmt.Errorf("unknown order %q (want none, discrepancy or bound)", s)
 }
 
-// ParseSkeleton maps a skeleton name to a Coordination.
+// ParseSkeleton maps a skeleton name — a Coordination's own, or an
+// alias of one — to the Coordination.
 func ParseSkeleton(s string) (core.Coordination, error) {
-	switch s {
-	case "seq", "sequential":
-		return core.Sequential, nil
-	case "depthbounded":
-		return core.DepthBounded, nil
-	case "stacksteal", "stackstealing":
-		return core.StackStealing, nil
-	case "budget":
-		return core.Budget, nil
+	name := map[string]string{"sequential": "seq", "stackstealing": "stacksteal"}[s]
+	for c := core.Sequential; c <= core.Replicable; c++ {
+		if c.String() == cmp.Or(name, s) {
+			return c, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown skeleton %q", s)
 }

@@ -28,7 +28,7 @@ func TestParseSkeletonNames(t *testing.T) {
 		"seq": core.Sequential, "sequential": core.Sequential,
 		"depthbounded": core.DepthBounded,
 		"stacksteal":   core.StackStealing, "stackstealing": core.StackStealing,
-		"budget": core.Budget,
+		"budget": core.Budget, "replicable": core.Replicable,
 	}
 	for name, want := range cases {
 		got, err := ParseSkeleton(name)

@@ -16,8 +16,8 @@ func (o *Options) checkDist(coord core.Coordination) error {
 	case o.Dist == "":
 	case o.Dist != "coordinator" && o.Dist != "worker":
 		return fmt.Errorf("unknown -dist role %q (want coordinator or worker)", o.Dist)
-	case coord == core.Sequential || coord == core.Replicable:
-		return fmt.Errorf("-dist supports the pool-based skeletons (depthbounded, budget, stacksteal), not %q", o.Skeleton)
+	case coord == core.Sequential:
+		return fmt.Errorf("-dist supports the pool-based skeletons (depthbounded, budget, stacksteal, replicable), not %q", o.Skeleton)
 	case !o.app.dist:
 		return fmt.Errorf("app %q is not available in -dist mode (supported: %s)", o.App, appNames(" ", true))
 	}
@@ -29,10 +29,12 @@ func (o *Options) checkDist(coord core.Coordination) error {
 // file-based instance must also be readable at the same path everywhere
 // (the usual shared-filesystem assumption of cluster deployments).
 func (o *Options) distSpec() string {
-	// o.order, not the raw flag string: "disc" and "discrepancy" are the
-	// same configuration and must not fail the spec handshake.
+	// The parsed coordination and o.order, not the raw flag strings:
+	// "stacksteal" and "stackstealing", or "disc" and "discrepancy", are
+	// the same configuration and must not fail the spec handshake.
+	coord, _ := ParseSkeleton(o.Skeleton)
 	return fmt.Sprintf("app=%s skel=%s order=%s d=%d b=%d f=%s gen=%s n=%d p=%g seed=%d kbound=%d items=%d cities=%d patn=%d uts=%d/%d/%g/%d/%s",
-		o.App, o.Skeleton, o.order, o.DCutoff, o.Budget, o.File, o.Gen, o.N, o.P, o.Seed,
+		o.App, coord, o.order, o.DCutoff, o.Budget, o.File, o.Gen, o.N, o.P, o.Seed,
 		o.KBound, o.Items, o.Cities, o.PatN, o.UTSB0, o.UTSM, o.UTSQ, o.UTSDepth, o.UTSShape)
 }
 

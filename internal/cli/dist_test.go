@@ -82,6 +82,30 @@ func TestDistSpecDiffersAcrossInstances(t *testing.T) {
 	}
 }
 
+// Two spellings of one skeleton are one deployment: the spec carries the
+// coordination, not the flag, so the ranks admit each other.
+func TestDistSpecCanonicalSkeleton(t *testing.T) {
+	a, _ := ParseArgs([]string{"-app", "knapsack", "-skeleton", "stacksteal"})
+	b, _ := ParseArgs([]string{"-app", "knapsack", "-skeleton", "stackstealing"})
+	c, _ := ParseArgs([]string{"-app", "knapsack", "-skeleton", "budget"})
+	if a.distSpec() != b.distSpec() || a.distSpec() == c.distSpec() {
+		t.Fatalf("specs %q, %q and %q: want the first two equal, the third apart", a.distSpec(), b.distSpec(), c.distSpec())
+	}
+}
+
+// -skeleton replicable selects Replicable, which a deployment runs: its
+// ranks answer as one process does.
+func TestDistReplicable(t *testing.T) {
+	args := []string{"-app", "knapsack", "-items", "18", "-skeleton", "replicable", "-d", "3", "-workers", "2", "-stats=false"}
+	want := run(t, args...)
+	if seq := run(t, "-app", "knapsack", "-items", "18", "-stats=false"); want != seq {
+		t.Fatalf("replicable answers %q, seq %q", want, seq)
+	}
+	if got := distAnswer(t, args...); got != want {
+		t.Fatalf("2-rank deployment answers %q, single process %q", got, want)
+	}
+}
+
 // A command line names one instance: -f reaches a deployment's ranks
 // too. distSpec carries f=, so ranks that all ignored it would agree on
 // the wrong instance without the handshake noticing.

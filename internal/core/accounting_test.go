@@ -54,8 +54,13 @@ func (tr *auditedTransport) AddTasks(delta int64) {
 // cancel first (a semantics tree's, which every row with a cancel kill
 // searches).
 func (tr *auditedTransport) Start(hd dist.Handler) {
-	if l, ok := hd.(*locality[string]); ok && tr.rank == 0 && tr.a.onHeard != nil {
-		hd = hearing{l, tr.a.onHeard}
+	if tr.rank == 0 && tr.a.onHeard != nil {
+		switch l := hd.(type) {
+		case *locality[string]:
+			hd = hearing{l, tr.a.onHeard}
+		case splitter[string]:
+			hd = splitHearing{hearing{l.locality, tr.a.onHeard}}
+		}
 	}
 	tr.Transport.Start(hd)
 }
@@ -66,6 +71,13 @@ type hearing struct {
 }
 
 func (h hearing) OnCancel(from int) { h.heard(from); h.locality.OnCancel(from) }
+
+// splitHearing is hearing for a splitting locality, served as a splitter.
+type splitHearing struct{ hearing }
+
+func (h splitHearing) ServeSplit(thief, want int) []dist.WireTask {
+	return splitter[string]{h.locality}.ServeSplit(thief, want)
+}
 
 // audited is cfg with the exit invariant of ROADMAP item 1 (iv) asserted:
 // every search run under it, unless cancelled, must leave each in-process

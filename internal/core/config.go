@@ -41,8 +41,9 @@ type Config struct {
 	// Budget is the backtrack budget k_budget for the Budget
 	// coordination. Default 10_000.
 	Budget int64
-	// Chunked makes Stack-Stealing hand over all nodes at the lowest
-	// depth of the victim's stack (up to 64) instead of a single node.
+	// Chunked makes a Stack-Stealing worker that feeds a hungry locality
+	// shed all the nodes at the lowest depth of its stack (up to 64)
+	// instead of a single node.
 	Chunked bool
 	// Order selects the global task-scheduling order (see Order). The
 	// default, OrderNone, is the paper's depth-ordered scheduling with

@@ -58,9 +58,10 @@ func gatherStats(tr dist.Transport, mine Stats) (total Stats, coordinator bool, 
 // DistOpt runs this process's locality of a distributed optimisation
 // search over the given transport. All processes must call it with an
 // identically constructed problem, under any coordination but
-// Sequential (single-worker by definition) and Replicable: the pool-based
-// coordinations distribute through transport steals, Stack-Stealing
-// through on-demand wire splits (kSplit) of live generator stacks. On
+// Sequential (single-worker by definition): every coordination
+// distributes through transport steals — under Stack-Stealing a steal
+// that finds its victim's pool dry waits for a running worker's shed, and
+// under Replicable every cutoff task carries the frozen bound. On
 // the coordinator (rank 0) the returned result is the global one —
 // best node across all localities, metrics summed; on workers it is
 // the locality's local contribution, which callers normally discard.

@@ -47,7 +47,7 @@
 //     any worker exists or any peer is served.
 //   - locality (locality.go), one per transport endpoint: its workpool,
 //     supervision ledger, memory accountant, parker, steal backoff,
-//     victim ring, split gate and cached bound, assigned by newLocality
+//     victim ring, hunger words and cached bound, assigned by newLocality
 //     and nowhere else. It is the dist.Handler its peers steal from,
 //     adopt through and ack (fabric.go), the place an idle worker looks
 //     for work (popOrSteal), and what quiescent() is asked of when the
@@ -146,12 +146,11 @@
 // and the accountant itself is within noise of the unbounded engine
 // when the frontier fits in RAM — BenchmarkMemoryBudget measures both
 // and BenchmarkGatePoolBudget holds them in CI. Stack-stealing keeps
-// almost nothing pooled to begin with: it moves work by live-stack
-// splits — a running sibling's within a locality (counted in
-// Stats.LocalSteals, one per robbery, not StealsOK: no transport is
-// involved), dist
-// protocol v6 kSplit across localities — rather than through pools, so
-// it is naturally the memory-leanest coordination.
+// almost nothing pooled to begin with: a running worker sheds only when
+// a thief finds its locality dry and raises the hungry word, one node
+// (or under Chunked one level) at a time, which the thief robs from the
+// shedder's shard like any pool work, or a peer's steal serves, so it is
+// naturally the memory-leanest coordination.
 //
 // How much a steal takes has one rule, for a sibling and a peer alike: a
 // run from the victim's best bucket, at most half of it (locality).
@@ -208,7 +207,7 @@
 // from it, its task counters (ShardedPool sums the shard counters on read
 // instead of keeping an aggregate every push and pop would have to
 // update), the parker's waiter count, the canceller's flag, the
-// split gate's poll word, each locality's bound cache, the trace
+// locality's hungry word and active count, each locality's bound cache, the trace
 // shards, the loopback network's live count. The one helper is
 // internal/pad (Isolated, New: 128 bytes either side, covering the
 // adjacent-line prefetcher); there are no hand-counted pad arrays.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"yewpar/internal/dist"
 )
@@ -86,10 +87,16 @@ func newFabric[N any](tr dist.Transport, codec Codec[N], rule spawnRule, cfg Con
 }
 
 // start attaches the localities to their transports: from here on peers
-// are served. Must run before any search worker starts.
+// are served. Must run before any search worker starts. A splitting
+// locality is served as a splitter, and only it: the one a transport sees
+// as a dist.StackSplitter.
 func (f *fabric[N]) start() {
 	for _, l := range f.locs {
-		l.tr.Start(l)
+		if l.splits {
+			l.tr.Start(splitter[N]{l})
+		} else {
+			l.tr.Start(l)
+		}
 	}
 }
 
@@ -142,7 +149,7 @@ var _ dist.Handler = (*locality[string])(nil)
 var _ dist.MultiStealer = (*locality[string])(nil)
 var _ dist.BatchAdopter = (*locality[string])(nil)
 var _ dist.StealRanker = (*locality[string])(nil)
-var _ dist.StackSplitter = (*locality[string])(nil)
+var _ dist.StackSplitter = splitter[string]{}
 var _ dist.ValueAcker = (*locality[string])(nil)
 var _ dist.DeathHearer = (*locality[string])(nil)
 
@@ -173,12 +180,22 @@ func (h *locality[N]) ServeSteal(thief int) (dist.WireTask, bool) {
 	return out[0], true
 }
 
+// carried is the bound a hand-over carries and its receiver merges: under a
+// frozen rule the round's, which every cutoff task carries, so a rank holds
+// it before its first one runs; otherwise the locality's cache.
+func (h *locality[N]) carried() *atomic.Int64 {
+	if h.fab.frozen != nil {
+		return h.fab.frozen
+	}
+	return &h.bound.V
+}
+
 // export turns a task retained under id into what crosses the locality
-// boundary: the bound stamped, and on a wire fabric the node's encoding
-// appended to buf (returned extended; the payload is its tail), else the
-// task by reference. It fails on a node the codec cannot encode.
+// boundary: the carried bound stamped, and on a wire fabric the node's
+// encoding appended to buf (returned extended; the payload is its tail),
+// else the task by reference. It fails on a node the codec cannot encode.
 func (h *locality[N]) export(id uint64, t Task[N], buf []byte) (dist.WireTask, []byte, bool) {
-	wt := dist.WireTask{ID: id, Depth: t.Depth, Prio: int(t.Prio), Bound: h.bound.V.Load()}
+	wt := dist.WireTask{ID: id, Depth: t.Depth, Prio: int(t.Prio), Bound: h.carried().Load()}
 	if !h.fab.wire {
 		wt.Local = t
 		return wt, buf, true
@@ -246,50 +263,49 @@ func (h *locality[N]) BestStealPrio() (int, bool) {
 	if r := h.pool.StealRank(); r >= 0 {
 		return r, true
 	}
-	return h.splitRank()
-}
-
-// splitRank advertises splittable (not yet materialised) work: under
-// the stack-stealing coordination a locality whose pool is empty but
-// whose workers hold live generator stacks still has work a kSplit can
-// export. It ranks worst — materialising costs the victim a split — so
-// thieves prefer pool-resident work anywhere else first.
-func (h *locality[N]) splitRank() (int, bool) {
-	if g := h.split; g != nil && g.splittable() {
+	// Under a splitting rule, workers holding live stacks are work a steal
+	// waits a shed for. It ranks worst — the victim must shed first — so
+	// thieves prefer pool-resident work anywhere else.
+	if h.splits && h.active.V.Load() > 0 {
 		return maxTaskPrio, true
 	}
 	return 0, false
 }
 
-// ServeSplit implements dist.StackSplitter: export up to max tasks to a
-// work-starved peer, from the pool's spares when it has any, otherwise
-// by asking a running worker to split the bottom of its live generator
-// stack (the paper's (spawn-stack) rule, on demand over the wire). May
-// block briefly — transports serve it off their read loops.
-func (h *locality[N]) ServeSplit(thief, max int) []dist.WireTask {
-	if out, _ := h.ServeStealMulti(thief, max, nil, nil); len(out) > 0 {
-		return out
-	}
-	g := h.split
-	if g == nil {
-		return nil
-	}
-	var out []dist.WireTask
-	for _, t := range g.request(max, splitServeWait, nil) {
-		id, ok := h.led.handOver(thief, t)
-		if !ok {
-			// Dead thief or full ledger: the donated node stays, a pool task.
-			h.pool.Push(t)
-			continue
+// splitter is a locality under a splitting rule, as its transport serves
+// it: the locality, and a steal that finds its pool dry waits for a shed.
+type splitter[N any] struct{ *locality[N] }
+
+// splitServeWait bounds how long a peer's steal waits for a shed.
+// Running workers poll the hungry word every step, so the wait runs out
+// only on a locality stuck in a long node.
+const splitServeWait = 10 * time.Millisecond
+
+// ServeSplit implements dist.StackSplitter: a peer's steal that found the
+// pool dry raises the hungry word, as a local thief does, and waits for a
+// running worker's feed to serve what it shed like any steal — until the
+// pool holds work, no worker holds a stack, or splitServeWait has passed.
+// An empty reply would cost the peer's thief a round trip elsewhere, and
+// often a backoff, so once every hunger raised has been answered (the word
+// is down) with nothing for it, it raises the word again. Transports call
+// it off their read loops.
+func (h splitter[N]) ServeSplit(thief, want int) []dist.WireTask {
+	timer := time.NewTimer(splitServeWait)
+	defer timer.Stop()
+	for raised := false; ; raised = true {
+		fed := h.fedChan()
+		if out, _ := h.ServeStealMulti(thief, want, nil, nil); len(out) > 0 || h.active.V.Load() == 0 {
+			return out
 		}
-		if wt, _, ok := h.export(id, t, nil); ok {
-			out = append(out, wt)
-		} else {
-			h.led.retire(id)
-			h.pool.Push(t)
+		if !raised || h.hungry.V.Load() <= 0 {
+			h.hungry.V.Add(1)
+		}
+		select {
+		case <-fed:
+		case <-timer.C:
+			return nil
 		}
 	}
-	return out
 }
 
 // OnBound implements dist.Handler: merge a peer's bound into the local
@@ -300,12 +316,12 @@ func (h *locality[N]) OnBound(from int, obj int64) { storeMax(&h.bound.V, obj) }
 // without re-broadcasting (the originator already reached everyone).
 func (h *locality[N]) OnCancel(from int) { h.fab.cancel.cancelQuiet() }
 
-// receive turns a task as it arrived into an engine task: the bound
-// snapshot merged, the node decoded (or, handed over by reference on the
+// receive turns a task as it arrived into an engine task: the carried
+// bound merged, the node decoded (or, handed over by reference on the
 // loopback network, unwrapped), a fresh supervision family opened under
 // the hand-over id. Registering it is the caller's job.
 func (h *locality[N]) receive(wt dist.WireTask) Task[N] {
-	storeMax(&h.bound.V, wt.Bound)
+	storeMax(h.carried(), wt.Bound)
 	t, local := wt.Local.(Task[N])
 	if !local {
 		n, err := h.fab.codec.Decode(wt.Payload)

@@ -365,8 +365,28 @@ func TestDistDecideFindsWitness(t *testing.T) {
 	rows(t, scenario{tree: toy12, search: decide, target: 20, coord: DepthBounded, ranks: 2, cfg: Config{Workers: 2, DCutoff: 2}})
 }
 func TestDistOptRejectsUnsupportedCoordination(t *testing.T) {
-	rows(t, scenario{tree: toy12, search: optimise, coord: Sequential, ranks: 2},
-		scenario{tree: toy12, search: optimise, coord: Replicable, ranks: 2})
+	rows(t, scenario{tree: toy12, search: optimise, coord: Sequential, ranks: 2})
+}
+
+// Replicable across processes: every cutoff task carries the frozen bound,
+// so each rank holds it before its first one runs, and the deployment
+// visits exactly the nodes one process does at the same cutoff. (One
+// worker a rank, so that most cutoff tasks cross the wire.)
+func TestDistReplicableVisitsWhatOneProcessDoes(t *testing.T) {
+	tr := toyTree("fault18, bounded", faultVals(18), true)
+	var scs []scenario
+	for _, search := range []searchKind{enumerate, optimise} {
+		one := tr.solve(nil, &scenario{search: search, coord: Replicable}, Config{DCutoff: 3})
+		for ranks := 2; ranks <= 4; ranks++ {
+			scs = append(scs, scenario{name: fmt.Sprintf("%v/%d", search, ranks), tree: tr, search: search, coord: Replicable, ranks: ranks,
+				cfg: Config{Workers: 1, DCutoff: 3}, extra: func(t *testing.T, o outcome) {
+					if o.stats.Nodes != one.stats.Nodes || o.stats.Prunes != one.stats.Prunes {
+						t.Errorf("visited %d nodes, pruned %d; one process %d and %d", o.stats.Nodes, o.stats.Prunes, one.stats.Nodes, one.stats.Prunes)
+					}
+				}})
+		}
+	}
+	rows(t, scs...)
 }
 func TestDistOptSurvivesWorkerDeath(t *testing.T) {
 	sc := db(fault, optimise, 4, tolerant, kill{rank: 2})
@@ -874,7 +894,7 @@ func (sc scenario) run(t *testing.T) {
 		if tr.Promoted() != (r == owner && owner > 0) {
 			t.Errorf("rank %d: Promoted() = %v with rank %d returning the result", r, tr.Promoted(), owner)
 		}
-		if r != owner && !isDead(r) && outs[r].err != nil && sc.coord != Sequential && sc.coord != Replicable {
+		if r != owner && !isDead(r) && outs[r].err != nil && sc.coord != Sequential {
 			t.Errorf("rank %d: %v", r, outs[r].err)
 		}
 	}
@@ -941,7 +961,7 @@ func (sc scenario) deployTCP(t *testing.T) []dist.Transport {
 func (sc scenario) judge(o outcome, landed int64) error {
 	val, nodes := sc.tree.truth(sc.search)
 	switch budget := int64(sc.cfg.MaxFailures); {
-	case (sc.coord == Sequential || sc.coord == Replicable) && sc.ranks > 1:
+	case sc.coord == Sequential && sc.ranks > 1:
 		return wantErr(o.err, "not supported across processes")
 	case o.stats.Deaths != landed && !(sc.search == decide && o.found && o.stats.Deaths < landed):
 		// (A witness cancels the search, perhaps before anyone heard.)

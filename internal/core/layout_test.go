@@ -130,18 +130,9 @@ func TestSharedWordsSitAlone(t *testing.T) {
 	requireApart(t, [][]span{{spanOf("parker", newParker(2))}, {spanOf("parker", newParker(2))}})
 	requireApart(t, [][]span{{spanOf("canceller", newCanceller())}, {spanOf("canceller", newCanceller())}})
 
-	// The per-node poll word of the split gate against its per-task
-	// counter and its request queue.
-	var g splitGate[int]
-	requireApart(t, [][]span{
-		{spanOf("splitGate.mu", &g.mu), spanOf("splitGate.reqs", &g.reqs)},
-		{spanOf("splitGate.pending", &g.pending.V)},
-		{spanOf("splitGate.active", &g.active.V)},
-	})
-
 	// Per-locality bound caches (read per node) and trace shards
 	// (appended per task) are slices of isolated elements.
-	fab := newFabric[int](nil, nil, spawnRule{}, Config{Workers: 3, Localities: 3}.withDefaults())
+	fab := newFabric[int](nil, nil, spawnRule{split: true}, Config{Workers: 3, Localities: 3}.withDefaults())
 	defer fab.close()
 	tr := NewTrace(3)
 	var caches, shards [][]span
@@ -151,6 +142,15 @@ func TestSharedWordsSitAlone(t *testing.T) {
 		// The bound is read per node; what the locality's transport
 		// goroutines lock per steal must not share its line.
 		requireApart(t, [][]span{{spanOf("locality.bound", &l.bound.V)}, {spanOf("locality.fams", &l.fams), spanOf("locality.victims", &l.victims)}})
+		// Under a splitting rule the hungry word is read per step and the
+		// active count written per task, by every worker: each on its own
+		// line, apart from the bound and from what the transport locks.
+		requireApart(t, [][]span{
+			{spanOf("locality.bound", &l.bound.V)},
+			{spanOf("locality.hungry", &l.hungry.V)},
+			{spanOf("locality.active", &l.active.V)},
+			{spanOf("locality.fed", &l.fed), spanOf("locality.victims", &l.victims)},
+		})
 	}
 	requireApart(t, caches)
 	requireApart(t, shards)

@@ -17,7 +17,7 @@ import (
 // everything in between — an order-preserving workpool, a cached bound
 // and the scheduler threads that share them — is one locality. It owns
 // its transport endpoint, pool, supervision ledger, memory accountant,
-// parker, steal backoff, victim ring, split gate and bound cache, all
+// parker, steal backoff, victim ring, hunger words and bound cache, all
 // built by newLocality and assigned nowhere else; it is the dist.Handler
 // its peers are served by (fabric.go); and it is where an idle worker
 // looks for work (popOrSteal). Each worker owns one shard of the pool:
@@ -61,11 +61,20 @@ type locality[N any] struct {
 	// backoff gates sweeps of victims, the global ranks to rob.
 	backoff stealBackoff
 	victims []int
-	// split, set under a splitting rule (stack-stealing runs), is the
-	// rendezvous through which a thief's split request — a starved
-	// sibling's or a remote kSplit's — reaches this locality's running
-	// workers' live generator stacks.
-	split *splitGate[N]
+	// Under a splitting rule (splits: Stack-Stealing) a thief that finds
+	// the locality dry raises hungry by one, and each running worker that
+	// polls it while it is up lowers it by one and sheds from its live
+	// stack onto its own shard (engine.feed), where a thief robs it like
+	// any sibling's work. active counts the workers running a task, the
+	// ones that can shed. hungry is read by every running worker once per
+	// step and active written by every worker once per task, so each has
+	// its own line. fed is what a steal from a peer waiting for a shed
+	// blocks on (ServeSplit): the next shed, or the last worker out,
+	// closes it.
+	splits bool
+	hungry pad.Isolated[atomic.Int64]
+	active pad.Isolated[atomic.Int64]
+	fed    atomic.Pointer[chan struct{}]
 	// thieves are the steal states of this locality's workers, as
 	// newWorkers assigned them; read only once they have joined.
 	thieves []*thief[N]
@@ -93,9 +102,8 @@ type locality[N any] struct {
 
 // newLocality builds in-process locality idx of fab on transport tr,
 // whole: one pool shard and one parker slot per worker it will host
-// (worker w lives on locality w % cfg.Localities), and under a splitting
-// rule the gate that makes it answer dist.StackSplitter requests. It
-// serves nobody until fabric.start attaches it to tr.
+// (worker w lives on locality w % cfg.Localities). It serves nobody
+// until fabric.start attaches it to tr.
 func newLocality[N any](fab *fabric[N], idx int, tr dist.Transport, spillCodec Codec[N], rule spawnRule, cfg Config) *locality[N] {
 	workers := cfg.Workers / cfg.Localities
 	if idx < cfg.Workers%cfg.Localities {
@@ -123,10 +131,6 @@ func newLocality[N any](fab *fabric[N], idx int, tr dist.Transport, spillCodec C
 	if fab.wire {
 		boBase, boMax = 500*time.Microsecond, 5*time.Millisecond
 	}
-	var split *splitGate[N]
-	if rule.split {
-		split = &splitGate[N]{}
-	}
 	l := &locality[N]{
 		rank:    tr.Rank(),
 		fab:     fab,
@@ -136,7 +140,7 @@ func newLocality[N any](fab *fabric[N], idx int, tr dist.Transport, spillCodec C
 		mem:     newMemState(pool, cfg.PoolBudget, cfg.SpillDir, spillCodec),
 		park:    newParker(workers),
 		backoff: stealBackoff{base: boBase, max: boMax},
-		split:   split,
+		splits:  rule.split,
 	}
 	for rank := range fab.dead {
 		if rank != l.rank {
@@ -221,22 +225,37 @@ func (l *locality[N]) popOrSteal(th *thief[N]) (Task[N], bool) {
 	}
 	th.settle()
 	if run := l.pool.stealRun(th.shardIdx, len(th.run), th.run[:0]); len(run) > 0 {
+		// The worker runs the first; the rest go on its own shard, where a
+		// parked sibling is woken to come rob them in turn.
 		sh.LocalSteals++
-		return l.keepRest(th, run), true
+		first := run[0]
+		if len(run) > 1 {
+			th.shard.PushBatch(run[1:])
+			l.park.wake()
+		}
+		clear(run) // the nodes are the shard's, and the caller's, now
+		return first, true
 	}
 	// The in-RAM frontier is dry: re-admit a spilled segment before
 	// paying any transport round trip — the work is already ours.
 	if t, ok := l.mem.readmit(l.park.wake); ok {
 		return t, true
 	}
-	// Stack-stealing: before leaving the locality, ask a running
-	// sibling to split its live stack — still no transport involved.
-	if l.split != nil {
-		if run := l.split.request(splitWant, splitLocalWait, l.fab.cancel.ch); len(run) > 0 {
-			sh.LocalSteals++
-			return l.keepRest(th, run), true
+	// Stack-stealing: a dry locality whose workers hold live stacks asks
+	// them to shed, with no transport involved. The thief raises the hungry
+	// word once and waits where any idle worker waits, woken by a shed's
+	// push to rob the node above, or by a worker that had nothing to shed.
+	// Once the word is down, every hunger raised has been answered: a thief
+	// still empty-handed looks further afield, as all do once the last
+	// worker is out.
+	if l.splits && l.active.V.Load() > 0 && !(th.hungry && l.hungry.V.Load() <= 0) {
+		if !th.hungry {
+			th.hungry = true
+			l.hungry.V.Add(1)
 		}
+		return Task[N]{}, false
 	}
+	th.hungry = false
 	if len(l.victims) == 0 || !l.backoff.ready() {
 		// No peers, or a recent sweep of every peer came back empty:
 		// don't storm them again yet. The caller's idle loop parks;
@@ -244,17 +263,10 @@ func (l *locality[N]) popOrSteal(th *thief[N]) (Task[N], bool) {
 		return Task[N]{}, false
 	}
 	sc := &th.victims
-	// Stack-stealing rides kSplit: the victim serves pool spares if it
-	// has any and splits a live stack otherwise, so the sweep reaches
-	// work an ordinary Steal cannot see.
-	steal := l.tr.Steal
-	if l.split != nil {
-		steal = l.tr.SplitSteal
-	}
 	// An empty order means every peer is dead or suspected: the locality
 	// is on its own, for now or for good.
 	for i, v := range l.victimOrder(th.rand(), sc) {
-		wt, ok, err := steal(v)
+		wt, ok, err := l.tr.Steal(v)
 		if err != nil || !ok {
 			sh.StealsFail++
 			continue
@@ -273,18 +285,37 @@ func (l *locality[N]) popOrSteal(th *thief[N]) (Task[N], bool) {
 	return Task[N]{}, false
 }
 
-// keepRest is what a worker does with a run taken inside its locality —
-// robbed from a sibling's shard or split from a sibling's stack: the
-// first task is returned for it to run, the rest go on its own shard,
-// where a parked sibling is woken to come rob them in turn.
-func (l *locality[N]) keepRest(th *thief[N], run []Task[N]) Task[N] {
-	first := run[0]
-	if len(run) > 1 {
-		th.shard.PushBatch(run[1:])
-		l.park.wake()
+// leave ends a worker's task under a splitting rule. The last worker out
+// wakes every thief waiting for a shed, local or a peer's, since none can
+// come now.
+func (l *locality[N]) leave() {
+	if l.active.V.Add(-1) == 0 {
+		l.park.wakeAll()
+		l.fedWaiters()
 	}
-	clear(run) // the nodes are the shard's, and the caller's, now
-	return first
+}
+
+// fedChan is the channel the next shed, or the last worker out, closes
+// (fedWaiters).
+func (l *locality[N]) fedChan() chan struct{} {
+	for {
+		if ch := l.fed.Load(); ch != nil {
+			return *ch
+		}
+		ch := make(chan struct{})
+		if l.fed.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
+// fedWaiters releases every steal from a peer waiting for a shed.
+func (l *locality[N]) fedWaiters() {
+	if l.fed.Load() != nil {
+		if ch := l.fed.Swap(nil); ch != nil {
+			close(*ch)
+		}
+	}
 }
 
 // backlog reports the work immediately available at the locality

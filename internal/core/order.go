@@ -171,6 +171,17 @@ func (p *parker) wake() {
 	}
 }
 
+// wakeAll releases every parked worker.
+func (p *parker) wakeAll() {
+	for n := p.waiters.Load(); n > 0; n-- {
+		select {
+		case p.ch <- struct{}{}:
+		default:
+			return
+		}
+	}
+}
+
 // park blocks until a wake, the timeout, termination, or cancellation.
 // After registering as a waiter it consults stillIdle once more and
 // returns immediately when work may exist: a producer that pushed (and

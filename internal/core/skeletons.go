@@ -24,8 +24,8 @@ const (
 	Sequential Coordination = iota
 	// DepthBounded spawns every node above d_cutoff (spawn-depth).
 	DepthBounded
-	// StackStealing splits the search on demand when thieves ask
-	// (spawn-stack).
+	// StackStealing sheds from a running worker's stack when a thief
+	// finds its locality dry (spawn-stack).
 	StackStealing
 	// Budget sheds low-depth subtrees every k_budget backtracks
 	// (spawn-budget).
@@ -36,8 +36,7 @@ const (
 	// sequentially for the cutoff nodes and a starting incumbent, then each
 	// cutoff subtree as a task pruning only against that frozen bound. The
 	// visited set depends on the problem and d_cutoff alone, not on workers,
-	// localities, order or timing. Single-process for now: that the frozen
-	// bound reaches every rank before its first task is unshown.
+	// localities, processes, order or timing.
 	Replicable
 )
 
@@ -267,9 +266,9 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 			cfg.Workers, cfg.Localities = 1, 1
 		}
 	} else {
-		if coord == Sequential || coord == Replicable {
+		if coord == Sequential {
 			var none R
-			return none, fmt.Errorf("core: coordination %v not supported across processes (use depthbounded, budget, or stacksteal)", coord)
+			return none, fmt.Errorf("core: coordination %v not supported across processes (use depthbounded, budget, stacksteal or replicable)", coord)
 		}
 		// Each process hosts one locality. On a standby deployment rank 0
 		// is a pure coordinator, so no subtree can live only in its pool: the
@@ -281,7 +280,7 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 		}
 	}
 	rule := ruleFor(coord, cfg)
-	// The fabric builds every locality whole — pool, ledger, split gate —
+	// The fabric builds every locality whole — pool, ledger, hunger words —
 	// so all of it is in place by the time start lets peers request steals.
 	fab := newFabric(tr, codec, rule, cfg)
 	defer fab.close()

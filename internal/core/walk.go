@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,7 +21,7 @@ import (
 type spawnRule struct {
 	depth  int   // (spawn-depth): a task shallower than this spawns all its root's children
 	budget int64 // (spawn-budget): shed the lowest level every this many backtracks; 0 = never
-	split  bool  // (spawn-stack): answer thieves' split requests from the live stack
+	split  bool  // (spawn-stack): shed from the live stack when a thief finds the locality dry
 	frozen bool  // Replicable: the root spawns every task, at depth, under one frozen bound (frozenTask)
 }
 
@@ -62,11 +63,11 @@ func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
 		defer func(start time.Time) { tr.record(c.id, t.Depth, start, time.Now()) }(time.Now())
 	}
 	rule := e.rule
-	var gate *splitGate[N] // the locality's, under a splitting rule
+	var hungry *atomic.Int64 // the locality's, under a splitting rule
 	if rule.split {
-		gate = c.loc.split
-		gate.enter()
-		defer gate.exit()
+		hungry, c.hungry = &c.loc.hungry.V, false
+		c.loc.active.V.Add(1)
+		defer c.loc.leave()
 	}
 	if e.taskHook != nil {
 		e.taskHook(1)
@@ -88,11 +89,11 @@ func (e *engine[S, N]) runTask(c *workerCtx[S, N], t Task[N]) {
 		// worker searches in place instead, trading parallel slack for
 		// zero frontier growth. Checked per task, so relief is immediate
 		// once thieves or the spiller bring the pool back down.
-		e.shedToPool(c, &t, []level[N]{{gen: c.gens.gen(0, t.Node), disc: t.Prio}})
+		e.shed(c, &t, []level[N]{{gen: c.gens.gen(0, t.Node), disc: t.Prio}}, math.MaxInt)
 	case rule.budget == 0 && !rule.split:
 		expandBelow(c, e.cancel, t.Node)
 	default:
-		e.shedWalk(c, &t, gate)
+		e.shedWalk(c, &t, hungry)
 	}
 }
 
@@ -126,7 +127,7 @@ func (e *engine[S, N]) frozenTask(c *workerCtx[S, N], t *Task[N]) {
 	}
 	for k := 0; len(tasks) > 0; tasks = tasks[k:] {
 		k = c.loc.mem.headroom(min(len(tasks), shedRun))
-		c.spawn(t, tasks[:k], c.push)
+		c.spawn(t, tasks[:k])
 	}
 }
 
@@ -200,13 +201,12 @@ func expandBelow[S, N any](c *workerCtx[S, N], cancel *canceller, root N) {
 // nodes closest to the root, heuristically the largest pending
 // subtrees — is drained into the worker's own pool and the count
 // resets, so long-running tasks periodically shed. (spawn-stack),
-// Listing 3: nothing is spawned proactively; when a thief has posted a
-// request on the locality's gate — a starved sibling or a remote
-// kSplit alike — the worker that claims it donates from that same
-// level. Shed nodes outlive the generator that yielded them, so this
-// walk never uses ephemeral mode; its stack is the worker's reusable
-// one, so running a task allocates nothing.
-func (e *engine[S, N]) shedWalk(c *workerCtx[S, N], t *Task[N], gate *splitGate[N]) {
+// Listing 3: nothing is spawned proactively; while thieves that found the
+// locality dry hold its hungry word up, the worker that lowers it by one
+// sheds from that same level (feed). Shed nodes outlive the generator
+// that yielded them, so this walk never uses ephemeral mode; its stack is
+// the worker's reusable one, so running a task allocates nothing.
+func (e *engine[S, N]) shedWalk(c *workerCtx[S, N], t *Task[N], hungry *atomic.Int64) {
 	v, sh, gc := c.visitor, &c.stats, &c.gens
 	budget := e.rule.budget
 	if budget == 0 {
@@ -216,8 +216,8 @@ func (e *engine[S, N]) shedWalk(c *workerCtx[S, N], t *Task[N], gate *splitGate[
 	// The write-back is deferred, not placed after the loop, for what the
 	// capture does: the stack header stays in memory instead of being
 	// shuffled between registers around the loop's indirect calls, worth
-	// 1 ns/node on knapsack's 28. The split answer is out of line for
-	// the same reason.
+	// 1 ns/node on knapsack's 28. The feed is out of line for the same
+	// reason.
 	defer func() { c.stack = stack[:0] }()
 	backtracks := int64(0)
 	for len(stack) > 0 {
@@ -229,12 +229,12 @@ func (e *engine[S, N]) shedWalk(c *workerCtx[S, N], t *Task[N], gate *splitGate[
 			// stack in place (the budget re-arms, so the check repeats)
 			// until the pool is back under its soft threshold.
 			if !c.loc.mem.pressured() {
-				e.shedToPool(c, t, stack)
+				e.shed(c, t, stack, math.MaxInt)
 			}
 			backtracks = 0
 		}
-		if gate != nil && gate.pending.V.Load() != 0 {
-			e.answerSplit(c, t, stack, gate)
+		if hungry != nil && hungry.Load() > 0 {
+			e.feed(c, t, stack)
 		}
 		top := &stack[len(stack)-1]
 		if !top.gen.HasNext() {
@@ -258,37 +258,46 @@ func (e *engine[S, N]) shedWalk(c *workerCtx[S, N], t *Task[N], gate *splitGate[
 	}
 }
 
-// answerSplit claims one pending split request, if a sibling has not
-// already, and answers it from the live stack: one node, or under
-// Chunked up to the request's cap (a cap below one is a peer's
-// mistake, not a refusal).
-func (e *engine[S, N]) answerSplit(c *workerCtx[S, N], t *Task[N], stack []level[N], gate *splitGate[N]) {
-	if req := gate.take(); req != nil {
-		max := 1
-		if e.cfg.Chunked && req.max > 1 {
-			max = req.max
-		}
-		var out []Task[N]
-		e.shed(c, t, stack, max, func(run []Task[N]) { out = append(out, run...) })
-		req.resp <- out
+// splitWant is the most nodes one feed sheds under Chunked.
+const splitWant = 64
+
+// feed is (spawn-stack) as a shed: the worker that lowers its locality's
+// hungry word by one answers a hunger. It sheds from its lowest live level
+// onto its own shard — one node, or under Chunked up to splitWant — where
+// a thief robs them as it robs any sibling's work, and a peer's steal
+// waiting for them (ServeSplit) serves them. A stack with nothing left to
+// shed answers with nothing: it wakes a thief, which, once every hunger is
+// answered, looks further afield.
+func (e *engine[S, N]) feed(c *workerCtx[S, N], t *Task[N], stack []level[N]) {
+	l := c.loc
+	if l.hungry.V.Add(-1) < 0 {
+		l.hungry.V.Add(1) // a sibling lowered it first
+		return
 	}
+	max, spawns := 1, c.stats.Spawns
+	if e.cfg.Chunked {
+		max = splitWant
+	}
+	e.shed(c, t, stack, max)
+	if c.stats.Spawns == spawns {
+		l.park.wake() // a shed's push wakes one otherwise
+	}
+	l.fedWaiters()
 }
 
-// shedRun is the most tasks shed registers and hands over at once.
+// shedRun is the most tasks shed registers and pushes at once.
 const shedRun = 64
 
 // shed is the one donation from a live stack, under every rule: the
 // lowest level of task t's stack with unexplored nodes gives up to max
-// of them, in traversal order, handed to give in runs of at most
-// shedRun as they are generated (a level can be 100,000 nodes wide:
-// nobody waits for, or buffers, the whole of it). Only that level
+// of them, in traversal order, to the worker's own pool shard in runs of
+// at most shedRun as they are generated (a level can be 100,000 nodes
+// wide: nobody waits for, or buffers, the whole of it). Only that level
 // donates, each run registered by spawn. Under a memory budget a run is
 // no longer than the pool's headroom, so the hard threshold is overshot
-// by one task at most. What give does with a run is the rule's business:
-// push it, or collect it for a thief that runs it locally or exports it
-// over the wire. A node its bound prunes is visited here, not handed
-// over: as in Sequential, it counts, and under PruneLevel ends its level.
-func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], max int, give func([]Task[N])) {
+// by one task at most. A node its bound prunes is visited here, not
+// shed: as in Sequential, it counts, and under PruneLevel ends its level.
+func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], max int) {
 	loc, sh := c.loc, &c.stats
 	for i := range stack {
 		lv, n := &stack[i], 0
@@ -314,7 +323,7 @@ func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], ma
 					sh.notePrio(run[len(run)-1].Prio)
 				}
 			}
-			c.spawn(t, run, give)
+			c.spawn(t, run)
 			n += len(run)
 		}
 		if n > 0 {
@@ -323,32 +332,20 @@ func (e *engine[S, N]) shed(c *workerCtx[S, N], t *Task[N], stack []level[N], ma
 	}
 }
 
-// shedToPool sheds every remaining node of the lowest live level onto
-// the worker's own pool shard: what (spawn-depth) does to a task root's
-// children and (spawn-budget) does to a long-running stack.
-func (e *engine[S, N]) shedToPool(c *workerCtx[S, N], t *Task[N], stack []level[N]) {
-	e.shed(c, t, stack, math.MaxInt, c.push)
-}
-
-// spawn registers a run t spawned before give can show it to anyone: with
-// the locality's live count, so termination cannot fire past it, and with
-// t's supervision family, which a received subtree keeps open until done.
-// One AddTasks and one family add; the run is the spawner's: give copies.
-func (th *thief[N]) spawn(t *Task[N], run []Task[N], give func([]Task[N])) {
+// spawn registers a run t spawned before anyone can see it — with the
+// locality's live count, so termination cannot fire past it, and with t's
+// supervision family, which a received subtree keeps open until done: one
+// AddTasks and one family add — and puts it on the worker's own pool shard.
+func (th *thief[N]) spawn(t *Task[N], run []Task[N]) {
 	k := int64(len(run))
 	th.loc.tr.AddTasks(k)
 	if t.fam != nil {
 		t.fam.pending.Add(k)
 	}
 	th.stats.Spawns += k
-	give(run)
-	clear(run) // the nodes are the receiver's now
-}
-
-// push puts a registered run on the worker's own pool shard.
-func (th *thief[N]) push(run []Task[N]) {
 	th.shard.PushBatch(run)
-	th.loc.park.wake() // a parked sibling, if any, to come rob it
+	clear(run)         // the nodes are the shard's now
+	th.loc.park.wake() // a parked sibling, if any, to come rob them
 	// Memory governor, last-resort response: the spawner that pushed
 	// the pool past its hard threshold spills the coldest tasks.
 	th.loc.mem.maybeSpill()

@@ -74,6 +74,9 @@ type thief[N any] struct {
 	rng      *rand.Rand       // steal victim order; built on first use
 	victims  victimScratch    // victim-ranking buffers
 	run      [shedRun]Task[N] // the run of tasks a shed is building, or a rob took
+	// hungry is set while the worker has raised its locality's hungry word
+	// and not run a task since (Stack-Stealing).
+	hungry bool
 }
 
 // rand returns the worker's steal rng. Seeding one costs microseconds

@@ -108,13 +108,11 @@ func wire(name string, opts WireOptions) harness {
 type recHandler struct {
 	mu         sync.Mutex
 	tasks      []WireTask
-	splitTasks []WireTask // tasks only a stack split can reach (not pool-stealable)
 	adopted    []WireTask // late steal replies re-homed via OnTask
 	acks       []ack      // hand-over ids acked back to this locality, with their values
 	boundMax   atomic.Int64
 	bounds     []int64 // delivery order, for monotonicity of the merge
 	cancelled  atomic.Int64
-	splits     atomic.Int64 // ServeSplit calls that reached the split list
 	serveDelay time.Duration
 	mourned    []int // the deaths announced, in order
 }
@@ -133,27 +131,30 @@ func (h *recHandler) ServeSteal(thief int) (WireTask, bool) {
 	return t, true
 }
 
-// ServeSplit implements StackSplitter the way a real locality does:
-// pool work first, then work only a live-stack split can produce.
-func (h *recHandler) ServeSplit(thief, max int) []WireTask {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []WireTask
-	for len(out) < max && len(h.tasks) > 0 {
-		out = append(out, h.tasks[0])
-		h.tasks = h.tasks[1:]
-	}
-	if len(out) < max && len(h.splitTasks) > 0 {
-		out = append(out, h.splitTasks[0])
-		h.splitTasks = h.splitTasks[1:]
-		h.splits.Add(1)
-	}
-	return out
+// splitHandler is a recHandler under a splitting rule, as the engine
+// serves one: a StackSplitter, whose live stack holds tasks only a shed
+// reaches, which a steal that found the pool dry is served from.
+type splitHandler struct {
+	*recHandler
+	stack  []WireTask // under recHandler.mu
+	splits atomic.Int64
 }
 
-func (h *recHandler) pushSplit(t WireTask) {
+func (h *splitHandler) ServeSplit(thief, max int) []WireTask {
 	h.mu.Lock()
-	h.splitTasks = append(h.splitTasks, t)
+	defer h.mu.Unlock()
+	if len(h.stack) == 0 {
+		return nil
+	}
+	t := h.stack[0]
+	h.stack = h.stack[1:]
+	h.splits.Add(1)
+	return []WireTask{t}
+}
+
+func (h *splitHandler) pushStack(t WireTask) {
+	h.mu.Lock()
+	h.stack = append(h.stack, t)
 	h.mu.Unlock()
 }
 
@@ -344,43 +345,41 @@ func TestConformanceStealRequestReply(t *testing.T) {
 	}
 }
 
-// Every bundled transport must speak kSplit (v6): a split steal
-// reaches work a pool steal cannot — the victim handler's live
-// generator stacks — while still preferring pool work when it exists.
+// A plain Steal against a splitting victim (a StackSplitter) whose pool is
+// dry is answered from its live stack; pool work is served first, and a
+// victim with neither sends the thief away empty-handed, not in error.
 func TestConformanceSplitSteal(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
 			trs := h.make(t, 3)
-			hs := startAll(trs)
-
-			ss := trs[0]
+			hs := make([]*splitHandler, len(trs))
+			for i, tr := range trs {
+				hs[i] = &splitHandler{recHandler: &recHandler{}}
+				tr.Start(hs[i])
+			}
 			// Pool work wins when present. (Pushed alone: a batching
-			// transport would otherwise carry the split task home as a
+			// transport would otherwise carry the stack's task home as a
 			// re-homed extra in the same reply.)
 			hs[1].push(WireTask{Payload: []byte("pooled"), Depth: 2})
-			got, ok, err := ss.SplitSteal(1)
-			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("pooled")) {
-				t.Fatalf("split steal with pool work: %+v ok=%v err=%v", got, ok, err)
+			hs[1].pushStack(WireTask{Payload: []byte("split-a"), Depth: 5})
+			got, ok, err := trs[0].Steal(1)
+			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("pooled")) || hs[1].splits.Load() != 0 {
+				t.Fatalf("steal with pool work: %+v ok=%v err=%v, %d splits", got, ok, err, hs[1].splits.Load())
 			}
-			// Pool dry: the split path serves.
-			hs[1].pushSplit(WireTask{Payload: []byte("split-a"), Depth: 5})
-			got, ok, err = ss.SplitSteal(1)
-			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("split-a")) {
-				t.Fatalf("split steal from dry pool: %+v ok=%v err=%v", got, ok, err)
+			// Pool dry: the live stack serves.
+			got, ok, err = trs[0].Steal(1)
+			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("split-a")) || hs[1].splits.Load() != 1 {
+				t.Fatalf("steal from a dry pool: %+v ok=%v err=%v, %d splits", got, ok, err, hs[1].splits.Load())
 			}
-			if hs[1].splits.Load() == 0 {
-				t.Fatal("victim's split list never served")
+			// Nothing on the stack either: empty-handed, not an error.
+			if _, ok, err := trs[0].Steal(1); ok || err != nil {
+				t.Fatalf("steal from an empty victim: ok=%v err=%v", ok, err)
 			}
-			// Nothing splittable either: empty-handed, not an error.
-			if _, ok, err := ss.SplitSteal(1); ok || err != nil {
-				t.Fatalf("split steal from empty victim: ok=%v err=%v", ok, err)
-			}
-			// Worker→worker split too.
-			wss := trs[1]
-			hs[2].pushSplit(WireTask{Payload: []byte("split-b"), Depth: 7})
-			got, ok, err = wss.SplitSteal(2)
+			// Worker to worker too.
+			hs[2].pushStack(WireTask{Payload: []byte("split-b"), Depth: 7})
+			got, ok, err = trs[1].Steal(2)
 			if err != nil || !ok || !bytes.Equal(got.Payload, []byte("split-b")) {
-				t.Fatalf("worker-to-worker split steal: %+v ok=%v err=%v", got, ok, err)
+				t.Fatalf("worker-to-worker steal from a live stack: %+v ok=%v err=%v", got, ok, err)
 			}
 		})
 	}

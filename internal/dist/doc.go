@@ -2,16 +2,16 @@
 // search runtime: a pluggable Transport over which localities — the
 // paper's physical cluster nodes — exchange work and incumbent
 // knowledge. This comment is a reference to the protocol as it stands
-// (wire v14); how it got there, version by version, is in CHANGES.md.
+// (wire v15); how it got there, version by version, is in CHANGES.md.
 //
 // # What a Transport does
 //
 // The distributed skeletons need five interactions between localities:
 //
-//   - work distribution: an idle locality steals from a peer (Steal or
-//     SplitSteal on the thief's side; Handler.ServeSteal, or the
-//     MultiStealer and StackSplitter extensions, on the victim's) — the
-//     request/reply discipline of the paper's Section 4.3 workpools;
+//   - work distribution: an idle locality steals from a peer (Steal on
+//     the thief's side; Handler.ServeSteal, or the MultiStealer and
+//     StackSplitter extensions, on the victim's) — the request/reply
+//     discipline of the paper's Section 4.3 workpools;
 //   - knowledge propagation: an improved incumbent bound reaches every
 //     locality (BroadcastBound/Handler.OnBound) with relaxed delivery —
 //     a late or reordered bound costs pruning, never correctness,
@@ -92,7 +92,6 @@
 //	kPeers      C → W               Blob rank-indexed address table                W dials the lower ranks and accepts the higher
 //	kPeerHello  W → W               From dialler, Want version, Seq session        first frame of a direct peer link
 //	kSteal      thief → victim      Seq request, Want max tasks                    always answered, by an empty kStealR if the victim is dry
-//	kSplit      thief → victim      as kSteal                                      a steal that a dry pool answers by splitting a live generator stack
 //	kStealR     victim → thief      Seq request, Tasks                             a run of (payload, id, depth, prio, bound), adopted whole
 //	kAck        thief → origin      Acks hand-over ids [, values]                  those subtrees are complete: retire the ledger copies, commit the values
 //	kBound      W → all             Obj bound, Blob node                           the incumbent, ahead of its bound on each link: C retains the best for BestKnown (rank 0 passes it to S), a W keeps it for the gather
@@ -120,10 +119,13 @@
 // enqueued as one run, the first given to the requesting worker, each
 // re-entering the pool at the priority it left with. The loopback
 // network steals through the same helpers (collectSteal, adoptTasks),
-// so both transports have one steal semantics. kSplit serves the
-// stack-stealing coordination, whose work is in live generator stacks
-// and not in a pool; a split may wait milliseconds for a worker to
-// reach a poll point, so it is served off the read loop.
+// so both transports have one steal semantics. Under the stack-stealing
+// coordination, whose work is in live generator stacks and not yet in a
+// pool, the victim's engine is a StackSplitter: a steal that finds its
+// pool dry waits, for milliseconds at most, for a running worker to shed
+// at its next poll point, so that steal is served off the read loop.
+// Every rank runs the same coordination, so the thief sends the same
+// kSteal whatever the victim does with it.
 //
 // Every stolen task carries an id minted by its victim (TaskID packs
 // rank and sequence). The victim's ledger keeps a copy until the thief

@@ -353,17 +353,17 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 			notePeerPrio(e.peerPrio, f.From, f.PS)
 		}
 		switch f.Kind {
-		case kSteal, kSplit:
-			thief, seq, want := f.From, f.Seq, f.Want
-			if f.Kind == kSteal {
-				served, payloads = collectSteal(e.handler(), thief, want, served[:0], payloads[:0])
-				e.reply(cn, thief, seq, served)
+		case kSteal:
+			thief, seq, want, hd := f.From, f.Seq, f.Want, e.handler()
+			served, payloads = collectSteal(hd, thief, want, served[:0], payloads[:0])
+			if sp, ok := hd.(StackSplitter); ok && len(served) == 0 {
+				// Served off the read loop: the wait for a running worker's
+				// shed may block briefly, and this loop must keep draining
+				// the link's other traffic.
+				go func() { e.reply(cn, thief, seq, sp.ServeSplit(thief, max(want, 1))) }()
 				break
 			}
-			// Served off the read loop: the split gate may block briefly
-			// waiting for a running worker's next poll point, and this
-			// loop must keep draining the link's other traffic.
-			go func() { e.reply(cn, thief, seq, collectSplit(e.handler(), thief, want)) }()
+			e.reply(cn, thief, seq, served)
 		case kStealR:
 			if len(f.Tasks) > 0 {
 				e.wave.blacken()
@@ -537,15 +537,7 @@ func (e *endpoint) endSearch(cancel *frame, except int) {
 	e.terminate()
 }
 
-func (e *endpoint) Steal(victim int) (WireTask, bool, error) { return e.stealVia(kSteal, victim) }
-
-// SplitSteal's reply is an ordinary kStealR, so correlation and batch
-// re-homing are shared with plain steals.
-func (e *endpoint) SplitSteal(victim int) (WireTask, bool, error) {
-	return e.stealVia(kSplit, victim)
-}
-
-func (e *endpoint) stealVia(k kind, victim int) (WireTask, bool, error) {
+func (e *endpoint) Steal(victim int) (WireTask, bool, error) {
 	if victim < 0 || victim >= e.size || victim == e.rank {
 		return WireTask{}, false, fmt.Errorf("dist: steal from invalid rank %d", victim)
 	}
@@ -558,7 +550,7 @@ func (e *endpoint) stealVia(k kind, victim int) (WireTask, bool, error) {
 	}
 	ps := e.pending.register(victim, cn)
 	first, got := WireTask{}, false
-	if cn.send(&frame{Kind: k, From: e.rank, To: victim, Seq: ps.seq, Want: e.opts.StealBatch}) == nil {
+	if cn.send(&frame{Kind: kSteal, From: e.rank, To: victim, Seq: ps.seq, Want: e.opts.StealBatch}) == nil {
 		ps.timer.Reset(stealTimeout)
 		select {
 		case first = <-ps.ch:

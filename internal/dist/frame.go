@@ -57,13 +57,8 @@ import (
 // hub) and kToken (colour bits tokBlack|tokActive), each in existing
 // frame slots, as the package comment's table gives them.
 //
-// v6 adds kSplit: a steal request with split semantics (Want = max
-// tasks, like kSteal). The victim locality serves it from its pool if
-// it can, and otherwise asks one of its running workers to split the
-// bottom of its live generator stack — the stack-stealing
-// coordination's (spawn-stack) rule, served on demand across the wire.
-// The reply is an ordinary kStealR carrying the donated task(s), so
-// steal correlation and mesh wave accounting are untouched.
+// v6 added a second steal request, the split steal, whose dry victim
+// split a live generator stack; v15 removes it (below).
 //
 // v7 adds the coordinator-failover vocabulary, spoken only by standby
 // deployments (WireOptions.Standby): kHubSnap (see encodeHubSnapshot)
@@ -107,7 +102,11 @@ import (
 // can take the hand-over's ledger entry over. v14 has one topology, the
 // mesh: the star's header delta and its flag, kDelta and kRejoin are
 // gone, the flag bits after fDelta moved down one and the kinds after
-// each of the two moved down one.
+// each of the two moved down one. v15 has one steal: the split steal's
+// kind is gone, and the kinds after it moved down one. A victim under the
+// stack-stealing coordination serves a kSteal that finds its pool dry by
+// waiting for a running worker to shed (StackSplitter), so the thief need
+// not know it.
 
 const (
 	fBound = 1 << 0 // header carries a piggybacked bound snapshot
@@ -168,7 +167,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 		dst = binary.AppendVarint(dst, f.PS)
 	}
 	switch f.Kind {
-	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit:
+	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken:
 		dst = binary.AppendUvarint(dst, uint64(f.Want))
 	}
 	switch f.Kind {
@@ -309,7 +308,7 @@ func parseFrame(b []byte, f *frame) error {
 		f.HasPS = true
 	}
 	switch f.Kind {
-	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken, kSplit:
+	case kSteal, kHello, kWelcome, kDeath, kPeerHello, kToken:
 		w, err := r.uvarint()
 		if err != nil {
 			return err

@@ -54,9 +54,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kToken, From: 1, To: 2, Seq: 9, Obj: 0, Want: 0},
 		{Kind: kToken, From: 4, To: 0, Seq: 1 << 33, Obj: -17, Want: tokBlack | tokActive},
 		{Kind: kToken, From: 2, To: 3, Seq: 12, Obj: 3, Want: tokActive, PB: 7, HasPB: true},
-		// v6: split-steal requests (answered by ordinary kStealR).
-		{Kind: kSplit, From: 2, To: 1, Seq: 91, Want: 64},
-		{Kind: kSplit, From: 0, To: 3, Seq: 1 << 30, Want: 1, PB: 11, HasPB: true, PS: PrioNone, HasPS: true},
 		// v7: the standby's snapshot, a rank's goodbye.
 		// v13: the snapshot names the root's hand-over id beside its holder,
 		// which a kHeld carries in Seq.

@@ -147,19 +147,12 @@ func (t *loopback) PeerBestPrio(rank int) (int, bool) {
 	return p, true
 }
 
-func (t *loopback) Steal(victim int) (WireTask, bool, error) { return t.stealVia(false, victim) }
-
-// SplitSteal is Steal with split semantics: the victim's handler may
-// fall back to splitting a running worker's live generator stack when
-// its pool is dry.
-func (t *loopback) SplitSteal(victim int) (WireTask, bool, error) { return t.stealVia(true, victim) }
-
-// stealVia is one steal exchange, the wire's in-process: the latency
-// charged once, the victim asked for a run of up to DefaultStealBatch
-// through the collect helpers a link's read loop uses, the run adopted by
-// the thief's handler the way a steal reply is — the requester's task
-// returned, the extras enqueued.
-func (t *loopback) stealVia(split bool, victim int) (WireTask, bool, error) {
+// Steal is one steal exchange, the wire's in-process: the latency charged
+// once, the victim asked for a run of up to DefaultStealBatch the way a
+// link's read loop asks it (a dry StackSplitter waits for a shed), the run
+// adopted by the thief's handler the way a steal reply is — the
+// requester's task returned, the extras enqueued.
+func (t *loopback) Steal(victim int) (WireTask, bool, error) {
 	if victim < 0 || victim >= len(t.net.trs) || victim == t.rank {
 		return WireTask{}, false, fmt.Errorf("dist: steal from invalid rank %d", victim)
 	}
@@ -179,11 +172,9 @@ func (t *loopback) stealVia(split bool, victim int) (WireTask, bool, error) {
 		time.Sleep(act.delay)
 	}
 	vh := t.net.trs[victim].handler()
-	var ts []WireTask
-	if split {
-		ts = collectSplit(vh, t.rank, DefaultStealBatch)
-	} else {
-		ts, _ = collectSteal(vh, t.rank, DefaultStealBatch, nil, nil)
+	ts, _ := collectSteal(vh, t.rank, DefaultStealBatch, nil, nil)
+	if sp, ok := vh.(StackSplitter); ok && len(ts) == 0 {
+		ts = sp.ServeSplit(t.rank, DefaultStealBatch)
 	}
 	t.ctr.framesSent.Add(1) // the request
 	t.ctr.framesRecv.Add(1) // the reply

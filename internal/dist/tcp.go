@@ -30,8 +30,8 @@ const (
 	dialTimeout = 30 * time.Second
 	// wireVersion is checked at registration — peers must not silently
 	// garble each other. frame.go's header gives each version's change;
-	// v14's is one topology: no header delta, kDelta or kRejoin.
-	wireVersion = 14
+	// v15's is one steal: no split-steal kind.
+	wireVersion = 15
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
@@ -161,7 +161,6 @@ const (
 	kPeerHello             // first frame on a direct peer conn: From = dialer rank, Want = wire version
 	kGossip                // epidemic bound push: From = origin, Obj = gossiped bound
 	kToken                 // termination-wave token: Seq = round, Obj = accumulated count, Want = colour bits
-	kSplit                 // steal with split semantics: From = thief, To = victim, Want = max tasks; reply is a kStealR
 	kHubSnap               // hub→standby: Blob = residual-state snapshot (encodeHubSnapshot)
 	kHeld                  // standby worker→hub: From registered rank 0's supervised hand-over, the root, Seq its id
 	kLeave                 // rank→peers at post-termination Close: the sender is exiting, not dying

@@ -180,16 +180,14 @@ func (d deathBox) announce(rank int) bool { return d[rank].CompareAndSwap(false,
 // rank not known dead is the rank the hub was replicating to.
 func (d deathBox) isDead(rank int) bool { return d[rank].Load() }
 
-// StackSplitter is an optional Handler extension for localities that
-// can split a live generator stack on demand (the stack-stealing
-// coordination's (spawn-stack) rule). ServeSplit is like
-// ServeStealMulti but may *create* work that was never materialised as
-// pool tasks: when the pool is empty, the locality asks one of its
-// running workers to split the bottom of its expansion stack and hands
-// the donated nodes over. It may block briefly (a few milliseconds)
-// while a worker reaches its next poll point, so wire transports serve
-// it off their read loops. An empty reply means the locality had
-// neither pool work nor a splittable stack.
+// StackSplitter is an optional Handler extension for localities under
+// the stack-stealing coordination's (spawn-stack) rule, whose work may not
+// be in the pool yet. A steal that finds the pool dry calls ServeSplit,
+// which asks a running worker to shed from its live generator stack and
+// serves up to max tasks of what it shed, as ServeStealMulti would. It may
+// block briefly (a few milliseconds) while a worker reaches its next poll
+// point, so wire transports call it off their read loops. An empty reply
+// means nothing was shed in time, or no worker holds a stack.
 type StackSplitter interface {
 	ServeSplit(thief, max int) []WireTask
 }
@@ -218,19 +216,6 @@ type MultiStealer interface {
 // reply) all are enqueued and the result is the zero WireTask.
 type BatchAdopter interface {
 	AdoptTasks(ts []WireTask, keep bool) WireTask
-}
-
-// collectSplit gathers up to want tasks for one split-steal reply: the
-// StackSplitter path when the handler has one (which itself prefers
-// pool work and falls back to splitting a live stack), else a plain
-// pool steal — a peer speaking kSplit to a pool-only locality still
-// gets whatever a kSteal would have.
-func collectSplit(hd Handler, thief, want int) []WireTask {
-	if sp, ok := hd.(StackSplitter); ok {
-		return sp.ServeSplit(thief, max(want, 1))
-	}
-	ts, _ := collectSteal(hd, thief, want, nil, nil)
-	return ts
 }
 
 // collectSteal gathers up to want tasks from a handler for one steal
@@ -354,14 +339,11 @@ type Transport interface {
 	// victim replies (or the transport decides it never will). A reply
 	// may carry a run of tasks: the first is returned, the extras are
 	// the handler's (BatchAdopter, or Handler.OnTask) before Steal
-	// returns. The bool reports whether a task was obtained; errors are
-	// reserved for transport failure, not empty-handed steals.
+	// returns. A victim whose handler is a StackSplitter serves a steal
+	// that finds its pool dry from a running worker's shed. The bool
+	// reports whether a task was obtained; errors are reserved for
+	// transport failure, not empty-handed steals.
 	Steal(victim int) (WireTask, bool, error)
-	// SplitSteal is Steal with split semantics (kSplit, protocol v6):
-	// a victim whose pool is dry falls back to splitting a running
-	// worker's live generator stack (Handler extension StackSplitter;
-	// handlers without it serve a plain pool steal).
-	SplitSteal(victim int) (WireTask, bool, error)
 	// PeerBestPrio reports the best-available priority rank last
 	// advertised (piggybacked frame summaries over a wire, direct
 	// inspection on the loopback network). known is false when nothing
