@@ -155,6 +155,20 @@
 // How much a steal takes has one rule, for a sibling and a peer alike: a
 // run from the victim's best bucket, at most half of it (locality).
 //
+// # Across processes
+//
+// DistEnum, DistOpt and DistDecide run one locality per OS process: its
+// cfg.Workers workers over its own workpool, stealing across the
+// transport when idle and broadcasting incumbent bounds, and once the
+// search is over (Done) sending its Stats to a gather at the coordinator
+// (rank 0, or the rank a failover promoted). No answer is gathered: every
+// rank's best node rode its bound broadcasts, and a witness its cancel, to
+// the coordinator, which retains the best (dist.Transport's BestKnown),
+// and an enumeration's values rode their families' acks to rank 0. Every
+// process must construct the problem (space, root, objective, bounds)
+// identically: a deployment launches the same binary with the same
+// arguments, which the transport's spec handshake enforces.
+//
 // # Fault tolerance
 //
 // A distributed search survives the death of any locality, the

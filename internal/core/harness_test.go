@@ -729,8 +729,8 @@ func TestReplicableDeterministicNodeCounts(t *testing.T) {
 			}
 		}
 	}
-	spill, traced, slow := row(Config{Workers: 4, Localities: 2, PoolBudget: 1 << 10}), row(Config{Workers: 4, Trace: NewTrace(4)}), row(Config{Workers: 6, Localities: 3})
-	spill.extra = func(t *testing.T, o outcome) {
+	spill, traced, slow := row(Config{Workers: 1, PoolBudget: 1 << 10}), row(Config{Workers: 4, Trace: NewTrace(4)}), row(Config{Workers: 6, Localities: 3})
+	spill.extra = func(t *testing.T, o outcome) { // one worker: the root's runs, capped at the headroom, fill the pool to a spill
 		if same(t, o); o.stats.SpilledTasks == 0 {
 			t.Error("nothing spilled under a 1 KiB pool budget")
 		}

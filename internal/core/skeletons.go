@@ -256,9 +256,10 @@ func decision[S, N any](space S, p DecisionProblem[S, N]) searchType[S, N, Decis
 // coordination over a fabric, runs it, and folds the statistics. With a
 // nil transport the fabric is cfg.Localities loopback localities in
 // this process and the local result is the result. Otherwise this
-// process is one locality of a deployment on tr (see distributed.go):
-// every rank's Stats go to a terminal gather, and the coordinator, which
-// holds the answer at Done, returns its own result with the totals.
+// process is one locality of a deployment on tr (see the package
+// comment): every rank's Stats go to a terminal gather, and the
+// coordinator, which holds the answer at Done, returns its own result
+// with the totals.
 func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, st searchType[S, N, R], cfg Config) (R, error) {
 	if tr == nil {
 		cfg = cfg.withDefaults()
@@ -305,13 +306,38 @@ func search[S, N, R any](tr dist.Transport, codec Codec[N], coord Coordination, 
 	if tr == nil {
 		return st.local(ws, stats)
 	}
-	total, coordinator, err := gatherStats(tr, stats)
-	if !coordinator {
+	// The terminal collective: every rank's Stats go to the coordinator —
+	// rank 0, or after a failover the promoted rank — which merges them
+	// (wall-clock time is its own, not a sum). A dead locality's slot is
+	// nil, and counts as a death, one heard of only after Done too.
+	mine, err := GobCodec[Stats]{}.Encode(stats)
+	if err != nil {
+		panic(fmt.Sprintf("core: encoding gathered stats: %v", err))
+	}
+	blobs, err := tr.Gather(mine)
+	if err != nil {
+		err = fmt.Errorf("core: gathering results: %w", err)
+	}
+	total, died := Stats{Elapsed: stats.Elapsed}, int64(0)
+	for rank, blob := range blobs {
+		if blob == nil {
+			died++
+			continue
+		}
+		s, derr := GobCodec[Stats]{}.Decode(blob)
+		if derr != nil {
+			err = fmt.Errorf("core: decoding locality %d stats: %w", rank, derr)
+			break
+		}
+		total.merge(s)
+	}
+	if err != nil || tr.Rank() != 0 && !tr.Promoted() {
 		// A worker rank: its local contribution, which callers normally
 		// discard.
 		res, _ := st.local(ws, stats)
 		return res, err
 	}
+	total.Deaths = max(total.Deaths, died)
 	res, err := st.local(ws, total)
 	if err == nil && cfg.MaxFailures >= 0 && total.Deaths > int64(cfg.MaxFailures) {
 		err = fmt.Errorf("core: %d localities died mid-search, exceeding the failure budget of %d (result repaired by replay as far as the survivors' ledgers reach)", total.Deaths, cfg.MaxFailures)
@@ -338,4 +364,36 @@ func Opt[S, N any](coord Coordination, space S, root N, p OptProblem[S, N], cfg 
 func Decide[S, N any](coord Coordination, space S, root N, p DecisionProblem[S, N], cfg Config) DecisionResult[N] {
 	res, _ := search(nil, nil, coord, space, root, decision(space, p), cfg)
 	return res
+}
+
+// DistEnum runs this process's locality of a distributed enumeration
+// search. A subtree's monoid value crosses the wire gob-encoded on its
+// hand-over's ack, so a worker's death is survived by replay; rank 0 — or,
+// on a standby deployment, the rank promoted in its place, which takes rank
+// 0's hand-over of the root over — returns the total committed there.
+func DistEnum[S, N, M any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, p EnumProblem[S, N, M], cfg Config) (EnumResult[M], error) {
+	return search(tr, codec, coord, space, root, enumeration(space, p), cfg)
+}
+
+// DistOpt runs this process's locality of a distributed optimisation
+// search over the given transport. All processes must call it with an
+// identically constructed problem, under any coordination but
+// Sequential (single-worker by definition): every coordination
+// distributes through transport steals — under Stack-Stealing a steal
+// that finds its victim's pool dry waits for a running worker's shed, and
+// under Replicable every cutoff task carries the frozen bound. On
+// the coordinator (rank 0) the returned result is the global one —
+// best node across all localities, metrics summed; on workers it is
+// the locality's local contribution, which callers normally discard.
+func DistOpt[S, N any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, p OptProblem[S, N], cfg Config) (OptResult[N], error) {
+	return search(tr, codec, coord, space, root, optimisation(space, p), cfg)
+}
+
+// DistDecide runs this process's locality of a distributed decision
+// search. The first locality to reach the target cancels the others
+// through the transport, and the cancel, carrying the witness, ends the
+// search at the coordinator; rank 0 returns its own witness or the one
+// it retained.
+func DistDecide[S, N any](tr dist.Transport, codec Codec[N], coord Coordination, space S, root N, p DecisionProblem[S, N], cfg Config) (DecisionResult[N], error) {
+	return search(tr, codec, coord, space, root, decision(space, p), cfg)
 }

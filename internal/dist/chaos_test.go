@@ -65,10 +65,11 @@ func TestTakeoverKeepsTheReplicatedIncumbent(t *testing.T) {
 }
 
 // A survivor whose link to the promoted rank is slow still converges on
-// the bound the promoted rank holds, well inside the liveness window:
-// gossip spreads it, and no welcome has to repeat it. Rank 0's bound
-// reaches rank 1, its standby, at once, and ranks 2 and 3 only by way of
-// rank 1: rank 0's own links to them are slower than its life.
+// the bound the promoted rank holds, well inside the liveness window: the
+// promoted rank sends its best, node and all, on every link as it takes
+// the role over, and no welcome has to repeat it. Rank 0's bound reaches
+// rank 1, its standby, at once, and ranks 2 and 3 only by way of rank 1:
+// rank 0's own links to them are slower than its life.
 func TestTakeoverSpreadsTheBound(t *testing.T) {
 	plan := NewFaultPlan(1)
 	plan.SetLink(0, 2, LinkFault{Latency: time.Second})

@@ -385,10 +385,13 @@ func TestConformanceSplitSteal(t *testing.T) {
 	}
 }
 
-// Bounds published from every rank at once, while steal replies carry
-// piggybacked bounds out of order with the broadcasts: every rank learns the strongest bound any peer
-// published, none hears one beyond it, and the merge (monotonic max)
-// absorbs the disorder — the running max never regresses.
+// Bounds published from every rank at once, with steal traffic
+// interleaved: every rank learns the strongest bound any peer published,
+// and hears each bound once and none beyond the published maximum; the
+// merge (monotonic max) absorbs the disorder, so the running max never
+// regresses. The order of delivery is not pinned: two read loops of a mesh
+// rank may each reach the handler the other way round, which a handler
+// merging with a max (the Handler.OnBound contract) cannot tell.
 func TestConformanceBoundBroadcastMonotonic(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
@@ -422,13 +425,39 @@ func TestConformanceBoundBroadcastMonotonic(t *testing.T) {
 			}
 			for r := range trs {
 				hs[r].mu.Lock()
-				top := int64(-1 << 62)
-				for _, b := range hs[r].bounds {
-					top = max(top, b)
-				}
+				bounds := slices.Clone(hs[r].bounds)
 				hs[r].mu.Unlock()
-				if got := hs[r].boundMax.Load(); got != top || top > 5002 {
+				seen := make(map[int64]bool, len(bounds))
+				for _, b := range bounds {
+					if seen[b] {
+						t.Errorf("rank %d heard bound %d twice", r, b)
+					}
+					seen[b] = true
+				}
+				if got, top := hs[r].boundMax.Load(), slices.Max(bounds); got != top || top > 5002 {
 					t.Errorf("rank %d merged max %d, delivered max %d, published max 5002", r, got, top)
+				}
+			}
+		})
+	}
+}
+
+// A bound carries its node: every rank that heard a peer's bound holds
+// that bound's node (BestKnown), so no rank prunes with a bound whose node
+// could die with its finder. Rank 0 and a worker each publish one.
+func TestConformanceBoundCarriesItsNode(t *testing.T) {
+	for _, h := range harnesses()[len(loopbacks()):] { // the loopback retains no node
+		t.Run(h.name, func(t *testing.T) {
+			trs := h.make(t, 3)
+			hs := startAll(trs)
+			trs[1].BroadcastBound(5, []byte("five"))
+			trs[0].BroadcastBound(7, []byte("seven"))
+			nodes := map[int64]string{5: "five", 7: "seven"}
+			for r, want := range []int64{5, 7, 7} {
+				eventually(t, fmt.Sprintf("rank %d to hear bound %d", r, want), func() bool { return hs[r].boundMax.Load() >= want })
+				heard := hs[r].boundMax.Load()
+				if obj, node, ok := trs[r].BestKnown(); !ok || obj < heard || string(node) != nodes[obj] {
+					t.Errorf("rank %d heard %d and holds %d %q (%v)", r, heard, obj, node, ok)
 				}
 			}
 		})

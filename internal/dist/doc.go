@@ -2,7 +2,7 @@
 // search runtime: a pluggable Transport over which localities — the
 // paper's physical cluster nodes — exchange work and incumbent
 // knowledge. This comment is a reference to the protocol as it stands
-// (wire v15); how it got there, version by version, is in CHANGES.md.
+// (wire v16); how it got there, version by version, is in CHANGES.md.
 //
 // # What a Transport does
 //
@@ -51,11 +51,13 @@
 // Every locality of a TCP deployment is the same type (endpoint.go)
 // running the same loops: a read loop per link that handles every frame
 // kind, one flush tick (coalesced acks, the wave's pacing, replication),
-// one heartbeat, one gossip tick. Registration completes a mesh: the
-// rank-indexed link table has a direct link to every other rank, so a
-// frame for rank r leaves on the link to r, nothing is relayed, and
-// bounds spread by gossip. One thing varies, and it is data, not a
-// type: the coordinator role — retaining the incumbent, sinking Gather,
+// one heartbeat. Registration completes a mesh: the rank-indexed link
+// table has a direct link to every other rank, so a frame for rank r
+// leaves on the link to r and nothing is relayed. A bound travels one
+// way, from every rank alike: its finder sends it, node and all, on
+// every link (kBound), and a rank that hears it has retained the node
+// first. One thing varies, and it is data, not a type: the coordinator
+// role — retaining the incumbent, sinking Gather,
 // death authority (the liveness watchdog and the kDeath fan-out),
 // announcing termination, replicating to a standby, and keeping the
 // registration listener open for resumes. Every endpoint carries the
@@ -67,18 +69,11 @@
 // A frame is a length-prefixed body — kind, flags, a varint header
 // (from, to, seq) and a kind-specific payload — and an eight-byte
 // trailer, the link sequence and a CRC32C over body and sequence;
-// frame.go has the byte layout. A frame of any kind may also carry,
-// each under a flag bit, two header fields, and that is where the
-// protocol's amortisation lives:
-//
-//   - bound: the sender's best known bound, so a thief never prunes a
-//     stolen subtree with knowledge older than the last frame it saw.
-//     Receivers hand their Handler only a bound that beats every
-//     earlier one, which absorbs the repetition;
-//   - prio: the best priority the originating locality could serve a
-//     thief (StealRanker; PrioNone when it has no work), recorded per
-//     origin rank for PeerBestPrio — a hint that orders victim probing
-//     and never hides a victim.
+// frame.go has the byte layout. A frame of any kind may also carry, under
+// a flag bit, one header field, prio: the best priority the originating
+// locality could serve a thief (StealRanker; PrioNone when it has no
+// work), recorded per origin rank for PeerBestPrio — a hint that orders
+// victim probing and never hides a victim.
 //
 // The kinds are declared in tcp.go, and TestDocFrameTable holds this
 // table to that list. C is the coordinator, W any other rank, S the
@@ -94,8 +89,7 @@
 //	kSteal      thief → victim      Seq request, Want max tasks                    always answered, by an empty kStealR if the victim is dry
 //	kStealR     victim → thief      Seq request, Tasks                             a run of (payload, id, depth, prio, bound), adopted whole
 //	kAck        thief → origin      Acks hand-over ids [, values]                  those subtrees are complete: retire the ledger copies, commit the values
-//	kBound      W → all             Obj bound, Blob node                           the incumbent, ahead of its bound on each link: C retains the best for BestKnown (rank 0 passes it to S), a W keeps it for the gather
-//	kGossip     rank → peers        Obj bound                                      epidemic spread; never on a link that already carried the bound
+//	kBound      rank → all          Obj bound, Blob node                           the incumbent with its node: every rank retains the best it heard (C's is BestKnown; rank 0 passes it to S) before its Handler hears the bound
 //	kCancel     W → C, C → all      Obj objective, Blob witness                    a decision is found: C retains the witness and ends the search (then kTerminate)
 //	kToken      rank → next rank    Seq round, Obj count, Want colour              the termination wave
 //	kTerminate  C → all             From C                                         the count is zero, the wave confirmed, or a cancel came: Done; shares go to C
@@ -188,7 +182,8 @@
 //	epoch 1  every survivor's engine hears of the death first (DeathHearer) and replays what rank 0
 //	         held; S's first takes rank 0's ledger entry for the root over (Root), held by the
 //	         holder, or, unknown or dead, replayed at once. Then S takes the role in place, seeded
-//	         from the last snapshot; from here the root is a hand-over like any other, its ack
+//	         from the last snapshot, and sends its best kBound on every link, which rank 0's own
+//	         fan-out may not have finished; from here the root is a hand-over like any other, its ack
 //	         going to the coordinator. The links exist; coordinator traffic changes direction
 //	         every survivor hands S the node it retained: its best, or the witness of a cancel
 //	         it sent or heard, which ends the search at S, and the last ack it sent rank 0

@@ -4,30 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-)
-
-// gossipFan is how many random peers a bound that gossip brought as news
-// is pushed on to.
-const gossipFan = 2
-
-// Anti-entropy pacing: every rank pushes its best bound to one random
-// peer per interval, so a bound the epidemic fan-out missed still
-// reaches everyone. The coordinator never pushes eagerly — keeping it
-// off the steal path is the point of direct links, and the piggyback layer
-// spreads its bounds for free (every steal reply it serves stamps pb,
-// every task it hands over carries a bound snapshot) — so its tick is
-// tighter, to bound the latency of the one case piggybacks miss: an
-// improvement at an otherwise quiet coordinator. Carried-bound
-// suppression makes a no-news tick free at either pace.
-const (
-	gossipInterval      = 25 * time.Millisecond
-	coordGossipInterval = 5 * time.Millisecond
 )
 
 // endpoint is the wire transport: one locality's end of a TCP
@@ -78,8 +58,6 @@ type endpoint struct {
 	// rootAck is the last ack this rank sent towards rank 0 under Standby,
 	// which a takeover hands the new coordinator (handOver).
 	rootAck atomic.Pointer[ack]
-	pbStamp atomic.Int64 // best bound known; stamped on outgoing frames
-	pbSeen  atomic.Int64 // best bound delivered to the handler
 	// peerPrio[rank] is the rank's last advertised best stealable
 	// priority: >= 0 a priority, PrioNone an empty pool, prioUnknown
 	// nothing heard yet.
@@ -135,8 +113,6 @@ func newEndpoint(opts WireOptions, spec string) *endpoint {
 		gotAll:  make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
-	e.pbStamp.Store(math.MinInt64)
-	e.pbSeen.Store(math.MinInt64)
 	e.selfPrio = selfPrioFn(&e.h)
 	if opts.LinkGrace > 0 {
 		e.sessions = newSessRegistry()
@@ -159,10 +135,9 @@ func (e *endpoint) init(rank, size int) {
 	}
 }
 
-// hook points a connection's per-send stamps and its halt at this
+// hook points a connection's summary stamp and its halt at this
 // endpoint.
 func (e *endpoint) hook(cn *wconn) {
-	cn.pb = &e.pbStamp
 	cn.ps = e.selfPrio
 	cn.psFrom = e.rank
 	cn.halt = &e.closed
@@ -176,7 +151,7 @@ func (e *endpoint) install(peer int, cn *wconn) {
 }
 
 // acceptSession registers the accepting side of a resumable link under
-// the id its handshake carried. No-op without LinkGrace.
+// the id its handshake named. No-op without LinkGrace.
 func (e *endpoint) acceptSession(cn *wconn, id uint64) {
 	if e.sessions == nil || id == 0 {
 		return
@@ -191,7 +166,6 @@ func (e *endpoint) acceptSession(cn *wconn, id uint64) {
 func (e *endpoint) run() {
 	go e.flushLoop()
 	go e.pingLoop()
-	go e.gossipLoop()
 	if e.isCoord() {
 		go e.livenessLoop()
 	}
@@ -295,28 +269,10 @@ func (e *endpoint) handler() Handler {
 	return hd
 }
 
-// meldBound merges a learned bound into the piggyback stamp and, when
-// the engine has not yet been told anything at least as strong,
-// delivers it, reporting whether it was news. The delivery gate absorbs
-// the repetition piggybacking creates (every frame restates the
-// sender's best) while never filtering a peer's genuine improvement;
-// own broadcasts raise only pbStamp, so a peer's weaker but never-heard
-// bound still reaches the handler.
-func (e *endpoint) meldBound(from int, obj int64) bool {
-	raiseMax(&e.pbStamp, obj)
-	if !raiseMax(&e.pbSeen, obj) {
-		return false
-	}
-	if hd := e.handler(); hd != nil {
-		hd.OnBound(from, obj)
-	}
-	return true
-}
-
 // retain keeps a published (obj, node) pair if it is the best so far,
 // and marks an improvement for the standby's next snapshot. Rank 0 also
-// hands the pair to the standby at once, before its caller passes the
-// bound on: a snapshot can lag by a quantum (see standbyBound).
+// hands the pair to the standby at once: a snapshot can lag by a quantum,
+// and a finder's own kBound to the standby may be slower.
 func (e *endpoint) retain(obj int64, node []byte) {
 	if e.inc.keep(obj, node) != nil && e.repl != nil {
 		e.repl.bump()
@@ -341,13 +297,6 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 		if err := cn.recv(&f); err != nil {
 			e.linkLost(peer, cn)
 			return
-		}
-		// The piggybacked bound first, merged before serving steals so a
-		// reply never carries staler knowledge than its request, and
-		// cleared: a cancel the coordinator passes on is re-stamped here.
-		if f.HasPB {
-			e.meldBound(f.From, f.PB)
-			f.HasPB = false
 		}
 		if f.HasPS {
 			notePeerPrio(e.peerPrio, f.From, f.PS)
@@ -382,16 +331,14 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 				ps.ch <- first
 			}
 		case kBound:
-			// A node-carrying broadcast is retained, so the optimum
-			// outlives its finder.
+			// The node is retained before the bound is heard, so the
+			// optimum outlives its finder and no rank prunes with a
+			// bound whose node it does not hold.
 			if len(f.Blob) > 0 {
 				e.retain(f.Obj, f.Blob)
 			}
-			e.meldBound(f.From, f.Obj)
-		case kGossip:
-			// Improvements ripple outward, duplicates die out.
-			if e.meldBound(f.From, f.Obj) && !e.isCoord() {
-				e.gossip(f.Obj, gossipFan)
+			if hd := e.handler(); hd != nil {
+				hd.OnBound(f.From, f.Obj)
 			}
 		case kToken:
 			e.wave.onToken(frameToken(&f))
@@ -580,21 +527,14 @@ func (e *endpoint) Steal(victim int) (WireTask, bool, error) {
 	return first, true, nil
 }
 
-// BroadcastBound publishes a bound. The coordinator keeps the node and
-// sends nothing: piggybacks and its anti-entropy tick spread the bound
-// without a per-improvement burst. Any other rank keeps its node too (a
-// takeover and the gather hand it on) and sends it, as a kBound, on every
-// link before the stamp that piggybacks the bound is raised: on each link
-// the node goes ahead of the bound, so a rank that prunes with the bound
-// holds its node or heard the bound from one that does. A survivor that
-// prunes with a bound whose node died with its finder never finds that
-// node again.
+// BroadcastBound publishes a bound the one way every rank does: it keeps
+// the node (a takeover and the gather hand it on) and sends it, with the
+// bound, as a kBound on every link, so every rank that hears the bound
+// holds its node. A survivor that prunes with a bound whose node died
+// with its finder never finds that node again.
 func (e *endpoint) BroadcastBound(obj int64, node []byte) error {
-	e.retain(obj, node) // first: rank 0 hands it to the standby
-	if !e.isCoord() {
-		e.fanOut(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node}, e.rank)
-	}
-	raiseMax(&e.pbStamp, obj)
+	e.retain(obj, node)
+	e.fanOut(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node}, e.rank)
 	return nil
 }
 
@@ -611,47 +551,6 @@ func (e *endpoint) Cancel(obj int64, witness []byte) error {
 		return cn.send(&frame{Kind: kCancel, From: e.rank, Obj: obj, Blob: witness})
 	}
 	return nil // takeover in flight: it passes the cancel on
-}
-
-// gossip pushes a bound to up to n distinct random linked ranks for
-// whom it is still news: a link that already carried the bound, in
-// either direction, as a piggyback or an explicit frame, is skipped, so
-// the epidemic spends frames on information, not on re-delivery.
-func (e *endpoint) gossip(obj int64, n int) {
-	var news []int
-	for r := range e.links {
-		if cn := e.link(r); cn != nil && cn.hasNews(obj) {
-			news = append(news, r)
-		}
-	}
-	rand.Shuffle(len(news), func(i, j int) { news[i], news[j] = news[j], news[i] })
-	if len(news) > n {
-		news = news[:n]
-	}
-	for _, r := range news {
-		if cn := e.link(r); cn != nil {
-			cn.send(&frame{Kind: kGossip, From: e.rank, To: r, Obj: obj})
-		}
-	}
-}
-
-func (e *endpoint) gossipLoop() {
-	for {
-		every := gossipInterval
-		if e.isCoord() {
-			every = coordGossipInterval
-		}
-		select {
-		case <-e.stop:
-			return
-		case <-e.done:
-			return
-		case <-time.After(every):
-			if b := e.pbStamp.Load(); b != math.MinInt64 {
-				e.gossip(b, 1)
-			}
-		}
-	}
 }
 
 // Ack queues a hand-over completion ack towards the origin's ledger.
@@ -774,8 +673,7 @@ func (e *endpoint) flushTick() {
 }
 
 // pingLoop keeps the coordinator link audibly alive: whenever nothing
-// has been sent on it for a heartbeat, an empty kPing goes out
-// (carrying, as every frame does, the bound snapshot). The
+// has been sent on it for a heartbeat, an empty kPing goes out. The
 // coordinator's watchdog reads silence beyond
 // LivenessTimeout as death. Idle at the coordinator itself.
 func (e *endpoint) pingLoop() {

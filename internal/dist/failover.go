@@ -122,7 +122,7 @@ func DecodeHubSnapshot(b []byte) (*HubSnapshot, error) {
 // version has moved since the last one or the standby has changed.
 type hubRepl struct {
 	version atomic.Uint64
-	sent    uint64 // the version the last snapshot carried (flush loop only)
+	sent    uint64 // the version of the last snapshot sent (flush loop only)
 	to      *wconn // and the link it left on
 }
 
@@ -282,7 +282,9 @@ func (e *endpoint) handOver(cn *wconn) {
 
 // acquireRole makes this endpoint the coordinator, in place: the role's
 // state is seeded from what rank 0 replicated here, and the links the
-// role needs exist since registration.
+// role needs exist since registration. The best node it then holds, its
+// own or the snapshot's, goes out on every link as a kBound: rank 0 may
+// have died before its own fan-out reached every rank.
 func (e *endpoint) acquireRole() {
 	snap := e.replica.Load()
 	if snap == nil {
@@ -290,7 +292,9 @@ func (e *endpoint) acquireRole() {
 	}
 	if snap.HasBest {
 		e.inc.keep(snap.BestObj, snap.BestNode)
-		raiseMax(&e.pbStamp, snap.BestObj)
+	}
+	if obj, node, ok := e.inc.best(); ok {
+		e.fanOut(&frame{Kind: kBound, From: e.rank, Obj: obj, Blob: node}, e.rank)
 	}
 	e.coord.Store(int32(e.rank))
 	// Rank 0 will never contribute to the gather; every rank it mourned

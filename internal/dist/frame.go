@@ -16,21 +16,17 @@ import (
 // payload:
 //
 //	kind    byte
-//	flags   byte            fBound | fPrio | fVals
+//	flags   byte            fPrio | fVals
 //	from    varint          sender rank
 //	to      varint          destination rank
 //	seq     uvarint         steal request/reply correlation
-//	[bound  varint]         flags&fBound: piggybacked bound snapshot
 //	[prio   varint]         flags&fPrio: best-available-priority summary
 //	payload ...             see appendFrame
 //
-// The optional header fields are the batching heart of the protocol:
-// any frame — a steal reply, a gather, a heartbeat — can carry the
-// sender's current best bound (so a lost or still-in-flight broadcast
-// is repaired by the next frame of any kind, and a thief never prunes
-// with knowledge older than the last frame it saw), and — new in v3 —
-// the best priority among the tasks the origin locality could currently
-// serve to a thief (PrioNone when it has none). The summary is stamped
+// The optional header field is the batching heart of the protocol: any
+// frame — a steal reply, a gather, a heartbeat — can carry the best
+// priority among the tasks the origin locality could currently serve to
+// a thief (PrioNone when it has none; new in v3). The summary is stamped
 // only by the frame's originator, so every frame doubles as a
 // load/promise advertisement that peers feed into priority-aware victim
 // selection.
@@ -53,9 +49,9 @@ import (
 // survive the death of the locality that found them.
 //
 // v5 adds the mesh vocabulary: kPeerAddr, kPeers (the table appendPeerTable
-// encodes), kPeerHello, kGossip (no node blob: retention stays at the
-// hub) and kToken (colour bits tokBlack|tokActive), each in existing
-// frame slots, as the package comment's table gives them.
+// encodes), kPeerHello, a node-less epidemic bound push (gone in v16) and
+// kToken (colour bits tokBlack|tokActive), each in existing frame slots,
+// as the package comment's table gives them.
 //
 // v6 added a second steal request, the split steal, whose dry victim
 // split a live generator stack; v15 removes it (below).
@@ -106,12 +102,14 @@ import (
 // kind is gone, and the kinds after it moved down one. A victim under the
 // stack-stealing coordination serves a kSteal that finds its pool dry by
 // waiting for a running worker to shed (StackSplitter), so the thief need
-// not know it.
+// not know it. v16 has one bound broadcast: every rank, the coordinator
+// included, sends a kBound with its node on every link. The epidemic
+// push's kind is gone, and the kinds after it moved down one; the header's piggybacked bound
+// and its flag are gone, and the flag bits after it moved down one.
 
 const (
-	fBound = 1 << 0 // header carries a piggybacked bound snapshot
-	fPrio  = 1 << 1 // header carries a best-available-priority summary
-	fVals  = 1 << 2 // kAck: each id is followed by its value
+	fPrio = 1 << 0 // header carries a best-available-priority summary
+	fVals = 1 << 1 // kAck: each id is followed by its value
 )
 
 // maxFrameBody bounds a peer-supplied body length before allocation.
@@ -126,11 +124,9 @@ type frame struct {
 	From  int
 	To    int
 	Seq   uint64
-	PB    int64 // piggybacked bound snapshot
-	HasPB bool
 	PS    int64 // piggybacked best-available-priority summary (PrioNone = no work)
 	HasPS bool
-	Obj   int64      // kBound: the broadcast bound; kCancel: witness objective; kGossip: gossiped bound; kToken: accumulated count
+	Obj   int64      // kBound: the broadcast bound; kCancel: witness objective; kToken: accumulated count
 	Want  int        // kSteal: max tasks; kHello/kPeerHello: protocol version; kWelcome: deployment size; kDeath: dead rank; kToken: colour bits
 	Blob  []byte     // kHello/kWelcome/kReject/kGather payload; kBound/kCancel retained node; kPeerAddr address; kPeers table
 	Tasks []WireTask // kStealR payload
@@ -147,9 +143,6 @@ type ack struct {
 // appendFrame appends f's body encoding (no length prefix) to dst.
 func appendFrame(dst []byte, f *frame) []byte {
 	var flags byte
-	if f.HasPB {
-		flags |= fBound
-	}
 	if f.HasPS {
 		flags |= fPrio
 	}
@@ -160,9 +153,6 @@ func appendFrame(dst []byte, f *frame) []byte {
 	dst = binary.AppendVarint(dst, int64(f.From))
 	dst = binary.AppendVarint(dst, int64(f.To))
 	dst = binary.AppendUvarint(dst, f.Seq)
-	if flags&fBound != 0 {
-		dst = binary.AppendVarint(dst, f.PB)
-	}
 	if flags&fPrio != 0 {
 		dst = binary.AppendVarint(dst, f.PS)
 	}
@@ -171,7 +161,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 		dst = binary.AppendUvarint(dst, uint64(f.Want))
 	}
 	switch f.Kind {
-	case kBound, kCancel, kGossip, kToken, kResume:
+	case kBound, kCancel, kToken, kResume:
 		dst = binary.AppendVarint(dst, f.Obj)
 	}
 	switch f.Kind {
@@ -295,12 +285,6 @@ func parseFrame(b []byte, f *frame) error {
 	if f.Seq, err = r.uvarint(); err != nil {
 		return err
 	}
-	if flags&fBound != 0 {
-		if f.PB, err = r.varint(); err != nil {
-			return err
-		}
-		f.HasPB = true
-	}
 	if flags&fPrio != 0 {
 		if f.PS, err = r.varint(); err != nil {
 			return err
@@ -316,7 +300,7 @@ func parseFrame(b []byte, f *frame) error {
 		f.Want = int(w)
 	}
 	switch f.Kind {
-	case kBound, kCancel, kGossip, kToken, kResume:
+	case kBound, kCancel, kToken, kResume:
 		if f.Obj, err = r.varint(); err != nil {
 			return err
 		}
@@ -401,7 +385,7 @@ func parseAcks(r *frameReader, acks []ack, vals bool) ([]ack, error) {
 	return acks, nil
 }
 
-// kToken colour bits, carried in Want.
+// kToken colour bits, in Want.
 const (
 	tokBlack  = 1 << 0 // a visited rank received tasks behind the token
 	tokActive = 1 << 1 // some visited rank has ever held live work

@@ -24,41 +24,36 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kTerminate},
 		{Kind: kGather, From: 3, Blob: []byte{1, 2, 3}},
 		{Kind: kGather, From: 3, Blob: []byte{}},
-		{Kind: kSteal, From: 1, To: 2, Seq: 1, Want: 8, PB: -5, HasPB: true},
-		{Kind: kBound, From: 0, Obj: math.MinInt64 + 1, PB: math.MaxInt64, HasPB: true, Blob: []byte{}},
-		// v3: best-available-priority summaries, alone and with the
-		// other optional header fields; PrioNone advertises empty.
+		{Kind: kBound, From: 0, Obj: math.MinInt64 + 1, Blob: []byte{}},
+		// v3: best-available-priority summaries; PrioNone advertises empty.
 		{Kind: kPing, From: 2, PS: 5, HasPS: true},
 		{Kind: kSteal, From: 1, To: 2, Seq: 2, Want: 4, PS: PrioNone, HasPS: true},
-		{Kind: kStealR, From: 2, To: 1, Seq: 2, PB: 9, HasPB: true, PS: 0, HasPS: true,
+		{Kind: kStealR, From: 2, To: 1, Seq: 2, PS: 0, HasPS: true,
 			Tasks: []WireTask{{Payload: []byte("p"), ID: TaskID(0, 3), Depth: 1, Prio: 2, Bound: 4}}},
 		// v4: node-carrying bounds and cancels, acks, death notices,
 		// heartbeats.
 		{Kind: kBound, From: 2, Obj: 40, Blob: []byte("encoded-incumbent")},
 		{Kind: kCancel, From: 3, Obj: 17, Blob: []byte("encoded-witness")},
 		{Kind: kAck, From: 2, To: 1, Acks: []ack{{ID: TaskID(1, 44)}}},
-		{Kind: kAck, From: 1, Acks: []ack{{ID: TaskID(0, math.MaxUint32)}, {ID: TaskID(2, 1)}, {ID: TaskID(0, 7)}},
-			PB: 8, HasPB: true},
+		{Kind: kAck, From: 1, Acks: []ack{{ID: TaskID(0, math.MaxUint32)}, {ID: TaskID(2, 1)}, {ID: TaskID(0, 7)}}},
 		{Kind: kAck, From: 3, Acks: []ack{{ID: TaskID(0, 5), Val: []byte("fold")}, {ID: TaskID(1, 2), Val: []byte{}}}}, // v12
 		{Kind: kAck, From: 1}, // empty batch (drained elsewhere)
 		{Kind: kDeath, From: 0, Want: 3},
 		{Kind: kPing, From: 2},
-		{Kind: kPing, From: 1, PB: -2, HasPB: true, PS: 1, HasPS: true},
-		// v5: mesh registration, peer tables, direct peer hellos,
-		// epidemic bounds, and termination-wave tokens.
+		{Kind: kPing, From: 1, PS: 1, HasPS: true},
+		// v5: mesh registration, peer tables, direct peer hellos and
+		// termination-wave tokens.
 		{Kind: kPeerAddr, Blob: []byte("10.0.0.7:41231")},
 		{Kind: kPeers, To: 2, Blob: appendPeerTable(nil, []string{"", "10.0.0.7:41231", "10.0.0.9:35011"})},
 		{Kind: kPeerHello, From: 3, Want: wireVersion},
-		{Kind: kGossip, From: 2, To: 1, Obj: 456},
-		{Kind: kGossip, From: 0, Obj: math.MinInt64 + 1, PB: 456, HasPB: true, PS: 2, HasPS: true},
 		{Kind: kToken, From: 1, To: 2, Seq: 9, Obj: 0, Want: 0},
 		{Kind: kToken, From: 4, To: 0, Seq: 1 << 33, Obj: -17, Want: tokBlack | tokActive},
-		{Kind: kToken, From: 2, To: 3, Seq: 12, Obj: 3, Want: tokActive, PB: 7, HasPB: true},
+		{Kind: kToken, From: 2, To: 3, Seq: 12, Obj: 3, Want: tokActive, PS: 2, HasPS: true},
 		// v7: the standby's snapshot, a rank's goodbye.
 		// v13: the snapshot names the root's hand-over id beside its holder,
 		// which a kHeld carries in Seq.
 		{Kind: kHubSnap, Blob: encodeHubSnapshot(&HubSnapshot{Holder: 2, RootID: TaskID(0, 3), HasBest: true, BestObj: 7, BestNode: []byte("n")})},
-		{Kind: kHubSnap, Blob: []byte{}, PB: 3, HasPB: true},
+		{Kind: kHubSnap, Blob: []byte{}},
 		{Kind: kHeld, From: 2, Seq: TaskID(0, 3)},
 		{Kind: kLeave, From: 3},
 	}
@@ -82,11 +77,11 @@ func TestFrameRoundTrip(t *testing.T) {
 // frame bodies come off the network.
 func TestFrameParseRobustness(t *testing.T) {
 	bodies := [][]byte{
-		appendFrame(nil, &frame{Kind: kStealR, From: 1, To: 2, Seq: 9, PB: 11, HasPB: true, PS: 2, HasPS: true,
+		appendFrame(nil, &frame{Kind: kStealR, From: 1, To: 2, Seq: 9, PS: 2, HasPS: true,
 			Tasks: []WireTask{{Payload: []byte("payload-bytes"), ID: TaskID(1, 77), Depth: 5, Prio: 7, Bound: 40}}}),
 		// A v5 body too: the peer table and token paths parse from the
 		// same reader and deserve the same truncation/bit-flip sweep.
-		appendFrame(nil, &frame{Kind: kPeers, To: 1, PB: 3, HasPB: true,
+		appendFrame(nil, &frame{Kind: kPeers, To: 1,
 			Blob: appendPeerTable(nil, []string{"", "h1:1", "h2:2"})}),
 		appendFrame(nil, &frame{Kind: kToken, From: 2, To: 0, Seq: 41, Obj: -2, Want: tokBlack}),
 	}

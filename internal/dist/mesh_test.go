@@ -10,8 +10,7 @@ import (
 )
 
 // The mesh's own transport behaviour, beyond the shared conformance
-// suite: steal traffic bypasses the coordinator entirely, and bounds
-// delivered by gossip stay monotone at every receiver.
+// suite: steal traffic bypasses the coordinator entirely.
 
 // Direct-steal conservation: a worker draining another worker moves
 // every task exactly once, and none of the steal traffic crosses the
@@ -65,58 +64,6 @@ func TestMeshDirectStealConservation(t *testing.T) {
 	// absent.
 	if hubFrames >= int64(2*exchanges) {
 		t.Fatalf("coordinator saw %d frames across %d direct exchanges; steal traffic is crossing the hub", hubFrames, exchanges)
-	}
-}
-
-// Gossip bound monotonicity: epidemic spread delivers bounds in no
-// particular order and with duplicates, but every endpoint melds before
-// delivering — so a handler hears only raises of the endpoint's maximum:
-// each value at most once, none beyond what was published, and all ranks
-// converge on the global maximum. The order of delivery is not pinned: two
-// read loops of a mesh rank may each raise the maximum and then reach the
-// handler the other way round, which a handler merging with a max (the
-// Handler.OnBound contract) cannot tell.
-func TestMeshGossipBoundMonotonicity(t *testing.T) {
-	trs := makeTCP(t, 4, WireOptions{})
-	hs := startAll(trs)
-	const rounds = 60
-	globalMax := int64(0)
-	for i := 1; i <= rounds; i++ {
-		for r := range trs {
-			b := int64(10*i + r)
-			if b > globalMax {
-				globalMax = b
-			}
-			trs[r].BroadcastBound(b, nil)
-		}
-	}
-	for r := range trs {
-		r := r
-		// Every rank converges on at least the best bound some OTHER
-		// rank published (its own best is only ever heard as an
-		// epidemic echo, so it can't be required).
-		want := int64(10*rounds + len(trs) - 1)
-		if r == len(trs)-1 {
-			want = int64(10*rounds + len(trs) - 2)
-		}
-		eventually(t, "rank to converge on the global maximum", func() bool {
-			return hs[r].boundMax.Load() >= want
-		})
-	}
-	for r := range trs {
-		hs[r].mu.Lock()
-		bounds := append([]int64{}, hs[r].bounds...)
-		hs[r].mu.Unlock()
-		seen := make(map[int64]bool, len(bounds))
-		for _, b := range bounds {
-			if seen[b] {
-				t.Errorf("rank %d delivered duplicate bound %d", r, b)
-			}
-			seen[b] = true
-			if b > globalMax {
-				t.Errorf("rank %d delivered bound %d beyond the published max %d", r, b, globalMax)
-			}
-		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // the accepting side parks its reader until the resume (or the grace
 // timer) resolves the suspension. Both sides then retransmit exactly
 // the frames the other missed, so steal replies, acks, tokens and
-// gossip cross a reconnect without tripping the ledger-replay or
+// bounds cross a reconnect without tripping the ledger-replay or
 // failover paths. A session that cannot resume inside the grace window
 // breaks, collapsing the link to the pre-v8 death path — which is
 // always safe, just more expensive.

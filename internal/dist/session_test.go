@@ -58,7 +58,7 @@ func TestEncodeFrameRoundTrip(t *testing.T) {
 // whole point of the trailer: a lying stream becomes a link failure,
 // never a silently wrong frame.
 func TestReadRawFrameCorruption(t *testing.T) {
-	f := frame{Kind: kStealR, From: 1, To: 2, Seq: 9, PB: 11, HasPB: true,
+	f := frame{Kind: kStealR, From: 1, To: 2, Seq: 9, PS: 11, HasPS: true,
 		Tasks: []WireTask{{Payload: []byte("payload-bytes"), ID: TaskID(1, 77), Depth: 5, Prio: 7, Bound: 40}}}
 	clean := encodeFrame(nil, &f, 31)
 	for pos := 0; pos < len(clean); pos++ {
@@ -77,7 +77,7 @@ func TestReadRawFrameCorruption(t *testing.T) {
 // Every strict prefix of a valid encoding must error (EOF family or a
 // CRC/length complaint), never block the caller into a wrong frame.
 func TestReadRawFrameTruncated(t *testing.T) {
-	clean := encodeFrame(nil, &frame{Kind: kGossip, From: 2, To: 1, Obj: 456}, 7)
+	clean := encodeFrame(nil, &frame{Kind: kBound, From: 2, To: 1, Obj: 456, Blob: []byte("node")}, 7)
 	for cut := 0; cut < len(clean); cut++ {
 		var g frame
 		if _, _, err := readRawFrame(bufio.NewReader(bytes.NewReader(clean[:cut])), &g); err == nil {

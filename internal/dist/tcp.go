@@ -17,21 +17,17 @@ import (
 // connection (wconn), and registration — Listener.Wait on the
 // coordinator's side, Dial on a worker's.
 //
-// Frames are the binary format of frame.go. Two amortisations
-// distinguish it from the v1 gob protocol:
-//
-//   - steal replies carry up to StealBatch tasks, so one round trip
-//     moves a batch instead of a single task;
-//   - every outgoing frame piggybacks the sender's best known bound,
-//     so incumbent knowledge rides along with ordinary traffic.
+// Frames are the binary format of frame.go. Steal replies carry up to
+// StealBatch tasks, so one round trip moves a batch instead of a single
+// task.
 
 const (
 	// dial keeps retrying (the coordinator may not be listening yet).
 	dialTimeout = 30 * time.Second
 	// wireVersion is checked at registration — peers must not silently
 	// garble each other. frame.go's header gives each version's change;
-	// v15's is one steal: no split-steal kind.
-	wireVersion = 15
+	// v16's is one bound broadcast: no epidemic kind, no header bound.
+	wireVersion = 16
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
@@ -149,7 +145,7 @@ const (
 	kReject                // hub→worker: registration refused (Blob = reason)
 	kSteal                 // From = thief, To = victim, Want = max tasks
 	kStealR                // From = victim, To = thief, Tasks = batch
-	kBound                 // From, Obj
+	kBound                 // From = finder, Obj = bound, Blob = its node
 	kCancel                // From
 	kTerminate             // From = the coordinator: the search is over
 	kGather                // From, Blob
@@ -159,7 +155,6 @@ const (
 	kPeerAddr              // worker→hub at registration: Blob = advertised listener address
 	kPeers                 // hub→worker: Blob = rank-indexed peer address table
 	kPeerHello             // first frame on a direct peer conn: From = dialer rank, Want = wire version
-	kGossip                // epidemic bound push: From = origin, Obj = gossiped bound
 	kToken                 // termination-wave token: Seq = round, Obj = accumulated count, Want = colour bits
 	kHubSnap               // hub→standby: Blob = residual-state snapshot (encodeHubSnapshot)
 	kHeld                  // standby worker→hub: From registered rank 0's supervised hand-over, the root, Seq its id
@@ -168,8 +163,8 @@ const (
 )
 
 // wconn is one length-prefix-framed TCP connection with serialised
-// writes. The send path stamps the owning endpoint's best bound and
-// priority summary onto every frame that leaves.
+// writes. The send path stamps the owning endpoint's priority summary
+// onto every frame it originates.
 type wconn struct {
 	// cur is the current physical connection. A resumable session (v8)
 	// swaps it on reconnect; everything else about the wconn — the
@@ -221,7 +216,6 @@ type wconn struct {
 	nRecvd atomic.Uint64
 
 	// endpoint hooks; any may be nil.
-	pb *atomic.Int64 // best known bound, stamped per send
 	// ps reports the owning endpoint's best stealable priority for the
 	// v3 summary piggyback (psNothing = don't stamp). Only frames the
 	// endpoint originates (From == psFrom) are stamped: a cancel the
@@ -230,14 +224,6 @@ type wconn struct {
 	ps     func() int64
 	psFrom int
 	ctr    *wireCounters
-
-	// carried is the best bound this connection has demonstrably
-	// conveyed in either direction — stamped as a pb piggyback or an
-	// explicit kGossip/kBound, sent or received. The epidemic push
-	// consults it to suppress gossip that would tell the peer
-	// nothing new: every ordinary frame already spreads bounds for
-	// free, so explicit gossip frames are spent only on actual news.
-	carried atomic.Int64
 
 	// halt is the owning endpoint's closed flag: once it is up, nothing
 	// leaves on this link (halted).
@@ -252,7 +238,6 @@ func newWconn(c net.Conn, ctr *wireCounters) *wconn {
 	// frame, so the steady-state send path never grows it.
 	cn := &wconn{ctr: ctr, wbuf: make([]byte, 0, 256)}
 	cn.cur.Store(newConnIO(c))
-	cn.carried.Store(math.MinInt64)
 	return cn
 }
 
@@ -262,29 +247,8 @@ func (cn *wconn) attachFault(p *FaultPlan, from, to int) {
 	cn.plan, cn.fFrom, cn.fTo = p, from, to
 }
 
-// noteCarried records bound knowledge that crossed this connection.
-func (cn *wconn) noteCarried(f *frame) {
-	if f.HasPB {
-		raiseMax(&cn.carried, f.PB)
-	}
-	if f.Kind == kGossip || f.Kind == kBound {
-		raiseMax(&cn.carried, f.Obj)
-	}
-}
-
-// hasNews reports whether obj would be news to the peer behind this
-// connection, as far as the traffic so far can prove.
-func (cn *wconn) hasNews(obj int64) bool { return obj > cn.carried.Load() }
-
-// stampLocked stamps the piggybacked bound and priority summary onto f.
-// Called under wmu.
+// stampLocked stamps the priority summary onto f. Called under wmu.
 func (cn *wconn) stampLocked(f *frame) {
-	// kBound frames carry their news in Obj: no stamp repeats it.
-	if cn.pb != nil && !f.HasPB && f.Kind != kBound {
-		if b := cn.pb.Load(); b != math.MinInt64 {
-			f.PB, f.HasPB = b, true
-		}
-	}
 	if cn.ps != nil && !f.HasPS && f.From == cn.psFrom {
 		if p := cn.ps(); p != psNothing {
 			f.PS, f.HasPS = p, true
@@ -318,7 +282,6 @@ func (cn *wconn) send(f *frame) error {
 		// absorbed by the death path when the session breaks.
 		s.appendLog(cn.sendSeq, buf)
 		cn.nSent.Add(1)
-		cn.noteCarried(f)
 		if cn.ctr != nil {
 			cn.ctr.framesSent.Add(1)
 			cn.ctr.bytesSent.Add(int64(len(buf)))
@@ -339,7 +302,6 @@ func (cn *wconn) send(f *frame) error {
 		return err
 	}
 	cn.nSent.Add(1)
-	cn.noteCarried(f)
 	if cn.ctr != nil {
 		cn.ctr.framesSent.Add(1)
 		cn.ctr.bytesSent.Add(int64(len(buf)))
@@ -507,7 +469,6 @@ func (cn *wconn) recv(f *frame) error {
 			cn.recvSeq.Store(next)
 		}
 		cn.nRecvd.Add(1)
-		cn.noteCarried(f)
 		if cn.ctr != nil {
 			cn.ctr.framesRecv.Add(1)
 			cn.ctr.bytesRecv.Add(int64(n))
@@ -625,7 +586,7 @@ type pendingSteal struct {
 	via     *wconn
 	claimed bool // a reply is on its way to ch: the requester must take it
 	// ch (capacity 1: one reply per claim, never blocks) wakes the requester
-	// with the reply's first task, n set to how many it carried (0: an
+	// with the reply's first task, n set to how many it held (0: an
 	// empty-handed or failed steal).
 	ch    chan WireTask
 	n     int
@@ -905,7 +866,7 @@ func DialOpts(addr, spec string, opts WireOptions) (Transport, error) {
 	e.init(welcome.To, welcome.Want)
 	e.hook(cn)
 	if opts.LinkGrace > 0 && welcome.Seq != 0 {
-		// The coordinator minted a resumable session and carried its id
+		// The coordinator minted a resumable session and sent its id
 		// in the welcome; this side dials the resume after a loss.
 		s := newSession(welcome.Seq, opts.LinkGrace)
 		s.rank = e.rank

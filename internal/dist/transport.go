@@ -68,8 +68,9 @@ type Handler interface {
 	// the shallowest (largest expected subtree) in the local workpool.
 	// It reports false when the locality has no spare work.
 	ServeSteal(thief int) (WireTask, bool)
-	// OnBound delivers a peer locality's improved incumbent bound.
-	// Deliveries may arrive late or out of order; receivers must merge
+	// OnBound delivers a peer locality's improved incumbent bound, over
+	// a wire once its node is retained here (BestKnown). Deliveries may
+	// arrive late, out of order or more than once; receivers must merge
 	// with a monotonic max.
 	OnBound(from int, obj int64)
 	// OnCancel delivers a peer's global short-circuit (a decision
@@ -78,7 +79,7 @@ type Handler interface {
 	// OnTask delivers a task that was stolen on this locality's
 	// behalf but could not be handed to the requesting worker — e.g.
 	// the steal reply arrived after the request timed out, or the
-	// reply carried a batch and this task is one of the extras beyond
+	// reply held a batch and this task is one of the extras beyond
 	// the requesting worker's single slot. The locality must enqueue
 	// it as local work: the task left its victim's pool and is still
 	// registered in the global live count, so dropping it would lose
@@ -304,20 +305,6 @@ func (c *wireCounters) snapshot() WireStats {
 	}
 }
 
-// raiseMax monotonically raises a to at least v, reporting whether the
-// value increased (false for stale or duplicate deliveries).
-func raiseMax(a *atomic.Int64, v int64) bool {
-	for {
-		cur := a.Load()
-		if v <= cur {
-			return false
-		}
-		if a.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
-}
-
 // Transport connects one locality to its peers. It is the pluggable
 // communication substrate of the distributed runtime: the engine above
 // it is identical whether the peers are goroutines in this process
@@ -361,10 +348,11 @@ type Transport interface {
 	// other locality, asynchronously: peers learn it after the
 	// transport's delivery latency, pruning against stale knowledge in
 	// the meantime. node, when non-nil, is the codec-encoded incumbent
-	// node itself: the transport retains the best (obj, node) pair
-	// where rank 0 can reach it (BestKnown), so the optimum
-	// survives the death of the locality that found it. nil skips the
-	// retention (in-process deployments share the incumbent anyway).
+	// node itself: over a wire it goes with the bound to every peer, and
+	// each retains the best (obj, node) pair it heard (BestKnown), so a
+	// rank that hears a bound holds its node and the optimum survives the
+	// death of the locality that found it. nil skips the retention
+	// (in-process deployments share the incumbent anyway).
 	BroadcastBound(obj int64, node []byte) error
 	// Cancel propagates a global short-circuit to every other
 	// locality; over a wire it also ends the search (Done). witness,
@@ -408,13 +396,13 @@ type Transport interface {
 	// whose localities share one result, Gather is an error.
 	Gather(payload []byte) ([][]byte, error)
 	// BestKnown is the incumbent retention: the best (obj, node) pair
-	// published through a node-carrying BroadcastBound or a Cancel
-	// witness. It is kept where the coordinator role is, so only the
-	// answer of rank 0 — or of the rank Promoted in its place — is
-	// meaningful; that is how an optimum survives its finder's death.
-	// (Under WireOptions.Standby a worker keeps its own best too, to hand
-	// a promoted rank.) The loopback network, whose localities share the
-	// incumbent, retains none.
+	// this rank published or heard through a node-carrying
+	// BroadcastBound, or a Cancel witness. Every rank keeps it, to hand a
+	// promoted rank and to send ahead of its gather share, but only the
+	// answer of rank 0 — or of the rank Promoted in its place — is the
+	// search's; that is how an optimum survives its finder's death. The
+	// loopback network, whose localities share the incumbent, retains
+	// none.
 	BestKnown() (obj int64, node []byte, ok bool)
 	// Promoted reports whether THIS endpoint inherited the coordinator
 	// role after rank 0 died mid-search (protocol v7,
