@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -38,7 +39,8 @@ import (
 //   - every locality not killed is quiescent once its workers join
 //     (Config.exit);
 //   - no spill file and no goroutine outlives the run;
-//   - Deaths counts the kills that landed, the result comes from the
+//   - Deaths counts the kills that landed and a live rank rank 0 mourned,
+//     whose call errs with dist.ErrMourned; the result comes from the
 //     promoted rank exactly when rank 0 was killed, and the call errs
 //     exactly when the failure budget says so;
 //   - every rank's call returns within a deadline: a hang fails its row,
@@ -330,7 +332,7 @@ func rows(t *testing.T, scs ...scenario) {
 			continue
 		}
 		one := sc
-		one.name, one.ranks, one.standby, one.kills = path.Join(sc.name, "loopback"), 0, false, nil
+		one.name, one.ranks, one.standby, one.mourned, one.kills = path.Join(sc.name, "loopback"), 0, false, 0, nil
 		one.cfg.Localities, one.cfg.Workers = sc.ranks, cmp.Or(sc.cfg.Workers, runtime.GOMAXPROCS(0))*sc.ranks
 		one.check(t)
 		sc.name = path.Join(sc.name, "tcp")
@@ -593,6 +595,18 @@ func TestStandbyCoordinatorDiesMidSearch(t *testing.T) {
 	rows(t, scs...)
 }
 
+// A coordinator that mourns a live rank: rank 1's link to rank 0 turns
+// slower than LivenessTimeout at its first work, and nothing is killed.
+// Rank 0 tells rank 1 it is dead ahead of the link's close, and rank 1
+// stops (dist.ErrMourned): it neither errs at the gather for want of a
+// coordinator nor, as the standby, takes the role over while rank 0
+// returns the answer.
+func TestCoordinatorMournsALiveRank(t *testing.T) {
+	sc := db(fault, optimise, 3, tolerant)
+	sc.mourned = 1
+	rows(t, sc, enumTwin(sc), onStandby(sc), enumTwin(onStandby(sc)))
+}
+
 // drawn is a standby row that draw(seed) drew, written out so that a
 // change to draw leaves it as it was: a tree semTree(seed, branch,
 // depth) and rank 0 a pure coordinator; slowed gives it draw's link
@@ -785,6 +799,7 @@ type scenario struct {
 	cfg     Config
 	ranks   int  // Dist* processes on one in-process TCP network; 0 or 1: the single-process entry point
 	standby bool // failover armed on the wire, rank 0 a pure coordinator (several processes only)
+	mourned int  // a rank whose link to rank 0 turns slower than LivenessTimeout at its first work: rank 0 mourns it while it runs
 	net     *dist.FaultPlan
 	parts   []dist.ChaosPartition
 	kills   []kill
@@ -814,8 +829,13 @@ func (sc scenario) run(t *testing.T) {
 	if cfg.PoolBudget > 0 {
 		cfg.SpillDir = t.TempDir()
 	}
-	var dead sync.Map // rank → true once killed
+	var dead sync.Map // rank → true once killed, or mourned
 	isDead := func(rank int) bool { _, ok := dead.Load(rank); return ok }
+	var slow sync.Once
+	if sc.mourned > 0 {
+		dead.Store(sc.mourned, true)
+		sc.net = dist.NewFaultPlan(1)
+	}
 	cfg.exit = func(rank int, left error) {
 		if left != nil && !isDead(rank) {
 			t.Error(left)
@@ -857,8 +877,13 @@ func (sc scenario) run(t *testing.T) {
 				}
 			}
 		}
-		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), onWork: func(rank int) { fire(rank, false) },
-			onHeard: func(from int) { fire(from, true) }}
+		onWork := func(rank int) {
+			if sc.mourned > 0 && rank == sc.mourned {
+				slow.Do(func() { sc.net.SetLink(0, rank, dist.LinkFault{Latency: 2 * liveness}) })
+			}
+			fire(rank, false)
+		}
+		audit := &liveAudit{t: t, perRank: make([]atomic.Int64, ranks), onWork: onWork, onHeard: func(from int) { fire(from, true) }}
 		for _, k := range sc.kills {
 			if k.after == 0 {
 				armed[k.rank].Store(true)
@@ -897,6 +922,9 @@ func (sc scenario) run(t *testing.T) {
 		if r != owner && !isDead(r) && outs[r].err != nil && sc.coord != Sequential {
 			t.Errorf("rank %d: %v", r, outs[r].err)
 		}
+		if sc.mourned > 0 && r == sc.mourned && !errors.Is(outs[r].err, dist.ErrMourned) {
+			t.Errorf("rank %d: %v, want it mourned", r, outs[r].err)
+		}
 	}
 	for _, tr := range raw {
 		tr.Close()
@@ -918,14 +946,17 @@ func (sc scenario) run(t *testing.T) {
 	}
 }
 
+// liveness is short enough that a death learned of only from a silent
+// link still lands well inside rowDeadline.
+const liveness = 500 * time.Millisecond
+
 // deployTCP connects the row's ranks over in-process TCP, indexed by the
 // rank registration gave each: the wire options are the row's standby and
-// fault plan, with sessions that outlast a drawn partition, and a liveness
-// short enough that a death learned of only from a silent link still
-// lands well inside rowDeadline.
+// fault plan, with sessions that outlast a drawn partition, and the
+// liveness above.
 func (sc scenario) deployTCP(t *testing.T) []dist.Transport {
 	opts := dist.WireOptions{Standby: sc.standby, Fault: sc.net,
-		Heartbeat: 50 * time.Millisecond, LivenessTimeout: 500 * time.Millisecond}
+		Heartbeat: 50 * time.Millisecond, LivenessTimeout: liveness}
 	if len(sc.parts) > 0 {
 		opts.LinkGrace = time.Second
 	}

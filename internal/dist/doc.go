@@ -2,7 +2,7 @@
 // search runtime: a pluggable Transport over which localities — the
 // paper's physical cluster nodes — exchange work and incumbent
 // knowledge. This comment is a reference to the protocol as it stands
-// (wire v16); how it got there, version by version, is in CHANGES.md.
+// (wire v17); how it got there, version by version, is in CHANGES.md.
 //
 // # What a Transport does
 //
@@ -95,7 +95,7 @@
 //	kTerminate  C → all             From C                                         the count is zero, the wave confirmed, or a cancel came: Done; shares go to C
 //	kGather     W → C               Blob result share                              the terminal collective, sent only after Done, behind W's best kBound; a dead rank's slot is nil
 //	kPing       W → C               header only                                    liveness, after a Heartbeat with nothing else sent
-//	kDeath      C → all             Want dead rank                                 mourn: fail steals aimed at it, replay its hand-overs, skip it for good
+//	kDeath      C → all             Want dead rank                                 mourn: fail steals aimed at it, replay its hand-overs, skip it for good; a dead rank that still runs stops
 //	kLeave      rank → all          none                                           an exit after termination, not a death to replay
 //	kHubSnap    C → S               Blob residual-state snapshot                   (standby) root holder and id, incumbent; at most one a flush quantum, none unchanged
 //	kHeld       W → C               Seq hand-over id                               (standby) W registered the root C handed it under the id: C may now name W its holder
@@ -192,6 +192,13 @@
 //
 // The gather runs after Done, which no takeover follows: the rank that
 // ended the search collects it and reports (Transport.Promoted).
+//
+// A rank the coordinator mourns while it runs, its link merely slower
+// than LivenessTimeout, hears its own kDeath ahead of the link's close,
+// crash-stops and never takes over; its Gather returns ErrMourned. A rank
+// whose link to rank 0 breaks without that word (a partition) cannot tell
+// it from rank 0's death: a standby takes the role over while rank 0
+// lives. Cut off from every peer, no rank could tell the two apart.
 //
 // # Who owns a payload
 //

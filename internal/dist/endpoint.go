@@ -359,6 +359,14 @@ func (e *endpoint) readLoop(peer int, cn *wconn) {
 		case kGather:
 			e.contribute(f.From, append([]byte{}, f.Blob...))
 		case kDeath:
+			if f.Want == e.rank {
+				// The coordinator mourned this rank while it ran, and its
+				// survivors replay what it held: it crash-stops rather than
+				// outlive the verdict, and never takes the role over.
+				e.deaths.announce(e.rank)
+				e.Close()
+				break
+			}
 			e.died(f.Want, nil)
 		case kTerminate:
 			// A share goes to the rank that ended the search, whose kTerminate
@@ -703,7 +711,10 @@ func (e *endpoint) pingLoop() {
 // livenessLoop is the coordinator's watchdog: a link silent past
 // LivenessTimeout is declared dead by closing it, which fails its read
 // loop into linkLost — the same path a broken connection takes, so
-// wedged-but-connected workers and SIGKILLed ones converge. It runs
+// wedged-but-connected workers and SIGKILLed ones converge. A rank that
+// is only slow must not outlive the verdict, so it is told first: its own
+// kDeath goes ahead of the close, behind whatever the link still carries
+// (closeBehind), and the rank crash-stops on it. It runs
 // until Close, NOT until termination: the gather phase after Done must
 // also be able to give up on a worker that wedges before contributing
 // (worker pings keep flowing until the worker itself closes).
@@ -717,6 +728,7 @@ func (e *endpoint) livenessLoop() {
 	watched := make([]*wconn, e.size)
 	seen := make([]uint64, e.size)
 	changed := make([]time.Time, e.size)
+	told := make([]bool, e.size)
 	for {
 		select {
 		case <-e.stop:
@@ -733,8 +745,11 @@ func (e *endpoint) livenessLoop() {
 					continue
 				}
 				switch silent, grace := now.Sub(changed[rank]), e.opts.LinkGrace; {
+				case told[rank]:
 				case silent > e.opts.LivenessTimeout+grace:
-					cn.close()
+					told[rank] = true
+					cn.send(&frame{Kind: kDeath, From: e.rank, Want: rank})
+					cn.closeBehind()
 				case silent > e.opts.LivenessTimeout:
 					// Two-phase mourning: quarantine first. The rank drops
 					// out of victim orders and steal routing, but its
@@ -772,10 +787,14 @@ func (e *endpoint) contribute(rank int, blob []byte) {
 // Gather waits for Done, which no takeover follows, so a share goes to the
 // coordinator that ended the search, behind the sender's bounds and
 // cancels: once every live rank's has landed, BestKnown is complete. A
-// closed endpoint has nothing to gather.
+// closed endpoint has nothing to gather, and one the coordinator mourned
+// says so (ErrMourned).
 func (e *endpoint) Gather(payload []byte) ([][]byte, error) {
 	<-e.done
-	if e.closed.Load() {
+	switch {
+	case e.deaths.isDead(e.rank):
+		return nil, ErrMourned
+	case e.closed.Load():
 		return nil, errors.New("dist: gather on a closed endpoint")
 	}
 	if !e.isCoord() {

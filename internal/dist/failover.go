@@ -55,7 +55,8 @@ import (
 // correctness); and the simultaneous death of the hub and the standby
 // before the next-lowest rank's first snapshot lands. (A death the hub
 // mourned but died before fanning out is judged again by every survivor
-// whose link to the dead rank broke: judgeLost.)
+// whose link to the dead rank broke: judgeLost.) A partition that cuts
+// the standby from rank 0 alone promotes it while rank 0 lives (doc.go).
 
 // HubSnapshot is the coordinator's residual state: what a standby needs
 // beyond what registration already told it (the spec, the size and the
@@ -212,8 +213,9 @@ func (e *endpoint) snapshotBlob() []byte {
 // true when the deployment carries on under a new coordinator — this
 // rank, having acquired the role, or the elected one, to which this
 // rank's coordinator traffic now goes — and false when it cannot: not a
-// standby deployment, a normal post-termination disconnect, a second
-// coordinator death, nobody left.
+// standby deployment, a normal post-termination disconnect, a rank that
+// stopped (Close, or its own kDeath), a second coordinator death, nobody
+// left.
 func (e *endpoint) takeover(old *wconn) bool {
 	if !e.opts.Standby || e.isDone() || !e.epoch.CompareAndSwap(0, 1) {
 		return false

@@ -105,7 +105,9 @@ import (
 // not know it. v16 has one bound broadcast: every rank, the coordinator
 // included, sends a kBound with its node on every link. The epidemic
 // push's kind is gone, and the kinds after it moved down one; the header's piggybacked bound
-// and its flag are gone, and the flag bits after it moved down one.
+// and its flag are gone, and the flag bits after it moved down one. v17
+// sends a kDeath to the rank it names too, ahead of its link's close: a
+// rank mourned while it runs stops on it instead of taking over.
 
 const (
 	fPrio = 1 << 0 // header carries a best-available-priority summary

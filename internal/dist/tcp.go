@@ -26,8 +26,8 @@ const (
 	dialTimeout = 30 * time.Second
 	// wireVersion is checked at registration — peers must not silently
 	// garble each other. frame.go's header gives each version's change;
-	// v16's is one bound broadcast: no epidemic kind, no header bound.
-	wireVersion = 16
+	// v17's is a kDeath to the rank it names, which stops on it.
+	wireVersion = 17
 )
 
 // stealTimeout bounds a steal request whose reply never arrives; a
@@ -62,7 +62,8 @@ type WireOptions struct {
 	// LivenessTimeout is how long the coordinator tolerates silence on
 	// a worker connection before declaring the worker dead (a SIGKILL
 	// is usually noticed much sooner, through the broken connection;
-	// the timeout catches wedged processes and silent network drops).
+	// the timeout catches wedged processes and silent network drops; a
+	// rank that is only slow hears its own kDeath and stops).
 	// It must cover the worker's slowest gap between registration and
 	// its first frame — typically instance loading. Default
 	// DefaultLivenessTimeout.
@@ -150,7 +151,7 @@ const (
 	kTerminate             // From = the coordinator: the search is over
 	kGather                // From, Blob
 	kAck                   // From = thief, To = origin, Seq = hand-over id
-	kDeath                 // hub→workers: Want = dead rank
+	kDeath                 // hub→all, the dead rank too: Want = dead rank
 	kPing                  // liveness heartbeat; header fields only
 	kPeerAddr              // worker→hub at registration: Blob = advertised listener address
 	kPeers                 // hub→worker: Blob = rank-indexed peer address table
@@ -402,11 +403,25 @@ func (cn *wconn) put(c net.Conn, delay time.Duration, b []byte) error {
 	return nil
 }
 
+// closeBehind closes the link once every frame sent on it has been
+// written: a frame still waiting out the link's latency goes first, as a
+// real connection's close follows what was written on it.
+func (cn *wconn) closeBehind() {
+	l := &cn.line
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.running {
+		l.q = append(l.q, delayedFrame{due: l.last}) // no bytes: close
+		return
+	}
+	cn.close()
+}
+
 // deliver writes the queued frames as each falls due, and returns once
 // none is left, or the link is dead. A failed write closes its
 // connection, so the link's reader fails as it would on a write the
 // sender made itself: a session resumes (its log holds every frame), a
-// plain link dies.
+// plain link dies. An entry without bytes closes the link (closeBehind).
 func (cn *wconn) deliver() {
 	l := &cn.line
 	for {
@@ -420,7 +435,9 @@ func (cn *wconn) deliver() {
 		l.q = l.q[1:]
 		l.mu.Unlock()
 		time.Sleep(time.Until(f.due))
-		if _, err := f.c.Write(f.b); err != nil {
+		if f.b == nil {
+			cn.close()
+		} else if _, err := f.c.Write(f.b); err != nil {
 			f.c.Close()
 		}
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -111,6 +112,11 @@ func deliverAck(hd Handler, from int, id uint64, val []byte) {
 		hd.OnAck(from, id)
 	}
 }
+
+// ErrMourned is what Gather returns at a rank the coordinator mourned
+// while it ran (its link slower than LivenessTimeout, say): told of its
+// own death, the rank crash-stopped, and the survivors replay its work.
+var ErrMourned = errors.New("dist: the coordinator mourned this rank while it ran, and it stopped")
 
 // DeathHearer is an optional Handler extension: OnDeath tells the engine
 // of a peer's death, once per rank, synchronously, at the point where the
@@ -391,7 +397,8 @@ type Transport interface {
 	// payload once Done, and the coordinator — rank 0, or the rank
 	// Promoted in its place — receives all of them indexed by rank (its
 	// own included). Non-coordinator callers return (nil, nil) as soon
-	// as their payload is on the way. A dead locality's slot is nil.
+	// as their payload is on the way. A dead locality's slot is nil, and
+	// a rank the coordinator mourned while it ran gets ErrMourned.
 	// Only a deployment of processes gathers: on the loopback network,
 	// whose localities share one result, Gather is an error.
 	Gather(payload []byte) ([][]byte, error)
